@@ -5,24 +5,26 @@ import (
 	"sync"
 	"time"
 
-	"colarm"
 	"colarm/internal/obs"
 )
 
-// resultCache is a sharded LRU cache of query results, keyed by
-// "<dataset>@g<generation>|<Query.Canonical()>". Sharding keeps lock
-// contention off the serving hot path; each shard holds its own LRU
-// list under its own mutex. Entries are bounded two ways: a per-shard
-// capacity (evicting least-recently-used) and a TTL (entries past it
-// are misses and are dropped on sight). Engine reloads invalidate by
-// key construction — a bumped generation never matches old keys, and
-// the orphaned entries age out through LRU pressure or TTL.
+// resultCache is a sharded LRU cache of encoded /v1/mine replies, keyed
+// by "<dataset>@g<generation>.v<version>|<Query.Canonical()>". Sharding
+// keeps lock contention off the serving hot path; each shard holds its
+// own LRU list under its own mutex. Entries are bounded three ways: a
+// per-shard entry capacity and a per-shard byte budget (both evicting
+// least-recently-used) and a TTL (entries past it are misses and are
+// dropped on sight). Engine reloads invalidate by key construction — a
+// bumped generation never matches old keys, and the orphaned entries
+// age out through LRU pressure or TTL.
 //
-// Hits return a fresh Result whose Rules (and Estimates) are deep
-// copies of the stored ones — callers may mutate what they get — and
-// whose Stats carries only the identity of the execution (plan, subset
-// size, minsupport count) with every operator counter zero: a cache hit
-// did no mining work, and the counters say so.
+// A reply is a pure function of its key, so an entry is the complete
+// hit body, encoded once at fill time: cached:true, the execution's
+// identity (plan, subset size, minsupport count) in stats and every
+// operator counter zero — a hit did no mining work, and the counters
+// say so. The body is immutable: put takes ownership of the slice and
+// get hands it out only to be written to the response, so no caller
+// can corrupt the cache and a hit copies nothing.
 type resultCache struct {
 	shards      []cacheShard
 	perShardCap int
@@ -31,25 +33,36 @@ type resultCache struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
+	bytes     *obs.Gauge
 }
 
 type cacheShard struct {
-	mu  sync.Mutex
-	m   map[string]*list.Element
-	lru list.List // front = most recently used
+	mu    sync.Mutex
+	m     map[string]*list.Element
+	lru   list.List // front = most recently used
+	bytes int       // sum of the resident entries' sizes
 }
 
 type cacheEntry struct {
 	key     string
-	res     *colarm.Result // stored copy; never handed out directly
-	expires time.Time      // zero when the cache has no TTL
+	body    []byte    // never written after put
+	expires time.Time // zero when the cache has no TTL
 }
 
-const cacheShardCount = 16
+// size is what an entry counts against its shard's byte budget.
+func (e *cacheEntry) size() int { return len(e.key) + len(e.body) }
+
+const (
+	cacheShardCount = 16
+	// cacheShardBytes is each shard's byte budget: 256 MiB in all, so
+	// the default 4096 entries of 0.3–0.6 MB replies cannot grow the
+	// heap by the gigabyte benchmark/README.md records.
+	cacheShardBytes = 16 << 20
+)
 
 // newResultCache sizes a cache for about maxEntries entries total with
 // the given TTL (0 disables expiry) and registers hit/miss/eviction
-// counters in reg.
+// counters and the resident-bytes gauge in reg.
 func newResultCache(maxEntries int, ttl time.Duration, reg *obs.Registry) *resultCache {
 	if maxEntries < 1 {
 		maxEntries = 1
@@ -64,7 +77,8 @@ func newResultCache(maxEntries int, ttl time.Duration, reg *obs.Registry) *resul
 		ttl:         ttl,
 		hits:        reg.Counter("colarm_cache_hits_total", "Query results served from the result cache."),
 		misses:      reg.Counter("colarm_cache_misses_total", "Result-cache lookups that found no live entry."),
-		evictions:   reg.Counter("colarm_cache_evictions_total", "Result-cache entries evicted by capacity or TTL."),
+		evictions:   reg.Counter("colarm_cache_evictions_total", "Result-cache entries evicted by entry capacity, byte budget or TTL, or refused as larger than a shard's budget."),
+		bytes:       reg.Gauge("colarm_cache_bytes", "Bytes of reply bodies and keys resident in the result cache."),
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*list.Element)
@@ -76,9 +90,18 @@ func (c *resultCache) shard(key string) *cacheShard {
 	return &c.shards[fnv32a(key)%cacheShardCount]
 }
 
-// get returns a copy of the cached result for key, or nil on a miss
-// (absent or expired).
-func (c *resultCache) get(key string) *colarm.Result {
+// remove drops el from the shard; the caller holds sh.mu.
+func (c *resultCache) remove(sh *cacheShard, el *list.Element) {
+	ent := sh.lru.Remove(el).(*cacheEntry)
+	delete(sh.m, ent.key)
+	sh.bytes -= ent.size()
+	c.bytes.Add(-int64(ent.size()))
+	c.evictions.Inc()
+}
+
+// get returns the cached reply body for key — to be written, never
+// modified — or nil on a miss (absent or expired).
+func (c *resultCache) get(key string) []byte {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	el, ok := sh.m[key]
@@ -89,47 +112,46 @@ func (c *resultCache) get(key string) *colarm.Result {
 	}
 	ent := el.Value.(*cacheEntry)
 	if !ent.expires.IsZero() && time.Now().After(ent.expires) {
-		sh.lru.Remove(el)
-		delete(sh.m, key)
+		c.remove(sh, el)
 		sh.mu.Unlock()
 		c.misses.Inc()
-		c.evictions.Inc()
 		return nil
 	}
 	sh.lru.MoveToFront(el)
-	res := hitResult(ent.res)
 	sh.mu.Unlock()
 	c.hits.Inc()
-	return res
+	return ent.body
 }
 
-// put stores a copy of res under key, evicting the shard's LRU tail
-// when over capacity.
-func (c *resultCache) put(key string, res *colarm.Result) {
-	stored := storedResult(res)
-	var expires time.Time
+// put stores body, which the caller must not touch again, under key,
+// evicting from the shard's LRU tail while it is over its entry
+// capacity or byte budget. A body no shard could hold is not stored.
+func (c *resultCache) put(key string, body []byte) {
+	ent := &cacheEntry{key: key, body: body}
+	if ent.size() > cacheShardBytes {
+		c.evictions.Inc()
+		return
+	}
 	if c.ttl > 0 {
-		expires = time.Now().Add(c.ttl)
+		ent.expires = time.Now().Add(c.ttl)
 	}
 	sh := c.shard(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if el, ok := sh.m[key]; ok {
-		el.Value = &cacheEntry{key: key, res: stored, expires: expires}
+		// A refill: same key, same reply. Not an eviction.
+		old := el.Value.(*cacheEntry)
+		sh.bytes -= old.size()
+		c.bytes.Add(-int64(old.size()))
+		el.Value = ent
 		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		return
+	} else {
+		sh.m[key] = sh.lru.PushFront(ent)
 	}
-	sh.m[key] = sh.lru.PushFront(&cacheEntry{key: key, res: stored, expires: expires})
-	evicted := 0
-	for sh.lru.Len() > c.perShardCap {
-		tail := sh.lru.Back()
-		sh.lru.Remove(tail)
-		delete(sh.m, tail.Value.(*cacheEntry).key)
-		evicted++
-	}
-	sh.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
+	sh.bytes += ent.size()
+	c.bytes.Add(int64(ent.size()))
+	for sh.lru.Len() > c.perShardCap || sh.bytes > cacheShardBytes {
+		c.remove(sh, sh.lru.Back())
 	}
 }
 
@@ -144,45 +166,6 @@ func (c *resultCache) len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// storedResult deep-copies what the cache keeps: rules, estimates and
-// the execution identity. The trace is dropped — traced queries bypass
-// the cache entirely — and operator counters are not kept because hits
-// must report zeros.
-func storedResult(res *colarm.Result) *colarm.Result {
-	return &colarm.Result{
-		Rules: copyRules(res.Rules),
-		Stats: colarm.Stats{
-			Plan:            res.Stats.Plan,
-			SubsetSize:      res.Stats.SubsetSize,
-			MinSupportCount: res.Stats.MinSupportCount,
-		},
-		Estimates: append([]colarm.PlanEstimate(nil), res.Estimates...),
-	}
-}
-
-// hitResult builds the Result a cache hit returns: fresh copies of the
-// stored rules and estimates under zeroed operator counters.
-func hitResult(stored *colarm.Result) *colarm.Result {
-	return &colarm.Result{
-		Rules:     copyRules(stored.Rules),
-		Stats:     stored.Stats,
-		Estimates: append([]colarm.PlanEstimate(nil), stored.Estimates...),
-	}
-}
-
-func copyRules(rs []colarm.Rule) []colarm.Rule {
-	if rs == nil {
-		return nil
-	}
-	out := make([]colarm.Rule, len(rs))
-	for i, r := range rs {
-		out[i] = r
-		out[i].Antecedent = append([]string(nil), r.Antecedent...)
-		out[i].Consequent = append([]string(nil), r.Consequent...)
-	}
-	return out
 }
 
 // fnv32a is the 32-bit FNV-1a hash used to pick a shard.

@@ -46,7 +46,8 @@
 // A request with a wrong method on any /v1 route is answered with a
 // JSON 405 carrying an Allow header. Every /v1 error response is the
 // structured envelope {"error": {"code", "message", "details"}} with a
-// machine-readable code.
+// machine-readable code. JSON replies are compact and carry a
+// Content-Length.
 //
 // Ingested transactions are merged into every subsequent answer, so
 // queries stay exact while the base index ages; when the accumulated
@@ -61,11 +62,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -440,22 +443,11 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	ver := eng.Version()
 
 	cacheable := s.cache != nil && !q.Trace && !req.NoCache
-	// The key carries generation AND delta version: an ingest bumps the
-	// version, so post-ingest queries can never be served a stale
-	// pre-ingest cached result (rules are a pure function of the
-	// version clock).
-	key := fmt.Sprintf("%s@g%d.v%d|%s", name, gen, ver, q.Canonical())
+	var key string
 	if cacheable {
-		if res := s.cache.get(key); res != nil {
-			s.writeJSON(w, http.StatusOK, mineResponse{
-				Dataset:    name,
-				Generation: gen,
-				Version:    ver,
-				Cached:     true,
-				Rules:      rulesJSON(res.Rules),
-				Stats:      toStatsJSON(res.Stats),
-				Estimates:  estimatesJSON(res.Estimates),
-			})
+		key = cacheKey(name, gen, ver, q)
+		if body := s.cache.get(key); body != nil {
+			writeBody(w, http.StatusOK, body)
 			return
 		}
 	} else if s.cache != nil {
@@ -478,23 +470,77 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "mine", err)
 		return
 	}
-	if cacheable && eng.Version() == ver {
-		// Skip the fill when an ingest landed mid-mine: the result may
-		// reflect the newer version and must not be pinned to this key.
-		s.cache.put(key, res)
-	}
+
 	resp := mineResponse{
 		Dataset:    name,
 		Generation: gen,
 		Version:    eng.Version(),
-		Rules:      rulesJSON(res.Rules),
 		Stats:      toStatsJSON(res.Stats),
 		Estimates:  estimatesJSON(res.Estimates),
 	}
 	if res.Trace != nil {
 		resp.Trace = res.Trace.Tree()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	rules := bufPool.Get().(*bytes.Buffer)
+	defer putBuffer(rules)
+	// Skip the fill when an ingest landed mid-mine: the result may
+	// reflect the newer version and must not be pinned to this key.
+	head, tail, hit, err := encodeMine(rules, resp, res.Rules, cacheable && resp.Version == ver)
+	if err != nil {
+		s.fail(w, "mine", err)
+		return
+	}
+	if hit != nil {
+		s.cache.put(key, hit)
+	}
+	writeBody(w, http.StatusOK, head, rules.Bytes(), tail)
+}
+
+// encodeMine encodes a mined result's reply with one pass over the
+// rules, which are all but a few hundred bytes of it: the rules array
+// goes into buf, and head and tail are resp's encoding before and after
+// it. With fill set, hit is the whole body a later cache hit on this
+// result sends: cached:true and only the execution's identity left in
+// stats. resp.Rules is ignored.
+func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
+	if err := encodeJSON(buf, rulesJSON(rules)); err != nil {
+		return nil, nil, nil, fmt.Errorf("encoding rules: %w", err)
+	}
+	resp.Rules = []ruleJSON{}
+	if head, tail, err = cutRules(resp); err != nil || !fill {
+		return head, tail, nil, err
+	}
+	resp.Cached = true
+	resp.Stats = statsJSON{Plan: resp.Stats.Plan, SubsetSize: resp.Stats.SubsetSize, MinSupportCount: resp.Stats.MinSupportCount}
+	hitHead, hitTail, err := cutRules(resp)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return head, tail, bytes.Join([][]byte{hitHead, buf.Bytes(), hitTail}, nil), nil
+}
+
+// emptyRules is how a mineResponse with no rules encodes them. Inside a
+// JSON string a '"' is always escaped, so within a reply these bytes can
+// only be the member itself.
+var emptyRules = []byte(`"rules":[]`)
+
+// cutRules encodes resp, whose Rules must be the empty slice, and cuts
+// the encoding around that "[]".
+func cutRules(resp mineResponse) (head, tail []byte, err error) {
+	env, err := json.Marshal(resp)
+	if err != nil {
+		return nil, nil, fmt.Errorf("encoding response: %w", err)
+	}
+	i := bytes.Index(env, emptyRules) + len(emptyRules)
+	return env[:i-len("[]")], env[i:], nil
+}
+
+// cacheKey names a reply in the result cache. It carries generation AND
+// delta version: an ingest bumps the version, so post-ingest queries
+// can never be served a stale pre-ingest cached result (rules are a
+// pure function of the version clock).
+func cacheKey(dataset string, gen, ver uint64, q colarm.Query) string {
+	return fmt.Sprintf("%s@g%d.v%d|%s", dataset, gen, ver, q.Canonical())
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -758,12 +804,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// bufPool holds the buffers replies are encoded into, so a reply costs
+// no allocation that grows with its size.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBuffer(b *bytes.Buffer) {
+	b.Reset()
+	bufPool.Put(b)
+}
+
+// encodeJSON appends to buf exactly the bytes json.Marshal(v) returns.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+	return nil
+}
+
+// writeJSON answers with v as compact JSON. The reply is encoded before
+// the status line is committed, so a value that cannot be encoded
+// becomes a 500 envelope rather than a truncated 200.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	if err := encodeJSON(buf, v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = encodeJSON(buf, errorResponse{Error: errorBody{Code: CodeInternal, Message: "encoding response: " + err.Error()}})
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends an already encoded JSON reply, given in parts, under
+// its Content-Length.
+func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	for _, p := range parts {
+		_, _ = w.Write(p) // a failed write means the client has gone
+	}
 }
 
 func rulesJSON(rs []colarm.Rule) []ruleJSON {

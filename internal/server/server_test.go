@@ -488,54 +488,70 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
-func mineResult(rules int) *colarm.Result {
-	res := &colarm.Result{
-		Stats: colarm.Stats{Plan: colarm.SEV, SubsetSize: 7, MinSupportCount: 3, SupportChecks: 99},
-	}
-	for i := 0; i < rules; i++ {
-		res.Rules = append(res.Rules, colarm.Rule{
-			Antecedent: []string{fmt.Sprintf("A=%d", i)},
-			Consequent: []string{"B=1"},
-			Support:    0.5,
-		})
-	}
-	return res
-}
+// fakeBody is a stand-in reply body of n bytes: the cache never looks
+// inside one.
+func fakeBody(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
 
-func TestCacheCopiesAndCounters(t *testing.T) {
+func TestCacheBytesAndCounters(t *testing.T) {
 	c := newResultCache(64, 0, obs.NewRegistry())
-	c.put("k", mineResult(2))
+	body := fakeBody(100)
+	c.put("k", body)
 
 	got := c.get("k")
 	if got == nil {
 		t.Fatal("miss after put")
 	}
-	if got.Stats.SupportChecks != 0 {
-		t.Errorf("cached stats kept operator counter %d", got.Stats.SupportChecks)
+	if &got[0] != &body[0] || len(got) != len(body) {
+		t.Error("a hit must hand out the stored bytes, not a copy")
 	}
-	if got.Stats.Plan != colarm.SEV || got.Stats.SubsetSize != 7 || got.Stats.MinSupportCount != 3 {
-		t.Errorf("cache lost execution identity: %+v", got.Stats)
-	}
-	// Mutating a hit must not corrupt the stored copy.
-	got.Rules[0].Antecedent[0] = "corrupted"
-	again := c.get("k")
-	if again.Rules[0].Antecedent[0] != "A=0" {
-		t.Error("cache handed out shared rule storage")
-	}
-	if c.hits.Value() != 2 || c.misses.Value() != 0 {
-		t.Errorf("hits=%d misses=%d, want 2/0", c.hits.Value(), c.misses.Value())
+	if c.hits.Value() != 1 || c.misses.Value() != 0 {
+		t.Errorf("hits=%d misses=%d, want 1/0", c.hits.Value(), c.misses.Value())
 	}
 	if c.get("absent") != nil {
-		t.Error("absent key returned a result")
+		t.Error("absent key returned a body")
 	}
 	if c.misses.Value() != 1 {
 		t.Errorf("misses = %d, want 1", c.misses.Value())
+	}
+	if want := int64(len("k") + len(body)); c.bytes.Value() != want {
+		t.Errorf("colarm_cache_bytes = %d, want %d", c.bytes.Value(), want)
+	}
+	// A refill replaces the entry without counting an eviction.
+	c.put("k", fakeBody(40))
+	if c.len() != 1 || c.bytes.Value() != 41 || c.evictions.Value() != 0 {
+		t.Errorf("after refill: len=%d bytes=%d evictions=%d, want 1/41/0", c.len(), c.bytes.Value(), c.evictions.Value())
+	}
+}
+
+// TestCacheHitImmutable is the guarantee the deep copies used to buy:
+// nothing a client does with a reply can change the next hit, because
+// the handler only ever writes the stored bytes out.
+func TestCacheHitImmutable(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	decodeMine(t, postJSON(t, h, "/v1/mine", seattleQuery))
+
+	w := postJSON(t, h, "/v1/mine", seattleQuery)
+	want := append([]byte(nil), w.Body.Bytes()...)
+	resp := decodeMine(t, w)
+	if !resp.Cached || len(resp.Rules) == 0 {
+		t.Fatalf("warm-up: cached=%v rules=%d", resp.Cached, len(resp.Rules))
+	}
+	// Scribble over everything the first hit handed back.
+	resp.Rules[0].Antecedent[0] = "corrupted"
+	resp.Stats.SupportChecks = 99
+	raw := w.Body.Bytes()
+	for i := range raw {
+		raw[i] = '!'
+	}
+	if got := postJSON(t, h, "/v1/mine", seattleQuery).Body.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("second hit differs from the first:\n%s\n%s", got, want)
 	}
 }
 
 func TestCacheTTL(t *testing.T) {
 	c := newResultCache(64, 10*time.Millisecond, obs.NewRegistry())
-	c.put("k", mineResult(1))
+	c.put("k", fakeBody(10))
 	if c.get("k") == nil {
 		t.Fatal("entry expired immediately")
 	}
@@ -546,9 +562,21 @@ func TestCacheTTL(t *testing.T) {
 	if c.evictions.Value() != 1 {
 		t.Errorf("evictions = %d, want 1 (TTL drop)", c.evictions.Value())
 	}
-	if c.len() != 0 {
-		t.Errorf("len = %d after TTL eviction, want 0", c.len())
+	if c.len() != 0 || c.bytes.Value() != 0 {
+		t.Errorf("len = %d, bytes = %d after TTL eviction, want 0", c.len(), c.bytes.Value())
 	}
+}
+
+// shardKeys returns n distinct keys that all land in c's shard sh.
+func shardKeys(c *resultCache, sh *cacheShard, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if c.shard(k) == sh {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 func TestCacheEviction(t *testing.T) {
@@ -556,7 +584,7 @@ func TestCacheEviction(t *testing.T) {
 	// evicts that shard's older one.
 	c := newResultCache(16, 0, obs.NewRegistry())
 	for i := 0; i < 64; i++ {
-		c.put(fmt.Sprintf("key-%d", i), mineResult(1))
+		c.put(fmt.Sprintf("key-%d", i), fakeBody(10))
 	}
 	if c.len() > 16 {
 		t.Errorf("len = %d, want <= 16", c.len())
@@ -567,22 +595,58 @@ func TestCacheEviction(t *testing.T) {
 
 	// LRU order: touch a key, add a colliding one, the touched key stays.
 	d := newResultCache(cacheShardCount*2, 0, obs.NewRegistry())
-	shard0 := []string{}
-	for i := 0; len(shard0) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if d.shard(k) == &d.shards[0] {
-			shard0 = append(shard0, k)
-		}
-	}
-	d.put(shard0[0], mineResult(1))
-	d.put(shard0[1], mineResult(1))
+	shard0 := shardKeys(d, &d.shards[0], 3)
+	d.put(shard0[0], fakeBody(10))
+	d.put(shard0[1], fakeBody(10))
 	d.get(shard0[0]) // now most recently used
-	d.put(shard0[2], mineResult(1))
+	d.put(shard0[2], fakeBody(10))
 	if d.get(shard0[0]) == nil {
 		t.Error("recently used entry was evicted")
 	}
 	if d.get(shard0[1]) != nil {
 		t.Error("least recently used entry survived eviction")
+	}
+}
+
+// TestCacheByteBudget fills one shard with replies the size of
+// mine_mip's, far fewer than its entry capacity: the byte budget alone
+// must hold the line, evicting in LRU order.
+func TestCacheByteBudget(t *testing.T) {
+	c := newResultCache(4096, 0, obs.NewRegistry())
+	keys := shardKeys(c, &c.shards[0], 40)
+	const size = 1 << 20
+	for _, k := range keys {
+		c.put(k, fakeBody(size))
+		if got := c.shards[0].bytes; got > cacheShardBytes {
+			t.Fatalf("shard holds %d bytes, budget %d", got, cacheShardBytes)
+		}
+	}
+	resident := cacheShardBytes / (size + len(keys[0])) // 15: keys count too
+	if c.len() != resident || c.evictions.Value() != int64(len(keys)-resident) {
+		t.Errorf("len=%d evictions=%d, want %d/%d", c.len(), c.evictions.Value(), resident, len(keys)-resident)
+	}
+	if got := c.bytes.Value(); got != int64(c.shards[0].bytes) || got == 0 {
+		t.Errorf("colarm_cache_bytes = %d, shard holds %d", got, c.shards[0].bytes)
+	}
+	if c.get(keys[0]) != nil || c.get(keys[len(keys)-1]) == nil {
+		t.Error("byte pressure must evict the oldest entries, not the newest")
+	}
+
+	// A body no shard could hold is refused, counted, and evicts nothing.
+	before, evicted := c.len(), c.evictions.Value()
+	c.put("huge", fakeBody(cacheShardBytes))
+	if c.get("huge") != nil || c.len() != before || c.evictions.Value() != evicted+1 {
+		t.Errorf("oversized body: len %d -> %d, evictions %d -> %d", before, c.len(), evicted, c.evictions.Value())
+	}
+
+	// mine_hot's working set, 64 replies of ~50 KB, is nowhere near
+	// either bound.
+	hot := newResultCache(4096, 0, obs.NewRegistry())
+	for i := 0; i < 64; i++ {
+		hot.put(fmt.Sprintf("hot-%d", i), fakeBody(50<<10))
+	}
+	if hot.len() != 64 || hot.evictions.Value() != 0 {
+		t.Errorf("hot working set: len=%d evictions=%d, want 64/0", hot.len(), hot.evictions.Value())
 	}
 }
 
@@ -596,9 +660,9 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("key-%d", i%32)
 				if i%3 == 0 {
-					c.put(k, mineResult(2))
-				} else if res := c.get(k); res != nil {
-					res.Rules[0].Antecedent[0] = "scribble" // must not race with the stored copy
+					c.put(k, fakeBody(20))
+				} else if body := c.get(k); body != nil && len(body) != 20 {
+					t.Errorf("hit returned %d bytes, want 20", len(body))
 				}
 			}
 		}(g)
