@@ -15,7 +15,6 @@ package bitset
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync/atomic"
 )
@@ -218,43 +217,43 @@ func (s *Set) Complement() {
 
 // Intersect returns a new set holding s ∩ t.
 func Intersect(s, t *Set) *Set {
-	s.checkCompat(t)
-	r := &Set{n: s.n, hybrid: s.hybrid, ctrs: make([]container, len(s.ctrs))}
-	for i := range s.ctrs {
-		x, y := &s.ctrs[i], &t.ctrs[i]
-		if x.kind == bitmapCtr && y.kind == bitmapCtr {
-			// One-pass kernel for the dense pair: intersect into a stack
-			// buffer while counting, then allocate only what the result
-			// actually needs — an array payload for sparse results, a
-			// copied bitmap otherwise. A bitmap×bitmap intersection is
-			// usually much smaller than its operands, so allocating the
-			// full 8 KiB up front just to demote it would put every
-			// VERIFY check's scratch on the heap.
-			var buf [ctrWords]uint64
-			n := 0
-			for w := range buf {
-				buf[w] = x.b[w] & y.b[w]
-				n += bits.OnesCount64(buf[w])
-			}
-			c := container{kind: bitmapCtr, card: int32(n), b: buf[:]}
-			switch {
-			case n == 0 && r.hybrid:
-				r.ctrs[i] = container{}
-			case int32(n) <= arrayOptCard && r.hybrid:
-				c.toArray()
-				r.ctrs[i] = c
-			default:
-				b := make([]uint64, ctrWords)
-				copy(b, buf[:])
-				c.b = b
-				r.ctrs[i] = c
-			}
-			continue
-		}
-		r.ctrs[i] = x.clone()
-		andInPlace(&r.ctrs[i], y, r.hybrid)
-	}
+	r := new(Set)
+	IntersectInto(r, s, t)
 	return r
+}
+
+// IntersectInto replaces dst with s ∩ t and returns the cardinality of
+// the result. dst takes s's capacity and representation policy; whatever
+// it held before is discarded. A dst of the operands' shape is recycled:
+// its container slice is reused, and so is the 8 KiB payload of every
+// bitmap container whose result is again a bitmap — the miners' common
+// case, which then allocates nothing. All other results are allocated
+// exactly as Intersect allocates them (sparse dense-pair results demoted
+// to arrays of their cardinality), so a recycled dst ends up with the
+// same container kinds and payload sizes as a fresh one. dst must be
+// distinct from s and t; IntersectInto panics otherwise (use And for an
+// in-place intersection).
+func IntersectInto(dst, s, t *Set) int {
+	s.checkCompat(t)
+	if dst == s || dst == t {
+		panic("bitset: IntersectInto destination aliases an operand")
+	}
+	dst.n, dst.hybrid = s.n, s.hybrid
+	if len(dst.ctrs) != len(s.ctrs) {
+		dst.ctrs = make([]container, len(s.ctrs))
+	}
+	n := 0
+	for i := range s.ctrs {
+		x, y, d := &s.ctrs[i], &t.ctrs[i], &dst.ctrs[i]
+		if x.kind == bitmapCtr && y.kind == bitmapCtr {
+			intersectBitmaps(d, x, y, dst.hybrid)
+		} else {
+			*d = x.clone()
+			andInPlace(d, y, dst.hybrid)
+		}
+		n += int(d.card)
+	}
+	return n
 }
 
 // Union returns a new set holding s ∪ t.

@@ -603,6 +603,47 @@ func intersectRuns(x, y []uint16) ([]uint16, int32) {
 	return out, card
 }
 
+// intersectBitmaps replaces d with x ∩ y for two bitmap containers,
+// whatever d held before. When d is itself a bitmap its payload is
+// recycled: one pass writes the result words into it while counting, and
+// the usual repack policy then demotes a sparse result. Without a
+// payload to recycle the pair is counted first, so that a sparse result
+// — a dense pair's intersection is usually much smaller than its
+// operands — allocates an array of its cardinality and never the 8 KiB
+// it would be demoted from.
+func intersectBitmaps(d, x, y *container, hybrid bool) {
+	if d.kind == bitmapCtr {
+		n := 0
+		for w, v := range x.b {
+			v &= y.b[w]
+			d.b[w] = v
+			n += bits.OnesCount64(v)
+		}
+		d.card = int32(n)
+		d.normalize(hybrid)
+		return
+	}
+	n := andCount(x, y)
+	switch {
+	case n == 0 && hybrid:
+		d.setEmpty()
+	case n <= arrayOptCard && hybrid:
+		a := make([]uint16, 0, n)
+		for wi, w := range x.b {
+			for w &= y.b[wi]; w != 0; w &= w - 1 {
+				a = append(a, uint16(wi<<6+bits.TrailingZeros64(w)))
+			}
+		}
+		*d = container{kind: arrayCtr, card: int32(n), a: a}
+	default:
+		b := make([]uint64, ctrWords)
+		for w := range b {
+			b[w] = x.b[w] & y.b[w]
+		}
+		*d = container{kind: bitmapCtr, card: int32(n), b: b}
+	}
+}
+
 // andCount returns |x ∩ y| without materializing the intersection —
 // the record-level support check on the ELIMINATE/VERIFY hot path.
 // Every kind pair has a direct kernel; none allocates.

@@ -16,7 +16,10 @@ import (
 )
 
 // ClosedSet is one closed frequent itemset together with its tidset. The
-// tidset always refers to record ids of the dataset the miner ran on.
+// tidset always refers to record ids of the dataset the miner ran on. It
+// is read-only: it may be one of the tidsets the miner was given (see
+// MineTidsets) and is shared with every index layer built from the
+// result.
 type ClosedSet struct {
 	Items   itemset.Set
 	Tids    *bitset.Set
@@ -63,6 +66,12 @@ func CountFor(minSupport float64, numRecords int) int {
 // MineTidsets runs CHARM directly over per-item tidsets. Items whose
 // tidset is nil are skipped, which lets callers mine a restricted item
 // universe (the ARM plan restricts to the query's item attributes).
+//
+// The input tidsets are only read, never copied: a closed itemset whose
+// tidset is an input item's tidset returns that very *bitset.Set in
+// ClosedSet.Tids. Callers therefore treat every ClosedSet.Tids as
+// read-only and keep the input tidsets unchanged for as long as the
+// result is in use.
 func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
 	return MineTidsetsContext(context.Background(), tidsets, numRecords, minCount)
 }
@@ -82,11 +91,8 @@ func MineTidsetsContext(ctx context.Context, tidsets []*bitset.Set, numRecords, 
 		if tids == nil {
 			continue
 		}
-		if tids.Count() >= minCount {
-			roots = append(roots, &node{
-				items: itemset.Set{itemset.Item(it)},
-				tids:  tids.Clone(),
-			})
+		if supp := tids.Count(); supp >= minCount {
+			roots = append(roots, &node{items: itemset.Set{itemset.Item(it)}, tids: tids, supp: supp})
 		}
 	}
 	sortNodes(roots)
@@ -109,15 +115,25 @@ func MineTidsetsContext(ctx context.Context, tidsets []*bitset.Set, numRecords, 
 	return &Result{Closed: m.closed, NumRecords: numRecords, MinCount: minCount}, nil
 }
 
+// node is one IT-tree node under exploration. supp caches tids.Count().
+// owned marks a tidset the miner materialized itself, which goes back to
+// the free list if the node is dropped without being emitted; a root's
+// tidset belongs to the caller and is never recycled.
 type node struct {
 	items itemset.Set
 	tids  *bitset.Set
+	supp  int
+	owned bool
 }
 
 type miner struct {
 	minCount int
 	closed   []*ClosedSet
 	byHash   map[uint64][]*ClosedSet
+
+	// free holds the tidsets of dropped nodes for IntersectInto to
+	// recycle. An emitted tidset never enters it.
+	free []*bitset.Set
 
 	ctx   context.Context
 	done  <-chan struct{} // ctx.Done(), nil for Background
@@ -142,14 +158,33 @@ func (m *miner) cancelled() error {
 	}
 }
 
+// intersect materializes t(Xi) ∩ t(Xj) into a recycled tidset when the
+// free list has one.
+func (m *miner) intersect(ni, nj *node) *bitset.Set {
+	var dst *bitset.Set
+	if k := len(m.free) - 1; k >= 0 {
+		dst, m.free = m.free[k], m.free[:k]
+	} else {
+		dst = new(bitset.Set)
+	}
+	bitset.IntersectInto(dst, ni.tids, nj.tids)
+	return dst
+}
+
+// release returns a dropped node's tidset to the free list.
+func (m *miner) release(n *node) {
+	if n.owned {
+		m.free = append(m.free, n.tids)
+	}
+}
+
 // sortNodes orders candidates by ascending support, the CHARM heuristic
 // that maximizes the chance of tidset containment (properties 1-3),
 // breaking ties by item id for determinism.
 func sortNodes(ns []*node) {
 	sort.Slice(ns, func(i, j int) bool {
-		si, sj := ns[i].tids.Count(), ns[j].tids.Count()
-		if si != sj {
-			return si < sj
+		if ns[i].supp != ns[j].supp {
+			return ns[i].supp < ns[j].supp
 		}
 		return ns[i].items[0] < ns[j].items[0]
 	})
@@ -158,6 +193,10 @@ func sortNodes(ns []*node) {
 // extend is CHARM-EXTEND: it explores the IT-tree rooted at each node,
 // applying the four tidset properties to skip non-closed branches. It
 // aborts with ctx.Err() once the miner's context is done.
+//
+// Every sibling pair is counted first (AndCount, no allocation); the
+// support alone decides properties 1 and 2 and the frequency test, so a
+// tidset is materialized only for a pair that opens a branch.
 func (m *miner) extend(nodes []*node) error {
 	for i := 0; i < len(nodes); i++ {
 		ni := nodes[i]
@@ -176,10 +215,9 @@ func (m *miner) extend(nodes []*node) error {
 			if err := m.cancelled(); err != nil {
 				return err
 			}
-			inter := bitset.Intersect(ni.tids, nj.tids)
-			supp := inter.Count()
-			iSub := supp == ni.tids.Count() // t(Xi) ⊆ t(Xj) ?
-			jSub := supp == nj.tids.Count() // t(Xj) ⊆ t(Xi) ?
+			supp := bitset.AndCount(ni.tids, nj.tids)
+			iSub := supp == ni.supp // t(Xi) ⊆ t(Xj) ?
+			jSub := supp == nj.supp // t(Xj) ⊆ t(Xi) ?
 			switch {
 			case iSub && jSub:
 				// Property 1: identical tidsets. Absorb Xj into Xi (and
@@ -190,6 +228,7 @@ func (m *miner) extend(nodes []*node) error {
 					c.items = c.items.Union(nj.items)
 				}
 				nodes[j] = nil
+				m.release(nj)
 			case iSub:
 				// Property 2: t(Xi) ⊂ t(Xj). Xi's closure includes Xj's
 				// items; Xj's own branch may still yield other CFIs.
@@ -200,16 +239,15 @@ func (m *miner) extend(nodes []*node) error {
 			case jSub:
 				// Property 3: t(Xj) ⊂ t(Xi). Xj is not closed — its
 				// closure includes Xi — so replace its branch by the
-				// combined child under Xi.
+				// combined child under Xi, which takes over Xj's tidset:
+				// the intersection is t(Xj), frequent because Xj is.
 				nodes[j] = nil
-				if supp >= m.minCount {
-					children = append(children, &node{items: ni.items.Union(nj.items), tids: inter})
-				}
+				children = append(children, &node{items: ni.items.Union(nj.items), tids: nj.tids, supp: supp, owned: nj.owned})
 			default:
 				// Property 4: incomparable tidsets; both survive and the
 				// combination opens a new branch if frequent.
 				if supp >= m.minCount {
-					children = append(children, &node{items: ni.items.Union(nj.items), tids: inter})
+					children = append(children, &node{items: ni.items.Union(nj.items), tids: m.intersect(ni, nj), supp: supp, owned: true})
 				}
 			}
 		}
@@ -230,11 +268,12 @@ func (m *miner) extend(nodes []*node) error {
 func (m *miner) emit(n *node) {
 	h := n.tids.Hash()
 	for _, c := range m.byHash[h] {
-		if c.Support == n.tids.Count() && n.items.SubsetOf(c.Items) && c.Tids.Equal(n.tids) {
+		if c.Support == n.supp && n.items.SubsetOf(c.Items) && c.Tids.Equal(n.tids) {
+			m.release(n)
 			return // subsumed
 		}
 	}
-	cs := &ClosedSet{Items: n.items, Tids: n.tids, Support: n.tids.Count()}
+	cs := &ClosedSet{Items: n.items, Tids: n.tids, Support: n.supp}
 	m.closed = append(m.closed, cs)
 	m.byHash[h] = append(m.byHash[h], cs)
 }

@@ -16,16 +16,20 @@
 // per-query patching of base results is sound in general.
 //
 // The store therefore materializes, lazily and at most once per delta
-// version, a merged View built exactly the way a from-scratch rebuild
-// would build its index surface:
+// version, a merged View holding exactly the index surface a
+// from-scratch rebuild would build:
 //
 //  1. every per-item base tidset is copied and grown to the merged
-//     record-id capacity, tombstoned bits cleared, buffered bits added
-//     (this is the delta-side count pass, amortized over the version);
+//     record-id capacity; each tombstoned or buffered record then
+//     clears or sets its bit in the tidsets of its own items (this is
+//     the delta-side count pass, amortized over the version);
 //  2. CHARM re-mines the closed frequent itemsets over the merged
-//     tidsets at the merged primary-support count;
-//  3. the closed IT-tree and the MIP bounding boxes are rebuilt from
-//     the mining result with the same code the offline build uses.
+//     tidsets at the merged primary-support count, and the closed
+//     IT-tree is rebuilt with the code the offline build uses;
+//  3. the MIP bounding boxes are those of the merged tidsets: the
+//     frozen box patched by what the delta changed where the frozen
+//     index stores the itemset (see mergedBox), probed from scratch
+//     with the offline build's code otherwise.
 //
 // Record ids are stable: base records keep ids 0..N-1 (a tombstoned id
 // is never reused) and buffered inserts take N, N+1, ... in arrival
@@ -313,6 +317,13 @@ func (s *Store) View() *plans.View {
 	return s.view
 }
 
+// changedRow is one record the delta changed relative to the frozen
+// index: its id in the merged id space and its value-index tuple.
+type changedRow struct {
+	id  int
+	row []int32
+}
+
 // buildViewLocked materializes the merged index surface. See the
 // package comment for the exactness argument.
 func (s *Store) buildViewLocked() *plans.View {
@@ -320,51 +331,67 @@ func (s *Store) buildViewLocked() *plans.View {
 	baseN := d.NumRecords()
 	capN := baseN + len(s.rows)
 
+	// What the delta holds: tombstoned base records and live buffered
+	// rows. Apart from CHARM and the copy of the base tidsets, everything
+	// below costs in proportion to these two lists.
+	var gone, added []changedRow
+	s.tombs.ForEach(func(r int) bool {
+		gone = append(gone, changedRow{r, baseRow(d, r)})
+		return true
+	})
+	for k, row := range s.rows {
+		if !s.dead[k] {
+			added = append(added, changedRow{baseN + k, row})
+		}
+	}
+
 	live := bitset.New(capN)
 	live.Fill()
 	if gl := s.idx.Live; gl != nil {
 		// A consolidated sharded index keeps deleted records as ghost
 		// rows; they stay dead in every merged view.
-		for r := 0; r < baseN; r++ {
-			if !gl.Contains(r) {
-				live.Remove(r)
-			}
-		}
+		ghosts := gl.Clone()
+		ghosts.Complement()
+		live.AndNot(ghosts.CloneGrown(capN))
 	}
-	s.tombs.ForEach(func(r int) bool {
-		live.Remove(r)
-		return true
-	})
-	for k, gone := range s.dead {
-		if gone {
+	for _, g := range gone {
+		live.Remove(g.id)
+	}
+	for k, dead := range s.dead {
+		if dead {
 			live.Remove(baseN + k)
 		}
 	}
 
 	// Merged per-item tidsets: the delta-side count pass, amortized
-	// over the delta version.
+	// over the delta version. A changed record flips its bit in the
+	// tidsets of its own items only; the rest are the base tidsets grown
+	// to the merged capacity, in the encoding the build left them in.
 	tids := make([]*bitset.Set, sp.NumItems())
 	for i, t := range s.idx.Tidsets {
-		g := t.CloneGrown(capN)
-		s.tombs.ForEach(func(r int) bool {
-			g.Remove(r)
-			return true
-		})
-		tids[i] = g
+		tids[i] = t.CloneGrown(capN)
 	}
-	for k, row := range s.rows {
-		if s.dead[k] {
-			continue
-		}
-		r := baseN + k
-		for a, v := range row {
-			tids[sp.ItemOf(a, int(v))].Add(r)
+	touched := make([]bool, len(tids))
+	for _, g := range gone {
+		for a, v := range g.row {
+			it := sp.ItemOf(a, int(v))
+			tids[it].Remove(g.id)
+			touched[it] = true
 		}
 	}
-	for _, t := range tids {
-		// Tombstone removal and buffered appends fragment the cloned
-		// containers; re-pack before the view serves reads.
-		t.Optimize()
+	for _, ad := range added {
+		for a, v := range ad.row {
+			it := sp.ItemOf(a, int(v))
+			tids[it].Add(ad.id)
+			touched[it] = true
+		}
+	}
+	for it, t := range tids {
+		if touched[it] {
+			// Removals and appends fragment the cloned containers;
+			// re-pack before the view serves reads.
+			t.Optimize()
+		}
 	}
 
 	// Re-mine at the merged primary-support count. A rebuild over the
@@ -384,7 +411,7 @@ func (s *Store) buildViewLocked() *plans.View {
 	boxes := make([]itemset.Box, len(res.Closed))
 	closed := res.Closed
 	pool.For(len(closed), pool.Workers(s.workers), func(id int) {
-		boxes[id] = mip.BoundingBox(sp, s.idx.Cards, tids, closed[id])
+		boxes[id] = s.mergedBox(closed[id], tids, gone, added)
 	})
 
 	rows := s.rows // append-only; elements are never mutated
@@ -403,6 +430,84 @@ func (s *Store) buildViewLocked() *plans.View {
 			return int(rows[r-baseN][a])
 		},
 	}
+}
+
+// mergedBox returns the bounding box of merged CFI c over the merged
+// tidsets — the box mip.BoundingBox(tids, c) computes — at a cost the
+// delta sets when the frozen index already stores c's itemset.
+//
+// The box of an itemset is, per unconstrained attribute, the [min,max]
+// value over the records containing it, and the merged supporters are
+// the frozen supporters minus the tombstoned ones plus the live
+// buffered rows containing the itemset. So the frozen box is patched:
+// a bound can only move inwards if a tombstoned supporter sat exactly
+// on it (otherwise a surviving supporter still attains it), and then
+// that one side of that one attribute is re-probed against the merged
+// tidsets from the old bound on; afterwards every buffered supporter
+// extends the box. An itemset the frozen index does not store has no box
+// to patch and is probed from scratch.
+func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []changedRow) itemset.Box {
+	sp, cards := s.idx.Space, s.idx.Cards
+	fid, ok := s.idx.ITTree.LookupID(c.Items)
+	if !ok {
+		return mip.BoundingBox(sp, cards, tids, c)
+	}
+	box := s.idx.Boxes[fid].Clone()
+	const fixed, loLost, hiLost = 1, 2, 4
+	flags := make([]uint8, sp.NumAttrs())
+	for _, it := range c.Items {
+		flags[sp.AttrOf(it)] = fixed // a point interval, whatever the records
+	}
+	frozen := s.idx.ITTree.Tids(fid)
+	for _, g := range gone {
+		if !frozen.Contains(g.id) {
+			continue
+		}
+		for a, v := range g.row {
+			if flags[a] == fixed {
+				continue
+			}
+			if v == box.Lo[a] {
+				flags[a] |= loLost
+			}
+			if v == box.Hi[a] {
+				flags[a] |= hiLost
+			}
+		}
+	}
+	// probe walks attribute a's values from v in direction step to the
+	// first one a merged supporter holds. When none lies on or beyond
+	// the old bound it returns the empty interval's bound, and a
+	// buffered supporter below sets it: the itemset has support >= 1.
+	probe := func(a, v, step int, none int32) int32 {
+		for ; v >= 0 && v < cards[a]; v += step {
+			if c.Tids.Intersects(tids[sp.ItemOf(a, v)]) {
+				return int32(v)
+			}
+		}
+		return none
+	}
+	for a, f := range flags {
+		if f == fixed {
+			continue
+		}
+		if f&loLost != 0 {
+			box.Lo[a] = probe(a, int(box.Lo[a]), +1, 1<<30)
+		}
+		if f&hiLost != 0 {
+			box.Hi[a] = probe(a, int(box.Hi[a]), -1, -1)
+		}
+	}
+	for _, ad := range added {
+		if !c.Tids.Contains(ad.id) {
+			continue
+		}
+		for a, v := range ad.row {
+			box.Lo[a] = min(box.Lo[a], v)
+			box.Hi[a] = max(box.Hi[a], v)
+		}
+	}
+	return box
 }
 
 // NoteQuery charges one query's estimated delta overhead to the refresh

@@ -1,0 +1,348 @@
+package delta
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"colarm/internal/bitset"
+	"colarm/internal/charm"
+	"colarm/internal/cost"
+	"colarm/internal/datagen"
+	"colarm/internal/itemset"
+	"colarm/internal/mip"
+	"colarm/internal/relation"
+)
+
+// edgyIndex builds an index over a random relation whose values crowd
+// the middle of every domain, so the extreme values — the ones CFI
+// bounding boxes end on — are held by few records and deleting those
+// records moves boxes. With ghosts set, a fifth of the records are ghost
+// rows of a consolidated index (present in the table, outside Live and
+// every tidset).
+func edgyIndex(t *testing.T, rng *rand.Rand, ghosts bool) *mip.Index {
+	t.Helper()
+	nAttrs := 3 + rng.Intn(3)
+	names := make([]string, nAttrs)
+	cards := make([]int, nAttrs)
+	for a := range names {
+		names[a] = string(rune('A' + a))
+		cards[a] = 3 + rng.Intn(5)
+	}
+	b := relation.NewBuilder("edgy", names...)
+	for a := range names {
+		for v := 0; v < cards[a]; v++ {
+			b.AddValue(a, names[a]+string(rune('0'+v)))
+		}
+	}
+	m := 60 + rng.Intn(120)
+	for r := 0; r < m; r++ {
+		if err := b.AddRecordIdx(edgyRow(rng, cards)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := b.Build()
+	const primary = 0.08
+	if !ghosts {
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: primary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	live := bitset.New(m)
+	for r := 0; r < m; r++ {
+		if rng.Intn(5) > 0 {
+			live.Add(r)
+		}
+	}
+	sp := itemset.NewSpace(d)
+	tids := itemset.ItemTidsets(d, sp)
+	for _, s := range tids {
+		s.And(live)
+		s.Optimize()
+	}
+	minCount := charm.CountFor(primary, live.Count())
+	res, err := charm.MineTidsets(tids, m, minCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := mip.Assemble(d, sp, tids, res, minCount, mip.Options{PrimarySupport: primary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Live = live
+	return idx
+}
+
+// edgyRow draws one tuple: mostly the two middle values of each domain,
+// sometimes anything.
+func edgyRow(rng *rand.Rand, cards []int) []int {
+	row := make([]int, len(cards))
+	for a, card := range cards {
+		if rng.Intn(4) > 0 {
+			row[a] = card/2 - rng.Intn(2)
+		} else {
+			row[a] = rng.Intn(card)
+		}
+	}
+	return row
+}
+
+// boundaryRecords returns every live base record that supports frozen
+// CFI id and sits on the low (or high) bound of its box on an attribute
+// the itemset does not constrain: deleting them all moves that bound.
+func boundaryRecords(idx *mip.Index, id int, rng *rand.Rand) []int {
+	sp := idx.Space
+	fixed := make([]bool, sp.NumAttrs())
+	for _, it := range idx.ITTree.Items(id) {
+		fixed[sp.AttrOf(it)] = true
+	}
+	var free []int
+	for a, f := range fixed {
+		if !f {
+			free = append(free, a)
+		}
+	}
+	if len(free) == 0 {
+		return nil
+	}
+	a := free[rng.Intn(len(free))]
+	bound := idx.Boxes[id].Lo[a]
+	if rng.Intn(2) == 0 {
+		bound = idx.Boxes[id].Hi[a]
+	}
+	var out []int
+	idx.ITTree.Tids(id).ForEach(func(r int) bool {
+		if int32(idx.Dataset.Value(r, a)) == bound {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
+}
+
+// allItemsCountPass is the count pass as it was before it became
+// proportional to the delta: every tombstone removed from every item's
+// tidset, every tidset re-packed.
+func allItemsCountPass(s *Store) []*bitset.Set {
+	d, sp := s.idx.Dataset, s.idx.Space
+	baseN := d.NumRecords()
+	capN := baseN + len(s.rows)
+	tids := make([]*bitset.Set, sp.NumItems())
+	for i, t := range s.idx.Tidsets {
+		g := t.CloneGrown(capN)
+		s.tombs.ForEach(func(r int) bool {
+			g.Remove(r)
+			return true
+		})
+		tids[i] = g
+	}
+	for k, row := range s.rows {
+		if s.dead[k] {
+			continue
+		}
+		for a, v := range row {
+			tids[sp.ItemOf(a, int(v))].Add(baseN + k)
+		}
+	}
+	for _, t := range tids {
+		t.Optimize()
+	}
+	return tids
+}
+
+// TestViewBoxesAndTidsetsUnderChurn interleaves inserts, deletes of
+// buffered rows and deletes of base records chosen to lie on CFI box
+// boundaries, and after every batch holds the merged view to its
+// definitions: every box is the bounding box of the CFI over the merged
+// tidsets, every merged tidset is what the all-items count pass
+// produces, the live mask is exact, and a tidset no changed record
+// belongs to is the base tidset untouched.
+func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
+	moved := 0 // merged boxes that differ from the frozen box of the same itemset
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		idx := edgyIndex(t, rng, seed%3 == 2)
+		sp, d := idx.Space, idx.Dataset
+		baseN := d.NumRecords()
+		s := NewStore(idx, 0.08, cost.DefaultUnits())
+		s.SetWorkers(1 + int(seed%2))
+		inserted := 0
+		for batch := 0; batch < 8; batch++ {
+			var rows [][]int32
+			for k := rng.Intn(4); k > 0; k-- {
+				row := make([]int32, sp.NumAttrs())
+				for a, v := range edgyRow(rng, idx.Cards) {
+					row[a] = int32(v)
+				}
+				rows = append(rows, row)
+			}
+			var deletes []int
+			if n := idx.ITTree.Size(); n > 0 && rng.Intn(3) > 0 {
+				deletes = boundaryRecords(idx, rng.Intn(n), rng)
+				if len(deletes) > 6 {
+					deletes = deletes[:6] // a partial sweep must leave the bound alone
+				}
+			}
+			if rng.Intn(2) == 0 {
+				deletes = append(deletes, rng.Intn(baseN))
+			}
+			if inserted > 0 && rng.Intn(2) == 0 {
+				deletes = append(deletes, baseN+rng.Intn(inserted))
+			}
+			if len(rows) == 0 && len(deletes) == 0 {
+				deletes = []int{rng.Intn(baseN)}
+			}
+			if _, err := s.Ingest(rows, deletes); err != nil {
+				t.Fatal(err)
+			}
+			inserted += len(rows)
+			v := s.View()
+
+			want := allItemsCountPass(s)
+			changed := make([]bool, sp.NumItems())
+			mark := func(value func(a int) int) {
+				for a := 0; a < sp.NumAttrs(); a++ {
+					changed[sp.ItemOf(a, value(a))] = true
+				}
+			}
+			s.tombs.ForEach(func(r int) bool {
+				mark(func(a int) int { return d.Value(r, a) })
+				return true
+			})
+			for _, row := range s.rows {
+				mark(func(a int) int { return int(row[a]) })
+			}
+			for it, got := range v.Tidsets {
+				if !got.Equal(want[it]) {
+					t.Fatalf("seed %d batch %d: merged tidset of item %d differs from the all-items count pass", seed, batch, it)
+				}
+				if !changed[it] {
+					base, _ := idx.Tidsets[it].CloneGrown(v.NumRecords).MarshalBinary()
+					kept, _ := got.MarshalBinary()
+					if !bytes.Equal(base, kept) {
+						t.Fatalf("seed %d batch %d: item %d belongs to no changed record, yet its tidset was re-encoded", seed, batch, it)
+					}
+				}
+			}
+			for r := 0; r < v.NumRecords; r++ {
+				alive := r >= baseN && !s.dead[r-baseN] ||
+					r < baseN && !s.tombs.Contains(r) && (idx.Live == nil || idx.Live.Contains(r))
+				if v.Live.Contains(r) != alive || v.Skip(r) == alive {
+					t.Fatalf("seed %d batch %d: record %d live=%v, want %v", seed, batch, r, v.Live.Contains(r), alive)
+				}
+			}
+			for id, got := range v.Boxes {
+				c := v.Tree.Set(id)
+				want := mip.BoundingBox(sp, idx.Cards, v.Tidsets, c)
+				if !equalBox(got, want) {
+					t.Fatalf("seed %d batch %d: box of %v is %v, BoundingBox over the merged tidsets gives %v",
+						seed, batch, c.Items, got, want)
+				}
+				if fid, ok := idx.ITTree.LookupID(c.Items); ok && !equalBox(got, idx.Boxes[fid]) {
+					moved++
+				}
+			}
+		}
+	}
+	if moved < 50 {
+		t.Errorf("only %d patched boxes moved off their frozen box: the interleavings no longer reach the patch paths", moved)
+	}
+}
+
+// TestMergedBoxWhenEverySupporterIsReplaced covers the patch path's
+// corner: all frozen supporters of a stored itemset are tombstoned and
+// the buffered rows that keep it frequent lie wholly below the old box,
+// so the re-probe from the old bound finds nothing and the buffered
+// supporters alone set the interval.
+func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
+	b := relation.NewBuilder("t", "A", "B", "C")
+	for _, r := range [][]string{
+		{"a0", "b2", "c0"}, {"a0", "b3", "c0"}, {"a0", "b2", "c0"}, {"a0", "b3", "c0"},
+		{"a1", "b0", "c1"}, {"a1", "b1", "c1"}, {"a1", "b2", "c1"}, {"a1", "b3", "c1"},
+	} {
+		if err := b.AddRecord(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := b.Build()
+	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(a int, label string) int32 { return int32(d.Attrs[a].ValueIndex(label)) }
+	row := func(bLabel string) []int32 { return []int32{val(0, "a0"), val(1, bLabel), val(2, "c0")} }
+	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	if _, err := s.Ingest([][]int32{row("b0"), row("b1"), row("b0"), row("b1")}, []int{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	v := s.View()
+	x := itemset.Set{idx.Space.ItemOf(0, int(val(0, "a0"))), idx.Space.ItemOf(2, int(val(2, "c0")))}
+	if _, ok := idx.ITTree.LookupID(x); !ok {
+		t.Fatal("fixture: the frozen index does not store {a0,c0}")
+	}
+	id, ok := v.Tree.LookupID(x)
+	if !ok {
+		t.Fatal("fixture: the merged view does not store {a0,c0}")
+	}
+	if lo, hi := v.Boxes[id].Lo[1], v.Boxes[id].Hi[1]; lo != val(1, "b0") || hi != val(1, "b1") {
+		t.Errorf("B extent of {a0,c0} is [%d,%d], want [b0,b1]", lo, hi)
+	}
+	for id, got := range v.Boxes {
+		if want := mip.BoundingBox(idx.Space, idx.Cards, v.Tidsets, v.Tree.Set(id)); !equalBox(got, want) {
+			t.Errorf("box of %v is %v, BoundingBox over the merged tidsets gives %v", v.Tree.Set(id).Items, got, want)
+		}
+	}
+}
+
+func equalBox(a, b itemset.Box) bool {
+	return a.Dims() == b.Dims() && a.ContainsBox(b) && b.ContainsBox(a)
+}
+
+// BenchmarkViewBuild is the merged-view build of the served
+// ingest_notify workload in isolation: full mushroom indexed at 0.30,
+// batches of alternately 4 inserts + 3 deletes and 3 inserts + 4
+// deletes (copies of base records in, the oldest earlier inserts out),
+// one View() per batch.
+func BenchmarkViewBuild(b *testing.B) {
+	d, err := datagen.Generate(datagen.MushroomConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewStore(idx, 0.30, cost.DefaultUnits())
+	rng := rand.New(rand.NewSource(1))
+	baseN := d.NumRecords()
+	inserted, deleted := 0, 0
+	batch := func(i int) {
+		ins, del := 4-i%2, 3+i%2
+		rows := make([][]int32, ins)
+		for k := range rows {
+			rows[k] = baseRow(d, rng.Intn(baseN))
+		}
+		var deletes []int
+		for ; del > 0 && deleted < inserted; del-- {
+			deletes = append(deletes, baseN+deleted)
+			deleted++
+		}
+		if _, err := s.Ingest(rows, deletes); err != nil {
+			b.Fatal(err)
+		}
+		inserted += ins
+		if s.View() == nil {
+			b.Fatal("no view after an ingest")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		batch(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch(i)
+	}
+}

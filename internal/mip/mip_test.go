@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/relation"
 	"colarm/internal/rtree"
@@ -266,5 +267,30 @@ func TestQuickIndexConsistency(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCFITidsetBytesPinned pins the resident size of the index's CFI
+// tidsets on quarter-scale chess @ 0.70: the sum of Tids.Bytes() over
+// all 8507 CFIs, as measured before CHARM started recycling discarded
+// tidsets. A miner optimisation may change
+// what mining allocates along the way, never the encoding or payload
+// size of a tidset the index keeps.
+func TestCFITidsetBytesPinned(t *testing.T) {
+	d, err := datagen.Generate(datagen.Scaled(datagen.ChessConfig(1), 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(d, Options{PrimarySupport: 0.70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfis, total := idx.ITTree.Size(), 0
+	for id := 0; id < cfis; id++ {
+		total += idx.ITTree.Tids(id).Bytes()
+	}
+	const wantCFIs, wantBytes = 8507, 9471060
+	if cfis != wantCFIs || total != wantBytes {
+		t.Errorf("%d CFIs holding %d tidset bytes, want %d CFIs and %d bytes", cfis, total, wantCFIs, wantBytes)
 	}
 }

@@ -201,11 +201,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 		// Below the local threshold: count directly from the subset's
 		// vertical representation.
 		atomic.AddInt64(&tally.oracleMisses, 1)
-		acc := localTids[x[0]].Clone()
-		for _, it := range x[1:] {
-			acc.And(localTids[it])
-		}
-		return acc.Count()
+		return countAll(localTids[x[0]], localTids, x[1:])
 	}
 	quals := make([]*charm.ClosedSet, 0, len(mined.Closed))
 	for _, cl := range mined.Closed {
@@ -234,4 +230,23 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 			fmt.Sprintf("oracle=%d misses=%d", c.st.OracleCalls, c.st.OracleMisses))
 	}
 	return &Result{Rules: out, Stats: *c.st}, nil
+}
+
+// countAll returns |base ∩ t(x₁) ∩ … ∩ t(x_k)| over the given per-item
+// tidsets, ending in a count instead of a materialized set: no item is
+// base.Count(), one item is a single AndCount with no allocation, and k
+// items take one scratch set, k−2 in-place ANDs and a final AndCount.
+func countAll(base *bitset.Set, tidsets []*bitset.Set, x itemset.Set) int {
+	switch len(x) {
+	case 0:
+		return base.Count()
+	case 1:
+		return bitset.AndCount(base, tidsets[x[0]])
+	}
+	last := len(x) - 1
+	acc := bitset.Intersect(base, tidsets[x[0]])
+	for _, it := range x[1:last] {
+		acc.And(tidsets[it])
+	}
+	return bitset.AndCount(acc, tidsets[x[last]])
 }

@@ -620,51 +620,39 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 }
 
 // countItems is the record-level support check of an arbitrary itemset
-// within D^Q — the VERIFY oracle's compute step. The count runs
-// directly against the per-item tidsets: in scan mode, |D^Q| record
-// probes with at most C_X tidset tests each, which is exactly the
-// paper's COST(V) record-level term (Σ C_i · |D^Q|); in bitmap mode, a
-// whole-bitmap intersection. Reads only immutable index state plus the
-// query's frozen dqIDs/dq, so it is safe from concurrent workers.
+// within D^Q — the VERIFY oracle's compute step. The index already
+// stores the tidset the count needs: t(X) = t(clos(X)), so supp_Q(X) =
+// |D^Q ∩ t(clos(X))|. The closure is one IT-tree lookup; if ELIMINATE
+// counted that CFI its local support is reused, otherwise the stored
+// tidset takes the same record-level check ELIMINATE performs (scan or
+// bitmap, summed over the shards of a scattered query). One stored
+// tidset stands in for the C_X per-item tidsets of the paper's COST(V)
+// record-level term (Σ C_i · |D^Q|); the per-record work is unchanged in
+// kind and smaller in amount.
+//
+// x is a subset of a qualified body and hence of a stored CFI, so it is
+// frequent at the surface's primary support and its closure is stored —
+// on the frozen index, a merged view, a shard collection and a secondary
+// index alike. Reads only immutable index state, the query's frozen
+// dq/dqIDs and localSupp, which no one writes during VERIFY, so it is
+// safe from concurrent workers.
 func (c *qctx) countItems(x itemset.Set) int {
-	tidsets := c.tidsets
-	if c.scan {
-		s := 0
-		for _, id := range c.dqIDs {
-			hit := true
-			for _, it := range x {
-				if !tidsets[it].Contains(id) {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				s++
-			}
-		}
+	id, ok := c.tree.ClosureID(x)
+	if !ok {
+		panic(fmt.Sprintf("plans: no stored closure for %v, a subset of a qualified CFI", x))
+	}
+	if s, ok := c.localSupp[id]; ok {
 		return s
 	}
-	if c.slices != nil {
-		// Scatter-gather: intersect within each shard's slice and sum.
-		// The sum equals the monolithic intersection count because the
-		// shard subsets partition D^Q — this is the summed-counts form
-		// VERIFY's confidence ratios are recomputed from on a sharded
-		// engine.
-		total := 0
-		for s, sl := range c.slices {
-			acc := bitset.Intersect(c.dqs[s], sl.Items[x[0]])
-			for _, it := range x[1:] {
-				acc.And(sl.Items[it])
-			}
-			total += acc.Count()
-		}
-		return total
+	tids := c.tree.Tids(id)
+	if c.slices == nil {
+		return c.countLocal(tids)
 	}
-	acc := bitset.Intersect(c.dq, tidsets[x[0]])
-	for _, it := range x[1:] {
-		acc.And(tidsets[it])
+	total := 0
+	for s := range c.slices {
+		total += c.countLocalShard(tids, s)
 	}
-	return acc.Count()
+	return total
 }
 
 // oracle returns the serial local-support oracle VERIFY hands to the

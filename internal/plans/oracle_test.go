@@ -1,0 +1,221 @@
+package plans
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"colarm/internal/bitset"
+	"colarm/internal/charm"
+	"colarm/internal/datagen"
+	"colarm/internal/itemset"
+	"colarm/internal/ittree"
+	"colarm/internal/mip"
+	"colarm/internal/rules"
+)
+
+// fixedSlices is a Collection over a fixed partition.
+type fixedSlices []ShardSlice
+
+func (f fixedSlices) NumShards() int       { return len(f) }
+func (f fixedSlices) Slices() []ShardSlice { return f }
+
+// partition splits the live records round-robin into k shard slices.
+func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
+	n := live.Len()
+	out := make([]ShardSlice, k)
+	for s := range out {
+		out[s].Records = bitset.New(n)
+	}
+	live.ForEach(func(r int) bool {
+		out[r%k].Records.Add(r)
+		return true
+	})
+	for s := range out {
+		out[s].Items = make([]*bitset.Set, len(tidsets))
+		for it, t := range tidsets {
+			out[s].Items[it] = bitset.Intersect(t, out[s].Records)
+		}
+	}
+	return out
+}
+
+// tombstonedView builds the merged view of idx with a random fifth of
+// its records deleted, the way the delta layer does: cleared tidsets,
+// a re-mine at the merged primary count, a fresh IT-tree and boxes.
+func tombstonedView(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *View {
+	t.Helper()
+	n := idx.Dataset.NumRecords()
+	live := bitset.New(n)
+	for rec := 0; rec < n; rec++ {
+		if r.Intn(5) > 0 {
+			live.Add(rec)
+		}
+	}
+	tids := make([]*bitset.Set, len(idx.Tidsets))
+	for it, s := range idx.Tidsets {
+		tids[it] = bitset.Intersect(s, live)
+	}
+	minCount := charm.CountFor(primary, live.Count())
+	res, err := charm.MineTidsets(tids, n, minCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxes := make([]itemset.Box, len(res.Closed))
+	for id, c := range res.Closed {
+		boxes[id] = mip.BoundingBox(idx.Space, idx.Cards, tids, c)
+	}
+	return &View{
+		Tree:         ittree.Build(res, idx.Space.NumItems()),
+		Boxes:        boxes,
+		Tidsets:      tids,
+		PrimaryCount: minCount,
+		NumRecords:   n,
+		Live:         live,
+		Skip:         func(rec int) bool { return !live.Contains(rec) },
+		Value:        idx.Dataset.Value,
+	}
+}
+
+// TestClosureCountEqualsChainCount is the invariant VERIFY's oracle now
+// rests on: for every itemset the rule generator asks about, the count
+// resolved through the stored closure, |D^Q ∩ t(clos(X))|, equals the
+// count chained over the per-item tidsets, |D^Q ∩ t(x₁) ∩ … ∩ t(x_k)| —
+// on the frozen index, a merged view and a K=3 collection, in scan and
+// bitmap mode, with and without the Lemma 4.5 shortcut feeding the
+// local-support cache.
+func TestClosureCountEqualsChainCount(t *testing.T) {
+	asked, reused := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		idx, err := randomIndex(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := bitset.New(idx.Dataset.NumRecords())
+		full.Fill()
+		view := tombstonedView(t, r, idx, 0.1)
+		shardedView := *view
+		shardedView.Slices = partition(view.Tidsets, view.Live, 3)
+		surfaces := map[string]*Executor{
+			"frozen":     {Idx: idx},
+			"view":       {Idx: idx, ViewSource: func() *View { return view }},
+			"collection": {Idx: idx, Coll: fixedSlices(partition(idx.Tidsets, full, 3))},
+			"view+K=3":   {Idx: idx, ViewSource: func() *View { return &shardedView }},
+		}
+		for i := 0; i < 6; i++ {
+			q := randomQuery(r, idx)
+			for name, ex := range surfaces {
+				for _, mode := range []CheckMode{ScanCheck, BitmapCheck} {
+					for _, shortcut := range []bool{false, true} {
+						ex.Mode = mode
+						c := ex.newCtx(context.Background(), q)
+						cands, err := c.search(shortcut)
+						if err != nil {
+							t.Fatal(err)
+						}
+						quals, err := c.eliminate(cands, shortcut)
+						if err != nil {
+							t.Fatal(err)
+						}
+						oracle := func(x itemset.Set) int {
+							if len(x) == 0 {
+								return -1
+							}
+							got, want := c.countItems(x), countAll(c.dq, c.tidsets, x)
+							if got != want {
+								t.Fatalf("seed %d %s mode=%s shortcut=%v: supp_Q(%v) through the closure is %d, over the item tidsets %d",
+									seed, name, mode, shortcut, x, got, want)
+							}
+							asked++
+							if id, _ := c.tree.ClosureID(x); c.localSupp[id] == got {
+								reused++
+							}
+							return got
+						}
+						for _, ql := range quals {
+							rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, oracle, rules.Options{})
+						}
+					}
+				}
+			}
+		}
+	}
+	if asked < 1000 || reused == 0 {
+		t.Errorf("oracle asked %d times (%d answered from ELIMINATE's counts): the queries no longer reach VERIFY", asked, reused)
+	}
+}
+
+// TestCountAll checks the chain-count helper against a materialized
+// intersection for every chain length it special-cases.
+func TestCountAll(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const n = 500
+	sets := make([]*bitset.Set, 6)
+	for i := range sets {
+		sets[i] = bitset.New(n)
+		for id := 0; id < n; id++ {
+			if r.Intn(3) > 0 {
+				sets[i].Add(id)
+			}
+		}
+	}
+	base := sets[5]
+	before := base.Clone()
+	for k := 0; k <= 5; k++ {
+		x := make(itemset.Set, k)
+		want := base.Clone()
+		for i := range x {
+			x[i] = itemset.Item(i)
+			want.And(sets[i])
+		}
+		if got := countAll(base, sets, x); got != want.Count() {
+			t.Errorf("%d items: countAll = %d, want %d", k, got, want.Count())
+		}
+	}
+	if !base.Equal(before) {
+		t.Error("countAll changed its base set")
+	}
+}
+
+// BenchmarkVerifyOracle times VERIFY — rule generation with every
+// antecedent support resolved by the oracle — for the standing query of
+// the served ingest_notify workload: full mushroom @ 0.30, the hot
+// region m01 = m011, forced SS-E-U-V, serial.
+func BenchmarkVerifyOracle(b *testing.B) {
+	d, err := datagen.Generate(datagen.MushroomConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, err := idx.RegionFromSelections(map[string][]string{"m01": {"m011"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &Query{Region: reg, MinSupport: 0.70, MinConfidence: 0.85, MaxConsequent: 1}
+	c := (&Executor{Idx: idx, Workers: 1}).newCtx(context.Background(), q)
+	cands, err := c.search(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	quals, err := c.eliminate(cands, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := c.verify(quals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		verified = rs
+	}
+	b.ReportMetric(float64(len(verified)), "rules")
+	b.ReportMetric(float64(c.st.OracleMisses)/float64(b.N), "misses/op")
+}
+
+var verified []rules.Rule
