@@ -97,7 +97,7 @@ func planGrid(b *testing.B, dataset string) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := env.QueryFor(regions[i%len(regions)], minSupp, 0.85)
-					if _, err := env.Engine.Executor.Run(kind, q); err != nil {
+					if _, err := env.Engine.MineWith(kind, q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -188,7 +188,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkRTreePacking is ablation A1: build and search cost of the
-// MIP R-tree under STR packing, Morton packing, and dynamic insertion.
+// MIP R-tree under STR packing and Morton packing.
 func BenchmarkRTreePacking(b *testing.B) {
 	env := benchEnv(b, "chess")
 	idx := env.Engine.Index
@@ -229,21 +229,6 @@ func BenchmarkRTreePacking(b *testing.B) {
 			return tr
 		})
 	})
-	b.Run("build/insert", func(b *testing.B) {
-		build(b, func() *rtree.Tree {
-			tr, err := rtree.New(dims, 0, rtree.QuadraticSplit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, e := range entries {
-				if err := tr.Insert(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return tr
-		})
-	})
-
 	// Search latency per packing.
 	rng := rand.New(rand.NewSource(17))
 	regions := make([]*itemset.Region, 8)
@@ -277,12 +262,13 @@ func BenchmarkCheckMode(b *testing.B) {
 		reg := env.RandomFocalSubset(rng, frac)
 		for _, mode := range []plans.CheckMode{plans.ScanCheck, plans.BitmapCheck} {
 			b.Run(fmt.Sprintf("dq=%.0f%%/%s", 100*frac, mode), func(b *testing.B) {
-				ex := plans.NewExecutor(env.Engine.Index)
+				ex := plans.NewExecutor(env.Engine.Index.Space)
 				ex.Mode = mode
+				surf := plans.NewSurface(env.Engine.Index)
 				q := env.QueryFor(reg, env.Spec.MinSupps[0], 0.85)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ex.Run(plans.SEV, q); err != nil {
+					if _, err := ex.Run(plans.SEV, surf, q); err != nil {
 						b.Fatal(err)
 					}
 				}

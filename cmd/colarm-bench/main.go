@@ -141,7 +141,7 @@ func main() {
 		standData  = flag.String("standing-dataset", "mushroom", `dataset for -standing ("salary" or "mushroom")`)
 		advisorRun = flag.Bool("advisor", false, "run the self-tuning optimizer benchmark (recalibration + index advisor)")
 		advisorQs  = flag.Int("advisor-queries", 24, "queries per workload phase for -advisor")
-		index      = flag.Bool("index", false, "run the MIP-index physical-layer benchmark (flat vs pointer layout)")
+		index      = flag.Bool("index", false, "run the MIP-index physical-layer benchmark (closure, lookup and R-tree kernels; sharded consolidation)")
 		indexProbe = flag.Int("index-probes", 4096, "probe operations per kernel for -index")
 		indexIters = flag.Int("index-iters", 5, "timing rounds per kernel for -index (minimum is reported)")
 		benchOut   = flag.String("bench-out", "", "write the -tidset, -shards, -index, -standing or -advisor report as JSON to this file (e.g. BENCH_10.json)")
@@ -274,9 +274,9 @@ func runTidset(records, items, iters int, seed int64, out string) error {
 	return nil
 }
 
-// runIndex runs the MIP-index physical-layer benchmark (flat vs
-// pointer closure/lookup/R-tree kernels plus the sharded consolidation
-// cycle) and optionally persists the JSON report (BENCH_<pr>.json).
+// runIndex runs the MIP-index physical-layer benchmark (the
+// closure/lookup/R-tree kernels plus the sharded consolidation cycle)
+// and optionally persists the JSON report (BENCH_<pr>.json).
 func runIndex(counts string, full bool, probes, iters, batches, batchRows int, seed int64, out string) error {
 	ks, err := parseCounts(counts)
 	if err != nil {

@@ -42,7 +42,6 @@ import (
 
 	"colarm/internal/colarmql"
 	"colarm/internal/core"
-	"colarm/internal/mip"
 	"colarm/internal/obs"
 	"colarm/internal/plans"
 	"colarm/internal/rtree"
@@ -86,18 +85,6 @@ func (p Plan) String() string {
 		return "auto"
 	}
 	return kindOf(p).String()
-}
-
-// ParseLayout resolves a layout name ("flat", "pointer", or "" for the
-// default flat layout).
-func ParseLayout(s string) (mip.Layout, error) {
-	switch strings.ToLower(s) {
-	case "", "flat":
-		return mip.FlatLayout, nil
-	case "pointer":
-		return mip.PointerLayout, nil
-	}
-	return 0, fmt.Errorf("colarm: unknown layout %q (want \"flat\" or \"pointer\")", s)
 }
 
 // ParsePlan resolves a plan name ("S-E-V", "ARM", "auto", ...).
@@ -158,12 +145,6 @@ type Options struct {
 	Fanout int
 	// Packing selects the R-tree bulk-loading scheme.
 	Packing Packing
-	// Layout selects the physical layout of the MIP-index layers:
-	// "flat" (default: contiguous arena-packed struct-of-arrays slabs)
-	// or "pointer" (one heap object per node — the differential
-	// reference layout). Rules and statistics are identical for both;
-	// only memory layout and speed change.
-	Layout string
 	// Calibrate micro-benchmarks the cost model's unit costs on this
 	// machine; when false, hardware-typical defaults are used.
 	Calibrate bool
@@ -319,15 +300,10 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, err := ParseLayout(opts.Layout)
-	if err != nil {
-		return nil, err
-	}
 	eng, err := core.NewEngine(ds.rel, core.Options{
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
 		Packing:        packing,
-		Layout:         layout,
 		CalibrateUnits: opts.Calibrate,
 		CheckMode:      mode,
 		Workers:        opts.Workers,

@@ -276,8 +276,7 @@ func runAdvisorSkewed(full bool, queries int, seed int64) (AdvisorSkewed, error)
 			frac = 0.20 // the minority shape that anchors the percentile target
 		}
 		q := env.QueryFor(env.RandomFocalSubset(rng, frac), 0.80, 0.90)
-		_, localCount, primaryCount := eng.Executor.Localized(q)
-		if localCount >= primaryCount {
+		if eng.Resolve(q).Applicable() {
 			continue // the workload must consist of gate-forced queries
 		}
 		qs = append(qs, q)

@@ -216,7 +216,7 @@ func TestPlanEquivalenceOnBenchmarkData(t *testing.T) {
 		q := env.QueryFor(reg, 0.85, 0.9)
 		var ref []string
 		for _, k := range []plans.Kind{plans.SEV, plans.SVS, plans.SSEV, plans.SSVS, plans.SSEUV} {
-			res, err := env.Engine.Executor.Run(k, q)
+			res, err := env.Engine.MineWith(k, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,7 +97,7 @@ func (e *Env) runCell(frac, minSupp, minConf float64, runsPer int, rng *rand.Ran
 		choice, _ := e.Engine.Model.Choose(q)
 		chosenVotes[choice]++
 		for _, k := range plans.Kinds() {
-			res, err := e.Engine.Executor.Run(k, q)
+			res, err := e.Engine.MineWith(k, q)
 			if err != nil {
 				return cell, err
 			}

@@ -12,40 +12,40 @@ import (
 	"colarm/internal/core"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
 	"colarm/internal/rtree"
 )
 
 // The index benchmark measures the physical layers of the MIP-index in
-// isolation, flat (arena-packed slabs) against pointer (node-per-CFI)
-// layout: closure resolution on the IT-tree, exact lookup (the flat
-// layout's open-addressed item-word hash against the pointer layout's
-// string-keyed map), supported R-tree region probes, per-shard physical
-// index build cost, and the consolidation pause of a sharded engine.
-// The consolidation rows share the shards benchmark's workload shape so
-// BENCH_<pr>.json artifacts stay comparable across PRs.
+// isolation: closure resolution on the IT-tree, exact lookup (the
+// open-addressed item-word hash), supported R-tree region probes, the
+// per-shard catalog mining cost, and the consolidation pause of a
+// sharded engine. The consolidation rows share the shards benchmark's
+// workload shape so BENCH_<pr>.json artifacts stay comparable across
+// PRs. BENCH_8.json is the committed run that also measured the
+// one-heap-object-per-node layout the slabs replaced; every row since is
+// labelled "flat" to stay comparable with it.
 
-// IndexKernelRow is one layout's timing for one kernel. The minimum
-// total across rounds is reported, in the tidset benchmark's style.
+// IndexKernelRow is the timing of one kernel. The minimum total across
+// rounds is reported, in the tidset benchmark's style.
 type IndexKernelRow struct {
 	Layout  string  `json:"layout"`
-	Impl    string  `json:"impl"` // what the layout resolves with
+	Impl    string  `json:"impl"` // what the kernel resolves with
 	Ops     int     `json:"ops"`
 	TotalNs int64   `json:"total_ns"`
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-// ShardIndexRow aggregates the per-shard physical index builds a
-// consolidation performed.
+// ShardIndexRow aggregates the per-shard catalog minings a consolidation
+// performed.
 type ShardIndexRow struct {
 	Shards int `json:"shards"`
-	// IndexedCFIs sums the local CFIs over all shard indexes.
+	// IndexedCFIs sums the local CFIs over all shard catalogs.
 	IndexedCFIs int `json:"indexed_cfis"`
-	// TotalBuildNs sums every shard's physical build (mining + IT-tree
-	// + boxes + R-tree); MaxShardBuildNs is the slowest single shard —
-	// the critical path when builds run on parallel workers.
+	// TotalBuildNs sums every shard's threshold-1 mining;
+	// MaxShardBuildNs is the slowest single shard — the critical path
+	// when the minings run on parallel workers.
 	TotalBuildNs    int64 `json:"total_build_ns"`
 	MaxShardBuildNs int64 `json:"max_shard_build_ns"`
 }
@@ -76,7 +76,7 @@ type IndexReport struct {
 
 	// ShardIndexBuild rows come from the scatter dataset — a small item
 	// space where the closure-merge catalog engages, so consolidations
-	// build per-shard physical indexes. Consolidation rows come from
+	// mine per-shard catalogs. Consolidation rows come from
 	// the main dataset and stay comparable with the shards benchmark.
 	ScatterDataset  string             `json:"scatter_dataset"`
 	ScatterRecords  int                `json:"scatter_records"`
@@ -84,7 +84,7 @@ type IndexReport struct {
 	Consolidation   []ConsolidationRow `json:"consolidation"`
 }
 
-// scatterSpecConfig is the per-shard index-build workload: an item
+// scatterSpecConfig is the per-shard catalog-mining workload: an item
 // space small enough (6 attrs × 5 values = 30 items ≤ 48) that the
 // collection's auto catalog picks the scatter path, with clustered
 // records so per-shard threshold-1 mining stays bounded.
@@ -108,8 +108,8 @@ func scatterSpecConfig(seed int64) datagen.Config {
 	}
 }
 
-// RunIndex builds the spec's dataset under both layouts and measures
-// the physical kernels, then replays the shards benchmark's
+// RunIndex builds the spec's dataset and measures the physical kernels,
+// then replays the shards benchmark's
 // age-and-consolidate cycle for each K in ks.
 func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int, seed int64) (*IndexReport, error) {
 	if probes < 1 || iters < 1 || batches < 1 || batchRows < 1 {
@@ -121,14 +121,7 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 		return nil, err
 	}
 	d := env.Dataset
-	flat := env.Engine.Index
-	if flat.ITTree.Layout() != ittree.FlatLayout {
-		return nil, fmt.Errorf("bench: default engine index layout is %v, want flat", flat.ITTree.Layout())
-	}
-	ptr, err := mip.Build(d, mip.Options{PrimarySupport: spec.Primary, Layout: mip.PointerLayout})
-	if err != nil {
-		return nil, err
-	}
+	idx := env.Engine.Index
 
 	rep := &IndexReport{
 		Bench:     "index",
@@ -139,55 +132,46 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 		CPUs:      runtime.NumCPU(),
 		Dataset:   spec.Name,
 		Records:   d.NumRecords(),
-		MIPs:      flat.NumMIPs(),
+		MIPs:      idx.NumMIPs(),
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	closureProbes := closureProbeSets(rng, flat, probes)
-	lookupProbes := lookupProbeSets(rng, flat, probes)
-	regions := regionProbes(rng, flat.Space, probes)
+	closureProbes := closureProbeSets(rng, idx, probes)
+	lookupProbes := lookupProbeSets(rng, idx, probes)
+	regions := regionProbes(rng, idx.Space, probes)
 
-	impls := map[string]string{"flat": "slab scan (support desc)", "pointer": "per-node child walk"}
-	lookupImpls := map[string]string{"flat": "open-addressed item-word hash", "pointer": "string-keyed map"}
-	for _, l := range []struct {
-		name string
-		idx  *mip.Index
-	}{{"flat", flat}, {"pointer", ptr}} {
-		rep.Closure = append(rep.Closure, timeIndexKernel(l.name, impls[l.name], iters, len(closureProbes), func() int {
-			sink := 0
-			for _, x := range closureProbes {
-				if id, ok := l.idx.ITTree.ClosureID(x); ok {
-					sink += id
-				}
+	rep.Closure = append(rep.Closure, timeIndexKernel("slab scan (support desc)", iters, len(closureProbes), func() int {
+		sink := 0
+		for _, x := range closureProbes {
+			if id, ok := idx.ITTree.ClosureID(x); ok {
+				sink += id
 			}
-			return sink
-		}))
-		rep.Lookup = append(rep.Lookup, timeIndexKernel(l.name, lookupImpls[l.name], iters, len(lookupProbes), func() int {
-			sink := 0
-			for _, x := range lookupProbes {
-				if id, ok := l.idx.ITTree.LookupID(x); ok {
-					sink += id
-				}
+		}
+		return sink
+	}))
+	rep.Lookup = append(rep.Lookup, timeIndexKernel("open-addressed item-word hash", iters, len(lookupProbes), func() int {
+		sink := 0
+		for _, x := range lookupProbes {
+			if id, ok := idx.ITTree.LookupID(x); ok {
+				sink += id
 			}
-			return sink
-		}))
-		minCount := l.idx.PrimaryCount
-		rep.RTreeProbe = append(rep.RTreeProbe, timeIndexKernel(l.name, "supported region search", iters, len(regions), func() int {
-			sink := 0
-			for _, reg := range regions {
-				l.idx.RTree.SupportedSearch(reg, minCount, func(e rtree.Entry, rel itemset.Rel) bool {
-					sink++
-					return true
-				})
-			}
-			return sink
-		}))
-	}
+		}
+		return sink
+	}))
+	rep.RTreeProbe = append(rep.RTreeProbe, timeIndexKernel("supported region search", iters, len(regions), func() int {
+		sink := 0
+		for _, reg := range regions {
+			idx.RTree.SupportedSearch(reg, idx.PrimaryCount, func(e rtree.Entry, rel itemset.Rel) bool {
+				sink++
+				return true
+			})
+		}
+		return sink
+	}))
 
 	// Consolidation cycle, the shards benchmark's aging replayed per K:
 	// build sharded engine, age it with sampled rows plus occasional
-	// tombstones, consolidate, and collect the per-shard physical index
-	// builds the consolidation performed.
+	// tombstones, consolidate.
 	for _, k := range ks {
 		eng, err := core.NewEngine(d, core.Options{
 			PrimarySupport: spec.Primary,
@@ -228,8 +212,8 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 		})
 	}
 
-	// Per-shard physical index builds, on the scatter dataset: the
-	// consolidating (old) engine's collection holds the shard indexes
+	// Per-shard catalog minings, on the scatter dataset: the
+	// consolidating (old) engine's collection holds the shard catalogs
 	// the consolidation's pause paid for.
 	sd, err := datagen.Generate(scatterSpecConfig(seed))
 	if err != nil {
@@ -239,7 +223,7 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 	rep.ScatterRecords = sd.NumRecords()
 	for _, k := range ks {
 		if k < 2 {
-			continue // monolith: no shards, no per-shard indexes
+			continue // monolith: no shards, no per-shard catalogs
 		}
 		eng, err := core.NewEngine(sd, core.Options{
 			PrimarySupport: 0.10,
@@ -286,7 +270,7 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 }
 
 // timeIndexKernel replays fn iters times and keeps the cheapest round.
-func timeIndexKernel(layout, impl string, iters, ops int, fn func() int) IndexKernelRow {
+func timeIndexKernel(impl string, iters, ops int, fn func() int) IndexKernelRow {
 	var best time.Duration
 	sink := 0
 	for i := 0; i < iters; i++ {
@@ -299,7 +283,7 @@ func timeIndexKernel(layout, impl string, iters, ops int, fn func() int) IndexKe
 	}
 	_ = sink
 	return IndexKernelRow{
-		Layout:  layout,
+		Layout:  "flat",
 		Impl:    impl,
 		Ops:     ops,
 		TotalNs: best.Nanoseconds(),
@@ -407,7 +391,7 @@ func PrintIndex(w io.Writer, rep *IndexReport) {
 		}
 	}
 	if len(rep.ShardIndexBuild) > 0 {
-		fmt.Fprintf(w, "per-shard physical index builds (%s, %d records, scatter catalog):\n",
+		fmt.Fprintf(w, "per-shard catalog minings (%s, %d records, scatter catalog):\n",
 			rep.ScatterDataset, rep.ScatterRecords)
 		for _, sb := range rep.ShardIndexBuild {
 			fmt.Fprintf(w, "  K=%-3d %12s total  %12s max shard  %6d local CFIs\n", sb.Shards,

@@ -57,11 +57,19 @@ func (s *Set) span(ci int) int {
 }
 
 // New returns an empty Set capable of holding ids in [0, n).
-func New(n int) *Set {
+func New(n int) *Set { return newSet(n, defaultHybrid.Load()) }
+
+// NewDense returns an empty Set of capacity n pinned to the dense bitmap
+// encoding whatever the package-wide policy is: every word of the
+// universe is allocated up front and no container is ever demoted. The
+// cost model's calibration measures its per-word units on such sets.
+func NewDense(n int) *Set { return newSet(n, false) }
+
+func newSet(n int, hybrid bool) *Set {
 	if n < 0 {
 		n = 0
 	}
-	s := &Set{n: n, hybrid: defaultHybrid.Load(), ctrs: make([]container, numCtrs(n))}
+	s := &Set{n: n, hybrid: hybrid, ctrs: make([]container, numCtrs(n))}
 	if !s.hybrid {
 		// Dense policy allocates eagerly, like the pre-hybrid layout.
 		for i := range s.ctrs {

@@ -379,30 +379,21 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalV2Compat loads pre-hybrid dense streams into the hybrid
-// representation — the dense→hybrid conversion on snapshot load.
+// TestUnmarshalV2Compat pins what is left of compatibility with the
+// pre-hybrid dense format: its streams — of any capacity, empty ones
+// included — are refused with an error, never misread as containers.
 func TestUnmarshalV2Compat(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 12; trial++ {
 		n := 1 + rng.Intn(200_000)
 		ids := randomIDs(rng, n, 0.01+0.3*rng.Float64(), trial%2 == 0)
-		want := FromIDs(n, ids...)
-		got := &Set{}
-		if err := got.UnmarshalBinary(v2Bytes(n, want.IDs()...)); err != nil {
-			t.Fatalf("trial %d: v2 load: %v", trial, err)
-		}
-		if !got.Equal(want) || got.Hash() != want.Hash() || got.Count() != want.Count() {
-			t.Fatalf("trial %d: v2 load diverged from content", trial)
+		if err := (&Set{}).UnmarshalBinary(v2Bytes(n, ids...)); err == nil {
+			t.Fatalf("trial %d: dense stream of capacity %d accepted", trial, n)
 		}
 	}
-	// Zero-capacity and empty sets.
 	for _, n := range []int{0, 1, 64, 65} {
-		got := &Set{}
-		if err := got.UnmarshalBinary(v2Bytes(n)); err != nil {
-			t.Fatalf("empty v2 n=%d: %v", n, err)
-		}
-		if got.Len() != n || !got.IsEmpty() {
-			t.Fatalf("empty v2 n=%d: Len=%d empty=%v", n, got.Len(), got.IsEmpty())
+		if err := (&Set{}).UnmarshalBinary(v2Bytes(n)); err == nil {
+			t.Fatalf("empty dense stream of capacity %d accepted", n)
 		}
 	}
 }
@@ -433,11 +424,10 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 }
 
 func TestV3RejectedByCapacitySanity(t *testing.T) {
-	// The v3 magic deliberately exceeds the v2 capacity bound, so the
-	// old decoder's first check already refuses it; our v2 path must
-	// behave the same when handed a magic-less prefix. This pins the
-	// constant: if hybridMagic ever drops below maxBits, v2 readers
-	// would misparse v3 streams as dense words.
+	// The magic deliberately exceeds the capacity bound the pre-hybrid
+	// dense readers check first, so such a build refuses a stream of
+	// this format. This pins the constant: if hybridMagic ever drops
+	// below maxBits, those readers would misparse it as dense words.
 	if hybridMagic <= maxBits {
 		t.Fatalf("hybridMagic %#x must exceed the v2 capacity bound %#x", hybridMagic, uint64(maxBits))
 	}

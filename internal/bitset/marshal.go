@@ -5,20 +5,14 @@ import (
 	"fmt"
 )
 
-// Binary formats.
-//
-// v2 (pre-hybrid, read-only compatibility): an 8-byte little-endian
-// capacity followed by ceil(n/64) dense words. Decoding a v2 stream
-// converts it to the hybrid representation on load (and Optimize-packs
-// it when the hybrid policy is active), so old MIP-index snapshots keep
-// loading byte-for-byte.
-//
-// v3 (written by MarshalBinary): an 8-byte magic, the capacity, then one
-// record per container carrying its encoding — so snapshots persist the
-// compressed form instead of re-inflating to dense words. The magic is
-// chosen above the v2 decoder's capacity sanity bound (2^40), so a
-// pre-hybrid build rejects a v3 stream with a clean "implausible
-// capacity" error instead of misreading it.
+// The binary format (written by MarshalBinary): an 8-byte magic, the
+// capacity, then one record per container carrying its encoding — so
+// snapshots persist the compressed form instead of re-inflating to dense
+// words. The magic is chosen above the capacity sanity bound (2^40) the
+// pre-hybrid dense format's readers applied to their first word, so such
+// a build rejects a stream of this format with a clean "implausible
+// capacity" error instead of misreading it; this package in turn refuses
+// any stream that does not start with the magic.
 const (
 	// hybridMagic spells "COLARMV3" as a big-endian uint64; any value
 	// above maxBits works, the mnemonic is for hex dumps.
@@ -27,7 +21,7 @@ const (
 	maxBits = 1 << 40
 )
 
-// MarshalBinary encodes the set in the v3 container format. It
+// MarshalBinary encodes the set in the container format. It
 // implements encoding.BinaryMarshaler so sets can be embedded in
 // serialized index snapshots.
 func (s *Set) MarshalBinary() ([]byte, error) {
@@ -61,55 +55,16 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a set written by MarshalBinary (v3) or by the
-// pre-hybrid dense encoder (v2), sniffing the format from the first
-// 8 bytes. The decoded set adopts the current representation policy.
+// UnmarshalBinary decodes a set written by MarshalBinary. The decoded
+// set adopts the current representation policy.
 func (s *Set) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
+	if len(data) < 16 {
 		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
 	}
-	if binary.LittleEndian.Uint64(data) == hybridMagic {
-		return s.unmarshalV3(data[8:])
+	if binary.LittleEndian.Uint64(data) != hybridMagic {
+		return fmt.Errorf("bitset: stream does not start with the container-format magic")
 	}
-	return s.unmarshalV2(data)
-}
-
-// unmarshalV2 decodes the pre-hybrid dense format: capacity + words.
-func (s *Set) unmarshalV2(data []byte) error {
-	n := binary.LittleEndian.Uint64(data)
-	if n > maxBits {
-		return fmt.Errorf("bitset: implausible capacity %d", n)
-	}
-	words := (int(n) + wordBits - 1) / wordBits
-	if len(data) != 8+8*words {
-		return fmt.Errorf("bitset: capacity %d needs %d payload bytes, have %d", n, 8*words, len(data)-8)
-	}
-	hybrid := defaultHybrid.Load()
-	s.n = int(n)
-	s.hybrid = hybrid
-	s.ctrs = make([]container, numCtrs(s.n))
-	for ci := range s.ctrs {
-		c := &s.ctrs[ci]
-		c.toBitmap()
-		base := ci * ctrWords
-		nw := (s.span(ci) + wordBits - 1) / wordBits
-		for w := 0; w < nw; w++ {
-			c.b[w] = binary.LittleEndian.Uint64(data[8+8*(base+w):])
-		}
-		trimBitmap(c.b, s.span(ci))
-		c.card = bitmapCard(c.b)
-		// Dense → hybrid conversion on load: pick the cheapest encoding
-		// per chunk instead of keeping the inflated words.
-		c.optimize(hybrid)
-	}
-	return nil
-}
-
-// unmarshalV3 decodes the container format (after the magic).
-func (s *Set) unmarshalV3(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bitset: truncated v3 header (%d bytes)", len(data))
-	}
+	data = data[8:]
 	n := binary.LittleEndian.Uint64(data)
 	if n > maxBits {
 		return fmt.Errorf("bitset: implausible capacity %d", n)

@@ -15,20 +15,16 @@ import (
 // secondaryIndex is one extra physical MIP-index the engine holds
 // beside the base index: same merged records, mined at a lower primary
 // support, so it answers queries whose localized thresholds the base
-// index's applicability gate forces to ARM. A secondary is always a
-// monolithic frozen index (no delta view of its own); it participates
-// in the optimizer's argmin only while fresh — built at exactly the
-// current delta version — because any later ingest would make its
-// prestored CFIs silently incomplete.
+// index's applicability gate forces to ARM. It is a frozen index's
+// surface plus the model that prices it, run by the engine's one
+// executor; it participates in the optimizer's argmin only while fresh —
+// the request's base surface still carries exactly the delta version the
+// secondary was mined over (Surface.Version) — because any later ingest
+// would make its prestored CFIs silently incomplete.
 type secondaryIndex struct {
-	Index    *mip.Index
-	Executor *plans.Executor
-	Model    *cost.Model
-	Primary  float64
-	// BuiltVersion is the delta version of the merged surface the index
-	// was mined over; it is fresh only while the engine's delta version
-	// still equals it.
-	BuiltVersion  uint64
+	Surface       *plans.Surface
+	Model         *cost.Model // Model.Idx is the secondary's index
+	Primary       float64
 	BuildDuration time.Duration
 }
 
@@ -84,16 +80,28 @@ func (e *Engine) liveModel() *cost.Model {
 	return &mo
 }
 
-// choose runs the cost-based optimizer across every physical index:
-// the base argmin with the paper's applicability override, then each
-// fresh secondary index's argmin, keeping whichever (plan, index) pair
-// estimates cheapest. A secondary competes only when its own — lower —
-// primary count clears the query's localized threshold, so every pair
-// the argmin may pick returns the complete localized answer.
-func (e *Engine) choose(q *plans.Query) planChoice {
+// choose runs the cost-based optimizer across every physical index,
+// against the surface and focal subset the request resolved: the base
+// argmin with the paper's applicability override, then each fresh
+// secondary index's argmin, keeping whichever (plan, index) pair
+// estimates cheapest.
+//
+// The base argmin is honored only when the prestored CFIs can answer the
+// query completely (Focal.Applicable). When the localized threshold
+// falls below the surface's primary-support count, every MIP-backed plan
+// would silently drop rules that are frequent only inside the focal
+// subset, so the choice is overridden to ARM — completeness outranks the
+// cost estimate — unless a fresh secondary index at a lower primary
+// support reclaims the query. A secondary competes only when its own —
+// lower — primary count clears the query's localized threshold, so every
+// pair the argmin may pick returns the complete localized answer.
+func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
 	mo := e.liveModel()
 	kind, ests := mo.Choose(q)
-	ch := planChoice{kind: kind, ests: ests, model: mo}
+	ch := planChoice{
+		kind: kind, ests: ests, model: mo,
+		subset: f.Size, localCount: f.MinCount, applicable: f.Applicable(),
+	}
 	for _, est := range ests {
 		if est.Plan == plans.ARM {
 			ch.armCost = est.Total
@@ -101,9 +109,6 @@ func (e *Engine) choose(q *plans.Query) planChoice {
 			ch.bestMIP = est.Total
 		}
 	}
-	var primaryCount int
-	ch.subset, ch.localCount, primaryCount = e.Executor.Localized(q)
-	ch.applicable = ch.localCount >= primaryCount
 	if ch.kind != plans.ARM && !ch.applicable {
 		ch.kind = plans.ARM
 		ch.forcedARM = true
@@ -118,12 +123,11 @@ func (e *Engine) choose(q *plans.Query) planChoice {
 	// Secondary indexes: every fresh one whose primary count the
 	// localized threshold reaches joins the argmin. A fresh secondary
 	// covers exactly the same merged records as the base surface, so
-	// the focal subset — and with it the localized threshold — is
+	// the focal subset's size — and with it the localized threshold — is
 	// identical and needs no recomputation.
-	version := e.Delta.Staleness().Version
 	e.secMu.RLock()
 	for i, s := range e.secondaries {
-		if s.BuiltVersion != version || s.Index.PrimaryCount > ch.localCount {
+		if s.Surface.Version != f.Surface.Version || s.Surface.PrimaryCount > ch.localCount {
 			continue
 		}
 		smo := *s.Model
@@ -155,12 +159,15 @@ func (e *Engine) choose(q *plans.Query) planChoice {
 	return ch
 }
 
-// executor returns the executor of the index the choice runs on.
-func (ch planChoice) executor(e *Engine) *plans.Executor {
+// focal returns the focal subset the choice executes over: the request's
+// own when the base index won, the same selection over the secondary's
+// surface otherwise (a secondary is mined over the compacted merged
+// dataset, so its record ids differ from the base surface's).
+func (ch planChoice) focal(e *Engine, q *plans.Query, base *plans.Focal) *plans.Focal {
 	if ch.sec != nil {
-		return ch.sec.Executor
+		return e.Executor.Focus(ch.sec.Surface, q)
 	}
-	return e.Executor
+	return base
 }
 
 // noteAdvisor feeds one successfully executed query into the advisor:
@@ -276,7 +283,6 @@ func (e *Engine) BuildSecondary(ctx context.Context, primary float64) (Secondary
 		PrimarySupport: primary,
 		Fanout:         e.opts.Fanout,
 		Packing:        e.opts.Packing,
-		Layout:         e.opts.Layout,
 		Workers:        e.opts.Workers,
 	})
 	if err != nil {
@@ -285,20 +291,17 @@ func (e *Engine) BuildSecondary(ctx context.Context, primary float64) (Secondary
 	return e.installSecondary(idx, primary, version, time.Since(start)), nil
 }
 
-// installSecondary wires the executor and model around a mined
-// secondary index and swaps it into the engine's index set.
+// installSecondary wires the surface and model around a mined secondary
+// index and swaps it into the engine's index set.
 func (e *Engine) installSecondary(idx *mip.Index, primary float64, version uint64, dur time.Duration) SecondaryInfo {
-	ex := plans.NewExecutor(idx)
-	ex.Mode = e.opts.CheckMode
-	ex.Workers = e.opts.Workers
+	surf := plans.NewSurface(idx)
+	surf.Version = version
 	smo := cost.NewModel(idx, e.Model.U)
 	smo.Mode = e.opts.CheckMode
 	s := &secondaryIndex{
-		Index:         idx,
-		Executor:      ex,
+		Surface:       surf,
 		Model:         smo,
 		Primary:       primary,
-		BuiltVersion:  version,
 		BuildDuration: dur,
 	}
 	e.secMu.Lock()
@@ -307,7 +310,7 @@ func (e *Engine) installSecondary(idx *mip.Index, primary float64, version uint6
 		// Same primary fraction = same logical index; a rebuild at the
 		// same fraction over a moved surface replaces the stale copy even
 		// when the absolute count shifted with the record count.
-		if math.Abs(old.Primary-primary) <= 1e-9 || old.Index.PrimaryCount == idx.PrimaryCount {
+		if math.Abs(old.Primary-primary) <= 1e-9 || old.Surface.PrimaryCount == idx.PrimaryCount {
 			e.secondaries[i] = s
 			replaced = true
 			break
@@ -339,10 +342,10 @@ func (e *Engine) DropSecondary(primary float64) bool {
 func secondaryInfo(s *secondaryIndex, version uint64) SecondaryInfo {
 	return SecondaryInfo{
 		Primary:       s.Primary,
-		PrimaryCount:  s.Index.PrimaryCount,
-		CFIs:          len(s.Index.Boxes),
-		BuiltVersion:  s.BuiltVersion,
-		Fresh:         s.BuiltVersion == version,
+		PrimaryCount:  s.Surface.PrimaryCount,
+		CFIs:          len(s.Surface.Boxes),
+		BuiltVersion:  s.Surface.Version,
+		Fresh:         s.Surface.Version == version,
 		BuildDuration: s.BuildDuration,
 	}
 }
@@ -356,9 +359,9 @@ func (e *Engine) FreshSecondaryIndexes() (primaries []float64, indexes []*mip.In
 	e.secMu.RLock()
 	defer e.secMu.RUnlock()
 	for _, s := range e.secondaries {
-		if s.BuiltVersion == version {
+		if s.Surface.Version == version {
 			primaries = append(primaries, s.Primary)
-			indexes = append(indexes, s.Index)
+			indexes = append(indexes, s.Model.Idx)
 		}
 	}
 	return primaries, indexes
@@ -396,8 +399,8 @@ func (e *Engine) secondaryStates() []advisor.SecondaryState {
 		out = append(out, advisor.SecondaryState{
 			ID:           i + 1,
 			Primary:      s.Primary,
-			PrimaryCount: s.Index.PrimaryCount,
-			Stale:        s.BuiltVersion != version,
+			PrimaryCount: s.Surface.PrimaryCount,
+			Stale:        s.Surface.Version != version,
 		})
 	}
 	return out

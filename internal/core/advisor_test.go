@@ -47,9 +47,8 @@ func lowSupportQuery(t testing.TB, eng *Engine) *plans.Query {
 		t.Fatal(err)
 	}
 	q := &plans.Query{Region: reg, MinSupport: 0.25, MinConfidence: 0.9}
-	subset, localCount, primaryCount := eng.Executor.Localized(q)
-	if localCount >= primaryCount {
-		t.Fatalf("fixture drifted: localized count %d (subset %d) must fall below primary count %d", localCount, subset, primaryCount)
+	if f := eng.Resolve(q); f.Applicable() {
+		t.Fatalf("fixture drifted: localized count %d (subset %d) must fall below primary count %d", f.MinCount, f.Size, f.Surface.PrimaryCount)
 	}
 	return q
 }
@@ -212,7 +211,7 @@ func TestAdvisorRecommendationLoop(t *testing.T) {
 	if build == nil {
 		t.Fatalf("no build recommendation from %d forced-ARM queries: %+v", 20, recs)
 	}
-	_, localCount, _ := eng.Executor.Localized(q)
+	localCount := eng.Resolve(q).MinCount
 	if build.PrimaryCount > localCount {
 		t.Fatalf("recommended primary count %d cannot reclaim the workload (localized %d)", build.PrimaryCount, localCount)
 	}

@@ -30,12 +30,6 @@ type Options struct {
 	Fanout int
 	// Packing selects the R-tree bulk-loading scheme.
 	Packing rtree.Packing
-	// Layout selects the physical layout of the index layers
-	// (mip.FlatLayout by default: contiguous struct-of-arrays slabs;
-	// mip.PointerLayout keeps one heap object per node). Rules and
-	// statistics are identical for both; only memory layout and speed
-	// change.
-	Layout mip.Layout
 	// CalibrateUnits micro-benchmarks the cost model's unit costs on
 	// this machine instead of using defaults.
 	CalibrateUnits bool
@@ -85,17 +79,21 @@ type Options struct {
 // The index is immutable after construction, the executor keeps all
 // query state per-call, and the cost model's statistics are
 // precomputed; post-build mutability lives entirely in the delta store,
-// which synchronizes internally and hands queries immutable merged
-// views. The only unsynchronized state is the configuration on the
-// exported fields, which must not be mutated while queries are in
-// flight.
+// which synchronizes internally and hands queries immutable surfaces.
+// Every request resolves its plans.Surface exactly once (see Resolve)
+// and gates, chooses and executes against that one version. The only
+// unsynchronized state is the configuration on the exported fields,
+// which must not be mutated while queries are in flight.
 type Engine struct {
-	Index    *mip.Index
+	Index *mip.Index
+	// Executor is the engine's one executor: it runs every plan over
+	// whatever surface a request resolved — the base index, a merged
+	// delta version, or a secondary index.
 	Executor *plans.Executor
 	Model    *cost.Model
 	// Delta buffers transactions ingested after the index build and
-	// serves the merged execution view; queries stay exact while the
-	// base index ages. Always non-nil after NewEngine or
+	// serves the surface of each delta version; queries stay exact while
+	// the base index ages. Always non-nil after NewEngine or
 	// InitObservability. On a sharded engine it is the collection's
 	// wrapped store, so staleness, refresh-policy and snapshot surfaces
 	// read identically for both layouts.
@@ -103,6 +101,10 @@ type Engine struct {
 	// Coll partitions the records across shards when Options.Shards is
 	// at least 2; nil on a monolithic engine.
 	Coll *shard.Collection
+
+	// surface yields the surface of the current delta version: the
+	// collection's on a sharded engine, the delta store's otherwise.
+	surface func() *plans.Surface
 
 	// Metrics is the engine's cumulative metrics registry (counters and
 	// latency histograms, Prometheus-renderable). Recording is atomic;
@@ -158,30 +160,13 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
 		Packing:        opts.Packing,
-		Layout:         opts.Layout,
 		Workers:        opts.Workers,
 	})
 	if err != nil {
 		return nil, err
 	}
 	buildDur := time.Since(buildStart)
-	units := cost.Units{}
-	if opts.CalibrateUnits {
-		units = cost.MeasureUnits(d.NumRecords(), d.NumAttrs())
-	}
-	ex := plans.NewExecutor(idx)
-	ex.Mode = opts.CheckMode
-	ex.Workers = opts.Workers
-	model := cost.NewModel(idx, units)
-	model.Mode = opts.CheckMode
-	model.Shards = opts.Shards
-	e := &Engine{
-		Index:    idx,
-		Executor: ex,
-		Model:    model,
-		opts:     opts,
-	}
-	e.InitObservability(d.Name, opts.Metrics, opts.AccuracyTol)
+	e := Assemble(idx, opts)
 	e.Delta.SetRebuildCost(buildDur)
 	return e, nil
 }
@@ -189,15 +174,15 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 // Assemble wires an online engine around an existing index (typically
 // a deserialized snapshot), skipping the offline build.
 // opts.PrimarySupport should carry the fraction the index was mined at
-// so the delta store re-mines merged views at the same threshold; when
-// zero, InitObservability recovers an approximation from the stored
+// so the delta store re-mines merged surfaces at the same threshold;
+// when zero, InitObservability recovers an approximation from the stored
 // primary count.
 func Assemble(idx *mip.Index, opts Options) *Engine {
 	units := cost.Units{}
 	if opts.CalibrateUnits {
 		units = cost.MeasureUnits(idx.Dataset.NumRecords(), idx.Dataset.NumAttrs())
 	}
-	ex := plans.NewExecutor(idx)
+	ex := plans.NewExecutor(idx.Space)
 	ex.Mode = opts.CheckMode
 	ex.Workers = opts.Workers
 	model := cost.NewModel(idx, units)
@@ -224,7 +209,7 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 		if primary <= 0 && e.Index.Dataset.NumRecords() > 0 {
 			// Assembled engines (deserialized snapshots) may not carry
 			// the original fraction; recover it from the stored count so
-			// the merged view re-mines at the same threshold a rebuild
+			// the merged surface re-mines at the same threshold a rebuild
 			// would use.
 			primary = float64(e.Index.PrimaryCount) / float64(e.Index.Dataset.NumRecords())
 		}
@@ -239,7 +224,6 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 					PrimarySupport: primary,
 					Fanout:         e.opts.Fanout,
 					Packing:        e.opts.Packing,
-					Layout:         e.opts.Layout,
 					Workers:        e.opts.Workers,
 				},
 			})
@@ -247,12 +231,11 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 			// through the collection (shard clocks), while staleness,
 			// refresh policy and snapshots read the store directly.
 			e.Delta = e.Coll.Store()
-			e.Executor.Coll = e.Coll
-			e.Executor.ViewSource = e.Coll.View
+			e.surface = e.Coll.Surface
 		} else {
 			e.Delta = delta.NewStore(e.Index, primary, e.Model.U)
 			e.Delta.SetWorkers(e.opts.Workers)
-			e.Executor.ViewSource = e.Delta.View
+			e.surface = e.Delta.Surface
 		}
 	}
 	e.Accuracy = obs.NewAccuracyTracker(accuracyTol)
@@ -306,18 +289,17 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 	e.secChosen = reg.CounterWith("colarm_secondary_index_chosen_total", labels,
 		"Queries the multi-index argmin routed to a secondary index.")
 	if e.Coll != nil {
-		// Per-shard physical-index observability: one build-duration
-		// histogram for the engine plus a rebuild counter per shard, fed
-		// by the collection's rebuild hook. Clean shards reuse their
-		// cached index, so the counters expose exactly which partitions
-		// drift.
+		// Per-shard catalog observability: one mining-duration histogram
+		// for the engine plus a rebuild counter per shard, fed by the
+		// collection's rebuild hook. Clean shards reuse their cached
+		// catalog, so the counters expose exactly which partitions drift.
 		buildHist := reg.Histogram("colarm_shard_index_build_seconds", labels,
-			"Duration of per-shard physical index builds (mining + IT-tree + boxes + R-tree).", nil)
+			"Duration of per-shard threshold-1 catalog minings, the closure merge's input.", nil)
 		rebuildCtrs := make([]*obs.Counter, e.Coll.NumShards())
 		for s := range rebuildCtrs {
 			rebuildCtrs[s] = reg.CounterWith("colarm_shard_index_rebuilds_total",
 				labels+fmt.Sprintf(",shard=%q", fmt.Sprint(s)),
-				"Per-shard physical index rebuilds (drifted shards only; clean shards serve their cache).")
+				"Per-shard catalog re-minings (drifted shards only; clean shards serve their cache).")
 		}
 		e.Coll.SetRebuildHook(func(shard int, buildNanos int64) {
 			rebuildCtrs[shard].Inc()
@@ -338,9 +320,10 @@ func (e *Engine) observe(res *plans.Result, err error) {
 }
 
 // noteDelta charges one successfully executed query's estimated delta
-// overhead to the refresh accumulator.
-func (e *Engine) noteDelta(q *plans.Query, err error) {
-	if err != nil || e.Delta.Empty() {
+// overhead to the refresh accumulator, when the surface the request
+// resolved was a merged one.
+func (e *Engine) noteDelta(q *plans.Query, f *plans.Focal, err error) {
+	if err != nil || f.Surface.Version == 0 {
 		return
 	}
 	e.deltaQueries.Inc()
@@ -452,19 +435,30 @@ func (e *Engine) Mine(q *plans.Query) (*plans.Result, []cost.Estimate, error) {
 	return e.MineContext(context.Background(), q)
 }
 
+// Resolve is the one place a request reads the engine's index state: it
+// fetches the surface of the current delta version and selects the
+// query's focal subset over it. Every entry point calls it exactly once
+// and hands the result to the applicability gate, the optimizer and the
+// executor, so a request gates, chooses and runs against a single
+// version whatever is ingested meanwhile. q must have passed Validate.
+func (e *Engine) Resolve(q *plans.Query) *plans.Focal {
+	return e.Executor.Focus(e.surface(), q)
+}
+
 // MineContext is Mine under a context: a cancelled or timed-out context
 // aborts the chosen plan mid-operator and returns ctx.Err().
 func (e *Engine) MineContext(ctx context.Context, q *plans.Query) (*plans.Result, []cost.Estimate, error) {
-	if err := q.Validate(e.Index); err != nil {
+	if err := q.Validate(e.Index.Space); err != nil {
 		e.queries.Inc()
 		e.queryErrors.Inc()
 		return nil, nil, err
 	}
-	ch := e.choose(q)
+	f := e.Resolve(q)
+	ch := e.choose(q, f)
 	e.chosen[ch.kind].Inc()
-	res, err := ch.executor(e).RunContext(ctx, ch.kind, q)
+	res, err := e.Executor.RunContext(ctx, ch.kind, ch.focal(e, q, f), q)
 	e.observe(res, err)
-	e.noteDelta(q, err)
+	e.noteDelta(q, f, err)
 	if err != nil {
 		return nil, ch.ests, err
 	}
@@ -479,9 +473,14 @@ func (e *Engine) MineWith(kind plans.Kind, q *plans.Query) (*plans.Result, error
 
 // MineWithContext is MineWith under a context (see MineContext).
 func (e *Engine) MineWithContext(ctx context.Context, kind plans.Kind, q *plans.Query) (*plans.Result, error) {
-	res, err := e.Executor.RunContext(ctx, kind, q)
+	if err := q.Validate(e.Index.Space); err != nil {
+		e.observe(nil, err)
+		return nil, err
+	}
+	f := e.Resolve(q)
+	res, err := e.Executor.RunContext(ctx, kind, f, q)
 	e.observe(res, err)
-	e.noteDelta(q, err)
+	e.noteDelta(q, f, err)
 	return res, err
 }
 
@@ -510,17 +509,18 @@ type ChoiceEvaluation struct {
 // study as an online measurement. The evaluation runs untraced so the
 // measured times are clean; expect roughly 6x one query's cost.
 func (e *Engine) EvaluatePlans(q *plans.Query) (*ChoiceEvaluation, error) {
-	if err := q.Validate(e.Index); err != nil {
+	if err := q.Validate(e.Index.Space); err != nil {
 		return nil, err
 	}
 	qc := *q
 	qc.Trace = nil
-	ch := e.choose(&qc)
+	f := e.Resolve(&qc)
+	ch := e.choose(&qc, f)
 	ev := &ChoiceEvaluation{Chosen: ch.kind}
 	var chosenT, bestT time.Duration
 	measured := make([]time.Duration, 0, len(ch.ests))
 	for _, est := range ch.ests {
-		res, err := e.Executor.Run(est.Plan, &qc)
+		res, err := e.Executor.RunContext(context.Background(), est.Plan, f, &qc)
 		if err != nil {
 			return nil, err
 		}
@@ -559,25 +559,11 @@ func (e *Engine) ExplainContext(ctx context.Context, q *plans.Query) (plans.Kind
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	if err := q.Validate(e.Index); err != nil {
+	if err := q.Validate(e.Index.Space); err != nil {
 		return 0, nil, err
 	}
-	kind, ests := e.choosePlan(q)
-	return kind, ests, nil
-}
-
-// choosePlan runs the cost-based optimizer and applies the paper's
-// applicability condition: the argmin is honored only when the
-// prestored CFIs can answer the query completely. When the localized
-// threshold over the executor's current surface falls below the
-// primary-support count, every MIP-backed plan would silently drop
-// rules that are frequent only inside the focal subset, so the choice
-// is overridden to ARM — completeness outranks the cost estimate —
-// unless a fresh secondary index at a lower primary support reclaims
-// the query (see choose in advisor.go for the multi-index argmin).
-func (e *Engine) choosePlan(q *plans.Query) (plans.Kind, []cost.Estimate) {
-	ch := e.choose(q)
-	return ch.kind, ch.ests
+	ch := e.choose(q, e.Resolve(q))
+	return ch.kind, ch.ests, nil
 }
 
 // QuerySpec is a plan-agnostic description of a mining request using

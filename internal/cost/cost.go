@@ -68,15 +68,11 @@ func MeasureUnits(m, dims int) Units {
 
 	// WordOp and IDProbe are defined against the dense layout — the
 	// model's operator estimates multiply them by dense word counts —
-	// so the micro-benchmark sets must be bitmap-backed. Under the
-	// hybrid policy these small strided sets would pack into array
-	// containers, whose element-at-a-time kernels make a per-word
+	// so the two micro-benchmark sets are bitmap-backed by construction.
+	// Under the hybrid policy these small strided sets would pack into
+	// array containers, whose element-at-a-time kernels make a per-word
 	// normalization meaningless.
-	prevHybrid := bitset.SetHybrid(false)
-	defer bitset.SetHybrid(prevHybrid)
-
-	// Tidset word ops.
-	a, b := bitset.New(m), bitset.New(m)
+	a, b := bitset.NewDense(m), bitset.NewDense(m)
 	for i := 0; i < m; i += 3 {
 		a.Add(i)
 	}

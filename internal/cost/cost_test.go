@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colarm/internal/bitset"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -45,7 +46,7 @@ func buildModel(t testing.TB, m int) (*Model, *plans.Executor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewModel(idx, DefaultUnits()), plans.NewExecutor(idx)
+	return NewModel(idx, DefaultUnits()), plans.NewExecutor(idx.Space)
 }
 
 func TestMeasureUnitsSane(t *testing.T) {
@@ -73,6 +74,40 @@ func TestMeasureUnitsSane(t *testing.T) {
 	u2 := MeasureUnits(0, 0)
 	if u2.WordOp <= 0 {
 		t.Error("clamped measure failed")
+	}
+}
+
+// TestMeasureUnitsLeavesTidsetPolicyAlone: calibration re-runs in the
+// background of a serving engine (Rebuild with Calibrate set), so it
+// must never switch the process-wide tidset policy — a concurrent
+// query, ingest or merged-view build would create its sets dense and
+// keep them for a whole delta version.
+func TestMeasureUnitsLeavesTidsetPolicyAlone(t *testing.T) {
+	if !bitset.HybridEnabled() {
+		t.Fatal("test needs the default hybrid policy")
+	}
+	stop := make(chan struct{})
+	sawDense := make(chan bool)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				sawDense <- false
+				return
+			default:
+				if !bitset.HybridEnabled() {
+					sawDense <- true
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		MeasureUnits(4000, 6)
+	}
+	close(stop)
+	if <-sawDense {
+		t.Fatal("MeasureUnits switched the process-wide tidset policy to dense while it ran")
 	}
 }
 
@@ -174,6 +209,7 @@ func TestChooseReturnsArgmin(t *testing.T) {
 // generous factor on this small synthetic workload).
 func TestCostTracksMeasuredOrdering(t *testing.T) {
 	mo, ex := buildModel(t, 600)
+	surf := plans.NewSurface(mo.Idx)
 	r := rand.New(rand.NewSource(7))
 	queries := 0
 	regressions := 0
@@ -204,7 +240,7 @@ func TestCostTracksMeasuredOrdering(t *testing.T) {
 		// for time: support checks dominate).
 		work := map[plans.Kind]int{}
 		for _, k := range plans.Kinds() {
-			res, err := ex.Run(k, q)
+			res, err := ex.Run(k, surf, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Package delta implements the live-ingestion subsystem: an
 // append-oriented store buffering transactions that arrive after the
 // MIP-index build (inserts plus tombstone deletes), the merged execution
-// view that keeps query answers exact while the base index ages, and the
+// surface that keeps query answers exact while the base index ages, and the
 // cost-based refresh policy that decides when buffering has become more
 // expensive than rebuilding.
 //
@@ -16,7 +16,7 @@
 // per-query patching of base results is sound in general.
 //
 // The store therefore materializes, lazily and at most once per delta
-// version, a merged View holding exactly the index surface a
+// version, a merged plans.Surface holding exactly the index state a
 // from-scratch rebuild would build:
 //
 //  1. every per-item base tidset is copied and grown to the merged
@@ -36,9 +36,12 @@
 // order. Every structure a plan consults — CFIs, supports, closures,
 // boxes, item tidsets, the raw-value accessor — is thus byte-equal in
 // content to the rebuild's, so all six plans return identical rules.
-// The only degradation is structural: the packed R-tree is not rebuilt,
-// so SEARCH falls back to a linear scan over the merged boxes. That
-// per-query overhead is precisely what the refresh policy charges.
+// The only degradation is structural: the packed R-tree is not rebuilt
+// (the merged surface's RTree is nil), so SEARCH falls back to a linear
+// scan over the merged boxes. That per-query overhead is precisely what
+// the refresh policy charges. While nothing has been ingested the store
+// hands out the frozen index's own surface, R-tree included, so a query
+// resolves its index state the same way at every delta version.
 //
 // # Refresh policy
 //
@@ -110,7 +113,8 @@ type Applied struct {
 }
 
 // Store buffers post-build transactions for one engine and serves the
-// merged execution view. All methods are safe for concurrent use.
+// surface queries execute against. All methods are safe for concurrent
+// use.
 type Store struct {
 	mu      sync.Mutex
 	idx     *mip.Index
@@ -128,9 +132,9 @@ type Store struct {
 	ndead int
 
 	version  uint64
-	viewVer  uint64
-	view     *plans.View
-	overhead float64 // accumulated estimated delta overhead, nanos
+	frozen   *plans.Surface // the index as built: the surface of version 0
+	merged   *plans.Surface // the merged surface of the newest version asked for
+	overhead float64        // accumulated estimated delta overhead, nanos
 
 	// rebuildNanos is the measured duration of the last index build;
 	// when never measured, a shape-based estimate stands in.
@@ -146,12 +150,13 @@ func NewStore(idx *mip.Index, primary float64, units cost.Units) *Store {
 		primary: primary,
 		units:   units,
 		tombs:   bitset.New(idx.Dataset.NumRecords()),
+		frozen:  plans.NewSurface(idx),
 	}
 }
 
-// SetWorkers bounds the fan-out of the merged view's parallel box
+// SetWorkers bounds the fan-out of the merged surface's parallel box
 // computation: 0 means one worker per CPU, 1 forces serial. Boxes are
-// independent reads into pre-indexed slots, so the view is
+// independent reads into pre-indexed slots, so the surface is
 // worker-count-invariant.
 func (s *Store) SetWorkers(n int) {
 	s.mu.Lock()
@@ -300,21 +305,24 @@ func (s *Store) Empty() bool {
 	return s.version == 0
 }
 
-// View returns the merged execution view for the current delta version,
-// or nil when the store is empty (queries then run against the frozen
-// index directly). The view is built lazily, at most once per version,
-// and is immutable once returned.
-func (s *Store) View() *plans.View {
+// Surface returns the index state of the current delta version: the
+// frozen index's own surface — packed R-tree included — while nothing
+// has been ingested, and from version 1 on the merged surface a rebuild
+// over the merged data would present (see the package comment), built
+// lazily, at most once per version. A Surface is immutable once
+// returned and carries the version it presents, so a caller that
+// resolves one per request reads a single consistent version throughout
+// whatever is ingested meanwhile.
+func (s *Store) Surface() *plans.Surface {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version == 0 {
-		return nil
+		return s.frozen
 	}
-	if s.view == nil || s.viewVer != s.version {
-		s.view = s.buildViewLocked()
-		s.viewVer = s.version
+	if s.merged == nil || s.merged.Version != s.version {
+		s.merged = s.buildMergedLocked()
 	}
-	return s.view
+	return s.merged
 }
 
 // changedRow is one record the delta changed relative to the frozen
@@ -324,9 +332,9 @@ type changedRow struct {
 	row []int32
 }
 
-// buildViewLocked materializes the merged index surface. See the
-// package comment for the exactness argument.
-func (s *Store) buildViewLocked() *plans.View {
+// buildMergedLocked materializes the merged surface. See the package
+// comment for the exactness argument.
+func (s *Store) buildMergedLocked() *plans.Surface {
 	d, sp := s.idx.Dataset, s.idx.Space
 	baseN := d.NumRecords()
 	capN := baseN + len(s.rows)
@@ -349,7 +357,7 @@ func (s *Store) buildViewLocked() *plans.View {
 	live.Fill()
 	if gl := s.idx.Live; gl != nil {
 		// A consolidated sharded index keeps deleted records as ghost
-		// rows; they stay dead in every merged view.
+		// rows; they stay dead in every merged surface.
 		ghosts := gl.Clone()
 		ghosts.Complement()
 		live.AndNot(ghosts.CloneGrown(capN))
@@ -389,7 +397,7 @@ func (s *Store) buildViewLocked() *plans.View {
 	for it, t := range tids {
 		if touched[it] {
 			// Removals and appends fragment the cloned containers;
-			// re-pack before the view serves reads.
+			// re-pack before the surface serves reads.
 			t.Optimize()
 		}
 	}
@@ -407,7 +415,7 @@ func (s *Store) buildViewLocked() *plans.View {
 		// path is minCount < 1, guarded).
 		panic(fmt.Sprintf("delta: merged mining failed: %v", err))
 	}
-	tree := ittree.BuildLayout(res, sp.NumItems(), s.idx.Layout.ITTreeLayout())
+	tree := ittree.Build(res, sp.NumItems())
 	boxes := make([]itemset.Box, len(res.Closed))
 	closed := res.Closed
 	pool.For(len(closed), pool.Workers(s.workers), func(id int) {
@@ -415,20 +423,20 @@ func (s *Store) buildViewLocked() *plans.View {
 	})
 
 	rows := s.rows // append-only; elements are never mutated
-	return &plans.View{
+	return &plans.Surface{
 		Tree:         tree,
 		Boxes:        boxes,
 		Tidsets:      tids,
 		PrimaryCount: minCount,
 		NumRecords:   capN,
 		Live:         live,
-		Skip:         func(r int) bool { return !live.Contains(r) },
 		Value: func(r, a int) int {
 			if r < baseN {
 				return d.Value(r, a)
 			}
 			return int(rows[r-baseN][a])
 		},
+		Version: s.version,
 	}
 }
 
@@ -526,8 +534,8 @@ func (s *Store) NoteQuery(attrsTouched int) {
 		attrsTouched = dims
 	}
 	cfis := s.idx.ITTree.Size()
-	if s.view != nil {
-		cfis = s.view.Tree.Size()
+	if s.merged != nil {
+		cfis = s.merged.Tree.Size()
 	}
 	buffered := len(s.rows) - s.ndead
 	s.overhead += s.units.BoxRel*float64(cfis)*float64(dims) +

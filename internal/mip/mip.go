@@ -27,44 +27,6 @@ import (
 	"colarm/internal/rtree"
 )
 
-// Layout selects the physical layout of both index layers: FlatLayout
-// (the default) packs the IT-tree and R-tree into contiguous
-// struct-of-arrays slabs; PointerLayout keeps the original
-// one-heap-object-per-node organization as the differential reference.
-type Layout int
-
-const (
-	FlatLayout Layout = iota
-	PointerLayout
-)
-
-func (l Layout) String() string {
-	switch l {
-	case FlatLayout:
-		return "flat"
-	case PointerLayout:
-		return "pointer"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// ITTreeLayout maps the index-level layout to the IT-tree layer's.
-func (l Layout) ITTreeLayout() ittree.Layout {
-	if l == PointerLayout {
-		return ittree.PointerLayout
-	}
-	return ittree.FlatLayout
-}
-
-// RTreeLayout maps the index-level layout to the R-tree layer's.
-func (l Layout) RTreeLayout() rtree.Layout {
-	if l == PointerLayout {
-		return rtree.PointerLayout
-	}
-	return rtree.FlatLayout
-}
-
 // Options configures the offline preprocessing phase.
 type Options struct {
 	// PrimarySupport is the primary support threshold (fraction of the
@@ -75,8 +37,6 @@ type Options struct {
 	Fanout int
 	// Packing selects the bulk-loading scheme for the R-tree.
 	Packing rtree.Packing
-	// Layout selects the physical layout of the index layers.
-	Layout Layout
 	// Workers bounds the fan-out of the per-CFI bounding-box computation
 	// during assembly: 0 means one worker per CPU, 1 forces serial. Box
 	// probes are independent reads over immutable tidsets and land in
@@ -101,8 +61,6 @@ type Index struct {
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
-	// Layout records the physical layout the index was assembled with.
-	Layout Layout
 	// Live, when non-nil, flags the records of Dataset that exist: a
 	// consolidated sharded engine absorbs deletions without renumbering
 	// record ids (hash partitioning must stay stable), so deleted rows
@@ -133,7 +91,7 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(d, sp, tidsets, res, primaryCount, opts)
+	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
 
 // Assemble builds the index layers from an existing mining result. The
@@ -145,35 +103,40 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 // compacted data. Set Live on the returned index afterwards when the
 // dataset carries ghost rows.
 func Assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, primaryCount int, opts Options) (*Index, error) {
-	return assemble(d, sp, tidsets, res, primaryCount, opts)
+	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
 
-// assemble builds the index layers from an existing mining result; split
-// out so tests can inject hand-built CFI collections.
-func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, primaryCount int, opts Options) (*Index, error) {
+// assemble builds the index layers from an existing mining result.
+// boxes, when non-nil, are the CFIs' bounding boxes as a snapshot stored
+// them; otherwise they are probed from the tidsets.
+func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, boxes []itemset.Box, primaryCount int, opts Options) (*Index, error) {
 	idx := &Index{
 		Dataset:      d,
 		Space:        sp,
 		Tidsets:      tidsets,
-		ITTree:       ittree.BuildLayout(res, sp.NumItems(), opts.Layout.ITTreeLayout()),
+		ITTree:       ittree.Build(res, sp.NumItems()),
+		Boxes:        boxes,
 		PrimaryCount: primaryCount,
-		Layout:       opts.Layout,
 	}
 	idx.Cards = make([]int, sp.NumAttrs())
 	for a := range idx.Cards {
 		idx.Cards[a] = sp.Cardinality(a)
 	}
+	if boxes == nil {
+		idx.Boxes = make([]itemset.Box, len(res.Closed))
+	}
 	// Box probes are independent tidset reads landing in pre-indexed
 	// slots, so they fan out across the worker pool without affecting the
 	// result.
-	idx.Boxes = make([]itemset.Box, len(res.Closed))
 	entries := make([]rtree.Entry, len(res.Closed))
 	pool.For(len(res.Closed), pool.Workers(opts.Workers), func(id int) {
 		c := res.Closed[id]
-		idx.Boxes[id] = idx.boundingBox(c)
+		if boxes == nil {
+			idx.Boxes[id] = idx.boundingBox(c)
+		}
 		entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
 	})
-	rt, err := rtree.BulkLayout(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards, opts.Layout.RTreeLayout())
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
 	"colarm/internal/rtree"
@@ -25,51 +24,20 @@ import (
 
 // snapshotMagic versions the serialization format. It is written as a
 // standalone gob string ahead of the payload, so a reader rejects
-// foreign files and other format versions from the first value alone —
-// a typed qerr.ErrSnapshotVersion instead of a garbled payload decode.
+// foreign files and other format versions — the v2, v3 and v4 streams of
+// earlier releases included — from the first value alone: a typed
+// qerr.ErrSnapshotVersion instead of a garbled payload decode.
 //
-// v2 moved the magic out of the payload struct and added engine-level
-// metadata: the primary-support fraction, the engine generation, and
-// the live-ingestion delta (buffered rows and deletes), so a snapshot
-// taken mid-ingest restores to the exact same answers.
-//
-// v3 carries CFI tidsets in the hybrid container encoding (bitset v3)
-// instead of dense words, so sparse and clustered tidsets persist
-// compressed. The payload struct is unchanged — only the bytes inside
-// each snapCFI.Tids differ — and the bitset decoder sniffs the
-// per-tidset format, so v2 snapshots still load: their dense tidsets
-// are converted to the hybrid representation on read.
-//
-// v4 is the sharded layout: when the index carries a Live mask (a
-// consolidated sharded engine keeps deleted records as ghost rows so
-// hash partitioning stays stable), the mask is appended as one extra
-// gob value after the unchanged v3 payload. An index without ghosts —
-// every fresh build, and every sharded engine that has absorbed no
-// deletions, K=1 included — still writes the exact v3 stream, so v3
-// readers round-trip those snapshots unchanged; only ghost-carrying
-// snapshots get the v4 magic, which v3 readers reject with a typed
-// version error instead of silently resurrecting deleted rows.
-//
-// v5 is the slab format matching the flat in-memory layout: CFI
-// itemsets are one offset-indexed item arena instead of a slice per
-// CFI, tidset encodings are one offset-indexed byte arena, and boxes
-// are one inline Lo/Hi arena — a handful of large gob values instead of
-// tens of thousands of small ones, decoded straight into the arenas the
-// flat index is built from. The ghost mask is a payload field (empty
-// means none) rather than a trailing value. v4, v3 and v2 streams are
-// accepted read-only; the golden-bytes compat test pins crafted streams
-// of all three as testdata.
+// The payload is the slab format matching the in-memory layout: CFI
+// itemsets are one offset-indexed item arena, tidset encodings (the
+// hybrid container encoding of package bitset) one offset-indexed byte
+// arena, and boxes one inline Lo/Hi arena — a handful of large gob
+// values instead of tens of thousands of small ones. Engine-level
+// metadata (primary-support fraction, generation, the live-ingestion
+// delta, fresh secondary indexes) and the ghost mask of a consolidated
+// sharded engine ride in the same payload, so a snapshot taken
+// mid-ingest restores to the exact same answers.
 const snapshotMagic = "COLARM-MIP-v5"
-
-// snapshotMagicV4 is the sharded ghost-mask format (see above),
-// accepted read-only.
-const snapshotMagicV4 = "COLARM-MIP-v4"
-
-// snapshotMagicV3 is the hybrid-tidset format, accepted read-only.
-const snapshotMagicV3 = "COLARM-MIP-v3"
-
-// snapshotMagicV2 is the dense-tidset format, accepted read-only.
-const snapshotMagicV2 = "COLARM-MIP-v2"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
 // the index itself.
@@ -96,24 +64,6 @@ type SnapshotMeta struct {
 type SecondarySnapshot struct {
 	Primary float64
 	Blob    []byte
-}
-
-// snapshot is the legacy v2/v3/v4 payload, retained for reading old
-// streams (and for crafting golden compat testdata).
-type snapshot struct {
-	// Dataset.
-	Name  string
-	Attrs []snapAttr
-	Rows  []int32 // row-major value indices, m*n entries
-
-	// Index.
-	PrimaryCount int
-	Fanout       int
-	Packing      int
-	CFIs         []snapCFI
-	Boxes        []snapBox
-
-	Meta SnapshotMeta
 }
 
 // snapshotV5 is the slab payload: per-CFI data lives in offset-indexed
@@ -149,16 +99,6 @@ type snapshotV5 struct {
 type snapAttr struct {
 	Name   string
 	Values []string
-}
-
-type snapCFI struct {
-	Items   []int32
-	Tids    []byte // bitset.Set binary encoding
-	Support int
-}
-
-type snapBox struct {
-	Lo, Hi []int32
 }
 
 // WriteTo serializes the index with empty engine metadata. The stream
@@ -253,93 +193,34 @@ func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	if err := dec.Decode(&magic); err != nil {
 		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: stream does not start with a snapshot version marker", qerr.ErrSnapshotVersion)
 	}
-	switch magic {
-	case snapshotMagic:
-		var snap snapshotV5
-		if err := dec.Decode(&snap); err != nil {
-			return nil, SnapshotMeta{}, fmt.Errorf("mip: decoding snapshot: %w", err)
-		}
-		idx, err := decodeSnapshotV5(&snap)
-		if err != nil {
-			return nil, SnapshotMeta{}, err
-		}
-		return idx, snap.Meta, nil
-	case snapshotMagicV4, snapshotMagicV3, snapshotMagicV2:
-		var snap snapshot
-		if err := dec.Decode(&snap); err != nil {
-			return nil, SnapshotMeta{}, fmt.Errorf("mip: decoding snapshot: %w", err)
-		}
-		var live *bitset.Set
-		if magic == snapshotMagicV4 {
-			var raw []byte
-			if err := dec.Decode(&raw); err != nil {
-				return nil, SnapshotMeta{}, fmt.Errorf("mip: decoding live mask: %w", err)
-			}
-			live = &bitset.Set{}
-			if err := live.UnmarshalBinary(raw); err != nil {
-				return nil, SnapshotMeta{}, fmt.Errorf("mip: live mask: %w", err)
-			}
-		}
-		idx, err := decodeSnapshot(&snap, live)
-		if err != nil {
-			return nil, SnapshotMeta{}, err
-		}
-		return idx, snap.Meta, nil
-	default:
-		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q (and %q, %q, %q read-only)", qerr.ErrSnapshotVersion, magic, snapshotMagic, snapshotMagicV4, snapshotMagicV3, snapshotMagicV2)
+	if magic != snapshotMagic {
+		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q", qerr.ErrSnapshotVersion, magic, snapshotMagic)
 	}
+	var snap snapshotV5
+	if err := dec.Decode(&snap); err != nil {
+		return nil, SnapshotMeta{}, fmt.Errorf("mip: decoding snapshot: %w", err)
+	}
+	idx, err := decodeSnapshot(&snap)
+	if err != nil {
+		return nil, SnapshotMeta{}, err
+	}
+	return idx, snap.Meta, nil
 }
 
-// decodeSnapshotV5 converts the slab payload into the legacy per-CFI
-// shape and funnels through the same validation/assembly path, so both
-// formats restore byte-identical indexes.
-func decodeSnapshotV5(snap *snapshotV5) (*Index, error) {
+// decodeSnapshot validates the slab payload and assembles the index it
+// describes.
+func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	k := len(snap.Supports)
 	if len(snap.ItemOff) != k+1 || len(snap.TidOff) != k+1 {
 		return nil, fmt.Errorf("mip: snapshot slab offsets malformed: %d CFIs, %d item offsets, %d tid offsets", k, len(snap.ItemOff), len(snap.TidOff))
+	}
+	if len(snap.Attrs) == 0 {
+		return nil, fmt.Errorf("mip: snapshot has no attributes")
 	}
 	n := len(snap.Attrs)
 	if len(snap.BoxArena) != k*2*n {
 		return nil, fmt.Errorf("mip: snapshot box arena has %d values, want %d", len(snap.BoxArena), k*2*n)
 	}
-	legacy := &snapshot{
-		Name:         snap.Name,
-		Attrs:        snap.Attrs,
-		Rows:         snap.Rows,
-		PrimaryCount: snap.PrimaryCount,
-		Fanout:       snap.Fanout,
-		Packing:      snap.Packing,
-		Meta:         snap.Meta,
-	}
-	for i := 0; i < k; i++ {
-		io0, io1 := snap.ItemOff[i], snap.ItemOff[i+1]
-		to0, to1 := snap.TidOff[i], snap.TidOff[i+1]
-		if io0 < 0 || io1 < io0 || int(io1) > len(snap.ItemArena) || to0 < 0 || to1 < to0 || int(to1) > len(snap.TidArena) {
-			return nil, fmt.Errorf("mip: snapshot CFI %d has out-of-range slab offsets", i)
-		}
-		o := i * 2 * n
-		legacy.CFIs = append(legacy.CFIs, snapCFI{
-			Items:   snap.ItemArena[io0:io1],
-			Tids:    snap.TidArena[to0:to1],
-			Support: int(snap.Supports[i]),
-		})
-		legacy.Boxes = append(legacy.Boxes, snapBox{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]})
-	}
-	var live *bitset.Set
-	if len(snap.Live) > 0 {
-		live = &bitset.Set{}
-		if err := live.UnmarshalBinary(snap.Live); err != nil {
-			return nil, fmt.Errorf("mip: live mask: %w", err)
-		}
-	}
-	return decodeSnapshot(legacy, live)
-}
-
-func decodeSnapshot(snap *snapshot, live *bitset.Set) (*Index, error) {
-	if len(snap.Attrs) == 0 {
-		return nil, fmt.Errorf("mip: snapshot has no attributes")
-	}
-	n := len(snap.Attrs)
 	if len(snap.Rows)%n != 0 {
 		return nil, fmt.Errorf("mip: snapshot row data length %d not divisible by %d attributes", len(snap.Rows), n)
 	}
@@ -368,49 +249,53 @@ func decodeSnapshot(snap *snapshot, live *bitset.Set) (*Index, error) {
 	}
 	sp := itemset.NewSpace(d)
 
-	if len(snap.CFIs) != len(snap.Boxes) {
-		return nil, fmt.Errorf("mip: snapshot has %d CFIs but %d boxes", len(snap.CFIs), len(snap.Boxes))
-	}
 	res := &charm.Result{NumRecords: d.NumRecords(), MinCount: snap.PrimaryCount}
-	boxes := make([]itemset.Box, len(snap.CFIs))
-	for i, sc := range snap.CFIs {
+	boxes := make([]itemset.Box, k)
+	for i := 0; i < k; i++ {
+		io0, io1 := snap.ItemOff[i], snap.ItemOff[i+1]
+		to0, to1 := snap.TidOff[i], snap.TidOff[i+1]
+		if io0 < 0 || io1 < io0 || int(io1) > len(snap.ItemArena) || to0 < 0 || to1 < to0 || int(to1) > len(snap.TidArena) {
+			return nil, fmt.Errorf("mip: snapshot CFI %d has out-of-range slab offsets", i)
+		}
 		tids := &bitset.Set{}
-		if err := tids.UnmarshalBinary(sc.Tids); err != nil {
+		if err := tids.UnmarshalBinary(snap.TidArena[to0:to1]); err != nil {
 			return nil, fmt.Errorf("mip: CFI %d tidset: %w", i, err)
 		}
 		if tids.Len() != d.NumRecords() {
 			return nil, fmt.Errorf("mip: CFI %d tidset capacity %d != %d records", i, tids.Len(), d.NumRecords())
 		}
-		// Normalize the container form: v2 streams carry dense words,
-		// and a restored index must re-serialize identically to a fresh
-		// build regardless of the source encoding.
+		// Normalize the container form: a restored index must
+		// re-serialize identically to a fresh build whatever encoding
+		// the stream's writer chose.
 		tids.Optimize()
-		items := make(itemset.Set, len(sc.Items))
-		for j, it := range sc.Items {
+		items := make(itemset.Set, io1-io0)
+		for j, it := range snap.ItemArena[io0:io1] {
 			if it < 0 || int(it) >= sp.NumItems() {
 				return nil, fmt.Errorf("mip: CFI %d item %d out of range", i, it)
 			}
 			items[j] = itemset.Item(it)
 		}
-		if got := tids.Count(); got != sc.Support {
-			return nil, fmt.Errorf("mip: CFI %d support %d != tidset count %d", i, sc.Support, got)
+		support := int(snap.Supports[i])
+		if got := tids.Count(); got != support {
+			return nil, fmt.Errorf("mip: CFI %d support %d != tidset count %d", i, support, got)
 		}
-		res.Closed = append(res.Closed, &charm.ClosedSet{Items: items, Tids: tids, Support: sc.Support})
-		sb := snap.Boxes[i]
-		if len(sb.Lo) != n || len(sb.Hi) != n {
-			return nil, fmt.Errorf("mip: CFI %d box has wrong dimensionality", i)
-		}
-		boxes[i] = itemset.Box{Lo: sb.Lo, Hi: sb.Hi}
+		res.Closed = append(res.Closed, &charm.ClosedSet{Items: items, Tids: tids, Support: support})
+		o := i * 2 * n
+		boxes[i] = itemset.Box{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]}
 	}
 
-	idx, err := assembleFromBoxes(d, sp, res, boxes, snap.PrimaryCount, Options{
+	idx, err := assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{
 		Fanout:  snap.Fanout,
 		Packing: rtree.Packing(snap.Packing),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if live != nil {
+	if len(snap.Live) > 0 {
+		live := &bitset.Set{}
+		if err := live.UnmarshalBinary(snap.Live); err != nil {
+			return nil, fmt.Errorf("mip: live mask: %w", err)
+		}
 		if live.Len() != d.NumRecords() {
 			return nil, fmt.Errorf("mip: live mask capacity %d != %d records", live.Len(), d.NumRecords())
 		}
@@ -423,34 +308,6 @@ func decodeSnapshot(snap *snapshot, live *bitset.Set) (*Index, error) {
 		}
 		idx.Live = live
 	}
-	return idx, nil
-}
-
-// assembleFromBoxes mirrors assemble but reuses precomputed boxes.
-func assembleFromBoxes(d *relation.Dataset, sp *itemset.Space, res *charm.Result, boxes []itemset.Box, primaryCount int, opts Options) (*Index, error) {
-	idx := &Index{
-		Dataset:      d,
-		Space:        sp,
-		Tidsets:      itemset.ItemTidsets(d, sp),
-		PrimaryCount: primaryCount,
-		Boxes:        boxes,
-		Layout:       opts.Layout,
-	}
-	idx.ITTree = ittree.BuildLayout(res, sp.NumItems(), opts.Layout.ITTreeLayout())
-	idx.Cards = make([]int, sp.NumAttrs())
-	for a := range idx.Cards {
-		idx.Cards[a] = sp.Cardinality(a)
-	}
-	entries := make([]rtree.Entry, len(res.Closed))
-	for id, c := range res.Closed {
-		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(c.Support)}
-	}
-	rt, err := rtree.BulkLayout(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards, opts.Layout.RTreeLayout())
-	if err != nil {
-		return nil, err
-	}
-	idx.RTree = rt
-	idx.LevelStats, idx.EntryStats = rt.Stats(idx.Cards)
 	return idx, nil
 }
 

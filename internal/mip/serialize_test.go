@@ -2,13 +2,11 @@ package mip
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
 
-	"colarm/internal/bitset"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/qerr"
@@ -123,82 +121,19 @@ func TestReadIndexRejectsCorruptedSnapshot(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotV2Compat loads a hand-built v2 snapshot — the previous
-// magic string with every CFI tidset in the old dense bitset encoding —
-// and checks it restores the exact same index as the current format.
-// v2 files in the field must keep loading after the hybrid-tidset bump.
+// TestReadSnapshotV2Compat pins what is left of compatibility with the
+// v2, v3 and v4 formats of earlier releases: a typed refusal decided by
+// the magic string alone. The payload behind each legacy magic is not a
+// snapshot of any version, so an attempt to decode it would surface as
+// a gob error instead of ErrSnapshotVersion.
 func TestReadSnapshotV2Compat(t *testing.T) {
-	d := datagen.Salary()
-	idx, err := Build(d, Options{PrimarySupport: 0.18, Fanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-create what the v2 writer produced: same payload struct, dense
-	// tidset bytes, v2 magic.
-	snap := snapshot{
-		Name:         idx.Dataset.Name,
-		PrimaryCount: idx.PrimaryCount,
-		Fanout:       idx.RTree.Fanout(),
-	}
-	for _, a := range idx.Dataset.Attrs {
-		snap.Attrs = append(snap.Attrs, snapAttr{Name: a.Name, Values: a.Values})
-	}
-	m, n := d.NumRecords(), d.NumAttrs()
-	for r := 0; r < m; r++ {
-		for a := 0; a < n; a++ {
-			snap.Rows = append(snap.Rows, int32(d.Value(r, a)))
-		}
-	}
-	for id := 0; id < idx.ITTree.Size(); id++ {
-		c := idx.ITTree.Set(id)
-		items := make([]int32, len(c.Items))
-		for i, it := range c.Items {
-			items[i] = int32(it)
-		}
-		snap.CFIs = append(snap.CFIs, snapCFI{Items: items, Tids: denseV2Bytes(c.Tids), Support: c.Support})
-		snap.Boxes = append(snap.Boxes, snapBox{Lo: idx.Boxes[id].Lo, Hi: idx.Boxes[id].Hi})
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snapshotMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	got, _, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumMIPs() != idx.NumMIPs() {
-		t.Fatalf("MIPs %d != %d", got.NumMIPs(), idx.NumMIPs())
-	}
-	for id := 0; id < idx.NumMIPs(); id++ {
-		a, b := idx.ITTree.Set(id), got.ITTree.Set(id)
-		if !a.Items.Equal(b.Items) || a.Support != b.Support || !a.Tids.Equal(b.Tids) {
-			t.Fatalf("CFI %d differs after v2 load", id)
-		}
-		if a.Tids.Hash() != b.Tids.Hash() {
-			t.Fatalf("CFI %d tidset hash differs after v2 load", id)
-		}
-	}
-}
-
-// TestReadSnapshotRejectsUnknownVersion pins that only the current and
-// previous magic strings are accepted.
-func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
-	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v6", "something else"} {
+	for _, magic := range []string{"COLARM-MIP-v2", "COLARM-MIP-v3", "COLARM-MIP-v4"} {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		if err := enc.Encode(magic); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(&snapshot{}); err != nil {
+		if err := enc.Encode([]float64{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ReadSnapshot(&buf); !errors.Is(err, qerr.ErrSnapshotVersion) {
@@ -207,19 +142,20 @@ func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// denseV2Bytes encodes a tidset in the pre-hybrid dense binary format
-// (LE capacity, then dense words), byte-identical to the old
-// MarshalBinary output.
-func denseV2Bytes(s *bitset.Set) []byte {
-	n := s.Len()
-	words := make([]uint64, (n+63)/64)
-	s.ForEach(func(id int) bool {
-		words[id/64] |= 1 << (uint(id) % 64)
-		return true
-	})
-	buf := binary.LittleEndian.AppendUint64(nil, uint64(n))
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+// TestReadSnapshotRejectsUnknownVersion pins that only the current magic
+// string is accepted.
+func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
+	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v6", "something else"} {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(magic); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(&snapshotV5{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadSnapshot(&buf); !errors.Is(err, qerr.ErrSnapshotVersion) {
+			t.Errorf("magic %q: err = %v, want ErrSnapshotVersion", magic, err)
+		}
 	}
-	return buf
 }

@@ -30,29 +30,19 @@ import (
 // primary support globally. This matches the paper's footnote-2
 // contract: the POQM index answers only queries above the primary
 // support; the from-scratch plan has no such floor.
-func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
-	c := ex.newCtx(ctx, q)
+func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, error) {
+	c := ex.newCtx(ctx, f, q)
 	if c.st.SubsetSize == 0 {
 		return &Result{Stats: *c.st}, nil
 	}
-	idx := ex.Idx
-	d := idx.Dataset
-	sp := idx.Space
-	m := c.records
-	n := d.NumAttrs()
-	// value resolves a record's raw value; with a live delta view it
-	// reaches buffered rows past the base table, and skip passes over
-	// tombstoned records (their ids are never reused).
-	value := d.Value
-	skip := func(int) bool { return false }
-	if c.view != nil {
-		value, skip = c.view.Value, c.view.Skip
-	} else if live := idx.Live; live != nil {
-		// A consolidated index keeps deleted records as ghost rows (ids
-		// are never renumbered); the scan must pass over them exactly as
-		// it passes over tombstones in a delta view.
-		skip = func(r int) bool { return !live.Contains(r) }
-	}
+	sp := ex.Space
+	m := c.s.NumRecords
+	n := sp.NumAttrs()
+	// value resolves a record's raw value, reaching buffered rows past
+	// the base table on a merged surface; the scan passes over ids
+	// outside live — tombstoned records and the ghost rows of a
+	// consolidated index alike (ids are never reused or renumbered).
+	value, live := c.s.Value, c.s.Live
 	tr := q.Trace
 	var t0 time.Time
 	if tr != nil {
@@ -71,7 +61,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 			localTids[sp.ItemOf(a, v)] = bitset.New(m)
 		}
 	}
-	if c.slices != nil {
+	if slices := c.s.Slices; len(slices) > 1 {
 		// Scattered SELECT: each shard scans only the records it owns
 		// (already live — ghost and tombstoned rows are outside every
 		// slice), in parallel across the worker pool, into its own
@@ -80,7 +70,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 		// slices partition the live records. ARMRecordsScanned sums the
 		// per-shard scan counts — the same total the monolithic loop
 		// reports.
-		k := len(c.slices)
+		k := len(slices)
 		perTids := make([][]*bitset.Set, k)
 		scanned := make([]int, k)
 		_, err := parallelForCtx(ctx, k, c.workers, func(s int) {
@@ -95,7 +85,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 			}
 			pt := make([]int, n)
 			polls := 0
-			c.slices[s].Records.ForEach(func(r int) bool {
+			slices[s].Records.ForEach(func(r int) bool {
 				if c.done != nil {
 					polls++
 					if polls%cancelPollStride == 0 {
@@ -145,7 +135,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 			if err := c.cancelled(); err != nil {
 				return nil, err
 			}
-			if skip(r) {
+			if live != nil && !live.Contains(r) {
 				continue
 			}
 			c.st.ARMRecordsScanned++
@@ -174,7 +164,7 @@ func (ex *Executor) runARM(ctx context.Context, q *Query) (*Result, error) {
 	// (CHARM, as in the paper). The context threads into the miner so a
 	// cancelled query aborts inside CHARM-EXTEND, the plan's dominant
 	// cost on low-support queries.
-	mined, err := charm.MineTidsetsContext(ctx, localTids, m, c.minCount)
+	mined, err := charm.MineTidsetsContext(ctx, localTids, m, c.f.MinCount)
 	if err != nil {
 		return nil, err
 	}

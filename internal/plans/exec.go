@@ -8,10 +8,7 @@ import (
 	"time"
 
 	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
-	"colarm/internal/mip"
 	"colarm/internal/obs"
 	"colarm/internal/qerr"
 	"colarm/internal/rtree"
@@ -61,15 +58,19 @@ func ParseCheckMode(s string) (CheckMode, error) {
 	return 0, fmt.Errorf("plans: unknown check mode %q (want auto, scan or bitmap)", s)
 }
 
-// Executor runs mining plans against a MIP-index.
+// Executor runs mining plans over Surfaces. It holds no index state of
+// its own — only the item space every surface of one engine shares and
+// the execution configuration — so one executor serves the engine's base
+// index, its merged views and its secondary indexes alike.
 //
 // An Executor is safe for concurrent use by multiple goroutines: Run
-// keeps all per-query state in a fresh context, and the index layers
-// (R-tree, IT-tree, tidsets) are immutable after Build. The exported
-// fields are configuration — set them before serving queries and do not
-// modify them while calls are in flight.
+// keeps all per-query state in a fresh context, and a Surface is
+// immutable. The exported fields are configuration — set them before
+// serving queries and do not modify them while calls are in flight.
 type Executor struct {
-	Idx *mip.Index
+	// Space maps attribute values to items for every surface the
+	// executor is handed.
+	Space *itemset.Space
 	// Mode selects the record-level support check implementation.
 	Mode CheckMode
 	// Workers bounds the goroutines one query fans its ELIMINATE
@@ -78,79 +79,30 @@ type Executor struct {
 	// rules and operator counters alike — are identical for every
 	// worker count.
 	Workers int
-	// ViewSource, when non-nil, is consulted once per query for a merged
-	// delta view; a nil view (no buffered transactions) keeps the query
-	// on the frozen-index fast path. The source must be safe for
-	// concurrent calls.
-	ViewSource func() *View
-	// Coll, when non-nil, is the sharded record layout behind the index.
-	// Queries scatter their record-level work (SELECT, the ELIMINATE and
-	// VERIFY support counts, ARM's table scan) across the shards and
-	// gather by summing the per-shard counts, which is exact because the
-	// slices partition the live records. With nil Coll — or a 1-shard
-	// collection — execution takes the monolithic path unchanged.
-	Coll Collection
 }
 
-// view resolves the per-query delta view, if any.
-func (ex *Executor) view() *View {
-	if ex.ViewSource == nil {
-		return nil
+// NewExecutor creates an executor for surfaces over the given item space.
+func NewExecutor(sp *itemset.Space) *Executor { return &Executor{Space: sp} }
+
+// Run validates the query, selects its focal subset over s and executes
+// the chosen plan.
+func (ex *Executor) Run(kind Kind, s *Surface, q *Query) (*Result, error) {
+	if err := q.Validate(ex.Space); err != nil {
+		return nil, err
 	}
-	return ex.ViewSource()
+	return ex.RunContext(context.Background(), kind, ex.Focus(s, q), q)
 }
 
-// Applicable reports whether the prestored CFIs can answer the query
-// completely: the localized support-count threshold — minsupport over
-// the focal subset of the current surface (frozen index, or merged
-// delta view) — must reach the primary-support count the surface's
-// CFIs were mined at. Below that bound an itemset can clear the query
-// threshold inside D^Q while staying infrequent at the primary support
-// globally, so no CFI records it and only ARM — mining the focal
-// subset from scratch — returns the full localized answer. The
-// optimizer consults this before honoring its argmin.
-func (ex *Executor) Applicable(q *Query) bool {
-	_, localCount, primaryCount := ex.Localized(q)
-	return localCount >= primaryCount
-}
-
-// Localized exposes the applicability condition's inputs: the focal
-// subset's record count over the executor's current surface, the
-// localized support-count threshold it implies, and the surface's
-// primary-support count. Applicable(q) is localCount >= primaryCount;
-// the index advisor mines the gap between the two to size a secondary
-// index that would reclaim the query.
-func (ex *Executor) Localized(q *Query) (subset, localCount, primaryCount int) {
-	var dq *bitset.Set
-	primaryCount = ex.Idx.PrimaryCount
-	if v := ex.view(); v != nil {
-		dq = itemset.RegionTidset(q.Region, ex.Idx.Space, v.Tidsets, v.NumRecords)
-		dq.And(v.Live)
-		primaryCount = v.PrimaryCount
-	} else {
-		dq = ex.Idx.SubsetBitmap(q.Region)
-	}
-	subset = dq.Count()
-	return subset, charm.CountFor(q.MinSupport, subset), primaryCount
-}
-
-// NewExecutor creates an executor over the given index.
-func NewExecutor(idx *mip.Index) *Executor { return &Executor{Idx: idx} }
-
-// Run executes the query with the chosen plan.
-func (ex *Executor) Run(kind Kind, q *Query) (*Result, error) {
-	return ex.RunContext(context.Background(), kind, q)
-}
-
-// RunContext executes the query with the chosen plan under a context.
+// RunContext executes the query with the chosen plan over the surface
+// and focal subset the caller resolved (see Focus), under a context.
 // Cancellation is checked between operators and inside every operator's
 // per-candidate loop (serial and parallel alike), so a cancelled or
 // timed-out context aborts the query mid-ELIMINATE/VERIFY — including
 // the ARM plan's from-scratch CHARM run — and returns ctx.Err() instead
 // of running to completion. A query aborted by its context produces no
 // partial result.
-func (ex *Executor) RunContext(ctx context.Context, kind Kind, q *Query) (*Result, error) {
-	if err := q.Validate(ex.Idx); err != nil {
+func (ex *Executor) RunContext(ctx context.Context, kind Kind, f *Focal, q *Query) (*Result, error) {
+	if err := q.Validate(ex.Space); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -161,9 +113,9 @@ func (ex *Executor) RunContext(ctx context.Context, kind Kind, q *Query) (*Resul
 	var err error
 	switch kind {
 	case SEV, SVS, SSEV, SSVS, SSEUV:
-		res, err = ex.runMIPPlan(ctx, kind, q)
+		res, err = ex.runMIPPlan(ctx, kind, f, q)
 	case ARM:
-		res, err = ex.runARM(ctx, q)
+		res, err = ex.runARM(ctx, f, q)
 	default:
 		return nil, errUnknownKind(kind)
 	}
@@ -201,35 +153,22 @@ func errUnknownKind(k Kind) error { return unknownKindError(k) }
 // maps need no locking; the parallel operator sections only share the
 // immutable index state and write to disjoint, pre-indexed slots.
 type qctx struct {
-	ex       *Executor
-	q        *Query
-	ctx      context.Context // the query's cancellation context
-	done     <-chan struct{} // ctx.Done(), captured once (nil for Background)
-	polls    int             // cancellation poll cadence counter
-	mask     []bool          // item-attribute mask
-	dq       *bitset.Set     // focal subset bitmap
-	dqIDs    []int           // focal subset record ids (ScanCheck path)
-	scan     bool            // resolved check mode for this query
-	workers  int             // resolved worker count for this query
-	minCount int
-	st       *Stats
+	ex      *Executor
+	q       *Query
+	s       *Surface        // the index state the query reads
+	f       *Focal          // the focal subset over s (shared, read-only)
+	ctx     context.Context // the query's cancellation context
+	done    <-chan struct{} // ctx.Done(), captured once (nil for Background)
+	polls   int             // cancellation poll cadence counter
+	mask    []bool          // item-attribute mask
+	scan    bool            // resolved check mode for this query
+	workers int             // resolved worker count for this query
+	st      *Stats
 
-	// The index surface the query executes against: the frozen index, or
-	// the merged delta view resolved once at query start. All counting
-	// state (dq, tidsets, CFI tidsets) shares one record-id capacity.
-	view    *View // nil on the frozen-index fast path
-	tree    *ittree.Tree
-	boxes   []itemset.Box
-	tidsets []*bitset.Set
-	records int // record-id capacity
-
-	// Scatter-gather state (nil on the monolithic path). slices
-	// partition the live records across K>1 shards; dqs[s] is the focal
-	// subset restricted to shard s (their union is dq), and dqsIDs[s]
-	// its id list in scan mode. Per-shard support counts gathered by
-	// summation equal the monolithic counts exactly.
-	slices []ShardSlice
-	dqs    []*bitset.Set
+	// Scan-mode id lists: the focal subset's record ids, and per shard
+	// of a scattered query its share of them. Per-shard support counts
+	// gathered by summation equal the monolithic counts exactly.
+	dqIDs  []int
 	dqsIDs [][]int
 
 	// localSupp caches CFI id → local support count (record-level check
@@ -257,60 +196,19 @@ func (c *qctx) cancelled() error {
 	}
 }
 
-func (ex *Executor) newCtx(ctx context.Context, q *Query) *qctx {
+func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 	c := &qctx{
 		ex:        ex,
 		q:         q,
+		s:         f.Surface,
+		f:         f,
 		ctx:       ctx,
 		done:      ctx.Done(),
-		mask:      q.itemMask(ex.Idx.Space.NumAttrs()),
+		mask:      q.itemMask(ex.Space.NumAttrs()),
 		workers:   ex.workers(),
+		st:        &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 		localSupp: make(map[int]int),
 	}
-	if v := ex.view(); v != nil {
-		// Merged delta view: the same surfaces, extended over the
-		// buffered record ids with tombstoned records cleared.
-		c.view = v
-		c.tree, c.boxes, c.tidsets, c.records = v.Tree, v.Boxes, v.Tidsets, v.NumRecords
-		if len(v.Slices) > 1 {
-			c.slices = v.Slices
-		}
-	} else {
-		c.tree, c.boxes, c.tidsets = ex.Idx.ITTree, ex.Idx.Boxes, ex.Idx.Tidsets
-		c.records = ex.Idx.Dataset.NumRecords()
-		if ex.Coll != nil {
-			if slices := ex.Coll.Slices(); len(slices) > 1 {
-				c.slices = slices
-			}
-		}
-	}
-	if c.slices != nil {
-		// Scattered SELECT: build the focal subset per shard from the
-		// shard's own tidset slice, in parallel across the worker pool,
-		// then gather by union. The slices partition the live records,
-		// so the union equals the monolithic D^Q exactly.
-		c.dqs = make([]*bitset.Set, len(c.slices))
-		parallelFor(len(c.slices), c.workers, func(s int) {
-			sl := c.slices[s]
-			dq := itemset.RegionTidset(q.Region, ex.Idx.Space, sl.Items, c.records)
-			dq.And(sl.Records)
-			c.dqs[s] = dq
-		})
-		c.dq = bitset.New(c.records)
-		for _, dq := range c.dqs {
-			c.dq.Or(dq)
-		}
-	} else if c.view != nil {
-		c.dq = itemset.RegionTidset(q.Region, ex.Idx.Space, c.view.Tidsets, c.records)
-		// Unrestricted dimensions contribute a full bitmap; intersect
-		// with the live set so tombstoned records stay out of D^Q.
-		c.dq.And(c.view.Live)
-	} else {
-		c.dq = ex.Idx.SubsetBitmap(q.Region)
-	}
-	size := c.dq.Count()
-	c.minCount = charm.CountFor(q.MinSupport, size)
-	c.st = &Stats{SubsetSize: size, MinCount: c.minCount}
 	switch ex.Mode {
 	case ScanCheck:
 		c.scan = true
@@ -319,13 +217,13 @@ func (ex *Executor) newCtx(ctx context.Context, q *Query) *qctx {
 	default:
 		// A scan touches one word per subset record; a bitmap
 		// intersection touches every word of the universe once.
-		c.scan = size <= c.records/32
+		c.scan = f.Size <= c.s.NumRecords/32
 	}
 	if c.scan {
-		c.dqIDs = c.dq.IDs()
-		if c.slices != nil {
-			c.dqsIDs = make([][]int, len(c.dqs))
-			for s, dq := range c.dqs {
+		c.dqIDs = f.DQ.IDs()
+		if f.Shards != nil {
+			c.dqsIDs = make([][]int, len(f.Shards))
+			for s, dq := range f.Shards {
 				c.dqsIDs[s] = dq.IDs()
 			}
 		}
@@ -347,7 +245,7 @@ func (c *qctx) countLocal(tids *bitset.Set) int {
 		}
 		return n
 	}
-	return bitset.AndCount(tids, c.dq)
+	return bitset.AndCount(tids, c.f.DQ)
 }
 
 // countLocalShard is countLocal restricted to shard s's share of the
@@ -363,7 +261,7 @@ func (c *qctx) countLocalShard(tids *bitset.Set, s int) int {
 		}
 		return n
 	}
-	return bitset.AndCount(tids, c.dqs[s])
+	return bitset.AndCount(tids, c.f.Shards[s])
 }
 
 // candidate is one MIP emitted by (SUPPORTED-)SEARCH.
@@ -396,33 +294,35 @@ func (c *qctx) search(supported bool) ([]candidate, error) {
 		return true
 	}
 	var st rtree.SearchStats
-	if c.view != nil {
-		// The R-tree indexes the pre-ingest boxes, so while a delta is
-		// live SEARCH degrades to a linear classification of the merged
-		// boxes. The emitted candidate set is identical to what a packed
-		// R-tree over the merged boxes would emit (both are exact); only
-		// the traversal cost differs, which is exactly the staleness
-		// overhead the refresh policy charges per query.
-		st.EntriesChecked = len(c.boxes)
-		for id, box := range c.boxes {
+	switch {
+	case c.s.RTree == nil:
+		// No packed tree covers a merged surface's boxes, so SEARCH is a
+		// linear classification of them. The emitted candidate set is
+		// identical to what a packed R-tree over the same boxes would
+		// emit (both are exact); only the traversal cost differs, which
+		// is exactly the staleness overhead the refresh policy charges
+		// per query.
+		st.EntriesChecked = len(c.s.Boxes)
+		for id, box := range c.s.Boxes {
 			if err := c.cancelled(); err != nil {
 				return nil, err
 			}
-			if supported && c.tree.Support(id) < c.minCount {
+			supp := c.s.Tree.Support(id)
+			if supported && supp < c.f.MinCount {
 				continue
 			}
 			rel := c.q.Region.Relation(box)
 			if rel == itemset.Disjoint {
 				continue
 			}
-			if !visit(rtree.Entry{Box: box, ID: int32(id), Support: int32(c.tree.Support(id))}, rel) {
+			if !visit(rtree.Entry{Box: box, ID: int32(id), Support: int32(supp)}, rel) {
 				break
 			}
 		}
-	} else if supported {
-		st = c.ex.Idx.RTree.SupportedSearch(c.q.Region, c.minCount, visit)
-	} else {
-		st = c.ex.Idx.RTree.Search(c.q.Region, visit)
+	case supported:
+		st = c.s.RTree.SupportedSearch(c.q.Region, c.f.MinCount, visit)
+	default:
+		st = c.s.RTree.Search(c.q.Region, visit)
 	}
 	if cancelErr != nil {
 		return nil, cancelErr
@@ -484,7 +384,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		t0 = time.Now()
 	}
 	shortcuts := 0 // contained MIPs resolved via Lemma 4.5, traced only
-	sp := c.ex.Idx.Space
+	sp := c.ex.Space
 	seen := make(map[string]bool)
 	type entry struct {
 		id   int32
@@ -497,7 +397,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		if err := c.cancelled(); err != nil {
 			return nil, err
 		}
-		body, all := c.tree.Items(int(cd.id)).RestrictedTo(sp, c.mask)
+		body, all := c.s.Tree.Items(int(cd.id)).RestrictedTo(sp, c.mask)
 		if len(body) < 2 {
 			c.st.ItemFiltered++
 			continue
@@ -506,7 +406,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		rel := cd.rel
 		if !all {
 			// Normalize the projection to its Aitem-closure.
-			id, ok := c.tree.ClosureID(body)
+			id, ok := c.s.Tree.ClosureID(body)
 			if !ok {
 				// Unreachable: a subset of a stored CFI is globally
 				// frequent at the primary support by monotonicity.
@@ -514,12 +414,12 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 				continue
 			}
 			cid = int32(id)
-			body, _ = c.tree.Items(id).RestrictedTo(sp, c.mask)
+			body, _ = c.s.Tree.Items(id).RestrictedTo(sp, c.mask)
 			if len(body) < 2 {
 				c.st.ItemFiltered++
 				continue
 			}
-			rel = c.q.Region.Relation(c.boxes[id])
+			rel = c.q.Region.Relation(c.s.Boxes[id])
 		}
 		if !all {
 			// Distinct CFIs are distinct bodies on the identity path;
@@ -535,7 +435,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 			// D^Q, so the global support IS the local one. (A cid already
 			// scheduled for a check keeps the check; both produce the
 			// same value, so the counters stay order-faithful.)
-			c.localSupp[int(cid)] = c.tree.Support(int(cid))
+			c.localSupp[int(cid)] = c.s.Tree.Support(int(cid))
 			shortcuts++
 		} else if _, done := c.localSupp[int(cid)]; !done && !scheduled[cid] {
 			scheduled[cid] = true
@@ -556,11 +456,11 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	counts := make([]int, len(checkIDs))
 	var used int
 	var err error
-	if c.slices != nil {
-		k := len(c.slices)
+	if c.f.Shards != nil {
+		k := len(c.f.Shards)
 		partial := make([]int, len(checkIDs)*k)
 		used, err = parallelForCtx(c.ctx, len(partial), c.workers, func(j int) {
-			partial[j] = c.countLocalShard(c.tree.Tids(int(checkIDs[j/k])), j%k)
+			partial[j] = c.countLocalShard(c.s.Tree.Tids(int(checkIDs[j/k])), j%k)
 		})
 		if err != nil {
 			return nil, err
@@ -574,7 +474,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		}
 	} else {
 		used, err = parallelForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
-			counts[i] = c.countLocal(c.tree.Tids(int(checkIDs[i])))
+			counts[i] = c.countLocal(c.s.Tree.Tids(int(checkIDs[i])))
 		})
 		if err != nil {
 			return nil, err
@@ -599,7 +499,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	var out []qualified
 	for _, e := range entries {
 		local := c.localSupp[int(e.id)]
-		if local < c.minCount {
+		if local < c.f.MinCount {
 			c.st.Eliminated++
 			continue
 		}
@@ -631,25 +531,24 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 // kind and smaller in amount.
 //
 // x is a subset of a qualified body and hence of a stored CFI, so it is
-// frequent at the surface's primary support and its closure is stored —
-// on the frozen index, a merged view, a shard collection and a secondary
-// index alike. Reads only immutable index state, the query's frozen
-// dq/dqIDs and localSupp, which no one writes during VERIFY, so it is
-// safe from concurrent workers.
+// frequent at the surface's primary support and its closure is stored,
+// whatever built the surface. Reads only the immutable surface, the
+// request's focal subset and id lists and localSupp, which no one writes
+// during VERIFY, so it is safe from concurrent workers.
 func (c *qctx) countItems(x itemset.Set) int {
-	id, ok := c.tree.ClosureID(x)
+	id, ok := c.s.Tree.ClosureID(x)
 	if !ok {
 		panic(fmt.Sprintf("plans: no stored closure for %v, a subset of a qualified CFI", x))
 	}
 	if s, ok := c.localSupp[id]; ok {
 		return s
 	}
-	tids := c.tree.Tids(id)
-	if c.slices == nil {
+	tids := c.s.Tree.Tids(id)
+	if c.f.Shards == nil {
 		return c.countLocal(tids)
 	}
 	total := 0
-	for s := range c.slices {
+	for s := range c.f.Shards {
 		total += c.countLocalShard(tids, s)
 	}
 	return total
@@ -752,8 +651,8 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 // runMIPPlan executes the five MIP-index-based plans, which share the
 // operator skeleton and differ in the SEARCH variant, the batching of
 // the support check, and the contained-MIP shortcut.
-func (ex *Executor) runMIPPlan(ctx context.Context, kind Kind, q *Query) (*Result, error) {
-	c := ex.newCtx(ctx, q)
+func (ex *Executor) runMIPPlan(ctx context.Context, kind Kind, f *Focal, q *Query) (*Result, error) {
+	c := ex.newCtx(ctx, f, q)
 	if c.st.SubsetSize == 0 {
 		return &Result{Stats: *c.st}, nil
 	}

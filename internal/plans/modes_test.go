@@ -1,6 +1,7 @@
 package plans
 
 import (
+	"math/rand"
 	"testing"
 
 	"colarm/internal/itemset"
@@ -31,9 +32,9 @@ func TestCheckModeStrings(t *testing.T) {
 	}
 }
 
-// TestCheckModesAgree runs the same query under all three modes and
-// asserts identical answers — the modes are pure implementation
-// variants of the record-level check.
+// TestCheckModesAgree runs the same query under all three modes, over
+// every surface shape, and asserts identical answers — the modes are
+// pure implementation variants of the record-level check.
 func TestCheckModesAgree(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
 	reg, err := idx.RegionFromSelections(map[string][]string{"Location": {"Boston", "SFO"}})
@@ -41,29 +42,31 @@ func TestCheckModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := &Query{Region: reg, MinSupport: 0.4, MinConfidence: 0.7}
-	var ref *Result
-	for _, mode := range []CheckMode{AutoCheck, ScanCheck, BitmapCheck} {
-		ex := NewExecutor(idx)
-		ex.Mode = mode
-		for _, k := range Kinds() {
-			res, err := ex.Run(k, q)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", mode, k, err)
-			}
-			if k != SSEUV {
-				continue
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if len(res.Rules) != len(ref.Rules) {
-				t.Fatalf("%v: %d rules, want %d", mode, len(res.Rules), len(ref.Rules))
-			}
-			for i := range res.Rules {
-				if res.Rules[i].Key() != ref.Rules[i].Key() ||
-					res.Rules[i].SupportCount != ref.Rules[i].SupportCount {
-					t.Fatalf("%v rule %d differs", mode, i)
+	ex := NewExecutor(idx.Space)
+	for _, s := range surfaceTable(t, rand.New(rand.NewSource(1)), idx, 0.18) {
+		var ref *Result
+		for _, mode := range []CheckMode{AutoCheck, ScanCheck, BitmapCheck} {
+			ex.Mode = mode
+			for _, k := range Kinds() {
+				res, err := ex.Run(k, s.Surface, q)
+				if err != nil {
+					t.Fatalf("%s %v/%v: %v", s.name, mode, k, err)
+				}
+				if k != SSEUV {
+					continue
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if len(res.Rules) != len(ref.Rules) {
+					t.Fatalf("%s %v: %d rules, want %d", s.name, mode, len(res.Rules), len(ref.Rules))
+				}
+				for i := range res.Rules {
+					if res.Rules[i].Key() != ref.Rules[i].Key() ||
+						res.Rules[i].SupportCount != ref.Rules[i].SupportCount {
+						t.Fatalf("%s %v rule %d differs", s.name, mode, i)
+					}
 				}
 			}
 		}
@@ -74,11 +77,11 @@ func TestCheckModesAgree(t *testing.T) {
 // model is calibrated against.
 func TestStatsCounters(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	ex.Mode = ScanCheck
 	reg := itemset.RegionFor(idx.Space)
 	q := &Query{Region: reg, MinSupport: 0.3, MinConfidence: 0.5}
-	res, err := ex.Run(SEV, q)
+	res, err := ex.Run(SEV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("full-domain query saw %d partial MIPs", st.PartialOverlap)
 	}
 	// ARM stats.
-	resARM, err := ex.Run(ARM, q)
+	resARM, err := ex.Run(ARM, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +123,10 @@ func TestStatsCounters(t *testing.T) {
 
 func TestUnknownKindError(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg := itemset.RegionFor(idx.Space)
 	q := &Query{Region: reg, MinSupport: 0.3, MinConfidence: 0.5}
-	if _, err := ex.Run(Kind(42), q); err == nil {
+	if _, err := ex.Run(Kind(42), s, q); err == nil {
 		t.Error("unknown kind must error")
 	}
 }

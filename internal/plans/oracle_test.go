@@ -14,12 +14,6 @@ import (
 	"colarm/internal/rules"
 )
 
-// fixedSlices is a Collection over a fixed partition.
-type fixedSlices []ShardSlice
-
-func (f fixedSlices) NumShards() int       { return len(f) }
-func (f fixedSlices) Slices() []ShardSlice { return f }
-
 // partition splits the live records round-robin into k shard slices.
 func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
 	n := live.Len()
@@ -40,10 +34,11 @@ func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
 	return out
 }
 
-// tombstonedView builds the merged view of idx with a random fifth of
-// its records deleted, the way the delta layer does: cleared tidsets,
-// a re-mine at the merged primary count, a fresh IT-tree and boxes.
-func tombstonedView(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *View {
+// tombstonedSurface builds the merged surface of idx with a random
+// fifth of its records deleted, the way the delta layer does: cleared
+// tidsets, a re-mine at the merged primary count, a fresh IT-tree and
+// boxes, no R-tree.
+func tombstonedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *Surface {
 	t.Helper()
 	n := idx.Dataset.NumRecords()
 	live := bitset.New(n)
@@ -65,15 +60,42 @@ func tombstonedView(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64)
 	for id, c := range res.Closed {
 		boxes[id] = mip.BoundingBox(idx.Space, idx.Cards, tids, c)
 	}
-	return &View{
+	return &Surface{
 		Tree:         ittree.Build(res, idx.Space.NumItems()),
 		Boxes:        boxes,
 		Tidsets:      tids,
 		PrimaryCount: minCount,
 		NumRecords:   n,
 		Live:         live,
-		Skip:         func(rec int) bool { return !live.Contains(rec) },
 		Value:        idx.Dataset.Value,
+		Version:      1,
+	}
+}
+
+// namedSurface is one row of the table every surface-shape test runs
+// its one executor over.
+type namedSurface struct {
+	name string
+	*Surface
+}
+
+// surfaceTable presents idx in every shape a Surface takes: the frozen
+// index, a merged surface over it (see tombstonedSurface), and each of
+// the two partitioned into three shards.
+func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) []namedSurface {
+	t.Helper()
+	frozen := NewSurface(idx)
+	merged := tombstonedSurface(t, r, idx, primary)
+	full := bitset.New(frozen.NumRecords)
+	full.Fill()
+	frozenK3, mergedK3 := *frozen, *merged
+	frozenK3.Slices = partition(frozen.Tidsets, full, 3)
+	mergedK3.Slices = partition(merged.Tidsets, merged.Live, 3)
+	return []namedSurface{
+		{"frozen", frozen},
+		{"merged", merged},
+		{"frozen+K=3", &frozenK3},
+		{"merged+K=3", &mergedK3},
 	}
 }
 
@@ -81,9 +103,8 @@ func tombstonedView(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64)
 // rests on: for every itemset the rule generator asks about, the count
 // resolved through the stored closure, |D^Q ∩ t(clos(X))|, equals the
 // count chained over the per-item tidsets, |D^Q ∩ t(x₁) ∩ … ∩ t(x_k)| —
-// on the frozen index, a merged view and a K=3 collection, in scan and
-// bitmap mode, with and without the Lemma 4.5 shortcut feeding the
-// local-support cache.
+// on every surface shape, in scan and bitmap mode, with and without the
+// Lemma 4.5 shortcut feeding the local-support cache.
 func TestClosureCountEqualsChainCount(t *testing.T) {
 	asked, reused := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -92,24 +113,16 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := bitset.New(idx.Dataset.NumRecords())
-		full.Fill()
-		view := tombstonedView(t, r, idx, 0.1)
-		shardedView := *view
-		shardedView.Slices = partition(view.Tidsets, view.Live, 3)
-		surfaces := map[string]*Executor{
-			"frozen":     {Idx: idx},
-			"view":       {Idx: idx, ViewSource: func() *View { return view }},
-			"collection": {Idx: idx, Coll: fixedSlices(partition(idx.Tidsets, full, 3))},
-			"view+K=3":   {Idx: idx, ViewSource: func() *View { return &shardedView }},
-		}
+		ex := NewExecutor(idx.Space)
+		surfaces := surfaceTable(t, r, idx, 0.1)
 		for i := 0; i < 6; i++ {
 			q := randomQuery(r, idx)
-			for name, ex := range surfaces {
+			for _, s := range surfaces {
+				f := ex.Focus(s.Surface, q)
 				for _, mode := range []CheckMode{ScanCheck, BitmapCheck} {
 					for _, shortcut := range []bool{false, true} {
 						ex.Mode = mode
-						c := ex.newCtx(context.Background(), q)
+						c := ex.newCtx(context.Background(), f, q)
 						cands, err := c.search(shortcut)
 						if err != nil {
 							t.Fatal(err)
@@ -122,13 +135,13 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 							if len(x) == 0 {
 								return -1
 							}
-							got, want := c.countItems(x), countAll(c.dq, c.tidsets, x)
+							got, want := c.countItems(x), countAll(f.DQ, s.Tidsets, x)
 							if got != want {
 								t.Fatalf("seed %d %s mode=%s shortcut=%v: supp_Q(%v) through the closure is %d, over the item tidsets %d",
-									seed, name, mode, shortcut, x, got, want)
+									seed, s.name, mode, shortcut, x, got, want)
 							}
 							asked++
-							if id, _ := c.tree.ClosureID(x); c.localSupp[id] == got {
+							if id, _ := s.Tree.ClosureID(x); c.localSupp[id] == got {
 								reused++
 							}
 							return got
@@ -196,7 +209,8 @@ func BenchmarkVerifyOracle(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := &Query{Region: reg, MinSupport: 0.70, MinConfidence: 0.85, MaxConsequent: 1}
-	c := (&Executor{Idx: idx, Workers: 1}).newCtx(context.Background(), q)
+	ex := &Executor{Space: idx.Space, Workers: 1}
+	c := ex.newCtx(context.Background(), ex.Focus(NewSurface(idx), q), q)
 	cands, err := c.search(true)
 	if err != nil {
 		b.Fatal(err)

@@ -2,6 +2,7 @@ package plans
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -72,7 +73,8 @@ func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
 }
 
 func TestUnknownKindErrorMessage(t *testing.T) {
-	if _, err := NewExecutor(salaryIndex(t, 0.18)).Run(Kind(42), &Query{
+	idx := salaryIndex(t, 0.18)
+	if _, err := NewExecutor(idx.Space).Run(Kind(42), NewSurface(idx), &Query{
 		Region:     itemset.NewRegion([]int{4, 6, 4, 2, 3, 4}),
 		MinSupport: 0.5, MinConfidence: 0.5,
 	}); err == nil || !strings.Contains(err.Error(), "42") {
@@ -120,10 +122,10 @@ func equivQueries(t *testing.T, idx interface {
 }
 
 // TestSerialParallelEquivalence asserts the core determinism contract:
-// for every plan kind, every check mode and a workload of diverse
-// queries, the parallel path (Workers = GOMAXPROCS, floored at 4) emits
-// byte-identical rules and identical operator counters to the serial
-// path (Workers = 1).
+// for every surface shape, every plan kind, every check mode and a
+// workload of diverse queries, the parallel path (Workers = GOMAXPROCS,
+// floored at 4) emits byte-identical rules and identical operator
+// counters to the serial path (Workers = 1).
 func TestSerialParallelEquivalence(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
 	queries := equivQueries(t, idx, idx.Space)
@@ -131,27 +133,30 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	for _, mode := range []CheckMode{AutoCheck, ScanCheck, BitmapCheck} {
-		for _, k := range Kinds() {
-			for qi, q := range queries {
-				serial := &Executor{Idx: idx, Mode: mode, Workers: 1}
-				par := &Executor{Idx: idx, Mode: mode, Workers: workers}
-				want, err := serial.Run(k, q)
-				if err != nil {
-					t.Fatalf("%v/%v q%d serial: %v", mode, k, qi, err)
-				}
-				got, err := par.Run(k, q)
-				if err != nil {
-					t.Fatalf("%v/%v q%d parallel: %v", mode, k, qi, err)
-				}
-				if !reflect.DeepEqual(got.Rules, want.Rules) {
-					t.Errorf("%v/%v q%d: parallel rules diverge (%d vs %d rules)",
-						mode, k, qi, len(got.Rules), len(want.Rules))
-				}
-				ws, gs := want.Stats, got.Stats
-				ws.Duration, gs.Duration = 0, 0
-				if ws != gs {
-					t.Errorf("%v/%v q%d: stats diverge\nserial:   %+v\nparallel: %+v", mode, k, qi, ws, gs)
+	ex := NewExecutor(idx.Space)
+	for _, s := range surfaceTable(t, rand.New(rand.NewSource(1)), idx, 0.18) {
+		for _, mode := range []CheckMode{AutoCheck, ScanCheck, BitmapCheck} {
+			for _, k := range Kinds() {
+				for qi, q := range queries {
+					ex.Mode, ex.Workers = mode, 1
+					want, err := ex.Run(k, s.Surface, q)
+					if err != nil {
+						t.Fatalf("%s %v/%v q%d serial: %v", s.name, mode, k, qi, err)
+					}
+					ex.Workers = workers
+					got, err := ex.Run(k, s.Surface, q)
+					if err != nil {
+						t.Fatalf("%s %v/%v q%d parallel: %v", s.name, mode, k, qi, err)
+					}
+					if !reflect.DeepEqual(got.Rules, want.Rules) {
+						t.Errorf("%s %v/%v q%d: parallel rules diverge (%d vs %d rules)",
+							s.name, mode, k, qi, len(got.Rules), len(want.Rules))
+					}
+					ws, gs := want.Stats, got.Stats
+					ws.Duration, gs.Duration = 0, 0
+					if ws != gs {
+						t.Errorf("%s %v/%v q%d: stats diverge\nserial:   %+v\nparallel: %+v", s.name, mode, k, qi, ws, gs)
+					}
 				}
 			}
 		}
@@ -163,7 +168,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // every goroutine observes the same answer.
 func TestConcurrentRunSmoke(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx) // Workers = 0: nested per-query parallelism
+	ex, s := NewExecutor(idx.Space), NewSurface(idx) // Workers = 0: nested per-query parallelism
 	queries := equivQueries(t, idx, idx.Space)
 
 	type answer struct {
@@ -173,7 +178,7 @@ func TestConcurrentRunSmoke(t *testing.T) {
 	want := map[answer]*Result{}
 	for _, k := range Kinds() {
 		for qi, q := range queries {
-			res, err := ex.Run(k, q)
+			res, err := ex.Run(k, s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +196,7 @@ func TestConcurrentRunSmoke(t *testing.T) {
 			for it := 0; it < 3; it++ {
 				k := Kinds()[(g+it)%len(Kinds())]
 				qi := (g * 7 / 3) % len(queries)
-				res, err := ex.Run(k, queries[qi])
+				res, err := ex.Run(k, s, queries[qi])
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"colarm/internal/itemset"
-	"colarm/internal/mip"
 	"colarm/internal/obs"
 	"colarm/internal/qerr"
 	"colarm/internal/rules"
@@ -128,13 +127,14 @@ type Query struct {
 	Trace *obs.Trace
 }
 
-// Validate checks the query parameters against an index.
-func (q *Query) Validate(idx *mip.Index) error {
+// Validate checks the query parameters against the item space of the
+// dataset it targets.
+func (q *Query) Validate(sp *itemset.Space) error {
 	if q.Region == nil {
 		return fmt.Errorf("plans: query has no region")
 	}
-	if q.Region.Dims() != idx.Space.NumAttrs() {
-		return fmt.Errorf("plans: region has %d dims, dataset has %d attributes", q.Region.Dims(), idx.Space.NumAttrs())
+	if q.Region.Dims() != sp.NumAttrs() {
+		return fmt.Errorf("plans: region has %d dims, dataset has %d attributes", q.Region.Dims(), sp.NumAttrs())
 	}
 	if q.MinSupport <= 0 || q.MinSupport > 1 {
 		return fmt.Errorf("plans: %w: minsupport %v outside (0,1]", qerr.ErrBadThreshold, q.MinSupport)
@@ -145,8 +145,8 @@ func (q *Query) Validate(idx *mip.Index) error {
 	if q.MaxConsequent < 0 {
 		return fmt.Errorf("plans: %w: max consequent %d negative", qerr.ErrBadThreshold, q.MaxConsequent)
 	}
-	if q.ItemAttrs != nil && len(q.ItemAttrs) != idx.Space.NumAttrs() {
-		return fmt.Errorf("plans: item attribute mask has %d entries, dataset has %d attributes", len(q.ItemAttrs), idx.Space.NumAttrs())
+	if q.ItemAttrs != nil && len(q.ItemAttrs) != sp.NumAttrs() {
+		return fmt.Errorf("plans: item attribute mask has %d entries, dataset has %d attributes", len(q.ItemAttrs), sp.NumAttrs())
 	}
 	return nil
 }

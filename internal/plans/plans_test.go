@@ -55,7 +55,7 @@ func TestKindStringsRoundTrip(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg := itemset.RegionFor(idx.Space)
 	cases := []*Query{
 		{Region: nil, MinSupport: 0.5, MinConfidence: 0.5},
@@ -67,7 +67,7 @@ func TestQueryValidation(t *testing.T) {
 		{Region: reg, MinSupport: 0.5, MinConfidence: 0.5, ItemAttrs: []bool{true}},
 	}
 	for i, q := range cases {
-		if _, err := ex.Run(SEV, q); err == nil {
+		if _, err := ex.Run(SEV, s, q); err == nil {
 			t.Errorf("case %d: invalid query accepted", i)
 		}
 	}
@@ -79,7 +79,7 @@ func TestQueryValidation(t *testing.T) {
 // Age=20-30 ⇒ Salary=90K-120K does not hold in the subset.
 func TestPaperLocalizedRule(t *testing.T) {
 	idx := salaryIndex(t, 0.18) // primary count 2: local patterns stored
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg, err := idx.RegionFromSelections(map[string][]string{
 		"Location": {"Seattle"}, "Gender": {"F"},
 	})
@@ -92,7 +92,7 @@ func TestPaperLocalizedRule(t *testing.T) {
 	mask[ageIdx], mask[salIdx] = true, true
 
 	q := &Query{Region: reg, ItemAttrs: mask, MinSupport: 0.70, MinConfidence: 0.95}
-	res, err := ex.Run(SSEUV, q)
+	res, err := ex.Run(SSEUV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPaperLocalizedRule(t *testing.T) {
 
 func TestEmptySubsetYieldsNoRules(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	// Gender=M AND Title=QA Mgr never co-occur.
 	reg, err := idx.RegionFromSelections(map[string][]string{
 		"Gender": {"M"}, "Title": {"QA Mgr"},
@@ -139,7 +139,7 @@ func TestEmptySubsetYieldsNoRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range Kinds() {
-		res, err := ex.Run(k, &Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5})
+		res, err := ex.Run(k, s, &Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -151,10 +151,10 @@ func TestEmptySubsetYieldsNoRules(t *testing.T) {
 
 func TestFullDomainQueryEqualsGlobalMining(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg := itemset.RegionFor(idx.Space)
 	q := &Query{Region: reg, MinSupport: 0.45, MinConfidence: 0.8}
-	res, err := ex.Run(SSEUV, q)
+	res, err := ex.Run(SSEUV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +186,15 @@ func TestFullDomainQueryEqualsGlobalMining(t *testing.T) {
 
 func TestContainedShortcutSkipsChecks(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg := itemset.RegionFor(idx.Space)
 	q := &Query{Region: reg, MinSupport: 0.45, MinConfidence: 0.8}
 
-	resSEV, err := ex.Run(SEV, q)
+	resSEV, err := ex.Run(SEV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSSEUV, err := ex.Run(SSEUV, q)
+	resSSEUV, err := ex.Run(SSEUV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,17 +206,17 @@ func TestContainedShortcutSkipsChecks(t *testing.T) {
 
 func TestSupportedSearchPrunes(t *testing.T) {
 	idx := salaryIndex(t, 0.1)
-	ex := NewExecutor(idx)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
 	reg, err := idx.RegionFromSelections(map[string][]string{"Location": {"Seattle"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &Query{Region: reg, MinSupport: 0.9, MinConfidence: 0.9}
-	resS, err := ex.Run(SEV, q)
+	resS, err := ex.Run(SEV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSS, err := ex.Run(SSEV, q)
+	resSS, err := ex.Run(SSEV, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +344,14 @@ func TestQuickPlanEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ex := NewExecutor(idx)
+		ex, s := NewExecutor(idx.Space), NewSurface(idx)
 		// Exercise all three check modes across seeds.
 		ex.Mode = CheckMode(r.Intn(3))
 		for trial := 0; trial < 3; trial++ {
 			q := randomQuery(r, idx)
 			var ref *Result
 			for _, k := range mipKinds() {
-				res, err := ex.Run(k, q)
+				res, err := ex.Run(k, s, q)
 				if err != nil {
 					t.Logf("seed %d plan %v: %v", seed, k, err)
 					return false
@@ -375,7 +375,7 @@ func TestQuickPlanEquivalence(t *testing.T) {
 				}
 			}
 			// ARM cover: index each ARM rule by antecedent.
-			arm, err := ex.Run(ARM, q)
+			arm, err := ex.Run(ARM, s, q)
 			if err != nil {
 				t.Logf("seed %d ARM: %v", seed, err)
 				return false
@@ -421,9 +421,9 @@ func TestQuickARMRulesValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ex := NewExecutor(idx)
+		ex, s := NewExecutor(idx.Space), NewSurface(idx)
 		q := randomQuery(r, idx)
-		res, err := ex.Run(ARM, q)
+		res, err := ex.Run(ARM, s, q)
 		if err != nil {
 			return false
 		}
@@ -481,9 +481,9 @@ func TestQuickRulesSatisfyThresholds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ex := NewExecutor(idx)
+		ex, s := NewExecutor(idx.Space), NewSurface(idx)
 		q := randomQuery(r, idx)
-		res, err := ex.Run(SSEUV, q)
+		res, err := ex.Run(SSEUV, s, q)
 		if err != nil {
 			return false
 		}

@@ -34,19 +34,11 @@ func (p Packing) String() string {
 	}
 }
 
-// Bulk builds a packed R-tree from the given entries under the default
-// FlatLayout. cards gives the per-dimension domain cardinalities (used
-// to normalize Morton keys; STR ignores it but validates
-// dimensionality). fanout <= 0 selects DefaultFanout. The entries slice
-// is reordered in place.
+// Bulk builds a packed R-tree from the given entries. cards gives the
+// per-dimension domain cardinalities (used to normalize Morton keys; STR
+// ignores it but validates dimensionality). fanout <= 0 selects
+// DefaultFanout. The entries slice is reordered in place.
 func Bulk(entries []Entry, dims, fanout int, packing Packing, cards []int) (*Tree, error) {
-	return BulkLayout(entries, dims, fanout, packing, cards, FlatLayout)
-}
-
-// BulkLayout is Bulk with an explicit physical layout. Both layouts pack
-// the identical tree shape (same packing order, same per-node runs), so
-// traversal statistics and emission order are layout-independent.
-func BulkLayout(entries []Entry, dims, fanout int, packing Packing, cards []int, layout Layout) (*Tree, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("rtree: dimensionality %d < 1", dims)
 	}
@@ -63,63 +55,17 @@ func BulkLayout(entries []Entry, dims, fanout int, packing Packing, cards []int,
 	}
 	switch packing {
 	case STRPacking:
+		strSort(entries, dims, fanout, 0)
 	case MortonPacking:
 		if len(cards) != dims {
 			return nil, fmt.Errorf("rtree: morton packing needs %d cardinalities, got %d", dims, len(cards))
 		}
+		mortonSort(entries, cards)
 	default:
 		return nil, fmt.Errorf("rtree: unknown packing %v", packing)
 	}
-	t := &Tree{dims: dims, fanout: fanout, minFil: max(1, fanout*2/5), split: QuadraticSplit}
-	if len(entries) == 0 {
-		if layout == FlatLayout {
-			t.packFlat(nil)
-			return t, nil
-		}
-		t.root = &node{leaf: true, box: itemset.NewBox(dims)}
-		return t, nil
-	}
-	if packing == STRPacking {
-		strSort(entries, dims, fanout, 0)
-	} else {
-		mortonSort(entries, cards)
-	}
-	if layout == FlatLayout {
-		t.packFlat(entries)
-		return t, nil
-	}
-
-	// Pack leaves.
-	var level []*node
-	for i := 0; i < len(entries); i += fanout {
-		end := min(i+fanout, len(entries))
-		n := &node{leaf: true, entries: append([]Entry(nil), entries[i:end]...), box: itemset.NewBox(dims)}
-		for _, e := range n.entries {
-			n.box.ExtendBox(e.Box)
-			if e.Support > n.maxSupport {
-				n.maxSupport = e.Support
-			}
-		}
-		level = append(level, n)
-	}
-	// Pack upper levels until a single root remains.
-	for len(level) > 1 {
-		var next []*node
-		for i := 0; i < len(level); i += fanout {
-			end := min(i+fanout, len(level))
-			n := &node{children: append([]*node(nil), level[i:end]...), box: itemset.NewBox(dims)}
-			for _, c := range n.children {
-				n.box.ExtendBox(c.box)
-				if c.maxSupport > n.maxSupport {
-					n.maxSupport = c.maxSupport
-				}
-			}
-			next = append(next, n)
-		}
-		level = next
-	}
-	t.root = level[0]
-	t.size = len(entries)
+	t := &Tree{dims: dims, fanout: fanout}
+	t.pack(entries)
 	return t, nil
 }
 
@@ -222,11 +168,4 @@ func mortonSort(entries []Entry, cards []int) {
 		sorted[i] = entries[j]
 	}
 	copy(entries, sorted)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,20 +1,13 @@
-// Flat slab layout for the R-tree, following the packed-node idiom of
+// The slab layout of the R-tree, following the packed-node idiom of
 // tile38's flat btree/rtree layouts: nodes live in one []fnode slab
 // addressed by int32 index, node bounding boxes live inline in a single
 // []int32 arena (Lo then Hi per node, so a traversal touches one cache
 // line per node instead of three heap objects), interior children are
 // runs in a child-index arena, and leaf entries are parallel
-// box/id/support arenas. Bulk packing appends level by level; Guttman
-// Insert keeps working by appending fresh nodes and runs at the arena
-// ends (relocated runs leave garbage behind, which is acceptable — the
-// packed offline build is the norm and dynamic inserts the exception).
+// box/id/support arenas. Bulk packing appends level by level.
 package rtree
 
-import (
-	"fmt"
-
-	"colarm/internal/itemset"
-)
+import "colarm/internal/itemset"
 
 // fnode is one packed node: off/count address a run in kidArena
 // (interior) or in the entry arenas (leaf). The node's box lives at
@@ -27,7 +20,6 @@ type fnode struct {
 }
 
 // nodeBox returns a Box view aliasing node i's slot in the box arena.
-// Views must not be held across any call that appends to nboxes.
 func (t *Tree) nodeBox(i int32) itemset.Box {
 	o := int(i) * 2 * t.dims
 	d := t.dims
@@ -70,9 +62,8 @@ func (t *Tree) appendEntrySlot(e Entry) int32 {
 	return s
 }
 
-// packFlat bulk-loads the slabs from entries already in packing order.
-func (t *Tree) packFlat(entries []Entry) {
-	t.flat = true
+// pack bulk-loads the slabs from entries already in packing order.
+func (t *Tree) pack(entries []Entry) {
 	n := len(entries)
 	t.fnodes = make([]fnode, 0, 2*max(1, n/t.fanout)+2)
 	t.nboxes = make([]int32, 0, cap(t.fnodes)*2*t.dims)
@@ -132,359 +123,8 @@ func (t *Tree) packFlat(entries []Entry) {
 	t.size = len(entries)
 }
 
-// kids returns node n's child run. The returned slice aliases kidArena;
-// not valid across appends.
+// kids returns node n's child run, aliasing kidArena.
 func (t *Tree) kids(n int32) []int32 {
 	nd := &t.fnodes[n]
 	return t.kidArena[nd.off : nd.off+nd.count]
-}
-
-// searchFlat mirrors Tree.search over the slabs. Box classification
-// reads the packed arenas directly (RelationPacked) — constructing Box
-// views per probe costs more than the classification itself on deep
-// scans, so views are only materialized for emitted entries.
-func (t *Tree) searchFlat(ni int32, reg *itemset.Region, containedAbove bool, minCount int32, visit Visit, st *SearchStats) bool {
-	st.NodesVisited++
-	nd := &t.fnodes[ni]
-	stride := 2 * t.dims
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			st.EntriesChecked++
-			if minCount >= 0 && t.entSups[s] < minCount {
-				continue
-			}
-			rel := itemset.Contained
-			if !containedAbove {
-				rel = reg.RelationPacked(t.entBoxes, int(s)*stride, t.dims)
-				if rel == itemset.Disjoint {
-					continue
-				}
-			}
-			st.EntriesEmitted++
-			if !visit(t.entryAt(s), rel) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range t.kids(ni) {
-		if minCount >= 0 && t.fnodes[c].maxSupport < minCount {
-			continue
-		}
-		childContained := containedAbove
-		if !childContained {
-			switch reg.RelationPacked(t.nboxes, int(c)*stride, t.dims) {
-			case itemset.Disjoint:
-				continue
-			case itemset.Contained:
-				childContained = true
-			}
-		}
-		if !t.searchFlat(c, reg, childContained, minCount, visit, st) {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tree) searchBoxFlat(ni int32, q itemset.Box, visit func(e Entry) bool, st *SearchStats) bool {
-	st.NodesVisited++
-	nd := &t.fnodes[ni]
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			st.EntriesChecked++
-			if q.Intersects(t.entryBox(s)) {
-				st.EntriesEmitted++
-				if !visit(t.entryAt(s)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, c := range t.kids(ni) {
-		if q.Intersects(t.nodeBox(c)) {
-			if !t.searchBoxFlat(c, q, visit, st) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (t *Tree) allFlat(ni int32, visit func(e Entry) bool) bool {
-	nd := &t.fnodes[ni]
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			if !visit(t.entryAt(s)) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range t.kids(ni) {
-		if !t.allFlat(c, visit) {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Tree) heightFlat() int {
-	h := 1
-	for n := t.froot; !t.fnodes[n].leaf; n = t.kidArena[t.fnodes[n].off] {
-		h++
-	}
-	return h
-}
-
-// --- Guttman insertion on the slab ---
-
-// insertFlat appends the entry to its chosen leaf's run (relocating the
-// run to the arena end when it is not already there), grows boxes and
-// max-support aggregates along the path, and splits overfull nodes by
-// appending fresh nodes and runs.
-func (t *Tree) insertFlat(e Entry) {
-	path := t.chooseLeafFlat(t.froot, e.Box, nil)
-	leaf := path[len(path)-1]
-	t.appendToLeafRun(leaf, e)
-	t.size++
-	for _, ni := range path {
-		b := t.nodeBox(ni)
-		if b.IsEmpty() {
-			copy(b.Lo, e.Box.Lo)
-			copy(b.Hi, e.Box.Hi)
-		} else {
-			b.ExtendBox(e.Box)
-		}
-		if e.Support > t.fnodes[ni].maxSupport {
-			t.fnodes[ni].maxSupport = e.Support
-		}
-	}
-	if t.fnodes[leaf].count > int32(t.fanout) {
-		t.splitUpFlat(path)
-	}
-}
-
-func (t *Tree) chooseLeafFlat(ni int32, b itemset.Box, path []int32) []int32 {
-	path = append(path, ni)
-	if t.fnodes[ni].leaf {
-		return path
-	}
-	best := int32(-1)
-	var bestEnl, bestArea float64
-	for _, c := range t.kids(ni) {
-		cb := t.nodeBox(c)
-		enl := enlargement(cb, b)
-		area := boxArea(cb)
-		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
-		}
-	}
-	return t.chooseLeafFlat(best, b, path)
-}
-
-// appendToLeafRun adds e to leaf ni's entry run, relocating the run to
-// the end of the entry arenas unless it is already the tail.
-func (t *Tree) appendToLeafRun(ni int32, e Entry) {
-	nd := &t.fnodes[ni]
-	if int(nd.off+nd.count) != len(t.entIDs) {
-		newOff := int32(len(t.entIDs))
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			t.appendEntrySlot(t.entryAt(s))
-		}
-		nd = &t.fnodes[ni] // appendEntrySlot does not move fnodes, but re-read for clarity
-		nd.off = newOff
-	}
-	t.appendEntrySlot(e)
-	t.fnodes[ni].count++
-}
-
-// replaceKid rewrites parent's child run substituting oldKid with a and
-// appending b, relocating the run to the arena end unless it is the
-// tail.
-func (t *Tree) replaceKid(parent, oldKid, a, b int32) {
-	nd := &t.fnodes[parent]
-	if int(nd.off+nd.count) != len(t.kidArena) {
-		newOff := int32(len(t.kidArena))
-		t.kidArena = append(t.kidArena, t.kidArena[nd.off:nd.off+nd.count]...)
-		nd.off = newOff
-	}
-	run := t.kidArena[nd.off : nd.off+nd.count]
-	for j, c := range run {
-		if c == oldKid {
-			run[j] = a
-			break
-		}
-	}
-	t.kidArena = append(t.kidArena, b)
-	t.fnodes[parent].count++
-}
-
-// refreshFlat recomputes node ni's box and max-support from its members.
-func (t *Tree) refreshFlat(ni int32) {
-	nd := &t.fnodes[ni]
-	b := t.nodeBox(ni)
-	for d := 0; d < t.dims; d++ {
-		b.Lo[d] = 1 << 30
-		b.Hi[d] = -1
-	}
-	nd.maxSupport = 0
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			b.ExtendBox(t.entryBox(s))
-			if t.entSups[s] > nd.maxSupport {
-				nd.maxSupport = t.entSups[s]
-			}
-		}
-		return
-	}
-	for _, c := range t.kids(ni) {
-		b.ExtendBox(t.nodeBox(c))
-		if t.fnodes[c].maxSupport > nd.maxSupport {
-			nd.maxSupport = t.fnodes[c].maxSupport
-		}
-	}
-}
-
-// splitUpFlat mirrors splitUp on the slab.
-func (t *Tree) splitUpFlat(path []int32) {
-	for i := len(path) - 1; i >= 0; i-- {
-		ni := path[i]
-		nd := &t.fnodes[ni]
-		if nd.count <= int32(t.fanout) {
-			t.refreshFlat(ni)
-			continue
-		}
-		a, b := t.splitNodeFlat(ni)
-		if i == 0 {
-			off := int32(len(t.kidArena))
-			t.kidArena = append(t.kidArena, a, b)
-			root := t.appendNode(false)
-			rd := &t.fnodes[root]
-			rd.off, rd.count = off, 2
-			t.refreshFlat(root)
-			t.froot = root
-			return
-		}
-		t.replaceKid(path[i-1], ni, a, b)
-	}
-}
-
-// flatMembers snapshots node ni's members for a split. Boxes are cloned:
-// the split appends to the box/entry arenas, which may reallocate them
-// under any live views.
-func (t *Tree) flatMembers(ni int32) []member {
-	nd := &t.fnodes[ni]
-	ms := make([]member, 0, nd.count)
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			e := t.entryAt(s)
-			e.Box = e.Box.Clone()
-			ms = append(ms, member{box: e.Box, entry: e})
-		}
-		return ms
-	}
-	for _, c := range t.kids(ni) {
-		ms = append(ms, member{box: t.nodeBox(c).Clone(), childIdx: c, isChild: true})
-	}
-	return ms
-}
-
-// splitNodeFlat divides overfull node ni into two fresh slab nodes and
-// returns their indices. Node ni's storage becomes garbage.
-func (t *Tree) splitNodeFlat(ni int32) (int32, int32) {
-	leaf := t.fnodes[ni].leaf
-	ga, gb := t.partitionMembers(t.flatMembers(ni))
-	return t.materializeGroup(ga, leaf), t.materializeGroup(gb, leaf)
-}
-
-// materializeGroup appends a fresh node holding the group's members.
-func (t *Tree) materializeGroup(g *group, leaf bool) int32 {
-	ni := t.appendNode(leaf)
-	nd := &t.fnodes[ni]
-	if leaf {
-		nd.off = int32(len(t.entIDs))
-		for _, m := range g.members {
-			t.appendEntrySlot(m.entry)
-			if m.entry.Support > t.fnodes[ni].maxSupport {
-				t.fnodes[ni].maxSupport = m.entry.Support
-			}
-		}
-	} else {
-		nd.off = int32(len(t.kidArena))
-		for _, m := range g.members {
-			t.kidArena = append(t.kidArena, m.childIdx)
-			if t.fnodes[m.childIdx].maxSupport > t.fnodes[ni].maxSupport {
-				t.fnodes[ni].maxSupport = t.fnodes[m.childIdx].maxSupport
-			}
-		}
-	}
-	nd = &t.fnodes[ni]
-	nd.count = int32(len(g.members))
-	b := t.nodeBox(ni)
-	copy(b.Lo, g.box.Lo)
-	copy(b.Hi, g.box.Hi)
-	return ni
-}
-
-// validateFlat mirrors Validate on the slab.
-func (t *Tree) validateFlat() error {
-	leafDepth := -1
-	var walk func(ni int32, depth int) (itemset.Box, int32, error)
-	walk = func(ni int32, depth int) (itemset.Box, int32, error) {
-		nd := &t.fnodes[ni]
-		if nd.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
-			}
-			if int(nd.count) > t.fanout {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf with %d entries exceeds fanout %d", nd.count, t.fanout)
-			}
-			b := itemset.NewBox(t.dims)
-			var ms int32
-			for s := nd.off; s < nd.off+nd.count; s++ {
-				b.ExtendBox(t.entryBox(s))
-				if t.entSups[s] > ms {
-					ms = t.entSups[s]
-				}
-			}
-			if nd.count > 0 && !t.nodeBox(ni).ContainsBox(b) {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf box %v does not cover entries %v", t.nodeBox(ni), b)
-			}
-			if nd.maxSupport < ms {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf maxSupport %d < entry max %d", nd.maxSupport, ms)
-			}
-			return t.nodeBox(ni), nd.maxSupport, nil
-		}
-		if nd.count == 0 {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: interior node with no children")
-		}
-		if int(nd.count) > t.fanout {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: interior node with %d children exceeds fanout %d", nd.count, t.fanout)
-		}
-		b := itemset.NewBox(t.dims)
-		var ms int32
-		for _, c := range t.kids(ni) {
-			cb, cms, err := walk(c, depth+1)
-			if err != nil {
-				return itemset.Box{}, 0, err
-			}
-			b.ExtendBox(cb)
-			if cms > ms {
-				ms = cms
-			}
-		}
-		if !t.nodeBox(ni).ContainsBox(b) {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: node box %v does not cover children %v", t.nodeBox(ni), b)
-		}
-		if nd.maxSupport < ms {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: node maxSupport %d < children max %d", nd.maxSupport, ms)
-		}
-		return t.nodeBox(ni), nd.maxSupport, nil
-	}
-	_, _, err := walk(t.froot, 0)
-	return err
 }

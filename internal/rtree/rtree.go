@@ -5,10 +5,9 @@
 // operator exploits a per-node max-support aggregate to prune subtrees
 // that cannot satisfy the query's minimum support (Lemma 4.4).
 //
-// Trees are built either by bulk packing (STR or Morton order, see
-// build.go — the offline default, following Kamel & Faloutsos' packed
-// R-trees) or by dynamic insertion with Guttman's linear or quadratic
-// node splits (insert.go).
+// Trees are built once, by bulk packing (STR or Morton order, see
+// build.go — following Kamel & Faloutsos' packed R-trees), into
+// contiguous slabs (flat.go), and are immutable afterwards.
 package rtree
 
 import (
@@ -28,50 +27,14 @@ type Entry struct {
 	Support int32
 }
 
-type node struct {
-	box        itemset.Box
-	maxSupport int32
-	leaf       bool
-	children   []*node
-	entries    []Entry
-}
-
-// Layout selects the physical organization of a Tree.
-type Layout int
-
-const (
-	// FlatLayout packs nodes into contiguous slabs (see flat.go); the
-	// production layout for bulk-built trees.
-	FlatLayout Layout = iota
-	// PointerLayout stores one heap node per tree node; the
-	// legacy/differential layout, and the layout of New() dynamic trees.
-	PointerLayout
-)
-
-func (l Layout) String() string {
-	switch l {
-	case FlatLayout:
-		return "flat"
-	case PointerLayout:
-		return "pointer"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// Tree is an n-dimensional R-tree. The zero value is not usable; create
-// trees with Bulk, BulkLayout or New.
+// Tree is an n-dimensional packed R-tree. The zero value is not usable;
+// create trees with Bulk.
 type Tree struct {
-	root   *node
 	dims   int
 	fanout int
-	minFil int
 	size   int
-	split  SplitAlgorithm
 
-	// Flat slab layout (see flat.go). When flat is true, root is nil and
-	// the tree lives in the arenas below.
-	flat     bool
+	// The slabs (see flat.go).
 	froot    int32
 	fnodes   []fnode
 	nboxes   []int32 // per-node boxes: dims Lo then dims Hi at i*2*dims
@@ -79,56 +42,6 @@ type Tree struct {
 	entBoxes []int32 // per-entry boxes, same inline layout as nboxes
 	entIDs   []int32
 	entSups  []int32
-}
-
-// Layout reports the tree's physical layout.
-func (t *Tree) Layout() Layout {
-	if t.flat {
-		return FlatLayout
-	}
-	return PointerLayout
-}
-
-// SplitAlgorithm selects the node split used by dynamic insertion.
-type SplitAlgorithm int
-
-const (
-	// QuadraticSplit is Guttman's quadratic-cost split (default).
-	QuadraticSplit SplitAlgorithm = iota
-	// LinearSplit is Guttman's linear-cost split.
-	LinearSplit
-)
-
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case QuadraticSplit:
-		return "quadratic"
-	case LinearSplit:
-		return "linear"
-	default:
-		return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
-	}
-}
-
-// New creates an empty dynamic R-tree of the given dimensionality.
-// fanout <= 0 selects DefaultFanout.
-func New(dims, fanout int, split SplitAlgorithm) (*Tree, error) {
-	if dims < 1 {
-		return nil, fmt.Errorf("rtree: dimensionality %d < 1", dims)
-	}
-	if fanout <= 0 {
-		fanout = DefaultFanout
-	}
-	if fanout < 2 {
-		return nil, fmt.Errorf("rtree: fanout %d < 2", fanout)
-	}
-	return &Tree{
-		root:   &node{leaf: true, box: itemset.NewBox(dims)},
-		dims:   dims,
-		fanout: fanout,
-		minFil: max(1, fanout*2/5), // Guttman's 40% minimum fill
-		split:  split,
-	}, nil
 }
 
 // Size returns the number of stored entries.
@@ -140,15 +53,11 @@ func (t *Tree) Dims() int { return t.dims }
 // Fanout returns the maximum node capacity.
 func (t *Tree) Fanout() int { return t.fanout }
 
-// Height returns the number of levels (1 for a single leaf root, 0 for
-// an empty tree with no entries but a leaf root — we report 1 there too
-// to keep cost formulae simple).
+// Height returns the number of levels; an empty tree is a single leaf
+// root and reports 1, which keeps the cost formulae simple.
 func (t *Tree) Height() int {
-	if t.flat {
-		return t.heightFlat()
-	}
 	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
+	for n := t.froot; !t.fnodes[n].leaf; n = t.kidArena[t.fnodes[n].off] {
 		h++
 	}
 	return h
@@ -171,11 +80,7 @@ type Visit func(e Entry, rel itemset.Rel) bool
 // implements the paper's SEARCH operator.
 func (t *Tree) Search(reg *itemset.Region, visit Visit) SearchStats {
 	var st SearchStats
-	if t.flat {
-		t.searchFlat(t.froot, reg, false, -1, visit, &st)
-		return st
-	}
-	t.search(t.root, reg, false, -1, visit, &st)
+	t.search(t.froot, reg, false, -1, visit, &st)
 	return st
 }
 
@@ -184,46 +89,48 @@ func (t *Tree) Search(reg *itemset.Region, visit Visit) SearchStats {
 // the supported R-tree. minCount is an absolute record count.
 func (t *Tree) SupportedSearch(reg *itemset.Region, minCount int, visit Visit) SearchStats {
 	var st SearchStats
-	if t.flat {
-		t.searchFlat(t.froot, reg, false, int32(minCount), visit, &st)
-		return st
-	}
-	t.search(t.root, reg, false, int32(minCount), visit, &st)
+	t.search(t.froot, reg, false, int32(minCount), visit, &st)
 	return st
 }
 
 // search walks the tree. containedAbove short-circuits region tests once
 // an ancestor node box was classified Contained (every descendant box is
-// then Contained as well). minCount < 0 disables support pruning.
-func (t *Tree) search(n *node, reg *itemset.Region, containedAbove bool, minCount int32, visit Visit, st *SearchStats) bool {
+// then Contained as well). minCount < 0 disables support pruning. Box
+// classification reads the packed arenas directly (RelationPacked) —
+// constructing Box views per probe costs more than the classification
+// itself on deep scans, so views are only materialized for emitted
+// entries.
+func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCount int32, visit Visit, st *SearchStats) bool {
 	st.NodesVisited++
-	if n.leaf {
-		for _, e := range n.entries {
+	nd := &t.fnodes[ni]
+	stride := 2 * t.dims
+	if nd.leaf {
+		for s := nd.off; s < nd.off+nd.count; s++ {
 			st.EntriesChecked++
-			if minCount >= 0 && e.Support < minCount {
+			if minCount >= 0 && t.entSups[s] < minCount {
 				continue
 			}
 			rel := itemset.Contained
 			if !containedAbove {
-				rel = reg.Relation(e.Box)
+				rel = reg.RelationPacked(t.entBoxes, int(s)*stride, t.dims)
 				if rel == itemset.Disjoint {
 					continue
 				}
 			}
 			st.EntriesEmitted++
-			if !visit(e, rel) {
+			if !visit(t.entryAt(s), rel) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, c := range n.children {
-		if minCount >= 0 && c.maxSupport < minCount {
+	for _, c := range t.kids(ni) {
+		if minCount >= 0 && t.fnodes[c].maxSupport < minCount {
 			continue
 		}
 		childContained := containedAbove
 		if !childContained {
-			switch reg.Relation(c.box) {
+			switch reg.RelationPacked(t.nboxes, int(c)*stride, t.dims) {
 			case itemset.Disjoint:
 				continue
 			case itemset.Contained:
@@ -241,30 +148,27 @@ func (t *Tree) search(n *node, reg *itemset.Region, containedAbove bool, minCoun
 // plain geometric search used by tests and tools.
 func (t *Tree) SearchBox(q itemset.Box, visit func(e Entry) bool) SearchStats {
 	var st SearchStats
-	if t.flat {
-		t.searchBoxFlat(t.froot, q, visit, &st)
-		return st
-	}
-	t.searchBox(t.root, q, visit, &st)
+	t.searchBox(t.froot, q, visit, &st)
 	return st
 }
 
-func (t *Tree) searchBox(n *node, q itemset.Box, visit func(e Entry) bool, st *SearchStats) bool {
+func (t *Tree) searchBox(ni int32, q itemset.Box, visit func(e Entry) bool, st *SearchStats) bool {
 	st.NodesVisited++
-	if n.leaf {
-		for _, e := range n.entries {
+	nd := &t.fnodes[ni]
+	if nd.leaf {
+		for s := nd.off; s < nd.off+nd.count; s++ {
 			st.EntriesChecked++
-			if q.Intersects(e.Box) {
+			if q.Intersects(t.entryBox(s)) {
 				st.EntriesEmitted++
-				if !visit(e) {
+				if !visit(t.entryAt(s)) {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	for _, c := range n.children {
-		if q.Intersects(c.box) {
+	for _, c := range t.kids(ni) {
+		if q.Intersects(t.nodeBox(c)) {
 			if !t.searchBox(c, q, visit, st) {
 				return false
 			}
@@ -274,75 +178,68 @@ func (t *Tree) searchBox(n *node, q itemset.Box, visit func(e Entry) bool, st *S
 }
 
 // All visits every entry in the tree.
-func (t *Tree) All(visit func(e Entry) bool) {
-	if t.flat {
-		t.allFlat(t.froot, visit)
-		return
-	}
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n.leaf {
-			for _, e := range n.entries {
-				if !visit(e) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !walk(c) {
+func (t *Tree) All(visit func(e Entry) bool) { t.all(t.froot, visit) }
+
+func (t *Tree) all(ni int32, visit func(e Entry) bool) bool {
+	nd := &t.fnodes[ni]
+	if nd.leaf {
+		for s := nd.off; s < nd.off+nd.count; s++ {
+			if !visit(t.entryAt(s)) {
 				return false
 			}
 		}
 		return true
 	}
-	walk(t.root)
+	for _, c := range t.kids(ni) {
+		if !t.all(c, visit) {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks structural invariants: node boxes cover children,
 // max-support aggregates are correct, leaf depth is uniform, and node
 // occupancy respects the fanout. Violations indicate construction bugs.
 func (t *Tree) Validate() error {
-	if t.flat {
-		return t.validateFlat()
-	}
 	leafDepth := -1
-	var walk func(n *node, depth int) (itemset.Box, int32, error)
-	walk = func(n *node, depth int) (itemset.Box, int32, error) {
-		if n.leaf {
+	var walk func(ni int32, depth int) (itemset.Box, int32, error)
+	walk = func(ni int32, depth int) (itemset.Box, int32, error) {
+		nd := &t.fnodes[ni]
+		if nd.leaf {
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if leafDepth != depth {
 				return itemset.Box{}, 0, fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
 			}
-			if len(n.entries) > t.fanout {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf with %d entries exceeds fanout %d", len(n.entries), t.fanout)
+			if int(nd.count) > t.fanout {
+				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf with %d entries exceeds fanout %d", nd.count, t.fanout)
 			}
 			b := itemset.NewBox(t.dims)
 			var ms int32
-			for _, e := range n.entries {
-				b.ExtendBox(e.Box)
-				if e.Support > ms {
-					ms = e.Support
+			for s := nd.off; s < nd.off+nd.count; s++ {
+				b.ExtendBox(t.entryBox(s))
+				if t.entSups[s] > ms {
+					ms = t.entSups[s]
 				}
 			}
-			if len(n.entries) > 0 && !n.box.ContainsBox(b) {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf box %v does not cover entries %v", n.box, b)
+			if nd.count > 0 && !t.nodeBox(ni).ContainsBox(b) {
+				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf box %v does not cover entries %v", t.nodeBox(ni), b)
 			}
-			if n.maxSupport < ms {
-				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf maxSupport %d < entry max %d", n.maxSupport, ms)
+			if nd.maxSupport < ms {
+				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf maxSupport %d < entry max %d", nd.maxSupport, ms)
 			}
-			return n.box, n.maxSupport, nil
+			return t.nodeBox(ni), nd.maxSupport, nil
 		}
-		if len(n.children) == 0 {
+		if nd.count == 0 {
 			return itemset.Box{}, 0, fmt.Errorf("rtree: interior node with no children")
 		}
-		if len(n.children) > t.fanout {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: interior node with %d children exceeds fanout %d", len(n.children), t.fanout)
+		if int(nd.count) > t.fanout {
+			return itemset.Box{}, 0, fmt.Errorf("rtree: interior node with %d children exceeds fanout %d", nd.count, t.fanout)
 		}
 		b := itemset.NewBox(t.dims)
 		var ms int32
-		for _, c := range n.children {
+		for _, c := range t.kids(ni) {
 			cb, cms, err := walk(c, depth+1)
 			if err != nil {
 				return itemset.Box{}, 0, err
@@ -352,21 +249,14 @@ func (t *Tree) Validate() error {
 				ms = cms
 			}
 		}
-		if !n.box.ContainsBox(b) {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: node box %v does not cover children %v", n.box, b)
+		if !t.nodeBox(ni).ContainsBox(b) {
+			return itemset.Box{}, 0, fmt.Errorf("rtree: node box %v does not cover children %v", t.nodeBox(ni), b)
 		}
-		if n.maxSupport < ms {
-			return itemset.Box{}, 0, fmt.Errorf("rtree: node maxSupport %d < children max %d", n.maxSupport, ms)
+		if nd.maxSupport < ms {
+			return itemset.Box{}, 0, fmt.Errorf("rtree: node maxSupport %d < children max %d", nd.maxSupport, ms)
 		}
-		return n.box, n.maxSupport, nil
+		return t.nodeBox(ni), nd.maxSupport, nil
 	}
-	_, _, err := walk(t.root, 0)
+	_, _, err := walk(t.froot, 0)
 	return err
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

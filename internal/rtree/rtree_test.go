@@ -77,25 +77,6 @@ func linearSearch(es []Entry, reg *itemset.Region, minCount int) (ids []int32, r
 	return
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 8, QuadraticSplit); err == nil {
-		t.Error("dims 0 must error")
-	}
-	if _, err := New(2, 1, QuadraticSplit); err == nil {
-		t.Error("fanout 1 must error")
-	}
-	tr, err := New(2, 0, QuadraticSplit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Fanout() != DefaultFanout {
-		t.Errorf("default fanout = %d", tr.Fanout())
-	}
-	if tr.Height() != 1 || tr.Size() != 0 {
-		t.Error("fresh tree shape wrong")
-	}
-}
-
 func TestBulkValidation(t *testing.T) {
 	if _, err := Bulk(nil, 0, 8, STRPacking, nil); err == nil {
 		t.Error("dims 0 must error")
@@ -118,23 +99,16 @@ func TestBulkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 0 {
-		t.Error("empty bulk size")
+	if tr.Size() != 0 || tr.Height() != 1 {
+		t.Error("empty bulk shape wrong")
+	}
+	if def, err := Bulk(nil, 2, 0, STRPacking, nil); err != nil || def.Fanout() != DefaultFanout {
+		t.Errorf("fanout 0 must select the default: %v, %v", def, err)
 	}
 	reg := itemset.NewRegion([]int{4, 4})
 	st := tr.Search(reg, func(Entry, itemset.Rel) bool { t.Error("no entries expected"); return true })
 	if st.EntriesEmitted != 0 {
 		t.Error("empty tree emitted entries")
-	}
-}
-
-func TestInsertValidation(t *testing.T) {
-	tr, _ := New(2, 4, QuadraticSplit)
-	if err := tr.Insert(Entry{Box: itemset.NewBox(3)}); err == nil {
-		t.Error("dim mismatch must error")
-	}
-	if err := tr.Insert(Entry{Box: itemset.NewBox(2)}); err == nil {
-		t.Error("empty box must error")
 	}
 }
 
@@ -209,35 +183,32 @@ func TestSupportedSearchPrunesNodes(t *testing.T) {
 	}
 }
 
+// TestDynamicInsertMatchesLinear is the tall-tree reference case: 600
+// entries at fanout 5 pack at least four levels under either order.
 func TestDynamicInsertMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	cards := []int{9, 7, 6}
 	es := randomEntries(r, 600, 3, cards)
-	for _, split := range []SplitAlgorithm{QuadraticSplit, LinearSplit} {
-		tr, err := New(3, 5, split)
+	for _, packing := range []Packing{STRPacking, MortonPacking} {
+		tr, err := Bulk(append([]Entry(nil), es...), 3, 5, packing, cards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range es {
-			if err := tr.Insert(e); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if tr.Size() != len(es) {
-			t.Fatalf("%v: size %d", split, tr.Size())
+			t.Fatalf("%v: size %d", packing, tr.Size())
 		}
 		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", split, err)
+			t.Fatalf("%v: %v", packing, err)
 		}
 		if tr.Height() < 3 {
-			t.Errorf("%v: expected height >= 3, got %d", split, tr.Height())
+			t.Errorf("%v: expected height >= 3, got %d", packing, tr.Height())
 		}
 		for trial := 0; trial < 20; trial++ {
 			reg := randomRegion(r, cards)
 			gotIDs, _ := collect(tr, reg)
 			wantIDs, _ := linearSearch(es, reg, -1)
 			if !eqIDs(gotIDs, wantIDs) {
-				t.Fatalf("%v trial %d: got %d ids, want %d", split, trial, len(gotIDs), len(wantIDs))
+				t.Fatalf("%v trial %d: got %d ids, want %d", packing, trial, len(gotIDs), len(wantIDs))
 			}
 		}
 	}
@@ -364,32 +335,11 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 		es := randomEntries(r, n, dims, cards)
 		fanout := 2 + r.Intn(10)
 
-		var tr *Tree
-		var err error
-		switch r.Intn(4) {
-		case 0:
-			tr, err = Bulk(append([]Entry(nil), es...), dims, fanout, STRPacking, cards)
-		case 1:
-			tr, err = Bulk(append([]Entry(nil), es...), dims, fanout, MortonPacking, cards)
-		case 2:
-			tr, err = New(dims, fanout, QuadraticSplit)
-			if err == nil {
-				for _, e := range es {
-					if err = tr.Insert(e); err != nil {
-						break
-					}
-				}
-			}
-		default:
-			tr, err = New(dims, fanout, LinearSplit)
-			if err == nil {
-				for _, e := range es {
-					if err = tr.Insert(e); err != nil {
-						break
-					}
-				}
-			}
+		packing := STRPacking
+		if r.Intn(2) == 1 {
+			packing = MortonPacking
 		}
+		tr, err := Bulk(append([]Entry(nil), es...), dims, fanout, packing, cards)
 		if err != nil {
 			return false
 		}
@@ -430,10 +380,7 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 	}
 }
 
-func TestSplitAlgorithmAndPackingStrings(t *testing.T) {
-	if QuadraticSplit.String() != "quadratic" || LinearSplit.String() != "linear" {
-		t.Error("split strings wrong")
-	}
+func TestPackingStrings(t *testing.T) {
 	if STRPacking.String() != "str" || MortonPacking.String() != "morton" {
 		t.Error("packing strings wrong")
 	}

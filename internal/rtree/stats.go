@@ -33,62 +33,34 @@ func (t *Tree) Stats(cards []int) ([]LevelStats, EntryStats) {
 	}
 	es := EntryStats{AvgExtent: make([]float64, t.dims)}
 
-	if t.flat {
-		var walk func(ni int32, depth int)
-		walk = func(ni int32, depth int) {
-			nd := &t.fnodes[ni]
-			ls := &levels[depth]
-			ls.Nodes++
-			ls.Supports = append(ls.Supports, nd.maxSupport)
-			box := t.nodeBox(ni)
-			if !box.IsEmpty() {
-				for d := 0; d < t.dims; d++ {
-					ls.AvgExtent[d] += norm(box.Extent(d), cards[d])
-				}
-			}
-			if nd.leaf {
-				for s := nd.off; s < nd.off+nd.count; s++ {
-					es.Count++
-					es.Supports = append(es.Supports, t.entSups[s])
-					eb := t.entryBox(s)
-					for d := 0; d < t.dims; d++ {
-						es.AvgExtent[d] += norm(eb.Extent(d), cards[d])
-					}
-				}
-				return
-			}
-			for _, c := range t.kids(ni) {
-				walk(c, depth+1)
+	var walk func(ni int32, depth int)
+	walk = func(ni int32, depth int) {
+		nd := &t.fnodes[ni]
+		ls := &levels[depth]
+		ls.Nodes++
+		ls.Supports = append(ls.Supports, nd.maxSupport)
+		box := t.nodeBox(ni)
+		if !box.IsEmpty() {
+			for d := 0; d < t.dims; d++ {
+				ls.AvgExtent[d] += norm(box.Extent(d), cards[d])
 			}
 		}
-		walk(t.froot, 0)
-	} else {
-		var walk func(n *node, depth int)
-		walk = func(n *node, depth int) {
-			ls := &levels[depth]
-			ls.Nodes++
-			ls.Supports = append(ls.Supports, n.maxSupport)
-			if !n.box.IsEmpty() {
+		if nd.leaf {
+			for s := nd.off; s < nd.off+nd.count; s++ {
+				es.Count++
+				es.Supports = append(es.Supports, t.entSups[s])
+				eb := t.entryBox(s)
 				for d := 0; d < t.dims; d++ {
-					ls.AvgExtent[d] += norm(n.box.Extent(d), cards[d])
+					es.AvgExtent[d] += norm(eb.Extent(d), cards[d])
 				}
 			}
-			if n.leaf {
-				for _, e := range n.entries {
-					es.Count++
-					es.Supports = append(es.Supports, e.Support)
-					for d := 0; d < t.dims; d++ {
-						es.AvgExtent[d] += norm(e.Box.Extent(d), cards[d])
-					}
-				}
-				return
-			}
-			for _, c := range n.children {
-				walk(c, depth+1)
-			}
+			return
 		}
-		walk(t.root, 0)
+		for _, c := range t.kids(ni) {
+			walk(c, depth+1)
+		}
 	}
+	walk(t.froot, 0)
 
 	for i := range levels {
 		if levels[i].Nodes > 0 {

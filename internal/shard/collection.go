@@ -39,12 +39,11 @@ type Config struct {
 	Primary float64
 	// Units are the engine's calibrated cost units (delta refresh policy).
 	Units cost.Units
-	// MIP carries the index build options used at consolidation and for
-	// the per-shard physical indexes (layout, fanout, packing).
+	// MIP carries the index build options used at consolidation (fanout,
+	// packing).
 	MIP mip.Options
 	// Workers bounds the fan-out of the collection's parallel sections —
-	// partition restriction, per-shard mining + indexing, global box
-	// computation: 0 means one worker per CPU, 1 forces serial. Every
+	// partition restriction, per-shard mining, global box computation: 0 means one worker per CPU, 1 forces serial. Every
 	// parallel section writes pre-indexed slots, so results are
 	// worker-count-invariant.
 	Workers int
@@ -67,20 +66,20 @@ type ShardStat struct {
 	// touches the shard, so an untouched shard keeps serving its cached
 	// per-shard mining across consolidations of its siblings.
 	Version uint64 `json:"version"`
-	// IndexedCFIs counts the local CFIs of the shard's cached physical
-	// index; 0 when the shard has never been indexed (no scatter-mode
-	// view or consolidation touched it yet).
+	// IndexedCFIs counts the local CFIs of the shard's cached catalog;
+	// 0 when the shard has never been mined (no scatter-mode surface or
+	// consolidation touched it yet).
 	IndexedCFIs int `json:"indexed_cfis"`
-	// IndexBuildNanos is the wall-clock cost of the last physical index
-	// build for this shard (mining + IT-tree + boxes + R-tree).
+	// IndexBuildNanos is the wall-clock cost of the shard's last
+	// threshold-1 mining.
 	IndexBuildNanos int64 `json:"index_build_nanos"`
 }
 
-// Collection partitions one engine's records into K hash-routed shards
-// behind the plans.Collection seam. It wraps a single delta.Store — the
-// store's validation, merged-view construction and refresh policy are
-// layout-independent, so the collection only adds the partition: frozen
-// and merged slices, per-shard version clocks, the scatter catalog
+// Collection partitions one engine's records into K hash-routed shards.
+// It wraps a single delta.Store — the store's validation, merged-surface
+// construction and refresh policy are partition-independent, so the
+// collection only adds the partition: the slices it decorates the
+// store's surfaces with, per-shard version clocks, the scatter catalog
 // (per-shard mining + closure merge), and ghost-preserving
 // consolidation. Lock order is Collection.mu, then Store.mu (the store
 // never calls back out).
@@ -93,27 +92,28 @@ type Collection struct {
 	mipOpts mip.Options
 	workers int
 
-	mu         sync.Mutex
-	appended   int      // rows routed so far; derives buffered record ids
-	versions   []uint64 // per-shard ingest clocks
-	baseSlices []plans.ShardSlice
+	mu       sync.Mutex
+	appended int      // rows routed so far; derives buffered record ids
+	versions []uint64 // per-shard ingest clocks
 
-	// viewSrc/viewDec cache the decorated merged view per store view
-	// (the store already caches one view per delta version).
-	viewSrc *plans.View
-	viewDec *plans.View
+	// frozen is the store's version-0 surface decorated with the
+	// partition of the index as built; mergedSrc/mergedDec cache the
+	// decorated merged surface per store surface (the store already
+	// caches one surface per delta version).
+	frozen    *plans.Surface
+	mergedSrc *plans.Surface
+	mergedDec *plans.Surface
 
-	// indexes caches each shard's physical MIP-index, keyed by the
-	// shard's version clock and the frequent-item universe it was built
-	// over. A clean shard (version unchanged) reuses its mining AND its
-	// physical layers across sibling ingests and consolidations — the
-	// "rebuild one shard while the others serve" half of the sharded
-	// refresh story, now covering the index build too.
+	// indexes caches each shard's threshold-1 catalog, keyed by the
+	// shard's version clock and the frequent-item universe it was mined
+	// over. A clean shard (version unchanged) reuses its mining across
+	// sibling ingests and consolidations — the "rebuild one shard while
+	// the others serve" half of the sharded refresh story.
 	indexes []*ShardIndex
 
 	// onRebuild, when set, fires under the collection lock after a
-	// shard's physical index is (re)built, with the shard number and
-	// the build's wall-clock nanoseconds. The serving layer wires it to
+	// shard is (re)mined, with the shard number and the mining's
+	// wall-clock nanoseconds. The serving layer wires it to
 	// the /metrics rebuild counters and build-duration histogram.
 	onRebuild func(shard int, buildNanos int64)
 }
@@ -143,19 +143,14 @@ func New(idx *mip.Index, cfg Config) *Collection {
 		live = bitset.New(n)
 		live.Fill()
 	}
-	c.baseSlices = c.partition(live, idx.Tidsets, n)
+	frozen := *c.store.Surface()
+	frozen.Slices = c.partition(live, idx.Tidsets, n)
+	c.frozen = &frozen
 	return c
 }
 
-// NumShards returns K. Part of the plans.Collection seam.
+// NumShards returns K.
 func (c *Collection) NumShards() int { return c.router.Shards() }
-
-// Slices returns the frozen-index partition. Part of the
-// plans.Collection seam; the executor consults it only when no delta
-// view is live.
-func (c *Collection) Slices() []plans.ShardSlice {
-	return c.baseSlices
-}
 
 // Router returns the record-to-shard router.
 func (c *Collection) Router() *Router { return c.router }
@@ -191,20 +186,23 @@ func (c *Collection) Ingest(rows [][]int32, deletes []int) (delta.Staleness, err
 	return st, nil
 }
 
-// View returns the merged execution view decorated with the shard
-// partition, or nil when the delta is empty. The store's view is built
-// (and cached) per delta version; the decoration — merged slices, and
-// in scatter mode the closure-merged catalog — is cached alongside it,
-// so concurrent queries share one immutable view per version.
-func (c *Collection) View() *plans.View {
+// Surface returns the store's surface of the current delta version
+// decorated with the shard partition: the frozen index's surface with
+// the slices of the index as built while nothing has been ingested, the
+// merged surface with the merged partition afterwards. The store builds
+// (and caches) one surface per delta version; the decoration — merged
+// slices, and in scatter mode the closure-merged catalog — is cached
+// alongside it, so concurrent queries share one immutable surface per
+// version.
+func (c *Collection) Surface() *plans.Surface {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sv := c.store.View()
-	if sv == nil {
-		return nil
+	sv := c.store.Surface()
+	if sv.Version == 0 {
+		return c.frozen
 	}
-	if c.viewSrc == sv {
-		return c.viewDec
+	if c.mergedSrc == sv {
+		return c.mergedDec
 	}
 	v := *sv
 	v.Slices = c.partition(sv.Live, sv.Tidsets, sv.NumRecords)
@@ -220,7 +218,7 @@ func (c *Collection) View() *plans.View {
 			minCount = 1
 		}
 		res := c.mergedCatalogLocked(v.Slices, sv.Tidsets, sv.NumRecords, minCount)
-		v.Tree = ittree.BuildLayout(res, c.idx.Space.NumItems(), c.mipOpts.Layout.ITTreeLayout())
+		v.Tree = ittree.Build(res, c.idx.Space.NumItems())
 		v.Boxes = make([]itemset.Box, len(res.Closed))
 		closed := res.Closed
 		// Merged boxes are independent reads into pre-indexed slots.
@@ -228,8 +226,8 @@ func (c *Collection) View() *plans.View {
 			v.Boxes[id] = mip.BoundingBox(c.idx.Space, c.idx.Cards, sv.Tidsets, closed[id])
 		})
 	}
-	c.viewSrc, c.viewDec = sv, &v
-	return c.viewDec
+	c.mergedSrc, c.mergedDec = sv, &v
+	return c.mergedDec
 }
 
 // scatterCatalog reports whether the closure-merge catalog path is
@@ -248,10 +246,9 @@ func (c *Collection) scatterCatalog() bool {
 }
 
 // mergedCatalogLocked computes the merged closed-itemset catalog via
-// the cross-shard closure merge. Per-shard physical indexes (mining +
-// IT-tree + boxes + R-tree) are cached on the shard clocks: only shards
-// an ingest touched since the last call are re-mined and re-indexed,
-// and the drifted shards rebuild in parallel through the worker pool.
+// the cross-shard closure merge. Per-shard minings are cached on the
+// shard clocks: only shards an ingest touched since the last call are
+// re-mined, in parallel through the worker pool.
 func (c *Collection) mergedCatalogLocked(slices []plans.ShardSlice, tidsets []*bitset.Set, capN, minCount int) *charm.Result {
 	// Universe of globally frequent items; per-shard mining restricts
 	// to it (nil tidsets are skipped by the miner).
@@ -273,12 +270,11 @@ func (c *Collection) mergedCatalogLocked(slices []plans.ShardSlice, tidsets []*b
 			per[s] = si.Mine
 			return
 		}
-		si := buildShardIndex(s, c.versions[s], ukey, slices[s], inU, capN,
-			c.idx.Space, c.idx.Cards, c.mipOpts.Fanout, c.mipOpts.Packing, c.mipOpts.Layout)
+		si := buildShardIndex(s, c.versions[s], ukey, slices[s], inU, capN)
 		rebuilt[s] = si
 		per[s] = si.Mine
 	})
-	// Publish the rebuilt indexes and fire the metrics hook serially,
+	// Publish the re-mined catalogs and fire the metrics hook serially,
 	// under the already-held collection lock.
 	for s, si := range rebuilt {
 		if si == nil {
@@ -292,8 +288,8 @@ func (c *Collection) mergedCatalogLocked(slices []plans.ShardSlice, tidsets []*b
 	return MergeClosed(per, tidsets, capN, minCount)
 }
 
-// SetRebuildHook installs fn, fired with the shard number and build
-// duration whenever a shard's physical index is (re)built. Install
+// SetRebuildHook installs fn, fired with the shard number and mining
+// duration whenever a shard's catalog is (re)mined. Install
 // before the first ingest; the hook runs under the collection lock and
 // must not call back into the collection.
 func (c *Collection) SetRebuildHook(fn func(shard int, buildNanos int64)) {
@@ -302,9 +298,9 @@ func (c *Collection) SetRebuildHook(fn func(shard int, buildNanos int64)) {
 	c.onRebuild = fn
 }
 
-// Indexes returns the per-shard physical indexes currently cached (nil
-// entries for shards never built). The slice is a copy; the indexes
-// themselves are immutable once published.
+// Indexes returns the per-shard catalogs currently cached (nil entries
+// for shards never mined). The slice is a copy; the entries themselves
+// are immutable once published.
 func (c *Collection) Indexes() []*ShardIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -356,11 +352,11 @@ func (c *Collection) ShardStats() []ShardStat {
 	for s := range stats {
 		stats[s] = ShardStat{
 			Shard:   s,
-			Records: c.baseSlices[s].Records.Count(),
+			Records: c.frozen.Slices[s].Records.Count(),
 			Version: c.versions[s],
 		}
 		if si := c.indexes[s]; si != nil {
-			stats[s].IndexedCFIs = si.Tree.Size()
+			stats[s].IndexedCFIs = len(si.Mine.Closed)
 			stats[s].IndexBuildNanos = si.BuildNanos
 		}
 	}
@@ -375,7 +371,7 @@ func (c *Collection) ShardStats() []ShardStat {
 		if id >= baseN {
 			stats[s].Records--
 			stats[s].BufferedRows--
-		} else if c.baseSlices[s].Records.Contains(id) {
+		} else if c.frozen.Slices[s].Records.Contains(id) {
 			stats[s].Records--
 		}
 	}

@@ -7,13 +7,13 @@ import (
 	"colarm/internal/mip"
 )
 
-// TestShardIndexLifecycle pins the per-shard physical index cache: the
-// first scatter-mode view builds every shard's index and fires the
-// rebuild hook once per shard; a later ingest touching one shard
-// invalidates only that shard's cache, so the next view rebuilds the
-// drifted shard and keeps serving the clean shards' published indexes
-// unchanged (same pointers). Stats and hook timings must agree with
-// the cached indexes, and every index must pass physical validation.
+// TestShardIndexLifecycle pins the per-shard catalog cache: the first
+// scatter-mode surface mines every shard and fires the rebuild hook
+// once per shard; a later ingest touching one shard invalidates only
+// that shard's cache, so the next surface re-mines the drifted shard
+// and keeps serving the clean shards' published catalogs unchanged
+// (same pointers). Stats and hook timings must agree with the cached
+// catalogs.
 func TestShardIndexLifecycle(t *testing.T) {
 	d := datagen.Salary()
 	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.18, Fanout: 4})
@@ -38,7 +38,7 @@ func TestShardIndexLifecycle(t *testing.T) {
 		fired = append(fired, rebuild{shard, buildNanos})
 	})
 
-	// Age the collection so a merged view exists, then force it.
+	// Age the collection so a merged surface exists, then force it.
 	row := make([]int32, d.NumAttrs())
 	for a := range row {
 		row[a] = int32(d.Value(0, a))
@@ -46,8 +46,8 @@ func TestShardIndexLifecycle(t *testing.T) {
 	if _, err := c.Ingest([][]int32{row}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v := c.View(); v == nil {
-		t.Fatal("aged collection returned no merged view")
+	if v := c.Surface(); v.Version != 1 || v.RTree != nil {
+		t.Fatalf("aged collection returned the surface of version %d, want the merged one of version 1", v.Version)
 	}
 
 	if len(fired) != k {
@@ -65,17 +65,9 @@ func TestShardIndexLifecycle(t *testing.T) {
 		if si.BuildNanos <= 0 {
 			t.Errorf("shard %d index reports non-positive build time %d", s, si.BuildNanos)
 		}
-		if err := si.Validate(idx.Space, func(r, a int) int {
-			if r < d.NumRecords() {
-				return d.Value(r, a)
-			}
-			return int(row[a])
-		}); err != nil {
-			t.Errorf("shard %d index fails validation: %v", s, err)
-		}
-		if stats[s].IndexedCFIs != si.Tree.Size() {
+		if stats[s].IndexedCFIs != len(si.Mine.Closed) {
 			t.Errorf("shard %d stat reports %d indexed CFIs, cached index holds %d",
-				s, stats[s].IndexedCFIs, si.Tree.Size())
+				s, stats[s].IndexedCFIs, len(si.Mine.Closed))
 		}
 		if stats[s].IndexBuildNanos != si.BuildNanos {
 			t.Errorf("shard %d stat reports build time %d, cached index %d",
@@ -93,8 +85,8 @@ func TestShardIndexLifecycle(t *testing.T) {
 	if _, err := c.Ingest(nil, []int{victim}); err != nil {
 		t.Fatal(err)
 	}
-	if v := c.View(); v == nil {
-		t.Fatal("collection lost its merged view after the delete")
+	if v := c.Surface(); v.Version != 2 {
+		t.Fatalf("after the delete the collection serves version %d, want 2", v.Version)
 	}
 	rebuiltShards := map[int]bool{}
 	for _, rb := range fired {

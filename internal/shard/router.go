@@ -4,9 +4,9 @@
 // tidsets OR across shards (the slices partition the live records),
 // support counts sum, confidences recompute from summed counts, and the
 // closed-itemset catalog is re-established by a cross-shard closure
-// merge (DESIGN §13). The layout hides behind the plans.Collection seam
-// so query plans stay layout-agnostic; K=1 reproduces the monolithic
-// engine byte-for-byte.
+// merge (DESIGN §13). Plans see the partition only as the Slices of the
+// plans.Surface a Collection hands out, so they stay partition-agnostic;
+// K=1 reproduces the monolithic engine byte-for-byte.
 package shard
 
 // Router assigns record ids to shards by hash. Record ids are stable
