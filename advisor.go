@@ -2,178 +2,70 @@ package colarm
 
 import (
 	"context"
-	"time"
 
 	"colarm/internal/advisor"
 	"colarm/internal/core"
 	"colarm/internal/cost"
 )
 
-// UnitCosts are the cost model's five primitive unit costs in
-// nanoseconds: the knobs the online recalibrator tunes.
-type UnitCosts struct {
-	WordOp  float64 // one 64-bit bitmap word operation
-	BoxRel  float64 // one box/region relation test (R-tree traversal)
-	IDProbe float64 // one record-id membership probe
-	MapOp   float64 // one hash-map operation (closure bookkeeping)
-	GenOp   float64 // one candidate-generation step (ARM lattice)
-}
-
-func unitCosts(u cost.Units) UnitCosts {
-	return UnitCosts{WordOp: u.WordOp, BoxRel: u.BoxRel, IDProbe: u.IDProbe, MapOp: u.MapOp, GenOp: u.GenOp}
-}
-
-// UnitDrift is one unit's recalibration state: the static reference,
-// the live value, and the evidence behind the gap.
-type UnitDrift struct {
-	Unit   string
-	Static float64
-	Live   float64
-	// Bias is the EWMA of log(measured/predicted) attributed to this
-	// unit; exp(Bias) is the correction the evidence asks for.
-	Bias float64
-	// Weight is the accumulated attribution weight (effective samples).
-	Weight float64
-}
-
-// GuardrailReport describes the replay differential guarding a unit
-// swap: every logged all-plans evaluation is replayed under the
-// candidate units, and the swap is refused if any replayed choice's
-// measured cost exceeds the static-units choice's by more than the
-// tolerance.
-type GuardrailReport struct {
-	Evaluated   bool
-	Window      int
-	WorstRegret float64
-	Tolerance   float64
-	Passed      bool
-}
-
-// CalibrationReport is the online recalibrator's state: the static
-// reference units, the live units the optimizer prices with, the
-// candidate the evidence asks for, and the swap bookkeeping.
-type CalibrationReport struct {
-	StaticUnits    UnitCosts
-	LiveUnits      UnitCosts
-	CandidateUnits UnitCosts
-	// DriftScore is the largest per-unit |log(candidate/live)|; 0 means
-	// predictions are unbiased (or freshly swapped).
-	DriftScore float64
-	Samples    int
-	Streak     int
-	Swapped    bool
-	Swaps      uint64
-	LastSwap   time.Time
-	Units      []UnitDrift
-	Guardrail  GuardrailReport
-}
-
-func calibrationReport(r advisor.CalibrationReport) CalibrationReport {
-	rep := CalibrationReport{
-		StaticUnits:    unitCosts(r.Static),
-		LiveUnits:      unitCosts(r.Live),
-		CandidateUnits: unitCosts(r.Candidate),
-		DriftScore:     r.DriftScore,
-		Samples:        r.Samples,
-		Streak:         r.Streak,
-		Swapped:        r.Swapped,
-		Swaps:          r.Swaps,
-		LastSwap:       r.LastSwap,
-		Guardrail: GuardrailReport{
-			Evaluated:   r.Guardrail.Evaluated,
-			Window:      r.Guardrail.Window,
-			WorstRegret: r.Guardrail.WorstRegret,
-			Tolerance:   r.Guardrail.Tolerance,
-			Passed:      r.Guardrail.Passed,
-		},
-	}
-	for _, u := range r.Units {
-		rep.Units = append(rep.Units, UnitDrift{Unit: u.Unit, Static: u.Static, Live: u.Live, Bias: u.Bias, Weight: u.Weight})
-	}
-	return rep
-}
-
-// IndexRecommendation is one index action the advisor's workload
-// analysis pays for: "build" a secondary MIP-index at a lower primary
-// support, or "drop" one that stopped winning queries.
-type IndexRecommendation struct {
-	Action         string
-	PrimarySupport float64
-	PrimaryCount   int
-	BenefitNanos   int64
-	BuildCostNanos int64
-	Queries        int
-	Reason         string
-}
-
-func indexRecommendations(recs []advisor.Recommendation) []IndexRecommendation {
-	out := make([]IndexRecommendation, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, IndexRecommendation{
-			Action:         r.Action,
-			PrimarySupport: r.Primary,
-			PrimaryCount:   r.PrimaryCount,
-			BenefitNanos:   r.BenefitNanos,
-			BuildCostNanos: r.BuildCostNanos,
-			Queries:        r.Queries,
-			Reason:         r.Reason,
-		})
-	}
-	return out
-}
-
-// SecondaryIndexInfo describes one installed secondary MIP-index.
-type SecondaryIndexInfo struct {
-	PrimarySupport float64
-	PrimaryCount   int
-	CFIs           int
-	// Fresh reports the index covers exactly the current merged
-	// records; only fresh secondaries join the optimizer's argmin.
-	Fresh         bool
-	BuildDuration time.Duration
-}
-
-func secondaryInfos(secs []core.SecondaryInfo) []SecondaryIndexInfo {
-	out := make([]SecondaryIndexInfo, 0, len(secs))
-	for _, s := range secs {
-		out = append(out, SecondaryIndexInfo{
-			PrimarySupport: s.Primary,
-			PrimaryCount:   s.PrimaryCount,
-			CFIs:           s.CFIs,
-			Fresh:          s.Fresh,
-			BuildDuration:  s.BuildDuration,
-		})
-	}
-	return out
-}
-
-// WorkloadStats summarizes the advisor's query-log window.
-type WorkloadStats struct {
-	Window        int
-	ForcedARM     int
-	SecondaryWins int
-}
+// The self-tuning report types are the engine's own, under the facade's
+// names: nothing about them changes on the way out, so there is nothing
+// to convert. Their JSON tags are the wire names of api/openapi.yaml —
+// a value of any of them marshals to exactly what the HTTP API serves.
+type (
+	// UnitCosts are the cost model's five primitive unit costs in
+	// nanoseconds — WordOp (one 64-bit bitmap word operation), BoxRel
+	// (one box/region relation test), IDProbe (one record-id membership
+	// probe), MapOp (one hash-map operation) and GenOp (one
+	// rule-generation step): the knobs the online recalibrator tunes.
+	UnitCosts = cost.Units
+	// UnitDrift is one unit's recalibration state: the Static
+	// reference, the Live value, and the evidence behind the gap — Bias,
+	// the EWMA of log(measured/predicted) attributed to the unit, and
+	// Weight, the effective samples behind it.
+	UnitDrift = advisor.UnitDrift
+	// GuardrailReport describes the replay differential guarding a unit
+	// swap: every logged all-plans evaluation is replayed under the
+	// candidate units, and the swap is refused if any replayed choice's
+	// measured cost exceeds the static-units choice's by more than the
+	// tolerance.
+	GuardrailReport = advisor.GuardrailReport
+	// CalibrationReport is the online recalibrator's state: the static
+	// reference units, the live units the optimizer prices with, the
+	// candidate the evidence asks for, and the swap bookkeeping
+	// (LastSwap is nil until the first swap).
+	CalibrationReport = advisor.CalibrationReport
+	// IndexRecommendation is one index action the advisor's workload
+	// analysis pays for: "build" a secondary MIP-index at a lower
+	// primary support, or "drop" one that stopped winning queries.
+	IndexRecommendation = advisor.Recommendation
+	// SecondaryIndexInfo describes one installed secondary MIP-index;
+	// only a Fresh one (covering exactly the current merged records)
+	// joins the optimizer's argmin.
+	SecondaryIndexInfo = core.SecondaryInfo
+	// WorkloadStats summarizes the advisor's query-log window.
+	WorkloadStats = advisor.WorkloadStats
+)
 
 // AdvisorReport is the self-tuning optimizer's full state: calibration,
 // workload summary, pending recommendations, and the installed
 // secondary indexes.
 type AdvisorReport struct {
-	Calibration     CalibrationReport
-	Workload        WorkloadStats
-	Recommendations []IndexRecommendation
-	Secondaries     []SecondaryIndexInfo
+	Calibration     CalibrationReport     `json:"calibration"`
+	Workload        WorkloadStats         `json:"workload"`
+	Recommendations []IndexRecommendation `json:"recommendations"`
+	Secondaries     []SecondaryIndexInfo  `json:"secondaries"`
 }
 
 // Advisor returns the self-tuning optimizer's current state without
 // changing anything: a read-only calibration snapshot, the workload
 // summary, and what the advisor would build or drop right now.
 func (e *Engine) Advisor() AdvisorReport {
-	st := e.eng.Advisor.WorkloadStats()
 	return AdvisorReport{
-		Calibration:     calibrationReport(e.eng.Advisor.Calibration()),
-		Workload:        WorkloadStats{Window: st.Window, ForcedARM: st.ForcedARM, SecondaryWins: st.SecondaryWins},
-		Recommendations: indexRecommendations(e.eng.Recommendations()),
-		Secondaries:     secondaryInfos(e.eng.Secondaries()),
+		Calibration:     e.eng.Advisor.Calibration(),
+		Workload:        e.eng.Advisor.WorkloadStats(),
+		Recommendations: e.eng.Recommendations(),
+		Secondaries:     e.eng.Secondaries(),
 	}
 }
 
@@ -183,13 +75,13 @@ func (e *Engine) Advisor() AdvisorReport {
 // guardrail differential passes — swaps them in as the optimizer's live
 // units. Serving layers call this periodically.
 func (e *Engine) Recalibrate() CalibrationReport {
-	return calibrationReport(e.eng.Recalibrate())
+	return e.eng.Recalibrate()
 }
 
 // Recommendations returns the index actions the advisor's workload
 // analysis currently pays for, without applying them.
 func (e *Engine) Recommendations() []IndexRecommendation {
-	return indexRecommendations(e.eng.Recommendations())
+	return e.eng.Recommendations()
 }
 
 // ApplyRecommendations executes the advisor's current recommendations —
@@ -197,8 +89,7 @@ func (e *Engine) Recommendations() []IndexRecommendation {
 // applied. The engine serves queries throughout; each build or drop is
 // an atomic swap of the index set.
 func (e *Engine) ApplyRecommendations(ctx context.Context) ([]IndexRecommendation, error) {
-	applied, err := e.eng.ApplyRecommendations(ctx)
-	return indexRecommendations(applied), err
+	return e.eng.ApplyRecommendations(ctx)
 }
 
 // BuildSecondaryIndex mines a secondary MIP-index over the current
@@ -206,17 +97,7 @@ func (e *Engine) ApplyRecommendations(ctx context.Context) ([]IndexRecommendatio
 // whose localized thresholds the base index's applicability gate forces
 // to ARM are reclaimed by a secondary with a low enough primary count.
 func (e *Engine) BuildSecondaryIndex(ctx context.Context, primarySupport float64) (SecondaryIndexInfo, error) {
-	info, err := e.eng.BuildSecondary(ctx, primarySupport)
-	if err != nil {
-		return SecondaryIndexInfo{}, err
-	}
-	return SecondaryIndexInfo{
-		PrimarySupport: info.Primary,
-		PrimaryCount:   info.PrimaryCount,
-		CFIs:           info.CFIs,
-		Fresh:          info.Fresh,
-		BuildDuration:  info.BuildDuration,
-	}, nil
+	return e.eng.BuildSecondary(ctx, primarySupport)
 }
 
 // DropSecondaryIndex removes the secondary index installed at the given
@@ -227,5 +108,5 @@ func (e *Engine) DropSecondaryIndex(primarySupport float64) bool {
 
 // SecondaryIndexes lists the installed secondary indexes.
 func (e *Engine) SecondaryIndexes() []SecondaryIndexInfo {
-	return secondaryInfos(e.eng.Secondaries())
+	return e.eng.Secondaries()
 }

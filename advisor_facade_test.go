@@ -75,7 +75,7 @@ func TestRecalibrateFacade(t *testing.T) {
 			if !cal.Guardrail.Passed {
 				t.Fatal("units swapped without a passing guardrail replay")
 			}
-			if cal.Swaps == 0 || cal.LastSwap.IsZero() {
+			if cal.Swaps == 0 || cal.LastSwap == nil {
 				t.Fatal("swap reported without bookkeeping")
 			}
 		}

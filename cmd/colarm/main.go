@@ -164,8 +164,8 @@ func printCalibration(eng *colarm.Engine) {
 	fmt.Printf("unit costs (%s): wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
 		tag, u.WordOp, u.BoxRel, u.IDProbe, u.MapOp, u.GenOp)
 	fmt.Printf("drift %.3f over %d samples", cal.DriftScore, cal.Samples)
-	if cal.Swaps > 0 {
-		fmt.Printf(" | %d recalibration(s), last %s", cal.Swaps, cal.LastSwap.Format("15:04:05"))
+	if cal.LastSwap != nil {
+		fmt.Printf(" | %d recalibration(s), last %s", cal.Swaps, cal.LastSwap.Local().Format("15:04:05"))
 	}
 	fmt.Println()
 }

@@ -42,6 +42,7 @@ import (
 
 	"colarm/internal/colarmql"
 	"colarm/internal/core"
+	"colarm/internal/cost"
 	"colarm/internal/obs"
 	"colarm/internal/plans"
 	"colarm/internal/rtree"
@@ -58,7 +59,8 @@ const (
 	Morton
 )
 
-// Plan identifies one of the six execution plans of the paper.
+// Plan identifies one of the six execution plans of the paper. Past
+// Auto, a Plan is its plans.Kind plus one.
 type Plan int
 
 const (
@@ -84,7 +86,7 @@ func (p Plan) String() string {
 	if p == Auto {
 		return "auto"
 	}
-	return kindOf(p).String()
+	return plans.Kind(p - 1).String()
 }
 
 // ParsePlan resolves a plan name ("S-E-V", "ARM", "auto", ...).
@@ -96,43 +98,22 @@ func ParsePlan(s string) (Plan, error) {
 	if err != nil {
 		return 0, err
 	}
-	return planOf(k), nil
+	return Plan(k + 1), nil
 }
 
-func kindOf(p Plan) plans.Kind {
-	switch p {
-	case SEV:
-		return plans.SEV
-	case SVS:
-		return plans.SVS
-	case SSEV:
-		return plans.SSEV
-	case SSVS:
-		return plans.SSVS
-	case SSEUV:
-		return plans.SSEUV
-	case ARM:
-		return plans.ARM
-	}
-	panic("colarm: no plan kind for Auto")
-}
+// MarshalText renders the plan by name, which makes the name a Plan's
+// JSON form wherever one appears: the "plan" of a request body, of
+// Stats and of a PlanEstimate.
+func (p Plan) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-func planOf(k plans.Kind) Plan {
-	switch k {
-	case plans.SEV:
-		return SEV
-	case plans.SVS:
-		return SVS
-	case plans.SSEV:
-		return SSEV
-	case plans.SSVS:
-		return SSVS
-	case plans.SSEUV:
-		return SSEUV
-	case plans.ARM:
-		return ARM
+// UnmarshalText reads every spelling ParsePlan accepts; the empty name
+// is Auto. An unknown name fails with ErrUnknownPlan.
+func (p *Plan) UnmarshalText(name []byte) error {
+	v, err := ParsePlan(string(name))
+	if err == nil {
+		*p = v
 	}
-	return Auto
+	return err
 }
 
 // Options configures the offline preprocessing phase.
@@ -185,45 +166,55 @@ type Options struct {
 	Shards int
 }
 
-// Query is one localized mining request.
+// Query is one localized mining request: the paper's one query form,
+// declared once. Its JSON form is the structured query of the HTTP API —
+// the bodies of /v1/mine, /v1/explain and /v1/subscriptions embed a
+// Query beside their "dataset" — so a field added here is a field of the
+// wire.
 type Query struct {
 	// Range maps attribute names to the selected value labels,
 	// defining the focal subset; attributes not listed span their
 	// whole domain. Selections must align to the discretized values.
-	Range map[string][]string
+	Range map[string][]string `json:"range,omitempty"`
 	// ItemAttributes lists the attributes allowed in rule bodies;
 	// empty means all attributes.
-	ItemAttributes []string
+	ItemAttributes []string `json:"itemAttributes,omitempty"`
 	// MinSupport is the minimum rule support as a fraction of the
 	// focal subset, in (0,1].
-	MinSupport float64
+	MinSupport float64 `json:"minSupport,omitempty"`
 	// MinConfidence is the minimum rule confidence in [0,1].
-	MinConfidence float64
+	MinConfidence float64 `json:"minConfidence,omitempty"`
 	// MaxConsequent caps rule consequent length (0 = unlimited).
-	MaxConsequent int
+	MaxConsequent int `json:"maxConsequent,omitempty"`
 	// Plan forces a specific execution plan; Auto uses the optimizer.
-	Plan Plan
+	Plan Plan `json:"plan,omitempty"`
 	// Trace attaches a per-operator execution trace to the result
 	// (Result.Trace). Tracing adds a few timestamp reads and one small
-	// allocation per operator; untraced queries pay nothing.
-	Trace bool
+	// allocation per operator; untraced queries pay nothing. It says how
+	// to report, not what to compute, so like Canonical the JSON form
+	// leaves it out: /v1/mine takes "trace" as a request option beside
+	// "timeout", and a standing query cannot be traced.
+	Trace bool `json:"-"`
 }
 
 // Rule is one localized association rule with its interestingness
-// measures. Counts are absolute within the focal subset.
+// measures. Counts are absolute within the focal subset. This is the
+// only form a rule takes outside the engine: the executor's id-space
+// rule gets its item labels here, once, and this struct — tags and all —
+// is what /v1/mine replies and every standing-query event marshal.
 type Rule struct {
-	Antecedent []string // item labels "Attr=value"
-	Consequent []string
+	Antecedent []string `json:"antecedent"` // item labels "Attr=value"
+	Consequent []string `json:"consequent"`
 
-	Support    float64 // fraction of the focal subset
-	Confidence float64
-	Lift       float64
-	Cosine     float64
-	Kulczynski float64
+	Support    float64 `json:"support"` // fraction of the focal subset
+	Confidence float64 `json:"confidence"`
+	Lift       float64 `json:"lift"`
+	Cosine     float64 `json:"cosine"`
+	Kulczynski float64 `json:"kulczynski"`
 
-	SupportCount    int
-	AntecedentCount int
-	SubsetSize      int
+	SupportCount    int `json:"supportCount"`
+	AntecedentCount int `json:"antecedentCount"`
+	SubsetSize      int `json:"subsetSize"`
 }
 
 // String renders the rule as "(A=a, B=b) => (C=c) [supp=75.0% conf=100.0%]".
@@ -233,48 +224,56 @@ func (r Rule) String() string {
 		100*r.Support, 100*r.Confidence)
 }
 
-// PlanEstimate is the optimizer's cost prediction for one plan.
+// PlanEstimate is the optimizer's cost prediction for one plan; its
+// JSON form is an entry of the "estimates" of /v1/mine and /v1/explain.
 type PlanEstimate struct {
-	Plan       Plan
-	Cost       float64 // model cost (nanosecond scale)
-	Candidates float64 // estimated candidate itemsets
-	Qualified  float64 // estimated itemsets reaching rule generation
+	Plan       Plan    `json:"plan"`
+	Cost       float64 `json:"cost"`       // model cost (nanosecond scale)
+	Candidates float64 `json:"candidates"` // estimated candidate itemsets
+	Qualified  float64 `json:"qualified"`  // estimated itemsets reaching rule generation
 }
 
 // Stats reports what one query execution did, mirroring the executor's
 // operator-level counters so callers can see where a query's work went.
+// It differs from the executor's own record in what a caller outside the
+// engine needs: the plan by its public name, Auto included, and the
+// duration as a nanosecond count. Marshalled, it is the "stats" object
+// of a /v1/mine reply.
 type Stats struct {
-	Plan            Plan
-	SubsetSize      int
-	MinSupportCount int
+	Plan            Plan `json:"plan"`
+	SubsetSize      int  `json:"subsetSize"`
+	MinSupportCount int  `json:"minSupportCount"`
 
 	// SEARCH / SUPPORTED-SEARCH.
-	RNodesVisited   int // R-tree nodes touched
-	REntriesChecked int // R-tree leaf entries tested
-	Candidates      int
-	Contained       int
-	PartialOverlap  int
+	RNodesVisited   int `json:"rNodesVisited"`   // R-tree nodes touched
+	REntriesChecked int `json:"rEntriesChecked"` // R-tree leaf entries tested
+	Candidates      int `json:"candidates"`
+	Contained       int `json:"contained"`
+	PartialOverlap  int `json:"partialOverlap"`
 
 	// ELIMINATE.
-	ItemFiltered  int // candidates dropped by the item-attribute filter
-	SupportChecks int // record-level tidset∩D^Q counts performed
-	Eliminated    int // candidates failing local minsupport
-	Qualified     int // itemsets reaching rule generation
+	ItemFiltered  int `json:"itemFiltered"`  // candidates dropped by the item-attribute filter
+	SupportChecks int `json:"supportChecks"` // record-level tidset∩D^Q counts performed
+	Eliminated    int `json:"eliminated"`    // candidates failing local minsupport
+	Qualified     int `json:"qualified"`     // itemsets reaching rule generation
 
 	// VERIFY.
-	OracleCalls  int // antecedent/consequent support lookups
-	OracleMisses int // lookups needing a fresh tidset intersection
-	RulesEmitted int
+	OracleCalls  int `json:"oracleCalls"`  // antecedent/consequent support lookups
+	OracleMisses int `json:"oracleMisses"` // lookups needing a fresh tidset intersection
+	RulesEmitted int `json:"rulesEmitted"`
 
-	DurationNanos int64
+	DurationNanos int64 `json:"durationNanos"`
 }
 
-// Result is the answer to a localized mining query.
+// Result is the answer to a localized mining query. Marshalled, it is
+// the "rules", "stats" and "estimates" of a /v1/mine reply, member for
+// member; the server adds where the answer sits (dataset, generation,
+// version, cached) and renders the trace with Trace.Tree.
 type Result struct {
-	Rules     []Rule
-	Stats     Stats
-	Estimates []PlanEstimate // present when the optimizer ran (Plan == Auto)
-	Trace     *Trace         // present when the query requested tracing
+	Rules     []Rule         `json:"rules"`
+	Stats     Stats          `json:"stats"`
+	Estimates []PlanEstimate `json:"estimates,omitempty"` // present when the optimizer ran (Plan == Auto)
+	Trace     *Trace         `json:"-"`                   // present when the query requested tracing
 }
 
 // Engine is a ready-to-query COLARM instance over one dataset.
@@ -365,7 +364,7 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 	}
 	var out *Result
 	if q.Plan != Auto {
-		res, err := e.eng.MineWithContext(ctx, kindOf(q.Plan), pq)
+		res, err := e.eng.MineWithContext(ctx, plans.Kind(q.Plan-1), pq)
 		if err != nil {
 			return nil, err
 		}
@@ -376,14 +375,7 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 			return nil, err
 		}
 		out = e.wrap(res)
-		for _, est := range ests {
-			out.Estimates = append(out.Estimates, PlanEstimate{
-				Plan:       planOf(est.Plan),
-				Cost:       est.Total,
-				Candidates: est.Candidates,
-				Qualified:  est.Qualified,
-			})
-		}
+		out.Estimates = planEstimates(ests)
 	}
 	out.Trace = newTrace(pq.Trace)
 	if q.Trace && e.trackAccuracy {
@@ -413,16 +405,17 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PlanEstimate, 0, len(ests))
-	for _, est := range ests {
-		out = append(out, PlanEstimate{
-			Plan:       planOf(est.Plan),
-			Cost:       est.Total,
-			Candidates: est.Candidates,
-			Qualified:  est.Qualified,
-		})
+	return planEstimates(ests), nil
+}
+
+// planEstimates puts the model's estimates in the facade's terms: the
+// plan by its public value, the total as the cost.
+func planEstimates(ests []cost.Estimate) []PlanEstimate {
+	out := make([]PlanEstimate, len(ests))
+	for i, est := range ests {
+		out[i] = PlanEstimate{Plan: Plan(est.Plan + 1), Cost: est.Total, Candidates: est.Candidates, Qualified: est.Qualified}
 	}
-	return out, nil
+	return out
 }
 
 // MineQL parses and executes a query written in the paper's query
@@ -449,19 +442,18 @@ func (e *Engine) MineQLContext(ctx context.Context, src string) (*Result, error)
 	return e.MineContext(ctx, q)
 }
 
-// ParseQuery parses a query-language statement (see MineQL) into a
-// Query without executing it, so callers can adjust fields the language
-// does not cover — Trace, MaxConsequent — before mining.
-func (e *Engine) ParseQuery(src string) (Query, error) {
+// ParseQL parses a query-language statement (see MineQL) without an
+// engine: it returns the dataset the FROM clause names and the Query the
+// rest describes, so a caller holding many engines — the HTTP server —
+// parses a statement once, routes by the name and hands the Query on.
+// Names and labels are checked when the Query reaches an engine.
+func ParseQL(src string) (dataset string, q Query, err error) {
 	st, err := colarmql.Parse(src)
 	if err != nil {
-		return Query{}, err
+		return "", Query{}, err
 	}
-	if !strings.EqualFold(st.Dataset, e.ds.rel.Name) {
-		return Query{}, fmt.Errorf("colarm: query targets dataset %q, engine holds %q", st.Dataset, e.ds.rel.Name)
-	}
-	q := Query{
-		Range:          map[string][]string{},
+	q = Query{
+		Range:          make(map[string][]string, len(st.Range)),
 		ItemAttributes: st.ItemAttrs,
 		MinSupport:     st.MinSupport,
 		MinConfidence:  st.MinConfidence,
@@ -469,12 +461,23 @@ func (e *Engine) ParseQuery(src string) (Query, error) {
 	for _, rc := range st.Range {
 		q.Range[rc.Attr] = rc.Values
 	}
-	if st.Plan != "" {
-		p, err := ParsePlan(st.Plan)
-		if err != nil {
-			return Query{}, err
-		}
-		q.Plan = p
+	if q.Plan, err = ParsePlan(st.Plan); err != nil {
+		return "", Query{}, err
+	}
+	return st.Dataset, q, nil
+}
+
+// ParseQuery is ParseQL for a statement meant for this engine: the FROM
+// clause must name its dataset. The Query comes back unexecuted, so
+// callers can adjust fields the language does not cover — Trace,
+// MaxConsequent — before mining.
+func (e *Engine) ParseQuery(src string) (Query, error) {
+	dataset, q, err := ParseQL(src)
+	if err != nil {
+		return Query{}, err
+	}
+	if !strings.EqualFold(dataset, e.ds.rel.Name) {
+		return Query{}, fmt.Errorf("colarm: query targets dataset %q, engine holds %q", dataset, e.ds.rel.Name)
 	}
 	return q, nil
 }
@@ -482,7 +485,7 @@ func (e *Engine) ParseQuery(src string) (Query, error) {
 func (e *Engine) wrap(res *plans.Result) *Result {
 	out := &Result{
 		Stats: Stats{
-			Plan:            planOf(res.Stats.Plan),
+			Plan:            Plan(res.Stats.Plan + 1),
 			SubsetSize:      res.Stats.SubsetSize,
 			MinSupportCount: res.Stats.MinCount,
 			RNodesVisited:   res.Stats.RNodesVisited,

@@ -1,9 +1,14 @@
 package colarm
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"colarm/internal/plans"
 )
 
 func salaryEngine(t testing.TB) *Engine {
@@ -205,6 +210,59 @@ func TestPlanParseAndString(t *testing.T) {
 	}
 	if _, err := ParsePlan("nope"); err == nil {
 		t.Error("bad plan must error")
+	}
+}
+
+// TestPlanIsKindPlusOne pins the arithmetic the facade converts plans
+// with, and the text form JSON carries a Plan in.
+func TestPlanIsKindPlusOne(t *testing.T) {
+	for _, k := range plans.Kinds() {
+		p := Plan(k + 1)
+		if p.String() != k.String() || p == Auto {
+			t.Errorf("Plan(%v + 1) = %v", k, p)
+		}
+	}
+	if ARM != Plan(plans.ARM+1) || SEV != Plan(plans.SEV+1) {
+		t.Error("the Plan constants are no longer the plans.Kind constants plus one")
+	}
+	for _, p := range []Plan{Auto, SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
+		text, err := json.Marshal(p)
+		var back Plan
+		if err != nil || string(text) != strconv.Quote(p.String()) || json.Unmarshal(text, &back) != nil || back != p {
+			t.Errorf("plan %v: JSON %s (%v), read back %v", p, text, err, back)
+		}
+	}
+	var p Plan
+	if err := json.Unmarshal([]byte(`"ss_vs"`), &p); err != nil || p != SSVS {
+		t.Errorf(`"ss_vs" = %v, %v`, p, err)
+	}
+	if err := json.Unmarshal([]byte(`"warp"`), &p); !errors.Is(err, ErrUnknownPlan) {
+		t.Errorf("unknown plan name: %v, want ErrUnknownPlan", err)
+	}
+}
+
+// TestFacadeTypesMarshalAsTheWire spot-checks that the tags sit on the
+// facade types themselves (internal/server holds the goldens): a Result
+// marshals to the rules/stats/estimates members of a /v1/mine reply and
+// a Query to the structured request fields, Trace excluded.
+func TestFacadeTypesMarshalAsTheWire(t *testing.T) {
+	q := Query{Range: map[string][]string{"Location": {"Seattle"}}, MinSupport: 0.5, MinConfidence: 0.9, Plan: SVS, Trace: true}
+	if got, _ := json.Marshal(q); string(got) != `{"range":{"Location":["Seattle"]},"minSupport":0.5,"minConfidence":0.9,"plan":"S-VS"}` {
+		t.Errorf("Query marshals to %s", got)
+	}
+	var back Query
+	if err := json.Unmarshal([]byte(`{"minSupport":0.5,"plan":"arm","itemAttributes":["Age"]}`), &back); err != nil ||
+		back.Plan != ARM || back.MinSupport != 0.5 || len(back.ItemAttributes) != 1 {
+		t.Errorf("Query read back as %+v, %v", back, err)
+	}
+	res, err := salaryEngine(t).Mine(Query{Range: q.Range, MinSupport: 0.5, MinConfidence: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply map[string]json.RawMessage
+	if body, _ := json.Marshal(res); json.Unmarshal(body, &reply) != nil || len(reply) != 3 ||
+		reply["rules"] == nil || reply["stats"] == nil || reply["estimates"] == nil {
+		t.Errorf("Result marshals to members %v", reply)
 	}
 }
 

@@ -3,9 +3,9 @@ package colarm
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"colarm/internal/delta"
+	"colarm/internal/shard"
 )
 
 // Staleness reports how far an engine's base index has drifted from the
@@ -13,45 +13,30 @@ import (
 // staleness — buffered transactions are merged into every answer — but
 // each one pays a delta overhead, and once that accumulated overhead
 // crosses the amortized cost of a rebuild, Rebuild is the cheaper path.
+//
+// The embedded store report carries BufferedRows (records inserted since
+// the index was built, minus any deleted again), Tombstones (records
+// deleted since), Version (increments on every accepted Ingest batch; 0
+// means the index is fresh), Overhead and RebuildCost (the accumulated
+// estimated extra query cost paid to the delta, and the amortized
+// one-rebuild cost it is weighed against) and RebuildRecommended (the
+// cost-based refresh policy's break-even point). Marshalled, a Staleness
+// is the staleness object of /v1/ingest and /v1/datasets/{name}.
 type Staleness struct {
-	// BufferedRows counts records inserted since the index was built
-	// (minus any that were deleted again).
-	BufferedRows int
-	// Tombstones counts records deleted since the index was built.
-	Tombstones int
-	// Version increments on every accepted Ingest batch; 0 means the
-	// index is fresh.
-	Version uint64
+	delta.Staleness
 	// Generation counts full rebuilds since the engine was opened.
-	Generation uint64
-	// Overhead is the accumulated estimated extra query cost paid to
-	// the delta since the last build.
-	Overhead time.Duration
-	// RebuildCost is the amortized one-rebuild cost the overhead is
-	// weighed against (measured from the last build).
-	RebuildCost time.Duration
-	// RebuildRecommended reports that buffering now costs more than
-	// rebuilding: the cost-based refresh policy's break-even point.
-	RebuildRecommended bool
+	Generation uint64 `json:"-"`
 	// Shards breaks the drift down per shard on a sharded engine
 	// (Options.Shards >= 2); nil on a monolithic one. The per-shard
 	// BufferedRows and Tombstones sum to the global counters above.
-	Shards []ShardStaleness
+	Shards []ShardStaleness `json:"shards,omitempty"`
 }
 
-// ShardStaleness is one shard's slice of a sharded engine's drift.
-type ShardStaleness struct {
-	// Shard is the shard number in [0, K).
-	Shard int
-	// Records counts the live records the shard currently owns.
-	Records int
-	// BufferedRows counts live buffered inserts routed to this shard.
-	BufferedRows int
-	// Tombstones counts deletions of records this shard owns.
-	Tombstones int
-	// Version ticks on every ingest batch touching the shard.
-	Version uint64
-}
+// ShardStaleness is one shard's slice of a sharded engine's drift: the
+// Shard number in [0, K), the live Records it owns, the live
+// BufferedRows routed to it, the Tombstones of records it owns, and its
+// Version clock, which ticks on every ingest batch touching the shard.
+type ShardStaleness = shard.ShardStat
 
 // Ingest buffers live transactions — inserts and deletes — without
 // rebuilding the index. Each insert maps every attribute name to a
@@ -119,25 +104,7 @@ func (e *Engine) Staleness() Staleness {
 }
 
 func (e *Engine) wrapStaleness(st delta.Staleness) Staleness {
-	out := Staleness{
-		BufferedRows:       st.BufferedRows,
-		Tombstones:         st.Tombstones,
-		Version:            st.Version,
-		Generation:         e.gen,
-		Overhead:           st.Overhead,
-		RebuildCost:        st.RebuildCost,
-		RebuildRecommended: st.RebuildRecommended,
-	}
-	for _, ss := range e.eng.ShardStats() {
-		out.Shards = append(out.Shards, ShardStaleness{
-			Shard:        ss.Shard,
-			Records:      ss.Records,
-			BufferedRows: ss.BufferedRows,
-			Tombstones:   ss.Tombstones,
-			Version:      ss.Version,
-		})
-	}
-	return out
+	return Staleness{Staleness: st, Generation: e.gen, Shards: e.eng.ShardStats()}
 }
 
 // Generation counts full rebuilds since the engine was opened (0 for a

@@ -187,3 +187,48 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatalf("staleness after deleting the buffered row: %+v", st)
 	}
 }
+
+// TestShardedStalenessAllocsIndependentOfDelta pins what Staleness costs
+// on a sharded engine — every ingest acknowledgement and every dataset
+// listing asks for it: the per-shard breakdown is counted where the
+// buffered rows lie, so a call allocates the same with one buffered row
+// as with four thousand, and the breakdown still tiles the totals.
+func TestShardedStalenessAllocsIndependentOfDelta(t *testing.T) {
+	ds, err := Salary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(ds, Options{PrimarySupport: 0.18, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make(map[string]string)
+	for _, a := range ds.Attributes() {
+		vals, _ := ds.Values(a)
+		row[a] = vals[0]
+	}
+	rows := make([]map[string]string, 4095)
+	for i := range rows {
+		rows[i] = row
+	}
+	if _, err := eng.Ingest(rows[:1], []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	few := testing.AllocsPerRun(20, func() { eng.Staleness() })
+	if _, err := eng.Ingest(rows, []int{1, ds.NumRecords()}); err != nil {
+		t.Fatal(err)
+	}
+	many := testing.AllocsPerRun(20, func() { eng.Staleness() })
+	if few != many {
+		t.Errorf("Staleness allocates %v times with 1 buffered row, %v with 4096", few, many)
+	}
+	st := eng.Staleness()
+	var buffered, tombs int
+	for _, ss := range st.Shards {
+		buffered += ss.BufferedRows
+		tombs += ss.Tombstones
+	}
+	if len(st.Shards) != 4 || st.BufferedRows != 4095 || buffered != st.BufferedRows || tombs != st.Tombstones {
+		t.Errorf("shards %+v do not tile %d buffered rows and %d tombstones", st.Shards, st.BufferedRows, st.Tombstones)
+	}
+}

@@ -68,7 +68,7 @@ func TestRecalibrationSwapsOnPersistentBias(t *testing.T) {
 	if live.WordOp < static.WordOp*1.5 {
 		t.Errorf("live WordOp %v did not move toward 2x static %v", live.WordOp, static.WordOp)
 	}
-	if got := a.Calibration(); got.Swaps != 1 || got.LastSwap.IsZero() {
+	if got := a.Calibration(); got.Swaps != 1 || got.LastSwap == nil {
 		t.Errorf("calibration after swap: swaps=%d lastSwap=%v", got.Swaps, got.LastSwap)
 	}
 	// Drift collapses after the swap.
@@ -197,8 +197,8 @@ func TestBuildRecommendationPaysForItself(t *testing.T) {
 	if r.PrimaryCount < 20 || r.PrimaryCount > 29 {
 		t.Errorf("target primary count %d outside the observed local counts", r.PrimaryCount)
 	}
-	if r.Primary <= 0 || r.Primary > 0.03 {
-		t.Errorf("primary fraction %v implausible for count %d over 1000 records", r.Primary, r.PrimaryCount)
+	if r.PrimarySupport <= 0 || r.PrimarySupport > 0.03 {
+		t.Errorf("primary fraction %v implausible for count %d over 1000 records", r.PrimarySupport, r.PrimaryCount)
 	}
 	if r.BenefitNanos < r.BuildCostNanos {
 		t.Errorf("recommended despite benefit %d < build cost %d", r.BenefitNanos, r.BuildCostNanos)
@@ -229,7 +229,7 @@ func TestDropRecommendationForIdleSecondary(t *testing.T) {
 	recs := a.Recommendations(1000, sec, time.Millisecond)
 	found := false
 	for _, r := range recs {
-		if r.Action == "drop" && r.Primary == 0.02 {
+		if r.Action == "drop" && r.PrimarySupport == 0.02 {
 			found = true
 		}
 	}

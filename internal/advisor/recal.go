@@ -28,55 +28,69 @@ type ChoiceObservation struct {
 	MIPApplicable bool // whether the gate allowed MIP-backed plans
 }
 
-// UnitDrift is one unit's calibration state.
+// The report types below are the facade's and the wire's too: package
+// colarm exports them under alias names and the serving layer marshals
+// them as they are, so their field names are the public ones and their
+// tags the names api/openapi.yaml documents.
+
+// UnitDrift is one unit's calibration state: the static reference, the
+// live value, and the evidence behind the gap.
 type UnitDrift struct {
-	Unit   string
-	Static float64
-	Live   float64
+	Unit   string  `json:"unit"`
+	Static float64 `json:"static"`
+	Live   float64 `json:"live"`
 	// Bias is the EWMA of log(measured/predicted) attributed to this
 	// unit against the static reference; exp(Bias) is the correction
 	// factor the evidence asks for.
-	Bias float64
+	Bias float64 `json:"bias"`
 	// Weight is the accumulated attribution weight — the effective
 	// sample count behind the bias.
-	Weight float64
+	Weight float64 `json:"weight"`
 }
 
-// GuardrailReport describes one guardrail replay.
+// GuardrailReport describes the replay differential guarding a unit
+// swap: every logged all-plans evaluation is replayed under the
+// candidate units, and the swap is refused if any replayed choice's
+// measured cost exceeds the static-units choice's by more than the
+// tolerance.
 type GuardrailReport struct {
 	// Evaluated is false when no replay ran (drift not persistent yet,
 	// or no logged evaluations to replay).
-	Evaluated bool
+	Evaluated bool `json:"evaluated"`
 	// Window is the number of logged choice evaluations replayed.
-	Window int
+	Window int `json:"window"`
 	// WorstRegret is the largest fraction by which a candidate-units
 	// choice's measured cost exceeded the static-units choice's.
-	WorstRegret float64
-	Tolerance   float64
-	Passed      bool
+	WorstRegret float64 `json:"worstRegret"`
+	Tolerance   float64 `json:"tolerance"`
+	Passed      bool    `json:"passed"`
 }
 
 // CalibrationReport is the recalibrator's full state after one
-// Recalibrate evaluation (or a read-only snapshot).
+// Recalibrate evaluation (or a read-only snapshot): the static
+// reference units, the live units the optimizer prices with, the
+// candidate the evidence asks for, and the swap bookkeeping.
 type CalibrationReport struct {
-	Static    cost.Units
-	Live      cost.Units
-	Candidate cost.Units
+	StaticUnits    cost.Units `json:"staticUnits"`
+	LiveUnits      cost.Units `json:"liveUnits"`
+	CandidateUnits cost.Units `json:"candidateUnits"`
 	// DriftScore is the largest absolute log-gap between the live units
 	// and the evidence's candidate units; 0 means predictions are
 	// unbiased (or just swapped).
-	DriftScore float64
+	DriftScore float64 `json:"driftScore"`
 	// Samples counts attributed operator observations so far.
-	Samples int
+	Samples int `json:"samples"`
 	// Streak counts consecutive Recalibrate evaluations with the drift
 	// above threshold.
-	Streak int
+	Streak int `json:"streak"`
 	// Swapped reports that this evaluation swapped the live units.
-	Swapped   bool
-	Swaps     uint64
-	LastSwap  time.Time // zero if never swapped
-	Units     []UnitDrift
-	Guardrail GuardrailReport
+	Swapped bool   `json:"swapped"`
+	Swaps   uint64 `json:"swaps"`
+	// LastSwap is when the live units were last swapped, in UTC; nil
+	// until the first swap (and then absent from the wire form).
+	LastSwap  *time.Time      `json:"lastSwap,omitempty"`
+	Units     []UnitDrift     `json:"units,omitempty"`
+	Guardrail GuardrailReport `json:"guardrail"`
 }
 
 // recalibrator is the units side of the advisor. All methods are called
@@ -92,7 +106,7 @@ type recalibrator struct {
 	streak  int
 
 	swaps    uint64
-	lastSwap time.Time
+	lastSwap *time.Time // UTC; nil until the first swap
 
 	replay []ChoiceObservation // ring, newest last
 }
@@ -246,7 +260,8 @@ func (r *recalibrator) recalibrate(now time.Time) CalibrationReport {
 	}
 	r.live = cand
 	r.swaps++
-	r.lastSwap = now
+	now = now.UTC()
+	r.lastSwap = &now
 	r.streak = 0
 	rep = r.report(true)
 	rep.Guardrail = GuardrailReport{Evaluated: true, Tolerance: r.cfg.GuardrailTolerance, Window: len(r.replay), Passed: true}
@@ -255,15 +270,15 @@ func (r *recalibrator) recalibrate(now time.Time) CalibrationReport {
 
 func (r *recalibrator) report(swapped bool) CalibrationReport {
 	rep := CalibrationReport{
-		Static:     r.static,
-		Live:       r.live,
-		Candidate:  r.candidate(),
-		DriftScore: r.driftScore(),
-		Samples:    r.samples,
-		Streak:     r.streak,
-		Swapped:    swapped,
-		Swaps:      r.swaps,
-		LastSwap:   r.lastSwap,
+		StaticUnits:    r.static,
+		LiveUnits:      r.live,
+		CandidateUnits: r.candidate(),
+		DriftScore:     r.driftScore(),
+		Samples:        r.samples,
+		Streak:         r.streak,
+		Swapped:        swapped,
+		Swaps:          r.swaps,
+		LastSwap:       r.lastSwap,
 	}
 	names := cost.UnitNames()
 	sv, lv := r.static.Vec(), r.live.Vec()

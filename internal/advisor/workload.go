@@ -42,32 +42,37 @@ type SecondaryState struct {
 	Stale        bool
 }
 
-// Recommendation is one index action the workload pays for.
+// Recommendation is one index action the workload pays for: "build" a
+// secondary MIP-index at a lower primary support, or "drop" one that
+// stopped winning queries. Exported by the facade as
+// colarm.IndexRecommendation and marshalled as it is.
 type Recommendation struct {
 	// Action is "build" or "drop".
-	Action string
-	// Primary is the primary-support fraction of the index to build or
-	// drop; PrimaryCount its support-count form over the current
-	// records.
-	Primary      float64
-	PrimaryCount int
+	Action string `json:"action"`
+	// PrimarySupport is the primary-support fraction of the index to
+	// build or drop; PrimaryCount its support-count form over the
+	// current records.
+	PrimarySupport float64 `json:"primarySupport"`
+	PrimaryCount   int     `json:"primaryCount"`
 	// BenefitNanos is the accumulated measured-over-estimated cost gap
 	// the action recovers (build) or the residual value lost (drop);
 	// BuildCostNanos the build price it was weighed against.
-	BenefitNanos   int64
-	BuildCostNanos int64
+	BenefitNanos   int64 `json:"benefitNanos"`
+	BuildCostNanos int64 `json:"buildCostNanos"`
 	// Queries counts the logged queries supporting the recommendation.
-	Queries int
-	Reason  string
+	Queries int    `json:"queries"`
+	Reason  string `json:"reason"`
 }
 
 // WorkloadStats summarizes the logged window.
 type WorkloadStats struct {
-	Window    int
-	ForcedARM int
+	// Window counts the logged queries; ForcedARM those the
+	// applicability gate forced to the ARM fallback.
+	Window    int `json:"window"`
+	ForcedARM int `json:"forcedARM"`
 	// SecondaryWins counts logged queries answered by any secondary
 	// index.
-	SecondaryWins int
+	SecondaryWins int `json:"secondaryWins"`
 }
 
 // workload is the query-log side of the advisor. All methods are
@@ -141,7 +146,7 @@ func (w *workload) recommendations(records int, secondaries []SecondaryState, bu
 		if benefit >= need && need > 0 {
 			out = append(out, Recommendation{
 				Action:         "build",
-				Primary:        float64(target) / float64(records),
+				PrimarySupport: float64(target) / float64(records),
 				PrimaryCount:   target,
 				BenefitNanos:   int64(benefit),
 				BuildCostNanos: buildCost.Nanoseconds(),
@@ -163,10 +168,10 @@ func (w *workload) recommendations(records int, secondaries []SecondaryState, bu
 			frac := float64(wins[s.ID]) / float64(len(w.log))
 			if frac < cfg.DropWinFraction {
 				out = append(out, Recommendation{
-					Action:       "drop",
-					Primary:      s.Primary,
-					PrimaryCount: s.PrimaryCount,
-					Queries:      wins[s.ID],
+					Action:         "drop",
+					PrimarySupport: s.Primary,
+					PrimaryCount:   s.PrimaryCount,
+					Queries:        wins[s.ID],
 					Reason: fmt.Sprintf("secondary index at primary %.4f won %d of the last %d queries (%.1f%%, below %.1f%%)",
 						s.Primary, wins[s.ID], len(w.log), 100*frac, 100*cfg.DropWinFraction),
 				})

@@ -319,7 +319,7 @@ func runAdvisorSkewed(full bool, queries int, seed int64) (AdvisorSkewed, error)
 	}
 	for _, r := range applied {
 		if r.Action == "build" {
-			sk.SecondaryPrimary = r.Primary
+			sk.SecondaryPrimary = r.PrimarySupport
 		}
 	}
 

@@ -28,14 +28,19 @@ type secondaryIndex struct {
 	BuildDuration time.Duration
 }
 
-// SecondaryInfo describes one installed secondary index.
+// SecondaryInfo describes one installed secondary index. The facade
+// exports it as colarm.SecondaryIndexInfo and the serving layer
+// marshals it as it is.
 type SecondaryInfo struct {
-	Primary       float64
-	PrimaryCount  int
-	CFIs          int
-	BuiltVersion  uint64
-	Fresh         bool
-	BuildDuration time.Duration
+	PrimarySupport float64 `json:"primarySupport"`
+	PrimaryCount   int     `json:"primaryCount"`
+	CFIs           int     `json:"cfis"`
+	// BuiltVersion is the delta version the index was mined over.
+	BuiltVersion uint64 `json:"-"`
+	// Fresh reports the index covers exactly the current merged
+	// records; only fresh secondaries join the optimizer's argmin.
+	Fresh         bool          `json:"fresh"`
+	BuildDuration time.Duration `json:"buildDurationNanos"`
 }
 
 // planChoice is one resolved optimizer decision across every physical
@@ -341,12 +346,12 @@ func (e *Engine) DropSecondary(primary float64) bool {
 
 func secondaryInfo(s *secondaryIndex, version uint64) SecondaryInfo {
 	return SecondaryInfo{
-		Primary:       s.Primary,
-		PrimaryCount:  s.Surface.PrimaryCount,
-		CFIs:          len(s.Surface.Boxes),
-		BuiltVersion:  s.Surface.Version,
-		Fresh:         s.Surface.Version == version,
-		BuildDuration: s.BuildDuration,
+		PrimarySupport: s.Primary,
+		PrimaryCount:   s.Surface.PrimaryCount,
+		CFIs:           len(s.Surface.Boxes),
+		BuiltVersion:   s.Surface.Version,
+		Fresh:          s.Surface.Version == version,
+		BuildDuration:  s.BuildDuration,
 	}
 }
 
@@ -442,11 +447,11 @@ func (e *Engine) ApplyRecommendations(ctx context.Context) ([]advisor.Recommenda
 	for _, rec := range e.Recommendations() {
 		switch rec.Action {
 		case "build":
-			if _, err := e.BuildSecondary(ctx, rec.Primary); err != nil {
+			if _, err := e.BuildSecondary(ctx, rec.PrimarySupport); err != nil {
 				return applied, err
 			}
 		case "drop":
-			if !e.DropSecondary(rec.Primary) {
+			if !e.DropSecondary(rec.PrimarySupport) {
 				continue
 			}
 		default:

@@ -262,8 +262,8 @@ func TestEngineRecalibrationFeeds(t *testing.T) {
 	if rep.Samples == 0 {
 		t.Fatal("traced queries fed no recalibration samples")
 	}
-	if rep.Static != eng.Model.U {
-		t.Errorf("static reference %+v != model units %+v", rep.Static, eng.Model.U)
+	if rep.StaticUnits != eng.Model.U {
+		t.Errorf("static reference %+v != model units %+v", rep.StaticUnits, eng.Model.U)
 	}
 	if rep.Swapped && !rep.Guardrail.Passed {
 		t.Error("swap without a passing guardrail")

@@ -58,11 +58,6 @@ type Options struct {
 	// and gather exact recombined results. 0 or 1 leaves the engine
 	// monolithic — today's single-partition layout, byte-for-byte.
 	Shards int
-	// ShardCatalog selects how a sharded engine re-establishes the
-	// merged closed-itemset catalog (shard.CatalogAuto by default:
-	// cross-shard closure merge on small item spaces, global re-mine on
-	// large ones). Ignored when Shards <= 1.
-	ShardCatalog shard.CatalogMode
 	// Advisor tunes the self-tuning optimizer (online cost
 	// recalibration and the workload-driven index advisor); zero values
 	// select the documented defaults. The advisor itself is always on —
@@ -93,10 +88,9 @@ type Engine struct {
 	Model    *cost.Model
 	// Delta buffers transactions ingested after the index build and
 	// serves the surface of each delta version; queries stay exact while
-	// the base index ages. Always non-nil after NewEngine or
-	// InitObservability. On a sharded engine it is the collection's
-	// wrapped store, so staleness, refresh-policy and snapshot surfaces
-	// read identically for both layouts.
+	// the base index ages. Never nil. On a sharded engine it is the
+	// collection's wrapped store, so staleness, refresh-policy and
+	// snapshot surfaces read identically for both layouts.
 	Delta *delta.Store
 	// Coll partitions the records across shards when Options.Shards is
 	// at least 2; nil on a monolithic engine.
@@ -114,9 +108,9 @@ type Engine struct {
 	// EvaluatePlans.
 	Accuracy *obs.AccuracyTracker
 	// Advisor is the self-tuning state: the online cost recalibrator
-	// and the workload log behind index recommendations. Non-nil after
-	// InitObservability; shared across Rebuild generations so
-	// calibration survives engine swaps.
+	// and the workload log behind index recommendations. Never nil;
+	// shared across Rebuild generations so calibration survives engine
+	// swaps.
 	Advisor *advisor.Advisor
 
 	// secondaries are extra physical MIP-indexes at lower primary
@@ -148,8 +142,7 @@ type Engine struct {
 	secDrops    *obs.Counter
 	secChosen   *obs.Counter
 
-	opts    Options
-	dataset string
+	opts Options
 }
 
 // NewEngine runs the offline phase over the dataset and wires up the
@@ -175,8 +168,8 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 // a deserialized snapshot), skipping the offline build.
 // opts.PrimarySupport should carry the fraction the index was mined at
 // so the delta store re-mines merged surfaces at the same threshold;
-// when zero, InitObservability recovers an approximation from the stored
-// primary count.
+// when zero, an approximation is recovered from the stored primary
+// count.
 func Assemble(idx *mip.Index, opts Options) *Engine {
 	units := cost.Units{}
 	if opts.CalibrateUnits {
@@ -188,58 +181,65 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	model := cost.NewModel(idx, units)
 	model.Mode = opts.CheckMode
 	model.Shards = opts.Shards
-	e := &Engine{Index: idx, Executor: ex, Model: model, opts: opts}
-	e.InitObservability(idx.Dataset.Name, opts.Metrics, opts.AccuracyTol)
+	e := &Engine{
+		Index: idx, Executor: ex, Model: model, opts: opts,
+		Accuracy: obs.NewAccuracyTracker(opts.AccuracyTol),
+		// The static reference the recalibrator measures every bias
+		// against is the model's build-time units (defaults or the
+		// calibration micro-benchmark's measurements).
+		Advisor: advisor.New(model.U, opts.Advisor),
+	}
+	e.initDelta()
+	e.initMetrics(opts.Metrics)
 	return e
 }
 
-// InitObservability wires the engine's cumulative metrics and the
-// plan-choice accuracy tracker; NewEngine calls it, and callers that
-// assemble an Engine from parts (e.g. a deserialized index) must call
-// it before the first query. Every metric carries a dataset label so
-// engines sharing one registry aggregate per dataset.
-func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTol float64) {
+// initDelta gives the engine its delta store — behind a shard collection
+// when Options.Shards asks for one — and the surface source that goes
+// with it.
+func (e *Engine) initDelta() {
+	primary := e.opts.PrimarySupport
+	if primary <= 0 && e.Index.Dataset.NumRecords() > 0 {
+		// Assembled engines (deserialized snapshots) may not carry the
+		// original fraction; recover it from the stored count so the
+		// merged surface re-mines at the same threshold a rebuild would
+		// use.
+		primary = float64(e.Index.PrimaryCount) / float64(e.Index.Dataset.NumRecords())
+	}
+	if e.opts.Shards <= 1 {
+		e.Delta = delta.NewStore(e.Index, primary, e.Model.U)
+		e.Delta.SetWorkers(e.opts.Workers)
+		e.surface = e.Delta.Surface
+		return
+	}
+	e.Coll = shard.New(e.Index, shard.Config{
+		Shards:  e.opts.Shards,
+		Primary: primary,
+		Units:   e.Model.U,
+		Workers: e.opts.Workers,
+		MIP: mip.Options{
+			PrimarySupport: primary,
+			Fanout:         e.opts.Fanout,
+			Packing:        e.opts.Packing,
+			Workers:        e.opts.Workers,
+		},
+	})
+	// The collection wraps a plain delta store: ingest routes through
+	// the collection (shard clocks), while staleness, refresh policy and
+	// snapshots read the store directly.
+	e.Delta = e.Coll.Store()
+	e.surface = e.Coll.Surface
+}
+
+// initMetrics registers the engine's cumulative metrics in reg, or in a
+// private registry when reg is nil. Every metric carries a dataset label
+// so engines sharing one registry aggregate per dataset.
+func (e *Engine) initMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	e.Metrics = reg
-	e.dataset = dataset
-	if e.Delta == nil {
-		primary := e.opts.PrimarySupport
-		if primary <= 0 && e.Index.Dataset.NumRecords() > 0 {
-			// Assembled engines (deserialized snapshots) may not carry
-			// the original fraction; recover it from the stored count so
-			// the merged surface re-mines at the same threshold a rebuild
-			// would use.
-			primary = float64(e.Index.PrimaryCount) / float64(e.Index.Dataset.NumRecords())
-		}
-		if e.opts.Shards > 1 {
-			e.Coll = shard.New(e.Index, shard.Config{
-				Shards:  e.opts.Shards,
-				Catalog: e.opts.ShardCatalog,
-				Primary: primary,
-				Units:   e.Model.U,
-				Workers: e.opts.Workers,
-				MIP: mip.Options{
-					PrimarySupport: primary,
-					Fanout:         e.opts.Fanout,
-					Packing:        e.opts.Packing,
-					Workers:        e.opts.Workers,
-				},
-			})
-			// The collection wraps a plain delta store: ingest routes
-			// through the collection (shard clocks), while staleness,
-			// refresh policy and snapshots read the store directly.
-			e.Delta = e.Coll.Store()
-			e.surface = e.Coll.Surface
-		} else {
-			e.Delta = delta.NewStore(e.Index, primary, e.Model.U)
-			e.Delta.SetWorkers(e.opts.Workers)
-			e.surface = e.Delta.Surface
-		}
-	}
-	e.Accuracy = obs.NewAccuracyTracker(accuracyTol)
-	labels := fmt.Sprintf("dataset=%q", dataset)
+	labels := fmt.Sprintf("dataset=%q", e.Index.Dataset.Name)
 	e.queries = reg.CounterWith("colarm_queries_total", labels,
 		"Localized mining queries served (including failed ones).")
 	e.queryErrors = reg.CounterWith("colarm_query_errors_total", labels,
@@ -270,12 +270,6 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 		"Full index rebuilds absorbing the delta store.")
 	e.rebuildSeconds = reg.Histogram("colarm_rebuild_seconds", labels,
 		"Duration of full index rebuilds.", nil)
-	if e.Advisor == nil {
-		// The static reference the recalibrator measures every bias
-		// against is the model's build-time units (defaults or the
-		// calibration micro-benchmark's measurements).
-		e.Advisor = advisor.New(e.Model.U, e.opts.Advisor)
-	}
 	e.recalSwaps = reg.CounterWith("colarm_advisor_recalibrations_total", labels,
 		"Live cost-unit swaps applied by the online recalibrator.")
 	e.driftMicro = reg.GaugeWith("colarm_advisor_drift_micro", labels,

@@ -28,21 +28,25 @@ import (
 	"colarm/internal/rtree"
 )
 
-// Units are the calibrated primitive operation costs, in nanoseconds.
+// Units are the calibrated primitive operation costs, in nanoseconds:
+// the knobs the online recalibrator tunes. The facade exports the type
+// as colarm.UnitCosts and the serving layer marshals it as it is, so the
+// tags are the wire names (UnitNames spells the same five for the
+// per-unit drift rows).
 type Units struct {
 	// WordOp is the cost of one 64-bit word step of a tidset
 	// intersection (the unit of ELIMINATE/VERIFY record-level checks).
-	WordOp float64
+	WordOp float64 `json:"wordOp"`
 	// BoxRel is the per-dimension cost of classifying one box against
 	// the query region (the unit of R-tree traversal).
-	BoxRel float64
+	BoxRel float64 `json:"boxRel"`
 	// IDProbe is the cost of probing one record id against a tidset
 	// (the unit of the ScanCheck record-level checks).
-	IDProbe float64
+	IDProbe float64 `json:"idProbe"`
 	// MapOp is the cost of one hash-map probe (closure caches, dedup).
-	MapOp float64
+	MapOp float64 `json:"mapOp"`
 	// GenOp is the bookkeeping cost of one rule-generation step.
-	GenOp float64
+	GenOp float64 `json:"genOp"`
 }
 
 // DefaultUnits are conservative defaults used when calibration is

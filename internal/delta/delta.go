@@ -74,24 +74,29 @@ import (
 )
 
 // Staleness describes how far an engine's base index has drifted from
-// the merged dataset, and what the drift is costing.
+// the merged dataset, and what the drift is costing. colarm.Staleness
+// embeds it, so these fields and tags are the facade's and the wire's
+// (a time.Duration marshals as its nanosecond count).
 type Staleness struct {
-	// BufferedRows counts live buffered inserts (dead ones excluded).
-	BufferedRows int
-	// Tombstones counts deleted records (base and buffered).
-	Tombstones int
-	// Version increments on every ingest batch; 0 means the index is
-	// fresh.
-	Version uint64
+	// BufferedRows counts records inserted since the index was built
+	// (minus any that were deleted again).
+	BufferedRows int `json:"bufferedRows"`
+	// Tombstones counts records deleted since the index was built
+	// (base and buffered).
+	Tombstones int `json:"tombstones"`
+	// Version increments on every accepted ingest batch; 0 means the
+	// index is fresh.
+	Version uint64 `json:"version"`
 	// Overhead is the accumulated estimated extra query cost paid to
 	// the delta since the last build.
-	Overhead time.Duration
+	Overhead time.Duration `json:"overheadNanos"`
 	// RebuildCost is the amortized cost of one index rebuild the
-	// overhead is weighed against.
-	RebuildCost time.Duration
+	// overhead is weighed against (measured from the last build).
+	RebuildCost time.Duration `json:"rebuildCostNanos"`
 	// RebuildRecommended reports Overhead >= RebuildCost with a
-	// non-empty delta: buffering now costs more than rebuilding.
-	RebuildRecommended bool
+	// non-empty delta: buffering now costs more than rebuilding, the
+	// cost-based refresh policy's break-even point.
+	RebuildRecommended bool `json:"rebuildRecommended"`
 }
 
 // Applied describes one accepted ingest batch to apply observers: the
@@ -615,6 +620,27 @@ func (s *Store) MergedDataset() (*relation.Dataset, error) {
 		}
 	}
 	return b.Build(), nil
+}
+
+// EachChange visits what the store buffers without copying any of it:
+// inserted is called with the record id of every live buffered row,
+// deleted with the id of every deleted record, base or buffered. Both
+// run under the store's lock and must not call back into the store.
+func (s *Store) EachChange(inserted, deleted func(id int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	baseN := s.idx.Dataset.NumRecords()
+	for k, gone := range s.dead {
+		if gone {
+			deleted(baseN + k)
+		} else {
+			inserted(baseN + k)
+		}
+	}
+	s.tombs.ForEach(func(id int) bool {
+		deleted(id)
+		return true
+	})
 }
 
 // Snapshot returns deep copies of the buffered rows and the tombstoned

@@ -23,25 +23,25 @@ type Item int32
 // Space maps items to their (attribute, value) coordinates for one
 // dataset. It is immutable after construction.
 type Space struct {
-	attrs []*relation.Attribute
-	base  []int32 // base[a] = first item id of attribute a
-	total int
+	attrs  []*relation.Attribute
+	base   []int32  // base[a] = first item id of attribute a
+	labels []string // labels[it] = "Attr=value", one per item
 }
 
 // NewSpace builds the item space of a dataset.
 func NewSpace(d *relation.Dataset) *Space {
 	s := &Space{attrs: d.Attrs, base: make([]int32, len(d.Attrs))}
-	var off int32
 	for i, a := range d.Attrs {
-		s.base[i] = off
-		off += int32(a.Cardinality())
+		s.base[i] = int32(len(s.labels))
+		for _, v := range a.Values {
+			s.labels = append(s.labels, a.Name+"="+v)
+		}
 	}
-	s.total = int(off)
 	return s
 }
 
 // NumItems returns the total number of items across all attributes.
-func (s *Space) NumItems() int { return s.total }
+func (s *Space) NumItems() int { return len(s.labels) }
 
 // NumAttrs returns the number of attributes (dimensions).
 func (s *Space) NumAttrs() int { return len(s.attrs) }
@@ -64,17 +64,15 @@ func (s *Space) ValueOf(it Item) int {
 	return int(int32(it) - s.base[s.AttrOf(it)])
 }
 
-// Label renders the item as "Attr=value".
-func (s *Space) Label(it Item) string {
-	a := s.AttrOf(it)
-	return s.attrs[a].Name + "=" + s.attrs[a].Values[s.ValueOf(it)]
-}
+// Label renders the item as "Attr=value". The space builds its labels
+// once, so every rule naming an item shares the one string.
+func (s *Space) Label(it Item) string { return s.labels[it] }
 
 // Labels renders each item of set as "Attr=value".
 func (s *Space) Labels(set Set) []string {
 	out := make([]string, len(set))
 	for i, it := range set {
-		out[i] = s.Label(it)
+		out[i] = s.labels[it]
 	}
 	return out
 }

@@ -67,6 +67,23 @@ func TestParseItem(t *testing.T) {
 	}
 }
 
+// TestLabelsBuiltOnce pins the label table: rendering an itemset costs
+// its one result slice and no string, and every label parses back to
+// the item it names.
+func TestLabelsBuiltOnce(t *testing.T) {
+	sp, _ := testSpace(t)
+	set := NewSet(sp.ItemOf(0, 1), sp.ItemOf(1, 2), sp.ItemOf(2, 0))
+	if got := testing.AllocsPerRun(100, func() { _ = sp.Labels(set) }); got != 1 {
+		t.Errorf("Labels allocates %v times per call, want 1", got)
+	}
+	for it := Item(0); int(it) < sp.NumItems(); it++ {
+		back, err := sp.ParseItem(sp.Label(it))
+		if err != nil || back != it {
+			t.Errorf("ParseItem(Label(%d)) = %d, %v", it, back, err)
+		}
+	}
+}
+
 func TestSetOps(t *testing.T) {
 	s := NewSet(5, 1, 3, 1)
 	if !s.Equal(Set{1, 3, 5}) {

@@ -11,6 +11,7 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/ittree"
 	"colarm/internal/obs"
+	"colarm/internal/pool"
 	"colarm/internal/rules"
 )
 
@@ -73,7 +74,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 		k := len(slices)
 		perTids := make([][]*bitset.Set, k)
 		scanned := make([]int, k)
-		_, err := parallelForCtx(ctx, k, c.workers, func(s int) {
+		_, err := pool.ForCtx(ctx, k, c.workers, func(s int) {
 			tids := make([]*bitset.Set, sp.NumItems())
 			for a := 0; a < n; a++ {
 				if !c.mask[a] {
@@ -201,7 +202,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	}
 	c.st.Qualified = len(quals)
 	per := make([][]rules.Rule, len(quals))
-	used, err := parallelForCtx(ctx, len(quals), c.workers, func(i int) {
+	used, err := pool.ForCtx(ctx, len(quals), c.workers, func(i int) {
 		per[i] = rules.Generate(quals[i].Items, quals[i].Support, c.st.SubsetSize,
 			q.MinConfidence, oracle, rules.Options{MaxConsequent: q.MaxConsequent})
 	})

@@ -10,6 +10,7 @@ import (
 	"colarm/internal/bitset"
 	"colarm/internal/itemset"
 	"colarm/internal/obs"
+	"colarm/internal/pool"
 	"colarm/internal/qerr"
 	"colarm/internal/rtree"
 	"colarm/internal/rules"
@@ -459,7 +460,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	if c.f.Shards != nil {
 		k := len(c.f.Shards)
 		partial := make([]int, len(checkIDs)*k)
-		used, err = parallelForCtx(c.ctx, len(partial), c.workers, func(j int) {
+		used, err = pool.ForCtx(c.ctx, len(partial), c.workers, func(j int) {
 			partial[j] = c.countLocalShard(c.s.Tree.Tids(int(checkIDs[j/k])), j%k)
 		})
 		if err != nil {
@@ -473,7 +474,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 			counts[i] = n
 		}
 	} else {
-		used, err = parallelForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
+		used, err = pool.ForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
 			counts[i] = c.countLocal(c.s.Tree.Tids(int(checkIDs[i])))
 		})
 		if err != nil {
@@ -627,7 +628,7 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 		oracle := c.sharedOracle(newShardedCounts(), &tally)
 		per := make([][]rules.Rule, len(quals))
 		var err error
-		used, err = parallelForCtx(c.ctx, len(quals), c.workers, func(i int) {
+		used, err = pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
 			per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
 				c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
 		})

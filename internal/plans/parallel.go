@@ -7,7 +7,9 @@
 // paths must produce byte-identical rule sets AND identical operator
 // counters to the serial path, for every schedule, so that plan
 // equivalence tests (and the cost model's calibration against the
-// counters) are oblivious to the worker count.
+// counters) are oblivious to the worker count. The pool itself is
+// internal/pool's For and ForCtx, whose returned worker count is what
+// query traces record as an operator's fan-out.
 //
 // Determinism is achieved by structure, not by locking the serial
 // algorithm:
@@ -23,7 +25,6 @@
 package plans
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -35,28 +36,6 @@ import (
 // iterations. Small enough that a cancelled query aborts within a few
 // candidates' worth of work, large enough to be invisible in profiles.
 const cancelPollStride = 16
-
-// parallelForCtx is parallelFor with cooperative cancellation: every
-// worker (and the serial path) polls ctx between items and stops
-// claiming work once the context is done. It returns ctx.Err() when the
-// context fired before all n items completed; items already started
-// still finish (fn is never interrupted mid-call), so callers must
-// discard partial output on error. The worker count returned is the
-// fan-out actually used, as with parallelFor.
-func parallelForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
-	return pool.ForCtx(ctx, n, workers, fn)
-}
-
-// parallelFor runs fn(i) for every i in [0,n) across at most workers
-// goroutines. With workers <= 1 (or nothing to parallelize) it degrades
-// to the plain serial loop, in index order. Work is distributed
-// dynamically via an atomic cursor, so uneven item costs — common when
-// candidate tidsets differ wildly in density — cannot idle a worker.
-// It returns the number of goroutines actually used (1 for the serial
-// path), which query traces record as the operator's fan-out.
-func parallelFor(n, workers int, fn func(i int)) int {
-	return pool.For(n, workers, fn)
-}
 
 // counterTally accumulates the Stats counters workers touch; the sums
 // are schedule-independent, keeping the reported counters identical to

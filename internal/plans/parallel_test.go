@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"colarm/internal/itemset"
+	"colarm/internal/pool"
 )
 
 func TestParallelForCoversEveryIndex(t *testing.T) {
@@ -17,7 +18,7 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 7, 100} {
 			hits := make([]int32, n)
 			var mu sync.Mutex
-			parallelFor(n, workers, func(i int) {
+			pool.For(n, workers, func(i int) {
 				mu.Lock()
 				hits[i]++
 				mu.Unlock()
@@ -33,7 +34,7 @@ func TestParallelForCoversEveryIndex(t *testing.T) {
 
 func TestParallelForSerialIsInOrder(t *testing.T) {
 	var order []int
-	parallelFor(5, 1, func(i int) { order = append(order, i) })
+	pool.For(5, 1, func(i int) { order = append(order, i) })
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("serial order = %v", order)
 	}
@@ -45,7 +46,7 @@ func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
 	var computes [keys]int32
 	var freshTotal int32
 	var mu sync.Mutex
-	parallelFor(keys*16, runtime.GOMAXPROCS(0), func(i int) {
+	pool.For(keys*16, runtime.GOMAXPROCS(0), func(i int) {
 		k := i % keys
 		v, fresh := sc.get(fmt.Sprintf("key-%03d", k), func() int {
 			mu.Lock()

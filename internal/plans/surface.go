@@ -6,6 +6,7 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/ittree"
 	"colarm/internal/mip"
+	"colarm/internal/pool"
 	"colarm/internal/rtree"
 )
 
@@ -132,7 +133,7 @@ func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	f := &Focal{Surface: s}
 	if len(s.Slices) > 1 {
 		f.Shards = make([]*bitset.Set, len(s.Slices))
-		parallelFor(len(s.Slices), ex.workers(), func(i int) {
+		pool.For(len(s.Slices), ex.workers(), func(i int) {
 			sl := s.Slices[i]
 			dq := itemset.RegionTidset(q.Region, ex.Space, sl.Items, s.NumRecords)
 			dq.And(sl.Records)

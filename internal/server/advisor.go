@@ -8,140 +8,14 @@ import (
 	"colarm"
 )
 
-// unitCostsJSON is the five-unit cost vector as it appears on the wire.
-type unitCostsJSON struct {
-	WordOp  float64 `json:"wordOp"`
-	BoxRel  float64 `json:"boxRel"`
-	IDProbe float64 `json:"idProbe"`
-	MapOp   float64 `json:"mapOp"`
-	GenOp   float64 `json:"genOp"`
-}
-
-func toUnitCostsJSON(u colarm.UnitCosts) unitCostsJSON {
-	return unitCostsJSON{WordOp: u.WordOp, BoxRel: u.BoxRel, IDProbe: u.IDProbe, MapOp: u.MapOp, GenOp: u.GenOp}
-}
-
-type unitDriftJSON struct {
-	Unit   string  `json:"unit"`
-	Static float64 `json:"static"`
-	Live   float64 `json:"live"`
-	Bias   float64 `json:"bias"`
-	Weight float64 `json:"weight"`
-}
-
-type guardrailJSON struct {
-	Evaluated   bool    `json:"evaluated"`
-	Window      int     `json:"window"`
-	WorstRegret float64 `json:"worstRegret"`
-	Tolerance   float64 `json:"tolerance"`
-	Passed      bool    `json:"passed"`
-}
-
-type calibrationJSON struct {
-	StaticUnits    unitCostsJSON   `json:"staticUnits"`
-	LiveUnits      unitCostsJSON   `json:"liveUnits"`
-	CandidateUnits unitCostsJSON   `json:"candidateUnits"`
-	DriftScore     float64         `json:"driftScore"`
-	Samples        int             `json:"samples"`
-	Streak         int             `json:"streak"`
-	Swapped        bool            `json:"swapped"`
-	Swaps          uint64          `json:"swaps"`
-	LastSwap       string          `json:"lastSwap,omitempty"`
-	Units          []unitDriftJSON `json:"units,omitempty"`
-	Guardrail      guardrailJSON   `json:"guardrail"`
-}
-
-func toCalibrationJSON(c colarm.CalibrationReport) calibrationJSON {
-	out := calibrationJSON{
-		StaticUnits:    toUnitCostsJSON(c.StaticUnits),
-		LiveUnits:      toUnitCostsJSON(c.LiveUnits),
-		CandidateUnits: toUnitCostsJSON(c.CandidateUnits),
-		DriftScore:     c.DriftScore,
-		Samples:        c.Samples,
-		Streak:         c.Streak,
-		Swapped:        c.Swapped,
-		Swaps:          c.Swaps,
-		Guardrail: guardrailJSON{
-			Evaluated:   c.Guardrail.Evaluated,
-			Window:      c.Guardrail.Window,
-			WorstRegret: c.Guardrail.WorstRegret,
-			Tolerance:   c.Guardrail.Tolerance,
-			Passed:      c.Guardrail.Passed,
-		},
-	}
-	if !c.LastSwap.IsZero() {
-		out.LastSwap = c.LastSwap.UTC().Format(time.RFC3339Nano)
-	}
-	for _, u := range c.Units {
-		out.Units = append(out.Units, unitDriftJSON{Unit: u.Unit, Static: u.Static, Live: u.Live, Bias: u.Bias, Weight: u.Weight})
-	}
-	return out
-}
-
-type recommendationJSON struct {
-	Action         string  `json:"action"`
-	PrimarySupport float64 `json:"primarySupport"`
-	PrimaryCount   int     `json:"primaryCount"`
-	BenefitNanos   int64   `json:"benefitNanos"`
-	BuildCostNanos int64   `json:"buildCostNanos"`
-	Queries        int     `json:"queries"`
-	Reason         string  `json:"reason"`
-}
-
-func toRecommendationsJSON(recs []colarm.IndexRecommendation) []recommendationJSON {
-	out := make([]recommendationJSON, 0, len(recs))
-	for _, r := range recs {
-		out = append(out, recommendationJSON{
-			Action:         r.Action,
-			PrimarySupport: r.PrimarySupport,
-			PrimaryCount:   r.PrimaryCount,
-			BenefitNanos:   r.BenefitNanos,
-			BuildCostNanos: r.BuildCostNanos,
-			Queries:        r.Queries,
-			Reason:         r.Reason,
-		})
-	}
-	return out
-}
-
-type secondaryIndexJSON struct {
-	PrimarySupport     float64 `json:"primarySupport"`
-	PrimaryCount       int     `json:"primaryCount"`
-	CFIs               int     `json:"cfis"`
-	Fresh              bool    `json:"fresh"`
-	BuildDurationNanos int64   `json:"buildDurationNanos"`
-}
-
-func toSecondariesJSON(secs []colarm.SecondaryIndexInfo) []secondaryIndexJSON {
-	out := make([]secondaryIndexJSON, 0, len(secs))
-	for _, s := range secs {
-		out = append(out, secondaryIndexJSON{
-			PrimarySupport:     s.PrimarySupport,
-			PrimaryCount:       s.PrimaryCount,
-			CFIs:               s.CFIs,
-			Fresh:              s.Fresh,
-			BuildDurationNanos: s.BuildDuration.Nanoseconds(),
-		})
-	}
-	return out
-}
-
-type workloadJSON struct {
-	Window        int `json:"window"`
-	ForcedARM     int `json:"forcedARM"`
-	SecondaryWins int `json:"secondaryWins"`
-}
-
 // advisorResponse is GET /v1/datasets/{name}/advisor: the self-tuning
-// optimizer's full state for one dataset.
+// optimizer's full state for one dataset — where it sits, then the
+// facade's report as it marshals.
 type advisorResponse struct {
-	Dataset         string               `json:"dataset"`
-	Generation      uint64               `json:"generation"`
-	Version         uint64               `json:"version"`
-	Calibration     calibrationJSON      `json:"calibration"`
-	Workload        workloadJSON         `json:"workload"`
-	Recommendations []recommendationJSON `json:"recommendations"`
-	Secondaries     []secondaryIndexJSON `json:"secondaries"`
+	Dataset    string `json:"dataset"`
+	Generation uint64 `json:"generation"`
+	Version    uint64 `json:"version"`
+	colarm.AdvisorReport
 }
 
 func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
@@ -153,31 +27,21 @@ func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep := eng.Advisor()
-	s.writeJSON(w, http.StatusOK, advisorResponse{
-		Dataset:     name,
-		Generation:  gen,
-		Version:     eng.Version(),
-		Calibration: toCalibrationJSON(rep.Calibration),
-		Workload: workloadJSON{
-			Window:        rep.Workload.Window,
-			ForcedARM:     rep.Workload.ForcedARM,
-			SecondaryWins: rep.Workload.SecondaryWins,
-		},
-		Recommendations: toRecommendationsJSON(rep.Recommendations),
-		Secondaries:     toSecondariesJSON(rep.Secondaries),
-	})
+	rep.Recommendations = orEmpty(rep.Recommendations)
+	rep.Secondaries = orEmpty(rep.Secondaries)
+	s.writeJSON(w, http.StatusOK, advisorResponse{Dataset: name, Generation: gen, Version: eng.Version(), AdvisorReport: rep})
 }
 
 // advisorApplyResponse is POST /v1/datasets/{name}/advisor/apply: one
 // explicit self-tuning step — a recalibration evaluation plus the index
 // recommendations that were applied.
 type advisorApplyResponse struct {
-	Dataset     string               `json:"dataset"`
-	Generation  uint64               `json:"generation"`
-	Version     uint64               `json:"version"`
-	Calibration calibrationJSON      `json:"calibration"`
-	Applied     []recommendationJSON `json:"applied"`
-	Secondaries []secondaryIndexJSON `json:"secondaries"`
+	Dataset     string                       `json:"dataset"`
+	Generation  uint64                       `json:"generation"`
+	Version     uint64                       `json:"version"`
+	Calibration colarm.CalibrationReport     `json:"calibration"`
+	Applied     []colarm.IndexRecommendation `json:"applied"`
+	Secondaries []colarm.SecondaryIndexInfo  `json:"secondaries"`
 }
 
 func (s *Server) handleAdvisorApply(w http.ResponseWriter, r *http.Request) {
@@ -206,9 +70,9 @@ func (s *Server) handleAdvisorApply(w http.ResponseWriter, r *http.Request) {
 		Dataset:     name,
 		Generation:  gen,
 		Version:     eng.Version(),
-		Calibration: toCalibrationJSON(cal),
-		Applied:     toRecommendationsJSON(applied),
-		Secondaries: toSecondariesJSON(eng.SecondaryIndexes()),
+		Calibration: cal,
+		Applied:     orEmpty(applied),
+		Secondaries: orEmpty(eng.SecondaryIndexes()),
 	})
 }
 
@@ -249,23 +113,20 @@ func (s *Server) advisorTick() {
 // the units the optimizer is pricing with right now and how far the
 // evidence says they have drifted.
 type advisorSummaryJSON struct {
-	LiveUnits         unitCostsJSON `json:"liveUnits"`
-	DriftScore        float64       `json:"driftScore"`
-	Recalibrations    uint64        `json:"recalibrations"`
-	LastRecalibration string        `json:"lastRecalibration,omitempty"`
-	SecondaryIndexes  int           `json:"secondaryIndexes"`
+	LiveUnits         colarm.UnitCosts `json:"liveUnits"`
+	DriftScore        float64          `json:"driftScore"`
+	Recalibrations    uint64           `json:"recalibrations"`
+	LastRecalibration *time.Time       `json:"lastRecalibration,omitempty"`
+	SecondaryIndexes  int              `json:"secondaryIndexes"`
 }
 
 func toAdvisorSummaryJSON(eng *colarm.Engine) advisorSummaryJSON {
 	rep := eng.Advisor()
-	out := advisorSummaryJSON{
-		LiveUnits:        toUnitCostsJSON(rep.Calibration.LiveUnits),
-		DriftScore:       rep.Calibration.DriftScore,
-		Recalibrations:   rep.Calibration.Swaps,
-		SecondaryIndexes: len(rep.Secondaries),
+	return advisorSummaryJSON{
+		LiveUnits:         rep.Calibration.LiveUnits,
+		DriftScore:        rep.Calibration.DriftScore,
+		Recalibrations:    rep.Calibration.Swaps,
+		LastRecalibration: rep.Calibration.LastSwap,
+		SecondaryIndexes:  len(rep.Secondaries),
 	}
-	if !rep.Calibration.LastSwap.IsZero() {
-		out.LastRecalibration = rep.Calibration.LastSwap.UTC().Format(time.RFC3339Nano)
-	}
-	return out
 }

@@ -108,7 +108,7 @@ func TestDatasetDetailAdvisorSummary(t *testing.T) {
 	if detail.Advisor.LiveUnits.WordOp <= 0 {
 		t.Fatalf("detail advisor summary missing live units: %+v", detail.Advisor)
 	}
-	if detail.Advisor.Recalibrations != 0 || detail.Advisor.LastRecalibration != "" {
+	if detail.Advisor.Recalibrations != 0 || detail.Advisor.LastRecalibration != nil {
 		t.Fatalf("fresh engine reports recalibrations: %+v", detail.Advisor)
 	}
 }

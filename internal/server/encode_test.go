@@ -79,8 +79,8 @@ func hostileEngine(t testing.TB) *colarm.Engine {
 
 // identityStats is what a hit reports: the execution's identity under
 // zeroed operator counters.
-func identityStats(st statsJSON) statsJSON {
-	return statsJSON{Plan: st.Plan, SubsetSize: st.SubsetSize, MinSupportCount: st.MinSupportCount}
+func identityStats(st colarm.Stats) colarm.Stats {
+	return colarm.Stats{Plan: st.Plan, SubsetSize: st.SubsetSize, MinSupportCount: st.MinSupportCount}
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -155,9 +155,9 @@ func TestMineBodiesMatchReference(t *testing.T) {
 				Dataset:    eng.Dataset().Name(),
 				Generation: gen,
 				Version:    eng.Version(),
-				Rules:      rulesJSON(res.Rules),
-				Stats:      toStatsJSON(res.Stats),
-				Estimates:  estimatesJSON(res.Estimates),
+				Rules:      orEmpty(res.Rules),
+				Stats:      res.Stats,
+				Estimates:  res.Estimates,
 			}
 			// Only the clock differs between two executions of one query.
 			ref.Stats.DurationNanos = miss.Stats.DurationNanos
@@ -181,13 +181,13 @@ func TestMineBodiesMatchReference(t *testing.T) {
 
 // requestOf round-trips a test's query map into the handler's request
 // type.
-func requestOf(t testing.TB, query map[string]any) *mineRequest {
+func requestOf(t testing.TB, query map[string]any) *queryBody {
 	t.Helper()
 	var req mineRequest
 	if err := json.Unmarshal(mustMarshal(t, query), &req); err != nil {
 		t.Fatal(err)
 	}
-	return &req
+	return &req.queryBody
 }
 
 // TestEncodeMineTable drives encodeMine with results no engine would
@@ -222,7 +222,7 @@ func TestEncodeMineTable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := mineResponse{Dataset: hostileName, Generation: 3, Version: math.MaxUint64,
-				Rules: rulesJSON(tc.rules), Stats: toStatsJSON(stats), Estimates: estimatesJSON(tc.ests), Trace: tc.trace}
+				Rules: orEmpty(tc.rules), Stats: stats, Estimates: tc.ests, Trace: tc.trace}
 			resp := ref
 			resp.Rules = nil
 			var buf bytes.Buffer
@@ -256,7 +256,7 @@ func TestEncodeMineTable(t *testing.T) {
 			t.Errorf("lift %v encoded without error", bad)
 		}
 		buf.Reset()
-		if _, _, _, err := encodeMine(&buf, mineResponse{Estimates: []estimateJSON{{Cost: bad}}}, nil, true); err == nil {
+		if _, _, _, err := encodeMine(&buf, mineResponse{Estimates: []colarm.PlanEstimate{{Cost: bad}}}, nil, true); err == nil {
 			t.Errorf("estimate cost %v encoded without error", bad)
 		}
 	}
@@ -472,7 +472,7 @@ var sink []byte
 // buffer, both envelopes, and the stored hit body.
 func BenchmarkMineMissEncode(b *testing.B) {
 	rules := syntheticRules(2000)
-	resp := mineResponse{Dataset: "chess", Generation: 1, Stats: toStatsJSON(colarm.Stats{Plan: colarm.ARM, SubsetSize: 799})}
+	resp := mineResponse{Dataset: "chess", Generation: 1, Stats: colarm.Stats{Plan: colarm.ARM, SubsetSize: 799}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

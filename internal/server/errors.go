@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"colarm"
@@ -21,6 +22,7 @@ const (
 	CodeBadRecordID         = "bad_record_id"
 	CodeBadTrack            = "bad_track"
 	CodeNotFound            = "not_found"
+	CodePayloadTooLarge     = "payload_too_large"
 	CodeRebuildInProgress   = "rebuild_in_progress"
 	CodeSubscriptionLimit   = "subscription_limit"
 	CodeOverloaded          = "overloaded"
@@ -57,6 +59,14 @@ type notFoundError struct{ err error }
 func (e notFoundError) Error() string { return e.err.Error() }
 func (e notFoundError) Unwrap() error { return e.err }
 
+// tooLargeError marks a request body over its route's size limit, the
+// error's value — 413.
+type tooLargeError int64
+
+func (e tooLargeError) Error() string {
+	return fmt.Sprintf("request body exceeds the %d-byte limit", int64(e))
+}
+
 // conflictError marks an ingest racing a background rebuild — 409,
 // with the dataset in the error details.
 type conflictError struct {
@@ -79,13 +89,14 @@ func (e conflictError) errorDetails() map[string]any {
 // The facade's typed validation errors (and explicitly tagged parse
 // failures) are the caller's fault — 400, with the sentinel's specific
 // code when one is in the chain; an unknown dataset or subscription is
-// 404; an ingest racing a rebuild is 409; admission or subscription
-// overflow is 429; a query that outran its deadline is 504; everything
-// else is an engine fault — 500/internal.
+// 404; an ingest racing a rebuild is 409; an oversize body is 413;
+// admission or subscription overflow is 429; a query that outran its
+// deadline is 504; everything else is an engine fault — 500/internal.
 func classify(err error) (status int, code string) {
 	var bad badRequestError
 	var missing notFoundError
 	var conflict conflictError
+	var tooLarge tooLargeError
 	switch {
 	case errors.Is(err, colarm.ErrUnknownAttribute):
 		return http.StatusBadRequest, CodeUnknownAttribute
@@ -105,6 +116,8 @@ func classify(err error) (status int, code string) {
 		return http.StatusNotFound, CodeNotFound
 	case errors.As(err, &conflict):
 		return http.StatusConflict, CodeRebuildInProgress
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 	case errors.Is(err, standing.ErrLimit):
 		return http.StatusTooManyRequests, CodeSubscriptionLimit
 	case errors.Is(err, errOverloaded):

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"colarm"
@@ -137,6 +138,55 @@ func TestErrorEnvelopeByRoute(t *testing.T) {
 		}
 	}
 
+	// A body must be one JSON value and fit its route's limit: anything
+	// after the value is 400 bad_request — and nothing of the first value
+	// is acted on — and an oversize body is 413 payload_too_large, not a
+	// decode error about its truncated head.
+	rawCases := []struct {
+		name, path, body string
+		status           int
+		code             string
+	}{
+		{"mine second value", "/v1/mine",
+			`{"dataset":"salary","minSupport":0.5,"minConfidence":0.9} {"bogus":1} trailing`,
+			http.StatusBadRequest, CodeBadRequest},
+		{"subscribe trailing text", "/v1/subscriptions",
+			`{"dataset":"salary","minSupport":0.5,"minConfidence":0.9}xyz`,
+			http.StatusBadRequest, CodeBadRequest},
+		{"ingest trailing brackets", "/v1/ingest",
+			`{"dataset":"salary","deletes":[1],"rebuild":"never"} ]]]`,
+			http.StatusBadRequest, CodeBadRequest},
+		{"mine oversize", "/v1/mine",
+			`{"dataset":"salary","minSupport":0.5,"minConfidence":0.9,"ql":"` + strings.Repeat(" ", maxQueryBody) + `"}`,
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"ingest oversize", "/v1/ingest",
+			`{"dataset":"salary","deletes":[1` + strings.Repeat(" ", maxIngestBody) + `]}`,
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+	}
+	for _, tc := range rawCases {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != tc.status || er.Error.Code != tc.code {
+			t.Errorf("%s: status %d code %q, want %d %q (body %s)", tc.name, w.Code, er.Error.Code, tc.status, tc.code, w.Body.String())
+		}
+	}
+	if eng, _, _ := s.reg.Get("salary"); eng.Version() != 0 || len(s.standing.List()) != 0 {
+		t.Errorf("a refused body was acted on: version %d, %d subscriptions", eng.Version(), len(s.standing.List()))
+	}
+	// Surrounding white space is not trailing data, and raw COLARM-QL
+	// bodies are not JSON at all.
+	for _, body := range []string{
+		" \n{\"dataset\":\"salary\",\"minSupport\":0.5,\"minConfidence\":0.9}\n\t ",
+		"REPORT LOCALIZED ASSOCIATION RULES FROM salary HAVING minsupport = 50% AND minconfidence = 90%;\n",
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/mine", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Errorf("body %q: status %d (%s)", body, w.Code, w.Body.String())
+		}
+	}
+
 	// Subscription limit: the cap is 2; the third create must carry
 	// subscription_limit.
 	for i := 0; i < 2; i++ {
@@ -172,6 +222,8 @@ func TestClassify(t *testing.T) {
 		{context.Canceled, 499, CodeClientClosedRequest},
 		{fmt.Errorf("wrapped: %w", colarm.ErrBadRecordID), http.StatusBadRequest, CodeBadRecordID},
 		{badRequestError{errors.New("x")}, http.StatusBadRequest, CodeBadRequest},
+		{tooLargeError(1 << 20), http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{badRequestError{fmt.Errorf("decoding JSON body: %w", colarm.ErrUnknownPlan)}, http.StatusBadRequest, CodeUnknownPlan},
 		{fmt.Errorf("%w %q", standing.ErrNoDataset, "d"), http.StatusNotFound, CodeNotFound},
 		{errors.New("boom"), http.StatusInternalServerError, CodeInternal},
 	}

@@ -76,7 +76,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 	// Queries over the stale engine keep answering (exactly, per the
 	// root-package differential test; here we just check they serve).
-	mw := postJSON(t, h, "/v1/mine", mineRequest{Dataset: "salary", MinSupport: 0.3, MinConfidence: 0.8})
+	mw := postJSON(t, h, "/v1/mine", mineRequest{queryBody: queryBody{Dataset: "salary", Query: colarm.Query{MinSupport: 0.3, MinConfidence: 0.8}}})
 	if mw.Code != http.StatusOK {
 		t.Fatalf("mine on stale engine: %d %s", mw.Code, mw.Body.String())
 	}
@@ -203,10 +203,8 @@ func TestConcurrentIngestMineReload(t *testing.T) {
 				default:
 				}
 				w := postJSON(t, h, "/v1/mine", mineRequest{
-					Dataset:       "salary",
-					MinSupport:    0.2 + 0.4*rng.Float64(),
-					MinConfidence: 0.8,
-					NoCache:       rng.Intn(2) == 0,
+					queryBody: queryBody{Dataset: "salary", Query: colarm.Query{MinSupport: 0.2 + 0.4*rng.Float64(), MinConfidence: 0.8}},
+					NoCache:   rng.Intn(2) == 0,
 				})
 				if w.Code != http.StatusOK {
 					fail <- fmt.Sprintf("mine: %d %s", w.Code, w.Body.String())

@@ -76,16 +76,24 @@ type DatasetInfo struct {
 	// Shards lists per-shard record counts and drift on a sharded
 	// engine (buffered inserts route by partition key); absent on a
 	// monolithic one.
-	Shards []ShardInfo `json:"shards,omitempty"`
+	Shards []colarm.ShardStaleness `json:"shards,omitempty"`
 }
 
-// ShardInfo is one shard's slice of a dataset's staleness.
-type ShardInfo struct {
-	Shard        int    `json:"shard"`
-	Records      int    `json:"records"`
-	BufferedRows int    `json:"bufferedRows"`
-	Tombstones   int    `json:"tombstones"`
-	Version      uint64 `json:"version"`
+// describe is the listing entry of one engine registered at generation
+// gen, reporting the drift st.
+func describe(eng *colarm.Engine, gen uint64, st colarm.Staleness) DatasetInfo {
+	ds := eng.Dataset()
+	return DatasetInfo{
+		Name:               ds.Name(),
+		Records:            ds.NumRecords(),
+		Attributes:         ds.Attributes(),
+		Partitions:         eng.NumPartitions(),
+		Generation:         gen,
+		BufferedRows:       st.BufferedRows,
+		Tombstones:         st.Tombstones,
+		RebuildRecommended: st.RebuildRecommended,
+		Shards:             st.Shards,
+	}
 }
 
 // List describes every registered engine, sorted by name.
@@ -93,29 +101,8 @@ func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]DatasetInfo, 0, len(r.byName))
-	for name, e := range r.byName {
-		ds := e.eng.Dataset()
-		st := e.eng.Staleness()
-		info := DatasetInfo{
-			Name:               name,
-			Records:            ds.NumRecords(),
-			Attributes:         ds.Attributes(),
-			Partitions:         e.eng.NumPartitions(),
-			Generation:         e.gen,
-			BufferedRows:       st.BufferedRows,
-			Tombstones:         st.Tombstones,
-			RebuildRecommended: st.RebuildRecommended,
-		}
-		for _, ss := range st.Shards {
-			info.Shards = append(info.Shards, ShardInfo{
-				Shard:        ss.Shard,
-				Records:      ss.Records,
-				BufferedRows: ss.BufferedRows,
-				Tombstones:   ss.Tombstones,
-				Version:      ss.Version,
-			})
-		}
-		out = append(out, info)
+	for _, e := range r.byName {
+		out = append(out, describe(e.eng, e.gen, e.eng.Staleness()))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -8,8 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"colarm"
+	"colarm/internal/standing"
 )
 
 // openAPIOperations reads api/openapi.yaml and returns the set of
@@ -79,6 +84,101 @@ func TestOpenAPIRouteCoverage(t *testing.T) {
 	for op := range documented {
 		if !served[op] {
 			t.Errorf("operation %q is documented but not served", op)
+		}
+	}
+}
+
+// openAPISchemaProperties reads api/openapi.yaml and returns, per
+// schema under components.schemas, the names under its "properties:" —
+// the same shallow, indentation-keyed scan as openAPIOperations.
+func openAPISchemaProperties(t *testing.T) map[string][]string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "api", "openapi.yaml"))
+	if err != nil {
+		t.Fatalf("opening OpenAPI document: %v", err)
+	}
+	props := make(map[string][]string)
+	top, schema, inSchemas, inProps := "", "", false, false
+	for _, line := range strings.Split(string(doc), "\n") {
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+			continue
+		}
+		key, _, isKey := strings.Cut(trimmed, ":")
+		switch indent := len(line) - len(strings.TrimLeft(line, " ")); {
+		case indent == 0:
+			top, inSchemas = key, false
+		case indent == 2:
+			inSchemas = top == "components" && key == "schemas"
+		case !inSchemas:
+		case indent == 4:
+			schema, inProps = key, false
+		case indent == 6:
+			inProps = key == "properties"
+		case indent == 8 && inProps && isKey:
+			props[schema] = append(props[schema], key)
+		}
+	}
+	return props
+}
+
+// jsonFieldNames lists the member names encoding/json gives a struct
+// type, embedded structs flattened as it flattens them.
+func jsonFieldNames(typ reflect.Type) []string {
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case name == "-":
+		case f.Anonymous && name == "" && f.Type.Kind() == reflect.Struct:
+			names = append(names, jsonFieldNames(f.Type)...)
+		case !f.IsExported():
+		case name == "":
+			names = append(names, f.Name)
+		default:
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// TestOpenAPISchemaCoverage holds each documented schema to the one Go
+// type that serves it: the schema's property names are exactly the JSON
+// member names of the type, so neither can gain, lose or rename a field
+// without the other. There is one type per schema to check because the
+// facade types are the wire types.
+func TestOpenAPISchemaCoverage(t *testing.T) {
+	documented := openAPISchemaProperties(t)
+	for schema, v := range map[string]any{
+		"Rule":                colarm.Rule{},
+		"Stats":               colarm.Stats{},
+		"Estimate":            colarm.PlanEstimate{},
+		"Staleness":           colarm.Staleness{},
+		"ShardStaleness":      colarm.ShardStaleness{},
+		"UnitCosts":           colarm.UnitCosts{},
+		"UnitDrift":           colarm.UnitDrift{},
+		"Guardrail":           colarm.GuardrailReport{},
+		"Calibration":         colarm.CalibrationReport{},
+		"Workload":            colarm.WorkloadStats{},
+		"IndexRecommendation": colarm.IndexRecommendation{},
+		"SecondaryIndex":      colarm.SecondaryIndexInfo{},
+		"Track":               standing.Track{},
+		"Crossing":            standing.Crossing{},
+		"Event":               standing.Event{},
+		"MineRequest":         mineRequest{},
+		"SubscribeRequest":    subscribeRequest{},
+	} {
+		want := append([]string(nil), documented[schema]...)
+		got := jsonFieldNames(reflect.TypeOf(v))
+		if len(want) == 0 {
+			t.Errorf("schema %s: not found in api/openapi.yaml", schema)
+			continue
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("schema %s and %T disagree:\n openapi: %v\n      go: %v", schema, v, want, got)
 		}
 	}
 }

@@ -65,6 +65,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -74,7 +75,6 @@ import (
 	"time"
 
 	"colarm"
-	"colarm/internal/colarmql"
 	"colarm/internal/obs"
 	"colarm/internal/standing"
 )
@@ -252,19 +252,22 @@ func (s *Server) Close() {
 	s.standing.Close()
 }
 
-// mineRequest is the JSON body of /v1/mine and /v1/explain. Exactly one
-// of QL (a COLARM-QL statement, also accepted as a raw text/plain body)
-// or the structured fields describes the query; Dataset routes the
-// structured form and is implied by QL's FROM clause.
+// queryBody is what every request that names a query carries: exactly
+// one of QL (a COLARM-QL statement) or the facade's structured Query
+// describes it; Dataset routes the structured form and is implied by
+// QL's FROM clause. The query's fields are colarm.Query's own, so a
+// field added to the facade type is accepted here with no further edit.
+type queryBody struct {
+	Dataset string `json:"dataset"`
+	QL      string `json:"ql,omitempty"`
+	colarm.Query
+}
+
+// mineRequest is the JSON body of /v1/mine and /v1/explain (a QL
+// statement is also accepted as a raw text/plain body): a query and the
+// request's options.
 type mineRequest struct {
-	Dataset        string              `json:"dataset"`
-	QL             string              `json:"ql,omitempty"`
-	Range          map[string][]string `json:"range,omitempty"`
-	ItemAttributes []string            `json:"itemAttributes,omitempty"`
-	MinSupport     float64             `json:"minSupport,omitempty"`
-	MinConfidence  float64             `json:"minConfidence,omitempty"`
-	MaxConsequent  int                 `json:"maxConsequent,omitempty"`
-	Plan           string              `json:"plan,omitempty"`
+	queryBody
 	// Timeout is a Go duration string ("250ms", "5s") lowering the
 	// server's per-query deadline for this request.
 	Timeout string `json:"timeout,omitempty"`
@@ -276,130 +279,115 @@ type mineRequest struct {
 	NoCache bool `json:"noCache,omitempty"`
 }
 
-type ruleJSON struct {
-	Antecedent      []string `json:"antecedent"`
-	Consequent      []string `json:"consequent"`
-	Support         float64  `json:"support"`
-	Confidence      float64  `json:"confidence"`
-	Lift            float64  `json:"lift"`
-	Cosine          float64  `json:"cosine"`
-	Kulczynski      float64  `json:"kulczynski"`
-	SupportCount    int      `json:"supportCount"`
-	AntecedentCount int      `json:"antecedentCount"`
-	SubsetSize      int      `json:"subsetSize"`
-}
-
-type statsJSON struct {
-	Plan            string `json:"plan"`
-	SubsetSize      int    `json:"subsetSize"`
-	MinSupportCount int    `json:"minSupportCount"`
-	RNodesVisited   int    `json:"rNodesVisited"`
-	REntriesChecked int    `json:"rEntriesChecked"`
-	Candidates      int    `json:"candidates"`
-	Contained       int    `json:"contained"`
-	PartialOverlap  int    `json:"partialOverlap"`
-	ItemFiltered    int    `json:"itemFiltered"`
-	SupportChecks   int    `json:"supportChecks"`
-	Eliminated      int    `json:"eliminated"`
-	Qualified       int    `json:"qualified"`
-	OracleCalls     int    `json:"oracleCalls"`
-	OracleMisses    int    `json:"oracleMisses"`
-	RulesEmitted    int    `json:"rulesEmitted"`
-	DurationNanos   int64  `json:"durationNanos"`
-}
-
-type estimateJSON struct {
-	Plan       string  `json:"plan"`
-	Cost       float64 `json:"cost"`
-	Candidates float64 `json:"candidates"`
-	Qualified  float64 `json:"qualified"`
-}
-
+// mineResponse places a colarm.Result on the wire: where the answer
+// sits, then the facade's own rules, stats and estimates.
 type mineResponse struct {
 	Dataset string `json:"dataset"`
 	// Generation and Version locate the answer on the dataset's
 	// (registry generation, delta version-clock) timeline, correlating
 	// it with ingest responses and standing-query events.
-	Generation uint64         `json:"generation"`
-	Version    uint64         `json:"version"`
-	Cached     bool           `json:"cached"`
-	Rules      []ruleJSON     `json:"rules"`
-	Stats      statsJSON      `json:"stats"`
-	Estimates  []estimateJSON `json:"estimates,omitempty"`
-	Trace      string         `json:"trace,omitempty"`
+	Generation uint64                `json:"generation"`
+	Version    uint64                `json:"version"`
+	Cached     bool                  `json:"cached"`
+	Rules      []colarm.Rule         `json:"rules"`
+	Stats      colarm.Stats          `json:"stats"`
+	Estimates  []colarm.PlanEstimate `json:"estimates,omitempty"`
+	Trace      string                `json:"trace,omitempty"`
 }
 
 type explainResponse struct {
-	Dataset    string         `json:"dataset"`
-	Generation uint64         `json:"generation"`
-	Version    uint64         `json:"version"`
-	Estimates  []estimateJSON `json:"estimates"`
+	Dataset    string                `json:"dataset"`
+	Generation uint64                `json:"generation"`
+	Version    uint64                `json:"version"`
+	Estimates  []colarm.PlanEstimate `json:"estimates"`
+}
+
+// Request body limits: a query is small; an ingest batch may carry
+// thousands of rows.
+const (
+	maxQueryBody  = 1 << 20
+	maxIngestBody = 8 << 20
+)
+
+// readBody reads the request body, refusing one over limit bytes with
+// 413 rather than decoding its first limit bytes.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err != nil {
+		return nil, badRequestError{fmt.Errorf("reading body: %w", err)}
+	}
+	if int64(len(body)) > limit {
+		return nil, tooLargeError(limit)
+	}
+	return body, nil
+}
+
+// decodeStrict decodes body, which must be exactly one JSON value of v's
+// shape: an unknown field is refused, and so is anything but white space
+// after the value — a client that sent more than one thing is not
+// answered as if it had sent the first.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequestError{fmt.Errorf("decoding JSON body: %w", err)}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestError{errors.New("decoding JSON body: unexpected data after the JSON value")}
+	}
+	return nil
+}
+
+// decodeBody is how every JSON request body is read: under a size
+// limit, strictly, into v.
+func decodeBody(r *http.Request, limit int64, v any) error {
+	body, err := readBody(r, limit)
+	if err != nil {
+		return err
+	}
+	return decodeStrict(body, v)
 }
 
 // parseRequest decodes the request body into the engine-independent
 // parts of a mine request: JSON bodies directly, raw COLARM-QL bodies
 // (text/plain, or any body not starting with '{') into the QL field.
 func parseRequest(r *http.Request) (*mineRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := readBody(r, maxQueryBody)
 	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		return nil, err
 	}
-	trimmed := strings.TrimSpace(string(body))
-	if trimmed == "" {
-		return nil, fmt.Errorf("empty request body")
+	body = bytes.TrimSpace(body)
+	if len(body) == 0 {
+		return nil, badRequestError{errors.New("empty request body")}
 	}
-	if strings.HasPrefix(trimmed, "{") {
-		var req mineRequest
-		dec := json.NewDecoder(strings.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, fmt.Errorf("decoding JSON body: %w", err)
-		}
-		return &req, nil
+	var req mineRequest
+	if body[0] != '{' {
+		req.QL = string(body) // a raw COLARM-QL statement
+	} else if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
-	// A raw COLARM-QL statement.
-	return &mineRequest{QL: trimmed}, nil
+	return &req, nil
 }
 
-// resolve turns a parsed request into the engine, its generation and
-// the query to run. QL requests route by their FROM clause.
-func (s *Server) resolve(req *mineRequest) (*colarm.Engine, uint64, colarm.Query, error) {
-	var q colarm.Query
-	name := req.Dataset
-	if req.QL != "" {
-		st, err := colarmql.Parse(req.QL)
+// resolve turns a request's query into the engine, its generation and
+// the query to run. A QL statement is parsed here, once, and routes by
+// its FROM clause; nothing past this point sees its text.
+func (s *Server) resolve(b *queryBody) (*colarm.Engine, uint64, colarm.Query, error) {
+	name, q := b.Dataset, b.Query
+	if b.QL != "" {
+		from, parsed, err := colarm.ParseQL(b.QL)
 		if err != nil {
 			return nil, 0, q, badRequestError{err}
 		}
-		if name != "" && !strings.EqualFold(name, st.Dataset) {
-			return nil, 0, q, badRequestError{fmt.Errorf("dataset field %q disagrees with FROM clause %q", name, st.Dataset)}
+		if name != "" && !strings.EqualFold(name, from) {
+			return nil, 0, q, badRequestError{fmt.Errorf("dataset field %q disagrees with FROM clause %q", name, from)}
 		}
-		name = st.Dataset
+		name, q = from, parsed
 	}
 	eng, gen, err := s.reg.Get(name)
 	if err != nil {
 		return nil, 0, q, notFoundError{err}
 	}
-	if req.QL != "" {
-		q, err = eng.ParseQuery(req.QL)
-		if err != nil {
-			return nil, 0, q, err
-		}
-	} else {
-		plan, err := colarm.ParsePlan(req.Plan)
-		if err != nil {
-			return nil, 0, q, err
-		}
-		q = colarm.Query{
-			Range:          req.Range,
-			ItemAttributes: req.ItemAttributes,
-			MinSupport:     req.MinSupport,
-			MinConfidence:  req.MinConfidence,
-			MaxConsequent:  req.MaxConsequent,
-			Plan:           plan,
-		}
-	}
-	q.Trace = req.Trace
 	if err := q.Validate(); err != nil {
 		return nil, 0, q, err
 	}
@@ -431,14 +419,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	s.requests["mine"].Inc()
 	req, err := parseRequest(r)
 	if err != nil {
-		s.fail(w, "mine", badRequestError{err})
+		s.fail(w, "mine", err)
 		return
 	}
-	eng, gen, q, err := s.resolve(req)
+	eng, gen, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "mine", err)
 		return
 	}
+	q.Trace = req.Trace
 	name := eng.Dataset().Name()
 	ver := eng.Version()
 
@@ -475,8 +464,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		Dataset:    name,
 		Generation: gen,
 		Version:    eng.Version(),
-		Stats:      toStatsJSON(res.Stats),
-		Estimates:  estimatesJSON(res.Estimates),
+		Stats:      res.Stats,
+		Estimates:  res.Estimates,
 	}
 	if res.Trace != nil {
 		resp.Trace = res.Trace.Tree()
@@ -503,15 +492,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // result sends: cached:true and only the execution's identity left in
 // stats. resp.Rules is ignored.
 func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
-	if err := encodeJSON(buf, rulesJSON(rules)); err != nil {
+	if err := encodeJSON(buf, orEmpty(rules)); err != nil {
 		return nil, nil, nil, fmt.Errorf("encoding rules: %w", err)
 	}
-	resp.Rules = []ruleJSON{}
+	resp.Rules = []colarm.Rule{}
 	if head, tail, err = cutRules(resp); err != nil || !fill {
 		return head, tail, nil, err
 	}
 	resp.Cached = true
-	resp.Stats = statsJSON{Plan: resp.Stats.Plan, SubsetSize: resp.Stats.SubsetSize, MinSupportCount: resp.Stats.MinSupportCount}
+	resp.Stats = colarm.Stats{Plan: resp.Stats.Plan, SubsetSize: resp.Stats.SubsetSize, MinSupportCount: resp.Stats.MinSupportCount}
 	hitHead, hitTail, err := cutRules(resp)
 	if err != nil {
 		return nil, nil, nil, err
@@ -547,10 +536,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.requests["explain"].Inc()
 	req, err := parseRequest(r)
 	if err != nil {
-		s.fail(w, "explain", badRequestError{err})
+		s.fail(w, "explain", err)
 		return
 	}
-	eng, gen, q, err := s.resolve(req)
+	eng, gen, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "explain", err)
 		return
@@ -570,7 +559,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Dataset:    eng.Dataset().Name(),
 		Generation: gen,
 		Version:    eng.Version(),
-		Estimates:  estimatesJSON(ests),
+		Estimates:  ests,
 	})
 }
 
@@ -587,7 +576,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 type datasetDetail struct {
 	DatasetInfo
 	Version       uint64              `json:"version"`
-	Staleness     stalenessJSON       `json:"staleness"`
+	Staleness     colarm.Staleness    `json:"staleness"`
 	Domains       map[string][]string `json:"domains"`
 	Subscriptions int                 `json:"subscriptions"`
 	// Advisor summarizes the self-tuning optimizer: the live-calibrated
@@ -607,28 +596,10 @@ func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 	ds := eng.Dataset()
 	st := eng.Staleness()
 	detail := datasetDetail{
-		DatasetInfo: DatasetInfo{
-			Name:               name,
-			Records:            ds.NumRecords(),
-			Attributes:         ds.Attributes(),
-			Partitions:         eng.NumPartitions(),
-			Generation:         gen,
-			BufferedRows:       st.BufferedRows,
-			Tombstones:         st.Tombstones,
-			RebuildRecommended: st.RebuildRecommended,
-		},
-		Version:   st.Version,
-		Staleness: toStalenessJSON(st),
-		Domains:   make(map[string][]string, len(ds.Attributes())),
-	}
-	for _, ss := range st.Shards {
-		detail.Shards = append(detail.Shards, ShardInfo{
-			Shard:        ss.Shard,
-			Records:      ss.Records,
-			BufferedRows: ss.BufferedRows,
-			Tombstones:   ss.Tombstones,
-			Version:      ss.Version,
-		})
+		DatasetInfo: describe(eng, gen, st),
+		Version:     st.Version,
+		Staleness:   st,
+		Domains:     make(map[string][]string, len(ds.Attributes())),
 	}
 	for _, a := range ds.Attributes() {
 		vals, _ := ds.Values(a)
@@ -656,71 +627,23 @@ type ingestRequest struct {
 	Rebuild string              `json:"rebuild,omitempty"`
 }
 
-type stalenessJSON struct {
-	BufferedRows       int    `json:"bufferedRows"`
-	Tombstones         int    `json:"tombstones"`
-	Version            uint64 `json:"version"`
-	OverheadNanos      int64  `json:"overheadNanos"`
-	RebuildCostNanos   int64  `json:"rebuildCostNanos"`
-	RebuildRecommended bool   `json:"rebuildRecommended"`
-	// Shards breaks the drift down per shard on a sharded engine;
-	// absent on monolithic ones.
-	Shards []shardStalenessJSON `json:"shards,omitempty"`
-}
-
-type shardStalenessJSON struct {
-	Shard        int    `json:"shard"`
-	Records      int    `json:"records"`
-	BufferedRows int    `json:"bufferedRows"`
-	Tombstones   int    `json:"tombstones"`
-	Version      uint64 `json:"version"`
-}
-
 type ingestResponse struct {
-	Dataset    string        `json:"dataset"`
-	Inserted   int           `json:"inserted"`
-	Deleted    int           `json:"deleted"`
-	Generation uint64        `json:"generation"`
-	Version    uint64        `json:"version"`
-	Staleness  stalenessJSON `json:"staleness"`
+	Dataset    string           `json:"dataset"`
+	Inserted   int              `json:"inserted"`
+	Deleted    int              `json:"deleted"`
+	Generation uint64           `json:"generation"`
+	Version    uint64           `json:"version"`
+	Staleness  colarm.Staleness `json:"staleness"`
 	// RebuildStarted reports that this request kicked off a background
 	// rebuild; the dataset's generation bumps when it swaps in.
 	RebuildStarted bool `json:"rebuildStarted"`
 }
 
-func toStalenessJSON(st colarm.Staleness) stalenessJSON {
-	out := stalenessJSON{
-		BufferedRows:       st.BufferedRows,
-		Tombstones:         st.Tombstones,
-		Version:            st.Version,
-		OverheadNanos:      st.Overhead.Nanoseconds(),
-		RebuildCostNanos:   st.RebuildCost.Nanoseconds(),
-		RebuildRecommended: st.RebuildRecommended,
-	}
-	for _, ss := range st.Shards {
-		out.Shards = append(out.Shards, shardStalenessJSON{
-			Shard:        ss.Shard,
-			Records:      ss.Records,
-			BufferedRows: ss.BufferedRows,
-			Tombstones:   ss.Tombstones,
-			Version:      ss.Version,
-		})
-	}
-	return out
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.requests["ingest"].Inc()
 	var req ingestRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		s.fail(w, "ingest", badRequestError{fmt.Errorf("reading body: %w", err)})
-		return
-	}
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, "ingest", badRequestError{fmt.Errorf("decoding JSON body: %w", err)})
+	if err := decodeBody(r, maxIngestBody, &req); err != nil {
+		s.fail(w, "ingest", err)
 		return
 	}
 	switch req.Rebuild {
@@ -767,7 +690,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Deleted:        len(req.Deletes),
 		Generation:     gen,
 		Version:        st.Version,
-		Staleness:      toStalenessJSON(st),
+		Staleness:      st,
 		RebuildStarted: started,
 	})
 }
@@ -851,58 +774,11 @@ func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
 	}
 }
 
-func rulesJSON(rs []colarm.Rule) []ruleJSON {
-	out := make([]ruleJSON, len(rs))
-	for i, r := range rs {
-		out[i] = ruleJSON{
-			Antecedent:      r.Antecedent,
-			Consequent:      r.Consequent,
-			Support:         r.Support,
-			Confidence:      r.Confidence,
-			Lift:            r.Lift,
-			Cosine:          r.Cosine,
-			Kulczynski:      r.Kulczynski,
-			SupportCount:    r.SupportCount,
-			AntecedentCount: r.AntecedentCount,
-			SubsetSize:      r.SubsetSize,
-		}
+// orEmpty is s, or the empty slice when s is nil: the wire says [] for a
+// list with nothing in it, never null, so clients range without a check.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
 	}
-	return out
-}
-
-func toStatsJSON(st colarm.Stats) statsJSON {
-	return statsJSON{
-		Plan:            st.Plan.String(),
-		SubsetSize:      st.SubsetSize,
-		MinSupportCount: st.MinSupportCount,
-		RNodesVisited:   st.RNodesVisited,
-		REntriesChecked: st.REntriesChecked,
-		Candidates:      st.Candidates,
-		Contained:       st.Contained,
-		PartialOverlap:  st.PartialOverlap,
-		ItemFiltered:    st.ItemFiltered,
-		SupportChecks:   st.SupportChecks,
-		Eliminated:      st.Eliminated,
-		Qualified:       st.Qualified,
-		OracleCalls:     st.OracleCalls,
-		OracleMisses:    st.OracleMisses,
-		RulesEmitted:    st.RulesEmitted,
-		DurationNanos:   st.DurationNanos,
-	}
-}
-
-func estimatesJSON(ests []colarm.PlanEstimate) []estimateJSON {
-	if len(ests) == 0 {
-		return nil
-	}
-	out := make([]estimateJSON, len(ests))
-	for i, e := range ests {
-		out[i] = estimateJSON{
-			Plan:       e.Plan.String(),
-			Cost:       e.Cost,
-			Candidates: e.Candidates,
-			Qualified:  e.Qualified,
-		}
-	}
-	return out
+	return s
 }

@@ -5,42 +5,27 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
-	"colarm"
 	"colarm/internal/standing"
 )
 
 // subscribeRequest is the JSON body of POST /v1/subscriptions: the
-// same query shape as /v1/mine (structured fields or a COLARM-QL
-// statement) plus an optional tracked-measure threshold.
+// same query as /v1/mine (structured fields or a COLARM-QL statement)
+// plus an optional tracked-measure threshold.
 type subscribeRequest struct {
-	Dataset        string              `json:"dataset"`
-	QL             string              `json:"ql,omitempty"`
-	Range          map[string][]string `json:"range,omitempty"`
-	ItemAttributes []string            `json:"itemAttributes,omitempty"`
-	MinSupport     float64             `json:"minSupport,omitempty"`
-	MinConfidence  float64             `json:"minConfidence,omitempty"`
-	MaxConsequent  int                 `json:"maxConsequent,omitempty"`
-	Plan           string              `json:"plan,omitempty"`
-	Track          *trackJSON          `json:"track,omitempty"`
-}
-
-type trackJSON struct {
-	Measure   string  `json:"measure"`
-	Threshold float64 `json:"threshold"`
+	queryBody
+	Track *standing.Track `json:"track,omitempty"`
 }
 
 // subscriptionJSON describes one subscription resource.
 type subscriptionJSON struct {
-	ID      string     `json:"id"`
-	Dataset string     `json:"dataset"`
-	Query   string     `json:"query"` // canonical form
-	Track   *trackJSON `json:"track,omitempty"`
+	ID      string          `json:"id"`
+	Dataset string          `json:"dataset"`
+	Query   string          `json:"query"` // canonical form
+	Track   *standing.Track `json:"track,omitempty"`
 	// Events is the subscription's event-stream path.
 	Events string `json:"events"`
 	// Generation and Version locate the dataset when the response was
@@ -54,10 +39,8 @@ func (s *Server) subscriptionJSON(sub *standing.Subscription) subscriptionJSON {
 		ID:      sub.ID(),
 		Dataset: sub.Dataset(),
 		Query:   sub.Query().Canonical(),
+		Track:   sub.Track(),
 		Events:  "/v1/subscriptions/" + sub.ID() + "/events",
-	}
-	if tr := sub.Track(); tr != nil {
-		out.Track = &trackJSON{Measure: tr.Measure, Threshold: tr.Threshold}
 	}
 	if eng, gen, err := s.reg.Get(sub.Dataset()); err == nil {
 		out.Generation = gen
@@ -68,37 +51,17 @@ func (s *Server) subscriptionJSON(sub *standing.Subscription) subscriptionJSON {
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.requests["subscriptions"].Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.fail(w, "subscriptions", badRequestError{fmt.Errorf("reading body: %w", err)})
-		return
-	}
 	var req subscribeRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, "subscriptions", badRequestError{fmt.Errorf("decoding JSON body: %w", err)})
+	if err := decodeBody(r, maxQueryBody, &req); err != nil {
+		s.fail(w, "subscriptions", err)
 		return
 	}
-	eng, _, q, err := s.resolve(&mineRequest{
-		Dataset:        req.Dataset,
-		QL:             req.QL,
-		Range:          req.Range,
-		ItemAttributes: req.ItemAttributes,
-		MinSupport:     req.MinSupport,
-		MinConfidence:  req.MinConfidence,
-		MaxConsequent:  req.MaxConsequent,
-		Plan:           req.Plan,
-	})
+	eng, _, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "subscriptions", err)
 		return
 	}
-	var track *standing.Track
-	if req.Track != nil {
-		track = &standing.Track{Measure: req.Track.Measure, Threshold: req.Track.Threshold}
-	}
-	sub, err := s.standing.Create(r.Context(), eng.Dataset().Name(), q, track)
+	sub, err := s.standing.Create(r.Context(), eng.Dataset().Name(), q, req.Track)
 	if err != nil {
 		s.fail(w, "subscriptions", err)
 		return
@@ -138,63 +101,9 @@ func (s *Server) handleSubscriptionDelete(w http.ResponseWriter, r *http.Request
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// eventJSON is the wire form of a standing.Event, with rules rendered
-// like /v1/mine renders them.
-type eventJSON struct {
-	Seq         uint64         `json:"seq"`
-	Type        string         `json:"type"`
-	Dataset     string         `json:"dataset"`
-	Generation  uint64         `json:"generation"`
-	FromVersion uint64         `json:"fromVersion"`
-	ToVersion   uint64         `json:"toVersion"`
-	Rules       []ruleJSON     `json:"rules,omitempty"`
-	Appeared    []ruleJSON     `json:"appeared,omitempty"`
-	Disappeared []ruleJSON     `json:"disappeared,omitempty"`
-	Updated     []ruleJSON     `json:"updated,omitempty"`
-	Crossed     []crossingJSON `json:"crossed,omitempty"`
-	Reason      string         `json:"reason,omitempty"`
-}
-
-type crossingJSON struct {
-	Rule      ruleJSON `json:"rule"`
-	Measure   string   `json:"measure"`
-	Threshold float64  `json:"threshold"`
-	Direction string   `json:"direction"`
-	Previous  float64  `json:"previous"`
-	Current   float64  `json:"current"`
-}
-
-func toEventJSON(ev standing.Event) eventJSON {
-	out := eventJSON{
-		Seq:         ev.Seq,
-		Type:        ev.Type,
-		Dataset:     ev.Dataset,
-		Generation:  ev.Generation,
-		FromVersion: ev.FromVersion,
-		ToVersion:   ev.ToVersion,
-		Rules:       rulesJSON(ev.Rules),
-		Appeared:    rulesJSON(ev.Appeared),
-		Disappeared: rulesJSON(ev.Disappeared),
-		Updated:     rulesJSON(ev.Updated),
-		Reason:      ev.Reason,
-	}
-	if len(ev.Rules) == 0 {
-		out.Rules = nil
-	}
-	for _, cr := range ev.Crossed {
-		out.Crossed = append(out.Crossed, crossingJSON{
-			Rule:      rulesJSON([]colarm.Rule{cr.Rule})[0],
-			Measure:   cr.Measure,
-			Threshold: cr.Threshold,
-			Direction: cr.Direction,
-			Previous:  cr.Previous,
-			Current:   cr.Current,
-		})
-	}
-	return out
-}
-
-// handleSubscriptionEvents streams a subscription's events. With a
+// handleSubscriptionEvents streams a subscription's events, each the
+// JSON form of the standing.Event the tracker appended — the manager's
+// event type is the wire's, its rules colarm.Rule as on /v1/mine. With a
 // "wait" query parameter it long-polls: one JSON response with the
 // events past "after" (empty after the wait expires). Otherwise it is
 // an SSE stream: each event is written as id/event/data frames, the
@@ -252,7 +161,7 @@ func (s *Server) handleSubscriptionEvents(w http.ResponseWriter, r *http.Request
 				// can be exercised deterministically.
 				time.Sleep(s.sseDelay)
 			}
-			data, merr := json.Marshal(toEventJSON(ev))
+			data, merr := json.Marshal(ev)
 			if merr != nil {
 				return
 			}
@@ -301,12 +210,8 @@ func (s *Server) longPoll(w http.ResponseWriter, sub *standing.Subscription, aft
 		s.fail(w, "events", err)
 		return
 	}
-	out := make([]eventJSON, 0, len(evs))
-	for _, ev := range evs {
-		out = append(out, toEventJSON(ev))
-	}
 	s.writeJSON(w, http.StatusOK, struct {
-		Subscription string      `json:"subscription"`
-		Events       []eventJSON `json:"events"`
-	}{sub.ID(), out})
+		Subscription string           `json:"subscription"`
+		Events       []standing.Event `json:"events"`
+	}{sub.ID(), orEmpty(evs)})
 }

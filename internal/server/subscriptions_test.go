@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"colarm"
+	"colarm/internal/standing"
 )
 
 // seattleSub subscribes to the Seattle focal region; the canonical
@@ -50,7 +53,7 @@ func createSub(t testing.TB, h http.Handler, body map[string]any) subscriptionJS
 }
 
 // poll long-polls the subscription's event stream once.
-func poll(t testing.TB, h http.Handler, id string, after uint64, wait string) []eventJSON {
+func poll(t testing.TB, h http.Handler, id string, after uint64, wait string) []standing.Event {
 	t.Helper()
 	req := httptest.NewRequest("GET",
 		fmt.Sprintf("/v1/subscriptions/%s/events?after=%d&wait=%s", id, after, wait), nil)
@@ -60,7 +63,7 @@ func poll(t testing.TB, h http.Handler, id string, after uint64, wait string) []
 		t.Fatalf("poll: status %d, body %s", w.Code, w.Body.String())
 	}
 	var resp struct {
-		Events []eventJSON `json:"events"`
+		Events []standing.Event `json:"events"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -219,9 +222,9 @@ func (c *sseClient) close() { c.resp.Body.Close() }
 
 // next reads one SSE event frame (skipping heartbeat comments), or
 // reports stream end.
-func (c *sseClient) next(t testing.TB) (eventJSON, bool) {
+func (c *sseClient) next(t testing.TB) (standing.Event, bool) {
 	t.Helper()
-	var ev eventJSON
+	var ev standing.Event
 	var data []byte
 	seen := false
 	for c.sc.Scan() {
@@ -302,12 +305,12 @@ func TestSSEStreamAndResume(t *testing.T) {
 	// the pre-swap diff, the epoch, and the post-swap diff, and fold to
 	// exactly the current /v1/mine answer.
 	c = dialSSE(t, ts.URL, sub.ID, lastSeen)
-	state := make(map[string]ruleJSON)
+	state := make(map[string]colarm.Rule)
 	res := decodeMine(t, postJSON(t, h, "/v1/mine", seattleSub))
 	for _, r := range res.Rules {
 		state[ruleKeyJSON(r)] = r
 	}
-	got := make(map[string]ruleJSON)
+	got := make(map[string]colarm.Rule)
 	// Seed from the pre-disconnect state (snapshot + first diff).
 	seedEvs := poll(t, h, sub.ID, 0, "1s")
 	if len(seedEvs) < 2 {
@@ -333,11 +336,11 @@ func TestSSEStreamAndResume(t *testing.T) {
 	c.close()
 }
 
-func ruleKeyJSON(r ruleJSON) string {
+func ruleKeyJSON(r colarm.Rule) string {
 	return strings.Join(r.Antecedent, "\x1f") + "\x1e" + strings.Join(r.Consequent, "\x1f")
 }
 
-func applyEvent(state map[string]ruleJSON, ev eventJSON) {
+func applyEvent(state map[string]colarm.Rule, ev standing.Event) {
 	switch ev.Type {
 	case "snapshot":
 		for k := range state {
@@ -359,7 +362,7 @@ func applyEvent(state map[string]ruleJSON, ev eventJSON) {
 	}
 }
 
-func mapsEqualJSON(a, b map[string]ruleJSON) bool {
+func mapsEqualJSON(a, b map[string]colarm.Rule) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -49,9 +49,12 @@ type Config struct {
 	Workers int
 }
 
-// ShardStat is one shard's slice of the engine's staleness surface,
-// served per shard by /v1/datasets so operators see which partitions
-// are drifting.
+// ShardStat is one shard's slice of the engine's staleness surface. The
+// facade exports it as colarm.ShardStaleness, and the first five fields
+// are what /v1/ingest, /v1/datasets and /v1/datasets/{name} serve per
+// shard, under these tags, so operators see which partitions are
+// drifting; the catalog figures stay in process (the
+// colarm_shard_index_* metrics report them).
 type ShardStat struct {
 	// Shard is the shard number in [0, K).
 	Shard int `json:"shard"`
@@ -59,7 +62,7 @@ type ShardStat struct {
 	// (base minus tombstones plus buffered inserts routed here).
 	Records int `json:"records"`
 	// BufferedRows counts live buffered inserts routed to this shard.
-	BufferedRows int `json:"buffered_rows"`
+	BufferedRows int `json:"bufferedRows"`
 	// Tombstones counts deletions of records this shard owns.
 	Tombstones int `json:"tombstones"`
 	// Version is the shard's clock: it ticks on every ingest batch that
@@ -69,10 +72,10 @@ type ShardStat struct {
 	// IndexedCFIs counts the local CFIs of the shard's cached catalog;
 	// 0 when the shard has never been mined (no scatter-mode surface or
 	// consolidation touched it yet).
-	IndexedCFIs int `json:"indexed_cfis"`
+	IndexedCFIs int `json:"-"`
 	// IndexBuildNanos is the wall-clock cost of the shard's last
 	// threshold-1 mining.
-	IndexBuildNanos int64 `json:"index_build_nanos"`
+	IndexBuildNanos int64 `json:"-"`
 }
 
 // Collection partitions one engine's records into K hash-routed shards.
@@ -82,7 +85,8 @@ type ShardStat struct {
 // store's surfaces with, per-shard version clocks, the scatter catalog
 // (per-shard mining + closure merge), and ghost-preserving
 // consolidation. Lock order is Collection.mu, then Store.mu (the store
-// never calls back out).
+// calls back out only into ShardStats' routing closures, which touch
+// neither lock).
 type Collection struct {
 	idx     *mip.Index
 	store   *delta.Store
@@ -343,10 +347,11 @@ func (c *Collection) partition(live *bitset.Set, tidsets []*bitset.Set, capN int
 // ShardStats reports per-shard staleness: live record counts, buffered
 // inserts and tombstones routed to each shard, and the shard clocks.
 // The totals across shards equal the store's global Staleness counters.
+// Every ingest acknowledgement and dataset listing asks, so the buffered
+// delta is routed where it lies in the store, never copied out.
 func (c *Collection) ShardStats() []ShardStat {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows, deletes := c.store.Snapshot()
 	baseN := c.idx.Dataset.NumRecords()
 	stats := make([]ShardStat, c.router.Shards())
 	for s := range stats {
@@ -360,21 +365,19 @@ func (c *Collection) ShardStats() []ShardStat {
 			stats[s].IndexBuildNanos = si.BuildNanos
 		}
 	}
-	for i := range rows {
-		s := c.router.Of(baseN + i)
+	c.store.EachChange(func(id int) {
+		s := c.router.Of(id)
 		stats[s].Records++
 		stats[s].BufferedRows++
-	}
-	for _, id := range deletes {
+	}, func(id int) {
 		s := c.router.Of(id)
 		stats[s].Tombstones++
-		if id >= baseN {
-			stats[s].Records--
-			stats[s].BufferedRows--
-		} else if c.frozen.Slices[s].Records.Contains(id) {
+		// A deleted buffered row was never counted; a ghost of an
+		// earlier consolidation is outside its shard's frozen slice.
+		if id < baseN && c.frozen.Slices[s].Records.Contains(id) {
 			stats[s].Records--
 		}
-	}
+	})
 	return stats
 }
 

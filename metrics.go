@@ -58,38 +58,13 @@ func (e *Engine) MetricsHandler() http.Handler {
 // accuracy, fed by queries mined with Query.Trace set on an engine
 // opened with Options.TrackAccuracy (each such query re-executes all
 // six plans and compares the optimizer's pick against the empirically
-// cheapest one).
-type AccuracyReport struct {
-	// Tolerance is the regret fraction under which a mispredicted
-	// choice still counts as correct (the paper's §5.1 methodology
-	// uses 5%).
-	Tolerance float64
-	// Queries and Correct count the scored queries and the choices
-	// deemed correct.
-	Queries int
-	Correct int
-	// MissRegretMax and MissRegretAvg summarize the extra-cost
-	// fraction over the best plan across genuinely missed choices.
-	MissRegretMax float64
-	MissRegretAvg float64
-}
-
-// Accuracy returns Correct/Queries, or 0 with no scored queries.
-func (r AccuracyReport) Accuracy() float64 {
-	if r.Queries == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Queries)
-}
+// cheapest one): Queries scored and Correct choices under Tolerance (the
+// regret fraction a mispredicted choice may cost and still count, the
+// paper's §5.1 methodology uses 5%), MissRegretMax/Avg over the missed
+// ones, and the Accuracy method for Correct/Queries.
+type AccuracyReport = obs.AccuracyReport
 
 // AccuracyReport returns the engine's running plan-choice accuracy.
 func (e *Engine) AccuracyReport() AccuracyReport {
-	rep := e.eng.Accuracy.Report()
-	return AccuracyReport{
-		Tolerance:     rep.Tolerance,
-		Queries:       rep.Queries,
-		Correct:       rep.Correct,
-		MissRegretMax: rep.MissRegretMax,
-		MissRegretAvg: rep.MissRegretAvg,
-	}
+	return e.eng.Accuracy.Report()
 }
