@@ -129,11 +129,6 @@ type Options struct {
 	// Calibrate micro-benchmarks the cost model's unit costs on this
 	// machine; when false, hardware-typical defaults are used.
 	Calibrate bool
-	// CheckMode selects the record-level support check implementation:
-	// "auto" (default: per-query cheaper choice), "scan" (proportional
-	// to the focal subset size, the paper's cost structure) or
-	// "bitmap" (proportional to the dataset size).
-	CheckMode string
 	// Workers bounds the goroutines a single query fans its parallel
 	// operator sections (ELIMINATE support checks, VERIFY rule
 	// generation) out to: 0 means one per logical CPU (GOMAXPROCS),
@@ -295,16 +290,11 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	if opts.Packing == Morton {
 		packing = rtree.MortonPacking
 	}
-	mode, err := plans.ParseCheckMode(opts.CheckMode)
-	if err != nil {
-		return nil, err
-	}
 	eng, err := core.NewEngine(ds.rel, core.Options{
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
 		Packing:        packing,
 		CalibrateUnits: opts.Calibrate,
-		CheckMode:      mode,
 		Workers:        opts.Workers,
 		AccuracyTol:    opts.AccuracyTolerance,
 		Metrics:        opts.Metrics.registry(),

@@ -22,7 +22,6 @@ import (
 	"colarm/internal/core"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
-	"colarm/internal/obs"
 	"colarm/internal/plans"
 	"colarm/internal/relation"
 )
@@ -122,13 +121,6 @@ type Env struct {
 
 // Setup generates the dataset and builds the engine.
 func Setup(spec DatasetSpec) (*Env, error) {
-	return SetupWith(spec, nil)
-}
-
-// SetupWith is Setup with the engine's metrics registered in a shared
-// registry (nil gives the engine a private one), so one scrape endpoint
-// can expose every benchmark dataset's counters side by side.
-func SetupWith(spec DatasetSpec, reg *obs.Registry) (*Env, error) {
 	d, err := datagen.Generate(spec.Config)
 	if err != nil {
 		return nil, err
@@ -140,7 +132,6 @@ func SetupWith(spec DatasetSpec, reg *obs.Registry) (*Env, error) {
 		// their cost — and the figures' |D^Q| scaling — follows
 		// ScanCheck semantics.
 		CheckMode: plans.ScanCheck,
-		Metrics:   reg,
 	})
 	if err != nil {
 		return nil, err

@@ -137,33 +137,6 @@ func PrintFig13(w io.Writer, dataset string, rows []Fig13Row) {
 	fmt.Fprintln(w)
 }
 
-// PrintConcurrent renders a concurrent-clients comparison: one row per
-// configuration with throughput and latency percentiles, plus the
-// throughput speedup of every row over the first (the serial baseline).
-func PrintConcurrent(w io.Writer, dataset string, rows []ConcurrentResult) {
-	fmt.Fprintf(w, "Concurrent serving — %s (queries through the cost-based optimizer)\n", dataset)
-	fmt.Fprintf(w, "  %-8s %-8s %8s %12s %10s %10s %10s %9s\n",
-		"clients", "workers", "queries", "qps", "p50", "p99", "max", "speedup")
-	var base float64
-	for i, r := range rows {
-		if i == 0 {
-			base = r.Throughput
-		}
-		workers := fmt.Sprintf("%d", r.Workers)
-		if r.Workers == 0 {
-			workers = "ncpu"
-		}
-		speedup := "-"
-		if i > 0 && base > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.Throughput/base)
-		}
-		fmt.Fprintf(w, "  %-8d %-8s %8d %12.1f %10s %10s %10s %9s\n",
-			r.Clients, workers, r.Queries, r.Throughput,
-			fmtDur(r.P50), fmtDur(r.P99), fmtDur(r.Max), speedup)
-	}
-	fmt.Fprintln(w)
-}
-
 // PrintSimpson renders the Section 5.3 anecdote report.
 func PrintSimpson(w io.Writer, rep *SimpsonReport) {
 	fmt.Fprintf(w, "Simpson's paradox probe — subset %s=%s (%d records)\n",

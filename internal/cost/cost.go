@@ -527,13 +527,6 @@ func (mo *Model) verifyCost(s queryShape, nQual float64, minConf float64) float6
 	return nQual * depth * (perLevel1 + missCost)
 }
 
-// EstimateKind computes the estimate of a single plan for a query —
-// the per-plan replay the plan-choice accuracy tracker compares against
-// measured execution times.
-func (mo *Model) EstimateKind(k plans.Kind, q *plans.Query) Estimate {
-	return mo.estimateOne(k, q, mo.shape(q))
-}
-
 // Estimate computes the six plan estimates for a query. The returned
 // slice is ordered as plans.Kinds().
 func (mo *Model) Estimate(q *plans.Query) []Estimate {

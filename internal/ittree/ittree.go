@@ -78,9 +78,6 @@ func (t *Tree) MaxLevel() int { return t.maxLevel }
 // Set returns the CFI with the given id (its index in mining order).
 func (t *Tree) Set(id int) *charm.ClosedSet { return t.sets[id] }
 
-// Sets returns all stored CFIs in mining order. Callers must not mutate.
-func (t *Tree) Sets() []*charm.ClosedSet { return t.sets }
-
 // Support returns the global support count of the CFI with the given id:
 // a dense-array read, the hot-path form the plans use instead of
 // Set(id).Support.

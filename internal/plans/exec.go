@@ -46,19 +46,6 @@ func (m CheckMode) String() string {
 	}
 }
 
-// ParseCheckMode resolves a mode name.
-func ParseCheckMode(s string) (CheckMode, error) {
-	switch s {
-	case "auto", "":
-		return AutoCheck, nil
-	case "scan":
-		return ScanCheck, nil
-	case "bitmap":
-		return BitmapCheck, nil
-	}
-	return 0, fmt.Errorf("plans: unknown check mode %q (want auto, scan or bitmap)", s)
-}
-
 // Executor runs mining plans over Surfaces. It holds no index state of
 // its own — only the item space every surface of one engine shares and
 // the execution configuration — so one executor serves the engine's base

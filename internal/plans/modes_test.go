@@ -16,16 +16,6 @@ func TestCheckModeStrings(t *testing.T) {
 		if c.mode.String() != c.want {
 			t.Errorf("%v.String() = %q", c.mode, c.mode.String())
 		}
-		got, err := ParseCheckMode(c.want)
-		if err != nil || got != c.mode {
-			t.Errorf("ParseCheckMode(%q) = %v, %v", c.want, got, err)
-		}
-	}
-	if m, err := ParseCheckMode(""); err != nil || m != AutoCheck {
-		t.Error("empty mode must parse to auto")
-	}
-	if _, err := ParseCheckMode("bogus"); err == nil {
-		t.Error("bogus mode must error")
 	}
 	if CheckMode(99).String() == "" {
 		t.Error("unknown mode must still render")

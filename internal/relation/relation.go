@@ -11,10 +11,7 @@
 // 2.1).
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Attribute describes one column of the relation: its name and the ordered
 // dictionary of nominal values it can take.
@@ -207,15 +204,4 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedAttrNames returns the attribute names in sorted order; used by
-// deterministic printers.
-func (d *Dataset) SortedAttrNames() []string {
-	out := make([]string, len(d.Attrs))
-	for i, a := range d.Attrs {
-		out[i] = a.Name
-	}
-	sort.Strings(out)
-	return out
 }

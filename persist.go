@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 
 	"colarm/internal/core"
 	"colarm/internal/mip"
-	"colarm/internal/plans"
 )
 
 // Save serializes the engine's MIP-index (dataset, closed frequent
@@ -44,21 +44,55 @@ func (e *Engine) Save(w io.Writer) error {
 	return err
 }
 
-// SaveFile writes the index snapshot to a file.
+// SaveFile writes the index snapshot to a file. The file at path is
+// replaced only by a complete snapshot: a failed or interrupted save
+// leaves the previous one as it was.
 func (e *Engine) SaveFile(path string) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, e.Save)
+}
+
+// writeFileAtomic hands write a temporary file beside path, makes its
+// bytes durable and renames it over path; on any error the temporary
+// file is removed and path is untouched.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := e.Save(f); err != nil {
-		f.Close()
+	err = func() error {
+		// CreateTemp makes the file 0600; a snapshot stays as readable
+		// as the file os.Create used to leave under the usual umask.
+		if err := f.Chmod(0o644); err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		return os.Rename(f.Name(), path)
+	}()
+	if err != nil {
+		f.Close() // harmless after the checked Close above
+		os.Remove(f.Name())
 		return err
 	}
-	return f.Close()
+	// The rename is durable once the directory entry is.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadEngine restores an engine from a snapshot written by Save. opts
-// controls the runtime knobs only (calibration, check mode); the index
+// controls the runtime knobs only (calibration, workers); the index
 // parameters (primary support, fanout, packing), the engine generation
 // and any buffered delta come from the snapshot. A snapshot of a
 // different format version fails with ErrSnapshotVersion.
@@ -81,15 +115,10 @@ func LoadEngineFile(path string, opts Options) (*Engine, error) {
 }
 
 func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engine, error) {
-	mode, err := plans.ParseCheckMode(opts.CheckMode)
-	if err != nil {
-		return nil, err
-	}
 	opts.PrimarySupport = meta.Primary
 	eng := core.Assemble(idx, core.Options{
 		PrimarySupport: meta.Primary,
 		CalibrateUnits: opts.Calibrate,
-		CheckMode:      mode,
 		Workers:        opts.Workers,
 		AccuracyTol:    opts.AccuracyTolerance,
 		Metrics:        opts.Metrics.registry(),

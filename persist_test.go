@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,7 +62,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := eng.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngineFile(path, Options{CheckMode: "scan"})
+	loaded, err := LoadEngineFile(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +74,64 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestSaveFileKeepsOldSnapshotOnFailure injects a writer that fails
+// half-way: the snapshot already at the path must survive byte for
+// byte, no temporary file may stay behind, and a later successful save
+// must replace it with one that loads.
+func TestSaveFileKeepsOldSnapshotOnFailure(t *testing.T) {
+	eng := salaryEngine(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "salary.colarm")
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("disk full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(good[:len(good)/2]); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("writeFileAtomic = %v, want the writer's error", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, good) {
+		t.Fatalf("previous snapshot not intact after a failed save (err %v, %d bytes, want %d)", err, len(after), len(good))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("failed save left %d directory entries, want only the snapshot", len(entries))
+	}
+
+	if _, err := eng.Ingest(nil, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngineFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Staleness().Tombstones; got != 1 {
+		t.Errorf("reloaded snapshot carries %d tombstones, want the second save's 1", got)
+	}
+	if err := eng.SaveFile(filepath.Join(dir, "no-such-dir", "x")); err == nil {
+		t.Error("save into a missing directory must error")
+	}
+}
+
 func TestLoadEngineErrors(t *testing.T) {
 	if _, err := LoadEngine(strings.NewReader("junk"), Options{}); err == nil {
 		t.Error("junk stream must error")
-	}
-	eng := salaryEngine(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEngine(&buf, Options{CheckMode: "bogus"}); err == nil {
-		t.Error("bogus check mode must error")
 	}
 }
 
@@ -161,15 +210,5 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	if _, err := LoadEngine(&buf, Options{}); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("old magic: got %v, want ErrSnapshotVersion", err)
-	}
-}
-
-func TestOpenCheckModeValidation(t *testing.T) {
-	ds, _ := Salary()
-	if _, err := Open(ds, Options{PrimarySupport: 0.18, CheckMode: "bogus"}); err == nil {
-		t.Error("bogus check mode must error at Open")
-	}
-	if _, err := Open(ds, Options{PrimarySupport: 0.18, CheckMode: "scan"}); err != nil {
-		t.Errorf("scan mode: %v", err)
 	}
 }
