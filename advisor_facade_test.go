@@ -5,19 +5,19 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"colarm/internal/cost"
 )
 
-// TestAdvisorReport exercises the read-only self-tuning surface: after
-// a handful of (traced) queries the report must show the optimizer
-// pricing with its static units, a populated workload window, and a
-// coherent guardrail configuration.
+// TestAdvisorReport exercises the read-only advisor surface: after a
+// handful of queries the report must show the unit costs the engine was
+// opened with and a populated workload window.
 func TestAdvisorReport(t *testing.T) {
 	eng := salaryEngine(t)
 	q := Query{
 		Range:         map[string][]string{"Location": {"Seattle"}},
 		MinSupport:    0.5,
 		MinConfidence: 0.7,
-		Trace:         true,
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := eng.Mine(q); err != nil {
@@ -25,64 +25,14 @@ func TestAdvisorReport(t *testing.T) {
 		}
 	}
 	rep := eng.Advisor()
-	if rep.Calibration.LiveUnits != rep.Calibration.StaticUnits {
-		t.Errorf("fresh engine prices with %+v, want the static units %+v",
-			rep.Calibration.LiveUnits, rep.Calibration.StaticUnits)
+	if rep.Units != cost.DefaultUnits() {
+		t.Errorf("uncalibrated engine prices with %+v, want the defaults %+v", rep.Units, cost.DefaultUnits())
 	}
-	if rep.Calibration.Swapped || rep.Calibration.Swaps != 0 {
-		t.Error("fresh engine reports a recalibration swap")
-	}
-	if rep.Calibration.Samples <= 0 {
-		t.Error("traced mines produced no timing samples")
-	}
-	if len(rep.Calibration.Units) == 0 {
-		t.Error("calibration report carries no per-unit drift rows")
-	}
-	if rep.Calibration.Guardrail.Evaluated {
-		t.Error("guardrail replay reported before any swap was attempted")
-	}
-	if rep.Workload.Window < 4 {
-		t.Errorf("workload window = %d, want >= 4 logged queries", rep.Workload.Window)
+	if rep.Workload.Window != 4 {
+		t.Errorf("workload window = %d, want 4 logged queries", rep.Workload.Window)
 	}
 	if len(rep.Secondaries) != 0 {
 		t.Errorf("fresh engine lists %d secondary indexes", len(rep.Secondaries))
-	}
-}
-
-// TestRecalibrateFacade runs drift evaluations through the facade: the
-// outcome must be internally consistent (a swap is only ever reported
-// alongside a passing guardrail replay) whether or not the evidence
-// asked for one.
-func TestRecalibrateFacade(t *testing.T) {
-	eng := salaryEngine(t)
-	q := Query{
-		Range:         map[string][]string{"Location": {"Boston"}},
-		MinSupport:    0.4,
-		MinConfidence: 0.6,
-		Trace:         true,
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := eng.Mine(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		cal := eng.Recalibrate()
-		if cal.DriftScore < 0 {
-			t.Fatalf("drift score = %v, want >= 0", cal.DriftScore)
-		}
-		if cal.Swapped {
-			if !cal.Guardrail.Passed {
-				t.Fatal("units swapped without a passing guardrail replay")
-			}
-			if cal.Swaps == 0 || cal.LastSwap == nil {
-				t.Fatal("swap reported without bookkeeping")
-			}
-		}
-	}
-	// The interactive explain path reads the same report.
-	if got := eng.Advisor().Calibration; got.Samples <= 0 {
-		t.Errorf("calibration samples = %d after traced workload", got.Samples)
 	}
 }
 

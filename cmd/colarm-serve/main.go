@@ -37,13 +37,10 @@
 //	                      consumer is evicted (default 256)
 //	-sse-heartbeat D      idle-stream SSE heartbeat interval (default 15s)
 //
-//	-advisor-interval D   run the self-tuning policy loop: every D each
-//	                      engine gets one cost-recalibration evaluation
-//	                      (unit swaps stay guardrail-gated); 0 disables
-//	                      the loop, the advisor endpoints work regardless
-//	-advisor-auto-apply   additionally let the loop apply the index
-//	                      advisor's recommendations, building/dropping
-//	                      secondary indexes the workload pays for
+//	-advisor-interval D   apply the index advisor's recommendations
+//	                      every D, building/dropping the secondary
+//	                      indexes the workload pays for; 0 disables the
+//	                      loop, the advisor endpoints work regardless
 //
 // Endpoints: POST /v1/mine, POST /v1/explain, POST /v1/ingest,
 // GET /v1/datasets, GET /v1/datasets/{name},
@@ -106,8 +103,7 @@ func main() {
 		subBuffer    = flag.Int("sub-buffer", 0, "buffered events per subscription before slow-consumer eviction (0 = default 256)")
 		sseHeartbeat = flag.Duration("sse-heartbeat", 0, "idle-stream SSE heartbeat interval (0 = default 15s)")
 
-		advisorInterval  = flag.Duration("advisor-interval", 0, "self-tuning policy loop interval (0 disables; endpoints work regardless)")
-		advisorAutoApply = flag.Bool("advisor-auto-apply", false, "let the policy loop build/drop the secondary indexes the workload pays for")
+		advisorInterval = flag.Duration("advisor-interval", 0, "apply the index advisor's recommendations this often (0 disables; endpoints work regardless)")
 	)
 	var snapshots, csvs listFlag
 	flag.Var(&snapshots, "snapshot", "name=path of an index snapshot to load (repeatable)")
@@ -126,8 +122,7 @@ func main() {
 		SubscriptionBuffer: *subBuffer,
 		SSEHeartbeat:       *sseHeartbeat,
 
-		AdvisorInterval:  *advisorInterval,
-		AdvisorAutoApply: *advisorAutoApply,
+		AdvisorInterval: *advisorInterval,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "colarm-serve:", err)
 		os.Exit(1)

@@ -13,7 +13,7 @@
 //	                per-dataset for builtins, 0.1 for CSV)
 //	-query Q        run one query and exit (otherwise reads stdin)
 //	-explain        also print the optimizer's per-plan cost estimates,
-//	                the live-calibrated unit costs and their drift
+//	                and the unit costs they were priced with
 //	-trace          print the per-operator execution trace of each query
 //	-measures       print lift/cosine/kulczynski for each rule
 //	-limit N        print at most N rules (default 25, 0 = all)
@@ -150,24 +150,12 @@ func repl(eng *colarm.Engine, o opts) error {
 	return sc.Err()
 }
 
-// printCalibration shows the self-tuning optimizer's pricing state:
-// the live unit costs the estimates above were computed with, how far
-// the observed-timing evidence says they have drifted, and when the
-// recalibrator last swapped them.
-func printCalibration(eng *colarm.Engine) {
-	cal := eng.Advisor().Calibration
-	u := cal.LiveUnits
-	tag := "static"
-	if u != cal.StaticUnits {
-		tag = "recalibrated"
-	}
-	fmt.Printf("unit costs (%s): wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
-		tag, u.WordOp, u.BoxRel, u.IDProbe, u.MapOp, u.GenOp)
-	fmt.Printf("drift %.3f over %d samples", cal.DriftScore, cal.Samples)
-	if cal.LastSwap != nil {
-		fmt.Printf(" | %d recalibration(s), last %s", cal.Swaps, cal.LastSwap.Local().Format("15:04:05"))
-	}
-	fmt.Println()
+// printUnits shows the unit costs the estimates above were computed
+// with.
+func printUnits(eng *colarm.Engine) {
+	u := eng.Advisor().Units
+	fmt.Printf("unit costs: wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
+		u.WordOp, u.BoxRel, u.IDProbe, u.MapOp, u.GenOp)
 }
 
 func printSchema(eng *colarm.Engine) {
@@ -211,7 +199,7 @@ func execute(ctx context.Context, eng *colarm.Engine, query string, o opts) erro
 			fmt.Printf("  %-10s cost %12.0f  candidates %8.0f  qualified %8.0f\n",
 				e.Plan, e.Cost, e.Candidates, e.Qualified)
 		}
-		printCalibration(eng)
+		printUnits(eng)
 	}
 	for i, r := range res.Rules {
 		if o.limit > 0 && i >= o.limit {

@@ -1,6 +1,10 @@
 package colarm
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,4 +85,92 @@ func TestParseQLAgreesWithParseQuery(t *testing.T) {
 			t.Errorf("%q: ParseQL = %+v, ParseQuery = %+v, %v", src, free, bound, boundErr)
 		}
 	}
+}
+
+// snapshotQueries are the fixed queries FuzzLoadSnapshot asks of every
+// engine a mutated stream restores: the optimizer's choice at a
+// localized count of 1, which the base index's gate refuses and the
+// nested secondary is priced for; a forced MIP plan; and a forced ARM.
+var snapshotQueries = []Query{
+	{Range: map[string][]string{"Location": {"Seattle"}, "Gender": {"F"}, "Age": {"30-40"}}, MinSupport: 0.2, MinConfidence: 0.5},
+	{Range: map[string][]string{"Gender": {"F"}}, ItemAttributes: []string{"Age", "Salary"}, MinSupport: 0.5, MinConfidence: 0.8, Plan: SSEUV},
+	{MinSupport: 0.4, MinConfidence: 0.6, MaxConsequent: 1, Plan: ARM},
+}
+
+// FuzzLoadSnapshot feeds LoadEngine hostile snapshot streams: the
+// committed v2–v4 rejection fixtures and truncations, bit flips and
+// spliced bytes of a v5 stream saved from salary with a non-empty delta
+// and one nested secondary index. Loading must end in an error or an
+// engine, and an engine that loaded must answer the fixed queries with
+// a result or an error — never a panic, whatever the stream claimed
+// about its own lengths and offsets. The unmutated stream must answer
+// exactly as the engine it was saved from.
+//
+// A mutated stream that still loads may answer differently: a flipped
+// row value is a different, valid dataset, and the format carries no
+// checksum to tell it from the original.
+func FuzzLoadSnapshot(f *testing.F) {
+	src := salaryEngine(f)
+	if _, err := src.Ingest([]map[string]string{{
+		"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
+		"Gender": "F", "Age": "30-40", "Salary": "90K-120K",
+	}}, []int{3}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := src.BuildSecondaryIndex(context.Background(), 0.05); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	seed := buf.Bytes()
+	want := make([]*Result, len(snapshotQueries))
+	for i, q := range snapshotQueries {
+		res, err := src.Mine(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		res.Stats.DurationNanos = 0
+		want[i] = res
+	}
+
+	f.Add(seed)
+	for _, legacy := range []string{"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot"} {
+		data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", legacy))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A deterministic sweep, so plain `go test` already walks the stream:
+	// every 64th truncation and one flipped bit in every 16th byte.
+	for n := 0; n < len(seed); n += 64 {
+		f.Add(seed[:n])
+	}
+	for i := 0; i < len(seed); i += 16 {
+		flipped := bytes.Clone(seed)
+		flipped[i] ^= 1 << (i / 16 % 8)
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eng, err := LoadEngine(bytes.NewReader(data), Options{})
+		if err != nil {
+			return
+		}
+		for i, q := range snapshotQueries {
+			res, err := eng.Mine(q)
+			if !bytes.Equal(data, seed) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("query %d on the unmutated snapshot: %v", i, err)
+			}
+			res.Stats.DurationNanos = 0
+			if !reflect.DeepEqual(res, want[i]) {
+				t.Fatalf("query %d: the unmutated snapshot answers\n%+v\nthe saved engine\n%+v", i, res, want[i])
+			}
+		}
+	})
 }

@@ -1,192 +1,40 @@
-// Package advisor closes the optimizer's feedback loop: it turns the
-// engine's observability exhaust — per-operator traces, all-plan choice
-// evaluations, and the query log — into two kinds of tuning decisions.
+// Package advisor is the workload-driven index advisor: it keeps a
+// bounded log of the queries an engine mined and mines that log for
+// physical-design advice. Queries the applicability gate forced to the
+// ARM plan — localized thresholds below the base index's
+// primary-support count — argue for a second MIP-index at a lower
+// primary support once their accumulated measured-over-estimated cost
+// gap pays for the build; a secondary that stops winning queries argues
+// for its own removal.
 //
-// Online cost recalibration (recal.go) maintains, per primitive unit
-// cost, an EWMA of the log-ratio between measured and predicted
-// operator times, attributed to units by their share of each operator's
-// predicted cost. When predictions are persistently biased — enough
-// samples, a drift score above threshold for consecutive evaluations —
-// it proposes candidate units, but swaps them in only after a guardrail
-// replay proves the candidate's plan choices never regress measured
-// cost beyond the accuracy tolerance against the static-units choices
-// over the logged evaluation window.
-//
-// Workload-driven index advice (workload.go) mines the query log for
-// queries the applicability gate forced to the ARM plan — localized
-// thresholds below the base index's primary-support count — and
-// recommends building a second physical MIP-index at a lower primary
-// support once the accumulated measured-over-estimated cost gap pays
-// for the build, and dropping a secondary that stops winning queries.
-//
-// The package is engine-agnostic: it consumes coefficient vectors and
-// durations, and produces reports and recommendations; the core engine
-// owns applying them (swapping model units, building and dropping
-// physical indexes).
+// The package is engine-agnostic: it consumes query observations and
+// produces recommendations; the core engine owns applying them
+// (building and dropping physical indexes).
 package advisor
 
 import (
 	"sync"
 	"time"
-
-	"colarm/internal/cost"
 )
 
-// Config tunes the advisor. Zero values select the defaults noted on
-// each field.
-type Config struct {
-	// Alpha is the EWMA smoothing factor for per-unit bias (default
-	// 0.25).
-	Alpha float64
-	// MinSamples is the minimum number of attributed operator
-	// observations before a recalibration swap is considered
-	// (default 24).
-	MinSamples int
-	// DriftThreshold is the absolute log-bias above which the live
-	// units count as drifted from the evidence (default ln(1.25): a
-	// sustained 25% misprediction).
-	DriftThreshold float64
-	// BiasStreak is the number of consecutive Recalibrate evaluations
-	// the drift must persist before a swap is attempted (default 2).
-	BiasStreak int
-	// GuardrailTolerance is the regret fraction by which a replayed
-	// plan choice under candidate units may exceed the static-units
-	// choice's measured cost (default 0.05, the paper's §5.1
-	// tolerance).
-	GuardrailTolerance float64
-	// ReplayWindow bounds the logged choice evaluations kept for the
-	// guardrail replay (default 256).
-	ReplayWindow int
-	// LogWindow bounds the query-log ring feeding index advice
-	// (default 1024).
-	LogWindow int
-	// MinBenefitFactor scales the estimated build cost the accumulated
-	// workload benefit must clear before a secondary index build is
-	// recommended (default 1).
-	MinBenefitFactor float64
-	// DropWinFraction is the fraction of recent queries a secondary
-	// index must win to stay; below it a drop is recommended
-	// (default 0.02).
-	DropWinFraction float64
-	// MinDropWindow is the minimum number of logged queries before a
-	// drop recommendation is considered (default 32).
-	MinDropWindow int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 {
-		c.Alpha = 0.25
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 24
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.2231435513 // ln 1.25
-	}
-	if c.BiasStreak <= 0 {
-		c.BiasStreak = 2
-	}
-	if c.GuardrailTolerance <= 0 {
-		c.GuardrailTolerance = 0.05
-	}
-	if c.ReplayWindow <= 0 {
-		c.ReplayWindow = 256
-	}
-	if c.LogWindow <= 0 {
-		c.LogWindow = 1024
-	}
-	if c.MinBenefitFactor <= 0 {
-		c.MinBenefitFactor = 1
-	}
-	if c.DropWinFraction <= 0 {
-		c.DropWinFraction = 0.02
-	}
-	if c.MinDropWindow <= 0 {
-		c.MinDropWindow = 32
-	}
-	return c
-}
-
-// Advisor is one engine's self-tuning state: the unit recalibrator and
-// the workload log. Safe for concurrent use; observation calls are
-// cheap (ring appends and a few floating-point updates) and sit on the
-// traced-query path only.
+// Advisor is one engine's workload log. Safe for concurrent use;
+// ObserveQuery is one ring append after a query has executed.
 type Advisor struct {
 	mu  sync.Mutex
-	cfg Config
-
-	cal recalibrator
-	log workload
+	log []QueryObservation // ring of the last logWindow queries, newest last
 }
 
-// New creates an advisor calibrated against the given static units —
-// the fixed reference every bias and every guardrail replay is measured
-// from.
-func New(static cost.Units, cfg Config) *Advisor {
-	a := &Advisor{cfg: cfg.withDefaults()}
-	a.cal.init(static, a.cfg)
-	a.log.init(a.cfg)
-	return a
-}
-
-// LiveUnits returns the units the optimizer should currently estimate
-// with: the static units until a recalibration swap, the swapped
-// candidate after.
-func (a *Advisor) LiveUnits() cost.Units {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cal.live
-}
-
-// StaticUnits returns the fixed reference units.
-func (a *Advisor) StaticUnits() cost.Units {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cal.static
-}
-
-// ObserveTerms feeds one traced query's per-operator evidence: each
-// term pairs the executed operator's measured duration with its
-// predicted-cost coefficient vector.
-func (a *Advisor) ObserveTerms(terms []TermObservation) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, t := range terms {
-		a.cal.observeTerm(t)
-	}
-}
-
-// ObserveChoice appends one all-plans evaluation to the guardrail
-// replay window.
-func (a *Advisor) ObserveChoice(c ChoiceObservation) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.cal.observeChoice(c)
-}
+// New creates an advisor with an empty workload log.
+func New() *Advisor { return &Advisor{} }
 
 // ObserveQuery appends one mined query to the workload log.
 func (a *Advisor) ObserveQuery(q QueryObservation) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.log.observe(q)
-}
-
-// Recalibrate runs one drift evaluation: it advances the bias streak,
-// and when the drift has persisted long enough it replays the logged
-// choices under the candidate units and swaps them in if the guardrail
-// passes. The returned report describes the decision either way.
-func (a *Advisor) Recalibrate() CalibrationReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cal.recalibrate(time.Now())
-}
-
-// Calibration returns the recalibrator's current state without
-// advancing the streak — the read-only view the reporting surfaces use.
-func (a *Advisor) Calibration() CalibrationReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cal.report(false)
+	a.log = append(a.log, q)
+	if over := len(a.log) - logWindow; over > 0 {
+		a.log = append(a.log[:0], a.log[over:]...)
+	}
 }
 
 // Recommendations mines the workload log against the currently
@@ -195,12 +43,21 @@ func (a *Advisor) Calibration() CalibrationReport {
 func (a *Advisor) Recommendations(records int, secondaries []SecondaryState, buildCost time.Duration) []Recommendation {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.log.recommendations(records, secondaries, buildCost, a.cfg)
+	return recommendations(a.log, records, secondaries, buildCost)
 }
 
 // WorkloadStats summarizes the logged window.
 func (a *Advisor) WorkloadStats() WorkloadStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.log.stats()
+	st := WorkloadStats{Window: len(a.log)}
+	for _, q := range a.log {
+		if q.ForcedARM {
+			st.ForcedARM++
+		}
+		if q.IndexUsed > 0 {
+			st.SecondaryWins++
+		}
+	}
+	return st
 }

@@ -8,10 +8,25 @@ import (
 	"colarm/internal/plans"
 )
 
+// The advisor's policy, fixed: no command, example or benchmark ever set
+// these to anything else.
+const (
+	// logWindow bounds the query-log ring feeding index advice.
+	logWindow = 1024
+	// minBenefitFactor scales the measured build cost the accumulated
+	// workload benefit must clear before a secondary index build is
+	// recommended.
+	minBenefitFactor = 1
+	// dropWinFraction is the fraction of logged queries a secondary
+	// index must win to stay; below it a drop is recommended.
+	dropWinFraction = 0.02
+	// minDropWindow is the minimum number of logged queries before a
+	// drop recommendation is considered.
+	minDropWindow = 32
+)
+
 // QueryObservation is one mined query in the workload log.
 type QueryObservation struct {
-	// Canonical is the query's canonical form (dedup key for reporting).
-	Canonical string
 	// SubsetSize is the focal subset's record count; LocalCount the
 	// localized support-count threshold (minsupport over the subset) —
 	// the number a MIP-index's primary count must not exceed for the
@@ -27,10 +42,8 @@ type QueryObservation struct {
 	ForcedARM bool
 	Measured  time.Duration
 	// BestMIPCost is the estimated cost of the cheapest MIP-backed plan
-	// had it been applicable; ARMCost the ARM estimate. Both under the
-	// units live at execution time.
+	// had it been applicable.
 	BestMIPCost float64
-	ARMCost     float64
 }
 
 // SecondaryState describes one installed secondary index for the
@@ -75,39 +88,10 @@ type WorkloadStats struct {
 	SecondaryWins int `json:"secondaryWins"`
 }
 
-// workload is the query-log side of the advisor. All methods are
-// called under the advisor's lock.
-type workload struct {
-	cfg Config
-	log []QueryObservation // ring, newest last
-}
-
-func (w *workload) init(cfg Config) { w.cfg = cfg }
-
-func (w *workload) observe(q QueryObservation) {
-	w.log = append(w.log, q)
-	if over := len(w.log) - w.cfg.LogWindow; over > 0 {
-		w.log = append(w.log[:0], w.log[over:]...)
-	}
-}
-
-func (w *workload) stats() WorkloadStats {
-	st := WorkloadStats{Window: len(w.log)}
-	for _, q := range w.log {
-		if q.ForcedARM {
-			st.ForcedARM++
-		}
-		if q.IndexUsed > 0 {
-			st.SecondaryWins++
-		}
-	}
-	return st
-}
-
 // recommendations mines the log: build a lower-primary secondary when
 // the forced-ARM queries' accumulated cost gap pays for the build, drop
 // a secondary that stopped winning queries.
-func (w *workload) recommendations(records int, secondaries []SecondaryState, buildCost time.Duration, cfg Config) []Recommendation {
+func recommendations(log []QueryObservation, records int, secondaries []SecondaryState, buildCost time.Duration) []Recommendation {
 	var out []Recommendation
 
 	// Build: collect the forced-ARM evidence not already covered by an
@@ -123,7 +107,7 @@ func (w *workload) recommendations(records int, secondaries []SecondaryState, bu
 	var counts []int
 	benefit := 0.0
 	supporting := 0
-	for _, q := range w.log {
+	for _, q := range log {
 		if !q.ForcedARM || covered(q.LocalCount) {
 			continue
 		}
@@ -142,7 +126,7 @@ func (w *workload) recommendations(records int, secondaries []SecondaryState, bu
 		if target < 1 {
 			target = 1
 		}
-		need := cfg.MinBenefitFactor * float64(buildCost.Nanoseconds())
+		need := minBenefitFactor * float64(buildCost.Nanoseconds())
 		if benefit >= need && need > 0 {
 			out = append(out, Recommendation{
 				Action:         "build",
@@ -159,21 +143,21 @@ func (w *workload) recommendations(records int, secondaries []SecondaryState, bu
 
 	// Drop: a secondary that wins almost nothing over a full window is
 	// dead weight (memory plus a per-query estimation pass).
-	if len(w.log) >= cfg.MinDropWindow {
+	if len(log) >= minDropWindow {
 		wins := make(map[int]int)
-		for _, q := range w.log {
+		for _, q := range log {
 			wins[q.IndexUsed]++
 		}
 		for _, s := range secondaries {
-			frac := float64(wins[s.ID]) / float64(len(w.log))
-			if frac < cfg.DropWinFraction {
+			frac := float64(wins[s.ID]) / float64(len(log))
+			if frac < dropWinFraction {
 				out = append(out, Recommendation{
 					Action:         "drop",
 					PrimarySupport: s.Primary,
 					PrimaryCount:   s.PrimaryCount,
 					Queries:        wins[s.ID],
 					Reason: fmt.Sprintf("secondary index at primary %.4f won %d of the last %d queries (%.1f%%, below %.1f%%)",
-						s.Primary, wins[s.ID], len(w.log), 100*frac, 100*cfg.DropWinFraction),
+						s.Primary, wins[s.ID], len(log), 100*frac, 100*dropWinFraction),
 				})
 			}
 		}

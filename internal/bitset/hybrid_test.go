@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -420,6 +421,23 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 		if err := (&Set{}).UnmarshalBinary(data); err == nil {
 			t.Errorf("%s: corrupt input accepted", name)
 		}
+	}
+}
+
+// TestUnmarshalCapacityBoundedByStream: the capacity field is a claim
+// the stream makes about itself, so a sixteen-byte stream claiming 2^40
+// ids must be refused before the claim sizes the container directory.
+func TestUnmarshalCapacityBoundedByStream(t *testing.T) {
+	data := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, hybridMagic), maxBits)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := (&Set{}).UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no containers behind it was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(data), grew)
 	}
 }
 

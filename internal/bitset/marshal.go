@@ -69,6 +69,11 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 	if n > maxBits {
 		return fmt.Errorf("bitset: implausible capacity %d", n)
 	}
+	// Every container occupies at least its kind byte, so a capacity the
+	// remaining bytes cannot cover is refused before it sizes anything.
+	if nc := numCtrs(int(n)); nc > len(data)-8 {
+		return fmt.Errorf("bitset: capacity %d needs %d containers, stream has %d bytes left", n, nc, len(data)-8)
+	}
 	hybrid := defaultHybrid.Load()
 	s.n = int(n)
 	s.hybrid = hybrid

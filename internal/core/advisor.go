@@ -48,41 +48,21 @@ type SecondaryInfo struct {
 // evidence the advisor logs about it.
 type planChoice struct {
 	kind plans.Kind
-	ests []cost.Estimate
+	ests []cost.Estimate // the base index's six estimates
+	// est is the executing (plan, index) pair's own estimate.
+	est cost.Estimate
 	// sec is the secondary index that won the argmin, nil for the base
 	// index; secID its 1-based position (0 = base).
 	sec   *secondaryIndex
 	secID int
-	// model is the cost model of the executing index, under the units
-	// the decision was priced with — the decomposition source for
-	// recalibration evidence.
-	model *cost.Model
 
 	subset, localCount int
 	// forcedARM reports the applicability gate overrode a MIP argmin
 	// and no secondary index reclaimed the query.
 	forcedARM bool
-	// applicable is the base surface's gate verdict (secondaries aside).
-	applicable bool
-	bestMIP    float64
-	armCost    float64
-}
-
-// liveModel returns the cost model priced with the advisor's live
-// units: the model itself when nothing was recalibrated, a shallow
-// per-query copy otherwise (statistics shared read-only, units
-// swapped) so concurrent queries never race on Model.U.
-func (e *Engine) liveModel() *cost.Model {
-	if e.Advisor == nil {
-		return e.Model
-	}
-	live := e.Advisor.LiveUnits()
-	if live == e.Model.U {
-		return e.Model
-	}
-	mo := *e.Model
-	mo.U = live
-	return &mo
+	// bestMIP is the cheapest MIP-backed estimate on any index, had the
+	// gate admitted it.
+	bestMIP float64
 }
 
 // choose runs the cost-based optimizer across every physical index,
@@ -101,27 +81,21 @@ func (e *Engine) liveModel() *cost.Model {
 // lower — primary count clears the query's localized threshold, so every
 // pair the argmin may pick returns the complete localized answer.
 func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
-	mo := e.liveModel()
-	kind, ests := mo.Choose(q)
-	ch := planChoice{
-		kind: kind, ests: ests, model: mo,
-		subset: f.Size, localCount: f.MinCount, applicable: f.Applicable(),
-	}
+	kind, ests := e.Model.Choose(q)
+	ch := planChoice{kind: kind, ests: ests, subset: f.Size, localCount: f.MinCount}
 	for _, est := range ests {
-		if est.Plan == plans.ARM {
-			ch.armCost = est.Total
-		} else if ch.bestMIP == 0 || est.Total < ch.bestMIP {
+		if est.Plan != plans.ARM && (ch.bestMIP == 0 || est.Total < ch.bestMIP) {
 			ch.bestMIP = est.Total
 		}
 	}
-	if ch.kind != plans.ARM && !ch.applicable {
+	if ch.kind != plans.ARM && !f.Applicable() {
 		ch.kind = plans.ARM
 		ch.forcedARM = true
 	}
 	baseCost := math.Inf(1)
 	for _, est := range ests {
 		if est.Plan == ch.kind {
-			baseCost = est.Total
+			baseCost, ch.est = est.Total, est
 		}
 	}
 
@@ -135,26 +109,23 @@ func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
 		if s.Surface.Version != f.Surface.Version || s.Surface.PrimaryCount > ch.localCount {
 			continue
 		}
-		smo := *s.Model
-		smo.U = mo.U
-		sk, sests := smo.Choose(q)
+		sk, sests := s.Model.Choose(q)
 		if sk == plans.ARM {
 			// ARM ignores the index layers; running it on a secondary
 			// buys nothing over the base.
 			continue
 		}
-		var scost float64
+		var sest cost.Estimate
 		for _, est := range sests {
 			if est.Plan == sk {
-				scost = est.Total
+				sest = est
 			}
 		}
+		scost := sest.Total
 		if scost < baseCost {
-			baseCost = scost
+			baseCost, ch.est = scost, sest
 			ch.kind, ch.sec, ch.secID = sk, s, i+1
 			ch.forcedARM = false
-			m := smo
-			ch.model = &m
 		}
 		if ch.bestMIP == 0 || scost < ch.bestMIP {
 			ch.bestMIP = scost
@@ -175,13 +146,9 @@ func (ch planChoice) focal(e *Engine, q *plans.Query, base *plans.Focal) *plans.
 	return base
 }
 
-// noteAdvisor feeds one successfully executed query into the advisor:
-// the workload-log entry always, the per-operator recalibration
-// evidence when the query was traced.
-func (e *Engine) noteAdvisor(q *plans.Query, ch planChoice, res *plans.Result) {
-	if e.Advisor == nil || res == nil {
-		return
-	}
+// noteAdvisor appends one successfully executed query to the advisor's
+// workload log.
+func (e *Engine) noteAdvisor(ch planChoice, res *plans.Result) {
 	if ch.secID > 0 {
 		e.secChosen.Inc()
 	}
@@ -193,77 +160,7 @@ func (e *Engine) noteAdvisor(q *plans.Query, ch planChoice, res *plans.Result) {
 		ForcedARM:   ch.forcedARM,
 		Measured:    res.Stats.Duration,
 		BestMIPCost: ch.bestMIP,
-		ARMCost:     ch.armCost,
 	})
-	if q.Trace == nil {
-		return
-	}
-	// Match the executed plan's traced operator spans to its cost
-	// decomposition by operator label; each matched pair is one
-	// measured-vs-predicted sample for the recalibrator.
-	var pc *cost.PlanCoeffs
-	coeffs := ch.model.Decompose(q)
-	for i := range coeffs {
-		if coeffs[i].Plan == ch.kind {
-			pc = &coeffs[i]
-		}
-	}
-	if pc == nil {
-		return
-	}
-	durs := make(map[string]time.Duration, len(q.Trace.Spans))
-	for _, sp := range q.Trace.Spans {
-		durs[sp.Op.String()] += sp.Duration
-	}
-	var terms []advisor.TermObservation
-	for _, t := range pc.Terms {
-		if d := durs[t.Operator]; d > 0 {
-			terms = append(terms, advisor.TermObservation{Operator: t.Operator, Coeff: t.Coeff, Measured: d})
-		}
-	}
-	e.Advisor.ObserveTerms(terms)
-}
-
-// noteChoiceEvaluation feeds one all-plans evaluation into the
-// guardrail replay window: per plan the unit-independent total-cost
-// coefficient vector and the measured time, plus the applicability
-// verdict, so the advisor can replay the argmin under any candidate
-// units.
-func (e *Engine) noteChoiceEvaluation(q *plans.Query, ch planChoice, measured []time.Duration) {
-	if e.Advisor == nil || len(measured) != len(ch.ests) {
-		return
-	}
-	coeffs := e.Model.Decompose(q)
-	if len(coeffs) != len(ch.ests) {
-		return
-	}
-	obs := advisor.ChoiceObservation{MIPApplicable: ch.applicable, ARMIndex: -1}
-	for i, pc := range coeffs {
-		obs.Coeffs = append(obs.Coeffs, pc.TotalCoeff())
-		obs.Measured = append(obs.Measured, measured[i])
-		if pc.Plan == plans.ARM {
-			obs.ARMIndex = i
-		}
-	}
-	if obs.ARMIndex < 0 {
-		return
-	}
-	e.Advisor.ObserveChoice(obs)
-}
-
-// Recalibrate runs one advisor drift evaluation and mirrors the
-// outcome into the engine's metrics. Serving layers call it
-// periodically; it is cheap when nothing drifted.
-func (e *Engine) Recalibrate() advisor.CalibrationReport {
-	if e.Advisor == nil {
-		return advisor.CalibrationReport{}
-	}
-	rep := e.Advisor.Recalibrate()
-	if rep.Swapped {
-		e.recalSwaps.Inc()
-	}
-	e.driftMicro.Set(int64(rep.DriftScore * 1e6))
-	return rep
 }
 
 // BuildSecondary mines a secondary MIP-index over the current merged
@@ -431,9 +328,6 @@ func (e *Engine) mergedRecords() int {
 // currently installed secondary indexes: which index to build, which
 // to drop, and why.
 func (e *Engine) Recommendations() []advisor.Recommendation {
-	if e.Advisor == nil {
-		return nil
-	}
 	buildCost := e.Delta.Staleness().RebuildCost
 	return e.Advisor.Recommendations(e.mergedRecords(), e.secondaryStates(), buildCost)
 }

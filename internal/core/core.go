@@ -58,13 +58,6 @@ type Options struct {
 	// and gather exact recombined results. 0 or 1 leaves the engine
 	// monolithic — today's single-partition layout, byte-for-byte.
 	Shards int
-	// Advisor tunes the self-tuning optimizer (online cost
-	// recalibration and the workload-driven index advisor); zero values
-	// select the documented defaults. The advisor itself is always on —
-	// observation is a few ring appends per query — while recalibration
-	// swaps and index builds happen only through explicit Recalibrate /
-	// ApplyRecommendations calls (or a serving layer's policy loop).
-	Advisor advisor.Config
 }
 
 // Engine is a ready-to-query COLARM instance over one dataset.
@@ -107,10 +100,10 @@ type Engine struct {
 	// Accuracy is the running plan-choice accuracy tracker fed by
 	// EvaluatePlans.
 	Accuracy *obs.AccuracyTracker
-	// Advisor is the self-tuning state: the online cost recalibrator
-	// and the workload log behind index recommendations. Never nil;
-	// shared across Rebuild generations so calibration survives engine
-	// swaps.
+	// Advisor is the workload log behind index recommendations. Never
+	// nil; shared across Rebuild generations so the log survives engine
+	// swaps. Index builds and drops happen only through explicit
+	// ApplyRecommendations calls (or a serving layer's policy loop).
 	Advisor *advisor.Advisor
 
 	// secondaries are extra physical MIP-indexes at lower primary
@@ -135,8 +128,6 @@ type Engine struct {
 	rebuilds       *obs.Counter
 	rebuildSeconds *obs.Histogram
 
-	recalSwaps  *obs.Counter
-	driftMicro  *obs.Gauge
 	recsApplied *obs.Counter
 	secBuilds   *obs.Counter
 	secDrops    *obs.Counter
@@ -184,10 +175,7 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	e := &Engine{
 		Index: idx, Executor: ex, Model: model, opts: opts,
 		Accuracy: obs.NewAccuracyTracker(opts.AccuracyTol),
-		// The static reference the recalibrator measures every bias
-		// against is the model's build-time units (defaults or the
-		// calibration micro-benchmark's measurements).
-		Advisor: advisor.New(model.U, opts.Advisor),
+		Advisor:  advisor.New(),
 	}
 	e.initDelta()
 	e.initMetrics(opts.Metrics)
@@ -270,10 +258,6 @@ func (e *Engine) initMetrics(reg *obs.Registry) {
 		"Full index rebuilds absorbing the delta store.")
 	e.rebuildSeconds = reg.Histogram("colarm_rebuild_seconds", labels,
 		"Duration of full index rebuilds.", nil)
-	e.recalSwaps = reg.CounterWith("colarm_advisor_recalibrations_total", labels,
-		"Live cost-unit swaps applied by the online recalibrator.")
-	e.driftMicro = reg.GaugeWith("colarm_advisor_drift_micro", labels,
-		"Drift score between live units and the evidence's candidate units, in millionths.")
 	e.recsApplied = reg.CounterWith("colarm_advisor_recommendations_applied_total", labels,
 		"Index-advisor recommendations applied (builds plus drops).")
 	e.secBuilds = reg.CounterWith("colarm_secondary_index_builds_total", labels,
@@ -413,9 +397,9 @@ func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Calibration and the workload log survive the swap; secondary
-	// indexes do not — they were mined over the pre-rebuild surface and
-	// the advisor will recommend rebuilding any that still pay.
+	// The workload log survives the swap; secondary indexes do not —
+	// they were mined over the pre-rebuild surface and the advisor will
+	// recommend rebuilding any that still pay.
 	fresh.Advisor = e.Advisor
 	e.rebuilds.Inc()
 	e.rebuildSeconds.Observe(time.Since(start))
@@ -456,8 +440,24 @@ func (e *Engine) MineContext(ctx context.Context, q *plans.Query) (*plans.Result
 	if err != nil {
 		return nil, ch.ests, err
 	}
-	e.noteAdvisor(q, ch, res)
+	e.noteAdvisor(ch, res)
+	if q.Trace != nil {
+		predict(q.Trace, ch.est)
+	}
 	return res, ch.ests, nil
+}
+
+// predict sets, on each traced span of an optimizer-chosen plan, the
+// cost model's estimate for that operator: the executed plan's terms
+// matched to the spans by operator name. UNION has no term and keeps 0.
+func predict(tr *obs.Trace, est cost.Estimate) {
+	for _, t := range est.Terms() {
+		for i := range tr.Spans {
+			if tr.Spans[i].Op.String() == t.Operator {
+				tr.Spans[i].Predicted = t.Cost
+			}
+		}
+	}
 }
 
 // MineWith bypasses the optimizer and executes a specific plan.
@@ -512,7 +512,6 @@ func (e *Engine) EvaluatePlans(q *plans.Query) (*ChoiceEvaluation, error) {
 	ch := e.choose(&qc, f)
 	ev := &ChoiceEvaluation{Chosen: ch.kind}
 	var chosenT, bestT time.Duration
-	measured := make([]time.Duration, 0, len(ch.ests))
 	for _, est := range ch.ests {
 		res, err := e.Executor.RunContext(context.Background(), est.Plan, f, &qc)
 		if err != nil {
@@ -520,7 +519,6 @@ func (e *Engine) EvaluatePlans(q *plans.Query) (*ChoiceEvaluation, error) {
 		}
 		d := res.Stats.Duration
 		ev.Plans = append(ev.Plans, PlanMeasurement{Plan: est.Plan, Predicted: est.Total, Measured: d})
-		measured = append(measured, d)
 		if len(ev.Plans) == 1 || d < bestT {
 			bestT, ev.Best = d, est.Plan
 		}
@@ -536,7 +534,6 @@ func (e *Engine) EvaluatePlans(q *plans.Query) (*ChoiceEvaluation, error) {
 	if ev.Correct {
 		e.evalsCorrect.Inc()
 	}
-	e.noteChoiceEvaluation(&qc, ch, measured)
 	return ev, nil
 }
 

@@ -22,17 +22,17 @@ import (
 	"time"
 
 	"colarm/internal/bitset"
+	"colarm/internal/charm"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
 	"colarm/internal/rtree"
 )
 
-// Units are the calibrated primitive operation costs, in nanoseconds:
-// the knobs the online recalibrator tunes. The facade exports the type
-// as colarm.UnitCosts and the serving layer marshals it as it is, so the
-// tags are the wire names (UnitNames spells the same five for the
-// per-unit drift rows).
+// Units are the calibrated primitive operation costs, in nanoseconds,
+// fixed when the engine is assembled (DefaultUnits or MeasureUnits). The
+// facade exports the type as colarm.UnitCosts and the serving layer
+// marshals it as it is, so the tags are the wire names.
 type Units struct {
 	// WordOp is the cost of one 64-bit word step of a tidset
 	// intersection (the unit of ELIMINATE/VERIFY record-level checks).
@@ -303,7 +303,7 @@ func (mo *Model) shape(q *plans.Query) queryShape {
 		dqExt:  make([]float64, q.Region.Dims()),
 		words:  float64((m + 63) / 64),
 	}
-	s.minCount = minCountFor(q.MinSupport, size)
+	s.minCount = charm.CountFor(q.MinSupport, size)
 	for d := 0; d < q.Region.Dims(); d++ {
 		s.dqExt[d] = q.Region.AvgExtent(d)
 	}
@@ -457,17 +457,6 @@ func sampleIDs(dq *bitset.Set, k int) []int {
 		return len(out) <= k
 	})
 	return out
-}
-
-func minCountFor(minSupport float64, size int) int {
-	c := int(minSupport * float64(size))
-	if float64(c) < minSupport*float64(size) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // searchCost returns the expected R-tree traversal cost (Lemma 4.1 /

@@ -17,6 +17,10 @@ type Span struct {
 	// Detail carries operator-specific counters, preformatted by the
 	// executor ("checks=31 eliminated=4", "oracle=96 misses=40", ...).
 	Detail string
+	// Predicted is the cost model's estimate for this operator in model
+	// nanoseconds, set by the engine when the optimizer chose the plan;
+	// 0 when the plan was forced or the operator has no cost term.
+	Predicted float64
 }
 
 // Trace records the per-operator execution of one query. A Trace is

@@ -8,8 +8,8 @@ import (
 	"colarm"
 )
 
-// advisorResponse is GET /v1/datasets/{name}/advisor: the self-tuning
-// optimizer's full state for one dataset — where it sits, then the
+// advisorResponse is GET /v1/datasets/{name}/advisor: the index
+// advisor's full state for one dataset — where it sits, then the
 // facade's report as it marshals.
 type advisorResponse struct {
 	Dataset    string `json:"dataset"`
@@ -32,14 +32,12 @@ func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, advisorResponse{Dataset: name, Generation: gen, Version: eng.Version(), AdvisorReport: rep})
 }
 
-// advisorApplyResponse is POST /v1/datasets/{name}/advisor/apply: one
-// explicit self-tuning step — a recalibration evaluation plus the index
-// recommendations that were applied.
+// advisorApplyResponse is POST /v1/datasets/{name}/advisor/apply: the
+// index recommendations that were applied and the index set afterwards.
 type advisorApplyResponse struct {
 	Dataset     string                       `json:"dataset"`
 	Generation  uint64                       `json:"generation"`
 	Version     uint64                       `json:"version"`
-	Calibration colarm.CalibrationReport     `json:"calibration"`
 	Applied     []colarm.IndexRecommendation `json:"applied"`
 	Secondaries []colarm.SecondaryIndexInfo  `json:"secondaries"`
 }
@@ -52,12 +50,10 @@ func (s *Server) handleAdvisorApply(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "advisor", notFoundError{err})
 		return
 	}
-	// One explicit self-tuning step, synchronously: recalibrate (the
-	// guardrail replay still gates any unit swap), then build/drop the
-	// secondary indexes the workload pays for. Index builds mine the
-	// merged surface under the request's deadline; the engine keeps
-	// serving queries throughout — each install is an atomic swap.
-	cal := eng.Recalibrate()
+	// Build/drop the secondary indexes the workload pays for,
+	// synchronously. Index builds mine the merged surface under the
+	// request's deadline; the engine keeps serving queries throughout —
+	// each install is an atomic swap.
 	applied, err := eng.ApplyRecommendations(r.Context())
 	if err != nil {
 		s.fail(w, "advisor", err)
@@ -70,15 +66,13 @@ func (s *Server) handleAdvisorApply(w http.ResponseWriter, r *http.Request) {
 		Dataset:     name,
 		Generation:  gen,
 		Version:     eng.Version(),
-		Calibration: cal,
 		Applied:     orEmpty(applied),
 		Secondaries: orEmpty(eng.SecondaryIndexes()),
 	})
 }
 
-// advisorLoop is the self-tuning policy loop: every AdvisorInterval each
-// registered engine gets one Recalibrate evaluation, and — with
-// AdvisorAutoApply — the index advisor's recommendations are applied.
+// advisorLoop is the index advisor's policy loop: every AdvisorInterval
+// each registered engine's current recommendations are applied.
 func (s *Server) advisorLoop() {
 	defer close(s.advisorDone)
 	t := time.NewTicker(s.cfg.AdvisorInterval)
@@ -100,33 +94,21 @@ func (s *Server) advisorTick() {
 		if err != nil {
 			continue
 		}
-		eng.Recalibrate()
-		if s.cfg.AdvisorAutoApply {
-			if applied, err := eng.ApplyRecommendations(context.Background()); err == nil && len(applied) > 0 {
-				s.advisorApplies.Inc()
-			}
+		if applied, err := eng.ApplyRecommendations(context.Background()); err == nil && len(applied) > 0 {
+			s.advisorApplies.Inc()
 		}
 	}
 }
 
-// advisorSummaryJSON is the dataset-detail view's self-tuning summary:
-// the units the optimizer is pricing with right now and how far the
-// evidence says they have drifted.
+// advisorSummaryJSON is the dataset-detail view's advisor summary: the
+// unit costs the optimizer prices with and how many secondary indexes
+// stand beside the base one.
 type advisorSummaryJSON struct {
-	LiveUnits         colarm.UnitCosts `json:"liveUnits"`
-	DriftScore        float64          `json:"driftScore"`
-	Recalibrations    uint64           `json:"recalibrations"`
-	LastRecalibration *time.Time       `json:"lastRecalibration,omitempty"`
-	SecondaryIndexes  int              `json:"secondaryIndexes"`
+	Units            colarm.UnitCosts `json:"units"`
+	SecondaryIndexes int              `json:"secondaryIndexes"`
 }
 
 func toAdvisorSummaryJSON(eng *colarm.Engine) advisorSummaryJSON {
 	rep := eng.Advisor()
-	return advisorSummaryJSON{
-		LiveUnits:         rep.Calibration.LiveUnits,
-		DriftScore:        rep.Calibration.DriftScore,
-		Recalibrations:    rep.Calibration.Swaps,
-		LastRecalibration: rep.Calibration.LastSwap,
-		SecondaryIndexes:  len(rep.Secondaries),
-	}
+	return advisorSummaryJSON{Units: rep.Units, SecondaryIndexes: len(rep.Secondaries)}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestAdvisorEndpoint exercises GET /v1/datasets/{name}/advisor: the
-// full self-tuning report with the calibration state, workload summary
-// and (initially empty) recommendation and secondary-index lists.
+// full advisor report with the unit costs, workload summary and
+// (initially empty) recommendation and secondary-index lists.
 func TestAdvisorEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
@@ -28,11 +28,8 @@ func TestAdvisorEndpoint(t *testing.T) {
 	if resp.Dataset != "salary" {
 		t.Fatalf("dataset = %q, want salary", resp.Dataset)
 	}
-	if resp.Calibration.StaticUnits.WordOp <= 0 {
-		t.Fatalf("staticUnits.wordOp = %v, want > 0", resp.Calibration.StaticUnits.WordOp)
-	}
-	if resp.Calibration.LiveUnits != resp.Calibration.StaticUnits {
-		t.Fatalf("fresh engine: live units %+v should equal static %+v", resp.Calibration.LiveUnits, resp.Calibration.StaticUnits)
+	if resp.Units.WordOp <= 0 {
+		t.Fatalf("units.wordOp = %v, want > 0", resp.Units.WordOp)
 	}
 	if len(resp.Secondaries) != 0 {
 		t.Fatalf("fresh engine reports secondaries: %+v", resp.Secondaries)
@@ -51,8 +48,8 @@ func TestAdvisorEndpoint(t *testing.T) {
 }
 
 // TestAdvisorApplyEndpoint exercises POST .../advisor/apply: one
-// synchronous self-tuning step. On a fresh engine with no workload it
-// is a no-op that still reports the calibration state.
+// synchronous apply step. On an engine with no workload worth an index
+// it is a no-op that still reports the (empty) index set.
 func TestAdvisorApplyEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
@@ -77,18 +74,18 @@ func TestAdvisorApplyEndpoint(t *testing.T) {
 	if resp.Dataset != "salary" {
 		t.Fatalf("dataset = %q, want salary", resp.Dataset)
 	}
-	if resp.Calibration.StaticUnits.WordOp <= 0 {
-		t.Fatalf("apply response missing calibration: %+v", resp.Calibration)
-	}
 	// The tiny salary dataset gives the advisor nothing worth building;
 	// the step must be an honest no-op, not an error.
 	if len(resp.Applied) != 0 {
 		t.Fatalf("applied on a no-benefit workload: %+v", resp.Applied)
 	}
+	if len(resp.Secondaries) != 0 {
+		t.Fatalf("no-op apply reports secondaries: %+v", resp.Secondaries)
+	}
 }
 
 // TestDatasetDetailAdvisorSummary checks the dataset detail view carries
-// the self-tuning summary: live units, drift score, recalibration count.
+// the advisor summary: unit costs and the secondary index count.
 func TestDatasetDetailAdvisorSummary(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
@@ -105,21 +102,18 @@ func TestDatasetDetailAdvisorSummary(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &detail); err != nil {
 		t.Fatal(err)
 	}
-	if detail.Advisor.LiveUnits.WordOp <= 0 {
-		t.Fatalf("detail advisor summary missing live units: %+v", detail.Advisor)
+	if detail.Advisor.Units.WordOp <= 0 {
+		t.Fatalf("detail advisor summary missing unit costs: %+v", detail.Advisor)
 	}
-	if detail.Advisor.Recalibrations != 0 || detail.Advisor.LastRecalibration != nil {
-		t.Fatalf("fresh engine reports recalibrations: %+v", detail.Advisor)
+	if detail.Advisor.SecondaryIndexes != 0 {
+		t.Fatalf("fresh engine reports secondary indexes: %+v", detail.Advisor)
 	}
 }
 
 // TestAdvisorPolicyLoop proves the background loop ticks engines through
-// Recalibrate (and auto-apply) and that Close stops it cleanly.
+// ApplyRecommendations and that Close stops it cleanly.
 func TestAdvisorPolicyLoop(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		AdvisorInterval:  2 * time.Millisecond,
-		AdvisorAutoApply: true,
-	})
+	s, _ := newTestServer(t, Config{AdvisorInterval: 2 * time.Millisecond})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.advisorTicks.Value() < 3 {
 		if time.Now().After(deadline) {

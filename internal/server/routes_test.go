@@ -157,9 +157,6 @@ func TestOpenAPISchemaCoverage(t *testing.T) {
 		"Staleness":           colarm.Staleness{},
 		"ShardStaleness":      colarm.ShardStaleness{},
 		"UnitCosts":           colarm.UnitCosts{},
-		"UnitDrift":           colarm.UnitDrift{},
-		"Guardrail":           colarm.GuardrailReport{},
-		"Calibration":         colarm.CalibrationReport{},
 		"Workload":            colarm.WorkloadStats{},
 		"IndexRecommendation": colarm.IndexRecommendation{},
 		"SecondaryIndex":      colarm.SecondaryIndexInfo{},

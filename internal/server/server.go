@@ -18,16 +18,14 @@
 //	                                    and ingestion staleness
 //	GET    /v1/datasets/{name}          one dataset's detail view: value
 //	                                    domains, staleness, version, and
-//	                                    the self-tuning summary (live unit
-//	                                    costs, drift, last recalibration)
-//	GET    /v1/datasets/{name}/advisor  the self-tuning optimizer's full
-//	                                    state: calibration, workload
-//	                                    summary, index recommendations,
-//	                                    installed secondary indexes
+//	                                    the advisor summary (unit costs,
+//	                                    secondary index count)
+//	GET    /v1/datasets/{name}/advisor  the index advisor's full state:
+//	                                    unit costs, workload summary,
+//	                                    index recommendations, installed
+//	                                    secondary indexes
 //	POST   /v1/datasets/{name}/advisor/apply
-//	                                    run one explicit self-tuning step:
-//	                                    a recalibration evaluation plus
-//	                                    the index builds/drops the
+//	                                    apply the index builds/drops the
 //	                                    workload pays for
 //	POST   /v1/subscriptions            register a standing query (201 +
 //	                                    Location)
@@ -116,15 +114,11 @@ type Config struct {
 	// SSEHeartbeat is the keep-alive comment interval on idle event
 	// streams (default 15s).
 	SSEHeartbeat time.Duration
-	// AdvisorInterval, when positive, runs the self-tuning policy loop:
-	// every interval each registered engine gets one Recalibrate
-	// evaluation (unit swaps still gated by the guardrail replay).
-	// 0 disables the loop; the advisor endpoints work either way.
+	// AdvisorInterval, when positive, runs the index advisor's policy
+	// loop: every interval each registered engine's recommendations
+	// (secondary index builds and drops) are applied. 0 disables the
+	// loop; the advisor endpoints work either way.
 	AdvisorInterval time.Duration
-	// AdvisorAutoApply additionally applies the index advisor's
-	// recommendations (secondary index builds and drops) on each policy
-	// tick. Ignored without AdvisorInterval.
-	AdvisorAutoApply bool
 }
 
 func (c Config) withDefaults() Config {
@@ -229,7 +223,7 @@ func New(reg *Registry, cfg Config) *Server {
 		}
 	}
 	s.advisorTicks = m.Counter("colarm_server_advisor_ticks_total",
-		"Self-tuning policy loop ticks (one Recalibrate evaluation per engine each).")
+		"Index-advisor policy loop ticks (each applies every engine's current recommendations).")
 	s.advisorApplies = m.Counter("colarm_server_advisor_applies_total",
 		"Index-advisor recommendation batches applied (by the policy loop or POST .../advisor/apply).")
 	if cfg.AdvisorInterval > 0 {
@@ -579,9 +573,9 @@ type datasetDetail struct {
 	Staleness     colarm.Staleness    `json:"staleness"`
 	Domains       map[string][]string `json:"domains"`
 	Subscriptions int                 `json:"subscriptions"`
-	// Advisor summarizes the self-tuning optimizer: the live-calibrated
-	// unit costs, the drift score and the last recalibration time (the
-	// full state lives at /v1/datasets/{name}/advisor).
+	// Advisor summarizes the index advisor: the optimizer's unit costs
+	// and the secondary index count (the full state lives at
+	// /v1/datasets/{name}/advisor).
 	Advisor advisorSummaryJSON `json:"advisor"`
 }
 

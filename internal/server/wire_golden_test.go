@@ -22,29 +22,23 @@ var updateWire = flag.Bool("update", false, "rewrite the testdata/wire goldens f
 
 // Wall-clock values are the only bytes of a reply that differ between
 // two runs; the scrubbers below replace each with a placeholder that
-// still pins its JSON type and format (an integer stays an integer, a
-// timestamp stays RFC 3339 in UTC). Everything else must repeat exactly.
+// still pins its JSON type and format (an integer stays an integer).
+// Everything else must repeat exactly.
 var (
-	reNanos   = regexp.MustCompile(`"(durationNanos|rebuildCostNanos|buildDurationNanos)":\d+`)
-	reStamp   = regexp.MustCompile(`"(lastSwap|lastRecalibration)":"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?Z"`)
-	reTrace   = regexp.MustCompile(`"trace":"(?:[^"\\]|\\.)*"`)
-	reSpanDur = regexp.MustCompile(` *[0-9][0-9.]*(ns|µs|ms|s)\b`)
-	// After a recalibration swap the calibration's numbers are measured.
-	reMeasured = regexp.MustCompile(`"(wordOp|boxRel|idProbe|mapOp|genOp|driftScore|live|bias|weight|samples)":-?[0-9][0-9.eE+-]*`)
+	reNanos = regexp.MustCompile(`"(durationNanos|rebuildCostNanos|buildDurationNanos)":\d+`)
+	reTrace = regexp.MustCompile(`"trace":"(?:[^"\\]|\\.)*"`)
+	// A measured span duration is right-aligned, so spaces lead it; the
+	// model's pred=… on the same line is deterministic and stays pinned.
+	reSpanDur = regexp.MustCompile(` +[0-9][0-9.]*(ns|µs|ms|s)\b`)
 	// An evicted frame's position depends on how far the consumer got.
 	reEvicted = regexp.MustCompile(`\d+`)
 )
 
 func scrubClock(b []byte) []byte {
 	b = reNanos.ReplaceAll(b, []byte(`"$1":"<nanos>"`))
-	b = reStamp.ReplaceAll(b, []byte(`"$1":"<rfc3339-utc>"`))
 	return reTrace.ReplaceAllFunc(b, func(tr []byte) []byte {
 		return reSpanDur.ReplaceAll(tr, []byte(" <dur>"))
 	})
-}
-
-func scrubMeasured(b []byte) []byte {
-	return reMeasured.ReplaceAll(scrubClock(b), []byte(`"$1":"<measured>"`))
 }
 
 func scrubEvicted(b []byte) []byte {
@@ -166,36 +160,10 @@ func TestWireGolden(t *testing.T) {
 	})
 
 	t.Run("advisor", func(t *testing.T) {
-		_, h := wireServer(t, colarm.Options{TrackAccuracy: true}, Config{})
-		// Before any swap: no lastSwap, every number the static default.
+		_, h := wireServer(t, colarm.Options{}, Config{})
 		do(t, h, "POST", "/v1/mine", seattleQuery, 200)
 		checkWire(t, "advisor.json", do(t, h, "GET", "/v1/datasets/salary/advisor", nil, 200))
 		checkWire(t, "advisor_apply.json", do(t, h, "POST", "/v1/datasets/salary/advisor/apply", nil, 200))
-
-		// Drive a swap. One focal record puts the localized count under
-		// the primary count, so the gate forces ARM for every candidate
-		// unit vector and the guardrail replay cannot regress; traced
-		// queries on a tracking engine feed the recalibrator both the
-		// operator timings and that replay evidence. Measured time on an
-		// eleven-row table is far above the model's prediction, so the
-		// drift is there from the first evaluation on.
-		forced := map[string]any{
-			"dataset": "salary", "range": map[string][]string{"Location": {"Seattle"}, "Gender": {"F"}, "Age": {"30-40"}},
-			"minSupport": 0.5, "minConfidence": 0.5, "trace": true,
-		}
-		var applied []byte
-		for i := 0; i < 40 && !bytes.Contains(applied, []byte(`"swapped":true`)); i++ {
-			for j := 0; j < 16; j++ {
-				do(t, h, "POST", "/v1/mine", forced, 200)
-			}
-			applied = do(t, h, "POST", "/v1/datasets/salary/advisor/apply", nil, 200)
-		}
-		if !bytes.Contains(applied, []byte(`"swapped":true`)) {
-			t.Fatalf("no recalibration swap after 40 evaluations: %s", applied)
-		}
-		checkWire(t, "advisor_apply_swapped.json", scrubMeasured(applied))
-		checkWire(t, "advisor_swapped.json", scrubMeasured(do(t, h, "GET", "/v1/datasets/salary/advisor", nil, 200)))
-		checkWire(t, "dataset_detail_swapped.json", scrubMeasured(do(t, h, "GET", "/v1/datasets/salary", nil, 200)))
 	})
 
 	t.Run("subscriptions", func(t *testing.T) {
@@ -299,9 +267,7 @@ func TestWireScrubbersKeepTypes(t *testing.T) {
 		{`{"durationNanos":1234}`, `{"durationNanos":"<nanos>"}`},
 		{`{"durationNanos":12.5}`, `{"durationNanos":"<nanos>".5}`},
 		{`{"durationNanos":"1µs"}`, `{"durationNanos":"1µs"}`},
-		{`{"lastSwap":"2026-10-02T10:11:12.123456789Z"}`, `{"lastSwap":"<rfc3339-utc>"}`},
-		{`{"lastSwap":"2026-10-02T10:11:12+02:00"}`, `{"lastSwap":"2026-10-02T10:11:12+02:00"}`},
-		{`{"trace":"S-VS  12µs\n└─ VERIFY      1.5ms  in=3 out=4"}`, `{"trace":"S-VS <dur>\n└─ VERIFY <dur>  in=3 out=4"}`},
+		{`{"trace":"S-VS  12µs\n└─ VERIFY      1.5ms  in=3 out=4  pred=2µs"}`, `{"trace":"S-VS <dur>\n└─ VERIFY <dur>  in=3 out=4  pred=2µs"}`},
 	} {
 		if got := string(scrubClock([]byte(tc.in))); got != tc.want {
 			t.Errorf("scrubClock(%s) = %s, want %s", tc.in, got, tc.want)

@@ -118,6 +118,71 @@ func TestTraceAttachment(t *testing.T) {
 	}
 }
 
+// TestTracePredicted pins the per-operator residual view: a traced query
+// the optimizer planned carries, span by span, exactly the chosen plan's
+// non-zero cost terms; a forced plan was never estimated and carries
+// none.
+func TestTracePredicted(t *testing.T) {
+	eng := obsSalaryEngine(t, Options{})
+	q := salaryQuery()
+	q.Trace = true
+	res, err := eng.Mine(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := eng.buildQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind, ests, err := eng.eng.Explain(pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Plan(kind + 1); got != res.Stats.Plan {
+		t.Fatalf("explain chose %s, the traced query ran %s", got, res.Stats.Plan)
+	}
+	want := map[string]float64{}
+	for _, est := range ests {
+		if est.Plan != kind {
+			continue
+		}
+		for _, term := range est.Terms() {
+			if term.Cost > 0 {
+				want[term.Operator] = term.Cost
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the chosen plan's estimate has no non-zero term")
+	}
+	got := map[string]float64{}
+	for _, s := range res.Trace.Spans {
+		if s.Predicted != 0 {
+			got[s.Operator] = s.Predicted
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("predicted per span %v, want the chosen plan's terms %v", got, want)
+	}
+	if tree := res.Trace.Tree(); !strings.Contains(tree, "pred=") {
+		t.Errorf("tree of an optimizer-planned query shows no prediction:\n%s", tree)
+	}
+
+	q.Plan = res.Stats.Plan
+	forced, err := eng.Mine(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range forced.Trace.Spans {
+		if s.Predicted != 0 {
+			t.Errorf("forced plan: span %s carries prediction %v", s.Operator, s.Predicted)
+		}
+	}
+	if tree := forced.Trace.Tree(); strings.Contains(tree, "pred=") {
+		t.Errorf("tree of a forced plan shows a prediction:\n%s", tree)
+	}
+}
+
 func TestWriteMetricsFacade(t *testing.T) {
 	eng := obsSalaryEngine(t, Options{})
 	if _, err := eng.Mine(salaryQuery()); err != nil {

@@ -2,12 +2,15 @@ package colarm
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"colarm/internal/core"
 	"colarm/internal/mip"
+	"colarm/internal/relation"
 )
 
 // Save serializes the engine's MIP-index (dataset, closed frequent
@@ -114,7 +117,34 @@ func LoadEngineFile(path string, opts Options) (*Engine, error) {
 	return LoadEngine(f, opts)
 }
 
+// sameRecords reports whether two datasets have the same schema, value
+// dictionaries and rows, in order.
+func sameRecords(a, b *relation.Dataset) bool {
+	if a.NumRecords() != b.NumRecords() || a.NumAttrs() != b.NumAttrs() {
+		return false
+	}
+	for i := range a.Attrs {
+		if a.Attrs[i].Name != b.Attrs[i].Name || !slices.Equal(a.Attrs[i].Values, b.Attrs[i].Values) {
+			return false
+		}
+	}
+	for r := 0; r < a.NumRecords(); r++ {
+		for at := 0; at < a.NumAttrs(); at++ {
+			if a.Value(r, at) != b.Value(r, at) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engine, error) {
+	// 0 means "not recorded" (Assemble recovers it from the primary
+	// count); anything else is the fraction every merged view is re-mined
+	// at, so a value outside [0,1] — NaN included — is a corrupt stream.
+	if !(meta.Primary >= 0 && meta.Primary <= 1) {
+		return nil, fmt.Errorf("colarm: snapshot primary support %v outside [0,1]", meta.Primary)
+	}
 	opts.PrimarySupport = meta.Primary
 	eng := core.Assemble(idx, core.Options{
 		PrimarySupport: meta.Primary,
@@ -143,10 +173,22 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 	// Reinstall the secondary indexes after the delta replay: they were
 	// saved fresh, and the replayed store reproduces the exact merged
 	// surface they were mined over, so they restore fresh too.
+	// What makes that true of a hostile stream is checked, not assumed:
+	// a nested index over other records would be consulted as fresh and
+	// index this engine's regions out of range.
+	var merged *relation.Dataset
 	for _, sec := range meta.Secondaries {
 		sidx, _, err := mip.ReadSnapshot(bytes.NewReader(sec.Blob))
 		if err != nil {
 			return nil, err
+		}
+		if merged == nil {
+			if merged, err = eng.Delta.MergedDataset(); err != nil {
+				return nil, err
+			}
+		}
+		if !(sec.Primary > 0 && sec.Primary <= 1) || sidx.Live != nil || !sameRecords(sidx.Dataset, merged) {
+			return nil, fmt.Errorf("colarm: snapshot's secondary index at primary %v does not cover the snapshot's own records", sec.Primary)
 		}
 		eng.RestoreSecondary(sidx, sec.Primary)
 	}

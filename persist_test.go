@@ -6,10 +6,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"colarm/internal/mip"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -132,6 +135,54 @@ func TestSaveFileKeepsOldSnapshotOnFailure(t *testing.T) {
 func TestLoadEngineErrors(t *testing.T) {
 	if _, err := LoadEngine(strings.NewReader("junk"), Options{}); err == nil {
 		t.Error("junk stream must error")
+	}
+}
+
+// TestLoadEngineRejectsInconsistentMeta: a stream can decode cleanly and
+// still describe no engine this build could have saved. The metadata a
+// loaded engine would act on is checked against the index it rides with.
+func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
+	eng := salaryEngine(t)
+	other, err := ReadCSV("tiny", strings.NewReader("A,B\nx,y\nx,y\nx,z\nw,y\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherEng, err := Open(other, Options{PrimarySupport: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign, own bytes.Buffer
+	if err := otherEng.Save(&foreign); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Save(&own); err != nil {
+		t.Fatal(err)
+	}
+	for name, meta := range map[string]mip.SnapshotMeta{
+		"primary above 1":  {Primary: 5},
+		"primary negative": {Primary: -0.18},
+		"primary NaN":      {Primary: math.NaN()},
+		"secondary over other records": {Primary: 0.18,
+			Secondaries: []mip.SecondarySnapshot{{Primary: 0.05, Blob: foreign.Bytes()}}},
+		"secondary primary out of range": {Primary: 0.18,
+			Secondaries: []mip.SecondarySnapshot{{Primary: 7, Blob: own.Bytes()}}},
+	} {
+		var buf bytes.Buffer
+		if _, err := eng.eng.Index.WriteSnapshot(&buf, meta); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadEngine(&buf, Options{}); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+	// The same index under its own records is what Save writes.
+	var buf bytes.Buffer
+	if _, err := eng.eng.Index.WriteSnapshot(&buf, mip.SnapshotMeta{Primary: 0.18,
+		Secondaries: []mip.SecondarySnapshot{{Primary: 0.18, Blob: own.Bytes()}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(&buf, Options{}); err != nil {
+		t.Errorf("consistent snapshot refused: %v", err)
 	}
 }
 

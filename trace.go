@@ -25,6 +25,11 @@ type TraceSpan struct {
 	// Detail carries operator-specific counters, e.g.
 	// "filtered=3 checks=42 eliminated=23".
 	Detail string
+	// Predicted is the cost model's estimate for this operator, in model
+	// nanoseconds, to read beside Duration. It is 0 when the plan was
+	// forced (nothing was estimated) and for UNION, which has no cost
+	// term of its own.
+	Predicted float64
 }
 
 // Trace is the per-operator execution trace of one mined query,
@@ -43,12 +48,13 @@ func newTrace(tr *obs.Trace) *Trace {
 	out := &Trace{Plan: tr.Label, Total: tr.Total}
 	for _, s := range tr.Spans {
 		out.Spans = append(out.Spans, TraceSpan{
-			Operator: s.Op.String(),
-			Duration: s.Duration,
-			In:       s.In,
-			Out:      s.Out,
-			Workers:  s.Workers,
-			Detail:   s.Detail,
+			Operator:  s.Op.String(),
+			Duration:  s.Duration,
+			In:        s.In,
+			Out:       s.Out,
+			Workers:   s.Workers,
+			Detail:    s.Detail,
+			Predicted: s.Predicted,
 		})
 	}
 	return out
@@ -57,9 +63,12 @@ func newTrace(tr *obs.Trace) *Trace {
 // Tree renders the trace as an operator tree, one line per span:
 //
 //	SS-E-V  1.234ms
-//	├─ SUPPORTED-SEARCH      312µs  out=57  (nodes=9 entries=57 contained=12 partial=45)
-//	├─ ELIMINATE             501µs  in=57 out=31  ×4  (filtered=3 checks=42 eliminated=23)
-//	└─ VERIFY                401µs  in=31 out=18  ×4  (oracle=120 misses=14)
+//	├─ SUPPORTED-SEARCH      312µs  out=57  pred=280µs  (nodes=9 entries=57 contained=12 partial=45)
+//	├─ ELIMINATE             501µs  in=57 out=31  ×4  pred=655µs  (filtered=3 checks=42 eliminated=23)
+//	└─ VERIFY                401µs  in=31 out=18  ×4  pred=1.2ms  (oracle=120 misses=14)
+//
+// pred= is the cost model's estimate for the operator and appears only
+// when the optimizer chose the plan.
 func (t *Trace) Tree() string {
 	if t == nil {
 		return ""
@@ -80,6 +89,13 @@ func (t *Trace) Tree() string {
 		}
 		if s.Workers > 1 {
 			fmt.Fprintf(&b, "  ×%d", s.Workers)
+		}
+		if s.Predicted > 0 {
+			pred := time.Duration(s.Predicted)
+			if pred >= time.Microsecond {
+				pred = pred.Round(time.Microsecond)
+			}
+			fmt.Fprintf(&b, "  pred=%s", pred)
 		}
 		if s.Detail != "" {
 			fmt.Fprintf(&b, "  (%s)", s.Detail)
