@@ -31,7 +31,6 @@ import (
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/plans"
-	"colarm/internal/rtree"
 )
 
 var (
@@ -182,71 +181,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 				if env.NumPartitions() == 0 {
 					b.Fatal("empty index")
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkRTreePacking is ablation A1: build and search cost of the
-// MIP R-tree under STR packing and Morton packing.
-func BenchmarkRTreePacking(b *testing.B) {
-	env := benchEnv(b, "chess")
-	idx := env.Engine.Index
-	entries := make([]rtree.Entry, idx.NumMIPs())
-	for id := range entries {
-		entries[id] = rtree.Entry{
-			Box:     idx.Boxes[id],
-			ID:      int32(id),
-			Support: int32(idx.ITTree.Set(id).Support),
-		}
-	}
-	dims := idx.Space.NumAttrs()
-
-	build := func(b *testing.B, f func() *rtree.Tree) {
-		var tr *rtree.Tree
-		for i := 0; i < b.N; i++ {
-			tr = f()
-		}
-		if tr.Size() != len(entries) {
-			b.Fatal("bad tree size")
-		}
-	}
-	b.Run("build/str", func(b *testing.B) {
-		build(b, func() *rtree.Tree {
-			tr, err := rtree.Bulk(append([]rtree.Entry(nil), entries...), dims, 0, rtree.STRPacking, idx.Cards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return tr
-		})
-	})
-	b.Run("build/morton", func(b *testing.B) {
-		build(b, func() *rtree.Tree {
-			tr, err := rtree.Bulk(append([]rtree.Entry(nil), entries...), dims, 0, rtree.MortonPacking, idx.Cards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return tr
-		})
-	})
-	// Search latency per packing.
-	rng := rand.New(rand.NewSource(17))
-	regions := make([]*itemset.Region, 8)
-	for i := range regions {
-		regions[i] = env.RandomFocalSubset(rng, 0.2)
-	}
-	for _, packing := range []rtree.Packing{rtree.STRPacking, rtree.MortonPacking} {
-		tr, err := rtree.Bulk(append([]rtree.Entry(nil), entries...), dims, 0, packing, idx.Cards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("search/"+packing.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				tr.Search(regions[i%len(regions)], func(rtree.Entry, itemset.Rel) bool {
-					n++
-					return true
-				})
 			}
 		})
 	}

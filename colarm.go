@@ -45,18 +45,7 @@ import (
 	"colarm/internal/cost"
 	"colarm/internal/obs"
 	"colarm/internal/plans"
-	"colarm/internal/rtree"
 	"colarm/internal/rules"
-)
-
-// Packing selects the R-tree bulk-loading scheme for the MIP-index.
-type Packing int
-
-const (
-	// STR packs with Sort-Tile-Recursive order (default).
-	STR Packing = iota
-	// Morton packs with Z-order curve order.
-	Morton
 )
 
 // Plan identifies one of the six execution plans of the paper. Past
@@ -124,8 +113,6 @@ type Options struct {
 	PrimarySupport float64
 	// Fanout is the R-tree node capacity; 0 selects the default (16).
 	Fanout int
-	// Packing selects the R-tree bulk-loading scheme.
-	Packing Packing
 	// Calibrate micro-benchmarks the cost model's unit costs on this
 	// machine; when false, hardware-typical defaults are used.
 	Calibrate bool
@@ -135,16 +122,6 @@ type Options struct {
 	// 1 forces serial execution. Rules and statistics are identical
 	// for every setting; only wall-clock time changes.
 	Workers int
-	// TrackAccuracy makes every traced query (Query.Trace set)
-	// additionally execute all six plans untraced and score the
-	// optimizer's choice against the empirically cheapest plan,
-	// feeding the running figure AccuracyReport returns. Expect
-	// roughly 6x one query's cost per traced query.
-	TrackAccuracy bool
-	// AccuracyTolerance is the regret fraction under which a
-	// mispredicted plan choice still counts as correct; <= 0 selects
-	// the paper's 5% (§5.1 methodology).
-	AccuracyTolerance float64
 	// Metrics, when non-nil, registers this engine's cumulative metrics
 	// in a shared registry instead of a private one. Every engine
 	// metric carries a dataset label, so engines over different
@@ -153,11 +130,11 @@ type Options struct {
 	Metrics *MetricsRegistry
 	// Shards partitions the records into K hash-routed shards: queries
 	// scatter to all shards in parallel and gather exactly recombined
-	// results (summed supports, recomputed confidences, closure-merged
-	// catalogs), ingested rows route by record id, and rebuilds
-	// consolidate shard-by-shard while the engine keeps serving. 0 or 1
-	// keeps the engine monolithic; answers are identical — rule for
-	// rule, counter for counter — at every K.
+	// results (summed supports, recomputed confidences), and ingested
+	// rows route by record id. The catalog, the ingest buffer and
+	// Rebuild are the monolithic engine's own. 0 or 1 keeps the engine
+	// monolithic; answers, record ids and snapshot bytes are identical
+	// — rule for rule, counter for counter — at every K.
 	Shards int
 }
 
@@ -273,11 +250,10 @@ type Result struct {
 
 // Engine is a ready-to-query COLARM instance over one dataset.
 type Engine struct {
-	eng           *core.Engine
-	ds            *Dataset
-	trackAccuracy bool
-	opts          Options
-	gen           uint64
+	eng  *core.Engine
+	ds   *Dataset
+	opts Options
+	gen  uint64
 }
 
 // Open runs the offline preprocessing phase over the dataset and
@@ -286,24 +262,18 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.rel == nil {
 		return nil, fmt.Errorf("colarm: nil dataset")
 	}
-	packing := rtree.STRPacking
-	if opts.Packing == Morton {
-		packing = rtree.MortonPacking
-	}
 	eng, err := core.NewEngine(ds.rel, core.Options{
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
-		Packing:        packing,
 		CalibrateUnits: opts.Calibrate,
 		Workers:        opts.Workers,
-		AccuracyTol:    opts.AccuracyTolerance,
 		Metrics:        opts.Metrics.registry(),
 		Shards:         opts.Shards,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, ds: ds, trackAccuracy: opts.TrackAccuracy, opts: opts}, nil
+	return &Engine{eng: eng, ds: ds, opts: opts}, nil
 }
 
 // NumShards returns the engine's shard count (1 for a monolithic
@@ -368,11 +338,6 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 		out.Estimates = planEstimates(ests)
 	}
 	out.Trace = newTrace(pq.Trace)
-	if q.Trace && e.trackAccuracy {
-		if _, err := e.eng.EvaluatePlans(pq); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package colarm
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -362,11 +363,9 @@ func min(a, b int) int {
 // from the monolithic one: for K in {1, 2, 3, 7}, serial and parallel,
 // all six forced plans must return byte-identical rules AND statistics
 // on randomized datasets — fresh, with a live delta (inserts and
-// deletes), after a rebuild (compacting monolith vs ghost-preserving
-// sharded consolidation), and after post-rebuild ingestion. The small
-// random item spaces keep the scatter catalog (per-shard mining + cross-
-// shard closure merge) active, so the merge path is what answers the
-// delta-view and consolidation phases. K=1 additionally pins the Auto
+// deletes), after a rebuild (every layout compacts the ids and holds
+// the same records, so snapshots are byte-identical), and after
+// post-rebuild ingestion with deletes. K=1 additionally pins the Auto
 // plan and byte-identical snapshots under the v5 magic; every K checks
 // the sharded snapshot round-trips through save/load.
 func TestShardDifferential(t *testing.T) {
@@ -525,9 +524,9 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 		}
 	}
 
-	// Rebuild: the monolith compacts record ids; the sharded engines
-	// consolidate, keeping deleted rows as ghosts so the hash routing
-	// stays stable. Every query surface must still agree exactly.
+	// Rebuild: every layout re-mines the merged dataset with compacted
+	// record ids, and a sharded engine re-partitions the fresh index.
+	// Every query surface must still agree exactly.
 	ctx := context.Background()
 	mono2, err := mono.Rebuild(ctx)
 	if err != nil {
@@ -544,15 +543,41 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 	mono, ser, par = mono2, ser2, par2
 	compare("rebuilt")
 
-	// The consolidated sharded snapshot (v4 when ghosts exist) must
-	// round-trip through save/load and keep answering exactly.
+	// One relation whatever the access path: the rebuilt engines hold
+	// the same records under the same ids, so they persist to the same
+	// bytes at every K and draw the id-space boundary at the same place.
+	var snapM bytes.Buffer
+	if err := mono.Save(&snapM); err != nil {
+		t.Fatalf("K=%d: save rebuilt monolith: %v", k, err)
+	}
+	n := mono.Dataset().NumRecords()
+	for name, e := range map[string]*Engine{"sharded serial": ser, "sharded parallel": par} {
+		if got := e.Dataset().NumRecords(); got != n {
+			t.Fatalf("K=%d: rebuilt %s holds %d records, monolith %d", k, name, got, n)
+		}
+		var b bytes.Buffer
+		if err := e.Save(&b); err != nil {
+			t.Fatalf("K=%d: save rebuilt %s: %v", k, name, err)
+		}
+		if !bytes.Equal(b.Bytes(), snapM.Bytes()) {
+			t.Fatalf("K=%d: rebuilt %s snapshot differs from the monolith's (%d vs %d bytes)", k, name, b.Len(), snapM.Len())
+		}
+	}
+	for name, e := range map[string]*Engine{"monolith": mono, "sharded serial": ser, "sharded parallel": par} {
+		if _, err := e.Ingest(nil, []int{n}); !errors.Is(err, ErrBadRecordID) {
+			t.Fatalf("K=%d: rebuilt %s: delete of id %d past the %d compacted records: %v, want ErrBadRecordID", k, name, n, n, err)
+		}
+	}
+
+	// The rebuilt sharded snapshot must round-trip through save/load
+	// and keep answering exactly.
 	var snap bytes.Buffer
 	if err := ser.Save(&snap); err != nil {
-		t.Fatalf("K=%d: save consolidated: %v", k, err)
+		t.Fatalf("K=%d: save rebuilt: %v", k, err)
 	}
 	loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), Options{Workers: 1, Shards: k})
 	if err != nil {
-		t.Fatalf("K=%d: load consolidated: %v", k, err)
+		t.Fatalf("K=%d: load rebuilt: %v", k, err)
 	}
 	for qi, q := range queries {
 		for _, plan := range forced {
@@ -574,12 +599,12 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 		}
 	}
 
-	// Post-rebuild ingestion: inserts only — after a rebuild the id
-	// spaces legitimately diverge (the monolith renumbered, the shards
-	// did not), so a delete id would name different records.
-	ins2, _ := randomIngestBatch(rng, ds, 0, false)
+	// Post-rebuild ingestion: the id spaces coincide again, so the batch
+	// deletes too, anywhere up to the last compacted id.
+	ins2, dels2 := randomIngestBatch(rng, ds, n, true)
+	dels2 = append(dels2, n-1)
 	for name, e := range map[string]*Engine{"monolith": mono, "sharded serial": ser, "sharded parallel": par} {
-		if _, err := e.Ingest(ins2, nil); err != nil {
+		if _, err := e.Ingest(ins2, dels2); err != nil {
 			t.Fatalf("K=%d: post-rebuild ingest into %s: %v", k, name, err)
 		}
 	}

@@ -98,9 +98,11 @@ var snapshotQueries = []Query{
 }
 
 // FuzzLoadSnapshot feeds LoadEngine hostile snapshot streams: the
-// committed v2–v4 rejection fixtures and truncations, bit flips and
-// spliced bytes of a v5 stream saved from salary with a non-empty delta
-// and one nested secondary index. Loading must end in an error or an
+// committed v2–v4 rejection fixtures, the committed v5 streams (one
+// carries a live mask over ghost rows, which only a loaded file can
+// still bring in) and truncations, bit flips and spliced bytes of a v5
+// stream saved from salary with a non-empty delta and one nested
+// secondary index. Loading must end in an error or an
 // engine, and an engine that loaded must answer the fixed queries with
 // a result or an error — never a panic, whatever the stream claimed
 // about its own lengths and offsets. The unmutated stream must answer
@@ -136,8 +138,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}
 
 	f.Add(seed)
-	for _, legacy := range []string{"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot"} {
-		data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", legacy))
+	for _, golden := range []string{
+		"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot",
+		"golden_v5.snapshot", "golden_v5_ghost.snapshot",
+	} {
+		data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", golden))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -35,7 +35,8 @@ type Staleness struct {
 // ShardStaleness is one shard's slice of a sharded engine's drift: the
 // Shard number in [0, K), the live Records it owns, the live
 // BufferedRows routed to it, the Tombstones of records it owns, and its
-// Version clock, which ticks on every ingest batch touching the shard.
+// Version clock, which ticks on every ingest batch touching the shard
+// and restarts at 0 with each Rebuild.
 type ShardStaleness = shard.ShardStat
 
 // Ingest buffers live transactions — inserts and deletes — without
@@ -43,9 +44,11 @@ type ShardStaleness = shard.ShardStat
 // value label from the frozen vocabulary (ingest cannot introduce new
 // attributes or values; that requires building a new engine from raw
 // data). Deletes name record ids: 0..NumRecords()-1 for base records,
-// then ids assigned to inserts in arrival order; a deleted id is never
-// reused. The batch is atomic — it is validated in full and either
-// applied entirely or rejected without effect.
+// then ids assigned to inserts in arrival order; within one generation
+// a deleted id is never reused, and a Rebuild compacts the surviving
+// records to 0..NumRecords()-1 in order, whatever Options.Shards is.
+// The batch is atomic — it is validated in full and either applied
+// entirely or rejected without effect.
 //
 // Subsequent queries answer over the merged dataset exactly, at a small
 // per-query overhead; the returned Staleness reports the accumulated
@@ -112,20 +115,19 @@ func (e *Engine) wrapStaleness(st delta.Staleness) Staleness {
 func (e *Engine) Generation() uint64 { return e.gen }
 
 // Rebuild runs the offline phase over the merged dataset — base records
-// minus deletions plus buffered inserts — and returns a fresh engine
-// with an empty delta and an incremented generation. The receiver is
-// left untouched and stays fully queryable, so callers can rebuild in
-// the background and swap engines atomically when done.
+// minus deletions plus buffered inserts, ids compacted — and returns a
+// fresh engine with an empty delta and an incremented generation. The
+// receiver is left untouched and stays fully queryable, so callers can
+// rebuild in the background and swap engines atomically when done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	fresh, err := e.eng.Rebuild(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
-		eng:           fresh,
-		ds:            &Dataset{rel: fresh.Index.Dataset},
-		trackAccuracy: e.trackAccuracy,
-		opts:          e.opts,
-		gen:           e.gen + 1,
+		eng:  fresh,
+		ds:   &Dataset{rel: fresh.Index.Dataset},
+		opts: e.opts,
+		gen:  e.gen + 1,
 	}, nil
 }

@@ -184,7 +184,6 @@ func (e *Engine) BuildSecondary(ctx context.Context, primary float64) (Secondary
 	idx, err := mip.Build(merged, mip.Options{
 		PrimarySupport: primary,
 		Fanout:         e.opts.Fanout,
-		Packing:        e.opts.Packing,
 		Workers:        e.opts.Workers,
 	})
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"colarm/internal/plans"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
-	"colarm/internal/rtree"
 	"colarm/internal/shard"
 )
 
@@ -28,8 +27,6 @@ type Options struct {
 	PrimarySupport float64
 	// Fanout is the R-tree node capacity (<= 0 selects the default).
 	Fanout int
-	// Packing selects the R-tree bulk-loading scheme.
-	Packing rtree.Packing
 	// CalibrateUnits micro-benchmarks the cost model's unit costs on
 	// this machine instead of using defaults.
 	CalibrateUnits bool
@@ -49,10 +46,6 @@ type Options struct {
 	// sharing a registry stay distinguishable (and same-dataset engines
 	// aggregate).
 	Metrics *obs.Registry
-	// AccuracyTol is the regret fraction under which a mispredicted
-	// plan choice still counts as correct in the accuracy tracker;
-	// <= 0 selects the paper's 5% (§5.1 methodology).
-	AccuracyTol float64
 	// Shards partitions the records into K hash-routed shards behind
 	// the collection seam; queries scatter to all shards in parallel
 	// and gather exact recombined results. 0 or 1 leaves the engine
@@ -97,9 +90,6 @@ type Engine struct {
 	// latency histograms, Prometheus-renderable). Recording is atomic;
 	// reading may happen concurrently with queries.
 	Metrics *obs.Registry
-	// Accuracy is the running plan-choice accuracy tracker fed by
-	// EvaluatePlans.
-	Accuracy *obs.AccuracyTracker
 	// Advisor is the workload log behind index recommendations. Never
 	// nil; shared across Rebuild generations so the log survives engine
 	// swaps. Index builds and drops happen only through explicit
@@ -118,8 +108,6 @@ type Engine struct {
 	rulesEmitted *obs.Counter
 	latency      *obs.Histogram
 	chosen       map[plans.Kind]*obs.Counter
-	evals        *obs.Counter
-	evalsCorrect *obs.Counter
 
 	ingestBatches  *obs.Counter
 	ingestRows     *obs.Counter
@@ -143,7 +131,6 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 	idx, err := mip.Build(d, mip.Options{
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
-		Packing:        opts.Packing,
 		Workers:        opts.Workers,
 	})
 	if err != nil {
@@ -174,8 +161,7 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	model.Shards = opts.Shards
 	e := &Engine{
 		Index: idx, Executor: ex, Model: model, opts: opts,
-		Accuracy: obs.NewAccuracyTracker(opts.AccuracyTol),
-		Advisor:  advisor.New(),
+		Advisor: advisor.New(),
 	}
 	e.initDelta()
 	e.initMetrics(opts.Metrics)
@@ -205,12 +191,6 @@ func (e *Engine) initDelta() {
 		Primary: primary,
 		Units:   e.Model.U,
 		Workers: e.opts.Workers,
-		MIP: mip.Options{
-			PrimarySupport: primary,
-			Fanout:         e.opts.Fanout,
-			Packing:        e.opts.Packing,
-			Workers:        e.opts.Workers,
-		},
 	})
 	// The collection wraps a plain delta store: ingest routes through
 	// the collection (shard clocks), while staleness, refresh policy and
@@ -242,10 +222,6 @@ func (e *Engine) initMetrics(reg *obs.Registry) {
 			labels+`,plan="`+k.String()+`"`,
 			"Plans picked by the cost-based optimizer.")
 	}
-	e.evals = reg.CounterWith("colarm_plan_evaluations_total", labels,
-		"Plan choices scored against measured all-plan executions.")
-	e.evalsCorrect = reg.CounterWith("colarm_plan_choice_correct_total", labels,
-		"Scored plan choices that picked the empirically cheapest plan (within tolerance).")
 	e.ingestBatches = reg.CounterWith("colarm_ingest_batches_total", labels,
 		"Ingest batches accepted into the delta store.")
 	e.ingestRows = reg.CounterWith("colarm_ingest_rows_total", labels,
@@ -266,24 +242,6 @@ func (e *Engine) initMetrics(reg *obs.Registry) {
 		"Secondary MIP-indexes dropped.")
 	e.secChosen = reg.CounterWith("colarm_secondary_index_chosen_total", labels,
 		"Queries the multi-index argmin routed to a secondary index.")
-	if e.Coll != nil {
-		// Per-shard catalog observability: one mining-duration histogram
-		// for the engine plus a rebuild counter per shard, fed by the
-		// collection's rebuild hook. Clean shards reuse their cached
-		// catalog, so the counters expose exactly which partitions drift.
-		buildHist := reg.Histogram("colarm_shard_index_build_seconds", labels,
-			"Duration of per-shard threshold-1 catalog minings, the closure merge's input.", nil)
-		rebuildCtrs := make([]*obs.Counter, e.Coll.NumShards())
-		for s := range rebuildCtrs {
-			rebuildCtrs[s] = reg.CounterWith("colarm_shard_index_rebuilds_total",
-				labels+fmt.Sprintf(",shard=%q", fmt.Sprint(s)),
-				"Per-shard catalog re-minings (drifted shards only; clean shards serve their cache).")
-		}
-		e.Coll.SetRebuildHook(func(shard int, buildNanos int64) {
-			rebuildCtrs[shard].Inc()
-			buildHist.Observe(time.Duration(buildNanos))
-		})
-	}
 }
 
 // observe records one executed query in the cumulative metrics.
@@ -357,34 +315,15 @@ func (e *Engine) ShardStats() []shard.ShardStat {
 }
 
 // Rebuild runs the offline phase over the merged dataset — base records
-// minus tombstones plus buffered inserts — and returns a fresh engine
-// with an empty delta, sharing this engine's metrics registry. The
-// receiver is untouched and remains queryable throughout, so a serving
-// layer can rebuild in the background and atomically swap engines when
-// done.
+// minus tombstones plus buffered inserts, ids compacted — and returns a
+// fresh engine with an empty delta and the same Options (a sharded
+// engine re-partitions the fresh index), sharing this engine's metrics
+// registry. The receiver is untouched and remains queryable throughout,
+// so a serving layer can rebuild in the background and atomically swap
+// engines when done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if e.Coll != nil {
-		// Sharded engines consolidate instead of compacting: record ids
-		// must stay stable for the hash routing, so deleted rows become
-		// ghosts outside the new index's Live mask. Clean shards reuse
-		// their cached catalog minings — only drifted shards re-mine —
-		// and this engine serves throughout.
-		start := time.Now()
-		idx, err := e.Coll.Consolidate()
-		if err != nil {
-			return nil, err
-		}
-		opts := e.opts
-		opts.Metrics = e.Metrics
-		fresh := Assemble(idx, opts)
-		fresh.Advisor = e.Advisor
-		fresh.Delta.SetRebuildCost(time.Since(start))
-		e.rebuilds.Inc()
-		e.rebuildSeconds.Observe(time.Since(start))
-		return fresh, nil
 	}
 	merged, err := e.Delta.MergedDataset()
 	if err != nil {
@@ -476,65 +415,6 @@ func (e *Engine) MineWithContext(ctx context.Context, kind plans.Kind, q *plans.
 	e.observe(res, err)
 	e.noteDelta(q, f, err)
 	return res, err
-}
-
-// PlanMeasurement pairs one plan's predicted model cost with its
-// measured execution time for one query.
-type PlanMeasurement struct {
-	Plan      plans.Kind
-	Predicted float64 // model cost (nanosecond scale)
-	Measured  time.Duration
-}
-
-// ChoiceEvaluation scores the optimizer's decision for one query
-// against ground truth obtained by executing all six plans.
-type ChoiceEvaluation struct {
-	Chosen  plans.Kind // the optimizer's pick
-	Best    plans.Kind // the empirically cheapest plan
-	Regret  float64    // extra-cost fraction of Chosen over Best (0 on a hit)
-	Correct bool       // Chosen == Best, or Regret within the tracker tolerance
-	Plans   []PlanMeasurement
-}
-
-// EvaluatePlans replays the optimizer's decision for a query against
-// ground truth: it executes every plan, measures each one, scores the
-// choice against the empirically cheapest plan, and feeds the engine's
-// running Accuracy tracker — the paper's §5.1 predicted-vs-measured
-// study as an online measurement. The evaluation runs untraced so the
-// measured times are clean; expect roughly 6x one query's cost.
-func (e *Engine) EvaluatePlans(q *plans.Query) (*ChoiceEvaluation, error) {
-	if err := q.Validate(e.Index.Space); err != nil {
-		return nil, err
-	}
-	qc := *q
-	qc.Trace = nil
-	f := e.Resolve(&qc)
-	ch := e.choose(&qc, f)
-	ev := &ChoiceEvaluation{Chosen: ch.kind}
-	var chosenT, bestT time.Duration
-	for _, est := range ch.ests {
-		res, err := e.Executor.RunContext(context.Background(), est.Plan, f, &qc)
-		if err != nil {
-			return nil, err
-		}
-		d := res.Stats.Duration
-		ev.Plans = append(ev.Plans, PlanMeasurement{Plan: est.Plan, Predicted: est.Total, Measured: d})
-		if len(ev.Plans) == 1 || d < bestT {
-			bestT, ev.Best = d, est.Plan
-		}
-		if est.Plan == ch.kind {
-			chosenT = d
-		}
-	}
-	if ev.Best != ev.Chosen && bestT > 0 {
-		ev.Regret = float64(chosenT-bestT) / float64(bestT)
-	}
-	ev.Correct = e.Accuracy.Record(ev.Best == ev.Chosen, ev.Regret)
-	e.evals.Inc()
-	if ev.Correct {
-		e.evalsCorrect.Inc()
-	}
-	return ev, nil
 }
 
 // Explain returns the optimizer's choice and per-plan estimates without

@@ -44,7 +44,6 @@ func TestOneResolutionPerRequest(t *testing.T) {
 					{"MineContext", func() error { _, _, err := eng.MineContext(context.Background(), q); return err }},
 					{"MineWithContext", func() error { _, err := eng.MineWithContext(context.Background(), plans.SSEUV, q); return err }},
 					{"ExplainContext", func() error { _, _, err := eng.ExplainContext(context.Background(), q); return err }},
-					{"EvaluatePlans", func() error { _, err := eng.EvaluatePlans(q); return err }},
 				}
 				for _, e := range entries {
 					*n = 0

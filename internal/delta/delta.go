@@ -361,8 +361,8 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 	live := bitset.New(capN)
 	live.Fill()
 	if gl := s.idx.Live; gl != nil {
-		// A consolidated sharded index keeps deleted records as ghost
-		// rows; they stay dead in every merged surface.
+		// An index loaded with a live mask keeps deleted records as
+		// ghost rows; they stay dead in every merged surface.
 		ghosts := gl.Clone()
 		ghosts.Complement()
 		live.AndNot(ghosts.CloneGrown(capN))
@@ -599,7 +599,7 @@ func (s *Store) MergedDataset() (*relation.Dataset, error) {
 			continue
 		}
 		if ghosts != nil && !ghosts.Contains(r) {
-			continue // consolidated deletion; never resurrected
+			continue // ghost row; never resurrected
 		}
 		for a := 0; a < attrs; a++ {
 			idx[a] = d.Value(r, a)

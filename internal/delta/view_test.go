@@ -18,7 +18,7 @@ import (
 // the middle of every domain, so the extreme values — the ones CFI
 // bounding boxes end on — are held by few records and deleting those
 // records moves boxes. With ghosts set, a fifth of the records are ghost
-// rows of a consolidated index (present in the table, outside Live and
+// rows of a loaded index (present in the table, outside Live and
 // every tidset).
 func edgyIndex(t *testing.T, rng *rand.Rand, ghosts bool) *mip.Index {
 	t.Helper()

@@ -60,8 +60,9 @@ func goldenPlainMeta() SnapshotMeta {
 
 // goldenGhostIndex builds the deterministic ghost-carrying index the
 // ghost goldens describe: salary with two records consolidated away —
-// exactly the layout a sharded consolidation produces (ids stable,
-// deleted rows outside the Live mask, catalog mined over live records).
+// the layout sharded rebuilds used to write (ids stable, deleted rows
+// outside the Live mask, catalog mined over live records). No writer
+// produces it any more; the reader still accepts it.
 func goldenGhostIndex(t testing.TB) *Index {
 	t.Helper()
 	d := datagen.Salary()

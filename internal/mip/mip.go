@@ -35,8 +35,6 @@ type Options struct {
 	PrimarySupport float64
 	// Fanout is the R-tree node capacity; <= 0 selects the default.
 	Fanout int
-	// Packing selects the bulk-loading scheme for the R-tree.
-	Packing rtree.Packing
 	// Workers bounds the fan-out of the per-CFI bounding-box computation
 	// during assembly: 0 means one worker per CPU, 1 forces serial. Box
 	// probes are independent reads over immutable tidsets and land in
@@ -61,12 +59,13 @@ type Index struct {
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
-	// Live, when non-nil, flags the records of Dataset that exist: a
-	// consolidated sharded engine absorbs deletions without renumbering
-	// record ids (hash partitioning must stay stable), so deleted rows
-	// remain in Dataset as ghosts outside Live. Nil means every record
-	// is live — the layout every monolithic build produces. Tidsets,
-	// the CFI catalog and all query surfaces cover live records only.
+	// Live, when non-nil, flags the records of Dataset that exist;
+	// deleted rows remain in Dataset as ghosts outside it. Nil means
+	// every record is live — the layout every build produces. Only a
+	// loaded snapshot can carry a mask (sharded rebuilds once absorbed
+	// deletions without renumbering ids), and the engine's next rebuild
+	// compacts the ghosts away. Tidsets, the CFI catalog and all query
+	// surfaces cover live records only.
 	Live *bitset.Set
 
 	// Precomputed statistics for the cost model.
@@ -94,14 +93,9 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
 
-// Assemble builds the index layers from an existing mining result. The
-// shard layer consolidates through it: after folding buffered deltas
-// into a ghost-preserving dataset and re-mining the catalog (globally or
-// via the cross-shard closure merge), Assemble packs the same IT-tree,
-// boxes and supported R-tree the offline Build would, so a consolidated
-// index answers byte-identically to a from-scratch build over the
-// compacted data. Set Live on the returned index afterwards when the
-// dataset carries ghost rows.
+// Assemble builds the index layers from an existing mining result: it
+// packs the same IT-tree, boxes and supported R-tree the offline Build
+// would over the same tidsets and catalog.
 func Assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, primaryCount int, opts Options) (*Index, error) {
 	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
@@ -136,7 +130,7 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		}
 		entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
 	})
-	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards)
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout)
 	if err != nil {
 		return nil, err
 	}

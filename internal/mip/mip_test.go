@@ -223,14 +223,9 @@ func TestQuickIndexConsistency(t *testing.T) {
 			}
 		}
 		d := b.Build()
-		packing := rtree.STRPacking
-		if r.Intn(2) == 0 {
-			packing = rtree.MortonPacking
-		}
 		idx, err := Build(d, Options{
 			PrimarySupport: 0.05 + r.Float64()*0.4,
 			Fanout:         2 + r.Intn(8),
-			Packing:        packing,
 		})
 		if err != nil {
 			return false

@@ -11,7 +11,6 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
-	"colarm/internal/rtree"
 )
 
 // The MIP-index is built offline once (the POQM contract), so persisting
@@ -34,9 +33,9 @@ import (
 // arena, and boxes one inline Lo/Hi arena — a handful of large gob
 // values instead of tens of thousands of small ones. Engine-level
 // metadata (primary-support fraction, generation, the live-ingestion
-// delta, fresh secondary indexes) and the ghost mask of a consolidated
-// sharded engine ride in the same payload, so a snapshot taken
-// mid-ingest restores to the exact same answers.
+// delta, fresh secondary indexes) and the live mask of an index that
+// carries one ride in the same payload, so a snapshot taken mid-ingest
+// restores to the exact same answers.
 const snapshotMagic = "COLARM-MIP-v5"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
@@ -77,7 +76,6 @@ type snapshotV5 struct {
 	// Index parameters.
 	PrimaryCount int
 	Fanout       int
-	Packing      int
 
 	// CFI slabs. CFI i owns ItemArena[ItemOff[i]:ItemOff[i+1]],
 	// TidArena[TidOff[i]:TidOff[i+1]] (a bitset.Set binary encoding) and
@@ -89,8 +87,8 @@ type snapshotV5 struct {
 	TidOff    []int64
 	BoxArena  []int32
 
-	// Live is the ghost mask of a consolidated sharded engine (bitset
-	// binary encoding); empty means every record is live.
+	// Live is Index.Live (bitset binary encoding); empty means every
+	// record is live, which is all a build produces.
 	Live []byte
 
 	Meta SnapshotMeta
@@ -284,10 +282,7 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 		boxes[i] = itemset.Box{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]}
 	}
 
-	idx, err := assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{
-		Fanout:  snap.Fanout,
-		Packing: rtree.Packing(snap.Packing),
-	})
+	idx, err := assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{Fanout: snap.Fanout})
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +296,7 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 		}
 		// The rebuilt per-item tidsets scanned the raw rows, ghosts
 		// included; clear the ghost bits so every query surface covers
-		// live records only, exactly as the consolidating engine left it.
+		// live records only, exactly as the saved index did.
 		for _, t := range idx.Tidsets {
 			t.And(live)
 			t.Optimize()

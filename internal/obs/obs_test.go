@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -172,34 +171,5 @@ func TestWritePrometheus(t *testing.T) {
 	// HELP/TYPE headers must appear exactly once per family.
 	if n := strings.Count(out, "# TYPE colarm_queries_total"); n != 1 {
 		t.Errorf("family header repeated %d times", n)
-	}
-}
-
-func TestAccuracyTracker(t *testing.T) {
-	tr := NewAccuracyTracker(0.05)
-	if !tr.Record(true, 0) {
-		t.Errorf("exact hit should be correct")
-	}
-	if !tr.Record(false, 0.03) {
-		t.Errorf("miss within tolerance should count as correct")
-	}
-	if tr.Record(false, 0.40) {
-		t.Errorf("40%% regret should be incorrect")
-	}
-	rep := tr.Report()
-	if rep.Queries != 3 || rep.Correct != 2 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if got := rep.Accuracy(); got < 0.66 || got > 0.67 {
-		t.Errorf("accuracy = %v, want 2/3", got)
-	}
-	if rep.MissRegretMax != 0.40 {
-		t.Errorf("max regret = %v, want 0.40", rep.MissRegretMax)
-	}
-	if want := (0.03 + 0.40) / 2; math.Abs(rep.MissRegretAvg-want) > 1e-12 {
-		t.Errorf("avg regret = %v, want %v", rep.MissRegretAvg, want)
-	}
-	if (AccuracyReport{}).Accuracy() != 0 {
-		t.Errorf("empty report accuracy should be 0")
 	}
 }

@@ -41,8 +41,8 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	n := sp.NumAttrs()
 	// value resolves a record's raw value, reaching buffered rows past
 	// the base table on a merged surface; the scan passes over ids
-	// outside live — tombstoned records and the ghost rows of a
-	// consolidated index alike (ids are never reused or renumbered).
+	// outside live — tombstoned records and the ghost rows of a loaded
+	// index alike (a surface never reuses or renumbers ids).
 	value, live := c.s.Value, c.s.Live
 	tr := q.Trace
 	var t0 time.Time

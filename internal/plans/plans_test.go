@@ -9,7 +9,6 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/relation"
-	"colarm/internal/rtree"
 	"colarm/internal/rules"
 )
 
@@ -274,14 +273,9 @@ func randomIndex(r *rand.Rand) (*mip.Index, error) {
 			return nil, err
 		}
 	}
-	packing := rtree.STRPacking
-	if r.Intn(2) == 0 {
-		packing = rtree.MortonPacking
-	}
 	return mip.Build(b.Build(), mip.Options{
 		PrimarySupport: 0.05 + r.Float64()*0.2,
 		Fanout:         3 + r.Intn(6),
-		Packing:        packing,
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package pool is the worker pool shared by the parallel layers of the
 // engine: the plans operators (ELIMINATE/VERIFY fan-out), the MIP-index
 // assembler (per-CFI bounding boxes), and the sharded collection
-// (per-shard mining and index builds during consolidation).
+// (restricting the item tidsets to each shard's slice).
 //
 // Work is distributed dynamically through an atomic cursor rather than
 // by static striding, so uneven item costs — tidsets of wildly different

@@ -5,9 +5,9 @@
 // operator exploits a per-node max-support aggregate to prune subtrees
 // that cannot satisfy the query's minimum support (Lemma 4.4).
 //
-// Trees are built once, by bulk packing (STR or Morton order, see
-// build.go — following Kamel & Faloutsos' packed R-trees), into
-// contiguous slabs (flat.go), and are immutable afterwards.
+// Trees are built once, by bulk packing (STR order, see build.go —
+// following Kamel & Faloutsos' packed R-trees), into contiguous slabs
+// (flat.go), and are immutable afterwards.
 package rtree
 
 import (

@@ -78,31 +78,25 @@ func linearSearch(es []Entry, reg *itemset.Region, minCount int) (ids []int32, r
 }
 
 func TestBulkValidation(t *testing.T) {
-	if _, err := Bulk(nil, 0, 8, STRPacking, nil); err == nil {
+	if _, err := Bulk(nil, 0, 8); err == nil {
 		t.Error("dims 0 must error")
 	}
-	if _, err := Bulk(nil, 2, 1, STRPacking, nil); err == nil {
+	if _, err := Bulk(nil, 2, 1); err == nil {
 		t.Error("fanout 1 must error")
 	}
 	bad := []Entry{{Box: itemset.NewBox(3)}}
-	if _, err := Bulk(bad, 2, 8, STRPacking, nil); err == nil {
+	if _, err := Bulk(bad, 2, 8); err == nil {
 		t.Error("dim mismatch must error")
 	}
-	if _, err := Bulk(nil, 2, 8, MortonPacking, nil); err == nil {
-		t.Error("morton without cards must error")
-	}
-	if _, err := Bulk(nil, 2, 8, Packing(42), nil); err == nil {
-		t.Error("unknown packing must error")
-	}
 	// Empty bulk gives a working empty tree.
-	tr, err := Bulk(nil, 2, 8, STRPacking, nil)
+	tr, err := Bulk(nil, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != 0 || tr.Height() != 1 {
 		t.Error("empty bulk shape wrong")
 	}
-	if def, err := Bulk(nil, 2, 0, STRPacking, nil); err != nil || def.Fanout() != DefaultFanout {
+	if def, err := Bulk(nil, 2, 0); err != nil || def.Fanout() != DefaultFanout {
 		t.Errorf("fanout 0 must select the default: %v, %v", def, err)
 	}
 	reg := itemset.NewRegion([]int{4, 4})
@@ -116,28 +110,26 @@ func TestPackedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cards := []int{8, 5, 12}
 	es := randomEntries(r, 500, 3, cards)
-	for _, packing := range []Packing{STRPacking, MortonPacking} {
-		tr, err := Bulk(append([]Entry(nil), es...), 3, 8, packing, cards)
-		if err != nil {
-			t.Fatal(err)
+	tr, err := Bulk(append([]Entry(nil), es...), 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Size() != len(es) {
+		t.Fatalf("size %d", tr.Size())
+	}
+	for trial := 0; trial < 30; trial++ {
+		reg := randomRegion(r, cards)
+		gotIDs, gotRels := collect(tr, reg)
+		wantIDs, wantRels := linearSearch(es, reg, -1)
+		if !eqIDs(gotIDs, wantIDs) {
+			t.Fatalf("trial %d: got %d ids, want %d", trial, len(gotIDs), len(wantIDs))
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", packing, err)
-		}
-		if tr.Size() != len(es) {
-			t.Fatalf("%v: size %d", packing, tr.Size())
-		}
-		for trial := 0; trial < 30; trial++ {
-			reg := randomRegion(r, cards)
-			gotIDs, gotRels := collect(tr, reg)
-			wantIDs, wantRels := linearSearch(es, reg, -1)
-			if !eqIDs(gotIDs, wantIDs) {
-				t.Fatalf("%v trial %d: got %d ids, want %d", packing, trial, len(gotIDs), len(wantIDs))
-			}
-			for id, rel := range wantRels {
-				if gotRels[id] != rel {
-					t.Fatalf("%v trial %d: id %d rel %v, want %v", packing, trial, id, gotRels[id], rel)
-				}
+		for id, rel := range wantRels {
+			if gotRels[id] != rel {
+				t.Fatalf("trial %d: id %d rel %v, want %v", trial, id, gotRels[id], rel)
 			}
 		}
 	}
@@ -147,7 +139,7 @@ func TestSupportedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cards := []int{10, 10}
 	es := randomEntries(r, 400, 2, cards)
-	tr, err := Bulk(append([]Entry(nil), es...), 2, 6, STRPacking, cards)
+	tr, err := Bulk(append([]Entry(nil), es...), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +163,7 @@ func TestSupportedSearchPrunesNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	cards := []int{20, 20}
 	es := randomEntries(r, 2000, 2, cards)
-	tr, _ := Bulk(es, 2, 8, STRPacking, cards)
+	tr, _ := Bulk(es, 2, 8)
 	reg := itemset.NewRegion(cards) // full domain
 	plain := tr.Search(reg, func(Entry, itemset.Rel) bool { return true })
 	supp := tr.SupportedSearch(reg, 101, func(Entry, itemset.Rel) bool { return true })
@@ -184,32 +176,30 @@ func TestSupportedSearchPrunesNodes(t *testing.T) {
 }
 
 // TestDynamicInsertMatchesLinear is the tall-tree reference case: 600
-// entries at fanout 5 pack at least four levels under either order.
+// entries at fanout 5 pack at least four levels.
 func TestDynamicInsertMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	cards := []int{9, 7, 6}
 	es := randomEntries(r, 600, 3, cards)
-	for _, packing := range []Packing{STRPacking, MortonPacking} {
-		tr, err := Bulk(append([]Entry(nil), es...), 3, 5, packing, cards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Size() != len(es) {
-			t.Fatalf("%v: size %d", packing, tr.Size())
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", packing, err)
-		}
-		if tr.Height() < 3 {
-			t.Errorf("%v: expected height >= 3, got %d", packing, tr.Height())
-		}
-		for trial := 0; trial < 20; trial++ {
-			reg := randomRegion(r, cards)
-			gotIDs, _ := collect(tr, reg)
-			wantIDs, _ := linearSearch(es, reg, -1)
-			if !eqIDs(gotIDs, wantIDs) {
-				t.Fatalf("%v trial %d: got %d ids, want %d", packing, trial, len(gotIDs), len(wantIDs))
-			}
+	tr, err := Bulk(append([]Entry(nil), es...), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Size() != len(es) {
+		t.Fatalf("size %d", tr.Size())
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 3 {
+		t.Errorf("expected height >= 3, got %d", tr.Height())
+	}
+	for trial := 0; trial < 20; trial++ {
+		reg := randomRegion(r, cards)
+		gotIDs, _ := collect(tr, reg)
+		wantIDs, _ := linearSearch(es, reg, -1)
+		if !eqIDs(gotIDs, wantIDs) {
+			t.Fatalf("trial %d: got %d ids, want %d", trial, len(gotIDs), len(wantIDs))
 		}
 	}
 }
@@ -218,7 +208,7 @@ func TestSearchBoxAndAll(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	cards := []int{6, 6}
 	es := randomEntries(r, 100, 2, cards)
-	tr, _ := Bulk(append([]Entry(nil), es...), 2, 4, STRPacking, cards)
+	tr, _ := Bulk(append([]Entry(nil), es...), 2, 4)
 
 	q := itemset.NewBox(2)
 	q.Lo[0], q.Hi[0], q.Lo[1], q.Hi[1] = 1, 3, 2, 4
@@ -256,7 +246,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	cards := []int{6, 6}
 	es := randomEntries(r, 200, 2, cards)
-	tr, _ := Bulk(es, 2, 4, STRPacking, cards)
+	tr, _ := Bulk(es, 2, 4)
 	reg := itemset.NewRegion(cards)
 	n := 0
 	tr.Search(reg, func(Entry, itemset.Rel) bool { n++; return n < 3 })
@@ -269,7 +259,7 @@ func TestStats(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	cards := []int{10, 10}
 	es := randomEntries(r, 300, 2, cards)
-	tr, _ := Bulk(es, 2, 8, STRPacking, cards)
+	tr, _ := Bulk(es, 2, 8)
 	levels, entries := tr.Stats(cards)
 	if len(levels) != tr.Height() {
 		t.Fatalf("levels %d != height %d", len(levels), tr.Height())
@@ -314,7 +304,7 @@ func TestPackedLeafUtilization(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	cards := []int{15, 15}
 	es := randomEntries(r, 1024, 2, cards)
-	tr, _ := Bulk(es, 2, 16, STRPacking, cards)
+	tr, _ := Bulk(es, 2, 16)
 	// 1024 entries / fanout 16 = exactly 64 full leaves.
 	levels, _ := tr.Stats(cards)
 	leaves := levels[len(levels)-1].Nodes
@@ -335,11 +325,7 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 		es := randomEntries(r, n, dims, cards)
 		fanout := 2 + r.Intn(10)
 
-		packing := STRPacking
-		if r.Intn(2) == 1 {
-			packing = MortonPacking
-		}
-		tr, err := Bulk(append([]Entry(nil), es...), dims, fanout, packing, cards)
+		tr, err := Bulk(append([]Entry(nil), es...), dims, fanout)
 		if err != nil {
 			return false
 		}
@@ -377,12 +363,6 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPackingStrings(t *testing.T) {
-	if STRPacking.String() != "str" || MortonPacking.String() != "morton" {
-		t.Error("packing strings wrong")
 	}
 }
 

@@ -112,12 +112,12 @@ func catalogFamilies(t *testing.T) map[string]metricFamily {
 // TestMetricsCatalog holds README's "Metrics catalog" table equal to what
 // /metrics serves, in both directions: a family the server registers
 // must have a row, and a row must describe a family the server serves,
-// with its type, labels and help string. The server is sharded with one
+// with its type, labels and help string. The server has one
 // subscription and one applied batch so that every lazily labeled series
-// (per-shard counters, subscription events by type) has appeared.
+// (subscription events by type) has appeared.
 func TestMetricsCatalog(t *testing.T) {
 	metrics := colarm.NewMetricsRegistry()
-	_, h := wireServer(t, colarm.Options{Shards: 2, Metrics: metrics}, Config{EngineMetrics: metrics})
+	_, h := wireServer(t, colarm.Options{Metrics: metrics}, Config{EngineMetrics: metrics})
 	do(t, h, "POST", "/v1/subscriptions", seattleSub, 201)
 	do(t, h, "POST", "/v1/ingest", wireIngest, 200)
 

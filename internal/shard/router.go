@@ -1,19 +1,19 @@
 // Package shard partitions a dataset's records into K hash-partitioned
 // shards, each with its own version clock and record slice over the
-// shared MIP-index, and recombines per-shard partial results exactly:
-// tidsets OR across shards (the slices partition the live records),
-// support counts sum, confidences recompute from summed counts, and the
-// closed-itemset catalog is re-established by a cross-shard closure
-// merge (DESIGN §13). Plans see the partition only as the Slices of the
-// plans.Surface a Collection hands out, so they stay partition-agnostic;
-// K=1 reproduces the monolithic engine byte-for-byte.
+// shared MIP-index. Per-shard partial results recombine exactly: tidsets
+// OR across shards (the slices partition the live records), support
+// counts sum, and confidences recompute from summed counts (DESIGN §13).
+// Plans see the partition only as the Slices of the plans.Surface a
+// Collection hands out, so they stay partition-agnostic; the catalog,
+// the ingest buffer and the rebuild are the monolithic engine's own, and
+// K=1 reproduces it byte-for-byte.
 package shard
 
 // Router assigns record ids to shards by hash. Record ids are stable
-// for the lifetime of an engine (base records keep their build-time
-// ids, ingested rows extend the id space, and ids are never reused or
-// renumbered — consolidation keeps deleted rows as ghosts), so a
-// record's shard never changes.
+// for the lifetime of one engine generation (base records keep their
+// build-time ids, ingested rows extend the id space), so a record's
+// shard never changes under a Collection; a rebuild compacts the ids and
+// the fresh engine's Collection partitions them anew.
 type Router struct {
 	k int
 }

@@ -42,8 +42,8 @@ func (m *MetricsRegistry) Handler() http.Handler {
 }
 
 // WriteMetrics renders the engine's cumulative metrics — query and rule
-// counters, plan-choice counters, latency histograms, plan-choice
-// accuracy counters — in the Prometheus text exposition format.
+// counters, plan-choice counters, latency histograms — in the Prometheus
+// text exposition format.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	return e.eng.Metrics.WritePrometheus(w)
 }
@@ -52,19 +52,4 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 // for mounting at /metrics.
 func (e *Engine) MetricsHandler() http.Handler {
 	return e.eng.Metrics.Handler()
-}
-
-// AccuracyReport summarizes the optimizer's running plan-choice
-// accuracy, fed by queries mined with Query.Trace set on an engine
-// opened with Options.TrackAccuracy (each such query re-executes all
-// six plans and compares the optimizer's pick against the empirically
-// cheapest one): Queries scored and Correct choices under Tolerance (the
-// regret fraction a mispredicted choice may cost and still count, the
-// paper's §5.1 methodology uses 5%), MissRegretMax/Avg over the missed
-// ones, and the Accuracy method for Correct/Queries.
-type AccuracyReport = obs.AccuracyReport
-
-// AccuracyReport returns the engine's running plan-choice accuracy.
-func (e *Engine) AccuracyReport() AccuracyReport {
-	return e.eng.Accuracy.Report()
 }

@@ -226,90 +226,6 @@ func TestWriteMetricsFacade(t *testing.T) {
 	}
 }
 
-// TestShardIndexMetrics pins the per-shard physical-index
-// observability: on a sharded engine whose merged view runs the
-// scatter catalog, the first post-ingest query builds every shard's
-// index, which must surface as one rebuild counter tick per shard and
-// K observations in the build-duration histogram.
-func TestShardIndexMetrics(t *testing.T) {
-	const k = 3
-	eng := obsSalaryEngine(t, Options{Shards: k})
-	if _, err := eng.Ingest([]map[string]string{{
-		"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
-		"Gender": "F", "Age": "30-40", "Salary": "90K-120K",
-	}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Mine(salaryQuery()); err != nil {
-		t.Fatal(err)
-	}
-
-	var b strings.Builder
-	if err := eng.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	wants := []string{
-		"# TYPE colarm_shard_index_build_seconds histogram",
-		`colarm_shard_index_build_seconds_count{dataset="salary"} 3`,
-	}
-	for s := 0; s < k; s++ {
-		wants = append(wants,
-			`colarm_shard_index_rebuilds_total{dataset="salary",shard="`+
-				string(rune('0'+s))+`"} 1`)
-	}
-	for _, want := range wants {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output misses %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTrackAccuracy(t *testing.T) {
-	eng := obsSalaryEngine(t, Options{TrackAccuracy: true})
-
-	// Untraced queries are never scored.
-	if _, err := eng.Mine(salaryQuery()); err != nil {
-		t.Fatal(err)
-	}
-	if rep := eng.AccuracyReport(); rep.Queries != 0 {
-		t.Fatalf("untraced query was scored: %+v", rep)
-	}
-
-	const n = 5
-	for i := 0; i < n; i++ {
-		q := salaryQuery()
-		q.Trace = true
-		if _, err := eng.Mine(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep := eng.AccuracyReport()
-	if rep.Queries != n {
-		t.Fatalf("scored %d queries, want %d", rep.Queries, n)
-	}
-	if rep.Tolerance != 0.05 {
-		t.Errorf("default tolerance %v, want the paper's 0.05", rep.Tolerance)
-	}
-	if acc := rep.Accuracy(); acc < 0 || acc > 1 {
-		t.Errorf("accuracy %v outside [0,1]", acc)
-	}
-	if rep.Correct < 0 || rep.Correct > rep.Queries {
-		t.Errorf("correct %d outside [0,%d]", rep.Correct, rep.Queries)
-	}
-	if (AccuracyReport{}).Accuracy() != 0 {
-		t.Error("empty report accuracy should be 0")
-	}
-
-	var b strings.Builder
-	if err := eng.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `colarm_plan_evaluations_total{dataset="salary"} 5`) {
-		t.Errorf("metrics miss the evaluation counter:\n%s", b.String())
-	}
-}
-
 func TestParsePlanSpellings(t *testing.T) {
 	cases := map[string]Plan{
 		"":         Auto,

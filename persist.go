@@ -96,9 +96,9 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 
 // LoadEngine restores an engine from a snapshot written by Save. opts
 // controls the runtime knobs only (calibration, workers); the index
-// parameters (primary support, fanout, packing), the engine generation
-// and any buffered delta come from the snapshot. A snapshot of a
-// different format version fails with ErrSnapshotVersion.
+// parameters (primary support, fanout), the engine generation and any
+// buffered delta come from the snapshot. A snapshot of a different
+// format version fails with ErrSnapshotVersion.
 func LoadEngine(r io.Reader, opts Options) (*Engine, error) {
 	idx, meta, err := mip.ReadSnapshot(r)
 	if err != nil {
@@ -148,9 +148,9 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 	opts.PrimarySupport = meta.Primary
 	eng := core.Assemble(idx, core.Options{
 		PrimarySupport: meta.Primary,
+		Fanout:         idx.RTree.Fanout(),
 		CalibrateUnits: opts.Calibrate,
 		Workers:        opts.Workers,
-		AccuracyTol:    opts.AccuracyTolerance,
 		Metrics:        opts.Metrics.registry(),
 		Shards:         opts.Shards,
 	})
@@ -193,10 +193,9 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 		eng.RestoreSecondary(sidx, sec.Primary)
 	}
 	return &Engine{
-		eng:           eng,
-		ds:            &Dataset{rel: idx.Dataset},
-		trackAccuracy: opts.TrackAccuracy,
-		opts:          opts,
-		gen:           meta.Generation,
+		eng:  eng,
+		ds:   &Dataset{rel: idx.Dataset},
+		opts: opts,
+		gen:  meta.Generation,
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -261,5 +262,125 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 	if _, err := LoadEngine(&buf, Options{}); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("old magic: got %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// TestLoadedEngineKeepsFanout: the R-tree fanout is a property of the
+// physical design the snapshot stores, so an engine rebuilt after a
+// save/load cycle packs its tree exactly as the rebuilt original does.
+func TestLoadedEngineKeepsFanout(t *testing.T) {
+	ds, err := Salary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{MinSupport: 0.3, MinConfidence: 0.5, Plan: SEV}
+	var visited [2]int
+	for i, e := range []*Engine{eng, loaded} {
+		fresh, err := e.Rebuild(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fresh.Mine(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited[i] = res.Stats.RNodesVisited
+	}
+	if visited[0] != visited[1] {
+		t.Fatalf("S-E-V visits %d R-tree nodes on the rebuilt original, %d on the rebuilt reload: the loaded engine lost its fanout",
+			visited[0], visited[1])
+	}
+}
+
+// TestGhostSnapshotCompacts: a snapshot whose index keeps deleted rows
+// as ghosts outside a live mask (what sharded rebuilds once wrote)
+// still loads and answers over the live rows only, and its first
+// rebuild compacts the ghosts away.
+func TestGhostSnapshotCompacts(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost, err := LoadEngine(bytes.NewReader(data), Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture is salary at primary 0.18, fanout 4, with records 3
+	// and 7 ghosted: a monolith that deletes them and rebuilds holds
+	// exactly the live rows.
+	ds, err := Salary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mono.Ingest(nil, []int{3, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if mono, err = mono.Rebuild(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	agree := func(stage string, e *Engine) {
+		t.Helper()
+		for _, plan := range []Plan{SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
+			q := Query{
+				Range:         map[string][]string{"Gender": {"F"}},
+				MinSupport:    0.4,
+				MinConfidence: 0.6,
+				Plan:          plan,
+			}
+			want, err := mono.Mine(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Mine(q)
+			if err != nil {
+				t.Fatalf("%s plan %s: %v", stage, plan, err)
+			}
+			sw, sg := want.Stats, got.Stats
+			sw.DurationNanos, sg.DurationNanos = 0, 0
+			if !reflect.DeepEqual(got.Rules, want.Rules) || sg != sw {
+				t.Fatalf("%s plan %s diverges from a monolith over the live rows\ngot:  %+v %v\nwant: %+v %v",
+					stage, plan, sg, got.Rules, sw, want.Rules)
+			}
+			if len(want.Rules) == 0 {
+				t.Fatalf("plan %s: no rules, the comparison is vacuous", plan)
+			}
+		}
+	}
+	agree("loaded", ghost)
+
+	rebuilt, err := ghost.Rebuild(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree("rebuilt", rebuilt)
+	if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
+		t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
+	}
+	var buf bytes.Buffer
+	if err := rebuilt.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := mip.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.Live != nil {
+		t.Fatalf("rebuilt snapshot still carries a live mask over %d records", idx.Live.Len())
 	}
 }

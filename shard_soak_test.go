@@ -11,17 +11,17 @@ import (
 	"colarm/internal/datagen"
 )
 
-// TestShardSoak interleaves concurrent mining, ingestion and
-// consolidation on a sharded engine — the workload the collection's
-// locking exists for — and checks no reader ever observes a torn
+// TestShardSoak interleaves concurrent mining, ingestion and rebuilds
+// on a sharded engine — the workload the collection's locking exists
+// for — and checks no reader ever observes a torn
 // generation. The writer swaps rebuilt engines through an atomic
 // pointer while readers keep mining whichever engine they loaded; a
 // full-domain query's SubsetSize equals the engine's live record
 // count, so every observed size must be a count that was valid at some
 // point of the (single-writer) history. A half-applied ingest, a
-// consolidation serving a partially swapped index, or a catalog from a
-// stale shard clock would all surface as a count outside that set, as
-// a query error, or as a race-detector report. Run it with -race; the
+// rebuild serving a partially swapped index, or slices from a stale
+// partition would all surface as a count outside that set, as a query
+// error, or as a race-detector report. Run it with -race; the
 // op budget (readers × mines + writer ops) exceeds 10k interleavings.
 func TestShardSoak(t *testing.T) {
 	cfg := randomDiffConfig(rand.New(rand.NewSource(20260810)), 0)
@@ -110,6 +110,8 @@ func TestShardSoak(t *testing.T) {
 				lastGen = fresh.Generation()
 				w = fresh
 				cur.Store(fresh)
+				// A rebuild compacts the ids to the live records.
+				totalIDs, deleted = totalIDs-len(deleted), make(map[int]bool)
 				continue
 			}
 			ins, _ := randomIngestBatch(rng, ds, 0, false)
