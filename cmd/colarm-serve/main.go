@@ -37,14 +37,8 @@
 //	                      consumer is evicted (default 256)
 //	-sse-heartbeat D      idle-stream SSE heartbeat interval (default 15s)
 //
-//	-advisor-interval D   apply the index advisor's recommendations
-//	                      every D, building/dropping the secondary
-//	                      indexes the workload pays for; 0 disables the
-//	                      loop, the advisor endpoints work regardless
-//
 // Endpoints: POST /v1/mine, POST /v1/explain, POST /v1/ingest,
 // GET /v1/datasets, GET /v1/datasets/{name},
-// GET /v1/datasets/{name}/advisor, POST /v1/datasets/{name}/advisor/apply,
 // POST/GET /v1/subscriptions, GET/DELETE /v1/subscriptions/{id},
 // GET /v1/subscriptions/{id}/events (SSE or long-poll), GET /metrics,
 // GET /debug/pprof/. The full surface is documented in api/openapi.yaml. Ingested transactions are buffered
@@ -102,8 +96,6 @@ func main() {
 		maxSubs      = flag.Int("max-subscriptions", 0, "standing-query subscriptions served at once (0 = default 1024)")
 		subBuffer    = flag.Int("sub-buffer", 0, "buffered events per subscription before slow-consumer eviction (0 = default 256)")
 		sseHeartbeat = flag.Duration("sse-heartbeat", 0, "idle-stream SSE heartbeat interval (0 = default 15s)")
-
-		advisorInterval = flag.Duration("advisor-interval", 0, "apply the index advisor's recommendations this often (0 disables; endpoints work regardless)")
 	)
 	var snapshots, csvs listFlag
 	flag.Var(&snapshots, "snapshot", "name=path of an index snapshot to load (repeatable)")
@@ -121,8 +113,6 @@ func main() {
 		MaxSubscriptions:   *maxSubs,
 		SubscriptionBuffer: *subBuffer,
 		SSEHeartbeat:       *sseHeartbeat,
-
-		AdvisorInterval: *advisorInterval,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "colarm-serve:", err)
 		os.Exit(1)
@@ -188,6 +178,9 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 	cfg.EngineMetrics = metrics
 	srv := server.New(reg, cfg)
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	// Shutdown waits for every open connection, and an event stream stays
+	// open until its subscription ends: closing the server ends them all.
+	httpSrv.RegisterOnShutdown(srv.Close)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -153,7 +153,7 @@ func repl(eng *colarm.Engine, o opts) error {
 // printUnits shows the unit costs the estimates above were computed
 // with.
 func printUnits(eng *colarm.Engine) {
-	u := eng.Advisor().Units
+	u := eng.UnitCosts()
 	fmt.Printf("unit costs: wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
 		u.WordOp, u.BoxRel, u.IDProbe, u.MapOp, u.GenOp)
 }

@@ -363,6 +363,18 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 	return planEstimates(ests), nil
 }
 
+// UnitCosts are the cost model's five primitive unit costs in
+// nanoseconds — WordOp (one 64-bit bitmap word operation), BoxRel (one
+// box/region relation test), IDProbe (one record-id membership probe),
+// MapOp (one hash-map operation) and GenOp (one rule-generation step) —
+// fixed when the engine is opened: the defaults, or this machine's
+// measurements under Options.Calibrate. Its JSON tags are the wire
+// names of api/openapi.yaml.
+type UnitCosts = cost.Units
+
+// UnitCosts returns the unit costs the optimizer prices every plan with.
+func (e *Engine) UnitCosts() UnitCosts { return e.eng.Model.U }
+
 // planEstimates puts the model's estimates in the facade's terms: the
 // plan by its public value, the total as the cost.
 func planEstimates(ests []cost.Estimate) []PlanEstimate {

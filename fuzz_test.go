@@ -2,7 +2,6 @@ package colarm
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -89,39 +88,47 @@ func TestParseQLAgreesWithParseQuery(t *testing.T) {
 
 // snapshotQueries are the fixed queries FuzzLoadSnapshot asks of every
 // engine a mutated stream restores: the optimizer's choice at a
-// localized count of 1, which the base index's gate refuses and the
-// nested secondary is priced for; a forced MIP plan; and a forced ARM.
+// localized count of 1, which the applicability gate sends to ARM; a
+// forced MIP plan; and a forced ARM.
 var snapshotQueries = []Query{
 	{Range: map[string][]string{"Location": {"Seattle"}, "Gender": {"F"}, "Age": {"30-40"}}, MinSupport: 0.2, MinConfidence: 0.5},
 	{Range: map[string][]string{"Gender": {"F"}}, ItemAttributes: []string{"Age", "Salary"}, MinSupport: 0.5, MinConfidence: 0.8, Plan: SSEUV},
 	{MinSupport: 0.4, MinConfidence: 0.6, MaxConsequent: 1, Plan: ARM},
 }
 
+// snapshotSeedEngine is the engine FuzzLoadSnapshot's seed stream is
+// saved from: salary at primary 0.18 with one buffered insert and one
+// tombstone.
+func snapshotSeedEngine(t testing.TB) *Engine {
+	t.Helper()
+	eng := salaryEngine(t)
+	if _, err := eng.Ingest([]map[string]string{{
+		"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
+		"Gender": "F", "Age": "30-40", "Salary": "90K-120K",
+	}}, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // FuzzLoadSnapshot feeds LoadEngine hostile snapshot streams: the
 // committed v2–v4 rejection fixtures, the committed v5 streams (one
 // carries a live mask over ghost rows, which only a loaded file can
-// still bring in) and truncations, bit flips and spliced bytes of a v5
-// stream saved from salary with a non-empty delta and one nested
-// secondary index. Loading must end in an error or an
+// still bring in) and truncations, bit flips and spliced bytes of two
+// v5 streams of salary with a non-empty delta — one saved by this
+// build, one an older release saved with a nested secondary index,
+// which the loader now skips. Loading must end in an error or an
 // engine, and an engine that loaded must answer the fixed queries with
 // a result or an error — never a panic, whatever the stream claimed
-// about its own lengths and offsets. The unmutated stream must answer
-// exactly as the engine it was saved from.
+// about its own lengths and offsets. The unmutated stream this build
+// saved must answer exactly as the engine it was saved from
+// (TestLoadDropsNestedSecondaries holds the older one to the same).
 //
 // A mutated stream that still loads may answer differently: a flipped
 // row value is a different, valid dataset, and the format carries no
 // checksum to tell it from the original.
 func FuzzLoadSnapshot(f *testing.F) {
-	src := salaryEngine(f)
-	if _, err := src.Ingest([]map[string]string{{
-		"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
-		"Gender": "F", "Age": "30-40", "Salary": "90K-120K",
-	}}, []int{3}); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := src.BuildSecondaryIndex(context.Background(), 0.05); err != nil {
-		f.Fatal(err)
-	}
+	src := snapshotSeedEngine(f)
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
 		f.Fatal(err)
@@ -137,7 +144,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 		want[i] = res
 	}
 
+	legacy, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_secondary.snapshot"))
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Add(seed)
+	f.Add(legacy)
 	for _, golden := range []string{
 		"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot",
 		"golden_v5.snapshot", "golden_v5_ghost.snapshot",
@@ -148,15 +161,17 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// A deterministic sweep, so plain `go test` already walks the stream:
+	// A deterministic sweep, so plain `go test` already walks both streams:
 	// every 64th truncation and one flipped bit in every 16th byte.
-	for n := 0; n < len(seed); n += 64 {
-		f.Add(seed[:n])
-	}
-	for i := 0; i < len(seed); i += 16 {
-		flipped := bytes.Clone(seed)
-		flipped[i] ^= 1 << (i / 16 % 8)
-		f.Add(flipped)
+	for _, stream := range [][]byte{seed, legacy} {
+		for n := 0; n < len(stream); n += 64 {
+			f.Add(stream[:n])
+		}
+		for i := 0; i < len(stream); i += 16 {
+			flipped := bytes.Clone(stream)
+			flipped[i] ^= 1 << (i / 16 % 8)
+			f.Add(flipped)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -7,10 +7,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"colarm/internal/advisor"
 	"colarm/internal/cost"
 	"colarm/internal/delta"
 	"colarm/internal/mip"
@@ -68,8 +66,8 @@ type Options struct {
 type Engine struct {
 	Index *mip.Index
 	// Executor is the engine's one executor: it runs every plan over
-	// whatever surface a request resolved — the base index, a merged
-	// delta version, or a secondary index.
+	// whatever surface a request resolved — the base index or a merged
+	// delta version.
 	Executor *plans.Executor
 	Model    *cost.Model
 	// Delta buffers transactions ingested after the index build and
@@ -90,18 +88,6 @@ type Engine struct {
 	// latency histograms, Prometheus-renderable). Recording is atomic;
 	// reading may happen concurrently with queries.
 	Metrics *obs.Registry
-	// Advisor is the workload log behind index recommendations. Never
-	// nil; shared across Rebuild generations so the log survives engine
-	// swaps. Index builds and drops happen only through explicit
-	// ApplyRecommendations calls (or a serving layer's policy loop).
-	Advisor *advisor.Advisor
-
-	// secondaries are extra physical MIP-indexes at lower primary
-	// supports, installed by the index advisor; the optimizer's argmin
-	// spans (plan × index) pairs. Guarded by secMu; the base index
-	// stays immutable as ever.
-	secMu       sync.RWMutex
-	secondaries []*secondaryIndex
 
 	queries      *obs.Counter
 	queryErrors  *obs.Counter
@@ -115,11 +101,6 @@ type Engine struct {
 	deltaQueries   *obs.Counter
 	rebuilds       *obs.Counter
 	rebuildSeconds *obs.Histogram
-
-	recsApplied *obs.Counter
-	secBuilds   *obs.Counter
-	secDrops    *obs.Counter
-	secChosen   *obs.Counter
 
 	opts Options
 }
@@ -159,10 +140,7 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	model := cost.NewModel(idx, units)
 	model.Mode = opts.CheckMode
 	model.Shards = opts.Shards
-	e := &Engine{
-		Index: idx, Executor: ex, Model: model, opts: opts,
-		Advisor: advisor.New(),
-	}
+	e := &Engine{Index: idx, Executor: ex, Model: model, opts: opts}
 	e.initDelta()
 	e.initMetrics(opts.Metrics)
 	return e
@@ -234,14 +212,6 @@ func (e *Engine) initMetrics(reg *obs.Registry) {
 		"Full index rebuilds absorbing the delta store.")
 	e.rebuildSeconds = reg.Histogram("colarm_rebuild_seconds", labels,
 		"Duration of full index rebuilds.", nil)
-	e.recsApplied = reg.CounterWith("colarm_advisor_recommendations_applied_total", labels,
-		"Index-advisor recommendations applied (builds plus drops).")
-	e.secBuilds = reg.CounterWith("colarm_secondary_index_builds_total", labels,
-		"Secondary MIP-index builds installed beside the base index.")
-	e.secDrops = reg.CounterWith("colarm_secondary_index_drops_total", labels,
-		"Secondary MIP-indexes dropped.")
-	e.secChosen = reg.CounterWith("colarm_secondary_index_chosen_total", labels,
-		"Queries the multi-index argmin routed to a secondary index.")
 }
 
 // observe records one executed query in the cumulative metrics.
@@ -336,10 +306,6 @@ func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The workload log survives the swap; secondary indexes do not —
-	// they were mined over the pre-rebuild surface and the advisor will
-	// recommend rebuilding any that still pay.
-	fresh.Advisor = e.Advisor
 	e.rebuilds.Inc()
 	e.rebuildSeconds.Observe(time.Since(start))
 	return fresh, nil
@@ -373,17 +339,45 @@ func (e *Engine) MineContext(ctx context.Context, q *plans.Query) (*plans.Result
 	f := e.Resolve(q)
 	ch := e.choose(q, f)
 	e.chosen[ch.kind].Inc()
-	res, err := e.Executor.RunContext(ctx, ch.kind, ch.focal(e, q, f), q)
+	res, err := e.Executor.RunContext(ctx, ch.kind, f, q)
 	e.observe(res, err)
 	e.noteDelta(q, f, err)
 	if err != nil {
 		return nil, ch.ests, err
 	}
-	e.noteAdvisor(ch, res)
 	if q.Trace != nil {
 		predict(q.Trace, ch.est)
 	}
 	return res, ch.ests, nil
+}
+
+// planChoice is one resolved optimizer decision: the plan to run, the
+// six estimates it was chosen from, and the running plan's own estimate.
+type planChoice struct {
+	kind plans.Kind
+	ests []cost.Estimate
+	est  cost.Estimate
+}
+
+// choose runs the cost-based optimizer against the surface and focal
+// subset the request resolved. Its argmin is honored only when the
+// prestored CFIs can answer the query completely (Focal.Applicable):
+// when the localized threshold falls below the surface's primary-support
+// count, every MIP-backed plan would silently drop rules that are
+// frequent only inside the focal subset, so the choice is overridden to
+// ARM — completeness outranks the cost estimate.
+func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
+	kind, ests := e.Model.Choose(q)
+	if kind != plans.ARM && !f.Applicable() {
+		kind = plans.ARM
+	}
+	ch := planChoice{kind: kind, ests: ests}
+	for _, est := range ests {
+		if est.Plan == kind {
+			ch.est = est
+		}
+	}
+	return ch
 }
 
 // predict sets, on each traced span of an optimizer-chosen plan, the

@@ -33,9 +33,9 @@ import (
 // arena, and boxes one inline Lo/Hi arena — a handful of large gob
 // values instead of tens of thousands of small ones. Engine-level
 // metadata (primary-support fraction, generation, the live-ingestion
-// delta, fresh secondary indexes) and the live mask of an index that
-// carries one ride in the same payload, so a snapshot taken mid-ingest
-// restores to the exact same answers.
+// delta) and the live mask of an index that carries one ride in the same
+// payload, so a snapshot taken mid-ingest restores to the exact same
+// answers.
 const snapshotMagic = "COLARM-MIP-v5"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
@@ -50,19 +50,10 @@ type SnapshotMeta struct {
 	DeltaRows [][]int32
 	// DeltaDels are the deleted record ids (base or buffered id space).
 	DeltaDels []int32
-	// Secondaries carry the advisor-built secondary MIP-indexes that
-	// were fresh at save time. The field is gob-optional: older readers
-	// silently drop it, which is benign — a secondary is a rebuildable
-	// performance cache, never a correctness dependency.
-	Secondaries []SecondarySnapshot
-}
-
-// SecondarySnapshot is one secondary index riding inside a snapshot:
-// the primary-support fraction it was mined at and its own full
-// snapshot stream (a nested WriteSnapshot payload).
-type SecondarySnapshot struct {
-	Primary float64
-	Blob    []byte
+	// A v5 stream written by an older release may also carry a
+	// Secondaries field (nested snapshots of extra indexes at lower
+	// primary supports). gob skips a field this struct lacks, so such a
+	// stream loads as the one index it was saved from.
 }
 
 // snapshotV5 is the slab payload: per-CFI data lives in offset-indexed

@@ -49,7 +49,7 @@ func (m CheckMode) String() string {
 // Executor runs mining plans over Surfaces. It holds no index state of
 // its own — only the item space every surface of one engine shares and
 // the execution configuration — so one executor serves the engine's base
-// index, its merged views and its secondary indexes alike.
+// index and its merged views alike.
 //
 // An Executor is safe for concurrent use by multiple goroutines: Run
 // keeps all per-query state in a fresh context, and a Surface is

@@ -25,12 +25,11 @@ type ShardSlice struct {
 	Items []*bitset.Set
 }
 
-// Surface is the index state one query reads: the only way a plan, the
-// applicability gate or the index advisor sees the MIP-index. Every
-// physical source yields the same shape — the frozen index (NewSurface,
-// once at assembly and once per secondary index), the delta store's
-// merged view of one delta version (delta.Store.Surface), and a sharded
-// collection decorating either with its partition
+// Surface is the index state one query reads: the only way a plan or the
+// applicability gate sees the MIP-index. Every physical source yields
+// the same shape — the frozen index (NewSurface, once at assembly), the
+// delta store's merged view of one delta version (delta.Store.Surface),
+// and a sharded collection decorating either with its partition
 // (shard.Collection.Surface) — so the operators have one path each and
 // branch on two things only: RTree == nil and len(Slices) > 1.
 //
@@ -76,9 +75,7 @@ type Surface struct {
 	// the record-level work scatters and the gather sums per-shard counts.
 	Slices []ShardSlice
 	// Version is the delta version the surface presents: 0 for a frozen
-	// index nothing was ingested over. A secondary index is fresh exactly
-	// while the resolved base surface still carries the version the
-	// secondary was built at.
+	// index nothing was ingested over.
 	Version uint64
 }
 
@@ -119,9 +116,7 @@ type Focal struct {
 // the query threshold inside D^Q while staying infrequent at the primary
 // support globally, so no CFI records it and only ARM — mining the focal
 // subset from scratch — returns the full localized answer. The optimizer
-// consults this before honoring its argmin; the index advisor mines the
-// gap between MinCount and PrimaryCount to size a secondary index that
-// would reclaim the query.
+// consults this before honoring its argmin.
 func (f *Focal) Applicable() bool { return f.MinCount >= f.Surface.PrimaryCount }
 
 // Focus selects the focal subset of q over s: SELECT in its bitmap form.

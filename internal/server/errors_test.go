@@ -96,13 +96,6 @@ func TestErrorEnvelopeByRoute(t *testing.T) {
 			http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"dataset detail not found", "GET", "/v1/datasets/nope", nil,
 			http.StatusNotFound, CodeNotFound},
-		{"advisor not found", "GET", "/v1/datasets/nope/advisor", nil,
-			http.StatusNotFound, CodeNotFound},
-		{"advisor apply not found", "POST", "/v1/datasets/nope/advisor/apply",
-			map[string]any{},
-			http.StatusNotFound, CodeNotFound},
-		{"advisor wrong method", "DELETE", "/v1/datasets/salary/advisor", nil,
-			http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		var w *httptest.ResponseRecorder

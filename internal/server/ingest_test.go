@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,5 +263,68 @@ func TestConcurrentIngestMineReload(t *testing.T) {
 	close(fail)
 	for msg := range fail {
 		t.Error(msg)
+	}
+}
+
+// rebuildRunning reports whether any goroutine is inside a background
+// rebuild.
+func rebuildRunning() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Server).rebuild")
+}
+
+// TestCloseWaitsForRebuild: Close returns only after a forced rebuild in
+// flight has finished (so it cannot re-attach standing queries to a
+// closed manager), and it ends every open event stream, which is what
+// lets an HTTP shutdown finish without waiting out its deadline.
+func TestCloseWaitsForRebuild(t *testing.T) {
+	// Mushroom at primary 0.1 rebuilds in about 200 ms, so Close is
+	// called while the rebuild is still mining.
+	ds, err := colarm.GenerateMushroom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := colarm.Open(ds, colarm.Options{PrimarySupport: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Register(eng)
+	s := New(reg, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	h := s.Handler()
+
+	sub := createSub(t, h, map[string]any{"dataset": "mushroom", "minSupport": 0.9, "minConfidence": 0.9})
+	frames := dialFrames(t, ts.URL, sub.ID)
+	defer frames.close()
+	if f := frames.next(t); !bytes.Contains(f, []byte("event: snapshot")) {
+		t.Fatalf("first frame is not the snapshot: %s", f)
+	}
+
+	w := postJSON(t, h, "/v1/ingest", map[string]any{"dataset": "mushroom", "rebuild": "force"})
+	if resp := decodeIngest(t, w); !resp.RebuildStarted {
+		t.Fatal("forced rebuild not started")
+	}
+	for deadline := time.Now().Add(5 * time.Second); !rebuildRunning(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fixture drifted: no rebuild seen running before Close")
+		}
+	}
+	s.Close()
+	if rebuildRunning() {
+		t.Fatal("Close returned with a rebuild still running")
+	}
+
+	ended := make(chan bool, 1)
+	go func() {
+		for frames.next(t) != nil {
+		}
+		ended <- true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the event stream stayed open after Close")
 	}
 }

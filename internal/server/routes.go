@@ -39,8 +39,6 @@ func (s *Server) apiRoutes() []apiRoute {
 		rt("POST", "/v1/ingest", "ingest", s.handleIngest),
 		rt("GET", "/v1/datasets", "datasets", s.handleDatasets),
 		rt("GET", "/v1/datasets/{name}", "datasets", s.handleDatasetDetail),
-		rt("GET", "/v1/datasets/{name}/advisor", "advisor", s.handleAdvisor),
-		rt("POST", "/v1/datasets/{name}/advisor/apply", "advisor", s.handleAdvisorApply),
 		rt("POST", "/v1/subscriptions", "subscriptions", s.handleSubscribe),
 		rt("GET", "/v1/subscriptions", "subscriptions", s.handleSubscriptions),
 		rt("GET", "/v1/subscriptions/{id}", "subscriptions", s.handleSubscriptionGet),

@@ -151,20 +151,17 @@ func jsonFieldNames(typ reflect.Type) []string {
 func TestOpenAPISchemaCoverage(t *testing.T) {
 	documented := openAPISchemaProperties(t)
 	for schema, v := range map[string]any{
-		"Rule":                colarm.Rule{},
-		"Stats":               colarm.Stats{},
-		"Estimate":            colarm.PlanEstimate{},
-		"Staleness":           colarm.Staleness{},
-		"ShardStaleness":      colarm.ShardStaleness{},
-		"UnitCosts":           colarm.UnitCosts{},
-		"Workload":            colarm.WorkloadStats{},
-		"IndexRecommendation": colarm.IndexRecommendation{},
-		"SecondaryIndex":      colarm.SecondaryIndexInfo{},
-		"Track":               standing.Track{},
-		"Crossing":            standing.Crossing{},
-		"Event":               standing.Event{},
-		"MineRequest":         mineRequest{},
-		"SubscribeRequest":    subscribeRequest{},
+		"Rule":             colarm.Rule{},
+		"Stats":            colarm.Stats{},
+		"Estimate":         colarm.PlanEstimate{},
+		"Staleness":        colarm.Staleness{},
+		"ShardStaleness":   colarm.ShardStaleness{},
+		"UnitCosts":        colarm.UnitCosts{},
+		"Track":            standing.Track{},
+		"Crossing":         standing.Crossing{},
+		"Event":            standing.Event{},
+		"MineRequest":      mineRequest{},
+		"SubscribeRequest": subscribeRequest{},
 	} {
 		want := append([]string(nil), documented[schema]...)
 		got := jsonFieldNames(reflect.TypeOf(v))

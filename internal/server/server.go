@@ -18,15 +18,7 @@
 //	                                    and ingestion staleness
 //	GET    /v1/datasets/{name}          one dataset's detail view: value
 //	                                    domains, staleness, version, and
-//	                                    the advisor summary (unit costs,
-//	                                    secondary index count)
-//	GET    /v1/datasets/{name}/advisor  the index advisor's full state:
-//	                                    unit costs, workload summary,
-//	                                    index recommendations, installed
-//	                                    secondary indexes
-//	POST   /v1/datasets/{name}/advisor/apply
-//	                                    apply the index builds/drops the
-//	                                    workload pays for
+//	                                    the optimizer's unit costs
 //	POST   /v1/subscriptions            register a standing query (201 +
 //	                                    Location)
 //	GET    /v1/subscriptions            list standing subscriptions
@@ -114,11 +106,6 @@ type Config struct {
 	// SSEHeartbeat is the keep-alive comment interval on idle event
 	// streams (default 15s).
 	SSEHeartbeat time.Duration
-	// AdvisorInterval, when positive, runs the index advisor's policy
-	// loop: every interval each registered engine's recommendations
-	// (secondary index builds and drops) are applied. 0 disables the
-	// loop; the advisor endpoints work either way.
-	AdvisorInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -164,21 +151,21 @@ type Server struct {
 
 	rebuildsStarted *obs.Counter
 	rebuildsFailed  *obs.Counter
-
-	advisorTicks   *obs.Counter
-	advisorApplies *obs.Counter
-	advisorStop    chan struct{}
-	advisorDone    chan struct{}
+	// rebuilds counts the background rebuilds in flight; Close waits for
+	// them before it closes the standing manager they re-attach to.
+	rebuilds sync.WaitGroup
 
 	// ing serializes delta mutations against engine swaps: an ingest
 	// applies, and a rebuild starts or registers its result, only under
 	// this lock, so no accepted transaction can slip into an engine
 	// after its rebuild snapshot was taken. Ingestion is cheap (no
 	// mining), so one lock across datasets is fine at this scale; the
-	// expensive rebuild itself runs outside the lock.
+	// expensive rebuild itself runs outside the lock. closed, set by
+	// Close, stops new rebuilds from starting.
 	ing struct {
 		sync.Mutex
 		rebuilding map[string]bool
+		closed     bool
 	}
 }
 
@@ -204,7 +191,7 @@ func New(reg *Registry, cfg Config) *Server {
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheTTL, m)
 	}
-	for _, ep := range []string{"mine", "explain", "ingest", "datasets", "metrics", "subscriptions", "events", "advisor"} {
+	for _, ep := range []string{"mine", "explain", "ingest", "datasets", "metrics", "subscriptions", "events"} {
 		labels := fmt.Sprintf("endpoint=%q", ep)
 		s.requests[ep] = m.CounterWith("colarm_http_requests_total", labels, "HTTP requests served, by endpoint.")
 		s.errors[ep] = m.CounterWith("colarm_http_request_errors_total", labels, "HTTP requests answered with a non-2xx status, by endpoint.")
@@ -222,27 +209,18 @@ func New(reg *Registry, cfg Config) *Server {
 			s.standing.Attach(info.Name, eng)
 		}
 	}
-	s.advisorTicks = m.Counter("colarm_server_advisor_ticks_total",
-		"Index-advisor policy loop ticks (each applies every engine's current recommendations).")
-	s.advisorApplies = m.Counter("colarm_server_advisor_applies_total",
-		"Index-advisor recommendation batches applied (by the policy loop or POST .../advisor/apply).")
-	if cfg.AdvisorInterval > 0 {
-		s.advisorStop = make(chan struct{})
-		s.advisorDone = make(chan struct{})
-		go s.advisorLoop()
-	}
 	return s
 }
 
-// Close stops the standing-query manager (terminating every
-// subscription) and the advisor policy loop, releasing the server's
-// background resources. The HTTP handler must not be used after Close.
+// Close waits for the background rebuilds in flight, then stops the
+// standing-query manager, terminating every subscription and so ending
+// every open event stream. An ingest after Close starts no rebuild. The
+// HTTP handler must not be used after Close.
 func (s *Server) Close() {
-	if s.advisorStop != nil {
-		close(s.advisorStop)
-		<-s.advisorDone
-		s.advisorStop = nil
-	}
+	s.ing.Lock()
+	s.ing.closed = true
+	s.ing.Unlock()
+	s.rebuilds.Wait()
 	s.standing.Close()
 }
 
@@ -573,10 +551,9 @@ type datasetDetail struct {
 	Staleness     colarm.Staleness    `json:"staleness"`
 	Domains       map[string][]string `json:"domains"`
 	Subscriptions int                 `json:"subscriptions"`
-	// Advisor summarizes the index advisor: the optimizer's unit costs
-	// and the secondary index count (the full state lives at
-	// /v1/datasets/{name}/advisor).
-	Advisor advisorSummaryJSON `json:"advisor"`
+	// Units are the unit costs the optimizer prices this engine's plans
+	// with.
+	Units colarm.UnitCosts `json:"units"`
 }
 
 func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
@@ -594,6 +571,7 @@ func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 		Version:     st.Version,
 		Staleness:   st,
 		Domains:     make(map[string][]string, len(ds.Attributes())),
+		Units:       eng.UnitCosts(),
 	}
 	for _, a := range ds.Attributes() {
 		vals, _ := ds.Values(a)
@@ -604,7 +582,6 @@ func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 			detail.Subscriptions++
 		}
 	}
-	detail.Advisor = toAdvisorSummaryJSON(eng)
 	s.writeJSON(w, http.StatusOK, detail)
 }
 
@@ -670,10 +647,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	started := false
-	if req.Rebuild == "force" || (req.Rebuild != "never" && st.RebuildRecommended) {
+	if !s.ing.closed && (req.Rebuild == "force" || (req.Rebuild != "never" && st.RebuildRecommended)) {
 		s.ing.rebuilding[name] = true
 		started = true
 		s.rebuildsStarted.Inc()
+		s.rebuilds.Add(1)
 		go s.rebuild(name, eng)
 	}
 	s.ing.Unlock()
@@ -695,6 +673,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // the generation, retiring every cached result keyed under the old one.
 // Failures leave the old engine in place.
 func (s *Server) rebuild(name string, eng *colarm.Engine) {
+	defer s.rebuilds.Done()
 	fresh, err := eng.Rebuild(context.Background())
 	s.ing.Lock()
 	if err != nil {
