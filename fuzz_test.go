@@ -112,9 +112,9 @@ func snapshotSeedEngine(t testing.TB) *Engine {
 }
 
 // FuzzLoadSnapshot feeds LoadEngine hostile snapshot streams: the
-// committed v2–v4 rejection fixtures, the committed v5 streams (one
-// carries a live mask over ghost rows, which only a loaded file can
-// still bring in) and truncations, bit flips and spliced bytes of two
+// committed v2–v4 rejection fixtures, the committed v5 streams (two
+// carry a live mask over ghost rows, which the loader compacts away) and
+// truncations, bit flips and spliced bytes of two
 // v5 streams of salary with a non-empty delta — one saved by this
 // build, one an older release saved with a nested secondary index,
 // which the loader now skips. Loading must end in an error or an
@@ -149,8 +149,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	ghostDelta, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"))
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Add(seed)
 	f.Add(legacy)
+	f.Add(ghostDelta)
 	for _, golden := range []string{
 		"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot",
 		"golden_v5.snapshot", "golden_v5_ghost.snapshot",

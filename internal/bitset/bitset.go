@@ -4,46 +4,25 @@
 // cardinality, and population count, so those are implemented without
 // allocation where possible.
 //
-// Storage is hybrid (see container.go): the universe is chunked into
-// aligned 2^16-id containers, each independently encoded as a sorted
-// array, a dense bitmap, or a run list, with automatic promotion and
-// demotion on mutation. SetHybrid(false) pins every container to the
-// dense bitmap encoding, which reproduces the pre-hybrid dense layout
-// word for word — the benchmark harness uses that to compare the two
-// representations on identical workloads.
+// Storage is compressed (see container.go): the universe is chunked
+// into aligned 2^16-id containers, each independently encoded as a
+// sorted array, a dense bitmap, or a run list, with automatic promotion
+// and demotion on mutation.
 package bitset
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 const wordBits = 64
-
-// defaultHybrid selects the representation policy for newly constructed
-// sets: compressed containers (true, the default) or dense bitmaps only.
-var defaultHybrid atomic.Bool
-
-func init() { defaultHybrid.Store(true) }
-
-// SetHybrid sets the package-wide representation policy for sets created
-// afterwards and returns the previous policy. Existing sets keep the
-// policy they were created with; sets of different policies interoperate
-// freely (every operation is defined on logical content, not encoding).
-// Intended for benchmarks and differential tests.
-func SetHybrid(on bool) bool { return defaultHybrid.Swap(on) }
-
-// HybridEnabled reports the current construction policy.
-func HybridEnabled() bool { return defaultHybrid.Load() }
 
 // Set is a fixed-capacity set over the universe [0, Len()). The zero
 // value is an empty set of capacity zero; use New to create a set that
 // can hold ids.
 type Set struct {
-	n      int  // capacity in bits
-	hybrid bool // representation policy this set was created under
-	ctrs   []container
+	n    int // capacity in bits
+	ctrs []container
 }
 
 func numCtrs(n int) int { return (n + ctrBits - 1) / ctrBits }
@@ -57,24 +36,23 @@ func (s *Set) span(ci int) int {
 }
 
 // New returns an empty Set capable of holding ids in [0, n).
-func New(n int) *Set { return newSet(n, defaultHybrid.Load()) }
-
-// NewDense returns an empty Set of capacity n pinned to the dense bitmap
-// encoding whatever the package-wide policy is: every word of the
-// universe is allocated up front and no container is ever demoted. The
-// cost model's calibration measures its per-word units on such sets.
-func NewDense(n int) *Set { return newSet(n, false) }
-
-func newSet(n int, hybrid bool) *Set {
+func New(n int) *Set {
 	if n < 0 {
 		n = 0
 	}
-	s := &Set{n: n, hybrid: hybrid, ctrs: make([]container, numCtrs(n))}
-	if !s.hybrid {
-		// Dense policy allocates eagerly, like the pre-hybrid layout.
-		for i := range s.ctrs {
-			s.ctrs[i].toBitmap()
-		}
+	return &Set{n: n, ctrs: make([]container, numCtrs(n))}
+}
+
+// NewDense returns an empty Set of capacity n whose containers start as
+// bitmaps: every word of the universe is allocated up front. Add never
+// demotes a bitmap and the read-only kernels never re-encode one, so a
+// set filled by Add and then only read keeps the dense layout — the one
+// the cost model's calibration measures its per-word units on. Any other
+// mutation re-encodes by content, as on every set.
+func NewDense(n int) *Set {
+	s := New(n)
+	for i := range s.ctrs {
+		s.ctrs[i].toBitmap()
 	}
 	return s
 }
@@ -103,7 +81,7 @@ func (s *Set) Add(id int) {
 	if id < 0 || id >= s.n {
 		panic(fmt.Sprintf("bitset: Add(%d) outside capacity [0,%d)", id, s.n))
 	}
-	s.ctrs[id>>16].add(uint16(id&(ctrBits-1)), s.hybrid)
+	s.ctrs[id>>16].add(uint16(id & (ctrBits - 1)))
 }
 
 // Remove deletes id from the set. Like Add, an id outside [0, Len())
@@ -112,7 +90,7 @@ func (s *Set) Remove(id int) {
 	if id < 0 || id >= s.n {
 		panic(fmt.Sprintf("bitset: Remove(%d) outside capacity [0,%d)", id, s.n))
 	}
-	s.ctrs[id>>16].remove(uint16(id&(ctrBits-1)), s.hybrid)
+	s.ctrs[id>>16].remove(uint16(id & (ctrBits - 1)))
 }
 
 // Contains reports whether id is in the set. Ids outside [0, Len()) are
@@ -146,7 +124,7 @@ func (s *Set) IsEmpty() bool {
 
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, hybrid: s.hybrid, ctrs: make([]container, len(s.ctrs))}
+	c := &Set{n: s.n, ctrs: make([]container, len(s.ctrs))}
 	for i := range s.ctrs {
 		c.ctrs[i] = s.ctrs[i].clone()
 	}
@@ -160,14 +138,9 @@ func (s *Set) CloneGrown(n int) *Set {
 	if n < s.n {
 		panic("bitset: CloneGrown capacity below current")
 	}
-	c := &Set{n: n, hybrid: s.hybrid, ctrs: make([]container, numCtrs(n))}
+	c := &Set{n: n, ctrs: make([]container, numCtrs(n))}
 	for i := range s.ctrs {
 		c.ctrs[i] = s.ctrs[i].clone()
-	}
-	if !c.hybrid {
-		for i := range c.ctrs {
-			c.ctrs[i].toBitmap()
-		}
 	}
 	return c
 }
@@ -175,20 +148,14 @@ func (s *Set) CloneGrown(n int) *Set {
 // Clear removes all ids from the set, keeping its capacity.
 func (s *Set) Clear() {
 	for i := range s.ctrs {
-		if s.hybrid {
-			s.ctrs[i].setEmpty()
-		} else {
-			s.ctrs[i].toBitmap()
-			clear(s.ctrs[i].b)
-			s.ctrs[i].card = 0
-		}
+		s.ctrs[i].setEmpty()
 	}
 }
 
 // Fill adds every id in [0, Len()) to the set.
 func (s *Set) Fill() {
 	for i := range s.ctrs {
-		fillCtr(&s.ctrs[i], s.span(i), s.hybrid)
+		fillCtr(&s.ctrs[i], s.span(i))
 	}
 }
 
@@ -196,7 +163,7 @@ func (s *Set) Fill() {
 func (s *Set) And(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		andInPlace(&s.ctrs[i], &t.ctrs[i], s.hybrid)
+		andInPlace(&s.ctrs[i], &t.ctrs[i])
 	}
 }
 
@@ -204,7 +171,7 @@ func (s *Set) And(t *Set) {
 func (s *Set) Or(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		orInPlace(&s.ctrs[i], &t.ctrs[i], s.hybrid)
+		orInPlace(&s.ctrs[i], &t.ctrs[i])
 	}
 }
 
@@ -212,14 +179,14 @@ func (s *Set) Or(t *Set) {
 func (s *Set) AndNot(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		andNotInPlace(&s.ctrs[i], &t.ctrs[i], s.hybrid)
+		andNotInPlace(&s.ctrs[i], &t.ctrs[i])
 	}
 }
 
 // Complement replaces s with its complement within [0, Len()).
 func (s *Set) Complement() {
 	for i := range s.ctrs {
-		complementCtr(&s.ctrs[i], s.span(i), s.hybrid)
+		complementCtr(&s.ctrs[i], s.span(i))
 	}
 }
 
@@ -231,11 +198,11 @@ func Intersect(s, t *Set) *Set {
 }
 
 // IntersectInto replaces dst with s ∩ t and returns the cardinality of
-// the result. dst takes s's capacity and representation policy; whatever
-// it held before is discarded. A dst of the operands' shape is recycled:
-// its container slice is reused, and so is the 8 KiB payload of every
-// bitmap container whose result is again a bitmap — the miners' common
-// case, which then allocates nothing. All other results are allocated
+// the result. dst takes s's capacity; whatever it held before is
+// discarded. A dst of the operands' shape is recycled: its container
+// slice is reused, and so is the 8 KiB payload of every bitmap
+// container whose result is again a bitmap — the miners' common case,
+// which then allocates nothing. All other results are allocated
 // exactly as Intersect allocates them (sparse dense-pair results demoted
 // to arrays of their cardinality), so a recycled dst ends up with the
 // same container kinds and payload sizes as a fresh one. dst must be
@@ -246,7 +213,7 @@ func IntersectInto(dst, s, t *Set) int {
 	if dst == s || dst == t {
 		panic("bitset: IntersectInto destination aliases an operand")
 	}
-	dst.n, dst.hybrid = s.n, s.hybrid
+	dst.n = s.n
 	if len(dst.ctrs) != len(s.ctrs) {
 		dst.ctrs = make([]container, len(s.ctrs))
 	}
@@ -254,10 +221,10 @@ func IntersectInto(dst, s, t *Set) int {
 	for i := range s.ctrs {
 		x, y, d := &s.ctrs[i], &t.ctrs[i], &dst.ctrs[i]
 		if x.kind == bitmapCtr && y.kind == bitmapCtr {
-			intersectBitmaps(d, x, y, dst.hybrid)
+			intersectBitmaps(d, x, y)
 		} else {
 			*d = x.clone()
-			andInPlace(d, y, dst.hybrid)
+			andInPlace(d, y)
 		}
 		n += int(d.card)
 	}
@@ -356,10 +323,9 @@ func (s *Set) IDs() []int {
 // of a read-mostly set — per-item tidsets, merged delta views, loaded
 // snapshots — so clustered chunks collapse into runs; mutation after
 // Optimize is still valid (runs fall back to array/bitmap in place).
-// Under the dense policy it is a no-op beyond re-pinning bitmaps.
 func (s *Set) Optimize() {
 	for i := range s.ctrs {
-		s.ctrs[i].optimize(s.hybrid)
+		s.ctrs[i].optimize()
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 	"slices"
 )
 
-// The hybrid tidset layout splits the id universe into aligned chunks of
+// The tidset layout splits the id universe into aligned chunks of
 // 2^16 ids ("containers", after the roaring bitmap design) and lets each
 // chunk pick the encoding that fits its local density:
 //
 //   - array:  a sorted []uint16 of the ids present — wins when the chunk
 //     holds at most a few thousand ids (sparse focal subsets over large
 //     tables, the common production case);
-//   - bitmap: a fixed 1024-word dense bitmap — wins past ~6% density,
-//     and is bit-for-bit the pre-hybrid dense representation;
+//   - bitmap: a fixed 1024-word dense bitmap — wins past ~6% density;
 //   - run:    sorted disjoint inclusive [start,last] intervals — wins for
 //     clustered data (records arrive ordered, so per-item tidsets of
 //     values correlated with arrival order are long runs) and for the
@@ -216,15 +215,10 @@ func nextClearBit(b []uint64, from int) int {
 	}
 }
 
-// normalize enforces the per-mode representation policy after an
-// operation changed the container's content: hybrid containers promote
-// past arrayMaxCard and demote at arrayOptCard, dense (non-hybrid) containers stay
-// bitmaps so the layout matches the pre-hybrid dense Set exactly.
-func (c *container) normalize(hybrid bool) {
-	if !hybrid {
-		c.toBitmap()
-		return
-	}
+// normalize re-encodes the container after an operation changed its
+// content: an empty one drops its payload, an array promotes past
+// arrayMaxCard and a bitmap demotes at arrayOptCard.
+func (c *container) normalize() {
 	switch {
 	case c.card == 0:
 		c.setEmpty()
@@ -237,12 +231,8 @@ func (c *container) normalize(hybrid bool) {
 
 // optimize re-encodes the container in its cheapest form: run when the
 // interval list is the smallest encoding, otherwise array or bitmap by
-// cardinality. Dense mode pins everything to bitmap.
-func (c *container) optimize(hybrid bool) {
-	if !hybrid {
-		c.toBitmap()
-		return
-	}
+// cardinality.
+func (c *container) optimize() {
 	if c.card == 0 {
 		c.setEmpty()
 		return
@@ -321,12 +311,12 @@ func runIndexOf(runs []uint16, v uint16) int {
 // add inserts v, reporting whether it was absent. A run container is
 // converted first (runs are a read-optimized encoding; point mutation
 // falls back to array/bitmap and Optimize can re-pick runs later).
-func (c *container) add(v uint16, hybrid bool) bool {
+func (c *container) add(v uint16) bool {
 	if c.kind == runCtr {
 		if runIndexOf(c.a, v) >= 0 {
 			return false
 		}
-		if c.card >= arrayOptCard || !hybrid {
+		if c.card >= arrayOptCard {
 			c.toBitmap()
 		} else {
 			c.toArray()
@@ -334,13 +324,7 @@ func (c *container) add(v uint16, hybrid bool) bool {
 	}
 	switch c.kind {
 	case emptyCtr:
-		if hybrid {
-			c.kind, c.a = arrayCtr, append(c.a, v)
-		} else {
-			c.toBitmap()
-			c.b[v>>6] |= 1 << (v & 63)
-		}
-		c.card = 1
+		c.kind, c.a, c.card = arrayCtr, append(c.a, v), 1
 		return true
 	case arrayCtr:
 		i, ok := slices.BinarySearch(c.a, v)
@@ -364,7 +348,7 @@ func (c *container) add(v uint16, hybrid bool) bool {
 }
 
 // remove deletes v, reporting whether it was present.
-func (c *container) remove(v uint16, hybrid bool) bool {
+func (c *container) remove(v uint16) bool {
 	switch c.kind {
 	case emptyCtr:
 		return false
@@ -372,12 +356,12 @@ func (c *container) remove(v uint16, hybrid bool) bool {
 		if runIndexOf(c.a, v) < 0 {
 			return false
 		}
-		if c.card > arrayOptCard || !hybrid {
+		if c.card > arrayOptCard {
 			c.toBitmap()
 		} else {
 			c.toArray()
 		}
-		return c.remove(v, hybrid)
+		return c.remove(v)
 	case arrayCtr:
 		i, ok := slices.BinarySearch(c.a, v)
 		if !ok {
@@ -385,7 +369,7 @@ func (c *container) remove(v uint16, hybrid bool) bool {
 		}
 		c.a = slices.Delete(c.a, i, i+1)
 		c.card--
-		if c.card == 0 && hybrid {
+		if c.card == 0 {
 			c.setEmpty()
 		}
 		return true
@@ -395,7 +379,7 @@ func (c *container) remove(v uint16, hybrid bool) bool {
 		}
 		c.b[v>>6] &^= 1 << (v & 63)
 		c.card--
-		if hybrid && c.card <= arrayOptCard {
+		if c.card <= arrayOptCard {
 			c.toArray()
 		}
 		return true
@@ -479,25 +463,19 @@ func bitmapCard(b []uint64) int32 {
 // andInPlace replaces x with x ∩ y. The array×array, array×bitmap and
 // bitmap×bitmap kernels mutate x without allocating; pairs that change
 // x's kind allocate only the (smaller) result payload.
-func andInPlace(x, y *container, hybrid bool) {
+func andInPlace(x, y *container) {
 	if x.kind == emptyCtr {
 		return
 	}
 	if y.kind == emptyCtr {
-		if hybrid {
-			x.setEmpty()
-		} else {
-			x.toBitmap()
-			clear(x.b)
-			x.card = 0
-		}
+		x.setEmpty()
 		return
 	}
 	switch x.kind {
 	case arrayCtr:
 		x.a = filterArray(x.a[:0], x.a, y, true)
 		x.card = int32(len(x.a))
-		if x.card == 0 && hybrid {
+		if x.card == 0 {
 			x.setEmpty()
 		}
 	case bitmapCtr:
@@ -509,32 +487,32 @@ func andInPlace(x, y *container, hybrid bool) {
 				n += bits.OnesCount64(x.b[i])
 			}
 			x.card = int32(n)
-			x.normalize(hybrid)
+			x.normalize()
 		case arrayCtr:
 			kept := filterArray(nil, y.a, x, true)
 			x.kind, x.a, x.b, x.card = arrayCtr, kept, nil, int32(len(kept))
-			x.normalize(hybrid)
+			x.normalize()
 		default: // run
 			maskOutsideRuns(x.b, y.a)
 			x.card = bitmapCard(x.b)
-			x.normalize(hybrid)
+			x.normalize()
 		}
 	default: // x run
 		switch y.kind {
 		case arrayCtr:
 			kept := filterArray(nil, y.a, x, true)
 			x.kind, x.a, x.b, x.card = arrayCtr, kept, nil, int32(len(kept))
-			x.normalize(hybrid)
+			x.normalize()
 		case bitmapCtr:
 			b := append([]uint64(nil), y.b...)
 			maskOutsideRuns(b, x.a)
 			x.kind, x.a, x.b = bitmapCtr, nil, b
 			x.card = bitmapCard(b)
-			x.normalize(hybrid)
+			x.normalize()
 		default: // run × run → run
 			out, card := intersectRuns(x.a, y.a)
 			x.a, x.card = out, card
-			if card == 0 && hybrid {
+			if card == 0 {
 				x.setEmpty()
 			}
 		}
@@ -611,7 +589,7 @@ func intersectRuns(x, y []uint16) ([]uint16, int32) {
 // — a dense pair's intersection is usually much smaller than its
 // operands — allocates an array of its cardinality and never the 8 KiB
 // it would be demoted from.
-func intersectBitmaps(d, x, y *container, hybrid bool) {
+func intersectBitmaps(d, x, y *container) {
 	if d.kind == bitmapCtr {
 		n := 0
 		for w, v := range x.b {
@@ -620,14 +598,14 @@ func intersectBitmaps(d, x, y *container, hybrid bool) {
 			n += bits.OnesCount64(v)
 		}
 		d.card = int32(n)
-		d.normalize(hybrid)
+		d.normalize()
 		return
 	}
 	n := andCount(x, y)
 	switch {
-	case n == 0 && hybrid:
+	case n == 0:
 		d.setEmpty()
-	case n <= arrayOptCard && hybrid:
+	case n <= arrayOptCard:
 		a := make([]uint16, 0, n)
 		for wi, w := range x.b {
 			for w &= y.b[wi]; w != 0; w &= w - 1 {
@@ -785,13 +763,13 @@ func intersectsCtr(x, y *container) bool {
 // --- OR --------------------------------------------------------------
 
 // orInPlace replaces x with x ∪ y.
-func orInPlace(x, y *container, hybrid bool) {
+func orInPlace(x, y *container) {
 	if y.card == 0 {
 		return
 	}
 	if x.card == 0 {
 		*x = y.clone()
-		x.normalize(hybrid)
+		x.normalize()
 		return
 	}
 	switch {
@@ -818,12 +796,12 @@ func orInPlace(x, y *container, hybrid bool) {
 		// would otherwise re-merge ever-larger arrays quadratically.
 		if int(x.card)+int(y.card) > arrayOptCard {
 			x.toBitmap()
-			orInPlace(x, y, hybrid)
+			orInPlace(x, y)
 			return
 		}
 		merged := mergeArrays(x.a, y.a)
 		x.a, x.card = merged, int32(len(merged))
-		x.normalize(hybrid)
+		x.normalize()
 	case x.kind == runCtr && y.kind == runCtr:
 		out, card := unionRuns(x.a, y.a)
 		x.a, x.card = out, card
@@ -833,10 +811,10 @@ func orInPlace(x, y *container, hybrid bool) {
 		// large as the bigger side, so dense form is the safe target),
 		// then re-normalize.
 		x.toBitmap()
-		orInPlace(x, y, hybrid)
+		orInPlace(x, y)
 		return
 	}
-	x.normalize(hybrid)
+	x.normalize()
 }
 
 func mergeArrays(x, y []uint16) []uint16 {
@@ -892,7 +870,7 @@ func unionRuns(x, y []uint16) ([]uint16, int32) {
 // --- ANDNOT ----------------------------------------------------------
 
 // andNotInPlace replaces x with x \ y.
-func andNotInPlace(x, y *container, hybrid bool) {
+func andNotInPlace(x, y *container) {
 	if x.card == 0 || y.card == 0 {
 		return
 	}
@@ -900,7 +878,7 @@ func andNotInPlace(x, y *container, hybrid bool) {
 	case arrayCtr:
 		x.a = filterArray(x.a[:0], x.a, y, false)
 		x.card = int32(len(x.a))
-		if x.card == 0 && hybrid {
+		if x.card == 0 {
 			x.setEmpty()
 		}
 	case bitmapCtr:
@@ -925,24 +903,24 @@ func andNotInPlace(x, y *container, hybrid bool) {
 			}
 			x.card = bitmapCard(x.b)
 		}
-		x.normalize(hybrid)
+		x.normalize()
 	default: // x run: fall back through array/bitmap by cardinality
-		if x.card <= arrayOptCard && hybrid {
+		if x.card <= arrayOptCard {
 			x.toArray()
 		} else {
 			x.toBitmap()
 		}
-		andNotInPlace(x, y, hybrid)
+		andNotInPlace(x, y)
 	}
 }
 
 // --- complement / fill ----------------------------------------------
 
 // complementCtr replaces x with its complement within [0, span).
-func complementCtr(x *container, span int, hybrid bool) {
+func complementCtr(x *container, span int) {
 	switch x.kind {
 	case emptyCtr:
-		fillCtr(x, span, hybrid)
+		fillCtr(x, span)
 	case runCtr:
 		out := make([]uint16, 0, len(x.a)+2)
 		next := 0
@@ -959,7 +937,7 @@ func complementCtr(x *container, span int, hybrid bool) {
 		if x.card == 0 {
 			x.setEmpty()
 		} else {
-			x.optimize(hybrid)
+			x.optimize()
 		}
 	default:
 		x.toBitmap()
@@ -968,22 +946,14 @@ func complementCtr(x *container, span int, hybrid bool) {
 		}
 		trimBitmap(x.b, span)
 		x.card = int32(span) - x.card
-		x.normalize(hybrid)
+		x.normalize()
 	}
 }
 
 // fillCtr sets every id in [0, span).
-func fillCtr(x *container, span int, hybrid bool) {
-	if hybrid {
-		x.kind, x.b = runCtr, nil
-		x.a = append(x.a[:0], 0, uint16(span-1))
-	} else {
-		x.toBitmap()
-		for i := range x.b {
-			x.b[i] = ^uint64(0)
-		}
-		trimBitmap(x.b, span)
-	}
+func fillCtr(x *container, span int) {
+	x.kind, x.b = runCtr, nil
+	x.a = append(x.a[:0], 0, uint16(span-1))
 	x.card = int32(span)
 }
 
@@ -1083,9 +1053,8 @@ func fnvPow(k int) uint64 {
 }
 
 // hashCtr folds the container's first nwords logical dense words into h,
-// yielding the same value the dense representation would: the Set hash
-// is stable across container encodings (and across the pre-hybrid
-// format).
+// yielding the same value a bitmap container would: the Set hash is
+// stable across container encodings.
 func hashCtr(c *container, nwords int, h uint64) uint64 {
 	switch c.kind {
 	case emptyCtr:

@@ -13,7 +13,7 @@ import (
 // whatever dst held before.
 func intersectV0(s, t *Set) *Set {
 	s.checkCompat(t)
-	r := &Set{n: s.n, hybrid: s.hybrid, ctrs: make([]container, len(s.ctrs))}
+	r := &Set{n: s.n, ctrs: make([]container, len(s.ctrs))}
 	for i := range s.ctrs {
 		x, y := &s.ctrs[i], &t.ctrs[i]
 		if x.kind == bitmapCtr && y.kind == bitmapCtr {
@@ -25,9 +25,9 @@ func intersectV0(s, t *Set) *Set {
 			}
 			c := container{kind: bitmapCtr, card: int32(n), b: buf[:]}
 			switch {
-			case n == 0 && r.hybrid:
+			case n == 0:
 				r.ctrs[i] = container{}
-			case int32(n) <= arrayOptCard && r.hybrid:
+			case int32(n) <= arrayOptCard:
 				c.toArray()
 				r.ctrs[i] = c
 			default:
@@ -39,12 +39,12 @@ func intersectV0(s, t *Set) *Set {
 			continue
 		}
 		r.ctrs[i] = x.clone()
-		andInPlace(&r.ctrs[i], y, r.hybrid)
+		andInPlace(&r.ctrs[i], y)
 	}
 	return r
 }
 
-// operand returns a hybrid set of capacity n whose non-empty containers
+// operand returns a set of capacity n whose non-empty containers
 // are forced into the given kind, plus its content as a map. Density
 // picks between a sparse and a dense random fill.
 func operand(rng *rand.Rand, n int, kind uint8, dense bool) (*Set, map[int]bool) {
@@ -115,8 +115,8 @@ func checkIntersection(t *testing.T, label string, got *Set, count int, sm, tm m
 	if got.Hash() != want.Hash() {
 		t.Fatalf("%s: hash %x, pre-change Intersect %x", label, got.Hash(), want.Hash())
 	}
-	if got.Len() != want.Len() || got.hybrid != want.hybrid {
-		t.Fatalf("%s: capacity/policy (%d,%v), want (%d,%v)", label, got.Len(), got.hybrid, want.Len(), want.hybrid)
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: capacity %d, want %d", label, got.Len(), want.Len())
 	}
 	gk, wk := kindsOf(got), kindsOf(want)
 	for i := range wk {
@@ -172,32 +172,6 @@ func labelOf(n int, kx, ky uint8, dense bool) string {
 		d = "dense"
 	}
 	return fmt.Sprintf("%sx%s/%s/n=%d", names[kx], names[ky], d, n)
-}
-
-// TestIntersectIntoDensePolicy covers sets created under the dense
-// policy, whose containers are bitmaps whatever their cardinality.
-func TestIntersectIntoDensePolicy(t *testing.T) {
-	withMode(false, func() {
-		rng := rand.New(rand.NewSource(16))
-		dst := new(Set)
-		for _, n := range intoCapacities {
-			for round := 0; round < 4; round++ {
-				s, sm := randomSet(rng, n)
-				u, um := randomSet(rng, n)
-				if round == 3 {
-					u, um = New(n), map[int]bool{} // empty result stays a bitmap
-				}
-				want := intersectV0(s, u)
-				count := IntersectInto(dst, s, u)
-				checkIntersection(t, fmt.Sprintf("dense policy n=%d", n), dst, count, sm, um, want)
-				for i := range dst.ctrs {
-					if dst.ctrs[i].kind != bitmapCtr {
-						t.Fatalf("dense policy n=%d: container %d has kind %d", n, i, dst.ctrs[i].kind)
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestIntersectIntoResultKinds pins the container kind of the result

@@ -55,8 +55,8 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a set written by MarshalBinary. The decoded
-// set adopts the current representation policy.
+// UnmarshalBinary decodes a set written by MarshalBinary, keeping the
+// container encodings the stream carries.
 func (s *Set) UnmarshalBinary(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
@@ -74,9 +74,7 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 	if nc := numCtrs(int(n)); nc > len(data)-8 {
 		return fmt.Errorf("bitset: capacity %d needs %d containers, stream has %d bytes left", n, nc, len(data)-8)
 	}
-	hybrid := defaultHybrid.Load()
 	s.n = int(n)
-	s.hybrid = hybrid
 	s.ctrs = make([]container, numCtrs(s.n))
 	off := 8
 	for ci := range s.ctrs {
@@ -144,9 +142,6 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		}
 		if err := c.validate(s.span(ci)); err != nil {
 			return fmt.Errorf("bitset: container %d: %w", ci, err)
-		}
-		if !hybrid {
-			c.toBitmap()
 		}
 	}
 	if off != len(data) {

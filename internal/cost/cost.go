@@ -70,12 +70,12 @@ func MeasureUnits(m, dims int) Units {
 	}
 	u := Units{}
 
-	// WordOp and IDProbe are defined against the dense layout — the
-	// model's operator estimates multiply them by dense word counts —
-	// so the two micro-benchmark sets are bitmap-backed by construction.
-	// Under the hybrid policy these small strided sets would pack into
-	// array containers, whose element-at-a-time kernels make a per-word
-	// normalization meaningless.
+	// WordOp and IDProbe are defined against bitmap containers — the
+	// model's operator estimates multiply them by dense word counts — so
+	// the two micro-benchmark sets come from NewDense, whose bitmaps Add
+	// never demotes. Built by New, these small strided sets would pack
+	// into array containers, whose element-at-a-time kernels make a
+	// per-word normalization meaningless.
 	a, b := bitset.NewDense(m), bitset.NewDense(m)
 	for i := 0; i < m; i += 3 {
 		a.Add(i)
@@ -486,23 +486,15 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 
 // supportCheckCost is the cost of one record-level support check under
 // the executor's check mode: a |D^Q|-record scan (the paper's COST(E)
-// unit), a whole-bitmap intersection, or the cheaper of the two when
-// the executor decides per query.
+// unit) or a whole-bitmap intersection, whichever CheckMode.Scans has
+// the executor run.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
 	scanCost := float64(s.dqSize) * mo.U.IDProbe
 	bitmapCost := s.words * mo.U.WordOp
-	switch mo.Mode {
-	case plans.ScanCheck:
+	if mo.Mode.Scans(s.dqSize, mo.Idx.Dataset.NumRecords()) {
 		return scanCost
-	case plans.BitmapCheck:
-		return bitmapCost
-	default:
-		// AutoCheck mirrors the executor's threshold (|D^Q| <= m/32).
-		if s.dqSize <= mo.Idx.Dataset.NumRecords()/32 {
-			return scanCost
-		}
-		return bitmapCost
 	}
+	return bitmapCost
 }
 
 // verifyCost estimates the VERIFY operator over nQual qualified

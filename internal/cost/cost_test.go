@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"colarm/internal/bitset"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -74,40 +73,6 @@ func TestMeasureUnitsSane(t *testing.T) {
 	u2 := MeasureUnits(0, 0)
 	if u2.WordOp <= 0 {
 		t.Error("clamped measure failed")
-	}
-}
-
-// TestMeasureUnitsLeavesTidsetPolicyAlone: calibration re-runs in the
-// background of a serving engine (Rebuild with Calibrate set), so it
-// must never switch the process-wide tidset policy — a concurrent
-// query, ingest or merged-view build would create its sets dense and
-// keep them for a whole delta version.
-func TestMeasureUnitsLeavesTidsetPolicyAlone(t *testing.T) {
-	if !bitset.HybridEnabled() {
-		t.Fatal("test needs the default hybrid policy")
-	}
-	stop := make(chan struct{})
-	sawDense := make(chan bool)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				sawDense <- false
-				return
-			default:
-				if !bitset.HybridEnabled() {
-					sawDense <- true
-					return
-				}
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		MeasureUnits(4000, 6)
-	}
-	close(stop)
-	if <-sawDense {
-		t.Fatal("MeasureUnits switched the process-wide tidset policy to dense while it ran")
 	}
 }
 

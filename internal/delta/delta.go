@@ -360,13 +360,6 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 
 	live := bitset.New(capN)
 	live.Fill()
-	if gl := s.idx.Live; gl != nil {
-		// An index loaded with a live mask keeps deleted records as
-		// ghost rows; they stay dead in every merged surface.
-		ghosts := gl.Clone()
-		ghosts.Complement()
-		live.AndNot(ghosts.CloneGrown(capN))
-	}
 	for _, g := range gone {
 		live.Remove(g.id)
 	}
@@ -593,13 +586,9 @@ func (s *Store) MergedDataset() (*relation.Dataset, error) {
 		}
 	}
 	idx := make([]int, attrs)
-	ghosts := s.idx.Live
 	for r := 0; r < d.NumRecords(); r++ {
 		if s.tombs.Contains(r) {
 			continue
-		}
-		if ghosts != nil && !ghosts.Contains(r) {
-			continue // ghost row; never resurrected
 		}
 		for a := 0; a < attrs; a++ {
 			idx[a] = d.Value(r, a)

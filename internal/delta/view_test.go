@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/cost"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
@@ -17,10 +16,8 @@ import (
 // edgyIndex builds an index over a random relation whose values crowd
 // the middle of every domain, so the extreme values — the ones CFI
 // bounding boxes end on — are held by few records and deleting those
-// records moves boxes. With ghosts set, a fifth of the records are ghost
-// rows of a loaded index (present in the table, outside Live and
-// every tidset).
-func edgyIndex(t *testing.T, rng *rand.Rand, ghosts bool) *mip.Index {
+// records moves boxes.
+func edgyIndex(t *testing.T, rng *rand.Rand) *mip.Index {
 	t.Helper()
 	nAttrs := 3 + rng.Intn(3)
 	names := make([]string, nAttrs)
@@ -41,37 +38,10 @@ func edgyIndex(t *testing.T, rng *rand.Rand, ghosts bool) *mip.Index {
 			t.Fatal(err)
 		}
 	}
-	d := b.Build()
-	const primary = 0.08
-	if !ghosts {
-		idx, err := mip.Build(d, mip.Options{PrimarySupport: primary})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}
-	live := bitset.New(m)
-	for r := 0; r < m; r++ {
-		if rng.Intn(5) > 0 {
-			live.Add(r)
-		}
-	}
-	sp := itemset.NewSpace(d)
-	tids := itemset.ItemTidsets(d, sp)
-	for _, s := range tids {
-		s.And(live)
-		s.Optimize()
-	}
-	minCount := charm.CountFor(primary, live.Count())
-	res, err := charm.MineTidsets(tids, m, minCount)
+	idx, err := mip.Build(b.Build(), mip.Options{PrimarySupport: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := mip.Assemble(d, sp, tids, res, minCount, mip.Options{PrimarySupport: primary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.Live = live
 	return idx
 }
 
@@ -163,7 +133,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 	moved := 0 // merged boxes that differ from the frozen box of the same itemset
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		idx := edgyIndex(t, rng, seed%3 == 2)
+		idx := edgyIndex(t, rng)
 		sp, d := idx.Space, idx.Dataset
 		baseN := d.NumRecords()
 		s := NewStore(idx, 0.08, cost.DefaultUnits())
@@ -227,8 +197,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 				}
 			}
 			for r := 0; r < v.NumRecords; r++ {
-				alive := r >= baseN && !s.dead[r-baseN] ||
-					r < baseN && !s.tombs.Contains(r) && (idx.Live == nil || idx.Live.Contains(r))
+				alive := r >= baseN && !s.dead[r-baseN] || r < baseN && !s.tombs.Contains(r)
 				if v.Live.Contains(r) != alive {
 					t.Fatalf("seed %d batch %d: record %d live=%v, want %v", seed, batch, r, v.Live.Contains(r), alive)
 				}

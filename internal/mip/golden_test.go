@@ -2,22 +2,24 @@ package mip
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/datagen"
-	"colarm/internal/itemset"
 	"colarm/internal/qerr"
+	"colarm/internal/relation"
 )
 
 // The golden corpus pins the snapshot format: committed v5 reference
 // streams of two deterministic indexes, plus the crafted v2, v3 and v4
 // streams of earlier releases for the same indexes, kept as rejection
-// fixtures. TestGoldenSnapshotCompat asserts every v5 stream loads and
+// fixtures. One v5 stream carries ghost rows behind a live mask, the
+// layout older releases' sharded rebuilds wrote; it loads compacted.
+// TestGoldenSnapshotCompat asserts every v5 stream loads and
 // re-serializes to the bytes a fresh build produces, and every legacy
 // stream fails with the typed version error.
 //
@@ -28,13 +30,13 @@ import (
 // only asserted to LOAD (self-describing streams), while equality is
 // asserted between in-process re-serializations.
 //
-// Regenerate the v5 streams with:
+// Regenerate the plain v5 stream with:
 //
 //	COLARM_WRITE_GOLDEN=1 go test ./internal/mip/ -run TestWriteGoldenSnapshots
 //
 // Regeneration is only legitimate when introducing a new current
-// format. The v2/v3/v4 files describe frozen formats no writer exists
-// for any more; they are never rewritten.
+// format. The v2/v3/v4 files and the ghost stream describe layouts no
+// writer exists for any more; they are never rewritten.
 
 // goldenPlainIndex builds the deterministic ghost-free index the plain
 // goldens describe: the paper's salary dataset at the usual thresholds.
@@ -58,34 +60,34 @@ func goldenPlainMeta() SnapshotMeta {
 	}
 }
 
-// goldenGhostIndex builds the deterministic ghost-carrying index the
-// ghost goldens describe: salary with two records consolidated away —
-// the layout sharded rebuilds used to write (ids stable, deleted rows
-// outside the Live mask, catalog mined over live records). No writer
-// produces it any more; the reader still accepts it.
-func goldenGhostIndex(t testing.TB) *Index {
+// goldenGhostCompacted builds the index golden_v5_ghost.snapshot loads
+// as: salary without its ghosted records 3 and 7, mined at the usual
+// thresholds.
+func goldenGhostCompacted(t testing.TB) *Index {
 	t.Helper()
-	d := datagen.Salary()
-	sp := itemset.NewSpace(d)
-	live := bitset.New(d.NumRecords())
-	live.Fill()
-	live.Remove(3)
-	live.Remove(7)
-	tids := itemset.ItemTidsets(d, sp)
-	for _, s := range tids {
-		s.And(live)
-		s.Optimize()
+	full := datagen.Salary()
+	names := make([]string, full.NumAttrs())
+	for a := range names {
+		names[a] = full.Attrs[a].Name
 	}
-	primaryCount := charm.CountFor(0.18, live.Count())
-	res, err := charm.MineTidsets(tids, d.NumRecords(), primaryCount)
+	b := relation.NewBuilder(full.Name, names...)
+	for a := range names {
+		for _, v := range full.Attrs[a].Values {
+			b.AddValue(a, v)
+		}
+	}
+	for r := 0; r < full.NumRecords(); r++ {
+		if r == 3 || r == 7 {
+			continue
+		}
+		if err := b.AddRecordIdx(full.Record(r)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := Build(b.Build(), Options{PrimarySupport: 0.18, Fanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Assemble(d, sp, tids, res, primaryCount, Options{Fanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx.Live = live
 	return idx
 }
 
@@ -111,13 +113,6 @@ func TestWriteGoldenSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	write("golden_v5.snapshot", v5.Bytes())
-
-	ghost := goldenGhostIndex(t)
-	var v5g bytes.Buffer
-	if _, err := ghost.WriteSnapshot(&v5g, SnapshotMeta{Primary: 0.18, Generation: 1}); err != nil {
-		t.Fatal(err)
-	}
-	write("golden_v5_ghost.snapshot", v5g.Bytes())
 }
 
 // loadGolden reads and restores one committed stream.
@@ -149,7 +144,7 @@ func reserialize(t *testing.T, idx *Index, meta SnapshotMeta) []byte {
 
 // TestGoldenSnapshotCompat loads every committed v5 reference stream
 // and asserts it restores to exactly the index a fresh deterministic
-// build produces — re-serializing the load is a fixed point and matches
+// build produces (for the ghost stream, a build over its live rows) — re-serializing the load is a fixed point and matches
 // the fresh build bit for bit — and that every committed legacy stream
 // of the same index is refused with the typed version error.
 func TestGoldenSnapshotCompat(t *testing.T) {
@@ -172,7 +167,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 			ref:    "golden_v5_ghost.snapshot",
 			legacy: []string{"golden_v4.snapshot"},
 			fresh: func() []byte {
-				return reserialize(t, goldenGhostIndex(t), SnapshotMeta{Primary: 0.18, Generation: 1})
+				return reserialize(t, goldenGhostCompacted(t), SnapshotMeta{Primary: 0.18, Generation: 1})
 			},
 		},
 	}
@@ -207,5 +202,49 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 				t.Fatalf("fresh deterministic build no longer matches the committed %s", g.ref)
 			}
 		})
+	}
+}
+
+// TestGhostDeletesRemap: the deletes a ghost stream's delta carries move
+// into the compacted id space — salary's live base id 5 is the fifth
+// live row (rank 4) once ghosts 3 and 7 go, buffered id 12 (the second
+// buffered row) becomes 10 — while a delete naming ghost 3 is dropped,
+// and ids outside every row stay outside.
+func TestGhostDeletesRemap(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v5_ghost.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	var magic string
+	var snap snapshotV5
+	if err := dec.Decode(&magic); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Meta.DeltaRows = [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
+	snap.Meta.DeltaDels = []int32{5, 3, 12, -1, 13}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(snapshotMagic); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	idx, meta, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Dataset.NumRecords(); got != 9 {
+		t.Fatalf("compacted index holds %d records, want the 9 live rows", got)
+	}
+	if want := []int32{4, 10, -3, 11}; !slices.Equal(meta.DeltaDels, want) {
+		t.Fatalf("deletes remapped to %v, want %v", meta.DeltaDels, want)
+	}
+	if len(meta.DeltaRows) != 2 {
+		t.Fatalf("%d buffered rows after compaction, want 2", len(meta.DeltaRows))
 	}
 }

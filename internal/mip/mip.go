@@ -59,14 +59,6 @@ type Index struct {
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
-	// Live, when non-nil, flags the records of Dataset that exist;
-	// deleted rows remain in Dataset as ghosts outside it. Nil means
-	// every record is live — the layout every build produces. Only a
-	// loaded snapshot can carry a mask (sharded rebuilds once absorbed
-	// deletions without renumbering ids), and the engine's next rebuild
-	// compacts the ghosts away. Tidsets, the CFI catalog and all query
-	// surfaces cover live records only.
-	Live *bitset.Set
 
 	// Precomputed statistics for the cost model.
 	LevelStats []rtree.LevelStats
@@ -80,7 +72,7 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.PrimarySupport <= 0 || opts.PrimarySupport > 1 {
+	if !(opts.PrimarySupport > 0 && opts.PrimarySupport <= 1) {
 		return nil, fmt.Errorf("mip: primary support %v outside (0,1]", opts.PrimarySupport)
 	}
 	sp := itemset.NewSpace(d)
@@ -90,13 +82,6 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
-}
-
-// Assemble builds the index layers from an existing mining result: it
-// packs the same IT-tree, boxes and supported R-tree the offline Build
-// would over the same tidsets and catalog.
-func Assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, primaryCount int, opts Options) (*Index, error) {
 	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
 
@@ -197,14 +182,7 @@ func (x *Index) NumMIPs() int { return x.ITTree.Size() }
 
 // SubsetBitmap materializes the record bitmap of a focal-subset region.
 func (x *Index) SubsetBitmap(reg *itemset.Region) *bitset.Set {
-	dq := itemset.RegionTidset(reg, x.Space, x.Tidsets, x.Dataset.NumRecords())
-	if x.Live != nil {
-		// Ghost rows (consolidated deletions) never join a focal subset;
-		// restricted dimensions exclude them already via the live-only
-		// tidsets, but unrestricted dimensions contribute a full bitmap.
-		dq.And(x.Live)
-	}
-	return dq
+	return itemset.RegionTidset(reg, x.Space, x.Tidsets, x.Dataset.NumRecords())
 }
 
 // RegionFromSelections builds a Region from attribute-name → value-label

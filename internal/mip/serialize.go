@@ -29,13 +29,12 @@ import (
 //
 // The payload is the slab format matching the in-memory layout: CFI
 // itemsets are one offset-indexed item arena, tidset encodings (the
-// hybrid container encoding of package bitset) one offset-indexed byte
+// container encoding of package bitset) one offset-indexed byte
 // arena, and boxes one inline Lo/Hi arena — a handful of large gob
 // values instead of tens of thousands of small ones. Engine-level
 // metadata (primary-support fraction, generation, the live-ingestion
-// delta) and the live mask of an index that carries one ride in the same
-// payload, so a snapshot taken mid-ingest restores to the exact same
-// answers.
+// delta) rides in the same payload, so a snapshot taken mid-ingest
+// restores to the exact same answers.
 const snapshotMagic = "COLARM-MIP-v5"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
@@ -78,8 +77,10 @@ type snapshotV5 struct {
 	TidOff    []int64
 	BoxArena  []int32
 
-	// Live is Index.Live (bitset binary encoding); empty means every
-	// record is live, which is all a build produces.
+	// Live is read, never written: older releases' sharded rebuilds kept
+	// deleted records in Rows as ghosts outside this mask (a bitset
+	// binary encoding), and ReadSnapshot compacts such a stream at load
+	// (see compactGhosts). Empty means every row is live.
 	Live []byte
 
 	Meta SnapshotMeta
@@ -143,15 +144,6 @@ func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
 		snap.BoxArena = append(snap.BoxArena, x.Boxes[id].Lo...)
 		snap.BoxArena = append(snap.BoxArena, x.Boxes[id].Hi...)
 	}
-	if x.Live != nil {
-		canon := x.Live.Clone()
-		canon.Optimize()
-		live, err := canon.MarshalBinary()
-		if err != nil {
-			return bw.n, err
-		}
-		snap.Live = live
-	}
 	enc := gob.NewEncoder(bw)
 	if err := enc.Encode(snapshotMagic); err != nil {
 		return bw.n, fmt.Errorf("mip: encoding snapshot magic: %w", err)
@@ -175,7 +167,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 // ReadSnapshot restores an index and its engine metadata. A stream that
 // is not a snapshot of exactly this format version — an older or newer
 // COLARM snapshot, or a foreign file — fails with
-// qerr.ErrSnapshotVersion before any payload decoding.
+// qerr.ErrSnapshotVersion before any payload decoding. A stream carrying
+// ghost rows loads compacted: every record id of the index it returns
+// names a live record.
 func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
@@ -213,6 +207,16 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	if len(snap.Rows)%n != 0 {
 		return nil, fmt.Errorf("mip: snapshot row data length %d not divisible by %d attributes", len(snap.Rows), n)
 	}
+	var live *bitset.Set
+	if len(snap.Live) > 0 {
+		live = &bitset.Set{}
+		if err := live.UnmarshalBinary(snap.Live); err != nil {
+			return nil, fmt.Errorf("mip: live mask: %w", err)
+		}
+		if live.Len() != len(snap.Rows)/n {
+			return nil, fmt.Errorf("mip: live mask capacity %d != %d records", live.Len(), len(snap.Rows)/n)
+		}
+	}
 	names := make([]string, n)
 	for i, a := range snap.Attrs {
 		names[i] = a.Name
@@ -225,6 +229,9 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	}
 	row := make([]int, n)
 	for off := 0; off < len(snap.Rows); off += n {
+		if live != nil && !live.Contains(off/n) {
+			continue // a ghost row
+		}
 		for a := 0; a < n; a++ {
 			row[a] = int(snap.Rows[off+a])
 		}
@@ -235,6 +242,9 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	d := b.Build()
 	if err := d.Validate(); err != nil {
 		return nil, err
+	}
+	if live != nil {
+		return compactGhosts(d, live, snap)
 	}
 	sp := itemset.NewSpace(d)
 
@@ -273,27 +283,51 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 		boxes[i] = itemset.Box{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]}
 	}
 
-	idx, err := assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{Fanout: snap.Fanout})
+	return assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{Fanout: snap.Fanout})
+}
+
+// compactGhosts finishes loading the layout older releases' sharded
+// rebuilds wrote: deleted records kept in the table as ghost rows outside
+// a live mask, ids never renumbered. d holds the live rows only, and the
+// index is re-mined over them as the engine's first rebuild used to do:
+// at the snapshot's primary fraction, or at its primary count over the
+// live rows when no fraction was recorded. The stored catalog covers the
+// same live rows but in the old id space, so it is not read. The delta's
+// deletes in snap.Meta move into the compacted id space: a live base
+// record to its rank among the live rows, a buffered row down by the
+// number of ghosts, and a delete naming a ghost — a record that no
+// longer exists — is dropped.
+func compactGhosts(d *relation.Dataset, live *bitset.Set, snap *snapshotV5) (*Index, error) {
+	primary := snap.Meta.Primary
+	if primary == 0 && d.NumRecords() > 0 {
+		primary = float64(snap.PrimaryCount) / float64(d.NumRecords())
+	}
+	idx, err := Build(d, Options{PrimarySupport: primary, Fanout: snap.Fanout})
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Live) > 0 {
-		live := &bitset.Set{}
-		if err := live.UnmarshalBinary(snap.Live); err != nil {
-			return nil, fmt.Errorf("mip: live mask: %w", err)
+	rank := make([]int32, live.Len()) // base id -> compacted id, -1 for a ghost
+	next := int32(0)
+	for r := range rank {
+		rank[r] = -1
+		if live.Contains(r) {
+			rank[r] = next
+			next++
 		}
-		if live.Len() != d.NumRecords() {
-			return nil, fmt.Errorf("mip: live mask capacity %d != %d records", live.Len(), d.NumRecords())
-		}
-		// The rebuilt per-item tidsets scanned the raw rows, ghosts
-		// included; clear the ghost bits so every query surface covers
-		// live records only, exactly as the saved index did.
-		for _, t := range idx.Tidsets {
-			t.And(live)
-			t.Optimize()
-		}
-		idx.Live = live
 	}
+	ghosts := int32(len(rank)) - next
+	var dels []int32
+	for _, id := range snap.Meta.DeltaDels {
+		switch {
+		case id < 0 || int(id) >= len(rank):
+			// A buffered row; an id outside every row stays outside, and
+			// Ingest refuses it as it would have before.
+			dels = append(dels, id-ghosts)
+		case rank[id] >= 0:
+			dels = append(dels, rank[id])
+		}
+	}
+	snap.Meta.DeltaDels = dels
 	return idx, nil
 }
 

@@ -41,8 +41,8 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	n := sp.NumAttrs()
 	// value resolves a record's raw value, reaching buffered rows past
 	// the base table on a merged surface; the scan passes over ids
-	// outside live — tombstoned records and the ghost rows of a loaded
-	// index alike (a surface never reuses or renumbers ids).
+	// outside live, the tombstoned records (a surface never reuses or
+	// renumbers ids).
 	value, live := c.s.Value, c.s.Live
 	tr := q.Trace
 	var t0 time.Time
@@ -64,9 +64,9 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	}
 	if slices := c.s.Slices; len(slices) > 1 {
 		// Scattered SELECT: each shard scans only the records it owns
-		// (already live — ghost and tombstoned rows are outside every
-		// slice), in parallel across the worker pool, into its own
-		// vertical representation; the gather ORs the per-shard tidsets,
+		// (already live — tombstoned rows are outside every slice), in
+		// parallel across the worker pool, into its own vertical
+		// representation; the gather ORs the per-shard tidsets,
 		// which reproduces the monolithic scan exactly because the
 		// slices partition the live records. ARMRecordsScanned sums the
 		// per-shard scan counts — the same total the monolithic loop

@@ -33,6 +33,23 @@ const (
 	BitmapCheck
 )
 
+// Scans reports whether the record-level support checks over a focal
+// subset of size records, out of a universe of records ids, probe the
+// subset's ids one by one rather than intersect whole bitmaps.
+// AutoCheck scans when |D^Q| <= m/32: a scan touches one word per
+// subset record, a bitmap intersection every word of the universe once.
+// The executor decides with it and the cost model prices with it.
+func (m CheckMode) Scans(size, records int) bool {
+	switch m {
+	case ScanCheck:
+		return true
+	case BitmapCheck:
+		return false
+	default:
+		return size <= records/32
+	}
+}
+
 func (m CheckMode) String() string {
 	switch m {
 	case AutoCheck:
@@ -197,16 +214,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		st:        &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 		localSupp: make(map[int]int),
 	}
-	switch ex.Mode {
-	case ScanCheck:
-		c.scan = true
-	case BitmapCheck:
-		c.scan = false
-	default:
-		// A scan touches one word per subset record; a bitmap
-		// intersection touches every word of the universe once.
-		c.scan = f.Size <= c.s.NumRecords/32
-	}
+	c.scan = ex.Mode.Scans(f.Size, c.s.NumRecords)
 	if c.scan {
 		c.dqIDs = f.DQ.IDs()
 		if f.Shards != nil {

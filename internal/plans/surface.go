@@ -63,9 +63,11 @@ type Surface struct {
 	// shares: base records (deleted ones included, ids are never reused)
 	// plus buffered rows.
 	NumRecords int
-	// Live flags the record ids that exist; nil means every id does.
-	// AND-ing it into a region bitmap keeps deleted rows out of
-	// unrestricted dimensions, and ARM's table scan passes over the rest.
+	// Live flags the record ids that exist on a merged surface, whose
+	// tombstoned ids stay allocated; nil means every id does, as on a
+	// frozen index. AND-ing it into a region bitmap keeps deleted rows
+	// out of unrestricted dimensions, and ARM's table scan passes over
+	// the rest.
 	Live *bitset.Set
 	// Value returns the value index of record r at attribute a, for
 	// every id below NumRecords.
@@ -88,7 +90,6 @@ func NewSurface(idx *mip.Index) *Surface {
 		RTree:        idx.RTree,
 		PrimaryCount: idx.PrimaryCount,
 		NumRecords:   idx.Dataset.NumRecords(),
-		Live:         idx.Live,
 		Value:        idx.Dataset.Value,
 	}
 }

@@ -73,7 +73,7 @@ type Collection struct {
 }
 
 // New builds a collection over a freshly built or loaded index,
-// partitioning its live records by hash.
+// partitioning its records by hash.
 func New(idx *mip.Index, cfg Config) *Collection {
 	r := NewRouter(cfg.Shards)
 	c := &Collection{
@@ -85,11 +85,8 @@ func New(idx *mip.Index, cfg Config) *Collection {
 	}
 	c.store.SetWorkers(cfg.Workers)
 	n := idx.Dataset.NumRecords()
-	live := idx.Live
-	if live == nil {
-		live = bitset.New(n)
-		live.Fill()
-	}
+	live := bitset.New(n)
+	live.Fill()
 	frozen := *c.store.Surface()
 	frozen.Slices = c.partition(live, idx.Tidsets, n)
 	c.frozen = &frozen
@@ -209,9 +206,8 @@ func (c *Collection) ShardStats() []ShardStat {
 	}, func(id int) {
 		s := c.router.Of(id)
 		stats[s].Tombstones++
-		// A deleted buffered row was never counted; a ghost row of a
-		// loaded snapshot is outside its shard's frozen slice.
-		if id < baseN && c.frozen.Slices[s].Records.Contains(id) {
+		// A deleted buffered row was never counted.
+		if id < baseN {
 			stats[s].Records--
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -327,36 +328,37 @@ func TestLoadedEngineKeepsFanout(t *testing.T) {
 }
 
 // TestGhostSnapshotCompacts: a snapshot whose index keeps deleted rows
-// as ghosts outside a live mask (what sharded rebuilds once wrote)
-// still loads and answers over the live rows only, and its first
-// rebuild compacts the ghosts away.
+// as ghosts outside a live mask (what sharded rebuilds once wrote) loads
+// compacted at every shard count. The engine holds only the live rows,
+// under ids 0..8: it refuses a delete of id 9, answers like a monolith
+// over the live rows, saves that monolith's bytes with no mask, and its
+// first rebuild changes nothing. The same stream with a buffered delta —
+// whose deletes name a live base record, a ghost and a buffered row —
+// answers like the monolith after the same batch, its ids moved into the
+// compacted space and the ghost's delete dropped.
 func TestGhostSnapshotCompacts(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghost, err := LoadEngine(bytes.NewReader(data), Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fixture is salary at primary 0.18, fanout 4, with records 3
+	// The fixtures are salary at primary 0.18, fanout 4, with records 3
 	// and 7 ghosted: a monolith that deletes them and rebuilds holds
 	// exactly the live rows.
-	ds, err := Salary()
-	if err != nil {
-		t.Fatal(err)
+	liveMono := func(t *testing.T) *Engine {
+		t.Helper()
+		ds, err := Salary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mono.Ingest(nil, []int{3, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if mono, err = mono.Rebuild(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return mono
 	}
-	mono, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mono.Ingest(nil, []int{3, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if mono, err = mono.Rebuild(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	agree := func(stage string, e *Engine) {
+	agree := func(t *testing.T, stage string, mono, e *Engine) {
 		t.Helper()
 		for _, plan := range []Plan{SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
 			q := Query{
@@ -384,25 +386,88 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 			}
 		}
 	}
-	agree("loaded", ghost)
+	load := func(t *testing.T, path string, shards int) *Engine {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := LoadEngine(bytes.NewReader(data), Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// save returns e's snapshot and the live mask it carries, read by
+	// decoding the payload into its one Live field (gob skips the rest).
+	save := func(t *testing.T, e *Engine) ([]byte, []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Clone(buf.Bytes())
+		dec := gob.NewDecoder(&buf)
+		var magic string
+		var payload struct{ Live []byte }
+		if err := dec.Decode(&magic); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&payload); err != nil {
+			t.Fatal(err)
+		}
+		return data, payload.Live
+	}
 
-	rebuilt, err := ghost.Rebuild(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree("rebuilt", rebuilt)
-	if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
-		t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
-	}
-	var buf bytes.Buffer
-	if err := rebuilt.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	idx, _, err := mip.ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Live != nil {
-		t.Fatalf("rebuilt snapshot still carries a live mask over %d records", idx.Live.Len())
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
+			mono := liveMono(t)
+			monoBytes, _ := save(t, mono)
+			ghost := load(t, filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"), shards)
+			if got := ghost.Dataset().NumRecords(); got != 9 {
+				t.Fatalf("loaded engine holds %d records, the live rows are 9", got)
+			}
+			if _, err := ghost.Ingest(nil, []int{9}); !errors.Is(err, ErrBadRecordID) {
+				t.Fatalf("deleting id 9 past the live rows: err = %v, want ErrBadRecordID", err)
+			}
+			if st := ghost.Staleness(); st.Version != 0 || st.Tombstones != 0 {
+				t.Fatalf("a refused delete left version %d, %d tombstones", st.Version, st.Tombstones)
+			}
+			agree(t, "loaded", mono, ghost)
+			data, mask := save(t, ghost)
+			if len(mask) != 0 {
+				t.Fatalf("the loaded engine saves a live mask of %d bytes", len(mask))
+			}
+			if !bytes.Equal(data, monoBytes) {
+				t.Fatal("the loaded engine saves other bytes than a monolith over the live rows")
+			}
+
+			rebuilt, err := ghost.Rebuild(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree(t, "rebuilt", mono, rebuilt)
+			if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
+				t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
+			}
+			if _, mask := save(t, rebuilt); len(mask) != 0 {
+				t.Fatalf("rebuilt snapshot still carries a live mask of %d bytes", len(mask))
+			}
+
+			// The delta fixture buffers these two rows and deletes base id
+			// 5, ghost 3 and buffered id 12 (the second row). Compacted,
+			// that is base id 4 and buffered id 10; the ghost is gone.
+			withDelta := load(t, filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"), shards)
+			rows := [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
+			if _, err := mono.eng.Ingest(rows, []int{4, 10}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := withDelta.Staleness(), mono.Staleness(); got.Version != 1 || got.BufferedRows != 1 || got.Tombstones != 2 ||
+				got.BufferedRows != want.BufferedRows || got.Tombstones != want.Tombstones {
+				t.Fatalf("loaded delta: version %d, %d buffered, %d tombstones; the monolith after the batch: %d buffered, %d tombstones",
+					got.Version, got.BufferedRows, got.Tombstones, want.BufferedRows, want.Tombstones)
+			}
+			agree(t, "loaded with a delta", mono, withDelta)
+		})
 	}
 }
