@@ -124,7 +124,7 @@ func BenchmarkOptimizerChoose(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := env.QueryFor(regions[i%len(regions)], env.Spec.MinSupps[0], 0.85)
-				env.Engine.Model.Choose(q)
+				env.Engine.Model.Choose(env.Engine.Resolve(q), q)
 			}
 		})
 	}

@@ -99,7 +99,7 @@ func TestExplainGoldenSalary(t *testing.T) {
 		{SSEV, 894.580231, 10, 0.830848},
 		{SSVS, 814.580231, 10, 0.830848},
 		{SSEUV, 893.380231, 10, 0.830848},
-		{ARM, 247.383523, 0, 1.250000},
+		{ARM, 124.383523, 0, 1.250000},
 	})
 
 	// The optimizer must execute the argmin of exactly these estimates.
@@ -144,6 +144,6 @@ func TestExplainGoldenChessQuarter(t *testing.T) {
 		{SSEV, 211609.297984, 395.674419, 263.782946},
 		{SSVS, 208443.902636, 395.674419, 263.782946},
 		{SSEUV, 210066.167752, 395.674419, 263.782946},
-		{ARM, 88878.989551, 0, 2.071963},
+		{ARM, 44534.489551, 0, 2.071963},
 	})
 }

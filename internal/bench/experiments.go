@@ -94,7 +94,7 @@ func (e *Env) runCell(frac, minSupp, minConf float64, runsPer int, rng *rand.Ran
 	for run := 0; run < runsPer; run++ {
 		reg := e.RandomFocalSubset(rng, frac)
 		q := e.QueryFor(reg, minSupp, minConf)
-		choice, _ := e.Engine.Model.Choose(q)
+		choice, _ := e.Engine.Model.Choose(e.Engine.Resolve(q), q)
 		chosenVotes[choice]++
 		for _, k := range plans.Kinds() {
 			res, err := e.Engine.MineWith(k, q)

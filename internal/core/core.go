@@ -137,10 +137,7 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	ex := plans.NewExecutor(idx.Space)
 	ex.Mode = opts.CheckMode
 	ex.Workers = opts.Workers
-	model := cost.NewModel(idx, units)
-	model.Mode = opts.CheckMode
-	model.Shards = opts.Shards
-	e := &Engine{Index: idx, Executor: ex, Model: model, opts: opts}
+	e := &Engine{Index: idx, Executor: ex, Model: cost.NewModel(idx, units), opts: opts}
 	e.initDelta()
 	e.initMetrics(opts.Metrics)
 	return e
@@ -367,7 +364,7 @@ type planChoice struct {
 // frequent only inside the focal subset, so the choice is overridden to
 // ARM — completeness outranks the cost estimate.
 func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
-	kind, ests := e.Model.Choose(q)
+	kind, ests := e.Model.Choose(f, q)
 	if kind != plans.ARM && !f.Applicable() {
 		kind = plans.ARM
 	}

@@ -5,6 +5,7 @@ import (
 
 	"colarm/internal/colarmql"
 	"colarm/internal/datagen"
+	"colarm/internal/itemset"
 	"colarm/internal/plans"
 )
 
@@ -34,8 +35,9 @@ func TestEngineModePlumbing(t *testing.T) {
 	if eng.Executor.Mode != plans.ScanCheck {
 		t.Error("executor mode not plumbed")
 	}
-	if eng.Model.Mode != plans.ScanCheck {
-		t.Error("model mode not plumbed")
+	q := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.3, MinConfidence: 0.5}
+	if !eng.Resolve(q).Scan {
+		t.Error("a ScanCheck engine's focal subset must scan")
 	}
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"colarm/internal/cost"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/plans"
@@ -130,14 +133,15 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A query sitting just above the gate on version 1.
+	// A query above the gate on version 1, by a margin the supported
+	// filter makes the index plans cheapest at.
 	reg := itemset.RegionFor(eng.Index.Space)
 	if err := reg.Restrict(0, []int{d.Value(0, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	q := &plans.Query{Region: reg, MinSupport: 1, MinConfidence: 0.9, MaxConsequent: 1}
 	f := eng.Resolve(q)
-	q.MinSupport = float64(f.Surface.PrimaryCount+2) / float64(f.Size)
+	q.MinSupport = float64(f.Surface.PrimaryCount+100) / float64(f.Size)
 	if q.MinSupport > 1 {
 		t.Fatalf("fixture drifted: focal subset of %d records cannot reach the primary count %d", f.Size, f.Surface.PrimaryCount)
 	}
@@ -149,7 +153,7 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 		t.Fatalf("fixture drifted: the quiescent query must pass the gate onto an index plan with rules, got %v with %d", want.Stats.Plan, len(want.Rules))
 	}
 
-	victims := f.DQ.IDs()[:60]
+	victims := f.DQ.IDs()[:250]
 	calls := 0
 	src := eng.surface
 	eng.surface = func() *plans.Surface {
@@ -181,5 +185,98 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 	if after := eng.Resolve(q); after.Surface.Version != 2 || after.Applicable() {
 		t.Fatalf("fixture drifted: after the delete batch (version %d) the query still passes the gate (%d >= %d)",
 			after.Surface.Version, after.MinCount, after.Surface.PrimaryCount)
+	}
+}
+
+// salaryRow encodes one salary record given as value labels.
+func salaryRow(t *testing.T, eng *Engine, labels ...string) []int32 {
+	t.Helper()
+	row := make([]int32, len(labels))
+	for a, l := range labels {
+		v := eng.Index.Dataset.Attrs[a].ValueIndex(l)
+		if v < 0 {
+			t.Fatalf("attribute %d has no value %q", a, l)
+		}
+		row[a] = int32(v)
+	}
+	return row
+}
+
+// pricedSubset is the |D^Q| the optimizer priced a query at, read back
+// from ARM's SELECT term (|D^Q| × item attributes × IDProbe).
+func pricedSubset(eng *Engine, q *plans.Query, ests []cost.Estimate) float64 {
+	for _, e := range ests {
+		if e.Plan == plans.ARM {
+			return e.Search / (float64(q.Region.Dims()) * eng.Model.U.IDProbe)
+		}
+	}
+	return -1
+}
+
+// TestEstimatesPriceTheResolvedSubset holds the optimizer to the focal
+// subset the request resolved, not the frozen index's: after an ingest
+// creates a subset the base table lacks, every plan has work to price,
+// and after a delete empties one, no plan has any.
+func TestEstimatesPriceTheResolvedSubset(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("insert/K=%d", shards), func(t *testing.T) {
+			eng := salaryEngine(t, Options{Shards: shards})
+			rows := [][]int32{
+				salaryRow(t, eng, "Microsoft", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
+				salaryRow(t, eng, "Facebook", "QA Engg", "Seattle", "M", "20-30", "60K-90K"),
+				salaryRow(t, eng, "Microsoft", "Engg Mgr", "Seattle", "M", "40-50", "120K-150K"),
+				salaryRow(t, eng, "Google", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
+			}
+			if _, err := eng.Ingest(rows, nil); err != nil {
+				t.Fatal(err)
+			}
+			reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"Seattle"}, "Gender": {"M"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
+			_, ests, err := eng.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ests {
+				if e.Total <= 0 {
+					t.Errorf("%v estimate %v over a 4-record subset", e.Plan, e.Total)
+				}
+			}
+			res, ests, err := eng.Mine(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.SubsetSize != 4 {
+				t.Fatalf("|D^Q| = %d, want the 4 ingested rows", res.Stats.SubsetSize)
+			}
+			if got := pricedSubset(eng, q, ests); math.Round(got) != float64(res.Stats.SubsetSize) {
+				t.Errorf("optimizer priced |D^Q| = %v, the plan ran over %d", got, res.Stats.SubsetSize)
+			}
+		})
+		t.Run(fmt.Sprintf("delete/K=%d", shards), func(t *testing.T) {
+			eng := salaryEngine(t, Options{Shards: shards})
+			reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"SFO"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
+			if _, err := eng.Ingest(nil, eng.Resolve(q).DQ.IDs()); err != nil {
+				t.Fatal(err)
+			}
+			_, ests, err := eng.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ests) != 6 {
+				t.Fatalf("%d estimates", len(ests))
+			}
+			for _, e := range ests {
+				if e.Total != 0 {
+					t.Errorf("%v estimate %v over the emptied subset", e.Plan, e.Total)
+				}
+			}
+		})
 	}
 }

@@ -3,12 +3,15 @@
 // Section 5.1). For each of the six mining plans the model produces a
 // constant-time cost estimate from
 //
-//   - precomputed index statistics: per-level R-tree node counts and
-//     average extents (Table 3's N_j and DP_{j,i}avg), the global
-//     support distribution of the stored MIPs, per-attribute CFI
-//     participation fractions, and the average CFI length;
-//   - the query parameters: the focal subset's per-dimension extents
-//     and size (DQ_i_avg and |D^Q|), minsupport and minconfidence;
+//   - index statistics precomputed at build time: per-level R-tree node
+//     counts, average extents and support distributions (Table 3's N_j
+//     and DP_{j,i}avg), per-attribute CFI participation fractions, and
+//     the average CFI length;
+//   - the request's focal subset (plans.Focal): its size |D^Q|, its
+//     support-count threshold, its bitmap and the surface it was
+//     selected from, which the two query-time probes sample;
+//   - the query parameters: the per-dimension extents DQ_i_avg,
+//     minsupport and minconfidence;
 //   - machine-calibrated unit costs for the primitive operations the
 //     operators are built from (tidset word operations, box relation
 //     tests, hash lookups, rule-generation steps).
@@ -22,7 +25,6 @@ import (
 	"time"
 
 	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -210,24 +212,27 @@ func (e Estimate) Terms() []EstimateTerm {
 	}
 }
 
-// Model evaluates the six plan estimates for queries against one index.
+// Model evaluates the six plan estimates for the focal subsets of one
+// engine's requests. Everything a request selected — the subset's size,
+// bitmap and support-count threshold, the surface it was selected from,
+// the check mode and shard count — comes with the request's plans.Focal;
+// the model itself holds only aggregates computed once from the index
+// as built.
 type Model struct {
-	Idx *mip.Index
-	U   Units
-	// Mode mirrors the executor's record-level check implementation so
-	// the estimates track what will actually run.
-	Mode plans.CheckMode
-	// Shards is the engine's shard count K. Values above 1 add the
-	// scatter-gather overhead terms — per-query fan-out setup and
-	// per-check dispatch bookkeeping — to every estimate; at K <= 1 the
-	// estimates are exactly the monolithic model's.
-	Shards int
+	U Units
 
+	// sp maps attribute values to items for every surface of the engine.
+	sp *itemset.Space
 	// attrFrac[a] is the fraction of stored CFIs containing an item of
 	// attribute a — the selectivity of the item-attribute filter.
 	attrFrac []float64
 	// avgLen is the mean stored CFI length (C_I in Lemma 4.3).
 	avgLen float64
+	// levels and fanout describe the packed R-tree (Table 3's N_j and
+	// DP_{j,i}avg plus per-level support distributions): the traversal
+	// statistics for surfaces that carry that tree.
+	levels []rtree.LevelStats
+	fanout float64
 }
 
 // NewModel precomputes the model's index-side statistics. units may be
@@ -236,7 +241,7 @@ func NewModel(idx *mip.Index, units Units) *Model {
 	if units == (Units{}) {
 		units = DefaultUnits()
 	}
-	m := &Model{Idx: idx, U: units}
+	m := &Model{U: units, sp: idx.Space, levels: idx.LevelStats, fanout: float64(idx.RTree.Fanout())}
 	n := idx.Space.NumAttrs()
 	m.attrFrac = make([]float64, n)
 	total := idx.ITTree.Size()
@@ -271,14 +276,13 @@ func NewModel(idx *mip.Index, units Units) *Model {
 // cannot see subset homogeneity — focal subsets are selected by
 // attribute values and are therefore far from uniform samples.
 type queryShape struct {
-	dqSize   int
-	dqFrac   float64 // |D^Q| / m
-	minCount int
-	dqExt    []float64 // DQ_i_avg per dimension
-	maskKeep float64   // P(candidate passes the item filter unchanged)
-	words    float64   // tidset width in 64-bit words
+	f         *plans.Focal
+	dqExt     []float64 // DQ_i_avg per dimension
+	maskKeep  float64   // P(candidate passes the item filter unchanged)
+	itemAttrs float64   // attributes allowed in rule bodies
 
 	// MIP-sample fractions (of all stored MIPs).
+	supportedFrac   float64 // global support >= minCount
 	overlapFrac     float64 // box overlaps the region
 	overlapSSFrac   float64 // overlaps and global support >= minCount
 	containedFrac   float64 // box contained in the region
@@ -292,32 +296,27 @@ type queryShape struct {
 	distinctRows int     // distinct rows among the sampled records
 }
 
-func (mo *Model) shape(q *plans.Query) queryShape {
-	idx := mo.Idx
-	m := idx.Dataset.NumRecords()
-	dq := idx.SubsetBitmap(q.Region)
-	size := dq.Count()
+func (mo *Model) shape(f *plans.Focal, q *plans.Query) queryShape {
 	s := queryShape{
-		dqSize: size,
-		dqFrac: float64(size) / float64(m),
-		dqExt:  make([]float64, q.Region.Dims()),
-		words:  float64((m + 63) / 64),
+		f:         f,
+		dqExt:     make([]float64, q.Region.Dims()),
+		maskKeep:  1,
+		itemAttrs: float64(q.Region.Dims()),
 	}
-	s.minCount = charm.CountFor(q.MinSupport, size)
 	for d := 0; d < q.Region.Dims(); d++ {
 		s.dqExt[d] = q.Region.AvgExtent(d)
 	}
 	// Item-filter selectivity: a candidate survives unprojected when it
 	// has no item in any excluded attribute (independence assumption).
-	s.maskKeep = 1
 	if q.ItemAttrs != nil {
 		for a, keep := range q.ItemAttrs {
 			if !keep {
 				s.maskKeep *= 1 - mo.attrFrac[a]
+				s.itemAttrs--
 			}
 		}
 	}
-	mo.probe(q, dq, &s)
+	mo.probe(q, &s)
 	return s
 }
 
@@ -327,11 +326,12 @@ const (
 	probeRecords = 48
 )
 
-// probe runs the two query-time samples populating the shape.
-func (mo *Model) probe(q *plans.Query, dq *bitset.Set, s *queryShape) {
-	idx := mo.Idx
-	n := idx.ITTree.Size()
-	if n == 0 || s.dqSize == 0 {
+// probe runs the two query-time samples populating the shape: stored
+// MIPs of the focal subset's surface, and records of the subset itself.
+func (mo *Model) probe(q *plans.Query, s *queryShape) {
+	f, sf := s.f, s.f.Surface
+	n := sf.Tree.Size()
+	if n == 0 || f.Size == 0 {
 		return
 	}
 	// Sample stored MIPs with a fixed stride for determinism.
@@ -339,14 +339,17 @@ func (mo *Model) probe(q *plans.Query, dq *bitset.Set, s *queryShape) {
 	if step < 1 {
 		step = 1
 	}
-	var sampled, overlap, overlapSS, contained, containedSS, qual int
+	var sampled, supported, overlap, overlapSS, contained, containedSS, qual int
 	for id := 0; id < n; id += step {
 		sampled++
-		rel := q.Region.Relation(idx.Boxes[id])
+		passSS := sf.Tree.Support(id) >= f.MinCount
+		if passSS {
+			supported++
+		}
+		rel := q.Region.Relation(sf.Boxes[id])
 		if rel == itemset.Disjoint {
 			continue
 		}
-		passSS := idx.ITTree.Support(id) >= s.minCount
 		overlap++
 		if passSS {
 			overlapSS++
@@ -357,11 +360,12 @@ func (mo *Model) probe(q *plans.Query, dq *bitset.Set, s *queryShape) {
 				containedSS++
 			}
 		}
-		if bitset.AndCount(idx.ITTree.Tids(id), dq) >= s.minCount {
+		if bitset.AndCount(sf.Tree.Tids(id), f.DQ) >= f.MinCount {
 			qual++
 		}
 	}
 	fs := float64(sampled)
+	s.supportedFrac = float64(supported) / fs
 	s.overlapFrac = float64(overlap) / fs
 	s.overlapSSFrac = float64(overlapSS) / fs
 	s.containedFrac = float64(contained) / fs
@@ -371,12 +375,11 @@ func (mo *Model) probe(q *plans.Query, dq *bitset.Set, s *queryShape) {
 	// Sample focal-subset records and count locally frequent items and
 	// item pairs (restricted to item attributes). This feeds the ARM
 	// plan's mining-lattice estimate.
-	ids := sampleIDs(dq, probeRecords)
+	ids := sampleIDs(f.DQ, probeRecords)
 	if len(ids) == 0 {
 		return
 	}
-	d := idx.Dataset
-	nAttrs := d.NumAttrs()
+	nAttrs := q.Region.Dims()
 	mask := q.ItemAttrs
 	counts := make(map[int32]int)
 	rows := make([][]int32, 0, len(ids))
@@ -389,7 +392,7 @@ func (mo *Model) probe(q *plans.Query, dq *bitset.Set, s *queryShape) {
 			if mask != nil && !mask[a] {
 				continue
 			}
-			it := int32(idx.Space.ItemOf(a, d.Value(r, a)))
+			it := int32(mo.sp.ItemOf(a, sf.Value(r, a)))
 			counts[it]++
 			row = append(row, it)
 			keyBuf = append(keyBuf, byte(it), byte(it>>8), byte(it>>16))
@@ -459,15 +462,23 @@ func sampleIDs(dq *bitset.Set, k int) []int {
 	return out
 }
 
-// searchCost returns the expected R-tree traversal cost (Lemma 4.1 /
-// Equation 3): per level, the expected number of visited nodes times
-// the per-node classification work, with the supported filter's
-// selectivity estimated from the per-level support distributions.
+// searchCost returns the expected (SUPPORTED-)SEARCH cost. Over the
+// packed R-tree it is the traversal cost of Lemma 4.1 / Equation 3: per
+// level, the expected number of visited nodes times the per-node
+// classification work, with the supported filter's selectivity
+// estimated from the per-level support distributions. A surface without
+// the tree has every stored box classified linearly, as the executor
+// does there, the supported filter skipping the boxes it rejects.
 func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
-	idx := mo.Idx
-	dims := idx.Space.NumAttrs()
-	fanout := float64(idx.RTree.Fanout())
-	for _, ls := range idx.LevelStats {
+	dims := len(s.dqExt)
+	if s.f.Surface.RTree == nil {
+		boxes := float64(len(s.f.Surface.Boxes))
+		if supported {
+			boxes *= s.supportedFrac
+		}
+		return boxes * float64(dims) * mo.U.BoxRel
+	}
+	for _, ls := range mo.levels {
 		// Expected fraction of level nodes whose box intersects D^Q:
 		// Π_k min(1, DP_{j,k}avg + DQ_k_avg)  (Theodoridis–Sellis).
 		p := 1.0
@@ -476,25 +487,22 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 		}
 		visited := float64(ls.Nodes) * p
 		if supported {
-			visited *= rtree.FractionAtLeast(ls.Supports, s.minCount)
+			visited *= rtree.FractionAtLeast(ls.Supports, s.f.MinCount)
 		}
 		// Each visited node classifies its children boxes.
-		cost += visited * fanout * float64(dims) * mo.U.BoxRel
+		cost += visited * mo.fanout * float64(dims) * mo.U.BoxRel
 	}
 	return cost
 }
 
-// supportCheckCost is the cost of one record-level support check under
-// the executor's check mode: a |D^Q|-record scan (the paper's COST(E)
-// unit) or a whole-bitmap intersection, whichever CheckMode.Scans has
-// the executor run.
+// supportCheckCost is the cost of one record-level support check as the
+// focal subset has the executor run it (Focal.Scan): a |D^Q|-record
+// scan (the paper's COST(E) unit) or a whole-bitmap intersection.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
-	scanCost := float64(s.dqSize) * mo.U.IDProbe
-	bitmapCost := s.words * mo.U.WordOp
-	if mo.Mode.Scans(s.dqSize, mo.Idx.Dataset.NumRecords()) {
-		return scanCost
+	if s.f.Scan {
+		return float64(s.f.Size) * mo.U.IDProbe
 	}
-	return bitmapCost
+	return float64((s.f.Surface.NumRecords+63)/64) * mo.U.WordOp
 }
 
 // verifyCost estimates the VERIFY operator over nQual qualified
@@ -508,10 +516,11 @@ func (mo *Model) verifyCost(s queryShape, nQual float64, minConf float64) float6
 	return nQual * depth * (perLevel1 + missCost)
 }
 
-// Estimate computes the six plan estimates for a query. The returned
-// slice is ordered as plans.Kinds().
-func (mo *Model) Estimate(q *plans.Query) []Estimate {
-	s := mo.shape(q)
+// Estimate computes the six plan estimates for a query over the focal
+// subset its request resolved (Executor.Focus). The returned slice is
+// ordered as plans.Kinds().
+func (mo *Model) Estimate(f *plans.Focal, q *plans.Query) []Estimate {
+	s := mo.shape(f, q)
 	out := make([]Estimate, 0, 6)
 	for _, k := range plans.Kinds() {
 		out = append(out, mo.estimateOne(k, q, s))
@@ -521,10 +530,10 @@ func (mo *Model) Estimate(q *plans.Query) []Estimate {
 
 func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimate {
 	e := Estimate{Plan: k}
-	if s.dqSize == 0 {
+	if s.f.Size == 0 {
 		return e
 	}
-	nMIPs := float64(mo.Idx.ITTree.Size())
+	nMIPs := float64(s.f.Surface.Tree.Size())
 	switch k {
 	case plans.SEV, plans.SVS, plans.SSEV, plans.SSVS, plans.SSEUV:
 		supported := k == plans.SSEV || k == plans.SSVS || k == plans.SSEUV
@@ -556,25 +565,22 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 		// bounded by global support, so the SS filter is lossless).
 		e.Qualified = nMIPs * s.qualFrac * s.maskKeep
 		e.Verify = mo.verifyCost(s, e.Qualified, q.MinConfidence)
-		if mo.Shards > 1 {
+		if shards := len(s.f.Surface.Slices); shards > 1 {
 			// Scatter-gather overhead: the focal-subset bitmap scatters
 			// to K per-shard computations, and each record-level support
 			// check fans into K partial counts that are summed back. The
 			// counting work itself is conserved (the slices partition the
 			// records), so only the dispatch bookkeeping is extra.
-			kf := float64(mo.Shards)
+			kf := float64(shards)
 			e.Search += kf * mo.U.MapOp
 			e.Eliminate += checks * (kf - 1) * mo.U.MapOp
 		}
 		e.Total = e.Search + e.Eliminate + e.Verify
 
 	case plans.ARM:
-		idx := mo.Idx
-		m := float64(idx.Dataset.NumRecords())
-		n := float64(idx.Space.NumAttrs())
-		// SELECT: one raw-table pass (m·n cell touches) plus building
-		// the subset's vertical representation (|D^Q|·n inserts).
-		e.Search = m*n*mo.U.IDProbe + float64(s.dqSize)*n*mo.U.IDProbe
+		// SELECT: the subset's vertical representation, one value lookup
+		// and tidset insert per record of D^Q and item attribute.
+		e.Search = float64(s.f.Size) * s.itemAttrs * mo.U.IDProbe
 
 		// Mining: CHARM over the extracted subset. The explored lattice
 		// is estimated from the record sample: with f locally frequent
@@ -594,17 +600,11 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 				lattice = cap
 			}
 		}
-		dqWords := float64(s.dqSize)/64 + 1
+		dqWords := float64(s.f.Size)/64 + 1
 		e.Mine = lattice * dqWords * mo.U.WordOp * 2
 
 		e.Qualified = lattice / math.Max(1, s.freqItems) // closed ~ flattened
 		e.Verify = mo.verifyCost(s, e.Qualified, q.MinConfidence)
-		if mo.Shards > 1 {
-			// Scattered SELECT: per-shard fan-out setup plus the gather
-			// pass ORing K per-shard vertical representations together.
-			kf := float64(mo.Shards)
-			e.Search += kf*mo.U.MapOp + (kf-1)*float64(idx.Space.NumItems())*dqWords*mo.U.WordOp
-		}
 		e.Total = e.Search + e.Mine + e.Verify
 	}
 	return e
@@ -640,8 +640,8 @@ func latticeSize(f, d float64) float64 {
 
 // Choose returns the plan with the lowest estimated cost — the COLARM
 // optimizer's decision — together with all six estimates.
-func (mo *Model) Choose(q *plans.Query) (plans.Kind, []Estimate) {
-	ests := mo.Estimate(q)
+func (mo *Model) Choose(f *plans.Focal, q *plans.Query) (plans.Kind, []Estimate) {
+	ests := mo.Estimate(f, q)
 	best := ests[0]
 	for _, e := range ests[1:] {
 		if e.Total < best.Total {

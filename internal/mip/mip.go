@@ -60,9 +60,9 @@ type Index struct {
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
 
-	// Precomputed statistics for the cost model.
+	// LevelStats are the R-tree's per-level statistics the cost model
+	// prices traversals with.
 	LevelStats []rtree.LevelStats
-	EntryStats rtree.EntryStats
 }
 
 // Build runs the offline preprocessing phase: CHARM at the primary
@@ -120,7 +120,7 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		return nil, err
 	}
 	idx.RTree = rt
-	idx.LevelStats, idx.EntryStats = rt.Stats(idx.Cards)
+	idx.LevelStats = rt.Stats(idx.Cards)
 	return idx, nil
 }
 

@@ -77,9 +77,6 @@ func TestBuildSalaryIndex(t *testing.T) {
 	if len(idx.LevelStats) != idx.RTree.Height() {
 		t.Errorf("level stats %d != height %d", len(idx.LevelStats), idx.RTree.Height())
 	}
-	if idx.EntryStats.Count != idx.NumMIPs() {
-		t.Errorf("entry stats count %d != MIPs %d", idx.EntryStats.Count, idx.NumMIPs())
-	}
 }
 
 func TestBoxesAreTight(t *testing.T) {

@@ -39,125 +39,45 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	sp := ex.Space
 	m := c.s.NumRecords
 	n := sp.NumAttrs()
-	// value resolves a record's raw value, reaching buffered rows past
-	// the base table on a merged surface; the scan passes over ids
-	// outside live, the tombstoned records (a surface never reuses or
-	// renumbers ids).
-	value, live := c.s.Value, c.s.Live
 	tr := q.Trace
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 
-	// SELECT (σ): one pass over the raw table building the vertical
-	// representation of the focal subset, restricted to the item
-	// attributes. No index structure is consulted.
+	// SELECT (σ): the vertical representation of the focal subset,
+	// restricted to the item attributes — one raw-value lookup per record
+	// of the request's D^Q and item attribute. No other record is read and
+	// no index structure is consulted.
 	localTids := make([]*bitset.Set, sp.NumItems())
+	attrs := 0
 	for a := 0; a < n; a++ {
 		if !c.mask[a] {
 			continue
 		}
+		attrs++
 		for v := 0; v < sp.Cardinality(a); v++ {
 			localTids[sp.ItemOf(a, v)] = bitset.New(m)
 		}
 	}
-	if slices := c.s.Slices; len(slices) > 1 {
-		// Scattered SELECT: each shard scans only the records it owns
-		// (already live — tombstoned rows are outside every slice), in
-		// parallel across the worker pool, into its own vertical
-		// representation; the gather ORs the per-shard tidsets,
-		// which reproduces the monolithic scan exactly because the
-		// slices partition the live records. ARMRecordsScanned sums the
-		// per-shard scan counts — the same total the monolithic loop
-		// reports.
-		k := len(slices)
-		perTids := make([][]*bitset.Set, k)
-		scanned := make([]int, k)
-		_, err := pool.ForCtx(ctx, k, c.workers, func(s int) {
-			tids := make([]*bitset.Set, sp.NumItems())
-			for a := 0; a < n; a++ {
-				if !c.mask[a] {
-					continue
-				}
-				for v := 0; v < sp.Cardinality(a); v++ {
-					tids[sp.ItemOf(a, v)] = bitset.New(m)
-				}
-			}
-			pt := make([]int, n)
-			polls := 0
-			slices[s].Records.ForEach(func(r int) bool {
-				if c.done != nil {
-					polls++
-					if polls%cancelPollStride == 0 {
-						select {
-						case <-c.done:
-							return false
-						default:
-						}
-					}
-				}
-				scanned[s]++
-				for a := 0; a < n; a++ {
-					pt[a] = value(r, a)
-				}
-				if !q.Region.ContainsPoint(pt) {
-					return true
-				}
-				for a := 0; a < n; a++ {
-					if c.mask[a] {
-						tids[sp.ItemOf(a, pt[a])].Add(r)
-					}
-				}
-				return true
-			})
-			perTids[s] = tids
-		})
-		if err == nil {
-			err = ctx.Err() // a shard scan may have aborted mid-iteration
+	var err error
+	f.DQ.ForEach(func(r int) bool {
+		if err = c.cancelled(); err != nil {
+			return false
 		}
-		if err != nil {
-			return nil, err
-		}
-		for _, sc := range scanned {
-			c.st.ARMRecordsScanned += sc
-		}
-		for it := range localTids {
-			if localTids[it] == nil {
-				continue
-			}
-			for s := 0; s < k; s++ {
-				localTids[it].Or(perTids[s][it])
+		for a := 0; a < n; a++ {
+			if c.mask[a] {
+				localTids[sp.ItemOf(a, c.s.Value(r, a))].Add(r)
 			}
 		}
-	} else {
-		point := make([]int, n)
-		for r := 0; r < m; r++ {
-			if err := c.cancelled(); err != nil {
-				return nil, err
-			}
-			if live != nil && !live.Contains(r) {
-				continue
-			}
-			c.st.ARMRecordsScanned++
-			for a := 0; a < n; a++ {
-				point[a] = value(r, a)
-			}
-			if !q.Region.ContainsPoint(point) {
-				continue
-			}
-			for a := 0; a < n; a++ {
-				if !c.mask[a] {
-					continue
-				}
-				localTids[sp.ItemOf(a, point[a])].Add(r)
-			}
-		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-
 	if tr != nil {
-		tr.Record(obs.OpSelect, time.Since(t0), m, c.st.SubsetSize, 1,
-			fmt.Sprintf("scanned=%d", c.st.ARMRecordsScanned))
+		tr.Record(obs.OpSelect, time.Since(t0), c.st.SubsetSize, c.st.SubsetSize, 1,
+			fmt.Sprintf("attrs=%d", attrs))
 		t0 = time.Now()
 	}
 

@@ -38,7 +38,7 @@ const (
 // subset's ids one by one rather than intersect whole bitmaps.
 // AutoCheck scans when |D^Q| <= m/32: a scan touches one word per
 // subset record, a bitmap intersection every word of the universe once.
-// The executor decides with it and the cost model prices with it.
+// Executor.Focus decides with it once per request (Focal.Scan).
 func (m CheckMode) Scans(size, records int) bool {
 	switch m {
 	case ScanCheck:
@@ -166,7 +166,6 @@ type qctx struct {
 	done    <-chan struct{} // ctx.Done(), captured once (nil for Background)
 	polls   int             // cancellation poll cadence counter
 	mask    []bool          // item-attribute mask
-	scan    bool            // resolved check mode for this query
 	workers int             // resolved worker count for this query
 	st      *Stats
 
@@ -214,8 +213,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		st:        &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 		localSupp: make(map[int]int),
 	}
-	c.scan = ex.Mode.Scans(f.Size, c.s.NumRecords)
-	if c.scan {
+	if f.Scan {
 		c.dqIDs = f.DQ.IDs()
 		if f.Shards != nil {
 			c.dqsIDs = make([][]int, len(f.Shards))
@@ -232,7 +230,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 // record id (cost ∝ |D^Q|, the paper's record-level scan); in bitmap
 // mode it intersects whole bitmaps (cost ∝ dataset words).
 func (c *qctx) countLocal(tids *bitset.Set) int {
-	if c.scan {
+	if c.f.Scan {
 		n := 0
 		for _, id := range c.dqIDs {
 			if tids.Contains(id) {
@@ -248,7 +246,7 @@ func (c *qctx) countLocal(tids *bitset.Set) int {
 // focal subset. The per-shard subsets partition D^Q, so summing the
 // results over all shards equals countLocal exactly.
 func (c *qctx) countLocalShard(tids *bitset.Set, s int) int {
-	if c.scan {
+	if c.f.Scan {
 		n := 0
 		for _, id := range c.dqsIDs[s] {
 			if tids.Contains(id) {

@@ -103,8 +103,8 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resARM.Stats.ARMRecordsScanned != 11 {
-		t.Errorf("ARM scanned %d records", resARM.Stats.ARMRecordsScanned)
+	if resARM.Stats.SubsetSize != 11 {
+		t.Errorf("ARM SubsetSize = %d", resARM.Stats.SubsetSize)
 	}
 	if resARM.Stats.ARMFrequentItemsets == 0 {
 		t.Error("ARM mined nothing")

@@ -190,7 +190,6 @@ type Stats struct {
 	RulesEmitted int
 
 	// ARM only.
-	ARMRecordsScanned   int // SELECT pass over the dataset
 	ARMFrequentItemsets int
 
 	Duration time.Duration

@@ -66,8 +66,7 @@ type Surface struct {
 	// Live flags the record ids that exist on a merged surface, whose
 	// tombstoned ids stay allocated; nil means every id does, as on a
 	// frozen index. AND-ing it into a region bitmap keeps deleted rows
-	// out of unrestricted dimensions, and ARM's table scan passes over
-	// the rest.
+	// out of unrestricted dimensions.
 	Live *bitset.Set
 	// Value returns the value index of record r at attribute a, for
 	// every id below NumRecords.
@@ -109,6 +108,11 @@ type Focal struct {
 	// Size is |D^Q| and MinCount the query's minsupport as a record count
 	// within it — the localized threshold.
 	Size, MinCount int
+	// Scan reports whether the record-level support checks probe DQ's ids
+	// one by one rather than intersect whole bitmaps (CheckMode.Scans,
+	// decided once here): the executor runs that check and the cost model
+	// prices it.
+	Scan bool
 }
 
 // Applicable reports whether the surface's prestored CFIs can answer the
@@ -149,5 +153,6 @@ func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	}
 	f.Size = f.DQ.Count()
 	f.MinCount = charm.CountFor(q.MinSupport, f.Size)
+	f.Scan = ex.Mode.Scans(f.Size, s.NumRecords)
 	return f
 }

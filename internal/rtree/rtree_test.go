@@ -259,16 +259,18 @@ func TestStats(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	cards := []int{10, 10}
 	es := randomEntries(r, 300, 2, cards)
+	sups := make([]int32, len(es))
+	for i, e := range es {
+		sups[i] = e.Support
+	}
+	sort.Slice(sups, func(a, b int) bool { return sups[a] < sups[b] })
 	tr, _ := Bulk(es, 2, 8)
-	levels, entries := tr.Stats(cards)
+	levels := tr.Stats(cards)
 	if len(levels) != tr.Height() {
 		t.Fatalf("levels %d != height %d", len(levels), tr.Height())
 	}
 	if levels[0].Nodes != 1 {
 		t.Errorf("root level nodes = %d", levels[0].Nodes)
-	}
-	if entries.Count != 300 {
-		t.Errorf("entry count = %d", entries.Count)
 	}
 	for li, ls := range levels {
 		for d, e := range ls.AvgExtent {
@@ -285,16 +287,16 @@ func TestStats(t *testing.T) {
 		t.Errorf("root extent suspiciously small: %v", levels[0].AvgExtent)
 	}
 	// Selectivity helper.
-	if f := FractionAtLeast(entries.Supports, 0); f != 1 {
+	if f := FractionAtLeast(sups, 0); f != 1 {
 		t.Errorf("FractionAtLeast(0) = %v", f)
 	}
-	if f := FractionAtLeast(entries.Supports, 1000); f != 0 {
+	if f := FractionAtLeast(sups, 1000); f != 0 {
 		t.Errorf("FractionAtLeast(1000) = %v", f)
 	}
 	if f := FractionAtLeast(nil, 5); f != 0 {
 		t.Errorf("FractionAtLeast(nil) = %v", f)
 	}
-	mid := FractionAtLeast(entries.Supports, 50)
+	mid := FractionAtLeast(sups, 50)
 	if mid <= 0 || mid >= 1 {
 		t.Errorf("FractionAtLeast(50) = %v, want interior", mid)
 	}
@@ -306,7 +308,7 @@ func TestPackedLeafUtilization(t *testing.T) {
 	es := randomEntries(r, 1024, 2, cards)
 	tr, _ := Bulk(es, 2, 16)
 	// 1024 entries / fanout 16 = exactly 64 full leaves.
-	levels, _ := tr.Stats(cards)
+	levels := tr.Stats(cards)
 	leaves := levels[len(levels)-1].Nodes
 	if leaves != 64 {
 		t.Errorf("leaves = %d, want 64 (perfect packing)", leaves)

@@ -14,24 +14,14 @@ type LevelStats struct {
 	Supports []int32
 }
 
-// EntryStats summarizes the leaf entries: their count, average normalized
-// extents, and sorted global supports (for the supported-filter
-// selectivity and Lemma 4.2 estimates).
-type EntryStats struct {
-	Count     int
-	AvgExtent []float64
-	Supports  []int32
-}
-
-// Stats computes per-level and entry statistics. cards gives the domain
+// Stats computes per-level statistics. cards gives the domain
 // cardinality of each dimension used for extent normalization.
-func (t *Tree) Stats(cards []int) ([]LevelStats, EntryStats) {
+func (t *Tree) Stats(cards []int) []LevelStats {
 	h := t.Height()
 	levels := make([]LevelStats, h)
 	for i := range levels {
 		levels[i].AvgExtent = make([]float64, t.dims)
 	}
-	es := EntryStats{AvgExtent: make([]float64, t.dims)}
 
 	var walk func(ni int32, depth int)
 	walk = func(ni int32, depth int) {
@@ -46,14 +36,6 @@ func (t *Tree) Stats(cards []int) ([]LevelStats, EntryStats) {
 			}
 		}
 		if nd.leaf {
-			for s := nd.off; s < nd.off+nd.count; s++ {
-				es.Count++
-				es.Supports = append(es.Supports, t.entSups[s])
-				eb := t.entryBox(s)
-				for d := 0; d < t.dims; d++ {
-					es.AvgExtent[d] += norm(eb.Extent(d), cards[d])
-				}
-			}
 			return
 		}
 		for _, c := range t.kids(ni) {
@@ -70,13 +52,7 @@ func (t *Tree) Stats(cards []int) ([]LevelStats, EntryStats) {
 		}
 		sort.Slice(levels[i].Supports, func(a, b int) bool { return levels[i].Supports[a] < levels[i].Supports[b] })
 	}
-	if es.Count > 0 {
-		for d := range es.AvgExtent {
-			es.AvgExtent[d] /= float64(es.Count)
-		}
-	}
-	sort.Slice(es.Supports, func(a, b int) bool { return es.Supports[a] < es.Supports[b] })
-	return levels, es
+	return levels
 }
 
 func norm(extent, card int) float64 {

@@ -152,6 +152,25 @@ func TestWireGolden(t *testing.T) {
 		checkWire(t, "dataset_detail.json", scrubClock(do(t, h, "GET", "/v1/datasets/salary", nil, 200)))
 	})
 
+	t.Run("explain after ingest", func(t *testing.T) {
+		// The base table has no Seattle men: the estimates price the four
+		// ingested ones, the focal subset the request resolved.
+		_, h := wireServer(t, colarm.Options{}, Config{})
+		var rows []map[string]string
+		for _, r := range [][]string{
+			{"Microsoft", "Sw Engg", "30-40", "90K-120K"},
+			{"Facebook", "QA Engg", "20-30", "60K-90K"},
+			{"Microsoft", "Engg Mgr", "40-50", "120K-150K"},
+			{"Google", "Sw Engg", "30-40", "90K-120K"},
+		} {
+			rows = append(rows, map[string]string{"Company": r[0], "Title": r[1], "Location": "Seattle", "Gender": "M", "Age": r[2], "Salary": r[3]})
+		}
+		ingestRows(t, h, rows, "never")
+		checkWire(t, "explain_after_ingest.json", do(t, h, "POST", "/v1/explain", map[string]any{
+			"dataset": "salary", "range": map[string][]string{"Location": {"Seattle"}, "Gender": {"M"}},
+			"minSupport": 0.5, "minConfidence": 0.5}, 200))
+	})
+
 	t.Run("sharded", func(t *testing.T) {
 		_, h := wireServer(t, colarm.Options{Shards: 4}, Config{})
 		checkWire(t, "ingest_k4.json", scrubClock(do(t, h, "POST", "/v1/ingest", wireIngest, 200)))
