@@ -6,8 +6,8 @@
 //
 // Storage is compressed (see container.go): the universe is chunked
 // into aligned 2^16-id containers, each independently encoded as a
-// sorted array, a dense bitmap, or a run list, with automatic promotion
-// and demotion on mutation.
+// sorted array or a dense bitmap, with automatic promotion and demotion
+// on mutation.
 package bitset
 
 import (
@@ -112,16 +112,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// IsEmpty reports whether the set contains no ids.
-func (s *Set) IsEmpty() bool {
-	for i := range s.ctrs {
-		if s.ctrs[i].card != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, ctrs: make([]container, len(s.ctrs))}
@@ -145,13 +135,6 @@ func (s *Set) CloneGrown(n int) *Set {
 	return c
 }
 
-// Clear removes all ids from the set, keeping its capacity.
-func (s *Set) Clear() {
-	for i := range s.ctrs {
-		s.ctrs[i].setEmpty()
-	}
-}
-
 // Fill adds every id in [0, Len()) to the set.
 func (s *Set) Fill() {
 	for i := range s.ctrs {
@@ -172,21 +155,6 @@ func (s *Set) Or(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
 		orInPlace(&s.ctrs[i], &t.ctrs[i])
-	}
-}
-
-// AndNot replaces s with s \ t. The sets must have equal capacity.
-func (s *Set) AndNot(t *Set) {
-	s.checkCompat(t)
-	for i := range s.ctrs {
-		andNotInPlace(&s.ctrs[i], &t.ctrs[i])
-	}
-}
-
-// Complement replaces s with its complement within [0, Len()).
-func (s *Set) Complement() {
-	for i := range s.ctrs {
-		complementCtr(&s.ctrs[i], s.span(i))
 	}
 }
 
@@ -229,20 +197,6 @@ func IntersectInto(dst, s, t *Set) int {
 		n += int(d.card)
 	}
 	return n
-}
-
-// Union returns a new set holding s ∪ t.
-func Union(s, t *Set) *Set {
-	r := s.Clone()
-	r.Or(t)
-	return r
-}
-
-// Difference returns a new set holding s \ t.
-func Difference(s, t *Set) *Set {
-	r := s.Clone()
-	r.AndNot(t)
-	return r
 }
 
 // AndCount returns |s ∩ t| without materializing the intersection. This
@@ -318,11 +272,11 @@ func (s *Set) IDs() []int {
 	return out
 }
 
-// Optimize re-encodes every container in its cheapest form (array, run
-// or bitmap) given its current content. Call it after bulk construction
-// of a read-mostly set — per-item tidsets, merged delta views, loaded
-// snapshots — so clustered chunks collapse into runs; mutation after
-// Optimize is still valid (runs fall back to array/bitmap in place).
+// Optimize re-encodes every container by cardinality: an array of at
+// most 1024 ids, a bitmap above. Call it after bulk construction of a
+// read-mostly set — per-item tidsets, merged delta views, loaded
+// snapshots — so the arrays Add leaves in the promotion band (up to
+// 4096 ids) become the bitmaps the kernels walk faster.
 func (s *Set) Optimize() {
 	for i := range s.ctrs {
 		s.ctrs[i].optimize()

@@ -13,19 +13,14 @@ import (
 //   - array:  a sorted []uint16 of the ids present — wins when the chunk
 //     holds at most a few thousand ids (sparse focal subsets over large
 //     tables, the common production case);
-//   - bitmap: a fixed 1024-word dense bitmap — wins past ~6% density;
-//   - run:    sorted disjoint inclusive [start,last] intervals — wins for
-//     clustered data (records arrive ordered, so per-item tidsets of
-//     values correlated with arrival order are long runs) and for the
-//     nearly-full sets Fill and RegionTidset produce.
+//   - bitmap: a fixed 1024-word dense bitmap — wins past ~6% density.
 //
 // Containers promote (array→bitmap) past arrayMaxCard and demote
 // (bitmap→array) at arrayOptCard on mutation — a hysteresis band, and
-// time-aware: see the constants below; run containers are produced by Optimize
-// (and by Fill) and fall back to array/bitmap when point-mutated. The
-// AND/ANDNOT/OR/AndCount kernels below are specialized per container
-// pair so the hot SELECT/ELIMINATE/VERIFY intersections never touch the
-// zero words a dense layout would stream through.
+// time-aware: see the constants below. The AND/OR/AndCount kernels below
+// are specialized per container pair so the hot SELECT/ELIMINATE/VERIFY
+// intersections never touch the zero words a dense layout would stream
+// through.
 
 const (
 	// ctrBits is the id span of one container.
@@ -38,16 +33,13 @@ const (
 	// sets get a hysteresis band instead of thrashing at a single
 	// threshold.
 	arrayMaxCard = 4096
-	// arrayOptCard and runOptUnits are the time-aware repack bounds
-	// used by normalize and optimize. A bitmap container costs ~1024
-	// word-parallel operations per kernel regardless of density, while
-	// array and run kernels pay an element-at-a-time, branchy walk — so
-	// a compressed encoding must be several times smaller than the
-	// bitmap before it also wins on time. Arrays are kept (or demoted
-	// to) only at ≤ 1/4 of the bitmap's bytes; runs, whose interval
-	// walk is the branchiest kernel, only at ≤ 1/32.
-	arrayOptCard = ctrWords     // 1024 ids = 2 KiB, 1/4 of a bitmap
-	runOptUnits  = ctrWords / 8 // 128 uint16s = 64 runs, 1/32 of a bitmap
+	// arrayOptCard is the time-aware repack bound used by normalize and
+	// optimize. A bitmap container costs ~1024 word-parallel operations
+	// per kernel regardless of density, while array kernels pay an
+	// element-at-a-time, branchy walk — so an array must be several
+	// times smaller than the bitmap before it also wins on time. Arrays
+	// are kept (or demoted to) only at ≤ 1/4 of the bitmap's bytes.
+	arrayOptCard = ctrWords // 1024 ids = 2 KiB, 1/4 of a bitmap
 )
 
 // Container kinds.
@@ -55,7 +47,6 @@ const (
 	emptyCtr  uint8 = iota // no ids; both payload slices nil
 	arrayCtr               // a: sorted unique ids
 	bitmapCtr              // b: ctrWords words, card cached
-	runCtr                 // a: interleaved inclusive [start,last] pairs
 )
 
 // container is one 2^16-id chunk of a Set. The struct is a tagged union
@@ -64,7 +55,7 @@ const (
 type container struct {
 	kind uint8
 	card int32    // cardinality, maintained for every kind
-	a    []uint16 // arrayCtr ids, or runCtr [start,last] pairs
+	a    []uint16 // arrayCtr ids
 	b    []uint64 // bitmapCtr words
 }
 
@@ -100,15 +91,8 @@ func (c *container) toBitmap() {
 		return
 	}
 	b := make([]uint64, ctrWords)
-	switch c.kind {
-	case arrayCtr:
-		for _, v := range c.a {
-			b[v>>6] |= 1 << (v & 63)
-		}
-	case runCtr:
-		for i := 0; i < len(c.a); i += 2 {
-			setWordRange(b, int(c.a[i]), int(c.a[i+1]))
-		}
+	for _, v := range c.a {
+		b[v>>6] |= 1 << (v & 63)
 	}
 	c.kind, c.a, c.b = bitmapCtr, nil, b
 }
@@ -121,15 +105,6 @@ func (c *container) toArray() {
 		return
 	case emptyCtr:
 		c.kind = arrayCtr
-		return
-	case runCtr:
-		a := make([]uint16, 0, c.card)
-		for i := 0; i < len(c.a); i += 2 {
-			for v := int(c.a[i]); v <= int(c.a[i+1]); v++ {
-				a = append(a, uint16(v))
-			}
-		}
-		c.kind, c.a = arrayCtr, a
 	case bitmapCtr:
 		a := make([]uint16, 0, c.card)
 		for wi, w := range c.b {
@@ -140,78 +115,6 @@ func (c *container) toArray() {
 			}
 		}
 		c.kind, c.a, c.b = arrayCtr, a, nil
-	}
-}
-
-// toRuns converts any kind to run form in place.
-func (c *container) toRuns() {
-	switch c.kind {
-	case runCtr, emptyCtr:
-		return
-	case arrayCtr:
-		runs := make([]uint16, 0, 8)
-		for i := 0; i < len(c.a); {
-			j := i + 1
-			for j < len(c.a) && c.a[j] == c.a[j-1]+1 {
-				j++
-			}
-			runs = append(runs, c.a[i], c.a[j-1])
-			i = j
-		}
-		c.kind, c.a = runCtr, runs
-	case bitmapCtr:
-		runs := make([]uint16, 0, 8)
-		i := nextSetBit(c.b, 0)
-		for i >= 0 {
-			j := nextClearBit(c.b, i+1)
-			if j < 0 {
-				runs = append(runs, uint16(i), uint16(ctrBits-1))
-				break
-			}
-			runs = append(runs, uint16(i), uint16(j-1))
-			i = nextSetBit(c.b, j+1)
-		}
-		c.kind, c.a, c.b = runCtr, runs, nil
-	}
-}
-
-// nextSetBit returns the index of the first set bit at or after from, or
-// -1 when none remains.
-func nextSetBit(b []uint64, from int) int {
-	if from >= ctrBits {
-		return -1
-	}
-	wi := from >> 6
-	w := b[wi] >> (from & 63) << (from & 63)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(b) {
-			return -1
-		}
-		w = b[wi]
-	}
-}
-
-// nextClearBit returns the index of the first clear bit at or after
-// from, or -1 when the rest of the container is all ones.
-func nextClearBit(b []uint64, from int) int {
-	if from >= ctrBits {
-		return -1
-	}
-	wi := from >> 6
-	w := ^b[wi] >> (from & 63) << (from & 63)
-	for {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-		wi++
-		if wi >= len(b) {
-			return -1
-		}
-		w = ^b[wi]
 	}
 }
 
@@ -229,49 +132,17 @@ func (c *container) normalize() {
 	}
 }
 
-// optimize re-encodes the container in its cheapest form: run when the
-// interval list is the smallest encoding, otherwise array or bitmap by
-// cardinality.
+// optimize re-encodes the container by cardinality: an array at most
+// arrayOptCard ids, a bitmap above. Unlike normalize it also turns the
+// arrays of the hysteresis band into bitmaps.
 func (c *container) optimize() {
-	if c.card == 0 {
-		c.setEmpty()
-		return
-	}
-	runCost := 2 * c.numRuns() // uint16 units
-	arrayCost := int(c.card)
 	switch {
-	case runCost <= runOptUnits && runCost < arrayCost:
-		c.toRuns()
-	case arrayCost <= arrayOptCard:
+	case c.card == 0:
+		c.setEmpty()
+	case c.card <= arrayOptCard:
 		c.toArray()
 	default:
 		c.toBitmap()
-	}
-}
-
-// numRuns counts the maximal intervals of consecutive ids.
-func (c *container) numRuns() int {
-	switch c.kind {
-	case emptyCtr:
-		return 0
-	case runCtr:
-		return len(c.a) / 2
-	case arrayCtr:
-		n := 0
-		for i := range c.a {
-			if i == 0 || c.a[i] != c.a[i-1]+1 {
-				n++
-			}
-		}
-		return n
-	default: // bitmap: count 0→1 transitions, carrying across words
-		n := 0
-		carry := uint64(0)
-		for _, w := range c.b {
-			n += bits.OnesCount64(w &^ (w<<1 | carry))
-			carry = w >> 63
-		}
-		return n
 	}
 }
 
@@ -279,49 +150,18 @@ func (c *container) numRuns() int {
 
 func (c *container) contains(v uint16) bool {
 	switch c.kind {
-	case emptyCtr:
-		return false
 	case arrayCtr:
 		_, ok := slices.BinarySearch(c.a, v)
 		return ok
 	case bitmapCtr:
 		return c.b[v>>6]&(1<<(v&63)) != 0
 	default:
-		return runIndexOf(c.a, v) >= 0
+		return false
 	}
 }
 
-// runIndexOf returns the pair index of the run containing v, or -1.
-func runIndexOf(runs []uint16, v uint16) int {
-	lo, hi := 0, len(runs)/2
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case v < runs[2*mid]:
-			hi = mid
-		case v > runs[2*mid+1]:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
-}
-
-// add inserts v, reporting whether it was absent. A run container is
-// converted first (runs are a read-optimized encoding; point mutation
-// falls back to array/bitmap and Optimize can re-pick runs later).
+// add inserts v, reporting whether it was absent.
 func (c *container) add(v uint16) bool {
-	if c.kind == runCtr {
-		if runIndexOf(c.a, v) >= 0 {
-			return false
-		}
-		if c.card >= arrayOptCard {
-			c.toBitmap()
-		} else {
-			c.toArray()
-		}
-	}
 	switch c.kind {
 	case emptyCtr:
 		c.kind, c.a, c.card = arrayCtr, append(c.a, v), 1
@@ -352,16 +192,6 @@ func (c *container) remove(v uint16) bool {
 	switch c.kind {
 	case emptyCtr:
 		return false
-	case runCtr:
-		if runIndexOf(c.a, v) < 0 {
-			return false
-		}
-		if c.card > arrayOptCard {
-			c.toBitmap()
-		} else {
-			c.toArray()
-		}
-		return c.remove(v)
 	case arrayCtr:
 		i, ok := slices.BinarySearch(c.a, v)
 		if !ok {
@@ -386,7 +216,7 @@ func (c *container) remove(v uint16) bool {
 	}
 }
 
-// --- word-range helpers ----------------------------------------------
+// --- word helpers ----------------------------------------------------
 
 // setWordRange sets bits [lo,hi] (inclusive) in a bitmap payload.
 func setWordRange(b []uint64, lo, hi int) {
@@ -404,52 +234,6 @@ func setWordRange(b []uint64, lo, hi int) {
 	b[hw] |= hiMask
 }
 
-// clearWordRange clears bits [lo,hi] (inclusive) in a bitmap payload.
-func clearWordRange(b []uint64, lo, hi int) {
-	lw, hw := lo>>6, hi>>6
-	loMask := ^uint64(0) << (lo & 63)
-	hiMask := ^uint64(0) >> (63 - hi&63)
-	if lw == hw {
-		b[lw] &^= loMask & hiMask
-		return
-	}
-	b[lw] &^= loMask
-	for w := lw + 1; w < hw; w++ {
-		b[w] = 0
-	}
-	b[hw] &^= hiMask
-}
-
-// maskOutsideRuns zeroes every bitmap bit not covered by runs.
-func maskOutsideRuns(b []uint64, runs []uint16) {
-	prevEnd := -1 // last id covered so far
-	for i := 0; i < len(runs); i += 2 {
-		lo, hi := int(runs[i]), int(runs[i+1])
-		if lo > prevEnd+1 {
-			clearWordRange(b, prevEnd+1, lo-1)
-		}
-		prevEnd = hi
-	}
-	if prevEnd < ctrBits-1 {
-		clearWordRange(b, prevEnd+1, ctrBits-1)
-	}
-}
-
-// popcountRange counts set bits in [lo,hi] (inclusive) of a bitmap.
-func popcountRange(b []uint64, lo, hi int) int {
-	lw, hw := lo>>6, hi>>6
-	loMask := ^uint64(0) << (lo & 63)
-	hiMask := ^uint64(0) >> (63 - hi&63)
-	if lw == hw {
-		return bits.OnesCount64(b[lw] & loMask & hiMask)
-	}
-	n := bits.OnesCount64(b[lw] & loMask)
-	for w := lw + 1; w < hw; w++ {
-		n += bits.OnesCount64(b[w])
-	}
-	return n + bits.OnesCount64(b[hw]&hiMask)
-}
-
 func bitmapCard(b []uint64) int32 {
 	n := 0
 	for _, w := range b {
@@ -461,8 +245,8 @@ func bitmapCard(b []uint64) int32 {
 // --- AND -------------------------------------------------------------
 
 // andInPlace replaces x with x ∩ y. The array×array, array×bitmap and
-// bitmap×bitmap kernels mutate x without allocating; pairs that change
-// x's kind allocate only the (smaller) result payload.
+// bitmap×bitmap kernels mutate x without allocating; bitmap×array
+// allocates only the (smaller) array result.
 func andInPlace(x, y *container) {
 	if x.kind == emptyCtr {
 		return
@@ -471,62 +255,35 @@ func andInPlace(x, y *container) {
 		x.setEmpty()
 		return
 	}
-	switch x.kind {
-	case arrayCtr:
-		x.a = filterArray(x.a[:0], x.a, y, true)
+	switch {
+	case x.kind == arrayCtr:
+		x.a = filterArray(x.a[:0], x.a, y)
 		x.card = int32(len(x.a))
 		if x.card == 0 {
 			x.setEmpty()
 		}
-	case bitmapCtr:
-		switch y.kind {
-		case bitmapCtr:
-			n := 0
-			for i, w := range y.b {
-				x.b[i] &= w
-				n += bits.OnesCount64(x.b[i])
-			}
-			x.card = int32(n)
-			x.normalize()
-		case arrayCtr:
-			kept := filterArray(nil, y.a, x, true)
-			x.kind, x.a, x.b, x.card = arrayCtr, kept, nil, int32(len(kept))
-			x.normalize()
-		default: // run
-			maskOutsideRuns(x.b, y.a)
-			x.card = bitmapCard(x.b)
-			x.normalize()
+	case y.kind == bitmapCtr:
+		n := 0
+		for i, w := range y.b {
+			x.b[i] &= w
+			n += bits.OnesCount64(x.b[i])
 		}
-	default: // x run
-		switch y.kind {
-		case arrayCtr:
-			kept := filterArray(nil, y.a, x, true)
-			x.kind, x.a, x.b, x.card = arrayCtr, kept, nil, int32(len(kept))
-			x.normalize()
-		case bitmapCtr:
-			b := append([]uint64(nil), y.b...)
-			maskOutsideRuns(b, x.a)
-			x.kind, x.a, x.b = bitmapCtr, nil, b
-			x.card = bitmapCard(b)
-			x.normalize()
-		default: // run × run → run
-			out, card := intersectRuns(x.a, y.a)
-			x.a, x.card = out, card
-			if card == 0 {
-				x.setEmpty()
-			}
-		}
+		x.card = int32(n)
+		x.normalize()
+	default: // bitmap × array
+		kept := filterArray(nil, y.a, x)
+		x.kind, x.a, x.b, x.card = arrayCtr, kept, nil, int32(len(kept))
+		x.normalize()
 	}
 }
 
-// filterArray appends to dst the elements of src that are (keep=true)
-// or are not (keep=false) contained in c. dst may alias src[:0] for an
-// in-place filter.
-func filterArray(dst, src []uint16, c *container, keep bool) []uint16 {
+// filterArray appends to dst the elements of src that c contains. dst
+// may alias src[:0] for an in-place filter.
+func filterArray(dst, src []uint16, c *container) []uint16 {
 	switch c.kind {
 	case bitmapCtr:
 		for _, v := range src {
-			if (c.b[v>>6]&(1<<(v&63)) != 0) == keep {
+			if c.b[v>>6]&(1<<(v&63)) != 0 {
 				dst = append(dst, v)
 			}
 		}
@@ -537,48 +294,12 @@ func filterArray(dst, src []uint16, c *container, keep bool) []uint16 {
 			for j < len(c.a) && c.a[j] < v {
 				j++
 			}
-			if (j < len(c.a) && c.a[j] == v) == keep {
+			if j < len(c.a) && c.a[j] == v {
 				dst = append(dst, v)
 			}
-		}
-	case runCtr:
-		j := 0
-		for _, v := range src {
-			for j < len(c.a) && c.a[j+1] < v {
-				j += 2
-			}
-			in := j < len(c.a) && c.a[j] <= v && v <= c.a[j+1]
-			if in == keep {
-				dst = append(dst, v)
-			}
-		}
-	default: // empty
-		if !keep {
-			dst = append(dst, src...)
 		}
 	}
 	return dst
-}
-
-// intersectRuns intersects two canonical run lists into a new run list.
-func intersectRuns(x, y []uint16) ([]uint16, int32) {
-	var out []uint16
-	card := int32(0)
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		lo := max(x[i], y[j])
-		hi := min(x[i+1], y[j+1])
-		if lo <= hi {
-			out = append(out, lo, hi)
-			card += int32(hi-lo) + 1
-		}
-		if x[i+1] < y[j+1] {
-			i += 2
-		} else {
-			j += 2
-		}
-	}
-	return out, card
 }
 
 // intersectBitmaps replaces d with x ∩ y for two bitmap containers,
@@ -629,13 +350,12 @@ func andCount(x, y *container) int {
 	if x.card == 0 || y.card == 0 {
 		return 0
 	}
-	// Order the switch by (x.kind, y.kind) with the array side first
-	// where a kernel iterates one side.
+	// Put the array side first: the kernels below are symmetric.
 	if x.kind > y.kind {
-		x, y = y, x // all kernels below are symmetric
+		x, y = y, x
 	}
 	switch {
-	case x.kind == arrayCtr && y.kind == arrayCtr:
+	case y.kind == arrayCtr: // array × array
 		n, i, j := 0, 0, 0
 		for i < len(x.a) && j < len(y.a) {
 			switch {
@@ -650,7 +370,7 @@ func andCount(x, y *container) int {
 			}
 		}
 		return n
-	case x.kind == arrayCtr && y.kind == bitmapCtr:
+	case x.kind == arrayCtr: // array × bitmap
 		n := 0
 		for _, v := range x.a {
 			if y.b[v>>6]&(1<<(v&63)) != 0 {
@@ -658,43 +378,10 @@ func andCount(x, y *container) int {
 			}
 		}
 		return n
-	case x.kind == arrayCtr && y.kind == runCtr:
-		n, j := 0, 0
-		for _, v := range x.a {
-			for j < len(y.a) && y.a[j+1] < v {
-				j += 2
-			}
-			if j < len(y.a) && y.a[j] <= v && v <= y.a[j+1] {
-				n++
-			}
-		}
-		return n
-	case x.kind == bitmapCtr && y.kind == bitmapCtr:
+	default: // bitmap × bitmap
 		n := 0
 		for i, w := range x.b {
 			n += bits.OnesCount64(w & y.b[i])
-		}
-		return n
-	case x.kind == bitmapCtr && y.kind == runCtr:
-		n := 0
-		for i := 0; i < len(y.a); i += 2 {
-			n += popcountRange(x.b, int(y.a[i]), int(y.a[i+1]))
-		}
-		return n
-	default: // run × run
-		n := 0
-		i, j := 0, 0
-		for i < len(x.a) && j < len(y.a) {
-			lo := max(x.a[i], y.a[j])
-			hi := min(x.a[i+1], y.a[j+1])
-			if lo <= hi {
-				n += int(hi-lo) + 1
-			}
-			if x.a[i+1] < y.a[j+1] {
-				i += 2
-			} else {
-				j += 2
-			}
 		}
 		return n
 	}
@@ -710,7 +397,7 @@ func intersectsCtr(x, y *container) bool {
 		x, y = y, x
 	}
 	switch {
-	case x.kind == arrayCtr && y.kind == arrayCtr:
+	case y.kind == arrayCtr: // array × array
 		i, j := 0, 0
 		for i < len(x.a) && j < len(y.a) {
 			switch {
@@ -723,37 +410,17 @@ func intersectsCtr(x, y *container) bool {
 			}
 		}
 		return false
-	case x.kind == arrayCtr:
+	case x.kind == arrayCtr: // array × bitmap
 		for _, v := range x.a {
-			if y.contains(v) {
+			if y.b[v>>6]&(1<<(v&63)) != 0 {
 				return true
 			}
 		}
 		return false
-	case x.kind == bitmapCtr && y.kind == bitmapCtr:
+	default: // bitmap × bitmap
 		for i, w := range x.b {
 			if w&y.b[i] != 0 {
 				return true
-			}
-		}
-		return false
-	case x.kind == bitmapCtr: // × run
-		for i := 0; i < len(y.a); i += 2 {
-			if popcountRange(x.b, int(y.a[i]), int(y.a[i+1])) > 0 {
-				return true
-			}
-		}
-		return false
-	default: // run × run
-		i, j := 0, 0
-		for i < len(x.a) && j < len(y.a) {
-			if max(x.a[i], y.a[j]) <= min(x.a[i+1], y.a[j+1]) {
-				return true
-			}
-			if x.a[i+1] < y.a[j+1] {
-				i += 2
-			} else {
-				j += 2
 			}
 		}
 		return false
@@ -778,38 +445,22 @@ func orInPlace(x, y *container) {
 			x.b[i] |= w
 		}
 		x.card = bitmapCard(x.b)
-	case x.kind == bitmapCtr && y.kind == arrayCtr:
+	case x.kind == bitmapCtr: // × array
 		for _, v := range y.a {
 			if x.b[v>>6]&(1<<(v&63)) == 0 {
 				x.b[v>>6] |= 1 << (v & 63)
 				x.card++
 			}
 		}
-	case x.kind == bitmapCtr && y.kind == runCtr:
-		for i := 0; i < len(y.a); i += 2 {
-			setWordRange(x.b, int(y.a[i]), int(y.a[i+1]))
-		}
-		x.card = bitmapCard(x.b)
-	case x.kind == arrayCtr && y.kind == arrayCtr:
-		// A union that can outgrow the array repack bound goes through
-		// bitmap form instead: chained unions (the SELECT region build)
-		// would otherwise re-merge ever-larger arrays quadratically.
-		if int(x.card)+int(y.card) > arrayOptCard {
-			x.toBitmap()
-			orInPlace(x, y)
-			return
-		}
+	case y.kind == arrayCtr && int(x.card)+int(y.card) <= arrayOptCard:
 		merged := mergeArrays(x.a, y.a)
 		x.a, x.card = merged, int32(len(merged))
-		x.normalize()
-	case x.kind == runCtr && y.kind == runCtr:
-		out, card := unionRuns(x.a, y.a)
-		x.a, x.card = out, card
 	default:
-		// Mixed pairs involving a run or an array joining a larger
-		// container: go through bitmap form (the union is at least as
-		// large as the bigger side, so dense form is the safe target),
-		// then re-normalize.
+		// An array joining a bitmap, or a union that can outgrow the
+		// array repack bound, goes through bitmap form: the union is at
+		// least as large as the bigger side, and chained unions (the
+		// SELECT region build) would otherwise re-merge ever-larger
+		// arrays quadratically.
 		x.toBitmap()
 		orInPlace(x, y)
 		return
@@ -838,193 +489,50 @@ func mergeArrays(x, y []uint16) []uint16 {
 	return append(out, y[j:]...)
 }
 
-// unionRuns merges two canonical run lists into a canonical run list.
-func unionRuns(x, y []uint16) ([]uint16, int32) {
-	var out []uint16
-	card := int32(0)
-	i, j := 0, 0
-	emit := func(lo, hi uint16) {
-		if n := len(out); n > 0 && int(lo) <= int(out[n-1])+1 {
-			if hi > out[n-1] {
-				card += int32(hi - out[n-1])
-				out[n-1] = hi
-			}
-			return
-		}
-		out = append(out, lo, hi)
-		card += int32(hi-lo) + 1
-	}
-	for i < len(x) || j < len(y) {
-		switch {
-		case j >= len(y) || (i < len(x) && x[i] <= y[j]):
-			emit(x[i], x[i+1])
-			i += 2
-		default:
-			emit(y[j], y[j+1])
-			j += 2
-		}
-	}
-	return out, card
-}
+// --- fill ------------------------------------------------------------
 
-// --- ANDNOT ----------------------------------------------------------
-
-// andNotInPlace replaces x with x \ y.
-func andNotInPlace(x, y *container) {
-	if x.card == 0 || y.card == 0 {
-		return
-	}
-	switch x.kind {
-	case arrayCtr:
-		x.a = filterArray(x.a[:0], x.a, y, false)
-		x.card = int32(len(x.a))
-		if x.card == 0 {
-			x.setEmpty()
-		}
-	case bitmapCtr:
-		switch y.kind {
-		case bitmapCtr:
-			n := 0
-			for i, w := range y.b {
-				x.b[i] &^= w
-				n += bits.OnesCount64(x.b[i])
-			}
-			x.card = int32(n)
-		case arrayCtr:
-			for _, v := range y.a {
-				if x.b[v>>6]&(1<<(v&63)) != 0 {
-					x.b[v>>6] &^= 1 << (v & 63)
-					x.card--
-				}
-			}
-		default: // run
-			for i := 0; i < len(y.a); i += 2 {
-				clearWordRange(x.b, int(y.a[i]), int(y.a[i+1]))
-			}
-			x.card = bitmapCard(x.b)
-		}
-		x.normalize()
-	default: // x run: fall back through array/bitmap by cardinality
-		if x.card <= arrayOptCard {
-			x.toArray()
-		} else {
-			x.toBitmap()
-		}
-		andNotInPlace(x, y)
-	}
-}
-
-// --- complement / fill ----------------------------------------------
-
-// complementCtr replaces x with its complement within [0, span).
-func complementCtr(x *container, span int) {
-	switch x.kind {
-	case emptyCtr:
-		fillCtr(x, span)
-	case runCtr:
-		out := make([]uint16, 0, len(x.a)+2)
-		next := 0
-		for i := 0; i < len(x.a); i += 2 {
-			if int(x.a[i]) > next {
-				out = append(out, uint16(next), x.a[i]-1)
-			}
-			next = int(x.a[i+1]) + 1
-		}
-		if next < span {
-			out = append(out, uint16(next), uint16(span-1))
-		}
-		x.a, x.card = out, int32(span)-x.card
-		if x.card == 0 {
-			x.setEmpty()
-		} else {
-			x.optimize()
-		}
-	default:
-		x.toBitmap()
-		for i := range x.b {
-			x.b[i] = ^x.b[i]
-		}
-		trimBitmap(x.b, span)
-		x.card = int32(span) - x.card
-		x.normalize()
-	}
-}
-
-// fillCtr sets every id in [0, span).
+// fillCtr sets every id in [0, span): a bitmap, or an array when the
+// span is within the repack bound.
 func fillCtr(x *container, span int) {
-	x.kind, x.b = runCtr, nil
-	x.a = append(x.a[:0], 0, uint16(span-1))
-	x.card = int32(span)
-}
-
-// trimBitmap zeroes the bits at and above span.
-func trimBitmap(b []uint64, span int) {
-	if span >= ctrBits {
-		return
-	}
-	if rem := span & 63; rem != 0 {
-		b[span>>6] &= (1 << rem) - 1
-	}
-	for w := (span + 63) >> 6; w < len(b); w++ {
-		b[w] = 0
-	}
+	b := make([]uint64, ctrWords)
+	setWordRange(b, 0, span-1)
+	*x = container{kind: bitmapCtr, card: int32(span), b: b}
+	x.normalize()
 }
 
 // --- comparisons and iteration ---------------------------------------
 
 // equalCtr reports whether x and y hold the same ids, across kinds.
 func equalCtr(x, y *container) bool {
-	if x.card != y.card {
-		return false
-	}
-	if x.card == 0 {
-		return true
-	}
-	if x.kind > y.kind {
-		x, y = y, x
-	}
 	switch {
-	case x.kind == y.kind:
-		if x.kind == bitmapCtr {
-			return slices.Equal(x.b, y.b)
-		}
-		// Array and (canonical) run lists are unique per content.
-		return slices.Equal(x.a, y.a)
-	case x.kind == arrayCtr:
+	case x.card != y.card:
+		return false
+	case x.kind != y.kind:
 		// Equal cardinality, so x ⊆ y suffices.
 		return andCount(x, y) == int(x.card)
-	default: // bitmap vs run
-		return andCount(x, y) == int(x.card)
+	case x.kind == bitmapCtr:
+		return slices.Equal(x.b, y.b)
+	default:
+		return slices.Equal(x.a, y.a)
 	}
 }
 
 // forEachCtr calls fn(base+id) for every id ascending; returns false if
-// fn stopped the iteration.
+// fn stopped the iteration. Every kind leaves the other kind's payload
+// nil, so walking both slices visits each id once.
 func forEachCtr(c *container, base int, fn func(id int) bool) bool {
-	switch c.kind {
-	case arrayCtr:
-		for _, v := range c.a {
-			if !fn(base + int(v)) {
+	for _, v := range c.a {
+		if !fn(base + int(v)) {
+			return false
+		}
+	}
+	for wi, w := range c.b {
+		for w != 0 {
+			tz := bits.TrailingZeros64(w)
+			if !fn(base + wi<<6 + tz) {
 				return false
 			}
-		}
-	case bitmapCtr:
-		for wi, w := range c.b {
-			for w != 0 {
-				tz := bits.TrailingZeros64(w)
-				if !fn(base + wi<<6 + tz) {
-					return false
-				}
-				w &= w - 1
-			}
-		}
-	case runCtr:
-		for i := 0; i < len(c.a); i += 2 {
-			for v := int(c.a[i]); v <= int(c.a[i+1]); v++ {
-				if !fn(base + v) {
-					return false
-				}
-			}
+			w &= w - 1
 		}
 	}
 	return true
@@ -1056,44 +564,31 @@ func fnvPow(k int) uint64 {
 // yielding the same value a bitmap container would: the Set hash is
 // stable across container encodings.
 func hashCtr(c *container, nwords int, h uint64) uint64 {
-	switch c.kind {
-	case emptyCtr:
-		return h * fnvPow(nwords)
-	case bitmapCtr:
+	if c.kind == bitmapCtr {
 		for _, w := range c.b[:nwords] {
 			h = (h ^ w) * fnvPrime
 		}
 		return h
-	case arrayCtr:
-		wi := 0
-		for i := 0; i < len(c.a); {
-			w := int(c.a[i] >> 6)
-			if w > wi {
-				h *= fnvPow(w - wi)
-				wi = w
-			}
-			var word uint64
-			for i < len(c.a) && int(c.a[i]>>6) == w {
-				word |= 1 << (c.a[i] & 63)
-				i++
-			}
-			h = (h ^ word) * fnvPrime
-			wi++
-		}
-		if nwords > wi {
-			h *= fnvPow(nwords - wi)
-		}
-		return h
-	default: // run: materialize words in a fixed stack buffer
-		var buf [ctrWords]uint64
-		for i := 0; i < len(c.a); i += 2 {
-			setWordRange(buf[:], int(c.a[i]), int(c.a[i+1]))
-		}
-		for _, w := range buf[:nwords] {
-			h = (h ^ w) * fnvPrime
-		}
-		return h
 	}
+	wi := 0
+	for i := 0; i < len(c.a); {
+		w := int(c.a[i] >> 6)
+		if w > wi {
+			h *= fnvPow(w - wi)
+			wi = w
+		}
+		var word uint64
+		for i < len(c.a) && int(c.a[i]>>6) == w {
+			word |= 1 << (c.a[i] & 63)
+			i++
+		}
+		h = (h ^ word) * fnvPrime
+		wi++
+	}
+	if nwords > wi {
+		h *= fnvPow(nwords - wi)
+	}
+	return h
 }
 
 // validate checks the container's structural invariants against its
@@ -1120,29 +615,11 @@ func (c *container) validate(span int) error {
 		if len(c.b) != ctrWords {
 			return fmt.Errorf("bitset: bitmap container has %d words, want %d", len(c.b), ctrWords)
 		}
-		if span < ctrBits && popcountRange(c.b, span, ctrBits-1) != 0 {
+		if span < ctrBits && (c.b[span>>6]>>(span&63) != 0 || bitmapCard(c.b[span>>6+1:]) != 0) {
 			return fmt.Errorf("bitset: bitmap container has bits beyond span %d", span)
 		}
 		if got := bitmapCard(c.b); got != c.card {
 			return fmt.Errorf("bitset: bitmap container card %d != %d set bits", c.card, got)
-		}
-	case runCtr:
-		if len(c.a)%2 != 0 {
-			return fmt.Errorf("bitset: odd run list length %d", len(c.a))
-		}
-		card := int32(0)
-		for i := 0; i < len(c.a); i += 2 {
-			lo, hi := c.a[i], c.a[i+1]
-			if lo > hi || int(hi) >= span {
-				return fmt.Errorf("bitset: run [%d,%d] invalid for span %d", lo, hi, span)
-			}
-			if i > 0 && int(lo) <= int(c.a[i-1])+1 {
-				return fmt.Errorf("bitset: runs not disjoint/canonical")
-			}
-			card += int32(hi-lo) + 1
-		}
-		if card != c.card {
-			return fmt.Errorf("bitset: run container card %d != %d covered ids", c.card, card)
 		}
 	default:
 		return fmt.Errorf("bitset: unknown container kind %d", c.kind)

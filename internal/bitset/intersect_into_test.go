@@ -57,7 +57,7 @@ func operand(rng *rand.Rand, n int, kind uint8, dense bool) (*Set, map[int]bool)
 		p = 0.6
 	}
 	for id := 0; id < n; id++ {
-		// Clustered in stretches of 16 so run containers have runs.
+		// Clustered in stretches of 16, as records sharing a value are.
 		if rng.Float64() < p || (id%16 != 0 && m[id-1] && rng.Intn(4) > 0) {
 			s.Add(id)
 			m[id] = true
@@ -77,8 +77,6 @@ func operand(rng *rand.Rand, n int, kind uint8, dense bool) (*Set, map[int]bool)
 			c.toArray()
 		case bitmapCtr:
 			c.toBitmap()
-		case runCtr:
-			c.toRuns()
 		}
 	}
 	return s, m
@@ -140,7 +138,7 @@ var intoCapacities = []int{1, 64, 65, 3196, 8124, 65536, 70000}
 // left behind.
 func TestIntersectIntoAllKindPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	kinds := []uint8{emptyCtr, arrayCtr, bitmapCtr, runCtr}
+	kinds := []uint8{emptyCtr, arrayCtr, bitmapCtr}
 	dst := new(Set)
 	for _, n := range intoCapacities {
 		for _, kx := range kinds {
@@ -166,7 +164,7 @@ func TestIntersectIntoAllKindPairs(t *testing.T) {
 }
 
 func labelOf(n int, kx, ky uint8, dense bool) string {
-	names := []string{"empty", "array", "bitmap", "run"}
+	names := []string{"empty", "array", "bitmap"}
 	d := "sparse"
 	if dense {
 		d = "dense"
@@ -194,16 +192,14 @@ func TestIntersectIntoResultKinds(t *testing.T) {
 			c.toArray()
 		case bitmapCtr:
 			c.toBitmap()
-		case runCtr:
-			c.toRuns()
 		}
 		return s
 	}
 	evens := stride(2, 0, n)       // 32768 ids
-	low := stride(1, 0, 3000)      // one run of 3000
+	low := stride(1, 0, 3000)      // 3000 consecutive ids
 	few := stride(64, 0, n)        // 1024 ids, the array bound
 	odds := stride(2, 1, n)        // disjoint from evens
-	block := stride(1, 1000, 1500) // one run of 500
+	block := stride(1, 1000, 1500) // 500 consecutive ids
 	cases := []struct {
 		name     string
 		x        []int
@@ -219,12 +215,10 @@ func TestIntersectIntoResultKinds(t *testing.T) {
 		{"array x bitmap", few, arrayCtr, evens, bitmapCtr, arrayCtr, 1024},
 		{"bitmap x array", evens, bitmapCtr, few, arrayCtr, arrayCtr, 1024},
 		{"array x array", few, arrayCtr, block, arrayCtr, arrayCtr, 8},
-		{"array x run", few, arrayCtr, low, runCtr, arrayCtr, 47},
-		{"run x array", low, runCtr, few, arrayCtr, arrayCtr, 47},
-		{"run x run", low, runCtr, block, runCtr, runCtr, 500},
-		{"run x bitmap, dense result", low, runCtr, evens, bitmapCtr, bitmapCtr, 1500},
-		{"bitmap x run, sparse result", evens, bitmapCtr, block, runCtr, arrayCtr, 250},
-		{"run x bitmap, disjoint", block, runCtr, stride(1, 2000, 4000), bitmapCtr, emptyCtr, 0},
+		{"array x array, contiguous", low, arrayCtr, block, arrayCtr, arrayCtr, 500},
+		{"array x bitmap, result past the repack bound", low, arrayCtr, evens, bitmapCtr, arrayCtr, 1500},
+		{"bitmap x array, sparse result", evens, bitmapCtr, block, arrayCtr, arrayCtr, 250},
+		{"array x bitmap, disjoint", block, arrayCtr, stride(1, 2000, 4000), bitmapCtr, emptyCtr, 0},
 		{"empty x bitmap", nil, emptyCtr, evens, bitmapCtr, emptyCtr, 0},
 		{"bitmap x empty", evens, bitmapCtr, nil, emptyCtr, emptyCtr, 0},
 	}
@@ -308,14 +302,14 @@ func FuzzIntersectInto(f *testing.F) {
 				s.Add(id)
 			case 1:
 				s.Remove(id)
-			case 2: // a stretch of ids: dense chunks and, once re-packed, runs
+			case 2: // a stretch of ids: dense chunks, bitmaps once re-packed
 				for k := id; k < n && k < id+1500; k++ {
 					s.Add(k)
 				}
 			case 3:
 				s.Optimize()
 			case 4:
-				s.Complement()
+				s.Fill()
 			}
 			want := intersectV0(sets[0], sets[1])
 			if got := IntersectInto(dst, sets[0], sets[1]); got != want.Count() {

@@ -19,6 +19,12 @@ const (
 	hybridMagic uint64 = 0x434F4C41524D5633
 	// maxBits bounds the decoded capacity against corrupted input.
 	maxBits = 1 << 40
+	// legacyRunKind is the kind byte of a run record: sorted disjoint
+	// inclusive [start,last] uint16 pairs. Earlier writers emitted it for
+	// clustered containers, so v5 snapshots hold such records; the
+	// decoder expands each into an array or a bitmap, and nothing writes
+	// one any more.
+	legacyRunKind uint8 = 3
 )
 
 // MarshalBinary encodes the set in the container format. It
@@ -43,11 +49,6 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 			for _, w := range c.b {
 				buf = binary.LittleEndian.AppendUint64(buf, w)
 			}
-		case runCtr:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.a)/2))
-			for _, v := range c.a {
-				buf = binary.LittleEndian.AppendUint16(buf, v)
-			}
 		default:
 			return nil, fmt.Errorf("bitset: unknown container kind %d", c.kind)
 		}
@@ -56,7 +57,8 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a set written by MarshalBinary, keeping the
-// container encodings the stream carries.
+// array and bitmap encodings the stream carries; a legacy run record
+// becomes an array or a bitmap by cardinality.
 func (s *Set) UnmarshalBinary(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
@@ -87,14 +89,14 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		switch kind {
 		case emptyCtr:
 			// zero value already empty
-		case arrayCtr, runCtr:
+		case arrayCtr, legacyRunKind:
 			cnt, rest, err := readCount(data, off, ci)
 			if err != nil {
 				return err
 			}
 			off = rest
 			elems := cnt
-			if kind == runCtr {
+			if kind == legacyRunKind {
 				elems = 2 * cnt
 			}
 			if elems > ctrBits {
@@ -108,16 +110,10 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 				a[i] = binary.LittleEndian.Uint16(data[off+2*i:])
 			}
 			off += 2 * elems
-			c.kind, c.a = kind, a
 			if kind == arrayCtr {
-				c.card = int32(len(a))
-			} else {
-				for i := 0; i < len(a); i += 2 {
-					if a[i] > a[i+1] {
-						return fmt.Errorf("bitset: container %d run %d inverted", ci, i/2)
-					}
-					c.card += int32(a[i+1]-a[i]) + 1
-				}
+				c.kind, c.a, c.card = arrayCtr, a, int32(len(a))
+			} else if err := c.expandRuns(a, s.span(ci)); err != nil {
+				return fmt.Errorf("bitset: container %d: %w", ci, err)
 			}
 		case bitmapCtr:
 			cnt, rest, err := readCount(data, off, ci)
@@ -147,6 +143,28 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("bitset: %d trailing bytes after last container", len(data)-off)
 	}
+	return nil
+}
+
+// expandRuns decodes the pairs of a legacy run record into c. Each run
+// must lie inside the span and not be inverted, and the runs must ascend
+// with a gap between neighbours, so that equal content has one record.
+func (c *container) expandRuns(runs []uint16, span int) error {
+	b := make([]uint64, ctrWords)
+	card := 0
+	for i := 0; i < len(runs); i += 2 {
+		lo, hi := runs[i], runs[i+1]
+		if lo > hi || int(hi) >= span {
+			return fmt.Errorf("bitset: run [%d,%d] invalid for span %d", lo, hi, span)
+		}
+		if i > 0 && int(lo) <= int(runs[i-1])+1 {
+			return fmt.Errorf("bitset: runs not disjoint/canonical")
+		}
+		setWordRange(b, int(lo), int(hi))
+		card += int(hi-lo) + 1
+	}
+	*c = container{kind: bitmapCtr, card: int32(card), b: b}
+	c.optimize()
 	return nil
 }
 

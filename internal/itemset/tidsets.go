@@ -21,8 +21,8 @@ func ItemTidsets(d *relation.Dataset, sp *Space) []*bitset.Set {
 			out[sp.ItemOf(a, d.Value(r, a))].Add(r)
 		}
 	}
-	// Records arrive in storage order, so values correlated with arrival
-	// cluster into runs; re-pack each tidset into its cheapest encoding.
+	// Add leaves arrays of up to 4096 ids; re-pack each tidset by
+	// cardinality so the read-only kernels walk the faster encoding.
 	for _, t := range out {
 		t.Optimize()
 	}
@@ -33,8 +33,7 @@ func ItemTidsets(d *relation.Dataset, sp *Space) []*bitset.Set {
 // AND over restricted dimensions of (OR over selected values of the
 // per-item tidsets). An unrestricted region yields the full record set.
 func RegionTidset(reg *Region, sp *Space, tidsets []*bitset.Set, numRecords int) *bitset.Set {
-	acc := bitset.New(numRecords)
-	acc.Fill()
+	var acc *bitset.Set
 	for d := 0; d < reg.Dims(); d++ {
 		if !reg.Restricted(d) {
 			continue
@@ -43,7 +42,15 @@ func RegionTidset(reg *Region, sp *Space, tidsets []*bitset.Set, numRecords int)
 		for _, v := range reg.Selected(d) {
 			dim.Or(tidsets[sp.ItemOf(d, v)])
 		}
-		acc.And(dim)
+		if acc == nil {
+			acc = dim
+		} else {
+			acc.And(dim)
+		}
+	}
+	if acc == nil {
+		acc = bitset.New(numRecords)
+		acc.Fill()
 	}
 	return acc
 }

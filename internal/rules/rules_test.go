@@ -194,7 +194,7 @@ func TestQuickGenerateEqualsBruteForce(t *testing.T) {
 				subset.Add(rec)
 			}
 		}
-		if subset.IsEmpty() {
+		if subset.Count() == 0 {
 			subset.Add(0)
 		}
 		oracle := oracleFromTidsets(ts, subset)
