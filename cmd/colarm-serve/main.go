@@ -19,7 +19,6 @@
 //	                  builtins use their per-dataset defaults)
 //	-seed N           generator seed for builtin synthetic datasets
 //	-workers N        per-query worker pool bound (0 = GOMAXPROCS)
-//	-calibrate        micro-benchmark the cost model's unit costs
 //	-shards K         hash-partition each dataset into K shards; queries
 //	                  scatter-gather with exact recombination and
 //	                  /v1/datasets reports per-shard staleness (0 or 1 =
@@ -83,7 +82,6 @@ func main() {
 		primary  = flag.Float64("primary", 0.1, "primary support for -csv datasets")
 		seed     = flag.Int64("seed", 1, "generator seed for builtin synthetic datasets")
 		workers  = flag.Int("workers", 0, "per-query worker pool bound (0 = GOMAXPROCS)")
-		calib    = flag.Bool("calibrate", false, "micro-benchmark the cost model's unit costs")
 		shards   = flag.Int("shards", 0, "hash-partition each dataset into K shards (0 or 1 = monolithic)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent mining queries (0 = default 8)")
@@ -102,7 +100,7 @@ func main() {
 	flag.Var(&csvs, "csv", "headed CSV file to index (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, *calib, *shards, server.Config{
+	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, *shards, server.Config{
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueWait:    *queueWait,
@@ -119,9 +117,9 @@ func main() {
 	}
 }
 
-func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, calibrate bool, shards int, cfg server.Config) error {
+func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, shards int, cfg server.Config) error {
 	metrics := colarm.NewMetricsRegistry()
-	opts := colarm.Options{Workers: workers, Calibrate: calibrate, Metrics: metrics, Shards: shards}
+	opts := colarm.Options{Workers: workers, Metrics: metrics, Shards: shards}
 	reg := server.NewRegistry()
 	registered := 0
 

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -55,7 +56,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed for synthetic datasets")
 	)
 	flag.Parse()
-	if err := run(*dataset, *csvPath, *primary, *query, opts{*explain, *trace, *measures, *limit}, *seed); err != nil {
+	if err := run(os.Stdout, *dataset, *csvPath, *primary, *query, opts{*explain, *trace, *measures, *limit}, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "colarm:", err)
 		os.Exit(1)
 	}
@@ -69,7 +70,9 @@ type opts struct {
 	limit    int
 }
 
-func run(dataset, csvPath string, primary float64, query string, o opts, seed int64) error {
+// run builds the engine and answers one query, or a session read from
+// stdin, writing answers to w; progress and prompts go to stderr.
+func run(w io.Writer, dataset, csvPath string, primary float64, query string, o opts, seed int64) error {
 	ds, defPrimary, err := loadDataset(dataset, csvPath, seed)
 	if err != nil {
 		return err
@@ -79,16 +82,16 @@ func run(dataset, csvPath string, primary float64, query string, o opts, seed in
 	}
 	fmt.Fprintf(os.Stderr, "building MIP-index over %q (%d records, %d attributes) at primary support %.1f%%...\n",
 		ds.Name(), ds.NumRecords(), ds.NumAttributes(), 100*primary)
-	eng, err := colarm.Open(ds, colarm.Options{PrimarySupport: primary, Calibrate: true})
+	eng, err := colarm.Open(ds, colarm.Options{PrimarySupport: primary})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "index ready: %d multidimensional itemset partitions\n", eng.NumPartitions())
 
 	if query != "" {
-		return execute(context.Background(), eng, query, o)
+		return execute(context.Background(), w, eng, query, o)
 	}
-	return repl(eng, o)
+	return repl(w, eng, o)
 }
 
 func loadDataset(dataset, csvPath string, seed int64) (*colarm.Dataset, float64, error) {
@@ -113,7 +116,7 @@ func loadDataset(dataset, csvPath string, seed int64) (*colarm.Dataset, float64,
 	}
 }
 
-func repl(eng *colarm.Engine, o opts) error {
+func repl(w io.Writer, eng *colarm.Engine, o opts) error {
 	fmt.Fprintln(os.Stderr, `enter queries terminated by ';' ("\schema" lists attributes, "\q" quits)`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -132,7 +135,7 @@ func repl(eng *colarm.Engine, o opts) error {
 		case buf.Len() == 0 && (line == `\q` || line == "quit" || line == "exit"):
 			return nil
 		case buf.Len() == 0 && line == `\schema`:
-			printSchema(eng)
+			printSchema(w, eng)
 			prompt()
 			continue
 		}
@@ -141,7 +144,7 @@ func repl(eng *colarm.Engine, o opts) error {
 		if strings.Contains(line, ";") {
 			q := buf.String()
 			buf.Reset()
-			if err := execute(context.Background(), eng, q, o); err != nil {
+			if err := execute(context.Background(), w, eng, q, o); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 			}
 		}
@@ -152,22 +155,22 @@ func repl(eng *colarm.Engine, o opts) error {
 
 // printUnits shows the unit costs the estimates above were computed
 // with.
-func printUnits(eng *colarm.Engine) {
+func printUnits(w io.Writer, eng *colarm.Engine) {
 	u := eng.UnitCosts()
-	fmt.Printf("unit costs: wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
+	fmt.Fprintf(w, "unit costs: wordOp %.2f  boxRel %.2f  idProbe %.2f  mapOp %.2f  genOp %.2f ns\n",
 		u.WordOp, u.BoxRel, u.IDProbe, u.MapOp, u.GenOp)
 }
 
-func printSchema(eng *colarm.Engine) {
+func printSchema(w io.Writer, eng *colarm.Engine) {
 	ds := eng.Dataset()
 	for _, attr := range ds.Attributes() {
 		vals, _ := ds.Values(attr)
 		sort.Strings(vals)
-		fmt.Printf("  %-20s %s\n", attr, strings.Join(vals, ", "))
+		fmt.Fprintf(w, "  %-20s %s\n", attr, strings.Join(vals, ", "))
 	}
 }
 
-func execute(ctx context.Context, eng *colarm.Engine, query string, o opts) error {
+func execute(ctx context.Context, w io.Writer, eng *colarm.Engine, query string, o opts) error {
 	q, err := eng.ParseQuery(query)
 	if err != nil {
 		return err
@@ -185,32 +188,32 @@ func execute(ctx context.Context, eng *colarm.Engine, query string, o opts) erro
 		return err
 	}
 	st := res.Stats
-	fmt.Printf("plan %s | subset %d records | %d candidates (%d contained, %d partial) | %d rules | %.2fms\n",
+	fmt.Fprintf(w, "plan %s | subset %d records | %d candidates (%d contained, %d partial) | %d rules | %.2fms\n",
 		st.Plan, st.SubsetSize, st.Candidates, st.Contained, st.PartialOverlap,
 		st.RulesEmitted, float64(st.DurationNanos)/1e6)
 	if o.trace && res.Trace != nil {
-		fmt.Print(res.Trace.Tree())
+		fmt.Fprint(w, res.Trace.Tree())
 	}
 	if o.explain && len(res.Estimates) > 0 {
-		fmt.Println("optimizer estimates:")
+		fmt.Fprintln(w, "optimizer estimates:")
 		ests := append([]colarm.PlanEstimate(nil), res.Estimates...)
 		sort.Slice(ests, func(i, j int) bool { return ests[i].Cost < ests[j].Cost })
 		for _, e := range ests {
-			fmt.Printf("  %-10s cost %12.0f  candidates %8.0f  qualified %8.0f\n",
+			fmt.Fprintf(w, "  %-10s cost %12.0f  candidates %8.0f  qualified %8.0f\n",
 				e.Plan, e.Cost, e.Candidates, e.Qualified)
 		}
-		printUnits(eng)
+		printUnits(w, eng)
 	}
 	for i, r := range res.Rules {
 		if o.limit > 0 && i >= o.limit {
-			fmt.Printf("  ... and %d more rules\n", len(res.Rules)-o.limit)
+			fmt.Fprintf(w, "  ... and %d more rules\n", len(res.Rules)-o.limit)
 			break
 		}
-		fmt.Printf("  %s", r)
+		fmt.Fprintf(w, "  %s", r)
 		if o.measures {
-			fmt.Printf("  lift=%.2f cosine=%.2f kulc=%.2f", r.Lift, r.Cosine, r.Kulczynski)
+			fmt.Fprintf(w, "  lift=%.2f cosine=%.2f kulc=%.2f", r.Lift, r.Cosine, r.Kulczynski)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

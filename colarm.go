@@ -111,11 +111,6 @@ type Options struct {
 	// (0,1]: itemsets below it are not prestored and thus invisible to
 	// queries (the POQM assumption).
 	PrimarySupport float64
-	// Fanout is the R-tree node capacity; 0 selects the default (16).
-	Fanout int
-	// Calibrate micro-benchmarks the cost model's unit costs on this
-	// machine; when false, hardware-typical defaults are used.
-	Calibrate bool
 	// Workers bounds the goroutines a single query fans its parallel
 	// operator sections (ELIMINATE support checks, VERIFY rule
 	// generation) out to: 0 means one per logical CPU (GOMAXPROCS),
@@ -264,8 +259,6 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	}
 	eng, err := core.NewEngine(ds.rel, core.Options{
 		PrimarySupport: opts.PrimarySupport,
-		Fanout:         opts.Fanout,
-		CalibrateUnits: opts.Calibrate,
 		Workers:        opts.Workers,
 		Metrics:        opts.Metrics.registry(),
 		Shards:         opts.Shards,
@@ -366,14 +359,13 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 // UnitCosts are the cost model's five primitive unit costs in
 // nanoseconds — WordOp (one 64-bit bitmap word operation), BoxRel (one
 // box/region relation test), IDProbe (one record-id membership probe),
-// MapOp (one hash-map operation) and GenOp (one rule-generation step) —
-// fixed when the engine is opened: the defaults, or this machine's
-// measurements under Options.Calibrate. Its JSON tags are the wire
-// names of api/openapi.yaml.
+// MapOp (one hash-map operation) and GenOp (one rule-generation step).
+// They are constants, the same for every engine on every machine. Its
+// JSON tags are the wire names of api/openapi.yaml.
 type UnitCosts = cost.Units
 
 // UnitCosts returns the unit costs the optimizer prices every plan with.
-func (e *Engine) UnitCosts() UnitCosts { return e.eng.Model.U }
+func (e *Engine) UnitCosts() UnitCosts { return cost.UnitCosts() }
 
 // planEstimates puts the model's estimates in the facade's terms: the
 // plan by its public value, the total as the cost.

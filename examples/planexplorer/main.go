@@ -19,10 +19,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := colarm.Open(ds, colarm.Options{
-		PrimarySupport: 0.70, // a notch above the paper's 60% keeps this demo snappy
-		Calibrate:      true, // tune the cost model to this machine
-	})
+	// A notch above the paper's 60% primary keeps this demo snappy.
+	eng, err := colarm.Open(ds, colarm.Options{PrimarySupport: 0.70})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -127,7 +127,6 @@ func Setup(spec DatasetSpec) (*Env, error) {
 	}
 	eng, err := core.NewEngine(d, core.Options{
 		PrimarySupport: spec.Primary,
-		CalibrateUnits: true,
 		// The paper's record-level checks scan the focal subset, so
 		// their cost — and the figures' |D^Q| scaling — follows
 		// ScanCheck semantics.

@@ -43,20 +43,6 @@ func New(n int) *Set {
 	return &Set{n: n, ctrs: make([]container, numCtrs(n))}
 }
 
-// NewDense returns an empty Set of capacity n whose containers start as
-// bitmaps: every word of the universe is allocated up front. Add never
-// demotes a bitmap and the read-only kernels never re-encode one, so a
-// set filled by Add and then only read keeps the dense layout — the one
-// the cost model's calibration measures its per-word units on. Any other
-// mutation re-encodes by content, as on every set.
-func NewDense(n int) *Set {
-	s := New(n)
-	for i := range s.ctrs {
-		s.ctrs[i].toBitmap()
-	}
-	return s
-}
-
 // FromIDs returns a Set of capacity n containing exactly the given ids.
 // It is the filtering constructor: ids outside [0, n) are silently
 // dropped (unlike Add, which panics on them), so callers can build a set

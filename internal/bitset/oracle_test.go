@@ -121,7 +121,7 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 
 // layouts build one content in each container layout a Set reaches: as
 // Add leaves it, re-packed by Optimize (bitmaps past 1024 ids), and from
-// NewDense (bitmaps whatever the density). Like FromIDs, each drops ids
+// newDense (bitmaps whatever the density). Like FromIDs, each drops ids
 // outside [0, n).
 var layouts = []struct {
 	name  string
@@ -136,9 +136,21 @@ var layouts = []struct {
 	{"dense", denseOf},
 }
 
-// denseOf is FromIDs over a NewDense set.
+// newDense returns an empty Set of capacity n whose containers start as
+// bitmaps. Add never demotes a bitmap, so a set filled by Add keeps the
+// all-bitmap layout whatever its density: the bitmap twin of every
+// content the oracle tests build.
+func newDense(n int) *Set {
+	s := New(n)
+	for i := range s.ctrs {
+		s.ctrs[i].toBitmap()
+	}
+	return s
+}
+
+// denseOf is FromIDs over a newDense set.
 func denseOf(n int, ids []int) *Set {
-	s := NewDense(n)
+	s := newDense(n)
 	for _, id := range ids {
 		if id >= 0 && id < n {
 			s.Add(id)
@@ -333,12 +345,12 @@ func TestHybridDenseEquivalence(t *testing.T) {
 
 // TestHybridMutationSequence drives a long random Add/Remove/Optimize
 // sequence through a set that starts empty and one that starts from
-// NewDense, crossing the promotion and demotion thresholds repeatedly,
+// newDense, crossing the promotion and demotion thresholds repeatedly,
 // and holds both to the oracle along the way.
 func TestHybridMutationSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 3 * ctrBits / 2 // one full container plus a partial one
-	sets := map[string]*Set{"new": New(n), "dense": NewDense(n)}
+	sets := map[string]*Set{"new": New(n), "dense": newDense(n)}
 	o := make(oracle, n)
 	for step := 0; step < 40_000; step++ {
 		id := rng.Intn(n)
@@ -434,36 +446,6 @@ func TestContainerPromotionDemotion(t *testing.T) {
 	p.Optimize()
 	if got := p.ctrs[0].kind; got != arrayCtr {
 		t.Fatalf("scattered Optimize kind = %d, want array", got)
-	}
-}
-
-// TestNewDenseKeepsBitmaps pins what the cost model's calibration
-// (cost.MeasureUnits) normalises its per-word unit against: a NewDense
-// set filled by strided Adds keeps every container a bitmap, and reading
-// it with AndCount and Contains re-encodes nothing — though the same
-// content built by New packs into arrays.
-func TestNewDenseKeepsBitmaps(t *testing.T) {
-	for _, m := range []int{4000, 70_000} {
-		a, b := NewDense(m), NewDense(m)
-		for i := 0; i < m; i += 3 {
-			a.Add(i)
-		}
-		for i := 0; i < m; i += 2 {
-			b.Add(i)
-		}
-		AndCount(a, b)
-		a.Contains(1)
-		b.Contains(1)
-		for name, s := range map[string]*Set{"stride 3": a, "stride 2": b} {
-			for i := range s.ctrs {
-				if s.ctrs[i].kind != bitmapCtr {
-					t.Fatalf("m=%d %s: container %d has kind %d, want bitmap", m, name, i, s.ctrs[i].kind)
-				}
-			}
-		}
-		if p := FromIDs(m, a.IDs()...); m == 4000 && p.ctrs[0].kind != arrayCtr {
-			t.Fatalf("New packs a stride-3 fill of %d into kind %d, want array: the fixture no longer tells the layouts apart", m, p.ctrs[0].kind)
-		}
 	}
 }
 
@@ -586,7 +568,7 @@ func TestV3RejectedByCapacitySanity(t *testing.T) {
 
 // TestHybridBytesWinOnSparse pins the point of the containers: a sparse
 // tidset over a large universe must take far less memory packed than in
-// NewDense's all-bitmap layout.
+// newDense's all-bitmap layout.
 func TestHybridBytesWinOnSparse(t *testing.T) {
 	n := 1 << 20
 	ids := make([]int, 200)
@@ -613,7 +595,7 @@ var fuzzCapacities = []int{1, 64, 4097, 65536, 70000, 131073}
 
 // FuzzSetOps replays a byte-driven op sequence over two sets — Add,
 // Remove, a stretch of Adds, And, Or, Fill, Optimize, IntersectInto, and
-// a rebuild of one set from NewDense — and
+// a rebuild of one set from newDense — and
 // after every op holds both sets, and IntersectInto's result, to the
 // oracle (see checkOracle). The first byte picks the capacity; each op
 // is three bytes: which set and which op, then an id.

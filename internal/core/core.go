@@ -23,11 +23,6 @@ import (
 type Options struct {
 	// PrimarySupport is the offline primary support threshold in (0,1].
 	PrimarySupport float64
-	// Fanout is the R-tree node capacity (<= 0 selects the default).
-	Fanout int
-	// CalibrateUnits micro-benchmarks the cost model's unit costs on
-	// this machine instead of using defaults.
-	CalibrateUnits bool
 	// CheckMode selects the record-level support check implementation
 	// (AutoCheck, ScanCheck or BitmapCheck). ScanCheck costs are
 	// proportional to the focal subset size, matching the paper's cost
@@ -106,12 +101,17 @@ type Engine struct {
 }
 
 // NewEngine runs the offline phase over the dataset and wires up the
-// online executor and optimizer.
+// online executor and optimizer. The R-tree gets the default fanout.
 func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
+	return build(d, opts, 0)
+}
+
+// build is NewEngine at an explicit R-tree fanout (0 = the default).
+func build(d *relation.Dataset, opts Options, fanout int) (*Engine, error) {
 	buildStart := time.Now()
 	idx, err := mip.Build(d, mip.Options{
 		PrimarySupport: opts.PrimarySupport,
-		Fanout:         opts.Fanout,
+		Fanout:         fanout,
 		Workers:        opts.Workers,
 	})
 	if err != nil {
@@ -130,14 +130,10 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 // when zero, an approximation is recovered from the stored primary
 // count.
 func Assemble(idx *mip.Index, opts Options) *Engine {
-	units := cost.Units{}
-	if opts.CalibrateUnits {
-		units = cost.MeasureUnits(idx.Dataset.NumRecords(), idx.Dataset.NumAttrs())
-	}
 	ex := plans.NewExecutor(idx.Space)
 	ex.Mode = opts.CheckMode
 	ex.Workers = opts.Workers
-	e := &Engine{Index: idx, Executor: ex, Model: cost.NewModel(idx, units), opts: opts}
+	e := &Engine{Index: idx, Executor: ex, Model: cost.NewModel(idx), opts: opts}
 	e.initDelta()
 	e.initMetrics(opts.Metrics)
 	return e
@@ -156,7 +152,7 @@ func (e *Engine) initDelta() {
 		primary = float64(e.Index.PrimaryCount) / float64(e.Index.Dataset.NumRecords())
 	}
 	if e.opts.Shards <= 1 {
-		e.Delta = delta.NewStore(e.Index, primary, e.Model.U)
+		e.Delta = delta.NewStore(e.Index, primary)
 		e.Delta.SetWorkers(e.opts.Workers)
 		e.surface = e.Delta.Surface
 		return
@@ -164,7 +160,6 @@ func (e *Engine) initDelta() {
 	e.Coll = shard.New(e.Index, shard.Config{
 		Shards:  e.opts.Shards,
 		Primary: primary,
-		Units:   e.Model.U,
 		Workers: e.opts.Workers,
 	})
 	// The collection wraps a plain delta store: ingest routes through
@@ -283,11 +278,11 @@ func (e *Engine) ShardStats() []shard.ShardStat {
 
 // Rebuild runs the offline phase over the merged dataset — base records
 // minus tombstones plus buffered inserts, ids compacted — and returns a
-// fresh engine with an empty delta and the same Options (a sharded
-// engine re-partitions the fresh index), sharing this engine's metrics
-// registry. The receiver is untouched and remains queryable throughout,
-// so a serving layer can rebuild in the background and atomically swap
-// engines when done.
+// fresh engine with an empty delta, the same Options and the same R-tree
+// fanout (a sharded engine re-partitions the fresh index), sharing this
+// engine's metrics registry. The receiver is untouched and remains
+// queryable throughout, so a serving layer can rebuild in the background
+// and atomically swap engines when done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -299,7 +294,7 @@ func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	start := time.Now()
 	opts := e.opts
 	opts.Metrics = e.Metrics
-	fresh, err := NewEngine(merged, opts)
+	fresh, err := build(merged, opts, e.Index.RTree.Fanout())
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func TestEngineModePlumbing(t *testing.T) {
 }
 
 func TestBuildQueryAndMine(t *testing.T) {
-	eng := salaryEngine(t, Options{CalibrateUnits: true})
+	eng := salaryEngine(t, Options{})
 	q, err := eng.BuildQuery(&QuerySpec{
 		Range:         map[string][]string{"Location": {"Seattle"}, "Gender": {"F"}},
 		ItemAttrs:     []string{"Age", "Salary"},

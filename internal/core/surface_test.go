@@ -204,10 +204,10 @@ func salaryRow(t *testing.T, eng *Engine, labels ...string) []int32 {
 
 // pricedSubset is the |D^Q| the optimizer priced a query at, read back
 // from ARM's SELECT term (|D^Q| × item attributes × IDProbe).
-func pricedSubset(eng *Engine, q *plans.Query, ests []cost.Estimate) float64 {
+func pricedSubset(q *plans.Query, ests []cost.Estimate) float64 {
 	for _, e := range ests {
 		if e.Plan == plans.ARM {
-			return e.Search / (float64(q.Region.Dims()) * eng.Model.U.IDProbe)
+			return e.Search / (float64(q.Region.Dims()) * cost.UnitCosts().IDProbe)
 		}
 	}
 	return -1
@@ -251,7 +251,7 @@ func TestEstimatesPriceTheResolvedSubset(t *testing.T) {
 			if res.Stats.SubsetSize != 4 {
 				t.Fatalf("|D^Q| = %d, want the 4 ingested rows", res.Stats.SubsetSize)
 			}
-			if got := pricedSubset(eng, q, ests); math.Round(got) != float64(res.Stats.SubsetSize) {
+			if got := pricedSubset(q, ests); math.Round(got) != float64(res.Stats.SubsetSize) {
 				t.Errorf("optimizer priced |D^Q| = %v, the plan ran over %d", got, res.Stats.SubsetSize)
 			}
 		})

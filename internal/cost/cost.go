@@ -12,9 +12,9 @@
 //     selected from, which the two query-time probes sample;
 //   - the query parameters: the per-dimension extents DQ_i_avg,
 //     minsupport and minconfidence;
-//   - machine-calibrated unit costs for the primitive operations the
-//     operators are built from (tidset word operations, box relation
-//     tests, hash lookups, rule-generation steps).
+//   - constant unit costs for the primitive operations the operators
+//     are built from (tidset word operations, box relation tests, hash
+//     lookups, rule-generation steps).
 //
 // The optimizer simply evaluates the six closed-form estimates and picks
 // the argmin — the paper's COLARM plan selection.
@@ -22,7 +22,6 @@ package cost
 
 import (
 	"math"
-	"time"
 
 	"colarm/internal/bitset"
 	"colarm/internal/itemset"
@@ -31,10 +30,9 @@ import (
 	"colarm/internal/rtree"
 )
 
-// Units are the calibrated primitive operation costs, in nanoseconds,
-// fixed when the engine is assembled (DefaultUnits or MeasureUnits). The
-// facade exports the type as colarm.UnitCosts and the serving layer
-// marshals it as it is, so the tags are the wire names.
+// Units are primitive operation costs in nanoseconds. The facade exports
+// the type as colarm.UnitCosts and the serving layer marshals it as it
+// is, so the tags are the wire names.
 type Units struct {
 	// WordOp is the cost of one 64-bit word step of a tidset
 	// intersection (the unit of ELIMINATE/VERIFY record-level checks).
@@ -51,118 +49,14 @@ type Units struct {
 	GenOp float64 `json:"genOp"`
 }
 
-// DefaultUnits are conservative defaults used when calibration is
-// skipped; they reflect typical modern hardware ratios for the flat
+// UnitCosts returns the one set of unit costs every estimate and the
+// delta store's refresh policy are priced with, the same on every
+// machine. They reflect typical modern hardware ratios for the flat
 // slab layout's primitives: packed-arena box classification and
 // open-addressed integer hashing, which are markedly cheaper than the
 // pointer layout's Box views and string-keyed maps they replaced.
-func DefaultUnits() Units {
+func UnitCosts() Units {
 	return Units{WordOp: 0.6, BoxRel: 2.0, IDProbe: 1.5, MapOp: 8, GenOp: 16}
-}
-
-// MeasureUnits micro-benchmarks the primitive operations on this
-// machine. m is the dataset's record count (tidset width); dims the
-// dimensionality.
-func MeasureUnits(m, dims int) Units {
-	if m < 64 {
-		m = 64
-	}
-	if dims < 1 {
-		dims = 1
-	}
-	u := Units{}
-
-	// WordOp and IDProbe are defined against bitmap containers — the
-	// model's operator estimates multiply them by dense word counts — so
-	// the two micro-benchmark sets come from NewDense, whose bitmaps Add
-	// never demotes. Built by New, these small strided sets would pack
-	// into array containers, whose element-at-a-time kernels make a
-	// per-word normalization meaningless.
-	a, b := bitset.NewDense(m), bitset.NewDense(m)
-	for i := 0; i < m; i += 3 {
-		a.Add(i)
-	}
-	for i := 0; i < m; i += 2 {
-		b.Add(i)
-	}
-	words := float64((m + 63) / 64)
-	const wreps = 2000
-	start := time.Now()
-	sink := 0
-	for i := 0; i < wreps; i++ {
-		sink += bitset.AndCount(a, b)
-	}
-	u.WordOp = float64(time.Since(start).Nanoseconds()) / (wreps * words)
-
-	// Per-record-id probes.
-	ids := a.IDs()
-	if len(ids) == 0 {
-		ids = []int{0}
-	}
-	start = time.Now()
-	const preps = 300
-	for i := 0; i < preps; i++ {
-		for _, id := range ids {
-			if b.Contains(id) {
-				sink++
-			}
-		}
-	}
-	u.IDProbe = float64(time.Since(start).Nanoseconds()) / float64(preps*len(ids))
-
-	// Box relation tests, against the packed-arena form the flat
-	// R-tree search actually classifies (Lo run then Hi run per box).
-	cards := make([]int, dims)
-	for d := range cards {
-		cards[d] = 8
-	}
-	reg := itemset.NewRegion(cards)
-	_ = reg.Restrict(0, []int{1, 2, 3})
-	arena := make([]int32, 2*dims)
-	for d := 0; d < dims; d++ {
-		arena[d], arena[dims+d] = 1, 4
-	}
-	const breps = 20000
-	start = time.Now()
-	rel := itemset.Disjoint
-	for i := 0; i < breps; i++ {
-		rel = reg.RelationPacked(arena, 0, dims)
-	}
-	u.BoxRel = float64(time.Since(start).Nanoseconds()) / (breps * float64(dims))
-	_ = rel
-
-	// Hash probes, against an open-addressed integer table mirroring
-	// the flat IT-tree's exact-lookup hash (the layout replaced the
-	// string-keyed map the pointer index used for closure caches and
-	// dedup, so the unit tracks the cheaper primitive).
-	const tbits = 11
-	table := make([]uint64, 1<<tbits)
-	for i := uint64(1); i <= 1024; i++ {
-		h := i * 0x9e3779b97f4a7c15
-		s := h >> (64 - tbits)
-		for table[s] != 0 {
-			s = (s + 1) & (1<<tbits - 1)
-		}
-		table[s] = i
-	}
-	const mreps = 100000
-	start = time.Now()
-	for i := 0; i < mreps; i++ {
-		k := uint64(i&1023) + 1
-		s := (k * 0x9e3779b97f4a7c15) >> (64 - tbits)
-		for table[s] != 0 && table[s] != k {
-			s = (s + 1) & (1<<tbits - 1)
-		}
-		sink += int(table[s])
-	}
-	u.MapOp = float64(time.Since(start).Nanoseconds()) / mreps
-
-	// Rule-generation bookkeeping: approximate with slice+map work.
-	u.GenOp = u.MapOp * 2
-	if sink == -1 {
-		panic("unreachable")
-	}
-	return u
 }
 
 // Estimate is one plan's cost prediction with its term breakdown, so the
@@ -217,9 +111,9 @@ func (e Estimate) Terms() []EstimateTerm {
 // bitmap and support-count threshold, the surface it was selected from,
 // the check mode and shard count — comes with the request's plans.Focal;
 // the model itself holds only aggregates computed once from the index
-// as built.
+// as built, and prices them with UnitCosts.
 type Model struct {
-	U Units
+	u Units
 
 	// sp maps attribute values to items for every surface of the engine.
 	sp *itemset.Space
@@ -235,13 +129,9 @@ type Model struct {
 	fanout float64
 }
 
-// NewModel precomputes the model's index-side statistics. units may be
-// zero-valued to select DefaultUnits.
-func NewModel(idx *mip.Index, units Units) *Model {
-	if units == (Units{}) {
-		units = DefaultUnits()
-	}
-	m := &Model{U: units, sp: idx.Space, levels: idx.LevelStats, fanout: float64(idx.RTree.Fanout())}
+// NewModel precomputes the model's index-side statistics.
+func NewModel(idx *mip.Index) *Model {
+	m := &Model{u: UnitCosts(), sp: idx.Space, levels: idx.LevelStats, fanout: float64(idx.RTree.Fanout())}
 	n := idx.Space.NumAttrs()
 	m.attrFrac = make([]float64, n)
 	total := idx.ITTree.Size()
@@ -476,7 +366,7 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 		if supported {
 			boxes *= s.supportedFrac
 		}
-		return boxes * float64(dims) * mo.U.BoxRel
+		return boxes * float64(dims) * mo.u.BoxRel
 	}
 	for _, ls := range mo.levels {
 		// Expected fraction of level nodes whose box intersects D^Q:
@@ -490,7 +380,7 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 			visited *= rtree.FractionAtLeast(ls.Supports, s.f.MinCount)
 		}
 		// Each visited node classifies its children boxes.
-		cost += visited * mo.fanout * float64(dims) * mo.U.BoxRel
+		cost += visited * mo.fanout * float64(dims) * mo.u.BoxRel
 	}
 	return cost
 }
@@ -500,9 +390,9 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 // scan (the paper's COST(E) unit) or a whole-bitmap intersection.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
 	if s.f.Scan {
-		return float64(s.f.Size) * mo.U.IDProbe
+		return float64(s.f.Size) * mo.u.IDProbe
 	}
-	return float64((s.f.Surface.NumRecords+63)/64) * mo.U.WordOp
+	return float64((s.f.Surface.NumRecords+63)/64) * mo.u.WordOp
 }
 
 // verifyCost estimates the VERIFY operator over nQual qualified
@@ -510,7 +400,7 @@ func (mo *Model) supportCheckCost(s queryShape) float64 {
 // Low minconfidence admits more consequent levels, which the
 // (2 - minconf) factor captures coarsely.
 func (mo *Model) verifyCost(s queryShape, nQual float64, minConf float64) float64 {
-	perLevel1 := mo.avgLen * (mo.U.GenOp + 2*mo.U.MapOp)
+	perLevel1 := mo.avgLen * (mo.u.GenOp + 2*mo.u.MapOp)
 	missCost := mo.avgLen * 0.5 * mo.supportCheckCost(s) // some oracle misses
 	depth := 2 - minConf
 	return nQual * depth * (perLevel1 + missCost)
@@ -553,12 +443,12 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 		if k == plans.SSEUV {
 			checks = math.Max(0, e.Candidates-e.Contained)
 		}
-		e.Eliminate = e.Candidates*2*mo.U.MapOp + checks*mo.supportCheckCost(s)
+		e.Eliminate = e.Candidates*2*mo.u.MapOp + checks*mo.supportCheckCost(s)
 		// The separate ELIMINATE pass of the E-plans materializes the
 		// intermediate candidate list; VS merges it away (selection
 		// push-up) for a small constant saving per candidate.
 		if k == plans.SEV || k == plans.SSEV || k == plans.SSEUV {
-			e.Eliminate += e.Candidates * mo.U.MapOp
+			e.Eliminate += e.Candidates * mo.u.MapOp
 		}
 		// Locally frequent MIPs qualify under every search variant (a
 		// positive local support implies overlap, and local support is
@@ -572,15 +462,15 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 			// counting work itself is conserved (the slices partition the
 			// records), so only the dispatch bookkeeping is extra.
 			kf := float64(shards)
-			e.Search += kf * mo.U.MapOp
-			e.Eliminate += checks * (kf - 1) * mo.U.MapOp
+			e.Search += kf * mo.u.MapOp
+			e.Eliminate += checks * (kf - 1) * mo.u.MapOp
 		}
 		e.Total = e.Search + e.Eliminate + e.Verify
 
 	case plans.ARM:
 		// SELECT: the subset's vertical representation, one value lookup
 		// and tidset insert per record of D^Q and item attribute.
-		e.Search = float64(s.f.Size) * s.itemAttrs * mo.U.IDProbe
+		e.Search = float64(s.f.Size) * s.itemAttrs * mo.u.IDProbe
 
 		// Mining: CHARM over the extracted subset. The explored lattice
 		// is estimated from the record sample: with f locally frequent
@@ -601,7 +491,7 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 			}
 		}
 		dqWords := float64(s.f.Size)/64 + 1
-		e.Mine = lattice * dqWords * mo.U.WordOp * 2
+		e.Mine = lattice * dqWords * mo.u.WordOp * 2
 
 		e.Qualified = lattice / math.Max(1, s.freqItems) // closed ~ flattened
 		e.Verify = mo.verifyCost(s, e.Qualified, q.MinConfidence)

@@ -54,43 +54,10 @@ func buildModel(t testing.TB, m int) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fixture{NewModel(idx, DefaultUnits()), plans.NewExecutor(idx.Space), idx, plans.NewSurface(idx)}
+	return fixture{NewModel(idx), plans.NewExecutor(idx.Space), idx, plans.NewSurface(idx)}
 }
 
 func (fx fixture) focus(q *plans.Query) *plans.Focal { return fx.ex.Focus(fx.surf, q) }
-
-func TestMeasureUnitsSane(t *testing.T) {
-	// The micro-benchmark windows are tens of microseconds; one
-	// scheduler stall while the rest of the suite shares the CPU can
-	// inflate a unit a thousand-fold, so judge plausibility on the
-	// best of a few attempts.
-	u := MeasureUnits(1000, 4)
-	if u.WordOp <= 0 || u.BoxRel <= 0 || u.MapOp <= 0 || u.GenOp <= 0 {
-		t.Fatalf("units must be positive: %+v", u)
-	}
-	// Degenerate args are clamped.
-	if u2 := MeasureUnits(0, 0); u2.WordOp <= 0 {
-		t.Error("clamped measure failed")
-	}
-	if raceEnabled {
-		// The race detector instruments every memory access of the
-		// measured loops, so their per-op times say nothing about the
-		// machine and no nanosecond ceiling holds.
-		return
-	}
-	for try := 0; try < 4 && (u.WordOp > 1000 || u.MapOp > 10000); try++ {
-		v := MeasureUnits(1000, 4)
-		if v.WordOp < u.WordOp {
-			u.WordOp = v.WordOp
-		}
-		if v.MapOp < u.MapOp {
-			u.MapOp = v.MapOp
-		}
-	}
-	if u.WordOp > 1000 || u.MapOp > 10000 {
-		t.Errorf("units implausibly large: %+v", u)
-	}
-}
 
 func TestNewModelStats(t *testing.T) {
 	fx := buildModel(t, 300)
@@ -102,11 +69,6 @@ func TestNewModelStats(t *testing.T) {
 		if f < 0 || f > 1 {
 			t.Errorf("attrFrac[%d] = %v", a, f)
 		}
-	}
-	// Zero-valued units select defaults.
-	mo2 := NewModel(fx.idx, Units{})
-	if mo2.U != DefaultUnits() {
-		t.Error("zero units must select defaults")
 	}
 }
 

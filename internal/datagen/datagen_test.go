@@ -130,13 +130,6 @@ func TestScaledClamps(t *testing.T) {
 	}
 }
 
-func TestPaperPrimary(t *testing.T) {
-	if PaperPrimary("chess") != 0.60 || PaperPrimary("mushroom") != 0.05 ||
-		PaperPrimary("pumsb") != 0.80 || PaperPrimary("x") != 0.5 {
-		t.Error("paper primaries wrong")
-	}
-}
-
 // TestCFICurveShape checks the Figure 8 characteristic on scaled-down
 // data: the CFI count grows monotonically (weakly) as the primary
 // threshold drops, and the datasets actually produce nontrivial CFI

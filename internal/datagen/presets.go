@@ -172,18 +172,3 @@ func Scaled(cfg Config, frac float64) Config {
 	}
 	return out
 }
-
-// PaperPrimary returns the primary support threshold the paper uses for
-// each benchmark dataset's MIP-index.
-func PaperPrimary(name string) float64 {
-	switch name {
-	case "chess":
-		return 0.60
-	case "mushroom":
-		return 0.05
-	case "pumsb":
-		return 0.80
-	default:
-		return 0.5
-	}
-}

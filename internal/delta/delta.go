@@ -46,7 +46,7 @@
 // # Refresh policy
 //
 // Each query executed against a non-empty delta accrues an estimated
-// overhead, priced with the engine's calibrated cost units: a linear
+// overhead, priced with the cost model's unit costs: a linear
 // box scan (BoxRel x CFIs x dims, replacing the logarithmic R-tree
 // descent) plus the delta-side counting work (IDProbe x buffered rows x
 // attributes touched). When the accumulated overhead crosses the
@@ -124,7 +124,6 @@ type Store struct {
 	mu      sync.Mutex
 	idx     *mip.Index
 	primary float64
-	units   cost.Units
 	workers int
 
 	obsMu     sync.Mutex
@@ -147,13 +146,11 @@ type Store struct {
 }
 
 // NewStore creates an empty delta store over a freshly built (or
-// loaded) index. primary is the index's primary-support fraction and
-// units the engine's calibrated cost units.
-func NewStore(idx *mip.Index, primary float64, units cost.Units) *Store {
+// loaded) index. primary is the index's primary-support fraction.
+func NewStore(idx *mip.Index, primary float64) *Store {
 	return &Store{
 		idx:     idx,
 		primary: primary,
-		units:   units,
 		tombs:   bitset.New(idx.Dataset.NumRecords()),
 		frozen:  plans.NewSurface(idx),
 	}
@@ -518,8 +515,8 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 
 // NoteQuery charges one query's estimated delta overhead to the refresh
 // accumulator: the linear box scan that replaces the R-tree descent
-// plus the buffered-row counting work, priced with the calibrated
-// units. attrsTouched is the number of attributes the query's region
+// plus the buffered-row counting work, priced with cost.UnitCosts.
+// attrsTouched is the number of attributes the query's region
 // and item set reference (<=0 defaults to the full schema).
 func (s *Store) NoteQuery(attrsTouched int) {
 	s.mu.Lock()
@@ -536,16 +533,9 @@ func (s *Store) NoteQuery(attrsTouched int) {
 		cfis = s.merged.Tree.Size()
 	}
 	buffered := len(s.rows) - s.ndead
-	s.overhead += s.units.BoxRel*float64(cfis)*float64(dims) +
-		s.units.IDProbe*float64(buffered)*float64(attrsTouched)
-}
-
-// ShouldRebuild reports whether the accumulated delta overhead has
-// reached the amortized rebuild cost.
-func (s *Store) ShouldRebuild() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version > 0 && s.overhead >= s.rebuildCostLocked()
+	u := cost.UnitCosts()
+	s.overhead += u.BoxRel*float64(cfis)*float64(dims) +
+		u.IDProbe*float64(buffered)*float64(attrsTouched)
 }
 
 // rebuildCostLocked returns the break-even threshold in nanos: the
@@ -557,7 +547,7 @@ func (s *Store) rebuildCostLocked() float64 {
 		return s.rebuildNanos
 	}
 	d := s.idx.Dataset
-	est := s.units.WordOp * float64(d.NumRecords()) * float64(s.idx.Space.NumItems())
+	est := cost.UnitCosts().WordOp * float64(d.NumRecords()) * float64(s.idx.Space.NumItems())
 	const floorNanos = 10e6 // never recommend rebuilding cheaper than 10ms
 	if est < floorNanos {
 		est = floorNanos

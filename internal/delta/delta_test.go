@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"colarm/internal/cost"
 	"colarm/internal/mip"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
@@ -32,7 +31,7 @@ func testIndex(t *testing.T) *mip.Index {
 
 func TestStoreViewMergesRows(t *testing.T) {
 	idx := testIndex(t)
-	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	s := NewStore(idx, 0.2)
 	if f := s.Surface(); f.Version != 0 || f.RTree != idx.RTree || f.Tree != idx.ITTree || f.Live != nil {
 		t.Fatal("empty store must serve the frozen surface at version 0")
 	}
@@ -79,7 +78,7 @@ func TestStoreViewMergesRows(t *testing.T) {
 
 func TestStoreValidation(t *testing.T) {
 	idx := testIndex(t)
-	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	s := NewStore(idx, 0.2)
 	if _, err := s.Ingest([][]int32{{0}}, nil); err == nil {
 		t.Fatal("short row accepted")
 	}
@@ -96,18 +95,18 @@ func TestStoreValidation(t *testing.T) {
 
 func TestRefreshPolicyBreakEven(t *testing.T) {
 	idx := testIndex(t)
-	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	s := NewStore(idx, 0.2)
 	s.SetRebuildCost(time.Microsecond)
 	// Fresh store never recommends a rebuild, whatever the accumulator
 	// would say.
 	s.NoteQuery(0)
-	if s.ShouldRebuild() {
+	if s.Staleness().RebuildRecommended {
 		t.Fatal("fresh store recommends rebuild")
 	}
 	if _, err := s.Ingest([][]int32{{0, 0}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64 && !s.ShouldRebuild(); i++ {
+	for i := 0; i < 64 && !s.Staleness().RebuildRecommended; i++ {
 		s.NoteQuery(2)
 	}
 	st := s.Staleness()
@@ -121,7 +120,7 @@ func TestRefreshPolicyBreakEven(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	idx := testIndex(t)
-	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	s := NewStore(idx, 0.2)
 	if _, err := s.Ingest([][]int32{{0, 1}, {1, 0}}, []int{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, dels := s.Snapshot()
-	r := NewStore(idx, 0.2, cost.DefaultUnits())
+	r := NewStore(idx, 0.2)
 	if _, err := r.Ingest(rows, dels); err != nil {
 		t.Fatal(err)
 	}

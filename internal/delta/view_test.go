@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"colarm/internal/bitset"
-	"colarm/internal/cost"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
@@ -136,7 +135,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 		idx := edgyIndex(t, rng)
 		sp, d := idx.Space, idx.Dataset
 		baseN := d.NumRecords()
-		s := NewStore(idx, 0.08, cost.DefaultUnits())
+		s := NewStore(idx, 0.08)
 		s.SetWorkers(1 + int(seed%2))
 		inserted := 0
 		for batch := 0; batch < 8; batch++ {
@@ -242,7 +241,7 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 	}
 	val := func(a int, label string) int32 { return int32(d.Attrs[a].ValueIndex(label)) }
 	row := func(bLabel string) []int32 { return []int32{val(0, "a0"), val(1, bLabel), val(2, "c0")} }
-	s := NewStore(idx, 0.2, cost.DefaultUnits())
+	s := NewStore(idx, 0.2)
 	if _, err := s.Ingest([][]int32{row("b0"), row("b1"), row("b0"), row("b1")}, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +282,7 @@ func BenchmarkViewBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewStore(idx, 0.30, cost.DefaultUnits())
+	s := NewStore(idx, 0.30)
 	rng := rand.New(rand.NewSource(1))
 	baseN := d.NumRecords()
 	inserted, deleted := 0, 0

@@ -28,18 +28,6 @@ func NewBox(n int) Box {
 // Dims returns the dimensionality of the box.
 func (b Box) Dims() int { return len(b.Lo) }
 
-// Extend grows the box to include the point p (a record's value indices).
-func (b Box) Extend(p []int) {
-	for d, v := range p {
-		if int32(v) < b.Lo[d] {
-			b.Lo[d] = int32(v)
-		}
-		if int32(v) > b.Hi[d] {
-			b.Hi[d] = int32(v)
-		}
-	}
-}
-
 // ExtendBox grows the box to include the box o.
 func (b Box) ExtendBox(o Box) {
 	for d := range b.Lo {

@@ -134,13 +134,21 @@ func TestSetFormatAndRestrict(t *testing.T) {
 	}
 }
 
+// spanning returns the smallest box holding every point, the fixture the
+// box and region tests build on.
+func spanning(points ...[]int32) Box {
+	b := NewBox(len(points[0]))
+	for _, p := range points {
+		b.ExtendBox(Box{Lo: p, Hi: p})
+	}
+	return b
+}
+
 func TestBoxBasics(t *testing.T) {
-	b := NewBox(2)
-	if !b.IsEmpty() {
+	if !NewBox(2).IsEmpty() {
 		t.Error("fresh box must be empty")
 	}
-	b.Extend([]int{1, 4})
-	b.Extend([]int{3, 2})
+	b := spanning([]int32{1, 4}, []int32{3, 2})
 	if b.IsEmpty() {
 		t.Error("extended box must not be empty")
 	}
@@ -153,21 +161,19 @@ func TestBoxBasics(t *testing.T) {
 	if !b.ContainsPoint([]int{2, 3}) || b.ContainsPoint([]int{0, 3}) {
 		t.Error("ContainsPoint wrong")
 	}
-	o := NewBox(2)
-	o.Extend([]int{2, 2})
+	o := spanning([]int32{2, 2})
 	if !b.ContainsBox(o) || o.ContainsBox(b) {
 		t.Error("ContainsBox wrong")
 	}
 	if !b.Intersects(o) {
 		t.Error("Intersects wrong")
 	}
-	far := NewBox(2)
-	far.Extend([]int{9, 9})
+	far := spanning([]int32{9, 9})
 	if b.Intersects(far) {
 		t.Error("disjoint boxes must not intersect")
 	}
 	c := b.Clone()
-	c.Extend([]int{0, 0})
+	c.ExtendBox(spanning([]int32{0, 0}))
 	if b.Lo[0] == 0 {
 		t.Error("Clone must be independent")
 	}
@@ -184,9 +190,7 @@ func TestRegionRelation(t *testing.T) {
 	// Dimensions with cardinalities 4, 3.
 	r := NewRegion([]int{4, 3})
 	// Full-domain region contains everything.
-	b := NewBox(2)
-	b.Extend([]int{0, 0})
-	b.Extend([]int{3, 2})
+	b := spanning([]int32{0, 0}, []int32{3, 2})
 	if got := r.Relation(b); got != Contained {
 		t.Fatalf("full region relation = %v", got)
 	}
@@ -194,20 +198,15 @@ func TestRegionRelation(t *testing.T) {
 	if err := r.Restrict(0, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	inside := NewBox(2)
-	inside.Extend([]int{1, 0})
-	inside.Extend([]int{2, 2})
+	inside := spanning([]int32{1, 0}, []int32{2, 2})
 	if got := r.Relation(inside); got != Contained {
 		t.Errorf("inside relation = %v, want contained", got)
 	}
-	partial := NewBox(2)
-	partial.Extend([]int{0, 0})
-	partial.Extend([]int{2, 1})
+	partial := spanning([]int32{0, 0}, []int32{2, 1})
 	if got := r.Relation(partial); got != Partial {
 		t.Errorf("partial relation = %v, want partial", got)
 	}
-	out := NewBox(2)
-	out.Extend([]int{3, 1})
+	out := spanning([]int32{3, 1})
 	if got := r.Relation(out); got != Disjoint {
 		t.Errorf("disjoint relation = %v, want disjoint", got)
 	}
@@ -217,14 +216,11 @@ func TestRegionRelation(t *testing.T) {
 	if err := r2.Restrict(0, []int{0, 3}); err != nil {
 		t.Fatal(err)
 	}
-	span := NewBox(2)
-	span.Extend([]int{0, 0})
-	span.Extend([]int{3, 2})
+	span := spanning([]int32{0, 0}, []int32{3, 2})
 	if got := r2.Relation(span); got != Partial {
 		t.Errorf("non-contiguous span = %v, want partial", got)
 	}
-	point := NewBox(2)
-	point.Extend([]int{3, 1})
+	point := spanning([]int32{3, 1})
 	if got := r2.Relation(point); got != Contained {
 		t.Errorf("point at selected value = %v, want contained", got)
 	}

@@ -191,18 +191,3 @@ func (t *Tree) containsAll(id int, x itemset.Set) bool {
 	}
 	return true
 }
-
-// ContainingIDs returns the ids of CFIs containing every item of x, in
-// ascending id order: the shortest inverted list filtered by full
-// containment, then re-sorted (inverted runs are support-ordered). Used
-// by diagnostics and tests.
-func (t *Tree) ContainingIDs(x itemset.Set) []int32 {
-	var out []int32
-	for _, id := range t.shortestRun(x) {
-		if t.containsAll(int(id), x) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}

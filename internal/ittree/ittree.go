@@ -23,7 +23,6 @@ package ittree
 
 import (
 	"fmt"
-	"sort"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
@@ -35,7 +34,6 @@ type Tree struct {
 	sets       []*charm.ClosedSet // canonical CFIs in mining order
 	numRecords int
 	numItems   int
-	maxLevel   int
 
 	// The slabs (see flat.go).
 	itemArena []itemset.Item // all CFI items, concatenated in id order
@@ -55,11 +53,6 @@ func Build(res *charm.Result, numItems int) *Tree {
 		numRecords: res.NumRecords,
 		numItems:   numItems,
 	}
-	for _, c := range res.Closed {
-		if len(c.Items) > t.maxLevel {
-			t.maxLevel = len(c.Items)
-		}
-	}
 	t.buildFlat(res.Closed)
 	return t
 }
@@ -70,10 +63,6 @@ func (t *Tree) Size() int { return len(t.sets) }
 // NumRecords returns the record count of the dataset the tree was built
 // over.
 func (t *Tree) NumRecords() int { return t.numRecords }
-
-// MaxLevel returns the length of the longest stored CFI — the depth of
-// the IT-tree.
-func (t *Tree) MaxLevel() int { return t.maxLevel }
 
 // Set returns the CFI with the given id (its index in mining order).
 func (t *Tree) Set(id int) *charm.ClosedSet { return t.sets[id] }
@@ -92,15 +81,6 @@ func (t *Tree) Items(id int) itemset.Set {
 // Tids returns the tidset of the CFI with the given id. Callers must not
 // mutate it.
 func (t *Tree) Tids(id int) *bitset.Set { return t.tids[id] }
-
-// Lookup finds the CFI whose itemset is exactly x.
-func (t *Tree) Lookup(x itemset.Set) (*charm.ClosedSet, bool) {
-	id, ok := t.LookupID(x)
-	if !ok {
-		return nil, false
-	}
-	return t.sets[id], true
-}
 
 // Closure returns the closure of x: the unique CFI c with
 // tidset(c) == tidset(x), which is the maximum-support CFI whose itemset
@@ -148,33 +128,4 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// LevelCounts returns, per itemset length, how many CFIs the tree stores
-// (index 0 unused). The distribution of CFIs by length drives the paper's
-// discussion of dataset character (symmetric for chess/PUMSB, bi-modal
-// for mushroom).
-func (t *Tree) LevelCounts() []int {
-	counts := make([]int, t.maxLevel+1)
-	for _, c := range t.sets {
-		counts[len(c.Items)]++
-	}
-	return counts
-}
-
-// SortedBySupport returns CFI ids in descending global support order;
-// diagnostic helper for the Simpson's-paradox experiment output.
-func (t *Tree) SortedBySupport() []int32 {
-	ids := make([]int32, len(t.sets))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := t.Support(int(ids[a])), t.Support(int(ids[b]))
-		if sa != sb {
-			return sa > sb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }

@@ -50,13 +50,12 @@ func TestBuildAndLookup(t *testing.T) {
 		t.Errorf("NumRecords = %d", tr.NumRecords())
 	}
 	for id := 0; id < tr.Size(); id++ {
-		c := tr.Set(id)
-		got, ok := tr.Lookup(c.Items)
-		if !ok || got != c {
-			t.Errorf("Lookup of stored CFI %d failed", id)
+		got, ok := tr.LookupID(tr.Set(id).Items)
+		if !ok || got != id {
+			t.Errorf("LookupID of stored CFI %d failed", id)
 		}
 	}
-	if _, ok := tr.Lookup(itemset.NewSet(0, 1)); ok {
+	if _, ok := tr.LookupID(itemset.NewSet(0, 1)); ok {
 		// items 0 and 1 are Company=IBM and Company=Google — mutually
 		// exclusive, never co-stored.
 		t.Error("Lookup of impossible itemset succeeded")
@@ -98,60 +97,6 @@ func TestClosureResolvesSubsets(t *testing.T) {
 	if tr.GlobalSupport(itemset.NewSet(0, sp.ItemOf(5, 0))) != -1 {
 		// Company=IBM & Salary=60K-90K co-occurs once only (record 0).
 		t.Error("infrequent itemset must return -1")
-	}
-}
-
-func TestContainingIDs(t *testing.T) {
-	tr, _, sp, _ := buildTree(t, 2)
-	a0, _ := sp.ParseItem("Age=20-30")
-	ids := tr.ContainingIDs(itemset.NewSet(a0))
-	if len(ids) == 0 {
-		t.Fatal("no CFIs contain Age=20-30")
-	}
-	for _, id := range ids {
-		if !tr.Set(int(id)).Items.Contains(a0) {
-			t.Errorf("CFI %d does not contain item", id)
-		}
-	}
-	// Ascending and unique.
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Error("ids not ascending")
-		}
-	}
-	if got := tr.ContainingIDs(nil); got != nil {
-		t.Errorf("ContainingIDs(nil) = %v", got)
-	}
-}
-
-func TestLevelCountsAndMaxLevel(t *testing.T) {
-	tr, _, _, _ := buildTree(t, 2)
-	counts := tr.LevelCounts()
-	total := 0
-	for l, c := range counts {
-		if l == 0 && c != 0 {
-			t.Error("level 0 must be empty")
-		}
-		total += c
-	}
-	if total != tr.Size() {
-		t.Errorf("level counts sum %d != size %d", total, tr.Size())
-	}
-	if counts[tr.MaxLevel()] == 0 {
-		t.Error("max level must be populated")
-	}
-}
-
-func TestSortedBySupport(t *testing.T) {
-	tr, _, _, _ := buildTree(t, 2)
-	ids := tr.SortedBySupport()
-	if len(ids) != tr.Size() {
-		t.Fatal("wrong length")
-	}
-	for i := 1; i < len(ids); i++ {
-		if tr.Set(int(ids[i-1])).Support < tr.Set(int(ids[i])).Support {
-			t.Fatal("not descending by support")
-		}
 	}
 }
 

@@ -91,13 +91,6 @@ type snapAttr struct {
 	Values []string
 }
 
-// WriteTo serializes the index with empty engine metadata. The stream
-// is self-contained: ReadIndex restores a fully functional index
-// without re-mining.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	return x.WriteSnapshot(w, SnapshotMeta{})
-}
-
 // WriteSnapshot serializes the index plus engine-level metadata (see
 // SnapshotMeta); ReadSnapshot restores both.
 func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
@@ -155,13 +148,6 @@ func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
 		return bw.n, err
 	}
 	return bw.n, nil
-}
-
-// ReadIndex restores an index written by WriteTo, rebuilding the
-// derived structures (item tidsets, packed R-tree, statistics).
-func ReadIndex(r io.Reader) (*Index, error) {
-	idx, _, err := ReadSnapshot(r)
-	return idx, err
 }
 
 // ReadSnapshot restores an index and its engine metadata. A stream that

@@ -19,14 +19,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
+	n, err := idx.WriteSnapshot(&buf, SnapshotMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) || n == 0 {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
+		t.Fatalf("WriteSnapshot reported %d bytes, buffer has %d", n, buf.Len())
 	}
-	got, err := ReadIndex(&buf)
+	got, _, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadIndex(strings.NewReader("not a snapshot")); err == nil {
+	if _, _, err := ReadSnapshot(strings.NewReader("not a snapshot")); err == nil {
 		t.Error("garbage must error")
 	}
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
+	if _, _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream must error")
 	}
 }
@@ -96,7 +96,7 @@ func TestReadIndexRejectsCorruptedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip bytes in the middle of the payload; the decoder or the
@@ -110,7 +110,7 @@ func TestReadIndexRejectsCorruptedSnapshot(t *testing.T) {
 					t.Errorf("corruption at %d caused panic: %v", off, r)
 				}
 			}()
-			if got, err := ReadIndex(bytes.NewReader(data)); err == nil {
+			if got, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 				// Decoding may succeed by luck; the index must then at
 				// least validate.
 				if vErr := got.Validate(); vErr != nil {

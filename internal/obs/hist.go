@@ -47,8 +47,8 @@ func newHistogram(name, labels, help string, bounds []float64) *Histogram {
 // Observe records one duration. A negative duration (a clock step
 // backwards, or a caller subtracting timestamps in the wrong order) is
 // clamped to zero: letting it through would land it in the first bucket
-// while driving _sum negative, corrupting quantile estimates and
-// Prometheus rate() math over the scraped series.
+// while driving _sum negative, corrupting Prometheus rate() math over
+// the scraped series.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -64,44 +64,3 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Quantile estimates the q-th quantile (q in [0,1]) by linear
-// interpolation within the containing bucket — the usual fixed-bucket
-// estimate, accurate to the bucket resolution (a factor-2 grid here).
-// It returns 0 when nothing has been observed.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c > 0 && float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				// Off-scale observations: report the top finite bound
-				// rather than extrapolating into the unbounded bucket.
-				return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second))
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			return time.Duration((lo + (hi-lo)*frac) * float64(time.Second))
-		}
-		cum += c
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second))
-}

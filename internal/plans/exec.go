@@ -548,33 +548,12 @@ func (c *qctx) countItems(x itemset.Set) int {
 	return total
 }
 
-// oracle returns the serial local-support oracle VERIFY hands to the
-// rule generator, memoized per itemset so repeated antecedents and
-// singleton consequents are free.
-func (c *qctx) oracle() rules.SupportOracle {
-	cache := make(map[string]int)
-	return func(x itemset.Set) int {
-		c.st.OracleCalls++
-		if len(x) == 0 {
-			return -1
-		}
-		key := x.Key()
-		if s, ok := cache[key]; ok {
-			return s
-		}
-		c.st.OracleMisses++
-		c.st.SupportChecks++
-		s := c.countItems(x)
-		cache[key] = s
-		return s
-	}
-}
-
-// sharedOracle is oracle's concurrent counterpart: the memo is sharded,
-// each shard computes under its lock so every distinct itemset key is
-// counted as exactly one miss/check — the same totals the serial memo
-// reports — and the counters accumulate in the tally for a
-// deterministic post-join fold into Stats.
+// sharedOracle returns the local-support oracle VERIFY hands to the rule
+// generator, memoized per itemset so repeated antecedents and singleton
+// consequents are free. The memo is sharded and each shard computes
+// under its lock, so every distinct itemset key is counted as exactly one
+// miss/check whatever the worker count, and the counters accumulate in
+// the tally for a deterministic post-join fold into Stats.
 func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.SupportOracle {
 	return func(x itemset.Set) int {
 		atomic.AddInt64(&t.oracleCalls, 1)
@@ -593,10 +572,10 @@ func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.Support
 // verify is the VERIFY operator: rule generation plus minconfidence
 // checks for every qualified itemset. Itemsets are independent — the
 // only coupling is the oracle memo — so generation fans out across the
-// query's workers, each itemset's rules landing in its own slot; the
-// slots are concatenated in qualification order, making the output
-// (after the dedup that serial verify performs anyway) byte-identical
-// to a serial run.
+// query's workers (at one worker, in the caller's goroutine), each
+// itemset's rules landing in its own slot; the slots are concatenated in
+// qualification order, so the output after the dedup is the same at
+// every worker count.
 func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -604,34 +583,20 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 		t0 = time.Now()
 	}
 	oc0, om0 := c.st.OracleCalls, c.st.OracleMisses
-	used := 1
+	var tally counterTally
+	oracle := c.sharedOracle(newShardedCounts(), &tally)
+	per := make([][]rules.Rule, len(quals))
+	used, err := pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
+		per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
+			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
+	})
+	if err != nil {
+		return nil, err
+	}
+	tally.addTo(c.st)
 	var out []rules.Rule
-	if c.workers <= 1 || len(quals) < 2 {
-		oracle := c.oracle()
-		for _, ql := range quals {
-			if err := c.cancelled(); err != nil {
-				return nil, err
-			}
-			rs := rules.Generate(ql.body, ql.local, c.st.SubsetSize, c.q.MinConfidence,
-				oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
-			out = append(out, rs...)
-		}
-	} else {
-		var tally counterTally
-		oracle := c.sharedOracle(newShardedCounts(), &tally)
-		per := make([][]rules.Rule, len(quals))
-		var err error
-		used, err = pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
-			per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
-				c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
-		})
-		if err != nil {
-			return nil, err
-		}
-		tally.addTo(c.st)
-		for _, rs := range per {
-			out = append(out, rs...)
-		}
+	for _, rs := range per {
+		out = append(out, rs...)
 	}
 	out = rules.Dedupe(out)
 	c.st.RulesEmitted = len(out)

@@ -63,8 +63,8 @@ func TestCheckModesAgree(t *testing.T) {
 	}
 }
 
-// TestStatsCounters sanity-checks the operator instrumentation the cost
-// model is calibrated against.
+// TestStatsCounters sanity-checks the operator instrumentation whose
+// cardinalities the cost model estimates.
 func TestStatsCounters(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
 	ex, s := NewExecutor(idx.Space), NewSurface(idx)

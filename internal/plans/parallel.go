@@ -6,8 +6,7 @@
 // worker pool here. The design constraint is determinism: the parallel
 // paths must produce byte-identical rule sets AND identical operator
 // counters to the serial path, for every schedule, so that plan
-// equivalence tests (and the cost model's calibration against the
-// counters) are oblivious to the worker count. The pool itself is
+// equivalence tests are oblivious to the worker count. The pool itself is
 // internal/pool's For and ForCtx, whose returned worker count is what
 // query traces record as an operator's fan-out.
 //
@@ -16,10 +15,10 @@
 //
 //   - work items are indexed up front and results land in pre-sized
 //     slices, so merge order equals submission order;
-//   - the VERIFY oracle memo becomes a sharded map whose shards compute
+//   - the VERIFY oracle memo is a sharded map whose shards compute
 //     under their lock, so each distinct itemset key is computed exactly
 //     once — the OracleMisses/SupportChecks counters then equal the
-//     number of distinct keys, exactly as the serial memo counts them;
+//     number of distinct keys at every worker count;
 //   - counters touched inside workers accumulate in atomics and are
 //     folded into the query's Stats after the join.
 package plans
@@ -62,8 +61,8 @@ type countShard struct {
 	m  map[string]int
 }
 
-// shardedCounts is the concurrent counterpart of the serial oracle's
-// map[string]int memo.
+// shardedCounts is the VERIFY oracle's memo, safe for concurrent
+// workers.
 type shardedCounts struct {
 	shards [cacheShards]countShard
 }

@@ -165,7 +165,7 @@ func (q *Query) itemMask(n int) []bool {
 }
 
 // Stats instruments one plan execution with the operator-level counters
-// the cost model is calibrated against.
+// whose cardinalities the cost model estimates.
 type Stats struct {
 	Plan       Kind
 	SubsetSize int // |D^Q|

@@ -63,8 +63,7 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// SearchStats counts the work a traversal performed; the cost model
-// calibrates its unit costs against these.
+// SearchStats counts the work a traversal performed.
 type SearchStats struct {
 	NodesVisited   int
 	EntriesChecked int
@@ -138,60 +137,6 @@ func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCou
 			}
 		}
 		if !t.search(c, reg, childContained, minCount, visit, st) {
-			return false
-		}
-	}
-	return true
-}
-
-// SearchBox visits every entry whose box intersects the query box q;
-// plain geometric search used by tests and tools.
-func (t *Tree) SearchBox(q itemset.Box, visit func(e Entry) bool) SearchStats {
-	var st SearchStats
-	t.searchBox(t.froot, q, visit, &st)
-	return st
-}
-
-func (t *Tree) searchBox(ni int32, q itemset.Box, visit func(e Entry) bool, st *SearchStats) bool {
-	st.NodesVisited++
-	nd := &t.fnodes[ni]
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			st.EntriesChecked++
-			if q.Intersects(t.entryBox(s)) {
-				st.EntriesEmitted++
-				if !visit(t.entryAt(s)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, c := range t.kids(ni) {
-		if q.Intersects(t.nodeBox(c)) {
-			if !t.searchBox(c, q, visit, st) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// All visits every entry in the tree.
-func (t *Tree) All(visit func(e Entry) bool) { t.all(t.froot, visit) }
-
-func (t *Tree) all(ni int32, visit func(e Entry) bool) bool {
-	nd := &t.fnodes[ni]
-	if nd.leaf {
-		for s := nd.off; s < nd.off+nd.count; s++ {
-			if !visit(t.entryAt(s)) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range t.kids(ni) {
-		if !t.all(c, visit) {
 			return false
 		}
 	}

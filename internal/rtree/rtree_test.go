@@ -204,44 +204,6 @@ func TestDynamicInsertMatchesLinear(t *testing.T) {
 	}
 }
 
-func TestSearchBoxAndAll(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cards := []int{6, 6}
-	es := randomEntries(r, 100, 2, cards)
-	tr, _ := Bulk(append([]Entry(nil), es...), 2, 4)
-
-	q := itemset.NewBox(2)
-	q.Lo[0], q.Hi[0], q.Lo[1], q.Hi[1] = 1, 3, 2, 4
-	var got []int32
-	tr.SearchBox(q, func(e Entry) bool {
-		got = append(got, e.ID)
-		return true
-	})
-	var want []int32
-	for _, e := range es {
-		if q.Intersects(e.Box) {
-			want = append(want, e.ID)
-		}
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !eqIDs(got, want) {
-		t.Fatalf("SearchBox: got %d, want %d", len(got), len(want))
-	}
-
-	count := 0
-	tr.All(func(Entry) bool { count++; return true })
-	if count != len(es) {
-		t.Errorf("All visited %d, want %d", count, len(es))
-	}
-	// Early stop.
-	count = 0
-	tr.All(func(Entry) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Errorf("All early stop visited %d", count)
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	cards := []int{6, 6}

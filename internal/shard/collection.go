@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"colarm/internal/bitset"
-	"colarm/internal/cost"
 	"colarm/internal/delta"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -17,8 +16,6 @@ type Config struct {
 	Shards int
 	// Primary is the engine's primary-support fraction.
 	Primary float64
-	// Units are the engine's calibrated cost units (delta refresh policy).
-	Units cost.Units
 	// Workers bounds the fan-out of the partition restriction: 0 means
 	// one worker per CPU, 1 forces serial. Workers write pre-indexed
 	// slots, so results are worker-count-invariant.
@@ -78,7 +75,7 @@ func New(idx *mip.Index, cfg Config) *Collection {
 	r := NewRouter(cfg.Shards)
 	c := &Collection{
 		idx:      idx,
-		store:    delta.NewStore(idx, cfg.Primary, cfg.Units),
+		store:    delta.NewStore(idx, cfg.Primary),
 		router:   r,
 		workers:  cfg.Workers,
 		versions: make([]uint64, r.Shards()),

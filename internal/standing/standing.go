@@ -68,6 +68,9 @@ func measureValue(r colarm.Rule, m string) float64 {
 	return 0
 }
 
+// diffTimeout bounds each incremental mining pass.
+const diffTimeout = 30 * time.Second
+
 // Config tunes a Manager.
 type Config struct {
 	// MaxSubscriptions caps live subscriptions across all datasets
@@ -76,8 +79,6 @@ type Config struct {
 	// EventBuffer is each subscription's ring capacity in events
 	// (default 256). A consumer that falls this far behind is evicted.
 	EventBuffer int
-	// DiffTimeout bounds each incremental mining pass (default 30s).
-	DiffTimeout time.Duration
 	// Metrics receives the manager's metrics; nil uses a private
 	// registry.
 	Metrics *obs.Registry
@@ -89,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 256
-	}
-	if c.DiffTimeout <= 0 {
-		c.DiffTimeout = 30 * time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -349,7 +347,7 @@ func (m *Manager) diffTracker(t *tracker, p *pendingNotice) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DiffTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), diffTimeout)
 	start := time.Now()
 	t.mu.Lock()
 	baseline := t.rules
@@ -489,7 +487,7 @@ func (m *Manager) Create(ctx context.Context, dataset string, q colarm.Query, tr
 
 	// Mine the initial baseline outside the manager lock (it can take
 	// a while and must not stall the notice fast path).
-	dctx, cancel := context.WithTimeout(ctx, m.cfg.DiffTimeout)
+	dctx, cancel := context.WithTimeout(ctx, diffTimeout)
 	start := time.Now()
 	diff, err := att.eng.RuleDiff(dctx, q, nil)
 	m.diffSeconds.Observe(time.Since(start))

@@ -80,7 +80,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // LoadEngine restores an engine from a snapshot written by Save. opts
-// controls the runtime knobs only (calibration, workers); the index
+// controls the runtime knobs only (workers, metrics, shards); the index
 // parameters (primary support, fanout), the engine generation and any
 // buffered delta come from the snapshot. A snapshot of a different
 // format version fails with ErrSnapshotVersion.
@@ -112,8 +112,6 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 	opts.PrimarySupport = meta.Primary
 	eng := core.Assemble(idx, core.Options{
 		PrimarySupport: meta.Primary,
-		Fanout:         idx.RTree.Fanout(),
-		CalibrateUnits: opts.Calibrate,
 		Workers:        opts.Workers,
 		Metrics:        opts.Metrics.registry(),
 		Shards:         opts.Shards,

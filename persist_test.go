@@ -288,41 +288,60 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
+// openAtFanout opens ds with an R-tree of the given fanout. Options has
+// no fanout (only a snapshot records one), so the index is built by
+// mip.Build and wired up the way a loaded snapshot is.
+func openAtFanout(t *testing.T, ds *Dataset, primary float64, fanout int) *Engine {
+	t.Helper()
+	idx, err := mip.Build(ds.rel, mip.Options{PrimarySupport: primary, Fanout: fanout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engineFromIndex(idx, mip.SnapshotMeta{Primary: primary}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestLoadedEngineKeepsFanout: the R-tree fanout is a property of the
-// physical design the snapshot stores, so an engine rebuilt after a
-// save/load cycle packs its tree exactly as the rebuilt original does.
+// physical design the snapshot stores, so the rebuild of a loaded engine
+// packs its tree as the snapshot's was packed. The committed golden
+// stream has fanout 4 against the default 16; without its buffered delta
+// the loaded engine serves the snapshot's own tree, and its rebuild
+// re-mines the same records.
 func TestLoadedEngineKeepsFanout(t *testing.T) {
-	ds, err := Salary()
+	f, err := os.Open(filepath.Join("internal", "mip", "testdata", "golden_v5.snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 2})
+	defer f.Close()
+	idx, meta, err := mip.ReadSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if got := idx.RTree.Fanout(); got != 4 {
+		t.Fatalf("golden snapshot has fanout %d, want 4", got)
+	}
+	loaded, err := engineFromIndex(idx, mip.SnapshotMeta{Primary: meta.Primary}, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(&buf, Options{})
+	fresh, err := loaded.Rebuild(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := Query{MinSupport: 0.3, MinConfidence: 0.5, Plan: SEV}
 	var visited [2]int
-	for i, e := range []*Engine{eng, loaded} {
-		fresh, err := e.Rebuild(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fresh.Mine(q)
+	for i, e := range []*Engine{loaded, fresh} {
+		res, err := e.Mine(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		visited[i] = res.Stats.RNodesVisited
 	}
 	if visited[0] != visited[1] {
-		t.Fatalf("S-E-V visits %d R-tree nodes on the rebuilt original, %d on the rebuilt reload: the loaded engine lost its fanout",
+		t.Fatalf("S-E-V visits %d R-tree nodes on the loaded engine, %d on its rebuild: the rebuild lost the fanout",
 			visited[0], visited[1])
 	}
 }
@@ -346,10 +365,7 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mono, err := Open(ds, Options{PrimarySupport: 0.18, Fanout: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mono := openAtFanout(t, ds, 0.18, 4)
 		if _, err := mono.Ingest(nil, []int{3, 7}); err != nil {
 			t.Fatal(err)
 		}
