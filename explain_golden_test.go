@@ -7,7 +7,7 @@ import (
 	"colarm/internal/datagen"
 )
 
-// The cost model with calibration off uses fixed default unit costs and
+// The cost model prices with the constant cost.UnitCosts and
 // deterministic fixed-stride statistics probes, so Explain's output is
 // a pure function of (dataset, primary support, query). These golden
 // tests freeze that function on two datasets; a diff here means the

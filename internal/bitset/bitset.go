@@ -35,6 +35,11 @@ func (s *Set) span(ci int) int {
 	return ctrBits
 }
 
+// words returns the number of payload words container ci's span
+// covers. No operation sets a bit at or past the span, so the bitmap
+// kernels walk only these words of the fixed ctrWords payload.
+func (s *Set) words(ci int) int { return (s.span(ci) + wordBits - 1) / wordBits }
+
 // New returns an empty Set capable of holding ids in [0, n).
 func New(n int) *Set {
 	if n < 0 {
@@ -132,7 +137,7 @@ func (s *Set) Fill() {
 func (s *Set) And(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		andInPlace(&s.ctrs[i], &t.ctrs[i])
+		andInPlace(&s.ctrs[i], &t.ctrs[i], s.words(i))
 	}
 }
 
@@ -140,7 +145,7 @@ func (s *Set) And(t *Set) {
 func (s *Set) Or(t *Set) {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		orInPlace(&s.ctrs[i], &t.ctrs[i])
+		orInPlace(&s.ctrs[i], &t.ctrs[i], s.words(i))
 	}
 }
 
@@ -153,7 +158,7 @@ func Intersect(s, t *Set) *Set {
 
 // IntersectInto replaces dst with s ∩ t and returns the cardinality of
 // the result. dst takes s's capacity; whatever it held before is
-// discarded. A dst of the operands' shape is recycled: its container
+// discarded. A dst of the operands' capacity is recycled: its container
 // slice is reused, and so is the 8 KiB payload of every bitmap
 // container whose result is again a bitmap — the miners' common case,
 // which then allocates nothing. All other results are allocated
@@ -167,18 +172,19 @@ func IntersectInto(dst, s, t *Set) int {
 	if dst == s || dst == t {
 		panic("bitset: IntersectInto destination aliases an operand")
 	}
-	dst.n = s.n
-	if len(dst.ctrs) != len(s.ctrs) {
-		dst.ctrs = make([]container, len(s.ctrs))
+	if dst.n != s.n || len(dst.ctrs) != len(s.ctrs) {
+		// A dst of another capacity may hold bits past the operands'
+		// spans, which the span-bounded kernels would leave in place.
+		dst.n, dst.ctrs = s.n, make([]container, len(s.ctrs))
 	}
 	n := 0
 	for i := range s.ctrs {
 		x, y, d := &s.ctrs[i], &t.ctrs[i], &dst.ctrs[i]
 		if x.kind == bitmapCtr && y.kind == bitmapCtr {
-			intersectBitmaps(d, x, y)
+			intersectBitmaps(d, x, y, s.words(i))
 		} else {
 			*d = x.clone()
-			andInPlace(d, y)
+			andInPlace(d, y, s.words(i))
 		}
 		n += int(d.card)
 	}
@@ -192,7 +198,7 @@ func AndCount(s, t *Set) int {
 	s.checkCompat(t)
 	c := 0
 	for i := range s.ctrs {
-		c += andCount(&s.ctrs[i], &t.ctrs[i])
+		c += andCount(&s.ctrs[i], &t.ctrs[i], s.words(i))
 	}
 	return c
 }
@@ -205,7 +211,7 @@ func (s *Set) Equal(t *Set) bool {
 		return false
 	}
 	for i := range s.ctrs {
-		if !equalCtr(&s.ctrs[i], &t.ctrs[i]) {
+		if !equalCtr(&s.ctrs[i], &t.ctrs[i], s.words(i)) {
 			return false
 		}
 	}
@@ -220,7 +226,7 @@ func (s *Set) SubsetOf(t *Set) bool {
 		if x.card == 0 {
 			continue
 		}
-		if andCount(x, &t.ctrs[i]) != int(x.card) {
+		if andCount(x, &t.ctrs[i], s.words(i)) != int(x.card) {
 			return false
 		}
 	}
@@ -231,7 +237,7 @@ func (s *Set) SubsetOf(t *Set) bool {
 func (s *Set) Intersects(t *Set) bool {
 	s.checkCompat(t)
 	for i := range s.ctrs {
-		if intersectsCtr(&s.ctrs[i], &t.ctrs[i]) {
+		if intersectsCtr(&s.ctrs[i], &t.ctrs[i], s.words(i)) {
 			return true
 		}
 	}
@@ -242,7 +248,7 @@ func (s *Set) Intersects(t *Set) bool {
 // early if fn returns false.
 func (s *Set) ForEach(fn func(id int) bool) {
 	for i := range s.ctrs {
-		if !forEachCtr(&s.ctrs[i], i<<16, fn) {
+		if !forEachCtr(&s.ctrs[i], i<<16, s.words(i), fn) {
 			return
 		}
 	}
@@ -288,7 +294,7 @@ func (s *Set) Bytes() int {
 func (s *Set) Hash() uint64 {
 	var h uint64 = fnvOffset
 	for i := range s.ctrs {
-		h = hashCtr(&s.ctrs[i], (s.span(i)+wordBits-1)/wordBits, h)
+		h = hashCtr(&s.ctrs[i], s.words(i), h)
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -258,3 +259,22 @@ func eqInts(a, b []int) bool {
 	}
 	return true
 }
+
+// BenchmarkAndCount times the record-level support check on two dense
+// bitmap containers at the chess and mushroom universes and at one full
+// container: the kernel walks the words of the span, not the payload.
+func BenchmarkAndCount(b *testing.B) {
+	for _, n := range []int{3196, 8124, ctrBits} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(21))
+			x, _ := operand(rng, n, bitmapCtr, true)
+			y, _ := operand(rng, n, bitmapCtr, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				andCounted = AndCount(x, y)
+			}
+		})
+	}
+}
+
+var andCounted int

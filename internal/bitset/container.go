@@ -16,11 +16,16 @@ import (
 //   - bitmap: a fixed 1024-word dense bitmap — wins past ~6% density.
 //
 // Containers promote (array→bitmap) past arrayMaxCard and demote
-// (bitmap→array) at arrayOptCard on mutation — a hysteresis band, and
-// time-aware: see the constants below. The AND/OR/AndCount kernels below
-// are specialized per container pair so the hot SELECT/ELIMINATE/VERIFY
-// intersections never touch the zero words a dense layout would stream
-// through.
+// (bitmap→array) at arrayOptCard on mutation — a hysteresis band: see
+// the constants below. The AND/OR/AndCount kernels below are specialized
+// per container pair so the hot SELECT/ELIMINATE/VERIFY intersections
+// never touch the zero words a dense layout would stream through.
+//
+// No operation sets a bit at or past its container's span (validate
+// refuses a decoded one), so the query-path kernels — AND, AndCount,
+// Intersects, OR, Equal, iteration and the hash — take nw, the span's
+// word count (Set.words), and walk only those words of the payload: 50
+// for a 3196-record universe rather than 1024.
 
 const (
 	// ctrBits is the id span of one container.
@@ -33,12 +38,12 @@ const (
 	// sets get a hysteresis band instead of thrashing at a single
 	// threshold.
 	arrayMaxCard = 4096
-	// arrayOptCard is the time-aware repack bound used by normalize and
-	// optimize. A bitmap container costs ~1024 word-parallel operations
-	// per kernel regardless of density, while array kernels pay an
-	// element-at-a-time, branchy walk — so an array must be several
-	// times smaller than the bitmap before it also wins on time. Arrays
-	// are kept (or demoted to) only at ≤ 1/4 of the bitmap's bytes.
+	// arrayOptCard is the repack bound used by normalize and optimize:
+	// arrays are kept (or demoted to) only at ≤ 1/4 of the bitmap's
+	// bytes. It was set as a time bound, when every bitmap kernel walked
+	// all 1024 words; a kernel now walks the ⌈span/64⌉ words of its
+	// container's span, so below a full container the bound is one of
+	// memory until payloads are sized to the span.
 	arrayOptCard = ctrWords // 1024 ids = 2 KiB, 1/4 of a bitmap
 )
 
@@ -106,12 +111,12 @@ func (c *container) toArray() {
 	case emptyCtr:
 		c.kind = arrayCtr
 	case bitmapCtr:
+		// Stop at the word holding the last id: a container whose span
+		// is a few words never walks the zero rest of its payload.
 		a := make([]uint16, 0, c.card)
-		for wi, w := range c.b {
-			for w != 0 {
-				tz := bits.TrailingZeros64(w)
-				a = append(a, uint16(wi<<6+tz))
-				w &= w - 1
+		for wi := 0; len(a) < int(c.card); wi++ {
+			for w := c.b[wi]; w != 0; w &= w - 1 {
+				a = append(a, uint16(wi<<6+bits.TrailingZeros64(w)))
 			}
 		}
 		c.kind, c.a, c.b = arrayCtr, a, nil
@@ -246,8 +251,9 @@ func bitmapCard(b []uint64) int32 {
 
 // andInPlace replaces x with x ∩ y. The array×array, array×bitmap and
 // bitmap×bitmap kernels mutate x without allocating; bitmap×array
-// allocates only the (smaller) array result.
-func andInPlace(x, y *container) {
+// allocates only the (smaller) array result. nw is the container's word
+// span (see Set.words): no bitmap holds a bit past it.
+func andInPlace(x, y *container, nw int) {
 	if x.kind == emptyCtr {
 		return
 	}
@@ -264,7 +270,7 @@ func andInPlace(x, y *container) {
 		}
 	case y.kind == bitmapCtr:
 		n := 0
-		for i, w := range y.b {
+		for i, w := range y.b[:nw] {
 			x.b[i] &= w
 			n += bits.OnesCount64(x.b[i])
 		}
@@ -309,11 +315,13 @@ func filterArray(dst, src []uint16, c *container) []uint16 {
 // payload to recycle the pair is counted first, so that a sparse result
 // — a dense pair's intersection is usually much smaller than its
 // operands — allocates an array of its cardinality and never the 8 KiB
-// it would be demoted from.
-func intersectBitmaps(d, x, y *container) {
+// it would be demoted from. Only the nw words of the span are walked;
+// a recycled d must come from a set of the operands' capacity, so its
+// words past nw are zero already.
+func intersectBitmaps(d, x, y *container, nw int) {
 	if d.kind == bitmapCtr {
 		n := 0
-		for w, v := range x.b {
+		for w, v := range x.b[:nw] {
 			v &= y.b[w]
 			d.b[w] = v
 			n += bits.OnesCount64(v)
@@ -322,13 +330,13 @@ func intersectBitmaps(d, x, y *container) {
 		d.normalize()
 		return
 	}
-	n := andCount(x, y)
+	n := andCount(x, y, nw)
 	switch {
 	case n == 0:
 		d.setEmpty()
 	case n <= arrayOptCard:
 		a := make([]uint16, 0, n)
-		for wi, w := range x.b {
+		for wi, w := range x.b[:nw] {
 			for w &= y.b[wi]; w != 0; w &= w - 1 {
 				a = append(a, uint16(wi<<6+bits.TrailingZeros64(w)))
 			}
@@ -336,7 +344,7 @@ func intersectBitmaps(d, x, y *container) {
 		*d = container{kind: arrayCtr, card: int32(n), a: a}
 	default:
 		b := make([]uint64, ctrWords)
-		for w := range b {
+		for w := range b[:nw] {
 			b[w] = x.b[w] & y.b[w]
 		}
 		*d = container{kind: bitmapCtr, card: int32(n), b: b}
@@ -346,7 +354,7 @@ func intersectBitmaps(d, x, y *container) {
 // andCount returns |x ∩ y| without materializing the intersection —
 // the record-level support check on the ELIMINATE/VERIFY hot path.
 // Every kind pair has a direct kernel; none allocates.
-func andCount(x, y *container) int {
+func andCount(x, y *container, nw int) int {
 	if x.card == 0 || y.card == 0 {
 		return 0
 	}
@@ -380,7 +388,7 @@ func andCount(x, y *container) int {
 		return n
 	default: // bitmap × bitmap
 		n := 0
-		for i, w := range x.b {
+		for i, w := range x.b[:nw] {
 			n += bits.OnesCount64(w & y.b[i])
 		}
 		return n
@@ -389,7 +397,7 @@ func andCount(x, y *container) int {
 
 // intersectsCtr reports whether x and y share an id, short-circuiting on
 // the first hit.
-func intersectsCtr(x, y *container) bool {
+func intersectsCtr(x, y *container, nw int) bool {
 	if x.card == 0 || y.card == 0 {
 		return false
 	}
@@ -418,7 +426,7 @@ func intersectsCtr(x, y *container) bool {
 		}
 		return false
 	default: // bitmap × bitmap
-		for i, w := range x.b {
+		for i, w := range x.b[:nw] {
 			if w&y.b[i] != 0 {
 				return true
 			}
@@ -430,7 +438,7 @@ func intersectsCtr(x, y *container) bool {
 // --- OR --------------------------------------------------------------
 
 // orInPlace replaces x with x ∪ y.
-func orInPlace(x, y *container) {
+func orInPlace(x, y *container, nw int) {
 	if y.card == 0 {
 		return
 	}
@@ -441,10 +449,10 @@ func orInPlace(x, y *container) {
 	}
 	switch {
 	case x.kind == bitmapCtr && y.kind == bitmapCtr:
-		for i, w := range y.b {
+		for i, w := range y.b[:nw] {
 			x.b[i] |= w
 		}
-		x.card = bitmapCard(x.b)
+		x.card = bitmapCard(x.b[:nw])
 	case x.kind == bitmapCtr: // × array
 		for _, v := range y.a {
 			if x.b[v>>6]&(1<<(v&63)) == 0 {
@@ -462,7 +470,7 @@ func orInPlace(x, y *container) {
 		// SELECT region build) would otherwise re-merge ever-larger
 		// arrays quadratically.
 		x.toBitmap()
-		orInPlace(x, y)
+		orInPlace(x, y, nw)
 		return
 	}
 	x.normalize()
@@ -503,15 +511,15 @@ func fillCtr(x *container, span int) {
 // --- comparisons and iteration ---------------------------------------
 
 // equalCtr reports whether x and y hold the same ids, across kinds.
-func equalCtr(x, y *container) bool {
+func equalCtr(x, y *container, nw int) bool {
 	switch {
 	case x.card != y.card:
 		return false
 	case x.kind != y.kind:
 		// Equal cardinality, so x ⊆ y suffices.
-		return andCount(x, y) == int(x.card)
+		return andCount(x, y, nw) == int(x.card)
 	case x.kind == bitmapCtr:
-		return slices.Equal(x.b, y.b)
+		return slices.Equal(x.b[:nw], y.b[:nw])
 	default:
 		return slices.Equal(x.a, y.a)
 	}
@@ -520,13 +528,16 @@ func equalCtr(x, y *container) bool {
 // forEachCtr calls fn(base+id) for every id ascending; returns false if
 // fn stopped the iteration. Every kind leaves the other kind's payload
 // nil, so walking both slices visits each id once.
-func forEachCtr(c *container, base int, fn func(id int) bool) bool {
+func forEachCtr(c *container, base, nw int, fn func(id int) bool) bool {
 	for _, v := range c.a {
 		if !fn(base + int(v)) {
 			return false
 		}
 	}
-	for wi, w := range c.b {
+	if c.b == nil {
+		return true
+	}
+	for wi, w := range c.b[:nw] {
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)
 			if !fn(base + wi<<6 + tz) {

@@ -39,7 +39,7 @@ func intersectV0(s, t *Set) *Set {
 			continue
 		}
 		r.ctrs[i] = x.clone()
-		andInPlace(&r.ctrs[i], y)
+		andInPlace(&r.ctrs[i], y, s.words(i))
 	}
 	return r
 }
@@ -256,6 +256,21 @@ func TestIntersectIntoRecyclesBitmapPayload(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { IntersectInto(dst, s, u) }); allocs != 0 {
 		t.Errorf("recycling a bitmap payload allocated %.0f times per call, want 0", allocs)
 	}
+}
+
+// TestIntersectIntoOtherCapacity: a dst recycled from a larger set of
+// the same container count holds bits past the operands' last span, and
+// the span-bounded kernels never reach them — so such a dst must be
+// re-made, not recycled.
+func TestIntersectIntoOtherCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const n = 70_000
+	s, sm := operand(rng, n, bitmapCtr, true)
+	u, um := operand(rng, n, bitmapCtr, true)
+	dst := New(2 * ctrBits)
+	dst.Fill()
+	count := IntersectInto(dst, s, u)
+	checkIntersection(t, "dst of capacity 131072", dst, count, sm, um, intersectV0(s, u))
 }
 
 // TestIntersectIntoAliasPanics: dst must be distinct from both operands.

@@ -85,15 +85,7 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 	if s.Hash() != o.hash() {
 		t.Fatalf("%s: Hash %x, the oracle's dense words hash to %x", label, s.Hash(), o.hash())
 	}
-	for i := range s.ctrs {
-		c := &s.ctrs[i]
-		if err := c.validate(s.span(i)); err != nil {
-			t.Fatalf("%s: container %d: %v", label, i, err)
-		}
-		if c.kind == arrayCtr && c.card > arrayMaxCard {
-			t.Fatalf("%s: container %d is an array of %d ids, bound %d", label, i, c.card, arrayMaxCard)
-		}
-	}
+	checkSpans(t, label, s)
 	data, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", label, err)
@@ -115,6 +107,23 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 		moved[0] = slices.Index(o, false) // one id out, one absent id in
 		if x := denseOf(len(o), moved); s.Equal(x) || x.Equal(s) {
 			t.Fatalf("%s: Equal holds against a twin with id %d moved to %d", label, want[0], moved[0])
+		}
+	}
+}
+
+// checkSpans asserts the container invariants of s — valid payloads, no
+// bit at or past a container's span, no array past arrayMaxCard. The
+// bitmap kernels walk only the words a span covers, so a bit past it
+// would be an id they silently skip.
+func checkSpans(t testing.TB, label string, s *Set) {
+	t.Helper()
+	for i := range s.ctrs {
+		c := &s.ctrs[i]
+		if err := c.validate(s.span(i)); err != nil {
+			t.Fatalf("%s: container %d: %v", label, i, err)
+		}
+		if c.kind == arrayCtr && c.card > arrayMaxCard {
+			t.Fatalf("%s: container %d is an array of %d ids, bound %d", label, i, c.card, arrayMaxCard)
 		}
 	}
 }
@@ -314,6 +323,8 @@ func TestHybridDenseEquivalence(t *testing.T) {
 				t.Fatalf("%s: Contains(%d) = %v", label, id, a.Contains(id))
 			}
 		}
+		checkSpans(t, label+" a after the scalar queries", a)
+		checkSpans(t, label+" b after the scalar queries", b)
 
 		// ForEach order and early stop.
 		var seen []int
@@ -321,6 +332,7 @@ func TestHybridDenseEquivalence(t *testing.T) {
 		if want := oa.ids(); !slices.Equal(seen, want[:min(7, len(want))]) {
 			t.Fatalf("%s: ForEach early-stop prefix %v, oracle %v", label, seen, want[:min(7, len(want))])
 		}
+		checkSpans(t, label+" a after ForEach", a)
 
 		// Fill.
 		c := a.Clone()
@@ -590,21 +602,26 @@ func TestHybridBytesWinOnSparse(t *testing.T) {
 
 // fuzzCapacities straddle the container boundaries: a single id, one
 // word, just past the array bound, exactly one container, one and a
-// partial, two and one id.
-var fuzzCapacities = []int{1, 64, 4097, 65536, 70000, 131073}
+// partial, two and one id — then the chess and mushroom universes (3196
+// and 8124 ids), whose last words are partial. New capacities go last so
+// the seeds keep the capacities they were written for.
+var fuzzCapacities = []int{1, 64, 4097, 65536, 70000, 131073, 3196, 8124}
 
 // FuzzSetOps replays a byte-driven op sequence over two sets — Add,
 // Remove, a stretch of Adds, And, Or, Fill, Optimize, IntersectInto, and
 // a rebuild of one set from newDense — and
 // after every op holds both sets, and IntersectInto's result, to the
-// oracle (see checkOracle). The first byte picks the capacity; each op
-// is three bytes: which set and which op, then an id.
+// oracle (see checkOracle, which also asserts checkSpans). The first
+// byte picks the capacity; each op is three bytes: which set and which
+// op, then an id.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 2})
 	f.Add([]byte{3, 4, 0, 9, 2, 0, 9, 6, 1, 1, 18, 0, 0, 20, 0, 0})
 	f.Add([]byte{4, 4, 1, 0, 5, 2, 0, 16, 0, 0, 12, 0, 0, 8, 0, 0, 14, 0, 0})
 	f.Add([]byte{5, 4, 255, 255, 5, 0, 100, 10, 0, 0, 11, 0, 0, 7, 0, 0, 18, 0, 0, 2, 3, 3})
 	f.Add([]byte{2, 14, 0, 0, 3, 0, 7, 20, 0, 0, 6, 0, 0, 16, 0, 0})
+	f.Add([]byte{6, 4, 0, 0, 5, 1, 0, 10, 0, 0, 6, 0, 0, 14, 0, 0, 7, 0, 0})
+	f.Add([]byte{7, 5, 0, 0, 4, 1, 0, 12, 0, 0, 8, 0, 0, 14, 0, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -16,10 +16,10 @@ import (
 )
 
 // runARM executes the traditional from-scratch mining plan (paper
-// Section 4.6): SELECT extracts the focal subset's records from the raw
-// table, then the εAR operator runs CHARM over the extracted subset —
-// restricted to the item attributes — and generates rules from the
-// resulting locally closed frequent itemsets.
+// Section 4.6): SELECT builds the focal subset's vertical representation
+// (selectItems), then the εAR operator runs CHARM over it — restricted
+// to the item attributes — and generates rules from the resulting
+// locally closed frequent itemsets (mineLocal).
 //
 // ARM is the ground-truth baseline: it sees the focal subset directly,
 // so unlike the MIP-index plans it is not limited to itemsets prestored
@@ -36,48 +36,58 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	if c.st.SubsetSize == 0 {
 		return &Result{Stats: *c.st}, nil
 	}
-	sp := ex.Space
-	m := c.s.NumRecords
-	n := sp.NumAttrs()
 	tr := q.Trace
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-
-	// SELECT (σ): the vertical representation of the focal subset,
-	// restricted to the item attributes — one raw-value lookup per record
-	// of the request's D^Q and item attribute. No other record is read and
-	// no index structure is consulted.
-	localTids := make([]*bitset.Set, sp.NumItems())
-	attrs := 0
-	for a := 0; a < n; a++ {
-		if !c.mask[a] {
-			continue
-		}
-		attrs++
-		for v := 0; v < sp.Cardinality(a); v++ {
-			localTids[sp.ItemOf(a, v)] = bitset.New(m)
-		}
-	}
-	var err error
-	f.DQ.ForEach(func(r int) bool {
-		if err = c.cancelled(); err != nil {
-			return false
-		}
-		for a := 0; a < n; a++ {
-			if c.mask[a] {
-				localTids[sp.ItemOf(a, c.s.Value(r, a))].Add(r)
-			}
-		}
-		return true
-	})
+	localTids, attrs, err := c.selectItems()
 	if err != nil {
 		return nil, err
 	}
 	if tr != nil {
 		tr.Record(obs.OpSelect, time.Since(t0), c.st.SubsetSize, c.st.SubsetSize, 1,
 			fmt.Sprintf("attrs=%d", attrs))
+	}
+	return c.mineLocal(localTids)
+}
+
+// selectItems is ARM's SELECT (σ): the vertical representation of the
+// focal subset, restricted to the item attributes, read off the
+// surface's per-item tidsets — item i's local tidset is D^Q ∩ t(i), one
+// container AND per item. An item whose tidset cannot reach MinCount,
+// over the whole surface or then inside D^Q, is pruned before it is
+// materialized and stays nil, which CHARM skips. No record is read. It
+// also returns the number of item attributes.
+func (c *qctx) selectItems() ([]*bitset.Set, int, error) {
+	sp := c.ex.Space
+	localTids := make([]*bitset.Set, sp.NumItems())
+	attrs := 0
+	for a := 0; a < sp.NumAttrs(); a++ {
+		if !c.mask[a] {
+			continue
+		}
+		attrs++
+		for v := 0; v < sp.Cardinality(a); v++ {
+			if err := c.cancelled(); err != nil {
+				return nil, 0, err
+			}
+			it := sp.ItemOf(a, v)
+			t := c.s.Tidsets[it]
+			if t.Count() >= c.f.MinCount && bitset.AndCount(c.f.DQ, t) >= c.f.MinCount {
+				localTids[it] = bitset.Intersect(c.f.DQ, t)
+			}
+		}
+	}
+	return localTids, attrs, nil
+}
+
+// mineLocal is ARM's εAR over the local tidsets SELECT built: CHARM,
+// then rule generation.
+func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
+	sp, q, tr := c.ex.Space, c.q, c.q.Trace
+	var t0 time.Time
+	if tr != nil {
 		t0 = time.Now()
 	}
 
@@ -85,7 +95,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	// (CHARM, as in the paper). The context threads into the miner so a
 	// cancelled query aborts inside CHARM-EXTEND, the plan's dominant
 	// cost on low-support queries.
-	mined, err := charm.MineTidsetsContext(ctx, localTids, m, c.f.MinCount)
+	mined, err := charm.MineTidsetsContext(c.ctx, localTids, c.s.NumRecords, c.f.MinCount)
 	if err != nil {
 		return nil, err
 	}
@@ -109,10 +119,11 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 		if s := armTree.GlobalSupport(x); s >= 0 {
 			return s
 		}
-		// Below the local threshold: count directly from the subset's
-		// vertical representation.
+		// Below the local threshold: count directly over D^Q and the
+		// surface's item tidsets, which — unlike the local tidsets SELECT
+		// pruned — exist for every item.
 		atomic.AddInt64(&tally.oracleMisses, 1)
-		return countAll(localTids[x[0]], localTids, x[1:])
+		return countAll(c.f.DQ, c.s.Tidsets, x)
 	}
 	quals := make([]*charm.ClosedSet, 0, len(mined.Closed))
 	for _, cl := range mined.Closed {
@@ -122,7 +133,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	}
 	c.st.Qualified = len(quals)
 	per := make([][]rules.Rule, len(quals))
-	used, err := pool.ForCtx(ctx, len(quals), c.workers, func(i int) {
+	used, err := pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
 		per[i] = rules.Generate(quals[i].Items, quals[i].Support, c.st.SubsetSize,
 			q.MinConfidence, oracle, rules.Options{MaxConsequent: q.MaxConsequent})
 	})

@@ -34,22 +34,45 @@ func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
 	return out
 }
 
-// tombstonedSurface builds the merged surface of idx with a random
-// fifth of its records deleted, the way the delta layer does: cleared
-// tidsets, a re-mine at the merged primary count, a fresh IT-tree and
-// boxes, no R-tree.
-func tombstonedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *Surface {
+// mergedSurface builds the merged surface of idx with a random fifth of
+// its records deleted and a few rows appended, the way the delta layer
+// does: tidsets grown over the buffered ids with the deletes cleared, a
+// re-mine at the merged primary count, a fresh IT-tree and boxes, no
+// R-tree. An appended row copies a random base record with one attribute
+// re-drawn, so it shares the base's correlations.
+func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *Surface {
 	t.Helper()
-	n := idx.Dataset.NumRecords()
+	d, sp := idx.Dataset, idx.Space
+	baseN := d.NumRecords()
+	rows := make([][]int, 1+baseN/10)
+	for k := range rows {
+		src := r.Intn(baseN)
+		row := make([]int, sp.NumAttrs())
+		for a := range row {
+			row[a] = d.Value(src, a)
+		}
+		a := r.Intn(len(row))
+		row[a] = r.Intn(sp.Cardinality(a))
+		rows[k] = row
+	}
+	n := baseN + len(rows)
 	live := bitset.New(n)
 	for rec := 0; rec < n; rec++ {
-		if r.Intn(5) > 0 {
+		if rec >= baseN || r.Intn(5) > 0 {
 			live.Add(rec)
 		}
 	}
 	tids := make([]*bitset.Set, len(idx.Tidsets))
 	for it, s := range idx.Tidsets {
-		tids[it] = bitset.Intersect(s, live)
+		tids[it] = s.CloneGrown(n)
+	}
+	for k, row := range rows {
+		for a, v := range row {
+			tids[sp.ItemOf(a, v)].Add(baseN + k)
+		}
+	}
+	for it := range tids {
+		tids[it].And(live)
 	}
 	minCount := charm.CountFor(primary, live.Count())
 	res, err := charm.MineTidsets(tids, n, minCount)
@@ -58,17 +81,22 @@ func tombstonedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float
 	}
 	boxes := make([]itemset.Box, len(res.Closed))
 	for id, c := range res.Closed {
-		boxes[id] = mip.BoundingBox(idx.Space, idx.Cards, tids, c)
+		boxes[id] = mip.BoundingBox(sp, idx.Cards, tids, c)
 	}
 	return &Surface{
-		Tree:         ittree.Build(res, idx.Space.NumItems()),
+		Tree:         ittree.Build(res, sp.NumItems()),
 		Boxes:        boxes,
 		Tidsets:      tids,
 		PrimaryCount: minCount,
 		NumRecords:   n,
 		Live:         live,
-		Value:        idx.Dataset.Value,
-		Version:      1,
+		Value: func(rec, a int) int {
+			if rec < baseN {
+				return d.Value(rec, a)
+			}
+			return rows[rec-baseN][a]
+		},
+		Version: 1,
 	}
 }
 
@@ -80,12 +108,12 @@ type namedSurface struct {
 }
 
 // surfaceTable presents idx in every shape a Surface takes: the frozen
-// index, a merged surface over it (see tombstonedSurface), and each of
+// index, a merged surface over it (see mergedSurface), and each of
 // the two partitioned into three shards.
 func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) []namedSurface {
 	t.Helper()
 	frozen := NewSurface(idx)
-	merged := tombstonedSurface(t, r, idx, primary)
+	merged := mergedSurface(t, r, idx, primary)
 	full := bitset.New(frozen.NumRecords)
 	full.Fill()
 	frozenK3, mergedK3 := *frozen, *merged
