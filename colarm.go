@@ -463,6 +463,9 @@ func (e *Engine) wrap(res *plans.Result) *Result {
 		},
 	}
 	sp := e.eng.Index.Space
+	if len(res.Rules) > 0 {
+		out.Rules = make([]Rule, 0, len(res.Rules))
+	}
 	for _, r := range res.Rules {
 		out.Rules = append(out.Rules, wrapRule(r, sp.Labels(r.Antecedent), sp.Labels(r.Consequent)))
 	}

@@ -262,13 +262,13 @@ func oracleMIPRules(sp *itemset.Space, tids []*bitset.Set, m int, mask []bool,
 			bodies = append(bodies, body)
 		}
 	}
+	// The bodies are distinct, so are the rules split from them.
 	var out []rules.Rule
 	for _, body := range bodies {
 		if local := localCount(body); local >= minCount {
 			out = append(out, enumerateSplits(body, local, size, maxCons, minConf, localCount)...)
 		}
 	}
-	out = rules.Dedupe(out)
 	rules.SortCanonical(out)
 	return out
 }
@@ -287,13 +287,13 @@ func oracleARMRules(sp *itemset.Space, tids []*bitset.Set, dq *bitset.Set, m int
 			localTids[it] = bitset.Intersect(dq, tids[it])
 		}
 	}
+	// The closed sets are distinct, so are the rules split from them.
 	var out []rules.Rule
 	for _, cl := range charm.BruteForceClosed(localTids, m, minCount) {
 		if len(cl.Items) >= 2 {
 			out = append(out, enumerateSplits(cl.Items, cl.Support, size, maxCons, minConf, localCount)...)
 		}
 	}
-	out = rules.Dedupe(out)
 	rules.SortCanonical(out)
 	return out
 }

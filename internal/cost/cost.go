@@ -22,6 +22,7 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 
 	"colarm/internal/bitset"
 	"colarm/internal/itemset"
@@ -250,7 +251,9 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 				containedSS++
 			}
 		}
-		if bitset.AndCount(sf.Tree.Tids(id), f.DQ) >= f.MinCount {
+		// Local support is at most global support, so only a CFI that
+		// passes the supported filter can be locally frequent.
+		if passSS && bitset.AndCount(sf.Tree.Tids(id), f.DQ) >= f.MinCount {
 			qual++
 		}
 	}
@@ -264,73 +267,86 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 
 	// Sample focal-subset records and count locally frequent items and
 	// item pairs (restricted to item attributes). This feeds the ARM
-	// plan's mining-lattice estimate.
+	// plan's mining-lattice estimate. Bit r of held[it] says sampled
+	// record r holds item it; there are at most 64 sampled records (see
+	// sampleIDs), so an item's count is a popcount and a pair's the
+	// popcount of an AND. The record at the lowest set bit of a mask is
+	// the one that counts it, so every item, pair and distinct row is
+	// counted once.
 	ids := sampleIDs(f.DQ, probeRecords)
 	if len(ids) == 0 {
 		return
 	}
-	nAttrs := q.Region.Dims()
 	mask := q.ItemAttrs
-	counts := make(map[int32]int)
-	rows := make([][]int32, 0, len(ids))
-	rowKeys := make(map[string]bool, len(ids))
-	var keyBuf []byte
-	for _, r := range ids {
-		row := make([]int32, 0, nAttrs)
-		keyBuf = keyBuf[:0]
-		for a := 0; a < nAttrs; a++ {
-			if mask != nil && !mask[a] {
-				continue
-			}
-			it := int32(mo.sp.ItemOf(a, sf.Value(r, a)))
-			counts[it]++
-			row = append(row, it)
-			keyBuf = append(keyBuf, byte(it), byte(it>>8), byte(it>>16))
+	var kept []int // the attributes rows are made of
+	for a := 0; a < q.Region.Dims(); a++ {
+		if mask == nil || mask[a] {
+			kept = append(kept, a)
 		}
-		rowKeys[string(keyBuf)] = true
-		rows = append(rows, row)
 	}
-	s.sampleRows = len(ids)
-	s.distinctRows = len(rowKeys)
+	// Attribute by attribute, so the masks written are one attribute's
+	// items at a time.
+	width := len(kept)
+	held := make([]uint64, mo.sp.NumItems())
+	items := make([]int32, len(ids)*width) // row r is items[r*width:(r+1)*width]
+	for k, a := range kept {
+		for r, rec := range ids {
+			it := mo.sp.ItemOf(a, sf.Value(rec, a))
+			held[it] |= 1 << r
+			items[r*width+k] = int32(it)
+		}
+	}
+	row := func(r int) []int32 { return items[r*width : (r+1)*width] }
 	need := int(math.Ceil(q.MinSupport * float64(len(ids))))
 	if need < 1 {
 		need = 1
 	}
-	freq := make(map[int32]bool)
-	for it, c := range counts {
-		if c >= need {
-			freq[it] = true
+	// A row holding every item of row r equals row r, so row r is the
+	// first of its kind when no earlier row holds all its items.
+	freq := 0
+	for r := range ids {
+		same := ^uint64(0)
+		for _, it := range row(r) {
+			same &= held[it]
+			if bits.TrailingZeros64(held[it]) == r && bits.OnesCount64(held[it]) >= need {
+				freq++
+			}
+		}
+		if bits.TrailingZeros64(same) == r {
+			s.distinctRows++
 		}
 	}
-	s.freqItems = float64(len(freq))
-	if len(freq) >= 2 {
+	s.sampleRows = len(ids)
+	s.freqItems = float64(freq)
+	if freq >= 2 {
 		// Pair co-occurrence among frequent items.
-		pairCounts := make(map[int64]int)
-		for _, row := range rows {
-			fr := row[:0:0]
-			for _, it := range row {
-				if freq[it] {
+		freqPairs := 0
+		var fr []int32
+		for r := range ids {
+			fr = fr[:0]
+			for _, it := range row(r) {
+				if bits.OnesCount64(held[it]) >= need {
 					fr = append(fr, it)
 				}
 			}
 			for i := 0; i < len(fr); i++ {
 				for j := i + 1; j < len(fr); j++ {
-					pairCounts[int64(fr[i])<<32|int64(fr[j])]++
+					both := held[fr[i]] & held[fr[j]]
+					if bits.TrailingZeros64(both) == r && bits.OnesCount64(both) >= need {
+						freqPairs++
+					}
 				}
 			}
 		}
-		freqPairs := 0
-		for _, c := range pairCounts {
-			if c >= need {
-				freqPairs++
-			}
-		}
-		total := float64(len(freq)) * float64(len(freq)-1) / 2
+		total := float64(freq) * float64(freq-1) / 2
 		s.pairDens = float64(freqPairs) / total
 	}
 }
 
-// sampleIDs draws up to k evenly spaced record ids from the bitmap.
+// sampleIDs draws evenly spaced record ids from the bitmap: every
+// ⌊|dq|/k⌋-th id from the first, stopping after k+1 of them, so it
+// returns up to k+1 ids — 49 at probeRecords, within the 64 bits of the
+// record probe's per-item masks.
 func sampleIDs(dq *bitset.Set, k int) []int {
 	total := dq.Count()
 	if total == 0 {

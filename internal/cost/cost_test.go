@@ -1,9 +1,13 @@
 package cost
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"colarm/internal/bitset"
+	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -206,5 +210,222 @@ func TestCostTracksMeasuredOrdering(t *testing.T) {
 	}
 	if regressions > queries/3 {
 		t.Errorf("optimizer badly mispredicted %d/%d queries", regressions, queries)
+	}
+}
+
+// mapProbe is the record sample of probe as it was before the per-item
+// masks: counts, frequent items and frequent pairs in maps, distinct rows
+// by string key. It fills the same shape fields probe does.
+func mapProbe(mo *Model, q *plans.Query, s *queryShape) {
+	f, sf := s.f, s.f.Surface
+	n := sf.Tree.Size()
+	if n == 0 || f.Size == 0 {
+		return
+	}
+	step := n / probeMIPs
+	if step < 1 {
+		step = 1
+	}
+	var sampled, supported, overlap, overlapSS, contained, containedSS, qual int
+	for id := 0; id < n; id += step {
+		sampled++
+		passSS := sf.Tree.Support(id) >= f.MinCount
+		if passSS {
+			supported++
+		}
+		rel := q.Region.Relation(sf.Boxes[id])
+		if rel == itemset.Disjoint {
+			continue
+		}
+		overlap++
+		if passSS {
+			overlapSS++
+		}
+		if rel == itemset.Contained {
+			contained++
+			if passSS {
+				containedSS++
+			}
+		}
+		if bitset.AndCount(sf.Tree.Tids(id), f.DQ) >= f.MinCount {
+			qual++
+		}
+	}
+	fs := float64(sampled)
+	s.supportedFrac = float64(supported) / fs
+	s.overlapFrac = float64(overlap) / fs
+	s.overlapSSFrac = float64(overlapSS) / fs
+	s.containedFrac = float64(contained) / fs
+	s.containedSSFrac = float64(containedSS) / fs
+	s.qualFrac = float64(qual) / fs
+
+	ids := sampleIDs(f.DQ, probeRecords)
+	if len(ids) == 0 {
+		return
+	}
+	nAttrs := q.Region.Dims()
+	mask := q.ItemAttrs
+	counts := make(map[int32]int)
+	rows := make([][]int32, 0, len(ids))
+	rowKeys := make(map[string]bool, len(ids))
+	var keyBuf []byte
+	for _, r := range ids {
+		row := make([]int32, 0, nAttrs)
+		keyBuf = keyBuf[:0]
+		for a := 0; a < nAttrs; a++ {
+			if mask != nil && !mask[a] {
+				continue
+			}
+			it := int32(mo.sp.ItemOf(a, sf.Value(r, a)))
+			counts[it]++
+			row = append(row, it)
+			keyBuf = append(keyBuf, byte(it), byte(it>>8), byte(it>>16))
+		}
+		rowKeys[string(keyBuf)] = true
+		rows = append(rows, row)
+	}
+	s.sampleRows = len(ids)
+	s.distinctRows = len(rowKeys)
+	need := int(math.Ceil(q.MinSupport * float64(len(ids))))
+	if need < 1 {
+		need = 1
+	}
+	freq := make(map[int32]bool)
+	for it, c := range counts {
+		if c >= need {
+			freq[it] = true
+		}
+	}
+	s.freqItems = float64(len(freq))
+	if len(freq) >= 2 {
+		pairCounts := make(map[int64]int)
+		for _, row := range rows {
+			fr := row[:0:0]
+			for _, it := range row {
+				if freq[it] {
+					fr = append(fr, it)
+				}
+			}
+			for i := 0; i < len(fr); i++ {
+				for j := i + 1; j < len(fr); j++ {
+					pairCounts[int64(fr[i])<<32|int64(fr[j])]++
+				}
+			}
+		}
+		freqPairs := 0
+		for _, c := range pairCounts {
+			if c >= need {
+				freqPairs++
+			}
+		}
+		total := float64(len(freq)) * float64(len(freq)-1) / 2
+		s.pairDens = float64(freqPairs) / total
+	}
+}
+
+// namedIndex is one benchmark dataset's index.
+type namedIndex struct {
+	name string
+	*mip.Index
+}
+
+// quickIndexes builds the three benchmark datasets at the reduced scales
+// and primaries of bench.Specs(false, 1), which this package's tests
+// cannot import.
+func quickIndexes(t *testing.T) []namedIndex {
+	t.Helper()
+	var out []namedIndex
+	for _, c := range []struct {
+		name    string
+		cfg     datagen.Config
+		primary float64
+	}{
+		{"chess", datagen.Scaled(datagen.ChessConfig(1), 0.5), 0.70},
+		{"mushroom", datagen.Scaled(datagen.MushroomConfig(1), 0.5), 0.10},
+		{"pumsb", datagen.Scaled(datagen.PUMSBConfig(1), 0.15), 0.88},
+	} {
+		d, err := datagen.Generate(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: c.primary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedIndex{c.name, idx})
+	}
+	return out
+}
+
+// TestProbeMatchesMapOracle holds the mask-based probe to the map-based
+// one it replaced, field for field and float for float, over random
+// regions, item masks and minsupports — down to minsupports at or below
+// 1/49, where every sampled item is frequent.
+func TestProbeMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	checked := 0
+	for _, ni := range quickIndexes(t) {
+		name, idx := ni.name, ni.Index
+		mo, ex, surf := NewModel(idx), plans.NewExecutor(idx.Space), plans.NewSurface(idx)
+		sp := idx.Space
+		for trial := 0; trial < 60; trial++ {
+			reg := itemset.RegionFor(sp)
+			for _, a := range r.Perm(sp.NumAttrs())[:r.Intn(4)] {
+				var vals []int
+				for v := 0; v < sp.Cardinality(a); v++ {
+					if r.Intn(3) > 0 {
+						vals = append(vals, v)
+					}
+				}
+				if err := reg.Restrict(a, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var mask []bool
+			if r.Intn(2) == 0 {
+				mask = make([]bool, sp.NumAttrs())
+				for a := range mask {
+					mask[a] = r.Intn(3) == 0
+				}
+			}
+			for _, minSupp := range []float64{0.01, 1.0 / 49, 0.3, 0.7, 0.9, 1} {
+				q := &plans.Query{Region: reg, ItemAttrs: mask, MinSupport: minSupp, MinConfidence: 0.8}
+				got := mo.shape(ex.Focus(surf, q), q)
+				want := queryShape{f: got.f, dqExt: got.dqExt, maskKeep: got.maskKeep, itemAttrs: got.itemAttrs}
+				mapProbe(mo, q, &want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d minsupp %v: probe\n got %+v\nwant %+v", name, trial, minSupp, got, want)
+				}
+				if got.sampleRows > 0 {
+					checked++
+				}
+			}
+		}
+	}
+	if checked < 500 {
+		t.Errorf("only %d probes sampled records", checked)
+	}
+}
+
+// TestSampleIDsFitsAMask pins the contract the probe's per-item masks
+// rest on: sampleIDs returns at most 64 ids — k+1 = 49 at probeRecords.
+func TestSampleIDsFitsAMask(t *testing.T) {
+	for _, n := range []int{1, 47, 48, 49, 97, 1000, 70000} {
+		full := bitset.New(n)
+		full.Fill()
+		half := bitset.New(n)
+		for id := 0; id < n; id += 2 {
+			half.Add(id)
+		}
+		one := bitset.FromIDs(n, n-1)
+		for _, dq := range []*bitset.Set{full, half, one} {
+			ids := sampleIDs(dq, probeRecords)
+			if len(ids) > 64 || len(ids) > probeRecords+1 {
+				t.Errorf("n=%d |dq|=%d: %d ids", n, dq.Count(), len(ids))
+			}
+			if dq.Count() > 0 && len(ids) == 0 {
+				t.Errorf("n=%d |dq|=%d: no ids", n, dq.Count())
+			}
+		}
 	}
 }

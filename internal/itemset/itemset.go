@@ -200,14 +200,18 @@ func (s Set) Clone() Set { return append(Set(nil), s...) }
 // Key returns a comparable map key for the set. Itemsets are short (a
 // handful of items), so a delimited string is cheap and collision-free.
 func (s Set) Key() string {
-	buf := make([]byte, 0, len(s)*5)
+	return string(s.AppendKey(make([]byte, 0, len(s)*5)))
+}
+
+// AppendKey appends the bytes of Key to buf.
+func (s Set) AppendKey(buf []byte) []byte {
 	for i, it := range s {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendInt(buf, int64(it), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // Format renders the set with item labels, e.g. "(Age=20-30, Salary=90K-120K)".

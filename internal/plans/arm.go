@@ -141,11 +141,12 @@ func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
 		return nil, err
 	}
 	tally.addTo(c.st)
+	// CHARM's closed sets are distinct and a rule's X ∪ Y is the closed
+	// set it was generated from, so the concatenation has no duplicates.
 	var out []rules.Rule
 	for _, rs := range per {
 		out = append(out, rs...)
 	}
-	out = rules.Dedupe(out)
 	c.st.RulesEmitted = len(out)
 	if tr != nil {
 		tr.Record(obs.OpVerify, time.Since(t0), len(quals), len(out), used,

@@ -574,8 +574,16 @@ func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.Support
 // only coupling is the oracle memo — so generation fans out across the
 // query's workers (at one worker, in the caller's goroutine), each
 // itemset's rules landing in its own slot; the slots are concatenated in
-// qualification order, so the output after the dedup is the same at
-// every worker count.
+// qualification order, so the output is the same at every worker count.
+//
+// A body is a function of its CFI id — Items(id), or its projection
+// Items(id).RestrictedTo(mask) — and distinct ids have distinct bodies
+// (a projected body's closure is the id it was normalized to). So only
+// an id that qualified twice, once on ELIMINATE's identity path and once
+// as a projection's closure, can repeat rules, and it repeats exactly
+// the same ones: the concatenation keeps the first slot of each id.
+// Every entry is still generated, so the oracle counters do not depend
+// on which entries repeat.
 func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -595,10 +603,13 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	}
 	tally.addTo(c.st)
 	var out []rules.Rule
-	for _, rs := range per {
-		out = append(out, rs...)
+	kept := make(map[int32]bool, len(quals))
+	for i, rs := range per {
+		if !kept[quals[i].id] {
+			kept[quals[i].id] = true
+			out = append(out, rs...)
+		}
 	}
-	out = rules.Dedupe(out)
 	c.st.RulesEmitted = len(out)
 	if tr != nil {
 		tr.Record(obs.OpVerify, time.Since(t0), len(quals), len(out), used,

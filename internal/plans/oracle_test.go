@@ -3,6 +3,7 @@ package plans
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"colarm/internal/bitset"
@@ -185,6 +186,107 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 	if asked < 1000 || reused == 0 {
 		t.Errorf("oracle asked %d times (%d answered from ELIMINATE's counts): the queries no longer reach VERIFY", asked, reused)
 	}
+}
+
+// dedupeRules drops repeated rules (same antecedent and consequent),
+// keeping the first occurrence: how VERIFY merged its per-itemset rule
+// lists before it kept one slot per CFI id.
+func dedupeRules(rs []rules.Rule) []rules.Rule {
+	seen := make(map[string]bool, len(rs))
+	out := rs[:0]
+	for _, r := range rs {
+		if k := r.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// verifyConcatDedupe is VERIFY as it was: generate every qualified
+// itemset's rules, concatenate them all, drop repeated rules.
+func (c *qctx) verifyConcatDedupe(quals []qualified) []rules.Rule {
+	var tally counterTally
+	oracle := c.sharedOracle(newShardedCounts(), &tally)
+	var out []rules.Rule
+	for _, ql := range quals {
+		out = append(out, rules.Generate(ql.body, ql.local, c.st.SubsetSize,
+			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})...)
+	}
+	tally.addTo(c.st)
+	out = dedupeRules(out)
+	c.st.RulesEmitted = len(out)
+	return out
+}
+
+// TestVerifyDedupeByID holds VERIFY's one-slot-per-CFI-id merge to the
+// concatenate-then-dedupe merge it replaced, rules and Stats alike, on a
+// frozen and a merged surface, for every MIP plan. Under an ITEM
+// ATTRIBUTES clause a projected body can close onto a CFI that SEARCH
+// also emits on the identity path, so one id qualifies twice; no
+// benchmark query restricts item attributes, so only this test covers
+// that case, and it fails if the case never arises.
+func TestVerifyDedupeByID(t *testing.T) {
+	repeated := 0
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		idx, err := randomIndex(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewExecutor(idx.Space)
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, 0.1)}}
+		for i := 0; i < 8; i++ {
+			q := randomQuery(r, idx)
+			if q.ItemAttrs == nil {
+				continue
+			}
+			for _, s := range surfaces {
+				f := ex.Focus(s.Surface, q)
+				if f.Size == 0 {
+					continue
+				}
+				for _, kind := range mipKinds() {
+					res, err := ex.RunContext(context.Background(), kind, f, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					supported := kind == SSEV || kind == SSVS || kind == SSEUV
+					c := ex.newCtx(context.Background(), f, q)
+					cands, err := c.search(supported)
+					if err != nil {
+						t.Fatal(err)
+					}
+					quals, err := c.eliminate(cands, kind == SSEUV)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids := make(map[int32]bool, len(quals))
+					for _, ql := range quals {
+						if ids[ql.id] {
+							repeated++
+							break
+						}
+						ids[ql.id] = true
+					}
+					want := c.verifyConcatDedupe(quals)
+					rules.SortCanonical(want)
+					if !reflect.DeepEqual(res.Rules, want) {
+						t.Fatalf("seed %d %s %s: %d rules, concatenate-then-dedupe gives %d", seed, s.name, kind, len(res.Rules), len(want))
+					}
+					got, wantSt := res.Stats, *c.st
+					got.Duration, wantSt.Plan = 0, kind
+					if got != wantSt {
+						t.Fatalf("seed %d %s %s: stats\n got %+v\nwant %+v", seed, s.name, kind, got, wantSt)
+					}
+				}
+			}
+		}
+	}
+	if repeated == 0 {
+		t.Fatal("no query qualified one CFI id twice; the test checks nothing")
+	}
+	t.Logf("%d plan runs qualified a CFI id twice", repeated)
 }
 
 // TestCountAll checks the chain-count helper against a materialized

@@ -3,7 +3,10 @@
 // call Generate for each qualified candidate itemset, supplying a local
 // support oracle bound to the query's focal subset; the generation
 // algorithm is ap-genrules (Agrawal & Srikant) with level-wise consequent
-// growth and minconf pruning.
+// growth and minconf pruning. Generate returns its rules in generation
+// order — consequents level by level, each level in the order its
+// consequents were joined — not sorted: a plan concatenates the rules of
+// all its itemsets and orders the whole answer once with SortCanonical.
 //
 // Beyond support and confidence, the paper stresses null-invariant
 // measures (its citation [23], Wu, Chen & Han); Lift, Cosine, Kulczynski
@@ -11,9 +14,12 @@
 package rules
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"colarm/internal/itemset"
@@ -88,9 +94,15 @@ func (r Rule) Format(sp *itemset.Space) string {
 	return b.String()
 }
 
-// Key returns a stable identity for deduplication across plans.
-func (r Rule) Key() string {
-	return r.Antecedent.Key() + "=>" + r.Consequent.Key()
+// Key returns a stable identity for the rule: "X=>Y" over the decimal
+// item ids of its antecedent and consequent.
+func (r Rule) Key() string { return string(r.appendKey(nil)) }
+
+// appendKey appends the bytes of Key to buf.
+func (r Rule) appendKey(buf []byte) []byte {
+	buf = r.Antecedent.AppendKey(buf)
+	buf = append(buf, "=>"...)
+	return r.Consequent.AppendKey(buf)
 }
 
 // SupportOracle reports the absolute support count of an itemset within
@@ -151,7 +163,6 @@ func Generate(items itemset.Set, suppCount, subsetSize int, minConf float64, ora
 		}
 		frontier = next
 	}
-	SortCanonical(out)
 	return out
 }
 
@@ -200,50 +211,51 @@ func joinPrefix(a, b itemset.Set) itemset.Set {
 	return out
 }
 
-// Dedupe removes duplicate rules (same antecedent and consequent),
-// keeping the first occurrence. Plans that merge rule lists from
-// contained and partially overlapped MIPs use it to produce the final
-// {R^Q}.
-func Dedupe(rs []Rule) []Rule {
-	seen := make(map[string]bool, len(rs))
-	out := rs[:0]
-	for _, r := range rs {
-		k := r.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
 // SortCanonical orders rules by descending confidence, then support,
 // then key — the presentation order of the CLI and the comparison order
-// of plan-equivalence tests. Keys are materialized once up front: they
-// sit on the hot path of queries emitting many rules.
+// of plan-equivalence tests. Every rule's key is written once into one
+// byte arena, and the sort permutes compact records of the sort fields:
+// a sort of n rules allocates three buffers, not n strings. A record
+// carries its key's first eight bytes as a big-endian integer, zero
+// padded, so most key comparisons are one integer comparison; only keys
+// sharing those bytes compare their arena slices.
 func SortCanonical(rs []Rule) {
-	keys := make([]string, len(rs))
+	if len(rs) < 2 {
+		return
+	}
+	type sortKey struct {
+		conf   float64
+		supp   int
+		prefix uint64
+		lo, hi int32 // the key is arena[lo:hi]
+		i      int32
+	}
+	arena := make([]byte, 0, 16*len(rs))
+	keys := make([]sortKey, len(rs))
 	for i := range rs {
-		keys[i] = rs[i].Key()
+		lo := len(arena)
+		arena = rs[i].appendKey(arena)
+		var p [8]byte
+		copy(p[:], arena[lo:])
+		keys[i] = sortKey{conf: rs[i].Confidence, supp: rs[i].SupportCount,
+			prefix: binary.BigEndian.Uint64(p[:]), lo: int32(lo), hi: int32(len(arena)), i: int32(i)}
 	}
-	order := make([]int, len(rs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if rs[i].Confidence != rs[j].Confidence {
-			return rs[i].Confidence > rs[j].Confidence
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		switch {
+		case a.conf > b.conf:
+			return -1
+		case a.conf < b.conf:
+			return 1
+		case a.supp != b.supp:
+			return cmp.Compare(b.supp, a.supp)
+		case a.prefix != b.prefix:
+			return cmp.Compare(a.prefix, b.prefix)
 		}
-		if rs[i].SupportCount != rs[j].SupportCount {
-			return rs[i].SupportCount > rs[j].SupportCount
-		}
-		return keys[i] < keys[j]
+		return bytes.Compare(arena[a.lo:a.hi], arena[b.lo:b.hi])
 	})
 	sorted := make([]Rule, len(rs))
-	for a, i := range order {
-		sorted[a] = rs[i]
+	for a, k := range keys {
+		sorted[a] = rs[k.i]
 	}
 	copy(rs, sorted)
 }

@@ -3,6 +3,8 @@ package rules
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -87,10 +89,10 @@ func TestGenerateSimple(t *testing.T) {
 			t.Errorf("rule %s mismatch: %+v vs %+v", w.Key(), g, w)
 		}
 	}
-	// Sorted by descending confidence.
+	// Generation order: consequents level by level.
 	for i := 1; i < len(got); i++ {
-		if got[i-1].Confidence < got[i].Confidence {
-			t.Error("rules not sorted by confidence")
+		if len(got[i-1].Consequent) > len(got[i].Consequent) {
+			t.Error("rules not in level-wise generation order")
 		}
 	}
 }
@@ -157,11 +159,26 @@ func TestMeasures(t *testing.T) {
 	}
 }
 
+// dedupe drops repeated rules (same antecedent and consequent), keeping
+// the first: the merge the plans no longer need, because their rules are
+// unique by construction.
+func dedupe(rs []Rule) []Rule {
+	seen := make(map[string]bool, len(rs))
+	out := rs[:0]
+	for _, r := range rs {
+		if k := r.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func TestDedupeAndSort(t *testing.T) {
 	a := Rule{Antecedent: itemset.NewSet(1), Consequent: itemset.NewSet(2), Confidence: 0.9, SupportCount: 4}
 	b := Rule{Antecedent: itemset.NewSet(1), Consequent: itemset.NewSet(2), Confidence: 0.9, SupportCount: 4}
 	c := Rule{Antecedent: itemset.NewSet(2), Consequent: itemset.NewSet(1), Confidence: 0.95, SupportCount: 4}
-	rs := Dedupe([]Rule{a, b, c})
+	rs := dedupe([]Rule{a, b, c})
 	if len(rs) != 2 {
 		t.Fatalf("Dedupe left %d rules", len(rs))
 	}
@@ -229,5 +246,107 @@ func TestQuickGenerateEqualsBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortByStringKeys is SortCanonical as it was before the byte arena: one
+// string key per rule, sort.Slice over an index permutation.
+func sortByStringKeys(rs []Rule) {
+	keys := make([]string, len(rs))
+	for i := range rs {
+		keys[i] = rs[i].Antecedent.Key() + "=>" + rs[i].Consequent.Key()
+	}
+	order := make([]int, len(rs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if rs[i].Confidence != rs[j].Confidence {
+			return rs[i].Confidence > rs[j].Confidence
+		}
+		if rs[i].SupportCount != rs[j].SupportCount {
+			return rs[i].SupportCount > rs[j].SupportCount
+		}
+		return keys[i] < keys[j]
+	})
+	sorted := make([]Rule, len(rs))
+	for a, i := range order {
+		sorted[a] = rs[i]
+	}
+	copy(rs, sorted)
+}
+
+// randomRules draws n distinct rules whose item ids have one, two or
+// three digits — so key order is byte order, "1,5" before "10" — under
+// few confidence and support values, so most comparisons reach the key.
+func randomRules(r *rand.Rand, n int) []Rule {
+	confs := []float64{1, 0.9, 0.875, 2.0 / 3}
+	pick := func() itemset.Item {
+		switch r.Intn(3) {
+		case 0:
+			return itemset.Item(r.Intn(10))
+		case 1:
+			return itemset.Item(10 + r.Intn(90))
+		}
+		return itemset.Item(100 + r.Intn(900))
+	}
+	seen := make(map[string]bool, n)
+	out := make([]Rule, 0, n)
+	for len(out) < n {
+		var items itemset.Set
+		for k := 2 + r.Intn(4); len(items) < k; {
+			items = itemset.NewSet(append(items, pick())...)
+		}
+		y := itemset.Set{items[r.Intn(len(items))]}
+		for _, it := range items {
+			if len(y) < len(items)-1 && r.Intn(4) == 0 {
+				y = itemset.NewSet(append(y, it)...)
+			}
+		}
+		rule := Rule{Antecedent: items.Minus(y), Consequent: y,
+			SupportCount: 40 + r.Intn(3), AntecedentCount: 50 + r.Intn(9), ConsequentCount: 60,
+			SubsetSize: 100, Confidence: confs[r.Intn(len(confs))]}
+		rule.Support = float64(rule.SupportCount) / 100
+		if k := rule.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, rule)
+		}
+	}
+	return out
+}
+
+// TestSortCanonicalMatchesStringKeys holds the byte-arena sort to the
+// string-key sort it replaced, rule for rule.
+func TestSortCanonicalMatchesStringKeys(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rs := randomRules(r, 1+r.Intn(300))
+		want := append([]Rule(nil), rs...)
+		sortByStringKeys(want)
+		SortCanonical(rs)
+		if !reflect.DeepEqual(rs, want) {
+			t.Fatalf("seed %d: %d rules sort differently from the string-key order", seed, len(rs))
+		}
+	}
+}
+
+// BenchmarkSortCanonical sorts 800 rules, the size of a mine_auto reply,
+// tied on confidence and support as often as real answers are: with the
+// byte arena and, for comparison, with the string keys it replaced.
+func BenchmarkSortCanonical(b *testing.B) {
+	rs := randomRules(rand.New(rand.NewSource(1)), 800)
+	for _, bc := range []struct {
+		name string
+		sort func([]Rule)
+	}{{"arena", SortCanonical}, {"stringkeys", sortByStringKeys}} {
+		b.Run(bc.name, func(b *testing.B) {
+			work := make([]Rule, len(rs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(work, rs)
+				bc.sort(work)
+			}
+		})
 	}
 }

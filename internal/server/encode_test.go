@@ -262,6 +262,84 @@ func TestEncodeMineTable(t *testing.T) {
 	}
 }
 
+// FuzzAppendRules holds appendRules to json.Marshal byte for byte over
+// arbitrary label bytes and float64 bit patterns, nil and empty label
+// lists included: both encode the same bytes, or both fail.
+func FuzzAppendRules(f *testing.F) {
+	for i, l := range hostileLabels {
+		f.Add(l, "A=a", math.Float64bits(1.0/3), math.Float64bits(1e-7), math.Float64bits(1e21), int64(i), uint8(i))
+	}
+	// Each byte the copy path must refuse, alone in an otherwise plain label.
+	for _, c := range []string{`"`, `\`, "<", ">", "&", "\x7f", "\x1f", "\x80", "\u2028"} {
+		f.Add("R"+c+"D=1", "A=a", uint64(0), uint64(0), uint64(0), int64(0), uint8(0))
+	}
+	f.Add("", "x", math.Float64bits(math.NaN()), uint64(0), math.Float64bits(math.Inf(-1)), int64(-1), uint8(3))
+	f.Add("plain", "c01=c011", math.Float64bits(0.875), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(123456789.125), int64(math.MaxInt64), uint8(0))
+	f.Add("zeros", "=", uint64(0), math.Float64bits(math.Copysign(0, -1)), uint64(0), int64(0), uint8(2))
+	f.Fuzz(func(t *testing.T, a, c string, x, y, z uint64, n int64, shape uint8) {
+		fx, fy, fz := math.Float64frombits(x), math.Float64frombits(y), math.Float64frombits(z)
+		rule := colarm.Rule{
+			Antecedent: []string{a, c}, Consequent: []string{c + a},
+			Support: fx, Confidence: fy, Lift: fz, Cosine: fx * fy, Kulczynski: fz / 3,
+			SupportCount: int(n), AntecedentCount: int(n >> 7), SubsetSize: -int(n),
+		}
+		switch shape % 4 {
+		case 1:
+			rule.Antecedent = nil
+		case 2:
+			rule.Consequent = []string{}
+		case 3:
+			rule.Antecedent, rule.Consequent = nil, nil
+		}
+		// twin repeats rule's measures in other members, so consecutive
+		// rules share values, and +0 follows -0 when the input says so.
+		twin := rule
+		twin.Support, twin.Confidence, twin.Lift = fy, fx, fz
+		for _, rules := range [][]colarm.Rule{nil, {}, {rule}, {rule, {Antecedent: []string{a}}, rule}, {rule, rule, twin, twin, rule}} {
+			got, gotErr := appendRules([]byte("prefix"), rules)
+			want, wantErr := json.Marshal(rules)
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("appendRules err = %v, json.Marshal err = %v", gotErr, wantErr)
+			}
+			if gotErr == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+				t.Fatalf("appendRules:\n got %s\nwant prefix%s", got, want)
+			}
+		}
+	})
+}
+
+// TestAppendRulesCoversRule fills every field of colarm.Rule, found by
+// reflection, with a value of its own, and requires appendRules to
+// encode it as json.Marshal does. A field added to colarm.Rule, a tag
+// renamed or a field moved fails here until appendRules follows.
+func TestAppendRulesCoversRule(t *testing.T) {
+	var rule colarm.Rule
+	v := reflect.ValueOf(&rule).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		field, name := v.Field(i), v.Type().Field(i).Name
+		switch field.Kind() {
+		case reflect.Slice:
+			if field.Type().Elem().Kind() != reflect.String {
+				t.Fatalf("field %s is a %s, which appendRules does not encode", name, field.Type())
+			}
+			field.Set(reflect.ValueOf([]string{name + "=1", name + "=2"}))
+		case reflect.Float64:
+			field.SetFloat(float64(i) + 0.25)
+		case reflect.Int:
+			field.SetInt(int64(1000 + i))
+		default:
+			t.Fatalf("field %s is a %s, which appendRules does not encode", name, field.Type())
+		}
+	}
+	got, err := appendRules(nil, []colarm.Rule{rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustMarshal(t, []colarm.Rule{rule}); !bytes.Equal(got, want) {
+		t.Errorf("appendRules does not cover colarm.Rule:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestWriteJSONCompactAndEncodeFailure pins the one reply policy:
 // compact bytes equal to json.Marshal under a Content-Length, and a 500
 // envelope — not a truncated 200 — for a value that cannot be encoded.

@@ -459,14 +459,17 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 
 // encodeMine encodes a mined result's reply with one pass over the
 // rules, which are all but a few hundred bytes of it: the rules array
-// goes into buf, and head and tail are resp's encoding before and after
+// goes into buf through appendRules, and the envelope through
+// json.Marshal — head and tail are resp's encoding before and after
 // it. With fill set, hit is the whole body a later cache hit on this
 // result sends: cached:true and only the execution's identity left in
 // stats. resp.Rules is ignored.
 func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
-	if err := encodeJSON(buf, orEmpty(rules)); err != nil {
+	b, err := appendRules(buf.AvailableBuffer(), orEmpty(rules))
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("encoding rules: %w", err)
 	}
+	buf.Write(b)
 	resp.Rules = []colarm.Rule{}
 	if head, tail, err = cutRules(resp); err != nil || !fill {
 		return head, tail, nil, err
