@@ -42,9 +42,10 @@
 // GET /v1/subscriptions/{id}/events (SSE or long-poll), GET /metrics,
 // GET /debug/pprof/. The full surface is documented in api/openapi.yaml. Ingested transactions are buffered
 // in each engine's delta store and merged into every subsequent answer
-// (queries stay exact while the index ages); when the accumulated delta
-// overhead crosses the rebuild cost, the server rebuilds the index in
-// the background and swaps it in, bumping the dataset's generation.
+// (queries stay exact while the index ages); when the buffered rows and
+// tombstones reach 1/20 of the base records, the server rebuilds the
+// index in the background and swaps it in, bumping the dataset's
+// generation.
 // Standing subscriptions receive incremental rule diffs as batches
 // land. Wrong-method requests on /v1 routes get a JSON 405 with an
 // Allow header; every error response carries the structured envelope.

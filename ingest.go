@@ -10,18 +10,19 @@ import (
 
 // Staleness reports how far an engine's base index has drifted from the
 // dataset it answers queries over. Queries remain exact at any
-// staleness — buffered transactions are merged into every answer — but
-// each one pays a delta overhead, and once that accumulated overhead
-// crosses the amortized cost of a rebuild, Rebuild is the cheaper path.
+// staleness, and take the path they would take on the rebuilt index:
+// each ingest version gets a merged view with its own packed R-tree.
+// What grows with the drift is the cost of building that view, so once
+// the changed rows reach 1/20 of the base records, Rebuild is the
+// cheaper path.
 //
 // The embedded store report carries BufferedRows (records inserted since
 // the index was built, minus any deleted again), Tombstones (records
 // deleted since), Version (increments on every accepted Ingest batch; 0
-// means the index is fresh), Overhead and RebuildCost (the accumulated
-// estimated extra query cost paid to the delta, and the amortized
-// one-rebuild cost it is weighed against) and RebuildRecommended (the
-// cost-based refresh policy's break-even point). Marshalled, a Staleness
-// is the staleness object of /v1/ingest and /v1/datasets/{name}.
+// means the index is fresh) and RebuildRecommended (BufferedRows +
+// Tombstones have reached 1/20 of the base records). Marshalled, a
+// Staleness is the staleness object of /v1/ingest and
+// /v1/datasets/{name}.
 type Staleness struct {
 	delta.Staleness
 	// Generation counts full rebuilds since the engine was opened.
@@ -50,9 +51,9 @@ type ShardStaleness = shard.ShardStat
 // The batch is atomic — it is validated in full and either applied
 // entirely or rejected without effect.
 //
-// Subsequent queries answer over the merged dataset exactly, at a small
-// per-query overhead; the returned Staleness reports the accumulated
-// drift and whether a Rebuild now pays for itself.
+// Subsequent queries answer over the merged dataset exactly; the
+// returned Staleness reports the accumulated drift and whether a
+// Rebuild now pays for itself.
 func (e *Engine) Ingest(inserts []map[string]string, deletes []int) (Staleness, error) {
 	return e.IngestContext(context.Background(), inserts, deletes)
 }

@@ -108,7 +108,6 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 
 // build is NewEngine at an explicit R-tree fanout (0 = the default).
 func build(d *relation.Dataset, opts Options, fanout int) (*Engine, error) {
-	buildStart := time.Now()
 	idx, err := mip.Build(d, mip.Options{
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         fanout,
@@ -117,10 +116,7 @@ func build(d *relation.Dataset, opts Options, fanout int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	buildDur := time.Since(buildStart)
-	e := Assemble(idx, opts)
-	e.Delta.SetRebuildCost(buildDur)
-	return e, nil
+	return Assemble(idx, opts), nil
 }
 
 // Assemble wires an online engine around an existing index (typically
@@ -217,31 +213,12 @@ func (e *Engine) observe(res *plans.Result, err error) {
 	e.latency.Observe(res.Stats.Duration)
 }
 
-// noteDelta charges one successfully executed query's estimated delta
-// overhead to the refresh accumulator, when the surface the request
-// resolved was a merged one.
-func (e *Engine) noteDelta(q *plans.Query, f *plans.Focal, err error) {
-	if err != nil || f.Surface.Version == 0 {
-		return
+// noteDelta counts one successfully executed query whose resolved
+// surface was a merged one.
+func (e *Engine) noteDelta(f *plans.Focal, err error) {
+	if err == nil && f.Surface.Version != 0 {
+		e.deltaQueries.Inc()
 	}
-	e.deltaQueries.Inc()
-	e.Delta.NoteQuery(attrsTouched(q))
-}
-
-// attrsTouched counts the attributes a query references — restricted
-// region dimensions plus permitted item attributes — the width of the
-// delta-side counting work the refresh policy prices.
-func attrsTouched(q *plans.Query) int {
-	if q.ItemAttrs == nil {
-		return q.Region.Dims()
-	}
-	n := 0
-	for d := 0; d < q.Region.Dims(); d++ {
-		if q.Region.Restricted(d) || q.ItemAttrs[d] {
-			n++
-		}
-	}
-	return n
 }
 
 // Ingest buffers a batch of inserts and tombstone deletes in the delta
@@ -333,7 +310,7 @@ func (e *Engine) MineContext(ctx context.Context, q *plans.Query) (*plans.Result
 	e.chosen[ch.kind].Inc()
 	res, err := e.Executor.RunContext(ctx, ch.kind, f, q)
 	e.observe(res, err)
-	e.noteDelta(q, f, err)
+	e.noteDelta(f, err)
 	if err != nil {
 		return nil, ch.ests, err
 	}
@@ -399,7 +376,7 @@ func (e *Engine) MineWithContext(ctx context.Context, kind plans.Kind, q *plans.
 	f := e.Resolve(q)
 	res, err := e.Executor.RunContext(ctx, kind, f, q)
 	e.observe(res, err)
-	e.noteDelta(q, f, err)
+	e.noteDelta(f, err)
 	return res, err
 }
 

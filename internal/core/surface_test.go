@@ -141,7 +141,7 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 	}
 	q := &plans.Query{Region: reg, MinSupport: 1, MinConfidence: 0.9, MaxConsequent: 1}
 	f := eng.Resolve(q)
-	q.MinSupport = float64(f.Surface.PrimaryCount+100) / float64(f.Size)
+	q.MinSupport = float64(f.Surface.PrimaryCount+110) / float64(f.Size)
 	if q.MinSupport > 1 {
 		t.Fatalf("fixture drifted: focal subset of %d records cannot reach the primary count %d", f.Size, f.Surface.PrimaryCount)
 	}
@@ -278,5 +278,44 @@ func TestEstimatesPriceTheResolvedSubset(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllRowsDeleted: with every record deleted the merged surface holds
+// no CFI and an empty packed tree, every plan answers with no rules and
+// no error, and every estimate is 0 — monolithic and sharded.
+func TestAllRowsDeleted(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		eng := salaryEngine(t, Options{Shards: shards})
+		all := make([]int, eng.Index.Dataset.NumRecords())
+		for i := range all {
+			all[i] = i
+		}
+		if _, err := eng.Ingest(nil, all); err != nil {
+			t.Fatal(err)
+		}
+		q := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.5, MinConfidence: 0.5}
+		s := eng.Resolve(q).Surface
+		if s.Tree.Size() != 0 || s.RTree.Size() != 0 || s.RTree.Height() != 1 {
+			t.Fatalf("K=%d: %d CFIs, a tree of %d entries and height %d", shards, s.Tree.Size(), s.RTree.Size(), s.RTree.Height())
+		}
+		if err := s.RTree.Validate(); err != nil {
+			t.Fatalf("K=%d: %v", shards, err)
+		}
+		for _, k := range plans.Kinds() {
+			res, err := eng.MineWith(k, q)
+			if err != nil || len(res.Rules) != 0 {
+				t.Errorf("K=%d %v: %d rules, error %v", shards, k, len(res.Rules), err)
+			}
+		}
+		_, ests, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ests {
+			if e != (cost.Estimate{Plan: e.Plan}) {
+				t.Errorf("K=%d: estimate %+v over an empty dataset", shards, e)
+			}
+		}
 	}
 }

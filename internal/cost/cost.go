@@ -3,13 +3,13 @@
 // Section 5.1). For each of the six mining plans the model produces a
 // constant-time cost estimate from
 //
-//   - index statistics precomputed at build time: per-level R-tree node
-//     counts, average extents and support distributions (Table 3's N_j
-//     and DP_{j,i}avg), per-attribute CFI participation fractions, and
-//     the average CFI length;
+//   - index statistics precomputed at build time: per-attribute CFI
+//     participation fractions and the average CFI length;
 //   - the request's focal subset (plans.Focal): its size |D^Q|, its
 //     support-count threshold, its bitmap and the surface it was
-//     selected from, which the two query-time probes sample;
+//     selected from, which the two query-time probes sample and whose
+//     packed R-tree's per-level node counts, average extents and support
+//     distributions (Table 3's N_j and DP_{j,i}avg) price SEARCH;
 //   - the query parameters: the per-dimension extents DQ_i_avg,
 //     minsupport and minconfidence;
 //   - constant unit costs for the primitive operations the operators
@@ -50,12 +50,12 @@ type Units struct {
 	GenOp float64 `json:"genOp"`
 }
 
-// UnitCosts returns the one set of unit costs every estimate and the
-// delta store's refresh policy are priced with, the same on every
-// machine. They reflect typical modern hardware ratios for the flat
-// slab layout's primitives: packed-arena box classification and
-// open-addressed integer hashing, which are markedly cheaper than the
-// pointer layout's Box views and string-keyed maps they replaced.
+// UnitCosts returns the one set of unit costs every estimate is priced
+// with, the same on every machine. They reflect typical modern hardware
+// ratios for the flat slab layout's primitives: packed-arena box
+// classification and open-addressed integer hashing, which are markedly
+// cheaper than the pointer layout's Box views and string-keyed maps
+// they replaced.
 func UnitCosts() Units {
 	return Units{WordOp: 0.6, BoxRel: 2.0, IDProbe: 1.5, MapOp: 8, GenOp: 16}
 }
@@ -109,10 +109,10 @@ func (e Estimate) Terms() []EstimateTerm {
 
 // Model evaluates the six plan estimates for the focal subsets of one
 // engine's requests. Everything a request selected — the subset's size,
-// bitmap and support-count threshold, the surface it was selected from,
-// the check mode and shard count — comes with the request's plans.Focal;
-// the model itself holds only aggregates computed once from the index
-// as built, and prices them with UnitCosts.
+// bitmap and support-count threshold, the surface it was selected from
+// with its R-tree statistics, the check mode and shard count — comes
+// with the request's plans.Focal; the model itself holds only aggregates
+// computed once from the index as built, and prices them with UnitCosts.
 type Model struct {
 	u Units
 
@@ -123,16 +123,11 @@ type Model struct {
 	attrFrac []float64
 	// avgLen is the mean stored CFI length (C_I in Lemma 4.3).
 	avgLen float64
-	// levels and fanout describe the packed R-tree (Table 3's N_j and
-	// DP_{j,i}avg plus per-level support distributions): the traversal
-	// statistics for surfaces that carry that tree.
-	levels []rtree.LevelStats
-	fanout float64
 }
 
 // NewModel precomputes the model's index-side statistics.
 func NewModel(idx *mip.Index) *Model {
-	m := &Model{u: UnitCosts(), sp: idx.Space, levels: idx.LevelStats, fanout: float64(idx.RTree.Fanout())}
+	m := &Model{u: UnitCosts(), sp: idx.Space}
 	n := idx.Space.NumAttrs()
 	m.attrFrac = make([]float64, n)
 	total := idx.ITTree.Size()
@@ -173,7 +168,6 @@ type queryShape struct {
 	itemAttrs float64   // attributes allowed in rule bodies
 
 	// MIP-sample fractions (of all stored MIPs).
-	supportedFrac   float64 // global support >= minCount
 	overlapFrac     float64 // box overlaps the region
 	overlapSSFrac   float64 // overlaps and global support >= minCount
 	containedFrac   float64 // box contained in the region
@@ -230,13 +224,10 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 	if step < 1 {
 		step = 1
 	}
-	var sampled, supported, overlap, overlapSS, contained, containedSS, qual int
+	var sampled, overlap, overlapSS, contained, containedSS, qual int
 	for id := 0; id < n; id += step {
 		sampled++
 		passSS := sf.Tree.Support(id) >= f.MinCount
-		if passSS {
-			supported++
-		}
 		rel := q.Region.Relation(sf.Boxes[id])
 		if rel == itemset.Disjoint {
 			continue
@@ -258,7 +249,6 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 		}
 	}
 	fs := float64(sampled)
-	s.supportedFrac = float64(supported) / fs
 	s.overlapFrac = float64(overlap) / fs
 	s.overlapSSFrac = float64(overlapSS) / fs
 	s.containedFrac = float64(contained) / fs
@@ -368,23 +358,16 @@ func sampleIDs(dq *bitset.Set, k int) []int {
 	return out
 }
 
-// searchCost returns the expected (SUPPORTED-)SEARCH cost. Over the
-// packed R-tree it is the traversal cost of Lemma 4.1 / Equation 3: per
-// level, the expected number of visited nodes times the per-node
-// classification work, with the supported filter's selectivity
-// estimated from the per-level support distributions. A surface without
-// the tree has every stored box classified linearly, as the executor
-// does there, the supported filter skipping the boxes it rejects.
+// searchCost returns the expected (SUPPORTED-)SEARCH cost: the
+// traversal cost of Lemma 4.1 / Equation 3 over the surface's packed
+// R-tree. Per level, the expected number of visited nodes times the
+// per-node classification work, with the supported filter's selectivity
+// estimated from the per-level support distributions.
 func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 	dims := len(s.dqExt)
-	if s.f.Surface.RTree == nil {
-		boxes := float64(len(s.f.Surface.Boxes))
-		if supported {
-			boxes *= s.supportedFrac
-		}
-		return boxes * float64(dims) * mo.u.BoxRel
-	}
-	for _, ls := range mo.levels {
+	sf := s.f.Surface
+	fanout := float64(sf.RTree.Fanout())
+	for _, ls := range sf.Levels {
 		// Expected fraction of level nodes whose box intersects D^Q:
 		// Π_k min(1, DP_{j,k}avg + DQ_k_avg)  (Theodoridis–Sellis).
 		p := 1.0
@@ -396,7 +379,7 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 			visited *= rtree.FractionAtLeast(ls.Supports, s.f.MinCount)
 		}
 		// Each visited node classifies its children boxes.
-		cost += visited * mo.fanout * float64(dims) * mo.u.BoxRel
+		cost += visited * fanout * float64(dims) * mo.u.BoxRel
 	}
 	return cost
 }

@@ -226,13 +226,10 @@ func mapProbe(mo *Model, q *plans.Query, s *queryShape) {
 	if step < 1 {
 		step = 1
 	}
-	var sampled, supported, overlap, overlapSS, contained, containedSS, qual int
+	var sampled, overlap, overlapSS, contained, containedSS, qual int
 	for id := 0; id < n; id += step {
 		sampled++
 		passSS := sf.Tree.Support(id) >= f.MinCount
-		if passSS {
-			supported++
-		}
 		rel := q.Region.Relation(sf.Boxes[id])
 		if rel == itemset.Disjoint {
 			continue
@@ -252,7 +249,6 @@ func mapProbe(mo *Model, q *plans.Query, s *queryShape) {
 		}
 	}
 	fs := float64(sampled)
-	s.supportedFrac = float64(supported) / fs
 	s.overlapFrac = float64(overlap) / fs
 	s.overlapSSFrac = float64(overlapSS) / fs
 	s.containedFrac = float64(contained) / fs

@@ -2,8 +2,8 @@
 // append-oriented store buffering transactions that arrive after the
 // MIP-index build (inserts plus tombstone deletes), the merged execution
 // surface that keeps query answers exact while the base index ages, and the
-// cost-based refresh policy that decides when buffering has become more
-// expensive than rebuilding.
+// refresh policy that decides when the delta has grown large enough that
+// rebuilding beats building merged views.
 //
 // # Exactness
 //
@@ -29,41 +29,37 @@
 //  3. the MIP bounding boxes are those of the merged tidsets: the
 //     frozen box patched by what the delta changed where the frozen
 //     index stores the itemset (see mergedBox), probed from scratch
-//     with the offline build's code otherwise.
+//     with the offline build's code otherwise;
+//  4. the boxes are packed into an R-tree by rtree.Bulk at the frozen
+//     index's fanout, as the offline build packs them.
 //
 // Record ids are stable: base records keep ids 0..N-1 (a tombstoned id
 // is never reused) and buffered inserts take N, N+1, ... in arrival
 // order. Every structure a plan consults — CFIs, supports, closures,
-// boxes, item tidsets, the raw-value accessor — is thus byte-equal in
-// content to the rebuild's, so all six plans return identical rules.
-// The only degradation is structural: the packed R-tree is not rebuilt
-// (the merged surface's RTree is nil), so SEARCH falls back to a linear
-// scan over the merged boxes. That per-query overhead is precisely what
-// the refresh policy charges. While nothing has been ingested the store
-// hands out the frozen index's own surface, R-tree included, so a query
-// resolves its index state the same way at every delta version.
+// boxes, the packed R-tree, item tidsets, the raw-value accessor — is
+// thus equal in content to the rebuild's, so all six plans return
+// identical rules and take the same path to them: SEARCH visits the
+// same nodes and checks the same entries. While nothing has been
+// ingested the store hands out the frozen index's own surface, so a
+// query resolves its index state the same way at every delta version.
 //
 // # Refresh policy
 //
-// Each query executed against a non-empty delta accrues an estimated
-// overhead, priced with the cost model's unit costs: a linear
-// box scan (BoxRel x CFIs x dims, replacing the logarithmic R-tree
-// descent) plus the delta-side counting work (IDProbe x buffered rows x
-// attributes touched). When the accumulated overhead crosses the
-// amortized cost of one rebuild — measured from the last build when
-// available, estimated from the dataset shape otherwise — the store
-// recommends a rebuild; the serving layer then rebuilds in the
-// background and atomically swaps the new engine generation in.
+// A query on a merged surface costs what it costs on the rebuilt index,
+// so the delta charges queries nothing; what it costs is the view
+// build, which grows with the changed rows while a rebuild does not
+// (CHARM runs in both). The store recommends a rebuild once the changed
+// rows — buffered inserts plus tombstones — reach 1/RebuildDivisor of
+// the base records; the serving layer then rebuilds in the background
+// and atomically swaps the new engine generation in.
 package delta
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
-	"colarm/internal/cost"
 	"colarm/internal/itemset"
 	"colarm/internal/ittree"
 	"colarm/internal/mip"
@@ -71,12 +67,18 @@ import (
 	"colarm/internal/pool"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
+	"colarm/internal/rtree"
 )
 
+// RebuildDivisor sets the refresh policy's threshold: a rebuild is
+// recommended once BufferedRows + Tombstones reach 1/RebuildDivisor of
+// the base records. Near there the part of a view build that grows with
+// the delta catches up with a rebuild (DESIGN §11 has the measurement).
+const RebuildDivisor = 20
+
 // Staleness describes how far an engine's base index has drifted from
-// the merged dataset, and what the drift is costing. colarm.Staleness
-// embeds it, so these fields and tags are the facade's and the wire's
-// (a time.Duration marshals as its nanosecond count).
+// the merged dataset. colarm.Staleness embeds it, so these fields and
+// tags are the facade's and the wire's.
 type Staleness struct {
 	// BufferedRows counts records inserted since the index was built
 	// (minus any that were deleted again).
@@ -87,15 +89,9 @@ type Staleness struct {
 	// Version increments on every accepted ingest batch; 0 means the
 	// index is fresh.
 	Version uint64 `json:"version"`
-	// Overhead is the accumulated estimated extra query cost paid to
-	// the delta since the last build.
-	Overhead time.Duration `json:"overheadNanos"`
-	// RebuildCost is the amortized cost of one index rebuild the
-	// overhead is weighed against (measured from the last build).
-	RebuildCost time.Duration `json:"rebuildCostNanos"`
-	// RebuildRecommended reports Overhead >= RebuildCost with a
-	// non-empty delta: buffering now costs more than rebuilding, the
-	// cost-based refresh policy's break-even point.
+	// RebuildRecommended reports (BufferedRows + Tombstones) ×
+	// RebuildDivisor >= the base record count with at least one changed
+	// row: merged-view builds now cost about what a rebuild does.
 	RebuildRecommended bool `json:"rebuildRecommended"`
 }
 
@@ -135,14 +131,9 @@ type Store struct {
 	tombs *bitset.Set // tombstoned base record ids
 	ndead int
 
-	version  uint64
-	frozen   *plans.Surface // the index as built: the surface of version 0
-	merged   *plans.Surface // the merged surface of the newest version asked for
-	overhead float64        // accumulated estimated delta overhead, nanos
-
-	// rebuildNanos is the measured duration of the last index build;
-	// when never measured, a shape-based estimate stands in.
-	rebuildNanos float64
+	version uint64
+	frozen  *plans.Surface // the index as built: the surface of version 0
+	merged  *plans.Surface // the merged surface of the newest version asked for
 }
 
 // NewStore creates an empty delta store over a freshly built (or
@@ -164,16 +155,6 @@ func (s *Store) SetWorkers(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.workers = n
-}
-
-// SetRebuildCost records the measured duration of the last full index
-// build, sharpening the refresh policy's break-even point.
-func (s *Store) SetRebuildCost(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d > 0 {
-		s.rebuildNanos = float64(d.Nanoseconds())
-	}
 }
 
 // Observe registers fn to be called after every accepted Ingest batch
@@ -293,10 +274,9 @@ func (s *Store) stalenessLocked() Staleness {
 		BufferedRows: len(s.rows) - s.ndead,
 		Tombstones:   s.tombs.Count() + s.ndead,
 		Version:      s.version,
-		Overhead:     time.Duration(s.overhead),
-		RebuildCost:  time.Duration(s.rebuildCostLocked()),
 	}
-	st.RebuildRecommended = s.version > 0 && s.overhead >= s.rebuildCostLocked()
+	changed := st.BufferedRows + st.Tombstones
+	st.RebuildRecommended = changed > 0 && changed*RebuildDivisor >= s.idx.Dataset.NumRecords()
 	return st
 }
 
@@ -308,9 +288,9 @@ func (s *Store) Empty() bool {
 }
 
 // Surface returns the index state of the current delta version: the
-// frozen index's own surface — packed R-tree included — while nothing
-// has been ingested, and from version 1 on the merged surface a rebuild
-// over the merged data would present (see the package comment), built
+// frozen index's own surface while nothing has been ingested, and from
+// version 1 on the merged surface a rebuild over the merged data would
+// present, packed R-tree included (see the package comment), built
 // lazily, at most once per version. A Surface is immutable once
 // returned and carries the version it presents, so a caller that
 // resolves one per request reads a single consistent version throughout
@@ -412,16 +392,28 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 	}
 	tree := ittree.Build(res, sp.NumItems())
 	boxes := make([]itemset.Box, len(res.Closed))
+	entries := make([]rtree.Entry, len(res.Closed))
 	closed := res.Closed
 	pool.For(len(closed), pool.Workers(s.workers), func(id int) {
 		boxes[id] = s.mergedBox(closed[id], tids, gone, added)
+		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(closed[id].Support)}
 	})
+	// Pack the boxes as the offline build does, at the frozen index's
+	// fanout, so SEARCH walks the tree a rebuild would have.
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), s.idx.RTree.Fanout())
+	if err != nil {
+		// Unreachable: every box has the space's dimensionality and the
+		// frozen index was packed at this fanout.
+		panic(fmt.Sprintf("delta: packing merged boxes failed: %v", err))
+	}
 
 	rows := s.rows // append-only; elements are never mutated
 	return &plans.Surface{
 		Tree:         tree,
 		Boxes:        boxes,
 		Tidsets:      tids,
+		RTree:        rt,
+		Levels:       rt.Stats(s.idx.Cards),
 		PrimaryCount: minCount,
 		NumRecords:   capN,
 		Live:         live,
@@ -511,48 +503,6 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 		}
 	}
 	return box
-}
-
-// NoteQuery charges one query's estimated delta overhead to the refresh
-// accumulator: the linear box scan that replaces the R-tree descent
-// plus the buffered-row counting work, priced with cost.UnitCosts.
-// attrsTouched is the number of attributes the query's region
-// and item set reference (<=0 defaults to the full schema).
-func (s *Store) NoteQuery(attrsTouched int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.version == 0 {
-		return
-	}
-	dims := s.idx.Space.NumAttrs()
-	if attrsTouched <= 0 || attrsTouched > dims {
-		attrsTouched = dims
-	}
-	cfis := s.idx.ITTree.Size()
-	if s.merged != nil {
-		cfis = s.merged.Tree.Size()
-	}
-	buffered := len(s.rows) - s.ndead
-	u := cost.UnitCosts()
-	s.overhead += u.BoxRel*float64(cfis)*float64(dims) +
-		u.IDProbe*float64(buffered)*float64(attrsTouched)
-}
-
-// rebuildCostLocked returns the break-even threshold in nanos: the
-// measured last build when known, otherwise a shape-based estimate
-// (mining work grows with records x items; the constant is deliberately
-// coarse — it only sets the scale at which buffering stops paying).
-func (s *Store) rebuildCostLocked() float64 {
-	if s.rebuildNanos > 0 {
-		return s.rebuildNanos
-	}
-	d := s.idx.Dataset
-	est := cost.UnitCosts().WordOp * float64(d.NumRecords()) * float64(s.idx.Space.NumItems())
-	const floorNanos = 10e6 // never recommend rebuilding cheaper than 10ms
-	if est < floorNanos {
-		est = floorNanos
-	}
-	return est
 }
 
 // MergedDataset materializes the merged relation — base records minus

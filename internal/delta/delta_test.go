@@ -3,7 +3,6 @@ package delta
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"colarm/internal/mip"
 	"colarm/internal/qerr"
@@ -39,8 +38,19 @@ func TestStoreViewMergesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := s.Surface()
-	if v.Version != 1 || v.RTree != nil {
+	if v.Version != 1 || v.Tree == idx.ITTree {
 		t.Fatal("non-empty store must serve the merged surface of its version")
+	}
+	// The merged boxes are packed as the offline build packs them.
+	if v.RTree == idx.RTree || v.RTree.Size() != v.Tree.Size() || v.RTree.Fanout() != idx.RTree.Fanout() {
+		t.Fatalf("merged R-tree holds %d entries at fanout %d, want the %d CFIs at the frozen fanout %d",
+			v.RTree.Size(), v.RTree.Fanout(), v.Tree.Size(), idx.RTree.Fanout())
+	}
+	if err := v.RTree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Levels) != v.RTree.Height() {
+		t.Fatalf("%d level stats for a tree of height %d", len(v.Levels), v.RTree.Height())
 	}
 	baseN := idx.Dataset.NumRecords()
 	if v.NumRecords != baseN+2 {
@@ -93,28 +103,51 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
+// TestRefreshPolicyBreakEven pins the refresh rule at its boundary:
+// with (BufferedRows + Tombstones) × RebuildDivisor one base record short
+// of the base size no rebuild is recommended, and the changed row that
+// reaches it flips the recommendation, whether it is an insert or a
+// delete.
 func TestRefreshPolicyBreakEven(t *testing.T) {
-	idx := testIndex(t)
-	s := NewStore(idx, 0.2)
-	s.SetRebuildCost(time.Microsecond)
-	// Fresh store never recommends a rebuild, whatever the accumulator
-	// would say.
-	s.NoteQuery(0)
-	if s.Staleness().RebuildRecommended {
-		t.Fatal("fresh store recommends rebuild")
+	b := relation.NewBuilder("t", "A")
+	for r := 0; r < 3*RebuildDivisor; r++ {
+		if err := b.AddRecord([]string{"a0", "a1"}[r%2]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.Ingest([][]int32{{0, 0}}, nil); err != nil {
+	idx, err := mip.Build(b.Build(), mip.Options{PrimarySupport: 0.2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64 && !s.Staleness().RebuildRecommended; i++ {
-		s.NoteQuery(2)
-	}
-	st := s.Staleness()
-	if !st.RebuildRecommended {
-		t.Fatalf("overhead never reached the 1µs break-even: %+v", st)
-	}
-	if st.Overhead < st.RebuildCost {
-		t.Fatalf("recommended rebuild with overhead %v < cost %v", st.Overhead, st.RebuildCost)
+	for _, last := range []struct {
+		name    string
+		rows    [][]int32
+		deletes []int
+	}{{"insert", [][]int32{{0}}, nil}, {"delete", nil, []int{7}}} {
+		s := NewStore(idx, 0.2)
+		if _, err := s.Ingest(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.Staleness().RebuildRecommended {
+			t.Fatalf("%s: an empty batch recommends a rebuild", last.name)
+		}
+		// Two changed rows: 2 × RebuildDivisor < 3 × RebuildDivisor.
+		st, err := s.Ingest([][]int32{{1}}, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RebuildRecommended {
+			t.Fatalf("%s: recommended at %d changed rows of %d", last.name, st.BufferedRows+st.Tombstones, idx.Dataset.NumRecords())
+		}
+		if st, err = s.Ingest(last.rows, last.deletes); err != nil {
+			t.Fatal(err)
+		}
+		if !st.RebuildRecommended || st.BufferedRows+st.Tombstones != 3 {
+			t.Fatalf("%s: not recommended at %+v", last.name, st)
+		}
+		if !s.Staleness().RebuildRecommended {
+			t.Fatalf("%s: Staleness disagrees with the ingest reply", last.name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -301,7 +302,7 @@ func BenchmarkViewBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		inserted += ins
-		if s.Surface().RTree != nil {
+		if s.Surface().Version == 0 {
 			b.Fatal("no merged surface after an ingest")
 		}
 	}
@@ -312,5 +313,64 @@ func BenchmarkViewBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch(i)
+	}
+}
+
+// BenchmarkRefreshCrossover measures what RebuildDivisor rests on: the
+// merged-view build against a rebuild (MergedDataset + mip.Build) at a
+// share of changed rows — half copies of base records inserted, half
+// base records deleted — on mushroom @ 0.30 and chess @ 0.70. A view
+// build is timed on an empty batch, which bumps the version without
+// changing the delta.
+func BenchmarkRefreshCrossover(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		cfg     datagen.Config
+		primary float64
+	}{
+		{"mushroom@0.30", datagen.MushroomConfig(1), 0.30},
+		{"chess@0.70", datagen.ChessConfig(1), 0.70},
+	} {
+		d, err := datagen.Generate(c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: c.primary})
+		if err != nil {
+			b.Fatal(err)
+		}
+		baseN := d.NumRecords()
+		for _, frac := range []float64{0.001, 0.03, 0.05, 0.08} {
+			s := NewStore(idx, c.primary)
+			rng := rand.New(rand.NewSource(1))
+			changed := max(2, int(frac*float64(baseN)))
+			rows := make([][]int32, changed/2)
+			for k := range rows {
+				rows[k] = baseRow(d, rng.Intn(baseN))
+			}
+			deletes := rng.Perm(baseN)[:changed-len(rows)]
+			if _, err := s.Ingest(rows, deletes); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/changed=%.1f%%/view", c.name, 100*frac), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Ingest(nil, nil); err != nil {
+						b.Fatal(err)
+					}
+					s.Surface()
+				}
+			})
+			b.Run(fmt.Sprintf("%s/changed=%.1f%%/rebuild", c.name, 100*frac), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					md, err := s.MergedDataset()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := mip.Build(md, mip.Options{PrimarySupport: c.primary, Fanout: idx.RTree.Fanout()}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

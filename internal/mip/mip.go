@@ -9,9 +9,6 @@
 //   - an R-tree over the MIP bounding boxes, augmented with global
 //     support counts (the supported R-tree of Section 4.3);
 //   - a closed IT-tree over the itemsets and their tidsets.
-//
-// Build also precomputes the statistics the COLARM cost model consumes
-// (per-level node counts and extents, support distributions).
 package mip
 
 import (
@@ -43,7 +40,7 @@ type Options struct {
 }
 
 // Index is the built MIP-index plus everything the online phase needs:
-// the item space, the per-item tidsets, and precomputed statistics.
+// the item space and the per-item tidsets.
 type Index struct {
 	Dataset *relation.Dataset
 	Space   *itemset.Space
@@ -59,10 +56,6 @@ type Index struct {
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
-
-	// LevelStats are the R-tree's per-level statistics the cost model
-	// prices traversals with.
-	LevelStats []rtree.LevelStats
 }
 
 // Build runs the offline preprocessing phase: CHARM at the primary
@@ -120,7 +113,6 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		return nil, err
 	}
 	idx.RTree = rt
-	idx.LevelStats = rt.Stats(idx.Cards)
 	return idx, nil
 }
 

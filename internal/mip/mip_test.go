@@ -74,8 +74,8 @@ func TestBuildSalaryIndex(t *testing.T) {
 		}
 	}
 	// Statistics were produced.
-	if len(idx.LevelStats) != idx.RTree.Height() {
-		t.Errorf("level stats %d != height %d", len(idx.LevelStats), idx.RTree.Height())
+	if levels := idx.RTree.Stats(idx.Cards); len(levels) != idx.RTree.Height() {
+		t.Errorf("level stats %d != height %d", len(levels), idx.RTree.Height())
 	}
 }
 

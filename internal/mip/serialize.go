@@ -18,7 +18,7 @@ import (
 // machine, ship the snapshot, and serve queries anywhere. The snapshot
 // stores the dataset, the closed frequent itemsets with their tidsets,
 // and the MIP bounding boxes; the cheap derived structures (per-item
-// tidsets, the packed R-tree, statistics) are rebuilt on load in
+// tidsets, the packed R-tree) are rebuilt on load in
 // milliseconds, skipping the mining phase entirely.
 
 // snapshotMagic versions the serialization format. It is written as a

@@ -288,34 +288,9 @@ func (c *qctx) search(supported bool) ([]candidate, error) {
 		return true
 	}
 	var st rtree.SearchStats
-	switch {
-	case c.s.RTree == nil:
-		// No packed tree covers a merged surface's boxes, so SEARCH is a
-		// linear classification of them. The emitted candidate set is
-		// identical to what a packed R-tree over the same boxes would
-		// emit (both are exact); only the traversal cost differs, which
-		// is exactly the staleness overhead the refresh policy charges
-		// per query.
-		st.EntriesChecked = len(c.s.Boxes)
-		for id, box := range c.s.Boxes {
-			if err := c.cancelled(); err != nil {
-				return nil, err
-			}
-			supp := c.s.Tree.Support(id)
-			if supported && supp < c.f.MinCount {
-				continue
-			}
-			rel := c.q.Region.Relation(box)
-			if rel == itemset.Disjoint {
-				continue
-			}
-			if !visit(rtree.Entry{Box: box, ID: int32(id), Support: int32(supp)}, rel) {
-				break
-			}
-		}
-	case supported:
+	if supported {
 		st = c.s.RTree.SupportedSearch(c.q.Region, c.f.MinCount, visit)
-	default:
+	} else {
 		st = c.s.RTree.Search(c.q.Region, visit)
 	}
 	if cancelErr != nil {

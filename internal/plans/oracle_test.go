@@ -12,6 +12,7 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/ittree"
 	"colarm/internal/mip"
+	"colarm/internal/rtree"
 	"colarm/internal/rules"
 )
 
@@ -38,9 +39,10 @@ func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
 // mergedSurface builds the merged surface of idx with a random fifth of
 // its records deleted and a few rows appended, the way the delta layer
 // does: tidsets grown over the buffered ids with the deletes cleared, a
-// re-mine at the merged primary count, a fresh IT-tree and boxes, no
-// R-tree. An appended row copies a random base record with one attribute
-// re-drawn, so it shares the base's correlations.
+// re-mine at the merged primary count, a fresh IT-tree and boxes, the
+// boxes packed at the frozen index's fanout. An appended row copies a
+// random base record with one attribute re-drawn, so it shares the
+// base's correlations.
 func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *Surface {
 	t.Helper()
 	d, sp := idx.Dataset, idx.Space
@@ -81,13 +83,21 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		t.Fatal(err)
 	}
 	boxes := make([]itemset.Box, len(res.Closed))
+	entries := make([]rtree.Entry, len(res.Closed))
 	for id, c := range res.Closed {
 		boxes[id] = mip.BoundingBox(sp, idx.Cards, tids, c)
+		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(c.Support)}
+	}
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), idx.RTree.Fanout())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return &Surface{
 		Tree:         ittree.Build(res, sp.NumItems()),
 		Boxes:        boxes,
 		Tidsets:      tids,
+		RTree:        rt,
+		Levels:       rt.Stats(idx.Cards),
 		PrimaryCount: minCount,
 		NumRecords:   n,
 		Live:         live,

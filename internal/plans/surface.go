@@ -31,15 +31,16 @@ type ShardSlice struct {
 // delta store's merged view of one delta version (delta.Store.Surface),
 // and a sharded collection decorating either with its partition
 // (shard.Collection.Surface) — so the operators have one path each and
-// branch on two things only: RTree == nil and len(Slices) > 1.
+// branch on len(Slices) > 1 only.
 //
 // Whatever built it, a Surface presents exactly what a from-scratch
 // build over its records would: Tree holds their closed frequent
 // itemsets at PrimaryCount with their supports and tidsets, Boxes the
 // MIP bounding boxes over the same records (so Lemma 4.5's contained-box
-// shortcut stays sound), Tidsets the per-item tidsets covering live
-// records only. That is why all six plans return identical rules over a
-// merged surface and over a rebuild.
+// shortcut stays sound), RTree those boxes packed, Tidsets the per-item
+// tidsets covering live records only. That is why all six plans return
+// identical rules over a merged surface and over a rebuild, with
+// identical operator counters.
 //
 // A Surface is immutable. The engine resolves one per request and hands
 // it, with the focal subset computed over it (Focal), to the gate and to
@@ -51,11 +52,13 @@ type Surface struct {
 	Boxes []itemset.Box
 	// Tidsets maps each item to the live records containing it.
 	Tidsets []*bitset.Set
-	// RTree indexes Boxes with the CFIs' supports. Nil on a merged
-	// surface, whose boxes no packed tree covers: (SUPPORTED-)SEARCH then
-	// classifies Boxes linearly — the same candidates, at the traversal
-	// cost the refresh policy charges a stale index per query.
+	// RTree is the packed R-tree over Boxes with the CFIs' supports, the
+	// tree (SUPPORTED-)SEARCH walks.
 	RTree *rtree.Tree
+	// Levels are RTree's per-level statistics (paper Table 3's N_j and
+	// DP_{j,i}avg plus support distributions), the traversal statistics
+	// the cost model prices SEARCH with.
+	Levels []rtree.LevelStats
 	// PrimaryCount is the support count the CFIs were mined at — the
 	// surface's applicability bound (see Focal.Applicable).
 	PrimaryCount int
@@ -87,6 +90,7 @@ func NewSurface(idx *mip.Index) *Surface {
 		Boxes:        idx.Boxes,
 		Tidsets:      idx.Tidsets,
 		RTree:        idx.RTree,
+		Levels:       idx.RTree.Stats(idx.Cards),
 		PrimaryCount: idx.PrimaryCount,
 		NumRecords:   idx.Dataset.NumRecords(),
 		Value:        idx.Dataset.Value,

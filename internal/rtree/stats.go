@@ -1,6 +1,9 @@
 package rtree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LevelStats summarizes one level of the tree for the cost model
 // (paper Table 3): the node count N_j and the average normalized extent
@@ -50,7 +53,7 @@ func (t *Tree) Stats(cards []int) []LevelStats {
 				levels[i].AvgExtent[d] /= float64(levels[i].Nodes)
 			}
 		}
-		sort.Slice(levels[i].Supports, func(a, b int) bool { return levels[i].Supports[a] < levels[i].Supports[b] })
+		slices.Sort(levels[i].Supports)
 	}
 	return levels
 }

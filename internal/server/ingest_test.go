@@ -147,6 +147,66 @@ func TestIngestForcedRebuild(t *testing.T) {
 	}
 }
 
+// TestIngestReportsTombstonedRecords: the reply's deleted counts the
+// records the batch tombstoned, so an id named twice counts once, an id
+// an earlier batch deleted counts nothing, and deleted always follows
+// the staleness object's tombstones.
+func TestIngestReportsTombstonedRecords(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			_, h := wireServer(t, colarm.Options{Shards: k}, Config{})
+			for _, c := range []struct {
+				deletes        []int
+				deleted, tombs int
+			}{
+				{[]int{3, 3}, 1, 1},
+				{[]int{3}, 0, 1},
+				{[]int{4, 3, 4}, 1, 2},
+			} {
+				resp := decodeIngest(t, postJSON(t, h, "/v1/ingest", ingestRequest{Dataset: "salary", Deletes: c.deletes, Rebuild: "never"}))
+				if resp.Deleted != c.deleted || resp.Staleness.Tombstones != c.tombs {
+					t.Fatalf("deletes %v: deleted %d with %d tombstones, want %d with %d",
+						c.deletes, resp.Deleted, resp.Staleness.Tombstones, c.deleted, c.tombs)
+				}
+			}
+		})
+	}
+}
+
+// TestIngestAutoRebuildAtThreshold: salary has 10 records, so its first
+// changed row reaches 1/20 of them. Under "auto" the ingest that gets
+// there starts a rebuild and the generation bumps; under "never" the
+// same ingest only buffers, and the staleness still recommends one.
+func TestIngestAutoRebuildAtThreshold(t *testing.T) {
+	for _, policy := range []string{"never", "auto"} {
+		s, reg := newTestServer(t, Config{})
+		eng, gen0, err := reg.Get("salary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := decodeIngest(t, postJSON(t, s.Handler(), "/v1/ingest", ingestRequest{
+			Dataset: "salary",
+			Inserts: []map[string]string{salaryRecord(t, eng)},
+			Rebuild: policy,
+		}))
+		if !resp.Staleness.RebuildRecommended || resp.RebuildStarted != (policy == "auto") {
+			t.Fatalf("%s: recommended %v, started %v", policy, resp.Staleness.RebuildRecommended, resp.RebuildStarted)
+		}
+		s.rebuilds.Wait()
+		_, gen, err := reg.Get("salary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gen0
+		if policy == "auto" {
+			want++
+		}
+		if gen != want {
+			t.Fatalf("%s: generation %d, want %d", policy, gen, want)
+		}
+	}
+}
+
 // TestWrongMethod405 pins the JSON 405 + Allow contract on every /v1
 // route.
 func TestWrongMethod405(t *testing.T) {

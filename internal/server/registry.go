@@ -68,7 +68,8 @@ type DatasetInfo struct {
 	Generation uint64   `json:"generation"`
 
 	// Live-ingestion staleness: buffered post-build transactions and
-	// whether the cost-based refresh policy has reached break-even.
+	// whether they have reached 1/20 of the base records, the refresh
+	// policy's rebuild threshold.
 	BufferedRows       int  `json:"bufferedRows"`
 	Tombstones         int  `json:"tombstones"`
 	RebuildRecommended bool `json:"rebuildRecommended"`

@@ -40,9 +40,9 @@
 // Content-Length.
 //
 // Ingested transactions are merged into every subsequent answer, so
-// queries stay exact while the base index ages; when the accumulated
-// per-query delta overhead crosses the amortized rebuild cost (or the
-// client forces it), the server rebuilds the index in the background —
+// queries stay exact while the base index ages; when the buffered rows
+// and tombstones reach 1/20 of the base records (or the client forces
+// it), the server rebuilds the index in the background —
 // the old engine keeps serving throughout — and atomically swaps the
 // new engine into the registry. The swap bumps the dataset's
 // generation, which retires every cached result keyed under the old
@@ -592,8 +592,9 @@ func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 // attribute name to a value label from the dataset's frozen vocabulary;
 // deletes name record ids (base records first, then inserts in arrival
 // order). Rebuild selects the refresh policy for this request: "auto"
-// (default) rebuilds in the background when the cost model's break-even
-// point is reached, "force" always rebuilds, "never" only buffers.
+// (default) rebuilds in the background once the staleness recommends it
+// (buffered rows plus tombstones reach 1/20 of the base records),
+// "force" always rebuilds, "never" only buffers.
 type ingestRequest struct {
 	Dataset string              `json:"dataset"`
 	Inserts []map[string]string `json:"inserts,omitempty"`
@@ -602,8 +603,10 @@ type ingestRequest struct {
 }
 
 type ingestResponse struct {
-	Dataset    string           `json:"dataset"`
-	Inserted   int              `json:"inserted"`
+	Dataset  string `json:"dataset"`
+	Inserted int    `json:"inserted"`
+	// Deleted counts the records the batch tombstoned: an id named twice,
+	// or one an earlier batch already deleted, is not counted again.
 	Deleted    int              `json:"deleted"`
 	Generation uint64           `json:"generation"`
 	Version    uint64           `json:"version"`
@@ -643,6 +646,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	// s.ing serialises ingests, so the tombstones this batch adds are the
+	// difference across it.
+	before := eng.Staleness().Tombstones
 	st, err := eng.IngestContext(r.Context(), req.Inserts, req.Deletes)
 	if err != nil {
 		s.ing.Unlock()
@@ -662,7 +668,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, ingestResponse{
 		Dataset:        name,
 		Inserted:       len(req.Inserts),
-		Deleted:        len(req.Deletes),
+		Deleted:        st.Tombstones - before,
 		Generation:     gen,
 		Version:        st.Version,
 		Staleness:      st,
