@@ -219,10 +219,16 @@ type Stats struct {
 	PartialOverlap  int `json:"partialOverlap"`
 
 	// ELIMINATE.
-	ItemFiltered  int `json:"itemFiltered"`  // candidates dropped by the item-attribute filter
-	SupportChecks int `json:"supportChecks"` // record-level tidset∩D^Q counts performed
-	Eliminated    int `json:"eliminated"`    // candidates failing local minsupport
-	Qualified     int `json:"qualified"`     // itemsets reaching rule generation
+	ItemFiltered int `json:"itemFiltered"` // candidates dropped by the item-attribute filter
+	// SupportChecks counts the record-level tidset∩D^Q counts performed:
+	// one per distinct itemset ELIMINATE checks, one per item it counts to
+	// skip checks (a candidate holding an item below the local threshold
+	// cannot reach it), one per VERIFY oracle miss.
+	SupportChecks int `json:"supportChecks"`
+	// Eliminated counts the candidates failing local minsupport, whether
+	// their own check or one of their items' counts showed it.
+	Eliminated int `json:"eliminated"`
+	Qualified  int `json:"qualified"` // itemsets reaching rule generation
 
 	// VERIFY.
 	OracleCalls  int `json:"oracleCalls"`  // antecedent/consequent support lookups

@@ -56,9 +56,9 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 // focal subset, restricted to the item attributes, read off the
 // surface's per-item tidsets — item i's local tidset is D^Q ∩ t(i), one
 // container AND per item. An item whose tidset cannot reach MinCount,
-// over the whole surface or then inside D^Q, is pruned before it is
-// materialized and stays nil, which CHARM skips. No record is read. It
-// also returns the number of item attributes.
+// over the whole surface or then inside D^Q (itemCount), is pruned before
+// it is materialized and stays nil, which CHARM skips. No record is read.
+// It also returns the number of item attributes.
 func (c *qctx) selectItems() ([]*bitset.Set, int, error) {
 	sp := c.ex.Space
 	localTids := make([]*bitset.Set, sp.NumItems())
@@ -73,9 +73,8 @@ func (c *qctx) selectItems() ([]*bitset.Set, int, error) {
 				return nil, 0, err
 			}
 			it := sp.ItemOf(a, v)
-			t := c.s.Tidsets[it]
-			if t.Count() >= c.f.MinCount && bitset.AndCount(c.f.DQ, t) >= c.f.MinCount {
-				localTids[it] = bitset.Intersect(c.f.DQ, t)
+			if n, _ := c.itemCount(it); n >= c.f.MinCount {
+				localTids[it] = bitset.Intersect(c.f.DQ, c.s.Tidsets[it])
 			}
 		}
 	}

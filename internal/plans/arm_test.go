@@ -8,7 +8,6 @@ import (
 
 	"colarm/internal/bitset"
 	"colarm/internal/datagen"
-	"colarm/internal/itemset"
 	"colarm/internal/mip"
 )
 
@@ -120,7 +119,7 @@ func BenchmarkARMSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := &Query{Region: halfRegion(idx), MinSupport: 0.60, MinConfidence: 0.8}
+	q := &Query{Region: fracRegion(idx, 0.5), MinSupport: 0.60, MinConfidence: 0.8}
 	ex := &Executor{Space: idx.Space, Workers: 1}
 	f := ex.Focus(NewSurface(idx), q)
 	c := ex.newCtx(context.Background(), f, q)
@@ -139,29 +138,4 @@ func BenchmarkARMSelect(b *testing.B) {
 			rowScanTids(c)
 		}
 	})
-}
-
-// halfRegion restricts the one attribute whose leading values come
-// closest to half the records to those values.
-func halfRegion(idx *mip.Index) *itemset.Region {
-	sp, half := idx.Space, idx.Dataset.NumRecords()/2
-	bestA, bestK, bestGap := 0, 1, half+1
-	for a := 0; a < sp.NumAttrs(); a++ {
-		sum := 0
-		for k := 1; k < sp.Cardinality(a); k++ {
-			sum += idx.Tidsets[sp.ItemOf(a, k-1)].Count()
-			if gap := max(sum-half, half-sum); gap < bestGap {
-				bestA, bestK, bestGap = a, k, gap
-			}
-		}
-	}
-	vals := make([]int, bestK)
-	for v := range vals {
-		vals[v] = v
-	}
-	reg := itemset.RegionFor(sp)
-	if err := reg.Restrict(bestA, vals); err != nil {
-		panic(err)
-	}
-	return reg
 }

@@ -84,6 +84,10 @@ type Executor struct {
 	// rules and operator counters alike — are identical for every
 	// worker count.
 	Workers int
+
+	// noItemBound makes ELIMINATE schedule a record-level check for every
+	// candidate, as it did before the item bound (itemsReach). Test hook.
+	noItemBound bool
 }
 
 // NewExecutor creates an executor for surfaces over the given item space.
@@ -176,8 +180,17 @@ type qctx struct {
 	dqsIDs [][]int
 
 	// localSupp caches CFI id → local support count (record-level check
-	// memoization across ELIMINATE's candidate occurrences).
+	// memoization across ELIMINATE's candidate occurrences). It holds
+	// exact counts only.
 	localSupp map[int]int
+	// pruned holds the CFI ids ELIMINATE's item bound settled without a
+	// check: each holds an item below MinCount inside D^Q, so its local
+	// support is below MinCount too. They never enter localSupp.
+	pruned map[int32]bool
+	// itemFreq memoizes the item bound per item: 0 not yet counted, 1 the
+	// item's local count reaches MinCount, -1 it does not. Nil until the
+	// bound first runs.
+	itemFreq []int8
 }
 
 // cancelled polls the query context every cancelPollStride calls (a
@@ -212,6 +225,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		workers:   ex.workers(),
 		st:        &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 		localSupp: make(map[int]int),
+		pruned:    make(map[int32]bool),
 	}
 	if f.Scan {
 		c.dqIDs = f.DQ.IDs()
@@ -256,6 +270,49 @@ func (c *qctx) countLocalShard(tids *bitset.Set, s int) int {
 		return n
 	}
 	return bitset.AndCount(tids, c.f.Shards[s])
+}
+
+// itemCount is item it's local count |D^Q ∩ t(it)|, the one record-level
+// check per item that ARM's SELECT and ELIMINATE's item bound share. When
+// the item's count over the whole surface is already below MinCount the
+// check is skipped: that count — an upper bound on the local one, so also
+// below MinCount — comes back with checked false.
+func (c *qctx) itemCount(it itemset.Item) (n int, checked bool) {
+	t := c.s.Tidsets[it]
+	if n = t.Count(); n < c.f.MinCount {
+		return n, false
+	}
+	return bitset.AndCount(c.f.DQ, t), true
+}
+
+// itemsReach is ELIMINATE's item bound: whether every item of CFI id has
+// a local count reaching MinCount. Support is anti-monotone, so a CFI
+// holding an item below MinCount inside D^Q is below it too. Items are
+// counted lazily, at most once per request, in order, up to the first
+// one that falls short; every record-level check that runs adds to
+// SupportChecks. Which items get counted depends on which candidates
+// reach the bound, not on their order, so SupportChecks repeats on a
+// rebuild whose R-tree emits the same candidates in another order.
+func (c *qctx) itemsReach(id int) bool {
+	if c.itemFreq == nil {
+		c.itemFreq = make([]int8, len(c.s.Tidsets))
+	}
+	for _, it := range c.s.Tree.Items(id) {
+		if c.itemFreq[it] == 0 {
+			n, checked := c.itemCount(it)
+			if checked {
+				c.st.SupportChecks++
+			}
+			c.itemFreq[it] = 1
+			if n < c.f.MinCount {
+				c.itemFreq[it] = -1
+			}
+		}
+		if c.itemFreq[it] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // candidate is one MIP emitted by (SUPPORTED-)SEARCH.
@@ -339,13 +396,15 @@ type qualified struct {
 // contained in D^Q take their global support as the local one
 // (Lemma 4.5) without a record-level check.
 //
-// The operator runs in three phases so the expensive middle one can fan
-// out across the query's workers while the result stays byte-identical
-// to a serial run: (1) a serial classification pass — item-attribute
-// filtering, closure normalization, dedup — that schedules each CFI
-// needing a record-level check exactly once; (2) the record-level
-// support checks, executed in parallel into pre-indexed slots; (3) a
-// serial minsupport filter in candidate order.
+// A serial classification pass — item-attribute filtering, closure
+// normalization, dedup — settles each distinct CFI one of three ways: the
+// contained shortcut above; the item bound (itemsReach), which prunes a
+// CFI holding an item below MinCount inside D^Q, since its local support
+// is below MinCount too; or one scheduled record-level check. The checks
+// then fan out across the query's workers into pre-indexed slots, and a
+// serial minsupport filter in candidate order counts pruned and failing
+// candidates alike as Eliminated, so the result and every counter but
+// SupportChecks match a run without the bound, at any worker count.
 func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -406,9 +465,13 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 			// same value, so the counters stay order-faithful.)
 			c.localSupp[int(cid)] = c.s.Tree.Support(int(cid))
 			shortcuts++
-		} else if _, done := c.localSupp[int(cid)]; !done && !scheduled[cid] {
-			scheduled[cid] = true
-			checkIDs = append(checkIDs, cid)
+		} else if _, done := c.localSupp[int(cid)]; !done && !scheduled[cid] && !c.pruned[cid] {
+			if c.ex.noItemBound || c.itemsReach(int(cid)) {
+				scheduled[cid] = true
+				checkIDs = append(checkIDs, cid)
+			} else {
+				c.pruned[cid] = true
+			}
 		}
 		entries = append(entries, entry{id: cid, body: body})
 	}
@@ -419,8 +482,8 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	// one work item per (CFI, shard) pair — and the gather sums the
 	// per-shard partial counts, which equals the monolithic check
 	// because the shard subsets partition D^Q; SupportChecks still
-	// counts logical checks (one per CFI), keeping the counters
-	// byte-identical to the monolithic run.
+	// counts logical checks (one per CFI, as one per item above), keeping
+	// the counters byte-identical to the monolithic run.
 	c.st.SupportChecks += len(checkIDs)
 	counts := make([]int, len(checkIDs))
 	var used int
@@ -461,14 +524,15 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	if tr != nil && containedShortcut {
 		t1 = time.Now()
 		tr.Record(obs.OpEliminate, t1.Sub(t0), len(cands), len(entries), used,
-			fmt.Sprintf("filtered=%d checks=%d shortcut=%d", c.st.ItemFiltered, len(checkIDs), shortcuts))
+			fmt.Sprintf("filtered=%d checks=%d pruned=%d shortcut=%d",
+				c.st.ItemFiltered, len(checkIDs), len(c.pruned), shortcuts))
 	}
 
-	// Minsupport filter, in candidate order.
+	// Minsupport filter, in candidate order. A pruned id has no count.
 	var out []qualified
 	for _, e := range entries {
-		local := c.localSupp[int(e.id)]
-		if local < c.f.MinCount {
+		local, counted := c.localSupp[int(e.id)]
+		if !counted || local < c.f.MinCount {
 			c.st.Eliminated++
 			continue
 		}
@@ -478,11 +542,11 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	if tr != nil {
 		if containedShortcut {
 			tr.Record(obs.OpUnion, time.Since(t1), len(entries), len(out), 1,
-				fmt.Sprintf("eliminated=%d", c.st.Eliminated))
+				fmt.Sprintf("pruned=%d eliminated=%d", len(c.pruned), c.st.Eliminated))
 		} else {
 			tr.Record(obs.OpEliminate, time.Since(t0), len(cands), len(out), used,
-				fmt.Sprintf("filtered=%d checks=%d eliminated=%d",
-					c.st.ItemFiltered, len(checkIDs), c.st.Eliminated))
+				fmt.Sprintf("filtered=%d checks=%d pruned=%d eliminated=%d",
+					c.st.ItemFiltered, len(checkIDs), len(c.pruned), c.st.Eliminated))
 		}
 	}
 	return out, nil

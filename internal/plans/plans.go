@@ -179,10 +179,15 @@ type Stats struct {
 	PartialOverlap  int // candidates partially overlapping D^Q
 
 	// ELIMINATE / SUPPORTED-VERIFY support checking.
-	ItemFiltered  int // candidates dropped by the item-attribute filter
-	SupportChecks int // record-level tidset∩D^Q counts performed
-	Eliminated    int // candidates failing local minsupport
-	Qualified     int // |{I^Q_E}| (or equivalent) reaching rule generation
+	ItemFiltered int // candidates dropped by the item-attribute filter
+	// SupportChecks counts the record-level tidset∩D^Q counts performed:
+	// one per distinct CFI ELIMINATE checks, one per item its item bound
+	// counts, one per VERIFY oracle miss.
+	SupportChecks int
+	// Eliminated counts the candidates failing local minsupport, whether
+	// a check or the item bound settled them.
+	Eliminated int
+	Qualified  int // |{I^Q_E}| (or equivalent) reaching rule generation
 
 	// VERIFY.
 	OracleCalls  int // antecedent/consequent support lookups
