@@ -11,7 +11,7 @@ package colarm_test
 //	BenchmarkOptimizerChoose  E5: plan-selection latency
 //	BenchmarkFig13*           E7: local-vs-global CFI classification
 //	BenchmarkRTree*           A1: packing-scheme ablation
-//	BenchmarkCheckMode*       A2: scan vs bitmap record checks
+//	BenchmarkCheckMode*       A2: scan vs bitmap record checks (VERIFY's misses)
 //	BenchmarkIndexBuild       offline phase
 //
 // Each benchmark uses the reduced-profile datasets so the suite
@@ -188,7 +188,9 @@ func BenchmarkIndexBuild(b *testing.B) {
 
 // BenchmarkCheckMode is ablation A2: the record-level support check as
 // a |D^Q| record scan vs a whole-bitmap intersection, across subset
-// sizes — the tradeoff AutoCheck arbitrates.
+// sizes — the tradeoff AutoCheck arbitrates. The mode reaches VERIFY's
+// closure misses only; ELIMINATE ANDs rank-space vectors in both, so
+// what differs between the two runs of a size is VERIFY's miss work.
 func BenchmarkCheckMode(b *testing.B) {
 	env := benchEnv(b, "mushroom")
 	rng := rand.New(rand.NewSource(19))

@@ -24,7 +24,9 @@ type Options struct {
 	// PrimarySupport is the offline primary support threshold in (0,1].
 	PrimarySupport float64
 	// CheckMode selects the record-level support check implementation
-	// (AutoCheck, ScanCheck or BitmapCheck). ScanCheck costs are
+	// (AutoCheck, ScanCheck or BitmapCheck) of VERIFY's closure misses,
+	// and how the cost model prices the checks; ELIMINATE counts over
+	// its rank-space vectors in every mode. ScanCheck costs are
 	// proportional to the focal subset size, matching the paper's cost
 	// model; AutoCheck (default) picks the cheaper implementation per
 	// query.

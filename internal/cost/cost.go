@@ -385,8 +385,11 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 }
 
 // supportCheckCost is the cost of one record-level support check as the
-// focal subset has the executor run it (Focal.Scan): a |D^Q|-record
-// scan (the paper's COST(E) unit) or a whole-bitmap intersection.
+// focal subset has VERIFY's closure misses run it (Focal.Scan): a
+// |D^Q|-record scan (the paper's COST(E) unit) or a whole-bitmap
+// intersection. ELIMINATE's checks are priced at it too, though they
+// AND ⌈|D^Q|/64⌉-word rank-space vectors instead, so their estimate
+// runs high until the unit costs are refit.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
 	if s.f.Scan {
 		return float64(s.f.Size) * mo.u.IDProbe

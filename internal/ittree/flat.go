@@ -6,6 +6,7 @@
 //	itemArena/itemOff   all CFI itemsets concatenated, offset-indexed
 //	supports            global support per CFI id
 //	tids                tidset pointer per CFI id
+//	sigs                128-bit item signature per CFI id
 //	invArena/invOff     per-item inverted lists of CFI ids
 //	htab                open-addressed exact-lookup table
 //
@@ -14,9 +15,11 @@
 // containing X (two distinct containing CFIs at the shared maximum would
 // have equal tidsets — impossible for distinct closed sets), so the
 // closure scan can return the FIRST containing CFI it meets in that
-// order. Exact lookup hashes the item slice directly (FNV-1a over the
-// item words) and verifies candidates against the arena, so no per-probe
-// string key is ever allocated.
+// order. A CFI's signature sets bit item % 128 for each of its items, so
+// one whose signature lacks a bit of X's cannot contain X: the scan
+// skips it without touching the item arena. Exact lookup hashes the item
+// slice directly (FNV-1a over the item words) and verifies candidates
+// against the arena, so no per-probe string key is ever allocated.
 package ittree
 
 import (
@@ -38,11 +41,13 @@ func (t *Tree) buildFlat(closed []*charm.ClosedSet) {
 	t.itemOff = make([]int32, n+1)
 	t.supports = make([]int32, n)
 	t.tids = make([]*bitset.Set, n)
+	t.sigs = make([]signature, n)
 	for id, c := range closed {
 		t.itemOff[id] = int32(len(t.itemArena))
 		t.itemArena = append(t.itemArena, c.Items...)
 		t.supports[id] = int32(c.Support)
 		t.tids[id] = c.Tids
+		t.sigs[id] = signatureOf(c.Items)
 	}
 	t.itemOff[n] = int32(len(t.itemArena))
 
@@ -142,16 +147,35 @@ func equalItems(a, b itemset.Set) bool {
 	return true
 }
 
+// signature is a 128-bit item signature: bit it % 128 for every item.
+// X ⊆ Y implies sig(X) ⊆ sig(Y); items 128 apart share a bit, so the
+// converse does not hold and containsAll stays the exact test.
+type signature [2]uint64
+
+func signatureOf(x itemset.Set) signature {
+	var s signature
+	for _, it := range x {
+		s[it>>6&1] |= 1 << (it & 63)
+	}
+	return s
+}
+
+// covers reports whether s has every bit of x.
+func (s signature) covers(x signature) bool {
+	return s[0]&x[0] == x[0] && s[1]&x[1] == x[1]
+}
+
 // ClosureID is Closure returning the CFI's id instead of the set; plans
-// key their per-query local-support caches on the id. Exact probe first,
+// key their per-query local-support state on the id. Exact probe first,
 // then a single early-exit pass over the shortest inverted list of x's
-// items.
+// items, which skips by signature before it compares items.
 func (t *Tree) ClosureID(x itemset.Set) (int, bool) {
 	if id, ok := t.LookupID(x); ok {
 		return id, true
 	}
+	xs := signatureOf(x)
 	for _, id := range t.shortestRun(x) {
-		if t.containsAll(int(id), x) {
+		if t.sigs[id].covers(xs) && t.containsAll(int(id), x) {
 			return int(id), true
 		}
 	}

@@ -31,17 +31,26 @@ func oracleClosure(sets []*charm.ClosedSet, x itemset.Set) (int, bool) {
 // FuzzClosure drives random datasets through the tree and checks
 // ClosureID and LookupID against the brute-force
 // smallest-containing-CFI oracle — the closure scan's (support desc, id
-// asc) early exit has to find the oracle's maximum exactly.
+// asc) early exit has to find the oracle's maximum exactly, and its
+// signature filter must never skip the closure. Item ids are spread by a
+// fuzzed stride (item i becomes i·stride), so they pass 128 and, at an
+// even stride, many share a signature bit: at stride 128 every item
+// aliases bit 0 and the filter passes every CFI to containsAll.
 func FuzzClosure(f *testing.F) {
-	f.Add(int64(1), 12, 4, 3, 2)
-	f.Add(int64(42), 25, 5, 4, 1)
-	f.Add(int64(7), 6, 2, 2, 1)
-	f.Add(int64(20260808), 40, 3, 3, 3)
-	f.Fuzz(func(t *testing.T, seed int64, rows, attrs, card, minCount int) {
+	f.Add(int64(1), 12, 4, 3, 2, 1)
+	f.Add(int64(42), 25, 5, 4, 1, 1)
+	f.Add(int64(7), 6, 2, 2, 1, 1)
+	f.Add(int64(20260808), 40, 3, 3, 3, 1)
+	f.Add(int64(3), 30, 5, 4, 1, 7)
+	f.Add(int64(11), 35, 5, 4, 2, 64)
+	f.Add(int64(5), 40, 4, 4, 1, 128)
+	f.Add(int64(9), 28, 5, 3, 1, 43)
+	f.Fuzz(func(t *testing.T, seed int64, rows, attrs, card, minCount, stride int) {
 		rows = 1 + abs(rows)%40
 		attrs = 1 + abs(attrs)%5
 		card = 2 + abs(card)%3
 		minCount = 1 + abs(minCount)%3
+		stride = 1 + abs(stride)%130
 		rng := rand.New(rand.NewSource(seed))
 
 		names := make([]string, attrs)
@@ -64,7 +73,14 @@ func FuzzClosure(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := Build(res, sp.NumItems())
+		// Multiplying by a positive stride keeps every itemset sorted.
+		for _, c := range res.Closed {
+			for i := range c.Items {
+				c.Items[i] *= itemset.Item(stride)
+			}
+		}
+		numItems := (sp.NumItems()-1)*stride + 1
+		tr := Build(res, numItems)
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +101,7 @@ func FuzzClosure(f *testing.F) {
 			n := 1 + rng.Intn(3)
 			raw := make([]itemset.Item, n)
 			for j := range raw {
-				raw[j] = itemset.Item(rng.Intn(sp.NumItems()))
+				raw[j] = itemset.Item(rng.Intn(sp.NumItems()) * stride)
 			}
 			probes = append(probes, itemset.NewSet(raw...))
 		}

@@ -40,6 +40,7 @@ type Tree struct {
 	itemOff   []int32        // len Size()+1; CFI i items = itemArena[itemOff[i]:itemOff[i+1]]
 	supports  []int32        // CFI i -> global support
 	tids      []*bitset.Set  // CFI i -> tidset
+	sigs      []signature    // CFI i -> item signature, bit it % 128 per item
 	invArena  []int32        // per-item CFI-id runs, each ordered (support desc, id asc)
 	invOff    []int32        // len numItems+1; item it run = invArena[invOff[it]:invOff[it+1]]
 	htab      []int32        // open-addressed exact-lookup table over item hashes; -1 empty
@@ -125,6 +126,9 @@ func (t *Tree) Validate() error {
 		}
 		if !t.Items(id).Equal(c.Items) {
 			return fmt.Errorf("ittree: Items(%d) = %v, want %v", id, t.Items(id), c.Items)
+		}
+		if t.sigs[id] != signatureOf(c.Items) {
+			return fmt.Errorf("ittree: signature of CFI %d does not match its items", id)
 		}
 	}
 	return nil

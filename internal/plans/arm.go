@@ -64,7 +64,7 @@ func (c *qctx) selectItems() ([]*bitset.Set, int, error) {
 	localTids := make([]*bitset.Set, sp.NumItems())
 	attrs := 0
 	for a := 0; a < sp.NumAttrs(); a++ {
-		if !c.mask[a] {
+		if c.mask != nil && !c.mask[a] {
 			continue
 		}
 		attrs++

@@ -17,9 +17,10 @@ import (
 // attributes, frequent or not, and is the oracle selectItems is held to.
 func rowScanTids(c *qctx) []*bitset.Set {
 	sp := c.ex.Space
+	mask := c.q.itemMask(sp.NumAttrs())
 	tids := make([]*bitset.Set, sp.NumItems())
 	for a := 0; a < sp.NumAttrs(); a++ {
-		if c.mask[a] {
+		if mask[a] {
 			for v := 0; v < sp.Cardinality(a); v++ {
 				tids[sp.ItemOf(a, v)] = bitset.New(c.s.NumRecords)
 			}
@@ -27,7 +28,7 @@ func rowScanTids(c *qctx) []*bitset.Set {
 	}
 	c.f.DQ.ForEach(func(r int) bool {
 		for a := 0; a < sp.NumAttrs(); a++ {
-			if c.mask[a] {
+			if mask[a] {
 				tids[sp.ItemOf(a, c.s.Value(r, a))].Add(r)
 			}
 		}

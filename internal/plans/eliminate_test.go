@@ -84,10 +84,10 @@ func boundQuery(r *rand.Rand, ex *Executor, s *Surface, minSupp float64, tight b
 // TestEliminateItemBound holds ELIMINATE's item bound to the operator
 // without it, on quick chess, mushroom and PUMSB, over a frozen surface
 // and a merged surface with inserts and deletes split into two shards,
-// under all five MIP plans: every pruned candidate's exact local support
-// is below MinCount and none of them enters localSupp, every localSupp
-// entry is an exact count, and rules and every counter but SupportChecks
-// equal a run with the bound disabled. Stats are equal at one worker and
+// under all five MIP plans: in the per-CFI state every pruned id's exact
+// local support is below MinCount, every counted id holds its exact
+// count and no id is left scheduled, and rules and every counter but
+// SupportChecks equal a run with the bound disabled. Stats are equal at one worker and
 // at four.
 func TestEliminateItemBound(t *testing.T) {
 	pruned, tight, checksOn, checksOff := 0, 0, 0, 0
@@ -131,20 +131,21 @@ func TestEliminateItemBound(t *testing.T) {
 					if _, err := c.eliminate(cands, kind == SSEUV); err != nil {
 						t.Fatal(err)
 					}
-					for id := range c.pruned {
-						if _, ok := c.localSupp[int(id)]; ok {
-							fail("%s: pruned CFI %d has a localSupp entry", kind, id)
-						}
-						if n := exact(int(id)); n >= c.f.MinCount {
-							fail("%s: pruned CFI %d has local support %d", kind, id, n)
+					for id, v := range c.cfi {
+						switch {
+						case v == cfiScheduled:
+							fail("%s: CFI %d is left scheduled", kind, id)
+						case v == cfiPruned:
+							if n := exact(id); n >= c.f.MinCount {
+								fail("%s: pruned CFI %d has local support %d", kind, id, n)
+							}
+							pruned++
+						case v != cfiNone:
+							if n, _ := c.local(id); n != exact(id) {
+								fail("%s: CFI %d counted %d, exact count %d", kind, id, n, exact(id))
+							}
 						}
 					}
-					for id, n := range c.localSupp {
-						if want := exact(id); n != want {
-							fail("%s: localSupp[%d] = %d, exact count %d", kind, id, n, want)
-						}
-					}
-					pruned += len(c.pruned)
 
 					cOff := exOff.newCtx(context.Background(), f, q)
 					qualsOff, err := cOff.eliminate(cands, kind == SSEUV)
@@ -288,4 +289,71 @@ func BenchmarkEliminate(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestEliminateLocalVectors holds every record-level check ELIMINATE
+// runs over its rank-space vectors to bitset.AndCount of D^Q and the
+// CFI's stored tidset, on quick chess, mushroom and PUMSB, over a frozen
+// surface, a merged surface with inserts and deletes, and that merged
+// surface split into two shards (whose checks read the union D^Q), with
+// and without the item bound, at one worker and at four.
+func TestEliminateLocalVectors(t *testing.T) {
+	checked, partial := 0, 0
+	for di, qi := range quickIndexes {
+		d, err := datagen.Generate(qi.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: qi.primary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(int64(100 + di)))
+		merged := mergedSurface(t, r, idx, qi.primary)
+		mergedK2 := *merged
+		mergedK2.Slices = partition(merged.Tidsets, merged.Live, 2)
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", merged}, {"merged+K=2", &mergedK2}}
+		for i := 0; i < 3; i++ {
+			q := boundQuery(r, NewExecutor(idx.Space), surfaces[0].Surface, qi.minSupp, i != 1)
+			for _, s := range surfaces {
+				for _, workers := range []int{1, 4} {
+					for _, bound := range []bool{true, false} {
+						ex := &Executor{Space: idx.Space, Workers: workers, noItemBound: !bound}
+						f := ex.Focus(s.Surface, q)
+						if f.Size == 0 {
+							continue
+						}
+						if f.Size%64 != 0 {
+							partial++
+						}
+						for _, supported := range []bool{false, true} {
+							c := ex.newCtx(context.Background(), f, q)
+							cands, err := c.search(supported)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := c.eliminate(cands, false); err != nil {
+								t.Fatal(err)
+							}
+							for id := range c.cfi {
+								n, ok := c.local(id)
+								if !ok {
+									continue
+								}
+								if want := bitset.AndCount(f.DQ, s.Tree.Tids(id)); n != want {
+									t.Fatalf("%s query %d %s workers=%d bound=%v supported=%v (|DQ| %d): CFI %d counted %d over the vectors, AndCount %d",
+										qi.name, i, s.name, workers, bound, supported, f.Size, id, n, want)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 || partial == 0 {
+		t.Fatalf("%d checks held to AndCount, %d focal subsets ending mid-word: the queries no longer reach the vectors", checked, partial)
+	}
+	t.Logf("%d checks held to AndCount", checked)
 }

@@ -3,6 +3,7 @@ package plans
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,10 @@ import (
 	"colarm/internal/rules"
 )
 
-// CheckMode selects how the record-level support checks of ELIMINATE
-// and VERIFY are executed.
+// CheckMode selects how the record-level support check is executed on
+// VERIFY's closure misses (countLocal), and how the cost model prices
+// the ELIMINATE and VERIFY checks. Only those two read it now: ELIMINATE
+// counts over D^Q's own vertical layout (localVecs) in every mode.
 type CheckMode int
 
 const (
@@ -38,7 +41,8 @@ const (
 // subset's ids one by one rather than intersect whole bitmaps.
 // AutoCheck scans when |D^Q| <= m/32: a scan touches one word per
 // subset record, a bitmap intersection every word of the universe once.
-// Executor.Focus decides with it once per request (Focal.Scan).
+// Executor.Focus decides with it once per request (Focal.Scan), which
+// VERIFY's closure-miss check and the cost model read.
 func (m CheckMode) Scans(size, records int) bool {
 	switch m {
 	case ScanCheck:
@@ -169,24 +173,19 @@ type qctx struct {
 	ctx     context.Context // the query's cancellation context
 	done    <-chan struct{} // ctx.Done(), captured once (nil for Background)
 	polls   int             // cancellation poll cadence counter
-	mask    []bool          // item-attribute mask
+	mask    []bool          // item-attribute mask; nil without the clause
 	workers int             // resolved worker count for this query
 	st      *Stats
 
-	// Scan-mode id lists: the focal subset's record ids, and per shard
-	// of a scattered query its share of them. Per-shard support counts
-	// gathered by summation equal the monolithic counts exactly.
-	dqIDs  []int
-	dqsIDs [][]int
+	// dqIDs lists the focal subset's record ids in scan mode, for
+	// VERIFY's closure-miss check.
+	dqIDs []int
 
-	// localSupp caches CFI id → local support count (record-level check
-	// memoization across ELIMINATE's candidate occurrences). It holds
-	// exact counts only.
-	localSupp map[int]int
-	// pruned holds the CFI ids ELIMINATE's item bound settled without a
-	// check: each holds an item below MinCount inside D^Q, so its local
-	// support is below MinCount too. They never enter localSupp.
-	pruned map[int32]bool
+	// cfi is ELIMINATE's per-CFI state, indexed by CFI id (see cfiNone):
+	// none, a scheduled record-level check, pruned by the item bound, or an
+	// exact local support count. ELIMINATE writes it serially; VERIFY's
+	// countItems only reads it. Nil until ELIMINATE runs.
+	cfi []int32
 	// itemFreq memoizes the item bound per item: 0 not yet counted, 1 the
 	// item's local count reaches MinCount, -1 it does not. Nil until the
 	// bound first runs.
@@ -215,34 +214,27 @@ func (c *qctx) cancelled() error {
 
 func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 	c := &qctx{
-		ex:        ex,
-		q:         q,
-		s:         f.Surface,
-		f:         f,
-		ctx:       ctx,
-		done:      ctx.Done(),
-		mask:      q.itemMask(ex.Space.NumAttrs()),
-		workers:   ex.workers(),
-		st:        &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
-		localSupp: make(map[int]int),
-		pruned:    make(map[int32]bool),
+		ex:      ex,
+		q:       q,
+		s:       f.Surface,
+		f:       f,
+		ctx:     ctx,
+		done:    ctx.Done(),
+		mask:    q.ItemAttrs,
+		workers: ex.workers(),
+		st:      &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 	}
 	if f.Scan {
 		c.dqIDs = f.DQ.IDs()
-		if f.Shards != nil {
-			c.dqsIDs = make([][]int, len(f.Shards))
-			for s, dq := range f.Shards {
-				c.dqsIDs[s] = dq.IDs()
-			}
-		}
 	}
 	return c
 }
 
-// countLocal is the record-level support check: how many records of the
-// focal subset the tidset covers. In scan mode it probes each D^Q
-// record id (cost ∝ |D^Q|, the paper's record-level scan); in bitmap
-// mode it intersects whole bitmaps (cost ∝ dataset words).
+// countLocal is VERIFY's closure-miss check (countItems): how many
+// records of the focal subset the tidset covers. In scan mode it probes
+// each D^Q record id (cost ∝ |D^Q|, the paper's record-level scan); in
+// bitmap mode it intersects whole bitmaps (cost ∝ dataset words).
+// ELIMINATE counts over its local vectors instead (localVecs).
 func (c *qctx) countLocal(tids *bitset.Set) int {
 	if c.f.Scan {
 		n := 0
@@ -254,22 +246,6 @@ func (c *qctx) countLocal(tids *bitset.Set) int {
 		return n
 	}
 	return bitset.AndCount(tids, c.f.DQ)
-}
-
-// countLocalShard is countLocal restricted to shard s's share of the
-// focal subset. The per-shard subsets partition D^Q, so summing the
-// results over all shards equals countLocal exactly.
-func (c *qctx) countLocalShard(tids *bitset.Set, s int) int {
-	if c.f.Scan {
-		n := 0
-		for _, id := range c.dqsIDs[s] {
-			if tids.Contains(id) {
-				n++
-			}
-		}
-		return n
-	}
-	return bitset.AndCount(tids, c.f.Shards[s])
 }
 
 // itemCount is item it's local count |D^Q ∩ t(it)|, the one record-level
@@ -400,11 +376,18 @@ type qualified struct {
 // normalization, dedup — settles each distinct CFI one of three ways: the
 // contained shortcut above; the item bound (itemsReach), which prunes a
 // CFI holding an item below MinCount inside D^Q, since its local support
-// is below MinCount too; or one scheduled record-level check. The checks
-// then fan out across the query's workers into pre-indexed slots, and a
+// is below MinCount too; or one scheduled record-level check. The state
+// lives in one slice indexed by CFI id (c.cfi). The serial pass then
+// builds D^Q's own vertical layout for the scheduled CFIs' items
+// (buildVecs): one rank-space vector per item, ⌈|D^Q|/64⌉ words. The
+// checks fan out across the query's workers into pre-indexed slots,
+// each one the popcount of the AND of its CFI's item vectors, and a
 // serial minsupport filter in candidate order counts pruned and failing
 // candidates alike as Eliminated, so the result and every counter but
-// SupportChecks match a run without the bound, at any worker count.
+// SupportChecks match a run without the bound, at any worker count. A
+// sharded surface takes the same path over the union D^Q: a vector
+// counts the shards' records together, so there is no scatter and no
+// partial-sum gather.
 func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -412,6 +395,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		t0 = time.Now()
 	}
 	shortcuts := 0 // contained MIPs resolved via Lemma 4.5, traced only
+	pruned := 0    // CFIs settled by the item bound, traced only
 	sp := c.ex.Space
 	seen := make(map[string]bool)
 	type entry struct {
@@ -420,12 +404,15 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	}
 	entries := make([]entry, 0, len(cands))
 	var checkIDs []int32 // CFI ids needing a record-level check, first-need order
-	scheduled := make(map[int32]bool)
+	c.cfi = make([]int32, c.s.Tree.Size())
 	for _, cd := range cands {
 		if err := c.cancelled(); err != nil {
 			return nil, err
 		}
-		body, all := c.s.Tree.Items(int(cd.id)).RestrictedTo(sp, c.mask)
+		body, all := c.s.Tree.Items(int(cd.id)), true
+		if c.mask != nil {
+			body, all = body.RestrictedTo(sp, c.mask)
+		}
 		if len(body) < 2 {
 			c.st.ItemFiltered++
 			continue
@@ -463,57 +450,34 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 			// D^Q, so the global support IS the local one. (A cid already
 			// scheduled for a check keeps the check; both produce the
 			// same value, so the counters stay order-faithful.)
-			c.localSupp[int(cid)] = c.s.Tree.Support(int(cid))
+			c.setLocal(cid, c.s.Tree.Support(int(cid)))
 			shortcuts++
-		} else if _, done := c.localSupp[int(cid)]; !done && !scheduled[cid] && !c.pruned[cid] {
+		} else if c.cfi[cid] == cfiNone {
 			if c.ex.noItemBound || c.itemsReach(int(cid)) {
-				scheduled[cid] = true
+				c.cfi[cid] = cfiScheduled
 				checkIDs = append(checkIDs, cid)
 			} else {
-				c.pruned[cid] = true
+				c.cfi[cid] = cfiPruned
+				pruned++
 			}
 		}
 		entries = append(entries, entry{id: cid, body: body})
 	}
 
-	// Record-level checks, fanned out. Each distinct CFI is checked once
-	// (the serial path's memoization), so SupportChecks is identical for
-	// every worker count. On a sharded engine the fan-out is finer —
-	// one work item per (CFI, shard) pair — and the gather sums the
-	// per-shard partial counts, which equals the monolithic check
-	// because the shard subsets partition D^Q; SupportChecks still
-	// counts logical checks (one per CFI, as one per item above), keeping
-	// the counters byte-identical to the monolithic run.
+	// Record-level checks, fanned out over the local vectors. Each
+	// distinct CFI is checked once, so SupportChecks is identical for
+	// every worker count; a vector build is not a check.
+	vecs := c.buildVecs(checkIDs)
 	c.st.SupportChecks += len(checkIDs)
 	counts := make([]int, len(checkIDs))
-	var used int
-	var err error
-	if c.f.Shards != nil {
-		k := len(c.f.Shards)
-		partial := make([]int, len(checkIDs)*k)
-		used, err = pool.ForCtx(c.ctx, len(partial), c.workers, func(j int) {
-			partial[j] = c.countLocalShard(c.s.Tree.Tids(int(checkIDs[j/k])), j%k)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := range counts {
-			n := 0
-			for s := 0; s < k; s++ {
-				n += partial[i*k+s]
-			}
-			counts[i] = n
-		}
-	} else {
-		used, err = pool.ForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
-			counts[i] = c.countLocal(c.s.Tree.Tids(int(checkIDs[i])))
-		})
-		if err != nil {
-			return nil, err
-		}
+	used, err := pool.ForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
+		counts[i] = vecs.count(c.s.Tree.Items(int(checkIDs[i])))
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, id := range checkIDs {
-		c.localSupp[int(id)] = counts[i]
+		c.setLocal(id, counts[i])
 	}
 
 	// For SS-E-U-V the minsupport filter below is the UNION operator:
@@ -524,14 +488,14 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	if tr != nil && containedShortcut {
 		t1 = time.Now()
 		tr.Record(obs.OpEliminate, t1.Sub(t0), len(cands), len(entries), used,
-			fmt.Sprintf("filtered=%d checks=%d pruned=%d shortcut=%d",
-				c.st.ItemFiltered, len(checkIDs), len(c.pruned), shortcuts))
+			fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d shortcut=%d",
+				c.st.ItemFiltered, len(checkIDs), vecs.n, pruned, shortcuts))
 	}
 
 	// Minsupport filter, in candidate order. A pruned id has no count.
 	var out []qualified
 	for _, e := range entries {
-		local, counted := c.localSupp[int(e.id)]
+		local, counted := c.local(int(e.id))
 		if !counted || local < c.f.MinCount {
 			c.st.Eliminated++
 			continue
@@ -542,14 +506,102 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	if tr != nil {
 		if containedShortcut {
 			tr.Record(obs.OpUnion, time.Since(t1), len(entries), len(out), 1,
-				fmt.Sprintf("pruned=%d eliminated=%d", len(c.pruned), c.st.Eliminated))
+				fmt.Sprintf("pruned=%d eliminated=%d", pruned, c.st.Eliminated))
 		} else {
 			tr.Record(obs.OpEliminate, time.Since(t0), len(cands), len(out), used,
-				fmt.Sprintf("filtered=%d checks=%d pruned=%d eliminated=%d",
-					c.st.ItemFiltered, len(checkIDs), len(c.pruned), c.st.Eliminated))
+				fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d eliminated=%d",
+					c.st.ItemFiltered, len(checkIDs), vecs.n, pruned, c.st.Eliminated))
 		}
 	}
 	return out, nil
+}
+
+// ELIMINATE's per-CFI states in qctx.cfi. A positive value v is an exact
+// local support count, v-1; the zero value is cfiNone, so the slice
+// starts out settled for no one.
+const (
+	cfiNone      int32 = 0  // not met yet
+	cfiScheduled int32 = -1 // a record-level check is scheduled
+	cfiPruned    int32 = -2 // the item bound settled it: below MinCount
+)
+
+// setLocal records CFI id's exact local support count.
+func (c *qctx) setLocal(id int32, n int) { c.cfi[id] = int32(n) + 1 }
+
+// local returns CFI id's exact local support count, if ELIMINATE
+// counted it or took it from the contained shortcut.
+func (c *qctx) local(id int) (int, bool) {
+	if v := c.cfi[id]; v > 0 {
+		return int(v - 1), true
+	}
+	return 0, false
+}
+
+// localVecs is ELIMINATE's view of D^Q's vertical layout: one rank-space
+// vector per item (bitset.RankAnd), bit r set when the r-th record of
+// D^Q in ascending id order holds the item, all drawn from one arena.
+// It is built once per request, serially, and only read by the checks.
+type localVecs struct {
+	nw    int      // words per vector: ⌈|D^Q|/64⌉
+	n     int      // vectors built
+	off   []int32  // item → offset of its vector in arena
+	arena []uint64 // the vectors, n·nw words
+}
+
+// buildVecs builds the local vector of every item of the scheduled CFIs,
+// from D^Q and the surface's item tidsets. With the item bound on, each
+// such item already reached MinCount inside D^Q (itemsReach), so no
+// vector is built for an item that cannot contribute.
+func (c *qctx) buildVecs(checkIDs []int32) localVecs {
+	v := localVecs{nw: (c.f.Size + 63) / 64}
+	if len(checkIDs) == 0 {
+		return v
+	}
+	v.off = make([]int32, len(c.s.Tidsets))
+	for i := range v.off {
+		v.off[i] = -1
+	}
+	var items []itemset.Item
+	for _, id := range checkIDs {
+		for _, it := range c.s.Tree.Items(int(id)) {
+			if v.off[it] < 0 {
+				v.off[it] = int32(len(items) * v.nw)
+				items = append(items, it)
+			}
+		}
+	}
+	v.n = len(items)
+	v.arena = make([]uint64, v.n*v.nw)
+	for k, it := range items {
+		bitset.RankAnd(v.arena[k*v.nw:(k+1)*v.nw], c.f.DQ, c.s.Tidsets[it])
+	}
+	return v
+}
+
+// count is the record-level check of a CFI with the given items:
+// |D^Q ∩ t(i₁) ∩ … ∩ t(i_k)|, the popcount of the AND of their vectors,
+// which equals |D^Q ∩ t(CFI)| since a CFI's tidset is its items'
+// intersection. The AND runs over a stack block of up to 64 words at a
+// time, one item's vector after the other.
+func (v *localVecs) count(items itemset.Set) int {
+	n := 0
+	var block [64]uint64
+	for lo := 0; lo < v.nw; lo += len(block) {
+		acc := block[:min(len(block), v.nw-lo)]
+		base := int(v.off[items[0]]) + lo
+		copy(acc, v.arena[base:base+len(acc)])
+		for _, it := range items[1:] {
+			base := int(v.off[it]) + lo
+			vec := v.arena[base : base+len(acc)]
+			for w := range acc {
+				acc[w] &= vec[w]
+			}
+		}
+		for _, x := range acc {
+			n += bits.OnesCount64(x)
+		}
+	}
+	return n
 }
 
 // countItems is the record-level support check of an arbitrary itemset
@@ -557,8 +609,8 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 // stores the tidset the count needs: t(X) = t(clos(X)), so supp_Q(X) =
 // |D^Q ∩ t(clos(X))|. The closure is one IT-tree lookup; if ELIMINATE
 // counted that CFI its local support is reused, otherwise the stored
-// tidset takes the same record-level check ELIMINATE performs (scan or
-// bitmap, summed over the shards of a scattered query). One stored
+// tidset takes a record-level check against D^Q (countLocal: scan or
+// bitmap; a sharded query's D^Q is the union of its shards'). One stored
 // tidset stands in for the C_X per-item tidsets of the paper's COST(V)
 // record-level term (Σ C_i · |D^Q|); the per-record work is unchanged in
 // kind and smaller in amount.
@@ -566,25 +618,22 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 // x is a subset of a qualified body and hence of a stored CFI, so it is
 // frequent at the surface's primary support and its closure is stored,
 // whatever built the surface. Reads only the immutable surface, the
-// request's focal subset and id lists and localSupp, which no one writes
-// during VERIFY, so it is safe from concurrent workers.
+// request's focal subset and id list and ELIMINATE's per-CFI state,
+// which no one writes during VERIFY, so it is safe from concurrent
+// workers.
+//
+// It does not read ELIMINATE's local vectors. The memo above it almost
+// always hits on a standing query's re-mine, and there a short closure
+// scan costs less than a vector AND.
 func (c *qctx) countItems(x itemset.Set) int {
 	id, ok := c.s.Tree.ClosureID(x)
 	if !ok {
 		panic(fmt.Sprintf("plans: no stored closure for %v, a subset of a qualified CFI", x))
 	}
-	if s, ok := c.localSupp[id]; ok {
+	if s, ok := c.local(id); ok {
 		return s
 	}
-	tids := c.s.Tree.Tids(id)
-	if c.f.Shards == nil {
-		return c.countLocal(tids)
-	}
-	total := 0
-	for s := range c.f.Shards {
-		total += c.countLocalShard(tids, s)
-	}
-	return total
+	return c.countLocal(c.s.Tree.Tids(id))
 }
 
 // sharedOracle returns the local-support oracle VERIFY hands to the rule

@@ -143,7 +143,7 @@ func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) [
 // resolved through the stored closure, |D^Q ∩ t(clos(X))|, equals the
 // count chained over the per-item tidsets, |D^Q ∩ t(x₁) ∩ … ∩ t(x_k)| —
 // on every surface shape, in scan and bitmap mode, with and without the
-// Lemma 4.5 shortcut feeding the local-support cache.
+// Lemma 4.5 shortcut feeding ELIMINATE's per-CFI counts.
 func TestClosureCountEqualsChainCount(t *testing.T) {
 	asked, reused := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -180,7 +180,8 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 									seed, s.name, mode, shortcut, x, got, want)
 							}
 							asked++
-							if id, _ := s.Tree.ClosureID(x); c.localSupp[id] == got {
+							id, _ := s.Tree.ClosureID(x)
+							if n, ok := c.local(id); ok && n == got {
 								reused++
 							}
 							return got

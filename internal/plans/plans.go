@@ -151,19 +151,6 @@ func (q *Query) Validate(sp *itemset.Space) error {
 	return nil
 }
 
-// itemMask returns the effective item-attribute mask (all-true when the
-// clause was omitted).
-func (q *Query) itemMask(n int) []bool {
-	if q.ItemAttrs != nil {
-		return q.ItemAttrs
-	}
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = true
-	}
-	return mask
-}
-
 // Stats instruments one plan execution with the operator-level counters
 // whose cardinalities the cost model estimates.
 type Stats struct {

@@ -530,3 +530,16 @@ func TestQuickRulesSatisfyThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// itemMask returns the effective item-attribute mask (all-true when the
+// clause was omitted).
+func (q *Query) itemMask(n int) []bool {
+	if q.ItemAttrs != nil {
+		return q.ItemAttrs
+	}
+	mask := make([]bool, n)
+	for i := range mask {
+		mask[i] = true
+	}
+	return mask
+}

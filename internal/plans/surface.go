@@ -13,10 +13,9 @@ import (
 // ShardSlice is one shard's projection of the record space: the records
 // the shard owns and the per-item tidsets restricted to those records.
 // Slices partition the live record ids — every live record belongs to
-// exactly one shard — so per-shard support counts sum to the global
-// count exactly (tidset supports are additive across a partition), which
-// is what makes scatter-gather recombination exact rather than
-// approximate. A ShardSlice is immutable once published.
+// exactly one shard — so the per-shard focal subsets Focus builds are
+// disjoint and their union is exactly the monolithic D^Q. A ShardSlice
+// is immutable once published.
 type ShardSlice struct {
 	// Records is the set of live record ids owned by the shard, in the
 	// global id space (ids are never renumbered per shard).
@@ -76,7 +75,8 @@ type Surface struct {
 	Value func(r, a int) int
 	// Slices partitions the live records across the shards of a sharded
 	// engine. One slice or none keeps execution monolithic; with more,
-	// the record-level work scatters and the gather sums per-shard counts.
+	// Focus builds D^Q per shard and gathers the union, which every
+	// operator then reads as on the monolith.
 	Slices []ShardSlice
 	// Version is the delta version the surface presents: 0 for a frozen
 	// index nothing was ingested over.
@@ -104,18 +104,17 @@ type Focal struct {
 	// Surface is the surface the subset was selected from; a plan given
 	// this Focal executes against it.
 	Surface *Surface
-	// DQ is the focal subset's record bitmap.
+	// DQ is the focal subset's record bitmap; on a sharded surface, the
+	// union of the per-shard subsets Focus gathered.
 	DQ *bitset.Set
-	// Shards[s] is DQ restricted to slice s of a sharded surface (their
-	// union is DQ); nil on the monolithic path.
-	Shards []*bitset.Set
 	// Size is |D^Q| and MinCount the query's minsupport as a record count
 	// within it — the localized threshold.
 	Size, MinCount int
 	// Scan reports whether the record-level support checks probe DQ's ids
 	// one by one rather than intersect whole bitmaps (CheckMode.Scans,
-	// decided once here): the executor runs that check and the cost model
-	// prices it.
+	// decided once here). Only VERIFY's closure-miss check runs it and
+	// the cost model prices it; ELIMINATE counts over its rank-space
+	// vectors in either case.
 	Scan bool
 }
 
@@ -136,15 +135,15 @@ func (f *Focal) Applicable() bool { return f.MinCount >= f.Surface.PrimaryCount 
 func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	f := &Focal{Surface: s}
 	if len(s.Slices) > 1 {
-		f.Shards = make([]*bitset.Set, len(s.Slices))
+		shards := make([]*bitset.Set, len(s.Slices))
 		pool.For(len(s.Slices), ex.workers(), func(i int) {
 			sl := s.Slices[i]
 			dq := itemset.RegionTidset(q.Region, ex.Space, sl.Items, s.NumRecords)
 			dq.And(sl.Records)
-			f.Shards[i] = dq
+			shards[i] = dq
 		})
 		f.DQ = bitset.New(s.NumRecords)
-		for _, dq := range f.Shards {
+		for _, dq := range shards {
 			f.DQ.Or(dq)
 		}
 	} else {

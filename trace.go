@@ -23,7 +23,7 @@ type TraceSpan struct {
 	// (1 for serial sections).
 	Workers int
 	// Detail carries operator-specific counters, e.g.
-	// "filtered=3 checks=42 pruned=9 eliminated=23".
+	// "filtered=3 checks=42 vecs=11 pruned=9 eliminated=23".
 	Detail string
 	// Predicted is the cost model's estimate for this operator, in model
 	// nanoseconds, to read beside Duration. It is 0 when the plan was
@@ -64,7 +64,7 @@ func newTrace(tr *obs.Trace) *Trace {
 //
 //	SS-E-V  1.234ms
 //	├─ SUPPORTED-SEARCH      312µs  out=57  pred=280µs  (nodes=9 entries=57 contained=12 partial=45)
-//	├─ ELIMINATE             501µs  in=57 out=31  ×4  pred=655µs  (filtered=3 checks=42 pruned=9 eliminated=23)
+//	├─ ELIMINATE             501µs  in=57 out=31  ×4  pred=655µs  (filtered=3 checks=42 vecs=11 pruned=9 eliminated=23)
 //	└─ VERIFY                401µs  in=31 out=18  ×4  pred=1.2ms  (oracle=120 misses=14)
 //
 // pred= is the cost model's estimate for the operator and appears only
