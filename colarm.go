@@ -473,7 +473,18 @@ func (e *Engine) wrap(res *plans.Result) *Result {
 		out.Rules = make([]Rule, 0, len(res.Rules))
 	}
 	for _, r := range res.Rules {
-		out.Rules = append(out.Rules, wrapRule(r, sp.Labels(r.Antecedent), sp.Labels(r.Consequent)))
+		// One label slice per rule, antecedent then consequent. A
+		// result-wide arena would let any rule a standing event keeps pin
+		// every label of its result.
+		a := len(r.Antecedent)
+		labels := make([]string, a+len(r.Consequent))
+		for j, it := range r.Antecedent {
+			labels[j] = sp.Label(it)
+		}
+		for j, it := range r.Consequent {
+			labels[a+j] = sp.Label(it)
+		}
+		out.Rules = append(out.Rules, wrapRule(r, labels[:a:a], labels[a:]))
 	}
 	return out
 }

@@ -2,11 +2,15 @@ package colarm
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"colarm/internal/mip"
 )
 
 // mineQLSeeds is FuzzMineQL's seed corpus: every clause of the language,
@@ -179,9 +183,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	badBox := outOfDomainBoxStream(f, seed)
+	f.Add(badBox)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := LoadEngine(bytes.NewReader(data), Options{})
+		if bytes.Equal(data, badBox) {
+			if be := (*mip.BoxDomainError)(nil); !errors.As(err, &be) {
+				t.Fatalf("a box past its domain loaded with err = %v, want a *mip.BoxDomainError", err)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -199,4 +210,54 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// snapshotStream mirrors the snapshot payload field for field: gob
+// matches struct fields by name, so a test outside package mip can
+// decode a saved stream, edit it and encode it back.
+type snapshotStream struct {
+	Name  string
+	Attrs []struct {
+		Name   string
+		Values []string
+	}
+	Rows         []int32
+	PrimaryCount int
+	Fanout       int
+	ItemArena    []int32
+	ItemOff      []int32
+	Supports     []int32
+	TidArena     []byte
+	TidOff       []int64
+	BoxArena     []int32
+	Live         []byte
+	Meta         mip.SnapshotMeta
+}
+
+// outOfDomainBoxStream is stream with the first CFI's box stretched one
+// value past the end of attribute 0's domain, which the loader must
+// refuse: the region box tests skip unrestricted dimensions, so such a
+// box would otherwise read as contained in every region leaving
+// attribute 0 unrestricted.
+func outOfDomainBoxStream(tb testing.TB, stream []byte) []byte {
+	tb.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(stream))
+	var magic string
+	var snap snapshotStream
+	if err := dec.Decode(&magic); err != nil {
+		tb.Fatal(err)
+	}
+	if err := dec.Decode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	snap.BoxArena[len(snap.Attrs)] = int32(len(snap.Attrs[0].Values)) // Hi[0] of CFI 0
+	var out bytes.Buffer
+	enc := gob.NewEncoder(&out)
+	if err := enc.Encode(magic); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Encode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }

@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -138,7 +139,10 @@ type Region struct {
 	// prefix[d] is the running count of selected values up to index v,
 	// enabling O(1) "how many selected values fall in [lo,hi]" tests.
 	prefix [][]int32
-	cards  []int
+	// restricted lists the dimensions with an explicit selection in
+	// ascending order; the box tests walk only these.
+	restricted []int
+	cards      []int
 }
 
 // NewRegion creates a region over a space with the given per-dimension
@@ -182,6 +186,10 @@ func (r *Region) Restrict(d int, values []int) error {
 		}
 	}
 	r.prefix[d] = pre
+	i, found := slices.BinarySearch(r.restricted, d)
+	if !found {
+		r.restricted = slices.Insert(r.restricted, i, d)
+	}
 	return nil
 }
 
@@ -221,24 +229,6 @@ func (r *Region) IsEmpty() bool {
 	return false
 }
 
-// selectedIn returns how many selected values of dimension d fall within
-// the closed interval [lo, hi].
-func (r *Region) selectedIn(d int, lo, hi int32) int32 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= int32(r.cards[d]) {
-		hi = int32(r.cards[d]) - 1
-	}
-	if lo > hi {
-		return 0
-	}
-	if r.sel[d] == nil {
-		return hi - lo + 1
-	}
-	return r.prefix[d][hi+1] - r.prefix[d][lo]
-}
-
 // Relation classifies box b against the region (Lemma 4.5 drives the
 // special treatment of Contained). Contained means every cell of b lies
 // inside the region; Disjoint means no selected value in some dimension
@@ -246,43 +236,41 @@ func (r *Region) selectedIn(d int, lo, hi int32) int32 {
 // Partial: a box whose interval includes unselected values is Partial
 // even if no supporting record sits on them, which only costs extra
 // record-level checks, never correctness.
-func (r *Region) Relation(b Box) Rel {
-	contained := true
-	for d := range r.cards {
-		n := r.selectedIn(d, b.Lo[d], b.Hi[d])
-		if n == 0 {
-			return Disjoint
-		}
-		if int(n) != b.Extent(d) {
-			contained = false
-		}
-	}
-	if contained {
-		return Contained
-	}
-	return Partial
-}
+//
+// Only the restricted dimensions are tested. An unrestricted dimension
+// selects its whole domain, so it passes any box that lies inside the
+// domain as Contained; every box must satisfy 0 <= Lo[d] <= Hi[d] <
+// card(d) on every dimension (mip.Index.Validate and the snapshot
+// loader hold stored boxes to it).
+func (r *Region) Relation(b Box) Rel { return r.relation(b.Lo, b.Hi) }
 
 // RelationPacked is Relation over a box packed at arena[off:off+2*dims]
 // (Lo run, then Hi run) — the flat R-tree's inline box layout. It skips
 // the construction of a Box view on the hot search path.
 func (r *Region) RelationPacked(arena []int32, off, dims int) Rel {
-	b := arena[off : off+2*dims : off+2*dims]
-	contained := true
-	for d := range r.cards {
-		lo, hi := b[d], b[dims+d]
-		n := r.selectedIn(d, lo, hi)
+	return r.relation(arena[off:off+dims], arena[off+dims:off+2*dims])
+}
+
+// relation is the one loop behind Relation and RelationPacked: per
+// restricted dimension, how many selected values fall in [lo[d], hi[d]]
+// (an O(1) prefix-count difference, the interval clamped to the domain).
+func (r *Region) relation(lo, hi []int32) Rel {
+	rel := Contained
+	for _, d := range r.restricted {
+		l, h := max(lo[d], 0), min(hi[d], int32(r.cards[d])-1)
+		if l > h {
+			return Disjoint
+		}
+		pre := r.prefix[d]
+		n := pre[h+1] - pre[l]
 		if n == 0 {
 			return Disjoint
 		}
-		if n != hi-lo+1 {
-			contained = false
+		if n != hi[d]-lo[d]+1 {
+			rel = Partial
 		}
 	}
-	if contained {
-		return Contained
-	}
-	return Partial
+	return rel
 }
 
 // Intersects reports whether box b overlaps the region in every

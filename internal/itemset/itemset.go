@@ -197,6 +197,18 @@ func (s Set) Minus(t Set) Set {
 // Clone returns an independent copy.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 
+// Hash64 is FNV-1a over the set's item words: the hash of the IT-tree's
+// exact-lookup table and of VERIFY's support memo. Both resolve a hit
+// with Equal, since distinct sets may collide.
+func (s Set) Hash64() uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range s {
+		h ^= uint64(uint32(v))
+		h *= 1099511628211
+	}
+	return h
+}
+
 // Key returns a comparable map key for the set. Itemsets are short (a
 // handful of items), so a delimited string is cheap and collision-free.
 func (s Set) Key() string {

@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -363,4 +364,119 @@ func TestQuickSetAlgebra(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refRelation is the box test as it was before Relation walked only the
+// restricted dimensions: every dimension counts its selected values in
+// the box's interval, value by value.
+func refRelation(r *Region, b Box) Rel {
+	rel := Contained
+	for d := range r.cards {
+		n := int32(0)
+		for v := b.Lo[d]; v <= b.Hi[d]; v++ {
+			if r.sel[d] == nil || r.sel[d][v] {
+				n++
+			}
+		}
+		if n == 0 {
+			return Disjoint
+		}
+		if n != b.Hi[d]-b.Lo[d]+1 {
+			rel = Partial
+		}
+	}
+	return rel
+}
+
+// FuzzRegionRelation holds Relation and RelationPacked to refRelation
+// over random cardinalities, regions restricted in random order
+// (full-domain and empty selections included, a dimension restricted
+// more than once) and boxes inside the domain, edge values included. A
+// region built from the same final selections in the reverse dimension
+// order must be reflect.DeepEqual to it.
+func FuzzRegionRelation(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 4, 2, 5, 6, 1, 0, 2, 2, 3, 1, 7, 0, 0, 1, 3, 2})
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 255, 0, 255, 1})
+	f.Add([]byte{1, 0, 3, 0, 1, 0, 2, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 3, 2, 5, 1, 0}) // one dimension restricted three times
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int { // the next input byte mod n, 0 once data runs out
+			if len(data) == 0 || n <= 1 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		dims := 1 + next(6)
+		cards := make([]int, dims)
+		for d := range cards {
+			cards[d] = 1 + next(6)
+		}
+		reg := NewRegion(cards)
+		final := make([][]int, dims) // nil: unrestricted
+		for ops := next(9); ops > 0; ops-- {
+			d := next(dims)
+			vals := []int{}
+			switch next(4) {
+			case 0: // the full domain, explicitly
+				for v := 0; v < cards[d]; v++ {
+					vals = append(vals, v)
+				}
+			case 1: // empty
+			default:
+				bits := next(256)
+				for v := 0; v < cards[d]; v++ {
+					if bits>>v&1 == 1 {
+						vals = append(vals, v)
+					}
+				}
+			}
+			if err := reg.Restrict(d, vals); err != nil {
+				t.Fatal(err)
+			}
+			final[d] = vals
+		}
+		rev := NewRegion(cards)
+		for d := dims - 1; d >= 0; d-- {
+			if final[d] != nil {
+				if err := rev.Restrict(d, final[d]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !reflect.DeepEqual(reg, rev) {
+			t.Fatalf("restriction order changed the region:\n%+v\n%+v", reg, rev)
+		}
+
+		var arena []int32
+		var boxes []Box
+		for k := 1 + next(8); k > 0; k-- {
+			b := NewBox(dims)
+			for d, c := range cards {
+				switch next(4) {
+				case 0: // the whole axis
+					b.Lo[d], b.Hi[d] = 0, int32(c-1)
+				case 1: // a point on an edge
+					v := int32(next(2) * (c - 1))
+					b.Lo[d], b.Hi[d] = v, v
+				default:
+					lo := next(c)
+					b.Lo[d], b.Hi[d] = int32(lo), int32(lo+next(c-lo))
+				}
+			}
+			boxes = append(boxes, b)
+			arena = append(append(arena, b.Lo...), b.Hi...)
+		}
+		for i, b := range boxes {
+			want := refRelation(reg, b)
+			if got := reg.Relation(b); got != want {
+				t.Errorf("cards %v region %v box %v: Relation = %v, want %v", cards, final, b, got, want)
+			}
+			if got := reg.RelationPacked(arena, i*2*dims, dims); got != want {
+				t.Errorf("cards %v region %v box %v: RelationPacked = %v, want %v", cards, final, b, got, want)
+			}
+		}
+	})
 }

@@ -18,8 +18,9 @@
 // order. A CFI's signature sets bit item % 128 for each of its items, so
 // one whose signature lacks a bit of X's cannot contain X: the scan
 // skips it without touching the item arena. Exact lookup hashes the item
-// slice directly (FNV-1a over the item words) and verifies candidates
-// against the arena, so no per-probe string key is ever allocated.
+// slice directly (itemset.Set.Hash64, FNV-1a over the item words) and
+// verifies candidates against the arena, so no per-probe string key is
+// ever allocated.
 package ittree
 
 import (
@@ -95,7 +96,7 @@ func (t *Tree) buildFlat(closed []*charm.ClosedSet) {
 	}
 	mask := uint64(size - 1)
 	for id := 0; id < n; id++ {
-		h := hashItems(t.itemArena[t.itemOff[id]:t.itemOff[id+1]])
+		h := t.Items(id).Hash64()
 		for i := h & mask; ; i = (i + 1) & mask {
 			if t.htab[i] < 0 {
 				t.htab[i] = int32(id)
@@ -103,16 +104,6 @@ func (t *Tree) buildFlat(closed []*charm.ClosedSet) {
 			}
 		}
 	}
-}
-
-// hashItems is FNV-1a over the item words of a (sorted) itemset.
-func hashItems(x itemset.Set) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range x {
-		h ^= uint64(uint32(v))
-		h *= 1099511628211
-	}
-	return h
 }
 
 // LookupID finds the id of the CFI whose itemset is exactly x: a probe of
@@ -123,28 +114,15 @@ func (t *Tree) LookupID(x itemset.Set) (int, bool) {
 		return 0, false
 	}
 	mask := uint64(len(t.htab) - 1)
-	for i := hashItems(x) & mask; ; i = (i + 1) & mask {
+	for i := x.Hash64() & mask; ; i = (i + 1) & mask {
 		id := t.htab[i]
 		if id < 0 {
 			return 0, false
 		}
-		items := t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
-		if equalItems(items, x) {
+		if t.Items(int(id)).Equal(x) {
 			return int(id), true
 		}
 	}
-}
-
-func equalItems(a, b itemset.Set) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // signature is a 128-bit item signature: bit it % 128 for every item.

@@ -201,9 +201,37 @@ func (x *Index) RegionFromSelections(sel map[string][]string) (*itemset.Region, 
 	return reg, nil
 }
 
-// Validate cross-checks the index layers: every CFI box must cover its
-// supporting records, the R-tree must be structurally valid and hold one
-// entry per CFI, and the IT-tree must resolve its own itemsets.
+// BoxDomainError reports a MIP box outside its domain. The box tests
+// (itemset.Region.Relation) require 0 <= Lo[d] <= Hi[d] < card(d) on
+// every dimension d: they skip the dimensions a region leaves
+// unrestricted, so a box past its domain there would read as Contained
+// and SS-E-U-V would take its global support as the local one.
+type BoxDomainError struct {
+	CFI, Dim int
+	Lo, Hi   int32
+	Card     int
+}
+
+func (e *BoxDomainError) Error() string {
+	return fmt.Sprintf("mip: box of CFI %d spans [%d..%d] on dimension %d, outside its domain [0..%d)",
+		e.CFI, e.Lo, e.Hi, e.Dim, e.Card)
+}
+
+// checkBox returns a *BoxDomainError when box b of CFI id leaves the
+// domain given by cards.
+func checkBox(id int, b itemset.Box, cards []int) error {
+	for d, c := range cards {
+		if lo, hi := b.Lo[d], b.Hi[d]; lo < 0 || lo > hi || int(hi) >= c {
+			return &BoxDomainError{CFI: id, Dim: d, Lo: lo, Hi: hi, Card: c}
+		}
+	}
+	return nil
+}
+
+// Validate cross-checks the index layers: every CFI box must lie inside
+// the domain (a *BoxDomainError otherwise) and cover its supporting
+// records, the R-tree must be structurally valid and hold one entry per
+// CFI, and the IT-tree must resolve its own itemsets.
 func (x *Index) Validate() error {
 	if err := x.RTree.Validate(); err != nil {
 		return err
@@ -219,6 +247,9 @@ func (x *Index) Validate() error {
 	for id := 0; id < x.ITTree.Size(); id++ {
 		c := x.ITTree.Set(id)
 		box := x.Boxes[id]
+		if err := checkBox(id, box, x.Cards); err != nil {
+			return err
+		}
 		ok := true
 		c.Tids.ForEach(func(r int) bool {
 			for a := 0; a < n; a++ {

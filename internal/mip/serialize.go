@@ -235,6 +235,10 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	sp := itemset.NewSpace(d)
 
 	res := &charm.Result{NumRecords: d.NumRecords(), MinCount: snap.PrimaryCount}
+	cards := make([]int, n)
+	for a := range cards {
+		cards[a] = sp.Cardinality(a)
+	}
 	boxes := make([]itemset.Box, k)
 	for i := 0; i < k; i++ {
 		io0, io1 := snap.ItemOff[i], snap.ItemOff[i+1]
@@ -267,6 +271,9 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 		res.Closed = append(res.Closed, &charm.ClosedSet{Items: items, Tids: tids, Support: support})
 		o := i * 2 * n
 		boxes[i] = itemset.Box{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]}
+		if err := checkBox(i, boxes[i], cards); err != nil {
+			return nil, err
+		}
 	}
 
 	return assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{Fanout: snap.Fanout})

@@ -159,3 +159,68 @@ func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
 		}
 	}
 }
+
+// TestBoxOutsideDomainRejected pins the box-domain precondition of the
+// region box tests in both places that hold a stored box to it: a
+// snapshot whose box arena puts a box past, before or inverted on its
+// domain fails to load with a *BoxDomainError, and Validate reports the
+// same error for an index holding such a box.
+func TestBoxOutsideDomainRejected(t *testing.T) {
+	idx, err := Build(datagen.Salary(), Options{PrimarySupport: 0.18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
+	var magic string
+	var snap snapshotV5
+	if err := dec.Decode(&magic); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	n, card := len(snap.Attrs), int32(len(snap.Attrs[0].Values))
+	cfi := len(snap.Supports) - 1
+	lo, hi := cfi*2*n, cfi*2*n+n // dimension 0 of the last CFI's box
+	for _, tc := range []struct {
+		name   string
+		lo, hi int32
+	}{
+		{"past the domain", 0, card},
+		{"before the domain", -1, 0},
+		{"inverted", 1, 0},
+	} {
+		bad := snap
+		bad.BoxArena = append([]int32(nil), snap.BoxArena...)
+		bad.BoxArena[lo], bad.BoxArena[hi] = tc.lo, tc.hi
+		var out bytes.Buffer
+		enc := gob.NewEncoder(&out)
+		if err := enc.Encode(magic); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ReadSnapshot(&out)
+		var be *BoxDomainError
+		if !errors.As(err, &be) || be.CFI != cfi || be.Dim != 0 {
+			t.Errorf("%s: load err = %v, want a *BoxDomainError for CFI %d dimension 0", tc.name, err, cfi)
+		}
+
+		box := idx.Boxes[cfi].Clone()
+		box.Lo[0], box.Hi[0] = tc.lo, tc.hi
+		held := *idx
+		held.Boxes = append([]itemset.Box(nil), idx.Boxes...)
+		held.Boxes[cfi] = box
+		if err := held.Validate(); !errors.As(err, &be) || be.CFI != cfi || be.Dim != 0 {
+			t.Errorf("%s: Validate = %v, want a *BoxDomainError for CFI %d dimension 0", tc.name, err, cfi)
+		}
+	}
+	if err := idx.Validate(); err != nil {
+		t.Errorf("the unmodified index: Validate = %v", err)
+	}
+}

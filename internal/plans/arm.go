@@ -143,6 +143,9 @@ func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
 	// CHARM's closed sets are distinct and a rule's X ∪ Y is the closed
 	// set it was generated from, so the concatenation has no duplicates.
 	var out []rules.Rule
+	if n := rulesIn(per); n > 0 {
+		out = make([]rules.Rule, 0, n)
+	}
 	for _, rs := range per {
 		out = append(out, rs...)
 	}

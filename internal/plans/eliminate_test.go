@@ -236,21 +236,64 @@ func fracRegion(idx *mip.Index, frac float64) *itemset.Region {
 	}
 }
 
+// mipBenchShapes are the indexes of the served mine_mip workload: full
+// mushroom @ 0.05 and chess @ 0.70, each with the middle minsupport of
+// its grid (0.75 on mushroom, 0.85 on chess).
+var mipBenchShapes = []struct {
+	name             string
+	cfg              datagen.Config
+	primary, minSupp float64
+}{
+	{"mushroom", datagen.MushroomConfig(1), 0.05, 0.75},
+	{"chess", datagen.ChessConfig(1), 0.70, 0.85},
+}
+
+// BenchmarkSearch times SEARCH and SUPPORTED-SEARCH — one box test per
+// visited R-tree entry — on the mine_mip shapes over focal subsets of
+// about 50, 10 and 1 % of the records.
+func BenchmarkSearch(b *testing.B) {
+	for _, ds := range mipBenchShapes {
+		d, err := datagen.Generate(ds.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: ds.primary})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewSurface(idx)
+		for _, frac := range []float64{0.50, 0.10, 0.01} {
+			q := &Query{Region: fracRegion(idx, frac), MinSupport: ds.minSupp, MinConfidence: 0.8}
+			ex := &Executor{Space: idx.Space, Workers: 1}
+			f := ex.Focus(s, q)
+			for _, supported := range []bool{false, true} {
+				name := fmt.Sprintf("%s/dq=%g%%/search", ds.name, 100*frac)
+				if supported {
+					name = fmt.Sprintf("%s/dq=%g%%/supported", ds.name, 100*frac)
+				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var c *qctx
+					for i := 0; i < b.N; i++ {
+						c = ex.newCtx(context.Background(), f, q)
+						if _, err := c.search(supported); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(c.st.REntriesChecked), "entries")
+					b.ReportMetric(float64(c.st.Candidates), "cands")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkEliminate times ELIMINATE with and without its item bound
-// after a plain SEARCH (S-E-V), serial, on full mushroom @ 0.05 and
-// chess @ 0.70, over focal subsets of about 50, 10 and 1 % of the
-// records, at the middle minsupport of the served mine_mip grid (0.75 on
-// mushroom, 0.85 on chess). Each iteration runs on a fresh query
-// context, as a request does.
+// after a plain SEARCH (S-E-V), serial, on the mine_mip shapes, over
+// focal subsets of about 50, 10 and 1 % of the records. Each iteration
+// runs on a fresh query context, as a request does.
 func BenchmarkEliminate(b *testing.B) {
-	for _, ds := range []struct {
-		name             string
-		cfg              datagen.Config
-		primary, minSupp float64
-	}{
-		{"mushroom", datagen.MushroomConfig(1), 0.05, 0.75},
-		{"chess", datagen.ChessConfig(1), 0.70, 0.85},
-	} {
+	for _, ds := range mipBenchShapes {
 		d, err := datagen.Generate(ds.cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -637,18 +637,19 @@ func (c *qctx) countItems(x itemset.Set) int {
 }
 
 // sharedOracle returns the local-support oracle VERIFY hands to the rule
-// generator, memoized per itemset so repeated antecedents and singleton
-// consequents are free. The memo is sharded and each shard computes
-// under its lock, so every distinct itemset key is counted as exactly one
-// miss/check whatever the worker count, and the counters accumulate in
-// the tally for a deterministic post-join fold into Stats.
+// generator, memoized per itemset (keyed by its item words) so repeated
+// antecedents and singleton consequents are free. The memo is sharded
+// and each shard computes under its lock, so every distinct itemset is
+// counted as exactly one miss/check whatever the worker count, and the
+// counters accumulate in the tally for a deterministic post-join fold
+// into Stats.
 func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.SupportOracle {
 	return func(x itemset.Set) int {
 		atomic.AddInt64(&t.oracleCalls, 1)
 		if len(x) == 0 {
 			return -1
 		}
-		s, fresh := cache.get(x.Key(), func() int { return c.countItems(x) })
+		s, fresh := cache.get(x, func() int { return c.countItems(x) })
 		if fresh {
 			atomic.AddInt64(&t.oracleMisses, 1)
 			atomic.AddInt64(&t.supportChecks, 1)
@@ -680,7 +681,7 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	}
 	oc0, om0 := c.st.OracleCalls, c.st.OracleMisses
 	var tally counterTally
-	oracle := c.sharedOracle(newShardedCounts(), &tally)
+	oracle := c.sharedOracle(new(shardedCounts), &tally)
 	per := make([][]rules.Rule, len(quals))
 	used, err := pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
 		per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
@@ -691,6 +692,9 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	}
 	tally.addTo(c.st)
 	var out []rules.Rule
+	if n := rulesIn(per); n > 0 {
+		out = make([]rules.Rule, 0, n)
+	}
 	kept := make(map[int32]bool, len(quals))
 	for i, rs := range per {
 		if !kept[quals[i].id] {

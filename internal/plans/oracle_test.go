@@ -218,7 +218,7 @@ func dedupeRules(rs []rules.Rule) []rules.Rule {
 // itemset's rules, concatenate them all, drop repeated rules.
 func (c *qctx) verifyConcatDedupe(quals []qualified) []rules.Rule {
 	var tally counterTally
-	oracle := c.sharedOracle(newShardedCounts(), &tally)
+	oracle := c.sharedOracle(new(shardedCounts), &tally)
 	var out []rules.Rule
 	for _, ql := range quals {
 		out = append(out, rules.Generate(ql.body, ql.local, c.st.SubsetSize,
@@ -333,44 +333,65 @@ func TestCountAll(t *testing.T) {
 }
 
 // BenchmarkVerifyOracle times VERIFY — rule generation with every
-// antecedent support resolved by the oracle — for the standing query of
-// the served ingest_notify workload: full mushroom @ 0.30, the hot
-// region m01 = m011, forced SS-E-U-V, serial.
+// antecedent support resolved by the oracle — serially, with
+// MaxConsequent 1, after SUPPORTED-SEARCH and SS-E-U-V's ELIMINATE:
+//   - mushroom: the standing query of the served ingest_notify workload,
+//     full mushroom @ 0.30 over the hot region m01 = m011;
+//   - chess: a mine_mip shape, chess @ 0.70 at minsupport 0.85 over a
+//     focal subset of about 10 % of the records.
 func BenchmarkVerifyOracle(b *testing.B) {
-	d, err := datagen.Generate(datagen.MushroomConfig(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg, err := idx.RegionFromSelections(map[string][]string{"m01": {"m011"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := &Query{Region: reg, MinSupport: 0.70, MinConfidence: 0.85, MaxConsequent: 1}
-	ex := &Executor{Space: idx.Space, Workers: 1}
-	c := ex.newCtx(context.Background(), ex.Focus(NewSurface(idx), q), q)
-	cands, err := c.search(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	quals, err := c.eliminate(cands, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := c.verify(quals)
+	for _, tc := range []struct {
+		name    string
+		cfg     datagen.Config
+		primary float64
+		region  func(*mip.Index) (*itemset.Region, error)
+		minSupp float64
+		minConf float64
+	}{
+		{"mushroom", datagen.MushroomConfig(1), 0.30, func(idx *mip.Index) (*itemset.Region, error) {
+			return idx.RegionFromSelections(map[string][]string{"m01": {"m011"}})
+		}, 0.70, 0.85},
+		{"chess", datagen.ChessConfig(1), 0.70, func(idx *mip.Index) (*itemset.Region, error) {
+			return fracRegion(idx, 0.10), nil
+		}, 0.85, 0.8},
+	} {
+		d, err := datagen.Generate(tc.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		verified = rs
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: tc.primary})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg, err := tc.region(idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := &Query{Region: reg, MinSupport: tc.minSupp, MinConfidence: tc.minConf, MaxConsequent: 1}
+		ex := &Executor{Space: idx.Space, Workers: 1}
+		c := ex.newCtx(context.Background(), ex.Focus(NewSurface(idx), q), q)
+		cands, err := c.search(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		quals, err := c.eliminate(cands, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			misses := c.st.OracleMisses
+			for i := 0; i < b.N; i++ {
+				rs, err := c.verify(quals)
+				if err != nil {
+					b.Fatal(err)
+				}
+				verified = rs
+			}
+			b.ReportMetric(float64(len(verified)), "rules")
+			b.ReportMetric(float64(c.st.OracleMisses-misses)/float64(b.N), "misses/op")
+		})
 	}
-	b.ReportMetric(float64(len(verified)), "rules")
-	b.ReportMetric(float64(c.st.OracleMisses)/float64(b.N), "misses/op")
 }
 
 var verified []rules.Rule

@@ -15,10 +15,12 @@
 //
 //   - work items are indexed up front and results land in pre-sized
 //     slices, so merge order equals submission order;
-//   - the VERIFY oracle memo is a sharded map whose shards compute
-//     under their lock, so each distinct itemset key is computed exactly
-//     once — the OracleMisses/SupportChecks counters then equal the
-//     number of distinct keys at every worker count;
+//   - the VERIFY oracle memo is keyed by the itemset's item words: a
+//     64-bit hash (itemset.Set.Hash64) picks a shard and a slot of its
+//     open-addressed table, and every hit compares the stored item run
+//     exactly. Shards compute under their lock, so each distinct itemset
+//     is computed exactly once — the OracleMisses/SupportChecks counters
+//     then equal the number of distinct itemsets at every worker count;
 //   - counters touched inside workers accumulate in atomics and are
 //     folded into the query's Stats after the join.
 package plans
@@ -27,7 +29,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"colarm/internal/itemset"
 	"colarm/internal/pool"
+	"colarm/internal/rules"
 )
 
 // cancelPollStride is the cadence of the cancellation probes in the
@@ -51,56 +55,116 @@ func (t *counterTally) addTo(st *Stats) {
 	st.SupportChecks += int(atomic.LoadInt64(&t.supportChecks))
 }
 
-// cacheShards sizes the sharded support memo. Shard collisions only
-// serialize the (rare) concurrent computes of colliding keys; 64 shards
-// keep that negligible at any realistic GOMAXPROCS.
-const cacheShards = 64
-
-type countShard struct {
-	mu sync.Mutex
-	m  map[string]int
-}
+// cacheShardBits sizes the sharded support memo at 1<<cacheShardBits
+// shards, picked by the top bits of an itemset's hash. Shard collisions
+// only serialize the (rare) concurrent computes of colliding itemsets; 64
+// shards keep that negligible at any realistic GOMAXPROCS.
+const cacheShardBits = 6
 
 // shardedCounts is the VERIFY oracle's memo, safe for concurrent
-// workers.
+// workers. Its zero value is empty and ready to use.
 type shardedCounts struct {
-	shards [cacheShards]countShard
+	shards [1 << cacheShardBits]countShard
+	// sameHash makes every itemset hash to 0, so all of them share one
+	// shard and one probe chain: tests use it to show that the exact
+	// item comparison alone keeps colliding itemsets apart.
+	sameHash bool
 }
 
-func newShardedCounts() *shardedCounts {
-	sc := &shardedCounts{}
-	for i := range sc.shards {
-		sc.shards[i].m = make(map[string]int)
+// countShard is an open-addressed table over a slab of entries, whose
+// item runs are copied into one item slab: the IT-tree's exact-lookup
+// idiom (flat.go), grown as itemsets arrive.
+type countShard struct {
+	mu    sync.Mutex
+	tab   []int32 // entry index per slot, -1 empty; power-of-two size, load <= 1/2
+	ents  []countEntry
+	items []itemset.Item
+}
+
+type countEntry struct {
+	hash   uint64
+	off, n int32 // the itemset is items[off : off+n]
+	count  int
+}
+
+// get returns the memoized count for x, computing and storing it on a
+// miss. The shard lock is held across compute, so every distinct itemset
+// is computed exactly once and reports fresh=true to exactly one caller —
+// the property that keeps the miss counters deterministic. x is read only
+// during the call: a miss copies its items into the shard.
+func (sc *shardedCounts) get(x itemset.Set, compute func() int) (v int, fresh bool) {
+	h := x.Hash64()
+	if sc.sameHash {
+		h = 0
 	}
-	return sc
-}
-
-// get returns the memoized count for key, computing and storing it on a
-// miss. The shard lock is held across compute, so every distinct key is
-// computed exactly once and reports fresh=true to exactly one caller —
-// the property that keeps the miss counters deterministic.
-func (sc *shardedCounts) get(key string, compute func() int) (v int, fresh bool) {
-	sh := &sc.shards[fnv32a(key)%cacheShards]
+	sh := &sc.shards[h>>(64-cacheShardBits)]
 	sh.mu.Lock()
-	if v, ok := sh.m[key]; ok {
+	if v, ok := sh.lookup(h, x); ok {
 		sh.mu.Unlock()
 		return v, false
 	}
 	v = compute()
-	sh.m[key] = v
+	sh.insert(h, x, v)
 	sh.mu.Unlock()
 	return v, true
 }
 
-// fnv32a is the 32-bit FNV-1a hash, inlined to avoid a hash.Hash32
-// allocation per oracle probe.
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+// slot is the home slot of hash h in a table of mask+1 slots, taken from
+// the bits below the shard bits, which FNV-1a's multiplications mix
+// better than its low bits.
+func slot(h, mask uint64) uint64 { return h >> (64 - cacheShardBits - 32) & mask }
+
+func (sh *countShard) lookup(h uint64, x itemset.Set) (int, bool) {
+	if len(sh.tab) == 0 {
+		return 0, false
 	}
-	return h
+	mask := uint64(len(sh.tab) - 1)
+	for i := slot(h, mask); ; i = (i + 1) & mask {
+		e := sh.tab[i]
+		if e < 0 {
+			return 0, false
+		}
+		en := &sh.ents[e]
+		if en.hash == h && itemset.Set(sh.items[en.off:en.off+en.n]).Equal(x) {
+			return en.count, true
+		}
+	}
+}
+
+func (sh *countShard) insert(h uint64, x itemset.Set, count int) {
+	if 2*(len(sh.ents)+1) > len(sh.tab) {
+		sh.tab = make([]int32, max(16, 2*len(sh.tab)))
+		for i := range sh.tab {
+			sh.tab[i] = -1
+		}
+		for e := range sh.ents {
+			sh.place(sh.ents[e].hash, int32(e))
+		}
+	}
+	sh.ents = append(sh.ents, countEntry{hash: h, off: int32(len(sh.items)), n: int32(len(x)), count: count})
+	sh.items = append(sh.items, x...)
+	sh.place(h, int32(len(sh.ents)-1))
+}
+
+// place puts entry e in the first empty slot of h's probe chain.
+func (sh *countShard) place(h uint64, e int32) {
+	mask := uint64(len(sh.tab) - 1)
+	for i := slot(h, mask); ; i = (i + 1) & mask {
+		if sh.tab[i] < 0 {
+			sh.tab[i] = e
+			return
+		}
+	}
+}
+
+// rulesIn counts the rules of per-item slots, so that the answer they
+// are concatenated into is allocated once.
+func rulesIn(per [][]rules.Rule) int {
+	n := 0
+	for _, rs := range per {
+		n += len(rs)
+	}
+	return n
 }
 
 // workers resolves the executor's worker-count knob: 0 (or negative)

@@ -40,20 +40,41 @@ func TestParallelForSerialIsInOrder(t *testing.T) {
 	}
 }
 
-func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
-	sc := newShardedCounts()
+// memoKey is the k-th of the itemsets the memo tests ask for: item 3i
+// for every set bit i of k+1, so the keys include singletons, prefixes
+// and subsets of one another and differ in length.
+func memoKey(buf itemset.Set, k int) itemset.Set {
+	buf = buf[:0]
+	for i, b := 0, k+1; b > 0; i, b = i+1, b>>1 {
+		if b&1 == 1 {
+			buf = append(buf, itemset.Item(3*i))
+		}
+	}
+	return buf
+}
+
+// checkComputesOnce asks sc for 50 distinct itemsets 16 times each from
+// every worker, each ask through a scratch buffer the worker overwrites
+// right after: every value must be exact, every itemset computed once,
+// and fresh reported once per itemset.
+func checkComputesOnce(t *testing.T, sc *shardedCounts) {
+	t.Helper()
 	const keys = 50
 	var computes [keys]int32
 	var freshTotal int32
 	var mu sync.Mutex
-	pool.For(keys*16, runtime.GOMAXPROCS(0), func(i int) {
+	pool.For(keys*16, max(4, runtime.GOMAXPROCS(0)), func(i int) {
 		k := i % keys
-		v, fresh := sc.get(fmt.Sprintf("key-%03d", k), func() int {
+		x := memoKey(make(itemset.Set, 0, 8), k)
+		v, fresh := sc.get(x, func() int {
 			mu.Lock()
 			computes[k]++
 			mu.Unlock()
 			return k * 7
 		})
+		for j := range x {
+			x[j] = -1 // the memo must not have kept the caller's buffer
+		}
 		if v != k*7 {
 			t.Errorf("key %d: got %d", k, v)
 		}
@@ -71,6 +92,22 @@ func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
 	if freshTotal != keys {
 		t.Errorf("fresh count = %d, want %d (one per distinct key)", freshTotal, keys)
 	}
+	for k := 0; k < keys; k++ {
+		if v, fresh := sc.get(memoKey(nil, k), func() int { return -1 }); v != k*7 || fresh {
+			t.Errorf("key %d after the run: got %d fresh=%v, want %d from the memo", k, v, fresh, k*7)
+		}
+	}
+}
+
+func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
+	checkComputesOnce(t, new(shardedCounts))
+}
+
+// TestShardedCountsCollidingHashes runs the same check with every
+// itemset hashed to 0: one shard, one probe chain through every entry,
+// so only the exact item comparison tells the itemsets apart.
+func TestShardedCountsCollidingHashes(t *testing.T) {
+	checkComputesOnce(t, &shardedCounts{sameHash: true})
 }
 
 func TestUnknownKindErrorMessage(t *testing.T) {

@@ -110,7 +110,11 @@ func (r Rule) appendKey(buf []byte) []byte {
 // (not covered by the prestored CFIs). Oracles are provided by the
 // mining plans (closure lookup + tidset∩D^Q) or by the from-scratch ARM
 // plan (mined supports).
-type SupportOracle func(itemset.Set) int
+//
+// x is valid only during the call: Generate passes its scratch buffer
+// (or a subslice of the itemset it was given) and rewrites it for the
+// next candidate, so an oracle that keeps x must copy it.
+type SupportOracle func(x itemset.Set) int
 
 // Options bounds rule generation.
 type Options struct {
@@ -126,89 +130,118 @@ type Options struct {
 // consequent Y fails minconf, every superset of Y is pruned, which is
 // sound because growing Y shrinks X and confidence is anti-monotone in
 // supp(X).
+//
+// Candidates are built in one per-call scratch buffer; only an emitted
+// rule's items are copied, into one arena per call. Every returned
+// slice is capped at its length, so no rule aliases items, the scratch
+// or another rule, and an append to one reallocates.
 func Generate(items itemset.Set, suppCount, subsetSize int, minConf float64, oracle SupportOracle, opts Options) []Rule {
 	if len(items) < 2 || suppCount <= 0 || subsetSize <= 0 {
 		return nil
 	}
+	n := len(items)
 	maxCons := opts.MaxConsequent
-	if maxCons <= 0 || maxCons > len(items)-1 {
-		maxCons = len(items) - 1 // X must stay nonempty
+	if maxCons <= 0 || maxCons > n-1 {
+		maxCons = n - 1 // X must stay nonempty
 	}
-	var out []Rule
+	scratch := make(itemset.Set, 2*n)
+	g := generator{items: items, suppCount: suppCount, subsetSize: subsetSize,
+		minConf: minConf, oracle: oracle, x: scratch[:0:n]}
 
-	// Level 1 consequents.
-	var frontier []itemset.Set
-	for _, it := range items {
-		y := itemset.Set{it}
-		if r, ok := tryRule(items, y, suppCount, subsetSize, minConf, oracle); ok {
-			out = append(out, r)
-			frontier = append(frontier, y)
+	// frontier holds the surviving k-item consequents as one flat run,
+	// in ascending (lexicographic) order; it is only kept when
+	// consequents may grow past one item.
+	var frontier, next []itemset.Item
+	for i := range items {
+		if g.try(items[i:i+1]) && maxCons > 1 {
+			frontier = append(frontier, items[i])
 		}
 	}
 	// Grow consequents level-wise from surviving ones (apriori-style
 	// join on shared prefix).
-	for level := 2; level <= maxCons && len(frontier) > 1; level++ {
-		var next []itemset.Set
-		for i := 0; i < len(frontier); i++ {
-			for j := i + 1; j < len(frontier); j++ {
-				y := joinPrefix(frontier[i], frontier[j])
-				if y == nil {
+	for k := 1; k < maxCons && len(frontier) > k; k++ {
+		y := scratch[n : n+k+1]
+		next = next[:0]
+		for i := 0; i < len(frontier); i += k {
+			a := frontier[i : i+k]
+			for j := i + k; j < len(frontier); j += k {
+				b := frontier[j : j+k]
+				if !slices.Equal(a[:k-1], b[:k-1]) || a[k-1] >= b[k-1] {
 					break // sorted frontier: no later j shares the prefix
 				}
-				if r, ok := tryRule(items, y, suppCount, subsetSize, minConf, oracle); ok {
-					out = append(out, r)
-					next = append(next, y)
+				copy(y, a)
+				y[k] = b[k-1]
+				if g.try(y) {
+					next = append(next, y...)
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	return out
+
+	// Rule i's items are arena[i·n : (i+1)·n], antecedent first; earlier
+	// rules may still point into an arena the appends outgrew.
+	for i := range g.out {
+		lo, a := i*n, len(g.out[i].Antecedent)
+		g.out[i].Antecedent = g.arena[lo : lo+a : lo+a]
+		g.out[i].Consequent = g.arena[lo+a : lo+n : lo+n]
+	}
+	return g.out
 }
 
-// tryRule evaluates (items\y) ⇒ y, returning it when confident.
-func tryRule(items, y itemset.Set, suppCount, subsetSize int, minConf float64, oracle SupportOracle) (Rule, bool) {
-	x := items.Minus(y)
+// generator is the state of one Generate call.
+type generator struct {
+	items                 itemset.Set
+	suppCount, subsetSize int
+	minConf               float64
+	oracle                SupportOracle
+	x                     itemset.Set // scratch for the antecedent
+	arena                 []itemset.Item
+	out                   []Rule
+}
+
+// try evaluates (items\y) ⇒ y and emits it when confident.
+func (g *generator) try(y itemset.Set) bool {
+	x := g.x[:0]
+	j := 0
+	for _, it := range g.items {
+		if j < len(y) && y[j] == it {
+			j++
+			continue
+		}
+		x = append(x, it)
+	}
 	if len(x) == 0 {
-		return Rule{}, false
+		return false
 	}
-	xCount := oracle(x)
+	xCount := g.oracle(x)
 	if xCount <= 0 {
-		return Rule{}, false
+		return false
 	}
-	conf := float64(suppCount) / float64(xCount)
-	if conf < minConf {
-		return Rule{}, false
+	conf := float64(g.suppCount) / float64(xCount)
+	if conf < g.minConf {
+		return false
 	}
-	yCount := oracle(y)
-	return Rule{
-		Antecedent:      x,
-		Consequent:      y,
-		SupportCount:    suppCount,
+	yCount := g.oracle(y)
+	if g.out == nil {
+		// Room for every level-1 rule: all of them under MaxConsequent 1.
+		n := len(g.items)
+		g.out = make([]Rule, 0, n)
+		g.arena = make([]itemset.Item, 0, n*n)
+	}
+	lo := len(g.arena)
+	g.arena = append(append(g.arena, x...), y...)
+	g.out = append(g.out, Rule{
+		Antecedent:      g.arena[lo : lo+len(x)],
+		Consequent:      g.arena[lo+len(x):],
+		SupportCount:    g.suppCount,
 		AntecedentCount: xCount,
 		ConsequentCount: yCount,
-		SubsetSize:      subsetSize,
-		Support:         float64(suppCount) / float64(subsetSize),
+		SubsetSize:      g.subsetSize,
+		Support:         float64(g.suppCount) / float64(g.subsetSize),
 		Confidence:      conf,
-	}, true
-}
-
-// joinPrefix merges two k-sets sharing their first k-1 items into a
-// (k+1)-set, or nil when they do not join.
-func joinPrefix(a, b itemset.Set) itemset.Set {
-	k := len(a)
-	for i := 0; i < k-1; i++ {
-		if a[i] != b[i] {
-			return nil
-		}
-	}
-	if a[k-1] >= b[k-1] {
-		return nil
-	}
-	out := make(itemset.Set, k+1)
-	copy(out, a)
-	out[k] = b[k-1]
-	return out
+	})
+	return true
 }
 
 // SortCanonical orders rules by descending confidence, then support,

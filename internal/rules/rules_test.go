@@ -131,6 +131,58 @@ func TestGenerateMaxConsequent(t *testing.T) {
 	}
 }
 
+// TestGenerateRulesOwnTheirItems checks that a returned rule's item
+// slices are its own: every antecedent and consequent still matches the
+// brute-force rules after the rest of the call reused its scratch, and
+// appending to one rule's slices changes neither the itemset Generate
+// was given nor any other rule.
+func TestGenerateRulesOwnTheirItems(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const m = 64
+	ts := make([]*bitset.Set, 6)
+	for i := range ts {
+		ts[i] = bitset.New(m)
+		for rec := 0; rec < m; rec++ {
+			if r.Intn(8) != 0 {
+				ts[i].Add(rec)
+			}
+		}
+	}
+	full := bitset.New(m)
+	full.Fill()
+	oracle := oracleFromTidsets(ts, full)
+	items := itemset.NewSet(0, 1, 2, 3, 4, 5)
+	body := items.Clone()
+	supp := oracle(items)
+	got := Generate(items, supp, m, 0, oracle, Options{})
+	want := bruteRules(items, supp, m, 0, oracle, 0)
+	if len(got) != len(want) || len(got) != 62 {
+		t.Fatalf("got %d rules, want %d (every split of 6 items)", len(got), len(want))
+	}
+	keys := make(map[string]bool, len(want))
+	for _, w := range want {
+		keys[w.Key()] = true
+	}
+	snap := make([]Rule, len(got))
+	for i, g := range got {
+		if !keys[g.Key()] || !g.Antecedent.Union(g.Consequent).Equal(items) {
+			t.Fatalf("rule %d is %s, not a split of %v: a later candidate overwrote it", i, g.Key(), items)
+		}
+		snap[i] = g
+		snap[i].Antecedent, snap[i].Consequent = g.Antecedent.Clone(), g.Consequent.Clone()
+	}
+	for i := range got {
+		_ = append(got[i].Antecedent, 99, 99)
+		_ = append(got[i].Consequent, 99, 99)
+		if !items.Equal(body) {
+			t.Fatalf("appending to rule %d changed the itemset to %v", i, items)
+		}
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatal("appending to one rule's slices changed another rule")
+	}
+}
+
 func TestMeasures(t *testing.T) {
 	r := Rule{
 		SupportCount:    4,
