@@ -19,10 +19,9 @@
 //	                  builtins use their per-dataset defaults)
 //	-seed N           generator seed for builtin synthetic datasets
 //	-workers N        per-query worker pool bound (0 = GOMAXPROCS)
-//	-shards K         hash-partition each dataset into K shards; queries
-//	                  scatter-gather with exact recombination and
-//	                  /v1/datasets reports per-shard staleness (0 or 1 =
-//	                  monolithic)
+//	-shards K         label each dataset's records with K hash-routed
+//	                  shards; /v1/datasets reports per-shard staleness
+//	                  (0 or 1 = none). Queries do not depend on K
 //	-max-inflight N   concurrent mining queries (default 8)
 //	-max-queue N      admission wait-queue length (default 32)
 //	-queue-wait D     max time in the admission queue (default 2s)
@@ -83,7 +82,7 @@ func main() {
 		primary  = flag.Float64("primary", 0.1, "primary support for -csv datasets")
 		seed     = flag.Int64("seed", 1, "generator seed for builtin synthetic datasets")
 		workers  = flag.Int("workers", 0, "per-query worker pool bound (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "hash-partition each dataset into K shards (0 or 1 = monolithic)")
+		shards   = flag.Int("shards", 0, "label each dataset's records with K hash-routed shards for per-shard staleness (0 or 1 = none)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent mining queries (0 = default 8)")
 		maxQueue     = flag.Int("max-queue", 0, "admission wait-queue length (0 = default 32)")

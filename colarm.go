@@ -123,13 +123,12 @@ type Options struct {
 	// datasets stay distinguishable in one exposition — the serving
 	// layer opens all its engines against a single shared registry.
 	Metrics *MetricsRegistry
-	// Shards partitions the records into K hash-routed shards: queries
-	// scatter to all shards in parallel and gather exactly recombined
-	// results (summed supports, recomputed confidences), and ingested
-	// rows route by record id. The catalog, the ingest buffer and
-	// Rebuild are the monolithic engine's own. 0 or 1 keeps the engine
-	// monolithic; answers, record ids and snapshot bytes are identical
-	// — rule for rule, counter for counter — at every K.
+	// Shards labels the records with K hash-routed shards: ingested
+	// rows and deletes route to shards by record id, each shard keeps
+	// its own version clock, and Staleness breaks the drift down per
+	// shard. Queries never see the labels: plans, estimates, answers,
+	// record ids and snapshot bytes are identical — rule for rule,
+	// counter for counter — at every K. 0 or 1 keeps no labels.
 	Shards int
 }
 
@@ -275,8 +274,8 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	return &Engine{eng: eng, ds: ds, opts: opts}, nil
 }
 
-// NumShards returns the engine's shard count (1 for a monolithic
-// engine).
+// NumShards returns the engine's shard count (1 for an engine without
+// shard labels).
 func (e *Engine) NumShards() int {
 	if c := e.eng.Coll; c != nil {
 		return c.NumShards()

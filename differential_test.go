@@ -361,13 +361,14 @@ func min(a, b int) int {
 
 // TestShardDifferential checks that a sharded engine is indistinguishable
 // from the monolithic one: for K in {1, 2, 3, 7}, serial and parallel,
-// all six forced plans must return byte-identical rules AND statistics
-// on randomized datasets — fresh, with a live delta (inserts and
-// deletes), after a rebuild (every layout compacts the ids and holds
-// the same records, so snapshots are byte-identical), and after
-// post-rebuild ingestion with deletes. K=1 additionally pins the Auto
-// plan and byte-identical snapshots under the v5 magic; every K checks
-// the sharded snapshot round-trips through save/load.
+// Explain's six estimates must be equal and all six forced plans and
+// Auto must return byte-identical rules AND statistics on randomized
+// datasets — fresh, with a live delta (inserts and deletes), after a
+// rebuild (every layout compacts the ids and holds the same records, so
+// snapshots are byte-identical), and after post-rebuild ingestion with
+// deletes. K=1 additionally pins byte-identical snapshots under the v5
+// magic; every K checks the sharded snapshot round-trips through
+// save/load.
 func TestShardDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	totalRules := 0
@@ -411,13 +412,21 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 	compare := func(stage string) {
 		t.Helper()
 		for qi, q := range queries {
-			plansToRun := forced
-			if k == 1 {
-				// At K=1 the scatter cost terms vanish, so even the
-				// optimizer's choice must match the monolith.
-				plansToRun = append(plansToRun, Auto)
+			estM, err := mono.Explain(q)
+			if err != nil {
+				t.Fatalf("K=%d %s query %d: explain monolith: %v", k, stage, qi, err)
 			}
-			for _, plan := range plansToRun {
+			for name, e := range map[string]*Engine{"sharded serial": ser, "sharded parallel": par} {
+				est, err := e.Explain(q)
+				if err != nil {
+					t.Fatalf("K=%d %s query %d: explain %s: %v", k, stage, qi, name, err)
+				}
+				if !reflect.DeepEqual(est, estM) {
+					t.Fatalf("K=%d %s query %d: %s estimates differ from monolith\ngot:  %+v\nwant: %+v",
+						k, stage, qi, name, est, estM)
+				}
+			}
+			for _, plan := range append(forced, Auto) {
 				pq := q
 				pq.Plan = plan
 				label := fmt.Sprintf("K=%d %s query %d plan %s", k, stage, qi, plan)
@@ -451,25 +460,6 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 						label, sm, sp)
 				}
 				totalRules += len(resM.Rules)
-			}
-			// The Auto choice may legitimately differ at K > 1 (the
-			// model prices the scatter overhead), but serial and
-			// parallel sharded engines share one model: their choices
-			// and answers must agree with each other.
-			if k > 1 {
-				pq := q
-				pq.Plan = Auto
-				resS, err := ser.Mine(pq)
-				if err != nil {
-					t.Fatalf("K=%d %s query %d auto serial: %v", k, stage, qi, err)
-				}
-				resP, err := par.Mine(pq)
-				if err != nil {
-					t.Fatalf("K=%d %s query %d auto parallel: %v", k, stage, qi, err)
-				}
-				if resS.Stats.Plan != resP.Stats.Plan || !reflect.DeepEqual(resS.Rules, resP.Rules) {
-					t.Fatalf("K=%d %s query %d: auto diverges between serial and parallel sharded engines", k, stage, qi)
-				}
 			}
 		}
 	}
@@ -525,7 +515,7 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 	}
 
 	// Rebuild: every layout re-mines the merged dataset with compacted
-	// record ids, and a sharded engine re-partitions the fresh index.
+	// record ids, and a sharded engine re-labels the fresh index.
 	// Every query surface must still agree exactly.
 	ctx := context.Background()
 	mono2, err := mono.Rebuild(ctx)

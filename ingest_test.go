@@ -1,6 +1,7 @@
 package colarm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"colarm/internal/datagen"
+	"colarm/internal/shard"
 )
 
 // TestIngestDifferentialRebuild is the exactness proof for live
@@ -204,13 +206,13 @@ func TestIngestValidation(t *testing.T) {
 // on a sharded engine — every ingest acknowledgement and every dataset
 // listing asks for it: the per-shard breakdown is counted where the
 // buffered rows lie, so a call allocates the same with one buffered row
-// as with four thousand, and the breakdown still tiles the totals.
+// as with four thousand. At every K the breakdown tiles the totals —
+// each shard owns the live records the router labels with it, buffered
+// rows and tombstones sum to the global counters — and a snapshot
+// reload that replays the buffered delta, bumping no ingest metric,
+// reports the same breakdown.
 func TestShardedStalenessAllocsIndependentOfDelta(t *testing.T) {
 	ds, err := Salary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := Open(ds, Options{PrimarySupport: 0.18, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,24 +225,83 @@ func TestShardedStalenessAllocsIndependentOfDelta(t *testing.T) {
 	for i := range rows {
 		rows[i] = row
 	}
-	if _, err := eng.Ingest(rows[:1], []int{0}); err != nil {
-		t.Fatal(err)
+	for _, k := range []int{2, 3, 4, 7} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			eng, err := Open(ds, Options{PrimarySupport: 0.18, Shards: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkShardTiles(t, "fresh", eng, k)
+			if _, err := eng.Ingest(rows[:1], []int{0}); err != nil {
+				t.Fatal(err)
+			}
+			few := testing.AllocsPerRun(20, func() { eng.Staleness() })
+			if _, err := eng.Ingest(rows, []int{1, ds.NumRecords()}); err != nil {
+				t.Fatal(err)
+			}
+			many := testing.AllocsPerRun(20, func() { eng.Staleness() })
+			if few != many {
+				t.Errorf("Staleness allocates %v times with 1 buffered row, %v with 4096", few, many)
+			}
+			st := checkShardTiles(t, "delta", eng, k)
+			if st.BufferedRows != 4095 || st.Tombstones != 3 {
+				t.Fatalf("staleness %+v, want 4095 buffered rows and 3 tombstones", st.Staleness)
+			}
+
+			var snap bytes.Buffer
+			if err := eng.Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadEngine(&snap, Options{Shards: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The replay is no fresh ingest: it bumps no ingest metric.
+			batches := func(e *Engine) int64 {
+				return e.eng.Metrics.CounterWith("colarm_ingest_batches_total", `dataset="salary"`, "").Value()
+			}
+			if batches(eng) != 2 || batches(loaded) != 0 {
+				t.Fatalf("ingest batches: %d saved, %d after the reload's replay; want 2 and 0", batches(eng), batches(loaded))
+			}
+			got := checkShardTiles(t, "reloaded", loaded, k)
+			for s := range got.Shards {
+				a, b := st.Shards[s], got.Shards[s]
+				a.Version, b.Version = 0, 0
+				if a != b {
+					t.Fatalf("shard %d reloads as %+v, saved as %+v", s, b, a)
+				}
+			}
+		})
 	}
-	few := testing.AllocsPerRun(20, func() { eng.Staleness() })
-	if _, err := eng.Ingest(rows, []int{1, ds.NumRecords()}); err != nil {
-		t.Fatal(err)
+}
+
+// checkShardTiles checks e's per-shard staleness: K shards, each owning
+// the live record ids the router labels with it, with buffered rows and
+// tombstones summing to the global counters. It returns the staleness.
+func checkShardTiles(t *testing.T, stage string, e *Engine, k int) Staleness {
+	t.Helper()
+	st := e.Staleness()
+	if len(st.Shards) != k {
+		t.Fatalf("%s: %d shards, want %d", stage, len(st.Shards), k)
 	}
-	many := testing.AllocsPerRun(20, func() { eng.Staleness() })
-	if few != many {
-		t.Errorf("Staleness allocates %v times with 1 buffered row, %v with 4096", few, many)
+	surf, router := e.eng.Delta.Surface(), shard.NewRouter(k)
+	live := make([]int, k)
+	for id := 0; id < surf.NumRecords; id++ {
+		if surf.Live == nil || surf.Live.Contains(id) {
+			live[router.Of(id)]++
+		}
 	}
-	st := eng.Staleness()
 	var buffered, tombs int
-	for _, ss := range st.Shards {
+	for s, ss := range st.Shards {
+		if ss.Shard != s || ss.Records != live[s] {
+			t.Fatalf("%s: shard %+v, want shard %d owning %d live records", stage, ss, s, live[s])
+		}
 		buffered += ss.BufferedRows
 		tombs += ss.Tombstones
 	}
-	if len(st.Shards) != 4 || st.BufferedRows != 4095 || buffered != st.BufferedRows || tombs != st.Tombstones {
-		t.Errorf("shards %+v do not tile %d buffered rows and %d tombstones", st.Shards, st.BufferedRows, st.Tombstones)
+	if buffered != st.BufferedRows || tombs != st.Tombstones {
+		t.Fatalf("%s: shards %+v do not tile %d buffered rows and %d tombstones",
+			stage, st.Shards, st.BufferedRows, st.Tombstones)
 	}
+	return st
 }

@@ -41,10 +41,10 @@ type Options struct {
 	// sharing a registry stay distinguishable (and same-dataset engines
 	// aggregate).
 	Metrics *obs.Registry
-	// Shards partitions the records into K hash-routed shards behind
-	// the collection seam; queries scatter to all shards in parallel
-	// and gather exact recombined results. 0 or 1 leaves the engine
-	// monolithic — today's single-partition layout, byte-for-byte.
+	// Shards labels the records with K hash-routed shards for ingest
+	// routing, per-shard clocks and per-shard staleness (Engine.Coll).
+	// Queries, estimates and snapshots do not depend on it; 0 or 1
+	// keeps no labels.
 	Shards int
 }
 
@@ -69,16 +69,16 @@ type Engine struct {
 	Model    *cost.Model
 	// Delta buffers transactions ingested after the index build and
 	// serves the surface of each delta version; queries stay exact while
-	// the base index ages. Never nil. On a sharded engine it is the
-	// collection's wrapped store, so staleness, refresh-policy and
-	// snapshot surfaces read identically for both layouts.
+	// the base index ages. Never nil, and built the same way at every
+	// shard count.
 	Delta *delta.Store
-	// Coll partitions the records across shards when Options.Shards is
-	// at least 2; nil on a monolithic engine.
+	// Coll labels the records with shards when Options.Shards is at
+	// least 2: it routes ingest batches into Delta and reports per-shard
+	// drift. nil on an engine without shards.
 	Coll *shard.Collection
 
-	// surface yields the surface of the current delta version: the
-	// collection's on a sharded engine, the delta store's otherwise.
+	// surface is Delta.Surface; tests wrap it to count or rig
+	// resolutions.
 	surface func() *plans.Surface
 
 	// Metrics is the engine's cumulative metrics registry (counters and
@@ -137,9 +137,8 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	return e
 }
 
-// initDelta gives the engine its delta store — behind a shard collection
-// when Options.Shards asks for one — and the surface source that goes
-// with it.
+// initDelta gives the engine its delta store, and the shard collection
+// routing into it when Options.Shards asks for one.
 func (e *Engine) initDelta() {
 	primary := e.opts.PrimarySupport
 	if primary <= 0 && e.Index.Dataset.NumRecords() > 0 {
@@ -149,22 +148,12 @@ func (e *Engine) initDelta() {
 		// use.
 		primary = float64(e.Index.PrimaryCount) / float64(e.Index.Dataset.NumRecords())
 	}
-	if e.opts.Shards <= 1 {
-		e.Delta = delta.NewStore(e.Index, primary)
-		e.Delta.SetWorkers(e.opts.Workers)
-		e.surface = e.Delta.Surface
-		return
+	e.Delta = delta.NewStore(e.Index, primary)
+	e.Delta.SetWorkers(e.opts.Workers)
+	e.surface = e.Delta.Surface
+	if e.opts.Shards > 1 {
+		e.Coll = shard.New(e.Delta, e.Index.Dataset.NumRecords(), e.opts.Shards)
 	}
-	e.Coll = shard.New(e.Index, shard.Config{
-		Shards:  e.opts.Shards,
-		Primary: primary,
-		Workers: e.opts.Workers,
-	})
-	// The collection wraps a plain delta store: ingest routes through
-	// the collection (shard clocks), while staleness, refresh policy and
-	// snapshots read the store directly.
-	e.Delta = e.Coll.Store()
-	e.surface = e.Coll.Surface
 }
 
 // initMetrics registers the engine's cumulative metrics in reg, or in a
@@ -228,13 +217,7 @@ func (e *Engine) noteDelta(f *plans.Focal, err error) {
 // the returned staleness reports the accumulated drift and whether the
 // refresh policy now recommends a rebuild.
 func (e *Engine) Ingest(rows [][]int32, deletes []int) (delta.Staleness, error) {
-	var st delta.Staleness
-	var err error
-	if e.Coll != nil {
-		st, err = e.Coll.Ingest(rows, deletes)
-	} else {
-		st, err = e.Delta.Ingest(rows, deletes)
-	}
+	st, err := e.Replay(rows, deletes)
 	if err != nil {
 		return st, err
 	}
@@ -244,10 +227,22 @@ func (e *Engine) Ingest(rows [][]int32, deletes []int) (delta.Staleness, error) 
 	return st, nil
 }
 
+// Replay is Ingest without the ingest metrics: it buffers the batch
+// through the shard collection when there is one (so the shard clocks
+// tick), straight into the store otherwise. Restoring a snapshot's
+// persisted delta calls it, as that is not a fresh ingest.
+func (e *Engine) Replay(rows [][]int32, deletes []int) (delta.Staleness, error) {
+	if e.Coll != nil {
+		return e.Coll.Ingest(rows, deletes)
+	}
+	return e.Delta.Ingest(rows, deletes)
+}
+
 // Staleness reports the engine's drift from the merged dataset.
 func (e *Engine) Staleness() delta.Staleness { return e.Delta.Staleness() }
 
-// ShardStats reports per-shard staleness; nil on a monolithic engine.
+// ShardStats reports per-shard staleness; nil on an engine without
+// shards.
 func (e *Engine) ShardStats() []shard.ShardStat {
 	if e.Coll == nil {
 		return nil
@@ -258,7 +253,7 @@ func (e *Engine) ShardStats() []shard.ShardStat {
 // Rebuild runs the offline phase over the merged dataset — base records
 // minus tombstones plus buffered inserts, ids compacted — and returns a
 // fresh engine with an empty delta, the same Options and the same R-tree
-// fanout (a sharded engine re-partitions the fresh index), sharing this
+// fanout (a sharded engine re-labels the fresh index), sharing this
 // engine's metrics registry. The receiver is untouched and remains
 // queryable throughout, so a serving layer can rebuild in the background
 // and atomically swap engines when done.

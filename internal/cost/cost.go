@@ -110,9 +110,9 @@ func (e Estimate) Terms() []EstimateTerm {
 // Model evaluates the six plan estimates for the focal subsets of one
 // engine's requests. Everything a request selected — the subset's size,
 // bitmap and support-count threshold, the surface it was selected from
-// with its R-tree statistics, the check mode and shard count — comes
-// with the request's plans.Focal; the model itself holds only aggregates
-// computed once from the index as built, and prices them with UnitCosts.
+// with its R-tree statistics, and the check mode — comes with the
+// request's plans.Focal; the model itself holds only aggregates computed
+// once from the index as built, and prices them with UnitCosts.
 type Model struct {
 	u Units
 
@@ -457,16 +457,6 @@ func (mo *Model) estimateOne(k plans.Kind, q *plans.Query, s queryShape) Estimat
 		// bounded by global support, so the SS filter is lossless).
 		e.Qualified = nMIPs * s.qualFrac * s.maskKeep
 		e.Verify = mo.verifyCost(s, e.Qualified, q.MinConfidence)
-		if shards := len(s.f.Surface.Slices); shards > 1 {
-			// Scatter-gather overhead: the focal-subset bitmap scatters
-			// to K per-shard computations, and each record-level support
-			// check fans into K partial counts that are summed back. The
-			// counting work itself is conserved (the slices partition the
-			// records), so only the dispatch bookkeeping is extra.
-			kf := float64(shards)
-			e.Search += kf * mo.u.MapOp
-			e.Eliminate += checks * (kf - 1) * mo.u.MapOp
-		}
 		e.Total = e.Search + e.Eliminate + e.Verify
 
 	case plans.ARM:

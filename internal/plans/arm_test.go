@@ -38,11 +38,11 @@ func rowScanTids(c *qctx) []*bitset.Set {
 }
 
 // TestARMSelectMatchesRowScan holds ARM's vertical SELECT to the row
-// scan over a frozen index, a merged surface after inserts and deletes,
-// and that merged surface split into two shards: every kept local
-// tidset equals the row-wise one, every pruned item's row-wise count is
-// below MinCount, and εAR over the pruned tidsets returns the same
-// Result — rules and Stats — as over the row-wise ones.
+// scan over a frozen index and a merged surface after inserts and
+// deletes: every kept local tidset equals the row-wise one, every pruned
+// item's row-wise count is below MinCount, and εAR over the pruned
+// tidsets returns the same Result — rules and Stats — as over the
+// row-wise ones.
 func TestARMSelectMatchesRowScan(t *testing.T) {
 	kept, pruned := 0, 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -52,10 +52,7 @@ func TestARMSelectMatchesRowScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex := NewExecutor(idx.Space)
-		merged := mergedSurface(t, r, idx, 0.1)
-		mergedK2 := *merged
-		mergedK2.Slices = partition(merged.Tidsets, merged.Live, 2)
-		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", merged}, {"merged+K=2", &mergedK2}}
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, 0.1)}}
 		for i := 0; i < 6; i++ {
 			q := randomQuery(r, idx)
 			for _, s := range surfaces {

@@ -83,12 +83,12 @@ func boundQuery(r *rand.Rand, ex *Executor, s *Surface, minSupp float64, tight b
 
 // TestEliminateItemBound holds ELIMINATE's item bound to the operator
 // without it, on quick chess, mushroom and PUMSB, over a frozen surface
-// and a merged surface with inserts and deletes split into two shards,
-// under all five MIP plans: in the per-CFI state every pruned id's exact
-// local support is below MinCount, every counted id holds its exact
-// count and no id is left scheduled, and rules and every counter but
-// SupportChecks equal a run with the bound disabled. Stats are equal at one worker and
-// at four.
+// and a merged surface with inserts and deletes, under all five MIP
+// plans: in the per-CFI state every pruned id's exact local support is
+// below MinCount, every counted id holds its exact count and no id is
+// left scheduled, and rules and every counter but SupportChecks equal a
+// run with the bound disabled. Stats are equal at one worker and at
+// four.
 func TestEliminateItemBound(t *testing.T) {
 	pruned, tight, checksOn, checksOff := 0, 0, 0, 0
 	for di, qi := range quickIndexes {
@@ -101,9 +101,7 @@ func TestEliminateItemBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(int64(di)))
-		merged := mergedSurface(t, r, idx, qi.primary)
-		merged.Slices = partition(merged.Tidsets, merged.Live, 2)
-		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged+K=2", merged}}
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, qi.primary)}}
 		ex := &Executor{Space: idx.Space, Workers: 1}
 		exOff := &Executor{Space: idx.Space, Workers: 1, noItemBound: true}
 		exN := &Executor{Space: idx.Space, Workers: 4}
@@ -337,9 +335,8 @@ func BenchmarkEliminate(b *testing.B) {
 // TestEliminateLocalVectors holds every record-level check ELIMINATE
 // runs over its rank-space vectors to bitset.AndCount of D^Q and the
 // CFI's stored tidset, on quick chess, mushroom and PUMSB, over a frozen
-// surface, a merged surface with inserts and deletes, and that merged
-// surface split into two shards (whose checks read the union D^Q), with
-// and without the item bound, at one worker and at four.
+// surface and a merged surface with inserts and deletes, with and
+// without the item bound, at one worker and at four.
 func TestEliminateLocalVectors(t *testing.T) {
 	checked, partial := 0, 0
 	for di, qi := range quickIndexes {
@@ -352,10 +349,7 @@ func TestEliminateLocalVectors(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(int64(100 + di)))
-		merged := mergedSurface(t, r, idx, qi.primary)
-		mergedK2 := *merged
-		mergedK2.Slices = partition(merged.Tidsets, merged.Live, 2)
-		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", merged}, {"merged+K=2", &mergedK2}}
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, qi.primary)}}
 		for i := 0; i < 3; i++ {
 			q := boundQuery(r, NewExecutor(idx.Space), surfaces[0].Surface, qi.minSupp, i != 1)
 			for _, s := range surfaces {

@@ -384,10 +384,7 @@ type qualified struct {
 // each one the popcount of the AND of its CFI's item vectors, and a
 // serial minsupport filter in candidate order counts pruned and failing
 // candidates alike as Eliminated, so the result and every counter but
-// SupportChecks match a run without the bound, at any worker count. A
-// sharded surface takes the same path over the union D^Q: a vector
-// counts the shards' records together, so there is no scatter and no
-// partial-sum gather.
+// SupportChecks match a run without the bound, at any worker count.
 func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -610,10 +607,9 @@ func (v *localVecs) count(items itemset.Set) int {
 // |D^Q ∩ t(clos(X))|. The closure is one IT-tree lookup; if ELIMINATE
 // counted that CFI its local support is reused, otherwise the stored
 // tidset takes a record-level check against D^Q (countLocal: scan or
-// bitmap; a sharded query's D^Q is the union of its shards'). One stored
-// tidset stands in for the C_X per-item tidsets of the paper's COST(V)
-// record-level term (Σ C_i · |D^Q|); the per-record work is unchanged in
-// kind and smaller in amount.
+// bitmap). One stored tidset stands in for the C_X per-item tidsets of
+// the paper's COST(V) record-level term (Σ C_i · |D^Q|); the per-record
+// work is unchanged in kind and smaller in amount.
 //
 // x is a subset of a qualified body and hence of a stored CFI, so it is
 // frequent at the surface's primary support and its closure is stored,

@@ -16,26 +16,6 @@ import (
 	"colarm/internal/rules"
 )
 
-// partition splits the live records round-robin into k shard slices.
-func partition(tidsets []*bitset.Set, live *bitset.Set, k int) []ShardSlice {
-	n := live.Len()
-	out := make([]ShardSlice, k)
-	for s := range out {
-		out[s].Records = bitset.New(n)
-	}
-	live.ForEach(func(r int) bool {
-		out[r%k].Records.Add(r)
-		return true
-	})
-	for s := range out {
-		out[s].Items = make([]*bitset.Set, len(tidsets))
-		for it, t := range tidsets {
-			out[s].Items[it] = bitset.Intersect(t, out[s].Records)
-		}
-	}
-	return out
-}
-
 // mergedSurface builds the merged surface of idx with a random fifth of
 // its records deleted and a few rows appended, the way the delta layer
 // does: tidsets grown over the buffered ids with the deletes cleared, a
@@ -118,23 +98,13 @@ type namedSurface struct {
 	*Surface
 }
 
-// surfaceTable presents idx in every shape a Surface takes: the frozen
-// index, a merged surface over it (see mergedSurface), and each of
-// the two partitioned into three shards.
+// surfaceTable presents idx in both shapes a Surface takes: the frozen
+// index and a merged surface over it (see mergedSurface).
 func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) []namedSurface {
 	t.Helper()
-	frozen := NewSurface(idx)
-	merged := mergedSurface(t, r, idx, primary)
-	full := bitset.New(frozen.NumRecords)
-	full.Fill()
-	frozenK3, mergedK3 := *frozen, *merged
-	frozenK3.Slices = partition(frozen.Tidsets, full, 3)
-	mergedK3.Slices = partition(merged.Tidsets, merged.Live, 3)
 	return []namedSurface{
-		{"frozen", frozen},
-		{"merged", merged},
-		{"frozen+K=3", &frozenK3},
-		{"merged+K=3", &mergedK3},
+		{"frozen", NewSurface(idx)},
+		{"merged", mergedSurface(t, r, idx, primary)},
 	}
 }
 

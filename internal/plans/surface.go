@@ -6,31 +6,15 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/ittree"
 	"colarm/internal/mip"
-	"colarm/internal/pool"
 	"colarm/internal/rtree"
 )
 
-// ShardSlice is one shard's projection of the record space: the records
-// the shard owns and the per-item tidsets restricted to those records.
-// Slices partition the live record ids — every live record belongs to
-// exactly one shard — so the per-shard focal subsets Focus builds are
-// disjoint and their union is exactly the monolithic D^Q. A ShardSlice
-// is immutable once published.
-type ShardSlice struct {
-	// Records is the set of live record ids owned by the shard, in the
-	// global id space (ids are never renumbered per shard).
-	Records *bitset.Set
-	// Items maps each item to its tidset restricted to Records.
-	Items []*bitset.Set
-}
-
 // Surface is the index state one query reads: the only way a plan or the
-// applicability gate sees the MIP-index. Every physical source yields
-// the same shape — the frozen index (NewSurface, once at assembly), the
-// delta store's merged view of one delta version (delta.Store.Surface),
-// and a sharded collection decorating either with its partition
-// (shard.Collection.Surface) — so the operators have one path each and
-// branch on len(Slices) > 1 only.
+// applicability gate sees the MIP-index. Both physical sources yield the
+// same shape — the frozen index (NewSurface, once at assembly) and the
+// delta store's merged view of one delta version (delta.Store.Surface)
+// — so the operators have one path each. An engine's shard count never
+// reaches a Surface: shards label records for ingest routing only.
 //
 // Whatever built it, a Surface presents exactly what a from-scratch
 // build over its records would: Tree holds their closed frequent
@@ -73,11 +57,6 @@ type Surface struct {
 	// Value returns the value index of record r at attribute a, for
 	// every id below NumRecords.
 	Value func(r, a int) int
-	// Slices partitions the live records across the shards of a sharded
-	// engine. One slice or none keeps execution monolithic; with more,
-	// Focus builds D^Q per shard and gathers the union, which every
-	// operator then reads as on the monolith.
-	Slices []ShardSlice
 	// Version is the delta version the surface presents: 0 for a frozen
 	// index nothing was ingested over.
 	Version uint64
@@ -104,8 +83,7 @@ type Focal struct {
 	// Surface is the surface the subset was selected from; a plan given
 	// this Focal executes against it.
 	Surface *Surface
-	// DQ is the focal subset's record bitmap; on a sharded surface, the
-	// union of the per-shard subsets Focus gathered.
+	// DQ is the focal subset's record bitmap.
 	DQ *bitset.Set
 	// Size is |D^Q| and MinCount the query's minsupport as a record count
 	// within it — the localized threshold.
@@ -128,31 +106,14 @@ type Focal struct {
 func (f *Focal) Applicable() bool { return f.MinCount >= f.Surface.PrimaryCount }
 
 // Focus selects the focal subset of q over s: SELECT in its bitmap form.
-// On a sharded surface the subset is built per shard from the shard's own
-// tidset slice, in parallel across the worker pool, and gathered by
-// union — the slices partition the live records, so the union equals the
-// monolithic D^Q exactly. q must have passed Validate.
+// q must have passed Validate.
 func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	f := &Focal{Surface: s}
-	if len(s.Slices) > 1 {
-		shards := make([]*bitset.Set, len(s.Slices))
-		pool.For(len(s.Slices), ex.workers(), func(i int) {
-			sl := s.Slices[i]
-			dq := itemset.RegionTidset(q.Region, ex.Space, sl.Items, s.NumRecords)
-			dq.And(sl.Records)
-			shards[i] = dq
-		})
-		f.DQ = bitset.New(s.NumRecords)
-		for _, dq := range shards {
-			f.DQ.Or(dq)
-		}
-	} else {
-		f.DQ = itemset.RegionTidset(q.Region, ex.Space, s.Tidsets, s.NumRecords)
-		if s.Live != nil {
-			// Unrestricted dimensions contribute a full bitmap; intersect
-			// with the live set so deleted records stay out of D^Q.
-			f.DQ.And(s.Live)
-		}
+	f.DQ = itemset.RegionTidset(q.Region, ex.Space, s.Tidsets, s.NumRecords)
+	if s.Live != nil {
+		// Unrestricted dimensions contribute a full bitmap; intersect
+		// with the live set so deleted records stay out of D^Q.
+		f.DQ.And(s.Live)
 	}
 	f.Size = f.DQ.Count()
 	f.MinCount = charm.CountFor(q.MinSupport, f.Size)

@@ -1,15 +1,13 @@
 // Package pool is the worker pool shared by the parallel layers of the
 // engine: the plans operators (ELIMINATE/VERIFY fan-out), the MIP-index
-// assembler (per-CFI bounding boxes), and the sharded collection
-// (restricting the item tidsets to each shard's slice).
+// assembler and the delta store's merged view (per-CFI bounding boxes).
 //
 // Work is distributed dynamically through an atomic cursor rather than
 // by static striding, so uneven item costs — tidsets of wildly different
-// density, shards with different drift — cannot idle a worker. The
-// contract every caller relies on for determinism is that fn(i) is
-// called exactly once per index and that callers land results in
-// pre-indexed slots, so the merged output is independent of schedule and
-// of the worker count.
+// density — cannot idle a worker. The contract every caller relies on
+// for determinism is that fn(i) is called exactly once per index and
+// that callers land results in pre-indexed slots, so the merged output
+// is independent of schedule and of the worker count.
 package pool
 
 import (

@@ -1,19 +1,16 @@
-// Package shard partitions a dataset's records into K hash-partitioned
-// shards, each with its own version clock and record slice over the
-// shared MIP-index. Per-shard partial results recombine exactly: tidsets
-// OR across shards (the slices partition the live records), support
-// counts sum, and confidences recompute from summed counts (DESIGN §13).
-// Plans see the partition only as the Slices of the plans.Surface a
-// Collection hands out, so they stay partition-agnostic; the catalog,
-// the ingest buffer and the rebuild are the monolithic engine's own, and
-// K=1 reproduces it byte-for-byte.
+// Package shard labels a dataset's records with K hash-routed shards,
+// each with its own version clock and staleness breakdown. A shard is a
+// label, not a partition: the engine keeps one delta store, one surface
+// and one execution path at every K, so queries, plans, estimates and
+// snapshots never depend on K (DESIGN §13). The collection routes ingest
+// batches, ticks shard clocks and reports per-shard drift.
 package shard
 
 // Router assigns record ids to shards by hash. Record ids are stable
 // for the lifetime of one engine generation (base records keep their
 // build-time ids, ingested rows extend the id space), so a record's
 // shard never changes under a Collection; a rebuild compacts the ids and
-// the fresh engine's Collection partitions them anew.
+// the fresh engine's Collection labels them anew.
 type Router struct {
 	k int
 }

@@ -121,14 +121,9 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 		for i, id := range meta.DeltaDels {
 			dels[i] = int(id)
 		}
-		// Replay straight into the store (through the collection on a
-		// sharded engine, so the shard clocks tick): restoring persisted
-		// state is not a fresh ingest, so ingest metrics stay untouched.
-		if eng.Coll != nil {
-			if _, err := eng.Coll.Ingest(meta.DeltaRows, dels); err != nil {
-				return nil, err
-			}
-		} else if _, err := eng.Delta.Ingest(meta.DeltaRows, dels); err != nil {
+		// Restoring persisted state is not a fresh ingest, so ingest
+		// metrics stay untouched.
+		if _, err := eng.Replay(meta.DeltaRows, dels); err != nil {
 			return nil, err
 		}
 	}

@@ -18,10 +18,9 @@ import (
 // pointer while readers keep mining whichever engine they loaded; a
 // full-domain query's SubsetSize equals the engine's live record
 // count, so every observed size must be a count that was valid at some
-// point of the (single-writer) history. A half-applied ingest, a
-// rebuild serving a partially swapped index, or slices from a stale
-// partition would all surface as a count outside that set, as a query
-// error, or as a race-detector report. Run it with -race; the
+// point of the (single-writer) history. A half-applied ingest or a
+// rebuild serving a partially swapped index would surface as a count
+// outside that set, as a query error, or as a race-detector report. Run it with -race; the
 // op budget (readers × mines + writer ops) exceeds 10k interleavings.
 func TestShardSoak(t *testing.T) {
 	cfg := randomDiffConfig(rand.New(rand.NewSource(20260810)), 0)
