@@ -157,26 +157,18 @@ func Intersect(s, t *Set) *Set {
 }
 
 // IntersectInto replaces dst with s ∩ t and returns the cardinality of
-// the result. dst takes s's capacity; whatever it held before is
-// discarded. A dst of the operands' capacity is recycled: its container
-// slice is reused, and so is the 8 KiB payload of every bitmap
-// container whose result is again a bitmap — the miners' common case,
-// which then allocates nothing. All other results are allocated
-// exactly as Intersect allocates them (sparse dense-pair results demoted
-// to arrays of their cardinality), so a recycled dst ends up with the
-// same container kinds and payload sizes as a fresh one. dst must be
-// distinct from s and t; IntersectInto panics otherwise (use And for an
-// in-place intersection).
+// the result. dst takes s's capacity and fresh containers; whatever it
+// held before is dropped. A dense pair's result is an array at
+// arrayOptCard ids or fewer and a bitmap above; any pair with an array
+// side yields an array. dst must be distinct from s and t;
+// IntersectInto panics otherwise (use And for an in-place
+// intersection).
 func IntersectInto(dst, s, t *Set) int {
 	s.checkCompat(t)
 	if dst == s || dst == t {
 		panic("bitset: IntersectInto destination aliases an operand")
 	}
-	if dst.n != s.n || len(dst.ctrs) != len(s.ctrs) {
-		// A dst of another capacity may hold bits past the operands'
-		// spans, which the span-bounded kernels would leave in place.
-		dst.n, dst.ctrs = s.n, make([]container, len(s.ctrs))
-	}
+	dst.n, dst.ctrs = s.n, make([]container, len(s.ctrs))
 	n := 0
 	for i := range s.ctrs {
 		x, y, d := &s.ctrs[i], &t.ctrs[i], &dst.ctrs[i]
@@ -284,19 +276,6 @@ func (s *Set) Bytes() int {
 		b += s.ctrs[i].bytes()
 	}
 	return b
-}
-
-// Hash returns a cheap order-independent signature of the set contents.
-// CHARM uses it to bucket candidate closed itemsets by tidset for
-// subsumption checking; collisions are resolved with Equal. The value
-// depends only on logical content (it folds the logical dense words),
-// so equal sets hash equally across container encodings.
-func (s *Set) Hash() uint64 {
-	var h uint64 = fnvOffset
-	for i := range s.ctrs {
-		h = hashCtr(&s.ctrs[i], s.words(i), h)
-	}
-	return h
 }
 
 // String renders the set as "{1, 5, 9}" for debugging and test failure

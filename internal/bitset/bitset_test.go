@@ -162,14 +162,6 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-func TestHashEqualSetsAgree(t *testing.T) {
-	a := FromIDs(256, 7, 100, 200)
-	b := FromIDs(256, 200, 7, 100)
-	if a.Hash() != b.Hash() {
-		t.Error("equal sets must hash equally")
-	}
-}
-
 // randomSet builds a set plus its mirror map for property checks.
 func randomSet(rng *rand.Rand, n int) (*Set, map[int]bool) {
 	s := New(n)

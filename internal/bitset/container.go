@@ -23,7 +23,7 @@ import (
 //
 // No operation sets a bit at or past its container's span (validate
 // refuses a decoded one), so the query-path kernels — AND, AndCount,
-// Intersects, OR, Equal, iteration and the hash — take nw, the span's
+// Intersects, OR, Equal and iteration — take nw, the span's
 // word count (Set.words), and walk only those words of the payload: 50
 // for a 3196-record universe rather than 1024.
 
@@ -308,28 +308,12 @@ func filterArray(dst, src []uint16, c *container) []uint16 {
 	return dst
 }
 
-// intersectBitmaps replaces d with x ∩ y for two bitmap containers,
-// whatever d held before. When d is itself a bitmap its payload is
-// recycled: one pass writes the result words into it while counting, and
-// the usual repack policy then demotes a sparse result. Without a
-// payload to recycle the pair is counted first, so that a sparse result
-// — a dense pair's intersection is usually much smaller than its
-// operands — allocates an array of its cardinality and never the 8 KiB
-// it would be demoted from. Only the nw words of the span are walked;
-// a recycled d must come from a set of the operands' capacity, so its
-// words past nw are zero already.
+// intersectBitmaps sets d to x ∩ y for two bitmap containers. The pair
+// is counted first, so that a sparse result — a dense pair's
+// intersection is usually much smaller than its operands — allocates an
+// array of its cardinality and never the 8 KiB it would be demoted
+// from. Only the nw words of the span are walked.
 func intersectBitmaps(d, x, y *container, nw int) {
-	if d.kind == bitmapCtr {
-		n := 0
-		for w, v := range x.b[:nw] {
-			v &= y.b[w]
-			d.b[w] = v
-			n += bits.OnesCount64(v)
-		}
-		d.card = int32(n)
-		d.normalize()
-		return
-	}
 	n := andCount(x, y, nw)
 	switch {
 	case n == 0:
@@ -547,59 +531,6 @@ func forEachCtr(c *container, base, nw int, fn func(id int) bool) bool {
 		}
 	}
 	return true
-}
-
-// --- hashing ----------------------------------------------------------
-
-const (
-	fnvOffset = 1469598103934665603
-	fnvPrime  = 1099511628211
-)
-
-// fnvPow returns fnvPrime^k (mod 2^64): folding k zero words into an
-// FNV state multiplies it by this, so sparse containers can skip their
-// zero words in one multiply.
-func fnvPow(k int) uint64 {
-	p := uint64(fnvPrime)
-	r := uint64(1)
-	for ; k > 0; k >>= 1 {
-		if k&1 == 1 {
-			r *= p
-		}
-		p *= p
-	}
-	return r
-}
-
-// hashCtr folds the container's first nwords logical dense words into h,
-// yielding the same value a bitmap container would: the Set hash is
-// stable across container encodings.
-func hashCtr(c *container, nwords int, h uint64) uint64 {
-	if c.kind == bitmapCtr {
-		for _, w := range c.b[:nwords] {
-			h = (h ^ w) * fnvPrime
-		}
-		return h
-	}
-	wi := 0
-	for i := 0; i < len(c.a); {
-		w := int(c.a[i] >> 6)
-		if w > wi {
-			h *= fnvPow(w - wi)
-			wi = w
-		}
-		var word uint64
-		for i < len(c.a) && int(c.a[i]>>6) == w {
-			word |= 1 << (c.a[i] & 63)
-			i++
-		}
-		h = (h ^ word) * fnvPrime
-		wi++
-	}
-	if nwords > wi {
-		h *= fnvPow(nwords - wi)
-	}
-	return h
 }
 
 // validate checks the container's structural invariants against its

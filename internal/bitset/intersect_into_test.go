@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// intersectV0 is Intersect as it was before IntersectInto existed, kept
-// as the reference the recycling kernel is pinned against: the result of
+// intersectV0 is Intersect written the obvious way, kept as the
+// reference the count-first kernel is pinned against: the result of
 // IntersectInto must have the encoding and payload size this produces,
 // whatever dst held before.
 func intersectV0(s, t *Set) *Set {
@@ -92,7 +92,7 @@ func kindsOf(s *Set) []uint8 {
 
 // checkIntersection compares got (the result of IntersectInto or
 // Intersect) against the map oracle and against the pre-change kernel:
-// content, hash, container kinds and payload bytes.
+// content, container kinds and payload bytes.
 func checkIntersection(t *testing.T, label string, got *Set, count int, sm, tm map[int]bool, want *Set) {
 	t.Helper()
 	n := 0
@@ -109,9 +109,6 @@ func checkIntersection(t *testing.T, label string, got *Set, count int, sm, tm m
 	}
 	if !got.Equal(want) || !want.Equal(got) {
 		t.Fatalf("%s: content differs from the pre-change Intersect", label)
-	}
-	if got.Hash() != want.Hash() {
-		t.Fatalf("%s: hash %x, pre-change Intersect %x", label, got.Hash(), want.Hash())
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: capacity %d, want %d", label, got.Len(), want.Len())
@@ -134,7 +131,7 @@ var intoCapacities = []int{1, 64, 65, 3196, 8124, 65536, 70000}
 
 // TestIntersectIntoAllKindPairs drives one dst through every pair of
 // operand container kinds, at every capacity and two densities, so each
-// call recycles whatever shape the previous, differently-shaped pair
+// call overwrites whatever shape the previous, differently-shaped pair
 // left behind.
 func TestIntersectIntoAllKindPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -150,7 +147,7 @@ func TestIntersectIntoAllKindPairs(t *testing.T) {
 					want := intersectV0(s, u)
 					label := labelOf(n, kx, ky, dense)
 					count := IntersectInto(dst, s, u)
-					checkIntersection(t, label+" recycled", dst, count, sm, um, want)
+					checkIntersection(t, label+" reused dst", dst, count, sm, um, want)
 					fresh := Intersect(s, u)
 					checkIntersection(t, label+" fresh", fresh, fresh.Count(), sm, um, want)
 					if !s.Equal(sBefore) || !u.Equal(uBefore) ||
@@ -175,7 +172,7 @@ func labelOf(n int, kx, ky uint8, dense bool) string {
 // TestIntersectIntoResultKinds pins the container kind of the result
 // for each operand-kind pair on fixed operands — the table the
 // pre-change Intersect produces — with a fresh dst and with one that
-// carries a bitmap payload to recycle.
+// carries a bitmap payload, which must be dropped.
 func TestIntersectIntoResultKinds(t *testing.T) {
 	const n = ctrBits
 	stride := func(step, lo, hi int) []int {
@@ -224,44 +221,27 @@ func TestIntersectIntoResultKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		x, y := build(tc.x, tc.xk), build(tc.y, tc.yk)
-		for _, recycled := range []bool{false, true} {
+		for _, reused := range []bool{false, true} {
 			dst := new(Set)
-			if recycled {
+			if reused {
 				dst = build(odds, bitmapCtr)
 			}
 			if got := IntersectInto(dst, x, y); got != tc.wantCard {
-				t.Errorf("%s (recycled=%v): cardinality %d, want %d", tc.name, recycled, got, tc.wantCard)
+				t.Errorf("%s (reused dst=%v): cardinality %d, want %d", tc.name, reused, got, tc.wantCard)
 			}
 			if got := dst.ctrs[0].kind; got != tc.want {
-				t.Errorf("%s (recycled=%v): kind %d, want %d", tc.name, recycled, got, tc.want)
+				t.Errorf("%s (reused dst=%v): kind %d, want %d", tc.name, reused, got, tc.want)
 			}
 			if want := intersectV0(x, y); dst.Bytes() != want.Bytes() {
-				t.Errorf("%s (recycled=%v): Bytes() %d, want %d", tc.name, recycled, dst.Bytes(), want.Bytes())
+				t.Errorf("%s (reused dst=%v): Bytes() %d, want %d", tc.name, reused, dst.Bytes(), want.Bytes())
 			}
 		}
 	}
 }
 
-// TestIntersectIntoRecyclesBitmapPayload pins what the miners rely on:
-// a dense result into a dst that already carries a bitmap allocates
-// nothing.
-func TestIntersectIntoRecyclesBitmapPayload(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	s, _ := operand(rng, 8124, bitmapCtr, true)
-	u, _ := operand(rng, 8124, bitmapCtr, true)
-	dst := Intersect(s, u)
-	if dst.ctrs[0].kind != bitmapCtr {
-		t.Fatalf("fixture: dense pair intersected into kind %d", dst.ctrs[0].kind)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { IntersectInto(dst, s, u) }); allocs != 0 {
-		t.Errorf("recycling a bitmap payload allocated %.0f times per call, want 0", allocs)
-	}
-}
-
-// TestIntersectIntoOtherCapacity: a dst recycled from a larger set of
-// the same container count holds bits past the operands' last span, and
-// the span-bounded kernels never reach them — so such a dst must be
-// re-made, not recycled.
+// TestIntersectIntoOtherCapacity: a dst that was a larger set of the
+// same container count holds bits past the operands' last span, and the
+// span-bounded kernels never reach them — none of them may survive.
 func TestIntersectIntoOtherCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const n = 70_000
@@ -297,7 +277,7 @@ func TestIntersectIntoAliasPanics(t *testing.T) {
 // FuzzIntersectInto replays an op sequence over two operand sets of a
 // fuzzed capacity — point and range mutations, re-packing — and after
 // every op intersects them into one long-lived dst, which must match a
-// fresh Intersect in content, hash, kinds and bytes.
+// fresh Intersect in content, kinds and bytes.
 func FuzzIntersectInto(f *testing.F) {
 	f.Add([]byte{0x00, 0x20, 0x00, 1, 5, 0, 2, 9, 0, 4, 0, 0})
 	f.Add([]byte{0x01, 0x11, 0x70, 3, 0, 0, 3, 200, 1, 1, 0, 0, 5, 0, 0, 2, 7, 7})
@@ -330,8 +310,8 @@ func FuzzIntersectInto(f *testing.F) {
 			if got := IntersectInto(dst, sets[0], sets[1]); got != want.Count() {
 				t.Fatalf("IntersectInto returned %d, Intersect holds %d", got, want.Count())
 			}
-			if !dst.Equal(want) || dst.Hash() != want.Hash() || dst.Bytes() != want.Bytes() {
-				t.Fatalf("recycled result differs from Intersect: %d vs %d ids, %d vs %d bytes",
+			if !dst.Equal(want) || dst.Bytes() != want.Bytes() {
+				t.Fatalf("result into the long-lived dst differs from Intersect: %d vs %d ids, %d vs %d bytes",
 					dst.Count(), want.Count(), dst.Bytes(), want.Bytes())
 			}
 			for i, k := range kindsOf(want) {

@@ -48,24 +48,22 @@ func and(x, y bool) bool { return x && y }
 func or(x, y bool) bool  { return x || y }
 func all(_, _ bool) bool { return true }
 
-// hash folds the universe's dense 64-bit words into an FNV state, the
-// value Set.Hash is defined to return whatever encoding holds the ids.
-func (o oracle) hash() uint64 {
-	h := uint64(fnvOffset)
-	for w := 0; w < len(o); w += wordBits {
-		var word uint64
-		for b := 0; b < wordBits && w+b < len(o); b++ {
-			if o[w+b] {
-				word |= 1 << b
-			}
+// words is the universe in the dense word layout: bit id%64 of word
+// id/64, the layout CopyWords writes.
+func (o oracle) words() []uint64 {
+	w := make([]uint64, (len(o)+wordBits-1)/wordBits)
+	for id, in := range o {
+		if in {
+			w[id/wordBits] |= 1 << (id % wordBits)
 		}
-		h = (h ^ word) * fnvPrime
 	}
-	return h
+	return w
 }
 
 // checkOracle asserts s holds exactly o: capacity, ids in ascending
-// order, Count, Hash, a MarshalBinary round trip, the container
+// order, Count, its dense words (CopyWords) and the set FromWords builds
+// back from them — s's content in Optimize's encoding — a MarshalBinary
+// round trip, the container
 // invariants (valid payloads, no array past arrayMaxCard), and Equal both
 // ways against a twin of the same content in every layout — so array and
 // bitmap containers are compared with each other — while a twin with one
@@ -82,10 +80,22 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 	if s.Count() != len(want) {
 		t.Fatalf("%s: Count %d, oracle holds %d", label, s.Count(), len(want))
 	}
-	if s.Hash() != o.hash() {
-		t.Fatalf("%s: Hash %x, the oracle's dense words hash to %x", label, s.Hash(), o.hash())
+	words := o.words()
+	got := make([]uint64, len(words))
+	for i := range got {
+		got[i] = ^uint64(0) // CopyWords must overwrite every word
+	}
+	CopyWords(got, s)
+	if !slices.Equal(got, words) {
+		t.Fatalf("%s: CopyWords differs from the oracle's dense words", label)
 	}
 	checkSpans(t, label, s)
+	fromWords, optimized := FromWords(len(o), words), s.Clone()
+	optimized.Optimize()
+	checkSpans(t, label+" FromWords", fromWords)
+	if !fromWords.Equal(s) || !slices.Equal(kindsOf(fromWords), kindsOf(optimized)) || fromWords.Bytes() != optimized.Bytes() {
+		t.Fatalf("%s: FromWords is not the set in Optimize's encoding", label)
+	}
 	data, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatalf("%s: marshal: %v", label, err)
@@ -94,7 +104,7 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatalf("%s: unmarshal: %v", label, err)
 	}
-	if !back.Equal(s) || back.Hash() != s.Hash() || back.Len() != s.Len() {
+	if !back.Equal(s) || back.Len() != s.Len() {
 		t.Fatalf("%s: MarshalBinary round trip diverged", label)
 	}
 	for _, l := range layouts {

@@ -94,8 +94,11 @@ func rankAndCtr(dst []uint64, r int, x, y *container, nw int) int {
 
 // compress packs the bits of m ⊆ d that sit at d's k set positions into
 // the low k bits, in order (a software PEXT). It walks whichever of m
-// and d∖m has fewer bits.
+// and d∖m has fewer bits. A full d is the identity rank map.
 func compress(m, d uint64, k int) uint64 {
+	if d == ^uint64(0) {
+		return m
+	}
 	if m == d {
 		return ^uint64(0) >> (wordBits - k)
 	}
@@ -120,4 +123,54 @@ func deposit(dst []uint64, r int, v uint64, k int) {
 	if off+k > wordBits {
 		dst[w+1] |= v >> (wordBits - off)
 	}
+}
+
+// CopyWords writes s in the dense word layout — bit id%64 of
+// dst[id/64] set exactly when id is in s — into dst, which must hold
+// ⌈s.Len()/64⌉ words. Container i fills ⌈span/64⌉ words from 1024·i:
+// a bitmap is copied, an array scattered.
+func CopyWords(dst []uint64, s *Set) {
+	for i := range s.ctrs {
+		c, w := &s.ctrs[i], dst[i*ctrWords:i*ctrWords+s.words(i)]
+		if c.kind == bitmapCtr {
+			copy(w, c.b)
+			continue
+		}
+		clear(w)
+		for _, v := range c.a {
+			w[v>>6] |= 1 << (v & 63)
+		}
+	}
+}
+
+// FromWords returns the set of capacity n that words holds in the dense
+// layout CopyWords writes; words must hold ⌈n/64⌉ words with no bit at
+// or past n. Each container takes the encoding Optimize gives it: an
+// array at arrayOptCard ids or fewer, a bitmap above.
+func FromWords(n int, words []uint64) *Set {
+	s := New(n)
+	for i := range s.ctrs {
+		w := words[i*ctrWords : i*ctrWords+s.words(i)]
+		card := 0
+		for _, x := range w {
+			card += bits.OnesCount64(x)
+		}
+		c := &s.ctrs[i]
+		switch {
+		case card == 0:
+		case card <= arrayOptCard:
+			a := make([]uint16, 0, card)
+			for wi, x := range w {
+				for ; x != 0; x &= x - 1 {
+					a = append(a, uint16(wi<<6+bits.TrailingZeros64(x)))
+				}
+			}
+			*c = container{kind: arrayCtr, card: int32(card), a: a}
+		default:
+			b := make([]uint64, ctrWords)
+			copy(b, w)
+			*c = container{kind: bitmapCtr, card: int32(card), b: b}
+		}
+	}
+	return s
 }

@@ -158,15 +158,19 @@ func BenchmarkRankAnd(b *testing.B) {
 		for _, pair := range []struct {
 			name   string
 			dq, it uint8
+			dqFrac float64 // D^Q's share of the universe
 		}{
-			{"bitmap×bitmap", bitmapCtr, bitmapCtr},
-			{"bitmap×array", bitmapCtr, arrayCtr},
-			{"array×bitmap", arrayCtr, bitmapCtr},
-			{"array×array", arrayCtr, arrayCtr},
+			{"bitmap×bitmap", bitmapCtr, bitmapCtr, 0.1},
+			{"bitmap×array", bitmapCtr, arrayCtr, 0.1},
+			{"array×bitmap", arrayCtr, bitmapCtr, 0.1},
+			{"array×array", arrayCtr, arrayCtr, 0.1},
+			// A large subset: most of D^Q's words are full, the identity
+			// rank map.
+			{"dense-bitmap×bitmap", bitmapCtr, bitmapCtr, 0.9},
 		} {
 			rng := rand.New(rand.NewSource(37))
 			dq := New(n)
-			for _, id := range randomIDs(rng, n, 0.1, true) {
+			for _, id := range randomIDs(rng, n, pair.dqFrac, true) {
 				dq.Add(id)
 			}
 			density := 0.6 // a frequent item's tidset is a bitmap, a rare one's an array

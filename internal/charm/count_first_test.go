@@ -133,10 +133,12 @@ func benchmarkMine(b *testing.B, tids []*bitset.Set, n, minCount int) {
 
 var mined *Result
 
-// BenchmarkMineTidsets is the CHARM kernel on the two densities the
-// served benchmark mines at: chess @ 0.70 (every tidset a bitmap, the
-// index build of mine_mip) and mushroom @ 0.30 (the merged-view re-mine
-// of ingest_notify).
+// BenchmarkMineTidsets is the CHARM kernel on the record-space mines
+// the served benchmark runs: chess @ 0.70 (every tidset a bitmap, the
+// index build of mine_mip), mushroom @ 0.30 (the merged-view re-mine of
+// ingest_notify) and mushroom @ 0.05 (the index build of mine_mip and
+// mine_hot) — plus full-scale PUMSB, 49 k records, whose vectors are
+// 766 words (6 KB) each: the memory cost of mining in record space.
 func BenchmarkMineTidsets(b *testing.B) {
 	b.Run("chess@0.70", func(b *testing.B) {
 		tids, n, minCount := chess(b)
@@ -145,5 +147,13 @@ func BenchmarkMineTidsets(b *testing.B) {
 	b.Run("mushroom@0.30", func(b *testing.B) {
 		tids, n, minCount := mushroom(b)
 		benchmarkMine(b, tids, n, minCount)
+	})
+	b.Run("mushroom@0.05", func(b *testing.B) {
+		tids, n := generated(b, datagen.MushroomConfig(1))
+		benchmarkMine(b, tids, n, CountFor(0.05, n))
+	})
+	b.Run("pumsb@0.95", func(b *testing.B) {
+		tids, n := generated(b, datagen.PUMSBConfig(1))
+		benchmarkMine(b, tids, n, CountFor(0.95, n))
 	})
 }

@@ -79,8 +79,9 @@ func (t *Tree) Items(id int) itemset.Set {
 	return t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
 }
 
-// Tids returns the tidset of the CFI with the given id. Callers must not
-// mutate it.
+// Tids returns the tidset of the CFI with the given id, nil in a tree
+// built from a charm.MineVectors run (ARM's). Callers must not mutate
+// it.
 func (t *Tree) Tids(id int) *bitset.Set { return t.tids[id] }
 
 // Closure returns the closure of x: the unique CFI c with

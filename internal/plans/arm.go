@@ -17,9 +17,10 @@ import (
 
 // runARM executes the traditional from-scratch mining plan (paper
 // Section 4.6): SELECT builds the focal subset's vertical representation
-// (selectItems), then the εAR operator runs CHARM over it — restricted
-// to the item attributes — and generates rules from the resulting
-// locally closed frequent itemsets (mineLocal).
+// in D^Q's own rank space (selectItems), then the εAR operator runs
+// CHARM over those vectors — restricted to the item attributes — and
+// generates rules from the resulting locally closed frequent itemsets
+// (mineLocal).
 //
 // ARM is the ground-truth baseline: it sees the focal subset directly,
 // so unlike the MIP-index plans it is not limited to itemsets prestored
@@ -41,7 +42,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	if tr != nil {
 		t0 = time.Now()
 	}
-	localTids, attrs, err := c.selectItems()
+	vecs, attrs, err := c.selectItems()
 	if err != nil {
 		return nil, err
 	}
@@ -49,41 +50,57 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 		tr.Record(obs.OpSelect, time.Since(t0), c.st.SubsetSize, c.st.SubsetSize, 1,
 			fmt.Sprintf("attrs=%d", attrs))
 	}
-	return c.mineLocal(localTids)
+	return c.mineLocal(&vecs)
 }
 
 // selectItems is ARM's SELECT (σ): the vertical representation of the
-// focal subset, restricted to the item attributes, read off the
-// surface's per-item tidsets — item i's local tidset is D^Q ∩ t(i), one
-// container AND per item. An item whose tidset cannot reach MinCount,
-// over the whole surface or then inside D^Q (itemCount), is pruned before
-// it is materialized and stays nil, which CHARM skips. No record is read.
-// It also returns the number of item attributes.
-func (c *qctx) selectItems() ([]*bitset.Set, int, error) {
+// focal subset, restricted to the item attributes, in D^Q's rank space —
+// item i's vector is bitset.RankAnd(D^Q, t(i)) over the surface's item
+// tidset, ⌈|D^Q|/64⌉ words in one arena: the layout ELIMINATE counts
+// over (localVecs). An item whose count over the whole surface falls
+// short of MinCount is skipped, and one whose RankAnd count then does is
+// dropped, so only items that can be frequent in D^Q keep a vector. No
+// record is read and no record-space tidset is built. It also returns
+// the number of item attributes.
+func (c *qctx) selectItems() (localVecs, int, error) {
 	sp := c.ex.Space
-	localTids := make([]*bitset.Set, sp.NumItems())
+	v := localVecs{nw: (c.f.Size + 63) / 64, off: make([]int32, sp.NumItems())}
+	var cands []itemset.Item
 	attrs := 0
+	for it := range v.off {
+		v.off[it] = -1
+	}
 	for a := 0; a < sp.NumAttrs(); a++ {
 		if c.mask != nil && !c.mask[a] {
 			continue
 		}
 		attrs++
-		for v := 0; v < sp.Cardinality(a); v++ {
-			if err := c.cancelled(); err != nil {
-				return nil, 0, err
-			}
-			it := sp.ItemOf(a, v)
-			if n, _ := c.itemCount(it); n >= c.f.MinCount {
-				localTids[it] = bitset.Intersect(c.f.DQ, c.s.Tidsets[it])
+		for val := 0; val < sp.Cardinality(a); val++ {
+			if it := sp.ItemOf(a, val); c.s.Tidsets[it].Count() >= c.f.MinCount {
+				cands = append(cands, it)
 			}
 		}
 	}
-	return localTids, attrs, nil
+	v.arena = make([]uint64, len(cands)*v.nw)
+	v.items = cands[:0] // the kept items, a prefix of cands as it is read
+	for _, it := range cands {
+		if err := c.cancelled(); err != nil {
+			return localVecs{}, 0, err
+		}
+		o := len(v.items) * v.nw
+		if bitset.RankAnd(v.arena[o:o+v.nw], c.f.DQ, c.s.Tidsets[it]) >= c.f.MinCount {
+			v.off[it] = int32(o)
+			v.items = append(v.items, it)
+		}
+	}
+	v.arena = v.arena[:len(v.items)*v.nw]
+	return v, attrs, nil
 }
 
-// mineLocal is ARM's εAR over the local tidsets SELECT built: CHARM,
-// then rule generation.
-func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
+// mineLocal is ARM's εAR over the vectors SELECT built: CHARM, then rule
+// generation. No record-space tidset is built: CHARM mines the vectors,
+// and ARM's IT-tree holds items and supports only.
+func (c *qctx) mineLocal(v *localVecs) (*Result, error) {
 	sp, q, tr := c.ex.Space, c.q, c.q.Trace
 	var t0 time.Time
 	if tr != nil {
@@ -94,7 +111,7 @@ func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
 	// (CHARM, as in the paper). The context threads into the miner so a
 	// cancelled query aborts inside CHARM-EXTEND, the plan's dominant
 	// cost on low-support queries.
-	mined, err := charm.MineTidsetsContext(c.ctx, localTids, c.s.NumRecords, c.f.MinCount)
+	mined, err := charm.MineVectors(c.ctx, v.items, v.arena, c.s.NumRecords, c.f.MinCount)
 	if err != nil {
 		return nil, err
 	}
@@ -113,17 +130,7 @@ func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
 		t0 = time.Now()
 	}
 	var tally counterTally
-	oracle := func(x itemset.Set) int {
-		atomic.AddInt64(&tally.oracleCalls, 1)
-		if s := armTree.GlobalSupport(x); s >= 0 {
-			return s
-		}
-		// Below the local threshold: count directly over D^Q and the
-		// surface's item tidsets, which — unlike the local tidsets SELECT
-		// pruned — exist for every item.
-		atomic.AddInt64(&tally.oracleMisses, 1)
-		return countAll(c.f.DQ, c.s.Tidsets, x)
-	}
+	oracle := armOracle(armTree, v, &tally)
 	quals := make([]*charm.ClosedSet, 0, len(mined.Closed))
 	for _, cl := range mined.Closed {
 		if len(cl.Items) >= 2 {
@@ -157,21 +164,18 @@ func (c *qctx) mineLocal(localTids []*bitset.Set) (*Result, error) {
 	return &Result{Rules: out, Stats: *c.st}, nil
 }
 
-// countAll returns |base ∩ t(x₁) ∩ … ∩ t(x_k)| over the given per-item
-// tidsets, ending in a count instead of a materialized set: no item is
-// base.Count(), one item is a single AndCount with no allocation, and k
-// items take one scratch set, k−2 in-place ANDs and a final AndCount.
-func countAll(base *bitset.Set, tidsets []*bitset.Set, x itemset.Set) int {
-	switch len(x) {
-	case 0:
-		return base.Count()
-	case 1:
-		return bitset.AndCount(base, tidsets[x[0]])
+// armOracle is εAR's support oracle. ARM's IT-tree resolves an itemset
+// through its local closure; one the tree does not cover (below MinCount
+// in D^Q) is a miss, counted over SELECT's vectors. Rule generation asks
+// only about subsets of mined CFIs, whose items all have vectors, so a
+// miss names only such items.
+func armOracle(tree *ittree.Tree, v *localVecs, tally *counterTally) func(itemset.Set) int {
+	return func(x itemset.Set) int {
+		atomic.AddInt64(&tally.oracleCalls, 1)
+		if s := tree.GlobalSupport(x); s >= 0 {
+			return s
+		}
+		atomic.AddInt64(&tally.oracleMisses, 1)
+		return v.count(x)
 	}
-	last := len(x) - 1
-	acc := bitset.Intersect(base, tidsets[x[0]])
-	for _, it := range x[1:last] {
-		acc.And(tidsets[it])
-	}
-	return bitset.AndCount(acc, tidsets[x[last]])
 }

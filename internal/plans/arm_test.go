@@ -2,13 +2,19 @@ package plans
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"colarm/internal/bitset"
+	"colarm/internal/charm"
 	"colarm/internal/datagen"
+	"colarm/internal/itemset"
+	"colarm/internal/ittree"
 	"colarm/internal/mip"
+	"colarm/internal/rules"
 )
 
 // rowScanTids is ARM's SELECT built row by row, the way it was before it
@@ -37,12 +43,78 @@ func rowScanTids(c *qctx) []*bitset.Set {
 	return tids
 }
 
+// rankVecs lays record-space tidsets out as D^Q's rank-space vectors,
+// one for every non-nil tidset, frequent or not.
+func rankVecs(f *Focal, tids []*bitset.Set) localVecs {
+	v := localVecs{nw: (f.Size + 63) / 64, off: make([]int32, len(tids))}
+	for it, t := range tids {
+		v.off[it] = -1
+		if t != nil {
+			v.off[it] = int32(len(v.arena))
+			v.arena = append(v.arena, make([]uint64, v.nw)...)
+			bitset.RankAnd(v.arena[v.off[it]:], f.DQ, t)
+			v.items = append(v.items, itemset.Item(it))
+		}
+	}
+	return v
+}
+
+// vecOf returns item it's vector, nil when it has none.
+func (v *localVecs) vecOf(it int) []uint64 {
+	if o := int(v.off[it]); o >= 0 {
+		return v.arena[o : o+v.nw]
+	}
+	return nil
+}
+
+// checkSelect holds ARM's SELECT over f and q to the row scan: every
+// kept vector equals RankAnd of the row-scan tidset, no item outside the
+// item attributes has one, every pruned item's row-scan count is below
+// MinCount, and εAR returns the same Result — rules and Stats — over the
+// kept vectors as over vectors of every item-attribute item. It returns
+// how many items were kept and pruned.
+func checkSelect(t *testing.T, ex *Executor, f *Focal, q *Query, label string) (kept, pruned int) {
+	t.Helper()
+	got, _, err := ex.newCtx(context.Background(), f, q).selectItems()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTids := rowScanTids(ex.newCtx(context.Background(), f, q))
+	want := rankVecs(f, wantTids)
+	for it := range wantTids {
+		g := got.vecOf(it)
+		switch {
+		case wantTids[it] == nil && g != nil:
+			t.Fatalf("%s: item %d is no item-attribute item, yet SELECT built its vector", label, it)
+		case g != nil:
+			kept++
+			if w := want.vecOf(it); !slices.Equal(g, w) {
+				t.Fatalf("%s: item %d: vector %x, RankAnd of the row scan %x", label, it, g, w)
+			}
+		case wantTids[it] != nil:
+			pruned++
+			if n := wantTids[it].Count(); n >= f.MinCount {
+				t.Fatalf("%s: item %d pruned with %d local records, MinCount %d", label, it, n, f.MinCount)
+			}
+		}
+	}
+	gotRes, err := ex.newCtx(context.Background(), f, q).mineLocal(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := ex.newCtx(context.Background(), f, q).mineLocal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("%s: εAR over the pruned vectors diverges from the row scan:\n%+v\n%+v", label, gotRes.Stats, wantRes.Stats)
+	}
+	return kept, pruned
+}
+
 // TestARMSelectMatchesRowScan holds ARM's vertical SELECT to the row
-// scan over a frozen index and a merged surface after inserts and
-// deletes: every kept local tidset equals the row-wise one, every pruned
-// item's row-wise count is below MinCount, and εAR over the pruned
-// tidsets returns the same Result — rules and Stats — as over the
-// row-wise ones.
+// scan (checkSelect) over a frozen index and a merged surface after
+// inserts and deletes.
 func TestARMSelectMatchesRowScan(t *testing.T) {
 	kept, pruned := 0, 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -60,48 +132,126 @@ func TestARMSelectMatchesRowScan(t *testing.T) {
 				if f.Size == 0 {
 					continue
 				}
-				fail := func(format string, args ...any) {
-					t.Helper()
-					t.Fatalf("seed %d query %d %s: "+format, append([]any{seed, i, s.name}, args...)...)
-				}
-				got, _, err := ex.newCtx(context.Background(), f, q).selectItems()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := rowScanTids(ex.newCtx(context.Background(), f, q))
-				for it := range want {
-					switch {
-					case want[it] == nil && got[it] != nil:
-						fail("item %d is no item-attribute item, yet SELECT built its tidset", it)
-					case got[it] != nil:
-						kept++
-						if !got[it].Equal(want[it]) {
-							fail("item %d: local tidset %v, row scan %v", it, got[it], want[it])
-						}
-					case want[it] != nil:
-						pruned++
-						if n := want[it].Count(); n >= f.MinCount {
-							fail("item %d pruned with %d local records, MinCount %d", it, n, f.MinCount)
-						}
-					}
-				}
-				gotRes, err := ex.newCtx(context.Background(), f, q).mineLocal(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantRes, err := ex.newCtx(context.Background(), f, q).mineLocal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotRes, wantRes) {
-					fail("εAR over the pruned tidsets diverges from the row scan:\n%+v\n%+v", gotRes.Stats, wantRes.Stats)
-				}
+				k, p := checkSelect(t, ex, f, q, fmt.Sprintf("seed %d query %d %s", seed, i, s.name))
+				kept += k
+				pruned += p
 			}
 		}
 	}
 	if kept == 0 || pruned == 0 {
 		t.Errorf("kept %d and pruned %d items: the queries no longer exercise both sides of SELECT", kept, pruned)
 	}
+}
+
+// TestARMSelectWordBoundaries runs checkSelect over focal subsets whose
+// size sits at and around a vector word boundary — the last word full,
+// one bit into a new word, one bit short — on a 406-record mushroom,
+// with and without an item-attribute mask.
+func TestARMSelectWordBoundaries(t *testing.T) {
+	d, err := datagen.Generate(datagen.Scaled(datagen.MushroomConfig(1), 0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, n := NewSurface(idx), d.NumRecords()
+	ex := NewExecutor(idx.Space)
+	r := rand.New(rand.NewSource(41))
+	for _, size := range []int{1, 63, 64, 65, 127, 128, 129, 191, 192, 193} {
+		ids := r.Perm(n)[:size]
+		f := &Focal{Surface: s, DQ: bitset.FromIDs(n, ids...), Size: size}
+		for _, minSupp := range []float64{0.6, 0.9} {
+			f.MinCount = charm.CountFor(minSupp, size)
+			mask := make([]bool, idx.Space.NumAttrs())
+			for a := range mask {
+				mask[a] = a%3 != 1
+			}
+			for _, m := range [][]bool{nil, mask} {
+				q := &Query{Region: itemset.RegionFor(idx.Space), ItemAttrs: m, MinSupport: minSupp, MinConfidence: 0.8, MaxConsequent: 1}
+				checkSelect(t, ex, f, q, fmt.Sprintf("|DQ|=%d minsupp=%g mask=%v", size, minSupp, m != nil))
+			}
+		}
+	}
+}
+
+// TestARMOracleMissesHaveVectors: every itemset εAR's rule generation
+// asks ARM's oracle about — and so every miss — names only items that
+// have a vector, and a miss counts over the vectors exactly. Rule
+// generation asks only about subsets of mined CFIs, which the tree
+// always covers, so the misses are forced: every pair and triple of
+// vector items the tree does not cover is asked directly and must equal
+// the count over D^Q and the surface's item tidsets.
+func TestARMOracleMissesHaveVectors(t *testing.T) {
+	asked, misses := 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		idx, err := randomIndex(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := NewExecutor(idx.Space)
+		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, 0.1)}}
+		for i := 0; i < 6; i++ {
+			q := randomQuery(r, idx)
+			for _, s := range surfaces {
+				f := ex.Focus(s.Surface, q)
+				if f.Size == 0 {
+					continue
+				}
+				c := ex.newCtx(context.Background(), f, q)
+				v, _, err := c.selectItems()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mined, err := charm.MineVectors(context.Background(), v.items, v.arena, s.NumRecords, f.MinCount)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree := ittree.Build(mined, idx.Space.NumItems())
+				var tally counterTally
+				oracle := armOracle(tree, &v, &tally)
+				check := func(x itemset.Set) int {
+					for _, it := range x {
+						if v.off[it] < 0 {
+							t.Fatalf("seed %d query %d %s: oracle asked about %v, item %d has no vector", seed, i, s.name, x, it)
+						}
+					}
+					before := tally.oracleMisses
+					got := oracle(x)
+					if want := chainCount(f.DQ, s.Tidsets, x); got != want {
+						t.Fatalf("seed %d query %d %s: oracle(%v) = %d, D^Q holds %d", seed, i, s.name, x, got, want)
+					}
+					asked++
+					misses += int(tally.oracleMisses - before)
+					return got
+				}
+				for _, cl := range mined.Closed {
+					if len(cl.Items) >= 2 {
+						rules.Generate(cl.Items, cl.Support, f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
+					}
+				}
+				items := v.items
+				for a := range items {
+					for b := a + 1; b < len(items); b++ {
+						if x := (itemset.Set{items[a], items[b]}); tree.GlobalSupport(x) < 0 {
+							check(x)
+						}
+						for c := b + 1; c < len(items); c++ {
+							if x := (itemset.Set{items[a], items[b], items[c]}); tree.GlobalSupport(x) < 0 {
+								check(x)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if misses == 0 {
+		t.Fatalf("%d itemsets asked, none missed the tree: the test no longer counts over the vectors", asked)
+	}
+	t.Logf("%d itemsets asked, %d missed", asked, misses)
 }
 
 // BenchmarkARMSelect times ARM's SELECT on chess over a focal subset of
@@ -136,4 +286,48 @@ func BenchmarkARMSelect(b *testing.B) {
 			rowScanTids(c)
 		}
 	})
+}
+
+// BenchmarkARM times the forced ARM plan — SELECT, CHARM over the
+// rank-space vectors, rule generation — serially, on the mine_auto
+// shapes: chess and the reduced PUMSB at the middle minsupport of their
+// grids (0.85, 0.97), over focal subsets of about 50, 10 and 1 % of the
+// records. ARM reads only the item tidsets, so the indexes are built at
+// a high primary to keep set-up short.
+func BenchmarkARM(b *testing.B) {
+	for _, ds := range []struct {
+		name    string
+		cfg     datagen.Config
+		minSupp float64
+	}{
+		{"chess", datagen.ChessConfig(1), 0.85},
+		{"pumsb", datagen.Scaled(datagen.PUMSBConfig(1), 0.15), 0.97},
+	} {
+		d, err := datagen.Generate(ds.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := mip.Build(d, mip.Options{PrimarySupport: 0.99})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewSurface(idx)
+		for _, frac := range []float64{0.50, 0.10, 0.01} {
+			q := &Query{Region: fracRegion(idx, frac), MinSupport: ds.minSupp, MinConfidence: 0.9, MaxConsequent: 1}
+			ex := &Executor{Space: idx.Space, Workers: 1}
+			f := ex.Focus(s, q)
+			b.Run(fmt.Sprintf("%s/dq=%g%%", ds.name, 100*frac), func(b *testing.B) {
+				b.ReportAllocs()
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					if res, err = ex.RunContext(context.Background(), ARM, f, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(f.Size)/float64(idx.Dataset.NumRecords()), "dq_frac")
+				b.ReportMetric(float64(res.Stats.ARMFrequentItemsets), "CFIs")
+				b.ReportMetric(float64(res.Stats.RulesEmitted), "rules")
+			})
+		}
+	}
 }

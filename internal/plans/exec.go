@@ -248,11 +248,12 @@ func (c *qctx) countLocal(tids *bitset.Set) int {
 	return bitset.AndCount(tids, c.f.DQ)
 }
 
-// itemCount is item it's local count |D^Q ∩ t(it)|, the one record-level
-// check per item that ARM's SELECT and ELIMINATE's item bound share. When
-// the item's count over the whole surface is already below MinCount the
-// check is skipped: that count — an upper bound on the local one, so also
-// below MinCount — comes back with checked false.
+// itemCount is item it's local count |D^Q ∩ t(it)|, ELIMINATE's item
+// bound's record-level check per item. When the item's count over the
+// whole surface is already below MinCount the check is skipped: that
+// count — an upper bound on the local one, so also below MinCount —
+// comes back with checked false. ARM's SELECT skips items the same way
+// and counts the rest with the RankAnd that builds their vectors.
 func (c *qctx) itemCount(it itemset.Item) (n int, checked bool) {
 	t := c.s.Tidsets[it]
 	if n = t.Count(); n < c.f.MinCount {
@@ -486,7 +487,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		t1 = time.Now()
 		tr.Record(obs.OpEliminate, t1.Sub(t0), len(cands), len(entries), used,
 			fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d shortcut=%d",
-				c.st.ItemFiltered, len(checkIDs), vecs.n, pruned, shortcuts))
+				c.st.ItemFiltered, len(checkIDs), len(vecs.items), pruned, shortcuts))
 	}
 
 	// Minsupport filter, in candidate order. A pruned id has no count.
@@ -507,7 +508,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		} else {
 			tr.Record(obs.OpEliminate, time.Since(t0), len(cands), len(out), used,
 				fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d eliminated=%d",
-					c.st.ItemFiltered, len(checkIDs), vecs.n, pruned, c.st.Eliminated))
+					c.st.ItemFiltered, len(checkIDs), len(vecs.items), pruned, c.st.Eliminated))
 		}
 	}
 	return out, nil
@@ -534,15 +535,17 @@ func (c *qctx) local(id int) (int, bool) {
 	return 0, false
 }
 
-// localVecs is ELIMINATE's view of D^Q's vertical layout: one rank-space
-// vector per item (bitset.RankAnd), bit r set when the r-th record of
-// D^Q in ascending id order holds the item, all drawn from one arena.
-// It is built once per request, serially, and only read by the checks.
+// localVecs is D^Q's vertical layout: one rank-space vector per item
+// (bitset.RankAnd), bit r set when the r-th record of D^Q in ascending
+// id order holds the item, all drawn from one arena. ELIMINATE builds it
+// for its scheduled CFIs' items (buildVecs) and ARM's SELECT for the
+// item attributes' locally frequent items (selectItems); either builds
+// it once per request, serially, and then only reads it.
 type localVecs struct {
-	nw    int      // words per vector: ⌈|D^Q|/64⌉
-	n     int      // vectors built
-	off   []int32  // item → offset of its vector in arena
-	arena []uint64 // the vectors, n·nw words
+	nw    int            // words per vector: ⌈|D^Q|/64⌉
+	items []itemset.Item // the items with a vector, in arena order
+	off   []int32        // item → offset of its vector in arena, -1 none
+	arena []uint64       // the vectors, len(items)·nw words
 }
 
 // buildVecs builds the local vector of every item of the scheduled CFIs,
@@ -567,8 +570,8 @@ func (c *qctx) buildVecs(checkIDs []int32) localVecs {
 			}
 		}
 	}
-	v.n = len(items)
-	v.arena = make([]uint64, v.n*v.nw)
+	v.items = items
+	v.arena = make([]uint64, len(items)*v.nw)
 	for k, it := range items {
 		bitset.RankAnd(v.arena[k*v.nw:(k+1)*v.nw], c.f.DQ, c.s.Tidsets[it])
 	}
