@@ -186,33 +186,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckMode is ablation A2: the record-level support check as
-// a |D^Q| record scan vs a whole-bitmap intersection, across subset
-// sizes — the tradeoff AutoCheck arbitrates. The mode reaches VERIFY's
-// closure misses only; ELIMINATE ANDs rank-space vectors in both, so
-// what differs between the two runs of a size is VERIFY's miss work.
-func BenchmarkCheckMode(b *testing.B) {
-	env := benchEnv(b, "mushroom")
-	rng := rand.New(rand.NewSource(19))
-	for _, frac := range []float64{0.5, 0.05} {
-		reg := env.RandomFocalSubset(rng, frac)
-		for _, mode := range []plans.CheckMode{plans.ScanCheck, plans.BitmapCheck} {
-			b.Run(fmt.Sprintf("dq=%.0f%%/%s", 100*frac, mode), func(b *testing.B) {
-				ex := plans.NewExecutor(env.Engine.Index.Space)
-				ex.Mode = mode
-				surf := plans.NewSurface(env.Engine.Index)
-				q := env.QueryFor(reg, env.Spec.MinSupps[0], 0.85)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ex.Run(plans.SEV, surf, q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMine measures the facade's end-to-end query path — the
 // observability hot path. The "plain" variant is the tracing-disabled
 // baseline the instrumentation must not slow down; "traced" shows the

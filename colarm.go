@@ -231,7 +231,7 @@ type Stats struct {
 
 	// VERIFY.
 	OracleCalls  int `json:"oracleCalls"`  // antecedent/consequent support lookups
-	OracleMisses int `json:"oracleMisses"` // lookups needing a fresh tidset intersection
+	OracleMisses int `json:"oracleMisses"` // lookups VERIFY counted afresh; always 0 for ARM
 	RulesEmitted int `json:"rulesEmitted"`
 
 	DurationNanos int64 `json:"durationNanos"`

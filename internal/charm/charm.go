@@ -9,8 +9,8 @@
 // popcount, and a vector is written only for a pair that opens a
 // branch, into a per-run slab whose dropped vectors a free list hands
 // out again. MineVectors mines vectors the caller built — ARM hands it
-// the focal subset's rank-space vectors, ⌈|D^Q|/64⌉ words — and returns
-// CFIs without tidsets. MineTidsets copies each frequent item's tidset
+// views of the focal subset's rank-space vectors, ⌈|D^Q|/64⌉ words — and
+// returns CFIs without tidsets. MineTidsets copies each frequent item's tidset
 // into the dense word layout of its record space and gives every emitted
 // CFI its tidset as a *bitset.Set.
 package charm
@@ -127,31 +127,35 @@ func MineTidsetsContext(ctx context.Context, tidsets []*bitset.Set, numRecords, 
 }
 
 // MineVectors runs CHARM over per-item bit vectors of one width:
-// items[k]'s vector is words[k·w : (k+1)·w], w = len(words)/len(items),
-// with no bit set past the width it encodes; the items are distinct. An
-// item's support is its vector's popcount. The vectors are only read; no
-// tidset is materialized, so every ClosedSet.Tids is nil. numRecords is
-// recorded as Result.NumRecords.
+// vecs[k] is items[k]'s vector, with no bit set past the width it
+// encodes; the items are distinct. Vectors of unequal lengths are an
+// error. An item's support is its vector's popcount. The vectors are
+// only read; no tidset is materialized, so every ClosedSet.Tids is nil.
+// numRecords is recorded as Result.NumRecords.
 //
-// ARM mines the focal subset this way: with vectors in D^Q's rank space
-// (bitset.RankAnd), bit r is the r-th record of D^Q, so every AND and
-// popcount walks ⌈|D^Q|/64⌉ words whatever the dataset's size.
-func MineVectors(ctx context.Context, items []itemset.Item, words []uint64, numRecords, minCount int) (*Result, error) {
+// ARM mines the focal subset this way: with views of the vectors in
+// D^Q's rank space (bitset.RankAnd), bit r is the r-th record of D^Q, so
+// every AND and popcount walks ⌈|D^Q|/64⌉ words whatever the dataset's
+// size.
+func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
 	}
+	if len(vecs) != len(items) {
+		return nil, fmt.Errorf("charm: %d vectors for %d items", len(vecs), len(items))
+	}
 	nw := 0
-	if len(items) > 0 {
-		if len(words)%len(items) != 0 {
-			return nil, fmt.Errorf("charm: %d words do not split into %d vectors", len(words), len(items))
-		}
-		nw = len(words) / len(items)
+	if len(vecs) > 0 {
+		nw = len(vecs[0])
 	}
 	var roots []node
 	for k, it := range items {
-		v := words[k*nw : (k+1)*nw : (k+1)*nw]
+		v := vecs[k]
+		if len(v) != nw {
+			return nil, fmt.Errorf("charm: item %d's vector has %d words, item %d's %d", it, len(v), items[0], nw)
+		}
 		if supp := popcount(v); supp >= minCount {
-			roots = append(roots, node{items: itemset.Set{it}, vec: v, supp: supp, root: int(it)})
+			roots = append(roots, node{items: itemset.Set{it}, vec: v[:nw:nw], supp: supp, root: int(it)})
 		}
 	}
 	return newMiner(ctx, nw, minCount).run(roots, numRecords)

@@ -95,8 +95,9 @@ var vecWidths = []int{1, 63, 64, 65, 127, 128, 129}
 
 // FuzzMineVectors holds vector CHARM to the brute-force reference on
 // correlated items of every width in vecWidths, one of them often left
-// out: MineVectors returns the brute-force CFIs and supports with no
-// tidsets and leaves its input vectors as they were, and MineTidsets
+// out: MineVectors, handed capped views of one arena as ARM hands it
+// views of D^Q's layout, returns the brute-force CFIs and supports with
+// no tidsets and leaves the arena as it was, and MineTidsets
 // over the same items as record-space tidsets (nil for the one left out)
 // returns them too, each with the brute-force tidset.
 func FuzzMineVectors(f *testing.F) {
@@ -119,10 +120,15 @@ func FuzzMineVectors(f *testing.F) {
 				words = append(words, vectorOf(width, l)...)
 			}
 		}
+		nw := (width + 63) / 64
+		vecs := make([][]uint64, len(items))
+		for k := range vecs {
+			vecs[k] = words[k*nw : (k+1)*nw : (k+1)*nw]
+		}
 		before := slices.Clone(words)
 		minCount := 1 + int(minSel)%width
 
-		got, err := MineVectors(context.Background(), items, words, width, minCount)
+		got, err := MineVectors(context.Background(), items, vecs, width, minCount)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +200,17 @@ func TestMineTidsetsMultiContainer(t *testing.T) {
 	}
 }
 
-// TestMineVectorsRejectsRaggedWords: the words split evenly into one
-// vector per item.
+// TestMineVectorsRejectsRaggedWords: every item has one vector, and the
+// vectors have one length.
 func TestMineVectorsRejectsRaggedWords(t *testing.T) {
-	if _, err := MineVectors(context.Background(), []itemset.Item{0, 2}, []uint64{1, 1, 0}, 64, 1); err == nil {
-		t.Error("3 words for 2 vectors must be refused")
+	items := []itemset.Item{0, 2}
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}, {1, 0}}, 64, 1); err == nil {
+		t.Error("vectors of 1 and 2 words must be refused")
+	}
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1, 0}, {1}}, 64, 1); err == nil {
+		t.Error("vectors of 2 and 1 words must be refused")
+	}
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}}, 64, 1); err == nil {
+		t.Error("one vector for two items must be refused")
 	}
 }

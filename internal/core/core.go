@@ -23,13 +23,12 @@ import (
 type Options struct {
 	// PrimarySupport is the offline primary support threshold in (0,1].
 	PrimarySupport float64
-	// CheckMode selects the record-level support check implementation
-	// (AutoCheck, ScanCheck or BitmapCheck) of VERIFY's closure misses,
-	// and how the cost model prices the checks; ELIMINATE counts over
-	// its rank-space vectors in every mode. ScanCheck costs are
-	// proportional to the focal subset size, matching the paper's cost
-	// model; AutoCheck (default) picks the cheaper implementation per
-	// query.
+	// CheckMode selects how the cost model prices a record-level
+	// support check (AutoCheck, ScanCheck or BitmapCheck); every check
+	// runs over the focal subset's rank-space vectors in every mode.
+	// ScanCheck prices are proportional to the focal subset size,
+	// matching the paper's cost model; AutoCheck (default) picks the
+	// cheaper price per query.
 	CheckMode plans.CheckMode
 	// Workers bounds the goroutines one query fans its parallel
 	// operator sections out to: 0 means one per logical CPU, 1 forces

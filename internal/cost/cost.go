@@ -212,7 +212,9 @@ const (
 )
 
 // probe runs the two query-time samples populating the shape: stored
-// MIPs of the focal subset's surface, and records of the subset itself.
+// MIPs of the focal subset's surface, each counted inside the subset
+// over its vertical layout (Focal.Reaches), and records of the subset
+// itself.
 func (mo *Model) probe(q *plans.Query, s *queryShape) {
 	f, sf := s.f, s.f.Surface
 	n := sf.Tree.Size()
@@ -243,8 +245,9 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 			}
 		}
 		// Local support is at most global support, so only a CFI that
-		// passes the supported filter can be locally frequent.
-		if passSS && bitset.AndCount(sf.Tree.Tids(id), f.DQ) >= f.MinCount {
+		// passes the supported filter can be locally frequent. The count
+		// runs over D^Q's layout, whose vectors the chosen plan reuses.
+		if passSS && f.Reaches(sf.Tree.Items(id)) {
 			qual++
 		}
 	}
@@ -384,12 +387,12 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 	return cost
 }
 
-// supportCheckCost is the cost of one record-level support check as the
-// focal subset has VERIFY's closure misses run it (Focal.Scan): a
-// |D^Q|-record scan (the paper's COST(E) unit) or a whole-bitmap
-// intersection. ELIMINATE's checks are priced at it too, though they
-// AND ⌈|D^Q|/64⌉-word rank-space vectors instead, so their estimate
-// runs high until the unit costs are refit.
+// supportCheckCost is the price of one record-level support check, as
+// the focal subset's check mode says (Focal.Scan): a |D^Q|-record scan
+// (the paper's COST(E) unit) or a whole-bitmap intersection. It prices
+// only: ELIMINATE's checks and VERIFY's closure misses both AND
+// ⌈|D^Q|/64⌉-word rank-space vectors, so their estimates run high until
+// the unit costs are refit.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
 	if s.f.Scan {
 		return float64(s.f.Size) * mo.u.IDProbe
@@ -409,8 +412,10 @@ func (mo *Model) verifyCost(s queryShape, nQual float64, minConf float64) float6
 }
 
 // Estimate computes the six plan estimates for a query over the focal
-// subset its request resolved (Executor.Focus). The returned slice is
-// ordered as plans.Kinds().
+// subset its request resolved (Executor.Focus). The MIP sample counts
+// over f's vertical layout and grows it, so f serves one request at a
+// time, and the vectors the sample builds are the ones the plan the
+// request runs reads. The returned slice is ordered as plans.Kinds().
 func (mo *Model) Estimate(f *plans.Focal, q *plans.Query) []Estimate {
 	s := mo.shape(f, q)
 	out := make([]Estimate, 0, 6)

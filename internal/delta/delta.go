@@ -453,9 +453,10 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 	for _, it := range c.Items {
 		flags[sp.AttrOf(it)] = fixed // a point interval, whatever the records
 	}
-	frozen := s.idx.ITTree.Tids(fid)
 	for _, g := range gone {
-		if !frozen.Contains(g.id) {
+		// A tombstoned base row supported c in the frozen index exactly
+		// when it holds every item of c.
+		if !holdsAll(sp, g.row, c.Items) {
 			continue
 		}
 		for a, v := range g.row {
@@ -503,6 +504,17 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 		}
 	}
 	return box
+}
+
+// holdsAll reports whether the record with value-index tuple row holds
+// every item of x.
+func holdsAll(sp *itemset.Space, row []int32, x itemset.Set) bool {
+	for _, it := range x {
+		if a := sp.AttrOf(it); sp.ItemOf(a, int(row[a])) != it {
+			return false
+		}
+	}
+	return true
 }
 
 // MergedDataset materializes the merged relation — base records minus

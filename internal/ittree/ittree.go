@@ -80,8 +80,10 @@ func (t *Tree) Items(id int) itemset.Set {
 }
 
 // Tids returns the tidset of the CFI with the given id, nil in a tree
-// built from a charm.MineVectors run (ARM's). Callers must not mutate
-// it.
+// built from a charm.MineVectors run. Callers must not mutate it. No
+// query reads it: a count inside a focal subset ANDs item vectors
+// (plans.Focal); the snapshot writer, index validation and the
+// benchmarks do.
 func (t *Tree) Tids(id int) *bitset.Set { return t.tids[id] }
 
 // Closure returns the closure of x: the unique CFI c with

@@ -6,10 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colarm/internal/bitset"
 	"colarm/internal/charm"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/obs"
 	"colarm/internal/pool"
 	"colarm/internal/rules"
@@ -42,7 +40,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 	if tr != nil {
 		t0 = time.Now()
 	}
-	vecs, attrs, err := c.selectItems()
+	items, attrs, err := c.selectItems()
 	if err != nil {
 		return nil, err
 	}
@@ -50,58 +48,50 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 		tr.Record(obs.OpSelect, time.Since(t0), c.st.SubsetSize, c.st.SubsetSize, 1,
 			fmt.Sprintf("attrs=%d", attrs))
 	}
-	return c.mineLocal(&vecs)
+	return c.mineLocal(items)
 }
 
 // selectItems is ARM's SELECT (σ): the vertical representation of the
 // focal subset, restricted to the item attributes, in D^Q's rank space —
-// item i's vector is bitset.RankAnd(D^Q, t(i)) over the surface's item
-// tidset, ⌈|D^Q|/64⌉ words in one arena: the layout ELIMINATE counts
-// over (localVecs). An item whose count over the whole surface falls
-// short of MinCount is skipped, and one whose RankAnd count then does is
-// dropped, so only items that can be frequent in D^Q keep a vector. No
-// record is read and no record-space tidset is built. It also returns
-// the number of item attributes.
-func (c *qctx) selectItems() (localVecs, int, error) {
+// item i's vector in the Focal's layout, bitset.RankAnd(D^Q, t(i)) over
+// the surface's item tidset, ⌈|D^Q|/64⌉ words, reused where the
+// optimizer's sample already built it. An item whose count over the
+// whole surface falls short of MinCount is skipped, and one whose local
+// count then does is dropped, so only items that can be frequent in D^Q
+// are returned, in attribute and value order. No record is read and no
+// record-space tidset is built. It also returns the number of item
+// attributes.
+func (c *qctx) selectItems() ([]itemset.Item, int, error) {
 	sp := c.ex.Space
-	v := localVecs{nw: (c.f.Size + 63) / 64, off: make([]int32, sp.NumItems())}
-	var cands []itemset.Item
+	var kept []itemset.Item
 	attrs := 0
-	for it := range v.off {
-		v.off[it] = -1
-	}
 	for a := 0; a < sp.NumAttrs(); a++ {
 		if c.mask != nil && !c.mask[a] {
 			continue
 		}
 		attrs++
 		for val := 0; val < sp.Cardinality(a); val++ {
-			if it := sp.ItemOf(a, val); c.s.Tidsets[it].Count() >= c.f.MinCount {
-				cands = append(cands, it)
+			it := sp.ItemOf(a, val)
+			if c.s.Tidsets[it].Count() < c.f.MinCount {
+				continue
+			}
+			if err := c.cancelled(); err != nil {
+				return nil, 0, err
+			}
+			if c.f.vector(it) >= c.f.MinCount {
+				kept = append(kept, it)
 			}
 		}
 	}
-	v.arena = make([]uint64, len(cands)*v.nw)
-	v.items = cands[:0] // the kept items, a prefix of cands as it is read
-	for _, it := range cands {
-		if err := c.cancelled(); err != nil {
-			return localVecs{}, 0, err
-		}
-		o := len(v.items) * v.nw
-		if bitset.RankAnd(v.arena[o:o+v.nw], c.f.DQ, c.s.Tidsets[it]) >= c.f.MinCount {
-			v.off[it] = int32(o)
-			v.items = append(v.items, it)
-		}
-	}
-	v.arena = v.arena[:len(v.items)*v.nw]
-	return v, attrs, nil
+	return kept, attrs, nil
 }
 
-// mineLocal is ARM's εAR over the vectors SELECT built: CHARM, then rule
-// generation. No record-space tidset is built: CHARM mines the vectors,
-// and ARM's IT-tree holds items and supports only.
-func (c *qctx) mineLocal(v *localVecs) (*Result, error) {
-	sp, q, tr := c.ex.Space, c.q, c.q.Trace
+// mineLocal is ARM's εAR over the items SELECT kept: CHARM over their
+// vectors, then rule generation. No record-space tidset and no IT-tree
+// is built: CHARM mines the vectors, and the rule generator's oracle
+// counts over them.
+func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
+	q, tr := c.q, c.q.Trace
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -110,27 +100,28 @@ func (c *qctx) mineLocal(v *localVecs) (*Result, error) {
 	// εAR step 1: closed frequent itemset mining over the subset
 	// (CHARM, as in the paper). The context threads into the miner so a
 	// cancelled query aborts inside CHARM-EXTEND, the plan's dominant
-	// cost on low-support queries.
-	mined, err := charm.MineVectors(c.ctx, v.items, v.arena, c.s.NumRecords, c.f.MinCount)
+	// cost on low-support queries. SELECT grew the layout last, so the
+	// views stay valid.
+	vecs := make([][]uint64, len(items))
+	for k, it := range items {
+		vecs[k] = c.f.vecs.view(it)
+	}
+	mined, err := charm.MineVectors(c.ctx, items, vecs, c.s.NumRecords, c.f.MinCount)
 	if err != nil {
 		return nil, err
 	}
 	c.st.ARMFrequentItemsets = len(mined.Closed)
-
-	// εAR step 2: rule generation. Local supports of rule antecedents
-	// resolve through the subset's own closure structure. The oracle is
-	// memoless (armTree lookups are cheap), so the per-itemset
-	// generation fans out across the query's workers with no shared
-	// mutable state beyond the tallied counters; per-itemset call and
-	// miss counts are deterministic, keeping the totals schedule-free.
-	armTree := ittree.Build(mined, sp.NumItems())
 	if tr != nil {
 		tr.Record(obs.OpARM, time.Since(t0), c.st.SubsetSize, len(mined.Closed), 1,
 			fmt.Sprintf("cfis=%d", len(mined.Closed)))
 		t0 = time.Now()
 	}
+
+	// εAR step 2: rule generation. The oracle only reads the layout, so
+	// the per-itemset generation fans out across the query's workers
+	// with no shared mutable state beyond the tallied call counter.
 	var tally counterTally
-	oracle := armOracle(armTree, v, &tally)
+	oracle := armOracle(c.f, &tally)
 	quals := make([]*charm.ClosedSet, 0, len(mined.Closed))
 	for _, cl := range mined.Closed {
 		if len(cl.Items) >= 2 {
@@ -164,18 +155,14 @@ func (c *qctx) mineLocal(v *localVecs) (*Result, error) {
 	return &Result{Rules: out, Stats: *c.st}, nil
 }
 
-// armOracle is εAR's support oracle. ARM's IT-tree resolves an itemset
-// through its local closure; one the tree does not cover (below MinCount
-// in D^Q) is a miss, counted over SELECT's vectors. Rule generation asks
-// only about subsets of mined CFIs, whose items all have vectors, so a
-// miss names only such items.
-func armOracle(tree *ittree.Tree, v *localVecs, tally *counterTally) func(itemset.Set) int {
+// armOracle is εAR's support oracle: every ask is counted over D^Q's
+// layout, the popcount of the AND of the itemset's item vectors. Rule
+// generation asks only about subsets of mined CFIs, whose items SELECT
+// kept and so built vectors for, and every such subset is locally
+// frequent, so nothing is a miss: ARM's OracleMisses is always 0.
+func armOracle(f *Focal, tally *counterTally) func(itemset.Set) int {
 	return func(x itemset.Set) int {
 		atomic.AddInt64(&tally.oracleCalls, 1)
-		if s := tree.GlobalSupport(x); s >= 0 {
-			return s
-		}
-		atomic.AddInt64(&tally.oracleMisses, 1)
-		return v.count(x)
+		return f.vecs.count(x)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"colarm/internal/charm"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/mip"
 	"colarm/internal/rules"
 )
@@ -43,71 +42,101 @@ func rowScanTids(c *qctx) []*bitset.Set {
 	return tids
 }
 
-// rankVecs lays record-space tidsets out as D^Q's rank-space vectors,
-// one for every non-nil tidset, frequent or not.
-func rankVecs(f *Focal, tids []*bitset.Set) localVecs {
-	v := localVecs{nw: (f.Size + 63) / 64, off: make([]int32, len(tids))}
-	for it, t := range tids {
-		v.off[it] = -1
-		if t != nil {
-			v.off[it] = int32(len(v.arena))
-			v.arena = append(v.arena, make([]uint64, v.nw)...)
-			bitset.RankAnd(v.arena[v.off[it]:], f.DQ, t)
-			v.items = append(v.items, itemset.Item(it))
+// freshFocal returns a copy of f with an empty vertical layout, as
+// Executor.Focus returns it.
+func freshFocal(f *Focal) *Focal {
+	return &Focal{Surface: f.Surface, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount, Scan: f.Scan}
+}
+
+// sampleVectors grows f's layout the way the optimizer's MIP sample does
+// (cost.Model's probe, which this package cannot import): every
+// ⌊n/128⌋-th stored CFI whose global support reaches MinCount is asked
+// whether it reaches MinCount inside D^Q.
+func sampleVectors(f *Focal) {
+	tree := f.Surface.Tree
+	step := max(1, tree.Size()/128)
+	for id := 0; id < tree.Size(); id += step {
+		if tree.Support(id) >= f.MinCount {
+			f.Reaches(tree.Items(id))
 		}
 	}
-	return v
 }
 
-// vecOf returns item it's vector, nil when it has none.
-func (v *localVecs) vecOf(it int) []uint64 {
-	if o := int(v.off[it]); o >= 0 {
-		return v.arena[o : o+v.nw]
-	}
-	return nil
-}
-
-// checkSelect holds ARM's SELECT over f and q to the row scan: every
-// kept vector equals RankAnd of the row-scan tidset, no item outside the
-// item attributes has one, every pruned item's row-scan count is below
-// MinCount, and εAR returns the same Result — rules and Stats — over the
-// kept vectors as over vectors of every item-attribute item. It returns
-// how many items were kept and pruned.
-func checkSelect(t *testing.T, ex *Executor, f *Focal, q *Query, label string) (kept, pruned int) {
+// armRun is ARM's SELECT and εAR over f: the items SELECT kept and the
+// Result over them.
+func armRun(t *testing.T, ex *Executor, f *Focal, q *Query) ([]itemset.Item, *Result) {
 	t.Helper()
-	got, _, err := ex.newCtx(context.Background(), f, q).selectItems()
+	items, _, err := ex.newCtx(context.Background(), f, q).selectItems()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTids := rowScanTids(ex.newCtx(context.Background(), f, q))
-	want := rankVecs(f, wantTids)
-	for it := range wantTids {
-		g := got.vecOf(it)
+	res, err := ex.newCtx(context.Background(), f, q).mineLocal(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return items, res
+}
+
+// checkSelect holds ARM's SELECT over a fresh copy of f and q to the row
+// scan: every kept item's vector equals RankAnd of the row-scan tidset,
+// no item outside the item attributes is kept, every other item's
+// row-scan count is below MinCount, and εAR returns the same Result —
+// rules and Stats — over the kept items as over vectors of every
+// item-attribute item built from the row scan. SELECT over a copy whose
+// optimizer sample built vectors first keeps the same items and returns
+// the same Result. It returns how many items were kept and pruned.
+func checkSelect(t *testing.T, ex *Executor, f *Focal, q *Query, label string) (kept, pruned int) {
+	t.Helper()
+	fresh := freshFocal(f)
+	got, gotRes := armRun(t, ex, fresh, q)
+	wantTids := rowScanTids(ex.newCtx(context.Background(), fresh, q))
+	isKept := make([]bool, len(wantTids))
+	for _, it := range got {
+		isKept[it] = true
+	}
+	var all []itemset.Item
+	for it, w := range wantTids {
+		if w != nil {
+			all = append(all, itemset.Item(it))
+		}
 		switch {
-		case wantTids[it] == nil && g != nil:
-			t.Fatalf("%s: item %d is no item-attribute item, yet SELECT built its vector", label, it)
-		case g != nil:
+		case w == nil && isKept[it]:
+			t.Fatalf("%s: item %d is no item-attribute item, yet SELECT kept it", label, it)
+		case isKept[it]:
 			kept++
-			if w := want.vecOf(it); !slices.Equal(g, w) {
-				t.Fatalf("%s: item %d: vector %x, RankAnd of the row scan %x", label, it, g, w)
+			want := make([]uint64, fresh.vecs.nw)
+			bitset.RankAnd(want, f.DQ, w)
+			if g := fresh.vecs.view(itemset.Item(it)); !slices.Equal(g, want) {
+				t.Fatalf("%s: item %d: vector %x, RankAnd of the row scan %x", label, it, g, want)
 			}
-		case wantTids[it] != nil:
+		case w != nil:
 			pruned++
-			if n := wantTids[it].Count(); n >= f.MinCount {
+			if n := w.Count(); n >= f.MinCount {
 				t.Fatalf("%s: item %d pruned with %d local records, MinCount %d", label, it, n, f.MinCount)
 			}
 		}
 	}
-	gotRes, err := ex.newCtx(context.Background(), f, q).mineLocal(&got)
-	if err != nil {
-		t.Fatal(err)
+
+	scan := *f.Surface
+	scan.Tidsets = wantTids
+	ref := &Focal{Surface: &scan, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount, Scan: f.Scan}
+	for _, it := range all {
+		ref.vector(it)
 	}
-	wantRes, err := ex.newCtx(context.Background(), f, q).mineLocal(&want)
+	wantRes, err := ex.newCtx(context.Background(), ref, q).mineLocal(all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotRes, wantRes) {
 		t.Fatalf("%s: εAR over the pruned vectors diverges from the row scan:\n%+v\n%+v", label, gotRes.Stats, wantRes.Stats)
+	}
+
+	sampled := freshFocal(f)
+	sampleVectors(sampled)
+	again, againRes := armRun(t, ex, sampled, q)
+	if !slices.Equal(again, got) || !reflect.DeepEqual(againRes, gotRes) {
+		t.Fatalf("%s: after the optimizer's sample SELECT kept %v (fresh: %v), stats\n%+v\nfresh\n%+v",
+			label, again, got, againRes.Stats, gotRes.Stats)
 	}
 	return kept, pruned
 }
@@ -177,14 +206,15 @@ func TestARMSelectWordBoundaries(t *testing.T) {
 }
 
 // TestARMOracleMissesHaveVectors: every itemset εAR's rule generation
-// asks ARM's oracle about — and so every miss — names only items that
-// have a vector, and a miss counts over the vectors exactly. Rule
-// generation asks only about subsets of mined CFIs, which the tree
-// always covers, so the misses are forced: every pair and triple of
-// vector items the tree does not cover is asked directly and must equal
-// the count over D^Q and the surface's item tidsets.
+// asks ARM's oracle about names only items SELECT kept, and every ask
+// equals the count over D^Q and the surface's item tidsets; the plan
+// reports no oracle miss. Rule generation asks only about subsets of
+// mined CFIs, all locally frequent, so the locally infrequent itemsets
+// that ARM's IT-tree once missed on are forced: every pair and triple of
+// kept items below MinCount inside D^Q is asked directly and must equal
+// its count too.
 func TestARMOracleMissesHaveVectors(t *testing.T) {
-	asked, misses := 0, 0
+	asked, uncovered := 0, 0
 	for seed := int64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		idx, err := randomIndex(r)
@@ -200,31 +230,35 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 				if f.Size == 0 {
 					continue
 				}
-				c := ex.newCtx(context.Background(), f, q)
-				v, _, err := c.selectItems()
+				items, res := armRun(t, ex, f, q)
+				if res.Stats.OracleMisses != 0 {
+					t.Fatalf("seed %d query %d %s: ARM reports %d oracle misses", seed, i, s.name, res.Stats.OracleMisses)
+				}
+				isKept := make([]bool, idx.Space.NumItems())
+				for _, it := range items {
+					isKept[it] = true
+				}
+				vecs := make([][]uint64, len(items))
+				for k, it := range items {
+					vecs[k] = f.vecs.view(it)
+				}
+				mined, err := charm.MineVectors(context.Background(), items, vecs, s.NumRecords, f.MinCount)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mined, err := charm.MineVectors(context.Background(), v.items, v.arena, s.NumRecords, f.MinCount)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tree := ittree.Build(mined, idx.Space.NumItems())
 				var tally counterTally
-				oracle := armOracle(tree, &v, &tally)
+				oracle := armOracle(f, &tally)
 				check := func(x itemset.Set) int {
 					for _, it := range x {
-						if v.off[it] < 0 {
+						if !isKept[it] {
 							t.Fatalf("seed %d query %d %s: oracle asked about %v, item %d has no vector", seed, i, s.name, x, it)
 						}
 					}
-					before := tally.oracleMisses
 					got := oracle(x)
 					if want := chainCount(f.DQ, s.Tidsets, x); got != want {
 						t.Fatalf("seed %d query %d %s: oracle(%v) = %d, D^Q holds %d", seed, i, s.name, x, got, want)
 					}
 					asked++
-					misses += int(tally.oracleMisses - before)
 					return got
 				}
 				for _, cl := range mined.Closed {
@@ -232,15 +266,16 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 						rules.Generate(cl.Items, cl.Support, f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
 					}
 				}
-				items := v.items
 				for a := range items {
 					for b := a + 1; b < len(items); b++ {
-						if x := (itemset.Set{items[a], items[b]}); tree.GlobalSupport(x) < 0 {
+						if x := (itemset.Set{items[a], items[b]}); chainCount(f.DQ, s.Tidsets, x) < f.MinCount {
 							check(x)
+							uncovered++
 						}
 						for c := b + 1; c < len(items); c++ {
-							if x := (itemset.Set{items[a], items[b], items[c]}); tree.GlobalSupport(x) < 0 {
+							if x := (itemset.Set{items[a], items[b], items[c]}); chainCount(f.DQ, s.Tidsets, x) < f.MinCount {
 								check(x)
+								uncovered++
 							}
 						}
 					}
@@ -248,14 +283,15 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 			}
 		}
 	}
-	if misses == 0 {
-		t.Fatalf("%d itemsets asked, none missed the tree: the test no longer counts over the vectors", asked)
+	if uncovered == 0 {
+		t.Fatalf("%d itemsets asked, none below MinCount: the test no longer counts what the tree missed", asked)
 	}
-	t.Logf("%d itemsets asked, %d missed", asked, misses)
+	t.Logf("%d itemsets asked, %d below MinCount", asked, uncovered)
 }
 
 // BenchmarkARMSelect times ARM's SELECT on chess over a focal subset of
-// about half the records, against the row scan it replaced. SELECT reads
+// about half the records, on a fresh layout each time, against the row
+// scan it replaced. SELECT reads
 // only the item tidsets, so the index is built at a high primary to keep
 // set-up short.
 func BenchmarkARMSelect(b *testing.B) {
@@ -274,7 +310,7 @@ func BenchmarkARMSelect(b *testing.B) {
 	b.Run("vertical", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.selectItems(); err != nil {
+			if _, _, err := ex.newCtx(context.Background(), freshFocal(f), q).selectItems(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -289,10 +325,10 @@ func BenchmarkARMSelect(b *testing.B) {
 }
 
 // BenchmarkARM times the forced ARM plan — SELECT, CHARM over the
-// rank-space vectors, rule generation — serially, on the mine_auto
-// shapes: chess and the reduced PUMSB at the middle minsupport of their
-// grids (0.85, 0.97), over focal subsets of about 50, 10 and 1 % of the
-// records. ARM reads only the item tidsets, so the indexes are built at
+// rank-space vectors, rule generation — serially, on a fresh layout each
+// time, on the mine_auto shapes: chess and the reduced PUMSB at the
+// middle minsupport of their grids (0.85, 0.97), over focal subsets of
+// about 50, 10 and 1 % of the records. ARM reads only the item tidsets, so the indexes are built at
 // a high primary to keep set-up short.
 func BenchmarkARM(b *testing.B) {
 	for _, ds := range []struct {
@@ -320,7 +356,7 @@ func BenchmarkARM(b *testing.B) {
 				b.ReportAllocs()
 				var res *Result
 				for i := 0; i < b.N; i++ {
-					if res, err = ex.RunContext(context.Background(), ARM, f, q); err != nil {
+					if res, err = ex.RunContext(context.Background(), ARM, freshFocal(f), q); err != nil {
 						b.Fatal(err)
 					}
 				}

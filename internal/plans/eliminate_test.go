@@ -289,7 +289,7 @@ func BenchmarkSearch(b *testing.B) {
 // BenchmarkEliminate times ELIMINATE with and without its item bound
 // after a plain SEARCH (S-E-V), serial, on the mine_mip shapes, over
 // focal subsets of about 50, 10 and 1 % of the records. Each iteration
-// runs on a fresh query context, as a request does.
+// runs on a fresh query context and layout, as a request does.
 func BenchmarkEliminate(b *testing.B) {
 	for _, ds := range mipBenchShapes {
 		d, err := datagen.Generate(ds.cfg)
@@ -318,7 +318,7 @@ func BenchmarkEliminate(b *testing.B) {
 					b.ReportAllocs()
 					var c *qctx
 					for i := 0; i < b.N; i++ {
-						c = ex.newCtx(context.Background(), f, q)
+						c = ex.newCtx(context.Background(), freshFocal(f), q)
 						if _, err := c.eliminate(cands, false); err != nil {
 							b.Fatal(err)
 						}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"colarm/internal/bitset"
 	"colarm/internal/itemset"
 	"colarm/internal/obs"
 	"colarm/internal/pool"
@@ -17,10 +16,9 @@ import (
 	"colarm/internal/rules"
 )
 
-// CheckMode selects how the record-level support check is executed on
-// VERIFY's closure misses (countLocal), and how the cost model prices
-// the ELIMINATE and VERIFY checks. Only those two read it now: ELIMINATE
-// counts over D^Q's own vertical layout (localVecs) in every mode.
+// CheckMode selects how the cost model prices a record-level support
+// check of ELIMINATE and VERIFY. It prices only: every check runs over
+// D^Q's vertical layout (Focal) in every mode.
 type CheckMode int
 
 const (
@@ -42,7 +40,7 @@ const (
 // AutoCheck scans when |D^Q| <= m/32: a scan touches one word per
 // subset record, a bitmap intersection every word of the universe once.
 // Executor.Focus decides with it once per request (Focal.Scan), which
-// VERIFY's closure-miss check and the cost model read.
+// only the cost model reads.
 func (m CheckMode) Scans(size, records int) bool {
 	switch m {
 	case ScanCheck:
@@ -80,7 +78,8 @@ type Executor struct {
 	// Space maps attribute values to items for every surface the
 	// executor is handed.
 	Space *itemset.Space
-	// Mode selects the record-level support check implementation.
+	// Mode selects how the cost model prices a record-level support
+	// check (Focal.Scan).
 	Mode CheckMode
 	// Workers bounds the goroutines one query fans its ELIMINATE
 	// support checks and VERIFY rule generation out to: 0 means one per
@@ -177,10 +176,6 @@ type qctx struct {
 	workers int             // resolved worker count for this query
 	st      *Stats
 
-	// dqIDs lists the focal subset's record ids in scan mode, for
-	// VERIFY's closure-miss check.
-	dqIDs []int
-
 	// cfi is ELIMINATE's per-CFI state, indexed by CFI id (see cfiNone):
 	// none, a scheduled record-level check, pruned by the item bound, or an
 	// exact local support count. ELIMINATE writes it serially; VERIFY's
@@ -213,7 +208,7 @@ func (c *qctx) cancelled() error {
 }
 
 func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
-	c := &qctx{
+	return &qctx{
 		ex:      ex,
 		q:       q,
 		s:       f.Surface,
@@ -224,42 +219,20 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		workers: ex.workers(),
 		st:      &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 	}
-	if f.Scan {
-		c.dqIDs = f.DQ.IDs()
-	}
-	return c
-}
-
-// countLocal is VERIFY's closure-miss check (countItems): how many
-// records of the focal subset the tidset covers. In scan mode it probes
-// each D^Q record id (cost ∝ |D^Q|, the paper's record-level scan); in
-// bitmap mode it intersects whole bitmaps (cost ∝ dataset words).
-// ELIMINATE counts over its local vectors instead (localVecs).
-func (c *qctx) countLocal(tids *bitset.Set) int {
-	if c.f.Scan {
-		n := 0
-		for _, id := range c.dqIDs {
-			if tids.Contains(id) {
-				n++
-			}
-		}
-		return n
-	}
-	return bitset.AndCount(tids, c.f.DQ)
 }
 
 // itemCount is item it's local count |D^Q ∩ t(it)|, ELIMINATE's item
-// bound's record-level check per item. When the item's count over the
-// whole surface is already below MinCount the check is skipped: that
-// count — an upper bound on the local one, so also below MinCount —
-// comes back with checked false. ARM's SELECT skips items the same way
-// and counts the rest with the RankAnd that builds their vectors.
+// bound's record-level check per item: the count beside its vector in
+// D^Q's layout, built here if the optimizer's sample did not build it.
+// When the item's count over the whole surface is already below
+// MinCount the check is skipped: that count — an upper bound on the
+// local one, so also below MinCount — comes back with checked false.
+// ARM's SELECT skips items the same way.
 func (c *qctx) itemCount(it itemset.Item) (n int, checked bool) {
-	t := c.s.Tidsets[it]
-	if n = t.Count(); n < c.f.MinCount {
+	if n = c.s.Tidsets[it].Count(); n < c.f.MinCount {
 		return n, false
 	}
-	return bitset.AndCount(c.f.DQ, t), true
+	return c.f.vector(it), true
 }
 
 // itemsReach is ELIMINATE's item bound: whether every item of CFI id has
@@ -379,9 +352,9 @@ type qualified struct {
 // CFI holding an item below MinCount inside D^Q, since its local support
 // is below MinCount too; or one scheduled record-level check. The state
 // lives in one slice indexed by CFI id (c.cfi). The serial pass then
-// builds D^Q's own vertical layout for the scheduled CFIs' items
-// (buildVecs): one rank-space vector per item, ⌈|D^Q|/64⌉ words. The
-// checks fan out across the query's workers into pre-indexed slots,
+// makes sure every item of the scheduled CFIs has a vector in D^Q's
+// layout (Focal; with the item bound on, itemsReach already built them).
+// The checks fan out across the query's workers into pre-indexed slots,
 // each one the popcount of the AND of its CFI's item vectors, and a
 // serial minsupport filter in candidate order counts pruned and failing
 // candidates alike as Eliminated, so the result and every counter but
@@ -465,11 +438,16 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	// Record-level checks, fanned out over the local vectors. Each
 	// distinct CFI is checked once, so SupportChecks is identical for
 	// every worker count; a vector build is not a check.
-	vecs := c.buildVecs(checkIDs)
+	for _, id := range checkIDs {
+		c.f.vectors(c.s.Tree.Items(int(id)))
+	}
+	// The trace's vecs= is the vectors D^Q's layout holds as the checks
+	// fan out, the optimizer sample's and the item bound's included.
+	vecs := c.f.vecs.built()
 	c.st.SupportChecks += len(checkIDs)
 	counts := make([]int, len(checkIDs))
 	used, err := pool.ForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
-		counts[i] = vecs.count(c.s.Tree.Items(int(checkIDs[i])))
+		counts[i] = c.f.vecs.count(c.s.Tree.Items(int(checkIDs[i])))
 	})
 	if err != nil {
 		return nil, err
@@ -487,7 +465,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		t1 = time.Now()
 		tr.Record(obs.OpEliminate, t1.Sub(t0), len(cands), len(entries), used,
 			fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d shortcut=%d",
-				c.st.ItemFiltered, len(checkIDs), len(vecs.items), pruned, shortcuts))
+				c.st.ItemFiltered, len(checkIDs), vecs, pruned, shortcuts))
 	}
 
 	// Minsupport filter, in candidate order. A pruned id has no count.
@@ -508,7 +486,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		} else {
 			tr.Record(obs.OpEliminate, time.Since(t0), len(cands), len(out), used,
 				fmt.Sprintf("filtered=%d checks=%d vecs=%d pruned=%d eliminated=%d",
-					c.st.ItemFiltered, len(checkIDs), len(vecs.items), pruned, c.st.Eliminated))
+					c.st.ItemFiltered, len(checkIDs), vecs, pruned, c.st.Eliminated))
 		}
 	}
 	return out, nil
@@ -535,63 +513,55 @@ func (c *qctx) local(id int) (int, bool) {
 	return 0, false
 }
 
-// localVecs is D^Q's vertical layout: one rank-space vector per item
-// (bitset.RankAnd), bit r set when the r-th record of D^Q in ascending
-// id order holds the item, all drawn from one arena. ELIMINATE builds it
-// for its scheduled CFIs' items (buildVecs) and ARM's SELECT for the
-// item attributes' locally frequent items (selectItems); either builds
-// it once per request, serially, and then only reads it.
+// localVecs is D^Q's vertical layout, owned by the request's Focal: one
+// rank-space vector per item (bitset.RankAnd), bit r set when the r-th
+// record of D^Q in ascending id order holds the item, all drawn from one
+// arena, with the item's local count — the vector's popcount — beside
+// it. Focal.vector grows it, appending to the arena, so a view of the
+// arena is taken only after the last growth of a phase; count and view
+// only read it and are safe from concurrent workers.
 type localVecs struct {
-	nw    int            // words per vector: ⌈|D^Q|/64⌉
-	items []itemset.Item // the items with a vector, in arena order
-	off   []int32        // item → offset of its vector in arena, -1 none
-	arena []uint64       // the vectors, len(items)·nw words
+	nw    int       // words per vector: ⌈|D^Q|/64⌉
+	slot  []vecSlot // per item; nil until the first vector is built
+	arena []uint64  // the vectors, nw words each
 }
 
-// buildVecs builds the local vector of every item of the scheduled CFIs,
-// from D^Q and the surface's item tidsets. With the item bound on, each
-// such item already reached MinCount inside D^Q (itemsReach), so no
-// vector is built for an item that cannot contribute.
-func (c *qctx) buildVecs(checkIDs []int32) localVecs {
-	v := localVecs{nw: (c.f.Size + 63) / 64}
-	if len(checkIDs) == 0 {
-		return v
-	}
-	v.off = make([]int32, len(c.s.Tidsets))
-	for i := range v.off {
-		v.off[i] = -1
-	}
-	var items []itemset.Item
-	for _, id := range checkIDs {
-		for _, it := range c.s.Tree.Items(int(id)) {
-			if v.off[it] < 0 {
-				v.off[it] = int32(len(items) * v.nw)
-				items = append(items, it)
-			}
-		}
-	}
-	v.items = items
-	v.arena = make([]uint64, len(items)*v.nw)
-	for k, it := range items {
-		bitset.RankAnd(v.arena[k*v.nw:(k+1)*v.nw], c.f.DQ, c.s.Tidsets[it])
-	}
-	return v
+// vecSlot places one item's vector in the arena: off is its offset, -1
+// while it has none, and n its local count.
+type vecSlot struct{ off, n int32 }
+
+// view returns item it's vector, which must have been built.
+func (v *localVecs) view(it itemset.Item) []uint64 {
+	o := int(v.slot[it].off)
+	return v.arena[o : o+v.nw : o+v.nw]
 }
 
-// count is the record-level check of a CFI with the given items:
-// |D^Q ∩ t(i₁) ∩ … ∩ t(i_k)|, the popcount of the AND of their vectors,
-// which equals |D^Q ∩ t(CFI)| since a CFI's tidset is its items'
-// intersection. The AND runs over a stack block of up to 64 words at a
-// time, one item's vector after the other.
+// built returns how many items have a vector.
+func (v *localVecs) built() int {
+	if v.nw == 0 {
+		return 0
+	}
+	return len(v.arena) / v.nw
+}
+
+// count is the record-level check of a non-empty itemset whose items
+// all have vectors: |D^Q ∩ t(i₁) ∩ … ∩ t(i_k)|, the popcount of the AND
+// of their vectors — |D^Q ∩ t(CFI)| for a CFI, whose tidset is its
+// items' intersection. One item's count is the one stored beside its
+// vector. The AND runs over a stack block of up to 64 words at a time,
+// one item's vector after the other.
 func (v *localVecs) count(items itemset.Set) int {
+	if sl := v.slot[items[0]]; len(items) == 1 && sl.off >= 0 {
+		return int(sl.n)
+	}
 	n := 0
 	var block [64]uint64
 	for lo := 0; lo < v.nw; lo += len(block) {
 		acc := block[:min(len(block), v.nw-lo)]
-		base := int(v.off[items[0]]) + lo
+		base := int(v.slot[items[0]].off) + lo
 		copy(acc, v.arena[base:base+len(acc)])
 		for _, it := range items[1:] {
-			base := int(v.off[it]) + lo
+			base := int(v.slot[it].off) + lo
 			vec := v.arena[base : base+len(acc)]
 			for w := range acc {
 				acc[w] &= vec[w]
@@ -605,25 +575,19 @@ func (v *localVecs) count(items itemset.Set) int {
 }
 
 // countItems is the record-level support check of an arbitrary itemset
-// within D^Q — the VERIFY oracle's compute step. The index already
-// stores the tidset the count needs: t(X) = t(clos(X)), so supp_Q(X) =
-// |D^Q ∩ t(clos(X))|. The closure is one IT-tree lookup; if ELIMINATE
-// counted that CFI its local support is reused, otherwise the stored
-// tidset takes a record-level check against D^Q (countLocal: scan or
-// bitmap). One stored tidset stands in for the C_X per-item tidsets of
-// the paper's COST(V) record-level term (Σ C_i · |D^Q|); the per-record
-// work is unchanged in kind and smaller in amount.
+// within D^Q — the VERIFY oracle's compute step. t(X) = t(clos(X)), so
+// supp_Q(X) = |D^Q ∩ t(clos(X))|: the closure is one IT-tree lookup, and
+// if ELIMINATE counted that CFI its local support is reused. Otherwise x
+// is counted over D^Q's layout, since t(X) = ∩ t(i): the popcount of the
+// AND of its items' vectors, C_X per-item vectors of ⌈|D^Q|/64⌉ words —
+// the paper's COST(V) record-level term (Σ C_i · |D^Q|).
 //
 // x is a subset of a qualified body and hence of a stored CFI, so it is
 // frequent at the surface's primary support and its closure is stored,
-// whatever built the surface. Reads only the immutable surface, the
-// request's focal subset and id list and ELIMINATE's per-CFI state,
-// which no one writes during VERIFY, so it is safe from concurrent
-// workers.
-//
-// It does not read ELIMINATE's local vectors. The memo above it almost
-// always hits on a standing query's re-mine, and there a short closure
-// scan costs less than a vector AND.
+// whatever built the surface; verify built a vector for every item of
+// every body before it fanned out. Reads only the immutable surface, the
+// layout and ELIMINATE's per-CFI state, which no one writes during
+// VERIFY, so it is safe from concurrent workers.
 func (c *qctx) countItems(x itemset.Set) int {
 	id, ok := c.s.Tree.ClosureID(x)
 	if !ok {
@@ -632,7 +596,7 @@ func (c *qctx) countItems(x itemset.Set) int {
 	if s, ok := c.local(id); ok {
 		return s
 	}
-	return c.countLocal(c.s.Tree.Tids(id))
+	return c.f.vecs.count(x)
 }
 
 // sharedOracle returns the local-support oracle VERIFY hands to the rule
@@ -672,6 +636,10 @@ func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.Support
 // the same ones: the concatenation keeps the first slot of each id.
 // Every entry is still generated, so the oracle counters do not depend
 // on which entries repeat.
+//
+// Before the fan-out, serially, every item of every body gets a vector
+// in D^Q's layout, so the workers' closure misses (countItems) only read
+// it.
 func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	tr := c.q.Trace
 	var t0 time.Time
@@ -679,6 +647,12 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 		t0 = time.Now()
 	}
 	oc0, om0 := c.st.OracleCalls, c.st.OracleMisses
+	// The workers only read the layout: every itemset the oracle counts
+	// is a subset of a body, so the bodies' items are all it needs. A
+	// contained CFI SS-E-U-V took without a check may have none yet.
+	for _, ql := range quals {
+		c.f.vectors(ql.body)
+	}
 	var tally counterTally
 	oracle := c.sharedOracle(new(shardedCounts), &tally)
 	per := make([][]rules.Rule, len(quals))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"colarm/internal/bitset"
@@ -110,7 +111,8 @@ func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) [
 
 // TestClosureCountEqualsChainCount is the invariant VERIFY's oracle now
 // rests on: for every itemset the rule generator asks about, the count
-// resolved through the stored closure, |D^Q ∩ t(clos(X))|, equals the
+// VERIFY resolves — ELIMINATE's exact count of the stored closure,
+// |D^Q ∩ t(clos(X))|, or else the AND over D^Q's layout — equals the
 // count chained over the per-item tidsets, |D^Q ∩ t(x₁) ∩ … ∩ t(x_k)| —
 // on every surface shape, in scan and bitmap mode, with and without the
 // Lemma 4.5 shortcut feeding ELIMINATE's per-CFI counts.
@@ -140,6 +142,9 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						for _, ql := range quals {
+							f.vectors(ql.body) // VERIFY's pre-fan-out step
+						}
 						oracle := func(x itemset.Set) int {
 							if len(x) == 0 {
 								return -1
@@ -167,6 +172,88 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 	if asked < 1000 || reused == 0 {
 		t.Errorf("oracle asked %d times (%d answered from ELIMINATE's counts): the queries no longer reach VERIFY", asked, reused)
 	}
+}
+
+// hasVector lists which items have a vector in f's layout.
+func hasVector(f *Focal, numItems int) []bool {
+	out := make([]bool, numItems)
+	for it := range out {
+		out[it] = f.vecs.slot != nil && f.vecs.slot[it].off >= 0
+	}
+	return out
+}
+
+// TestVerifyCountsOnlyBuiltVectors: VERIFY's workers only read D^Q's
+// layout. Under SS-E-U-V at four workers, on frozen and merged surfaces,
+// VERIFY's pre-fan-out step gives a vector to exactly the bodies' items
+// that lacked one, and every itemset the rule generator asks VERIFY's
+// oracle about names only items with a vector — counted as the chain
+// over the item tidsets. The contained shortcut must leave some body
+// item without a vector, or the step is not exercised.
+func TestVerifyCountsOnlyBuiltVectors(t *testing.T) {
+	built := 0
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		idx, err := randomIndex(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := &Executor{Space: idx.Space, Workers: 4}
+		n := idx.Space.NumItems()
+		for _, s := range surfaceTable(t, r, idx, 0.1) {
+			for i := 0; i < 6; i++ {
+				q := randomQuery(r, idx)
+				f := ex.Focus(s.Surface, q)
+				if f.Size == 0 {
+					continue
+				}
+				c := ex.newCtx(context.Background(), f, q)
+				cands, err := c.search(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				quals, err := c.eliminate(cands, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := hasVector(f, n)
+				for _, ql := range quals {
+					for _, it := range ql.body {
+						if !want[it] {
+							want[it] = true
+							built++
+						}
+					}
+				}
+				if _, err := c.verify(quals); err != nil {
+					t.Fatal(err)
+				}
+				have := hasVector(f, n)
+				if !slices.Equal(have, want) {
+					t.Fatalf("seed %d %s query %d: items with vectors after VERIFY %v, want %v", seed, s.name, i, have, want)
+				}
+				ask := func(x itemset.Set) int {
+					for _, it := range x {
+						if !have[it] {
+							t.Fatalf("seed %d %s query %d: VERIFY counts %v, item %d has no vector", seed, s.name, i, x, it)
+						}
+					}
+					got := c.countItems(x)
+					if want := chainCount(f.DQ, s.Tidsets, x); got != want {
+						t.Fatalf("seed %d %s query %d: supp_Q(%v) = %d, D^Q holds %d", seed, s.name, i, x, got, want)
+					}
+					return got
+				}
+				for _, ql := range quals {
+					rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, ask, rules.Options{MaxConsequent: q.MaxConsequent})
+				}
+			}
+		}
+	}
+	if built == 0 {
+		t.Fatal("every body item had a vector before VERIFY: the pre-fan-out step is not exercised")
+	}
+	t.Logf("VERIFY's pre-fan-out step built %d vectors", built)
 }
 
 // dedupeRules drops repeated rules (same antecedent and consequent),

@@ -178,7 +178,7 @@ type Stats struct {
 
 	// VERIFY.
 	OracleCalls  int // antecedent/consequent support lookups
-	OracleMisses int // lookups that needed a fresh tidset intersection
+	OracleMisses int // lookups VERIFY's memo missed; always 0 for ARM
 	RulesEmitted int
 
 	// ARM only.

@@ -1,6 +1,8 @@
 package plans
 
 import (
+	"slices"
+
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
 	"colarm/internal/itemset"
@@ -77,8 +79,19 @@ func NewSurface(idx *mip.Index) *Surface {
 }
 
 // Focal is the focal subset D^Q of one query over one surface, computed
-// once per request by Executor.Focus and read — never written — by the
-// applicability gate and by every plan the request goes on to run.
+// once per request by Executor.Focus and handed to the applicability
+// gate, the cost model and every plan the request goes on to run.
+//
+// It also owns D^Q's vertical layout: one rank-space vector per item
+// (bitset.RankAnd, ⌈|D^Q|/64⌉ words) with the item's local count
+// |D^Q ∩ t(i)| beside it, built on the item's first use and kept for the
+// rest of the request. Every count inside D^Q reads it — the optimizer's
+// MIP sample (Count, Reaches), ELIMINATE's item bound and checks,
+// VERIFY's closure misses, ARM's SELECT, CHARM and rule-generation
+// oracle — so a vector the sample built is the one the chosen plan
+// reads. Only serial code grows the layout; the operators' parallel
+// sections only read vectors built before they fan out. A Focal is
+// therefore used by one request at a time.
 type Focal struct {
 	// Surface is the surface the subset was selected from; a plan given
 	// this Focal executes against it.
@@ -88,12 +101,13 @@ type Focal struct {
 	// Size is |D^Q| and MinCount the query's minsupport as a record count
 	// within it — the localized threshold.
 	Size, MinCount int
-	// Scan reports whether the record-level support checks probe DQ's ids
-	// one by one rather than intersect whole bitmaps (CheckMode.Scans,
-	// decided once here). Only VERIFY's closure-miss check runs it and
-	// the cost model prices it; ELIMINATE counts over its rank-space
-	// vectors in either case.
+	// Scan reports whether a record-level support check is priced as a
+	// probe of DQ's ids one by one rather than a whole-bitmap
+	// intersection (CheckMode.Scans, decided once here). Only the cost
+	// model reads it: every check runs over the vertical layout.
 	Scan bool
+
+	vecs localVecs
 }
 
 // Applicable reports whether the surface's prestored CFIs can answer the
@@ -119,4 +133,57 @@ func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	f.MinCount = charm.CountFor(q.MinSupport, f.Size)
 	f.Scan = ex.Mode.Scans(f.Size, s.NumRecords)
 	return f
+}
+
+// vector returns item it's local count |D^Q ∩ t(it)|, building its
+// vector on the first call. It grows the layout, so only serial code
+// calls it.
+func (f *Focal) vector(it itemset.Item) int {
+	v := &f.vecs
+	if v.slot == nil {
+		v.nw = (f.Size + 63) / 64
+		v.slot = make([]vecSlot, len(f.Surface.Tidsets))
+		for i := range v.slot {
+			v.slot[i].off = -1
+		}
+	}
+	if sl := v.slot[it]; sl.off >= 0 {
+		return int(sl.n)
+	}
+	o := len(v.arena)
+	v.arena = slices.Grow(v.arena, v.nw)[:o+v.nw]
+	n := bitset.RankAnd(v.arena[o:], f.DQ, f.Surface.Tidsets[it])
+	v.slot[it] = vecSlot{off: int32(o), n: int32(n)}
+	return n
+}
+
+// vectors makes sure every item of x has a vector.
+func (f *Focal) vectors(x itemset.Set) {
+	for _, it := range x {
+		f.vector(it)
+	}
+}
+
+// Count returns |D^Q ∩ t(i₁) ∩ … ∩ t(i_k)| for the given items: the
+// popcount of the AND of their vectors, built first where missing. The
+// empty set counts every record of D^Q. Serial callers only.
+func (f *Focal) Count(items itemset.Set) int {
+	if len(items) == 0 {
+		return f.Size
+	}
+	f.vectors(items)
+	return f.vecs.count(items)
+}
+
+// Reaches reports whether Count(items) >= MinCount. Support is
+// anti-monotone, so an item whose own local count falls short settles it
+// without the AND, and the items after it get no vector. Serial callers
+// only.
+func (f *Focal) Reaches(items itemset.Set) bool {
+	for _, it := range items {
+		if f.vector(it) < f.MinCount {
+			return false
+		}
+	}
+	return f.Count(items) >= f.MinCount
 }
