@@ -11,7 +11,6 @@ package colarm_test
 //	BenchmarkOptimizerChoose  E5: plan-selection latency
 //	BenchmarkFig13*           E7: local-vs-global CFI classification
 //	BenchmarkRTree*           A1: packing-scheme ablation
-//	BenchmarkCheckMode*       A2: scan vs bitmap record checks (VERIFY's misses)
 //	BenchmarkIndexBuild       offline phase
 //
 // Each benchmark uses the reduced-profile datasets so the suite

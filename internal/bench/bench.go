@@ -125,13 +125,7 @@ func Setup(spec DatasetSpec) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(d, core.Options{
-		PrimarySupport: spec.Primary,
-		// The paper's record-level checks scan the focal subset, so
-		// their cost — and the figures' |D^Q| scaling — follows
-		// ScanCheck semantics.
-		CheckMode: plans.ScanCheck,
-	})
+	eng, err := core.NewEngine(d, core.Options{PrimarySupport: spec.Primary})
 	if err != nil {
 		return nil, err
 	}

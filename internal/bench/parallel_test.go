@@ -35,10 +35,7 @@ func TestSerialParallelEquivalenceOnPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.NewEngine(d, core.Options{
-				PrimarySupport: spec.Primary,
-				CheckMode:      plans.ScanCheck,
-			})
+			eng, err := core.NewEngine(d, core.Options{PrimarySupport: spec.Primary})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,13 +23,6 @@ import (
 type Options struct {
 	// PrimarySupport is the offline primary support threshold in (0,1].
 	PrimarySupport float64
-	// CheckMode selects how the cost model prices a record-level
-	// support check (AutoCheck, ScanCheck or BitmapCheck); every check
-	// runs over the focal subset's rank-space vectors in every mode.
-	// ScanCheck prices are proportional to the focal subset size,
-	// matching the paper's cost model; AutoCheck (default) picks the
-	// cheaper price per query.
-	CheckMode plans.CheckMode
 	// Workers bounds the goroutines one query fans its parallel
 	// operator sections out to: 0 means one per logical CPU, 1 forces
 	// serial execution. Results are identical for every setting.
@@ -128,7 +121,6 @@ func build(d *relation.Dataset, opts Options, fanout int) (*Engine, error) {
 // count.
 func Assemble(idx *mip.Index, opts Options) *Engine {
 	ex := plans.NewExecutor(idx.Space)
-	ex.Mode = opts.CheckMode
 	ex.Workers = opts.Workers
 	e := &Engine{Index: idx, Executor: ex, Model: cost.NewModel(idx), opts: opts}
 	e.initDelta()

@@ -5,7 +5,6 @@ import (
 
 	"colarm/internal/colarmql"
 	"colarm/internal/datagen"
-	"colarm/internal/itemset"
 	"colarm/internal/plans"
 )
 
@@ -27,17 +26,6 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(datagen.Salary(), Options{PrimarySupport: 2}); err == nil {
 		t.Error("primary support > 1 must error")
-	}
-}
-
-func TestEngineModePlumbing(t *testing.T) {
-	eng := salaryEngine(t, Options{CheckMode: plans.ScanCheck})
-	if eng.Executor.Mode != plans.ScanCheck {
-		t.Error("executor mode not plumbed")
-	}
-	q := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.3, MinConfidence: 0.5}
-	if !eng.Resolve(q).Scan {
-		t.Error("a ScanCheck engine's focal subset must scan")
 	}
 }
 

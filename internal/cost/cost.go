@@ -42,7 +42,7 @@ type Units struct {
 	// the query region (the unit of R-tree traversal).
 	BoxRel float64 `json:"boxRel"`
 	// IDProbe is the cost of probing one record id against a tidset
-	// (the unit of the ScanCheck record-level checks).
+	// (the unit of a record-level check over a small focal subset).
 	IDProbe float64 `json:"idProbe"`
 	// MapOp is the cost of one hash-map probe (closure caches, dedup).
 	MapOp float64 `json:"mapOp"`
@@ -109,10 +109,10 @@ func (e Estimate) Terms() []EstimateTerm {
 
 // Model evaluates the six plan estimates for the focal subsets of one
 // engine's requests. Everything a request selected — the subset's size,
-// bitmap and support-count threshold, the surface it was selected from
-// with its R-tree statistics, and the check mode — comes with the
-// request's plans.Focal; the model itself holds only aggregates computed
-// once from the index as built, and prices them with UnitCosts.
+// bitmap and support-count threshold, and the surface it was selected
+// from with its R-tree statistics — comes with the request's
+// plans.Focal; the model itself holds only aggregates computed once from
+// the index as built, and prices them with UnitCosts.
 type Model struct {
 	u Units
 
@@ -387,14 +387,15 @@ func (mo *Model) searchCost(s queryShape, supported bool) (cost float64) {
 	return cost
 }
 
-// supportCheckCost is the price of one record-level support check, as
-// the focal subset's check mode says (Focal.Scan): a |D^Q|-record scan
-// (the paper's COST(E) unit) or a whole-bitmap intersection. It prices
-// only: ELIMINATE's checks and VERIFY's closure misses both AND
-// ⌈|D^Q|/64⌉-word rank-space vectors, so their estimates run high until
-// the unit costs are refit.
+// supportCheckCost is the price of one record-level support check: a
+// |D^Q|-record scan (the paper's COST(E) unit) when |D^Q| <= m/32, else
+// a whole-bitmap intersection of ⌈m/64⌉ words — a scan touches one word
+// per subset record, an intersection every word of the universe once.
+// It prices only: ELIMINATE's checks and VERIFY's closure misses both
+// AND ⌈|D^Q|/64⌉-word rank-space vectors, so their estimates run high
+// until the unit costs are refit.
 func (mo *Model) supportCheckCost(s queryShape) float64 {
-	if s.f.Scan {
+	if s.f.Size <= s.f.Surface.NumRecords/32 {
 		return float64(s.f.Size) * mo.u.IDProbe
 	}
 	return float64((s.f.Surface.NumRecords+63)/64) * mo.u.WordOp

@@ -425,3 +425,27 @@ func TestSampleIDsFitsAMask(t *testing.T) {
 		}
 	}
 }
+
+// TestSupportCheckCostCrossover pins the one price of a record-level
+// check at its boundary: |D^Q| probes up to ⌊m/32⌋ focal records, a
+// ⌈m/64⌉-word bitmap intersection from one record past it.
+func TestSupportCheckCostCrossover(t *testing.T) {
+	fx := buildModel(t, 300)
+	m := fx.surf.NumRecords
+	edge := m / 32
+	if edge == 0 {
+		t.Fatalf("m = %d: no focal size prices as a scan", m)
+	}
+	for _, c := range []struct {
+		size int
+		want float64
+	}{
+		{edge, float64(edge) * fx.mo.u.IDProbe},
+		{edge + 1, float64((m+63)/64) * fx.mo.u.WordOp},
+	} {
+		f := &plans.Focal{Surface: fx.surf, Size: c.size}
+		if got := fx.mo.supportCheckCost(queryShape{f: f}); got != c.want {
+			t.Errorf("m=%d |D^Q|=%d: check priced %v, want %v", m, c.size, got, c.want)
+		}
+	}
+}

@@ -45,7 +45,7 @@ func rowScanTids(c *qctx) []*bitset.Set {
 // freshFocal returns a copy of f with an empty vertical layout, as
 // Executor.Focus returns it.
 func freshFocal(f *Focal) *Focal {
-	return &Focal{Surface: f.Surface, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount, Scan: f.Scan}
+	return &Focal{Surface: f.Surface, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount}
 }
 
 // sampleVectors grows f's layout the way the optimizer's MIP sample does
@@ -119,7 +119,7 @@ func checkSelect(t *testing.T, ex *Executor, f *Focal, q *Query, label string) (
 
 	scan := *f.Surface
 	scan.Tidsets = wantTids
-	ref := &Focal{Surface: &scan, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount, Scan: f.Scan}
+	ref := &Focal{Surface: &scan, DQ: f.DQ, Size: f.Size, MinCount: f.MinCount}
 	for _, it := range all {
 		ref.vector(it)
 	}

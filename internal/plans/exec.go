@@ -16,55 +16,6 @@ import (
 	"colarm/internal/rules"
 )
 
-// CheckMode selects how the cost model prices a record-level support
-// check of ELIMINATE and VERIFY. It prices only: every check runs over
-// D^Q's vertical layout (Focal) in every mode.
-type CheckMode int
-
-const (
-	// AutoCheck picks per query whichever of the two implementations
-	// is cheaper for the focal subset size (default).
-	AutoCheck CheckMode = iota
-	// ScanCheck probes each record id of D^Q against the itemset's
-	// tidset — cost proportional to |D^Q|, exactly the record-level
-	// scan the paper's cost model describes (COST(E) = |{I^Q_S}|·|D^Q|).
-	ScanCheck
-	// BitmapCheck intersects whole tidset bitmaps — cost proportional
-	// to the dataset size in words, independent of |D^Q|.
-	BitmapCheck
-)
-
-// Scans reports whether the record-level support checks over a focal
-// subset of size records, out of a universe of records ids, probe the
-// subset's ids one by one rather than intersect whole bitmaps.
-// AutoCheck scans when |D^Q| <= m/32: a scan touches one word per
-// subset record, a bitmap intersection every word of the universe once.
-// Executor.Focus decides with it once per request (Focal.Scan), which
-// only the cost model reads.
-func (m CheckMode) Scans(size, records int) bool {
-	switch m {
-	case ScanCheck:
-		return true
-	case BitmapCheck:
-		return false
-	default:
-		return size <= records/32
-	}
-}
-
-func (m CheckMode) String() string {
-	switch m {
-	case AutoCheck:
-		return "auto"
-	case ScanCheck:
-		return "scan"
-	case BitmapCheck:
-		return "bitmap"
-	default:
-		return fmt.Sprintf("CheckMode(%d)", int(m))
-	}
-}
-
 // Executor runs mining plans over Surfaces. It holds no index state of
 // its own — only the item space every surface of one engine shares and
 // the execution configuration — so one executor serves the engine's base
@@ -78,9 +29,6 @@ type Executor struct {
 	// Space maps attribute values to items for every surface the
 	// executor is handed.
 	Space *itemset.Space
-	// Mode selects how the cost model prices a record-level support
-	// check (Focal.Scan).
-	Mode CheckMode
 	// Workers bounds the goroutines one query fans its ELIMINATE
 	// support checks and VERIFY rule generation out to: 0 means one per
 	// logical CPU (GOMAXPROCS), 1 forces the serial path. Results —

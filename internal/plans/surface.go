@@ -101,11 +101,6 @@ type Focal struct {
 	// Size is |D^Q| and MinCount the query's minsupport as a record count
 	// within it — the localized threshold.
 	Size, MinCount int
-	// Scan reports whether a record-level support check is priced as a
-	// probe of DQ's ids one by one rather than a whole-bitmap
-	// intersection (CheckMode.Scans, decided once here). Only the cost
-	// model reads it: every check runs over the vertical layout.
-	Scan bool
 
 	vecs localVecs
 }
@@ -131,7 +126,6 @@ func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 	}
 	f.Size = f.DQ.Count()
 	f.MinCount = charm.CountFor(q.MinSupport, f.Size)
-	f.Scan = ex.Mode.Scans(f.Size, s.NumRecords)
 	return f
 }
 
