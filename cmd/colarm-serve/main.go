@@ -19,15 +19,13 @@
 //	                  builtins use their per-dataset defaults)
 //	-seed N           generator seed for builtin synthetic datasets
 //	-workers N        per-query worker pool bound (0 = GOMAXPROCS)
-//	-shards K         label each dataset's records with K hash-routed
-//	                  shards; /v1/datasets reports per-shard staleness
-//	                  (0 or 1 = none). Queries do not depend on K
 //	-max-inflight N   concurrent mining queries (default 8)
-//	-max-queue N      admission wait-queue length (default 32)
+//	-max-queue N      admission wait-queue length (default 32, negative = none)
 //	-queue-wait D     max time in the admission queue (default 2s)
 //	-query-timeout D  per-query deadline (default 30s)
 //	-cache-entries N  result-cache capacity (default 4096, -1 disables)
-//	-cache-ttl D      result-cache entry lifetime (default 5m)
+//	-cache-ttl D      result-cache entry lifetime (default 5m, negative =
+//	                  until evicted)
 //
 //	-max-subscriptions N  standing-query subscriptions served at once
 //	                      (default 1024)
@@ -82,14 +80,13 @@ func main() {
 		primary  = flag.Float64("primary", 0.1, "primary support for -csv datasets")
 		seed     = flag.Int64("seed", 1, "generator seed for builtin synthetic datasets")
 		workers  = flag.Int("workers", 0, "per-query worker pool bound (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "label each dataset's records with K hash-routed shards for per-shard staleness (0 or 1 = none)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent mining queries (0 = default 8)")
-		maxQueue     = flag.Int("max-queue", 0, "admission wait-queue length (0 = default 32)")
+		maxQueue     = flag.Int("max-queue", 0, "admission wait-queue length (0 = default 32, negative = no queue)")
 		queueWait    = flag.Duration("queue-wait", 0, "max time in the admission queue (0 = default 2s)")
 		queryTimeout = flag.Duration("query-timeout", 0, "per-query deadline (0 = default 30s, negative disables)")
 		cacheEntries = flag.Int("cache-entries", 0, "result-cache capacity (0 = default 4096, negative disables)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = default 5m)")
+		cacheTTL     = flag.Duration("cache-ttl", 0, "result-cache entry lifetime (0 = default 5m, negative = until evicted)")
 
 		maxSubs      = flag.Int("max-subscriptions", 0, "standing-query subscriptions served at once (0 = default 1024)")
 		subBuffer    = flag.Int("sub-buffer", 0, "buffered events per subscription before slow-consumer eviction (0 = default 256)")
@@ -100,7 +97,7 @@ func main() {
 	flag.Var(&csvs, "csv", "headed CSV file to index (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, *shards, server.Config{
+	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, server.Config{
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueWait:    *queueWait,
@@ -117,9 +114,9 @@ func main() {
 	}
 }
 
-func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, shards int, cfg server.Config) error {
+func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, cfg server.Config) error {
 	metrics := colarm.NewMetricsRegistry()
-	opts := colarm.Options{Workers: workers, Metrics: metrics, Shards: shards}
+	opts := colarm.Options{Workers: workers, Metrics: metrics}
 	reg := server.NewRegistry()
 	registered := 0
 

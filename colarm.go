@@ -123,12 +123,10 @@ type Options struct {
 	// datasets stay distinguishable in one exposition — the serving
 	// layer opens all its engines against a single shared registry.
 	Metrics *MetricsRegistry
-	// Shards labels the records with K hash-routed shards: ingested
-	// rows and deletes route to shards by record id, each shard keeps
-	// its own version clock, and Staleness breaks the drift down per
-	// shard. Queries never see the labels: plans, estimates, answers,
-	// record ids and snapshot bytes are identical — rule for rule,
-	// counter for counter — at every K. 0 or 1 keeps no labels.
+	// Shards is read by nothing: an engine has one delta store and one
+	// staleness, whatever it is set to.
+	//
+	// Deprecated: ignored.
 	Shards int
 }
 
@@ -266,21 +264,11 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 		PrimarySupport: opts.PrimarySupport,
 		Workers:        opts.Workers,
 		Metrics:        opts.Metrics.registry(),
-		Shards:         opts.Shards,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{eng: eng, ds: ds, opts: opts}, nil
-}
-
-// NumShards returns the engine's shard count (1 for an engine without
-// shard labels).
-func (e *Engine) NumShards() int {
-	if c := e.eng.Coll; c != nil {
-		return c.NumShards()
-	}
-	return 1
 }
 
 // NumPartitions returns the number of prestored multidimensional

@@ -1,9 +1,11 @@
 package colarm
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -195,6 +197,72 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := eng.Explain(Query{MinSupport: 0, MinConfidence: 0.5}); err == nil {
 		t.Error("invalid query must error in Explain")
+	}
+}
+
+// TestDeprecatedShardsIgnored: Options.Shards is read by nothing, so an
+// engine opened with Shards: 4 is the engine opened without it — the
+// same Staleness JSON (with no shards member), the same six estimates
+// and the same snapshot bytes, fresh and with a buffered delta.
+func TestDeprecatedShardsIgnored(t *testing.T) {
+	ds, err := Salary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Range: map[string][]string{"Location": {"Seattle"}}, MinSupport: 0.5, MinConfidence: 0.8}
+	type view struct {
+		staleness []byte
+		ests      []PlanEstimate
+		snapshot  []byte
+	}
+	look := func(e *Engine) view {
+		t.Helper()
+		st, err := json.Marshal(e.Staleness())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(st, []byte("shards")) {
+			t.Fatalf("staleness %s carries a shards member", st)
+		}
+		ests, err := e.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ests) != 6 {
+			t.Fatalf("%d estimates, want 6", len(ests))
+		}
+		var snap bytes.Buffer
+		if err := e.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return view{st, ests, snap.Bytes()}
+	}
+	var engs [2]*Engine
+	for i, k := range []int{0, 4} {
+		if engs[i], err = Open(ds, Options{PrimarySupport: 0.18, Shards: k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := map[string]string{"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
+		"Gender": "M", "Age": "30-40", "Salary": "90K-120K"}
+	for _, stage := range []string{"fresh", "delta"} {
+		if stage == "delta" {
+			for _, e := range engs {
+				if _, err := e.Ingest([]map[string]string{row}, []int{2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, got := look(engs[0]), look(engs[1])
+		if !bytes.Equal(got.staleness, want.staleness) {
+			t.Errorf("%s: Shards: 4 staleness %s, Shards: 0 %s", stage, got.staleness, want.staleness)
+		}
+		if !reflect.DeepEqual(got.ests, want.ests) {
+			t.Errorf("%s: Shards: 4 estimates %+v, Shards: 0 %+v", stage, got.ests, want.ests)
+		}
+		if !bytes.Equal(got.snapshot, want.snapshot) {
+			t.Errorf("%s: snapshot bytes differ (%d vs %d)", stage, len(got.snapshot), len(want.snapshot))
+		}
 	}
 }
 

@@ -359,47 +359,42 @@ func min(a, b int) int {
 	return b
 }
 
-// TestShardDifferential checks that a sharded engine is indistinguishable
-// from the monolithic one: for K in {1, 2, 3, 7}, serial and parallel,
-// Explain's six estimates must be equal and all six forced plans and
-// Auto must return byte-identical rules AND statistics on randomized
-// datasets — fresh, with a live delta (inserts and deletes), after a
-// rebuild (every layout compacts the ids and holds the same records, so
-// snapshots are byte-identical), and after post-rebuild ingestion with
-// deletes. K=1 additionally pins byte-identical snapshots under the v5
-// magic; every K checks the sharded snapshot round-trips through
-// save/load.
-func TestShardDifferential(t *testing.T) {
+// TestLifecycleDifferential checks that a parallel engine is
+// indistinguishable from a serial one over an engine's whole life: on
+// four randomized datasets, Explain's six estimates must be equal and
+// all six forced plans and Auto must return byte-identical rules AND
+// statistics — fresh, with a live delta (inserts and deletes), after a
+// rebuild (ids compacted), and after post-rebuild ingestion with
+// deletes. Both engines persist to byte-identical v5 snapshots with and
+// without a delta, and a reloaded snapshot answers and re-saves
+// exactly.
+func TestLifecycleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	totalRules := 0
-	for _, k := range []int{1, 2, 3, 7} {
-		totalRules += runShardDifferential(t, rng, k)
+	for _, trial := range []int{101, 102, 103, 107} {
+		totalRules += runLifecycleDifferential(t, rng, trial)
 	}
 	if totalRules == 0 {
-		t.Fatal("no shard trial produced any rules; the differential comparison is vacuous")
+		t.Fatal("no trial produced any rules; the differential comparison is vacuous")
 	}
 }
 
-func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
+func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 	t.Helper()
-	cfg := randomDiffConfig(rng, 100+k)
+	cfg := randomDiffConfig(rng, trial)
 	d, err := datagen.Generate(cfg)
 	if err != nil {
-		t.Fatalf("K=%d: generate: %v", k, err)
+		t.Fatalf("%s: generate: %v", cfg.Name, err)
 	}
 	ds := &Dataset{rel: d}
 	primary := 0.15 + 0.2*rng.Float64()
-	mono, err := Open(ds, Options{PrimarySupport: primary, Workers: 1})
+	ser, err := Open(ds, Options{PrimarySupport: primary, Workers: 1})
 	if err != nil {
-		t.Fatalf("K=%d: open monolith: %v", k, err)
+		t.Fatalf("%s: open serial: %v", cfg.Name, err)
 	}
-	ser, err := Open(ds, Options{PrimarySupport: primary, Workers: 1, Shards: k})
+	par, err := Open(ds, Options{PrimarySupport: primary, Workers: 4})
 	if err != nil {
-		t.Fatalf("K=%d: open sharded serial: %v", k, err)
-	}
-	par, err := Open(ds, Options{PrimarySupport: primary, Workers: 4, Shards: k})
-	if err != nil {
-		t.Fatalf("K=%d: open sharded parallel: %v", k, err)
+		t.Fatalf("%s: open parallel: %v", cfg.Name, err)
 	}
 
 	queries := make([]Query, 2)
@@ -412,190 +407,145 @@ func runShardDifferential(t *testing.T, rng *rand.Rand, k int) int {
 	compare := func(stage string) {
 		t.Helper()
 		for qi, q := range queries {
-			estM, err := mono.Explain(q)
+			estS, err := ser.Explain(q)
 			if err != nil {
-				t.Fatalf("K=%d %s query %d: explain monolith: %v", k, stage, qi, err)
+				t.Fatalf("%s %s query %d: explain serial: %v", cfg.Name, stage, qi, err)
 			}
-			for name, e := range map[string]*Engine{"sharded serial": ser, "sharded parallel": par} {
-				est, err := e.Explain(q)
-				if err != nil {
-					t.Fatalf("K=%d %s query %d: explain %s: %v", k, stage, qi, name, err)
-				}
-				if !reflect.DeepEqual(est, estM) {
-					t.Fatalf("K=%d %s query %d: %s estimates differ from monolith\ngot:  %+v\nwant: %+v",
-						k, stage, qi, name, est, estM)
-				}
+			estP, err := par.Explain(q)
+			if err != nil {
+				t.Fatalf("%s %s query %d: explain parallel: %v", cfg.Name, stage, qi, err)
+			}
+			if !reflect.DeepEqual(estP, estS) {
+				t.Fatalf("%s %s query %d: parallel estimates differ from serial\ngot:  %+v\nwant: %+v",
+					cfg.Name, stage, qi, estP, estS)
 			}
 			for _, plan := range append(forced, Auto) {
 				pq := q
 				pq.Plan = plan
-				label := fmt.Sprintf("K=%d %s query %d plan %s", k, stage, qi, plan)
-				resM, err := mono.Mine(pq)
-				if err != nil {
-					t.Fatalf("%s: monolith: %v", label, err)
-				}
+				label := fmt.Sprintf("%s %s query %d plan %s", cfg.Name, stage, qi, plan)
 				resS, err := ser.Mine(pq)
 				if err != nil {
-					t.Fatalf("%s: sharded serial: %v", label, err)
+					t.Fatalf("%s: serial: %v", label, err)
 				}
 				resP, err := par.Mine(pq)
 				if err != nil {
-					t.Fatalf("%s: sharded parallel: %v", label, err)
+					t.Fatalf("%s: parallel: %v", label, err)
 				}
-				if !reflect.DeepEqual(resS.Rules, resM.Rules) {
-					t.Fatalf("%s: sharded rules differ from monolith\ngot:  %v\nwant: %v",
-						label, resS.Rules, resM.Rules)
+				if !reflect.DeepEqual(resP.Rules, resS.Rules) {
+					t.Fatalf("%s: parallel rules differ from serial\ngot:  %v\nwant: %v",
+						label, resP.Rules, resS.Rules)
 				}
-				if !reflect.DeepEqual(resP.Rules, resM.Rules) {
-					t.Fatalf("%s: parallel sharded rules differ from monolith", label)
+				ss, sp := resS.Stats, resP.Stats
+				ss.DurationNanos, sp.DurationNanos = 0, 0
+				if sp != ss {
+					t.Fatalf("%s: parallel stats differ from serial\nserial:   %+v\nparallel: %+v",
+						label, ss, sp)
 				}
-				sm, ss, sp := resM.Stats, resS.Stats, resP.Stats
-				sm.DurationNanos, ss.DurationNanos, sp.DurationNanos = 0, 0, 0
-				if ss != sm {
-					t.Fatalf("%s: sharded stats differ from monolith\nmonolith: %+v\nsharded:  %+v",
-						label, sm, ss)
-				}
-				if sp != sm {
-					t.Fatalf("%s: parallel sharded stats differ from monolith\nmonolith: %+v\nsharded:  %+v",
-						label, sm, sp)
-				}
-				totalRules += len(resM.Rules)
+				totalRules += len(resS.Rules)
 			}
 		}
+	}
+	// sameSnapshot saves both engines, requires byte-identical v5
+	// streams, and returns the serial one.
+	sameSnapshot := func(stage string) []byte {
+		t.Helper()
+		var bufS, bufP bytes.Buffer
+		if err := ser.Save(&bufS); err != nil {
+			t.Fatalf("%s %s: save serial: %v", cfg.Name, stage, err)
+		}
+		if err := par.Save(&bufP); err != nil {
+			t.Fatalf("%s %s: save parallel: %v", cfg.Name, stage, err)
+		}
+		if !bytes.Equal(bufP.Bytes(), bufS.Bytes()) {
+			t.Fatalf("%s %s: snapshot bytes differ (%d vs %d bytes)", cfg.Name, stage, bufP.Len(), bufS.Len())
+		}
+		if !bytes.Contains(bufS.Bytes()[:64], []byte("COLARM-MIP-v5")) {
+			t.Fatalf("%s %s: snapshot does not carry the v5 magic", cfg.Name, stage)
+		}
+		return bufS.Bytes()
 	}
 
 	compare("fresh")
 
-	// Live delta: one batch of inserts plus deletes, applied to all
-	// three engines identically (the id spaces coincide until a
-	// rebuild). The per-shard staleness must tile the global counters.
+	// Live delta: one batch of inserts plus deletes, applied to both
+	// engines identically.
 	ins, dels := randomIngestBatch(rng, ds, d.NumRecords(), true)
-	for name, e := range map[string]*Engine{"monolith": mono, "sharded serial": ser, "sharded parallel": par} {
+	for name, e := range map[string]*Engine{"serial": ser, "parallel": par} {
 		if _, err := e.Ingest(ins, dels); err != nil {
-			t.Fatalf("K=%d: ingest into %s: %v", k, name, err)
-		}
-	}
-	if k > 1 {
-		st := ser.Staleness()
-		if len(st.Shards) != k {
-			t.Fatalf("K=%d: staleness reports %d shards", k, len(st.Shards))
-		}
-		buf, tomb, recs := 0, 0, 0
-		for _, ss := range st.Shards {
-			buf += ss.BufferedRows
-			tomb += ss.Tombstones
-			recs += ss.Records
-		}
-		if buf != st.BufferedRows || tomb != st.Tombstones {
-			t.Fatalf("K=%d: per-shard staleness does not tile the global counters: %+v", k, st)
-		}
-		if recs <= 0 {
-			t.Fatalf("K=%d: per-shard record counts sum to %d", k, recs)
+			t.Fatalf("%s: ingest into %s: %v", cfg.Name, name, err)
 		}
 	}
 	compare("delta")
+	sameSnapshot("delta")
 
-	// K=1 must also persist byte-for-byte like the monolith, under the
-	// v5 snapshot magic (no sharded engine exists at K=1, so nothing
-	// may leak into the stream).
-	if k == 1 {
-		var bufM, bufS bytes.Buffer
-		if err := mono.Save(&bufM); err != nil {
-			t.Fatalf("K=1: save monolith: %v", err)
-		}
-		if err := ser.Save(&bufS); err != nil {
-			t.Fatalf("K=1: save sharded: %v", err)
-		}
-		if !bytes.Equal(bufM.Bytes(), bufS.Bytes()) {
-			t.Fatalf("K=1: snapshot bytes differ from monolith (%d vs %d bytes)", bufM.Len(), bufS.Len())
-		}
-		if !bytes.Contains(bufS.Bytes()[:64], []byte("COLARM-MIP-v5")) {
-			t.Fatalf("K=1: snapshot does not carry the v5 magic")
-		}
-	}
-
-	// Rebuild: every layout re-mines the merged dataset with compacted
-	// record ids, and a sharded engine re-labels the fresh index.
-	// Every query surface must still agree exactly.
+	// Rebuild: both engines re-mine the merged dataset with compacted
+	// record ids. Every query surface must still agree exactly.
 	ctx := context.Background()
-	mono2, err := mono.Rebuild(ctx)
-	if err != nil {
-		t.Fatalf("K=%d: rebuild monolith: %v", k, err)
-	}
 	ser2, err := ser.Rebuild(ctx)
 	if err != nil {
-		t.Fatalf("K=%d: rebuild sharded serial: %v", k, err)
+		t.Fatalf("%s: rebuild serial: %v", cfg.Name, err)
 	}
 	par2, err := par.Rebuild(ctx)
 	if err != nil {
-		t.Fatalf("K=%d: rebuild sharded parallel: %v", k, err)
+		t.Fatalf("%s: rebuild parallel: %v", cfg.Name, err)
 	}
-	mono, ser, par = mono2, ser2, par2
+	ser, par = ser2, par2
 	compare("rebuilt")
 
-	// One relation whatever the access path: the rebuilt engines hold
-	// the same records under the same ids, so they persist to the same
-	// bytes at every K and draw the id-space boundary at the same place.
-	var snapM bytes.Buffer
-	if err := mono.Save(&snapM); err != nil {
-		t.Fatalf("K=%d: save rebuilt monolith: %v", k, err)
+	// The rebuilt engines hold the same records under the same ids, so
+	// they persist to the same bytes and draw the id-space boundary at
+	// the same place.
+	snap := sameSnapshot("rebuilt")
+	n := ser.Dataset().NumRecords()
+	if got := par.Dataset().NumRecords(); got != n {
+		t.Fatalf("%s: rebuilt parallel holds %d records, serial %d", cfg.Name, got, n)
 	}
-	n := mono.Dataset().NumRecords()
-	for name, e := range map[string]*Engine{"sharded serial": ser, "sharded parallel": par} {
-		if got := e.Dataset().NumRecords(); got != n {
-			t.Fatalf("K=%d: rebuilt %s holds %d records, monolith %d", k, name, got, n)
-		}
-		var b bytes.Buffer
-		if err := e.Save(&b); err != nil {
-			t.Fatalf("K=%d: save rebuilt %s: %v", k, name, err)
-		}
-		if !bytes.Equal(b.Bytes(), snapM.Bytes()) {
-			t.Fatalf("K=%d: rebuilt %s snapshot differs from the monolith's (%d vs %d bytes)", k, name, b.Len(), snapM.Len())
-		}
-	}
-	for name, e := range map[string]*Engine{"monolith": mono, "sharded serial": ser, "sharded parallel": par} {
+	for name, e := range map[string]*Engine{"serial": ser, "parallel": par} {
 		if _, err := e.Ingest(nil, []int{n}); !errors.Is(err, ErrBadRecordID) {
-			t.Fatalf("K=%d: rebuilt %s: delete of id %d past the %d compacted records: %v, want ErrBadRecordID", k, name, n, n, err)
+			t.Fatalf("%s: rebuilt %s: delete of id %d past the %d compacted records: %v, want ErrBadRecordID", cfg.Name, name, n, n, err)
 		}
 	}
 
-	// The rebuilt sharded snapshot must round-trip through save/load
-	// and keep answering exactly.
-	var snap bytes.Buffer
-	if err := ser.Save(&snap); err != nil {
-		t.Fatalf("K=%d: save rebuilt: %v", k, err)
-	}
-	loaded, err := LoadEngine(bytes.NewReader(snap.Bytes()), Options{Workers: 1, Shards: k})
+	// The rebuilt snapshot must round-trip through save/load, keep
+	// answering exactly and re-save to the same bytes.
+	loaded, err := LoadEngine(bytes.NewReader(snap), Options{Workers: 1})
 	if err != nil {
-		t.Fatalf("K=%d: load rebuilt: %v", k, err)
+		t.Fatalf("%s: load rebuilt: %v", cfg.Name, err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatalf("%s: save reloaded: %v", cfg.Name, err)
+	}
+	if !bytes.Equal(again.Bytes(), snap) {
+		t.Fatalf("%s: reloaded snapshot re-saves to different bytes (%d vs %d)", cfg.Name, again.Len(), len(snap))
 	}
 	for qi, q := range queries {
 		for _, plan := range forced {
 			pq := q
 			pq.Plan = plan
-			resM, err := mono.Mine(pq)
+			resS, err := ser.Mine(pq)
 			if err != nil {
-				t.Fatalf("K=%d loaded query %d plan %s: monolith: %v", k, qi, plan, err)
+				t.Fatalf("%s loaded query %d plan %s: serial: %v", cfg.Name, qi, plan, err)
 			}
 			resL, err := loaded.Mine(pq)
 			if err != nil {
-				t.Fatalf("K=%d loaded query %d plan %s: %v", k, qi, plan, err)
+				t.Fatalf("%s loaded query %d plan %s: %v", cfg.Name, qi, plan, err)
 			}
-			sm, sl := resM.Stats, resL.Stats
-			sm.DurationNanos, sl.DurationNanos = 0, 0
-			if !reflect.DeepEqual(resL.Rules, resM.Rules) || sl != sm {
-				t.Fatalf("K=%d loaded query %d plan %s: loaded snapshot diverges from monolith", k, qi, plan)
+			ss, sl := resS.Stats, resL.Stats
+			ss.DurationNanos, sl.DurationNanos = 0, 0
+			if !reflect.DeepEqual(resL.Rules, resS.Rules) || sl != ss {
+				t.Fatalf("%s loaded query %d plan %s: loaded snapshot diverges from serial", cfg.Name, qi, plan)
 			}
 		}
 	}
 
-	// Post-rebuild ingestion: the id spaces coincide again, so the batch
-	// deletes too, anywhere up to the last compacted id.
+	// Post-rebuild ingestion: the batch deletes too, anywhere up to the
+	// last compacted id.
 	ins2, dels2 := randomIngestBatch(rng, ds, n, true)
 	dels2 = append(dels2, n-1)
-	for name, e := range map[string]*Engine{"monolith": mono, "sharded serial": ser, "sharded parallel": par} {
+	for name, e := range map[string]*Engine{"serial": ser, "parallel": par} {
 		if _, err := e.Ingest(ins2, dels2); err != nil {
-			t.Fatalf("K=%d: post-rebuild ingest into %s: %v", k, name, err)
+			t.Fatalf("%s: post-rebuild ingest into %s: %v", cfg.Name, name, err)
 		}
 	}
 	compare("post-rebuild delta")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"colarm/internal/delta"
-	"colarm/internal/shard"
 )
 
 // Staleness reports how far an engine's base index has drifted from the
@@ -27,18 +26,7 @@ type Staleness struct {
 	delta.Staleness
 	// Generation counts full rebuilds since the engine was opened.
 	Generation uint64 `json:"-"`
-	// Shards breaks the drift down per shard on a sharded engine
-	// (Options.Shards >= 2); nil on a monolithic one. The per-shard
-	// BufferedRows and Tombstones sum to the global counters above.
-	Shards []ShardStaleness `json:"shards,omitempty"`
 }
-
-// ShardStaleness is one shard's slice of a sharded engine's drift: the
-// Shard number in [0, K), the live Records it owns, the live
-// BufferedRows routed to it, the Tombstones of records it owns, and its
-// Version clock, which ticks on every ingest batch touching the shard
-// and restarts at 0 with each Rebuild.
-type ShardStaleness = shard.ShardStat
 
 // Ingest buffers live transactions — inserts and deletes — without
 // rebuilding the index. Each insert maps every attribute name to a
@@ -47,7 +35,7 @@ type ShardStaleness = shard.ShardStat
 // data). Deletes name record ids: 0..NumRecords()-1 for base records,
 // then ids assigned to inserts in arrival order; within one generation
 // a deleted id is never reused, and a Rebuild compacts the surviving
-// records to 0..NumRecords()-1 in order, whatever Options.Shards is.
+// records to 0..NumRecords()-1 in order.
 // The batch is atomic — it is validated in full and either applied
 // entirely or rejected without effect.
 //
@@ -108,7 +96,7 @@ func (e *Engine) Staleness() Staleness {
 }
 
 func (e *Engine) wrapStaleness(st delta.Staleness) Staleness {
-	return Staleness{Staleness: st, Generation: e.gen, Shards: e.eng.ShardStats()}
+	return Staleness{Staleness: st, Generation: e.gen}
 }
 
 // Generation counts full rebuilds since the engine was opened (0 for a

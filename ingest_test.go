@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"colarm/internal/datagen"
-	"colarm/internal/shard"
 )
 
 // TestIngestDifferentialRebuild is the exactness proof for live
@@ -202,16 +201,12 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-// TestShardedStalenessAllocsIndependentOfDelta pins what Staleness costs
-// on a sharded engine — every ingest acknowledgement and every dataset
-// listing asks for it: the per-shard breakdown is counted where the
-// buffered rows lie, so a call allocates the same with one buffered row
-// as with four thousand. At every K the breakdown tiles the totals —
-// each shard owns the live records the router labels with it, buffered
-// rows and tombstones sum to the global counters — and a snapshot
-// reload that replays the buffered delta, bumping no ingest metric,
-// reports the same breakdown.
-func TestShardedStalenessAllocsIndependentOfDelta(t *testing.T) {
+// TestStalenessAllocsIndependentOfDelta pins what Staleness costs —
+// every ingest acknowledgement and every dataset listing asks for it: a
+// call allocates the same with one buffered row as with four thousand.
+// A snapshot reload that replays the buffered delta, bumping no ingest
+// metric, reports the same drift.
+func TestStalenessAllocsIndependentOfDelta(t *testing.T) {
 	ds, err := Salary()
 	if err != nil {
 		t.Fatal(err)
@@ -225,83 +220,43 @@ func TestShardedStalenessAllocsIndependentOfDelta(t *testing.T) {
 	for i := range rows {
 		rows[i] = row
 	}
-	for _, k := range []int{2, 3, 4, 7} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			eng, err := Open(ds, Options{PrimarySupport: 0.18, Shards: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkShardTiles(t, "fresh", eng, k)
-			if _, err := eng.Ingest(rows[:1], []int{0}); err != nil {
-				t.Fatal(err)
-			}
-			few := testing.AllocsPerRun(20, func() { eng.Staleness() })
-			if _, err := eng.Ingest(rows, []int{1, ds.NumRecords()}); err != nil {
-				t.Fatal(err)
-			}
-			many := testing.AllocsPerRun(20, func() { eng.Staleness() })
-			if few != many {
-				t.Errorf("Staleness allocates %v times with 1 buffered row, %v with 4096", few, many)
-			}
-			st := checkShardTiles(t, "delta", eng, k)
-			if st.BufferedRows != 4095 || st.Tombstones != 3 {
-				t.Fatalf("staleness %+v, want 4095 buffered rows and 3 tombstones", st.Staleness)
-			}
+	eng, err := Open(ds, Options{PrimarySupport: 0.18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Ingest(rows[:1], []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	few := testing.AllocsPerRun(20, func() { eng.Staleness() })
+	if _, err := eng.Ingest(rows, []int{1, ds.NumRecords()}); err != nil {
+		t.Fatal(err)
+	}
+	many := testing.AllocsPerRun(20, func() { eng.Staleness() })
+	if few != many {
+		t.Errorf("Staleness allocates %v times with 1 buffered row, %v with 4096", few, many)
+	}
+	st := eng.Staleness()
+	if st.BufferedRows != 4095 || st.Tombstones != 3 {
+		t.Fatalf("staleness %+v, want 4095 buffered rows and 3 tombstones", st.Staleness)
+	}
 
-			var snap bytes.Buffer
-			if err := eng.Save(&snap); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadEngine(&snap, Options{Shards: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The replay is no fresh ingest: it bumps no ingest metric.
-			batches := func(e *Engine) int64 {
-				return e.eng.Metrics.CounterWith("colarm_ingest_batches_total", `dataset="salary"`, "").Value()
-			}
-			if batches(eng) != 2 || batches(loaded) != 0 {
-				t.Fatalf("ingest batches: %d saved, %d after the reload's replay; want 2 and 0", batches(eng), batches(loaded))
-			}
-			got := checkShardTiles(t, "reloaded", loaded, k)
-			for s := range got.Shards {
-				a, b := st.Shards[s], got.Shards[s]
-				a.Version, b.Version = 0, 0
-				if a != b {
-					t.Fatalf("shard %d reloads as %+v, saved as %+v", s, b, a)
-				}
-			}
-		})
+	var snap bytes.Buffer
+	if err := eng.Save(&snap); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// checkShardTiles checks e's per-shard staleness: K shards, each owning
-// the live record ids the router labels with it, with buffered rows and
-// tombstones summing to the global counters. It returns the staleness.
-func checkShardTiles(t *testing.T, stage string, e *Engine, k int) Staleness {
-	t.Helper()
-	st := e.Staleness()
-	if len(st.Shards) != k {
-		t.Fatalf("%s: %d shards, want %d", stage, len(st.Shards), k)
+	loaded, err := LoadEngine(&snap, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	surf, router := e.eng.Delta.Surface(), shard.NewRouter(k)
-	live := make([]int, k)
-	for id := 0; id < surf.NumRecords; id++ {
-		if surf.Live == nil || surf.Live.Contains(id) {
-			live[router.Of(id)]++
-		}
+	// The replay is no fresh ingest: it bumps no ingest metric.
+	batches := func(e *Engine) int64 {
+		return e.eng.Metrics.CounterWith("colarm_ingest_batches_total", `dataset="salary"`, "").Value()
 	}
-	var buffered, tombs int
-	for s, ss := range st.Shards {
-		if ss.Shard != s || ss.Records != live[s] {
-			t.Fatalf("%s: shard %+v, want shard %d owning %d live records", stage, ss, s, live[s])
-		}
-		buffered += ss.BufferedRows
-		tombs += ss.Tombstones
+	if batches(eng) != 2 || batches(loaded) != 0 {
+		t.Fatalf("ingest batches: %d saved, %d after the reload's replay; want 2 and 0", batches(eng), batches(loaded))
 	}
-	if buffered != st.BufferedRows || tombs != st.Tombstones {
-		t.Fatalf("%s: shards %+v do not tile %d buffered rows and %d tombstones",
-			stage, st.Shards, st.BufferedRows, st.Tombstones)
+	got := loaded.Staleness()
+	if got.BufferedRows != st.BufferedRows || got.Tombstones != st.Tombstones || got.RebuildRecommended != st.RebuildRecommended {
+		t.Fatalf("reloaded staleness %+v, saved %+v", got.Staleness, st.Staleness)
 	}
-	return st
 }

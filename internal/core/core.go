@@ -16,7 +16,6 @@ import (
 	"colarm/internal/plans"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
-	"colarm/internal/shard"
 )
 
 // Options configures engine construction.
@@ -33,11 +32,6 @@ type Options struct {
 	// sharing a registry stay distinguishable (and same-dataset engines
 	// aggregate).
 	Metrics *obs.Registry
-	// Shards labels the records with K hash-routed shards for ingest
-	// routing, per-shard clocks and per-shard staleness (Engine.Coll).
-	// Queries, estimates and snapshots do not depend on it; 0 or 1
-	// keeps no labels.
-	Shards int
 }
 
 // Engine is a ready-to-query COLARM instance over one dataset.
@@ -61,13 +55,8 @@ type Engine struct {
 	Model    *cost.Model
 	// Delta buffers transactions ingested after the index build and
 	// serves the surface of each delta version; queries stay exact while
-	// the base index ages. Never nil, and built the same way at every
-	// shard count.
+	// the base index ages. Never nil.
 	Delta *delta.Store
-	// Coll labels the records with shards when Options.Shards is at
-	// least 2: it routes ingest batches into Delta and reports per-shard
-	// drift. nil on an engine without shards.
-	Coll *shard.Collection
 
 	// surface is Delta.Surface; tests wrap it to count or rig
 	// resolutions.
@@ -128,8 +117,7 @@ func Assemble(idx *mip.Index, opts Options) *Engine {
 	return e
 }
 
-// initDelta gives the engine its delta store, and the shard collection
-// routing into it when Options.Shards asks for one.
+// initDelta gives the engine its delta store.
 func (e *Engine) initDelta() {
 	primary := e.opts.PrimarySupport
 	if primary <= 0 && e.Index.Dataset.NumRecords() > 0 {
@@ -142,9 +130,6 @@ func (e *Engine) initDelta() {
 	e.Delta = delta.NewStore(e.Index, primary)
 	e.Delta.SetWorkers(e.opts.Workers)
 	e.surface = e.Delta.Surface
-	if e.opts.Shards > 1 {
-		e.Coll = shard.New(e.Delta, e.Index.Dataset.NumRecords(), e.opts.Shards)
-	}
 }
 
 // initMetrics registers the engine's cumulative metrics in reg, or in a
@@ -208,7 +193,7 @@ func (e *Engine) noteDelta(f *plans.Focal, err error) {
 // the returned staleness reports the accumulated drift and whether the
 // refresh policy now recommends a rebuild.
 func (e *Engine) Ingest(rows [][]int32, deletes []int) (delta.Staleness, error) {
-	st, err := e.Replay(rows, deletes)
+	st, err := e.Delta.Ingest(rows, deletes)
 	if err != nil {
 		return st, err
 	}
@@ -218,36 +203,15 @@ func (e *Engine) Ingest(rows [][]int32, deletes []int) (delta.Staleness, error) 
 	return st, nil
 }
 
-// Replay is Ingest without the ingest metrics: it buffers the batch
-// through the shard collection when there is one (so the shard clocks
-// tick), straight into the store otherwise. Restoring a snapshot's
-// persisted delta calls it, as that is not a fresh ingest.
-func (e *Engine) Replay(rows [][]int32, deletes []int) (delta.Staleness, error) {
-	if e.Coll != nil {
-		return e.Coll.Ingest(rows, deletes)
-	}
-	return e.Delta.Ingest(rows, deletes)
-}
-
 // Staleness reports the engine's drift from the merged dataset.
 func (e *Engine) Staleness() delta.Staleness { return e.Delta.Staleness() }
-
-// ShardStats reports per-shard staleness; nil on an engine without
-// shards.
-func (e *Engine) ShardStats() []shard.ShardStat {
-	if e.Coll == nil {
-		return nil
-	}
-	return e.Coll.ShardStats()
-}
 
 // Rebuild runs the offline phase over the merged dataset — base records
 // minus tombstones plus buffered inserts, ids compacted — and returns a
 // fresh engine with an empty delta, the same Options and the same R-tree
-// fanout (a sharded engine re-labels the fresh index), sharing this
-// engine's metrics registry. The receiver is untouched and remains
-// queryable throughout, so a serving layer can rebuild in the background
-// and atomically swap engines when done.
+// fanout, sharing this engine's metrics registry. The receiver is
+// untouched and remains queryable throughout, so a serving layer can
+// rebuild in the background and atomically swap engines when done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -66,45 +65,43 @@ func countResolutions(e *Engine) *int {
 
 // TestOneResolutionPerRequest is the invariant the single execution
 // surface rests on: every entry point reads the engine's index state
-// exactly once — monolithic or sharded, with or without a live delta,
-// for a query the gate admits and one it forces to ARM.
+// exactly once — with or without a live delta, for a query the gate
+// admits and one it forces to ARM.
 func TestOneResolutionPerRequest(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		eng, err := NewEngine(gateDataset(t), Options{PrimarySupport: 0.4, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		low := lowSupportQuery(t, eng)
-		high := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.5, MinConfidence: 0.9}
-		n := countResolutions(eng)
-		check := func(stage string) {
-			t.Helper()
-			for _, q := range []*plans.Query{low, high} {
-				entries := []struct {
-					name string
-					call func() error
-				}{
-					{"MineContext", func() error { _, _, err := eng.MineContext(context.Background(), q); return err }},
-					{"MineWithContext", func() error { _, err := eng.MineWithContext(context.Background(), plans.SSEUV, q); return err }},
-					{"ExplainContext", func() error { _, _, err := eng.ExplainContext(context.Background(), q); return err }},
+	eng, err := NewEngine(gateDataset(t), Options{PrimarySupport: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := lowSupportQuery(t, eng)
+	high := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.5, MinConfidence: 0.9}
+	n := countResolutions(eng)
+	check := func(stage string) {
+		t.Helper()
+		for _, q := range []*plans.Query{low, high} {
+			entries := []struct {
+				name string
+				call func() error
+			}{
+				{"MineContext", func() error { _, _, err := eng.MineContext(context.Background(), q); return err }},
+				{"MineWithContext", func() error { _, err := eng.MineWithContext(context.Background(), plans.SSEUV, q); return err }},
+				{"ExplainContext", func() error { _, _, err := eng.ExplainContext(context.Background(), q); return err }},
+			}
+			for _, e := range entries {
+				*n = 0
+				if err := e.call(); err != nil {
+					t.Fatalf("%s %s: %v", stage, e.name, err)
 				}
-				for _, e := range entries {
-					*n = 0
-					if err := e.call(); err != nil {
-						t.Fatalf("K=%d %s %s: %v", shards, stage, e.name, err)
-					}
-					if *n != 1 {
-						t.Errorf("K=%d %s: %s resolved the surface %d times, want exactly once", shards, stage, e.name, *n)
-					}
+				if *n != 1 {
+					t.Errorf("%s: %s resolved the surface %d times, want exactly once", stage, e.name, *n)
 				}
 			}
 		}
-		check("frozen")
-		if _, err := eng.Ingest([][]int32{{0, 0, 0, 0}, {1, 1, 1, 1}}, []int{5}); err != nil {
-			t.Fatal(err)
-		}
-		check("live delta")
 	}
+	check("frozen")
+	if _, err := eng.Ingest([][]int32{{0, 0, 0, 0}, {1, 1, 1, 1}}, []int{5}); err != nil {
+		t.Fatal(err)
+	}
+	check("live delta")
 }
 
 // TestGateAndPlanReadOneVersion is the regression for the gate-on-v1 /
@@ -218,104 +215,100 @@ func pricedSubset(q *plans.Query, ests []cost.Estimate) float64 {
 // creates a subset the base table lacks, every plan has work to price,
 // and after a delete empties one, no plan has any.
 func TestEstimatesPriceTheResolvedSubset(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("insert/K=%d", shards), func(t *testing.T) {
-			eng := salaryEngine(t, Options{Shards: shards})
-			rows := [][]int32{
-				salaryRow(t, eng, "Microsoft", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
-				salaryRow(t, eng, "Facebook", "QA Engg", "Seattle", "M", "20-30", "60K-90K"),
-				salaryRow(t, eng, "Microsoft", "Engg Mgr", "Seattle", "M", "40-50", "120K-150K"),
-				salaryRow(t, eng, "Google", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
-			}
-			if _, err := eng.Ingest(rows, nil); err != nil {
-				t.Fatal(err)
-			}
-			reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"Seattle"}, "Gender": {"M"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
-			_, ests, err := eng.Explain(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range ests {
-				if e.Total <= 0 {
-					t.Errorf("%v estimate %v over a 4-record subset", e.Plan, e.Total)
-				}
-			}
-			res, ests, err := eng.Mine(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.SubsetSize != 4 {
-				t.Fatalf("|D^Q| = %d, want the 4 ingested rows", res.Stats.SubsetSize)
-			}
-			if got := pricedSubset(q, ests); math.Round(got) != float64(res.Stats.SubsetSize) {
-				t.Errorf("optimizer priced |D^Q| = %v, the plan ran over %d", got, res.Stats.SubsetSize)
-			}
-		})
-		t.Run(fmt.Sprintf("delete/K=%d", shards), func(t *testing.T) {
-			eng := salaryEngine(t, Options{Shards: shards})
-			reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"SFO"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
-			if _, err := eng.Ingest(nil, eng.Resolve(q).DQ.IDs()); err != nil {
-				t.Fatal(err)
-			}
-			_, ests, err := eng.Explain(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ests) != 6 {
-				t.Fatalf("%d estimates", len(ests))
-			}
-			for _, e := range ests {
-				if e.Total != 0 {
-					t.Errorf("%v estimate %v over the emptied subset", e.Plan, e.Total)
-				}
-			}
-		})
-	}
-}
-
-// TestAllRowsDeleted: with every record deleted the merged surface holds
-// no CFI and an empty packed tree, every plan answers with no rules and
-// no error, and every estimate is 0 — monolithic and sharded.
-func TestAllRowsDeleted(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		eng := salaryEngine(t, Options{Shards: shards})
-		all := make([]int, eng.Index.Dataset.NumRecords())
-		for i := range all {
-			all[i] = i
+	t.Run("insert", func(t *testing.T) {
+		eng := salaryEngine(t, Options{})
+		rows := [][]int32{
+			salaryRow(t, eng, "Microsoft", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
+			salaryRow(t, eng, "Facebook", "QA Engg", "Seattle", "M", "20-30", "60K-90K"),
+			salaryRow(t, eng, "Microsoft", "Engg Mgr", "Seattle", "M", "40-50", "120K-150K"),
+			salaryRow(t, eng, "Google", "Sw Engg", "Seattle", "M", "30-40", "90K-120K"),
 		}
-		if _, err := eng.Ingest(nil, all); err != nil {
+		if _, err := eng.Ingest(rows, nil); err != nil {
 			t.Fatal(err)
 		}
-		q := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.5, MinConfidence: 0.5}
-		s := eng.Resolve(q).Surface
-		if s.Tree.Size() != 0 || s.RTree.Size() != 0 || s.RTree.Height() != 1 {
-			t.Fatalf("K=%d: %d CFIs, a tree of %d entries and height %d", shards, s.Tree.Size(), s.RTree.Size(), s.RTree.Height())
+		reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"Seattle"}, "Gender": {"M"}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := s.RTree.Validate(); err != nil {
-			t.Fatalf("K=%d: %v", shards, err)
-		}
-		for _, k := range plans.Kinds() {
-			res, err := eng.MineWith(k, q)
-			if err != nil || len(res.Rules) != 0 {
-				t.Errorf("K=%d %v: %d rules, error %v", shards, k, len(res.Rules), err)
-			}
-		}
+		q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
 		_, ests, err := eng.Explain(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range ests {
-			if e != (cost.Estimate{Plan: e.Plan}) {
-				t.Errorf("K=%d: estimate %+v over an empty dataset", shards, e)
+			if e.Total <= 0 {
+				t.Errorf("%v estimate %v over a 4-record subset", e.Plan, e.Total)
 			}
+		}
+		res, ests, err := eng.Mine(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.SubsetSize != 4 {
+			t.Fatalf("|D^Q| = %d, want the 4 ingested rows", res.Stats.SubsetSize)
+		}
+		if got := pricedSubset(q, ests); math.Round(got) != float64(res.Stats.SubsetSize) {
+			t.Errorf("optimizer priced |D^Q| = %v, the plan ran over %d", got, res.Stats.SubsetSize)
+		}
+	})
+	t.Run("delete", func(t *testing.T) {
+		eng := salaryEngine(t, Options{})
+		reg, err := eng.Index.RegionFromSelections(map[string][]string{"Location": {"SFO"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := &plans.Query{Region: reg, MinSupport: 0.5, MinConfidence: 0.5}
+		if _, err := eng.Ingest(nil, eng.Resolve(q).DQ.IDs()); err != nil {
+			t.Fatal(err)
+		}
+		_, ests, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ests) != 6 {
+			t.Fatalf("%d estimates", len(ests))
+		}
+		for _, e := range ests {
+			if e.Total != 0 {
+				t.Errorf("%v estimate %v over the emptied subset", e.Plan, e.Total)
+			}
+		}
+	})
+}
+
+// TestAllRowsDeleted: with every record deleted the merged surface holds
+// no CFI and an empty packed tree, every plan answers with no rules and
+// no error, and every estimate is 0.
+func TestAllRowsDeleted(t *testing.T) {
+	eng := salaryEngine(t, Options{})
+	all := make([]int, eng.Index.Dataset.NumRecords())
+	for i := range all {
+		all[i] = i
+	}
+	if _, err := eng.Ingest(nil, all); err != nil {
+		t.Fatal(err)
+	}
+	q := &plans.Query{Region: itemset.RegionFor(eng.Index.Space), MinSupport: 0.5, MinConfidence: 0.5}
+	s := eng.Resolve(q).Surface
+	if s.Tree.Size() != 0 || s.RTree.Size() != 0 || s.RTree.Height() != 1 {
+		t.Fatalf("%d CFIs, a tree of %d entries and height %d", s.Tree.Size(), s.RTree.Size(), s.RTree.Height())
+	}
+	if err := s.RTree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range plans.Kinds() {
+		res, err := eng.MineWith(k, q)
+		if err != nil || len(res.Rules) != 0 {
+			t.Errorf("%v: %d rules, error %v", k, len(res.Rules), err)
+		}
+	}
+	_, ests, err := eng.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ests {
+		if e != (cost.Estimate{Plan: e.Plan}) {
+			t.Errorf("estimate %+v over an empty dataset", e)
 		}
 	}
 }

@@ -160,9 +160,8 @@ func (s *Store) SetWorkers(n int) {
 // Observe registers fn to be called after every accepted Ingest batch
 // with the interval it covered and the tuples it changed. The callback
 // runs synchronously on the ingesting goroutine, after the store's lock
-// is released but possibly under the lock of the shard collection that
-// routed the batch — it must return quickly and must not call back into
-// the store or the engine; hand the notice to a worker instead. Under
+// is released — it must return quickly and must not call back into the
+// store or the engine; hand the notice to a worker instead. Under
 // concurrent ingestion, callbacks for different batches may arrive out
 // of order; the intervals themselves always tile.
 // The returned cancel removes the observer.

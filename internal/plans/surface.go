@@ -15,8 +15,7 @@ import (
 // applicability gate sees the MIP-index. Both physical sources yield the
 // same shape — the frozen index (NewSurface, once at assembly) and the
 // delta store's merged view of one delta version (delta.Store.Surface)
-// — so the operators have one path each. An engine's shard count never
-// reaches a Surface: shards label records for ingest routing only.
+// — so the operators have one path each.
 //
 // Whatever built it, a Surface presents exactly what a from-scratch
 // build over its records would: Tree holds their closed frequent

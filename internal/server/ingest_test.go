@@ -152,25 +152,25 @@ func TestIngestForcedRebuild(t *testing.T) {
 // an earlier batch deleted counts nothing, and deleted always follows
 // the staleness object's tombstones.
 func TestIngestReportsTombstonedRecords(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			_, h := wireServer(t, colarm.Options{Shards: k}, Config{})
-			for _, c := range []struct {
-				deletes        []int
-				deleted, tombs int
-			}{
-				{[]int{3, 3}, 1, 1},
-				{[]int{3}, 0, 1},
-				{[]int{4, 3, 4}, 1, 2},
-			} {
-				resp := decodeIngest(t, postJSON(t, h, "/v1/ingest", ingestRequest{Dataset: "salary", Deletes: c.deletes, Rebuild: "never"}))
-				if resp.Deleted != c.deleted || resp.Staleness.Tombstones != c.tombs {
-					t.Fatalf("deletes %v: deleted %d with %d tombstones, want %d with %d",
-						c.deletes, resp.Deleted, resp.Staleness.Tombstones, c.deleted, c.tombs)
-				}
+	// The subtest keeps the name it had when the server also ran
+	// sharded engines; K=1 is the one engine every dataset has now.
+	t.Run("K=1", func(t *testing.T) {
+		_, h := wireServer(t, colarm.Options{}, Config{})
+		for _, c := range []struct {
+			deletes        []int
+			deleted, tombs int
+		}{
+			{[]int{3, 3}, 1, 1},
+			{[]int{3}, 0, 1},
+			{[]int{4, 3, 4}, 1, 2},
+		} {
+			resp := decodeIngest(t, postJSON(t, h, "/v1/ingest", ingestRequest{Dataset: "salary", Deletes: c.deletes, Rebuild: "never"}))
+			if resp.Deleted != c.deleted || resp.Staleness.Tombstones != c.tombs {
+				t.Fatalf("deletes %v: deleted %d with %d tombstones, want %d with %d",
+					c.deletes, resp.Deleted, resp.Staleness.Tombstones, c.deleted, c.tombs)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestIngestAutoRebuildAtThreshold: salary has 10 records, so its first

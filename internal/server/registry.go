@@ -73,11 +73,6 @@ type DatasetInfo struct {
 	BufferedRows       int  `json:"bufferedRows"`
 	Tombstones         int  `json:"tombstones"`
 	RebuildRecommended bool `json:"rebuildRecommended"`
-
-	// Shards lists per-shard record counts and drift on a sharded
-	// engine (buffered inserts route by partition key); absent on a
-	// monolithic one.
-	Shards []colarm.ShardStaleness `json:"shards,omitempty"`
 }
 
 // describe is the listing entry of one engine registered at generation
@@ -93,7 +88,6 @@ func describe(eng *colarm.Engine, gen uint64, st colarm.Staleness) DatasetInfo {
 		BufferedRows:       st.BufferedRows,
 		Tombstones:         st.Tombstones,
 		RebuildRecommended: st.RebuildRecommended,
-		Shards:             st.Shards,
 	}
 }
 

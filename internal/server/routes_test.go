@@ -155,7 +155,6 @@ func TestOpenAPISchemaCoverage(t *testing.T) {
 		"Stats":            colarm.Stats{},
 		"Estimate":         colarm.PlanEstimate{},
 		"Staleness":        colarm.Staleness{},
-		"ShardStaleness":   colarm.ShardStaleness{},
 		"UnitCosts":        colarm.UnitCosts{},
 		"Track":            standing.Track{},
 		"Crossing":         standing.Crossing{},

@@ -76,8 +76,8 @@ type Config struct {
 	// (default 8). Cache hits, explains and listings don't consume
 	// slots.
 	MaxInFlight int
-	// MaxQueue caps queries waiting for a slot (default 32; 0 keeps a
-	// strict no-queue policy where busy means 429).
+	// MaxQueue caps queries waiting for a slot (default 32; negative
+	// keeps a strict no-queue policy where busy means 429).
 	MaxQueue int
 	// QueueWait caps the time a query waits for a slot before a 429
 	// (default 2s).
@@ -89,8 +89,8 @@ type Config struct {
 	// CacheEntries bounds the result cache (total entries, default
 	// 4096; <0 disables caching).
 	CacheEntries int
-	// CacheTTL expires cached results (default 5m; 0 keeps entries
-	// until evicted).
+	// CacheTTL expires cached results (default 5m; negative keeps
+	// entries until evicted).
 	CacheTTL time.Duration
 	// EngineMetrics, when non-nil, is the shared registry the server's
 	// engines were opened with; /metrics appends its exposition after

@@ -565,6 +565,16 @@ func TestCacheTTL(t *testing.T) {
 	if c.len() != 0 || c.bytes.Value() != 0 {
 		t.Errorf("len = %d, bytes = %d after TTL eviction, want 0", c.len(), c.bytes.Value())
 	}
+
+	// A negative CacheTTL survives the defaults and keeps entries until
+	// evicted: a stored entry carries no expiry.
+	cfg := Config{CacheTTL: -1}.withDefaults()
+	forever := newResultCache(64, cfg.CacheTTL, obs.NewRegistry())
+	forever.put("k", fakeBody(10))
+	sh := forever.shard("k")
+	if ent := sh.m["k"].Value.(*cacheEntry); !ent.expires.IsZero() {
+		t.Errorf("CacheTTL -1 stored an entry expiring at %v, want no expiry", ent.expires)
+	}
 }
 
 // shardKeys returns n distinct keys that all land in c's shard sh.

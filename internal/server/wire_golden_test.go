@@ -171,13 +171,6 @@ func TestWireGolden(t *testing.T) {
 			"minSupport": 0.5, "minConfidence": 0.5}, 200))
 	})
 
-	t.Run("sharded", func(t *testing.T) {
-		_, h := wireServer(t, colarm.Options{Shards: 4}, Config{})
-		checkWire(t, "ingest_k4.json", scrubClock(do(t, h, "POST", "/v1/ingest", wireIngest, 200)))
-		checkWire(t, "datasets_k4.json", do(t, h, "GET", "/v1/datasets", nil, 200))
-		checkWire(t, "dataset_detail_k4.json", scrubClock(do(t, h, "GET", "/v1/datasets/salary", nil, 200)))
-	})
-
 	t.Run("subscriptions", func(t *testing.T) {
 		s, h := wireServer(t, colarm.Options{}, Config{})
 		ts := httptest.NewServer(h)

@@ -12,7 +12,7 @@ import (
 	"colarm"
 )
 
-func salaryEngine(t testing.TB, shards, workers int) *colarm.Engine {
+func salaryEngine(t testing.TB, workers int) *colarm.Engine {
 	t.Helper()
 	ds, err := colarm.Salary()
 	if err != nil {
@@ -20,7 +20,6 @@ func salaryEngine(t testing.TB, shards, workers int) *colarm.Engine {
 	}
 	eng, err := colarm.Open(ds, colarm.Options{
 		PrimarySupport: 0.18,
-		Shards:         shards,
 		Workers:        workers,
 	})
 	if err != nil {
@@ -93,18 +92,15 @@ func ruleMap(rules []colarm.Rule) map[string]colarm.Rule {
 }
 
 // TestReplayDifferential is the tentpole's correctness bar: for every
-// plan, sharded and monolithic, serial and parallel, replaying a
-// subscription's event stream over a randomized ingest interleaving
-// reconstructs exactly the rule set /v1/mine would return at the final
-// version.
+// plan, serial and parallel, replaying a subscription's event stream
+// over a randomized ingest interleaving reconstructs exactly the rule
+// set /v1/mine would return at the final version.
 func TestReplayDifferential(t *testing.T) {
 	plans := []colarm.Plan{colarm.SEV, colarm.SVS, colarm.SSEV, colarm.SSVS, colarm.SSEUV, colarm.ARM}
-	for _, tc := range []struct{ shards, workers int }{
-		{1, 1}, {4, 1}, {1, 0}, {4, 0},
-	} {
-		t.Run(fmt.Sprintf("K%d_workers%d", tc.shards, tc.workers), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(20260808 + tc.shards*10 + tc.workers)))
-			eng := salaryEngine(t, tc.shards, tc.workers)
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(20260818 + workers)))
+			eng := salaryEngine(t, workers)
 			ds := eng.Dataset()
 			m := NewManager(Config{EventBuffer: 4096})
 			defer m.Close()
@@ -200,7 +196,7 @@ func TestReplayDifferential(t *testing.T) {
 // TestConcurrentIngestReplay races concurrent ingesters against the
 // diff worker and checks the stream still replays to the final mine.
 func TestConcurrentIngestReplay(t *testing.T) {
-	eng := salaryEngine(t, 4, 0)
+	eng := salaryEngine(t, 0)
 	m := NewManager(Config{EventBuffer: 4096})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -252,7 +248,7 @@ func TestConcurrentIngestReplay(t *testing.T) {
 // TestCanonicalDedup shares one tracker across same-query subscribers
 // and splits trackers when the canonical form differs.
 func TestCanonicalDedup(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -300,7 +296,7 @@ func TestCanonicalDedup(t *testing.T) {
 // TestAffectednessGate proves unaffected batches skip mining: rows
 // outside every focal region produce no events and count as skips.
 func TestAffectednessGate(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -354,7 +350,7 @@ func TestAffectednessGate(t *testing.T) {
 // TestSlowConsumerEviction wraps the ring past a live consumer and
 // checks it receives a terminal evicted event, not silence.
 func TestSlowConsumerEviction(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{EventBuffer: 2})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -411,7 +407,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 // a non-matching Seattle record dilutes every Seattle rule's support,
 // pushing the 0.75-support rules below 0.7.
 func TestThresholdCrossing(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -458,7 +454,7 @@ func TestThresholdCrossing(t *testing.T) {
 // rebuild preserves exactness), and the stream still replays correctly
 // across the swap.
 func TestEpochOnRebuildSwap(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -519,7 +515,7 @@ func TestEpochOnRebuildSwap(t *testing.T) {
 
 // TestCreateValidation covers the error surface of Create.
 func TestCreateValidation(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{MaxSubscriptions: 1})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -550,7 +546,7 @@ func TestCreateValidation(t *testing.T) {
 // TestDeleteWakesConsumer checks a blocked consumer observes ErrClosed
 // when its subscription is deleted.
 func TestDeleteWakesConsumer(t *testing.T) {
-	eng := salaryEngine(t, 1, 1)
+	eng := salaryEngine(t, 1)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)

@@ -80,7 +80,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // LoadEngine restores an engine from a snapshot written by Save. opts
-// controls the runtime knobs only (workers, metrics, shards); the index
+// controls the runtime knobs only (workers, metrics); the index
 // parameters (primary support, fanout), the engine generation and any
 // buffered delta come from the snapshot. A snapshot of a different
 // format version fails with ErrSnapshotVersion.
@@ -114,7 +114,6 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 		PrimarySupport: meta.Primary,
 		Workers:        opts.Workers,
 		Metrics:        opts.Metrics.registry(),
-		Shards:         opts.Shards,
 	})
 	if len(meta.DeltaRows) > 0 || len(meta.DeltaDels) > 0 {
 		dels := make([]int, len(meta.DeltaDels))
@@ -123,7 +122,7 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 		}
 		// Restoring persisted state is not a fresh ingest, so ingest
 		// metrics stay untouched.
-		if _, err := eng.Replay(meta.DeltaRows, dels); err != nil {
+		if _, err := eng.Delta.Ingest(meta.DeltaRows, dels); err != nil {
 			return nil, err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -348,7 +347,7 @@ func TestLoadedEngineKeepsFanout(t *testing.T) {
 
 // TestGhostSnapshotCompacts: a snapshot whose index keeps deleted rows
 // as ghosts outside a live mask (what sharded rebuilds once wrote) loads
-// compacted at every shard count. The engine holds only the live rows,
+// compacted. The engine holds only the live rows,
 // under ids 0..8: it refuses a delete of id 9, answers like a monolith
 // over the live rows, saves that monolith's bytes with no mask, and its
 // first rebuild changes nothing. The same stream with a buffered delta —
@@ -402,13 +401,13 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 			}
 		}
 	}
-	load := func(t *testing.T, path string, shards int) *Engine {
+	load := func(t *testing.T, path string) *Engine {
 		t.Helper()
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := LoadEngine(bytes.NewReader(data), Options{Shards: shards})
+		e, err := LoadEngine(bytes.NewReader(data), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,55 +434,55 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 		return data, payload.Live
 	}
 
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
-			mono := liveMono(t)
-			monoBytes, _ := save(t, mono)
-			ghost := load(t, filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"), shards)
-			if got := ghost.Dataset().NumRecords(); got != 9 {
-				t.Fatalf("loaded engine holds %d records, the live rows are 9", got)
-			}
-			if _, err := ghost.Ingest(nil, []int{9}); !errors.Is(err, ErrBadRecordID) {
-				t.Fatalf("deleting id 9 past the live rows: err = %v, want ErrBadRecordID", err)
-			}
-			if st := ghost.Staleness(); st.Version != 0 || st.Tombstones != 0 {
-				t.Fatalf("a refused delete left version %d, %d tombstones", st.Version, st.Tombstones)
-			}
-			agree(t, "loaded", mono, ghost)
-			data, mask := save(t, ghost)
-			if len(mask) != 0 {
-				t.Fatalf("the loaded engine saves a live mask of %d bytes", len(mask))
-			}
-			if !bytes.Equal(data, monoBytes) {
-				t.Fatal("the loaded engine saves other bytes than a monolith over the live rows")
-			}
+	// The subtest keeps the name it had when LoadEngine also took a
+	// shard count; K=0 is the one engine it builds now.
+	t.Run("K=0", func(t *testing.T) {
+		mono := liveMono(t)
+		monoBytes, _ := save(t, mono)
+		ghost := load(t, filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"))
+		if got := ghost.Dataset().NumRecords(); got != 9 {
+			t.Fatalf("loaded engine holds %d records, the live rows are 9", got)
+		}
+		if _, err := ghost.Ingest(nil, []int{9}); !errors.Is(err, ErrBadRecordID) {
+			t.Fatalf("deleting id 9 past the live rows: err = %v, want ErrBadRecordID", err)
+		}
+		if st := ghost.Staleness(); st.Version != 0 || st.Tombstones != 0 {
+			t.Fatalf("a refused delete left version %d, %d tombstones", st.Version, st.Tombstones)
+		}
+		agree(t, "loaded", mono, ghost)
+		data, mask := save(t, ghost)
+		if len(mask) != 0 {
+			t.Fatalf("the loaded engine saves a live mask of %d bytes", len(mask))
+		}
+		if !bytes.Equal(data, monoBytes) {
+			t.Fatal("the loaded engine saves other bytes than a monolith over the live rows")
+		}
 
-			rebuilt, err := ghost.Rebuild(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			agree(t, "rebuilt", mono, rebuilt)
-			if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
-				t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
-			}
-			if _, mask := save(t, rebuilt); len(mask) != 0 {
-				t.Fatalf("rebuilt snapshot still carries a live mask of %d bytes", len(mask))
-			}
+		rebuilt, err := ghost.Rebuild(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree(t, "rebuilt", mono, rebuilt)
+		if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
+			t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
+		}
+		if _, mask := save(t, rebuilt); len(mask) != 0 {
+			t.Fatalf("rebuilt snapshot still carries a live mask of %d bytes", len(mask))
+		}
 
-			// The delta fixture buffers these two rows and deletes base id
-			// 5, ghost 3 and buffered id 12 (the second row). Compacted,
-			// that is base id 4 and buffered id 10; the ghost is gone.
-			withDelta := load(t, filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"), shards)
-			rows := [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
-			if _, err := mono.eng.Ingest(rows, []int{4, 10}); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := withDelta.Staleness(), mono.Staleness(); got.Version != 1 || got.BufferedRows != 1 || got.Tombstones != 2 ||
-				got.BufferedRows != want.BufferedRows || got.Tombstones != want.Tombstones {
-				t.Fatalf("loaded delta: version %d, %d buffered, %d tombstones; the monolith after the batch: %d buffered, %d tombstones",
-					got.Version, got.BufferedRows, got.Tombstones, want.BufferedRows, want.Tombstones)
-			}
-			agree(t, "loaded with a delta", mono, withDelta)
-		})
-	}
+		// The delta fixture buffers these two rows and deletes base id
+		// 5, ghost 3 and buffered id 12 (the second row). Compacted,
+		// that is base id 4 and buffered id 10; the ghost is gone.
+		withDelta := load(t, filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"))
+		rows := [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
+		if _, err := mono.eng.Ingest(rows, []int{4, 10}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := withDelta.Staleness(), mono.Staleness(); got.Version != 1 || got.BufferedRows != 1 || got.Tombstones != 2 ||
+			got.BufferedRows != want.BufferedRows || got.Tombstones != want.Tombstones {
+			t.Fatalf("loaded delta: version %d, %d buffered, %d tombstones; the monolith after the batch: %d buffered, %d tombstones",
+				got.Version, got.BufferedRows, got.Tombstones, want.BufferedRows, want.Tombstones)
+		}
+		agree(t, "loaded with a delta", mono, withDelta)
+	})
 }

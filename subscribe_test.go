@@ -32,9 +32,6 @@ func TestSubscribeNotices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.NumShards(); got != 1 {
-		t.Fatalf("NumShards() = %d on a monolith, want 1", got)
-	}
 	if got := eng.Version(); got != 0 {
 		t.Fatalf("fresh engine Version() = %d, want 0", got)
 	}
