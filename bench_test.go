@@ -64,7 +64,7 @@ func BenchmarkFig8(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			env := benchEnv(b, name)
 			th := env.Spec.Fig8Sweep[len(env.Spec.Fig8Sweep)-1]
-			sp := env.Engine.Index.Space
+			sp := env.Index.Space
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := charm.MineSupport(env.Dataset, sp, th)
@@ -95,7 +95,7 @@ func planGrid(b *testing.B, dataset string) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := env.QueryFor(regions[i%len(regions)], minSupp, 0.85)
-					if _, err := env.Engine.MineWith(kind, q); err != nil {
+					if _, err := env.Executor.Run(kind, env.Surface, q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -123,7 +123,7 @@ func BenchmarkOptimizerChoose(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := env.QueryFor(regions[i%len(regions)], env.Spec.MinSupps[0], 0.85)
-				env.Engine.Model.Choose(env.Engine.Resolve(q), q)
+				env.Model.Choose(env.Executor.Focus(env.Surface, q), q)
 			}
 		})
 	}

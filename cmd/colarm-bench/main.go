@@ -84,7 +84,7 @@ func run(w io.Writer, fig int, table string, full bool, runs int, seed int64) er
 			return nil, err
 		}
 		fmt.Fprintf(w, "[setup] %s: %d records, %d MIPs at primary %.0f%% (%.1fs)\n",
-			name, e.Dataset.NumRecords(), e.Engine.Index.NumMIPs(), 100*spec.Primary,
+			name, e.Dataset.NumRecords(), e.Index.NumMIPs(), 100*spec.Primary,
 			time.Since(start).Seconds())
 		envs[name] = e
 		return e, nil

@@ -41,8 +41,9 @@ import (
 	"strings"
 
 	"colarm/internal/colarmql"
-	"colarm/internal/core"
 	"colarm/internal/cost"
+	"colarm/internal/delta"
+	"colarm/internal/mip"
 	"colarm/internal/obs"
 	"colarm/internal/plans"
 	"colarm/internal/rules"
@@ -246,12 +247,33 @@ type Result struct {
 	Trace     *Trace         `json:"-"`                   // present when the query requested tracing
 }
 
-// Engine is a ready-to-query COLARM instance over one dataset.
+// Engine is a ready-to-query COLARM instance over one dataset: the
+// MIP-index the offline phase built, and the online phase around it —
+// the cost model, the executor that runs every plan, and the delta store
+// that buffers live ingestion.
+//
+// An Engine is safe for concurrent use: the index is immutable after
+// construction, the executor keeps all query state per call, the cost
+// model's statistics are precomputed, and post-build mutability lives
+// entirely in the delta store, which synchronizes internally and hands
+// queries immutable surfaces. Every request reads the delta version
+// exactly once and gates, chooses and executes against that version,
+// whatever is ingested meanwhile.
 type Engine struct {
-	eng  *core.Engine
 	ds   *Dataset
 	opts Options
 	gen  uint64
+
+	idx      *mip.Index
+	model    *cost.Model
+	executor *plans.Executor
+	// delta serves the surface of each delta version: the frozen index,
+	// or a merged view once something was ingested. Never nil.
+	delta *delta.Store
+	// surface is delta.Surface; tests wrap it to count or rig
+	// resolutions.
+	surface func() *plans.Surface
+	metrics engineMetrics
 }
 
 // Open runs the offline preprocessing phase over the dataset and
@@ -260,20 +282,45 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.rel == nil {
 		return nil, fmt.Errorf("colarm: nil dataset")
 	}
-	eng, err := core.NewEngine(ds.rel, core.Options{
-		PrimarySupport: opts.PrimarySupport,
-		Workers:        opts.Workers,
-		Metrics:        opts.Metrics.registry(),
-	})
+	idx, err := mip.Build(ds.rel, mip.Options{PrimarySupport: opts.PrimarySupport, Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: eng, ds: ds, opts: opts}, nil
+	e := newEngine(idx, opts, opts.Metrics.registry())
+	e.ds = ds
+	return e, nil
+}
+
+// newEngine wires the online phase around an index and registers the
+// engine's metrics in reg (a private registry when nil).
+// opts.PrimarySupport is the fraction the index was mined at, which the
+// delta store re-mines merged surfaces at; when zero — a snapshot that
+// did not record it — an approximation is recovered from the stored
+// primary count.
+func newEngine(idx *mip.Index, opts Options, reg *obs.Registry) *Engine {
+	primary := opts.PrimarySupport
+	if primary <= 0 && idx.Dataset.NumRecords() > 0 {
+		primary = float64(idx.PrimaryCount) / float64(idx.Dataset.NumRecords())
+	}
+	st := delta.NewStore(idx, primary)
+	st.SetWorkers(opts.Workers)
+	ex := plans.NewExecutor(idx.Space)
+	ex.Workers = opts.Workers
+	return &Engine{
+		ds:       &Dataset{rel: idx.Dataset},
+		opts:     opts,
+		idx:      idx,
+		model:    cost.NewModel(idx),
+		executor: ex,
+		delta:    st,
+		surface:  st.Surface,
+		metrics:  newEngineMetrics(reg, idx.Dataset.Name),
+	}
 }
 
 // NumPartitions returns the number of prestored multidimensional
 // itemset partitions (closed frequent itemsets).
-func (e *Engine) NumPartitions() int { return e.eng.Index.NumMIPs() }
+func (e *Engine) NumPartitions() int { return e.idx.NumMIPs() }
 
 // Dataset returns the engine's dataset.
 func (e *Engine) Dataset() *Dataset { return e.ds }
@@ -281,13 +328,38 @@ func (e *Engine) Dataset() *Dataset { return e.ds }
 // buildQuery resolves the public query against the engine's dataset
 // vocabulary into an executable plans.Query.
 func (e *Engine) buildQuery(q Query) (*plans.Query, error) {
-	return e.eng.BuildQuery(&core.QuerySpec{
-		Range:         q.Range,
-		ItemAttrs:     q.ItemAttributes,
+	reg, err := e.idx.RegionFromSelections(q.Range)
+	if err != nil {
+		return nil, err
+	}
+	var mask []bool
+	if len(q.ItemAttributes) > 0 {
+		mask = make([]bool, e.idx.Space.NumAttrs())
+		for _, name := range q.ItemAttributes {
+			ai := e.idx.Dataset.AttrIndex(name)
+			if ai < 0 {
+				return nil, fmt.Errorf("colarm: %w: item attribute %q", ErrUnknownAttribute, name)
+			}
+			mask[ai] = true
+		}
+	}
+	return &plans.Query{
+		Region:        reg,
+		ItemAttrs:     mask,
 		MinSupport:    q.MinSupport,
 		MinConfidence: q.MinConfidence,
 		MaxConsequent: q.MaxConsequent,
-	})
+	}, nil
+}
+
+// resolve is the one place a request reads the engine's index state: it
+// fetches the surface of the current delta version and selects the
+// query's focal subset over it. Every request calls it exactly once and
+// hands the result to the applicability gate, the optimizer and the
+// executor, so it gates, chooses and runs against a single version.
+// q must have passed Validate.
+func (e *Engine) resolve(q *plans.Query) *plans.Focal {
+	return e.executor.Focus(e.surface(), q)
 }
 
 // Mine answers a localized mining query.
@@ -301,35 +373,103 @@ func (e *Engine) Mine(q Query) (*Result, error) {
 // or context.DeadlineExceeded) instead of running to completion. An
 // aborted query produces no partial result.
 func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
-	pq, err := e.buildQuery(q)
+	var tr *obs.Trace
+	if q.Trace {
+		tr = &obs.Trace{}
+	}
+	res, ests, err := e.mine(ctx, q, tr)
 	if err != nil {
 		return nil, err
 	}
-	if q.Trace {
-		pq.Trace = &obs.Trace{}
-	}
-	var out *Result
-	if q.Plan != Auto {
-		res, err := e.eng.MineWithContext(ctx, plans.Kind(q.Plan-1), pq)
-		if err != nil {
-			return nil, err
-		}
-		out = e.wrap(res)
-	} else {
-		res, ests, err := e.eng.MineContext(ctx, pq)
-		if err != nil {
-			return nil, err
-		}
-		out = e.wrap(res)
+	out := e.wrap(res)
+	if q.Plan == Auto {
 		out.Estimates = planEstimates(ests)
 	}
-	out.Trace = newTrace(pq.Trace)
+	out.Trace = newTrace(tr)
 	return out, nil
 }
 
-// Explain returns the optimizer's per-plan cost estimates for a query
-// without executing it. The first estimate in the returned slice is not
-// necessarily the chosen one; the minimum cost wins.
+// mine is the one path of a mining request, forced plan or Auto: build
+// the executable query, resolve the surface once, on Auto let the gate
+// and optimizer pick the plan (the estimates are returned), run it into
+// tr, and count the query — one that fails to build or validate too.
+func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Result, []cost.Estimate, error) {
+	pq, err := e.buildQuery(q)
+	if err == nil {
+		err = pq.Validate(e.idx.Space)
+	}
+	if err != nil {
+		e.metrics.observe(nil, nil, err)
+		return nil, nil, err
+	}
+	pq.Trace = tr
+	f := e.resolve(pq)
+	kind := plans.Kind(q.Plan - 1)
+	var ch planChoice
+	if q.Plan == Auto {
+		ch = e.choose(pq, f)
+		kind = ch.kind
+		e.metrics.chosen[kind].Inc()
+	}
+	res, err := e.executor.RunContext(ctx, kind, f, pq)
+	e.metrics.observe(f, res, err)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr != nil && q.Plan == Auto {
+		predict(tr, ch.est)
+	}
+	return res, ch.ests, nil
+}
+
+// planChoice is one resolved optimizer decision: the plan to run, the
+// six estimates it was chosen from, and the running plan's own estimate.
+type planChoice struct {
+	kind plans.Kind
+	ests []cost.Estimate
+	est  cost.Estimate
+}
+
+// choose runs the cost-based optimizer against the surface and focal
+// subset the request resolved. Its argmin is honored only when the
+// prestored CFIs can answer the query completely (Focal.Applicable):
+// when the localized threshold falls below the surface's primary-support
+// count, every MIP-backed plan would silently drop rules that are
+// frequent only inside the focal subset, so the choice is overridden to
+// ARM — completeness outranks the cost estimate.
+func (e *Engine) choose(q *plans.Query, f *plans.Focal) planChoice {
+	kind, ests := e.model.Choose(f, q)
+	if kind != plans.ARM && !f.Applicable() {
+		kind = plans.ARM
+	}
+	ch := planChoice{kind: kind, ests: ests}
+	for _, est := range ests {
+		if est.Plan == kind {
+			ch.est = est
+		}
+	}
+	return ch
+}
+
+// predict sets, on each traced span of an optimizer-chosen plan, the
+// cost model's estimate for that operator: the executed plan's terms
+// matched to the spans by operator name. UNION has no term and keeps 0.
+func predict(tr *obs.Trace, est cost.Estimate) {
+	for _, t := range est.Terms() {
+		for i := range tr.Spans {
+			if tr.Spans[i].Op.String() == t.Operator {
+				tr.Spans[i].Predicted = t.Cost
+			}
+		}
+	}
+}
+
+// Explain returns the optimizer's cost estimates for a query without
+// executing it: one per plan, all six, in plan order. The plan Mine
+// would run is the cheapest of them only when the query's localized
+// support count reaches the index's primary count; below it the
+// prestored itemsets cannot answer completely and Mine runs ARM whatever
+// the estimates say.
 func (e *Engine) Explain(q Query) ([]PlanEstimate, error) {
 	return e.ExplainContext(context.Background(), q)
 }
@@ -342,11 +482,13 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 	if err != nil {
 		return nil, err
 	}
-	_, ests, err := e.eng.ExplainContext(ctx, pq)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return planEstimates(ests), nil
+	if err := pq.Validate(e.idx.Space); err != nil {
+		return nil, err
+	}
+	return planEstimates(e.choose(pq, e.resolve(pq)).ests), nil
 }
 
 // UnitCosts are the cost model's five primitive unit costs in
@@ -455,7 +597,7 @@ func (e *Engine) wrap(res *plans.Result) *Result {
 			DurationNanos:   res.Stats.Duration.Nanoseconds(),
 		},
 	}
-	sp := e.eng.Index.Space
+	sp := e.idx.Space
 	if len(res.Rules) > 0 {
 		out.Rules = make([]Rule, 0, len(res.Rules))
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -137,10 +138,6 @@ func codeSpans(text string) []string {
 // this parse cannot see, so none is demanded of it.
 func packageDecls(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := map[string]bool{}
 	members := func(typ string, fields *ast.FieldList) {
 		out[typ+"."] = true
@@ -150,38 +147,32 @@ func packageDecls(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						out[d.Name.Name] = true
-						continue
-					}
-					recv := d.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					if id, ok := recv.(*ast.Ident); ok {
-						out[id.Name+"."] = true
-						out[id.Name+"."+d.Name.Name] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								out[n.Name] = true
-							}
-						case *ast.TypeSpec:
-							out[s.Name.Name] = true
-							switch typ := s.Type.(type) {
-							case *ast.StructType:
-								members(s.Name.Name, typ.Fields)
-							case *ast.InterfaceType:
-								members(s.Name.Name, typ.Methods)
-							}
+	for _, file := range parsePackage(t, dir, nil) {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					out[d.Name.Name] = true
+					continue
+				}
+				if recv := receiverType(d); recv != "" {
+					out[recv+"."] = true
+					out[recv+"."+d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							out[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						out[s.Name.Name] = true
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							members(s.Name.Name, typ.Fields)
+						case *ast.InterfaceType:
+							members(s.Name.Name, typ.Methods)
 						}
 					}
 				}
@@ -189,6 +180,36 @@ func packageDecls(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return out
+}
+
+// parsePackage parses the Go files of dir that filter admits (nil admits
+// every file, tests included).
+func parsePackage(t *testing.T, dir string, filter func(fs.FileInfo) bool) []*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, filter, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			files = append(files, file)
+		}
+	}
+	return files
+}
+
+// receiverType names the type a method is declared on ("" for a
+// receiver this parse cannot name).
+func receiverType(d *ast.FuncDecl) string {
+	recv := d.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // benchmarkLayerMetrics lists the per-layer metric names BENCHMARK.json

@@ -3,8 +3,10 @@ package colarm
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"colarm/internal/delta"
+	"colarm/internal/mip"
 )
 
 // Staleness reports how far an engine's base index has drifted from the
@@ -56,7 +58,12 @@ func (e *Engine) IngestContext(ctx context.Context, inserts []map[string]string,
 	if err != nil {
 		return e.Staleness(), err
 	}
-	st, err := e.eng.Ingest(rows, deletes)
+	st, err := e.delta.Ingest(rows, deletes)
+	if err == nil {
+		e.metrics.ingestBatches.Inc()
+		e.metrics.ingestRows.Add(int64(len(rows)))
+		e.metrics.ingestDeletes.Add(int64(len(deletes)))
+	}
 	return e.wrapStaleness(st), err
 }
 
@@ -92,7 +99,7 @@ func (e *Engine) resolveRows(inserts []map[string]string) ([][]int32, error) {
 
 // Staleness reports the engine's current drift from its merged dataset.
 func (e *Engine) Staleness() Staleness {
-	return e.wrapStaleness(e.eng.Staleness())
+	return e.wrapStaleness(e.delta.Staleness())
 }
 
 func (e *Engine) wrapStaleness(st delta.Staleness) Staleness {
@@ -106,17 +113,30 @@ func (e *Engine) Generation() uint64 { return e.gen }
 // Rebuild runs the offline phase over the merged dataset — base records
 // minus deletions plus buffered inserts, ids compacted — and returns a
 // fresh engine with an empty delta and an incremented generation. The
-// receiver is left untouched and stays fully queryable, so callers can
-// rebuild in the background and swap engines atomically when done.
+// fresh engine keeps this one's Options, R-tree fanout and metrics
+// registry. The receiver is left untouched and stays fully queryable, so
+// callers can rebuild in the background and swap engines atomically when
+// done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
-	fresh, err := e.eng.Rebuild(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	merged, err := e.delta.MergedDataset()
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		eng:  fresh,
-		ds:   &Dataset{rel: fresh.Index.Dataset},
-		opts: e.opts,
-		gen:  e.gen + 1,
-	}, nil
+	start := time.Now()
+	idx, err := mip.Build(merged, mip.Options{
+		PrimarySupport: e.opts.PrimarySupport,
+		Fanout:         e.idx.RTree.Fanout(),
+		Workers:        e.opts.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	fresh := newEngine(idx, e.opts, e.metrics.reg)
+	fresh.gen = e.gen + 1
+	e.metrics.rebuilds.Inc()
+	e.metrics.rebuildSeconds.Observe(time.Since(start))
+	return fresh, nil
 }

@@ -250,7 +250,7 @@ func TestStalenessAllocsIndependentOfDelta(t *testing.T) {
 	}
 	// The replay is no fresh ingest: it bumps no ingest metric.
 	batches := func(e *Engine) int64 {
-		return e.eng.Metrics.CounterWith("colarm_ingest_batches_total", `dataset="salary"`, "").Value()
+		return e.metrics.reg.CounterWith("colarm_ingest_batches_total", `dataset="salary"`, "").Value()
 	}
 	if batches(eng) != 2 || batches(loaded) != 0 {
 		t.Fatalf("ingest batches: %d saved, %d after the reload's replay; want 2 and 0", batches(eng), batches(loaded))

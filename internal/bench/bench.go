@@ -19,9 +19,10 @@ import (
 	"math/rand"
 
 	"colarm/internal/bitset"
-	"colarm/internal/core"
+	"colarm/internal/cost"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
+	"colarm/internal/mip"
 	"colarm/internal/plans"
 	"colarm/internal/relation"
 )
@@ -111,25 +112,45 @@ func SpecByName(specs []DatasetSpec, name string) (DatasetSpec, error) {
 	return DatasetSpec{}, fmt.Errorf("bench: unknown dataset %q", name)
 }
 
-// Env is a prepared experimental environment: the generated dataset and
-// the engine with its MIP-index built at the spec's primary support.
+// Env is a prepared experimental environment: the generated dataset,
+// its MIP-index built at the spec's primary support, and the cost model
+// and executor the engine wires around an index. Experiments price a
+// query with Model.Choose over Executor.Focus(Surface, q) and run a
+// forced plan with Executor.Run(kind, Surface, q) — the model and the
+// plans the engine serves, without its delta store or metrics.
 type Env struct {
-	Spec    DatasetSpec
-	Dataset *relation.Dataset
-	Engine  *core.Engine
+	Spec     DatasetSpec
+	Dataset  *relation.Dataset
+	Index    *mip.Index
+	Model    *cost.Model
+	Executor *plans.Executor
+	// Surface presents Index to the executor and the model.
+	Surface *plans.Surface
 }
 
-// Setup generates the dataset and builds the engine.
+// Setup generates the dataset and builds the environment over it.
 func Setup(spec DatasetSpec) (*Env, error) {
 	d, err := datagen.Generate(spec.Config)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(d, core.Options{PrimarySupport: spec.Primary})
+	return newEnv(spec, d)
+}
+
+// newEnv builds the MIP-index over d at the spec's primary support.
+func newEnv(spec DatasetSpec, d *relation.Dataset) (*Env, error) {
+	idx, err := mip.Build(d, mip.Options{PrimarySupport: spec.Primary})
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Spec: spec, Dataset: d, Engine: eng}, nil
+	return &Env{
+		Spec:     spec,
+		Dataset:  d,
+		Index:    idx,
+		Model:    cost.NewModel(idx),
+		Executor: plans.NewExecutor(idx.Space),
+		Surface:  plans.NewSurface(idx),
+	}, nil
 }
 
 // RandomFocalSubset builds a region whose record count approximates
@@ -137,7 +158,7 @@ func Setup(spec DatasetSpec) (*Env, error) {
 // windows, mirroring the paper's methodology of submitting fixed-size
 // focal subsets over different areas of the dataset.
 func (e *Env) RandomFocalSubset(rng *rand.Rand, frac float64) *itemset.Region {
-	idx := e.Engine.Index
+	idx := e.Index
 	m := e.Dataset.NumRecords()
 	target := int(frac * float64(m))
 	if target < 1 {

@@ -62,7 +62,7 @@ func TestRandomFocalSubsetApproximatesTarget(t *testing.T) {
 	for _, frac := range []float64{0.5, 0.2, 0.05} {
 		for i := 0; i < 5; i++ {
 			reg := env.RandomFocalSubset(rng, frac)
-			size := env.Engine.Index.SubsetBitmap(reg).Count()
+			size := env.Index.SubsetBitmap(reg).Count()
 			got := float64(size) / float64(m)
 			if got < frac/8 || got > frac*8 {
 				t.Errorf("frac %.2f run %d: |DQ|/m = %.3f (size %d)", frac, i, got, size)
@@ -216,7 +216,7 @@ func TestPlanEquivalenceOnBenchmarkData(t *testing.T) {
 		q := env.QueryFor(reg, 0.85, 0.9)
 		var ref []string
 		for _, k := range []plans.Kind{plans.SEV, plans.SVS, plans.SSEV, plans.SSVS, plans.SSEUV} {
-			res, err := env.Engine.MineWith(k, q)
+			res, err := env.Executor.Run(k, env.Surface, q)
 			if err != nil {
 				t.Fatal(err)
 			}

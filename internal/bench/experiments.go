@@ -21,7 +21,7 @@ type Fig8Row struct {
 // RunFig8 mines the dataset at each primary threshold of the spec's
 // sweep and reports the closed-frequent-itemset counts (E1).
 func (e *Env) RunFig8() ([]Fig8Row, error) {
-	sp := e.Engine.Index.Space
+	sp := e.Index.Space
 	out := make([]Fig8Row, 0, len(e.Spec.Fig8Sweep))
 	for _, th := range e.Spec.Fig8Sweep {
 		res, err := charm.MineSupport(e.Dataset, sp, th)
@@ -94,10 +94,10 @@ func (e *Env) runCell(frac, minSupp, minConf float64, runsPer int, rng *rand.Ran
 	for run := 0; run < runsPer; run++ {
 		reg := e.RandomFocalSubset(rng, frac)
 		q := e.QueryFor(reg, minSupp, minConf)
-		choice, _ := e.Engine.Model.Choose(e.Engine.Resolve(q), q)
+		choice, _ := e.Model.Choose(e.Executor.Focus(e.Surface, q), q)
 		chosenVotes[choice]++
 		for _, k := range plans.Kinds() {
-			res, err := e.Engine.MineWith(k, q)
+			res, err := e.Executor.Run(k, e.Surface, q)
 			if err != nil {
 				return cell, err
 			}
@@ -219,7 +219,7 @@ type Fig13Row struct {
 // figure's local minsupport is classified by whether its global support
 // reaches the dataset's reference global minsupport.
 func (e *Env) RunLocalVsGlobal(runsPer int, rng *rand.Rand) []Fig13Row {
-	idx := e.Engine.Index
+	idx := e.Index
 	m := e.Dataset.NumRecords()
 	globalNeed := charm.CountFor(e.Spec.GlobalMinSupp, m)
 	localMinSupp := e.Spec.MinSupps[0] // the figure's local threshold
@@ -291,7 +291,7 @@ type SimpsonReport struct {
 // locally at localThresh but sit below hideThresh globally — rules
 // hidden in the global context.
 func (e *Env) RunSimpson(attrName, valueLabel string, localThresh, hideThresh float64, maxExamples int) (*SimpsonReport, error) {
-	idx := e.Engine.Index
+	idx := e.Index
 	ai := e.Dataset.AttrIndex(attrName)
 	if ai < 0 {
 		return nil, fmt.Errorf("bench: unknown attribute %q", attrName)

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"colarm/internal/core"
 	"colarm/internal/datagen"
 	"colarm/internal/plans"
 )
@@ -35,24 +34,23 @@ func TestSerialParallelEquivalenceOnPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.NewEngine(d, core.Options{PrimarySupport: spec.Primary})
+			env, err := newEnv(spec, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := &Env{Spec: spec, Dataset: d, Engine: eng}
 			rng := rand.New(rand.NewSource(11))
 			minSupp := spec.MinSupps[len(spec.MinSupps)-1]
 			minConf := spec.MinConfs[len(spec.MinConfs)-1]
 			for _, frac := range []float64{0.5, 0.1} {
 				q := env.QueryFor(env.RandomFocalSubset(rng, frac), minSupp, minConf)
 				for _, k := range plans.Kinds() {
-					eng.Executor.Workers = 1
-					want, err := eng.MineWith(k, q)
+					env.Executor.Workers = 1
+					want, err := env.Executor.Run(k, env.Surface, q)
 					if err != nil {
 						t.Fatalf("%v frac=%.2f serial: %v", k, frac, err)
 					}
-					eng.Executor.Workers = workers
-					got, err := eng.MineWith(k, q)
+					env.Executor.Workers = workers
+					got, err := env.Executor.Run(k, env.Surface, q)
 					if err != nil {
 						t.Fatalf("%v frac=%.2f parallel: %v", k, frac, err)
 					}

@@ -87,14 +87,6 @@ func CountFor(minSupport float64, numRecords int) int {
 // every ClosedSet.Tids as read-only and keep the input tidsets unchanged
 // for as long as the result is in use.
 func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
-	return MineTidsetsContext(context.Background(), tidsets, numRecords, minCount)
-}
-
-// MineTidsetsContext is MineTidsets under a context: CHARM-EXTEND polls
-// the context between branch explorations, so a cancelled or timed-out
-// context aborts the (potentially exponential) enumeration promptly and
-// returns ctx.Err() instead of a result.
-func MineTidsetsContext(ctx context.Context, tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
 	}
@@ -110,7 +102,7 @@ func MineTidsetsContext(ctx context.Context, tidsets []*bitset.Set, numRecords, 
 			roots = append(roots, node{items: itemset.Set{itemset.Item(it)}, supp: supp, root: it})
 		}
 	}
-	m := newMiner(ctx, (numRecords+63)/64, minCount)
+	m := newMiner(context.Background(), (numRecords+63)/64, minCount)
 	m.tidset = func(root int, vec []uint64) *bitset.Set {
 		if root >= 0 {
 			return tidsets[root]

@@ -562,27 +562,6 @@ func (s *Store) MergedDataset() (*relation.Dataset, error) {
 	return b.Build(), nil
 }
 
-// EachChange visits what the store buffers without copying any of it:
-// inserted is called with the record id of every live buffered row,
-// deleted with the id of every deleted record, base or buffered. Both
-// run under the store's lock and must not call back into the store.
-func (s *Store) EachChange(inserted, deleted func(id int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	baseN := s.idx.Dataset.NumRecords()
-	for k, gone := range s.dead {
-		if gone {
-			deleted(baseN + k)
-		} else {
-			inserted(baseN + k)
-		}
-	}
-	s.tombs.ForEach(func(id int) bool {
-		deleted(id)
-		return true
-	})
-}
-
 // Snapshot returns deep copies of the buffered rows and the tombstoned
 // record ids, for persistence. Restoring them through Ingest on a
 // freshly loaded engine reproduces the store's state exactly.

@@ -5,9 +5,11 @@
 //
 //   - exact lookup of a stored CFI;
 //   - closure resolution of an arbitrary itemset X — the unique smallest
-//     CFI containing X — which carries X's tidset and therefore its
-//     support (global and, intersected with the focal subset bitmap,
-//     local).
+//     CFI containing X, which has X's tidset and therefore X's global
+//     support. A local count inside a focal subset is not read from the
+//     tree: the plans count it over the subset's item vectors
+//     (plans.Focal), and only reuse the closure's id to share a count
+//     between X and the CFI.
 //
 // Closure resolution is implemented with per-item inverted lists of CFI
 // ids: the closure of X is the CFI of maximum support among those

@@ -269,8 +269,8 @@ func (c *qctx) search(supported bool) ([]candidate, error) {
 // qualified is a candidate rule body that passed the item-attribute
 // filter and the local minsupport check. body is the candidate itemset
 // projected onto the item attributes and normalized to its closure's
-// projection; id is the CFI acting as that body's closure (carrying its
-// tidset).
+// projection; id is the CFI acting as that body's closure, which shares
+// its local count.
 type qualified struct {
 	id    int32
 	body  itemset.Set

@@ -134,10 +134,8 @@ func TestTracePredicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kind, ests, err := eng.eng.Explain(pq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := eng.choose(pq, eng.resolve(pq))
+	kind, ests := ch.kind, ch.ests
 	if got := Plan(kind + 1); got != res.Stats.Plan {
 		t.Fatalf("explain chose %s, the traced query ran %s", got, res.Stats.Plan)
 	}
@@ -193,6 +191,11 @@ func TestWriteMetricsFacade(t *testing.T) {
 	if _, err := eng.Mine(bad); err == nil {
 		t.Fatal("query with minsupport > 1 should fail")
 	}
+	unknown := salaryQuery()
+	unknown.Range = map[string][]string{"Planet": {"Mars"}}
+	if _, err := eng.Mine(unknown); err == nil {
+		t.Fatal("query over an unknown attribute should fail")
+	}
 
 	var b strings.Builder
 	if err := eng.WriteMetrics(&b); err != nil {
@@ -200,8 +203,8 @@ func TestWriteMetricsFacade(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`colarm_queries_total{dataset="salary"} 2`,
-		`colarm_query_errors_total{dataset="salary"} 1`,
+		`colarm_queries_total{dataset="salary"} 3`,
+		`colarm_query_errors_total{dataset="salary"} 2`,
 		`colarm_plan_chosen_total{dataset="salary",plan="ARM"} 1`,
 		`colarm_query_seconds_count{dataset="salary"} 1`,
 		`colarm_query_seconds_bucket{dataset="salary",le="+Inf"} 1`,

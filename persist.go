@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"colarm/internal/core"
 	"colarm/internal/mip"
 )
 
@@ -19,7 +18,7 @@ import (
 // made durable. A snapshot taken mid-ingest restores to the exact same
 // answers: the delta rides along and is replayed on load.
 func (e *Engine) Save(w io.Writer) error {
-	rows, dels := e.eng.Delta.Snapshot()
+	rows, dels := e.delta.Snapshot()
 	meta := mip.SnapshotMeta{
 		Primary:    e.opts.PrimarySupport,
 		Generation: e.gen,
@@ -28,7 +27,7 @@ func (e *Engine) Save(w io.Writer) error {
 	for _, id := range dels {
 		meta.DeltaDels = append(meta.DeltaDels, int32(id))
 	}
-	_, err := e.eng.Index.WriteSnapshot(w, meta)
+	_, err := e.idx.WriteSnapshot(w, meta)
 	return err
 }
 
@@ -103,18 +102,15 @@ func LoadEngineFile(path string, opts Options) (*Engine, error) {
 }
 
 func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engine, error) {
-	// 0 means "not recorded" (Assemble recovers it from the primary
+	// 0 means "not recorded" (newEngine recovers it from the primary
 	// count); anything else is the fraction every merged view is re-mined
 	// at, so a value outside [0,1] — NaN included — is a corrupt stream.
 	if !(meta.Primary >= 0 && meta.Primary <= 1) {
 		return nil, fmt.Errorf("colarm: snapshot primary support %v outside [0,1]", meta.Primary)
 	}
 	opts.PrimarySupport = meta.Primary
-	eng := core.Assemble(idx, core.Options{
-		PrimarySupport: meta.Primary,
-		Workers:        opts.Workers,
-		Metrics:        opts.Metrics.registry(),
-	})
+	e := newEngine(idx, opts, opts.Metrics.registry())
+	e.gen = meta.Generation
 	if len(meta.DeltaRows) > 0 || len(meta.DeltaDels) > 0 {
 		dels := make([]int, len(meta.DeltaDels))
 		for i, id := range meta.DeltaDels {
@@ -122,14 +118,9 @@ func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engi
 		}
 		// Restoring persisted state is not a fresh ingest, so ingest
 		// metrics stay untouched.
-		if _, err := eng.Delta.Ingest(meta.DeltaRows, dels); err != nil {
+		if _, err := e.delta.Ingest(meta.DeltaRows, dels); err != nil {
 			return nil, err
 		}
 	}
-	return &Engine{
-		eng:  eng,
-		ds:   &Dataset{rel: idx.Dataset},
-		opts: opts,
-		gen:  meta.Generation,
-	}, nil
+	return e, nil
 }

@@ -150,7 +150,7 @@ func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 		"primary NaN":      {Primary: math.NaN()},
 	} {
 		var buf bytes.Buffer
-		if _, err := eng.eng.Index.WriteSnapshot(&buf, meta); err != nil {
+		if _, err := eng.idx.WriteSnapshot(&buf, meta); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadEngine(&buf, Options{}); err == nil {
@@ -159,7 +159,7 @@ func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 	}
 	// The same index under its own primary support is what Save writes.
 	var buf bytes.Buffer
-	if _, err := eng.eng.Index.WriteSnapshot(&buf, mip.SnapshotMeta{Primary: 0.18}); err != nil {
+	if _, err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{Primary: 0.18}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadEngine(&buf, Options{}); err != nil {
@@ -475,7 +475,7 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 		// that is base id 4 and buffered id 10; the ghost is gone.
 		withDelta := load(t, filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"))
 		rows := [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
-		if _, err := mono.eng.Ingest(rows, []int{4, 10}); err != nil {
+		if _, err := mono.delta.Ingest(rows, []int{4, 10}); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := withDelta.Staleness(), mono.Staleness(); got.Version != 1 || got.BufferedRows != 1 || got.Tombstones != 2 ||

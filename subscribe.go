@@ -59,7 +59,7 @@ func (n ApplyNotice) Affects(q Query) (bool, error) {
 // usual memory-model caveats. A rebuilt engine starts with no
 // observers — re-subscribe after swapping engines.
 func (e *Engine) Subscribe(fn func(ApplyNotice)) (cancel func()) {
-	return e.eng.Delta.Observe(func(ap delta.Applied) {
+	return e.delta.Observe(func(ap delta.Applied) {
 		fn(ApplyNotice{
 			Generation:  e.gen,
 			FromVersion: ap.FromVersion,
@@ -74,4 +74,4 @@ func (e *Engine) Subscribe(fn func(ApplyNotice)) (cancel func()) {
 // (0 when no post-build batch has applied). Together with Generation
 // it locates the engine's state on the (generation, version) timeline
 // that standing-query diff events are tagged with.
-func (e *Engine) Version() uint64 { return e.eng.Staleness().Version }
+func (e *Engine) Version() uint64 { return e.delta.Staleness().Version }
