@@ -18,7 +18,6 @@
 //	-primary P        primary support for -csv datasets (default 0.1;
 //	                  builtins use their per-dataset defaults)
 //	-seed N           generator seed for builtin synthetic datasets
-//	-workers N        per-query worker pool bound (0 = GOMAXPROCS)
 //	-max-inflight N   concurrent mining queries (default 8)
 //	-max-queue N      admission wait-queue length (default 32, negative = none)
 //	-queue-wait D     max time in the admission queue (default 2s)
@@ -42,7 +41,8 @@
 // (queries stay exact while the index ages); when the buffered rows and
 // tombstones reach 1/20 of the base records, the server rebuilds the
 // index in the background and swaps it in, bumping the dataset's
-// generation.
+// generation. Each dataset name is served by one engine: a name given
+// twice is a startup error.
 // Standing subscriptions receive incremental rule diffs as batches
 // land. Wrong-method requests on /v1 routes get a JSON 405 with an
 // Allow header; every error response carries the structured envelope.
@@ -79,7 +79,6 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated builtin datasets (salary, chess, mushroom, pumsb)")
 		primary  = flag.Float64("primary", 0.1, "primary support for -csv datasets")
 		seed     = flag.Int64("seed", 1, "generator seed for builtin synthetic datasets")
-		workers  = flag.Int("workers", 0, "per-query worker pool bound (0 = GOMAXPROCS)")
 
 		maxInFlight  = flag.Int("max-inflight", 0, "concurrent mining queries (0 = default 8)")
 		maxQueue     = flag.Int("max-queue", 0, "admission wait-queue length (0 = default 32, negative = no queue)")
@@ -97,7 +96,7 @@ func main() {
 	flag.Var(&csvs, "csv", "headed CSV file to index (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, server.Config{
+	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, server.Config{
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueWait:    *queueWait,
@@ -114,11 +113,19 @@ func main() {
 	}
 }
 
-func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, cfg server.Config) error {
+func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, cfg server.Config) error {
 	metrics := colarm.NewMetricsRegistry()
-	opts := colarm.Options{Workers: workers, Metrics: metrics}
+	opts := colarm.Options{Metrics: metrics}
 	reg := server.NewRegistry()
-	registered := 0
+	// Each name is served by the one engine given for it: a second one
+	// is a mistake, not a replacement.
+	register := func(eng *colarm.Engine) error {
+		name := eng.Dataset().Name()
+		if _, err := reg.Get(name); err == nil {
+			return fmt.Errorf("dataset %q given twice", name)
+		}
+		return reg.Register(eng)
+	}
 
 	for _, name := range strings.Split(datasets, ",") {
 		name = strings.TrimSpace(name)
@@ -131,10 +138,9 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 		}
 		o := opts
 		o.PrimarySupport = defPrimary
-		if err := open(reg, ds, o); err != nil {
+		if err := open(register, ds, o); err != nil {
 			return fmt.Errorf("dataset %s: %w", name, err)
 		}
-		registered++
 	}
 	for _, spec := range snapshots {
 		name, path, ok := strings.Cut(spec, "=")
@@ -149,10 +155,11 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 		if got := eng.Dataset().Name(); got != name {
 			return fmt.Errorf("snapshot %s: holds dataset %q", path, got)
 		}
-		reg.Register(eng)
+		if err := register(eng); err != nil {
+			return fmt.Errorf("snapshot %s: %w", name, err)
+		}
 		fmt.Fprintf(os.Stderr, "loaded %q from %s: %d partitions in %s\n",
 			name, path, eng.NumPartitions(), time.Since(start).Round(time.Millisecond))
-		registered++
 	}
 	for _, path := range csvs {
 		ds, err := colarm.LoadCSV(path)
@@ -161,11 +168,11 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 		}
 		o := opts
 		o.PrimarySupport = primary
-		if err := open(reg, ds, o); err != nil {
+		if err := open(register, ds, o); err != nil {
 			return fmt.Errorf("csv %s: %w", filepath.Base(path), err)
 		}
-		registered++
 	}
+	registered := len(reg.List())
 	if registered == 0 {
 		return fmt.Errorf("nothing to serve: pass -datasets, -snapshot or -csv")
 	}
@@ -197,13 +204,15 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 	}
 }
 
-func open(reg *server.Registry, ds *colarm.Dataset, opts colarm.Options) error {
+func open(register func(*colarm.Engine) error, ds *colarm.Dataset, opts colarm.Options) error {
 	start := time.Now()
 	eng, err := colarm.Open(ds, opts)
 	if err != nil {
 		return err
 	}
-	reg.Register(eng)
+	if err := register(eng); err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "built %q (%d records, %d attributes): %d partitions in %s\n",
 		ds.Name(), ds.NumRecords(), ds.NumAttributes(), eng.NumPartitions(),
 		time.Since(start).Round(time.Millisecond))

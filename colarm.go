@@ -112,12 +112,6 @@ type Options struct {
 	// (0,1]: itemsets below it are not prestored and thus invisible to
 	// queries (the POQM assumption).
 	PrimarySupport float64
-	// Workers bounds the goroutines a single query fans its parallel
-	// operator sections (ELIMINATE support checks, VERIFY rule
-	// generation) out to: 0 means one per logical CPU (GOMAXPROCS),
-	// 1 forces serial execution. Rules and statistics are identical
-	// for every setting; only wall-clock time changes.
-	Workers int
 	// Metrics, when non-nil, registers this engine's cumulative metrics
 	// in a shared registry instead of a private one. Every engine
 	// metric carries a dataset label, so engines over different
@@ -260,9 +254,12 @@ type Result struct {
 // exactly once and gates, chooses and executes against that version,
 // whatever is ingested meanwhile.
 type Engine struct {
-	ds   *Dataset
-	opts Options
-	gen  uint64
+	ds *Dataset
+	// primary is the support fraction the index was mined at: the delta
+	// store re-mines merged surfaces at it, Rebuild mines at it and Save
+	// records it.
+	primary float64
+	gen     uint64
 
 	idx      *mip.Index
 	model    *cost.Model
@@ -282,36 +279,26 @@ func Open(ds *Dataset, opts Options) (*Engine, error) {
 	if ds == nil || ds.rel == nil {
 		return nil, fmt.Errorf("colarm: nil dataset")
 	}
-	idx, err := mip.Build(ds.rel, mip.Options{PrimarySupport: opts.PrimarySupport, Workers: opts.Workers})
+	idx, err := mip.Build(ds.rel, mip.Options{PrimarySupport: opts.PrimarySupport})
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(idx, opts, opts.Metrics.registry())
+	e := newEngine(idx, opts.PrimarySupport, opts.Metrics.registry())
 	e.ds = ds
 	return e, nil
 }
 
-// newEngine wires the online phase around an index and registers the
-// engine's metrics in reg (a private registry when nil).
-// opts.PrimarySupport is the fraction the index was mined at, which the
-// delta store re-mines merged surfaces at; when zero — a snapshot that
-// did not record it — an approximation is recovered from the stored
-// primary count.
-func newEngine(idx *mip.Index, opts Options, reg *obs.Registry) *Engine {
-	primary := opts.PrimarySupport
-	if primary <= 0 && idx.Dataset.NumRecords() > 0 {
-		primary = float64(idx.PrimaryCount) / float64(idx.Dataset.NumRecords())
-	}
+// newEngine wires the online phase around an index mined at the
+// fraction primary and registers the engine's metrics in reg (a private
+// registry when nil).
+func newEngine(idx *mip.Index, primary float64, reg *obs.Registry) *Engine {
 	st := delta.NewStore(idx, primary)
-	st.SetWorkers(opts.Workers)
-	ex := plans.NewExecutor(idx.Space)
-	ex.Workers = opts.Workers
 	return &Engine{
 		ds:       &Dataset{rel: idx.Dataset},
-		opts:     opts,
+		primary:  primary,
 		idx:      idx,
 		model:    cost.NewModel(idx),
-		executor: ex,
+		executor: plans.NewExecutor(idx.Space),
 		delta:    st,
 		surface:  st.Surface,
 		metrics:  newEngineMetrics(reg, idx.Dataset.Name),

@@ -24,12 +24,24 @@ func openSalary(t testing.TB, opts Options) *Engine {
 	return eng
 }
 
-// TestWorkersOptionEquivalence checks the public knob end to end: an
-// engine opened with Workers=1 and one with the full pool answer every
-// query identically, rules and statistics alike.
-func TestWorkersOptionEquivalence(t *testing.T) {
-	serial := openSalary(t, Options{Workers: 1})
-	parallel := openSalary(t, Options{Workers: runtime.GOMAXPROCS(0) + 2})
+// atProcs returns fn's results computed with GOMAXPROCS at n, which
+// every parallel section of an engine sizes its fan-out from, and
+// restores GOMAXPROCS after: at 1 every section runs serially.
+func atProcs[T any](n int, fn func() (T, error)) (T, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return fn()
+}
+
+// TestSerialParallelEquivalence checks the fan-out end to end: an
+// engine opened and queried at GOMAXPROCS 1 and one at GOMAXPROCS + 2
+// answer every query identically, rules and statistics alike.
+func TestSerialParallelEquivalence(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0) + 2
+	open := func(n int) *Engine {
+		eng, _ := atProcs(n, func() (*Engine, error) { return openSalary(t, Options{}), nil })
+		return eng
+	}
+	serial, parallel := open(1), open(procs)
 	queries := []Query{
 		{MinSupport: 0.2, MinConfidence: 0.3},
 		{Range: map[string][]string{"Location": {"Seattle"}, "Gender": {"F"}},
@@ -40,16 +52,16 @@ func TestWorkersOptionEquivalence(t *testing.T) {
 		{MinSupport: 0.45, MinConfidence: 0.8, Plan: ARM},
 	}
 	for qi, q := range queries {
-		want, err := serial.Mine(q)
+		want, err := atProcs(1, func() (*Result, error) { return serial.Mine(q) })
 		if err != nil {
 			t.Fatalf("q%d serial: %v", qi, err)
 		}
-		got, err := parallel.Mine(q)
+		got, err := atProcs(procs, func() (*Result, error) { return parallel.Mine(q) })
 		if err != nil {
 			t.Fatalf("q%d parallel: %v", qi, err)
 		}
 		if !reflect.DeepEqual(got.Rules, want.Rules) {
-			t.Errorf("q%d: rules diverge across Workers settings", qi)
+			t.Errorf("q%d: rules diverge across GOMAXPROCS settings", qi)
 		}
 		ws, gs := want.Stats, got.Stats
 		ws.DurationNanos, gs.DurationNanos = 0, 0

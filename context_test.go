@@ -3,6 +3,7 @@ package colarm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -35,8 +36,10 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		eng, err := Open(ds, Options{PrimarySupport: 0.18, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs) // every fan-out sizes itself from it
+		eng, err := Open(ds, Options{PrimarySupport: 0.18})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,23 +52,23 @@ func TestPreCancelledContext(t *testing.T) {
 			}
 			res, err := eng.MineContext(ctx, q)
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("workers=%d plan=%v: err = %v, want context.Canceled", workers, p, err)
+				t.Errorf("procs=%d plan=%v: err = %v, want context.Canceled", procs, p, err)
 			}
 			if res != nil {
-				t.Errorf("workers=%d plan=%v: got a result from a cancelled query", workers, p)
+				t.Errorf("procs=%d plan=%v: got a result from a cancelled query", procs, p)
 			}
 		}
 		if _, err := eng.MineQLContext(ctx, `REPORT LOCALIZED ASSOCIATION RULES FROM salary
 			WHERE RANGE Location = (Seattle)
 			HAVING minsupport = 50% AND minconfidence = 50%;`); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d MineQLContext: err = %v, want context.Canceled", workers, err)
+			t.Errorf("procs=%d MineQLContext: err = %v, want context.Canceled", procs, err)
 		}
 		if _, err := eng.ExplainContext(ctx, Query{
 			Range:         map[string][]string{"Location": {"Seattle"}},
 			MinSupport:    0.5,
 			MinConfidence: 0.5,
 		}); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d ExplainContext: err = %v, want context.Canceled", workers, err)
+			t.Errorf("procs=%d ExplainContext: err = %v, want context.Canceled", procs, err)
 		}
 	}
 }
@@ -125,8 +128,10 @@ func TestCancelMidQuery(t *testing.T) {
 		MinConfidence: 0.5,
 		Plan:          ARM,
 	}
-	for _, workers := range []int{1, 4} {
-		eng, err := Open(&Dataset{rel: d}, Options{PrimarySupport: 0.70, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs) // every fan-out sizes itself from it
+		eng, err := Open(&Dataset{rel: d}, Options{PrimarySupport: 0.70})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,16 +145,16 @@ func TestCancelMidQuery(t *testing.T) {
 			// The query finished before the cancel landed; nothing to
 			// assert beyond a sane result.
 			if res == nil {
-				t.Errorf("workers=%d: nil result without error", workers)
+				t.Errorf("procs=%d: nil result without error", procs)
 			}
 			cancel()
 			continue
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Errorf("procs=%d: err = %v, want context.Canceled", procs, err)
 		}
 		if res != nil {
-			t.Errorf("workers=%d: partial result leaked from a cancelled query", workers)
+			t.Errorf("procs=%d: partial result leaked from a cancelled query", procs)
 		}
 	}
 }

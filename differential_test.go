@@ -18,7 +18,7 @@ import (
 
 // TestDifferentialOracle checks every execution plan against an
 // independent from-scratch oracle on randomized small datasets, and
-// that parallel execution (Workers > 1) is byte-identical to serial.
+// that parallel execution (GOMAXPROCS > 1) is byte-identical to serial.
 //
 // The oracle rebuilds both answer sets from first principles, sharing
 // no code with the executor beyond the raw tidsets and the brute-force
@@ -61,11 +61,12 @@ func runDifferentialTrial(t *testing.T, rng *rand.Rand, trial int) int {
 	}
 	ds := &Dataset{rel: d}
 	primary := 0.15 + 0.2*rng.Float64()
-	eng1, err := Open(ds, Options{PrimarySupport: primary, Workers: 1})
+	open := func() (*Engine, error) { return Open(ds, Options{PrimarySupport: primary}) }
+	eng1, err := atProcs(1, open)
 	if err != nil {
 		t.Fatalf("trial %d: open serial: %v", trial, err)
 	}
-	eng4, err := Open(ds, Options{PrimarySupport: primary, Workers: 4})
+	eng4, err := atProcs(4, open)
 	if err != nil {
 		t.Fatalf("trial %d: open parallel: %v", trial, err)
 	}
@@ -135,7 +136,7 @@ func runDifferentialTrial(t *testing.T, rng *rand.Rand, trial int) int {
 		for _, plan := range []Plan{SEV, SVS, SSEV, SSVS, SSEUV, ARM, Auto} {
 			pq := q
 			pq.Plan = plan
-			res1, err := eng1.Mine(pq)
+			res1, err := atProcs(1, func() (*Result, error) { return eng1.Mine(pq) })
 			if err != nil {
 				t.Fatalf("%s: plan %s serial: %v", label, plan, err)
 			}
@@ -147,7 +148,7 @@ func runDifferentialTrial(t *testing.T, rng *rand.Rand, trial int) int {
 				t.Fatalf("%s: plan %s: %d rules, oracle expects %d\ngot:  %v\nwant: %v",
 					label, plan, len(res1.Rules), len(want), res1.Rules, want)
 			}
-			res4, err := eng4.Mine(pq)
+			res4, err := atProcs(4, func() (*Result, error) { return eng4.Mine(pq) })
 			if err != nil {
 				t.Fatalf("%s: plan %s parallel: %v", label, plan, err)
 			}
@@ -359,8 +360,9 @@ func min(a, b int) int {
 	return b
 }
 
-// TestLifecycleDifferential checks that a parallel engine is
-// indistinguishable from a serial one over an engine's whole life: on
+// TestLifecycleDifferential checks that an engine run at GOMAXPROCS 4
+// is indistinguishable from one run serially, at GOMAXPROCS 1, over an
+// engine's whole life: on
 // four randomized datasets, Explain's six estimates must be equal and
 // all six forced plans and Auto must return byte-identical rules AND
 // statistics — fresh, with a live delta (inserts and deletes), after a
@@ -388,11 +390,12 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 	}
 	ds := &Dataset{rel: d}
 	primary := 0.15 + 0.2*rng.Float64()
-	ser, err := Open(ds, Options{PrimarySupport: primary, Workers: 1})
+	open := func() (*Engine, error) { return Open(ds, Options{PrimarySupport: primary}) }
+	ser, err := atProcs(1, open)
 	if err != nil {
 		t.Fatalf("%s: open serial: %v", cfg.Name, err)
 	}
-	par, err := Open(ds, Options{PrimarySupport: primary, Workers: 4})
+	par, err := atProcs(4, open)
 	if err != nil {
 		t.Fatalf("%s: open parallel: %v", cfg.Name, err)
 	}
@@ -407,11 +410,11 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 	compare := func(stage string) {
 		t.Helper()
 		for qi, q := range queries {
-			estS, err := ser.Explain(q)
+			estS, err := atProcs(1, func() ([]PlanEstimate, error) { return ser.Explain(q) })
 			if err != nil {
 				t.Fatalf("%s %s query %d: explain serial: %v", cfg.Name, stage, qi, err)
 			}
-			estP, err := par.Explain(q)
+			estP, err := atProcs(4, func() ([]PlanEstimate, error) { return par.Explain(q) })
 			if err != nil {
 				t.Fatalf("%s %s query %d: explain parallel: %v", cfg.Name, stage, qi, err)
 			}
@@ -423,11 +426,11 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 				pq := q
 				pq.Plan = plan
 				label := fmt.Sprintf("%s %s query %d plan %s", cfg.Name, stage, qi, plan)
-				resS, err := ser.Mine(pq)
+				resS, err := atProcs(1, func() (*Result, error) { return ser.Mine(pq) })
 				if err != nil {
 					t.Fatalf("%s: serial: %v", label, err)
 				}
-				resP, err := par.Mine(pq)
+				resP, err := atProcs(4, func() (*Result, error) { return par.Mine(pq) })
 				if err != nil {
 					t.Fatalf("%s: parallel: %v", label, err)
 				}
@@ -481,11 +484,11 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 	// Rebuild: both engines re-mine the merged dataset with compacted
 	// record ids. Every query surface must still agree exactly.
 	ctx := context.Background()
-	ser2, err := ser.Rebuild(ctx)
+	ser2, err := atProcs(1, func() (*Engine, error) { return ser.Rebuild(ctx) })
 	if err != nil {
 		t.Fatalf("%s: rebuild serial: %v", cfg.Name, err)
 	}
-	par2, err := par.Rebuild(ctx)
+	par2, err := atProcs(4, func() (*Engine, error) { return par.Rebuild(ctx) })
 	if err != nil {
 		t.Fatalf("%s: rebuild parallel: %v", cfg.Name, err)
 	}
@@ -508,7 +511,7 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 
 	// The rebuilt snapshot must round-trip through save/load, keep
 	// answering exactly and re-save to the same bytes.
-	loaded, err := LoadEngine(bytes.NewReader(snap), Options{Workers: 1})
+	loaded, err := atProcs(1, func() (*Engine, error) { return LoadEngine(bytes.NewReader(snap), Options{}) })
 	if err != nil {
 		t.Fatalf("%s: load rebuilt: %v", cfg.Name, err)
 	}
@@ -523,11 +526,11 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 		for _, plan := range forced {
 			pq := q
 			pq.Plan = plan
-			resS, err := ser.Mine(pq)
+			resS, err := atProcs(1, func() (*Result, error) { return ser.Mine(pq) })
 			if err != nil {
 				t.Fatalf("%s loaded query %d plan %s: serial: %v", cfg.Name, qi, plan, err)
 			}
-			resL, err := loaded.Mine(pq)
+			resL, err := atProcs(1, func() (*Result, error) { return loaded.Mine(pq) })
 			if err != nil {
 				t.Fatalf("%s loaded query %d plan %s: %v", cfg.Name, qi, plan, err)
 			}

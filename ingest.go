@@ -26,7 +26,7 @@ import (
 // /v1/datasets/{name}.
 type Staleness struct {
 	delta.Staleness
-	// Generation counts full rebuilds since the engine was opened.
+	// Generation is the engine's Generation.
 	Generation uint64 `json:"-"`
 }
 
@@ -106,17 +106,18 @@ func (e *Engine) wrapStaleness(st delta.Staleness) Staleness {
 	return Staleness{Staleness: st, Generation: e.gen}
 }
 
-// Generation counts full rebuilds since the engine was opened (0 for a
-// freshly opened engine).
+// Generation counts full rebuilds since the first build: 0 for an
+// engine Open built, one more for each Rebuild, and what the snapshot
+// recorded for an engine LoadEngine restored.
 func (e *Engine) Generation() uint64 { return e.gen }
 
 // Rebuild runs the offline phase over the merged dataset — base records
 // minus deletions plus buffered inserts, ids compacted — and returns a
 // fresh engine with an empty delta and an incremented generation. The
-// fresh engine keeps this one's Options, R-tree fanout and metrics
-// registry. The receiver is left untouched and stays fully queryable, so
-// callers can rebuild in the background and swap engines atomically when
-// done.
+// fresh engine keeps this one's primary support, R-tree fanout and
+// metrics registry. The receiver is left untouched and stays fully
+// queryable, so callers can rebuild in the background and swap engines
+// atomically when done.
 func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -127,14 +128,13 @@ func (e *Engine) Rebuild(ctx context.Context) (*Engine, error) {
 	}
 	start := time.Now()
 	idx, err := mip.Build(merged, mip.Options{
-		PrimarySupport: e.opts.PrimarySupport,
+		PrimarySupport: e.primary,
 		Fanout:         e.idx.RTree.Fanout(),
-		Workers:        e.opts.Workers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	fresh := newEngine(idx, e.opts, e.metrics.reg)
+	fresh := newEngine(idx, e.primary, e.metrics.reg)
 	fresh.gen = e.gen + 1
 	e.metrics.rebuilds.Inc()
 	e.metrics.rebuildSeconds.Observe(time.Since(start))

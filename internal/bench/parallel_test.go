@@ -12,14 +12,13 @@ import (
 
 // TestSerialParallelEquivalenceOnPresets runs every plan kind on every
 // preset benchmark dataset (chess, mushroom, PUMSB — scaled down to
-// keep the suite fast) at Workers=1 and Workers=GOMAXPROCS and asserts
+// keep the suite fast) at GOMAXPROCS 1 and at GOMAXPROCS (floored at
+// 4), which every query sizes its fan-out from, and asserts
 // identical rule sets and operator counters. This is the dataset-scale
 // complement of the salary-table equivalence test in internal/plans.
 func TestSerialParallelEquivalenceOnPresets(t *testing.T) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
+	procs := max(4, runtime.GOMAXPROCS(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, spec := range Specs(false, 7) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -44,12 +43,12 @@ func TestSerialParallelEquivalenceOnPresets(t *testing.T) {
 			for _, frac := range []float64{0.5, 0.1} {
 				q := env.QueryFor(env.RandomFocalSubset(rng, frac), minSupp, minConf)
 				for _, k := range plans.Kinds() {
-					env.Executor.Workers = 1
+					runtime.GOMAXPROCS(1)
 					want, err := env.Executor.Run(k, env.Surface, q)
 					if err != nil {
 						t.Fatalf("%v frac=%.2f serial: %v", k, frac, err)
 					}
-					env.Executor.Workers = workers
+					runtime.GOMAXPROCS(procs)
 					got, err := env.Executor.Run(k, env.Surface, q)
 					if err != nil {
 						t.Fatalf("%v frac=%.2f parallel: %v", k, frac, err)

@@ -149,38 +149,22 @@ func (s *Set) Or(t *Set) {
 	}
 }
 
-// Intersect returns a new set holding s ∩ t.
+// Intersect returns a new set holding s ∩ t. A dense pair's result is
+// an array at arrayOptCard ids or fewer and a bitmap above; any pair
+// with an array side yields an array.
 func Intersect(s, t *Set) *Set {
-	r := new(Set)
-	IntersectInto(r, s, t)
-	return r
-}
-
-// IntersectInto replaces dst with s ∩ t and returns the cardinality of
-// the result. dst takes s's capacity and fresh containers; whatever it
-// held before is dropped. A dense pair's result is an array at
-// arrayOptCard ids or fewer and a bitmap above; any pair with an array
-// side yields an array. dst must be distinct from s and t;
-// IntersectInto panics otherwise (use And for an in-place
-// intersection).
-func IntersectInto(dst, s, t *Set) int {
 	s.checkCompat(t)
-	if dst == s || dst == t {
-		panic("bitset: IntersectInto destination aliases an operand")
-	}
-	dst.n, dst.ctrs = s.n, make([]container, len(s.ctrs))
-	n := 0
+	r := &Set{n: s.n, ctrs: make([]container, len(s.ctrs))}
 	for i := range s.ctrs {
-		x, y, d := &s.ctrs[i], &t.ctrs[i], &dst.ctrs[i]
+		x, y, d := &s.ctrs[i], &t.ctrs[i], &r.ctrs[i]
 		if x.kind == bitmapCtr && y.kind == bitmapCtr {
 			intersectBitmaps(d, x, y, s.words(i))
 		} else {
 			*d = x.clone()
 			andInPlace(d, y, s.words(i))
 		}
-		n += int(d.card)
 	}
-	return n
+	return r
 }
 
 // AndCount returns |s ∩ t| without materializing the intersection. This

@@ -618,9 +618,9 @@ func TestHybridBytesWinOnSparse(t *testing.T) {
 var fuzzCapacities = []int{1, 64, 4097, 65536, 70000, 131073, 3196, 8124}
 
 // FuzzSetOps replays a byte-driven op sequence over two sets — Add,
-// Remove, a stretch of Adds, And, Or, Fill, Optimize, IntersectInto, and
+// Remove, a stretch of Adds, And, Or, Fill, Optimize, Intersect, and
 // a rebuild of one set from newDense — and
-// after every op holds both sets, and IntersectInto's result, to the
+// after every op holds both sets, and Intersect's result, to the
 // oracle (see checkOracle, which also asserts checkSpans). The first
 // byte picks the capacity; each op is three bytes: which set and which
 // op, then an id.
@@ -639,7 +639,6 @@ func FuzzSetOps(f *testing.F) {
 		n := fuzzCapacities[int(data[0])%len(fuzzCapacities)]
 		sets := [2]*Set{New(n), New(n)}
 		refs := [2]oracle{make(oracle, n), make(oracle, n)}
-		dst := new(Set)
 		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
 			i := int(ops[0] & 1)
 			s, o, other := sets[i], refs[i], sets[1-i]
@@ -669,12 +668,7 @@ func FuzzSetOps(f *testing.F) {
 			case 6:
 				s.Optimize()
 			case 7:
-				got := IntersectInto(dst, s, other)
-				want := o.combine(refs[1-i], and)
-				if got != len(want.ids()) {
-					t.Fatalf("IntersectInto returned %d, oracle intersection holds %d", got, len(want.ids()))
-				}
-				checkOracle(t, "IntersectInto result", dst, want)
+				checkOracle(t, "Intersect result", Intersect(s, other), o.combine(refs[1-i], and))
 			case 8:
 				sets[i] = denseOf(n, o.ids())
 			}

@@ -56,6 +56,7 @@ package delta
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"colarm/internal/bitset"
@@ -120,7 +121,6 @@ type Store struct {
 	mu      sync.Mutex
 	idx     *mip.Index
 	primary float64
-	workers int
 
 	obsMu     sync.Mutex
 	observers map[int]func(Applied)
@@ -145,16 +145,6 @@ func NewStore(idx *mip.Index, primary float64) *Store {
 		tombs:   bitset.New(idx.Dataset.NumRecords()),
 		frozen:  plans.NewSurface(idx),
 	}
-}
-
-// SetWorkers bounds the fan-out of the merged surface's parallel box
-// computation: 0 means one worker per CPU, 1 forces serial. Boxes are
-// independent reads into pre-indexed slots, so the surface is
-// worker-count-invariant.
-func (s *Store) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.workers = n
 }
 
 // Observe registers fn to be called after every accepted Ingest batch
@@ -393,7 +383,9 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 	boxes := make([]itemset.Box, len(res.Closed))
 	entries := make([]rtree.Entry, len(res.Closed))
 	closed := res.Closed
-	pool.For(len(closed), pool.Workers(s.workers), func(id int) {
+	// Boxes are independent reads into pre-indexed slots, so the surface
+	// is the same at every GOMAXPROCS.
+	pool.For(len(closed), runtime.GOMAXPROCS(0), func(id int) {
 		boxes[id] = s.mergedBox(closed[id], tids, gone, added)
 		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(closed[id].Support)}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"colarm/internal/bitset"
@@ -131,13 +132,16 @@ func allItemsCountPass(s *Store) []*bitset.Set {
 // belongs to is the base tidset untouched.
 func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 	moved := 0 // merged boxes that differ from the frozen box of the same itemset
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		idx := edgyIndex(t, rng)
 		sp, d := idx.Space, idx.Dataset
 		baseN := d.NumRecords()
 		s := NewStore(idx, 0.08)
-		s.SetWorkers(1 + int(seed%2))
+		// Every other seed builds its views serially: the box fan-out
+		// sizes itself from GOMAXPROCS.
+		runtime.GOMAXPROCS(1 + int(seed%2))
 		inserted := 0
 		for batch := 0; batch < 8; batch++ {
 			var rows [][]int32

@@ -13,6 +13,7 @@ package mip
 
 import (
 	"fmt"
+	"runtime"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
@@ -32,11 +33,6 @@ type Options struct {
 	PrimarySupport float64
 	// Fanout is the R-tree node capacity; <= 0 selects the default.
 	Fanout int
-	// Workers bounds the fan-out of the per-CFI bounding-box computation
-	// during assembly: 0 means one worker per CPU, 1 forces serial. Box
-	// probes are independent reads over immutable tidsets and land in
-	// pre-indexed slots, so the result is worker-count-invariant.
-	Workers int
 }
 
 // Index is the built MIP-index plus everything the online phase needs:
@@ -98,10 +94,10 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		idx.Boxes = make([]itemset.Box, len(res.Closed))
 	}
 	// Box probes are independent tidset reads landing in pre-indexed
-	// slots, so they fan out across the worker pool without affecting the
-	// result.
+	// slots, so they fan out across GOMAXPROCS workers without affecting
+	// the result.
 	entries := make([]rtree.Entry, len(res.Closed))
-	pool.For(len(res.Closed), pool.Workers(opts.Workers), func(id int) {
+	pool.For(len(res.Closed), runtime.GOMAXPROCS(0), func(id int) {
 		c := res.Closed[id]
 		if boxes == nil {
 			idx.Boxes[id] = idx.boundingBox(c)

@@ -41,7 +41,9 @@ const snapshotMagic = "COLARM-MIP-v5"
 // the index itself.
 type SnapshotMeta struct {
 	// Primary is the primary-support fraction the index was mined at;
-	// the delta store re-mines merged views at this same fraction.
+	// the delta store re-mines merged views at this same fraction. A
+	// stream that recorded none (0) reads back with the primary count
+	// over the live records in its place.
 	Primary float64
 	// Generation counts the engine's rebuilds since the original build.
 	Generation uint64
@@ -155,7 +157,8 @@ func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
 // COLARM snapshot, or a foreign file — fails with
 // qerr.ErrSnapshotVersion before any payload decoding. A stream carrying
 // ghost rows loads compacted: every record id of the index it returns
-// names a live record.
+// names a live record. A stream that recorded no primary fraction reads
+// back with one recovered from its primary count (see SnapshotMeta).
 func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
@@ -229,6 +232,9 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	if snap.Meta.Primary == 0 && d.NumRecords() > 0 {
+		snap.Meta.Primary = float64(snap.PrimaryCount) / float64(d.NumRecords())
+	}
 	if live != nil {
 		return compactGhosts(d, live, snap)
 	}
@@ -283,19 +289,15 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 // rebuilds wrote: deleted records kept in the table as ghost rows outside
 // a live mask, ids never renumbered. d holds the live rows only, and the
 // index is re-mined over them as the engine's first rebuild used to do:
-// at the snapshot's primary fraction, or at its primary count over the
-// live rows when no fraction was recorded. The stored catalog covers the
-// same live rows but in the old id space, so it is not read. The delta's
-// deletes in snap.Meta move into the compacted id space: a live base
-// record to its rank among the live rows, a buffered row down by the
-// number of ghosts, and a delete naming a ghost — a record that no
-// longer exists — is dropped.
+// at the snapshot's primary fraction (recovered by decodeSnapshot when
+// the stream recorded none). The stored catalog covers the same live
+// rows but in the old id space, so it is not read. The delta's deletes
+// in snap.Meta move into the compacted id space: a live base record to
+// its rank among the live rows, a buffered row down by the number of
+// ghosts, and a delete naming a ghost — a record that no longer exists
+// — is dropped.
 func compactGhosts(d *relation.Dataset, live *bitset.Set, snap *snapshotV5) (*Index, error) {
-	primary := snap.Meta.Primary
-	if primary == 0 && d.NumRecords() > 0 {
-		primary = float64(snap.PrimaryCount) / float64(d.NumRecords())
-	}
-	idx, err := Build(d, Options{PrimarySupport: primary, Fanout: snap.Fanout})
+	idx, err := Build(d, Options{PrimarySupport: snap.Meta.Primary, Fanout: snap.Fanout})
 	if err != nil {
 		return nil, err
 	}

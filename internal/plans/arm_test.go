@@ -304,7 +304,8 @@ func BenchmarkARMSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := &Query{Region: fracRegion(idx, 0.5), MinSupport: 0.60, MinConfidence: 0.8}
-	ex := &Executor{Space: idx.Space, Workers: 1}
+	setProcs(b, 1)
+	ex := NewExecutor(idx.Space)
 	f := ex.Focus(NewSurface(idx), q)
 	c := ex.newCtx(context.Background(), f, q)
 	b.Run("vertical", func(b *testing.B) {
@@ -331,6 +332,7 @@ func BenchmarkARMSelect(b *testing.B) {
 // about 50, 10 and 1 % of the records. ARM reads only the item tidsets, so the indexes are built at
 // a high primary to keep set-up short.
 func BenchmarkARM(b *testing.B) {
+	setProcs(b, 1)
 	for _, ds := range []struct {
 		name    string
 		cfg     datagen.Config
@@ -350,7 +352,7 @@ func BenchmarkARM(b *testing.B) {
 		s := NewSurface(idx)
 		for _, frac := range []float64{0.50, 0.10, 0.01} {
 			q := &Query{Region: fracRegion(idx, frac), MinSupport: ds.minSupp, MinConfidence: 0.9, MaxConsequent: 1}
-			ex := &Executor{Space: idx.Space, Workers: 1}
+			ex := NewExecutor(idx.Space)
 			f := ex.Focus(s, q)
 			b.Run(fmt.Sprintf("%s/dq=%g%%", ds.name, 100*frac), func(b *testing.B) {
 				b.ReportAllocs()

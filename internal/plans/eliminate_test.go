@@ -87,9 +87,10 @@ func boundQuery(r *rand.Rand, ex *Executor, s *Surface, minSupp float64, tight b
 // plans: in the per-CFI state every pruned id's exact local support is
 // below MinCount, every counted id holds its exact count and no id is
 // left scheduled, and rules and every counter but SupportChecks equal a
-// run with the bound disabled. Stats are equal at one worker and at
-// four.
+// run with the bound disabled. Stats are equal at GOMAXPROCS 1 and at
+// 4.
 func TestEliminateItemBound(t *testing.T) {
+	setProcs(t, 1)
 	pruned, tight, checksOn, checksOff := 0, 0, 0, 0
 	for di, qi := range quickIndexes {
 		d, err := datagen.Generate(qi.cfg)
@@ -102,9 +103,8 @@ func TestEliminateItemBound(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(int64(di)))
 		surfaces := []namedSurface{{"frozen", NewSurface(idx)}, {"merged", mergedSurface(t, r, idx, qi.primary)}}
-		ex := &Executor{Space: idx.Space, Workers: 1}
-		exOff := &Executor{Space: idx.Space, Workers: 1, noItemBound: true}
-		exN := &Executor{Space: idx.Space, Workers: 4}
+		ex := NewExecutor(idx.Space)
+		exOff := &Executor{Space: idx.Space, noItemBound: true}
 		for i := 0; i < 3; i++ {
 			q := boundQuery(r, ex, surfaces[0].Surface, qi.minSupp, i != 1)
 			for _, s := range surfaces {
@@ -168,7 +168,8 @@ func TestEliminateItemBound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, err := exN.RunContext(context.Background(), kind, f, q)
+					var par *Result
+					atProcs(4, func() { par, err = ex.RunContext(context.Background(), kind, f, q) })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -250,6 +251,7 @@ var mipBenchShapes = []struct {
 // visited R-tree entry — on the mine_mip shapes over focal subsets of
 // about 50, 10 and 1 % of the records.
 func BenchmarkSearch(b *testing.B) {
+	setProcs(b, 1)
 	for _, ds := range mipBenchShapes {
 		d, err := datagen.Generate(ds.cfg)
 		if err != nil {
@@ -262,7 +264,7 @@ func BenchmarkSearch(b *testing.B) {
 		s := NewSurface(idx)
 		for _, frac := range []float64{0.50, 0.10, 0.01} {
 			q := &Query{Region: fracRegion(idx, frac), MinSupport: ds.minSupp, MinConfidence: 0.8}
-			ex := &Executor{Space: idx.Space, Workers: 1}
+			ex := NewExecutor(idx.Space)
 			f := ex.Focus(s, q)
 			for _, supported := range []bool{false, true} {
 				name := fmt.Sprintf("%s/dq=%g%%/search", ds.name, 100*frac)
@@ -291,6 +293,7 @@ func BenchmarkSearch(b *testing.B) {
 // focal subsets of about 50, 10 and 1 % of the records. Each iteration
 // runs on a fresh query context and layout, as a request does.
 func BenchmarkEliminate(b *testing.B) {
+	setProcs(b, 1)
 	for _, ds := range mipBenchShapes {
 		d, err := datagen.Generate(ds.cfg)
 		if err != nil {
@@ -304,7 +307,7 @@ func BenchmarkEliminate(b *testing.B) {
 		for _, frac := range []float64{0.50, 0.10, 0.01} {
 			q := &Query{Region: fracRegion(idx, frac), MinSupport: ds.minSupp, MinConfidence: 0.8}
 			for _, bound := range []bool{true, false} {
-				ex := &Executor{Space: idx.Space, Workers: 1, noItemBound: !bound}
+				ex := &Executor{Space: idx.Space, noItemBound: !bound}
 				f := ex.Focus(s, q)
 				cands, err := ex.newCtx(context.Background(), f, q).search(false)
 				if err != nil {
@@ -355,7 +358,7 @@ func TestEliminateLocalVectors(t *testing.T) {
 			for _, s := range surfaces {
 				for _, workers := range []int{1, 4} {
 					for _, bound := range []bool{true, false} {
-						ex := &Executor{Space: idx.Space, Workers: workers, noItemBound: !bound}
+						ex := &Executor{Space: idx.Space, noItemBound: !bound}
 						f := ex.Focus(s.Surface, q)
 						if f.Size == 0 {
 							continue
@@ -365,6 +368,7 @@ func TestEliminateLocalVectors(t *testing.T) {
 						}
 						for _, supported := range []bool{false, true} {
 							c := ex.newCtx(context.Background(), f, q)
+							c.workers = workers
 							cands, err := c.search(supported)
 							if err != nil {
 								t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -17,24 +18,17 @@ import (
 )
 
 // Executor runs mining plans over Surfaces. It holds no index state of
-// its own — only the item space every surface of one engine shares and
-// the execution configuration — so one executor serves the engine's base
-// index and its merged views alike.
+// its own — only the item space every surface of one engine shares — so
+// one executor serves the engine's base index and its merged views
+// alike. A query's parallel sections fan out across GOMAXPROCS workers.
 //
 // An Executor is safe for concurrent use by multiple goroutines: Run
 // keeps all per-query state in a fresh context, and a Surface is
-// immutable. The exported fields are configuration — set them before
-// serving queries and do not modify them while calls are in flight.
+// immutable.
 type Executor struct {
 	// Space maps attribute values to items for every surface the
 	// executor is handed.
 	Space *itemset.Space
-	// Workers bounds the goroutines one query fans its ELIMINATE
-	// support checks and VERIFY rule generation out to: 0 means one per
-	// logical CPU (GOMAXPROCS), 1 forces the serial path. Results —
-	// rules and operator counters alike — are identical for every
-	// worker count.
-	Workers int
 
 	// noItemBound makes ELIMINATE schedule a record-level check for every
 	// candidate, as it did before the item bound (itemsReach). Test hook.
@@ -121,7 +115,7 @@ type qctx struct {
 	done    <-chan struct{} // ctx.Done(), captured once (nil for Background)
 	polls   int             // cancellation poll cadence counter
 	mask    []bool          // item-attribute mask; nil without the clause
-	workers int             // resolved worker count for this query
+	workers int             // GOMAXPROCS when the query started
 	st      *Stats
 
 	// cfi is ELIMINATE's per-CFI state, indexed by CFI id (see cfiNone):
@@ -164,7 +158,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		ctx:     ctx,
 		done:    ctx.Done(),
 		mask:    q.ItemAttrs,
-		workers: ex.workers(),
+		workers: runtime.GOMAXPROCS(0),
 		st:      &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 	}
 }

@@ -50,7 +50,8 @@ func TestFocalLayoutCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(43))
-	ex := &Executor{Space: idx.Space, Workers: 4}
+	setProcs(t, 4)
+	ex := NewExecutor(idx.Space)
 	misses, asked := 0, 0
 	for _, s := range surfaceTable(t, r, idx, 0.5) {
 		all := make([]candidate, s.Tree.Size())

@@ -181,13 +181,14 @@ func hasVector(f *Focal, numItems int) []bool {
 }
 
 // TestVerifyCountsOnlyBuiltVectors: VERIFY's workers only read D^Q's
-// layout. Under SS-E-U-V at four workers, on frozen and merged surfaces,
+// layout. Under SS-E-U-V at GOMAXPROCS 4, on frozen and merged surfaces,
 // VERIFY's pre-fan-out step gives a vector to exactly the bodies' items
 // that lacked one, and every itemset the rule generator asks VERIFY's
 // oracle about names only items with a vector — counted as the chain
 // over the item tidsets. The contained shortcut must leave some body
 // item without a vector, or the step is not exercised.
 func TestVerifyCountsOnlyBuiltVectors(t *testing.T) {
+	setProcs(t, 4)
 	built := 0
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -195,7 +196,7 @@ func TestVerifyCountsOnlyBuiltVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := &Executor{Space: idx.Space, Workers: 4}
+		ex := NewExecutor(idx.Space)
 		n := idx.Space.NumItems()
 		for _, s := range surfaceTable(t, r, idx, 0.1) {
 			for i := 0; i < 6; i++ {
@@ -401,8 +402,9 @@ func BenchmarkVerifyOracle(b *testing.B) {
 			b.Fatal(err)
 		}
 		q := &Query{Region: reg, MinSupport: tc.minSupp, MinConfidence: tc.minConf, MaxConsequent: 1}
-		ex := &Executor{Space: idx.Space, Workers: 1}
+		ex := NewExecutor(idx.Space)
 		c := ex.newCtx(context.Background(), ex.Focus(NewSurface(idx), q), q)
+		c.workers = 1
 		cands, err := c.search(true)
 		if err != nil {
 			b.Fatal(err)

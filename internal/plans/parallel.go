@@ -2,8 +2,8 @@
 //
 // COLARM's online phase is embarrassingly parallel at two points: the
 // per-candidate record-level support checks of ELIMINATE and the
-// per-itemset rule generation of VERIFY. Both fan out across a bounded
-// worker pool here. The design constraint is determinism: the parallel
+// per-itemset rule generation of VERIFY. Both fan out across GOMAXPROCS
+// workers here. The design constraint is determinism: the parallel
 // paths must produce byte-identical rule sets AND identical operator
 // counters to the serial path, for every schedule, so that plan
 // equivalence tests are oblivious to the worker count. The pool itself is
@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"colarm/internal/itemset"
-	"colarm/internal/pool"
 	"colarm/internal/rules"
 )
 
@@ -165,10 +164,4 @@ func rulesIn(per [][]rules.Rule) int {
 		n += len(rs)
 	}
 	return n
-}
-
-// workers resolves the executor's worker-count knob: 0 (or negative)
-// means one worker per logical CPU, 1 forces the serial path.
-func (ex *Executor) workers() int {
-	return pool.Workers(ex.Workers)
 }

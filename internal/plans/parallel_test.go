@@ -13,6 +13,20 @@ import (
 	"colarm/internal/pool"
 )
 
+// setProcs sets GOMAXPROCS, which every query sizes its fan-out from,
+// to n until the test or benchmark ends: at 1 every section runs
+// serially.
+func setProcs(tb testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// atProcs runs fn with GOMAXPROCS at n and restores it after.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 func TestParallelForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 2, 7, 100} {
@@ -161,27 +175,24 @@ func equivQueries(t *testing.T, idx interface {
 
 // TestSerialParallelEquivalence asserts the core determinism contract:
 // for every surface shape, every plan kind and a workload of diverse
-// queries, the parallel path (Workers = GOMAXPROCS, floored at 4) emits
+// queries, the parallel path (GOMAXPROCS, floored at 4) emits
 // byte-identical rules and identical operator counters to the serial
-// path (Workers = 1).
+// path (GOMAXPROCS 1).
 func TestSerialParallelEquivalence(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
 	queries := equivQueries(t, idx, idx.Space)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 4 {
-		workers = 4
-	}
+	procs := max(4, runtime.GOMAXPROCS(0))
 	ex := NewExecutor(idx.Space)
 	for _, s := range surfaceTable(t, rand.New(rand.NewSource(1)), idx, 0.18) {
 		for _, k := range Kinds() {
 			for qi, q := range queries {
-				ex.Workers = 1
-				want, err := ex.Run(k, s.Surface, q)
+				var want, got *Result
+				var err error
+				atProcs(1, func() { want, err = ex.Run(k, s.Surface, q) })
 				if err != nil {
 					t.Fatalf("%s %v q%d serial: %v", s.name, k, qi, err)
 				}
-				ex.Workers = workers
-				got, err := ex.Run(k, s.Surface, q)
+				atProcs(procs, func() { got, err = ex.Run(k, s.Surface, q) })
 				if err != nil {
 					t.Fatalf("%s %v q%d parallel: %v", s.name, k, qi, err)
 				}
@@ -204,7 +215,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // every goroutine observes the same answer.
 func TestConcurrentRunSmoke(t *testing.T) {
 	idx := salaryIndex(t, 0.18)
-	ex, s := NewExecutor(idx.Space), NewSurface(idx) // Workers = 0: nested per-query parallelism
+	ex, s := NewExecutor(idx.Space), NewSurface(idx) // nested per-query parallelism
 	queries := equivQueries(t, idx, idx.Space)
 
 	type answer struct {

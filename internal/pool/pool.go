@@ -7,12 +7,12 @@
 // density — cannot idle a worker. The contract every caller relies on
 // for determinism is that fn(i) is called exactly once per index and
 // that callers land results in pre-indexed slots, so the merged output
-// is independent of schedule and of the worker count.
+// is independent of schedule and of the worker count. Every caller
+// sizes its fan-out as runtime.GOMAXPROCS(0).
 package pool
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -97,13 +97,4 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
 	}
 	wg.Wait()
 	return workers, ctx.Err()
-}
-
-// Workers resolves a worker-count knob: 0 (or negative) means one worker
-// per logical CPU, 1 forces the serial path.
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }

@@ -140,10 +140,11 @@ func TestMineBodiesMatchReference(t *testing.T) {
 			}
 
 			// The reference: the facade's answer through the wire schema.
-			eng, gen, q, err := s.resolve(requestOf(t, tc.query))
+			eng, q, err := s.resolve(requestOf(t, tc.query))
 			if err != nil {
 				t.Fatal(err)
 			}
+			gen := eng.Generation()
 			res, err := eng.Mine(q)
 			if err != nil {
 				t.Fatal(err)
@@ -390,10 +391,11 @@ func TestHitsUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, gen, q, err := s.resolve(requestOf(t, seattleQuery))
+	eng, q, err := s.resolve(requestOf(t, seattleQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := eng.Generation()
 	key := cacheKey("salary", gen, eng.Version(), q)
 	rivals := shardKeys(s.cache, s.cache.shard(key), 4) // they share the hot key's one-entry shard
 
@@ -457,10 +459,11 @@ func TestHitsUnderChurn(t *testing.T) {
 func hitFixture(t testing.TB) (h http.Handler, request func() *http.Request, store func(rules int) int) {
 	s, _ := newTestServer(t, Config{})
 	body := mustMarshal(t, seattleQuery)
-	eng, gen, q, err := s.resolve(requestOf(t, seattleQuery))
+	eng, q, err := s.resolve(requestOf(t, seattleQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := eng.Generation()
 	key := cacheKey("salary", gen, eng.Version(), q)
 	request = func() *http.Request {
 		return httptest.NewRequest("POST", "/v1/mine", bytes.NewReader(body))

@@ -164,7 +164,7 @@ func TestErrorEnvelopeByRoute(t *testing.T) {
 			t.Errorf("%s: status %d code %q, want %d %q (body %s)", tc.name, w.Code, er.Error.Code, tc.status, tc.code, w.Body.String())
 		}
 	}
-	if eng, _, _ := s.reg.Get("salary"); eng.Version() != 0 || len(s.standing.List()) != 0 {
+	if eng, _ := s.reg.Get("salary"); eng.Version() != 0 || len(s.standing.List()) != 0 {
 		t.Errorf("a refused body was acted on: version %d, %d subscriptions", eng.Version(), len(s.standing.List()))
 	}
 	// Surrounding white space is not trailing data, and raw COLARM-QL

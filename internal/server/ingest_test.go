@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -44,7 +45,7 @@ func decodeIngest(t testing.TB, w *httptest.ResponseRecorder) ingestResponse {
 func TestIngestEndpoint(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	h := s.Handler()
-	eng, _, err := reg.Get("salary")
+	eng, err := reg.Get("salary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +109,11 @@ func TestIngestEndpoint(t *testing.T) {
 func TestIngestForcedRebuild(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	h := s.Handler()
-	eng, gen0, err := reg.Get("salary")
+	eng, err := reg.Get("salary")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen0 := eng.Generation()
 	base := eng.Dataset().NumRecords()
 
 	w := postJSON(t, h, "/v1/ingest", ingestRequest{
@@ -127,11 +129,11 @@ func TestIngestForcedRebuild(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		fresh, gen, err := reg.Get("salary")
+		fresh, err := reg.Get("salary")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gen == gen0+1 {
+		if fresh.Generation() == gen0+1 {
 			if got, want := fresh.Dataset().NumRecords(), base+2-1; got != want {
 				t.Fatalf("rebuilt dataset has %d records, want %d", got, want)
 			}
@@ -180,10 +182,11 @@ func TestIngestReportsTombstonedRecords(t *testing.T) {
 func TestIngestAutoRebuildAtThreshold(t *testing.T) {
 	for _, policy := range []string{"never", "auto"} {
 		s, reg := newTestServer(t, Config{})
-		eng, gen0, err := reg.Get("salary")
+		eng, err := reg.Get("salary")
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen0 := eng.Generation()
 		resp := decodeIngest(t, postJSON(t, s.Handler(), "/v1/ingest", ingestRequest{
 			Dataset: "salary",
 			Inserts: []map[string]string{salaryRecord(t, eng)},
@@ -193,11 +196,11 @@ func TestIngestAutoRebuildAtThreshold(t *testing.T) {
 			t.Fatalf("%s: recommended %v, started %v", policy, resp.Staleness.RebuildRecommended, resp.RebuildStarted)
 		}
 		s.rebuilds.Wait()
-		_, gen, err := reg.Get("salary")
+		now, err := reg.Get("salary")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := gen0
+		gen, want := now.Generation(), gen0
 		if policy == "auto" {
 			want++
 		}
@@ -238,13 +241,14 @@ func TestWrongMethod405(t *testing.T) {
 
 // TestConcurrentIngestMineReload drives concurrent ingests, mining
 // queries and registry reloads (forced rebuild swaps plus manual
-// re-registrations) against one server; run under -race this is the
-// subsystem's concurrency proof. Ingest conflicts (409, racing a
-// rebuild) are expected and tolerated; every other failure is not.
+// registrations of a later generation) against one server; run under
+// -race this is the subsystem's concurrency proof. Ingest conflicts
+// (409, racing a rebuild) are expected and tolerated; every other
+// failure is not.
 func TestConcurrentIngestMineReload(t *testing.T) {
 	s, reg := newTestServer(t, Config{CacheEntries: 64})
 	h := s.Handler()
-	eng, _, err := reg.Get("salary")
+	eng, err := reg.Get("salary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +307,9 @@ func TestConcurrentIngestMineReload(t *testing.T) {
 		}
 	}()
 
-	// Manual registry reloads racing everything else.
+	// Manual registry swaps racing everything else: the next generation
+	// of the registered engine, refused when a rebuild swap got there
+	// first.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -313,7 +319,17 @@ func TestConcurrentIngestMineReload(t *testing.T) {
 				return
 			case <-time.After(20 * time.Millisecond):
 			}
-			reg.Register(salaryEngine(t, nil))
+			cur, err := reg.Get("salary")
+			if err != nil {
+				fail <- err.Error()
+				return
+			}
+			fresh, err := cur.Rebuild(context.Background())
+			if err != nil {
+				fail <- err.Error()
+				return
+			}
+			_ = reg.Register(fresh)
 		}
 	}()
 

@@ -11,52 +11,48 @@ import (
 // Registry holds the named engines a server answers queries for, one
 // per dataset. Engines are keyed by their dataset's name — the same
 // name the query language's FROM clause and the HTTP API's "dataset"
-// field use — and each registration carries a monotonically increasing
-// generation: re-registering a name (a reloaded snapshot, a rebuilt
-// index) bumps the generation, which retires every cached result keyed
-// under the previous one without touching the cache itself.
+// field use. The generation every reply reports is the engine's own
+// (colarm.Engine.Generation), and a name's engine is replaced only by a
+// later generation of it, so a (dataset, generation, version) triple
+// names one engine's state: a rebuild swap retires every cached result
+// keyed under the old generation without touching the cache itself.
 //
 // A Registry is safe for concurrent use; lookups are read-locked and
 // engines themselves are safe for concurrent queries.
 type Registry struct {
 	mu     sync.RWMutex
-	byName map[string]*engineEntry
-}
-
-type engineEntry struct {
-	eng *colarm.Engine
-	gen uint64
+	byName map[string]*colarm.Engine
 }
 
 // NewRegistry creates an empty engine registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*engineEntry)}
+	return &Registry{byName: make(map[string]*colarm.Engine)}
 }
 
-// Register adds the engine under its dataset's name, replacing (and
-// generation-bumping) any previous engine of the same name. It returns
-// the new generation (1 for a first registration).
-func (r *Registry) Register(eng *colarm.Engine) uint64 {
+// Register adds the engine under its dataset's name. An engine already
+// registered under that name is replaced only by a later generation of
+// it; any other engine of the same name is refused with an error.
+func (r *Registry) Register(eng *colarm.Engine) error {
 	name := eng.Dataset().Name()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	gen := uint64(1)
-	if prev, ok := r.byName[name]; ok {
-		gen = prev.gen + 1
+	if prev, ok := r.byName[name]; ok && eng.Generation() <= prev.Generation() {
+		return fmt.Errorf("server: dataset %q is registered at generation %d; only a later generation replaces it, not %d",
+			name, prev.Generation(), eng.Generation())
 	}
-	r.byName[name] = &engineEntry{eng: eng, gen: gen}
-	return gen
+	r.byName[name] = eng
+	return nil
 }
 
-// Get returns the engine registered under name and its generation.
-func (r *Registry) Get(name string) (*colarm.Engine, uint64, error) {
+// Get returns the engine registered under name.
+func (r *Registry) Get(name string) (*colarm.Engine, error) {
 	r.mu.RLock()
-	e, ok := r.byName[name]
+	eng, ok := r.byName[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("server: no dataset %q registered", name)
+		return nil, fmt.Errorf("server: no dataset %q registered", name)
 	}
-	return e.eng, e.gen, nil
+	return eng, nil
 }
 
 // DatasetInfo describes one registered engine for the listing endpoint.
@@ -75,16 +71,15 @@ type DatasetInfo struct {
 	RebuildRecommended bool `json:"rebuildRecommended"`
 }
 
-// describe is the listing entry of one engine registered at generation
-// gen, reporting the drift st.
-func describe(eng *colarm.Engine, gen uint64, st colarm.Staleness) DatasetInfo {
+// describe is the listing entry of one engine, reporting its drift st.
+func describe(eng *colarm.Engine, st colarm.Staleness) DatasetInfo {
 	ds := eng.Dataset()
 	return DatasetInfo{
 		Name:               ds.Name(),
 		Records:            ds.NumRecords(),
 		Attributes:         ds.Attributes(),
 		Partitions:         eng.NumPartitions(),
-		Generation:         gen,
+		Generation:         eng.Generation(),
 		BufferedRows:       st.BufferedRows,
 		Tombstones:         st.Tombstones,
 		RebuildRecommended: st.RebuildRecommended,
@@ -96,8 +91,8 @@ func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]DatasetInfo, 0, len(r.byName))
-	for _, e := range r.byName {
-		out = append(out, describe(e.eng, e.gen, e.eng.Staleness()))
+	for _, eng := range r.byName {
+		out = append(out, describe(eng, eng.Staleness()))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

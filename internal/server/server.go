@@ -44,9 +44,9 @@
 // and tombstones reach 1/20 of the base records (or the client forces
 // it), the server rebuilds the index in the background —
 // the old engine keeps serving throughout — and atomically swaps the
-// new engine into the registry. The swap bumps the dataset's
-// generation, which retires every cached result keyed under the old
-// one. While a dataset is rebuilding, further ingests for it are
+// new engine into the registry. The new engine is the next generation
+// (colarm.Engine.Generation, which every reply reports), so the swap
+// retires every cached result keyed under the old one. While a dataset is rebuilding, further ingests for it are
 // rejected with 409 Conflict (they could land after the rebuild's
 // snapshot and be lost in the swap); queries are never blocked.
 package server
@@ -205,7 +205,7 @@ func New(reg *Registry, cfg Config) *Server {
 		Metrics:          m,
 	})
 	for _, info := range reg.List() {
-		if eng, _, err := reg.Get(info.Name); err == nil {
+		if eng, err := reg.Get(info.Name); err == nil {
 			s.standing.Attach(info.Name, eng)
 		}
 	}
@@ -256,8 +256,8 @@ type mineRequest struct {
 type mineResponse struct {
 	Dataset string `json:"dataset"`
 	// Generation and Version locate the answer on the dataset's
-	// (registry generation, delta version-clock) timeline, correlating
-	// it with ingest responses and standing-query events.
+	// (engine generation, delta version-clock) timeline, correlating it
+	// with ingest responses and standing-query events.
 	Generation uint64                `json:"generation"`
 	Version    uint64                `json:"version"`
 	Cached     bool                  `json:"cached"`
@@ -341,29 +341,29 @@ func parseRequest(r *http.Request) (*mineRequest, error) {
 	return &req, nil
 }
 
-// resolve turns a request's query into the engine, its generation and
-// the query to run. A QL statement is parsed here, once, and routes by
-// its FROM clause; nothing past this point sees its text.
-func (s *Server) resolve(b *queryBody) (*colarm.Engine, uint64, colarm.Query, error) {
+// resolve turns a request's query into the engine and the query to run.
+// A QL statement is parsed here, once, and routes by its FROM clause;
+// nothing past this point sees its text.
+func (s *Server) resolve(b *queryBody) (*colarm.Engine, colarm.Query, error) {
 	name, q := b.Dataset, b.Query
 	if b.QL != "" {
 		from, parsed, err := colarm.ParseQL(b.QL)
 		if err != nil {
-			return nil, 0, q, badRequestError{err}
+			return nil, q, badRequestError{err}
 		}
 		if name != "" && !strings.EqualFold(name, from) {
-			return nil, 0, q, badRequestError{fmt.Errorf("dataset field %q disagrees with FROM clause %q", name, from)}
+			return nil, q, badRequestError{fmt.Errorf("dataset field %q disagrees with FROM clause %q", name, from)}
 		}
 		name, q = from, parsed
 	}
-	eng, gen, err := s.reg.Get(name)
+	eng, err := s.reg.Get(name)
 	if err != nil {
-		return nil, 0, q, notFoundError{err}
+		return nil, q, notFoundError{err}
 	}
 	if err := q.Validate(); err != nil {
-		return nil, 0, q, err
+		return nil, q, err
 	}
-	return eng, gen, q, nil
+	return eng, q, nil
 }
 
 // requestContext derives the query's execution context: the server's
@@ -394,13 +394,13 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "mine", err)
 		return
 	}
-	eng, gen, q, err := s.resolve(&req.queryBody)
+	eng, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "mine", err)
 		return
 	}
 	q.Trace = req.Trace
-	name := eng.Dataset().Name()
+	name, gen := eng.Dataset().Name(), eng.Generation()
 	ver := eng.Version()
 
 	cacheable := s.cache != nil && !q.Trace && !req.NoCache
@@ -514,7 +514,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "explain", err)
 		return
 	}
-	eng, gen, q, err := s.resolve(&req.queryBody)
+	eng, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "explain", err)
 		return
@@ -532,7 +532,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, explainResponse{
 		Dataset:    eng.Dataset().Name(),
-		Generation: gen,
+		Generation: eng.Generation(),
 		Version:    eng.Version(),
 		Estimates:  ests,
 	})
@@ -562,7 +562,7 @@ type datasetDetail struct {
 func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 	s.requests["datasets"].Inc()
 	name := r.PathValue("name")
-	eng, gen, err := s.reg.Get(name)
+	eng, err := s.reg.Get(name)
 	if err != nil {
 		s.fail(w, "datasets", notFoundError{err})
 		return
@@ -570,7 +570,7 @@ func (s *Server) handleDatasetDetail(w http.ResponseWriter, r *http.Request) {
 	ds := eng.Dataset()
 	st := eng.Staleness()
 	detail := datasetDetail{
-		DatasetInfo: describe(eng, gen, st),
+		DatasetInfo: describe(eng, st),
 		Version:     st.Version,
 		Staleness:   st,
 		Domains:     make(map[string][]string, len(ds.Attributes())),
@@ -631,7 +631,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.ing.Lock()
-	eng, gen, err := s.reg.Get(req.Dataset)
+	eng, err := s.reg.Get(req.Dataset)
 	if err != nil {
 		s.ing.Unlock()
 		s.fail(w, "ingest", notFoundError{err})
@@ -669,7 +669,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Dataset:        name,
 		Inserted:       len(req.Inserts),
 		Deleted:        st.Tombstones - before,
-		Generation:     gen,
+		Generation:     st.Generation,
 		Version:        st.Version,
 		Staleness:      st,
 		RebuildStarted: started,
@@ -678,17 +678,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // rebuild runs one background index rebuild and swaps the fresh engine
 // into the registry. The old engine serves queries (and stays reachable
-// for in-flight ones) for the whole duration; the registry swap bumps
-// the generation, retiring every cached result keyed under the old one.
-// Failures leave the old engine in place.
+// for in-flight ones) for the whole duration; the fresh engine is the
+// next generation, so the swap retires every cached result keyed under
+// the old one. Failures leave the old engine in place.
 func (s *Server) rebuild(name string, eng *colarm.Engine) {
 	defer s.rebuilds.Done()
 	fresh, err := eng.Rebuild(context.Background())
 	s.ing.Lock()
+	if err == nil {
+		err = s.reg.Register(fresh)
+	}
 	if err != nil {
 		s.rebuildsFailed.Inc()
-	} else {
-		s.reg.Register(fresh)
 	}
 	delete(s.ing.rebuilding, name)
 	s.ing.Unlock()

@@ -282,12 +282,37 @@ func TestGenerationBumpInvalidates(t *testing.T) {
 		t.Fatal("warm-up: second query should hit")
 	}
 
-	// Re-register (a reload): the generation bump retires cached keys.
-	if gen := reg.Register(salaryEngine(t, nil)); gen != 2 {
-		t.Fatalf("re-register generation = %d, want 2", gen)
+	// Another engine of the same generation (a reload of the same
+	// build) is refused and retires nothing.
+	if err := reg.Register(salaryEngine(t, nil)); err == nil {
+		t.Fatal("a same-generation engine replaced the registered one")
 	}
-	if resp := decodeMine(t, postJSON(t, h, "/v1/mine", seattleQuery)); resp.Cached {
-		t.Error("query after engine reload served a stale generation")
+	if resp := decodeMine(t, postJSON(t, h, "/v1/mine", seattleQuery)); !resp.Cached {
+		t.Error("a refused registration retired the cached result")
+	}
+
+	// A later generation (a rebuild) replaces it, and its generation
+	// retires the cached keys.
+	eng, err := reg.Get("salary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := eng.Rebuild(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(fresh); err != nil {
+		t.Fatal(err)
+	}
+	resp := decodeMine(t, postJSON(t, h, "/v1/mine", seattleQuery))
+	if resp.Cached {
+		t.Error("query after the rebuild swap served a stale generation")
+	}
+	if resp.Generation != 1 {
+		t.Errorf("generation after one rebuild = %d, want 1", resp.Generation)
+	}
+	if err := reg.Register(eng); err == nil {
+		t.Error("an earlier generation replaced a later one")
 	}
 }
 
@@ -343,7 +368,8 @@ func TestDatasetsEndpoint(t *testing.T) {
 		t.Fatalf("datasets = %+v", resp.Datasets)
 	}
 	d := resp.Datasets[0]
-	if d.Records == 0 || len(d.Attributes) == 0 || d.Partitions == 0 || d.Generation != 1 {
+	// An engine Open built is generation 0: no rebuild yet.
+	if d.Records == 0 || len(d.Attributes) == 0 || d.Partitions == 0 || d.Generation != 0 {
 		t.Errorf("dataset info incomplete: %+v", d)
 	}
 }
@@ -483,7 +509,7 @@ func TestAdmissionConcurrentBound(t *testing.T) {
 
 func TestRegistryUnknown(t *testing.T) {
 	reg := NewRegistry()
-	if _, _, err := reg.Get("nope"); err == nil {
+	if _, err := reg.Get("nope"); err == nil {
 		t.Error("unknown dataset must error")
 	}
 }

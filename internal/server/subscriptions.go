@@ -29,7 +29,7 @@ type subscriptionJSON struct {
 	// Events is the subscription's event-stream path.
 	Events string `json:"events"`
 	// Generation and Version locate the dataset when the response was
-	// built (Generation is the registry generation, as on /v1/mine).
+	// built (Generation is the engine generation, as on /v1/mine).
 	Generation uint64 `json:"generation"`
 	Version    uint64 `json:"version"`
 }
@@ -42,8 +42,8 @@ func (s *Server) subscriptionJSON(sub *standing.Subscription) subscriptionJSON {
 		Track:   sub.Track(),
 		Events:  "/v1/subscriptions/" + sub.ID() + "/events",
 	}
-	if eng, gen, err := s.reg.Get(sub.Dataset()); err == nil {
-		out.Generation = gen
+	if eng, err := s.reg.Get(sub.Dataset()); err == nil {
+		out.Generation = eng.Generation()
 		out.Version = eng.Version()
 	}
 	return out
@@ -56,7 +56,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "subscriptions", err)
 		return
 	}
-	eng, _, q, err := s.resolve(&req.queryBody)
+	eng, q, err := s.resolve(&req.queryBody)
 	if err != nil {
 		s.fail(w, "subscriptions", err)
 		return

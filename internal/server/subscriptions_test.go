@@ -277,18 +277,18 @@ func TestSSEStreamAndResume(t *testing.T) {
 	c.close()
 
 	// Background rebuild + registry swap while disconnected.
-	_, gen0, err := reg.Get("salary")
+	old, err := reg.Get("salary")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ingestRows(t, h, []map[string]string{seattleRow}, "force")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		_, gen, err := reg.Get("salary")
+		now, err := reg.Get("salary")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gen > gen0 {
+		if now.Generation() > old.Generation() {
 			break
 		}
 		if time.Now().After(deadline) {

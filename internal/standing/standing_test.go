@@ -6,22 +6,20 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"colarm"
 )
 
-func salaryEngine(t testing.TB, workers int) *colarm.Engine {
+func salaryEngine(t testing.TB) *colarm.Engine {
 	t.Helper()
 	ds, err := colarm.Salary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := colarm.Open(ds, colarm.Options{
-		PrimarySupport: 0.18,
-		Workers:        workers,
-	})
+	eng, err := colarm.Open(ds, colarm.Options{PrimarySupport: 0.18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +90,20 @@ func ruleMap(rules []colarm.Rule) map[string]colarm.Rule {
 }
 
 // TestReplayDifferential is the tentpole's correctness bar: for every
-// plan, serial and parallel, replaying a subscription's event stream
-// over a randomized ingest interleaving reconstructs exactly the rule
-// set /v1/mine would return at the final version.
+// plan, serial (workers1: GOMAXPROCS 1, which every fan-out sizes
+// itself from) and parallel (workers0: GOMAXPROCS as it is), replaying
+// a subscription's event stream over a randomized ingest interleaving
+// reconstructs exactly the rule set /v1/mine would return at the final
+// version.
 func TestReplayDifferential(t *testing.T) {
 	plans := []colarm.Plan{colarm.SEV, colarm.SVS, colarm.SSEV, colarm.SSVS, colarm.SSEUV, colarm.ARM}
-	for _, workers := range []int{1, 0} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(20260818 + workers)))
-			eng := salaryEngine(t, workers)
+	for _, procs := range []int{1, 0} {
+		t.Run(fmt.Sprintf("workers%d", procs), func(t *testing.T) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			rng := rand.New(rand.NewSource(int64(20260818 + procs)))
+			eng := salaryEngine(t)
 			ds := eng.Dataset()
 			m := NewManager(Config{EventBuffer: 4096})
 			defer m.Close()
@@ -196,7 +199,7 @@ func TestReplayDifferential(t *testing.T) {
 // TestConcurrentIngestReplay races concurrent ingesters against the
 // diff worker and checks the stream still replays to the final mine.
 func TestConcurrentIngestReplay(t *testing.T) {
-	eng := salaryEngine(t, 0)
+	eng := salaryEngine(t)
 	m := NewManager(Config{EventBuffer: 4096})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -248,7 +251,7 @@ func TestConcurrentIngestReplay(t *testing.T) {
 // TestCanonicalDedup shares one tracker across same-query subscribers
 // and splits trackers when the canonical form differs.
 func TestCanonicalDedup(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -296,7 +299,7 @@ func TestCanonicalDedup(t *testing.T) {
 // TestAffectednessGate proves unaffected batches skip mining: rows
 // outside every focal region produce no events and count as skips.
 func TestAffectednessGate(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -350,7 +353,7 @@ func TestAffectednessGate(t *testing.T) {
 // TestSlowConsumerEviction wraps the ring past a live consumer and
 // checks it receives a terminal evicted event, not silence.
 func TestSlowConsumerEviction(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{EventBuffer: 2})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -407,7 +410,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 // a non-matching Seattle record dilutes every Seattle rule's support,
 // pushing the 0.75-support rules below 0.7.
 func TestThresholdCrossing(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -454,7 +457,7 @@ func TestThresholdCrossing(t *testing.T) {
 // rebuild preserves exactness), and the stream still replays correctly
 // across the swap.
 func TestEpochOnRebuildSwap(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -515,7 +518,7 @@ func TestEpochOnRebuildSwap(t *testing.T) {
 
 // TestCreateValidation covers the error surface of Create.
 func TestCreateValidation(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{MaxSubscriptions: 1})
 	defer m.Close()
 	m.Attach("salary", eng)
@@ -546,7 +549,7 @@ func TestCreateValidation(t *testing.T) {
 // TestDeleteWakesConsumer checks a blocked consumer observes ErrClosed
 // when its subscription is deleted.
 func TestDeleteWakesConsumer(t *testing.T) {
-	eng := salaryEngine(t, 1)
+	eng := salaryEngine(t)
 	m := NewManager(Config{})
 	defer m.Close()
 	m.Attach("salary", eng)

@@ -20,7 +20,7 @@ import (
 func (e *Engine) Save(w io.Writer) error {
 	rows, dels := e.delta.Snapshot()
 	meta := mip.SnapshotMeta{
-		Primary:    e.opts.PrimarySupport,
+		Primary:    e.primary,
 		Generation: e.gen,
 		DeltaRows:  rows,
 	}
@@ -78,10 +78,10 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// LoadEngine restores an engine from a snapshot written by Save. opts
-// controls the runtime knobs only (workers, metrics); the index
-// parameters (primary support, fanout), the engine generation and any
-// buffered delta come from the snapshot. A snapshot of a different
+// LoadEngine restores an engine from a snapshot written by Save. Of
+// opts only Metrics is read; the index parameters (primary support,
+// fanout), the engine generation and any buffered delta come from the
+// snapshot. A snapshot of a different
 // format version fails with ErrSnapshotVersion.
 func LoadEngine(r io.Reader, opts Options) (*Engine, error) {
 	idx, meta, err := mip.ReadSnapshot(r)
@@ -102,14 +102,14 @@ func LoadEngineFile(path string, opts Options) (*Engine, error) {
 }
 
 func engineFromIndex(idx *mip.Index, meta mip.SnapshotMeta, opts Options) (*Engine, error) {
-	// 0 means "not recorded" (newEngine recovers it from the primary
-	// count); anything else is the fraction every merged view is re-mined
-	// at, so a value outside [0,1] — NaN included — is a corrupt stream.
+	// The fraction every merged view is re-mined at, and Rebuild mines
+	// at: a value outside [0,1] — NaN included — is a corrupt stream.
+	// ReadSnapshot recovered an unrecorded one, so 0 is left only for an
+	// index of no records.
 	if !(meta.Primary >= 0 && meta.Primary <= 1) {
 		return nil, fmt.Errorf("colarm: snapshot primary support %v outside [0,1]", meta.Primary)
 	}
-	opts.PrimarySupport = meta.Primary
-	e := newEngine(idx, opts, opts.Metrics.registry())
+	e := newEngine(idx, meta.Primary, opts.Metrics.registry())
 	e.gen = meta.Generation
 	if len(meta.DeltaRows) > 0 || len(meta.DeltaDels) > 0 {
 		dels := make([]int, len(meta.DeltaDels))

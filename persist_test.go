@@ -167,6 +167,77 @@ func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 	}
 }
 
+// TestLoadUnrecordedPrimary: a snapshot written with an empty
+// mip.SnapshotMeta records no primary fraction. It loads with the one
+// its primary count gives over its records, and that one fraction
+// serves the whole lifecycle: the engine ingests, rebuilds and saves
+// again, and the rebuilt engine answers every plan as the merged view
+// did before the rebuild.
+func TestLoadUnrecordedPrimary(t *testing.T) {
+	eng := salaryEngine(t)
+	var buf bytes.Buffer
+	if _, err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEngine(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(eng.idx.PrimaryCount) / float64(eng.idx.Dataset.NumRecords()); loaded.primary != want {
+		t.Fatalf("loaded primary support %v, want the primary count's %v", loaded.primary, want)
+	}
+	insert := map[string]string{"Company": "Google", "Title": "Sw Engg", "Location": "Seattle",
+		"Gender": "F", "Age": "30-40", "Salary": "90K-120K"}
+	if _, err := loaded.Ingest([]map[string]string{insert, insert}, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{Range: map[string][]string{"Location": {"Seattle"}}, MinSupport: 0.3, MinConfidence: 0.5},
+		{MinSupport: 0.25, MinConfidence: 0.6},
+	}
+	var before [][]Rule
+	for _, q := range queries {
+		for _, p := range []Plan{Auto, SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
+			q.Plan = p
+			res, err := loaded.Mine(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, res.Rules)
+		}
+	}
+	rebuilt, err := loaded.Rebuild(context.Background())
+	if err != nil {
+		t.Fatalf("rebuild of an engine loaded without a recorded primary: %v", err)
+	}
+	i := 0
+	for _, q := range queries {
+		for _, p := range []Plan{Auto, SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
+			q.Plan = p
+			res, err := rebuilt.Mine(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rules, before[i]) {
+				t.Fatalf("%+v: rebuilt rules differ from the merged view's\ngot:  %v\nwant: %v", q, res.Rules, before[i])
+			}
+			i++
+		}
+	}
+	var again bytes.Buffer
+	if err := rebuilt.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadEngine(&again, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded.primary != loaded.primary || reloaded.Generation() != 1 {
+		t.Fatalf("re-saved snapshot loads at primary %v generation %d, want %v and 1",
+			reloaded.primary, reloaded.Generation(), loaded.primary)
+	}
+}
+
 // TestLoadDropsNestedSecondaries: a v5 snapshot an older release saved
 // with a nested secondary index beside the base index (the
 // FuzzLoadSnapshot seed recipe plus a secondary at primary 0.05) loads

@@ -30,7 +30,7 @@ func TestIngestRebuildSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := &Dataset{rel: d}
-	eng, err := Open(ds, Options{PrimarySupport: 0.2, Workers: 2})
+	eng, err := Open(ds, Options{PrimarySupport: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
