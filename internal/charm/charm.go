@@ -9,10 +9,12 @@
 // popcount, and a vector is written only for a pair that opens a
 // branch, into a per-run slab whose dropped vectors a free list hands
 // out again. MineVectors mines vectors the caller built — ARM hands it
-// views of the focal subset's rank-space vectors, ⌈|D^Q|/64⌉ words — and
-// returns CFIs without tidsets. MineTidsets copies each frequent item's tidset
-// into the dense word layout of its record space and gives every emitted
-// CFI its tidset as a *bitset.Set.
+// views of the focal subset's rank-space vectors, ⌈|D^Q|/64⌉ words, and
+// the merged view of internal/delta its frequent items' merged tidsets
+// in one record-space arena — and returns CFIs without tidsets.
+// MineTidsets, for the offline index build (mip.Build) and Mine, copies
+// each frequent item's tidset into the dense word layout of its record
+// space and gives every emitted CFI its tidset as a *bitset.Set.
 package charm
 
 import (

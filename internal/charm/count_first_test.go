@@ -135,8 +135,9 @@ var mined *Result
 
 // BenchmarkMineTidsets is the CHARM kernel on the record-space mines
 // the served benchmark runs: chess @ 0.70 (every tidset a bitmap, the
-// index build of mine_mip), mushroom @ 0.30 (the merged-view re-mine of
-// ingest_notify) and mushroom @ 0.05 (the index build of mine_mip and
+// index build of mine_mip), mushroom @ 0.30 (the shape of ingest_notify's
+// merged-view re-mine, which runs the same miner through MineVectors and
+// materializes no CFI tidset) and mushroom @ 0.05 (the index build of mine_mip and
 // mine_hot) — plus full-scale PUMSB, 49 k records, whose vectors are
 // 766 words (6 KB) each: the memory cost of mining in record space.
 func BenchmarkMineTidsets(b *testing.B) {

@@ -24,7 +24,9 @@
 //     clears or sets its bit in the tidsets of its own items (this is
 //     the delta-side count pass, amortized over the version);
 //  2. CHARM re-mines the closed frequent itemsets over the merged
-//     tidsets at the merged primary-support count, and the closed
+//     tidsets at the merged primary-support count — the frequent items'
+//     tidsets laid out once in one word arena, mined by
+//     charm.MineVectors, so no CFI carries a tidset — and the closed
 //     IT-tree is rebuilt with the code the offline build uses;
 //  3. the MIP bounding boxes are those of the merged tidsets: the
 //     frozen box patched by what the delta changed where the frozen
@@ -37,11 +39,13 @@
 // is never reused) and buffered inserts take N, N+1, ... in arrival
 // order. Every structure a plan consults — CFIs, supports, closures,
 // boxes, the packed R-tree, item tidsets, the raw-value accessor — is
-// thus equal in content to the rebuild's, so all six plans return
-// identical rules and take the same path to them: SEARCH visits the
-// same nodes and checks the same entries. While nothing has been
-// ingested the store hands out the frozen index's own surface, so a
-// query resolves its index state the same way at every delta version.
+// thus equal in content to the rebuild's, except stored CFI tidsets,
+// which no plan reads (Tree.Tids is nil on a merged surface). So all
+// six plans return identical rules and take the same path to them:
+// SEARCH visits the same nodes and checks the same entries. While
+// nothing has been ingested the store hands out the frozen index's own
+// surface, so a query resolves its index state the same way at every
+// delta version.
 //
 // # Refresh policy
 //
@@ -55,6 +59,7 @@
 package delta
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -373,10 +378,26 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 	if minCount < 1 {
 		minCount = 1
 	}
-	res, err := charm.MineTidsets(tids, capN, minCount)
+	// CHARM mines the frequent items' merged tidsets laid out once, in
+	// one word arena. The view's CFIs carry no tidset: no plan reads one,
+	// and mergedBox forms one only for a CFI it has to probe.
+	nw := (capN + 63) / 64
+	var items []itemset.Item
+	for it, t := range tids {
+		if t.Count() >= minCount {
+			items = append(items, itemset.Item(it))
+		}
+	}
+	arena := make([]uint64, len(items)*nw)
+	vecs := make([][]uint64, len(items))
+	for k, it := range items {
+		vecs[k] = arena[k*nw : (k+1)*nw : (k+1)*nw]
+		bitset.CopyWords(vecs[k], tids[it])
+	}
+	res, err := charm.MineVectors(context.Background(), items, vecs, capN, minCount)
 	if err != nil {
-		// Unreachable with the validated inputs above (the only error
-		// path is minCount < 1, guarded).
+		// Unreachable with the validated inputs above (the error paths
+		// are minCount < 1, guarded, and vectors of unequal lengths).
 		panic(fmt.Sprintf("delta: merged mining failed: %v", err))
 	}
 	tree := ittree.Build(res, sp.NumItems())
@@ -419,8 +440,9 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 }
 
 // mergedBox returns the bounding box of merged CFI c over the merged
-// tidsets — the box mip.BoundingBox(tids, c) computes — at a cost the
-// delta sets when the frozen index already stores c's itemset.
+// tidsets — the box mip.BoundingBox computes from c's merged tidset — at
+// a cost the delta sets when the frozen index already stores c's
+// itemset.
 //
 // The box of an itemset is, per unconstrained attribute, the [min,max]
 // value over the records containing it, and the merged supporters are
@@ -431,23 +453,39 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 // that one side of that one attribute is re-probed against the merged
 // tidsets from the old bound on; afterwards every buffered supporter
 // extends the box. An itemset the frozen index does not store has no box
-// to patch and is probed from scratch.
+// to patch and is probed from scratch. c carries no tidset (the view
+// mines without them): only these two probes need one, and form it from
+// c's items (tidsetOf).
 func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []changedRow) itemset.Box {
 	sp, cards := s.idx.Space, s.idx.Cards
 	fid, ok := s.idx.ITTree.LookupID(c.Items)
 	if !ok {
-		return mip.BoundingBox(sp, cards, tids, c)
+		probed := *c
+		probed.Tids = tidsetOf(tids, c.Items)
+		return mip.BoundingBox(sp, cards, tids, &probed)
 	}
 	box := s.idx.Boxes[fid].Clone()
 	const fixed, loLost, hiLost = 1, 2, 4
 	flags := make([]uint8, sp.NumAttrs())
-	for _, it := range c.Items {
-		flags[sp.AttrOf(it)] = fixed // a point interval, whatever the records
+	// A changed row supports c exactly when it holds every item of c:
+	// each item's value on the item's attribute.
+	attrs, vals := make([]int, len(c.Items)), make([]int32, len(c.Items))
+	for k, it := range c.Items {
+		attrs[k], vals[k] = sp.AttrOf(it), int32(sp.ValueOf(it))
+		flags[attrs[k]] = fixed // a point interval, whatever the records
+	}
+	holdsAll := func(row []int32) bool {
+		for k, a := range attrs {
+			if row[a] != vals[k] {
+				return false
+			}
+		}
+		return true
 	}
 	for _, g := range gone {
 		// A tombstoned base row supported c in the frozen index exactly
 		// when it holds every item of c.
-		if !holdsAll(sp, g.row, c.Items) {
+		if !holdsAll(g.row) {
 			continue
 		}
 		for a, v := range g.row {
@@ -466,9 +504,13 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 	// first one a merged supporter holds. When none lies on or beyond
 	// the old bound it returns the empty interval's bound, and a
 	// buffered supporter below sets it: the itemset has support >= 1.
+	var ct *bitset.Set // c's merged tidset, formed by the first probe
 	probe := func(a, v, step int, none int32) int32 {
+		if ct == nil {
+			ct = tidsetOf(tids, c.Items)
+		}
 		for ; v >= 0 && v < cards[a]; v += step {
-			if c.Tids.Intersects(tids[sp.ItemOf(a, v)]) {
+			if ct.Intersects(tids[sp.ItemOf(a, v)]) {
 				return int32(v)
 			}
 		}
@@ -486,7 +528,7 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 		}
 	}
 	for _, ad := range added {
-		if !c.Tids.Contains(ad.id) {
+		if !holdsAll(ad.row) {
 			continue
 		}
 		for a, v := range ad.row {
@@ -497,15 +539,17 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 	return box
 }
 
-// holdsAll reports whether the record with value-index tuple row holds
-// every item of x.
-func holdsAll(sp *itemset.Space, row []int32, x itemset.Set) bool {
-	for _, it := range x {
-		if a := sp.AttrOf(it); sp.ItemOf(a, int(row[a])) != it {
-			return false
-		}
+// tidsetOf returns the merged tidset of itemset x, the AND of its items'
+// merged tidsets; for one item, that item's own (read-only) set.
+func tidsetOf(tids []*bitset.Set, x itemset.Set) *bitset.Set {
+	if len(x) == 1 {
+		return tids[x[0]]
 	}
-	return true
+	t := bitset.Intersect(tids[x[0]], tids[x[1]])
+	for _, it := range x[2:] {
+		t.And(tids[it])
+	}
+	return t
 }
 
 // MergedDataset materializes the merged relation — base records minus

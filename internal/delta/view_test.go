@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"colarm/internal/bitset"
+	"colarm/internal/charm"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
@@ -127,11 +128,14 @@ func allItemsCountPass(s *Store) []*bitset.Set {
 // buffered rows and deletes of base records chosen to lie on CFI box
 // boundaries, and after every batch holds the merged view to its
 // definitions: every box is the bounding box of the CFI over the merged
-// tidsets, every merged tidset is what the all-items count pass
-// produces, the live mask is exact, and a tidset no changed record
-// belongs to is the base tidset untouched.
+// tidsets, every CFI's support is the count of its items' intersection
+// (the view stores no CFI tidset), every merged tidset is what the
+// all-items count pass produces, the live mask is exact, and a tidset
+// no changed record belongs to is the base tidset untouched.
 func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
-	moved := 0 // merged boxes that differ from the frozen box of the same itemset
+	moved := 0    // merged boxes that differ from the frozen box of the same itemset
+	fresh := 0    // merged CFIs the frozen index does not store
+	reprobed := 0 // stored CFIs with a tombstoned supporter on a bound
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -207,13 +211,27 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 				}
 			}
 			for id, got := range v.Boxes {
-				c := v.Tree.Set(id)
+				if v.Tree.Tids(id) != nil {
+					t.Fatalf("seed %d batch %d: the view stores a tidset for CFI %d", seed, batch, id)
+				}
+				c := oracleCFI(v.Tidsets, v.Tree.Set(id))
+				if c.Support != c.Tids.Count() {
+					t.Fatalf("seed %d batch %d: %v has support %d, its items' merged tidsets intersect in %d",
+						seed, batch, c.Items, c.Support, c.Tids.Count())
+				}
 				want := mip.BoundingBox(sp, idx.Cards, v.Tidsets, c)
 				if !equalBox(got, want) {
 					t.Fatalf("seed %d batch %d: box of %v is %v, BoundingBox over the merged tidsets gives %v",
 						seed, batch, c.Items, got, want)
 				}
-				if fid, ok := idx.ITTree.LookupID(c.Items); ok && !equalBox(got, idx.Boxes[fid]) {
+				fid, ok := idx.ITTree.LookupID(c.Items)
+				switch {
+				case !ok:
+					fresh++
+				case tombOnBound(s, idx.Boxes[fid], c.Items):
+					reprobed++
+				}
+				if ok && !equalBox(got, idx.Boxes[fid]) {
 					moved++
 				}
 			}
@@ -222,6 +240,50 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 	if moved < 50 {
 		t.Errorf("only %d patched boxes moved off their frozen box: the interleavings no longer reach the patch paths", moved)
 	}
+	// Both places mergedBox forms a CFI's tidset from its items: an
+	// itemset the frozen index does not store, and a stored one whose
+	// bound a tombstoned supporter sat on.
+	if fresh < 100 || reprobed < 100 {
+		t.Errorf("%d unstored CFIs and %d re-probed bounds: the interleavings no longer reach both tidset probes", fresh, reprobed)
+	}
+}
+
+// oracleCFI returns a copy of view CFI c carrying the tidset the view
+// no longer stores: the intersection of its items' merged tidsets.
+func oracleCFI(tids []*bitset.Set, c *charm.ClosedSet) *charm.ClosedSet {
+	inter := tids[c.Items[0]].Clone()
+	for _, it := range c.Items[1:] {
+		inter.And(tids[it])
+	}
+	return &charm.ClosedSet{Items: c.Items, Tids: inter, Support: c.Support}
+}
+
+// tombOnBound reports whether a tombstoned base record holding every
+// item of x sits on a bound of x's frozen box, on an attribute x does
+// not constrain: the case in which mergedBox re-probes that bound.
+func tombOnBound(s *Store, box itemset.Box, x itemset.Set) bool {
+	sp, d := s.idx.Space, s.idx.Dataset
+	fixed := make([]bool, sp.NumAttrs())
+	for _, it := range x {
+		fixed[sp.AttrOf(it)] = true
+	}
+	found := false
+	s.tombs.ForEach(func(r int) bool {
+		row := baseRow(d, r)
+		for _, it := range x {
+			if a := sp.AttrOf(it); sp.ItemOf(a, int(row[a])) != it {
+				return true
+			}
+		}
+		for a, v := range row {
+			if !fixed[a] && (v == box.Lo[a] || v == box.Hi[a]) {
+				found = true
+				return false
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // TestMergedBoxWhenEverySupporterIsReplaced covers the patch path's
@@ -263,7 +325,7 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 		t.Errorf("B extent of {a0,c0} is [%d,%d], want [b0,b1]", lo, hi)
 	}
 	for id, got := range v.Boxes {
-		if want := mip.BoundingBox(idx.Space, idx.Cards, v.Tidsets, v.Tree.Set(id)); !equalBox(got, want) {
+		if want := mip.BoundingBox(idx.Space, idx.Cards, v.Tidsets, oracleCFI(v.Tidsets, v.Tree.Set(id))); !equalBox(got, want) {
 			t.Errorf("box of %v is %v, BoundingBox over the merged tidsets gives %v", v.Tree.Set(id).Items, got, want)
 		}
 	}

@@ -82,7 +82,8 @@ func (t *Tree) Items(id int) itemset.Set {
 }
 
 // Tids returns the tidset of the CFI with the given id, nil in a tree
-// built from a charm.MineVectors run. Callers must not mutate it. No
+// built from a charm.MineVectors run — ARM's, and a merged view's
+// (internal/delta). Callers must not mutate it. No
 // query reads it: a count inside a focal subset ANDs item vectors
 // (plans.Focal); the snapshot writer, index validation and the
 // benchmarks do.

@@ -19,7 +19,8 @@ import (
 //
 // Whatever built it, a Surface presents exactly what a from-scratch
 // build over its records would: Tree holds their closed frequent
-// itemsets at PrimaryCount with their supports and tidsets, Boxes the
+// itemsets at PrimaryCount with their supports (and, on the frozen
+// index only, their tidsets, which no plan reads), Boxes the
 // MIP bounding boxes over the same records (so Lemma 4.5's contained-box
 // shortcut stays sound), RTree those boxes packed, Tidsets the per-item
 // tidsets covering live records only. That is why all six plans return

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"colarm"
+	"colarm/internal/standing"
 )
 
 // appendRules appends to b exactly the bytes json.Marshal(rules) returns,
@@ -61,6 +62,73 @@ func appendRules(b []byte, rules []colarm.Rule) ([]byte, error) {
 	}
 	return append(b, ']'), nil
 }
+
+// appendEvent appends to b exactly the bytes json.Marshal(ev) returns,
+// without reflection: every SSE frame and long-poll reply is standing
+// events. It writes standing.Event's JSON tags in field order, leaving
+// out an empty omitempty member as json.Marshal does, and encodes the
+// rule lists through appendRules; the rare Crossed list goes through
+// json.Marshal. The fuzz and reflection tests in encode_test.go hold it
+// to json.Marshal, so a field added to, renamed in or moved within
+// standing.Event fails them until it is added here too.
+func appendEvent(b []byte, ev *standing.Event) ([]byte, error) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, ev.Seq, 10)
+	b = append(b, `,"type":`...)
+	b = appendLabel(b, ev.Type)
+	b = append(b, `,"dataset":`...)
+	b = appendLabel(b, ev.Dataset)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, ev.Generation, 10)
+	b = append(b, `,"fromVersion":`...)
+	b = strconv.AppendUint(b, ev.FromVersion, 10)
+	b = append(b, `,"toVersion":`...)
+	b = strconv.AppendUint(b, ev.ToVersion, 10)
+	var err error
+	for k, rules := range [...][]colarm.Rule{ev.Rules, ev.Appeared, ev.Disappeared, ev.Updated} {
+		if len(rules) == 0 {
+			continue
+		}
+		b = append(b, ruleMembers[k]...)
+		if b, err = appendRules(b, rules); err != nil {
+			return b, err
+		}
+	}
+	if len(ev.Crossed) > 0 {
+		crossed, err := json.Marshal(ev.Crossed)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `,"crossed":`...)
+		b = append(b, crossed...)
+	}
+	if ev.Reason != "" {
+		b = append(b, `,"reason":`...)
+		b = appendLabel(b, ev.Reason)
+	}
+	return append(b, '}'), nil
+}
+
+// appendEvents appends a long-poll reply, {"subscription","events"},
+// as json.Marshal encodes it, each event through appendEvent.
+func appendEvents(b []byte, id string, evs []standing.Event) ([]byte, error) {
+	b = append(b, `{"subscription":`...)
+	b = appendLabel(b, id)
+	b = append(b, `,"events":[`...)
+	for i := range evs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendEvent(b, &evs[i]); err != nil {
+			return b, err
+		}
+	}
+	return append(b, "]}"...), nil
+}
+
+// ruleMembers open standing.Event's rule-list members, in field order.
+var ruleMembers = [...]string{`,"rules":`, `,"appeared":`, `,"disappeared":`, `,"updated":`}
 
 // floatMembers open colarm.Rule's float64 members, in field order.
 var floatMembers = [...]string{`,"support":`, `,"confidence":`, `,"lift":`, `,"cosine":`, `,"kulczynski":`}

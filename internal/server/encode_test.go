@@ -16,6 +16,7 @@ import (
 
 	"colarm"
 	"colarm/internal/datagen"
+	"colarm/internal/standing"
 )
 
 // quarterChessEngine opens the quarter-scale chess of the facade's
@@ -338,6 +339,104 @@ func TestAppendRulesCoversRule(t *testing.T) {
 	}
 	if want := mustMarshal(t, []colarm.Rule{rule}); !bytes.Equal(got, want) {
 		t.Errorf("appendRules does not cover colarm.Rule:\n got %s\nwant %s", got, want)
+	}
+}
+
+// FuzzAppendEvent holds appendEvent, and the long-poll reply
+// appendEvents builds from it, to json.Marshal byte for byte over every
+// event type and arbitrary strings, counters and float64 bit patterns,
+// each rule list and Crossed and Reason present or absent: both encode
+// the same bytes, or both fail with the same error.
+func FuzzAppendEvent(f *testing.F) {
+	types := []string{standing.EventSnapshot, standing.EventDiff, standing.EventEpoch, standing.EventEvicted}
+	for i, l := range hostileLabels {
+		f.Add(uint8(i), l, "A=a", uint64(i), math.Float64bits(1.0/3), math.Float64bits(1e-7), uint8(1<<(i%6)))
+	}
+	f.Add(uint8(1), "", "x", uint64(math.MaxUint64), math.Float64bits(math.NaN()), uint64(0), uint8(0x3f))
+	f.Add(uint8(2), "c01=c011", "<&>", uint64(7), math.Float64bits(0.875), math.Float64bits(math.Inf(-1)), uint8(0x10))
+	f.Add(uint8(3), "plain", "=", uint64(0), math.Float64bits(math.Inf(1)), math.Float64bits(math.Copysign(0, -1)), uint8(0x20))
+	f.Add(uint8(4), "odd type", "é", uint64(1), uint64(0), uint64(0), uint8(0))
+	f.Fuzz(func(t *testing.T, kind uint8, a, c string, n, x, y uint64, shape uint8) {
+		fx, fy := math.Float64frombits(x), math.Float64frombits(y)
+		typ := a // past the four types, an arbitrary string
+		if int(kind) < len(types) {
+			typ = types[kind]
+		}
+		rule := colarm.Rule{
+			Antecedent: []string{a, c}, Consequent: []string{c + a},
+			Support: fx, Confidence: fy, Lift: fx / 3, Cosine: fy * 2, Kulczynski: fx,
+			SupportCount: int(n), AntecedentCount: int(n >> 3), SubsetSize: -int(n),
+		}
+		ev := standing.Event{Seq: n, Type: typ, Dataset: c, Generation: n >> 1, FromVersion: n >> 2, ToVersion: n >> 3}
+		// Bits 0-3 fill the rule lists (one of them with an empty, not
+		// nil, list), bit 4 Crossed, bit 5 Reason.
+		lists := []*[]colarm.Rule{&ev.Rules, &ev.Appeared, &ev.Disappeared, &ev.Updated}
+		for k, l := range lists {
+			if shape&(1<<k) != 0 {
+				*l = []colarm.Rule{rule, {Consequent: []string{a}}}
+			} else if int(kind)%len(lists) == k {
+				*l = []colarm.Rule{}
+			}
+		}
+		if shape&(1<<4) != 0 {
+			ev.Crossed = []standing.Crossing{{Rule: rule, Measure: a, Threshold: fy, Direction: c, Previous: fx, Current: fy}}
+		}
+		if shape&(1<<5) != 0 {
+			ev.Reason = a + c
+		}
+		got, gotErr := appendEvent([]byte("prefix"), &ev)
+		want, wantErr := json.Marshal(ev)
+		if (gotErr != nil) != (wantErr != nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("appendEvent err = %v, json.Marshal err = %v", gotErr, wantErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("appendEvent:\n got %s\nwant prefix%s", got, want)
+		}
+		// The long-poll reply around it, with no events and with two.
+		for _, evs := range [][]standing.Event{nil, {ev, {Seq: 1, Type: typ}}} {
+			got, gotErr := appendEvents(nil, a, evs)
+			want, wantErr := json.Marshal(struct {
+				Subscription string           `json:"subscription"`
+				Events       []standing.Event `json:"events"`
+			}{a, orEmpty(evs)})
+			if (gotErr != nil) != (wantErr != nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+				t.Fatalf("appendEvents err = %v, json.Marshal err = %v", gotErr, wantErr)
+			}
+			if gotErr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("appendEvents:\n got %s\nwant %s", got, want)
+			}
+		}
+	})
+}
+
+// TestAppendEventCoversEvent fills every field of standing.Event, found
+// by reflection, with a value of its own, and requires appendEvent to
+// encode it as json.Marshal does. A field added to standing.Event, a
+// tag renamed or a field moved fails here until appendEvent follows.
+func TestAppendEventCoversEvent(t *testing.T) {
+	var ev standing.Event
+	v := reflect.ValueOf(&ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		field, name := v.Field(i), v.Type().Field(i).Name
+		switch field.Interface().(type) {
+		case uint64:
+			field.SetUint(uint64(1000 + i))
+		case string:
+			field.SetString(name)
+		case []colarm.Rule:
+			field.Set(reflect.ValueOf([]colarm.Rule{{Antecedent: []string{name + "=1"}, Consequent: []string{name + "=2"}, Support: float64(i) + 0.25}}))
+		case []standing.Crossing:
+			field.Set(reflect.ValueOf([]standing.Crossing{{Rule: colarm.Rule{Antecedent: []string{name}}, Measure: "lift", Threshold: 1.5, Direction: "above", Previous: 1.25, Current: 2}}))
+		default:
+			t.Fatalf("field %s is a %s, which appendEvent does not encode", name, field.Type())
+		}
+	}
+	got, err := appendEvent(nil, &ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustMarshal(t, ev); !bytes.Equal(got, want) {
+		t.Errorf("appendEvent does not cover standing.Event:\n got %s\nwant %s", got, want)
 	}
 }
 

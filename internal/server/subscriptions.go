@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -151,6 +151,7 @@ func (s *Server) handleSubscriptionEvents(w http.ResponseWriter, r *http.Request
 
 	ctx := r.Context()
 	c := sub.Cursor(after)
+	var frame []byte // one event's id/event/data frame, reused
 	for {
 		hctx, cancel := context.WithTimeout(ctx, s.cfg.SSEHeartbeat)
 		evs, err := c.Next(hctx)
@@ -161,11 +162,17 @@ func (s *Server) handleSubscriptionEvents(w http.ResponseWriter, r *http.Request
 				// can be exercised deterministically.
 				time.Sleep(s.sseDelay)
 			}
-			data, merr := json.Marshal(ev)
-			if merr != nil {
+			frame = append(frame[:0], "id: "...)
+			frame = strconv.AppendUint(frame, ev.Seq, 10)
+			frame = append(frame, "\nevent: "...)
+			frame = append(frame, ev.Type...)
+			frame = append(frame, "\ndata: "...)
+			var merr error
+			if frame, merr = appendEvent(frame, &ev); merr != nil {
 				return
 			}
-			if _, werr := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); werr != nil {
+			frame = append(frame, "\n\n"...)
+			if _, werr := w.Write(frame); werr != nil {
 				return
 			}
 		}
@@ -210,8 +217,13 @@ func (s *Server) longPoll(w http.ResponseWriter, sub *standing.Subscription, aft
 		s.fail(w, "events", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, struct {
-		Subscription string           `json:"subscription"`
-		Events       []standing.Event `json:"events"`
-	}{sub.ID(), orEmpty(evs)})
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuffer(buf)
+	b, err := appendEvents(buf.AvailableBuffer(), sub.ID(), evs)
+	if err != nil {
+		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: errorBody{Code: CodeInternal, Message: "encoding response: " + err.Error()}})
+		return
+	}
+	buf.Write(b) // keeps the grown buffer for the pool
+	writeBody(w, http.StatusOK, buf.Bytes())
 }

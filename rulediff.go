@@ -80,25 +80,27 @@ func (e *Engine) RuleDiff(ctx context.Context, q Query, prev []Rule) (*RuleSetDi
 		Version:    e.Version(),
 		Rules:      res.Rules,
 	}
-	old := make(map[string]Rule, len(prev))
-	for _, r := range prev {
-		old[RuleKey(r)] = r
+	// Key each previous rule once; a rule set's keys are distinct.
+	old := make(map[string]int, len(prev))
+	for i, r := range prev {
+		old[RuleKey(r)] = i
 	}
+	matched := make([]bool, len(prev))
 	for _, r := range res.Rules {
-		k := RuleKey(r)
-		p, ok := old[k]
-		switch {
-		case !ok:
+		i, ok := old[RuleKey(r)]
+		if !ok {
 			d.Appeared = append(d.Appeared, r)
-		case !sameMeasures(p, r):
+			continue
+		}
+		matched[i] = true
+		if !sameMeasures(prev[i], r) {
 			d.Updated = append(d.Updated, r)
 		}
-		delete(old, k)
 	}
 	// Preserve prev's order for the disappeared side (map iteration
 	// would make the diff nondeterministic).
-	for _, r := range prev {
-		if _, gone := old[RuleKey(r)]; gone {
+	for i, r := range prev {
+		if !matched[i] {
 			d.Disappeared = append(d.Disappeared, r)
 		}
 	}
