@@ -269,7 +269,7 @@ type Engine struct {
 	delta *delta.Store
 	// surface is delta.Surface; tests wrap it to count or rig
 	// resolutions.
-	surface func() *plans.Surface
+	surface func() (*plans.Surface, error)
 	metrics engineMetrics
 }
 
@@ -343,10 +343,15 @@ func (e *Engine) buildQuery(q Query) (*plans.Query, error) {
 // fetches the surface of the current delta version and selects the
 // query's focal subset over it. Every request calls it exactly once and
 // hands the result to the applicability gate, the optimizer and the
-// executor, so it gates, chooses and runs against a single version.
+// executor, so it gates, chooses and runs against a single version. It
+// fails only when the merged view of the version cannot be built.
 // q must have passed Validate.
-func (e *Engine) resolve(q *plans.Query) *plans.Focal {
-	return e.executor.Focus(e.surface(), q)
+func (e *Engine) resolve(q *plans.Query) (*plans.Focal, error) {
+	s, err := e.surface()
+	if err != nil {
+		return nil, err
+	}
+	return e.executor.Focus(s, q), nil
 }
 
 // Mine answers a localized mining query.
@@ -379,18 +384,22 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 // mine is the one path of a mining request, forced plan or Auto: build
 // the executable query, resolve the surface once, on Auto let the gate
 // and optimizer pick the plan (the estimates are returned), run it into
-// tr, and count the query — one that fails to build or validate too.
+// tr, and count the query — one that fails to build, validate or
+// resolve too.
 func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Result, []cost.Estimate, error) {
 	pq, err := e.buildQuery(q)
 	if err == nil {
 		err = pq.Validate(e.idx.Space)
 	}
+	var f *plans.Focal
+	if err == nil {
+		pq.Trace = tr
+		f, err = e.resolve(pq)
+	}
 	if err != nil {
 		e.metrics.observe(nil, nil, err)
 		return nil, nil, err
 	}
-	pq.Trace = tr
-	f := e.resolve(pq)
 	kind := plans.Kind(q.Plan - 1)
 	var ch planChoice
 	if q.Plan == Auto {
@@ -475,7 +484,11 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 	if err := pq.Validate(e.idx.Space); err != nil {
 		return nil, err
 	}
-	return planEstimates(e.choose(pq, e.resolve(pq)).ests), nil
+	f, err := e.resolve(pq)
+	if err != nil {
+		return nil, err
+	}
+	return planEstimates(e.choose(pq, f).ests), nil
 }
 
 // UnitCosts are the cost model's five primitive unit costs in

@@ -42,7 +42,7 @@ func TestBuildQueryAndMine(t *testing.T) {
 		t.Fatal("no rules")
 	}
 	// The optimizer's choice matches the executed plan.
-	ch := eng.choose(pq, eng.resolve(pq))
+	ch := eng.choose(pq, resolved(t, eng, pq))
 	if res.Stats.Plan != Plan(ch.kind+1) {
 		t.Errorf("mined with %v, explain chose %v", res.Stats.Plan, ch.kind)
 	}

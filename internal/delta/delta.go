@@ -61,7 +61,6 @@ package delta
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"colarm/internal/bitset"
@@ -139,6 +138,10 @@ type Store struct {
 	version uint64
 	frozen  *plans.Surface // the index as built: the surface of version 0
 	merged  *plans.Surface // the merged surface of the newest version asked for
+
+	// boxFault, when set, is called before each merged CFI's box. Test
+	// hook: tests panic in it.
+	boxFault func(id int)
 }
 
 // NewStore creates an empty delta store over a freshly built (or
@@ -288,17 +291,23 @@ func (s *Store) Empty() bool {
 // lazily, at most once per version. A Surface is immutable once
 // returned and carries the version it presents, so a caller that
 // resolves one per request reads a single consistent version throughout
-// whatever is ingested meanwhile.
-func (s *Store) Surface() *plans.Surface {
+// whatever is ingested meanwhile. A build that fails (a panic in its box
+// fan-out comes back as a *pool.PanicError) is not kept: the next call
+// builds the version again.
+func (s *Store) Surface() (*plans.Surface, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version == 0 {
-		return s.frozen
+		return s.frozen, nil
 	}
 	if s.merged == nil || s.merged.Version != s.version {
-		s.merged = s.buildMergedLocked()
+		m, err := s.buildMergedLocked()
+		if err != nil {
+			return nil, err
+		}
+		s.merged = m
 	}
-	return s.merged
+	return s.merged, nil
 }
 
 // changedRow is one record the delta changed relative to the frozen
@@ -310,7 +319,7 @@ type changedRow struct {
 
 // buildMergedLocked materializes the merged surface. See the package
 // comment for the exactness argument.
-func (s *Store) buildMergedLocked() *plans.Surface {
+func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	d, sp := s.idx.Dataset, s.idx.Space
 	baseN := d.NumRecords()
 	capN := baseN + len(s.rows)
@@ -396,27 +405,28 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 	}
 	res, err := charm.MineVectors(context.Background(), items, vecs, capN, minCount)
 	if err != nil {
-		// Unreachable with the validated inputs above (the error paths
-		// are minCount < 1, guarded, and vectors of unequal lengths).
-		panic(fmt.Sprintf("delta: merged mining failed: %v", err))
+		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}
 	tree := ittree.Build(res, sp.NumItems())
 	boxes := make([]itemset.Box, len(res.Closed))
 	entries := make([]rtree.Entry, len(res.Closed))
 	closed := res.Closed
 	// Boxes are independent reads into pre-indexed slots, so the surface
-	// is the same at every GOMAXPROCS.
-	pool.For(len(closed), runtime.GOMAXPROCS(0), func(id int) {
+	// is the same at every worker count.
+	if _, err := pool.Run(context.Background(), len(closed), func(id int) {
+		if s.boxFault != nil {
+			s.boxFault(id)
+		}
 		boxes[id] = s.mergedBox(closed[id], tids, gone, added)
 		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(closed[id].Support)}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	// Pack the boxes as the offline build does, at the frozen index's
 	// fanout, so SEARCH walks the tree a rebuild would have.
 	rt, err := rtree.Bulk(entries, sp.NumAttrs(), s.idx.RTree.Fanout())
 	if err != nil {
-		// Unreachable: every box has the space's dimensionality and the
-		// frozen index was packed at this fanout.
-		panic(fmt.Sprintf("delta: packing merged boxes failed: %v", err))
+		return nil, fmt.Errorf("delta: packing merged boxes: %w", err)
 	}
 
 	rows := s.rows // append-only; elements are never mutated
@@ -436,7 +446,7 @@ func (s *Store) buildMergedLocked() *plans.Surface {
 			return int(rows[r-baseN][a])
 		},
 		Version: s.version,
-	}
+	}, nil
 }
 
 // mergedBox returns the bounding box of merged CFI c over the merged

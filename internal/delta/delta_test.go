@@ -2,12 +2,25 @@ package delta
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"colarm/internal/mip"
+	"colarm/internal/plans"
+	"colarm/internal/pool"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
 )
+
+// surface is s.Surface, failing tb on an error.
+func surface(tb testing.TB, s *Store) *plans.Surface {
+	tb.Helper()
+	v, err := s.Surface()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
 
 func testIndex(t *testing.T) *mip.Index {
 	t.Helper()
@@ -31,13 +44,13 @@ func testIndex(t *testing.T) *mip.Index {
 func TestStoreViewMergesRows(t *testing.T) {
 	idx := testIndex(t)
 	s := NewStore(idx, 0.2)
-	if f := s.Surface(); f.Version != 0 || f.RTree != idx.RTree || f.Tree != idx.ITTree || f.Live != nil {
+	if f := surface(t, s); f.Version != 0 || f.RTree != idx.RTree || f.Tree != idx.ITTree || f.Live != nil {
 		t.Fatal("empty store must serve the frozen surface at version 0")
 	}
 	if _, err := s.Ingest([][]int32{{0, 0}, {1, 1}}, []int{2}); err != nil {
 		t.Fatal(err)
 	}
-	v := s.Surface()
+	v := surface(t, s)
 	if v.Version != 1 || v.Tree == idx.ITTree {
 		t.Fatal("non-empty store must serve the merged surface of its version")
 	}
@@ -75,14 +88,46 @@ func TestStoreViewMergesRows(t *testing.T) {
 		t.Fatal("buffered row missing from merged tidset")
 	}
 	// Same version → same cached surface; new version → new surface.
-	if s.Surface() != v {
+	if surface(t, s) != v {
 		t.Fatal("surface not cached per version")
 	}
 	if _, err := s.Ingest(nil, []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Surface() == v {
+	if surface(t, s) == v {
 		t.Fatal("surface not invalidated on ingest")
+	}
+}
+
+// TestViewBuildPanicIsNotKept panics in one box of a merged-view build:
+// Surface returns it as a *pool.PanicError and keeps nothing, so the
+// next call builds the version again, equal to another store's view of
+// the same batch.
+func TestViewBuildPanicIsNotKept(t *testing.T) {
+	idx := testIndex(t)
+	s, ref := NewStore(idx, 0.2), NewStore(idx, 0.2)
+	for _, st := range []*Store{s, ref} {
+		if _, err := st.Ingest([][]int32{{0, 0}, {1, 1}}, []int{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.boxFault = func(id int) {
+		if id == 0 {
+			panic("box failed")
+		}
+	}
+	v, err := s.Surface()
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) || pe.Value != "box failed" || v != nil {
+		t.Fatalf("Surface returned %v, %v; want the box's panic", v, err)
+	}
+	if s.merged != nil {
+		t.Fatal("the failed view was kept")
+	}
+	s.boxFault = nil
+	got, want := surface(t, s), surface(t, ref)
+	if got.Version != want.Version || !reflect.DeepEqual(got.Boxes, want.Boxes) || got.Tree.Size() != want.Tree.Size() {
+		t.Fatal("the view built after the panic differs from another store's")
 	}
 }
 

@@ -176,7 +176,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			inserted += len(rows)
-			v := s.Surface()
+			v := surface(t, s)
 
 			want := allItemsCountPass(s)
 			changed := make([]bool, sp.NumItems())
@@ -312,7 +312,7 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 	if _, err := s.Ingest([][]int32{row("b0"), row("b1"), row("b0"), row("b1")}, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	v := s.Surface()
+	v := surface(t, s)
 	x := itemset.Set{idx.Space.ItemOf(0, int(val(0, "a0"))), idx.Space.ItemOf(2, int(val(2, "c0")))}
 	if _, ok := idx.ITTree.LookupID(x); !ok {
 		t.Fatal("fixture: the frozen index does not store {a0,c0}")
@@ -368,7 +368,7 @@ func BenchmarkViewBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		inserted += ins
-		if s.Surface().Version == 0 {
+		if surface(b, s).Version == 0 {
 			b.Fatal("no merged surface after an ingest")
 		}
 	}
@@ -423,7 +423,7 @@ func BenchmarkRefreshCrossover(b *testing.B) {
 					if _, err := s.Ingest(nil, nil); err != nil {
 						b.Fatal(err)
 					}
-					s.Surface()
+					surface(b, s)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/changed=%.1f%%/rebuild", c.name, 100*frac), func(b *testing.B) {

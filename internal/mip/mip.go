@@ -12,8 +12,8 @@
 package mip
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
@@ -94,16 +94,17 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		idx.Boxes = make([]itemset.Box, len(res.Closed))
 	}
 	// Box probes are independent tidset reads landing in pre-indexed
-	// slots, so they fan out across GOMAXPROCS workers without affecting
-	// the result.
+	// slots, so they fan out without affecting the result.
 	entries := make([]rtree.Entry, len(res.Closed))
-	pool.For(len(res.Closed), runtime.GOMAXPROCS(0), func(id int) {
+	if _, err := pool.Run(context.Background(), len(res.Closed), func(id int) {
 		c := res.Closed[id]
 		if boxes == nil {
 			idx.Boxes[id] = idx.boundingBox(c)
 		}
 		entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout)
 	if err != nil {
 		return nil, err

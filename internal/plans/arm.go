@@ -130,7 +130,7 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	}
 	c.st.Qualified = len(quals)
 	per := make([][]rules.Rule, len(quals))
-	used, err := pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
+	used, err := pool.Run(c.ctx, len(quals), func(i int) {
 		per[i] = rules.Generate(quals[i].Items, quals[i].Support, c.st.SubsetSize,
 			q.MinConfidence, oracle, rules.Options{MaxConsequent: q.MaxConsequent})
 	})

@@ -368,12 +368,12 @@ func TestEliminateLocalVectors(t *testing.T) {
 						}
 						for _, supported := range []bool{false, true} {
 							c := ex.newCtx(context.Background(), f, q)
-							c.workers = workers
 							cands, err := c.search(supported)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if _, err := c.eliminate(cands, false); err != nil {
+							atProcs(workers, func() { _, err = c.eliminate(cands, false) })
+							if err != nil {
 								t.Fatal(err)
 							}
 							for id := range c.cfi {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,6 +32,9 @@ type Executor struct {
 	// noItemBound makes ELIMINATE schedule a record-level check for every
 	// candidate, as it did before the item bound (itemsReach). Test hook.
 	noItemBound bool
+	// workerFault, when set, is called by every ELIMINATE and VERIFY
+	// worker before item i. Test hook: tests panic in it.
+	workerFault func(op obs.Op, i int)
 }
 
 // NewExecutor creates an executor for surfaces over the given item space.
@@ -107,16 +109,15 @@ func errUnknownKind(k Kind) error { return unknownKindError(k) }
 // maps need no locking; the parallel operator sections only share the
 // immutable index state and write to disjoint, pre-indexed slots.
 type qctx struct {
-	ex      *Executor
-	q       *Query
-	s       *Surface        // the index state the query reads
-	f       *Focal          // the focal subset over s (shared, read-only)
-	ctx     context.Context // the query's cancellation context
-	done    <-chan struct{} // ctx.Done(), captured once (nil for Background)
-	polls   int             // cancellation poll cadence counter
-	mask    []bool          // item-attribute mask; nil without the clause
-	workers int             // GOMAXPROCS when the query started
-	st      *Stats
+	ex    *Executor
+	q     *Query
+	s     *Surface        // the index state the query reads
+	f     *Focal          // the focal subset over s (shared, read-only)
+	ctx   context.Context // the query's cancellation context
+	done  <-chan struct{} // ctx.Done(), captured once (nil for Background)
+	polls int             // cancellation poll cadence counter
+	mask  []bool          // item-attribute mask; nil without the clause
+	st    *Stats
 
 	// cfi is ELIMINATE's per-CFI state, indexed by CFI id (see cfiNone):
 	// none, a scheduled record-level check, pruned by the item bound, or an
@@ -151,15 +152,14 @@ func (c *qctx) cancelled() error {
 
 func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 	return &qctx{
-		ex:      ex,
-		q:       q,
-		s:       f.Surface,
-		f:       f,
-		ctx:     ctx,
-		done:    ctx.Done(),
-		mask:    q.ItemAttrs,
-		workers: runtime.GOMAXPROCS(0),
-		st:      &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
+		ex:   ex,
+		q:    q,
+		s:    f.Surface,
+		f:    f,
+		ctx:  ctx,
+		done: ctx.Done(),
+		mask: q.ItemAttrs,
+		st:   &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
 	}
 }
 
@@ -388,7 +388,10 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	vecs := c.f.vecs.built()
 	c.st.SupportChecks += len(checkIDs)
 	counts := make([]int, len(checkIDs))
-	used, err := pool.ForCtx(c.ctx, len(checkIDs), c.workers, func(i int) {
+	used, err := pool.Run(c.ctx, len(checkIDs), func(i int) {
+		if c.ex.workerFault != nil {
+			c.ex.workerFault(obs.OpEliminate, i)
+		}
 		counts[i] = c.f.vecs.count(c.s.Tree.Items(int(checkIDs[i])))
 	})
 	if err != nil {
@@ -598,7 +601,10 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 	var tally counterTally
 	oracle := c.sharedOracle(new(shardedCounts), &tally)
 	per := make([][]rules.Rule, len(quals))
-	used, err := pool.ForCtx(c.ctx, len(quals), c.workers, func(i int) {
+	used, err := pool.Run(c.ctx, len(quals), func(i int) {
+		if c.ex.workerFault != nil {
+			c.ex.workerFault(obs.OpVerify, i)
+		}
 		per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
 			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
 	})

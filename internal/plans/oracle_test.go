@@ -374,6 +374,7 @@ func chainCount(base *bitset.Set, tidsets []*bitset.Set, x itemset.Set) int {
 //   - chess: a mine_mip shape, chess @ 0.70 at minsupport 0.85 over a
 //     focal subset of about 10 % of the records.
 func BenchmarkVerifyOracle(b *testing.B) {
+	setProcs(b, 1)
 	for _, tc := range []struct {
 		name    string
 		cfg     datagen.Config
@@ -404,7 +405,6 @@ func BenchmarkVerifyOracle(b *testing.B) {
 		q := &Query{Region: reg, MinSupport: tc.minSupp, MinConfidence: tc.minConf, MaxConsequent: 1}
 		ex := NewExecutor(idx.Space)
 		c := ex.newCtx(context.Background(), ex.Focus(NewSurface(idx), q), q)
-		c.workers = 1
 		cands, err := c.search(true)
 		if err != nil {
 			b.Fatal(err)

@@ -2,13 +2,13 @@
 //
 // COLARM's online phase is embarrassingly parallel at two points: the
 // per-candidate record-level support checks of ELIMINATE and the
-// per-itemset rule generation of VERIFY. Both fan out across GOMAXPROCS
-// workers here. The design constraint is determinism: the parallel
-// paths must produce byte-identical rule sets AND identical operator
-// counters to the serial path, for every schedule, so that plan
-// equivalence tests are oblivious to the worker count. The pool itself is
-// internal/pool's For and ForCtx, whose returned worker count is what
-// query traces record as an operator's fan-out.
+// per-itemset rule generation of VERIFY (and ARM's). Each fans out
+// through pool.Run, which sizes itself from GOMAXPROCS and returns the
+// width query traces record as the operator's fan-out, or a worker's
+// panic as the query's error. The design constraint is determinism: the
+// parallel paths must produce byte-identical rule sets AND identical
+// operator counters to the serial path, for every schedule, so that
+// plan equivalence tests are oblivious to the worker count.
 //
 // Determinism is achieved by structure, not by locking the serial
 // algorithm:
@@ -89,8 +89,10 @@ type countEntry struct {
 // get returns the memoized count for x, computing and storing it on a
 // miss. The shard lock is held across compute, so every distinct itemset
 // is computed exactly once and reports fresh=true to exactly one caller —
-// the property that keeps the miss counters deterministic. x is read only
-// during the call: a miss copies its items into the shard.
+// the property that keeps the miss counters deterministic. The unlock is
+// deferred, so a compute that panics releases the shard and the workers
+// waiting on it reach pool.Run's join. x is read only during the call: a
+// miss copies its items into the shard.
 func (sc *shardedCounts) get(x itemset.Set, compute func() int) (v int, fresh bool) {
 	h := x.Hash64()
 	if sc.sameHash {
@@ -98,13 +100,12 @@ func (sc *shardedCounts) get(x itemset.Set, compute func() int) (v int, fresh bo
 	}
 	sh := &sc.shards[h>>(64-cacheShardBits)]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if v, ok := sh.lookup(h, x); ok {
-		sh.mu.Unlock()
 		return v, false
 	}
 	v = compute()
 	sh.insert(h, x, v)
-	sh.mu.Unlock()
 	return v, true
 }
 

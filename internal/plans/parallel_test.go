@@ -1,6 +1,8 @@
 package plans
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,8 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"colarm/internal/itemset"
+	"colarm/internal/obs"
 	"colarm/internal/pool"
 )
 
@@ -27,33 +31,6 @@ func atProcs(n int, fn func()) {
 	fn()
 }
 
-func TestParallelForCoversEveryIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		for _, n := range []int{0, 1, 2, 7, 100} {
-			hits := make([]int32, n)
-			var mu sync.Mutex
-			pool.For(n, workers, func(i int) {
-				mu.Lock()
-				hits[i]++
-				mu.Unlock()
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelForSerialIsInOrder(t *testing.T) {
-	var order []int
-	pool.For(5, 1, func(i int) { order = append(order, i) })
-	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("serial order = %v", order)
-	}
-}
-
 // memoKey is the k-th of the itemsets the memo tests ask for: item 3i
 // for every set bit i of k+1, so the keys include singletons, prefixes
 // and subsets of one another and differ in length.
@@ -68,16 +45,17 @@ func memoKey(buf itemset.Set, k int) itemset.Set {
 }
 
 // checkComputesOnce asks sc for 50 distinct itemsets 16 times each from
-// every worker, each ask through a scratch buffer the worker overwrites
-// right after: every value must be exact, every itemset computed once,
-// and fresh reported once per itemset.
+// every worker (GOMAXPROCS floored at 4), each ask through a scratch
+// buffer the worker overwrites right after: every value must be exact,
+// every itemset computed once, and fresh reported once per itemset.
 func checkComputesOnce(t *testing.T, sc *shardedCounts) {
 	t.Helper()
+	setProcs(t, max(4, runtime.GOMAXPROCS(0)))
 	const keys = 50
 	var computes [keys]int32
 	var freshTotal int32
 	var mu sync.Mutex
-	pool.For(keys*16, max(4, runtime.GOMAXPROCS(0)), func(i int) {
+	_, err := pool.Run(context.Background(), keys*16, func(i int) {
 		k := i % keys
 		x := memoKey(make(itemset.Set, 0, 8), k)
 		v, fresh := sc.get(x, func() int {
@@ -98,6 +76,9 @@ func checkComputesOnce(t *testing.T, sc *shardedCounts) {
 			mu.Unlock()
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k, c := range computes {
 		if c != 1 {
 			t.Errorf("key %d computed %d times, want exactly once", k, c)
@@ -122,6 +103,40 @@ func TestShardedCountsComputesEachKeyOnce(t *testing.T) {
 // so only the exact item comparison tells the itemsets apart.
 func TestShardedCountsCollidingHashes(t *testing.T) {
 	checkComputesOnce(t, &shardedCounts{sameHash: true})
+}
+
+// TestShardedCountsPanicReleasesShard panics in one key's compute with
+// every itemset in one shard, at GOMAXPROCS 4: the shard lock must be
+// released on the way out, or the workers queued on it never reach
+// pool.Run's join and the run hangs instead of returning the panic.
+func TestShardedCountsPanicReleasesShard(t *testing.T) {
+	setProcs(t, 4)
+	sc := &shardedCounts{sameHash: true}
+	const keys = 50
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.Run(context.Background(), keys*16, func(i int) {
+			k := i % keys
+			sc.get(memoKey(nil, k), func() int {
+				if k == 7 {
+					// Hold the shard until the other workers queue on it.
+					time.Sleep(20 * time.Millisecond)
+					panic("compute failed")
+				}
+				return k
+			})
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var pe *pool.PanicError
+		if !errors.As(err, &pe) || pe.Value != "compute failed" {
+			t.Fatalf("Run returned %v, want the compute's panic", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung: a worker waits on the shard the panicking compute held")
+	}
 }
 
 func TestUnknownKindErrorMessage(t *testing.T) {
@@ -205,6 +220,48 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				if ws != gs {
 					t.Errorf("%s %v q%d: stats diverge\nserial:   %+v\nparallel: %+v", s.name, k, qi, ws, gs)
 				}
+			}
+		}
+	}
+}
+
+// TestWorkerPanicFailsTheQuery panics on one worker of a real ELIMINATE
+// and a real VERIFY fan-out, serially and at GOMAXPROCS 4: the query
+// returns the panic as a *pool.PanicError, and the next run on the same
+// executor and surface answers exactly as the run before the panic.
+func TestWorkerPanicFailsTheQuery(t *testing.T) {
+	idx := salaryIndex(t, 0.18)
+	s := NewSurface(idx)
+	q := equivQueries(t, idx, idx.Space)[1]
+	ex := NewExecutor(idx.Space)
+	for _, procs := range []int{1, 4} {
+		for _, op := range []obs.Op{obs.OpEliminate, obs.OpVerify} {
+			var want, got *Result
+			var err error
+			atProcs(procs, func() { want, err = ex.Run(SEV, s, q) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired := 0
+			ex.workerFault = func(at obs.Op, i int) {
+				if at == op && i == 0 {
+					fired++
+					panic(fmt.Sprintf("injected in %v", op))
+				}
+			}
+			atProcs(procs, func() { _, err = ex.Run(SEV, s, q) })
+			ex.workerFault = nil
+			var pe *pool.PanicError
+			if fired != 1 || !errors.As(err, &pe) || pe.Value != fmt.Sprintf("injected in %v", op) {
+				t.Fatalf("procs=%d %v: fault fired %d times, Run returned %v", procs, op, fired, err)
+			}
+			atProcs(procs, func() { got, err = ex.Run(SEV, s, q) })
+			if err != nil {
+				t.Fatalf("procs=%d %v: the run after the panic: %v", procs, op, err)
+			}
+			want.Stats.Duration, got.Stats.Duration = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("procs=%d %v: the run after the panic differs from the one before", procs, op)
 			}
 		}
 	}

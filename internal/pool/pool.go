@@ -1,100 +1,95 @@
-// Package pool is the worker pool shared by the parallel layers of the
-// engine: the plans operators (ELIMINATE/VERIFY fan-out), the MIP-index
-// assembler and the delta store's merged view (per-CFI bounding boxes).
+// Package pool is the engine's one fan-out: the plans operators
+// (ELIMINATE's support checks, VERIFY's and ARM's rule generation), the
+// MIP-index assembler and the delta store's merged view (per-CFI
+// bounding boxes) all run their parallel loops through Run.
 //
-// Work is distributed dynamically through an atomic cursor rather than
-// by static striding, so uneven item costs — tidsets of wildly different
-// density — cannot idle a worker. The contract every caller relies on
-// for determinism is that fn(i) is called exactly once per index and
-// that callers land results in pre-indexed slots, so the merged output
-// is independent of schedule and of the worker count. Every caller
-// sizes its fan-out as runtime.GOMAXPROCS(0).
+// Work is claimed from an atomic cursor rather than striped statically,
+// so uneven item costs cannot idle a worker. Callers rely on fn(i)
+// running once per index on success and land results in pre-indexed
+// slots, so the output is independent of schedule and of the worker
+// count, which Run takes from GOMAXPROCS. A panic in fn fails only the
+// request, build or view that ran it: each worker recovers it (Catch)
+// and Run returns it as a *PanicError.
 package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// For runs fn(i) for every i in [0,n) across at most workers goroutines.
-// With workers <= 1 (or nothing to parallelize) it degrades to the plain
-// serial loop, in index order. It returns the number of goroutines
-// actually used (1 for the serial path).
-func For(n, workers int, fn func(i int)) int {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return workers
+// PanicError is a panic recovered by Catch: the value passed to panic
+// and the stack of the goroutine that raised it.
+type PanicError struct {
+	Value any
+	Stack []byte
 }
 
-// ForCtx is For with cooperative cancellation: every worker (and the
-// serial path) polls ctx between items and stops claiming work once the
-// context is done. It returns ctx.Err() when the context fired before
-// all n items completed; items already started still finish (fn is never
-// interrupted mid-call), so callers must discard partial output on
-// error.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) (int, error) {
-	done := ctx.Done()
-	if done == nil {
-		return For(n, workers, fn), nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return 1, ctx.Err()
-			default:
-			}
-			fn(i)
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Catch runs fn and returns the panic it raised, if any, as a
+// *PanicError; nil when fn returned normally.
+func Catch(fn func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
-		return 1, nil
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+	}()
+	fn()
+	return nil
+}
+
+// Run calls fn(i) for every i in [0,n) across min(GOMAXPROCS, n)
+// workers and returns that width (1 for the serial loop, which runs in
+// the caller's goroutine in index order). Every worker polls ctx
+// between items and stops claiming work once it is done; an item
+// already started finishes. A panic in fn stops every worker from
+// claiming more, and after the join Run returns the first one as a
+// *PanicError, ahead of ctx.Err(). On any error the caller must discard
+// its partial output.
+func Run(ctx context.Context, n int, fn func(i int)) (workers int, err error) {
+	workers = max(1, min(runtime.GOMAXPROCS(0), n))
+	done := ctx.Done()
+	var next atomic.Int64
+	var failed atomic.Bool
+	var perr error
+	work := func() {
+		err := Catch(func() {
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				fn(i)
 			}
+		})
+		if err != nil {
+			next.Store(int64(n)) // no worker claims another item
+			if failed.CompareAndSwap(false, true) {
+				perr = err
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
+	work() // the caller is the first worker, at width 1 the only one
 	wg.Wait()
+	if perr != nil {
+		return workers, perr
+	}
 	return workers, ctx.Err()
 }

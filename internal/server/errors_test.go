@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"colarm"
+	"colarm/internal/pool"
 	"colarm/internal/standing"
 )
 
@@ -219,6 +220,7 @@ func TestClassify(t *testing.T) {
 		{badRequestError{fmt.Errorf("decoding JSON body: %w", colarm.ErrUnknownPlan)}, http.StatusBadRequest, CodeUnknownPlan},
 		{fmt.Errorf("%w %q", standing.ErrNoDataset, "d"), http.StatusNotFound, CodeNotFound},
 		{errors.New("boom"), http.StatusInternalServerError, CodeInternal},
+		{fmt.Errorf("mining: %w", pool.Catch(func() { panic("worker") })), http.StatusInternalServerError, CodeInternal},
 	}
 	for _, tc := range cases {
 		status, code := classify(tc.err)

@@ -342,6 +342,57 @@ func TestConcurrentIngestMineReload(t *testing.T) {
 	}
 }
 
+// TestRebuildPanicKeepsOldEngine: a panic inside a background rebuild
+// counts as a failed rebuild, clears the dataset's rebuilding flag and
+// leaves the old engine serving, and the server's goroutines are gone
+// after Close.
+func TestRebuildPanicKeepsOldEngine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	reg := NewRegistry()
+	reg.Register(salaryEngine(t, nil))
+	s := New(reg, Config{})
+	s.rebuildFault = func() { panic("rebuild failed") }
+	h := s.Handler()
+	eng, err := reg.Get("salary")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if resp := decodeIngest(t, postJSON(t, h, "/v1/ingest", map[string]any{"dataset": "salary", "rebuild": "force"})); !resp.RebuildStarted {
+		t.Fatal("forced rebuild not started")
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.rebuildsFailed.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the panicking rebuild was never counted as failed")
+		}
+	}
+	s.ing.Lock()
+	rebuilding := s.ing.rebuilding["salary"]
+	s.ing.Unlock()
+	if rebuilding {
+		t.Fatal("the failed rebuild left the dataset marked as rebuilding")
+	}
+	if cur, err := reg.Get("salary"); err != nil || cur != eng {
+		t.Fatalf("registry serves %v (%v), want the old engine", cur, err)
+	}
+	if w := postJSON(t, h, "/v1/ingest", map[string]any{"dataset": "salary", "inserts": []map[string]string{salaryRecord(t, eng)}, "rebuild": "never"}); w.Code != http.StatusOK {
+		t.Fatalf("ingest after the failed rebuild: %d %s", w.Code, w.Body.String())
+	}
+	if w := postJSON(t, h, "/v1/mine", map[string]any{"dataset": "salary", "minSupport": 0.3, "minConfidence": 0.5}); w.Code != http.StatusOK {
+		t.Fatalf("mine after the failed rebuild: %d %s", w.Code, w.Body.String())
+	}
+
+	s.Close()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines before New, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // rebuildRunning reports whether any goroutine is inside a background
 // rebuild.
 func rebuildRunning() bool {

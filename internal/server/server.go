@@ -66,6 +66,7 @@ import (
 
 	"colarm"
 	"colarm/internal/obs"
+	"colarm/internal/pool"
 	"colarm/internal/standing"
 )
 
@@ -144,6 +145,9 @@ type Server struct {
 	// sseDelay is a test knob: a per-event write delay simulating a
 	// slow SSE consumer, so eviction is deterministic under test.
 	sseDelay time.Duration
+	// rebuildFault, when set, is called by each background rebuild
+	// before it mines. Test hook: tests panic in it.
+	rebuildFault func()
 
 	requests map[string]*obs.Counter
 	errors   map[string]*obs.Counter
@@ -680,10 +684,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // into the registry. The old engine serves queries (and stays reachable
 // for in-flight ones) for the whole duration; the fresh engine is the
 // next generation, so the swap retires every cached result keyed under
-// the old one. Failures leave the old engine in place.
+// the old one. Failures, a panic in the rebuild included, leave the old
+// engine in place.
 func (s *Server) rebuild(name string, eng *colarm.Engine) {
 	defer s.rebuilds.Done()
-	fresh, err := eng.Rebuild(context.Background())
+	var fresh *colarm.Engine
+	var err error
+	if perr := pool.Catch(func() {
+		if s.rebuildFault != nil {
+			s.rebuildFault()
+		}
+		fresh, err = eng.Rebuild(context.Background())
+	}); perr != nil {
+		err = perr
+	}
 	s.ing.Lock()
 	if err == nil {
 		err = s.reg.Register(fresh)

@@ -35,6 +35,7 @@ import (
 
 	"colarm"
 	"colarm/internal/obs"
+	"colarm/internal/pool"
 )
 
 // Additional sentinel errors from Manager entry points.
@@ -184,6 +185,10 @@ type Manager struct {
 	evictions   *obs.Counter
 	skips       *obs.Counter
 	diffErrors  *obs.Counter
+
+	// passFault, when set, is called by each tracker pass before it
+	// mines. Test hook: tests panic in it.
+	passFault func()
 }
 
 // NewManager creates a Manager and starts its diff worker. Call Close
@@ -277,7 +282,9 @@ func (m *Manager) enqueue(dataset string, eng *colarm.Engine, merge func(*pendin
 }
 
 // run is the diff worker: it drains pending notices one dataset at a
-// time, re-mining affected trackers and appending events.
+// time, re-mining affected trackers and appending events. A pass that
+// panics counts as a failed diff, like one that returns an error: the
+// tracker keeps its baseline and the worker goes on.
 func (m *Manager) run() {
 	for {
 		m.mu.Lock()
@@ -312,7 +319,9 @@ func (m *Manager) run() {
 		// tests and spreads no tracker systematically last.
 		sort.Slice(ts, func(i, j int) bool { return ts[i].canonical < ts[j].canonical })
 		for _, t := range ts {
-			m.diffTracker(t, p)
+			if err := pool.Catch(func() { m.diffTracker(t, p) }); err != nil {
+				m.diffErrors.Inc()
+			}
 		}
 	}
 }
@@ -348,13 +357,16 @@ func (m *Manager) diffTracker(t *tracker, p *pendingNotice) {
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), diffTimeout)
+	defer cancel()
 	start := time.Now()
 	t.mu.Lock()
 	baseline := t.rules
 	t.mu.Unlock()
+	if m.passFault != nil {
+		m.passFault()
+	}
 	diff, err := p.eng.RuleDiff(ctx, t.query, baseline)
 	m.diffSeconds.Observe(time.Since(start))
-	cancel()
 	if err != nil {
 		// Leave the baseline untouched: the next affecting batch (or
 		// epoch) retries from the same anchor, so no change is lost.

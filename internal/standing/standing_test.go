@@ -350,6 +350,63 @@ func TestAffectednessGate(t *testing.T) {
 	}
 }
 
+// TestPanickingPassKeepsBaseline panics in the first diff pass of a
+// tracker: the panic counts as a diff error, the worker lives on, the
+// next affecting batch diffs from the baseline the failed pass had, and
+// Close still returns.
+func TestPanickingPassKeepsBaseline(t *testing.T) {
+	eng := salaryEngine(t)
+	m := NewManager(Config{})
+	m.Attach("salary", eng)
+	q := colarm.Query{Range: map[string][]string{"Location": {"SFO"}}, MinSupport: 0.3, MinConfidence: 0.5}
+	s, err := m.Create(context.Background(), "salary", q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Cursor(0)
+	quiesce(t, m) // settle the creation-race verify pass
+	passes := 0
+	m.passFault = func() {
+		if passes++; passes == 1 {
+			panic("diff pass failed")
+		}
+	}
+	sfo := map[string]string{
+		"Company": "IBM", "Title": "QA Lead", "Location": "SFO",
+		"Gender": "M", "Age": "30-40", "Salary": "60K-90K",
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Ingest([]map[string]string{sfo}, nil); err != nil {
+			t.Fatal(err)
+		}
+		quiesce(t, m)
+	}
+	if passes < 2 || m.diffErrors.Value() != 1 {
+		t.Fatalf("%d passes, %d diff errors; want the first pass's panic counted once", passes, m.diffErrors.Value())
+	}
+	evs := drain(t, c)
+	res, err := eng.Mine(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replay(evs), ruleMap(res.Rules); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %d rules, mined %d", len(got), len(want))
+	}
+	if last := evs[len(evs)-1]; last.Type != EventDiff || last.FromVersion != 0 || last.ToVersion != 2 {
+		t.Fatalf("last event %s [%d,%d], want a diff over [0,2] from the kept baseline", last.Type, last.FromVersion, last.ToVersion)
+	}
+	closed := make(chan bool)
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after a panicking pass")
+	}
+}
+
 // TestSlowConsumerEviction wraps the ring past a live consumer and
 // checks it receives a terminal evicted event, not silence.
 func TestSlowConsumerEviction(t *testing.T) {

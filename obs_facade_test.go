@@ -134,7 +134,7 @@ func TestTracePredicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := eng.choose(pq, eng.resolve(pq))
+	ch := eng.choose(pq, resolved(t, eng, pq))
 	kind, ests := ch.kind, ch.ests
 	if got := Plan(kind + 1); got != res.Stats.Plan {
 		t.Fatalf("explain chose %s, the traced query ran %s", got, res.Stats.Plan)

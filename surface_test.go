@@ -2,6 +2,7 @@ package colarm
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"colarm/internal/cost"
 	"colarm/internal/datagen"
 	"colarm/internal/plans"
+	"colarm/internal/pool"
 )
 
 // gateDataset generates a dataset large enough that localized queries
@@ -42,7 +44,17 @@ func focal(t testing.TB, eng *Engine, q Query) *plans.Focal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.resolve(pq)
+	return resolved(t, eng, pq)
+}
+
+// resolved is eng.resolve(pq), failing t on an error.
+func resolved(t testing.TB, eng *Engine, pq *plans.Query) *plans.Focal {
+	t.Helper()
+	f, err := eng.resolve(pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // lowSupportQuery builds a query whose localized threshold falls below
@@ -61,7 +73,7 @@ func lowSupportQuery(t testing.TB, eng *Engine) Query {
 func countResolutions(e *Engine) *int {
 	n := new(int)
 	src := e.surface
-	e.surface = func() *plans.Surface {
+	e.surface = func() (*plans.Surface, error) {
 		*n++
 		return src()
 	}
@@ -161,7 +173,7 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 	victims := f.DQ.IDs()[:250]
 	calls := 0
 	src := eng.surface
-	eng.surface = func() *plans.Surface {
+	eng.surface = func() (*plans.Surface, error) {
 		calls++
 		if calls == 2 {
 			if _, err := eng.delta.Ingest(nil, victims); err != nil {
@@ -312,9 +324,55 @@ func TestAllRowsDeleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range eng.choose(pq, eng.resolve(pq)).ests {
+	for _, e := range eng.choose(pq, resolved(t, eng, pq)).ests {
 		if e != (cost.Estimate{Plan: e.Plan}) {
 			t.Errorf("estimate %+v over an empty dataset", e)
+		}
+	}
+}
+
+// TestFailedResolutionFailsTheQuery rigs the engine's surface source to
+// fail the way a merged-view build whose box fan-out panics does: with
+// the *pool.PanicError pool.Run returns, serially and at GOMAXPROCS 4.
+// Mine and Explain return it, colarm_query_errors_total counts it, and
+// the next query answers exactly as the one before.
+func TestFailedResolutionFailsTheQuery(t *testing.T) {
+	eng := salaryEngine(t)
+	q := Query{Range: map[string][]string{"Location": {"Seattle"}}, MinSupport: 0.3, MinConfidence: 0.5}
+	src := eng.surface
+	for _, procs := range []int{1, 4} {
+		want, err := atProcs(procs, func() (*Result, error) { return eng.Mine(q) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.surface = func() (*plans.Surface, error) {
+			_, err := pool.Run(context.Background(), 8, func(i int) {
+				if i == 5 {
+					panic("box failed")
+				}
+			})
+			return nil, err
+		}
+		errs := eng.metrics.queryErrors.Value()
+		_, err = atProcs(procs, func() (*Result, error) { return eng.Mine(q) })
+		var pe *pool.PanicError
+		if !errors.As(err, &pe) || pe.Value != "box failed" {
+			t.Fatalf("procs=%d: Mine returned %v, want the view build's panic", procs, err)
+		}
+		if got := eng.metrics.queryErrors.Value(); got != errs+1 {
+			t.Errorf("procs=%d: colarm_query_errors_total went %d → %d", procs, errs, got)
+		}
+		if _, err := eng.Explain(q); !errors.As(err, &pe) {
+			t.Errorf("procs=%d: Explain returned %v, want the view build's panic", procs, err)
+		}
+		eng.surface = src
+		got, err := atProcs(procs, func() (*Result, error) { return eng.Mine(q) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats.DurationNanos, got.Stats.DurationNanos = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("procs=%d: the query after the failure differs from the one before", procs)
 		}
 	}
 }
