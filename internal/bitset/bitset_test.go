@@ -127,8 +127,10 @@ func TestSubsetIntersects(t *testing.T) {
 	if !a.SubsetOf(a) {
 		t.Error("a ⊆ a expected")
 	}
-	if !a.Intersects(b) || a.Intersects(c) {
-		t.Error("Intersects wrong")
+	vec := make([]uint64, 1)
+	CopyWords(vec, b)
+	if !a.IntersectsWords(vec) || c.IntersectsWords(vec) {
+		t.Error("IntersectsWords wrong")
 	}
 }
 

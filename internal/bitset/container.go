@@ -23,7 +23,7 @@ import (
 //
 // No operation sets a bit at or past its container's span (validate
 // refuses a decoded one), so the query-path kernels — AND, AndCount,
-// Intersects, OR, Equal and iteration — take nw, the span's
+// OR, Equal and iteration — take nw, the span's
 // word count (Set.words), and walk only those words of the payload: 50
 // for a 3196-record universe rather than 1024.
 
@@ -376,46 +376,6 @@ func andCount(x, y *container, nw int) int {
 			n += bits.OnesCount64(w & y.b[i])
 		}
 		return n
-	}
-}
-
-// intersectsCtr reports whether x and y share an id, short-circuiting on
-// the first hit.
-func intersectsCtr(x, y *container, nw int) bool {
-	if x.card == 0 || y.card == 0 {
-		return false
-	}
-	if x.kind > y.kind {
-		x, y = y, x
-	}
-	switch {
-	case y.kind == arrayCtr: // array × array
-		i, j := 0, 0
-		for i < len(x.a) && j < len(y.a) {
-			switch {
-			case x.a[i] < y.a[j]:
-				i++
-			case x.a[i] > y.a[j]:
-				j++
-			default:
-				return true
-			}
-		}
-		return false
-	case x.kind == arrayCtr: // array × bitmap
-		for _, v := range x.a {
-			if y.b[v>>6]&(1<<(v&63)) != 0 {
-				return true
-			}
-		}
-		return false
-	default: // bitmap × bitmap
-		for i, w := range x.b[:nw] {
-			if w&y.b[i] != 0 {
-				return true
-			}
-		}
-		return false
 	}
 }
 

@@ -325,8 +325,9 @@ func TestHybridDenseEquivalence(t *testing.T) {
 		if a.SubsetOf(b) != (inter == len(oa.ids())) || b.SubsetOf(a) != (inter == len(ob.ids())) {
 			t.Fatalf("%s: SubsetOf diverges from the oracle", label)
 		}
-		if a.Intersects(b) != (inter > 0) {
-			t.Fatalf("%s: Intersects = %v, oracle intersection holds %d", label, a.Intersects(b), inter)
+		if a.IntersectsWords(ob.words()) != (inter > 0) || b.IntersectsWords(oa.words()) != (inter > 0) {
+			t.Fatalf("%s: IntersectsWords = %v / %v, oracle intersection holds %d",
+				label, a.IntersectsWords(ob.words()), b.IntersectsWords(oa.words()), inter)
 		}
 		for i := 0; i < 50; i++ {
 			if id := rng.Intn(n); a.Contains(id) != oa[id] {

@@ -3,6 +3,7 @@ package bitset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -190,6 +191,46 @@ func BenchmarkRankAnd(b *testing.B) {
 				}
 				b.ReportMetric(float64(len(dst)), "words")
 			})
+		}
+	}
+}
+
+// TestIntersectsWordsKindPairs holds IntersectsWords to the oracle with
+// s's containers in each encoding, against vectors that miss s entirely
+// (its complement, thinned) and that share exactly one id with it —
+// first, last or anywhere — over universes that end mid-word, exactly
+// fill a container, and span two and three containers: a hit in any
+// container, and a miss that must walk all of them.
+func TestIntersectsWordsKindPairs(t *testing.T) {
+	for _, n := range []int{1, 63, 3196, ctrBits, 70000, 2*ctrBits + 77} {
+		for _, kind := range []uint8{arrayCtr, bitmapCtr} {
+			for _, dense := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(n) + int64(kind)))
+				s, sm := operand(rng, n, kind, dense)
+				so := make(oracle, n)
+				for id := range sm {
+					so[id] = true
+				}
+				miss := make(oracle, n)
+				for id := range miss {
+					miss[id] = !so[id] && rng.Intn(3) > 0
+				}
+				label := fmt.Sprintf("n=%d kind %d dense=%v", n, kind, dense)
+				if s.IntersectsWords(miss.words()) {
+					t.Fatalf("%s: IntersectsWords hits a vector disjoint from s", label)
+				}
+				ids := so.ids()
+				if len(ids) == 0 {
+					continue
+				}
+				for _, shared := range []int{ids[0], ids[len(ids)-1], ids[rng.Intn(len(ids))]} {
+					hit := slices.Clone(miss)
+					hit[shared] = true
+					if !s.IntersectsWords(hit.words()) {
+						t.Fatalf("%s: IntersectsWords misses shared id %d", label, shared)
+					}
+				}
+			}
 		}
 	}
 }

@@ -61,6 +61,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"colarm/internal/bitset"
@@ -389,7 +390,8 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	}
 	// CHARM mines the frequent items' merged tidsets laid out once, in
 	// one word arena. The view's CFIs carry no tidset: no plan reads one,
-	// and mergedBox forms one only for a CFI it has to probe.
+	// and mergedBox forms a CFI's word vector from the arena (every item
+	// of a CFI is frequent) only when it has to probe.
 	nw := (capN + 63) / 64
 	var items []itemset.Item
 	for it, t := range tids {
@@ -417,7 +419,7 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 		if s.boxFault != nil {
 			s.boxFault(id)
 		}
-		boxes[id] = s.mergedBox(closed[id], tids, gone, added)
+		boxes[id] = s.mergedBox(closed[id], tids, items, vecs, gone, added)
 		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(closed[id].Support)}
 	}); err != nil {
 		return nil, err
@@ -464,15 +466,14 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 // tidsets from the old bound on; afterwards every buffered supporter
 // extends the box. An itemset the frozen index does not store has no box
 // to patch and is probed from scratch. c carries no tidset (the view
-// mines without them): only these two probes need one, and form it from
-// c's items (tidsetOf).
-func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []changedRow) itemset.Box {
+// mines without them): only these two probes need its supporters, and
+// read them as the AND of its items' word vectors from the mining arena
+// (vectorOf): vecs[k] is the merged tidset of frequent item items[k].
+func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, items []itemset.Item, vecs [][]uint64, gone, added []changedRow) itemset.Box {
 	sp, cards := s.idx.Space, s.idx.Cards
 	fid, ok := s.idx.ITTree.LookupID(c.Items)
 	if !ok {
-		probed := *c
-		probed.Tids = tidsetOf(tids, c.Items)
-		return mip.BoundingBox(sp, cards, tids, &probed)
+		return mip.BoundingBox(sp, cards, tids, c.Items, vectorOf(items, vecs, c.Items))
 	}
 	box := s.idx.Boxes[fid].Clone()
 	const fixed, loLost, hiLost = 1, 2, 4
@@ -514,15 +515,13 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 	// first one a merged supporter holds. When none lies on or beyond
 	// the old bound it returns the empty interval's bound, and a
 	// buffered supporter below sets it: the itemset has support >= 1.
-	var ct *bitset.Set // c's merged tidset, formed by the first probe
+	var vec []uint64 // c's merged supporters, formed by the first probe
 	probe := func(a, v, step int, none int32) int32 {
-		if ct == nil {
-			ct = tidsetOf(tids, c.Items)
+		if vec == nil {
+			vec = vectorOf(items, vecs, c.Items)
 		}
-		for ; v >= 0 && v < cards[a]; v += step {
-			if ct.Intersects(tids[sp.ItemOf(a, v)]) {
-				return int32(v)
-			}
+		if v, ok := mip.Reach(sp, cards, tids, a, v, step, vec); ok {
+			return int32(v)
 		}
 		return none
 	}
@@ -549,17 +548,25 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, gone, added []
 	return box
 }
 
-// tidsetOf returns the merged tidset of itemset x, the AND of its items'
-// merged tidsets; for one item, that item's own (read-only) set.
-func tidsetOf(tids []*bitset.Set, x itemset.Set) *bitset.Set {
+// vectorOf returns the merged supporters of itemset x as a word vector:
+// the AND of its items' vectors, vecs[k] being that of items[k]
+// (ascending, and holding every item of a CFI); for one item, that
+// item's own (read-only) vector.
+func vectorOf(items []itemset.Item, vecs [][]uint64, x itemset.Set) []uint64 {
+	vec := func(it itemset.Item) []uint64 {
+		k, _ := slices.BinarySearch(items, it)
+		return vecs[k]
+	}
 	if len(x) == 1 {
-		return tids[x[0]]
+		return vec(x[0])
 	}
-	t := bitset.Intersect(tids[x[0]], tids[x[1]])
-	for _, it := range x[2:] {
-		t.And(tids[it])
+	v := slices.Clone(vec(x[0]))
+	for _, it := range x[1:] {
+		for w, y := range vec(it) {
+			v[w] &= y
+		}
 	}
-	return t
+	return v
 }
 
 // MergedDataset materializes the merged relation — base records minus

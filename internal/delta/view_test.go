@@ -12,6 +12,7 @@ import (
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
+	"colarm/internal/plans"
 	"colarm/internal/relation"
 )
 
@@ -127,11 +128,12 @@ func allItemsCountPass(s *Store) []*bitset.Set {
 // TestViewBoxesAndTidsetsUnderChurn interleaves inserts, deletes of
 // buffered rows and deletes of base records chosen to lie on CFI box
 // boundaries, and after every batch holds the merged view to its
-// definitions: every box is the bounding box of the CFI over the merged
-// tidsets, every CFI's support is the count of its items' intersection
-// (the view stores no CFI tidset), every merged tidset is what the
-// all-items count pass produces, the live mask is exact, and a tidset
-// no changed record belongs to is the base tidset untouched.
+// definitions: every box is the [min,max] per attribute of the CFI's
+// merged supporters, scanned record by record, every CFI's support is
+// the count of its items' intersection (the view stores no CFI tidset),
+// every merged tidset is what the all-items count pass produces, the
+// live mask is exact, and a tidset no changed record belongs to is the
+// base tidset untouched.
 func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 	moved := 0    // merged boxes that differ from the frozen box of the same itemset
 	fresh := 0    // merged CFIs the frozen index does not store
@@ -219,9 +221,9 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 					t.Fatalf("seed %d batch %d: %v has support %d, its items' merged tidsets intersect in %d",
 						seed, batch, c.Items, c.Support, c.Tids.Count())
 				}
-				want := mip.BoundingBox(sp, idx.Cards, v.Tidsets, c)
+				want := scanBox(v, idx.Cards, c.Tids)
 				if !equalBox(got, want) {
-					t.Fatalf("seed %d batch %d: box of %v is %v, BoundingBox over the merged tidsets gives %v",
+					t.Fatalf("seed %d batch %d: box of %v is %v, a scan of its merged supporters gives %v",
 						seed, batch, c.Items, got, want)
 				}
 				fid, ok := idx.ITTree.LookupID(c.Items)
@@ -240,11 +242,11 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 	if moved < 50 {
 		t.Errorf("only %d patched boxes moved off their frozen box: the interleavings no longer reach the patch paths", moved)
 	}
-	// Both places mergedBox forms a CFI's tidset from its items: an
+	// Both places mergedBox forms a CFI's word vector from its items: an
 	// itemset the frozen index does not store, and a stored one whose
 	// bound a tombstoned supporter sat on.
 	if fresh < 100 || reprobed < 100 {
-		t.Errorf("%d unstored CFIs and %d re-probed bounds: the interleavings no longer reach both tidset probes", fresh, reprobed)
+		t.Errorf("%d unstored CFIs and %d re-probed bounds: the interleavings no longer reach both vector probes", fresh, reprobed)
 	}
 }
 
@@ -325,10 +327,27 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 		t.Errorf("B extent of {a0,c0} is [%d,%d], want [b0,b1]", lo, hi)
 	}
 	for id, got := range v.Boxes {
-		if want := mip.BoundingBox(idx.Space, idx.Cards, v.Tidsets, oracleCFI(v.Tidsets, v.Tree.Set(id))); !equalBox(got, want) {
-			t.Errorf("box of %v is %v, BoundingBox over the merged tidsets gives %v", v.Tree.Set(id).Items, got, want)
+		if want := scanBox(v, idx.Cards, oracleCFI(v.Tidsets, v.Tree.Set(id)).Tids); !equalBox(got, want) {
+			t.Errorf("box of %v is %v, a scan of its merged supporters gives %v", v.Tree.Set(id).Items, got, want)
 		}
 	}
+}
+
+// scanBox is the box by definition: per attribute, the [min,max] value
+// of the view's records in tids.
+func scanBox(v *plans.Surface, cards []int, tids *bitset.Set) itemset.Box {
+	b := itemset.NewBox(len(cards))
+	for a := range cards {
+		b.Lo[a], b.Hi[a] = int32(cards[a]), -1
+	}
+	tids.ForEach(func(r int) bool {
+		for a := range cards {
+			val := int32(v.Value(r, a))
+			b.Lo[a], b.Hi[a] = min(b.Lo[a], val), max(b.Hi[a], val)
+		}
+		return true
+	})
+	return b
 }
 
 func equalBox(a, b itemset.Box) bool {

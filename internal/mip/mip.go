@@ -9,6 +9,11 @@
 //   - an R-tree over the MIP bounding boxes, augmented with global
 //     support counts (the supported R-tree of Section 4.3);
 //   - a closed IT-tree over the itemsets and their tidsets.
+//
+// A MIP's box is probed from its tidset laid out as a dense word vector:
+// each free axis is walked in from both ends, testing each value's item
+// tidset against the vector (bitset.Set.IntersectsWords) in the
+// tidset's own encoding until one shares a record.
 package mip
 
 import (
@@ -74,6 +79,10 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
 }
 
+// boxChunk is how many CFIs one box-probe task of the index build takes:
+// enough to share a scratch vector, few enough to balance the workers.
+const boxChunk = 64
+
 // assemble builds the index layers from an existing mining result.
 // boxes, when non-nil, are the CFIs' bounding boxes as a snapshot stored
 // them; otherwise they are probed from the tidsets.
@@ -94,14 +103,24 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		idx.Boxes = make([]itemset.Box, len(res.Closed))
 	}
 	// Box probes are independent tidset reads landing in pre-indexed
-	// slots, so they fan out without affecting the result.
-	entries := make([]rtree.Entry, len(res.Closed))
-	if _, err := pool.Run(context.Background(), len(res.Closed), func(id int) {
-		c := res.Closed[id]
+	// slots, so they fan out, a chunk of CFIs at a time, without
+	// affecting the result. Each CFI's tidset is laid out as a word
+	// vector in its chunk's one scratch vector.
+	n := len(res.Closed)
+	entries := make([]rtree.Entry, n)
+	if _, err := pool.Run(context.Background(), (n+boxChunk-1)/boxChunk, func(k int) {
+		var vec []uint64
 		if boxes == nil {
-			idx.Boxes[id] = idx.boundingBox(c)
+			vec = make([]uint64, (d.NumRecords()+63)/64)
 		}
-		entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
+		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
+			c := res.Closed[id]
+			if boxes == nil {
+				bitset.CopyWords(vec, c.Tids)
+				idx.Boxes[id] = BoundingBox(sp, idx.Cards, tidsets, c.Items, vec)
+			}
+			entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -113,25 +132,18 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 	return idx, nil
 }
 
-// boundingBox computes the MIP box of a CFI: a point interval on every
-// dimension the itemset constrains, and the [min,max] extent of the
-// supporting records on the rest. The probe walks each unconstrained
-// axis from both ends testing tidset overlap with the per-value item
-// tidsets, so the cost is proportional to the located extent rather than
-// the support count.
-func (x *Index) boundingBox(c *charm.ClosedSet) itemset.Box {
-	return BoundingBox(x.Space, x.Cards, x.Tidsets, c)
-}
-
-// BoundingBox is the box computation over arbitrary tidsets, shared with
-// the delta layer: the merge view recomputes boxes against tidsets that
-// extend over buffered record ids, so the boxes it produces are exactly
-// those a from-scratch rebuild over the merged data would compute.
-func BoundingBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, c *charm.ClosedSet) itemset.Box {
+// BoundingBox returns the MIP box of itemset items whose supporters vec
+// holds in bitset.CopyWords's layout over the universe of tidsets: a
+// point on each dimension the itemset constrains, and on each other the
+// [min,max] value of the supporters, each bound found by Reach. A value
+// outside the extent costs a test of its whole tidset, the support count
+// nothing. The merged view calls it with vectors over buffered ids too,
+// so its boxes are exactly those a rebuild over the merged data computes.
+func BoundingBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, items itemset.Set, vec []uint64) itemset.Box {
 	n := sp.NumAttrs()
 	b := itemset.NewBox(n)
 	constrained := make([]bool, n)
-	for _, it := range c.Items {
+	for _, it := range items {
 		a := sp.AttrOf(it)
 		v := int32(sp.ValueOf(it))
 		b.Lo[a], b.Hi[a] = v, v
@@ -141,28 +153,29 @@ func BoundingBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, c *charm
 		if constrained[a] {
 			continue
 		}
-		card := cards[a]
-		lo, hi := -1, -1
-		for v := 0; v < card; v++ {
-			if c.Tids.Intersects(tidsets[sp.ItemOf(a, v)]) {
-				lo = v
-				break
-			}
-		}
-		for v := card - 1; v >= 0; v-- {
-			if c.Tids.Intersects(tidsets[sp.ItemOf(a, v)]) {
-				hi = v
-				break
-			}
-		}
-		if lo < 0 {
+		lo, ok := Reach(sp, cards, tidsets, a, 0, +1, vec)
+		if !ok {
 			// A CFI with an empty tidset cannot exist (support >= 1),
 			// but guard against it with a degenerate full-extent box.
-			lo, hi = 0, card-1
+			b.Lo[a], b.Hi[a] = 0, int32(cards[a]-1)
+			continue
 		}
+		hi, _ := Reach(sp, cards, tidsets, a, cards[a]-1, -1, vec)
 		b.Lo[a], b.Hi[a] = int32(lo), int32(hi)
 	}
 	return b
+}
+
+// Reach walks attribute a's values from v in direction step (+1 or -1)
+// and returns the first whose item tidset shares a record with vec (in
+// bitset.CopyWords's layout), or false when none on the walk does.
+func Reach(sp *itemset.Space, cards []int, tidsets []*bitset.Set, a, v, step int, vec []uint64) (int, bool) {
+	for ; v >= 0 && v < cards[a]; v += step {
+		if tidsets[sp.ItemOf(a, v)].IntersectsWords(vec) {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // NumMIPs returns the number of prestored MIPs (closed frequent

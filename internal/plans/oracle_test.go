@@ -20,10 +20,10 @@ import (
 // mergedSurface builds the merged surface of idx with a random fifth of
 // its records deleted and a few rows appended, the way the delta layer
 // does: tidsets grown over the buffered ids with the deletes cleared, a
-// re-mine at the merged primary count, a fresh IT-tree and boxes, the
-// boxes packed at the frozen index's fanout. An appended row copies a
-// random base record with one attribute re-drawn, so it shares the
-// base's correlations.
+// re-mine at the merged primary count, a fresh IT-tree and boxes (see
+// scanBoxes), the boxes packed at the frozen index's fanout. An appended
+// row copies a random base record with one attribute re-drawn, so it
+// shares the base's correlations.
 func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) *Surface {
 	t.Helper()
 	d, sp := idx.Dataset, idx.Space
@@ -63,10 +63,15 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes := make([]itemset.Box, len(res.Closed))
+	value := func(rec, a int) int {
+		if rec < baseN {
+			return d.Value(rec, a)
+		}
+		return rows[rec-baseN][a]
+	}
+	boxes := scanBoxes(res.Closed, n, len(idx.Cards), value)
 	entries := make([]rtree.Entry, len(res.Closed))
 	for id, c := range res.Closed {
-		boxes[id] = mip.BoundingBox(sp, idx.Cards, tids, c)
 		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(c.Support)}
 	}
 	rt, err := rtree.Bulk(entries, sp.NumAttrs(), idx.RTree.Fanout())
@@ -82,14 +87,38 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		PrimaryCount: minCount,
 		NumRecords:   n,
 		Live:         live,
-		Value: func(rec, a int) int {
-			if rec < baseN {
-				return d.Value(rec, a)
-			}
-			return rows[rec-baseN][a]
-		},
-		Version: 1,
+		Value:        value,
+		Version:      1,
 	}
+}
+
+// scanBoxes returns each CFI's box by a record scan, independent of the
+// index's tidset probes: per attribute, the [min,max] value of the
+// CFI's records. The n records are ordered by their value on each
+// attribute once, so a bound is the first (or last) record of that
+// order the CFI's tidset holds, and a high-support CFI stops at once.
+func scanBoxes(closed []*charm.ClosedSet, n, attrs int, value func(rec, a int) int) []itemset.Box {
+	byValue := make([][]int, attrs)
+	for a := range byValue {
+		byValue[a] = make([]int, n)
+		for rec := range byValue[a] {
+			byValue[a][rec] = rec
+		}
+		slices.SortStableFunc(byValue[a], func(x, y int) int { return value(x, a) - value(y, a) })
+	}
+	boxes := make([]itemset.Box, len(closed))
+	for id, c := range closed {
+		boxes[id] = itemset.NewBox(attrs)
+		for a, order := range byValue {
+			lo := slices.IndexFunc(order, c.Tids.Contains)
+			hi := len(order) - 1
+			for !c.Tids.Contains(order[hi]) {
+				hi--
+			}
+			boxes[id].Lo[a], boxes[id].Hi[a] = int32(value(order[lo], a)), int32(value(order[hi], a))
+		}
+	}
+	return boxes
 }
 
 // namedSurface is one row of the table every surface-shape test runs

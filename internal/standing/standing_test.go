@@ -638,3 +638,80 @@ func TestDeleteWakesConsumer(t *testing.T) {
 		t.Fatal("deleted subscription still resolvable")
 	}
 }
+
+// TestCloseLeaksNoGoroutines closes a manager with two engines attached,
+// a live subscription on each with a consumer blocked in Next, and a
+// diff pass in flight: Close waits the pass out, every consumer wakes
+// with ErrClosed, and the goroutine count returns to what it was before
+// NewManager.
+func TestCloseLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := NewManager(Config{})
+	sfo := map[string]string{
+		"Company": "IBM", "Title": "QA Lead", "Location": "SFO",
+		"Gender": "M", "Age": "30-40", "Salary": "60K-90K",
+	}
+	q := colarm.Query{Range: map[string][]string{"Location": {"SFO"}}, MinSupport: 0.3, MinConfidence: 0.5}
+	var engines []*colarm.Engine
+	consumers := make(chan error, 2)
+	for _, name := range []string{"a", "b"} {
+		eng := salaryEngine(t)
+		engines = append(engines, eng)
+		m.Attach(name, eng)
+		s, err := m.Create(context.Background(), name, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := s.Cursor(0)
+		drain(t, c) // the snapshot; the next Next blocks
+		go func() {
+			for {
+				if _, err := c.Next(context.Background()); err != nil {
+					consumers <- err
+					return
+				}
+			}
+		}()
+	}
+	quiesce(t, m) // settle the creation-race verify passes
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	m.passFault = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	if _, err := engines[0].Ingest([]map[string]string{sfo}, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // a pass is in flight, held in the fault hook
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a diff pass in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the pass finished")
+	}
+	for range engines {
+		if err := <-consumers; !errors.Is(err, ErrClosed) {
+			t.Fatalf("a blocked consumer woke with %v, want ErrClosed", err)
+		}
+	}
+
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines before NewManager, %d after Close:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
