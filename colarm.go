@@ -369,11 +369,14 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 	if q.Trace {
 		tr = &obs.Trace{}
 	}
-	res, ests, err := e.mine(ctx, q, tr)
+	res, ests, f, err := e.mine(ctx, q, tr)
 	if err != nil {
 		return nil, err
 	}
 	out := e.wrap(res)
+	// The executor's rules point into the request's scratch; wrap copied
+	// what the caller sees, so the scratch goes back for the next query.
+	f.Release()
 	if q.Plan == Auto {
 		out.Estimates = planEstimates(ests)
 	}
@@ -385,8 +388,10 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 // the executable query, resolve the surface once, on Auto let the gate
 // and optimizer pick the plan (the estimates are returned), run it into
 // tr, and count the query — one that fails to build, validate or
-// resolve too.
-func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Result, []cost.Estimate, error) {
+// resolve too. The result's rules point into the returned Focal's
+// scratch, which the caller releases once it has wrapped them; a failed
+// query's scratch is left to the GC.
+func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Result, []cost.Estimate, *plans.Focal, error) {
 	pq, err := e.buildQuery(q)
 	if err == nil {
 		err = pq.Validate(e.idx.Space)
@@ -398,7 +403,7 @@ func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Resul
 	}
 	if err != nil {
 		e.metrics.observe(nil, nil, err)
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	kind := plans.Kind(q.Plan - 1)
 	var ch planChoice
@@ -410,12 +415,12 @@ func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Resul
 	res, err := e.executor.RunContext(ctx, kind, f, pq)
 	e.metrics.observe(f, res, err)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if tr != nil && q.Plan == Auto {
 		predict(tr, ch.est)
 	}
-	return res, ch.ests, nil
+	return res, ch.ests, f, nil
 }
 
 // planChoice is one resolved optimizer decision: the plan to run, the
@@ -488,7 +493,9 @@ func (e *Engine) ExplainContext(ctx context.Context, q Query) ([]PlanEstimate, e
 	if err != nil {
 		return nil, err
 	}
-	return planEstimates(e.choose(pq, f).ests), nil
+	ests := e.choose(pq, f).ests
+	f.Release()
+	return planEstimates(ests), nil
 }
 
 // UnitCosts are the cost model's five primitive unit costs in

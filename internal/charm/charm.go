@@ -45,6 +45,8 @@ type Result struct {
 	Closed     []*ClosedSet
 	NumRecords int
 	MinCount   int
+
+	m *miner // the miner that ran, for a later MineVectors to reuse
 }
 
 // Mine runs CHARM over the dataset at the given minimum support count
@@ -131,7 +133,13 @@ func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, erro
 // D^Q's rank space (bitset.RankAnd), bit r is the r-th record of D^Q, so
 // every AND and popcount walks ⌈|D^Q|/64⌉ words whatever the dataset's
 // size.
-func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int) (*Result, error) {
+//
+// reuse, when non-nil, is a Result an earlier MineVectors call returned
+// and whose CFIs the caller no longer reads: the run recycles that
+// miner's vector slabs, hash heads, recursion buffers and CFI list, and
+// returns reuse itself. A run that fails leaves reuse unusable, and a
+// miner whose slabs outgrew maxReusedWords is not kept.
+func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
 	}
@@ -142,7 +150,14 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 	if len(vecs) > 0 {
 		nw = len(vecs[0])
 	}
-	var roots []node
+	var m *miner
+	if reuse != nil && reuse.m != nil {
+		m = reuse.m
+		m.reset(ctx, nw, minCount)
+	} else {
+		m = newMiner(ctx, nw, minCount)
+	}
+	roots := m.roots[:0]
 	for k, it := range items {
 		v := vecs[k]
 		if len(v) != nw {
@@ -152,7 +167,29 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 			roots = append(roots, node{items: itemset.Set{it}, vec: v[:nw:nw], supp: supp, root: int(it)})
 		}
 	}
-	return newMiner(ctx, nw, minCount).run(roots, numRecords)
+	m.roots = roots
+	res, err := m.run(roots, numRecords)
+	if err != nil || reuse == nil {
+		return res, err
+	}
+	*reuse = *res
+	if m.words() <= maxReusedWords {
+		reuse.m = m
+	}
+	return reuse, nil
+}
+
+// maxReusedWords caps the slab words a miner keeps for a reused run: one
+// exploding run must not leave its slabs pinned to a recycled Result.
+const maxReusedWords = 512 << 10
+
+// words is how many words the miner's slab chunks hold.
+func (m *miner) words() int {
+	n := 0
+	for _, c := range m.chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // node is one IT-tree node under exploration; supp caches vec's
@@ -180,9 +217,13 @@ type miner struct {
 	next   []int32          // closed[k]'s predecessor in its hash chain, -1 none
 	heads  map[uint64]int32 // vector hash → last closed index with it
 
-	slab  []uint64   // unused words of the current slab chunk
-	chunk int        // vectors per slab chunk; doubles up to maxChunk
-	free  [][]uint64 // vectors of dropped and emitted nodes, for alloc
+	slab   []uint64   // unused words of the current slab chunk
+	chunks [][]uint64 // every chunk carved so far, kept for a reused run
+	used   int        // chunks[:used] have been carved from in this run
+	chunk  int        // vectors per new slab chunk; doubles up to maxChunk
+	free   [][]uint64 // vectors of dropped and emitted nodes, for alloc
+
+	roots []node // MineVectors' root buffer, kept for a reused run
 
 	// levels[d] is the reusable buffer that CHARM-EXTEND at recursion
 	// depth d collects its children in.
@@ -201,6 +242,17 @@ const maxChunk = 256
 func newMiner(ctx context.Context, nw, minCount int) *miner {
 	return &miner{nw: nw, minCount: minCount, heads: make(map[uint64]int32),
 		chunk: 4, ctx: ctx, done: ctx.Done()}
+}
+
+// reset readies a miner that ran before for a new run at nw words per
+// vector, keeping every buffer: its slab chunks are carved again from
+// the first, whatever width they were carved at.
+func (m *miner) reset(ctx context.Context, nw, minCount int) {
+	m.nw, m.minCount = nw, minCount
+	m.closed, m.next = m.closed[:0], m.next[:0]
+	clear(m.heads)
+	m.slab, m.used, m.free = nil, 0, m.free[:0]
+	m.ctx, m.done, m.polls = ctx, ctx.Done(), 0
 }
 
 // run explores the IT-tree from the frequent items and returns the CFIs
@@ -246,9 +298,13 @@ func (m *miner) alloc() []uint64 {
 		m.free = m.free[:k]
 		return v
 	}
-	if len(m.slab) < m.nw {
-		m.slab = make([]uint64, m.chunk*m.nw)
-		m.chunk = min(2*m.chunk, maxChunk)
+	for len(m.slab) < m.nw {
+		if m.used == len(m.chunks) {
+			m.chunks = append(m.chunks, make([]uint64, m.chunk*m.nw))
+			m.chunk = min(2*m.chunk, maxChunk)
+		}
+		m.slab = m.chunks[m.used]
+		m.used++
 	}
 	v := m.slab[:m.nw:m.nw]
 	m.slab = m.slab[m.nw:]

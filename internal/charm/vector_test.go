@@ -2,6 +2,7 @@ package charm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -128,7 +129,7 @@ func FuzzMineVectors(f *testing.F) {
 		before := slices.Clone(words)
 		minCount := 1 + int(minSel)%width
 
-		got, err := MineVectors(context.Background(), items, vecs, width, minCount)
+		got, err := MineVectors(context.Background(), items, vecs, width, minCount, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +205,47 @@ func TestMineTidsetsMultiContainer(t *testing.T) {
 // vectors have one length.
 func TestMineVectorsRejectsRaggedWords(t *testing.T) {
 	items := []itemset.Item{0, 2}
-	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}, {1, 0}}, 64, 1); err == nil {
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}, {1, 0}}, 64, 1, nil); err == nil {
 		t.Error("vectors of 1 and 2 words must be refused")
 	}
-	if _, err := MineVectors(context.Background(), items, [][]uint64{{1, 0}, {1}}, 64, 1); err == nil {
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1, 0}, {1}}, 64, 1, nil); err == nil {
 		t.Error("vectors of 2 and 1 words must be refused")
 	}
-	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}}, 64, 1); err == nil {
+	if _, err := MineVectors(context.Background(), items, [][]uint64{{1}}, 64, 1, nil); err == nil {
 		t.Error("one vector for two items must be refused")
+	}
+}
+
+// TestMineVectorsReuse mines a run of random inputs of every width in
+// vecWidths, widest first and then narrowest first, through one reused
+// Result — so a run meets slabs carved at another width and a hash head
+// table another run filled — and holds each to the brute force, as a
+// fresh miner is held.
+func TestMineVectorsReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	widths := append(slices.Clone(vecWidths), 1000)
+	slices.Reverse(widths)
+	widths = append(widths, vecWidths...)
+	var reuse Result
+	for run, width := range widths {
+		k := 2 + r.Intn(7)
+		ids := correlatedItems(r, width, k, -1)
+		sets := make([]*bitset.Set, k)
+		items := make([]itemset.Item, k)
+		vecs := make([][]uint64, k)
+		for it, l := range ids {
+			sets[it] = bitset.FromIDs(width, l...)
+			items[it] = itemset.Item(it)
+			vecs[it] = vectorOf(width, l)
+		}
+		minCount := 1 + r.Intn(max(1, width/4))
+		got, err := MineVectors(context.Background(), items, vecs, width, minCount, &reuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != &reuse {
+			t.Fatalf("run %d: MineVectors returned a new Result, not the reused one", run)
+		}
+		checkAgainstBrute(t, fmt.Sprintf("run %d (width %d)", run, width), got, sets, width, minCount)
 	}
 }

@@ -405,7 +405,7 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 		vecs[k] = arena[k*nw : (k+1)*nw : (k+1)*nw]
 		bitset.CopyWords(vecs[k], tids[it])
 	}
-	res, err := charm.MineVectors(context.Background(), items, vecs, capN, minCount)
+	res, err := charm.MineVectors(context.Background(), items, vecs, capN, minCount, nil)
 	if err != nil {
 		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}

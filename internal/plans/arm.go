@@ -9,7 +9,6 @@ import (
 	"colarm/internal/charm"
 	"colarm/internal/itemset"
 	"colarm/internal/obs"
-	"colarm/internal/pool"
 	"colarm/internal/rules"
 )
 
@@ -63,7 +62,7 @@ func (ex *Executor) runARM(ctx context.Context, f *Focal, q *Query) (*Result, er
 // attributes.
 func (c *qctx) selectItems() ([]itemset.Item, int, error) {
 	sp := c.ex.Space
-	var kept []itemset.Item
+	kept := c.sc.kept[:0]
 	attrs := 0
 	for a := 0; a < sp.NumAttrs(); a++ {
 		if c.mask != nil && !c.mask[a] {
@@ -83,6 +82,7 @@ func (c *qctx) selectItems() ([]itemset.Item, int, error) {
 			}
 		}
 	}
+	c.sc.kept = kept
 	return kept, attrs, nil
 }
 
@@ -102,11 +102,13 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	// cancelled query aborts inside CHARM-EXTEND, the plan's dominant
 	// cost on low-support queries. SELECT grew the layout last, so the
 	// views stay valid.
-	vecs := make([][]uint64, len(items))
+	sc := c.sc
+	vecs := reuse(sc.views, len(items))
+	sc.views = vecs
 	for k, it := range items {
 		vecs[k] = c.f.vecs.view(it)
 	}
-	mined, err := charm.MineVectors(c.ctx, items, vecs, c.s.NumRecords, c.f.MinCount)
+	mined, err := charm.MineVectors(c.ctx, items, vecs, c.s.NumRecords, c.f.MinCount, &sc.mined)
 	if err != nil {
 		return nil, err
 	}
@@ -122,16 +124,16 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	// with no shared mutable state beyond the tallied call counter.
 	var tally counterTally
 	oracle := armOracle(c.f, &tally)
-	quals := make([]*charm.ClosedSet, 0, len(mined.Closed))
+	quals := sc.closed[:0]
 	for _, cl := range mined.Closed {
 		if len(cl.Items) >= 2 {
 			quals = append(quals, cl)
 		}
 	}
+	sc.closed = quals
 	c.st.Qualified = len(quals)
-	per := make([][]rules.Rule, len(quals))
-	used, err := pool.Run(c.ctx, len(quals), func(i int) {
-		per[i] = rules.Generate(quals[i].Items, quals[i].Support, c.st.SubsetSize,
+	used, err := c.generate(len(quals), func(i int, rs []rules.Rule, items []itemset.Item) ([]rules.Rule, []itemset.Item) {
+		return rules.Generate(rs, items, quals[i].Items, quals[i].Support, c.st.SubsetSize,
 			q.MinConfidence, oracle, rules.Options{MaxConsequent: q.MaxConsequent})
 	})
 	if err != nil {
@@ -140,13 +142,7 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	tally.addTo(c.st)
 	// CHARM's closed sets are distinct and a rule's X ∪ Y is the closed
 	// set it was generated from, so the concatenation has no duplicates.
-	var out []rules.Rule
-	if n := rulesIn(per); n > 0 {
-		out = make([]rules.Rule, 0, n)
-	}
-	for _, rs := range per {
-		out = append(out, rs...)
-	}
+	out := c.gather(len(quals), nil)
 	c.st.RulesEmitted = len(out)
 	if tr != nil {
 		tr.Record(obs.OpVerify, time.Since(t0), len(quals), len(out), used,

@@ -242,7 +242,7 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 				for k, it := range items {
 					vecs[k] = f.vecs.view(it)
 				}
-				mined, err := charm.MineVectors(context.Background(), items, vecs, s.NumRecords, f.MinCount)
+				mined, err := charm.MineVectors(context.Background(), items, vecs, s.NumRecords, f.MinCount, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,7 +263,7 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 				}
 				for _, cl := range mined.Closed {
 					if len(cl.Items) >= 2 {
-						rules.Generate(cl.Items, cl.Support, f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
+						rules.Generate(nil, nil, cl.Items, cl.Support, f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
 					}
 				}
 				for a := range items {

@@ -106,8 +106,9 @@ func errUnknownKind(k Kind) error { return unknownKindError(k) }
 
 // qctx carries the per-query state shared by the operators. One qctx
 // belongs to one Run call and is never shared across queries, so its
-// maps need no locking; the parallel operator sections only share the
-// immutable index state and write to disjoint, pre-indexed slots.
+// state and scratch need no locking; the parallel operator sections only
+// share the immutable index state and write to disjoint, pre-indexed
+// slots.
 type qctx struct {
 	ex    *Executor
 	q     *Query
@@ -118,6 +119,7 @@ type qctx struct {
 	polls int             // cancellation poll cadence counter
 	mask  []bool          // item-attribute mask; nil without the clause
 	st    *Stats
+	sc    *scratch // the buffers the operators draw from (see scratch)
 
 	// cfi is ELIMINATE's per-CFI state, indexed by CFI id (see cfiNone):
 	// none, a scheduled record-level check, pruned by the item bound, or an
@@ -160,6 +162,7 @@ func (ex *Executor) newCtx(ctx context.Context, f *Focal, q *Query) *qctx {
 		done: ctx.Done(),
 		mask: q.ItemAttrs,
 		st:   &Stats{SubsetSize: f.Size, MinCount: f.MinCount},
+		sc:   f.runScratch(),
 	}
 }
 
@@ -187,7 +190,9 @@ func (c *qctx) itemCount(it itemset.Item) (n int, checked bool) {
 // rebuild whose R-tree emits the same candidates in another order.
 func (c *qctx) itemsReach(id int) bool {
 	if c.itemFreq == nil {
-		c.itemFreq = make([]int8, len(c.s.Tidsets))
+		c.itemFreq = reuse(c.sc.itemFreq, len(c.s.Tidsets))
+		clear(c.itemFreq)
+		c.sc.itemFreq = c.itemFreq
 	}
 	for _, it := range c.s.Tree.Items(id) {
 		if c.itemFreq[it] == 0 {
@@ -221,7 +226,7 @@ func (c *qctx) search(supported bool) ([]candidate, error) {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	var out []candidate
+	out := c.sc.cands[:0]
 	var cancelErr error
 	visit := func(e rtree.Entry, rel itemset.Rel) bool {
 		if err := c.cancelled(); err != nil {
@@ -242,6 +247,7 @@ func (c *qctx) search(supported bool) ([]candidate, error) {
 	} else {
 		st = c.s.RTree.Search(c.q.Region, visit)
 	}
+	c.sc.cands = out
 	if cancelErr != nil {
 		return nil, cancelErr
 	}
@@ -310,14 +316,15 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	shortcuts := 0 // contained MIPs resolved via Lemma 4.5, traced only
 	pruned := 0    // CFIs settled by the item bound, traced only
 	sp := c.ex.Space
-	seen := make(map[string]bool)
-	type entry struct {
-		id   int32
-		body itemset.Set
+	sc := c.sc
+	entries := sc.entries[:0]
+	checkIDs := sc.checkIDs[:0] // CFI ids needing a record-level check, first-need order
+	c.cfi = reuse(sc.cfi, c.s.Tree.Size())
+	clear(c.cfi)
+	sc.cfi = c.cfi
+	if c.mask != nil {
+		sc.ids = sc.ids.reset(c.s.Tree.Size())
 	}
-	entries := make([]entry, 0, len(cands))
-	var checkIDs []int32 // CFI ids needing a record-level check, first-need order
-	c.cfi = make([]int32, c.s.Tree.Size())
 	for _, cd := range cands {
 		if err := c.cancelled(); err != nil {
 			return nil, err
@@ -349,14 +356,12 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 			}
 			rel = c.q.Region.Relation(c.s.Boxes[id])
 		}
-		if !all {
+		if !all && !sc.ids.add(cid) {
 			// Distinct CFIs are distinct bodies on the identity path;
-			// only projections can collide.
-			k := body.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+			// only projections can collide, and two collide exactly
+			// when they normalize to one closure: a projection's body
+			// is its closure's projection, whose closure is that CFI.
+			continue
 		}
 		if containedShortcut && rel == itemset.Contained {
 			// Lemma 4.5: contained box ⇒ every supporting record lies in
@@ -376,6 +381,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		}
 		entries = append(entries, entry{id: cid, body: body})
 	}
+	sc.entries, sc.checkIDs = entries, checkIDs
 
 	// Record-level checks, fanned out over the local vectors. Each
 	// distinct CFI is checked once, so SupportChecks is identical for
@@ -387,7 +393,8 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	// fan out, the optimizer sample's and the item bound's included.
 	vecs := c.f.vecs.built()
 	c.st.SupportChecks += len(checkIDs)
-	counts := make([]int, len(checkIDs))
+	counts := reuse(sc.counts, len(checkIDs))
+	sc.counts = counts
 	used, err := pool.Run(c.ctx, len(checkIDs), func(i int) {
 		if c.ex.workerFault != nil {
 			c.ex.workerFault(obs.OpEliminate, i)
@@ -414,7 +421,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 	}
 
 	// Minsupport filter, in candidate order. A pruned id has no count.
-	var out []qualified
+	out := sc.quals[:0]
 	for _, e := range entries {
 		local, counted := c.local(int(e.id))
 		if !counted || local < c.f.MinCount {
@@ -423,6 +430,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		}
 		out = append(out, qualified{id: e.id, body: e.body, local: local})
 	}
+	sc.quals = out
 	c.st.Qualified = len(out)
 	if tr != nil {
 		if containedShortcut {
@@ -435,6 +443,13 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 		}
 	}
 	return out, nil
+}
+
+// entry is one distinct body ELIMINATE's classification pass keeps, in
+// candidate order, with the CFI that counts for it.
+type entry struct {
+	id   int32
+	body itemset.Set
 }
 
 // ELIMINATE's per-CFI states in qctx.cfi. A positive value v is an exact
@@ -569,16 +584,17 @@ func (c *qctx) sharedOracle(cache *shardedCounts, t *counterTally) rules.Support
 // verify is the VERIFY operator: rule generation plus minconfidence
 // checks for every qualified itemset. Itemsets are independent — the
 // only coupling is the oracle memo — so generation fans out across the
-// query's workers (at one worker, in the caller's goroutine), each
-// itemset's rules landing in its own slot; the slots are concatenated in
-// qualification order, so the output is the same at every worker count.
+// query's workers (at one worker, in the caller's goroutine), in chunks
+// of consecutive itemsets whose rules land in the chunk's own buffers;
+// the itemsets' rules are concatenated in qualification order, so the
+// output is the same at every worker count (generate, gather).
 //
 // A body is a function of its CFI id — Items(id), or its projection
 // Items(id).RestrictedTo(mask) — and distinct ids have distinct bodies
 // (a projected body's closure is the id it was normalized to). So only
 // an id that qualified twice, once on ELIMINATE's identity path and once
 // as a projection's closure, can repeat rules, and it repeats exactly
-// the same ones: the concatenation keeps the first slot of each id.
+// the same ones: the concatenation keeps the first itemset of each id.
 // Every entry is still generated, so the oracle counters do not depend
 // on which entries repeat.
 //
@@ -599,30 +615,22 @@ func (c *qctx) verify(quals []qualified) ([]rules.Rule, error) {
 		c.f.vectors(ql.body)
 	}
 	var tally counterTally
-	oracle := c.sharedOracle(new(shardedCounts), &tally)
-	per := make([][]rules.Rule, len(quals))
-	used, err := pool.Run(c.ctx, len(quals), func(i int) {
+	sc := c.sc
+	sc.memo.reset()
+	oracle := c.sharedOracle(&sc.memo, &tally)
+	used, err := c.generate(len(quals), func(i int, rs []rules.Rule, items []itemset.Item) ([]rules.Rule, []itemset.Item) {
 		if c.ex.workerFault != nil {
 			c.ex.workerFault(obs.OpVerify, i)
 		}
-		per[i] = rules.Generate(quals[i].body, quals[i].local, c.st.SubsetSize,
+		return rules.Generate(rs, items, quals[i].body, quals[i].local, c.st.SubsetSize,
 			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
 	})
 	if err != nil {
 		return nil, err
 	}
 	tally.addTo(c.st)
-	var out []rules.Rule
-	if n := rulesIn(per); n > 0 {
-		out = make([]rules.Rule, 0, n)
-	}
-	kept := make(map[int32]bool, len(quals))
-	for i, rs := range per {
-		if !kept[quals[i].id] {
-			kept[quals[i].id] = true
-			out = append(out, rs...)
-		}
-	}
+	sc.ids = sc.ids.reset(c.s.Tree.Size())
+	out := c.gather(len(quals), func(i int) bool { return sc.ids.add(quals[i].id) })
 	c.st.RulesEmitted = len(out)
 	if tr != nil {
 		tr.Record(obs.OpVerify, time.Since(t0), len(quals), len(out), used,

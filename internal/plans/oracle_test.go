@@ -189,7 +189,7 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 						return got
 					}
 					for _, ql := range quals {
-						rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, oracle, rules.Options{})
+						rules.Generate(nil, nil, ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, oracle, rules.Options{})
 					}
 				}
 			}
@@ -272,7 +272,7 @@ func TestVerifyCountsOnlyBuiltVectors(t *testing.T) {
 					return got
 				}
 				for _, ql := range quals {
-					rules.Generate(ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, ask, rules.Options{MaxConsequent: q.MaxConsequent})
+					rules.Generate(nil, nil, ql.body, ql.local, c.st.SubsetSize, q.MinConfidence, ask, rules.Options{MaxConsequent: q.MaxConsequent})
 				}
 			}
 		}
@@ -305,8 +305,8 @@ func (c *qctx) verifyConcatDedupe(quals []qualified) []rules.Rule {
 	oracle := c.sharedOracle(new(shardedCounts), &tally)
 	var out []rules.Rule
 	for _, ql := range quals {
-		out = append(out, rules.Generate(ql.body, ql.local, c.st.SubsetSize,
-			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})...)
+		out, _ = rules.Generate(out, nil, ql.body, ql.local, c.st.SubsetSize,
+			c.q.MinConfidence, oracle, rules.Options{MaxConsequent: c.q.MaxConsequent})
 	}
 	tally.addTo(c.st)
 	out = dedupeRules(out)

@@ -26,10 +26,13 @@
 package plans
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"colarm/internal/itemset"
+	"colarm/internal/pool"
 	"colarm/internal/rules"
 )
 
@@ -61,7 +64,8 @@ func (t *counterTally) addTo(st *Stats) {
 const cacheShardBits = 6
 
 // shardedCounts is the VERIFY oracle's memo, safe for concurrent
-// workers. Its zero value is empty and ready to use.
+// workers. Its zero value is empty and ready to use, and reset empties
+// it again keeping its tables.
 type shardedCounts struct {
 	shards [1 << cacheShardBits]countShard
 	// sameHash makes every itemset hash to 0, so all of them share one
@@ -131,9 +135,28 @@ func (sh *countShard) lookup(h uint64, x itemset.Set) (int, bool) {
 	}
 }
 
+// reset empties the memo for another query, keeping every table and
+// slab for it to fill.
+func (sc *shardedCounts) reset() {
+	for i := range sc.shards {
+		sh := &sc.shards[i]
+		sh.tab, sh.ents, sh.items = sh.tab[:0], sh.ents[:0], sh.items[:0]
+	}
+}
+
+// bytes is the capacity the memo's tables and slabs hold.
+func (sc *shardedCounts) bytes() int {
+	n := 0
+	for i := range sc.shards {
+		sh := &sc.shards[i]
+		n += capBytes(sh.tab) + capBytes(sh.ents) + capBytes(sh.items)
+	}
+	return n
+}
+
 func (sh *countShard) insert(h uint64, x itemset.Set, count int) {
 	if 2*(len(sh.ents)+1) > len(sh.tab) {
-		sh.tab = make([]int32, max(16, 2*len(sh.tab)))
+		sh.tab = reuse(sh.tab, max(16, 2*len(sh.tab)))
 		for i := range sh.tab {
 			sh.tab[i] = -1
 		}
@@ -157,12 +180,72 @@ func (sh *countShard) place(h uint64, e int32) {
 	}
 }
 
-// rulesIn counts the rules of per-item slots, so that the answer they
-// are concatenated into is allocated once.
-func rulesIn(per [][]rules.Rule) int {
-	n := 0
-	for _, rs := range per {
-		n += len(rs)
+// chunksPerWorker is how many chunks of consecutive itemsets rule
+// generation splits into per worker: enough for the claim-based fan-out
+// to even out uneven itemsets, few enough that every chunk's buffers
+// are large and stay in use from query to query.
+const chunksPerWorker = 4
+
+// genChunk is the rules a chunk of consecutive itemsets generated and
+// their items: rules.Generate's caller-owned buffers, kept in the
+// scratch from query to query.
+type genChunk struct {
+	rules []rules.Rule
+	items []itemset.Item
+}
+
+// generate runs gen for every itemset i in [0,n) across the query's
+// workers and returns the fan-out width. The itemsets are split into
+// chunks of consecutive ones, each appending to its own buffers, with
+// a cancellation probe before every itemset; ends[i] is where itemset
+// i's rules end in its chunk's buffer. The width is min(GOMAXPROCS, n),
+// as if every itemset were its own work item.
+func (c *qctx) generate(n int, gen func(i int, rs []rules.Rule, items []itemset.Item) ([]rules.Rule, []itemset.Item)) (int, error) {
+	sc := c.sc
+	k := min(n, chunksPerWorker*runtime.GOMAXPROCS(0))
+	if cap(sc.chunks) < k {
+		sc.chunks = append(sc.chunks[:cap(sc.chunks)], make([]genChunk, k-cap(sc.chunks))...)
 	}
-	return n
+	chunks := sc.chunks[:k]
+	ends := reuse(sc.ends, n)
+	sc.chunks, sc.ends = chunks, ends
+	return pool.Run(c.ctx, k, func(j int) {
+		ch := &chunks[j]
+		ch.rules, ch.items = ch.rules[:0], ch.items[:0]
+		for i := j * n / k; i < (j+1)*n/k; i++ {
+			select {
+			case <-c.done:
+				return
+			default:
+			}
+			ch.rules, ch.items = gen(i, ch.rules, ch.items)
+			ends[i] = int32(len(ch.rules))
+		}
+	})
+}
+
+// gather concatenates, into the scratch's answer buffer, the rules the
+// last generate produced for its n itemsets, in itemset order, skipping
+// itemset i's when keep is non-nil and keep(i) is false.
+func (c *qctx) gather(n int, keep func(i int) bool) []rules.Rule {
+	sc := c.sc
+	k := len(sc.chunks)
+	total := 0
+	for j := range sc.chunks {
+		total += len(sc.chunks[j].rules)
+	}
+	out := slices.Grow(sc.rules[:0], total)
+	for j := range sc.chunks {
+		ch := sc.chunks[j].rules
+		lo := 0
+		for i := j * n / k; i < (j+1)*n/k; i++ {
+			hi := int(sc.ends[i])
+			if keep == nil || keep(i) {
+				out = append(out, ch[lo:hi]...)
+			}
+			lo = hi
+		}
+	}
+	sc.rules = out
+	return out
 }

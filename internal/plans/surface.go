@@ -103,6 +103,7 @@ type Focal struct {
 	Size, MinCount int
 
 	vecs localVecs
+	scr  *scratch // the request's recyclable memory (see Release)
 }
 
 // Applicable reports whether the surface's prestored CFIs can answer the
@@ -115,9 +116,10 @@ type Focal struct {
 func (f *Focal) Applicable() bool { return f.MinCount >= f.Surface.PrimaryCount }
 
 // Focus selects the focal subset of q over s: SELECT in its bitmap form.
-// q must have passed Validate.
+// q must have passed Validate. The Focal draws its request's scratch
+// from a pool; Release returns it.
 func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
-	f := &Focal{Surface: s}
+	f := &Focal{Surface: s, scr: scratchPool.Get().(*scratch)}
 	f.DQ = itemset.RegionTidset(q.Region, ex.Space, s.Tidsets, s.NumRecords)
 	if s.Live != nil {
 		// Unrestricted dimensions contribute a full bitmap; intersect
@@ -135,11 +137,13 @@ func (ex *Executor) Focus(s *Surface, q *Query) *Focal {
 func (f *Focal) vector(it itemset.Item) int {
 	v := &f.vecs
 	if v.slot == nil {
+		sc := f.scratch()
 		v.nw = (f.Size + 63) / 64
-		v.slot = make([]vecSlot, len(f.Surface.Tidsets))
+		v.slot = reuse(sc.slot, len(f.Surface.Tidsets))
 		for i := range v.slot {
 			v.slot[i].off = -1
 		}
+		v.arena = sc.arena[:0]
 	}
 	if sl := v.slot[it]; sl.off >= 0 {
 		return int(sl.n)

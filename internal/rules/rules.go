@@ -7,6 +7,10 @@
 // order — consequents level by level, each level in the order its
 // consequents were joined — not sorted: a plan concatenates the rules of
 // all its itemsets and orders the whole answer once with SortCanonical.
+// Generate appends to rule and item buffers its caller owns, so a query
+// that recycles them generates without allocating: no rule aliases
+// another, but every rule points into the caller's item buffer and is
+// valid only until the caller reuses it.
 //
 // Beyond support and confidence, the paper stresses null-invariant
 // measures (its citation [23], Wu, Chen & Han); Lift, Cosine, Kulczynski
@@ -21,6 +25,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"colarm/internal/itemset"
 )
@@ -123,30 +129,36 @@ type Options struct {
 	MaxConsequent int
 }
 
-// Generate emits the rules X ⇒ Y with X ∪ Y = items, X, Y nonempty and
-// disjoint, whose confidence (relative to the focal subset) reaches
-// minConf. suppCount is the local support of the full itemset;
-// subsetSize is |D^Q|. Generation is level-wise over consequents: if a
-// consequent Y fails minconf, every superset of Y is pruned, which is
-// sound because growing Y shrinks X and confidence is anti-monotone in
-// supp(X).
+// Generate appends to rs the rules X ⇒ Y with X ∪ Y = items, X, Y
+// nonempty and disjoint, whose confidence (relative to the focal subset)
+// reaches minConf, and returns rs and arena grown. suppCount is the
+// local support of the full itemset; subsetSize is |D^Q|. Generation is
+// level-wise over consequents: if a consequent Y fails minconf, every
+// superset of Y is pruned, which is sound because growing Y shrinks X
+// and confidence is anti-monotone in supp(X).
 //
-// Candidates are built in one per-call scratch buffer; only an emitted
-// rule's items are copied, into one arena per call. Every returned
-// slice is capped at its length, so no rule aliases items, the scratch
-// or another rule, and an append to one reallocates.
-func Generate(items itemset.Set, suppCount, subsetSize int, minConf float64, oracle SupportOracle, opts Options) []Rule {
+// The caller owns both buffers, so a query that recycles them generates
+// without allocating. Candidates are built in scratch space appended to
+// arena, and an emitted rule's items are appended after it; every
+// returned item slice points into arena, capped at its length, so no
+// rule aliases items or another rule, and an append to one reallocates.
+// The rules are therefore valid only until the caller reuses arena;
+// rules already in rs are left as they are.
+func Generate(rs []Rule, arena []itemset.Item, items itemset.Set, suppCount, subsetSize int, minConf float64, oracle SupportOracle, opts Options) ([]Rule, []itemset.Item) {
 	if len(items) < 2 || suppCount <= 0 || subsetSize <= 0 {
-		return nil
+		return rs, arena
 	}
 	n := len(items)
 	maxCons := opts.MaxConsequent
 	if maxCons <= 0 || maxCons > n-1 {
 		maxCons = n - 1 // X must stay nonempty
 	}
-	scratch := make(itemset.Set, 2*n)
+	lo := len(arena)
+	arena = slices.Grow(arena, 2*n)[:lo+2*n]
+	scratch := arena[lo:]
 	g := generator{items: items, suppCount: suppCount, subsetSize: subsetSize,
-		minConf: minConf, oracle: oracle, x: scratch[:0:n]}
+		minConf: minConf, oracle: oracle, x: scratch[:0:n], out: rs, arena: arena}
+	first := len(rs)
 
 	// frontier holds the surviving k-item consequents as one flat run,
 	// in ascending (lexicographic) order; it is only kept when
@@ -179,14 +191,17 @@ func Generate(items itemset.Set, suppCount, subsetSize int, minConf float64, ora
 		frontier, next = next, frontier
 	}
 
-	// Rule i's items are arena[i·n : (i+1)·n], antecedent first; earlier
-	// rules may still point into an arena the appends outgrew.
-	for i := range g.out {
-		lo, a := i*n, len(g.out[i].Antecedent)
-		g.out[i].Antecedent = g.arena[lo : lo+a : lo+a]
-		g.out[i].Consequent = g.arena[lo+a : lo+n : lo+n]
+	// This call's rule i has its items at arena[base+i·n : base+(i+1)·n],
+	// antecedent first; earlier ones may still point into an arena the
+	// appends outgrew.
+	base := lo + 2*n
+	for i := range g.out[first:] {
+		r := &g.out[first+i]
+		lo, a := base+i*n, len(r.Antecedent)
+		r.Antecedent = g.arena[lo : lo+a : lo+a]
+		r.Consequent = g.arena[lo+a : lo+n : lo+n]
 	}
-	return g.out
+	return g.out, g.arena
 }
 
 // generator is the state of one Generate call.
@@ -223,12 +238,6 @@ func (g *generator) try(y itemset.Set) bool {
 		return false
 	}
 	yCount := g.oracle(y)
-	if g.out == nil {
-		// Room for every level-1 rule: all of them under MaxConsequent 1.
-		n := len(g.items)
-		g.out = make([]Rule, 0, n)
-		g.arena = make([]itemset.Item, 0, n*n)
-	}
 	lo := len(g.arena)
 	g.arena = append(append(g.arena, x...), y...)
 	g.out = append(g.out, Rule{
@@ -247,24 +256,19 @@ func (g *generator) try(y itemset.Set) bool {
 // SortCanonical orders rules by descending confidence, then support,
 // then key — the presentation order of the CLI and the comparison order
 // of plan-equivalence tests. Every rule's key is written once into one
-// byte arena, and the sort permutes compact records of the sort fields:
-// a sort of n rules allocates three buffers, not n strings. A record
-// carries its key's first eight bytes as a big-endian integer, zero
-// padded, so most key comparisons are one integer comparison; only keys
-// sharing those bytes compare their arena slices.
+// byte arena, and the sort permutes compact records of the sort fields,
+// then the rules themselves in place, one permutation cycle at a time.
+// The arena and the records come from a pool, so a sort allocates
+// nothing once the pool holds buffers its size. A record carries its
+// key's first eight bytes as a big-endian integer, zero padded, so most
+// key comparisons are one integer comparison; only keys sharing those
+// bytes compare their arena slices.
 func SortCanonical(rs []Rule) {
 	if len(rs) < 2 {
 		return
 	}
-	type sortKey struct {
-		conf   float64
-		supp   int
-		prefix uint64
-		lo, hi int32 // the key is arena[lo:hi]
-		i      int32
-	}
-	arena := make([]byte, 0, 16*len(rs))
-	keys := make([]sortKey, len(rs))
+	sb := sortPool.Get().(*sortBufs)
+	arena, keys := sb.arena[:0], slices.Grow(sb.keys[:0], len(rs))[:len(rs)]
 	for i := range rs {
 		lo := len(arena)
 		arena = rs[i].appendKey(arena)
@@ -286,9 +290,50 @@ func SortCanonical(rs []Rule) {
 		}
 		return bytes.Compare(arena[a.lo:a.hi], arena[b.lo:b.hi])
 	})
-	sorted := make([]Rule, len(rs))
-	for a, k := range keys {
-		sorted[a] = rs[k.i]
+	// Position a takes rule keys[a].i. Follow each cycle of that
+	// permutation once, marking a placed position by pointing its record
+	// at itself.
+	for a := range keys {
+		if int(keys[a].i) == a {
+			continue
+		}
+		r, j := rs[a], a
+		for {
+			k := int(keys[j].i)
+			keys[j].i = int32(j)
+			if k == a {
+				rs[j] = r
+				break
+			}
+			rs[j] = rs[k]
+			j = k
+		}
 	}
-	copy(rs, sorted)
+	if cap(arena)+cap(keys)*int(unsafe.Sizeof(sortKey{})) <= maxPooledSort {
+		sb.arena, sb.keys = arena, keys
+		sortPool.Put(sb)
+	}
 }
+
+// sortKey is one rule's record in SortCanonical.
+type sortKey struct {
+	conf   float64
+	supp   int
+	prefix uint64
+	lo, hi int32 // the key is arena[lo:hi]
+	i      int32
+}
+
+// sortBufs are the buffers of one SortCanonical call, recycled through
+// sortPool: a sync.Pool, which a collection empties, so they never add
+// to the live heap of an idle engine.
+type sortBufs struct {
+	arena []byte
+	keys  []sortKey
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortBufs) }}
+
+// maxPooledSort caps, in bytes, the buffers SortCanonical keeps: one
+// sort of an exploding answer must not leave its buffers pinned.
+const maxPooledSort = 4 << 20

@@ -68,7 +68,7 @@ func TestGenerateSimple(t *testing.T) {
 	full.Fill()
 	oracle := oracleFromTidsets(ts, full)
 	items := itemset.NewSet(0, 1, 2)
-	got := Generate(items, 4, 10, 0.6, oracle, Options{})
+	got, _ := Generate(nil, nil, items, 4, 10, 0.6, oracle, Options{})
 	// supp({0,1})=4, supp({0,2})=4, supp({1,2})=4, supp({0})=6 ...
 	// conf({0,1}⇒{2}) = 4/4 = 1.0, conf({0}⇒{1,2}) = 4/6 ≈ .67, etc.
 	want := bruteRules(items, 4, 10, 0.6, oracle, 0)
@@ -99,13 +99,13 @@ func TestGenerateSimple(t *testing.T) {
 
 func TestGenerateDegenerate(t *testing.T) {
 	oracle := func(itemset.Set) int { return 5 }
-	if rs := Generate(itemset.NewSet(1), 3, 10, 0.5, oracle, Options{}); rs != nil {
+	if rs, _ := Generate(nil, nil, itemset.NewSet(1), 3, 10, 0.5, oracle, Options{}); rs != nil {
 		t.Error("single-item itemset yields no rules")
 	}
-	if rs := Generate(itemset.NewSet(1, 2), 0, 10, 0.5, oracle, Options{}); rs != nil {
+	if rs, _ := Generate(nil, nil, itemset.NewSet(1, 2), 0, 10, 0.5, oracle, Options{}); rs != nil {
 		t.Error("zero support yields no rules")
 	}
-	if rs := Generate(itemset.NewSet(1, 2), 3, 0, 0.5, oracle, Options{}); rs != nil {
+	if rs, _ := Generate(nil, nil, itemset.NewSet(1, 2), 3, 0, 0.5, oracle, Options{}); rs != nil {
 		t.Error("zero subset yields no rules")
 	}
 }
@@ -120,7 +120,7 @@ func TestGenerateMaxConsequent(t *testing.T) {
 	full.Fill()
 	oracle := oracleFromTidsets(ts, full)
 	items := itemset.NewSet(0, 1, 2)
-	rs := Generate(items, 4, 8, 0.0, oracle, Options{MaxConsequent: 1})
+	rs, _ := Generate(nil, nil, items, 4, 8, 0.0, oracle, Options{MaxConsequent: 1})
 	for _, r := range rs {
 		if len(r.Consequent) > 1 {
 			t.Errorf("consequent %v exceeds cap", r.Consequent)
@@ -154,7 +154,7 @@ func TestGenerateRulesOwnTheirItems(t *testing.T) {
 	items := itemset.NewSet(0, 1, 2, 3, 4, 5)
 	body := items.Clone()
 	supp := oracle(items)
-	got := Generate(items, supp, m, 0, oracle, Options{})
+	got, _ := Generate(nil, nil, items, supp, m, 0, oracle, Options{})
 	want := bruteRules(items, supp, m, 0, oracle, 0)
 	if len(got) != len(want) || len(got) != 62 {
 		t.Fatalf("got %d rules, want %d (every split of 6 items)", len(got), len(want))
@@ -181,6 +181,65 @@ func TestGenerateRulesOwnTheirItems(t *testing.T) {
 	if !reflect.DeepEqual(got, snap) {
 		t.Fatal("appending to one rule's slices changed another rule")
 	}
+}
+
+// TestGenerateAppendsToCallerBuffers generates the rules of several
+// itemsets into one pair of buffers, too small at first so the later
+// calls outgrow them, then again into the same buffers truncated, as a
+// recycled query does: each call appends exactly the rules it returns
+// into fresh buffers, and leaves the rules already in rs as they were.
+func TestGenerateAppendsToCallerBuffers(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const m = 64
+	ts := make([]*bitset.Set, 7)
+	for i := range ts {
+		ts[i] = bitset.New(m)
+		for rec := 0; rec < m; rec++ {
+			if r.Intn(6) != 0 {
+				ts[i].Add(rec)
+			}
+		}
+	}
+	full := bitset.New(m)
+	full.Fill()
+	oracle := oracleFromTidsets(ts, full)
+	bodies := []itemset.Set{itemset.NewSet(0, 1), itemset.NewSet(0, 1, 2, 3, 4, 5, 6), itemset.NewSet(2, 3, 4), itemset.NewSet(1, 5, 6)}
+	rs, arena := make([]Rule, 0, 1), make([]itemset.Item, 0, 2)
+	for pass := 0; pass < 2; pass++ {
+		rs, arena = rs[:0], arena[:0]
+		var want []Rule
+		for _, body := range bodies {
+			for _, maxCons := range []int{1, 0} {
+				supp := oracle(body)
+				fresh, _ := Generate(nil, nil, body, supp, m, 0.5, oracle, Options{MaxConsequent: maxCons})
+				before := cloneAll(rs)
+				rs, arena = Generate(rs, arena, body, supp, m, 0.5, oracle, Options{MaxConsequent: maxCons})
+				if !reflect.DeepEqual(cloneAll(rs[:len(before)]), before) {
+					t.Fatalf("pass %d, %v: the call changed rules already in rs", pass, body)
+				}
+				if got := rs[len(before):]; !reflect.DeepEqual(cloneAll(got), fresh) {
+					t.Fatalf("pass %d, %v: appended %d rules, fresh buffers get %d", pass, body, len(got), len(fresh))
+				}
+				want = append(want, fresh...)
+			}
+		}
+		if !reflect.DeepEqual(cloneAll(rs), want) {
+			t.Fatalf("pass %d: the buffers end up holding other rules than the calls appended", pass)
+		}
+	}
+}
+
+// cloneAll copies rules with their item slices.
+func cloneAll(rs []Rule) []Rule {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]Rule, len(rs))
+	for i, r := range rs {
+		out[i] = r
+		out[i].Antecedent, out[i].Consequent = r.Antecedent.Clone(), r.Consequent.Clone()
+	}
+	return out
 }
 
 func TestMeasures(t *testing.T) {
@@ -277,7 +336,7 @@ func TestQuickGenerateEqualsBruteForce(t *testing.T) {
 		}
 		minConf := float64(r.Intn(11)) / 10
 		maxCons := r.Intn(nItems)
-		got := Generate(items, suppCount, subset.Count(), minConf, oracle, Options{MaxConsequent: maxCons})
+		got, _ := Generate(nil, nil, items, suppCount, subset.Count(), minConf, oracle, Options{MaxConsequent: maxCons})
 		want := bruteRules(items, suppCount, subset.Count(), minConf, oracle, maxCons)
 		if len(got) != len(want) {
 			return false

@@ -63,6 +63,32 @@ func appendRules(b []byte, rules []colarm.Rule) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
+// rulesBound bounds the bytes appendRules writes for rules: a rule's
+// member names and punctuation, the widest a float64 or int can format
+// to, and each label quoted. It is exact about labels unless one needs
+// escaping.
+func rulesBound(rules []colarm.Rule) int {
+	const perRule = len(`{"antecedent":[],"consequent":[]`) +
+		len(`,"support":,"confidence":,"lift":,"cosine":,"kulczynski":`) + 5*maxFloatLen +
+		len(`,"supportCount":,"antecedentCount":,"subsetSize":},`) + 3*maxIntLen
+	n := len("[]")
+	for i := range rules {
+		n += perRule
+		for _, l := range rules[i].Antecedent {
+			n += len(l) + len(`"",`)
+		}
+		for _, l := range rules[i].Consequent {
+			n += len(l) + len(`"",`)
+		}
+	}
+	return n
+}
+
+// maxFloatLen and maxIntLen are the most bytes appendFloat and
+// strconv.AppendInt write: "-0.0000012345678901234567" and
+// "-9223372036854775808".
+const maxFloatLen, maxIntLen = 25, 20
+
 // appendEvent appends to b exactly the bytes json.Marshal(ev) returns,
 // without reflection: every SSE frame and long-poll reply is standing
 // events. It writes standing.Event's JSON tags in field order, leaving

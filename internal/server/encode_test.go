@@ -595,6 +595,55 @@ func syntheticRules(n int) []colarm.Rule {
 	return rules
 }
 
+// TestMissEncodeGrowsOnce encodes a miss into an empty buffer: the
+// buffer grows once, to rulesBound, whatever the reply's size, so 40
+// times the rules cost not one allocation more.
+func TestMissEncodeGrowsOnce(t *testing.T) {
+	resp := mineResponse{Dataset: "chess", Generation: 1, Stats: colarm.Stats{Plan: colarm.ARM, SubsetSize: 799}}
+	// encoding/json draws on a sync.Pool, which a collection empties and
+	// the race detector drops from at random: keep the fewest.
+	allocs := func(n int) float64 {
+		rules := syntheticRules(n)
+		fewest := math.Inf(1)
+		for i := 0; i < 100; i++ {
+			fewest = math.Min(fewest, testing.AllocsPerRun(1, func() {
+				var buf bytes.Buffer
+				if _, _, _, err := encodeMine(&buf, resp, rules, false); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return fewest
+	}
+	if small, large := allocs(50), allocs(2000); small != large {
+		t.Errorf("a miss of 50 rules costs %.0f allocations, of 2 000 rules %.0f", small, large)
+	}
+}
+
+// TestRulesBound holds rulesBound to what appendRules writes for rules
+// whose labels need no escaping, at the widest floats and ints.
+func TestRulesBound(t *testing.T) {
+	wide := []float64{-0.0000012345678901234567, -1.2345678901234567e-300, -123456789012345678901, math.MaxFloat64, 1.0 / 3}
+	var rules []colarm.Rule
+	for i, f := range wide {
+		rules = append(rules, colarm.Rule{
+			Antecedent: []string{"A=" + strconv.Itoa(i), "B=b"}, Consequent: []string{"C=c"},
+			Support: f, Confidence: f, Lift: f, Cosine: f, Kulczynski: f,
+			SupportCount: math.MinInt64, AntecedentCount: math.MaxInt64, SubsetSize: math.MinInt64,
+		})
+	}
+	rules = append(rules, colarm.Rule{}, colarm.Rule{Antecedent: []string{}})
+	for n := 0; n <= len(rules); n++ {
+		b, err := appendRules(nil, orEmpty(rules[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := rulesBound(rules[:n]); len(b) > bound {
+			t.Errorf("%d rules encode to %d bytes, bound %d", n, len(b), bound)
+		}
+	}
+}
+
 // TestHitAllocsIndependentOfSize is the point of storing bytes: a hit
 // allocates for the request, never for the reply, so 16 times the
 // rules cost not one allocation more.

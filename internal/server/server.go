@@ -467,13 +467,19 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // json.Marshal — head and tail are resp's encoding before and after
 // it. With fill set, hit is the whole body a later cache hit on this
 // result sends: cached:true and only the execution's identity left in
-// stats. resp.Rules is ignored.
+// stats. resp.Rules is ignored. buf must be empty.
+//
+// buf grows once, to a bound on the rules' encoding (rulesBound), and
+// appendRules writes into it; buf then takes over what was appended —
+// even when a label's escapes outran the bound and append moved it — so
+// the rules are written once and never copied into buf.
 func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
+	buf.Grow(rulesBound(rules))
 	b, err := appendRules(buf.AvailableBuffer(), orEmpty(rules))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("encoding rules: %w", err)
 	}
-	buf.Write(b)
+	*buf = *bytes.NewBuffer(b)
 	resp.Rules = []colarm.Rule{}
 	if head, tail, err = cutRules(resp); err != nil || !fill {
 		return head, tail, nil, err

@@ -162,7 +162,7 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 	if q.MinSupport > 1 {
 		t.Fatalf("fixture drifted: focal subset of %d records cannot reach the primary count %d", f.Size, f.Surface.PrimaryCount)
 	}
-	want, _, err := eng.mine(context.Background(), q, nil)
+	want, _, _, err := eng.mine(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestGateAndPlanReadOneVersion(t *testing.T) {
 		}
 		return src()
 	}
-	got, _, err := eng.mine(context.Background(), q, nil)
+	got, _, _, err := eng.mine(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestEstimatesPriceTheResolvedSubset(t *testing.T) {
 				t.Errorf("%v estimate %v over a 4-record subset", e.Plan, e.Cost)
 			}
 		}
-		res, ests, err := eng.mine(context.Background(), q, nil)
+		res, ests, _, err := eng.mine(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestAllRowsDeleted(t *testing.T) {
 	for _, k := range plans.Kinds() {
 		forced := q
 		forced.Plan = Plan(k + 1)
-		res, _, err := eng.mine(context.Background(), forced, nil)
+		res, _, _, err := eng.mine(context.Background(), forced, nil)
 		if err != nil || len(res.Rules) != 0 {
 			t.Errorf("%v: %d rules, error %v", k, len(res.Rules), err)
 		}
