@@ -448,7 +448,7 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 			}
 		}
 	}
-	// sameSnapshot saves both engines, requires byte-identical v5
+	// sameSnapshot saves both engines, requires byte-identical v6
 	// streams, and returns the serial one.
 	sameSnapshot := func(stage string) []byte {
 		t.Helper()
@@ -462,8 +462,8 @@ func runLifecycleDifferential(t *testing.T, rng *rand.Rand, trial int) int {
 		if !bytes.Equal(bufP.Bytes(), bufS.Bytes()) {
 			t.Fatalf("%s %s: snapshot bytes differ (%d vs %d bytes)", cfg.Name, stage, bufP.Len(), bufS.Len())
 		}
-		if !bytes.Contains(bufS.Bytes()[:64], []byte("COLARM-MIP-v5")) {
-			t.Fatalf("%s %s: snapshot does not carry the v5 magic", cfg.Name, stage)
+		if !bytes.Contains(bufS.Bytes()[:64], []byte("COLARM-MIP-v6")) {
+			t.Fatalf("%s %s: snapshot does not carry the v6 magic", cfg.Name, stage)
 		}
 		return bufS.Bytes()
 	}

@@ -3,7 +3,6 @@ package colarm
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,17 +115,20 @@ func snapshotSeedEngine(t testing.TB) *Engine {
 }
 
 // FuzzLoadSnapshot feeds LoadEngine hostile snapshot streams: the
-// committed v2–v4 rejection fixtures, the committed v5 streams (two
-// carry a live mask over ghost rows, which the loader compacts away) and
-// truncations, bit flips and spliced bytes of two
-// v5 streams of salary with a non-empty delta — one saved by this
-// build, one an older release saved with a nested secondary index,
-// which the loader now skips. Loading must end in an error or an
-// engine, and an engine that loaded must answer the fixed queries with
-// a result or an error — never a panic, whatever the stream claimed
-// about its own lengths and offsets. The unmutated stream this build
-// saved must answer exactly as the engine it was saved from
-// (TestLoadDropsNestedSecondaries holds the older one to the same).
+// committed v2–v4 rejection fixtures, the committed v5 and v6 streams
+// (two v5 streams carry a live mask over ghost rows, which the loader
+// compacts away) and truncations, bit flips and spliced bytes of three
+// streams of salary with a non-empty delta — a v6 stream saved by this
+// build, the committed v5 golden, and a v5 stream an older release
+// saved with a nested secondary index, which the loader skips. Loading
+// mines the stream's rows, so it must end in an error or an engine, and
+// an engine that loaded must answer the fixed queries with a result or
+// an error — never a panic, whatever the stream claimed about its own
+// lengths, counts and offsets. The unmutated v6 stream must answer
+// exactly as the engine it was saved from
+// (TestLoadDropsNestedSecondaries holds the older one to the same), and
+// the v5 golden with a stored box outside its domain exactly as the
+// unedited golden: the loader computes every box and reads none.
 //
 // A mutated stream that still loads may answer differently: a flipped
 // row value is a different, valid dataset, and the format carries no
@@ -138,15 +140,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed := buf.Bytes()
-	want := make([]*Result, len(snapshotQueries))
-	for i, q := range snapshotQueries {
-		res, err := src.Mine(q)
-		if err != nil {
-			f.Fatal(err)
-		}
-		res.Stats.DurationNanos = 0
-		want[i] = res
-	}
 
 	legacy, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_secondary.snapshot"))
 	if err != nil {
@@ -158,22 +151,49 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(seed)
-	f.Add(legacy)
-	f.Add(ghostDelta)
-	for _, golden := range []string{
+	var golden [][]byte
+	for _, name := range []string{
 		"golden_v2.snapshot", "golden_v3.snapshot", "golden_v4.snapshot",
-		"golden_v5.snapshot", "golden_v5_ghost.snapshot",
+		"golden_v5.snapshot", "golden_v5_ghost.snapshot", "golden_v6.snapshot",
 	} {
-		data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", golden))
+		data, err := os.ReadFile(filepath.Join("internal", "mip", "testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
+		golden = append(golden, data)
+	}
+	v5 := golden[3]
+	goldenEngine, err := LoadEngine(bytes.NewReader(v5), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	badBox := outOfDomainBoxStream(f, v5)
+
+	// pinned maps each stream whose answers are fixed to the engine that
+	// gives them.
+	pinned := map[string]*Engine{string(seed): src, string(badBox): goldenEngine}
+	want := map[string][]*Result{}
+	for stream, eng := range pinned {
+		for _, q := range snapshotQueries {
+			res, err := eng.Mine(q)
+			if err != nil {
+				f.Fatal(err)
+			}
+			res.Stats.DurationNanos = 0
+			want[stream] = append(want[stream], res)
+		}
+	}
+
+	f.Add(seed)
+	f.Add(legacy)
+	f.Add(ghostDelta)
+	for _, data := range golden {
 		f.Add(data)
 	}
-	// A deterministic sweep, so plain `go test` already walks both streams:
-	// every 64th truncation and one flipped bit in every 16th byte.
-	for _, stream := range [][]byte{seed, legacy} {
+	// A deterministic sweep, so plain `go test` already walks the
+	// streams: every 64th truncation and one flipped bit in every 16th
+	// byte.
+	for _, stream := range [][]byte{seed, v5, legacy} {
 		for n := 0; n < len(stream); n += 64 {
 			f.Add(stream[:n])
 		}
@@ -183,38 +203,36 @@ func FuzzLoadSnapshot(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	badBox := outOfDomainBoxStream(f, seed)
 	f.Add(badBox)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := LoadEngine(bytes.NewReader(data), Options{})
-		if bytes.Equal(data, badBox) {
-			if be := (*mip.BoxDomainError)(nil); !errors.As(err, &be) {
-				t.Fatalf("a box past its domain loaded with err = %v, want a *mip.BoxDomainError", err)
-			}
-		}
+		answers, isPinned := want[string(data)]
 		if err != nil {
+			if isPinned {
+				t.Fatalf("a pinned stream fails to load: %v", err)
+			}
 			return
 		}
 		for i, q := range snapshotQueries {
 			res, err := eng.Mine(q)
-			if !bytes.Equal(data, seed) {
+			if !isPinned {
 				continue
 			}
 			if err != nil {
-				t.Fatalf("query %d on the unmutated snapshot: %v", i, err)
+				t.Fatalf("query %d on a pinned stream: %v", i, err)
 			}
 			res.Stats.DurationNanos = 0
-			if !reflect.DeepEqual(res, want[i]) {
-				t.Fatalf("query %d: the unmutated snapshot answers\n%+v\nthe saved engine\n%+v", i, res, want[i])
+			if !reflect.DeepEqual(res, answers[i]) {
+				t.Fatalf("query %d: the stream answers\n%+v\nits pinned engine\n%+v", i, res, answers[i])
 			}
 		}
 	})
 }
 
-// snapshotStream mirrors the snapshot payload field for field: gob
+// snapshotStream mirrors the v5 snapshot payload field for field: gob
 // matches struct fields by name, so a test outside package mip can
-// decode a saved stream, edit it and encode it back.
+// decode a v5 stream, edit its CFI slabs and encode it back.
 type snapshotStream struct {
 	Name  string
 	Attrs []struct {
@@ -234,11 +252,11 @@ type snapshotStream struct {
 	Meta         mip.SnapshotMeta
 }
 
-// outOfDomainBoxStream is stream with the first CFI's box stretched one
-// value past the end of attribute 0's domain, which the loader must
-// refuse: the region box tests skip unrestricted dimensions, so such a
-// box would otherwise read as contained in every region leaving
-// attribute 0 unrestricted.
+// outOfDomainBoxStream is the v5 stream with the first CFI's stored box
+// stretched one value past the end of attribute 0's domain. Were it
+// read, the region box tests, which skip unrestricted dimensions, would
+// take it as contained in every region leaving attribute 0
+// unrestricted; the loader builds every box from the rows instead.
 func outOfDomainBoxStream(tb testing.TB, stream []byte) []byte {
 	tb.Helper()
 	dec := gob.NewDecoder(bytes.NewReader(stream))

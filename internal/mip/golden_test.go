@@ -14,14 +14,14 @@ import (
 	"colarm/internal/relation"
 )
 
-// The golden corpus pins the snapshot format: committed v5 reference
-// streams of two deterministic indexes, plus the crafted v2, v3 and v4
-// streams of earlier releases for the same indexes, kept as rejection
-// fixtures. One v5 stream carries ghost rows behind a live mask, the
-// layout older releases' sharded rebuilds wrote; it loads compacted.
-// TestGoldenSnapshotCompat asserts every v5 stream loads and
-// re-serializes to the bytes a fresh build produces, and every legacy
-// stream fails with the typed version error.
+// The golden corpus pins the snapshot format: a committed v6 reference
+// stream and committed v5 streams of two deterministic indexes, plus
+// the crafted v2, v3 and v4 streams of earlier releases for the same
+// indexes, kept as rejection fixtures. One v5 stream carries ghost rows
+// behind a live mask, the layout older releases' sharded rebuilds wrote;
+// it loads compacted. TestGoldenSnapshotCompat asserts every v5 and v6
+// stream loads and re-serializes to the bytes a fresh build produces,
+// and every legacy stream fails with the typed version error.
 //
 // Byte comparisons are done between streams written in the SAME
 // process: gob allocates wire type ids from a process-global registry,
@@ -30,13 +30,13 @@ import (
 // only asserted to LOAD (self-describing streams), while equality is
 // asserted between in-process re-serializations.
 //
-// Regenerate the plain v5 stream with:
+// Regenerate the v6 stream with:
 //
 //	COLARM_WRITE_GOLDEN=1 go test ./internal/mip/ -run TestWriteGoldenSnapshots
 //
 // Regeneration is only legitimate when introducing a new current
-// format. The v2/v3/v4 files and the ghost stream describe layouts no
-// writer exists for any more; they are never rewritten.
+// format. The v2–v5 files describe formats no writer exists for any
+// more; they are never rewritten.
 
 // goldenPlainIndex builds the deterministic ghost-free index the plain
 // goldens describe: the paper's salary dataset at the usual thresholds.
@@ -91,7 +91,7 @@ func goldenGhostCompacted(t testing.TB) *Index {
 	return idx
 }
 
-// TestWriteGoldenSnapshots regenerates the committed v5 streams;
+// TestWriteGoldenSnapshots regenerates the committed v6 stream;
 // guarded so a normal test run never rewrites testdata.
 func TestWriteGoldenSnapshots(t *testing.T) {
 	if os.Getenv("COLARM_WRITE_GOLDEN") == "" {
@@ -108,11 +108,11 @@ func TestWriteGoldenSnapshots(t *testing.T) {
 
 	plain := goldenPlainIndex(t)
 	meta := goldenPlainMeta()
-	var v5 bytes.Buffer
-	if _, err := plain.WriteSnapshot(&v5, meta); err != nil {
+	var v6 bytes.Buffer
+	if err := plain.WriteSnapshot(&v6, meta); err != nil {
 		t.Fatal(err)
 	}
-	write("golden_v5.snapshot", v5.Bytes())
+	write("golden_v6.snapshot", v6.Bytes())
 }
 
 // loadGolden reads and restores one committed stream.
@@ -132,31 +132,32 @@ func loadGolden(t *testing.T, file string) (*Index, SnapshotMeta) {
 	return idx, meta
 }
 
-// reserialize writes an index back out with the current (v5) writer.
+// reserialize writes an index back out with the current (v6) writer.
 func reserialize(t *testing.T, idx *Index, meta SnapshotMeta) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := idx.WriteSnapshot(&buf, meta); err != nil {
+	if err := idx.WriteSnapshot(&buf, meta); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestGoldenSnapshotCompat loads every committed v5 reference stream
-// and asserts it restores to exactly the index a fresh deterministic
-// build produces (for the ghost stream, a build over its live rows) — re-serializing the load is a fixed point and matches
-// the fresh build bit for bit — and that every committed legacy stream
-// of the same index is refused with the typed version error.
+// TestGoldenSnapshotCompat loads every committed v5 and v6 reference
+// stream and asserts it restores to exactly the index a fresh
+// deterministic build produces (for the ghost stream, a build over its
+// live rows): re-serializing the load matches the fresh build bit for
+// bit and is a fixed point. Every committed legacy stream of the same
+// index is refused with the typed version error.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	groups := []struct {
 		name   string
-		ref    string   // committed v5 reference stream
+		refs   []string // committed v5 and v6 reference streams
 		legacy []string // committed streams of retired formats
 		fresh  func() []byte
 	}{
 		{
 			name:   "plain",
-			ref:    "golden_v5.snapshot",
+			refs:   []string{"golden_v5.snapshot", "golden_v6.snapshot"},
 			legacy: []string{"golden_v2.snapshot", "golden_v3.snapshot"},
 			fresh: func() []byte {
 				return reserialize(t, goldenPlainIndex(t), goldenPlainMeta())
@@ -164,7 +165,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 		},
 		{
 			name:   "ghost",
-			ref:    "golden_v5_ghost.snapshot",
+			refs:   []string{"golden_v5_ghost.snapshot"},
 			legacy: []string{"golden_v4.snapshot"},
 			fresh: func() []byte {
 				return reserialize(t, goldenGhostCompacted(t), SnapshotMeta{Primary: 0.18, Generation: 1})
@@ -173,17 +174,24 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 	for _, g := range groups {
 		t.Run(g.name, func(t *testing.T) {
-			refIdx, refMeta := loadGolden(t, g.ref)
-			refBytes := reserialize(t, refIdx, refMeta)
-
-			// The v5 reference round-trips: loading the re-serialized
-			// bytes and writing again is a fixed point.
-			againIdx, againMeta, err := ReadSnapshot(bytes.NewReader(refBytes))
-			if err != nil {
-				t.Fatalf("%s does not round-trip: %v", g.ref, err)
-			}
-			if !bytes.Equal(reserialize(t, againIdx, againMeta), refBytes) {
-				t.Fatalf("%s: re-serialization is not a fixed point", g.ref)
+			freshBytes := g.fresh()
+			for _, ref := range g.refs {
+				refIdx, refMeta := loadGolden(t, ref)
+				refBytes := reserialize(t, refIdx, refMeta)
+				// The corpus must describe what the current builder
+				// produces for the same deterministic inputs.
+				if !bytes.Equal(refBytes, freshBytes) {
+					t.Fatalf("%s does not load to the fresh deterministic build", ref)
+				}
+				// Loading the re-serialized bytes and writing again is a
+				// fixed point.
+				againIdx, againMeta, err := ReadSnapshot(bytes.NewReader(refBytes))
+				if err != nil {
+					t.Fatalf("%s does not round-trip: %v", ref, err)
+				}
+				if !bytes.Equal(reserialize(t, againIdx, againMeta), refBytes) {
+					t.Fatalf("%s: re-serialization is not a fixed point", ref)
+				}
 			}
 
 			for _, file := range g.legacy {
@@ -194,12 +202,6 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 				if _, _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, qerr.ErrSnapshotVersion) {
 					t.Fatalf("%s: err = %v, want ErrSnapshotVersion", file, err)
 				}
-			}
-
-			// The corpus must describe what the current builder
-			// produces for the same deterministic inputs.
-			if freshBytes := g.fresh(); !bytes.Equal(freshBytes, refBytes) {
-				t.Fatalf("fresh deterministic build no longer matches the committed %s", g.ref)
 			}
 		})
 	}
@@ -217,7 +219,7 @@ func TestGhostDeletesRemap(t *testing.T) {
 	}
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	var magic string
-	var snap snapshotV5
+	var snap snapshot
 	if err := dec.Decode(&magic); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestGhostDeletesRemap(t *testing.T) {
 	snap.Meta.DeltaDels = []int32{5, 3, 12, -1, 13}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(snapshotMagic); err != nil {
+	if err := enc.Encode(magic); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(&snap); err != nil {

@@ -69,38 +69,35 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	if !(opts.PrimarySupport > 0 && opts.PrimarySupport <= 1) {
 		return nil, fmt.Errorf("mip: primary support %v outside (0,1]", opts.PrimarySupport)
 	}
-	sp := itemset.NewSpace(d)
-	tidsets := itemset.ItemTidsets(d, sp)
-	primaryCount := charm.CountFor(opts.PrimarySupport, d.NumRecords())
-	res, err := charm.MineTidsets(tidsets, d.NumRecords(), primaryCount)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(d, sp, tidsets, res, nil, primaryCount, opts)
+	return build(d, charm.CountFor(opts.PrimarySupport, d.NumRecords()), opts.Fanout)
 }
 
 // boxChunk is how many CFIs one box-probe task of the index build takes:
 // enough to share a scratch vector, few enough to balance the workers.
 const boxChunk = 64
 
-// assemble builds the index layers from an existing mining result.
-// boxes, when non-nil, are the CFIs' bounding boxes as a snapshot stored
-// them; otherwise they are probed from the tidsets.
-func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res *charm.Result, boxes []itemset.Box, primaryCount int, opts Options) (*Index, error) {
+// build mines the validated dataset d at primaryCount records and
+// builds the index layers over the result with an R-tree of the given
+// fanout. Build and ReadSnapshot both end here, so a loaded snapshot
+// holds the index a fresh build of its rows does.
+func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
+	sp := itemset.NewSpace(d)
+	tidsets := itemset.ItemTidsets(d, sp)
+	res, err := charm.MineTidsets(tidsets, d.NumRecords(), primaryCount)
+	if err != nil {
+		return nil, err
+	}
 	idx := &Index{
 		Dataset:      d,
 		Space:        sp,
 		Tidsets:      tidsets,
 		ITTree:       ittree.Build(res, sp.NumItems()),
-		Boxes:        boxes,
+		Boxes:        make([]itemset.Box, len(res.Closed)),
 		PrimaryCount: primaryCount,
 	}
 	idx.Cards = make([]int, sp.NumAttrs())
 	for a := range idx.Cards {
 		idx.Cards[a] = sp.Cardinality(a)
-	}
-	if boxes == nil {
-		idx.Boxes = make([]itemset.Box, len(res.Closed))
 	}
 	// Box probes are independent tidset reads landing in pre-indexed
 	// slots, so they fan out, a chunk of CFIs at a time, without
@@ -109,22 +106,17 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 	n := len(res.Closed)
 	entries := make([]rtree.Entry, n)
 	if _, err := pool.Run(context.Background(), (n+boxChunk-1)/boxChunk, func(k int) {
-		var vec []uint64
-		if boxes == nil {
-			vec = make([]uint64, (d.NumRecords()+63)/64)
-		}
+		vec := make([]uint64, (d.NumRecords()+63)/64)
 		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
 			c := res.Closed[id]
-			if boxes == nil {
-				bitset.CopyWords(vec, c.Tids)
-				idx.Boxes[id] = BoundingBox(sp, idx.Cards, tidsets, c.Items, vec)
-			}
+			bitset.CopyWords(vec, c.Tids)
+			idx.Boxes[id] = BoundingBox(sp, idx.Cards, tidsets, c.Items, vec)
 			entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
 		}
 	}); err != nil {
 		return nil, err
 	}
-	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout)
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), fanout)
 	if err != nil {
 		return nil, err
 	}
@@ -227,17 +219,6 @@ func (e *BoxDomainError) Error() string {
 		e.CFI, e.Lo, e.Hi, e.Dim, e.Card)
 }
 
-// checkBox returns a *BoxDomainError when box b of CFI id leaves the
-// domain given by cards.
-func checkBox(id int, b itemset.Box, cards []int) error {
-	for d, c := range cards {
-		if lo, hi := b.Lo[d], b.Hi[d]; lo < 0 || lo > hi || int(hi) >= c {
-			return &BoxDomainError{CFI: id, Dim: d, Lo: lo, Hi: hi, Card: c}
-		}
-	}
-	return nil
-}
-
 // Validate cross-checks the index layers: every CFI box must lie inside
 // the domain (a *BoxDomainError otherwise) and cover its supporting
 // records, the R-tree must be structurally valid and hold one entry per
@@ -257,8 +238,10 @@ func (x *Index) Validate() error {
 	for id := 0; id < x.ITTree.Size(); id++ {
 		c := x.ITTree.Set(id)
 		box := x.Boxes[id]
-		if err := checkBox(id, box, x.Cards); err != nil {
-			return err
+		for d, c := range x.Cards {
+			if lo, hi := box.Lo[d], box.Hi[d]; lo < 0 || lo > hi || int(hi) >= c {
+				return &BoxDomainError{CFI: id, Dim: d, Lo: lo, Hi: hi, Card: c}
+			}
 		}
 		ok := true
 		c.Tids.ForEach(func(r int) bool {

@@ -8,18 +8,17 @@ import (
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
-	"colarm/internal/itemset"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
 )
 
-// The MIP-index is built offline once (the POQM contract), so persisting
-// it is the natural deployment shape: mine with CHARM on a build
-// machine, ship the snapshot, and serve queries anywhere. The snapshot
-// stores the dataset, the closed frequent itemsets with their tidsets,
-// and the MIP bounding boxes; the cheap derived structures (per-item
-// tidsets, the packed R-tree) are rebuilt on load in
-// milliseconds, skipping the mining phase entirely.
+// The MIP-index is built offline from the relation (the POQM contract),
+// so a snapshot is the relation plus the engine state around it: the
+// dataset's dictionaries and rows, the primary count and R-tree fanout
+// the index was built at, and the engine metadata. Loading builds the
+// index with the code Build runs, so a loaded index is exactly the one a
+// fresh build of the same rows holds, and nothing read from the stream
+// is trusted as an index structure.
 
 // snapshotMagic versions the serialization format. It is written as a
 // standalone gob string ahead of the payload, so a reader rejects
@@ -27,18 +26,21 @@ import (
 // earlier releases included — from the first value alone: a typed
 // qerr.ErrSnapshotVersion instead of a garbled payload decode.
 //
-// The payload is the slab format matching the in-memory layout: CFI
-// itemsets are one offset-indexed item arena, tidset encodings (the
-// container encoding of package bitset) one offset-indexed byte
-// arena, and boxes one inline Lo/Hi arena — a handful of large gob
-// values instead of tens of thousands of small ones. Engine-level
-// metadata (primary-support fraction, generation, the live-ingestion
-// delta) rides in the same payload, so a snapshot taken mid-ingest
-// restores to the exact same answers.
-const snapshotMagic = "COLARM-MIP-v5"
+// The payload is one snapshot value: the rows as one row-major arena of
+// value indices, and the engine-level metadata (primary-support
+// fraction, generation, the live-ingestion delta), so a snapshot taken
+// mid-ingest restores to the exact same answers.
+const snapshotMagic = "COLARM-MIP-v6"
+
+// snapshotMagicV5 marks the previous format, which also stored every
+// CFI's items, tidset and box in slab arenas. ReadSnapshot still reads
+// it into the same snapshot value: gob skips the stream's arenas
+// (ItemArena, ItemOff, Supports, TidArena, TidOff, BoxArena), which the
+// struct has no fields for, and the index is built from the rows.
+const snapshotMagicV5 = "COLARM-MIP-v5"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
-// the index itself.
+// the relation.
 type SnapshotMeta struct {
 	// Primary is the primary-support fraction the index was mined at;
 	// the delta store re-mines merged views at this same fraction. A
@@ -57,9 +59,8 @@ type SnapshotMeta struct {
 	// stream loads as the one index it was saved from.
 }
 
-// snapshotV5 is the slab payload: per-CFI data lives in offset-indexed
-// arenas mirroring the flat in-memory layout.
-type snapshotV5 struct {
+// snapshot is the payload of both formats ReadSnapshot reads.
+type snapshot struct {
 	// Dataset.
 	Name  string
 	Attrs []snapAttr
@@ -68,16 +69,6 @@ type snapshotV5 struct {
 	// Index parameters.
 	PrimaryCount int
 	Fanout       int
-
-	// CFI slabs. CFI i owns ItemArena[ItemOff[i]:ItemOff[i+1]],
-	// TidArena[TidOff[i]:TidOff[i+1]] (a bitset.Set binary encoding) and
-	// BoxArena[i*2n : (i+1)*2n] (n Lo values then n Hi values).
-	ItemArena []int32
-	ItemOff   []int32
-	Supports  []int32
-	TidArena  []byte
-	TidOff    []int64
-	BoxArena  []int32
 
 	// Live is read, never written: older releases' sharded rebuilds kept
 	// deleted records in Rows as ghosts outside this mask (a bitset
@@ -93,11 +84,11 @@ type snapAttr struct {
 	Values []string
 }
 
-// WriteSnapshot serializes the index plus engine-level metadata (see
-// SnapshotMeta); ReadSnapshot restores both.
-func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
-	bw := &countingWriter{w: bufio.NewWriter(w)}
-	snap := snapshotV5{
+// WriteSnapshot serializes the index's dataset and build parameters
+// plus engine-level metadata (see SnapshotMeta); ReadSnapshot restores
+// both.
+func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) error {
+	snap := snapshot{
 		Name:         x.Dataset.Name,
 		PrimaryCount: x.PrimaryCount,
 		Fanout:       x.RTree.Fanout(),
@@ -113,62 +104,34 @@ func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int64, error) {
 			snap.Rows = append(snap.Rows, int32(x.Dataset.Value(r, a)))
 		}
 	}
-	k := x.ITTree.Size()
-	snap.ItemOff = make([]int32, k+1)
-	snap.TidOff = make([]int64, k+1)
-	snap.Supports = make([]int32, k)
-	snap.BoxArena = make([]int32, 0, k*2*n)
-	for id := 0; id < k; id++ {
-		for _, it := range x.ITTree.Items(id) {
-			snap.ItemArena = append(snap.ItemArena, int32(it))
-		}
-		snap.ItemOff[id+1] = int32(len(snap.ItemArena))
-		// Marshal a canonical container form: the bytes written must
-		// depend only on the tidset's content, not on the container
-		// history its construction happened to leave behind, so equal
-		// indexes always snapshot to equal bytes.
-		canon := x.ITTree.Tids(id).Clone()
-		canon.Optimize()
-		tids, err := canon.MarshalBinary()
-		if err != nil {
-			return bw.n, err
-		}
-		snap.TidArena = append(snap.TidArena, tids...)
-		snap.TidOff[id+1] = int64(len(snap.TidArena))
-		snap.Supports[id] = int32(x.ITTree.Support(id))
-		snap.BoxArena = append(snap.BoxArena, x.Boxes[id].Lo...)
-		snap.BoxArena = append(snap.BoxArena, x.Boxes[id].Hi...)
-	}
+	bw := bufio.NewWriter(w)
 	enc := gob.NewEncoder(bw)
 	if err := enc.Encode(snapshotMagic); err != nil {
-		return bw.n, fmt.Errorf("mip: encoding snapshot magic: %w", err)
+		return fmt.Errorf("mip: encoding snapshot magic: %w", err)
 	}
 	if err := enc.Encode(&snap); err != nil {
-		return bw.n, fmt.Errorf("mip: encoding snapshot: %w", err)
+		return fmt.Errorf("mip: encoding snapshot: %w", err)
 	}
-	if err := bw.w.(*bufio.Writer).Flush(); err != nil {
-		return bw.n, err
-	}
-	return bw.n, nil
+	return bw.Flush()
 }
 
-// ReadSnapshot restores an index and its engine metadata. A stream that
-// is not a snapshot of exactly this format version — an older or newer
-// COLARM snapshot, or a foreign file — fails with
-// qerr.ErrSnapshotVersion before any payload decoding. A stream carrying
-// ghost rows loads compacted: every record id of the index it returns
-// names a live record. A stream that recorded no primary fraction reads
-// back with one recovered from its primary count (see SnapshotMeta).
+// ReadSnapshot restores an index and its engine metadata from a v6 or
+// v5 stream. Any other stream — an older or newer COLARM snapshot, or a
+// foreign file — fails with qerr.ErrSnapshotVersion before any payload
+// decoding. A stream carrying ghost rows loads compacted: every record
+// id of the index it returns names a live record. A stream that
+// recorded no primary fraction reads back with one recovered from its
+// primary count (see SnapshotMeta).
 func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
 	if err := dec.Decode(&magic); err != nil {
 		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: stream does not start with a snapshot version marker", qerr.ErrSnapshotVersion)
 	}
-	if magic != snapshotMagic {
-		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q", qerr.ErrSnapshotVersion, magic, snapshotMagic)
+	if magic != snapshotMagic && magic != snapshotMagicV5 {
+		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q and %q", qerr.ErrSnapshotVersion, magic, snapshotMagic, snapshotMagicV5)
 	}
-	var snap snapshotV5
+	var snap snapshot
 	if err := dec.Decode(&snap); err != nil {
 		return nil, SnapshotMeta{}, fmt.Errorf("mip: decoding snapshot: %w", err)
 	}
@@ -179,20 +142,15 @@ func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	return idx, snap.Meta, nil
 }
 
-// decodeSnapshot validates the slab payload and assembles the index it
-// describes.
-func decodeSnapshot(snap *snapshotV5) (*Index, error) {
-	k := len(snap.Supports)
-	if len(snap.ItemOff) != k+1 || len(snap.TidOff) != k+1 {
-		return nil, fmt.Errorf("mip: snapshot slab offsets malformed: %d CFIs, %d item offsets, %d tid offsets", k, len(snap.ItemOff), len(snap.TidOff))
-	}
+// decodeSnapshot rebuilds the dataset the payload describes and builds
+// its index. A plain stream builds at its recorded primary count; a
+// ghost stream at its primary fraction over the live rows, as the
+// engine's first rebuild used to do.
+func decodeSnapshot(snap *snapshot) (*Index, error) {
 	if len(snap.Attrs) == 0 {
 		return nil, fmt.Errorf("mip: snapshot has no attributes")
 	}
 	n := len(snap.Attrs)
-	if len(snap.BoxArena) != k*2*n {
-		return nil, fmt.Errorf("mip: snapshot box arena has %d values, want %d", len(snap.BoxArena), k*2*n)
-	}
 	if len(snap.Rows)%n != 0 {
 		return nil, fmt.Errorf("mip: snapshot row data length %d not divisible by %d attributes", len(snap.Rows), n)
 	}
@@ -232,75 +190,41 @@ func decodeSnapshot(snap *snapshotV5) (*Index, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if snap.Meta.Primary == 0 && d.NumRecords() > 0 {
-		snap.Meta.Primary = float64(snap.PrimaryCount) / float64(d.NumRecords())
+	m := d.NumRecords()
+	if snap.Meta.Primary == 0 && m > 0 {
+		snap.Meta.Primary = float64(snap.PrimaryCount) / float64(m)
 	}
+	count := snap.PrimaryCount
 	if live != nil {
-		return compactGhosts(d, live, snap)
+		if p := snap.Meta.Primary; !(p > 0 && p <= 1) {
+			return nil, fmt.Errorf("mip: ghost snapshot primary support %v outside (0,1]", p)
+		}
+		count = charm.CountFor(snap.Meta.Primary, m)
 	}
-	sp := itemset.NewSpace(d)
-
-	res := &charm.Result{NumRecords: d.NumRecords(), MinCount: snap.PrimaryCount}
-	cards := make([]int, n)
-	for a := range cards {
-		cards[a] = sp.Cardinality(a)
+	// The count comes from the stream and CHARM mines at it: below 1 it
+	// would ask for every itemset. An index of no records was built at
+	// CountFor's floor of 1, so 1 stays allowed there.
+	if count < 1 || count > max(m, 1) {
+		return nil, fmt.Errorf("mip: snapshot primary count %d outside [1, %d records]", count, m)
 	}
-	boxes := make([]itemset.Box, k)
-	for i := 0; i < k; i++ {
-		io0, io1 := snap.ItemOff[i], snap.ItemOff[i+1]
-		to0, to1 := snap.TidOff[i], snap.TidOff[i+1]
-		if io0 < 0 || io1 < io0 || int(io1) > len(snap.ItemArena) || to0 < 0 || to1 < to0 || int(to1) > len(snap.TidArena) {
-			return nil, fmt.Errorf("mip: snapshot CFI %d has out-of-range slab offsets", i)
-		}
-		tids := &bitset.Set{}
-		if err := tids.UnmarshalBinary(snap.TidArena[to0:to1]); err != nil {
-			return nil, fmt.Errorf("mip: CFI %d tidset: %w", i, err)
-		}
-		if tids.Len() != d.NumRecords() {
-			return nil, fmt.Errorf("mip: CFI %d tidset capacity %d != %d records", i, tids.Len(), d.NumRecords())
-		}
-		// Normalize the container form: a restored index must
-		// re-serialize identically to a fresh build whatever encoding
-		// the stream's writer chose.
-		tids.Optimize()
-		items := make(itemset.Set, io1-io0)
-		for j, it := range snap.ItemArena[io0:io1] {
-			if it < 0 || int(it) >= sp.NumItems() {
-				return nil, fmt.Errorf("mip: CFI %d item %d out of range", i, it)
-			}
-			items[j] = itemset.Item(it)
-		}
-		support := int(snap.Supports[i])
-		if got := tids.Count(); got != support {
-			return nil, fmt.Errorf("mip: CFI %d support %d != tidset count %d", i, support, got)
-		}
-		res.Closed = append(res.Closed, &charm.ClosedSet{Items: items, Tids: tids, Support: support})
-		o := i * 2 * n
-		boxes[i] = itemset.Box{Lo: snap.BoxArena[o : o+n], Hi: snap.BoxArena[o+n : o+2*n]}
-		if err := checkBox(i, boxes[i], cards); err != nil {
-			return nil, err
-		}
-	}
-
-	return assemble(d, sp, itemset.ItemTidsets(d, sp), res, boxes, snap.PrimaryCount, Options{Fanout: snap.Fanout})
-}
-
-// compactGhosts finishes loading the layout older releases' sharded
-// rebuilds wrote: deleted records kept in the table as ghost rows outside
-// a live mask, ids never renumbered. d holds the live rows only, and the
-// index is re-mined over them as the engine's first rebuild used to do:
-// at the snapshot's primary fraction (recovered by decodeSnapshot when
-// the stream recorded none). The stored catalog covers the same live
-// rows but in the old id space, so it is not read. The delta's deletes
-// in snap.Meta move into the compacted id space: a live base record to
-// its rank among the live rows, a buffered row down by the number of
-// ghosts, and a delete naming a ghost — a record that no longer exists
-// — is dropped.
-func compactGhosts(d *relation.Dataset, live *bitset.Set, snap *snapshotV5) (*Index, error) {
-	idx, err := Build(d, Options{PrimarySupport: snap.Meta.Primary, Fanout: snap.Fanout})
+	idx, err := build(d, count, snap.Fanout)
 	if err != nil {
 		return nil, err
 	}
+	if live != nil {
+		snap.Meta.DeltaDels = compactGhosts(live, snap.Meta.DeltaDels)
+	}
+	return idx, nil
+}
+
+// compactGhosts moves the delta's deletes of a stream in the layout
+// older releases' sharded rebuilds wrote — deleted records kept in the
+// table as ghost rows outside the live mask, ids never renumbered — into
+// the compacted id space of the index built over the live rows: a live
+// base record to its rank among the live rows, a buffered row down by
+// the number of ghosts, and a delete naming a ghost — a record that no
+// longer exists — is dropped.
+func compactGhosts(live *bitset.Set, deltaDels []int32) []int32 {
 	rank := make([]int32, live.Len()) // base id -> compacted id, -1 for a ghost
 	next := int32(0)
 	for r := range rank {
@@ -312,7 +236,7 @@ func compactGhosts(d *relation.Dataset, live *bitset.Set, snap *snapshotV5) (*In
 	}
 	ghosts := int32(len(rank)) - next
 	var dels []int32
-	for _, id := range snap.Meta.DeltaDels {
+	for _, id := range deltaDels {
 		switch {
 		case id < 0 || int(id) >= len(rank):
 			// A buffered row; an id outside every row stays outside, and
@@ -322,17 +246,5 @@ func compactGhosts(d *relation.Dataset, live *bitset.Set, snap *snapshotV5) (*In
 			dels = append(dels, rank[id])
 		}
 	}
-	snap.Meta.DeltaDels = dels
-	return idx, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+	return dels
 }

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/qerr"
+	"colarm/internal/relation"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -19,12 +23,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := idx.WriteSnapshot(&buf, SnapshotMeta{})
-	if err != nil {
+	if err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) || n == 0 {
-		t.Fatalf("WriteSnapshot reported %d bytes, buffer has %d", n, buf.Len())
 	}
 	got, _, err := ReadSnapshot(&buf)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestReadIndexRejectsCorruptedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
+	if err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip bytes in the middle of the payload; the decoder or the
@@ -142,16 +142,16 @@ func TestReadSnapshotV2Compat(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRejectsUnknownVersion pins that only the current magic
-// string is accepted.
+// TestReadSnapshotRejectsUnknownVersion pins that only the v6 and v5
+// magic strings are accepted.
 func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
-	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v6", "something else"} {
+	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v7", "something else"} {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		if err := enc.Encode(magic); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(&snapshotV5{}); err != nil {
+		if err := enc.Encode(&snapshot{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ReadSnapshot(&buf); !errors.Is(err, qerr.ErrSnapshotVersion) {
@@ -160,21 +160,47 @@ func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// snapshotV5 is the v5 payload: the v6 fields plus the CFI slabs v6
+// dropped. CFI i owned ItemArena[ItemOff[i]:ItemOff[i+1]],
+// TidArena[TidOff[i]:TidOff[i+1]] (a bitset.Set binary encoding) and
+// BoxArena[i*2n : (i+1)*2n] (n Lo values then n Hi values). Nothing
+// reads the slabs any more; tests use this type to edit them.
+type snapshotV5 struct {
+	Name         string
+	Attrs        []snapAttr
+	Rows         []int32
+	PrimaryCount int
+	Fanout       int
+	ItemArena    []int32
+	ItemOff      []int32
+	Supports     []int32
+	TidArena     []byte
+	TidOff       []int64
+	BoxArena     []int32
+	Live         []byte
+	Meta         SnapshotMeta
+}
+
 // TestBoxOutsideDomainRejected pins the box-domain precondition of the
-// region box tests in both places that hold a stored box to it: a
-// snapshot whose box arena puts a box past, before or inverted on its
-// domain fails to load with a *BoxDomainError, and Validate reports the
-// same error for an index holding such a box.
+// region box tests: Validate reports a *BoxDomainError for an index
+// holding a box past, before or inverted on its domain. A v5 stream
+// whose box arena holds such a box loads all the same, to the index the
+// unedited stream loads to: the loader builds every box from the rows
+// and never reads a stored one.
 func TestBoxOutsideDomainRejected(t *testing.T) {
 	idx, err := Build(datagen.Salary(), Options{PrimarySupport: 0.18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteSnapshot(&buf, SnapshotMeta{}); err != nil {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v5.snapshot"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
+	want, _, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := gob.NewDecoder(bytes.NewReader(data))
 	var magic string
 	var snap snapshotV5
 	if err := dec.Decode(&magic); err != nil {
@@ -184,8 +210,9 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, card := len(snap.Attrs), int32(len(snap.Attrs[0].Values))
-	cfi := len(snap.Supports) - 1
-	lo, hi := cfi*2*n, cfi*2*n+n // dimension 0 of the last CFI's box
+	stored := len(snap.Supports) - 1
+	lo, hi := stored*2*n, stored*2*n+n // dimension 0 of the last stored box
+	cfi := idx.NumMIPs() - 1
 	for _, tc := range []struct {
 		name   string
 		lo, hi int32
@@ -205,10 +232,11 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		if err := enc.Encode(&bad); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ReadSnapshot(&out)
-		var be *BoxDomainError
-		if !errors.As(err, &be) || be.CFI != cfi || be.Dim != 0 {
-			t.Errorf("%s: load err = %v, want a *BoxDomainError for CFI %d dimension 0", tc.name, err, cfi)
+		got, _, err := ReadSnapshot(&out)
+		if err != nil {
+			t.Errorf("%s: a v5 stream with a stored box outside its domain: load err = %v", tc.name, err)
+		} else if !reflect.DeepEqual(got.Boxes, want.Boxes) || got.NumMIPs() != want.NumMIPs() {
+			t.Errorf("%s: the stream loads to other boxes than the unedited one", tc.name)
 		}
 
 		box := idx.Boxes[cfi].Clone()
@@ -216,11 +244,39 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		held := *idx
 		held.Boxes = append([]itemset.Box(nil), idx.Boxes...)
 		held.Boxes[cfi] = box
+		var be *BoxDomainError
 		if err := held.Validate(); !errors.As(err, &be) || be.CFI != cfi || be.Dim != 0 {
 			t.Errorf("%s: Validate = %v, want a *BoxDomainError for CFI %d dimension 0", tc.name, err, cfi)
 		}
 	}
 	if err := idx.Validate(); err != nil {
 		t.Errorf("the unmodified index: Validate = %v", err)
+	}
+}
+
+// TestSnapshotOfNoRecords: an index of no records is built at
+// CountFor's floor of 1, so that count loads back although it exceeds
+// the records; the loader refuses every other count past them.
+func TestSnapshotOfNoRecords(t *testing.T) {
+	b := relation.NewBuilder("empty", "A", "B")
+	b.AddValue(0, "a")
+	b.AddValue(1, "b")
+	idx, err := Build(b.Build(), Options{PrimarySupport: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for count, ok := range map[int]bool{1: true, 0: false, 2: false} {
+		held := *idx
+		held.PrimaryCount = count
+		var buf bytes.Buffer
+		if err := held.WriteSnapshot(&buf, SnapshotMeta{Primary: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ReadSnapshot(&buf)
+		if (err == nil) != ok {
+			t.Errorf("primary count %d over no records: err = %v, want loaded %v", count, err, ok)
+		} else if ok && got.NumMIPs() != 0 {
+			t.Errorf("an index of no records loads with %d MIPs", got.NumMIPs())
+		}
 	}
 }

@@ -9,14 +9,13 @@ import (
 	"colarm/internal/mip"
 )
 
-// Save serializes the engine's MIP-index (dataset, closed frequent
-// itemsets, bounding boxes) plus its live-ingestion state — generation
-// and any buffered delta transactions — to w. The offline mining phase
-// is the expensive part of Open; a saved index restores in milliseconds
-// with LoadEngine, so indexes can be built once and shipped to
-// query-serving processes — the preprocess-once-query-many contract
-// made durable. A snapshot taken mid-ingest restores to the exact same
-// answers: the delta rides along and is replayed on load.
+// Save serializes the engine's dataset and the parameters its MIP-index
+// was built at (primary count, R-tree fanout) plus its live-ingestion
+// state — generation and any buffered delta transactions — to w.
+// LoadEngine builds the index again from those rows, with the code Open
+// runs, so the loaded engine answers exactly as the saved one. A
+// snapshot taken mid-ingest restores to the exact same answers: the
+// delta rides along and is replayed on load.
 func (e *Engine) Save(w io.Writer) error {
 	rows, dels := e.delta.Snapshot()
 	meta := mip.SnapshotMeta{
@@ -27,8 +26,7 @@ func (e *Engine) Save(w io.Writer) error {
 	for _, id := range dels {
 		meta.DeltaDels = append(meta.DeltaDels, int32(id))
 	}
-	_, err := e.idx.WriteSnapshot(w, meta)
-	return err
+	return e.idx.WriteSnapshot(w, meta)
 }
 
 // SaveFile writes the index snapshot to a file. The file at path is
@@ -78,11 +76,12 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// LoadEngine restores an engine from a snapshot written by Save. Of
-// opts only Metrics is read; the index parameters (primary support,
-// fanout), the engine generation and any buffered delta come from the
-// snapshot. A snapshot of a different
-// format version fails with ErrSnapshotVersion.
+// LoadEngine restores an engine from a snapshot written by Save, or by
+// the previous release's Save, building its index from the snapshot's
+// rows. Of opts only Metrics is read; the index parameters (primary
+// support, fanout), the engine generation and any buffered delta come
+// from the snapshot. A snapshot of any other format version fails with
+// ErrSnapshotVersion.
 func LoadEngine(r io.Reader, opts Options) (*Engine, error) {
 	idx, meta, err := mip.ReadSnapshot(r)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"colarm/internal/datagen"
 	"colarm/internal/mip"
 )
 
@@ -141,16 +142,28 @@ func TestLoadEngineErrors(t *testing.T) {
 
 // TestLoadEngineRejectsInconsistentMeta: a stream can decode cleanly and
 // still describe no engine this build could have saved. The metadata a
-// loaded engine would act on is checked against the index it rides with.
+// loaded engine would act on is checked against the index it rides with,
+// and the primary count the loader mines at against the stream's
+// records, before any mining: a count below 1 would ask CHARM for every
+// itemset.
 func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 	eng := salaryEngine(t)
-	for name, meta := range map[string]mip.SnapshotMeta{
-		"primary above 1":  {Primary: 5},
-		"primary negative": {Primary: -0.18},
-		"primary NaN":      {Primary: math.NaN()},
+	records := eng.idx.Dataset.NumRecords()
+	for name, tc := range map[string]struct {
+		count int
+		meta  mip.SnapshotMeta
+	}{
+		"primary above 1":            {eng.idx.PrimaryCount, mip.SnapshotMeta{Primary: 5}},
+		"primary negative":           {eng.idx.PrimaryCount, mip.SnapshotMeta{Primary: -0.18}},
+		"primary NaN":                {eng.idx.PrimaryCount, mip.SnapshotMeta{Primary: math.NaN()}},
+		"primary count 0":            {0, mip.SnapshotMeta{Primary: 0.18}},
+		"primary count negative":     {-1, mip.SnapshotMeta{Primary: 0.18}},
+		"primary count past records": {records + 1, mip.SnapshotMeta{Primary: 0.18}},
 	} {
+		idx := *eng.idx
+		idx.PrimaryCount = tc.count
 		var buf bytes.Buffer
-		if _, err := eng.idx.WriteSnapshot(&buf, meta); err != nil {
+		if err := idx.WriteSnapshot(&buf, tc.meta); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadEngine(&buf, Options{}); err == nil {
@@ -159,7 +172,7 @@ func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 	}
 	// The same index under its own primary support is what Save writes.
 	var buf bytes.Buffer
-	if _, err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{Primary: 0.18}); err != nil {
+	if err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{Primary: 0.18}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadEngine(&buf, Options{}); err != nil {
@@ -176,7 +189,7 @@ func TestLoadEngineRejectsInconsistentMeta(t *testing.T) {
 func TestLoadUnrecordedPrimary(t *testing.T) {
 	eng := salaryEngine(t)
 	var buf bytes.Buffer
-	if _, err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{}); err != nil {
+	if err := eng.idx.WriteSnapshot(&buf, mip.SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEngine(&buf, Options{})
@@ -556,4 +569,83 @@ func TestGhostSnapshotCompacts(t *testing.T) {
 		}
 		agree(t, "loaded with a delta", mono, withDelta)
 	})
+}
+
+// TestSnapshotHoldsTheRelation: a snapshot of full-scale chess @ 0.70
+// is its rows, not its 8 014 CFIs, so it stays under 1 MB, and the
+// engine it loads to — which mines the rows again — answers as the
+// saved engine: the same estimates and, under every forced plan and
+// Auto, the same rules and Stats, with and without a buffered delta.
+func TestSnapshotHoldsTheRelation(t *testing.T) {
+	eng := openGenerated(t, datagen.ChessConfig(1), 0.70)
+	ds := eng.Dataset()
+	attrs := ds.Attributes()
+	vals, err := ds.Values(attrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{MinSupport: 0.80, MinConfidence: 0.9, MaxConsequent: 1},
+		{Range: map[string][]string{attrs[1]: vals[:len(vals)/2+1]}, MinSupport: 0.85, MinConfidence: 0.9, MaxConsequent: 2},
+		{ItemAttributes: attrs[:len(attrs)/2], MinSupport: 0.85, MinConfidence: 0.85},
+	}
+	roundTrip := func(stage string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() >= 1<<20 {
+			t.Errorf("%s: chess @ 0.70 saves %d bytes, want under 1 MB", stage, buf.Len())
+		}
+		loaded, err := LoadEngine(&buf, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := eng.Staleness(), loaded.Staleness(); a != b {
+			t.Fatalf("%s: staleness %+v, the saved engine's %+v", stage, b, a)
+		}
+		for i, q := range queries {
+			want, err := eng.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: estimates %+v, the saved engine's %+v", stage, i, got, want)
+			}
+			for _, p := range []Plan{Auto, SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
+				q.Plan = p
+				a, err := eng.Mine(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := loaded.Mine(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Stats.DurationNanos, b.Stats.DurationNanos = 0, 0
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s query %d plan %s: the loaded engine answers\n%+v\nthe saved engine\n%+v", stage, i, p, b, a)
+				}
+			}
+		}
+	}
+	roundTrip("frozen")
+
+	var inserts []map[string]string
+	for r := 0; r < 8; r++ {
+		rec := map[string]string{}
+		for a, v := range ds.Record(r * 97) {
+			rec[attrs[a]] = v
+		}
+		inserts = append(inserts, rec)
+	}
+	if _, err := eng.Ingest(inserts, []int{1, 2, 500}); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip("delta")
 }
