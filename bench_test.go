@@ -71,7 +71,7 @@ func BenchmarkFig8(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Closed) == 0 {
+				if res.Len() == 0 {
 					b.Fatal("no CFIs")
 				}
 			}

@@ -159,12 +159,12 @@ func TestQuickAprioriCrossChecksCharm(t *testing.T) {
 			return false
 		}
 		closed := res.ClosedOnly()
-		if len(closed) != len(ch.Closed) {
+		if len(closed) != ch.Len() {
 			return false
 		}
 		cm := map[string]int{}
-		for _, c := range ch.Closed {
-			cm[c.Items.Key()] = c.Support
+		for id := 0; id < ch.Len(); id++ {
+			cm[ch.Items(id).Key()] = ch.Support(id)
 		}
 		for _, f := range closed {
 			if s, ok := cm[f.Items.Key()]; !ok || s != f.Support {

@@ -28,7 +28,7 @@ func (e *Env) RunFig8() ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig8Row{Threshold: th, CFIs: len(res.Closed)})
+		out = append(out, Fig8Row{Threshold: th, CFIs: res.Len()})
 	}
 	return out, nil
 }
@@ -242,7 +242,7 @@ func (e *Env) RunLocalVsGlobal(runsPer int, rng *rand.Rand) []Fig13Row {
 				if len(c.Items) < 2 {
 					continue
 				}
-				if !reg.Intersects(idx.Boxes[id]) {
+				if !reg.Intersects(idx.RTree.Box(id)) {
 					continue
 				}
 				if bitset.AndCount(c.Tids, dq) < need {

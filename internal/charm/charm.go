@@ -14,7 +14,9 @@
 // in one record-space arena — and returns CFIs without tidsets.
 // MineTidsets, for the offline index build (mip.Build) and Mine, copies
 // each frequent item's tidset into the dense word layout of its record
-// space and gives every emitted CFI its tidset as a *bitset.Set.
+// space and gives every emitted CFI its tidset as a *bitset.Set. Either
+// way the Result is slabs indexed by CFI id — items, supports and, for
+// MineTidsets, tidsets — which the IT-tree adopts as its own.
 package charm
 
 import (
@@ -28,25 +30,44 @@ import (
 	"colarm/internal/relation"
 )
 
-// ClosedSet is one closed frequent itemset together with its tidset. The
-// tidset always refers to record ids of the dataset the miner ran on,
-// and is nil for a CFI MineVectors mined. It is read-only: it may be one
-// of the tidsets the miner was given (see MineTidsets) and is shared
-// with every index layer built from the result.
+// ClosedSet is one closed frequent itemset together with its tidset:
+// the brute-force oracle's output and the value ittree.Tree.Set reads
+// off the slabs. The tidset refers to record ids of the dataset the
+// miner ran on, and is nil for a CFI MineVectors mined. It is read-only.
 type ClosedSet struct {
 	Items   itemset.Set
 	Tids    *bitset.Set
 	Support int // == Tids.Count(), cached
 }
 
-// Result is the output of a mining run in a deterministic order (by
-// itemset length, then by item ids).
+// Result is the output of a mining run: CFIs 0..Len()-1 in a
+// deterministic order (by itemset length, then by item ids), in slabs.
 type Result struct {
-	Closed     []*ClosedSet
 	NumRecords int
-	MinCount   int
+
+	items    []itemset.Item // every CFI's items, concatenated in id order
+	off      []int32        // len Len()+1; CFI i's items are items[off[i]:off[i+1]]
+	supports []int32        // CFI i's support
+	tids     []*bitset.Set  // CFI i's tidset; nil for a MineVectors run
 
 	m *miner // the miner that ran, for a later MineVectors to reuse
+}
+
+// Len returns the number of CFIs.
+func (r *Result) Len() int { return len(r.supports) }
+
+// Items returns CFI i's itemset, aliasing the item arena (read-only).
+func (r *Result) Items(i int) itemset.Set { return r.items[r.off[i]:r.off[i+1]:r.off[i+1]] }
+
+// Support returns CFI i's support count.
+func (r *Result) Support(i int) int { return int(r.supports[i]) }
+
+// Tids returns CFI i's read-only tidset, nil for a MineVectors run.
+func (r *Result) Tids(i int) *bitset.Set {
+	if r.tids == nil {
+		return nil
+	}
+	return r.tids[i]
 }
 
 // Mine runs CHARM over the dataset at the given minimum support count
@@ -84,12 +105,12 @@ func CountFor(minSupport float64, numRecords int) int {
 //
 // The miner copies each frequent item's tidset into ⌈numRecords/64⌉
 // words (bitset.CopyWords) and mines those. An emitted CFI's tidset is
-// materialized once, at emit time: a CFI whose vector is still an
-// item's own holds that item's input *bitset.Set in ClosedSet.Tids
-// (nothing is cloned); any other gets a new set in Optimize's encoding
-// (bitset.FromWords). The inputs are only read. Callers therefore treat
-// every ClosedSet.Tids as read-only and keep the input tidsets unchanged
-// for as long as the result is in use.
+// materialized once, at emit time, into the result's tidset slab: a CFI
+// whose vector is still an item's own holds that item's input
+// *bitset.Set (nothing is cloned); any other gets a new set in
+// Optimize's encoding (bitset.FromWords). The inputs are only read.
+// Callers therefore treat every Result.Tids as read-only and keep the
+// input tidsets unchanged for as long as the result is in use.
 func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
@@ -119,14 +140,14 @@ func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, erro
 		bitset.CopyWords(v, tidsets[roots[k].root])
 		roots[k].vec = v
 	}
-	return m.run(roots, numRecords)
+	return m.run(roots, numRecords, nil)
 }
 
 // MineVectors runs CHARM over per-item bit vectors of one width:
 // vecs[k] is items[k]'s vector, with no bit set past the width it
 // encodes; the items are distinct. Vectors of unequal lengths are an
 // error. An item's support is its vector's popcount. The vectors are
-// only read; no tidset is materialized, so every ClosedSet.Tids is nil.
+// only read; no tidset is materialized, so every Result.Tids is nil.
 // numRecords is recorded as Result.NumRecords.
 //
 // ARM mines the focal subset this way: with views of the vectors in
@@ -136,9 +157,10 @@ func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, erro
 //
 // reuse, when non-nil, is a Result an earlier MineVectors call returned
 // and whose CFIs the caller no longer reads: the run recycles that
-// miner's vector slabs, hash heads, recursion buffers and CFI list, and
-// returns reuse itself. A run that fails leaves reuse unusable, and a
-// miner whose slabs outgrew maxReusedWords is not kept.
+// miner's vector slabs, hash heads, recursion buffers and CFI buffer and
+// reuse's own slabs, and returns reuse itself. A run that fails leaves
+// reuse unusable, and a miner whose slabs outgrew maxReusedWords is not
+// kept.
 func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
@@ -168,11 +190,11 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 		}
 	}
 	m.roots = roots
-	res, err := m.run(roots, numRecords)
+	res, err := m.run(roots, numRecords, reuse)
 	if err != nil || reuse == nil {
 		return res, err
 	}
-	*reuse = *res
+	reuse.m = nil
 	if m.words() <= maxReusedWords {
 		reuse.m = m
 	}
@@ -213,9 +235,10 @@ type miner struct {
 	// it, MineVectors leaves it nil.
 	tidset func(root int, vec []uint64) *bitset.Set
 
-	closed []*ClosedSet
-	next   []int32          // closed[k]'s predecessor in its hash chain, -1 none
-	heads  map[uint64]int32 // vector hash → last closed index with it
+	closed      []ClosedSet      // the emitted CFIs, until run lays them out
+	closedItems int              // how many items they hold
+	next        []int32          // closed[k]'s predecessor in its hash chain, -1 none
+	heads       map[uint64]int32 // vector hash → last closed index with it
 
 	slab   []uint64   // unused words of the current slab chunk
 	chunks [][]uint64 // every chunk carved so far, kept for a reused run
@@ -249,27 +272,47 @@ func newMiner(ctx context.Context, nw, minCount int) *miner {
 // the first, whatever width they were carved at.
 func (m *miner) reset(ctx context.Context, nw, minCount int) {
 	m.nw, m.minCount = nw, minCount
-	m.closed, m.next = m.closed[:0], m.next[:0]
+	m.closed, m.next, m.closedItems = m.closed[:0], m.next[:0], 0
 	clear(m.heads)
 	m.slab, m.used, m.free = nil, 0, m.free[:0]
 	m.ctx, m.done, m.polls = ctx, ctx.Done(), 0
 }
 
-// run explores the IT-tree from the frequent items and returns the CFIs
-// in the deterministic result order.
-func (m *miner) run(roots []node, numRecords int) (*Result, error) {
+// run explores the IT-tree from the frequent items and lays the CFIs out,
+// in result order, into res's reused slabs, or a new Result's if res is nil.
+func (m *miner) run(roots []node, numRecords int, res *Result) (*Result, error) {
 	sortNodes(roots)
 	if err := m.extend(roots, 0); err != nil {
 		return nil, err
 	}
-	slices.SortFunc(m.closed, func(x, y *ClosedSet) int {
+	if res == nil {
+		res = new(Result)
+	}
+	slices.SortFunc(m.closed, func(x, y ClosedSet) int {
 		a, b := x.Items, y.Items
 		if len(a) != len(b) {
 			return len(a) - len(b)
 		}
 		return slices.Compare(a, b)
 	})
-	return &Result{Closed: m.closed, NumRecords: numRecords, MinCount: m.minCount}, nil
+	n := len(m.closed)
+	res.NumRecords, res.tids = numRecords, nil
+	res.items = slices.Grow(res.items[:0], m.closedItems)
+	res.off = slices.Grow(res.off[:0], n+1)
+	res.supports = slices.Grow(res.supports[:0], n)
+	if m.tidset != nil {
+		res.tids = make([]*bitset.Set, 0, n)
+	}
+	for _, c := range m.closed {
+		res.off = append(res.off, int32(len(res.items)))
+		res.items = append(res.items, c.Items...)
+		res.supports = append(res.supports, int32(c.Support))
+		if res.tids != nil {
+			res.tids = append(res.tids, c.Tids)
+		}
+	}
+	res.off = append(res.off, int32(m.closedItems))
+	return res, nil
 }
 
 // cancelled polls the miner's context every few probes; nil done (a
@@ -423,7 +466,7 @@ func (m *miner) emit(n *node) {
 	head, ok := m.heads[h]
 	if ok {
 		for k := head; k >= 0; k = m.next[k] {
-			if c := m.closed[k]; c.Support == n.supp && n.items.SubsetOf(c.Items) {
+			if c := &m.closed[k]; c.Support == n.supp && n.items.SubsetOf(c.Items) {
 				m.release(n)
 				return // subsumed
 			}
@@ -431,7 +474,7 @@ func (m *miner) emit(n *node) {
 	} else {
 		head = -1
 	}
-	cs := &ClosedSet{Items: n.items, Support: n.supp}
+	cs := ClosedSet{Items: n.items, Support: n.supp}
 	if m.tidset != nil {
 		cs.Tids = m.tidset(n.root, n.vec)
 	}
@@ -439,6 +482,7 @@ func (m *miner) emit(n *node) {
 	m.heads[h] = int32(len(m.closed))
 	m.next = append(m.next, head)
 	m.closed = append(m.closed, cs)
+	m.closedItems += len(cs.Items)
 }
 
 // andCount returns the popcount of a AND b, which have equal lengths.

@@ -83,7 +83,7 @@ func TestPaperGlobalRule(t *testing.T) {
 	}
 	target := itemset.NewSet(a0, s2)
 	found := false
-	for _, c := range res.Closed {
+	for _, c := range closedOf(res) {
 		if target.SubsetOf(c.Items) && c.Support == 5 {
 			found = true
 			// Closure of {A0,S2} must be exactly the 5 matching records.
@@ -105,10 +105,10 @@ func TestClosedSetsAreClosedAndFrequent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Closed) == 0 {
+	if res.Len() == 0 {
 		t.Fatal("no CFIs mined")
 	}
-	for _, c := range res.Closed {
+	for _, c := range closedOf(res) {
 		if c.Support < 2 {
 			t.Errorf("%s support %d below threshold", c.Items.Format(sp), c.Support)
 		}
@@ -130,7 +130,7 @@ func TestClosedSetsAreClosedAndFrequent(t *testing.T) {
 	}
 	// No duplicates.
 	seen := map[string]bool{}
-	for _, c := range res.Closed {
+	for _, c := range closedOf(res) {
 		k := c.Items.Key()
 		if seen[k] {
 			t.Errorf("duplicate CFI %s", c.Items.Format(sp))
@@ -148,8 +148,8 @@ func TestCharmMatchesBruteForceOnSalary(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := BruteForceClosed(tidsets, d.NumRecords(), minCount)
-		if !sameClosed(res.Closed, want) {
-			t.Errorf("minCount=%d: charm %d CFIs, brute force %d", minCount, len(res.Closed), len(want))
+		if !sameClosed(closedOf(res), want) {
+			t.Errorf("minCount=%d: charm %d CFIs, brute force %d", minCount, res.Len(), len(want))
 		}
 	}
 }
@@ -213,7 +213,7 @@ func TestQuickCharmEqualsBruteForce(t *testing.T) {
 			return false
 		}
 		want := BruteForceClosed(tidsets, d.NumRecords(), minCount)
-		return sameClosed(res.Closed, want)
+		return sameClosed(closedOf(res), want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -237,15 +237,15 @@ func TestQuickThresholdMonotonicity(t *testing.T) {
 			return false
 		}
 		low := map[string]int{}
-		for _, c := range resLo.Closed {
+		for _, c := range closedOf(resLo) {
 			low[c.Items.Key()] = c.Support
 		}
-		for _, c := range resHi.Closed {
+		for _, c := range closedOf(resHi) {
 			if s, ok := low[c.Items.Key()]; !ok || s != c.Support {
 				return false
 			}
 		}
-		return len(resLo.Closed) >= len(resHi.Closed)
+		return resLo.Len() >= resHi.Len()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -263,12 +263,12 @@ func TestMineTidsetsSkipsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Closed {
+	for _, c := range closedOf(res) {
 		if c.Items.Contains(1) {
 			t.Errorf("masked item leaked into %v", c.Items)
 		}
 	}
-	if len(res.Closed) == 0 {
+	if res.Len() == 0 {
 		t.Fatal("expected CFIs from unmasked items")
 	}
 }
@@ -283,12 +283,22 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Closed) != len(b.Closed) {
+	if a.Len() != b.Len() {
 		t.Fatal("non-deterministic CFI count")
 	}
-	for i := range a.Closed {
-		if !a.Closed[i].Items.Equal(b.Closed[i].Items) {
+	for i := 0; i < a.Len(); i++ {
+		if !a.Items(i).Equal(b.Items(i)) {
 			t.Fatalf("order differs at %d", i)
 		}
 	}
+}
+
+// closedOf reads a result's CFIs off its slabs, in id order, in the
+// brute-force oracle's form.
+func closedOf(r *Result) []*ClosedSet {
+	out := make([]*ClosedSet, r.Len())
+	for i := range out {
+		out[i] = &ClosedSet{Items: r.Items(i), Tids: r.Tids(i), Support: r.Support(i)}
+	}
+	return out
 }

@@ -77,10 +77,10 @@ func vectorOf(width int, ids []int) []uint64 {
 func checkAgainstBrute(t *testing.T, label string, got *Result, sets []*bitset.Set, n, minCount int) []*ClosedSet {
 	t.Helper()
 	want := BruteForceClosed(sets, n, minCount)
-	if len(got.Closed) != len(want) {
-		t.Fatalf("%s: %d CFIs, brute force %d", label, len(got.Closed), len(want))
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d CFIs, brute force %d", label, got.Len(), len(want))
 	}
-	for i, c := range got.Closed {
+	for i, c := range closedOf(got) {
 		if !c.Items.Equal(want[i].Items) || c.Support != want[i].Support {
 			t.Fatalf("%s: CFI %d is %v with support %d, brute force %v with %d",
 				label, i, c.Items, c.Support, want[i].Items, want[i].Support)
@@ -134,7 +134,7 @@ func FuzzMineVectors(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAgainstBrute(t, "MineVectors", got, sets, width, minCount)
-		for _, c := range got.Closed {
+		for _, c := range closedOf(got) {
 			if c.Tids != nil {
 				t.Fatalf("MineVectors materialized a tidset for %v", c.Items)
 			}
@@ -148,7 +148,7 @@ func FuzzMineVectors(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := checkAgainstBrute(t, "MineTidsets", rec, sets, width, minCount)
-		for i, c := range rec.Closed {
+		for i, c := range closedOf(rec) {
 			if !c.Tids.Equal(want[i].Tids) {
 				t.Fatalf("MineTidsets: %v has tidset %v, brute force %v", c.Items, c.Tids, want[i].Tids)
 			}
@@ -179,7 +179,7 @@ func TestMineTidsetsMultiContainer(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := checkAgainstBrute(t, "multi-container", res, sets, n, minCount)
-			for i, c := range res.Closed {
+			for i, c := range closedOf(res) {
 				if !c.Tids.Equal(want[i].Tids) || c.Tids.Len() != n {
 					t.Fatalf("seed %d minCount %d: %v has the wrong tidset", seed, minCount, c.Items)
 				}

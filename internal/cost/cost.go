@@ -230,7 +230,7 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 	for id := 0; id < n; id += step {
 		sampled++
 		passSS := sf.Tree.Support(id) >= f.MinCount
-		rel := q.Region.Relation(sf.Boxes[id])
+		rel := q.Region.Relation(sf.RTree.Box(id))
 		if rel == itemset.Disjoint {
 			continue
 		}

@@ -154,7 +154,7 @@ func TestCFICurveShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := len(res.Closed)
+			n := res.Len()
 			if prev >= 0 && n < prev {
 				t.Errorf("%s: CFI count fell from %d to %d as threshold dropped to %v",
 					tc.cfg.Name, prev, n, th)

@@ -410,17 +410,15 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}
 	tree := ittree.Build(res, sp.NumItems())
-	boxes := make([]itemset.Box, len(res.Closed))
-	entries := make([]rtree.Entry, len(res.Closed))
-	closed := res.Closed
+	entries := make([]rtree.Entry, res.Len())
 	// Boxes are independent reads into pre-indexed slots, so the surface
 	// is the same at every worker count.
-	if _, err := pool.Run(context.Background(), len(closed), func(id int) {
+	if _, err := pool.Run(context.Background(), len(entries), func(id int) {
 		if s.boxFault != nil {
 			s.boxFault(id)
 		}
-		boxes[id] = s.mergedBox(closed[id], tids, items, vecs, gone, added)
-		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(closed[id].Support)}
+		box := s.mergedBox(res.Items(id), tids, items, vecs, gone, added)
+		entries[id] = rtree.Entry{Box: box, ID: int32(id), Support: int32(res.Support(id))}
 	}); err != nil {
 		return nil, err
 	}
@@ -434,7 +432,6 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	rows := s.rows // append-only; elements are never mutated
 	return &plans.Surface{
 		Tree:         tree,
-		Boxes:        boxes,
 		Tidsets:      tids,
 		RTree:        rt,
 		Levels:       rt.Stats(s.idx.Cards),
@@ -451,10 +448,10 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	}, nil
 }
 
-// mergedBox returns the bounding box of merged CFI c over the merged
-// tidsets — the box mip.BoundingBox computes from c's merged tidset — at
-// a cost the delta sets when the frozen index already stores c's
-// itemset.
+// mergedBox returns the bounding box of merged CFI c (its itemset) over
+// the merged tidsets — the box mip.BoundingBox computes from c's merged
+// tidset — at a cost the delta sets when the frozen index already stores
+// c.
 //
 // The box of an itemset is, per unconstrained attribute, the [min,max]
 // value over the records containing it, and the merged supporters are
@@ -465,23 +462,23 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 // that one side of that one attribute is re-probed against the merged
 // tidsets from the old bound on; afterwards every buffered supporter
 // extends the box. An itemset the frozen index does not store has no box
-// to patch and is probed from scratch. c carries no tidset (the view
-// mines without them): only these two probes need its supporters, and
+// to patch and is probed from scratch. The view mines without tidsets:
+// only these two probes need c's supporters, and
 // read them as the AND of its items' word vectors from the mining arena
 // (vectorOf): vecs[k] is the merged tidset of frequent item items[k].
-func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, items []itemset.Item, vecs [][]uint64, gone, added []changedRow) itemset.Box {
+func (s *Store) mergedBox(c itemset.Set, tids []*bitset.Set, items []itemset.Item, vecs [][]uint64, gone, added []changedRow) itemset.Box {
 	sp, cards := s.idx.Space, s.idx.Cards
-	fid, ok := s.idx.ITTree.LookupID(c.Items)
+	fid, ok := s.idx.ITTree.LookupID(c)
 	if !ok {
-		return mip.BoundingBox(sp, cards, tids, c.Items, vectorOf(items, vecs, c.Items))
+		return mip.BoundingBox(sp, cards, tids, c, vectorOf(items, vecs, c))
 	}
-	box := s.idx.Boxes[fid].Clone()
+	box := s.idx.RTree.Box(fid).Clone()
 	const fixed, loLost, hiLost = 1, 2, 4
 	flags := make([]uint8, sp.NumAttrs())
 	// A changed row supports c exactly when it holds every item of c:
 	// each item's value on the item's attribute.
-	attrs, vals := make([]int, len(c.Items)), make([]int32, len(c.Items))
-	for k, it := range c.Items {
+	attrs, vals := make([]int, len(c)), make([]int32, len(c))
+	for k, it := range c {
 		attrs[k], vals[k] = sp.AttrOf(it), int32(sp.ValueOf(it))
 		flags[attrs[k]] = fixed // a point interval, whatever the records
 	}
@@ -518,7 +515,7 @@ func (s *Store) mergedBox(c *charm.ClosedSet, tids []*bitset.Set, items []itemse
 	var vec []uint64 // c's merged supporters, formed by the first probe
 	probe := func(a, v, step int, none int32) int32 {
 		if vec == nil {
-			vec = vectorOf(items, vecs, c.Items)
+			vec = vectorOf(items, vecs, c)
 		}
 		if v, ok := mip.Reach(sp, cards, tids, a, v, step, vec); ok {
 			return int32(v)

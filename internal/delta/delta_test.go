@@ -126,7 +126,11 @@ func TestViewBuildPanicIsNotKept(t *testing.T) {
 	}
 	s.boxFault = nil
 	got, want := surface(t, s), surface(t, ref)
-	if got.Version != want.Version || !reflect.DeepEqual(got.Boxes, want.Boxes) || got.Tree.Size() != want.Tree.Size() {
+	same := got.Version == want.Version && got.Tree.Size() == want.Tree.Size()
+	for id := 0; same && id < got.Tree.Size(); id++ {
+		same = reflect.DeepEqual(got.RTree.Box(id), want.RTree.Box(id))
+	}
+	if !same {
 		t.Fatal("the view built after the panic differs from another store's")
 	}
 }

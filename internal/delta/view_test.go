@@ -81,9 +81,9 @@ func boundaryRecords(idx *mip.Index, id int, rng *rand.Rand) []int {
 		return nil
 	}
 	a := free[rng.Intn(len(free))]
-	bound := idx.Boxes[id].Lo[a]
+	bound := idx.RTree.Box(id).Lo[a]
 	if rng.Intn(2) == 0 {
-		bound = idx.Boxes[id].Hi[a]
+		bound = idx.RTree.Box(id).Hi[a]
 	}
 	var out []int
 	idx.ITTree.Tids(id).ForEach(func(r int) bool {
@@ -212,7 +212,8 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 					t.Fatalf("seed %d batch %d: record %d live=%v, want %v", seed, batch, r, v.Live.Contains(r), alive)
 				}
 			}
-			for id, got := range v.Boxes {
+			for id := 0; id < v.Tree.Size(); id++ {
+				got := v.RTree.Box(id)
 				if v.Tree.Tids(id) != nil {
 					t.Fatalf("seed %d batch %d: the view stores a tidset for CFI %d", seed, batch, id)
 				}
@@ -230,10 +231,10 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 				switch {
 				case !ok:
 					fresh++
-				case tombOnBound(s, idx.Boxes[fid], c.Items):
+				case tombOnBound(s, idx.RTree.Box(fid), c.Items):
 					reprobed++
 				}
-				if ok && !equalBox(got, idx.Boxes[fid]) {
+				if ok && !equalBox(got, idx.RTree.Box(fid)) {
 					moved++
 				}
 			}
@@ -252,7 +253,7 @@ func TestViewBoxesAndTidsetsUnderChurn(t *testing.T) {
 
 // oracleCFI returns a copy of view CFI c carrying the tidset the view
 // no longer stores: the intersection of its items' merged tidsets.
-func oracleCFI(tids []*bitset.Set, c *charm.ClosedSet) *charm.ClosedSet {
+func oracleCFI(tids []*bitset.Set, c charm.ClosedSet) *charm.ClosedSet {
 	inter := tids[c.Items[0]].Clone()
 	for _, it := range c.Items[1:] {
 		inter.And(tids[it])
@@ -323,10 +324,11 @@ func TestMergedBoxWhenEverySupporterIsReplaced(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture: the merged view does not store {a0,c0}")
 	}
-	if lo, hi := v.Boxes[id].Lo[1], v.Boxes[id].Hi[1]; lo != val(1, "b0") || hi != val(1, "b1") {
+	if lo, hi := v.RTree.Box(id).Lo[1], v.RTree.Box(id).Hi[1]; lo != val(1, "b0") || hi != val(1, "b1") {
 		t.Errorf("B extent of {a0,c0} is [%d,%d], want [b0,b1]", lo, hi)
 	}
-	for id, got := range v.Boxes {
+	for id := 0; id < v.Tree.Size(); id++ {
+		got := v.RTree.Box(id)
 		if want := scanBox(v, idx.Cards, oracleCFI(v.Tidsets, v.Tree.Set(id)).Tids); !equalBox(got, want) {
 			t.Errorf("box of %v is %v, a scan of its merged supporters gives %v", v.Tree.Set(id).Items, got, want)
 		}

@@ -1,11 +1,12 @@
 // The struct-of-arrays layout of the IT-tree.
 //
 // Instead of one heap object per CFI plus a string-keyed map, everything
-// the online operations touch is packed into five dense slabs:
+// the online operations touch is packed into dense slabs, the first three
+// the CHARM result's (charm.Result), adopted:
 //
-//	itemArena/itemOff   all CFI itemsets concatenated, offset-indexed
+//	items/offsets       all CFI itemsets concatenated, offset-indexed
 //	supports            global support per CFI id
-//	tids                tidset pointer per CFI id
+//	tids                tidset pointer per CFI id (none without tidsets)
 //	sigs                128-bit item signature per CFI id
 //	invArena/invOff     per-item inverted lists of CFI ids
 //	htab                open-addressed exact-lookup table
@@ -24,58 +25,46 @@
 package ittree
 
 import (
+	"slices"
 	"sort"
 
-	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/itemset"
 )
 
-// buildFlat populates the slab fields from the mined CFIs.
-func (t *Tree) buildFlat(closed []*charm.ClosedSet) {
-	n := len(closed)
-	totalItems := 0
-	for _, c := range closed {
-		totalItems += len(c.Items)
-	}
-	t.itemArena = make([]itemset.Item, 0, totalItems)
-	t.itemOff = make([]int32, n+1)
-	t.supports = make([]int32, n)
-	t.tids = make([]*bitset.Set, n)
+// buildFlat builds the signature, inverted-list and lookup slabs over the
+// adopted CFIs, in a universe of numItems items.
+func (t *Tree) buildFlat(numItems int) {
+	n, totalItems := t.Size(), 0
 	t.sigs = make([]signature, n)
-	for id, c := range closed {
-		t.itemOff[id] = int32(len(t.itemArena))
-		t.itemArena = append(t.itemArena, c.Items...)
-		t.supports[id] = int32(c.Support)
-		t.tids[id] = c.Tids
-		t.sigs[id] = signatureOf(c.Items)
+	counts := make([]int32, numItems)
+	for id := range t.sigs {
+		items := t.Items(id)
+		t.sigs[id] = signatureOf(items)
+		totalItems += len(items)
+		for _, it := range items {
+			counts[it]++
+		}
 	}
-	t.itemOff[n] = int32(len(t.itemArena))
 
 	// Inverted lists: bucket ids per item (ascending id by construction),
 	// then order each run by (support desc, id asc) for the early-exit
 	// closure scan.
-	counts := make([]int32, t.numItems)
-	for _, it := range t.itemArena {
-		counts[it]++
-	}
-	t.invOff = make([]int32, t.numItems+1)
-	for it := 0; it < t.numItems; it++ {
+	t.invOff = make([]int32, numItems+1)
+	for it := 0; it < numItems; it++ {
 		t.invOff[it+1] = t.invOff[it] + counts[it]
 	}
 	t.invArena = make([]int32, totalItems)
-	cursor := make([]int32, t.numItems)
-	copy(cursor, t.invOff[:t.numItems])
+	cursor := slices.Clone(t.invOff[:numItems])
 	for id := 0; id < n; id++ {
-		for _, it := range t.itemArena[t.itemOff[id]:t.itemOff[id+1]] {
+		for _, it := range t.Items(id) {
 			t.invArena[cursor[it]] = int32(id)
 			cursor[it]++
 		}
 	}
-	for it := 0; it < t.numItems; it++ {
+	for it := 0; it < numItems; it++ {
 		run := t.invArena[t.invOff[it]:t.invOff[it+1]]
 		sort.Slice(run, func(a, b int) bool {
-			sa, sb := t.supports[run[a]], t.supports[run[b]]
+			sa, sb := t.Support(int(run[a])), t.Support(int(run[b]))
 			if sa != sb {
 				return sa > sb
 			}
@@ -143,8 +132,9 @@ func (s signature) covers(x signature) bool {
 	return s[0]&x[0] == x[0] && s[1]&x[1] == x[1]
 }
 
-// ClosureID is Closure returning the CFI's id instead of the set; plans
-// key their per-query local-support state on the id. Exact probe first,
+// ClosureID returns the id of x's closure, the maximum-support CFI
+// containing x (its tidset is x's), or false when no stored CFI contains
+// x. Plans key their per-query local-support state on it. Exact probe first,
 // then a single early-exit pass over the shortest inverted list of x's
 // items, which skips by signature before it compares items.
 func (t *Tree) ClosureID(x itemset.Set) (int, bool) {
@@ -180,7 +170,7 @@ func (t *Tree) shortestRun(x itemset.Set) []int32 {
 // containsAll reports whether CFI id's itemset contains every item of x.
 // Both sides are sorted ascending, so a single merge scan suffices.
 func (t *Tree) containsAll(id int, x itemset.Set) bool {
-	items := t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
+	items := t.Items(id)
 	i := 0
 	for _, v := range x {
 		for i < len(items) && items[i] < v {

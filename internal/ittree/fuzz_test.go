@@ -15,13 +15,13 @@ import (
 // is unique — a containing CFI's tidset is a subset of tidset(x), so a
 // containing CFI whose support reaches |tidset(x)| has tidset exactly
 // tidset(x) and is the closure itself — so no tie-break is needed.
-func oracleClosure(sets []*charm.ClosedSet, x itemset.Set) (int, bool) {
+func oracleClosure(res *charm.Result, x itemset.Set) (int, bool) {
 	best := -1
-	for id, c := range sets {
-		if !x.SubsetOf(c.Items) {
+	for id := 0; id < res.Len(); id++ {
+		if !x.SubsetOf(res.Items(id)) {
 			continue
 		}
-		if best < 0 || c.Support > sets[best].Support {
+		if best < 0 || res.Support(id) > res.Support(best) {
 			best = id
 		}
 	}
@@ -74,9 +74,10 @@ func FuzzClosure(f *testing.F) {
 			t.Fatal(err)
 		}
 		// Multiplying by a positive stride keeps every itemset sorted.
-		for _, c := range res.Closed {
-			for i := range c.Items {
-				c.Items[i] *= itemset.Item(stride)
+		for id := 0; id < res.Len(); id++ {
+			items := res.Items(id)
+			for i := range items {
+				items[i] *= itemset.Item(stride)
 			}
 		}
 		numItems := (sp.NumItems()-1)*stride + 1
@@ -88,10 +89,11 @@ func FuzzClosure(f *testing.F) {
 		// Probe sets: every stored CFI (identity), random subsets of
 		// stored CFIs, and random item combinations (often absent).
 		var probes []itemset.Set
-		for _, c := range res.Closed {
-			probes = append(probes, c.Items)
-			if len(c.Items) > 1 {
-				sub := append(itemset.Set(nil), c.Items...)
+		for id := 0; id < res.Len(); id++ {
+			items := res.Items(id)
+			probes = append(probes, items)
+			if len(items) > 1 {
+				sub := append(itemset.Set(nil), items...)
 				rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
 				sub = sub[:1+rng.Intn(len(sub))]
 				probes = append(probes, itemset.NewSet(sub...))
@@ -107,22 +109,22 @@ func FuzzClosure(f *testing.F) {
 		}
 
 		for _, x := range probes {
-			wantID, wantOK := oracleClosure(res.Closed, x)
+			wantID, wantOK := oracleClosure(res, x)
 			gotID, gotOK := tr.ClosureID(x)
 			if gotOK != wantOK || (wantOK && gotID != wantID) {
 				t.Fatalf("ClosureID(%v) = (%d,%v), oracle (%d,%v)", x, gotID, gotOK, wantID, wantOK)
 			}
 			wantSupp := -1
 			if wantOK {
-				wantSupp = res.Closed[wantID].Support
+				wantSupp = res.Support(wantID)
 			}
 			if got := tr.GlobalSupport(x); got != wantSupp {
 				t.Fatalf("GlobalSupport(%v) = %d, want %d", x, got, wantSupp)
 			}
 			// Exact lookup agrees with a linear scan.
 			exact := -1
-			for id, c := range res.Closed {
-				if c.Items.Equal(x) {
+			for id := 0; id < res.Len(); id++ {
+				if res.Items(id).Equal(x) {
 					exact = id
 					break
 				}

@@ -15,12 +15,8 @@
 // ids: the closure of X is the CFI of maximum support among those
 // containing all of X's items.
 //
-// The CFIs are packed into struct-of-arrays slabs (see flat.go): one item
-// arena with per-CFI offsets, a dense support array, an inverted-list
-// arena whose per-item runs are ordered by (support desc, id asc) so the
-// closure scan can stop at the first containing CFI, and an
-// open-addressed hash table for exact lookup that never materializes a
-// string key.
+// The CFIs are the CHARM result's slabs, adopted as they are; flat.go
+// lays out those and the slabs built over them.
 package ittree
 
 import (
@@ -33,73 +29,53 @@ import (
 
 // Tree is an immutable store of closed frequent itemsets.
 type Tree struct {
-	sets       []*charm.ClosedSet // canonical CFIs in mining order
-	numRecords int
-	numItems   int
+	cfis charm.Result // the CFIs' item arena, supports and tidsets, adopted
 
-	// The slabs (see flat.go).
-	itemArena []itemset.Item // all CFI items, concatenated in id order
-	itemOff   []int32        // len Size()+1; CFI i items = itemArena[itemOff[i]:itemOff[i+1]]
-	supports  []int32        // CFI i -> global support
-	tids      []*bitset.Set  // CFI i -> tidset
-	sigs      []signature    // CFI i -> item signature, bit it % 128 per item
-	invArena  []int32        // per-item CFI-id runs, each ordered (support desc, id asc)
-	invOff    []int32        // len numItems+1; item it run = invArena[invOff[it]:invOff[it+1]]
-	htab      []int32        // open-addressed exact-lookup table over item hashes; -1 empty
+	// The slabs built over cfis (see flat.go).
+	sigs     []signature // CFI i -> item signature, bit it % 128 per item
+	invArena []int32     // per-item CFI-id runs, each ordered (support desc, id asc)
+	invOff   []int32     // one more than the items; item it run = invArena[invOff[it]:invOff[it+1]]
+	htab     []int32     // open-addressed exact-lookup table over item hashes; -1 empty
 }
 
-// Build indexes the CFIs of a CHARM run. numItems is the size of the
-// item universe (Space.NumItems()).
+// Build indexes the CFIs of a CHARM run, adopting the result's slabs
+// without copying them: CFI ids are the result's. numItems is the size
+// of the item universe (Space.NumItems()). res must not be handed to
+// charm.MineVectors as reuse afterwards.
 func Build(res *charm.Result, numItems int) *Tree {
-	t := &Tree{
-		sets:       res.Closed,
-		numRecords: res.NumRecords,
-		numItems:   numItems,
-	}
-	t.buildFlat(res.Closed)
+	t := &Tree{cfis: *res}
+	t.buildFlat(numItems)
 	return t
 }
 
 // Size returns the number of stored CFIs.
-func (t *Tree) Size() int { return len(t.sets) }
+func (t *Tree) Size() int { return t.cfis.Len() }
 
 // NumRecords returns the record count of the dataset the tree was built
 // over.
-func (t *Tree) NumRecords() int { return t.numRecords }
+func (t *Tree) NumRecords() int { return t.cfis.NumRecords }
 
 // Set returns the CFI with the given id (its index in mining order).
-func (t *Tree) Set(id int) *charm.ClosedSet { return t.sets[id] }
+func (t *Tree) Set(id int) charm.ClosedSet {
+	return charm.ClosedSet{Items: t.Items(id), Tids: t.Tids(id), Support: t.Support(id)}
+}
 
 // Support returns the global support count of the CFI with the given id:
 // a dense-array read, the hot-path form the plans use instead of
 // Set(id).Support.
-func (t *Tree) Support(id int) int { return int(t.supports[id]) }
+func (t *Tree) Support(id int) int { return t.cfis.Support(id) }
 
 // Items returns the itemset of the CFI with the given id. The returned
 // slice aliases the item arena; callers must not mutate it.
-func (t *Tree) Items(id int) itemset.Set {
-	return t.itemArena[t.itemOff[id]:t.itemOff[id+1]]
-}
+func (t *Tree) Items(id int) itemset.Set { return t.cfis.Items(id) }
 
 // Tids returns the tidset of the CFI with the given id, nil in a tree
 // built from a charm.MineVectors run — ARM's, and a merged view's
 // (internal/delta). Callers must not mutate it. No
 // query reads it: a count inside a focal subset ANDs item vectors
-// (plans.Focal); the snapshot writer, index validation and the
-// benchmarks do.
-func (t *Tree) Tids(id int) *bitset.Set { return t.tids[id] }
-
-// Closure returns the closure of x: the unique CFI c with
-// tidset(c) == tidset(x), which is the maximum-support CFI whose itemset
-// contains x. The boolean is false when x is contained in no stored CFI,
-// i.e. x was not frequent at the primary support threshold.
-func (t *Tree) Closure(x itemset.Set) (*charm.ClosedSet, bool) {
-	id, ok := t.ClosureID(x)
-	if !ok {
-		return nil, false
-	}
-	return t.sets[id], true
-}
+// (plans.Focal); index validation and the benchmarks do, and the index
+// build's box probes read the same sets off the CHARM result.
+func (t *Tree) Tids(id int) *bitset.Set { return t.cfis.Tids(id) }
 
 // GlobalSupport returns the dataset-wide support count of an arbitrary
 // itemset x, resolved through its closure, or -1 when x is not covered by
@@ -113,27 +89,18 @@ func (t *Tree) GlobalSupport(x itemset.Set) int {
 }
 
 // Validate checks internal invariants: closure of every stored itemset is
-// itself, every exact lookup finds its own id, and the flat slabs agree
-// with the canonical CFIs. Used by index-construction tests.
+// itself, every exact lookup finds its own id, and every signature is
+// its CFI's. Used by index-construction tests.
 func (t *Tree) Validate() error {
-	for id, c := range t.sets {
-		got, ok := t.Closure(c.Items)
-		if !ok {
-			return fmt.Errorf("ittree: CFI %d not found via Closure", id)
+	for id := 0; id < t.Size(); id++ {
+		items := t.Items(id)
+		if got, ok := t.ClosureID(items); !ok || got != id {
+			return fmt.Errorf("ittree: ClosureID(%v) = (%d,%v), want (%d,true)", items, got, ok, id)
 		}
-		if !got.Items.Equal(c.Items) {
-			return fmt.Errorf("ittree: Closure(%v) = %v, want identity", c.Items, got.Items)
+		if lid, ok := t.LookupID(items); !ok || lid != id {
+			return fmt.Errorf("ittree: LookupID(%v) = (%d,%v), want (%d,true)", items, lid, ok, id)
 		}
-		if lid, ok := t.LookupID(c.Items); !ok || lid != id {
-			return fmt.Errorf("ittree: LookupID(%v) = (%d,%v), want (%d,true)", c.Items, lid, ok, id)
-		}
-		if t.Support(id) != c.Support {
-			return fmt.Errorf("ittree: Support(%d) = %d, want %d", id, t.Support(id), c.Support)
-		}
-		if !t.Items(id).Equal(c.Items) {
-			return fmt.Errorf("ittree: Items(%d) = %v, want %v", id, t.Items(id), c.Items)
-		}
-		if t.sigs[id] != signatureOf(c.Items) {
+		if t.sigs[id] != signatureOf(items) {
 			return fmt.Errorf("ittree: signature of CFI %d does not match its items", id)
 		}
 	}

@@ -81,16 +81,16 @@ func TestClosureResolvesSubsets(t *testing.T) {
 		t.Errorf("GlobalSupport(A0,S2) = %d, want 5", got)
 	}
 	// The closure's tidset must equal the raw intersection.
-	c, ok := tr.Closure(itemset.NewSet(a0, s2))
+	c, ok := tr.ClosureID(itemset.NewSet(a0, s2))
 	if !ok {
 		t.Fatal("closure of (A0,S2) missing")
 	}
 	want := bitset.Intersect(tidsets[a0], tidsets[s2])
-	if !c.Tids.Equal(want) {
-		t.Errorf("closure tidset %v != item intersection %v", c.Tids, want)
+	if !tr.Tids(c).Equal(want) {
+		t.Errorf("closure tidset %v != item intersection %v", tr.Tids(c), want)
 	}
 	// Empty set has no closure.
-	if _, ok := tr.Closure(nil); ok {
+	if _, ok := tr.ClosureID(nil); ok {
 		t.Error("closure of empty set must fail")
 	}
 	// An infrequent itemset (below primary support) resolves to nothing.
@@ -100,8 +100,9 @@ func TestClosureResolvesSubsets(t *testing.T) {
 	}
 }
 
-// Property: for random datasets, Closure(X) of any subset X of a stored
-// CFI has tidset equal to the intersection of X's item tidsets.
+// Property: for random datasets, the closure of any subset X of a stored
+// CFI has tidset equal to the intersection of X's item tidsets; and the
+// tree holds the CHARM result's slabs, not a copy.
 func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -139,11 +140,16 @@ func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			return false
 		}
+		for id := 0; id < res.Len(); id++ {
+			if &tr.Items(id)[0] != &res.Items(id)[0] || tr.Tids(id) != res.Tids(id) {
+				return false
+			}
+		}
 		tidsets := itemset.ItemTidsets(d, sp)
-		for _, c := range res.Closed {
+		for id := 0; id < res.Len(); id++ {
 			// Random subset of the CFI.
 			var sub itemset.Set
-			for _, it := range c.Items {
+			for _, it := range res.Items(id) {
 				if r.Intn(2) == 0 {
 					sub = append(sub, it)
 				}
@@ -151,7 +157,7 @@ func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 			if len(sub) == 0 {
 				continue
 			}
-			cl, ok := tr.Closure(sub)
+			cl, ok := tr.ClosureID(sub)
 			if !ok {
 				return false
 			}
@@ -160,7 +166,7 @@ func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 			for _, it := range sub {
 				inter.And(tidsets[it])
 			}
-			if !cl.Tids.Equal(inter) {
+			if !tr.Tids(cl).Equal(inter) {
 				return false
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // unconstrained attribute in from both ends and stop at the first value
 // whose item tidset shares a record with the CFI's tidset — here
 // AndCount > 0, a kernel the word-vector probe does not use.
-func walkBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, c *charm.ClosedSet) itemset.Box {
+func walkBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, c charm.ClosedSet) itemset.Box {
 	n := sp.NumAttrs()
 	b := itemset.NewBox(n)
 	constrained := make([]bool, n)
@@ -130,7 +130,7 @@ func checkBoxes(t testing.TB, label string, d *relation.Dataset, primary float64
 	minSupp = d.NumRecords() + 1
 	for id := 0; id < idx.NumMIPs(); id++ {
 		c := idx.ITTree.Set(id)
-		got := idx.Boxes[id]
+		got := idx.RTree.Box(id)
 		if want := walkBox(idx.Space, idx.Cards, idx.Tidsets, c); !sameBox(got, want) {
 			t.Fatalf("%s: box of %v is %v, the tidset walk gives %v", label, c.Items, got, want)
 		}

@@ -49,10 +49,8 @@ type Index struct {
 	Tidsets []*bitset.Set
 	// ITTree stores the closed frequent itemsets (second index layer).
 	ITTree *ittree.Tree
-	// RTree indexes the MIP bounding boxes (first index layer).
+	// RTree indexes and stores the MIP boxes: RTree.Box(i) is CFI i's.
 	RTree *rtree.Tree
-	// Boxes[i] is the bounding box of CFI i (same ids as ITTree).
-	Boxes []itemset.Box
 	// PrimaryCount is the primary support threshold in records.
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
@@ -92,7 +90,6 @@ func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 		Space:        sp,
 		Tidsets:      tidsets,
 		ITTree:       ittree.Build(res, sp.NumItems()),
-		Boxes:        make([]itemset.Box, len(res.Closed)),
 		PrimaryCount: primaryCount,
 	}
 	idx.Cards = make([]int, sp.NumAttrs())
@@ -103,15 +100,14 @@ func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 	// slots, so they fan out, a chunk of CFIs at a time, without
 	// affecting the result. Each CFI's tidset is laid out as a word
 	// vector in its chunk's one scratch vector.
-	n := len(res.Closed)
+	n := res.Len()
 	entries := make([]rtree.Entry, n)
 	if _, err := pool.Run(context.Background(), (n+boxChunk-1)/boxChunk, func(k int) {
 		vec := make([]uint64, (d.NumRecords()+63)/64)
 		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
-			c := res.Closed[id]
-			bitset.CopyWords(vec, c.Tids)
-			idx.Boxes[id] = BoundingBox(sp, idx.Cards, tidsets, c.Items, vec)
-			entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
+			bitset.CopyWords(vec, res.Tids(id))
+			box := BoundingBox(sp, idx.Cards, tidsets, res.Items(id), vec)
+			entries[id] = rtree.Entry{Box: box, ID: int32(id), Support: int32(res.Support(id))}
 		}
 	}); err != nil {
 		return nil, err
@@ -201,62 +197,4 @@ func (x *Index) RegionFromSelections(sel map[string][]string) (*itemset.Region, 
 		}
 	}
 	return reg, nil
-}
-
-// BoxDomainError reports a MIP box outside its domain. The box tests
-// (itemset.Region.Relation) require 0 <= Lo[d] <= Hi[d] < card(d) on
-// every dimension d: they skip the dimensions a region leaves
-// unrestricted, so a box past its domain there would read as Contained
-// and SS-E-U-V would take its global support as the local one.
-type BoxDomainError struct {
-	CFI, Dim int
-	Lo, Hi   int32
-	Card     int
-}
-
-func (e *BoxDomainError) Error() string {
-	return fmt.Sprintf("mip: box of CFI %d spans [%d..%d] on dimension %d, outside its domain [0..%d)",
-		e.CFI, e.Lo, e.Hi, e.Dim, e.Card)
-}
-
-// Validate cross-checks the index layers: every CFI box must lie inside
-// the domain (a *BoxDomainError otherwise) and cover its supporting
-// records, the R-tree must be structurally valid and hold one entry per
-// CFI, and the IT-tree must resolve its own itemsets.
-func (x *Index) Validate() error {
-	if err := x.RTree.Validate(); err != nil {
-		return err
-	}
-	if err := x.ITTree.Validate(); err != nil {
-		return err
-	}
-	if x.RTree.Size() != x.ITTree.Size() {
-		return fmt.Errorf("mip: R-tree has %d entries, IT-tree %d", x.RTree.Size(), x.ITTree.Size())
-	}
-	n := x.Dataset.NumAttrs()
-	point := make([]int, n)
-	for id := 0; id < x.ITTree.Size(); id++ {
-		c := x.ITTree.Set(id)
-		box := x.Boxes[id]
-		for d, c := range x.Cards {
-			if lo, hi := box.Lo[d], box.Hi[d]; lo < 0 || lo > hi || int(hi) >= c {
-				return &BoxDomainError{CFI: id, Dim: d, Lo: lo, Hi: hi, Card: c}
-			}
-		}
-		ok := true
-		c.Tids.ForEach(func(r int) bool {
-			for a := 0; a < n; a++ {
-				point[a] = x.Dataset.Value(r, a)
-			}
-			if !box.ContainsPoint(point) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
-			return fmt.Errorf("mip: box of CFI %d does not cover its records", id)
-		}
-	}
-	return nil
 }

@@ -64,7 +64,7 @@ func TestBuildSalaryIndex(t *testing.T) {
 	// item's value.
 	for id := 0; id < idx.NumMIPs(); id++ {
 		c := idx.ITTree.Set(id)
-		box := idx.Boxes[id]
+		box := idx.RTree.Box(id)
 		for _, it := range c.Items {
 			a := idx.Space.AttrOf(it)
 			v := int32(idx.Space.ValueOf(it))
@@ -90,7 +90,7 @@ func TestBoxesAreTight(t *testing.T) {
 	n := d.NumAttrs()
 	for id := 0; id < idx.NumMIPs(); id++ {
 		c := idx.ITTree.Set(id)
-		box := idx.Boxes[id]
+		box := idx.RTree.Box(id)
 		constrained := make([]bool, n)
 		for _, it := range c.Items {
 			constrained[idx.Space.AttrOf(it)] = true
@@ -178,7 +178,7 @@ func TestRTreeSearchFindsOverlappingMIPs(t *testing.T) {
 		return true
 	})
 	for id := 0; id < idx.NumMIPs(); id++ {
-		want := reg.Relation(idx.Boxes[id])
+		want := reg.Relation(idx.RTree.Box(id))
 		if want == itemset.Disjoint {
 			if _, ok := got[int32(id)]; ok {
 				t.Errorf("disjoint MIP %d emitted", id)

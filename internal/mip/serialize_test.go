@@ -14,6 +14,7 @@ import (
 	"colarm/internal/itemset"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
+	"colarm/internal/rtree"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -49,7 +50,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !a.Items.Equal(b.Items) || a.Support != b.Support || !a.Tids.Equal(b.Tids) {
 			t.Fatalf("CFI %d differs after round trip", id)
 		}
-		if !idx.Boxes[id].ContainsBox(got.Boxes[id]) || !got.Boxes[id].ContainsBox(idx.Boxes[id]) {
+		if !idx.RTree.Box(id).ContainsBox(got.RTree.Box(id)) || !got.RTree.Box(id).ContainsBox(idx.RTree.Box(id)) {
 			t.Fatalf("box %d differs after round trip", id)
 		}
 	}
@@ -61,7 +62,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	count := func(x *Index) int {
 		n := 0
 		for id := 0; id < x.NumMIPs(); id++ {
-			if reg.Relation(x.Boxes[id]) != itemset.Disjoint {
+			if reg.Relation(x.RTree.Box(id)) != itemset.Disjoint {
 				n++
 			}
 		}
@@ -235,15 +236,22 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		got, _, err := ReadSnapshot(&out)
 		if err != nil {
 			t.Errorf("%s: a v5 stream with a stored box outside its domain: load err = %v", tc.name, err)
-		} else if !reflect.DeepEqual(got.Boxes, want.Boxes) || got.NumMIPs() != want.NumMIPs() {
+		} else if !reflect.DeepEqual(boxes(got), boxes(want)) || got.NumMIPs() != want.NumMIPs() {
 			t.Errorf("%s: the stream loads to other boxes than the unedited one", tc.name)
 		}
 
-		box := idx.Boxes[cfi].Clone()
+		// Plant the box by repacking the index's entries with it.
+		entries := make([]rtree.Entry, idx.NumMIPs())
+		for id := range entries {
+			entries[id] = rtree.Entry{Box: idx.RTree.Box(id), ID: int32(id), Support: int32(idx.ITTree.Support(id))}
+		}
+		box := idx.RTree.Box(cfi).Clone()
 		box.Lo[0], box.Hi[0] = tc.lo, tc.hi
+		entries[cfi].Box = box
 		held := *idx
-		held.Boxes = append([]itemset.Box(nil), idx.Boxes...)
-		held.Boxes[cfi] = box
+		if held.RTree, err = rtree.Bulk(entries, idx.RTree.Dims(), idx.RTree.Fanout()); err != nil {
+			t.Fatal(err)
+		}
 		var be *BoxDomainError
 		if err := held.Validate(); !errors.As(err, &be) || be.CFI != cfi || be.Dim != 0 {
 			t.Errorf("%s: Validate = %v, want a *BoxDomainError for CFI %d dimension 0", tc.name, err, cfi)
@@ -252,6 +260,15 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 	if err := idx.Validate(); err != nil {
 		t.Errorf("the unmodified index: Validate = %v", err)
 	}
+}
+
+// boxes reads every CFI's box off x's R-tree, in id order.
+func boxes(x *Index) []itemset.Box {
+	out := make([]itemset.Box, x.NumMIPs())
+	for id := range out {
+		out[id] = x.RTree.Box(id)
+	}
+	return out
 }
 
 // TestSnapshotOfNoRecords: an index of no records is built at

@@ -112,10 +112,10 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.st.ARMFrequentItemsets = len(mined.Closed)
+	c.st.ARMFrequentItemsets = mined.Len()
 	if tr != nil {
-		tr.Record(obs.OpARM, time.Since(t0), c.st.SubsetSize, len(mined.Closed), 1,
-			fmt.Sprintf("cfis=%d", len(mined.Closed)))
+		tr.Record(obs.OpARM, time.Since(t0), c.st.SubsetSize, mined.Len(), 1,
+			fmt.Sprintf("cfis=%d", mined.Len()))
 		t0 = time.Now()
 	}
 
@@ -125,15 +125,16 @@ func (c *qctx) mineLocal(items []itemset.Item) (*Result, error) {
 	var tally counterTally
 	oracle := armOracle(c.f, &tally)
 	quals := sc.closed[:0]
-	for _, cl := range mined.Closed {
-		if len(cl.Items) >= 2 {
-			quals = append(quals, cl)
+	for id := 0; id < mined.Len(); id++ {
+		if len(mined.Items(id)) >= 2 {
+			quals = append(quals, int32(id))
 		}
 	}
 	sc.closed = quals
 	c.st.Qualified = len(quals)
 	used, err := c.generate(len(quals), func(i int, rs []rules.Rule, items []itemset.Item) ([]rules.Rule, []itemset.Item) {
-		return rules.Generate(rs, items, quals[i].Items, quals[i].Support, c.st.SubsetSize,
+		id := int(quals[i])
+		return rules.Generate(rs, items, mined.Items(id), mined.Support(id), c.st.SubsetSize,
 			q.MinConfidence, oracle, rules.Options{MaxConsequent: q.MaxConsequent})
 	})
 	if err != nil {

@@ -261,9 +261,9 @@ func TestARMOracleMissesHaveVectors(t *testing.T) {
 					asked++
 					return got
 				}
-				for _, cl := range mined.Closed {
-					if len(cl.Items) >= 2 {
-						rules.Generate(nil, nil, cl.Items, cl.Support, f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
+				for id := 0; id < mined.Len(); id++ {
+					if len(mined.Items(id)) >= 2 {
+						rules.Generate(nil, nil, mined.Items(id), mined.Support(id), f.Size, q.MinConfidence, check, rules.Options{MaxConsequent: q.MaxConsequent})
 					}
 				}
 				for a := range items {

@@ -354,7 +354,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 				c.st.ItemFiltered++
 				continue
 			}
-			rel = c.q.Region.Relation(c.s.Boxes[id])
+			rel = c.q.Region.Relation(c.s.RTree.Box(id))
 		}
 		if !all && !sc.ids.add(cid) {
 			// Distinct CFIs are distinct bodies on the identity path;

@@ -69,10 +69,10 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		}
 		return rows[rec-baseN][a]
 	}
-	boxes := scanBoxes(res.Closed, n, len(idx.Cards), value)
-	entries := make([]rtree.Entry, len(res.Closed))
-	for id, c := range res.Closed {
-		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(c.Support)}
+	boxes := scanBoxes(res, n, len(idx.Cards), value)
+	entries := make([]rtree.Entry, res.Len())
+	for id := range entries {
+		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(res.Support(id))}
 	}
 	rt, err := rtree.Bulk(entries, sp.NumAttrs(), idx.RTree.Fanout())
 	if err != nil {
@@ -80,7 +80,6 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 	}
 	return &Surface{
 		Tree:         ittree.Build(res, sp.NumItems()),
-		Boxes:        boxes,
 		Tidsets:      tids,
 		RTree:        rt,
 		Levels:       rt.Stats(idx.Cards),
@@ -97,7 +96,7 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 // CFI's records. The n records are ordered by their value on each
 // attribute once, so a bound is the first (or last) record of that
 // order the CFI's tidset holds, and a high-support CFI stops at once.
-func scanBoxes(closed []*charm.ClosedSet, n, attrs int, value func(rec, a int) int) []itemset.Box {
+func scanBoxes(res *charm.Result, n, attrs int, value func(rec, a int) int) []itemset.Box {
 	byValue := make([][]int, attrs)
 	for a := range byValue {
 		byValue[a] = make([]int, n)
@@ -106,13 +105,14 @@ func scanBoxes(closed []*charm.ClosedSet, n, attrs int, value func(rec, a int) i
 		}
 		slices.SortStableFunc(byValue[a], func(x, y int) int { return value(x, a) - value(y, a) })
 	}
-	boxes := make([]itemset.Box, len(closed))
-	for id, c := range closed {
+	boxes := make([]itemset.Box, res.Len())
+	for id := range boxes {
+		tids := res.Tids(id)
 		boxes[id] = itemset.NewBox(attrs)
 		for a, order := range byValue {
-			lo := slices.IndexFunc(order, c.Tids.Contains)
+			lo := slices.IndexFunc(order, tids.Contains)
 			hi := len(order) - 1
-			for !c.Tids.Contains(order[hi]) {
+			for !tids.Contains(order[hi]) {
 				hi--
 			}
 			boxes[id].Lo[a], boxes[id].Hi[a] = int32(value(order[lo], a)), int32(value(order[hi], a))

@@ -42,7 +42,7 @@ type scratch struct {
 	kept   []itemset.Item // SELECT's items
 	views  [][]uint64     // their vectors
 	mined  charm.Result   // CHARM's output and its recyclable miner
-	closed []*charm.ClosedSet
+	closed []int32        // ids of the mined CFIs rules are generated from
 
 	// ran is set once a plan run drew from this scratch; see runScratch.
 	ran bool

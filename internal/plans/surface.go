@@ -20,9 +20,9 @@ import (
 // Whatever built it, a Surface presents exactly what a from-scratch
 // build over its records would: Tree holds their closed frequent
 // itemsets at PrimaryCount with their supports (and, on the frozen
-// index only, their tidsets, which no plan reads), Boxes the
-// MIP bounding boxes over the same records (so Lemma 4.5's contained-box
-// shortcut stays sound), RTree those boxes packed, Tidsets the per-item
+// index only, their tidsets, which no plan reads), RTree the
+// MIP bounding boxes over the same records packed (so Lemma 4.5's
+// contained-box shortcut stays sound), Tidsets the per-item
 // tidsets covering live records only. That is why all six plans return
 // identical rules over a merged surface and over a rebuild, with
 // identical operator counters.
@@ -33,12 +33,10 @@ import (
 type Surface struct {
 	// Tree is the closed IT-tree over the surface's CFIs.
 	Tree *ittree.Tree
-	// Boxes[i] is the bounding box of CFI i (Tree ids).
-	Boxes []itemset.Box
 	// Tidsets maps each item to the live records containing it.
 	Tidsets []*bitset.Set
-	// RTree is the packed R-tree over Boxes with the CFIs' supports, the
-	// tree (SUPPORTED-)SEARCH walks.
+	// RTree is the packed R-tree over the CFIs' boxes and supports that
+	// (SUPPORTED-)SEARCH walks; RTree.Box(i) is CFI i's box (Tree ids).
 	RTree *rtree.Tree
 	// Levels are RTree's per-level statistics (paper Table 3's N_j and
 	// DP_{j,i}avg plus support distributions), the traversal statistics
@@ -68,7 +66,6 @@ type Surface struct {
 func NewSurface(idx *mip.Index) *Surface {
 	return &Surface{
 		Tree:         idx.ITTree,
-		Boxes:        idx.Boxes,
 		Tidsets:      idx.Tidsets,
 		RTree:        idx.RTree,
 		Levels:       idx.RTree.Stats(idx.Cards),

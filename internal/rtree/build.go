@@ -12,7 +12,8 @@ import (
 // reach ~100% leaf utilization, the property the paper adopts from
 // Kamel & Faloutsos for the one-time offline MIP-index build and for
 // every merged surface of the delta layer. fanout <= 0 selects
-// DefaultFanout. The entries slice is reordered in place.
+// DefaultFanout. The n entries must carry the ids 0..n-1, each once. The
+// entries slice is reordered in place.
 func Bulk(entries []Entry, dims, fanout int) (*Tree, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("rtree: dimensionality %d < 1", dims)

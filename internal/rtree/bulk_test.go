@@ -24,9 +24,9 @@ func cfiEntries(tb testing.TB, cfg datagen.Config, p float64) ([]rtree.Entry, in
 	if err != nil {
 		tb.Fatal(err)
 	}
-	es := make([]rtree.Entry, len(idx.Boxes))
-	for id, b := range idx.Boxes {
-		es[id] = rtree.Entry{Box: b, ID: int32(id), Support: int32(idx.ITTree.Support(id))}
+	es := make([]rtree.Entry, idx.NumMIPs())
+	for id := range es {
+		es[id] = rtree.Entry{Box: idx.RTree.Box(id), ID: int32(id), Support: int32(idx.ITTree.Support(id))}
 	}
 	return es, d.NumAttrs()
 }
@@ -50,7 +50,9 @@ func tiedEntries(r *rand.Rand, n, dims int) []rtree.Entry {
 // TestBulkMatchesSortSliceSTR holds Bulk's packed-key sort to the
 // sort.Slice STR it replaced: the same slabs, node for node, on the
 // mushroom @ 0.30 and chess @ 0.70 MIP boxes and on random boxes with
-// tied centers, at several fanouts.
+// tied centers, at several fanouts. The entry slab is the only box
+// store, so Box(id) is the box id was packed with and the box Search
+// emits for it.
 func TestBulkMatchesSortSliceSTR(t *testing.T) {
 	type set struct {
 		name string
@@ -66,6 +68,14 @@ func TestBulkMatchesSortSliceSTR(t *testing.T) {
 		sets = append(sets, set{fmt.Sprintf("tied/%d", i), tiedEntries(r, n, dims), dims})
 	}
 	for _, s := range sets {
+		byID := make([]itemset.Box, len(s.es))
+		cards := make([]int, s.dims)
+		for _, e := range s.es {
+			byID[e.ID] = e.Box
+			for d, hi := range e.Box.Hi {
+				cards[d] = max(cards[d], int(hi)+1)
+			}
+		}
 		for _, fanout := range []int{2, 4, 7, 16} {
 			got, err := rtree.Bulk(slices.Clone(s.es), s.dims, fanout)
 			if err != nil {
@@ -77,6 +87,22 @@ func TestBulkMatchesSortSliceSTR(t *testing.T) {
 			}
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s fanout %d: %v", s.name, fanout, err)
+			}
+			for id, want := range byID {
+				if b := got.Box(id); !slices.Equal(b.Lo, want.Lo) || !slices.Equal(b.Hi, want.Hi) {
+					t.Fatalf("%s fanout %d: Box(%d) = %v, packed %v", s.name, fanout, id, b, want)
+				}
+			}
+			emitted := 0
+			got.Search(itemset.NewRegion(cards), func(e rtree.Entry, _ itemset.Rel) bool {
+				emitted++
+				if b := got.Box(int(e.ID)); !slices.Equal(b.Lo, e.Box.Lo) || !slices.Equal(b.Hi, e.Box.Hi) {
+					t.Fatalf("%s fanout %d: Box(%d) = %v, Search emits %v", s.name, fanout, e.ID, b, e.Box)
+				}
+				return true
+			})
+			if emitted != len(s.es) {
+				t.Fatalf("%s fanout %d: Search over the full domain emitted %d of %d entries", s.name, fanout, emitted, len(s.es))
 			}
 		}
 	}

@@ -50,7 +50,6 @@ func SameSlabs(a, b *Tree) error {
 	}{
 		{"dims", a.dims, b.dims},
 		{"fanout", a.fanout, b.fanout},
-		{"size", a.size, b.size},
 		{"root", a.froot, b.froot},
 		{"entIDs", a.entIDs, b.entIDs},
 		{"entSups", a.entSups, b.entSups},

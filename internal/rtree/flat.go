@@ -4,7 +4,8 @@
 // []int32 arena (Lo then Hi per node, so a traversal touches one cache
 // line per node instead of three heap objects), interior children are
 // runs in a child-index arena, and leaf entries are parallel
-// box/id/support arenas. Bulk packing appends level by level.
+// box/id/support arenas in packing order, with an id → slot array for
+// reads by id. Bulk packing appends level by level.
 package rtree
 
 import "colarm/internal/itemset"
@@ -70,12 +71,13 @@ func (t *Tree) pack(entries []Entry) {
 	t.entBoxes = make([]int32, 0, n*2*t.dims)
 	t.entIDs = make([]int32, 0, n)
 	t.entSups = make([]int32, 0, n)
+	t.slots = make([]int32, n)
 	if n == 0 {
 		t.froot = t.appendNode(true)
 		return
 	}
 	for _, e := range entries {
-		t.appendEntrySlot(e)
+		t.slots[e.ID] = t.appendEntrySlot(e)
 	}
 	// Pack leaves over contiguous entry runs.
 	levelStart := int32(0)
@@ -120,7 +122,6 @@ func (t *Tree) pack(entries []Entry) {
 		levelStart, levelEnd = nextStart, int32(len(t.fnodes))
 	}
 	t.froot = levelStart
-	t.size = len(entries)
 }
 
 // kids returns node n's child run, aliasing kidArena.

@@ -7,7 +7,8 @@
 //
 // Trees are built once, by bulk packing (STR order, see build.go —
 // following Kamel & Faloutsos' packed R-trees), into contiguous slabs
-// (flat.go), and are immutable afterwards.
+// (flat.go), and are immutable afterwards. The entry slab is the index's
+// only copy of the MIP boxes: Box reads one by its CFI id.
 package rtree
 
 import (
@@ -32,7 +33,6 @@ type Entry struct {
 type Tree struct {
 	dims   int
 	fanout int
-	size   int
 
 	// The slabs (see flat.go).
 	froot    int32
@@ -42,13 +42,17 @@ type Tree struct {
 	entBoxes []int32 // per-entry boxes, same inline layout as nboxes
 	entIDs   []int32
 	entSups  []int32
+	slots    []int32 // entry id -> its slot in the entry arenas
 }
 
 // Size returns the number of stored entries.
-func (t *Tree) Size() int { return t.size }
+func (t *Tree) Size() int { return len(t.entIDs) }
 
 // Dims returns the tree's dimensionality.
 func (t *Tree) Dims() int { return t.dims }
+
+// Box returns entry id's box, aliasing the entry slab (read-only).
+func (t *Tree) Box(id int) itemset.Box { return t.entryBox(t.slots[id]) }
 
 // Fanout returns the maximum node capacity.
 func (t *Tree) Fanout() int { return t.fanout }
