@@ -15,7 +15,7 @@ import (
 // accepts, so a run that got past registration fails on it rather than
 // serving.
 func TestDuplicateDatasetRefused(t *testing.T) {
-	snapshot := "salary=" + filepath.Join("..", "..", "internal", "mip", "testdata", "golden_v5.snapshot")
+	snapshot := "salary=" + filepath.Join("..", "..", "internal", "mip", "testdata", "golden_v6.snapshot")
 	for _, tc := range []struct {
 		name      string
 		datasets  string

@@ -367,7 +367,7 @@ func min(a, b int) int {
 // all six forced plans and Auto must return byte-identical rules AND
 // statistics — fresh, with a live delta (inserts and deletes), after a
 // rebuild (ids compacted), and after post-rebuild ingestion with
-// deletes. Both engines persist to byte-identical v5 snapshots with and
+// deletes. Both engines persist to byte-identical v6 snapshots with and
 // without a delta, and a reloaded snapshot answers and re-saves
 // exactly.
 func TestLifecycleDifferential(t *testing.T) {

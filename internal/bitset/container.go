@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -21,11 +20,10 @@ import (
 // per container pair so the hot SELECT/ELIMINATE/VERIFY intersections
 // never touch the zero words a dense layout would stream through.
 //
-// No operation sets a bit at or past its container's span (validate
-// refuses a decoded one), so the query-path kernels — AND, AndCount,
-// OR, Equal and iteration — take nw, the span's
-// word count (Set.words), and walk only those words of the payload: 50
-// for a 3196-record universe rather than 1024.
+// No operation sets a bit at or past its container's span, so the
+// query-path kernels — AND, AndCount, OR, Equal and iteration — take nw,
+// the span's word count (Set.words), and walk only those words of the
+// payload: 50 for a 3196-record universe rather than 1024.
 
 const (
 	// ctrBits is the id span of one container.
@@ -491,40 +489,4 @@ func forEachCtr(c *container, base, nw int, fn func(id int) bool) bool {
 		}
 	}
 	return true
-}
-
-// validate checks the container's structural invariants against its
-// span; used by the binary decoder on untrusted input.
-func (c *container) validate(span int) error {
-	switch c.kind {
-	case emptyCtr:
-		if c.card != 0 || c.a != nil || c.b != nil {
-			return fmt.Errorf("bitset: empty container with payload")
-		}
-	case arrayCtr:
-		if int(c.card) != len(c.a) {
-			return fmt.Errorf("bitset: array container card %d != %d ids", c.card, len(c.a))
-		}
-		for i, v := range c.a {
-			if int(v) >= span {
-				return fmt.Errorf("bitset: array id %d outside span %d", v, span)
-			}
-			if i > 0 && c.a[i-1] >= v {
-				return fmt.Errorf("bitset: array ids not strictly ascending")
-			}
-		}
-	case bitmapCtr:
-		if len(c.b) != ctrWords {
-			return fmt.Errorf("bitset: bitmap container has %d words, want %d", len(c.b), ctrWords)
-		}
-		if span < ctrBits && (c.b[span>>6]>>(span&63) != 0 || bitmapCard(c.b[span>>6+1:]) != 0) {
-			return fmt.Errorf("bitset: bitmap container has bits beyond span %d", span)
-		}
-		if got := bitmapCard(c.b); got != c.card {
-			return fmt.Errorf("bitset: bitmap container card %d != %d set bits", c.card, got)
-		}
-	default:
-		return fmt.Errorf("bitset: unknown container kind %d", c.kind)
-	}
-	return nil
 }

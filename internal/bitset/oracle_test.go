@@ -1,10 +1,8 @@
 package bitset
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -62,8 +60,7 @@ func (o oracle) words() []uint64 {
 
 // checkOracle asserts s holds exactly o: capacity, ids in ascending
 // order, Count, its dense words (CopyWords) and the set FromWords builds
-// back from them — s's content in Optimize's encoding — a MarshalBinary
-// round trip, the container
+// back from them — s's content in Optimize's encoding — the container
 // invariants (valid payloads, no array past arrayMaxCard), and Equal both
 // ways against a twin of the same content in every layout — so array and
 // bitmap containers are compared with each other — while a twin with one
@@ -96,17 +93,6 @@ func checkOracle(t testing.TB, label string, s *Set, o oracle) {
 	if !fromWords.Equal(s) || !slices.Equal(kindsOf(fromWords), kindsOf(optimized)) || fromWords.Bytes() != optimized.Bytes() {
 		t.Fatalf("%s: FromWords is not the set in Optimize's encoding", label)
 	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatalf("%s: marshal: %v", label, err)
-	}
-	back := &Set{}
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatalf("%s: unmarshal: %v", label, err)
-	}
-	if !back.Equal(s) || back.Len() != s.Len() {
-		t.Fatalf("%s: MarshalBinary round trip diverged", label)
-	}
 	for _, l := range layouts {
 		if x := l.build(len(o), want); !s.Equal(x) || !x.Equal(s) {
 			t.Fatalf("%s: Equal to its %s twin is %v / %v, want true both ways", label, l.name, s.Equal(x), x.Equal(s))
@@ -136,6 +122,42 @@ func checkSpans(t testing.TB, label string, s *Set) {
 			t.Fatalf("%s: container %d is an array of %d ids, bound %d", label, i, c.card, arrayMaxCard)
 		}
 	}
+}
+
+// validate checks the container's structural invariants against its
+// span.
+func (c *container) validate(span int) error {
+	switch c.kind {
+	case emptyCtr:
+		if c.card != 0 || c.a != nil || c.b != nil {
+			return fmt.Errorf("bitset: empty container with payload")
+		}
+	case arrayCtr:
+		if int(c.card) != len(c.a) {
+			return fmt.Errorf("bitset: array container card %d != %d ids", c.card, len(c.a))
+		}
+		for i, v := range c.a {
+			if int(v) >= span {
+				return fmt.Errorf("bitset: array id %d outside span %d", v, span)
+			}
+			if i > 0 && c.a[i-1] >= v {
+				return fmt.Errorf("bitset: array ids not strictly ascending")
+			}
+		}
+	case bitmapCtr:
+		if len(c.b) != ctrWords {
+			return fmt.Errorf("bitset: bitmap container has %d words, want %d", len(c.b), ctrWords)
+		}
+		if span < ctrBits && (c.b[span>>6]>>(span&63) != 0 || bitmapCard(c.b[span>>6+1:]) != 0) {
+			return fmt.Errorf("bitset: bitmap container has bits beyond span %d", span)
+		}
+		if got := bitmapCard(c.b); got != c.card {
+			return fmt.Errorf("bitset: bitmap container card %d != %d set bits", c.card, got)
+		}
+	default:
+		return fmt.Errorf("bitset: unknown container kind %d", c.kind)
+	}
+	return nil
 }
 
 // layouts build one content in each container layout a Set reaches: as
@@ -469,121 +491,6 @@ func TestContainerPromotionDemotion(t *testing.T) {
 	p.Optimize()
 	if got := p.ctrs[0].kind; got != arrayCtr {
 		t.Fatalf("scattered Optimize kind = %d, want array", got)
-	}
-}
-
-// --- serialization ----------------------------------------------------
-
-// v2Bytes encodes ids in the pre-container dense binary format (capacity
-// + words), byte-identical to what that format's MarshalBinary produced.
-func v2Bytes(n int, ids ...int) []byte {
-	words := make([]uint64, (n+wordBits-1)/wordBits)
-	for _, id := range ids {
-		words[id/wordBits] |= 1 << (uint(id) % wordBits)
-	}
-	buf := binary.LittleEndian.AppendUint64(nil, uint64(n))
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(300_000)
-		ids := randomIDs(rng, n, []float64{0.001, 0.05, 0.6}[trial%3], trial%2 == 0)
-		for _, l := range layouts {
-			s := l.build(n, ids)
-			data, err := s.MarshalBinary()
-			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			got := &Set{}
-			if err := got.UnmarshalBinary(data); err != nil {
-				t.Fatalf("unmarshal: %v", err)
-			}
-			if !got.Equal(s) {
-				t.Fatalf("%s trial %d: round trip diverged", l.name, trial)
-			}
-			checkOracle(t, fmt.Sprintf("%s trial %d", l.name, trial), got, oracleOf(n, ids))
-		}
-	}
-}
-
-// TestUnmarshalV2Compat pins what is left of compatibility with the
-// pre-container dense format: its streams — of any capacity, empty ones
-// included — are refused with an error, never misread as containers.
-func TestUnmarshalV2Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 12; trial++ {
-		n := 1 + rng.Intn(200_000)
-		ids := randomIDs(rng, n, 0.01+0.3*rng.Float64(), trial%2 == 0)
-		if err := (&Set{}).UnmarshalBinary(v2Bytes(n, ids...)); err == nil {
-			t.Fatalf("trial %d: dense stream of capacity %d accepted", trial, n)
-		}
-	}
-	for _, n := range []int{0, 1, 64, 65} {
-		if err := (&Set{}).UnmarshalBinary(v2Bytes(n)); err == nil {
-			t.Fatalf("empty dense stream of capacity %d accepted", n)
-		}
-	}
-}
-
-func TestUnmarshalRejectsCorruptInput(t *testing.T) {
-	base := func() []byte {
-		s := FromIDs(100_000, 1, 2, 3, 70_000)
-		data, _ := s.MarshalBinary()
-		return data
-	}
-	cases := map[string][]byte{
-		"empty":          {},
-		"short header":   {1, 2, 3},
-		"truncated body": base()[:len(base())-2],
-		"trailing":       append(base(), 0xFF),
-		"huge capacity":  binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, hybridMagic), 1<<50),
-		"bad kind": func() []byte {
-			d := base()
-			d[16] = 200 // first container kind
-			return d
-		}(),
-		"inverted run":      legacyRunStream(5000, 20, 10),
-		"run past the span": legacyRunStream(5000, 4990, 5000),
-		"overlapping runs":  legacyRunStream(5000, 10, 20, 15, 30),
-		"adjacent runs":     legacyRunStream(5000, 10, 20, 21, 30),
-		"descending runs":   legacyRunStream(5000, 100, 200, 10, 20),
-	}
-	for name, data := range cases {
-		if err := (&Set{}).UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: corrupt input accepted", name)
-		}
-	}
-}
-
-// TestUnmarshalCapacityBoundedByStream: the capacity field is a claim
-// the stream makes about itself, so a sixteen-byte stream claiming 2^40
-// ids must be refused before the claim sizes the container directory.
-func TestUnmarshalCapacityBoundedByStream(t *testing.T) {
-	data := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, hybridMagic), maxBits)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := (&Set{}).UnmarshalBinary(data)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a header with no containers behind it was accepted")
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("refusing a %d-byte stream allocated %d bytes", len(data), grew)
-	}
-}
-
-func TestV3RejectedByCapacitySanity(t *testing.T) {
-	// The magic deliberately exceeds the capacity bound the pre-container
-	// dense readers check first, so such a build refuses a stream of
-	// this format. This pins the constant: if hybridMagic ever drops
-	// below maxBits, those readers would misparse it as dense words.
-	if hybridMagic <= maxBits {
-		t.Fatalf("hybridMagic %#x must exceed the v2 capacity bound %#x", hybridMagic, uint64(maxBits))
 	}
 }
 

@@ -1,9 +1,9 @@
 package itemset
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,13 +13,13 @@ import (
 
 // TestItemTidsetsMatchAddAndOptimize holds the word-vector build to the
 // id-by-id one it replaced — every record Added to its items' sets,
-// then Optimize — byte for byte in the binary encoding, which records
-// each container's kind and payload: over one partial container, past
-// 2^16 records (a full container and a partial one), with skewed
-// values so containers land on both sides of the array bound, with
-// dictionary values no record holds, with a column whose values hold
-// exactly the array bound's 1 024 records and one more in each
-// container (E), and with a column unique per record (ID).
+// then Optimize — field for field (reflect.DeepEqual compares each
+// container's kind, cardinality and payload): over one partial
+// container, past 2^16 records (a full container and a partial one),
+// with skewed values so containers land on both sides of the array
+// bound, with dictionary values no record holds, with a column whose
+// values hold exactly the array bound's 1 024 records and one more in
+// each container (E), and with a column unique per record (ID).
 func TestItemTidsetsMatchAddAndOptimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []int{1, 700, 5000, 70000} {
@@ -61,9 +61,7 @@ func TestItemTidsetsMatchAddAndOptimize(t *testing.T) {
 		}
 		for i, got := range ItemTidsets(d, sp) {
 			want[i].Optimize()
-			gb, _ := got.MarshalBinary()
-			wb, _ := want[i].MarshalBinary()
-			if !got.Equal(want[i]) || !bytes.Equal(gb, wb) {
+			if !got.Equal(want[i]) || !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("m=%d item %d: tidset %d ids, want %d in Optimize's encoding", m, i, got.Count(), want[i].Count())
 			}
 		}

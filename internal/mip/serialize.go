@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"colarm/internal/bitset"
-	"colarm/internal/charm"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
 )
@@ -22,7 +20,7 @@ import (
 
 // snapshotMagic versions the serialization format. It is written as a
 // standalone gob string ahead of the payload, so a reader rejects
-// foreign files and other format versions — the v2, v3 and v4 streams of
+// foreign files and other format versions — the v2–v5 streams of
 // earlier releases included — from the first value alone: a typed
 // qerr.ErrSnapshotVersion instead of a garbled payload decode.
 //
@@ -31,13 +29,6 @@ import (
 // fraction, generation, the live-ingestion delta), so a snapshot taken
 // mid-ingest restores to the exact same answers.
 const snapshotMagic = "COLARM-MIP-v6"
-
-// snapshotMagicV5 marks the previous format, which also stored every
-// CFI's items, tidset and box in slab arenas. ReadSnapshot still reads
-// it into the same snapshot value: gob skips the stream's arenas
-// (ItemArena, ItemOff, Supports, TidArena, TidOff, BoxArena), which the
-// struct has no fields for, and the index is built from the rows.
-const snapshotMagicV5 = "COLARM-MIP-v5"
 
 // SnapshotMeta is the engine-level state a snapshot carries alongside
 // the relation.
@@ -53,13 +44,9 @@ type SnapshotMeta struct {
 	DeltaRows [][]int32
 	// DeltaDels are the deleted record ids (base or buffered id space).
 	DeltaDels []int32
-	// A v5 stream written by an older release may also carry a
-	// Secondaries field (nested snapshots of extra indexes at lower
-	// primary supports). gob skips a field this struct lacks, so such a
-	// stream loads as the one index it was saved from.
 }
 
-// snapshot is the payload of both formats ReadSnapshot reads.
+// snapshot is the payload ReadSnapshot reads.
 type snapshot struct {
 	// Dataset.
 	Name  string
@@ -69,12 +56,6 @@ type snapshot struct {
 	// Index parameters.
 	PrimaryCount int
 	Fanout       int
-
-	// Live is read, never written: older releases' sharded rebuilds kept
-	// deleted records in Rows as ghosts outside this mask (a bitset
-	// binary encoding), and ReadSnapshot compacts such a stream at load
-	// (see compactGhosts). Empty means every row is live.
-	Live []byte
 
 	Meta SnapshotMeta
 }
@@ -115,21 +96,19 @@ func (x *Index) WriteSnapshot(w io.Writer, meta SnapshotMeta) error {
 	return bw.Flush()
 }
 
-// ReadSnapshot restores an index and its engine metadata from a v6 or
-// v5 stream. Any other stream — an older or newer COLARM snapshot, or a
+// ReadSnapshot restores an index and its engine metadata from a v6
+// stream. Any other stream — an older or newer COLARM snapshot, or a
 // foreign file — fails with qerr.ErrSnapshotVersion before any payload
-// decoding. A stream carrying ghost rows loads compacted: every record
-// id of the index it returns names a live record. A stream that
-// recorded no primary fraction reads back with one recovered from its
-// primary count (see SnapshotMeta).
+// decoding. A stream that recorded no primary fraction reads back with
+// one recovered from its primary count (see SnapshotMeta).
 func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var magic string
 	if err := dec.Decode(&magic); err != nil {
 		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: stream does not start with a snapshot version marker", qerr.ErrSnapshotVersion)
 	}
-	if magic != snapshotMagic && magic != snapshotMagicV5 {
-		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q and %q", qerr.ErrSnapshotVersion, magic, snapshotMagic, snapshotMagicV5)
+	if magic != snapshotMagic {
+		return nil, SnapshotMeta{}, fmt.Errorf("mip: %w: snapshot is %q, this build reads %q", qerr.ErrSnapshotVersion, magic, snapshotMagic)
 	}
 	var snap snapshot
 	if err := dec.Decode(&snap); err != nil {
@@ -143,9 +122,7 @@ func ReadSnapshot(r io.Reader) (*Index, SnapshotMeta, error) {
 }
 
 // decodeSnapshot rebuilds the dataset the payload describes and builds
-// its index. A plain stream builds at its recorded primary count; a
-// ghost stream at its primary fraction over the live rows, as the
-// engine's first rebuild used to do.
+// its index at the recorded primary count.
 func decodeSnapshot(snap *snapshot) (*Index, error) {
 	if len(snap.Attrs) == 0 {
 		return nil, fmt.Errorf("mip: snapshot has no attributes")
@@ -153,16 +130,6 @@ func decodeSnapshot(snap *snapshot) (*Index, error) {
 	n := len(snap.Attrs)
 	if len(snap.Rows)%n != 0 {
 		return nil, fmt.Errorf("mip: snapshot row data length %d not divisible by %d attributes", len(snap.Rows), n)
-	}
-	var live *bitset.Set
-	if len(snap.Live) > 0 {
-		live = &bitset.Set{}
-		if err := live.UnmarshalBinary(snap.Live); err != nil {
-			return nil, fmt.Errorf("mip: live mask: %w", err)
-		}
-		if live.Len() != len(snap.Rows)/n {
-			return nil, fmt.Errorf("mip: live mask capacity %d != %d records", live.Len(), len(snap.Rows)/n)
-		}
 	}
 	names := make([]string, n)
 	for i, a := range snap.Attrs {
@@ -176,9 +143,6 @@ func decodeSnapshot(snap *snapshot) (*Index, error) {
 	}
 	row := make([]int, n)
 	for off := 0; off < len(snap.Rows); off += n {
-		if live != nil && !live.Contains(off/n) {
-			continue // a ghost row
-		}
 		for a := 0; a < n; a++ {
 			row[a] = int(snap.Rows[off+a])
 		}
@@ -194,57 +158,11 @@ func decodeSnapshot(snap *snapshot) (*Index, error) {
 	if snap.Meta.Primary == 0 && m > 0 {
 		snap.Meta.Primary = float64(snap.PrimaryCount) / float64(m)
 	}
-	count := snap.PrimaryCount
-	if live != nil {
-		if p := snap.Meta.Primary; !(p > 0 && p <= 1) {
-			return nil, fmt.Errorf("mip: ghost snapshot primary support %v outside (0,1]", p)
-		}
-		count = charm.CountFor(snap.Meta.Primary, m)
-	}
 	// The count comes from the stream and CHARM mines at it: below 1 it
 	// would ask for every itemset. An index of no records was built at
 	// CountFor's floor of 1, so 1 stays allowed there.
-	if count < 1 || count > max(m, 1) {
+	if count := snap.PrimaryCount; count < 1 || count > max(m, 1) {
 		return nil, fmt.Errorf("mip: snapshot primary count %d outside [1, %d records]", count, m)
 	}
-	idx, err := build(d, count, snap.Fanout)
-	if err != nil {
-		return nil, err
-	}
-	if live != nil {
-		snap.Meta.DeltaDels = compactGhosts(live, snap.Meta.DeltaDels)
-	}
-	return idx, nil
-}
-
-// compactGhosts moves the delta's deletes of a stream in the layout
-// older releases' sharded rebuilds wrote — deleted records kept in the
-// table as ghost rows outside the live mask, ids never renumbered — into
-// the compacted id space of the index built over the live rows: a live
-// base record to its rank among the live rows, a buffered row down by
-// the number of ghosts, and a delete naming a ghost — a record that no
-// longer exists — is dropped.
-func compactGhosts(live *bitset.Set, deltaDels []int32) []int32 {
-	rank := make([]int32, live.Len()) // base id -> compacted id, -1 for a ghost
-	next := int32(0)
-	for r := range rank {
-		rank[r] = -1
-		if live.Contains(r) {
-			rank[r] = next
-			next++
-		}
-	}
-	ghosts := int32(len(rank)) - next
-	var dels []int32
-	for _, id := range deltaDels {
-		switch {
-		case id < 0 || int(id) >= len(rank):
-			// A buffered row; an id outside every row stays outside, and
-			// Ingest refuses it as it would have before.
-			dels = append(dels, id-ghosts)
-		case rank[id] >= 0:
-			dels = append(dels, rank[id])
-		}
-	}
-	return dels
+	return build(d, snap.PrimaryCount, snap.Fanout)
 }

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -143,10 +140,11 @@ func TestReadSnapshotV2Compat(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotRejectsUnknownVersion pins that only the v6 and v5
-// magic strings are accepted.
+// TestReadSnapshotRejectsUnknownVersion pins that only the v6 magic
+// string is accepted: a v5 magic ahead of a well-formed v6 payload is
+// refused all the same.
 func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
-	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v7", "something else"} {
+	for _, magic := range []string{"COLARM-MIP-v1", "COLARM-MIP-v5", "COLARM-MIP-v7", "something else"} {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)
 		if err := enc.Encode(magic); err != nil {
@@ -161,59 +159,15 @@ func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// snapshotV5 is the v5 payload: the v6 fields plus the CFI slabs v6
-// dropped. CFI i owned ItemArena[ItemOff[i]:ItemOff[i+1]],
-// TidArena[TidOff[i]:TidOff[i+1]] (a bitset.Set binary encoding) and
-// BoxArena[i*2n : (i+1)*2n] (n Lo values then n Hi values). Nothing
-// reads the slabs any more; tests use this type to edit them.
-type snapshotV5 struct {
-	Name         string
-	Attrs        []snapAttr
-	Rows         []int32
-	PrimaryCount int
-	Fanout       int
-	ItemArena    []int32
-	ItemOff      []int32
-	Supports     []int32
-	TidArena     []byte
-	TidOff       []int64
-	BoxArena     []int32
-	Live         []byte
-	Meta         SnapshotMeta
-}
-
 // TestBoxOutsideDomainRejected pins the box-domain precondition of the
 // region box tests: Validate reports a *BoxDomainError for an index
-// holding a box past, before or inverted on its domain. A v5 stream
-// whose box arena holds such a box loads all the same, to the index the
-// unedited stream loads to: the loader builds every box from the rows
-// and never reads a stored one.
+// holding a box past, before or inverted on its domain.
 func TestBoxOutsideDomainRejected(t *testing.T) {
 	idx, err := Build(datagen.Salary(), Options{PrimarySupport: 0.18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_v5.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var magic string
-	var snap snapshotV5
-	if err := dec.Decode(&magic); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	n, card := len(snap.Attrs), int32(len(snap.Attrs[0].Values))
-	stored := len(snap.Supports) - 1
-	lo, hi := stored*2*n, stored*2*n+n // dimension 0 of the last stored box
-	cfi := idx.NumMIPs() - 1
+	cfi, card := idx.NumMIPs()-1, int32(len(idx.Dataset.Attrs[0].Values))
 	for _, tc := range []struct {
 		name   string
 		lo, hi int32
@@ -222,24 +176,6 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		{"before the domain", -1, 0},
 		{"inverted", 1, 0},
 	} {
-		bad := snap
-		bad.BoxArena = append([]int32(nil), snap.BoxArena...)
-		bad.BoxArena[lo], bad.BoxArena[hi] = tc.lo, tc.hi
-		var out bytes.Buffer
-		enc := gob.NewEncoder(&out)
-		if err := enc.Encode(magic); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&bad); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := ReadSnapshot(&out)
-		if err != nil {
-			t.Errorf("%s: a v5 stream with a stored box outside its domain: load err = %v", tc.name, err)
-		} else if !reflect.DeepEqual(boxes(got), boxes(want)) || got.NumMIPs() != want.NumMIPs() {
-			t.Errorf("%s: the stream loads to other boxes than the unedited one", tc.name)
-		}
-
 		// Plant the box by repacking the index's entries with it.
 		entries := make([]rtree.Entry, idx.NumMIPs())
 		for id := range entries {
@@ -260,15 +196,6 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 	if err := idx.Validate(); err != nil {
 		t.Errorf("the unmodified index: Validate = %v", err)
 	}
-}
-
-// boxes reads every CFI's box off x's R-tree, in id order.
-func boxes(x *Index) []itemset.Box {
-	out := make([]itemset.Box, x.NumMIPs())
-	for id := range out {
-		out[id] = x.RTree.Box(id)
-	}
-	return out
 }
 
 // TestSnapshotOfNoRecords: an index of no records is built at

@@ -108,6 +108,24 @@ func TestBulkMatchesSortSliceSTR(t *testing.T) {
 	}
 }
 
+// TestBulkSlabsExact: Bulk allocates every slab at its final length,
+// so a packed tree holds no spare capacity — with one leaf, at full
+// levels and one entry past them, at several fanouts.
+func TestBulkSlabsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, f := range []int{2, 3, 4, 16} {
+		for _, n := range []int{0, 1, f - 1, f, f + 1, f * f, f*f + 1, f * f * f, 100, 1000} {
+			tree, err := rtree.Bulk(tiedEntries(r, n, 3), 3, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rtree.SlabSlack(tree); err != nil {
+				t.Errorf("fanout %d, %d entries: %v", f, n, err)
+			}
+		}
+	}
+}
+
 // BenchmarkBulk packs the MIP boxes a merged-view build packs: mushroom
 // @ 0.30 (the ingest_notify fixture) and chess @ 0.70, at the default
 // fanout.

@@ -64,3 +64,24 @@ func SameSlabs(a, b *Tree) error {
 	}
 	return nil
 }
+
+// SlabSlack reports the first slab of t whose capacity exceeds its
+// length: the spare room a packed tree should not hold.
+func SlabSlack(t *Tree) error {
+	for _, s := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"fnodes", len(t.fnodes), cap(t.fnodes)},
+		{"nboxes", len(t.nboxes), cap(t.nboxes)},
+		{"kidArena", len(t.kidArena), cap(t.kidArena)},
+		{"entBoxes", len(t.entBoxes), cap(t.entBoxes)},
+		{"entIDs", len(t.entIDs), cap(t.entIDs)},
+		{"entSups", len(t.entSups), cap(t.entSups)},
+	} {
+		if s.cap != s.len {
+			return fmt.Errorf("%s holds %d of %d allocated", s.name, s.len, s.cap)
+		}
+	}
+	return nil
+}

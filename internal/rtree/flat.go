@@ -64,10 +64,18 @@ func (t *Tree) appendEntrySlot(e Entry) int32 {
 }
 
 // pack bulk-loads the slabs from entries already in packing order.
+// Each slab is allocated at its final size: ⌈n/f⌉ leaves, ⌈n/f²⌉ nodes
+// above them and so on up to the root, and every node but the root is
+// one child entry.
 func (t *Tree) pack(entries []Entry) {
 	n := len(entries)
-	t.fnodes = make([]fnode, 0, 2*max(1, n/t.fanout)+2)
-	t.nboxes = make([]int32, 0, cap(t.fnodes)*2*t.dims)
+	nodes := 1
+	for w := (n + t.fanout - 1) / t.fanout; w > 1; w = (w + t.fanout - 1) / t.fanout {
+		nodes += w
+	}
+	t.fnodes = make([]fnode, 0, nodes)
+	t.nboxes = make([]int32, 0, nodes*2*t.dims)
+	t.kidArena = make([]int32, 0, nodes-1)
 	t.entBoxes = make([]int32, 0, n*2*t.dims)
 	t.entIDs = make([]int32, 0, n)
 	t.entSups = make([]int32, 0, n)

@@ -15,7 +15,7 @@ import (
 // listing, the dataset detail, the subscription resource and the
 // subscription's SSE and long-poll events — and they all agree, before
 // and after a forced rebuild. An engine Open built starts at 0; one
-// loaded from golden_v5.snapshot continues the 2 its snapshot recorded.
+// loaded from golden_v6.snapshot continues the 2 its snapshot recorded.
 func TestOneGeneration(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,7 +24,7 @@ func TestOneGeneration(t *testing.T) {
 	}{
 		{"opened", func(t *testing.T) *colarm.Engine { return salaryEngine(t, nil) }, 0},
 		{"loaded", func(t *testing.T) *colarm.Engine {
-			eng, err := colarm.LoadEngineFile(filepath.Join("..", "mip", "testdata", "golden_v5.snapshot"), colarm.Options{})
+			eng, err := colarm.LoadEngineFile(filepath.Join("..", "mip", "testdata", "golden_v6.snapshot"), colarm.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

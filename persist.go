@@ -76,9 +76,8 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// LoadEngine restores an engine from a snapshot written by Save, or by
-// the previous release's Save, building its index from the snapshot's
-// rows. Of opts only Metrics is read; the index parameters (primary
+// LoadEngine restores an engine from a snapshot written by Save,
+// building its index from the snapshot's rows. Of opts only Metrics is read; the index parameters (primary
 // support, fanout), the engine generation and any buffered delta come
 // from the snapshot. A snapshot of any other format version fails with
 // ErrSnapshotVersion.

@@ -251,48 +251,6 @@ func TestLoadUnrecordedPrimary(t *testing.T) {
 	}
 }
 
-// TestLoadDropsNestedSecondaries: a v5 snapshot an older release saved
-// with a nested secondary index beside the base index (the
-// FuzzLoadSnapshot seed recipe plus a secondary at primary 0.05) loads
-// as the one index it was saved from. It answers every snapshot query
-// as the same recipe without the secondary does — the gate-forced query
-// runs ARM again — and saves the same bytes.
-func TestLoadDropsNestedSecondaries(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "snapshot_v5_secondary.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(bytes.NewReader(data), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotSeedEngine(t)
-	for i, q := range snapshotQueries {
-		a, err := want.Mine(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.Mine(q)
-		if err != nil {
-			t.Fatalf("query %d on the loaded snapshot: %v", i, err)
-		}
-		a.Stats.DurationNanos, b.Stats.DurationNanos = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("query %d: the loaded snapshot answers\n%+v\nthe one-index engine\n%+v", i, b, a)
-		}
-	}
-	var wb, lb bytes.Buffer
-	if err := want.Save(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Save(&lb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb.Bytes(), lb.Bytes()) {
-		t.Errorf("the loaded snapshot saves %d bytes, the one-index engine %d", lb.Len(), wb.Len())
-	}
-}
-
 // TestSaveLoadWithDelta proves a snapshot taken mid-ingest restores to
 // the exact same answers: the buffered delta and the generation ride
 // along in the v2 format's metadata.
@@ -371,22 +329,6 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 	}
 }
 
-// openAtFanout opens ds with an R-tree of the given fanout. Options has
-// no fanout (only a snapshot records one), so the index is built by
-// mip.Build and wired up the way a loaded snapshot is.
-func openAtFanout(t *testing.T, ds *Dataset, primary float64, fanout int) *Engine {
-	t.Helper()
-	idx, err := mip.Build(ds.rel, mip.Options{PrimarySupport: primary, Fanout: fanout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engineFromIndex(idx, mip.SnapshotMeta{Primary: primary}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
 // TestLoadedEngineKeepsFanout: the R-tree fanout is a property of the
 // physical design the snapshot stores, so the rebuild of a loaded engine
 // packs its tree as the snapshot's was packed. The committed golden
@@ -394,7 +336,7 @@ func openAtFanout(t *testing.T, ds *Dataset, primary float64, fanout int) *Engin
 // the loaded engine serves the snapshot's own tree, and its rebuild
 // re-mines the same records.
 func TestLoadedEngineKeepsFanout(t *testing.T) {
-	f, err := os.Open(filepath.Join("internal", "mip", "testdata", "golden_v5.snapshot"))
+	f, err := os.Open(filepath.Join("internal", "mip", "testdata", "golden_v6.snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,148 +369,6 @@ func TestLoadedEngineKeepsFanout(t *testing.T) {
 		t.Fatalf("S-E-V visits %d R-tree nodes on the loaded engine, %d on its rebuild: the rebuild lost the fanout",
 			visited[0], visited[1])
 	}
-}
-
-// TestGhostSnapshotCompacts: a snapshot whose index keeps deleted rows
-// as ghosts outside a live mask (what sharded rebuilds once wrote) loads
-// compacted. The engine holds only the live rows,
-// under ids 0..8: it refuses a delete of id 9, answers like a monolith
-// over the live rows, saves that monolith's bytes with no mask, and its
-// first rebuild changes nothing. The same stream with a buffered delta —
-// whose deletes name a live base record, a ghost and a buffered row —
-// answers like the monolith after the same batch, its ids moved into the
-// compacted space and the ghost's delete dropped.
-func TestGhostSnapshotCompacts(t *testing.T) {
-	// The fixtures are salary at primary 0.18, fanout 4, with records 3
-	// and 7 ghosted: a monolith that deletes them and rebuilds holds
-	// exactly the live rows.
-	liveMono := func(t *testing.T) *Engine {
-		t.Helper()
-		ds, err := Salary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mono := openAtFanout(t, ds, 0.18, 4)
-		if _, err := mono.Ingest(nil, []int{3, 7}); err != nil {
-			t.Fatal(err)
-		}
-		if mono, err = mono.Rebuild(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return mono
-	}
-	agree := func(t *testing.T, stage string, mono, e *Engine) {
-		t.Helper()
-		for _, plan := range []Plan{SEV, SVS, SSEV, SSVS, SSEUV, ARM} {
-			q := Query{
-				Range:         map[string][]string{"Gender": {"F"}},
-				MinSupport:    0.4,
-				MinConfidence: 0.6,
-				Plan:          plan,
-			}
-			want, err := mono.Mine(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.Mine(q)
-			if err != nil {
-				t.Fatalf("%s plan %s: %v", stage, plan, err)
-			}
-			sw, sg := want.Stats, got.Stats
-			sw.DurationNanos, sg.DurationNanos = 0, 0
-			if !reflect.DeepEqual(got.Rules, want.Rules) || sg != sw {
-				t.Fatalf("%s plan %s diverges from a monolith over the live rows\ngot:  %+v %v\nwant: %+v %v",
-					stage, plan, sg, got.Rules, sw, want.Rules)
-			}
-			if len(want.Rules) == 0 {
-				t.Fatalf("plan %s: no rules, the comparison is vacuous", plan)
-			}
-		}
-	}
-	load := func(t *testing.T, path string) *Engine {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := LoadEngine(bytes.NewReader(data), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	// save returns e's snapshot and the live mask it carries, read by
-	// decoding the payload into its one Live field (gob skips the rest).
-	save := func(t *testing.T, e *Engine) ([]byte, []byte) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := e.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		data := bytes.Clone(buf.Bytes())
-		dec := gob.NewDecoder(&buf)
-		var magic string
-		var payload struct{ Live []byte }
-		if err := dec.Decode(&magic); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.Decode(&payload); err != nil {
-			t.Fatal(err)
-		}
-		return data, payload.Live
-	}
-
-	// The subtest keeps the name it had when LoadEngine also took a
-	// shard count; K=0 is the one engine it builds now.
-	t.Run("K=0", func(t *testing.T) {
-		mono := liveMono(t)
-		monoBytes, _ := save(t, mono)
-		ghost := load(t, filepath.Join("internal", "mip", "testdata", "golden_v5_ghost.snapshot"))
-		if got := ghost.Dataset().NumRecords(); got != 9 {
-			t.Fatalf("loaded engine holds %d records, the live rows are 9", got)
-		}
-		if _, err := ghost.Ingest(nil, []int{9}); !errors.Is(err, ErrBadRecordID) {
-			t.Fatalf("deleting id 9 past the live rows: err = %v, want ErrBadRecordID", err)
-		}
-		if st := ghost.Staleness(); st.Version != 0 || st.Tombstones != 0 {
-			t.Fatalf("a refused delete left version %d, %d tombstones", st.Version, st.Tombstones)
-		}
-		agree(t, "loaded", mono, ghost)
-		data, mask := save(t, ghost)
-		if len(mask) != 0 {
-			t.Fatalf("the loaded engine saves a live mask of %d bytes", len(mask))
-		}
-		if !bytes.Equal(data, monoBytes) {
-			t.Fatal("the loaded engine saves other bytes than a monolith over the live rows")
-		}
-
-		rebuilt, err := ghost.Rebuild(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		agree(t, "rebuilt", mono, rebuilt)
-		if got, want := rebuilt.Dataset().NumRecords(), mono.Dataset().NumRecords(); got != want {
-			t.Fatalf("rebuilt engine holds %d records, the live rows are %d", got, want)
-		}
-		if _, mask := save(t, rebuilt); len(mask) != 0 {
-			t.Fatalf("rebuilt snapshot still carries a live mask of %d bytes", len(mask))
-		}
-
-		// The delta fixture buffers these two rows and deletes base id
-		// 5, ghost 3 and buffered id 12 (the second row). Compacted,
-		// that is base id 4 and buffered id 10; the ghost is gone.
-		withDelta := load(t, filepath.Join("testdata", "snapshot_v5_ghost_delta.snapshot"))
-		rows := [][]int32{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}
-		if _, err := mono.delta.Ingest(rows, []int{4, 10}); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := withDelta.Staleness(), mono.Staleness(); got.Version != 1 || got.BufferedRows != 1 || got.Tombstones != 2 ||
-			got.BufferedRows != want.BufferedRows || got.Tombstones != want.Tombstones {
-			t.Fatalf("loaded delta: version %d, %d buffered, %d tombstones; the monolith after the batch: %d buffered, %d tombstones",
-				got.Version, got.BufferedRows, got.Tombstones, want.BufferedRows, want.Tombstones)
-		}
-		agree(t, "loaded with a delta", mono, withDelta)
-	})
 }
 
 // TestSnapshotHoldsTheRelation: a snapshot of full-scale chess @ 0.70
