@@ -38,6 +38,7 @@ package colarm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"colarm/internal/colarmql"
@@ -47,6 +48,7 @@ import (
 	"colarm/internal/obs"
 	"colarm/internal/plans"
 	"colarm/internal/rules"
+	"colarm/internal/wire"
 )
 
 // Plan identifies one of the six execution plans of the paper. Past
@@ -270,6 +272,8 @@ type Engine struct {
 	// surface is delta.Surface; tests wrap it to count or rig
 	// resolutions.
 	surface func() (*plans.Surface, error)
+	// labels quotes every item label of idx.Space for MineJSON.
+	labels  *wire.Labels
 	metrics engineMetrics
 }
 
@@ -301,6 +305,7 @@ func newEngine(idx *mip.Index, primary float64, reg *obs.Registry) *Engine {
 		executor: plans.NewExecutor(idx.Space),
 		delta:    st,
 		surface:  st.Surface,
+		labels:   wire.NewLabels(idx.Space),
 		metrics:  newEngineMetrics(reg, idx.Dataset.Name),
 	}
 }
@@ -365,6 +370,46 @@ func (e *Engine) Mine(q Query) (*Result, error) {
 // or context.DeadlineExceeded) instead of running to completion. An
 // aborted query produces no partial result.
 func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
+	var rules []Rule
+	out, err := e.answer(ctx, q, func(res *plans.Result) error {
+		rules = e.wrapRules(res.Rules)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Rules = rules
+	return out, nil
+}
+
+// MineJSON is MineContext for a caller that sends the rules on as JSON,
+// as /v1/mine does: it appends to dst the bytes json.Marshal gives the
+// rules MineContext would return — [] when there are none — and returns
+// the extended slice with a Result whose Rules is nil. The rules are
+// encoded from the executor's item ids with each label quoted once per
+// engine, so no Rule and no label slice is built; dst grows at most
+// once, to a bound on the encoding. On an error dst is returned as it
+// came and no Result.
+func (e *Engine) MineJSON(ctx context.Context, q Query, dst []byte) ([]byte, *Result, error) {
+	b := dst
+	out, err := e.answer(ctx, q, func(res *plans.Result) (err error) {
+		if b, err = e.appendRules(b, res.Rules); err != nil {
+			return fmt.Errorf("colarm: encoding rules: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return dst, nil, err
+	}
+	return b, out, nil
+}
+
+// answer runs q and hands the executor's result to use while its rules,
+// which point into the request's scratch, are valid; the scratch goes
+// back for the next query right after. The Result carries the stats,
+// the estimates of an Auto query and the trace, but no rules: use
+// copies or encodes those.
+func (e *Engine) answer(ctx context.Context, q Query, use func(*plans.Result) error) (*Result, error) {
 	var tr *obs.Trace
 	if q.Trace {
 		tr = &obs.Trace{}
@@ -373,10 +418,12 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := e.wrap(res)
-	// The executor's rules point into the request's scratch; wrap copied
-	// what the caller sees, so the scratch goes back for the next query.
+	err = use(res)
 	f.Release()
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Stats: wrapStats(res.Stats)}
 	if q.Plan == Auto {
 		out.Estimates = planEstimates(ests)
 	}
@@ -389,8 +436,8 @@ func (e *Engine) MineContext(ctx context.Context, q Query) (*Result, error) {
 // and optimizer pick the plan (the estimates are returned), run it into
 // tr, and count the query — one that fails to build, validate or
 // resolve too. The result's rules point into the returned Focal's
-// scratch, which the caller releases once it has wrapped them; a failed
-// query's scratch is left to the GC.
+// scratch, which the caller releases once it has copied or encoded
+// them; a failed query's scratch is left to the GC.
 func (e *Engine) mine(ctx context.Context, q Query, tr *obs.Trace) (*plans.Result, []cost.Estimate, *plans.Focal, error) {
 	pq, err := e.buildQuery(q)
 	if err == nil {
@@ -583,32 +630,37 @@ func (e *Engine) ParseQuery(src string) (Query, error) {
 	return q, nil
 }
 
-func (e *Engine) wrap(res *plans.Result) *Result {
-	out := &Result{
-		Stats: Stats{
-			Plan:            Plan(res.Stats.Plan + 1),
-			SubsetSize:      res.Stats.SubsetSize,
-			MinSupportCount: res.Stats.MinCount,
-			RNodesVisited:   res.Stats.RNodesVisited,
-			REntriesChecked: res.Stats.REntriesChecked,
-			Candidates:      res.Stats.Candidates,
-			Contained:       res.Stats.Contained,
-			PartialOverlap:  res.Stats.PartialOverlap,
-			ItemFiltered:    res.Stats.ItemFiltered,
-			SupportChecks:   res.Stats.SupportChecks,
-			Eliminated:      res.Stats.Eliminated,
-			Qualified:       res.Stats.Qualified,
-			OracleCalls:     res.Stats.OracleCalls,
-			OracleMisses:    res.Stats.OracleMisses,
-			RulesEmitted:    res.Stats.RulesEmitted,
-			DurationNanos:   res.Stats.Duration.Nanoseconds(),
-		},
+// wrapStats puts the executor's counters in the facade's terms.
+func wrapStats(st plans.Stats) Stats {
+	return Stats{
+		Plan:            Plan(st.Plan + 1),
+		SubsetSize:      st.SubsetSize,
+		MinSupportCount: st.MinCount,
+		RNodesVisited:   st.RNodesVisited,
+		REntriesChecked: st.REntriesChecked,
+		Candidates:      st.Candidates,
+		Contained:       st.Contained,
+		PartialOverlap:  st.PartialOverlap,
+		ItemFiltered:    st.ItemFiltered,
+		SupportChecks:   st.SupportChecks,
+		Eliminated:      st.Eliminated,
+		Qualified:       st.Qualified,
+		OracleCalls:     st.OracleCalls,
+		OracleMisses:    st.OracleMisses,
+		RulesEmitted:    st.RulesEmitted,
+		DurationNanos:   st.Duration.Nanoseconds(),
+	}
+}
+
+// wrapRules gives the executor's id-space rules their labels: the one
+// place a rule becomes a Rule.
+func (e *Engine) wrapRules(rs []rules.Rule) []Rule {
+	if len(rs) == 0 {
+		return nil
 	}
 	sp := e.idx.Space
-	if len(res.Rules) > 0 {
-		out.Rules = make([]Rule, 0, len(res.Rules))
-	}
-	for _, r := range res.Rules {
+	out := make([]Rule, 0, len(rs))
+	for _, r := range rs {
 		// One label slice per rule, antecedent then consequent. A
 		// result-wide arena would let any rule a standing event keeps pin
 		// every label of its result.
@@ -620,7 +672,7 @@ func (e *Engine) wrap(res *plans.Result) *Result {
 		for j, it := range r.Consequent {
 			labels[a+j] = sp.Label(it)
 		}
-		out.Rules = append(out.Rules, wrapRule(r, labels[:a:a], labels[a:]))
+		out = append(out, wrapRule(r, labels[:a:a], labels[a:]))
 	}
 	return out
 }
@@ -637,5 +689,40 @@ func wrapRule(r rules.Rule, ant, cons []string) Rule {
 		SupportCount:    r.SupportCount,
 		AntecedentCount: r.AntecedentCount,
 		SubsetSize:      r.SubsetSize,
+	}
+}
+
+// appendRules appends rs to b as MineJSON encodes them, growing b once
+// to a bound on the encoding first.
+func (e *Engine) appendRules(b []byte, rs []rules.Rule) ([]byte, error) {
+	n := wire.ArrayBytes + len(rs)*wire.RuleBytes
+	for i := range rs {
+		n += e.labels.Bound(rs[i].Antecedent) + e.labels.Bound(rs[i].Consequent)
+	}
+	return wire.AppendRules(slices.Grow(b, n), idRules{rs, e.labels})
+}
+
+// idRules is the wire.Rules of the executor's id-space rules: each
+// label is its item's quoted bytes, and the derived measures are
+// computed as wrapRule computes them.
+type idRules struct {
+	rs     []rules.Rule
+	labels *wire.Labels
+}
+
+func (r idRules) Len() int { return len(r.rs) }
+
+func (r idRules) AppendLabels(b []byte, i int, consequent bool) []byte {
+	if consequent {
+		return r.labels.Append(b, r.rs[i].Consequent)
+	}
+	return r.labels.Append(b, r.rs[i].Antecedent)
+}
+
+func (r idRules) Measures(i int) wire.Measures {
+	x := &r.rs[i]
+	return wire.Measures{
+		Support: x.Support, Confidence: x.Confidence, Lift: x.Lift(), Cosine: x.Cosine(), Kulczynski: x.Kulczynski(),
+		SupportCount: x.SupportCount, AntecedentCount: x.AntecedentCount, SubsetSize: x.SubsetSize,
 	}
 }

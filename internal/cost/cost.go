@@ -280,8 +280,9 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 	// Attribute by attribute, so the masks written are one attribute's
 	// items at a time.
 	width := len(kept)
-	held := make([]uint64, mo.sp.NumItems())
-	items := make([]int32, len(ids)*width) // row r is items[r*width:(r+1)*width]
+	// Both come from the request's scratch; held is all zero, and the
+	// probe clears the words it sets before it returns.
+	held, items := f.ProbeBuffers(mo.sp.NumItems(), len(ids)*width) // row r is items[r*width:(r+1)*width]
 	for k, a := range kept {
 		for r, rec := range ids {
 			it := mo.sp.ItemOf(a, sf.Value(rec, a))
@@ -333,6 +334,9 @@ func (mo *Model) probe(q *plans.Query, s *queryShape) {
 		}
 		total := float64(freq) * float64(freq-1) / 2
 		s.pairDens = float64(freqPairs) / total
+	}
+	for _, it := range items {
+		held[it] = 0
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"colarm/internal/bitset"
@@ -400,6 +402,107 @@ func TestProbeMatchesMapOracle(t *testing.T) {
 	}
 	if checked < 500 {
 		t.Errorf("only %d probes sampled records", checked)
+	}
+}
+
+// TestProbeOnRecycledScratch runs probes one request after another, each
+// Focal released so the next draws the scratch it used, and holds every
+// probe to the map-based oracle: a probe that left a bit of its per-item
+// masks set would skew the next one's counts.
+func TestProbeOnRecycledScratch(t *testing.T) {
+	fx := buildModel(t, 3000)
+	sp := fx.idx.Space
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		reg := itemset.RegionFor(sp)
+		for _, a := range r.Perm(sp.NumAttrs())[:r.Intn(3)] {
+			if err := reg.Restrict(a, []int{r.Intn(4), r.Intn(4)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mask []bool
+		if r.Intn(2) == 0 {
+			mask = []bool{r.Intn(2) == 0, true, r.Intn(2) == 0, true}
+		}
+		q := &plans.Query{Region: reg, ItemAttrs: mask, MinSupport: []float64{0.01, 0.2, 0.5, 0.9}[r.Intn(4)], MinConfidence: 0.8}
+		f := fx.focus(q)
+		got := fx.mo.shape(f, q)
+		want := queryShape{f: got.f, dqExt: got.dqExt, maskKeep: got.maskKeep, itemAttrs: got.itemAttrs}
+		mapProbe(fx.mo, q, &want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: probe\n got %+v\nwant %+v", trial, got, want)
+		}
+		f.Release()
+	}
+}
+
+// TestProbeAllocsIndependentOfUnnamedDomain grows an attribute the
+// query does not name from 4 to 20 000 values and requires a probe's
+// allocated bytes to stay within 10 %: its per-item masks come from the
+// request's scratch and are cleared item by item, not allocated or
+// cleared across the item universe.
+func TestProbeAllocsIndependentOfUnnamedDomain(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects at random")
+	}
+	perProbe := func(values int) float64 {
+		r := rand.New(rand.NewSource(7))
+		b := relation.NewBuilder("wide", "A", "B", "C", "Z")
+		for a := 0; a < 3; a++ {
+			for v := 0; v < 4; v++ {
+				b.AddValue(a, string(rune('a'+a))+string(rune('0'+v)))
+			}
+		}
+		for v := 0; v < values; v++ {
+			b.AddValue(3, "z"+strconv.Itoa(v))
+		}
+		for i := 0; i < 2000; i++ {
+			base := r.Intn(2)
+			if err := b.AddRecordIdx(base, base^r.Intn(2), r.Intn(4), r.Intn(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idx, err := mip.Build(b.Build(), mip.Options{PrimarySupport: 0.1, Fanout: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mo, ex, surf := NewModel(idx), plans.NewExecutor(idx.Space), plans.NewSurface(idx)
+		reg := itemset.RegionFor(idx.Space)
+		if err := reg.Restrict(0, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		q := &plans.Query{Region: reg, MinSupport: 0.2, MinConfidence: 0.8}
+		probe := func() {
+			f := ex.Focus(surf, q)
+			s := queryShape{f: f}
+			mo.probe(q, &s)
+			if s.sampleRows == 0 {
+				t.Fatal("the probe sampled no records")
+			}
+			f.Release()
+		}
+		// A collection empties the scratch pool: of several rounds, keep
+		// the fewest bytes a probe.
+		const rounds, calls = 5, 20
+		fewest := -1.0
+		var before, after runtime.MemStats
+		for round := 0; round < rounds; round++ {
+			probe() // refill the pool
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				probe()
+			}
+			runtime.ReadMemStats(&after)
+			if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; fewest < 0 || per < fewest {
+				fewest = per
+			}
+		}
+		return fewest
+	}
+	narrow, wide := perProbe(4), perProbe(20000)
+	t.Logf("a probe allocates %.0f bytes at 4 values, %.0f at 20 000", narrow, wide)
+	if wide > 1.1*narrow {
+		t.Errorf("a probe allocates %.0f bytes with 4 values of Z, %.0f with 20 000", narrow, wide)
 	}
 }
 

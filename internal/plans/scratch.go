@@ -44,6 +44,11 @@ type scratch struct {
 	mined  charm.Result   // CHARM's output and its recyclable miner
 	closed []int32        // ids of the mined CFIs rules are generated from
 
+	// The optimizer's record probe (ProbeBuffers): held is all zero
+	// between probes.
+	held       []uint64
+	probeItems []int32
+
 	// ran is set once a plan run drew from this scratch; see runScratch.
 	ran bool
 }
@@ -81,6 +86,19 @@ func (f *Focal) runScratch() *scratch {
 	return sc
 }
 
+// ProbeBuffers lends the optimizer's record probe two buffers from the
+// request's scratch: held, numItems words, all zero, which the probe
+// must leave all zero again; and items, n entries of any contents.
+// Serial callers only.
+func (f *Focal) ProbeBuffers(numItems, n int) (held []uint64, items []int32) {
+	sc := f.scratch()
+	// Every word of held's capacity is zero: a fresh buffer is, and each
+	// probe clears what it set.
+	sc.held = reuse(sc.held, numItems)
+	sc.probeItems = reuse(sc.probeItems, n)
+	return sc.held, sc.probeItems
+}
+
 // Release hands the request's scratch back for a later request. Call it
 // once every rule of every Result run on f has been consumed — those
 // rules point into the scratch — and only after runs that succeeded: a
@@ -112,7 +130,8 @@ func (sc *scratch) bytes() int {
 	n := capBytes(sc.slot) + capBytes(sc.arena) + capBytes(sc.cands) + capBytes(sc.entries) +
 		capBytes(sc.checkIDs) + capBytes(sc.counts) + capBytes(sc.cfi) + capBytes(sc.itemFreq) +
 		capBytes(sc.ids) + capBytes(sc.quals) + capBytes(sc.chunks) + capBytes(sc.ends) +
-		capBytes(sc.rules) + capBytes(sc.kept) + capBytes(sc.views) + capBytes(sc.closed) + sc.memo.bytes()
+		capBytes(sc.rules) + capBytes(sc.kept) + capBytes(sc.views) + capBytes(sc.closed) +
+		capBytes(sc.held) + capBytes(sc.probeItems) + sc.memo.bytes()
 	for _, ch := range sc.chunks[:cap(sc.chunks)] {
 		n += capBytes(ch.rules) + capBytes(ch.items)
 	}

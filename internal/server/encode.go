@@ -2,92 +2,44 @@ package server
 
 import (
 	"encoding/json"
-	"math"
-	"reflect"
 	"strconv"
 
 	"colarm"
 	"colarm/internal/standing"
+	"colarm/internal/wire"
 )
 
 // appendRules appends to b exactly the bytes json.Marshal(rules) returns,
-// without reflection: the rules array is all but a few hundred bytes of
-// a mined reply. It writes colarm.Rule's JSON tags in field order; the
-// fuzz and reflection tests in encode_test.go hold it to json.Marshal,
-// so a field added to, renamed in or moved within colarm.Rule fails them
-// until it is added here too.
+// without reflection: rule lists are most of a standing event's bytes.
+// The format is wire.AppendRules's; the fuzz and reflection tests in
+// encode_test.go hold it to json.Marshal, so a field added to, renamed
+// in or moved within colarm.Rule fails them until wire writes it too.
 func appendRules(b []byte, rules []colarm.Rule) ([]byte, error) {
 	if rules == nil {
 		return append(b, "null"...), nil
 	}
-	// Sorted by confidence and then support, consecutive rules mostly
-	// repeat their measures (about two in three on mine_auto), so each
-	// float member remembers where its last value's bytes are in b and
-	// copies them when the bits repeat: formatting is most of the cost.
-	var last [len(floatMembers)]struct {
-		bits   uint64
-		lo, hi int // b[lo:hi] encodes bits; hi == 0 before the first rule
-	}
-	b = append(b, '[')
-	for i := range rules {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		r := &rules[i]
-		b = append(b, `{"antecedent":`...)
-		b = appendLabels(b, r.Antecedent)
-		b = append(b, `,"consequent":`...)
-		b = appendLabels(b, r.Consequent)
-		var err error
-		for k, v := range [...]float64{r.Support, r.Confidence, r.Lift, r.Cosine, r.Kulczynski} {
-			b = append(b, floatMembers[k]...)
-			m, bits := &last[k], math.Float64bits(v)
-			if m.hi > 0 && m.bits == bits {
-				b = append(b, b[m.lo:m.hi]...)
-				continue
-			}
-			lo := len(b)
-			if b, err = appendFloat(b, v); err != nil {
-				return b, err
-			}
-			m.bits, m.lo, m.hi = bits, lo, len(b)
-		}
-		b = append(b, `,"supportCount":`...)
-		b = strconv.AppendInt(b, int64(r.SupportCount), 10)
-		b = append(b, `,"antecedentCount":`...)
-		b = strconv.AppendInt(b, int64(r.AntecedentCount), 10)
-		b = append(b, `,"subsetSize":`...)
-		b = strconv.AppendInt(b, int64(r.SubsetSize), 10)
-		b = append(b, '}')
-	}
-	return append(b, ']'), nil
+	return wire.AppendRules(b, ruleList(rules))
 }
 
-// rulesBound bounds the bytes appendRules writes for rules: a rule's
-// member names and punctuation, the widest a float64 or int can format
-// to, and each label quoted. It is exact about labels unless one needs
-// escaping.
-func rulesBound(rules []colarm.Rule) int {
-	const perRule = len(`{"antecedent":[],"consequent":[]`) +
-		len(`,"support":,"confidence":,"lift":,"cosine":,"kulczynski":`) + 5*maxFloatLen +
-		len(`,"supportCount":,"antecedentCount":,"subsetSize":},`) + 3*maxIntLen
-	n := len("[]")
-	for i := range rules {
-		n += perRule
-		for _, l := range rules[i].Antecedent {
-			n += len(l) + len(`"",`)
-		}
-		for _, l := range rules[i].Consequent {
-			n += len(l) + len(`"",`)
-		}
+// ruleList is the wire.Rules of facade rules, whose labels are strings.
+type ruleList []colarm.Rule
+
+func (rs ruleList) Len() int { return len(rs) }
+
+func (rs ruleList) AppendLabels(b []byte, i int, consequent bool) []byte {
+	if consequent {
+		return appendLabels(b, rs[i].Consequent)
 	}
-	return n
+	return appendLabels(b, rs[i].Antecedent)
 }
 
-// maxFloatLen and maxIntLen are the most bytes appendFloat and
-// strconv.AppendInt write: "-0.0000012345678901234567" and
-// "-9223372036854775808".
-const maxFloatLen, maxIntLen = 25, 20
+func (rs ruleList) Measures(i int) wire.Measures {
+	r := &rs[i]
+	return wire.Measures{
+		Support: r.Support, Confidence: r.Confidence, Lift: r.Lift, Cosine: r.Cosine, Kulczynski: r.Kulczynski,
+		SupportCount: r.SupportCount, AntecedentCount: r.AntecedentCount, SubsetSize: r.SubsetSize,
+	}
+}
 
 // appendEvent appends to b exactly the bytes json.Marshal(ev) returns,
 // without reflection: every SSE frame and long-poll reply is standing
@@ -156,9 +108,6 @@ func appendEvents(b []byte, id string, evs []standing.Event) ([]byte, error) {
 // ruleMembers open standing.Event's rule-list members, in field order.
 var ruleMembers = [...]string{`,"rules":`, `,"appeared":`, `,"disappeared":`, `,"updated":`}
 
-// floatMembers open colarm.Rule's float64 members, in field order.
-var floatMembers = [...]string{`,"support":`, `,"confidence":`, `,"lift":`, `,"cosine":`, `,"kulczynski":`}
-
 // appendLabels appends a []string as json.Marshal encodes it.
 func appendLabels(b []byte, labels []string) []byte {
 	if labels == nil {
@@ -190,27 +139,4 @@ func appendLabel(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
-}
-
-// appendFloat appends f as encoding/json formats a float64: 'f' form,
-// or 'e' form with the exponent's leading zero dropped when |f| < 1e-6
-// or |f| >= 1e21. JSON has no NaN or infinity; they are the error
-// json.Marshal returns.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 → e-7
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"colarm"
 	"colarm/internal/datagen"
 	"colarm/internal/standing"
+	"colarm/internal/wire"
 )
 
 // quarterChessEngine opens the quarter-scale chess of the facade's
@@ -192,6 +194,18 @@ func requestOf(t testing.TB, query map[string]any) *queryBody {
 	return &req.queryBody
 }
 
+// encodeMiss is a miss's encoding of a reply whose rules are given as
+// facade rules: their array into buf, as MineJSON appends it, then the
+// envelope around it.
+func encodeMiss(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
+	b, err := appendRules(buf.AvailableBuffer(), orEmpty(rules))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	buf.Write(b)
+	return encodeMine(buf.Bytes(), resp, fill)
+}
+
 // TestEncodeMineTable drives encodeMine with results no engine would
 // produce: every float json formats specially, hostile labels in every
 // string position, nil and empty slices.
@@ -228,7 +242,7 @@ func TestEncodeMineTable(t *testing.T) {
 			resp := ref
 			resp.Rules = nil
 			var buf bytes.Buffer
-			head, tail, hit, err := encodeMine(&buf, resp, tc.rules, true)
+			head, tail, hit, err := encodeMiss(&buf, resp, tc.rules, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +259,7 @@ func TestEncodeMineTable(t *testing.T) {
 			}
 
 			buf.Reset()
-			if _, _, hit, err := encodeMine(&buf, resp, tc.rules, false); err != nil || hit != nil {
+			if _, _, hit, err := encodeMiss(&buf, resp, tc.rules, false); err != nil || hit != nil {
 				t.Errorf("without fill: hit = %d bytes, err = %v", len(hit), err)
 			}
 		})
@@ -254,11 +268,11 @@ func TestEncodeMineTable(t *testing.T) {
 	// What JSON cannot say is an error, not a body.
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		var buf bytes.Buffer
-		if _, _, _, err := encodeMine(&buf, mineResponse{}, []colarm.Rule{{Lift: bad}}, true); err == nil {
+		if _, _, _, err := encodeMiss(&buf, mineResponse{}, []colarm.Rule{{Lift: bad}}, true); err == nil {
 			t.Errorf("lift %v encoded without error", bad)
 		}
 		buf.Reset()
-		if _, _, _, err := encodeMine(&buf, mineResponse{Estimates: []colarm.PlanEstimate{{Cost: bad}}}, nil, true); err == nil {
+		if _, _, _, err := encodeMiss(&buf, mineResponse{Estimates: []colarm.PlanEstimate{{Cost: bad}}}, nil, true); err == nil {
 			t.Errorf("estimate cost %v encoded without error", bad)
 		}
 	}
@@ -569,7 +583,7 @@ func hitFixture(t testing.TB) (h http.Handler, request func() *http.Request, sto
 	}
 	store = func(rules int) int {
 		var buf bytes.Buffer
-		_, _, hit, err := encodeMine(&buf, mineResponse{Dataset: "salary", Generation: gen}, syntheticRules(rules), true)
+		_, _, hit, err := encodeMiss(&buf, mineResponse{Dataset: "salary", Generation: gen}, syntheticRules(rules), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -595,33 +609,89 @@ func syntheticRules(n int) []colarm.Rule {
 	return rules
 }
 
-// TestMissEncodeGrowsOnce encodes a miss into an empty buffer: the
-// buffer grows once, to rulesBound, whatever the reply's size, so 40
-// times the rules cost not one allocation more.
+// TestMissEncodeGrowsOnce follows a miss's buffer on replies of ~50 and
+// ~2 000 rules. MineJSON grows an empty buffer once, to its bound, and
+// never again while it encodes: into an empty buffer it costs exactly
+// one allocation more than into an ample one. The envelope around the
+// rules then costs as many allocations for either reply.
 func TestMissEncodeGrowsOnce(t *testing.T) {
-	resp := mineResponse{Dataset: "chess", Generation: 1, Stats: colarm.Stats{Plan: colarm.ARM, SubsetSize: 799}}
-	// encoding/json draws on a sync.Pool, which a collection empties and
-	// the race detector drops from at random: keep the fewest.
-	allocs := func(n int) float64 {
-		rules := syntheticRules(n)
-		fewest := math.Inf(1)
-		for i := 0; i < 100; i++ {
-			fewest = math.Min(fewest, testing.AllocsPerRun(1, func() {
-				var buf bytes.Buffer
-				if _, _, _, err := encodeMine(&buf, resp, rules, false); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
-		return fewest
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects at random")
 	}
-	if small, large := allocs(50), allocs(2000); small != large {
-		t.Errorf("a miss of 50 rules costs %.0f allocations, of 2 000 rules %.0f", small, large)
+	eng := quarterChessEngine(t)
+	ctx := context.Background()
+	// The fewest allocations of many calls: a collection empties the
+	// engine's scratch pool and encoding/json's, and a call meeting an
+	// empty one allocates afresh.
+	fewest := func(f func()) float64 {
+		n := math.Inf(1)
+		for i := 0; i < 50; i++ {
+			n = math.Min(n, testing.AllocsPerRun(1, f))
+		}
+		return n
+	}
+	var envelope []float64
+	for _, tc := range []struct {
+		q        colarm.Query
+		min, max int
+	}{
+		{colarm.Query{MinSupport: 0.92, MinConfidence: 0.9, MaxConsequent: 1, Plan: colarm.SSEUV}, 30, 100},
+		{colarm.Query{MinSupport: 0.80, MinConfidence: 0.9, MaxConsequent: 1, Plan: colarm.SSEUV}, 1500, 4000},
+	} {
+		want, res, err := eng.MineJSON(ctx, tc.q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Stats.RulesEmitted; n < tc.min || n > tc.max {
+			t.Fatalf("minsupport %v mines %d rules, want %d–%d", tc.q.MinSupport, n, tc.min, tc.max)
+		}
+		ample := make([]byte, 0, 2*len(want))
+		fromEmpty := fewest(func() {
+			if _, _, err := eng.MineJSON(ctx, tc.q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fromAmple := fewest(func() {
+			if _, _, err := eng.MineJSON(ctx, tc.q, ample[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fromEmpty != fromAmple+1 {
+			t.Errorf("%d rules: MineJSON costs %.0f allocations into an empty buffer, %.0f into an ample one; want one more",
+				res.Stats.RulesEmitted, fromEmpty, fromAmple)
+		}
+		resp := mineResponse{Dataset: "chess", Generation: 1, Stats: res.Stats, Estimates: res.Estimates}
+		envelope = append(envelope, fewest(func() {
+			if _, _, _, err := encodeMine(want, resp, true); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if envelope[0] != envelope[1] {
+		t.Errorf("the envelope of a miss of ~50 rules costs %.0f allocations, of ~2 000 rules %.0f", envelope[0], envelope[1])
 	}
 }
 
-// TestRulesBound holds rulesBound to what appendRules writes for rules
-// whose labels need no escaping, at the widest floats and ints.
+// rulesBound is the bound MineJSON grows its buffer to, for rules given
+// as facade rules: wire.RuleBytes a rule, each label quoted with a
+// comma, the array's brackets. It is exact about labels unless one
+// needs escaping (MineJSON's quoted lengths are exact always).
+func rulesBound(rules []colarm.Rule) int {
+	n := wire.ArrayBytes + len(rules)*wire.RuleBytes
+	for i := range rules {
+		for _, l := range rules[i].Antecedent {
+			n += len(l) + len(`"",`)
+		}
+		for _, l := range rules[i].Consequent {
+			n += len(l) + len(`"",`)
+		}
+	}
+	return n
+}
+
+// TestRulesBound holds wire.RuleBytes, through rulesBound, to what
+// appendRules writes for rules whose labels need no escaping, at the
+// widest floats and ints.
 func TestRulesBound(t *testing.T) {
 	wide := []float64{-0.0000012345678901234567, -1.2345678901234567e-300, -123456789012345678901, math.MaxFloat64, 1.0 / 3}
 	var rules []colarm.Rule
@@ -696,9 +766,10 @@ func BenchmarkMineHit(b *testing.B) {
 // sink keeps a benchmark's result alive.
 var sink []byte
 
-// BenchmarkMineMissEncode is what a cacheable miss pays after mining:
-// one pass over 2 000 rules (a mine_auto-sized reply) into the pooled
-// buffer, both envelopes, and the stored hit body.
+// BenchmarkMineMissEncode is what a cacheable miss pays to encode its
+// reply: one pass over 2 000 rules (a mine_auto-sized reply) into the
+// pooled buffer, as MineJSON makes it, both envelopes, and the stored
+// hit body.
 func BenchmarkMineMissEncode(b *testing.B) {
 	rules := syntheticRules(2000)
 	resp := mineResponse{Dataset: "chess", Generation: 1, Stats: colarm.Stats{Plan: colarm.ARM, SubsetSize: 799}}
@@ -706,7 +777,7 @@ func BenchmarkMineMissEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := bufPool.Get().(*bytes.Buffer)
-		head, tail, hit, err := encodeMine(buf, resp, rules, true)
+		head, tail, hit, err := encodeMiss(buf, resp, rules, true)
 		if err != nil {
 			b.Fatal(err)
 		}

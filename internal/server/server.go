@@ -429,12 +429,19 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "mine", err)
 		return
 	}
-	res, err := eng.MineContext(ctx, q)
+	// The rules go straight from the engine's answer into the reply's
+	// pooled buffer: a miss builds no []colarm.Rule.
+	rules := bufPool.Get().(*bytes.Buffer)
+	defer putBuffer(rules)
+	b, res, err := eng.MineJSON(ctx, q, rules.AvailableBuffer())
 	s.adm.release()
 	if err != nil {
 		s.fail(w, "mine", err)
 		return
 	}
+	// The buffer takes over what MineJSON appended — even when it grew
+	// the slice — so the rules are written once and never copied.
+	*rules = *bytes.NewBuffer(b)
 
 	resp := mineResponse{
 		Dataset:    name,
@@ -446,11 +453,9 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if res.Trace != nil {
 		resp.Trace = res.Trace.Tree()
 	}
-	rules := bufPool.Get().(*bytes.Buffer)
-	defer putBuffer(rules)
 	// Skip the fill when an ingest landed mid-mine: the result may
 	// reflect the newer version and must not be pinned to this key.
-	head, tail, hit, err := encodeMine(rules, resp, res.Rules, cacheable && resp.Version == ver)
+	head, tail, hit, err := encodeMine(rules.Bytes(), resp, cacheable && resp.Version == ver)
 	if err != nil {
 		s.fail(w, "mine", err)
 		return
@@ -461,25 +466,13 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, head, rules.Bytes(), tail)
 }
 
-// encodeMine encodes a mined result's reply with one pass over the
-// rules, which are all but a few hundred bytes of it: the rules array
-// goes into buf through appendRules, and the envelope through
-// json.Marshal — head and tail are resp's encoding before and after
-// it. With fill set, hit is the whole body a later cache hit on this
-// result sends: cached:true and only the execution's identity left in
-// stats. resp.Rules is ignored. buf must be empty.
-//
-// buf grows once, to a bound on the rules' encoding (rulesBound), and
-// appendRules writes into it; buf then takes over what was appended —
-// even when a label's escapes outran the bound and append moved it — so
-// the rules are written once and never copied into buf.
-func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill bool) (head, tail, hit []byte, err error) {
-	buf.Grow(rulesBound(rules))
-	b, err := appendRules(buf.AvailableBuffer(), orEmpty(rules))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("encoding rules: %w", err)
-	}
-	*buf = *bytes.NewBuffer(b)
+// encodeMine encodes the envelope around a mined reply's rules array,
+// which MineJSON encoded and which is all but a few hundred bytes of
+// the reply: head and tail are resp's json.Marshal encoding before and
+// after the array. With fill set, hit is the whole body a later cache
+// hit on this result sends: cached:true and only the execution's
+// identity left in stats. resp.Rules is ignored.
+func encodeMine(rules []byte, resp mineResponse, fill bool) (head, tail, hit []byte, err error) {
 	resp.Rules = []colarm.Rule{}
 	if head, tail, err = cutRules(resp); err != nil || !fill {
 		return head, tail, nil, err
@@ -490,7 +483,7 @@ func encodeMine(buf *bytes.Buffer, resp mineResponse, rules []colarm.Rule, fill 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return head, tail, bytes.Join([][]byte{hitHead, buf.Bytes(), hitTail}, nil), nil
+	return head, tail, bytes.Join([][]byte{hitHead, rules, hitTail}, nil), nil
 }
 
 // emptyRules is how a mineResponse with no rules encodes them. Inside a

@@ -107,7 +107,7 @@ func freshAnswers(t *testing.T, cases []reuseCase) map[string]answer {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := c.eng.wrap(res)
+				out := &Result{Rules: c.eng.wrapRules(res.Rules), Stats: wrapStats(res.Stats)}
 				want[reuseKey(c.name, qi, p)] = answerOf(out)
 			}
 		}
@@ -266,3 +266,58 @@ func TestMineAllocBudget(t *testing.T) {
 
 // sixPlans are the plans a query can force.
 var sixPlans = []Plan{SEV, SVS, SSEV, SSVS, SSEUV, ARM}
+
+// TestMineJSONAllocBudget bounds what a steady-state MineJSON allocates
+// into a reused buffer, as /v1/mine's pooled one: on chess @ 0.70,
+// forced SS-E-U-V over the whole domain, at most 32 KB a call, and no
+// more for 2 630 rules than for 50. No rule and no label is built, so
+// nothing but the request's own bookkeeping is left to allocate.
+func TestMineJSONAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects at random")
+	}
+	eng := openGenerated(t, datagen.ChessConfig(1), 0.70)
+	ctx := context.Background()
+	var perCall [2]float64
+	for k, tc := range []struct {
+		minSupport float64
+		min, max   int
+	}{{0.80, 2630, 2630}, {0.92, 50, 50}} {
+		q := Query{MinSupport: tc.minSupport, MinConfidence: 0.9, MaxConsequent: 1, Plan: SSEUV}
+		buf, res, err := eng.MineJSON(ctx, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Stats.RulesEmitted; n < tc.min || n > tc.max {
+			t.Fatalf("minsupport %v mines %d rules, want %d–%d", tc.minSupport, n, tc.min, tc.max)
+		}
+		// Of several rounds keep the fewest bytes a call: a collection
+		// empties the scratch pool (see TestMineAllocBudget).
+		const rounds, calls = 5, 4
+		fewest := -1.0
+		var before, after runtime.MemStats
+		for r := 0; r < rounds; r++ {
+			if buf, _, err = eng.MineJSON(ctx, q, buf[:0]); err != nil { // refill the pool
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if buf, _, err = eng.MineJSON(ctx, q, buf[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := float64(after.TotalAlloc-before.TotalAlloc) / calls; fewest < 0 || per < fewest {
+				fewest = per
+			}
+		}
+		perCall[k] = fewest
+		t.Logf("%d rules: %.0f bytes per MineJSON", res.Stats.RulesEmitted, fewest)
+		if fewest > 32<<10 {
+			t.Errorf("%d rules: a MineJSON allocates %.0f bytes, budget 32 KB", res.Stats.RulesEmitted, fewest)
+		}
+	}
+	if perCall[0] > perCall[1] {
+		t.Errorf("a MineJSON of 2 630 rules allocates %.0f bytes, of 50 rules %.0f", perCall[0], perCall[1])
+	}
+}

@@ -2,6 +2,8 @@ package colarm
 
 import (
 	"context"
+	"hash/maphash"
+	"slices"
 	"strings"
 )
 
@@ -46,6 +48,66 @@ func RuleKey(r Rule) string {
 	return strings.Join(r.Antecedent, "\x1f") + "\x1e" + strings.Join(r.Consequent, "\x1f")
 }
 
+// labelSeed keys labelHash; it is per process, and no hash outlives one.
+var labelSeed = maphash.MakeSeed()
+
+// labelHash hashes a rule's labels, the identity RuleKey spells out:
+// each label's hash mixed in order, the antecedent's length separating
+// the two sides.
+func labelHash(r *Rule) uint64 {
+	const prime = 0x100000001b3
+	h := uint64(len(r.Antecedent))
+	for _, l := range r.Antecedent {
+		h = (h ^ maphash.String(labelSeed, l)) * prime
+	}
+	for _, l := range r.Consequent {
+		h = (h ^ maphash.String(labelSeed, l)) * prime
+	}
+	return h
+}
+
+// labelIndex finds a rule of a set by its labels: each rule is indexed
+// once by a hash of them, the rare rules whose hashes collide chained,
+// and a match is an exact label compare, so no key string is joined.
+type labelIndex struct {
+	rules []Rule
+	hash  func(*Rule) uint64
+	first map[uint64]int // the last rule of each hash
+	next  []int          // the rule before i with i's hash, or -1
+}
+
+func newLabelIndex(rules []Rule, hash func(*Rule) uint64) *labelIndex {
+	x := &labelIndex{rules: rules, hash: hash, first: make(map[uint64]int, len(rules)), next: make([]int, len(rules))}
+	for i := range rules {
+		h := hash(&rules[i])
+		j, ok := x.first[h]
+		if !ok {
+			j = -1
+		}
+		x.next[i], x.first[h] = j, i
+	}
+	return x
+}
+
+// find returns the index of the rule with r's labels — the last one,
+// should the set repeat them — or -1.
+func (x *labelIndex) find(r *Rule) int {
+	i, ok := x.first[x.hash(r)]
+	if !ok {
+		return -1
+	}
+	for i >= 0 && !sameLabels(&x.rules[i], r) {
+		i = x.next[i]
+	}
+	return i
+}
+
+// sameLabels reports whether a and b are the same rule: equal labels,
+// side for side.
+func sameLabels(a, b *Rule) bool {
+	return slices.Equal(a.Antecedent, b.Antecedent) && slices.Equal(a.Consequent, b.Consequent)
+}
+
 // sameMeasures reports whether two same-key rules carry identical
 // counts; every derived measure (support, confidence, lift, cosine,
 // Kulczynski) is a pure function of counts computed by the same code,
@@ -68,8 +130,9 @@ func sameMeasures(a, b Rule) bool {
 // query. It executes one mining pass through the shared merged-view
 // machinery (the view is materialized at most once per delta version,
 // so concurrent diffs of different queries at one version share it)
-// and diffs the result against prev by RuleKey. Passing nil prev
-// yields a diff in which every rule Appeared — the snapshot form.
+// and diffs the result against prev by label, as RuleKey identifies a
+// rule. Passing nil prev yields a diff in which every rule Appeared —
+// the snapshot form.
 func (e *Engine) RuleDiff(ctx context.Context, q Query, prev []Rule) (*RuleSetDiff, error) {
 	res, err := e.MineContext(ctx, q)
 	if err != nil {
@@ -80,15 +143,11 @@ func (e *Engine) RuleDiff(ctx context.Context, q Query, prev []Rule) (*RuleSetDi
 		Version:    e.Version(),
 		Rules:      res.Rules,
 	}
-	// Key each previous rule once; a rule set's keys are distinct.
-	old := make(map[string]int, len(prev))
-	for i, r := range prev {
-		old[RuleKey(r)] = i
-	}
+	old := newLabelIndex(prev, labelHash)
 	matched := make([]bool, len(prev))
 	for _, r := range res.Rules {
-		i, ok := old[RuleKey(r)]
-		if !ok {
+		i := old.find(&r)
+		if i < 0 {
 			d.Appeared = append(d.Appeared, r)
 			continue
 		}
