@@ -1,7 +1,7 @@
 package colarm_test
 
 // Benchmarks regenerating the paper's evaluation artifacts (see
-// DESIGN.md §5 for the experiment index and EXPERIMENTS.md for the
+// DESIGN.md §13 for the experiment index and EXPERIMENTS.md for the
 // paper-vs-measured discussion):
 //
 //	BenchmarkFig8*            E1: CFI mining across primary thresholds

@@ -1,5 +1,5 @@
 // Command colarm-datagen emits the synthetic benchmark datasets (the
-// stand-ins for UCI chess, mushroom and PUMSB — see DESIGN.md §4) or the
+// stand-ins for UCI chess, mushroom and PUMSB — see DESIGN.md §13) or the
 // paper's Table 1 salary example as CSV.
 //
 // Usage:

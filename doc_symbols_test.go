@@ -106,6 +106,115 @@ func TestDocSymbolsResolve(t *testing.T) {
 	}
 }
 
+// designMaxBytes caps DESIGN.md: it says what the system is, and what
+// each change did belongs to CHANGES.md.
+const designMaxBytes = 40 << 10
+
+// TestDesignDocHeldToTree holds DESIGN.md to the tree in three ways: it
+// stays within designMaxBytes; its §2 inventory names every directory
+// under internal/ and cmd/; and every section it is cited by exists —
+// each "DESIGN §N" or "DESIGN.md §N" in README.md, EXPERIMENTS.md,
+// ROADMAP.md, the verify skill and the Go files outside benchmark/, and
+// each bare §N inside DESIGN.md itself, names a "## N." heading. A §N.M
+// is the paper's numbering and is not checked. CHANGES.md is history
+// and is not read.
+func TestDesignDocHeldToTree(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := string(raw)
+	headings := map[string]bool{}
+	for _, m := range designHeadingRE.FindAllStringSubmatch(design, -1) {
+		headings[m[1]] = true
+	}
+
+	t.Run("size", func(t *testing.T) {
+		if len(raw) > designMaxBytes {
+			t.Errorf("DESIGN.md is %d bytes, over the %d-byte cap", len(raw), designMaxBytes)
+		}
+	})
+
+	t.Run("inventory", func(t *testing.T) {
+		inventory := designSection(design, "2")
+		if inventory == "" {
+			t.Fatal("DESIGN.md has no \"## 2.\" section")
+		}
+		for _, parent := range []string{"internal", "cmd"} {
+			dirs, err := os.ReadDir(parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range dirs {
+				if name := parent + "/" + d.Name(); d.IsDir() && !strings.Contains(inventory, "`"+name+"`") {
+					t.Errorf("DESIGN §2's inventory does not name `%s`", name)
+				}
+			}
+		}
+	})
+
+	t.Run("citations", func(t *testing.T) {
+		check := func(file, text string, re *regexp.Regexp) {
+			for _, m := range re.FindAllString(text, -1) {
+				for _, sec := range sectionRE.FindAllStringSubmatch(m, -1) {
+					if sec[2] == "" && !headings[sec[1]] {
+						t.Errorf("%s: %q cites §%s, which DESIGN.md has no \"## %s.\" heading for",
+							file, strings.Join(strings.Fields(m), " "), sec[1], sec[1])
+					}
+				}
+			}
+		}
+		check("DESIGN.md", design, sectionRE)
+		files := []string{"README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}
+		err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if name := d.Name(); path != "." && (name == "benchmark" || strings.HasPrefix(name, ".")) {
+					return filepath.SkipDir
+				}
+			} else if strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			text, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(file, string(text), designCiteRE)
+		}
+	})
+}
+
+var (
+	designHeadingRE = regexp.MustCompile(`(?m)^## (\d+)\.`)
+	// A section number and, for the paper's numbering, its ".M".
+	sectionRE = regexp.MustCompile(`§(\d+)((?:\.\d+)*)`)
+	// A citation of DESIGN.md, with any further sections listed after
+	// it ("DESIGN §3, §12").
+	designCiteRE = regexp.MustCompile(`DESIGN(?:\.md)?\s+§\d+(?:\.\d+)*(?:(?:,|\s+and|\s+or)\s+§\d+(?:\.\d+)*)*`)
+)
+
+// designSection returns the text of DESIGN.md's "## n." section, up to
+// the next "## " heading ("" when there is none).
+func designSection(design, n string) string {
+	start := strings.Index(design, "\n## "+n+".")
+	if start < 0 {
+		return ""
+	}
+	body := design[start+1:]
+	if end := strings.Index(body, "\n## "); end >= 0 {
+		body = body[:end]
+	}
+	return body
+}
+
 var (
 	metricRE = regexp.MustCompile(`\bcolarm_[a-z_]+`)
 	// A command name, then everything up to the end of the line or a

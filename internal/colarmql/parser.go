@@ -41,8 +41,7 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 // keyword consumes a case-insensitive keyword word, or errors.
 func (p *parser) keyword(kw string) error {

@@ -79,7 +79,7 @@ import (
 // RebuildDivisor sets the refresh policy's threshold: a rebuild is
 // recommended once BufferedRows + Tombstones reach 1/RebuildDivisor of
 // the base records. Near there the part of a view build that grows with
-// the delta catches up with a rebuild (DESIGN §11 has the measurement).
+// the delta catches up with a rebuild (DESIGN §7 has the measurement).
 const RebuildDivisor = 20
 
 // Staleness describes how far an engine's base index has drifted from
@@ -276,13 +276,6 @@ func (s *Store) stalenessLocked() Staleness {
 	changed := st.BufferedRows + st.Tombstones
 	st.RebuildRecommended = changed > 0 && changed*RebuildDivisor >= s.idx.Dataset.NumRecords()
 	return st
-}
-
-// Empty reports whether the store holds no buffered changes.
-func (s *Store) Empty() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version == 0
 }
 
 // Surface returns the index state of the current delta version: the

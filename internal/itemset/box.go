@@ -57,16 +57,6 @@ func (b Box) Clone() Box {
 	return Box{Lo: append([]int32(nil), b.Lo...), Hi: append([]int32(nil), b.Hi...)}
 }
 
-// Intersects reports whether b and o overlap in every dimension.
-func (b Box) Intersects(o Box) bool {
-	for d := range b.Lo {
-		if b.Hi[d] < o.Lo[d] || o.Hi[d] < b.Lo[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsBox reports whether o lies entirely within b.
 func (b Box) ContainsBox(o Box) bool {
 	for d := range b.Lo {
@@ -219,16 +209,6 @@ func (r *Region) Selected(d int) []int {
 	return out
 }
 
-// IsEmpty reports whether any dimension has no selected values.
-func (r *Region) IsEmpty() bool {
-	for d := range r.cards {
-		if r.SelectedCount(d) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Relation classifies box b against the region (Lemma 4.5 drives the
 // special treatment of Contained). Contained means every cell of b lies
 // inside the region; Disjoint means no selected value in some dimension
@@ -240,8 +220,10 @@ func (r *Region) IsEmpty() bool {
 // Only the restricted dimensions are tested. An unrestricted dimension
 // selects its whole domain, so it passes any box that lies inside the
 // domain as Contained; every box must satisfy 0 <= Lo[d] <= Hi[d] <
-// card(d) on every dimension (mip.Index.Validate and the snapshot
-// loader hold stored boxes to it).
+// card(d) on every dimension. Every box is the [min,max] of its
+// supporters' value indices, computed from the rows by mip.BoundingBox
+// and mip.Reach in the index build and the merged view, so none can
+// leave the domain; mip.Index.Validate checks it in the index tests.
 func (r *Region) Relation(b Box) Rel { return r.relation(b.Lo, b.Hi) }
 
 // RelationPacked is Relation over a box packed at arena[off:off+2*dims]
@@ -286,29 +268,6 @@ func (r *Region) ContainsPoint(p []int) bool {
 		}
 	}
 	return true
-}
-
-// BoundingBox returns the MBR of the region: per-dimension [min,max] of
-// the selected values. Empty dimensions produce an inverted interval.
-func (r *Region) BoundingBox() Box {
-	b := NewBox(len(r.cards))
-	for d := range r.cards {
-		if r.sel[d] == nil {
-			b.Lo[d], b.Hi[d] = 0, int32(r.cards[d])-1
-			continue
-		}
-		for v := 0; v < r.cards[d]; v++ {
-			if r.sel[d][v] {
-				if int32(v) < b.Lo[d] {
-					b.Lo[d] = int32(v)
-				}
-				if int32(v) > b.Hi[d] {
-					b.Hi[d] = int32(v)
-				}
-			}
-		}
-	}
-	return b
 }
 
 // AvgExtent returns the fraction of dimension d's domain selected by the

@@ -115,10 +115,6 @@ func NewSet(items ...Item) Set {
 	return out
 }
 
-// Len returns the number of singleton items in the set — C_I in the
-// paper's cost notation (Lemma 4.3).
-func (s Set) Len() int { return len(s) }
-
 // Contains reports whether it is a member of s.
 func (s Set) Contains(it Item) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= it })

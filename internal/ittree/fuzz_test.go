@@ -114,13 +114,6 @@ func FuzzClosure(f *testing.F) {
 			if gotOK != wantOK || (wantOK && gotID != wantID) {
 				t.Fatalf("ClosureID(%v) = (%d,%v), oracle (%d,%v)", x, gotID, gotOK, wantID, wantOK)
 			}
-			wantSupp := -1
-			if wantOK {
-				wantSupp = res.Support(wantID)
-			}
-			if got := tr.GlobalSupport(x); got != wantSupp {
-				t.Fatalf("GlobalSupport(%v) = %d, want %d", x, got, wantSupp)
-			}
 			// Exact lookup agrees with a linear scan.
 			exact := -1
 			for id := 0; id < res.Len(); id++ {

@@ -51,10 +51,6 @@ func Build(res *charm.Result, numItems int) *Tree {
 // Size returns the number of stored CFIs.
 func (t *Tree) Size() int { return t.cfis.Len() }
 
-// NumRecords returns the record count of the dataset the tree was built
-// over.
-func (t *Tree) NumRecords() int { return t.cfis.NumRecords }
-
 // Set returns the CFI with the given id (its index in mining order).
 func (t *Tree) Set(id int) charm.ClosedSet {
 	return charm.ClosedSet{Items: t.Items(id), Tids: t.Tids(id), Support: t.Support(id)}
@@ -76,17 +72,6 @@ func (t *Tree) Items(id int) itemset.Set { return t.cfis.Items(id) }
 // (plans.Focal); index validation and the benchmarks do, and the index
 // build's box probes read the same sets off the CHARM result.
 func (t *Tree) Tids(id int) *bitset.Set { return t.cfis.Tids(id) }
-
-// GlobalSupport returns the dataset-wide support count of an arbitrary
-// itemset x, resolved through its closure, or -1 when x is not covered by
-// the stored CFIs.
-func (t *Tree) GlobalSupport(x itemset.Set) int {
-	id, ok := t.ClosureID(x)
-	if !ok {
-		return -1
-	}
-	return t.Support(id)
-}
 
 // Validate checks internal invariants: closure of every stored itemset is
 // itself, every exact lookup finds its own id, and every signature is

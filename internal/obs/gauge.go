@@ -22,9 +22,6 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Add adds n (which may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Set replaces the current value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

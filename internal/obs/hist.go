@@ -59,8 +59,5 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the total of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }

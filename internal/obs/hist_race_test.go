@@ -16,8 +16,8 @@ import (
 func TestObserveNegativeClamped(t *testing.T) {
 	h := newHistogram("neg_seconds", "", "h", DefaultLatencyBounds())
 	h.Observe(-5 * time.Second)
-	if h.Count() != 1 {
-		t.Fatalf("Count() = %d, want 1", h.Count())
+	if h.count.Load() != 1 {
+		t.Fatalf("Count() = %d, want 1", h.count.Load())
 	}
 	if h.Sum() != 0 {
 		t.Fatalf("Sum() = %v, want 0", h.Sum())

@@ -46,8 +46,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	if h.count.Load() != 100 {
+		t.Fatalf("count = %d, want 100", h.count.Load())
 	}
 	if h.Sum() != 5050*time.Millisecond {
 		t.Fatalf("sum = %v, want 5.05s", h.Sum())
@@ -74,8 +74,8 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := newHistogram("q", "", "", []float64{0.001, 0.002})
 	h.Observe(time.Hour) // beyond every bound -> +Inf bucket
-	if h.Count() != 1 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count.Load() != 1 {
+		t.Fatalf("count = %d", h.count.Load())
 	}
 	if got := h.buckets[len(h.bounds)].Load(); got != 1 {
 		t.Errorf("+Inf bucket holds %d observations, want 1", got)
@@ -99,8 +99,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != goroutines*each {
-		t.Fatalf("count = %d, want %d", h.Count(), goroutines*each)
+	if h.count.Load() != goroutines*each {
+		t.Fatalf("count = %d, want %d", h.count.Load(), goroutines*each)
 	}
 	var inBuckets int64
 	for i := range h.buckets {

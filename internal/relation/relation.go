@@ -167,16 +167,6 @@ func (d *Dataset) AttrIndex(name string) int {
 	return -1
 }
 
-// NumItems returns the total number of distinct items, i.e. the sum of
-// attribute cardinalities. Items are (attribute, value) pairs.
-func (d *Dataset) NumItems() int {
-	t := 0
-	for _, a := range d.Attrs {
-		t += a.Cardinality()
-	}
-	return t
-}
-
 // Validate performs internal consistency checks and returns the first
 // problem found, if any. It is used by loaders and tests.
 func (d *Dataset) Validate() error {

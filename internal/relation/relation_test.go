@@ -69,11 +69,6 @@ func TestBuilderAndAccessors(t *testing.T) {
 	if comp.ValueIndex("Apple") != -1 {
 		t.Error("ValueIndex of unknown value must be -1")
 	}
-	// NumItems = sum of cardinalities.
-	wantItems := 4 + 6 + 3 + 2 + 3 + 4
-	if got := d.NumItems(); got != wantItems {
-		t.Errorf("NumItems = %d, want %d", got, wantItems)
-	}
 }
 
 func TestAddRecordArityError(t *testing.T) {

@@ -155,19 +155,6 @@ func (c *resultCache) put(key string, body []byte) {
 	}
 }
 
-// len returns the live entry count across all shards (expired entries
-// still resident are counted; they leave on next touch).
-func (c *resultCache) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // fnv32a is the 32-bit FNV-1a hash used to pick a shard.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)

@@ -21,6 +21,15 @@ import (
 	"colarm/internal/wire"
 )
 
+// orEmpty is s, or the empty slice when s is nil: the wire says [] for a
+// list with nothing in it, so the reference bodies marshal one.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
+}
+
 // quarterChessEngine opens the quarter-scale chess of the facade's
 // Explain goldens (8 507 CFIs at primary 0.70): replies of hundreds of
 // rules in milliseconds.

@@ -769,12 +769,3 @@ func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
 		_, _ = w.Write(p) // a failed write means the client has gone
 	}
 }
-
-// orEmpty is s, or the empty slice when s is nil: the wire says [] for a
-// list with nothing in it, never null, so clients range without a check.
-func orEmpty[T any](s []T) []T {
-	if s == nil {
-		return []T{}
-	}
-	return s
-}

@@ -604,6 +604,19 @@ func TestCacheTTL(t *testing.T) {
 }
 
 // shardKeys returns n distinct keys that all land in c's shard sh.
+// len returns the entry count across all shards (expired entries still
+// resident are counted; they leave on next touch).
+func (c *resultCache) len() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.lru.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 func shardKeys(c *resultCache, sh *cacheShard, n int) []string {
 	var keys []string
 	for i := 0; len(keys) < n; i++ {
