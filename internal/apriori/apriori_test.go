@@ -154,7 +154,11 @@ func TestQuickAprioriCrossChecksCharm(t *testing.T) {
 			}
 		}
 		// Closed filter matches CHARM.
-		ch, err := charm.MineTidsets(ts, m, minCount)
+		items, vecs, err := charm.Frequent(ts, m, minCount)
+		if err != nil {
+			return false
+		}
+		ch, err := charm.MineTidsets(ts, items, vecs, m, minCount)
 		if err != nil {
 			return false
 		}

@@ -8,15 +8,16 @@
 // item and ⌈width/64⌉ words each: a sibling pair is counted by AND and
 // popcount, and a vector is written only for a pair that opens a
 // branch, into a per-run slab whose dropped vectors a free list hands
-// out again. MineVectors mines vectors the caller built — ARM hands it
-// views of the focal subset's rank-space vectors, ⌈|D^Q|/64⌉ words, and
-// the merged view of internal/delta its frequent items' merged tidsets
-// in one record-space arena — and returns CFIs without tidsets.
-// MineTidsets, for the offline index build (mip.Build) and Mine, copies
-// each frequent item's tidset into the dense word layout of its record
-// space and gives every emitted CFI its tidset as a *bitset.Set. Either
-// way the Result is slabs indexed by CFI id — items, supports and, for
-// MineTidsets, tidsets — which the IT-tree adopts as its own.
+// out again. Frequent lays a record space's frequent items' tidsets out
+// in one word arena, which the offline index build (mip.Build) and the
+// merged view of internal/delta mine and their box probes read again
+// (mip.Assemble). MineVectors mines vectors the caller built — that
+// arena, or ARM's views of the focal subset's rank-space vectors,
+// ⌈|D^Q|/64⌉ words — and returns CFIs without tidsets. MineTidsets, for
+// the offline index build and Mine, also gives every emitted CFI its
+// tidset as a *bitset.Set. Either way the Result is slabs indexed by
+// CFI id — items, supports and, for MineTidsets, tidsets — which the
+// IT-tree adopts as its own.
 package charm
 
 import (
@@ -75,7 +76,11 @@ func (r *Result) Tids(i int) *bitset.Set {
 // returned CFIs are deterministic for a given dataset.
 func Mine(d *relation.Dataset, sp *itemset.Space, minCount int) (*Result, error) {
 	tidsets := itemset.ItemTidsets(d, sp)
-	return MineTidsets(tidsets, d.NumRecords(), minCount)
+	items, vecs, err := Frequent(tidsets, d.NumRecords(), minCount)
+	if err != nil {
+		return nil, err
+	}
+	return MineTidsets(tidsets, items, vecs, d.NumRecords(), minCount)
 }
 
 // MineSupport runs CHARM at a relative minimum support in (0, 1].
@@ -99,48 +104,49 @@ func CountFor(minSupport float64, numRecords int) int {
 	return c
 }
 
-// MineTidsets runs CHARM directly over per-item tidsets, each of
-// capacity numRecords. Items whose tidset is nil are skipped, which lets
-// callers mine a restricted item universe.
-//
-// The miner copies each frequent item's tidset into ⌈numRecords/64⌉
-// words (bitset.CopyWords) and mines those. An emitted CFI's tidset is
-// materialized once, at emit time, into the result's tidset slab: a CFI
-// whose vector is still an item's own holds that item's input
-// *bitset.Set (nothing is cloned); any other gets a new set in
-// Optimize's encoding (bitset.FromWords). The inputs are only read.
-// Callers therefore treat every Result.Tids as read-only and keep the
-// input tidsets unchanged for as long as the result is in use.
-func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
-	if minCount < 1 {
-		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
-	}
-	var roots []node
+// Frequent lays the tidsets of the items with at least minCount records
+// out in one word arena, ⌈numRecords/64⌉ words per item in
+// bitset.CopyWords's layout: vecs[k] is items[k]'s, the items ascending.
+// Nil tidsets are skipped, so callers can mine a restricted item
+// universe; every other one must have capacity numRecords.
+func Frequent(tidsets []*bitset.Set, numRecords, minCount int) (items []itemset.Item, vecs [][]uint64, err error) {
 	for it, t := range tidsets {
 		if t == nil {
 			continue
 		}
 		if t.Len() != numRecords {
-			return nil, fmt.Errorf("charm: item %d tidset has capacity %d, want %d records", it, t.Len(), numRecords)
+			return nil, nil, fmt.Errorf("charm: item %d tidset has capacity %d, want %d records", it, t.Len(), numRecords)
 		}
-		if supp := t.Count(); supp >= minCount {
-			roots = append(roots, node{items: itemset.Set{itemset.Item(it)}, supp: supp, root: it})
+		if t.Count() >= minCount {
+			items = append(items, itemset.Item(it))
 		}
 	}
-	m := newMiner(context.Background(), (numRecords+63)/64, minCount)
-	m.tidset = func(root int, vec []uint64) *bitset.Set {
+	nw := (numRecords + 63) / 64
+	arena := make([]uint64, len(items)*nw)
+	vecs = make([][]uint64, len(items))
+	for k, it := range items {
+		vecs[k] = arena[k*nw : (k+1)*nw : (k+1)*nw]
+		bitset.CopyWords(vecs[k], tidsets[it])
+	}
+	return items, vecs, nil
+}
+
+// MineTidsets runs CHARM over items/vecs, the frequent items' vectors
+// Frequent laid out of tidsets, like MineVectors, and also gives every
+// emitted CFI its tidset. It is materialized once, at emit time, into
+// the result's tidset slab: a CFI whose vector is still an item's own
+// holds that item's input *bitset.Set (nothing is cloned); any other
+// gets a new set in Optimize's encoding (bitset.FromWords). The inputs
+// are only read. Callers therefore treat every Result.Tids as read-only
+// and keep the input tidsets unchanged for as long as the result is in
+// use.
+func MineTidsets(tidsets []*bitset.Set, items []itemset.Item, vecs [][]uint64, numRecords, minCount int) (*Result, error) {
+	return mine(context.Background(), items, vecs, numRecords, minCount, nil, func(root int, vec []uint64) *bitset.Set {
 		if root >= 0 {
 			return tidsets[root]
 		}
 		return bitset.FromWords(numRecords, vec)
-	}
-	arena := make([]uint64, len(roots)*m.nw)
-	for k := range roots {
-		v := arena[k*m.nw : (k+1)*m.nw : (k+1)*m.nw]
-		bitset.CopyWords(v, tidsets[roots[k].root])
-		roots[k].vec = v
-	}
-	return m.run(roots, numRecords, nil)
+	})
 }
 
 // MineVectors runs CHARM over per-item bit vectors of one width:
@@ -162,6 +168,11 @@ func MineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, erro
 // reuse unusable, and a miner whose slabs outgrew maxReusedWords is not
 // kept.
 func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result) (*Result, error) {
+	return mine(ctx, items, vecs, numRecords, minCount, reuse, nil)
+}
+
+// mine is MineVectors with the miner's tidset hook set to tidset.
+func mine(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result, tidset func(root int, vec []uint64) *bitset.Set) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
 	}
@@ -179,6 +190,7 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 	} else {
 		m = newMiner(ctx, nw, minCount)
 	}
+	m.tidset = tidset
 	roots := m.roots[:0]
 	for k, it := range items {
 		v := vecs[k]

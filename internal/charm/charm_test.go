@@ -259,7 +259,7 @@ func TestMineTidsetsSkipsNil(t *testing.T) {
 		nil,
 		bitset.FromIDs(4, 1, 2, 3),
 	}
-	res, err := MineTidsets(tidsets, 4, 2)
+	res, err := mineTidsets(tidsets, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,4 +301,14 @@ func closedOf(r *Result) []*ClosedSet {
 		out[i] = &ClosedSet{Items: r.Items(i), Tids: r.Tids(i), Support: r.Support(i)}
 	}
 	return out
+}
+
+// mineTidsets runs MineTidsets over the arena Frequent lays out of
+// tidsets, as Mine does.
+func mineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
+	items, vecs, err := Frequent(tidsets, numRecords, minCount)
+	if err != nil {
+		return nil, err
+	}
+	return MineTidsets(tidsets, items, vecs, numRecords, minCount)
 }

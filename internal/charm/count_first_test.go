@@ -38,7 +38,7 @@ func TestMineTidsetsReadsInputsOnly(t *testing.T) {
 	for i, s := range tids {
 		before[i] = s.Clone()
 	}
-	if _, err := MineTidsets(tids, n, minCount); err != nil {
+	if _, err := mineTidsets(tids, n, minCount); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range tids {
@@ -55,7 +55,7 @@ func TestMineTidsetsReadsInputsOnly(t *testing.T) {
 // intersection of its items' tidsets when mining ends.
 func TestClosedTidsAliasing(t *testing.T) {
 	tids, n, minCount := mushroom(t)
-	res, err := MineTidsets(tids, n, minCount)
+	res, err := mineTidsets(tids, n, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestClosedTidsAliasing(t *testing.T) {
 // also materialized its intersection first).
 func TestMineAllocsPerCFI(t *testing.T) {
 	tids, n, minCount := mushroom(t)
-	res, err := MineTidsets(tids, n, minCount)
+	res, err := mineTidsets(tids, n, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := MineTidsets(tids, n, minCount); err != nil {
+		if _, err := mineTidsets(tids, n, minCount); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,7 +115,7 @@ func benchmarkMine(b *testing.B, tids []*bitset.Set, n, minCount int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := MineTidsets(tids, n, minCount)
+		res, err := mineTidsets(tids, n, minCount)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -143,7 +143,7 @@ func FuzzMineVectors(f *testing.F) {
 			t.Fatal("mining changed the input vectors")
 		}
 
-		rec, err := MineTidsets(sets, width, minCount)
+		rec, err := mineTidsets(sets, width, minCount)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestMineTidsetsMultiContainer(t *testing.T) {
 			input[sets[it]] = true
 		}
 		for _, minCount := range []int{1, n / 8, n / 3} {
-			res, err := MineTidsets(sets, n, minCount)
+			res, err := mineTidsets(sets, n, minCount)
 			if err != nil {
 				t.Fatal(err)
 			}

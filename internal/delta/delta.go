@@ -25,15 +25,14 @@
 //     the delta-side count pass, amortized over the version);
 //  2. CHARM re-mines the closed frequent itemsets over the merged
 //     tidsets at the merged primary-support count — the frequent items'
-//     tidsets laid out once in one word arena, mined by
-//     charm.MineVectors, so no CFI carries a tidset — and the closed
-//     IT-tree is rebuilt with the code the offline build uses;
-//  3. the MIP bounding boxes are those of the merged tidsets: the
-//     frozen box patched by what the delta changed where the frozen
+//     tidsets laid out in one word arena (charm.Frequent) and mined by
+//     charm.MineVectors, so no CFI carries a tidset;
+//  3. the offline build's pipeline, mip.Assemble, builds the closed
+//     IT-tree, the MIP bounding boxes and the R-tree packed at the
+//     frozen index's fanout. Only the box function differs: a box is
+//     the frozen one patched by what the delta changed where the frozen
 //     index stores the itemset (see mergedBox), probed from scratch
-//     with the offline build's code otherwise;
-//  4. the boxes are packed into an R-tree by rtree.Bulk at the frozen
-//     index's fanout, as the offline build packs them.
+//     with the offline build's code otherwise.
 //
 // Record ids are stable: base records keep ids 0..N-1 (a tombstoned id
 // is never reused) and buffered inserts take N, N+1, ... in arrival
@@ -61,19 +60,14 @@ package delta
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
-	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
-	"colarm/internal/pool"
 	"colarm/internal/qerr"
 	"colarm/internal/relation"
-	"colarm/internal/rtree"
 )
 
 // RebuildDivisor sets the refresh policy's threshold: a rebuild is
@@ -378,48 +372,25 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	// merged data would do exactly this, so the CFIs, supports and
 	// closure structure match it by construction.
 	minCount := charm.CountFor(s.primary, live.Count())
-	if minCount < 1 {
-		minCount = 1
-	}
-	// CHARM mines the frequent items' merged tidsets laid out once, in
-	// one word arena. The view's CFIs carry no tidset: no plan reads one,
-	// and mergedBox forms a CFI's word vector from the arena (every item
-	// of a CFI is frequent) only when it has to probe.
-	nw := (capN + 63) / 64
-	var items []itemset.Item
-	for it, t := range tids {
-		if t.Count() >= minCount {
-			items = append(items, itemset.Item(it))
-		}
-	}
-	arena := make([]uint64, len(items)*nw)
-	vecs := make([][]uint64, len(items))
-	for k, it := range items {
-		vecs[k] = arena[k*nw : (k+1)*nw : (k+1)*nw]
-		bitset.CopyWords(vecs[k], tids[it])
+	// The view's CFIs carry no tidset: no plan reads one, and mergedBox
+	// ANDs a CFI's supporters from the mining arena only to probe. The
+	// frozen index's fanout makes SEARCH walk the tree a rebuild would.
+	items, vecs, err := charm.Frequent(tids, capN, minCount)
+	if err != nil {
+		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}
 	res, err := charm.MineVectors(context.Background(), items, vecs, capN, minCount, nil)
 	if err != nil {
 		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}
-	tree := ittree.Build(res, sp.NumItems())
-	entries := make([]rtree.Entry, res.Len())
-	// Boxes are independent reads into pre-indexed slots, so the surface
-	// is the same at every worker count.
-	if _, err := pool.Run(context.Background(), len(entries), func(id int) {
+	tree, rt, err := mip.Assemble(res, sp, items, vecs, s.idx.RTree.Fanout(), func(p *mip.Probe) {
 		if s.boxFault != nil {
-			s.boxFault(id)
+			s.boxFault(p.ID)
 		}
-		box := s.mergedBox(res.Items(id), tids, items, vecs, gone, added)
-		entries[id] = rtree.Entry{Box: box, ID: int32(id), Support: int32(res.Support(id))}
-	}); err != nil {
-		return nil, err
-	}
-	// Pack the boxes as the offline build does, at the frozen index's
-	// fanout, so SEARCH walks the tree a rebuild would have.
-	rt, err := rtree.Bulk(entries, sp.NumAttrs(), s.idx.RTree.Fanout())
+		s.mergedBox(p, tids, gone, added)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("delta: packing merged boxes: %w", err)
+		return nil, err
 	}
 
 	rows := s.rows // append-only; elements are never mutated
@@ -441,10 +412,10 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	}, nil
 }
 
-// mergedBox returns the bounding box of merged CFI c (its itemset) over
-// the merged tidsets — the box mip.BoundingBox computes from c's merged
-// tidset — at a cost the delta sets when the frozen index already stores
-// c.
+// mergedBox writes the bounding box of merged CFI p over the merged
+// tidsets — the box mip.BoundingBox computes from p's merged supporters
+// — at a cost the delta sets when the frozen index already stores p's
+// itemset c.
 //
 // The box of an itemset is, per unconstrained attribute, the [min,max]
 // value over the records containing it, and the merged supporters are
@@ -454,76 +425,59 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 // on it (otherwise a surviving supporter still attains it), and then
 // that one side of that one attribute is re-probed against the merged
 // tidsets from the old bound on; afterwards every buffered supporter
-// extends the box. An itemset the frozen index does not store has no box
-// to patch and is probed from scratch. The view mines without tidsets:
-// only these two probes need c's supporters, and
-// read them as the AND of its items' word vectors from the mining arena
-// (vectorOf): vecs[k] is the merged tidset of frequent item items[k].
-func (s *Store) mergedBox(c itemset.Set, tids []*bitset.Set, items []itemset.Item, vecs [][]uint64, gone, added []changedRow) itemset.Box {
-	sp, cards := s.idx.Space, s.idx.Cards
+// extends the box. The box's own slot marks a lost side until it is
+// re-probed; on an attribute of c every merged supporter holds c's
+// value, so the re-probe returns it. An itemset the frozen index does
+// not store has no box to patch and is probed from scratch. Only these
+// two probes read p.Supporters.
+func (s *Store) mergedBox(p *mip.Probe, tids []*bitset.Set, gone, added []changedRow) {
+	sp, cards, c := s.idx.Space, s.idx.Cards, p.Items
 	fid, ok := s.idx.ITTree.LookupID(c)
 	if !ok {
-		return mip.BoundingBox(sp, cards, tids, c, vectorOf(items, vecs, c))
+		mip.BoundingBox(sp, cards, tids, c, p.Supporters(), p.Lo, p.Hi)
+		return
 	}
-	box := s.idx.RTree.Box(fid).Clone()
-	const fixed, loLost, hiLost = 1, 2, 4
-	flags := make([]uint8, sp.NumAttrs())
-	// A changed row supports c exactly when it holds every item of c:
-	// each item's value on the item's attribute.
-	attrs, vals := make([]int, len(c)), make([]int32, len(c))
-	for k, it := range c {
-		attrs[k], vals[k] = sp.AttrOf(it), int32(sp.ValueOf(it))
-		flags[attrs[k]] = fixed // a point interval, whatever the records
-	}
+	frozen := s.idx.RTree.Box(fid)
+	copy(p.Lo, frozen.Lo)
+	copy(p.Hi, frozen.Hi)
+	const loLost, hiLost = 1 << 30, -1 // a lost bound, until re-probed
+	// A changed row supports c, tombstoned in the frozen index and
+	// buffered in the merged data, exactly when it holds every item.
 	holdsAll := func(row []int32) bool {
-		for k, a := range attrs {
-			if row[a] != vals[k] {
+		for _, it := range c {
+			if a := sp.AttrOf(it); sp.ItemOf(a, int(row[a])) != it {
 				return false
 			}
 		}
 		return true
 	}
 	for _, g := range gone {
-		// A tombstoned base row supported c in the frozen index exactly
-		// when it holds every item of c.
 		if !holdsAll(g.row) {
 			continue
 		}
 		for a, v := range g.row {
-			if flags[a] == fixed {
-				continue
+			if v == frozen.Lo[a] {
+				p.Lo[a] = loLost
 			}
-			if v == box.Lo[a] {
-				flags[a] |= loLost
-			}
-			if v == box.Hi[a] {
-				flags[a] |= hiLost
+			if v == frozen.Hi[a] {
+				p.Hi[a] = hiLost
 			}
 		}
 	}
-	// probe walks attribute a's values from v in direction step to the
-	// first one a merged supporter holds. When none lies on or beyond
-	// the old bound it returns the empty interval's bound, and a
-	// buffered supporter below sets it: the itemset has support >= 1.
-	var vec []uint64 // c's merged supporters, formed by the first probe
-	probe := func(a, v, step int, none int32) int32 {
-		if vec == nil {
-			vec = vectorOf(items, vecs, c)
+	// A lost side is re-probed from its frozen bound inwards. When no
+	// merged supporter lies on or beyond the bound, the side stays lost
+	// — the empty interval's bound — and a buffered supporter below sets
+	// it: the itemset has support >= 1.
+	for a := range p.Lo {
+		if p.Lo[a] == loLost {
+			if v, ok := mip.Reach(sp, cards, tids, a, int(frozen.Lo[a]), +1, p.Supporters()); ok {
+				p.Lo[a] = int32(v)
+			}
 		}
-		if v, ok := mip.Reach(sp, cards, tids, a, v, step, vec); ok {
-			return int32(v)
-		}
-		return none
-	}
-	for a, f := range flags {
-		if f == fixed {
-			continue
-		}
-		if f&loLost != 0 {
-			box.Lo[a] = probe(a, int(box.Lo[a]), +1, 1<<30)
-		}
-		if f&hiLost != 0 {
-			box.Hi[a] = probe(a, int(box.Hi[a]), -1, -1)
+		if p.Hi[a] == hiLost {
+			if v, ok := mip.Reach(sp, cards, tids, a, int(frozen.Hi[a]), -1, p.Supporters()); ok {
+				p.Hi[a] = int32(v)
+			}
 		}
 	}
 	for _, ad := range added {
@@ -531,32 +485,10 @@ func (s *Store) mergedBox(c itemset.Set, tids []*bitset.Set, items []itemset.Ite
 			continue
 		}
 		for a, v := range ad.row {
-			box.Lo[a] = min(box.Lo[a], v)
-			box.Hi[a] = max(box.Hi[a], v)
+			p.Lo[a] = min(p.Lo[a], v)
+			p.Hi[a] = max(p.Hi[a], v)
 		}
 	}
-	return box
-}
-
-// vectorOf returns the merged supporters of itemset x as a word vector:
-// the AND of its items' vectors, vecs[k] being that of items[k]
-// (ascending, and holding every item of a CFI); for one item, that
-// item's own (read-only) vector.
-func vectorOf(items []itemset.Item, vecs [][]uint64, x itemset.Set) []uint64 {
-	vec := func(it itemset.Item) []uint64 {
-		k, _ := slices.BinarySearch(items, it)
-		return vecs[k]
-	}
-	if len(x) == 1 {
-		return vec(x[0])
-	}
-	v := slices.Clone(vec(x[0]))
-	for _, it := range x[1:] {
-		for w, y := range vec(it) {
-			v[w] &= y
-		}
-	}
-	return v
 }
 
 // MergedDataset materializes the merged relation — base records minus

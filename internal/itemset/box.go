@@ -52,11 +52,6 @@ func (b Box) IsEmpty() bool {
 	return len(b.Lo) == 0
 }
 
-// Clone returns an independent copy of the box.
-func (b Box) Clone() Box {
-	return Box{Lo: append([]int32(nil), b.Lo...), Hi: append([]int32(nil), b.Hi...)}
-}
-
 // ContainsBox reports whether o lies entirely within b.
 func (b Box) ContainsBox(o Box) bool {
 	for d := range b.Lo {
@@ -221,9 +216,11 @@ func (r *Region) Selected(d int) []int {
 // selects its whole domain, so it passes any box that lies inside the
 // domain as Contained; every box must satisfy 0 <= Lo[d] <= Hi[d] <
 // card(d) on every dimension. Every box is the [min,max] of its
-// supporters' value indices, computed from the rows by mip.BoundingBox
-// and mip.Reach in the index build and the merged view, so none can
-// leave the domain; mip.Index.Validate checks it in the index tests.
+// supporters' value indices, written by the box function of
+// mip.Assemble — mip.BoundingBox in the index build, the merged view's
+// patch of a frozen box otherwise, both probing with mip.Reach — so
+// none can leave the domain; mip.Index.Validate checks it in the index
+// tests.
 func (r *Region) Relation(b Box) Rel { return r.relation(b.Lo, b.Hi) }
 
 // RelationPacked is Relation over a box packed at arena[off:off+2*dims]

@@ -25,6 +25,7 @@ type Item int32
 type Space struct {
 	attrs  []*relation.Attribute
 	base   []int32  // base[a] = first item id of attribute a
+	attrOf []int32  // attrOf[it] = the attribute of item it
 	labels []string // labels[it] = "Attr=value", one per item
 }
 
@@ -34,6 +35,7 @@ func NewSpace(d *relation.Dataset) *Space {
 	for i, a := range d.Attrs {
 		s.base[i] = int32(len(s.labels))
 		for _, v := range a.Values {
+			s.attrOf = append(s.attrOf, int32(i))
 			s.labels = append(s.labels, a.Name+"="+v)
 		}
 	}
@@ -53,11 +55,7 @@ func (s *Space) Cardinality(a int) int { return s.attrs[a].Cardinality() }
 func (s *Space) ItemOf(a, v int) Item { return Item(s.base[a] + int32(v)) }
 
 // AttrOf returns the attribute index of it.
-func (s *Space) AttrOf(it Item) int {
-	// base is ascending; binary search the owning attribute.
-	i := sort.Search(len(s.base), func(i int) bool { return s.base[i] > int32(it) })
-	return i - 1
-}
+func (s *Space) AttrOf(it Item) int { return int(s.attrOf[it]) }
 
 // ValueOf returns the value index of it along its attribute's axis.
 func (s *Space) ValueOf(it Item) int {

@@ -26,7 +26,6 @@ package ittree
 
 import (
 	"slices"
-	"sort"
 
 	"colarm/internal/itemset"
 )
@@ -63,12 +62,11 @@ func (t *Tree) buildFlat(numItems int) {
 	}
 	for it := 0; it < numItems; it++ {
 		run := t.invArena[t.invOff[it]:t.invOff[it+1]]
-		sort.Slice(run, func(a, b int) bool {
-			sa, sb := t.Support(int(run[a])), t.Support(int(run[b]))
-			if sa != sb {
-				return sa > sb
+		slices.SortFunc(run, func(a, b int32) int {
+			if sa, sb := t.Support(int(a)), t.Support(int(b)); sa != sb {
+				return sb - sa
 			}
-			return run[a] < run[b]
+			return int(a - b)
 		})
 	}
 

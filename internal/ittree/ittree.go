@@ -67,10 +67,10 @@ func (t *Tree) Items(id int) itemset.Set { return t.cfis.Items(id) }
 
 // Tids returns the tidset of the CFI with the given id, nil in a tree
 // built from a charm.MineVectors run — ARM's, and a merged view's
-// (internal/delta). Callers must not mutate it. No
-// query reads it: a count inside a focal subset ANDs item vectors
-// (plans.Focal); index validation and the benchmarks do, and the index
-// build's box probes read the same sets off the CHARM result.
+// (internal/delta). Callers must not mutate it. No query reads it: a
+// count inside a focal subset ANDs item vectors (plans.Focal), and the
+// box probes AND them from the mining arena (mip.Probe.Supporters).
+// Index validation and the benchmarks read it.
 func (t *Tree) Tids(id int) *bitset.Set { return t.cfis.Tids(id) }
 
 // Validate checks internal invariants: closure of every stored itemset is

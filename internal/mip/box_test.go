@@ -196,7 +196,8 @@ func FuzzBoxProbe(f *testing.F) {
 
 // BenchmarkBoxes is the box probes of an index build alone, serial,
 // over the benchmark workloads' three fixtures at their primaries:
-// every CFI's box from its tidset, laid out in one scratch vector.
+// every CFI's box from its supporters, the AND of its items' vectors in
+// the arena CHARM mines, formed in one scratch vector.
 func BenchmarkBoxes(b *testing.B) {
 	for _, fx := range []struct {
 		name    string
@@ -216,14 +217,18 @@ func BenchmarkBoxes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vec := make([]uint64, (d.NumRecords()+63)/64)
+			items, vecs, err := charm.Frequent(idx.Tidsets, d.NumRecords(), idx.PrimaryCount)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := &Probe{items: items, vecs: vecs, scratch: make([]uint64, len(vecs[0]))}
+			lo, hi := make([]int32, d.NumAttrs()), make([]int32, d.NumAttrs())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for id := 0; id < idx.NumMIPs(); id++ {
-					c := idx.ITTree.Set(id)
-					bitset.CopyWords(vec, c.Tids)
-					BoundingBox(idx.Space, idx.Cards, idx.Tidsets, c.Items, vec)
+					p.Items, p.vec = idx.ITTree.Items(id), nil
+					BoundingBox(idx.Space, idx.Cards, idx.Tidsets, p.Items, p.Supporters(), lo, hi)
 				}
 			}
 		})

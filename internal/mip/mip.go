@@ -10,15 +10,21 @@
 //     support counts (the supported R-tree of Section 4.3);
 //   - a closed IT-tree over the itemsets and their tidsets.
 //
-// A MIP's box is probed from its tidset laid out as a dense word vector:
-// each free axis is walked in from both ends, testing each value's item
-// tidset against the vector (bitset.Set.IntersectsWords) in the
-// tidset's own encoding until one shares a record.
+// Both layers come out of one pipeline, Assemble, which the offline
+// build and the merged view of internal/delta share. A MIP's box is
+// probed from its supporters as a dense word vector — the AND of its
+// items' vectors in the arena CHARM mined — and written straight into
+// the id-ordered slab the R-tree is packed from: each free axis is
+// walked in from both ends, testing each value's item tidset against
+// the vector (bitset.Set.IntersectsWords) in the tidset's own encoding
+// until one shares a record.
 package mip
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 
 	"colarm/internal/bitset"
 	"colarm/internal/charm"
@@ -70,10 +76,6 @@ func Build(d *relation.Dataset, opts Options) (*Index, error) {
 	return build(d, charm.CountFor(opts.PrimarySupport, d.NumRecords()), opts.Fanout)
 }
 
-// boxChunk is how many CFIs one box-probe task of the index build takes:
-// enough to share a scratch vector, few enough to balance the workers.
-const boxChunk = 64
-
 // build mines the validated dataset d at primaryCount records and
 // builds the index layers over the result with an R-tree of the given
 // fanout. Build and ReadSnapshot both end here, so a loaded snapshot
@@ -81,77 +83,139 @@ const boxChunk = 64
 func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 	sp := itemset.NewSpace(d)
 	tidsets := itemset.ItemTidsets(d, sp)
-	res, err := charm.MineTidsets(tidsets, d.NumRecords(), primaryCount)
+	items, vecs, err := charm.Frequent(tidsets, d.NumRecords(), primaryCount)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
+	res, err := charm.MineTidsets(tidsets, items, vecs, d.NumRecords(), primaryCount)
+	if err != nil {
+		return nil, err
+	}
+	cards := make([]int, sp.NumAttrs())
+	for a := range cards {
+		cards[a] = sp.Cardinality(a)
+	}
+	tree, rt, err := Assemble(res, sp, items, vecs, fanout, func(p *Probe) {
+		BoundingBox(sp, cards, tidsets, p.Items, p.Supporters(), p.Lo, p.Hi)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Index{
 		Dataset:      d,
 		Space:        sp,
 		Tidsets:      tidsets,
-		ITTree:       ittree.Build(res, sp.NumItems()),
+		ITTree:       tree,
+		RTree:        rt,
 		PrimaryCount: primaryCount,
-	}
-	idx.Cards = make([]int, sp.NumAttrs())
-	for a := range idx.Cards {
-		idx.Cards[a] = sp.Cardinality(a)
-	}
-	// Box probes are independent tidset reads landing in pre-indexed
-	// slots, so they fan out, a chunk of CFIs at a time, without
-	// affecting the result. Each CFI's tidset is laid out as a word
-	// vector in its chunk's one scratch vector.
-	n := res.Len()
-	entries := make([]rtree.Entry, n)
-	if _, err := pool.Run(context.Background(), (n+boxChunk-1)/boxChunk, func(k int) {
-		vec := make([]uint64, (d.NumRecords()+63)/64)
-		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
-			bitset.CopyWords(vec, res.Tids(id))
-			box := BoundingBox(sp, idx.Cards, tidsets, res.Items(id), vec)
-			entries[id] = rtree.Entry{Box: box, ID: int32(id), Support: int32(res.Support(id))}
-		}
-	}); err != nil {
-		return nil, err
-	}
-	rt, err := rtree.Bulk(entries, sp.NumAttrs(), fanout)
-	if err != nil {
-		return nil, err
-	}
-	idx.RTree = rt
-	return idx, nil
+		Cards:        cards,
+	}, nil
 }
 
-// BoundingBox returns the MIP box of itemset items whose supporters vec
-// holds in bitset.CopyWords's layout over the universe of tidsets: a
-// point on each dimension the itemset constrains, and on each other the
-// [min,max] value of the supporters, each bound found by Reach. A value
-// outside the extent costs a test of its whole tidset, the support count
-// nothing. The merged view calls it with vectors over buffered ids too,
-// so its boxes are exactly those a rebuild over the merged data computes.
-func BoundingBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, items itemset.Set, vec []uint64) itemset.Box {
-	n := sp.NumAttrs()
-	b := itemset.NewBox(n)
-	constrained := make([]bool, n)
+// Probe is what a box function sees of one CFI: its id, its itemset, its
+// slot in the box slab (Lo, Hi) and, on request, its supporters. A
+// worker's one Probe serves each CFI it boxes in turn.
+type Probe struct {
+	ID     int
+	Items  itemset.Set
+	Lo, Hi []int32
+
+	items   []itemset.Item // the arena's items, ascending
+	vecs    [][]uint64     // vecs[k] is items[k]'s vector
+	scratch []uint64
+	vec     []uint64 // the supporters once formed, else nil
+}
+
+// Supporters returns the CFI's supporters in bitset.CopyWords's layout:
+// the AND of its items' arena vectors, formed on the first call in the
+// worker's scratch. It is read-only and valid while the box call runs.
+func (p *Probe) Supporters() []uint64 {
+	if p.vec == nil {
+		p.vec = p.scratch
+		for w := range p.vec {
+			p.vec[w] = ^uint64(0)
+		}
+		for _, it := range p.Items {
+			k, _ := slices.BinarySearch(p.items, it)
+			for w, y := range p.vecs[k] {
+				p.vec[w] &= y
+			}
+		}
+	}
+	return p.vec
+}
+
+// boxChunk is how many CFIs one box task takes: enough to amortize
+// borrowing a Probe, few enough to balance the workers.
+const boxChunk = 64
+
+// Assemble builds the MIP-index's two layers over res, a CHARM run over
+// items/vecs (charm.Frequent's layout): box writes each CFI's MIP box
+// into an id-ordered slab, the R-tree is packed from it at fanout, and
+// the IT-tree adopts res. Box calls write disjoint slots, so they fan
+// out without affecting the result; a panic in one comes back as a
+// *pool.PanicError.
+func Assemble(res *charm.Result, sp *itemset.Space, items []itemset.Item, vecs [][]uint64, fanout int, box func(*Probe)) (*ittree.Tree, *rtree.Tree, error) {
+	n, dims := res.Len(), sp.NumAttrs()
+	boxes, sups := make([]int32, n*2*dims), make([]int32, n)
+	chunks := (n + boxChunk - 1) / boxChunk
+	// A task borrows one of the workers' Probes for its chunk, so the
+	// fan-out allocates per worker, not per CFI.
+	free := make(chan *Probe, max(1, min(runtime.GOMAXPROCS(0), chunks)))
+	for range cap(free) {
+		free <- &Probe{items: items, vecs: vecs, scratch: make([]uint64, (res.NumRecords+63)/64)}
+	}
+	if _, err := pool.Run(context.Background(), chunks, func(k int) {
+		p := <-free
+		defer func() { free <- p }()
+		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
+			o := id * 2 * dims
+			p.ID, p.Items, p.vec = id, res.Items(id), nil
+			p.Lo, p.Hi = boxes[o:o+dims:o+dims], boxes[o+dims:o+2*dims:o+2*dims]
+			box(p)
+			sups[id] = int32(res.Support(id))
+		}
+	}); err != nil {
+		return nil, nil, err
+	}
+	rt, err := rtree.Bulk(boxes, sups, dims, fanout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ittree.Build(res, sp.NumItems()), rt, nil
+}
+
+// BoundingBox writes into lo and hi the MIP box of itemset items whose
+// supporters vec holds in bitset.CopyWords's layout over the universe of
+// tidsets: a point on each dimension the itemset constrains, and on
+// each other the [min,max] value of the supporters, each bound found by
+// Reach. A value outside the extent costs a test of its whole tidset,
+// the support count nothing. The merged view calls it with vectors over
+// buffered ids too, so its boxes are exactly those a rebuild over the
+// merged data computes.
+func BoundingBox(sp *itemset.Space, cards []int, tidsets []*bitset.Set, items itemset.Set, vec []uint64, lo, hi []int32) {
+	for a := range hi {
+		hi[a] = -1 // not constrained by items
+	}
 	for _, it := range items {
 		a := sp.AttrOf(it)
-		v := int32(sp.ValueOf(it))
-		b.Lo[a], b.Hi[a] = v, v
-		constrained[a] = true
+		lo[a] = int32(sp.ValueOf(it))
+		hi[a] = lo[a]
 	}
-	for a := 0; a < n; a++ {
-		if constrained[a] {
+	for a := range lo {
+		if hi[a] >= 0 {
 			continue
 		}
-		lo, ok := Reach(sp, cards, tidsets, a, 0, +1, vec)
+		l, ok := Reach(sp, cards, tidsets, a, 0, +1, vec)
 		if !ok {
 			// A CFI with an empty tidset cannot exist (support >= 1),
 			// but guard against it with a degenerate full-extent box.
-			b.Lo[a], b.Hi[a] = 0, int32(cards[a]-1)
+			lo[a], hi[a] = 0, int32(cards[a]-1)
 			continue
 		}
-		hi, _ := Reach(sp, cards, tidsets, a, cards[a]-1, -1, vec)
-		b.Lo[a], b.Hi[a] = int32(lo), int32(hi)
+		h, _ := Reach(sp, cards, tidsets, a, cards[a]-1, -1, vec)
+		lo[a], hi[a] = int32(l), int32(h)
 	}
-	return b
 }
 
 // Reach walks attribute a's values from v in direction step (+1 or -1)

@@ -2,9 +2,11 @@ package mip
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"colarm/internal/charm"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
 	"colarm/internal/relation"
@@ -286,5 +288,52 @@ func TestCFITidsetBytesPinned(t *testing.T) {
 	const wantCFIs, wantBytes = 8507, 10594570
 	if cfis != wantCFIs || total != wantBytes {
 		t.Errorf("%d CFIs holding %d tidset bytes, want %d CFIs and %d bytes", cfis, total, wantCFIs, wantBytes)
+	}
+}
+
+// TestAssembleAllocsFlat holds the index pipeline — IT-tree, boxes,
+// pack — to an allocation count that does not grow with the CFI count:
+// every box is written into the one id-ordered slab and every
+// supporters vector into a worker's scratch. Chess at two primaries
+// whose CFI counts differ by more than 5× must allocate alike, give or
+// take a few objects per worker.
+func TestAssembleAllocsFlat(t *testing.T) {
+	d, err := datagen.Generate(datagen.ChessConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := itemset.NewSpace(d)
+	tidsets := itemset.ItemTidsets(d, sp)
+	cards := make([]int, sp.NumAttrs())
+	for a := range cards {
+		cards[a] = sp.Cardinality(a)
+	}
+	var cfis []int
+	var allocs []float64
+	for _, primary := range []float64{0.85, 0.70} {
+		minCount := charm.CountFor(primary, d.NumRecords())
+		items, vecs, err := charm.Frequent(tidsets, d.NumRecords(), minCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := charm.MineTidsets(tidsets, items, vecs, d.NumRecords(), minCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfis = append(cfis, res.Len())
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if _, _, err := Assemble(res, sp, items, vecs, 0, func(p *Probe) {
+				BoundingBox(sp, cards, tidsets, p.Items, p.Supporters(), p.Lo, p.Hi)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("CFIs %v, allocations %v", cfis, allocs)
+	if cfis[1] < 5*cfis[0] {
+		t.Fatalf("CFI counts %v differ by less than 5×", cfis)
+	}
+	if slack := 4*float64(runtime.GOMAXPROCS(0)) + 8; allocs[1] > allocs[0]+slack {
+		t.Errorf("%v CFIs allocate %v objects, %v CFIs %v: more than %v apart", cfis[1], allocs[1], cfis[0], allocs[0], slack)
 	}
 }

@@ -176,16 +176,17 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		{"before the domain", -1, 0},
 		{"inverted", 1, 0},
 	} {
-		// Plant the box by repacking the index's entries with it.
-		entries := make([]rtree.Entry, idx.NumMIPs())
-		for id := range entries {
-			entries[id] = rtree.Entry{Box: idx.RTree.Box(id), ID: int32(id), Support: int32(idx.ITTree.Support(id))}
+		// Plant the box by repacking the index's boxes with it.
+		dims := idx.RTree.Dims()
+		boxes, sups := make([]int32, 0, idx.NumMIPs()*2*dims), make([]int32, idx.NumMIPs())
+		for id := range sups {
+			b := idx.RTree.Box(id)
+			boxes = append(append(boxes, b.Lo...), b.Hi...)
+			sups[id] = int32(idx.ITTree.Support(id))
 		}
-		box := idx.RTree.Box(cfi).Clone()
-		box.Lo[0], box.Hi[0] = tc.lo, tc.hi
-		entries[cfi].Box = box
+		boxes[cfi*2*dims], boxes[cfi*2*dims+dims] = tc.lo, tc.hi
 		held := *idx
-		if held.RTree, err = rtree.Bulk(entries, idx.RTree.Dims(), idx.RTree.Fanout()); err != nil {
+		if held.RTree, err = rtree.Bulk(boxes, sups, dims, idx.RTree.Fanout()); err != nil {
 			t.Fatal(err)
 		}
 		var be *BoxDomainError

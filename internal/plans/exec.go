@@ -653,23 +653,13 @@ func (ex *Executor) runMIPPlan(ctx context.Context, kind Kind, f *Focal, q *Quer
 		return nil, err
 	}
 
-	var quals []qualified
-	switch kind {
-	case SEV, SSEV:
-		// Separate ELIMINATE pass, then VERIFY.
-		quals, err = c.eliminate(cands, false)
-	case SVS, SSVS:
-		// SUPPORTED-VERIFY: the support check is interleaved with rule
-		// generation; in this in-memory realization the work is the
-		// same as ELIMINATE's, only unbatched (no separate candidate
-		// list materialization).
-		quals, err = c.eliminate(cands, false)
-	case SSEUV:
-		// Differential treatment: contained MIPs skip the record-level
-		// check entirely and meet the partially overlapped survivors at
-		// the UNION operator.
-		quals, err = c.eliminate(cands, true)
-	}
+	// SEV and SSEV run ELIMINATE as a separate pass before VERIFY. SVS
+	// and SSVS interleave the support check with rule generation
+	// (SUPPORTED-VERIFY); in this in-memory realization the work is the
+	// same as ELIMINATE's, only unbatched (no separate candidate list
+	// materialization). SSEUV's contained MIPs skip the record-level
+	// check and meet the partially overlapped survivors at UNION.
+	quals, err := c.eliminate(cands, kind == SSEUV)
 	if err != nil {
 		return nil, err
 	}

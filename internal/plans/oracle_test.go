@@ -59,7 +59,11 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		tids[it].And(live)
 	}
 	minCount := charm.CountFor(primary, live.Count())
-	res, err := charm.MineTidsets(tids, n, minCount)
+	items, vecs, err := charm.Frequent(tids, n, minCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := charm.MineTidsets(tids, items, vecs, n, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +74,12 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		return rows[rec-baseN][a]
 	}
 	boxes := scanBoxes(res, n, len(idx.Cards), value)
-	entries := make([]rtree.Entry, res.Len())
-	for id := range entries {
-		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(res.Support(id))}
+	slab, sups := make([]int32, 0, res.Len()*2*sp.NumAttrs()), make([]int32, res.Len())
+	for id, b := range boxes {
+		slab = append(append(slab, b.Lo...), b.Hi...)
+		sups[id] = int32(res.Support(id))
 	}
-	rt, err := rtree.Bulk(entries, sp.NumAttrs(), idx.RTree.Fanout())
+	rt, err := rtree.Bulk(slab, sups, sp.NumAttrs(), idx.RTree.Fanout())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package pool is the engine's one fan-out: the plans operators
-// (ELIMINATE's support checks, VERIFY's and ARM's rule generation), the
-// MIP-index assembler and the delta store's merged view (per-CFI
-// bounding boxes) all run their parallel loops through Run.
+// (ELIMINATE's support checks, VERIFY's and ARM's rule generation) and
+// the MIP-index assembler (mip.Assemble: per-CFI bounding boxes, for the
+// offline build and the delta store's merged view alike) run their
+// parallel loops through Run.
 //
 // Work is claimed from an atomic cursor rather than striped statically,
 // so uneven item costs cannot idle a worker. Callers rely on fn(i)

@@ -47,6 +47,14 @@ func tiedEntries(r *rand.Rand, n, dims int) []rtree.Entry {
 	return es
 }
 
+// inIDOrder returns a copy of the entries in ID order, the order the
+// ids of Bulk's input take.
+func inIDOrder(es []rtree.Entry) []rtree.Entry {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(a, b rtree.Entry) int { return int(a.ID - b.ID) })
+	return es
+}
+
 // TestBulkMatchesSortSliceSTR holds Bulk's packed-key sort to the
 // sort.Slice STR it replaced: the same slabs, node for node, on the
 // mushroom @ 0.30 and chess @ 0.70 MIP boxes and on random boxes with
@@ -77,11 +85,11 @@ func TestBulkMatchesSortSliceSTR(t *testing.T) {
 			}
 		}
 		for _, fanout := range []int{2, 4, 7, 16} {
-			got, err := rtree.Bulk(slices.Clone(s.es), s.dims, fanout)
+			got, err := rtree.BulkEntries(s.es, s.dims, fanout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := rtree.SortSliceBulk(slices.Clone(s.es), s.dims, fanout)
+			want := rtree.SortSliceBulk(inIDOrder(s.es), s.dims, fanout)
 			if err := rtree.SameSlabs(got, want); err != nil {
 				t.Fatalf("%s fanout %d (%d entries): %v", s.name, fanout, len(s.es), err)
 			}
@@ -115,7 +123,7 @@ func TestBulkSlabsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, f := range []int{2, 3, 4, 16} {
 		for _, n := range []int{0, 1, f - 1, f, f + 1, f * f, f*f + 1, f * f * f, 100, 1000} {
-			tree, err := rtree.Bulk(tiedEntries(r, n, 3), 3, f)
+			tree, err := rtree.BulkEntries(tiedEntries(r, n, 3), 3, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,12 +147,11 @@ func BenchmarkBulk(b *testing.B) {
 		{"chess@0.70", datagen.ChessConfig(1), 0.70},
 	} {
 		es, dims := cfiEntries(b, c.cfg, c.p)
+		boxes, sups := rtree.EntrySlabs(es, dims)
 		b.Run(c.name, func(b *testing.B) {
-			work := make([]rtree.Entry, len(es))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(work, es)
-				if _, err := rtree.Bulk(work, dims, rtree.DefaultFanout); err != nil {
+				if _, err := rtree.Bulk(boxes, sups, dims, rtree.DefaultFanout); err != nil {
 					b.Fatal(err)
 				}
 			}

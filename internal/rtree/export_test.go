@@ -10,12 +10,37 @@ import (
 // SortSliceBulk is Bulk as it was before the packed-key sort: every tile
 // sorted by sort.Slice over the entries themselves, reading each box's
 // Lo and Hi on every comparison. It is the reference the packed-key
-// order is held to.
+// order is held to. The n entries carry the ids 0..n-1, each once; they
+// are reordered in place.
 func SortSliceBulk(entries []Entry, dims, fanout int) *Tree {
 	sortSliceSTR(entries, dims, fanout, 0)
+	perm := make([]uint32, len(entries))
+	for i, e := range entries {
+		perm[i] = uint32(e.ID)
+	}
+	boxes, sups := EntrySlabs(entries, dims)
 	t := &Tree{dims: dims, fanout: fanout}
-	t.pack(entries)
+	t.pack(perm, boxes, sups)
 	return t
+}
+
+// EntrySlabs lays the n entries, carrying the ids 0..n-1 in any order,
+// out as Bulk's id-ordered input.
+func EntrySlabs(entries []Entry, dims int) (boxes, sups []int32) {
+	boxes, sups = make([]int32, len(entries)*2*dims), make([]int32, len(entries))
+	for _, e := range entries {
+		o := int(e.ID) * 2 * dims
+		copy(boxes[o:o+dims], e.Box.Lo)
+		copy(boxes[o+dims:o+2*dims], e.Box.Hi)
+		sups[e.ID] = e.Support
+	}
+	return boxes, sups
+}
+
+// BulkEntries is Bulk over EntrySlabs(entries, dims).
+func BulkEntries(entries []Entry, dims, fanout int) (*Tree, error) {
+	boxes, sups := EntrySlabs(entries, dims)
+	return Bulk(boxes, sups, dims, fanout)
 }
 
 func sortSliceSTR(entries []Entry, dims, fanout, dim int) {

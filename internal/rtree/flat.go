@@ -52,23 +52,13 @@ func (t *Tree) appendNode(leaf bool) int32 {
 	return i
 }
 
-// appendEntrySlot copies e into a fresh slot at the end of the entry
-// arenas and returns the slot index.
-func (t *Tree) appendEntrySlot(e Entry) int32 {
-	s := int32(len(t.entIDs))
-	t.entBoxes = append(t.entBoxes, e.Box.Lo...)
-	t.entBoxes = append(t.entBoxes, e.Box.Hi...)
-	t.entIDs = append(t.entIDs, e.ID)
-	t.entSups = append(t.entSups, e.Support)
-	return s
-}
-
-// pack bulk-loads the slabs from entries already in packing order.
-// Each slab is allocated at its final size: ⌈n/f⌉ leaves, ⌈n/f²⌉ nodes
-// above them and so on up to the root, and every node but the root is
-// one child entry.
-func (t *Tree) pack(entries []Entry) {
-	n := len(entries)
+// pack bulk-loads the slabs from the id-ordered boxes and sups (Bulk's
+// input), taking the entries in the packing order perm, so each box is
+// copied once, into its slot. Each slab is allocated at its final size:
+// ⌈n/f⌉ leaves, ⌈n/f²⌉ nodes above them and so on up to the root, and
+// every node but the root is one child entry.
+func (t *Tree) pack(perm []uint32, boxes, sups []int32) {
+	n := len(perm)
 	nodes := 1
 	for w := (n + t.fanout - 1) / t.fanout; w > 1; w = (w + t.fanout - 1) / t.fanout {
 		nodes += w
@@ -84,8 +74,13 @@ func (t *Tree) pack(entries []Entry) {
 		t.froot = t.appendNode(true)
 		return
 	}
-	for _, e := range entries {
-		t.slots[e.ID] = t.appendEntrySlot(e)
+	stride := 2 * t.dims
+	for s, id := range perm {
+		o := int(id) * stride
+		t.entBoxes = append(t.entBoxes, boxes[o:o+stride]...)
+		t.entIDs = append(t.entIDs, int32(id))
+		t.entSups = append(t.entSups, sups[id])
+		t.slots[id] = int32(s)
 	}
 	// Pack leaves over contiguous entry runs.
 	levelStart := int32(0)

@@ -78,25 +78,24 @@ func linearSearch(es []Entry, reg *itemset.Region, minCount int) (ids []int32, r
 }
 
 func TestBulkValidation(t *testing.T) {
-	if _, err := Bulk(nil, 0, 8); err == nil {
+	if _, err := Bulk(nil, nil, 0, 8); err == nil {
 		t.Error("dims 0 must error")
 	}
-	if _, err := Bulk(nil, 2, 1); err == nil {
+	if _, err := Bulk(nil, nil, 2, 1); err == nil {
 		t.Error("fanout 1 must error")
 	}
-	bad := []Entry{{Box: itemset.NewBox(3)}}
-	if _, err := Bulk(bad, 2, 8); err == nil {
+	if _, err := Bulk(make([]int32, 6), []int32{0}, 2, 8); err == nil {
 		t.Error("dim mismatch must error")
 	}
 	// Empty bulk gives a working empty tree.
-	tr, err := Bulk(nil, 2, 8)
+	tr, err := Bulk(nil, nil, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != 0 || tr.Height() != 1 {
 		t.Error("empty bulk shape wrong")
 	}
-	if def, err := Bulk(nil, 2, 0); err != nil || def.Fanout() != DefaultFanout {
+	if def, err := Bulk(nil, nil, 2, 0); err != nil || def.Fanout() != DefaultFanout {
 		t.Errorf("fanout 0 must select the default: %v, %v", def, err)
 	}
 	reg := itemset.NewRegion([]int{4, 4})
@@ -110,7 +109,7 @@ func TestPackedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cards := []int{8, 5, 12}
 	es := randomEntries(r, 500, 3, cards)
-	tr, err := Bulk(append([]Entry(nil), es...), 3, 8)
+	tr, err := BulkEntries(es, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestSupportedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cards := []int{10, 10}
 	es := randomEntries(r, 400, 2, cards)
-	tr, err := Bulk(append([]Entry(nil), es...), 2, 6)
+	tr, err := BulkEntries(es, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestSupportedSearchPrunesNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	cards := []int{20, 20}
 	es := randomEntries(r, 2000, 2, cards)
-	tr, _ := Bulk(es, 2, 8)
+	tr, _ := BulkEntries(es, 2, 8)
 	reg := itemset.NewRegion(cards) // full domain
 	plain := tr.Search(reg, func(Entry, itemset.Rel) bool { return true })
 	supp := tr.SupportedSearch(reg, 101, func(Entry, itemset.Rel) bool { return true })
@@ -181,7 +180,7 @@ func TestDynamicInsertMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	cards := []int{9, 7, 6}
 	es := randomEntries(r, 600, 3, cards)
-	tr, err := Bulk(append([]Entry(nil), es...), 3, 5)
+	tr, err := BulkEntries(es, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	cards := []int{6, 6}
 	es := randomEntries(r, 200, 2, cards)
-	tr, _ := Bulk(es, 2, 4)
+	tr, _ := BulkEntries(es, 2, 4)
 	reg := itemset.NewRegion(cards)
 	n := 0
 	tr.Search(reg, func(Entry, itemset.Rel) bool { n++; return n < 3 })
@@ -226,7 +225,7 @@ func TestStats(t *testing.T) {
 		sups[i] = e.Support
 	}
 	sort.Slice(sups, func(a, b int) bool { return sups[a] < sups[b] })
-	tr, _ := Bulk(es, 2, 8)
+	tr, _ := BulkEntries(es, 2, 8)
 	levels := tr.Stats(cards)
 	if len(levels) != tr.Height() {
 		t.Fatalf("levels %d != height %d", len(levels), tr.Height())
@@ -268,7 +267,7 @@ func TestPackedLeafUtilization(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	cards := []int{15, 15}
 	es := randomEntries(r, 1024, 2, cards)
-	tr, _ := Bulk(es, 2, 16)
+	tr, _ := BulkEntries(es, 2, 16)
 	// 1024 entries / fanout 16 = exactly 64 full leaves.
 	levels := tr.Stats(cards)
 	leaves := levels[len(levels)-1].Nodes
@@ -289,7 +288,7 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 		es := randomEntries(r, n, dims, cards)
 		fanout := 2 + r.Intn(10)
 
-		tr, err := Bulk(append([]Entry(nil), es...), dims, fanout)
+		tr, err := BulkEntries(es, dims, fanout)
 		if err != nil {
 			return false
 		}
