@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -158,7 +159,7 @@ func TestQuickAprioriCrossChecksCharm(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ch, err := charm.MineTidsets(ts, items, vecs, m, minCount)
+		ch, err := charm.MineVectors(context.Background(), items, vecs, m, minCount, nil)
 		if err != nil {
 			return false
 		}

@@ -4,19 +4,16 @@
 // (paper Section 3.2); the ARM baseline plan re-runs it at query time
 // over the extracted focal subset.
 //
-// One miner serves both. It works on fixed-width bit vectors, one per
-// item and ⌈width/64⌉ words each: a sibling pair is counted by AND and
-// popcount, and a vector is written only for a pair that opens a
-// branch, into a per-run slab whose dropped vectors a free list hands
-// out again. Frequent lays a record space's frequent items' tidsets out
-// in one word arena, which the offline index build (mip.Build) and the
-// merged view of internal/delta mine and their box probes read again
-// (mip.Assemble). MineVectors mines vectors the caller built — that
-// arena, or ARM's views of the focal subset's rank-space vectors,
-// ⌈|D^Q|/64⌉ words — and returns CFIs without tidsets. MineTidsets, for
-// the offline index build and Mine, also gives every emitted CFI its
-// tidset as a *bitset.Set. Either way the Result is slabs indexed by
-// CFI id — items, supports and, for MineTidsets, tidsets — which the
+// One miner, MineVectors, serves every caller. It works on fixed-width
+// bit vectors, one per item and ⌈width/64⌉ words each: a sibling pair
+// is counted by AND and popcount, and a vector is written only for a
+// pair that opens a branch, into a per-run slab whose dropped vectors a
+// free list hands out again. Frequent lays a record space's frequent
+// items' tidsets out in one word arena, which the offline index build
+// (mip.Build), Mine and the merged view of internal/delta mine, and the
+// box probes read again (mip.Assemble); ARM mines views of the focal
+// subset's rank-space vectors, ⌈|D^Q|/64⌉ words. The Result is slabs
+// indexed by CFI id — items and supports, no tidsets — which the
 // IT-tree adopts as its own.
 package charm
 
@@ -34,7 +31,8 @@ import (
 // ClosedSet is one closed frequent itemset together with its tidset:
 // the brute-force oracle's output and the value ittree.Tree.Set reads
 // off the slabs. The tidset refers to record ids of the dataset the
-// miner ran on, and is nil for a CFI MineVectors mined. It is read-only.
+// miner ran on, and is nil in a tree that stores none (a merged view's).
+// It is read-only.
 type ClosedSet struct {
 	Items   itemset.Set
 	Tids    *bitset.Set
@@ -49,7 +47,6 @@ type Result struct {
 	items    []itemset.Item // every CFI's items, concatenated in id order
 	off      []int32        // len Len()+1; CFI i's items are items[off[i]:off[i+1]]
 	supports []int32        // CFI i's support
-	tids     []*bitset.Set  // CFI i's tidset; nil for a MineVectors run
 
 	m *miner // the miner that ran, for a later MineVectors to reuse
 }
@@ -63,14 +60,6 @@ func (r *Result) Items(i int) itemset.Set { return r.items[r.off[i]:r.off[i+1]:r
 // Support returns CFI i's support count.
 func (r *Result) Support(i int) int { return int(r.supports[i]) }
 
-// Tids returns CFI i's read-only tidset, nil for a MineVectors run.
-func (r *Result) Tids(i int) *bitset.Set {
-	if r.tids == nil {
-		return nil
-	}
-	return r.tids[i]
-}
-
 // Mine runs CHARM over the dataset at the given minimum support count
 // (absolute number of records; use MineSupport for a fraction). The
 // returned CFIs are deterministic for a given dataset.
@@ -80,7 +69,7 @@ func Mine(d *relation.Dataset, sp *itemset.Space, minCount int) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return MineTidsets(tidsets, items, vecs, d.NumRecords(), minCount)
+	return MineVectors(context.Background(), items, vecs, d.NumRecords(), minCount, nil)
 }
 
 // MineSupport runs CHARM at a relative minimum support in (0, 1].
@@ -131,30 +120,12 @@ func Frequent(tidsets []*bitset.Set, numRecords, minCount int) (items []itemset.
 	return items, vecs, nil
 }
 
-// MineTidsets runs CHARM over items/vecs, the frequent items' vectors
-// Frequent laid out of tidsets, like MineVectors, and also gives every
-// emitted CFI its tidset. It is materialized once, at emit time, into
-// the result's tidset slab: a CFI whose vector is still an item's own
-// holds that item's input *bitset.Set (nothing is cloned); any other
-// gets a new set in Optimize's encoding (bitset.FromWords). The inputs
-// are only read. Callers therefore treat every Result.Tids as read-only
-// and keep the input tidsets unchanged for as long as the result is in
-// use.
-func MineTidsets(tidsets []*bitset.Set, items []itemset.Item, vecs [][]uint64, numRecords, minCount int) (*Result, error) {
-	return mine(context.Background(), items, vecs, numRecords, minCount, nil, func(root int, vec []uint64) *bitset.Set {
-		if root >= 0 {
-			return tidsets[root]
-		}
-		return bitset.FromWords(numRecords, vec)
-	})
-}
-
 // MineVectors runs CHARM over per-item bit vectors of one width:
 // vecs[k] is items[k]'s vector, with no bit set past the width it
 // encodes; the items are distinct. Vectors of unequal lengths are an
 // error. An item's support is its vector's popcount. The vectors are
-// only read; no tidset is materialized, so every Result.Tids is nil.
-// numRecords is recorded as Result.NumRecords.
+// only read and no tidset is materialized. numRecords is recorded as
+// Result.NumRecords.
 //
 // ARM mines the focal subset this way: with views of the vectors in
 // D^Q's rank space (bitset.RankAnd), bit r is the r-th record of D^Q, so
@@ -168,11 +139,6 @@ func MineTidsets(tidsets []*bitset.Set, items []itemset.Item, vecs [][]uint64, n
 // reuse unusable, and a miner whose slabs outgrew maxReusedWords is not
 // kept.
 func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result) (*Result, error) {
-	return mine(ctx, items, vecs, numRecords, minCount, reuse, nil)
-}
-
-// mine is MineVectors with the miner's tidset hook set to tidset.
-func mine(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords, minCount int, reuse *Result, tidset func(root int, vec []uint64) *bitset.Set) (*Result, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("charm: minimum support count %d < 1", minCount)
 	}
@@ -190,7 +156,6 @@ func mine(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords
 	} else {
 		m = newMiner(ctx, nw, minCount)
 	}
-	m.tidset = tidset
 	roots := m.roots[:0]
 	for k, it := range items {
 		v := vecs[k]
@@ -198,7 +163,7 @@ func mine(ctx context.Context, items []itemset.Item, vecs [][]uint64, numRecords
 			return nil, fmt.Errorf("charm: item %d's vector has %d words, item %d's %d", it, len(v), items[0], nw)
 		}
 		if supp := popcount(v); supp >= minCount {
-			roots = append(roots, node{items: itemset.Set{it}, vec: v[:nw:nw], supp: supp, root: int(it)})
+			roots = append(roots, node{items: itemset.Set{it}, vec: v[:nw:nw], supp: supp})
 		}
 	}
 	m.roots = roots
@@ -227,25 +192,20 @@ func (m *miner) words() int {
 }
 
 // node is one IT-tree node under exploration; supp caches vec's
-// popcount. root is the input item whose vector vec is, unchanged, or
-// -1 for a vector the miner wrote into its slab, which goes back to the
-// free list once the node is dropped or emitted. A nil vec marks a node
-// a sibling's branch absorbed.
+// popcount. written marks a vector the miner wrote into its slab, which
+// goes back to the free list once the node is dropped or emitted; any
+// other is an input item's. A nil vec marks a node a sibling's branch
+// absorbed.
 type node struct {
-	items itemset.Set
-	vec   []uint64
-	supp  int
-	root  int
+	items   itemset.Set
+	vec     []uint64
+	supp    int
+	written bool
 }
 
 type miner struct {
 	nw       int // words per vector
 	minCount int
-
-	// tidset materializes an emitted node's record-space tidset from its
-	// root and vector before the vector is recycled: MineTidsets sets
-	// it, MineVectors leaves it nil.
-	tidset func(root int, vec []uint64) *bitset.Set
 
 	closed      []ClosedSet      // the emitted CFIs, until run lays them out
 	closedItems int              // how many items they hold
@@ -308,20 +268,14 @@ func (m *miner) run(roots []node, numRecords int, res *Result) (*Result, error) 
 		return slices.Compare(a, b)
 	})
 	n := len(m.closed)
-	res.NumRecords, res.tids = numRecords, nil
+	res.NumRecords = numRecords
 	res.items = slices.Grow(res.items[:0], m.closedItems)
 	res.off = slices.Grow(res.off[:0], n+1)
 	res.supports = slices.Grow(res.supports[:0], n)
-	if m.tidset != nil {
-		res.tids = make([]*bitset.Set, 0, n)
-	}
 	for _, c := range m.closed {
 		res.off = append(res.off, int32(len(res.items)))
 		res.items = append(res.items, c.Items...)
 		res.supports = append(res.supports, int32(c.Support))
-		if res.tids != nil {
-			res.tids = append(res.tids, c.Tids)
-		}
 	}
 	res.off = append(res.off, int32(m.closedItems))
 	return res, nil
@@ -369,7 +323,7 @@ func (m *miner) alloc() []uint64 {
 // release returns a node's vector to the free list if the miner wrote
 // it; an input item's vector is never written.
 func (m *miner) release(n *node) {
-	if n.root < 0 {
+	if n.written {
 		m.free = append(m.free, n.vec)
 	}
 }
@@ -441,7 +395,7 @@ func (m *miner) extend(nodes []node, depth int) error {
 				// closure includes Xi — so replace its branch by the
 				// combined child under Xi, which takes over Xj's vector:
 				// the intersection is t(Xj), frequent because Xj is.
-				children = append(children, node{items: ni.items.Union(nj.items), vec: nj.vec, supp: supp, root: nj.root})
+				children = append(children, node{items: ni.items.Union(nj.items), vec: nj.vec, supp: supp, written: nj.written})
 				nj.vec = nil
 			default:
 				// Property 4: incomparable tidsets; both survive and the
@@ -449,7 +403,7 @@ func (m *miner) extend(nodes []node, depth int) error {
 				if supp >= m.minCount {
 					v := m.alloc()
 					and(v, ni.vec, nj.vec)
-					children = append(children, node{items: ni.items.Union(nj.items), vec: v, supp: supp, root: -1})
+					children = append(children, node{items: ni.items.Union(nj.items), vec: v, supp: supp, written: true})
 				}
 			}
 		}
@@ -487,9 +441,6 @@ func (m *miner) emit(n *node) {
 		head = -1
 	}
 	cs := ClosedSet{Items: n.items, Support: n.supp}
-	if m.tidset != nil {
-		cs.Tids = m.tidset(n.root, n.vec)
-	}
 	m.release(n)
 	m.heads[h] = int32(len(m.closed))
 	m.next = append(m.next, head)

@@ -1,6 +1,7 @@
 package charm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -69,6 +70,7 @@ func TestMineSupportValidation(t *testing.T) {
 // {A0, S2} appears among the CFIs with support 5.
 func TestPaperGlobalRule(t *testing.T) {
 	d, sp := salary(t)
+	tidsets := itemset.ItemTidsets(d, sp)
 	res, err := Mine(d, sp, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +90,8 @@ func TestPaperGlobalRule(t *testing.T) {
 			found = true
 			// Closure of {A0,S2} must be exactly the 5 matching records.
 			want := bitset.FromIDs(11, 1, 2, 3, 4, 5)
-			if !c.Tids.Equal(want) && target.Equal(c.Items) {
-				t.Errorf("tidset of %s = %v, want %v", c.Items.Format(sp), c.Tids, want)
+			if got := intersection(tidsets, c.Items, 11); !got.Equal(want) && target.Equal(c.Items) {
+				t.Errorf("tidset of %s = %v, want %v", c.Items.Format(sp), got, want)
 			}
 		}
 	}
@@ -112,19 +114,12 @@ func TestClosedSetsAreClosedAndFrequent(t *testing.T) {
 		if c.Support < 2 {
 			t.Errorf("%s support %d below threshold", c.Items.Format(sp), c.Support)
 		}
-		if c.Support != c.Tids.Count() {
-			t.Errorf("%s cached support %d != tidset %d", c.Items.Format(sp), c.Support, c.Tids.Count())
+		// The support is the count of the member items' common records.
+		inter := intersection(tidsets, c.Items, d.NumRecords())
+		if c.Support != inter.Count() {
+			t.Errorf("%s support %d != tidset %d", c.Items.Format(sp), c.Support, inter.Count())
 		}
-		// Tidset must be the intersection of the member items' tidsets.
-		inter := bitset.New(d.NumRecords())
-		inter.Fill()
-		for _, it := range c.Items {
-			inter.And(tidsets[it])
-		}
-		if !inter.Equal(c.Tids) {
-			t.Errorf("%s tidset mismatch", c.Items.Format(sp))
-		}
-		if !isClosed(c.Items, c.Tids, tidsets) {
+		if !isClosed(c.Items, inter, tidsets) {
 			t.Errorf("%s is not closed", c.Items.Format(sp))
 		}
 	}
@@ -252,14 +247,14 @@ func TestQuickThresholdMonotonicity(t *testing.T) {
 	}
 }
 
-func TestMineTidsetsSkipsNil(t *testing.T) {
+func TestFrequentSkipsNil(t *testing.T) {
 	// Universe of 3 items over 4 records, the middle item masked out.
 	tidsets := []*bitset.Set{
 		bitset.FromIDs(4, 0, 1, 2),
 		nil,
 		bitset.FromIDs(4, 1, 2, 3),
 	}
-	res, err := mineTidsets(tidsets, 4, 2)
+	res, err := mineRecords(tidsets, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,21 +289,31 @@ func TestDeterminism(t *testing.T) {
 }
 
 // closedOf reads a result's CFIs off its slabs, in id order, in the
-// brute-force oracle's form.
+// brute-force oracle's form without tidsets.
 func closedOf(r *Result) []*ClosedSet {
 	out := make([]*ClosedSet, r.Len())
 	for i := range out {
-		out[i] = &ClosedSet{Items: r.Items(i), Tids: r.Tids(i), Support: r.Support(i)}
+		out[i] = &ClosedSet{Items: r.Items(i), Support: r.Support(i)}
 	}
 	return out
 }
 
-// mineTidsets runs MineTidsets over the arena Frequent lays out of
+// intersection is the AND of items' tidsets over n records.
+func intersection(tidsets []*bitset.Set, items itemset.Set, n int) *bitset.Set {
+	s := bitset.New(n)
+	s.Fill()
+	for _, it := range items {
+		s.And(tidsets[it])
+	}
+	return s
+}
+
+// mineRecords runs MineVectors over the arena Frequent lays out of
 // tidsets, as Mine does.
-func mineTidsets(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
+func mineRecords(tidsets []*bitset.Set, numRecords, minCount int) (*Result, error) {
 	items, vecs, err := Frequent(tidsets, numRecords, minCount)
 	if err != nil {
 		return nil, err
 	}
-	return MineTidsets(tidsets, items, vecs, numRecords, minCount)
+	return MineVectors(context.Background(), items, vecs, numRecords, minCount, nil)
 }

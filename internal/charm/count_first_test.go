@@ -29,16 +29,18 @@ func chess(tb testing.TB) ([]*bitset.Set, int, int) {
 	return tids, n, CountFor(0.70, n)
 }
 
-// TestMineTidsetsReadsInputsOnly: the miner works on the caller's
-// tidsets without copying them, so it must leave every one bit-identical
-// — content and container encoding.
-func TestMineTidsetsReadsInputsOnly(t *testing.T) {
+// TestMineRecordSpaceReadsInputsOnly: Frequent copies the caller's
+// tidsets into the arena the miner reads, so mining must leave every
+// one bit-identical — content and container encoding — and every CFI's
+// support is the count of its items' common records.
+func TestMineRecordSpaceReadsInputsOnly(t *testing.T) {
 	tids, n, minCount := mushroom(t)
 	before := make([]*bitset.Set, len(tids))
 	for i, s := range tids {
 		before[i] = s.Clone()
 	}
-	if _, err := mineTidsets(tids, n, minCount); err != nil {
+	res, err := mineRecords(tids, n, minCount)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range tids {
@@ -46,61 +48,27 @@ func TestMineTidsetsReadsInputsOnly(t *testing.T) {
 			t.Errorf("item %d: mining changed the input tidset", i)
 		}
 	}
-}
-
-// TestClosedTidsAliasing pins the ownership contract of Result.Tids:
-// a CFI whose tidset is an input item's tidset holds that very set
-// (nothing is cloned), no two CFIs share a set, and — because an emitted
-// set never returns to the miner's free list — every tidset still is the
-// intersection of its items' tidsets when mining ends.
-func TestClosedTidsAliasing(t *testing.T) {
-	tids, n, minCount := mushroom(t)
-	res, err := mineTidsets(tids, n, minCount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := map[*bitset.Set]bool{}
-	for _, s := range tids {
-		input[s] = true
-	}
-	aliased := 0
-	seen := map[*bitset.Set]bool{}
 	for _, c := range closedOf(res) {
-		if seen[c.Tids] {
-			t.Fatalf("%v shares its tidset with another CFI", c.Items)
+		if want := intersection(tids, c.Items, n).Count(); c.Support != want {
+			t.Fatalf("%v: support %d, its items share %d records", c.Items, c.Support, want)
 		}
-		seen[c.Tids] = true
-		if input[c.Tids] {
-			aliased++
-		}
-		want := bitset.New(n)
-		want.Fill()
-		for _, it := range c.Items {
-			want.And(tids[it])
-		}
-		if !want.Equal(c.Tids) || c.Support != want.Count() {
-			t.Fatalf("%v: tidset is not the intersection of its items' tidsets", c.Items)
-		}
-	}
-	if aliased == 0 {
-		t.Error("no CFI holds an input tidset: the roots are being copied again")
 	}
 }
 
 // TestMineAllocsPerCFI bounds what mining allocates per emitted CFI on
-// mushroom @ 0.30. An emitted CFI costs its node, its itemset unions
-// and one materialized tidset (set, container slice, payload), and no
-// object of its own; a sibling pair that opens no branch costs nothing
-// (measured 7.5; 8.5 with a *ClosedSet per CFI, 29.7 when every pair
+// mushroom @ 0.30. An emitted CFI costs its node and its itemset unions,
+// and no object of its own; a sibling pair that opens no branch costs
+// nothing (measured 4.7; 7.5 when each CFI also materialized its
+// tidset, 8.5 with a *ClosedSet per CFI besides, 29.7 when every pair
 // also materialized its intersection first).
 func TestMineAllocsPerCFI(t *testing.T) {
 	tids, n, minCount := mushroom(t)
-	res, err := mineTidsets(tids, n, minCount)
+	res, err := mineRecords(tids, n, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := mineTidsets(tids, n, minCount); err != nil {
+		if _, err := mineRecords(tids, n, minCount); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,7 +83,7 @@ func benchmarkMine(b *testing.B, tids []*bitset.Set, n, minCount int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mineTidsets(tids, n, minCount)
+		res, err := mineRecords(tids, n, minCount)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,14 +94,13 @@ func benchmarkMine(b *testing.B, tids []*bitset.Set, n, minCount int) {
 
 var mined *Result
 
-// BenchmarkMineTidsets is the CHARM kernel on the record-space mines
+// BenchmarkMineRecordSpace is the CHARM kernel on the record-space mines
 // the served benchmark runs: chess @ 0.70 (every tidset a bitmap, the
 // index build of mine_mip), mushroom @ 0.30 (the shape of ingest_notify's
-// merged-view re-mine, which runs the same miner through MineVectors and
-// materializes no CFI tidset) and mushroom @ 0.05 (the index build of mine_mip and
-// mine_hot) — plus full-scale PUMSB, 49 k records, whose vectors are
+// merged-view re-mine) and mushroom @ 0.05 (the index build of mine_mip
+// and mine_hot) — plus full-scale PUMSB, 49 k records, whose vectors are
 // 766 words (6 KB) each: the memory cost of mining in record space.
-func BenchmarkMineTidsets(b *testing.B) {
+func BenchmarkMineRecordSpace(b *testing.B) {
 	b.Run("chess@0.70", func(b *testing.B) {
 		tids, n, minCount := chess(b)
 		benchmarkMine(b, tids, n, minCount)

@@ -74,7 +74,7 @@ func vectorOf(width int, ids []int) []uint64 {
 
 // checkAgainstBrute holds a mining result to BruteForceClosed over the
 // same tidsets: the same CFIs in the same order, with the same supports.
-func checkAgainstBrute(t *testing.T, label string, got *Result, sets []*bitset.Set, n, minCount int) []*ClosedSet {
+func checkAgainstBrute(t *testing.T, label string, got *Result, sets []*bitset.Set, n, minCount int) {
 	t.Helper()
 	want := BruteForceClosed(sets, n, minCount)
 	if got.Len() != len(want) {
@@ -86,7 +86,6 @@ func checkAgainstBrute(t *testing.T, label string, got *Result, sets []*bitset.S
 				label, i, c.Items, c.Support, want[i].Items, want[i].Support)
 		}
 	}
-	return want
 }
 
 // vecWidths are the vector widths FuzzMineVectors draws from: one bit,
@@ -97,10 +96,8 @@ var vecWidths = []int{1, 63, 64, 65, 127, 128, 129}
 // FuzzMineVectors holds vector CHARM to the brute-force reference on
 // correlated items of every width in vecWidths, one of them often left
 // out: MineVectors, handed capped views of one arena as ARM hands it
-// views of D^Q's layout, returns the brute-force CFIs and supports with
-// no tidsets and leaves the arena as it was, and MineTidsets
-// over the same items as record-space tidsets (nil for the one left out)
-// returns them too, each with the brute-force tidset.
+// views of D^Q's layout, returns the brute-force CFIs and supports and
+// leaves the arena as it was.
 func FuzzMineVectors(f *testing.F) {
 	f.Add(uint8(0), uint8(3), int64(1), uint16(1))
 	f.Add(uint8(3), uint8(6), int64(7), uint16(9))
@@ -134,70 +131,34 @@ func FuzzMineVectors(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkAgainstBrute(t, "MineVectors", got, sets, width, minCount)
-		for _, c := range closedOf(got) {
-			if c.Tids != nil {
-				t.Fatalf("MineVectors materialized a tidset for %v", c.Items)
-			}
-		}
 		if !slices.Equal(words, before) {
 			t.Fatal("mining changed the input vectors")
-		}
-
-		rec, err := mineTidsets(sets, width, minCount)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := checkAgainstBrute(t, "MineTidsets", rec, sets, width, minCount)
-		for i, c := range closedOf(rec) {
-			if !c.Tids.Equal(want[i].Tids) {
-				t.Fatalf("MineTidsets: %v has tidset %v, brute force %v", c.Items, c.Tids, want[i].Tids)
-			}
 		}
 	})
 }
 
-// TestMineTidsetsMultiContainer holds record-space CHARM to the brute
-// force on a universe of 2^17+77 records — two full containers and a
-// partial third, so item words are copied per container and tidsets are
-// materialized across containers: every CFI's tidset equals the brute-
-// force one, and one the miner built is in Optimize's encoding.
-func TestMineTidsetsMultiContainer(t *testing.T) {
+// TestMineRecordSpaceMultiContainer holds record-space CHARM to the
+// brute force on a universe of 2^17+77 records — two full containers
+// and a partial third, so Frequent copies item words per container: the
+// same CFIs with the same supports. The CFI tidsets the index stores
+// are held across containers by mip's FuzzBoxProbe and
+// TestBoxesMatchOracles.
+func TestMineRecordSpaceMultiContainer(t *testing.T) {
 	const n = 1<<17 + 77
-	built := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ids := correlatedItems(r, n, 7, -1)
 		sets := make([]*bitset.Set, len(ids))
-		input := map[*bitset.Set]bool{}
 		for it, l := range ids {
 			sets[it] = bitset.FromIDs(n, l...)
-			input[sets[it]] = true
 		}
 		for _, minCount := range []int{1, n / 8, n / 3} {
-			res, err := mineTidsets(sets, n, minCount)
+			res, err := mineRecords(sets, n, minCount)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := checkAgainstBrute(t, "multi-container", res, sets, n, minCount)
-			for i, c := range closedOf(res) {
-				if !c.Tids.Equal(want[i].Tids) || c.Tids.Len() != n {
-					t.Fatalf("seed %d minCount %d: %v has the wrong tidset", seed, minCount, c.Items)
-				}
-				if input[c.Tids] {
-					continue
-				}
-				built++
-				canon := c.Tids.Clone()
-				canon.Optimize()
-				if c.Tids.Bytes() != canon.Bytes() {
-					t.Fatalf("seed %d minCount %d: %v's tidset takes %d bytes, Optimize's encoding %d",
-						seed, minCount, c.Items, c.Tids.Bytes(), canon.Bytes())
-				}
-			}
+			checkAgainstBrute(t, fmt.Sprintf("seed %d minCount %d", seed, minCount), res, sets, n, minCount)
 		}
-	}
-	if built == 0 {
-		t.Error("every CFI holds an input tidset: nothing was materialized")
 	}
 }
 

@@ -26,7 +26,7 @@
 //  2. CHARM re-mines the closed frequent itemsets over the merged
 //     tidsets at the merged primary-support count — the frequent items'
 //     tidsets laid out in one word arena (charm.Frequent) and mined by
-//     charm.MineVectors, so no CFI carries a tidset;
+//     charm.MineVectors, as the offline build mines its own;
 //  3. the offline build's pipeline, mip.Assemble, builds the closed
 //     IT-tree, the MIP bounding boxes and the R-tree packed at the
 //     frozen index's fanout. Only the box function differs: a box is
@@ -39,12 +39,13 @@
 // order. Every structure a plan consults — CFIs, supports, closures,
 // boxes, the packed R-tree, item tidsets, the raw-value accessor — is
 // thus equal in content to the rebuild's, except stored CFI tidsets,
-// which no plan reads (Tree.Tids is nil on a merged surface). So all
-// six plans return identical rules and take the same path to them:
-// SEARCH visits the same nodes and checks the same entries. While
-// nothing has been ingested the store hands out the frozen index's own
-// surface, so a query resolves its index state the same way at every
-// delta version.
+// which no plan reads: the offline build's box function stores them and
+// the view passes mip.Assemble none, so Tree.Tids is nil on a merged
+// surface. So all six plans return identical rules and take the same
+// path to them: SEARCH visits the same nodes and checks the same
+// entries. While nothing has been ingested the store hands out the
+// frozen index's own surface, so a query resolves its index state the
+// same way at every delta version.
 //
 // # Refresh policy
 //
@@ -383,7 +384,7 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delta: merged mining: %w", err)
 	}
-	tree, rt, err := mip.Assemble(res, sp, items, vecs, s.idx.RTree.Fanout(), func(p *mip.Probe) {
+	tree, rt, err := mip.Assemble(res, nil, sp, items, vecs, s.idx.RTree.Fanout(), func(p *mip.Probe) {
 		if s.boxFault != nil {
 			s.boxFault(p.ID)
 		}

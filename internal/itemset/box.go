@@ -62,16 +62,6 @@ func (b Box) ContainsBox(o Box) bool {
 	return true
 }
 
-// ContainsPoint reports whether the point p lies within b.
-func (b Box) ContainsPoint(p []int) bool {
-	for d, v := range p {
-		if int32(v) < b.Lo[d] || int32(v) > b.Hi[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // Extent returns the number of values the box spans in dimension d
 // (Hi-Lo+1); cost-model code normalizes this by the axis cardinality.
 func (b Box) Extent(d int) int { return int(b.Hi[d] - b.Lo[d] + 1) }

@@ -156,9 +156,6 @@ func TestBoxBasics(t *testing.T) {
 	if b.Extent(0) != 3 || b.Extent(1) != 3 {
 		t.Errorf("extents = %d,%d", b.Extent(0), b.Extent(1))
 	}
-	if !b.ContainsPoint([]int{2, 3}) || b.ContainsPoint([]int{0, 3}) {
-		t.Error("ContainsPoint wrong")
-	}
 	o := spanning([]int32{2, 2})
 	if !b.ContainsBox(o) || o.ContainsBox(b) {
 		t.Error("ContainsBox wrong")

@@ -31,7 +31,7 @@ func BenchmarkClosureID(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr := Build(res, sp.NumItems())
+		tr := Build(res, nil, sp.NumItems())
 		var probes []itemset.Set
 		for id, stride := 0, max(1, tr.Size()/512); id < tr.Size() && len(probes) < 512; id += stride {
 			if items := tr.Items(id); len(items) > 1 {

@@ -2,7 +2,7 @@
 //
 // Instead of one heap object per CFI plus a string-keyed map, everything
 // the online operations touch is packed into dense slabs, the first three
-// the CHARM result's (charm.Result), adopted:
+// adopted — two the CHARM result's (charm.Result), tids the builder's:
 //
 //	items/offsets       all CFI itemsets concatenated, offset-indexed
 //	supports            global support per CFI id

@@ -81,7 +81,7 @@ func FuzzClosure(f *testing.F) {
 			}
 		}
 		numItems := (sp.NumItems()-1)*stride + 1
-		tr := Build(res, numItems)
+		tr := Build(res, nil, numItems)
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}

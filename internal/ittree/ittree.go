@@ -29,7 +29,8 @@ import (
 
 // Tree is an immutable store of closed frequent itemsets.
 type Tree struct {
-	cfis charm.Result // the CFIs' item arena, supports and tidsets, adopted
+	cfis charm.Result  // the CFIs' item arena and supports, adopted
+	tids []*bitset.Set // CFI id -> tidset, adopted; nil when none are stored
 
 	// The slabs built over cfis (see flat.go).
 	sigs     []signature // CFI i -> item signature, bit it % 128 per item
@@ -39,11 +40,12 @@ type Tree struct {
 }
 
 // Build indexes the CFIs of a CHARM run, adopting the result's slabs
-// without copying them: CFI ids are the result's. numItems is the size
-// of the item universe (Space.NumItems()). res must not be handed to
-// charm.MineVectors as reuse afterwards.
-func Build(res *charm.Result, numItems int) *Tree {
-	t := &Tree{cfis: *res}
+// and tids, CFI id → tidset or nil for none, without copying them: CFI
+// ids are the result's. numItems is the size of the item universe
+// (Space.NumItems()). res must not be handed to charm.MineVectors as
+// reuse afterwards.
+func Build(res *charm.Result, tids []*bitset.Set, numItems int) *Tree {
+	t := &Tree{cfis: *res, tids: tids}
 	t.buildFlat(numItems)
 	return t
 }
@@ -65,13 +67,19 @@ func (t *Tree) Support(id int) int { return t.cfis.Support(id) }
 // slice aliases the item arena; callers must not mutate it.
 func (t *Tree) Items(id int) itemset.Set { return t.cfis.Items(id) }
 
-// Tids returns the tidset of the CFI with the given id, nil in a tree
-// built from a charm.MineVectors run — ARM's, and a merged view's
-// (internal/delta). Callers must not mutate it. No query reads it: a
-// count inside a focal subset ANDs item vectors (plans.Focal), and the
-// box probes AND them from the mining arena (mip.Probe.Supporters).
-// Index validation and the benchmarks read it.
-func (t *Tree) Tids(id int) *bitset.Set { return t.cfis.Tids(id) }
+// Tids returns the tidset of the CFI with the given id, which mip.Build
+// stores from the box probe's supporters vector; nil in a tree built
+// without tidsets, a merged view's (internal/delta). Callers must not
+// mutate it. No query reads it: a count inside a focal subset ANDs item
+// vectors (plans.Focal), and the box probes AND them from the mining
+// arena (mip.Probe.Supporters). Index validation and the benchmarks
+// read it.
+func (t *Tree) Tids(id int) *bitset.Set {
+	if t.tids == nil {
+		return nil
+	}
+	return t.tids[id]
+}
 
 // Validate checks internal invariants: closure of every stored itemset is
 // itself, every exact lookup finds its own id, and every signature is

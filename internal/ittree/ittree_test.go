@@ -38,7 +38,22 @@ func buildTree(t testing.TB, minCount int) (*Tree, *relation.Dataset, *itemset.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(res, sp.NumItems()), d, sp, itemset.ItemTidsets(d, sp)
+	tidsets := itemset.ItemTidsets(d, sp)
+	return Build(res, cfiTidsets(res, tidsets, d.NumRecords()), sp.NumItems()), d, sp, tidsets
+}
+
+// cfiTidsets is every CFI's tidset, the AND of its items' tidsets: the
+// slab mip.Build hands Build.
+func cfiTidsets(res *charm.Result, tidsets []*bitset.Set, n int) []*bitset.Set {
+	tids := make([]*bitset.Set, res.Len())
+	for id := range tids {
+		tids[id] = bitset.New(n)
+		tids[id].Fill()
+		for _, it := range res.Items(id) {
+			tids[id].And(tidsets[it])
+		}
+	}
+	return tids
 }
 
 func TestBuildAndLookup(t *testing.T) {
@@ -109,7 +124,7 @@ func TestClosureResolvesSubsets(t *testing.T) {
 
 // Property: for random datasets, the closure of any subset X of a stored
 // CFI has tidset equal to the intersection of X's item tidsets; and the
-// tree holds the CHARM result's slabs, not a copy.
+// tree holds the CHARM result's slabs and the tidset slab, not copies.
 func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -143,16 +158,17 @@ func TestQuickClosureMatchesTidsetIntersection(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr := Build(res, sp.NumItems())
+		tidsets := itemset.ItemTidsets(d, sp)
+		tids := cfiTidsets(res, tidsets, m)
+		tr := Build(res, tids, sp.NumItems())
 		if err := tr.Validate(); err != nil {
 			return false
 		}
 		for id := 0; id < res.Len(); id++ {
-			if &tr.Items(id)[0] != &res.Items(id)[0] || tr.Tids(id) != res.Tids(id) {
+			if &tr.Items(id)[0] != &res.Items(id)[0] || tr.Tids(id) != tids[id] {
 				return false
 			}
 		}
-		tidsets := itemset.ItemTidsets(d, sp)
 		for id := 0; id < res.Len(); id++ {
 			// Random subset of the CFI.
 			var sub itemset.Set

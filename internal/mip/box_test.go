@@ -3,6 +3,7 @@ package mip
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"colarm/internal/bitset"
@@ -118,9 +119,10 @@ func clusteredDataset(rng *rand.Rand, m int, cards, extra []int) *relation.Datas
 	return b.Build()
 }
 
-// checkBoxes builds d's index at primary and holds every CFI's box to
-// the walk over its tidset and to the record scan. It returns the
-// smallest and largest CFI support seen.
+// checkBoxes builds d's index at primary and holds every CFI's stored
+// tidset to its items (checkTidset) and its box to the walk over that
+// tidset and to the record scan. It returns the smallest and largest
+// CFI support seen.
 func checkBoxes(t testing.TB, label string, d *relation.Dataset, primary float64) (minSupp, maxSupp int) {
 	t.Helper()
 	idx, err := Build(d, Options{PrimarySupport: primary})
@@ -128,8 +130,10 @@ func checkBoxes(t testing.TB, label string, d *relation.Dataset, primary float64
 		t.Fatalf("%s: %v", label, err)
 	}
 	minSupp = d.NumRecords() + 1
+	owner := map[*bitset.Set]int{} // a built tidset -> the CFI storing it
 	for id := 0; id < idx.NumMIPs(); id++ {
 		c := idx.ITTree.Set(id)
+		checkTidset(t, label, idx, c, id, owner)
 		got := idx.RTree.Box(id)
 		if want := walkBox(idx.Space, idx.Cards, idx.Tidsets, c); !sameBox(got, want) {
 			t.Fatalf("%s: box of %v is %v, the tidset walk gives %v", label, c.Items, got, want)
@@ -140,6 +144,44 @@ func checkBoxes(t testing.TB, label string, d *relation.Dataset, primary float64
 		minSupp, maxSupp = min(minSupp, c.Support), max(maxSupp, c.Support)
 	}
 	return minSupp, maxSupp
+}
+
+// checkTidset holds CFI id's stored tidset to the rules of Build: it is
+// the AND of its items' tidsets and holds the CFI's support in records;
+// it is an item's own input set exactly when some item has the CFI's
+// support; any other is in Optimize's encoding and stored by no other
+// CFI (owner maps each such set to the CFI that stored it).
+func checkTidset(t testing.TB, label string, idx *Index, c charm.ClosedSet, id int, owner map[*bitset.Set]int) {
+	t.Helper()
+	n := idx.Dataset.NumRecords()
+	want := bitset.New(n)
+	want.Fill()
+	shared := false
+	for _, it := range c.Items {
+		want.And(idx.Tidsets[it])
+		shared = shared || idx.Tidsets[it].Count() == c.Support
+	}
+	if c.Tids.Len() != n || !c.Tids.Equal(want) {
+		t.Fatalf("%s: CFI %v's tidset %v is not its items' common records %v", label, c.Items, c.Tids, want)
+	}
+	if c.Tids.Count() != c.Support {
+		t.Fatalf("%s: CFI %v's tidset holds %d records, its support is %d", label, c.Items, c.Tids.Count(), c.Support)
+	}
+	if input := slices.Contains(idx.Tidsets, c.Tids); input != shared {
+		t.Fatalf("%s: CFI %v stores an item's own set: %v; an item has its support: %v", label, c.Items, input, shared)
+	}
+	if shared {
+		return
+	}
+	if prev, ok := owner[c.Tids]; ok {
+		t.Fatalf("%s: CFIs %d and %d store one tidset", label, prev, id)
+	}
+	owner[c.Tids] = id
+	canon := c.Tids.Clone()
+	canon.Optimize()
+	if c.Tids.Bytes() != canon.Bytes() {
+		t.Fatalf("%s: CFI %v's tidset takes %d bytes, Optimize's encoding %d", label, c.Items, c.Tids.Bytes(), canon.Bytes())
+	}
 }
 
 // TestBoxesMatchOracles holds the built boxes to the tidset walk and

@@ -17,7 +17,9 @@
 // the id-ordered slab the R-tree is packed from: each free axis is
 // walked in from both ends, testing each value's item tidset against
 // the vector (bitset.Set.IntersectsWords) in the tidset's own encoding
-// until one shares a record.
+// until one shares a record. The offline build's box function also
+// stores the CFI's tidset from that vector (tidsetOf); the merged view
+// stores none.
 package mip
 
 import (
@@ -87,7 +89,7 @@ func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := charm.MineTidsets(tidsets, items, vecs, d.NumRecords(), primaryCount)
+	res, err := charm.MineVectors(context.Background(), items, vecs, d.NumRecords(), primaryCount, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -95,8 +97,11 @@ func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 	for a := range cards {
 		cards[a] = sp.Cardinality(a)
 	}
-	tree, rt, err := Assemble(res, sp, items, vecs, fanout, func(p *Probe) {
-		BoundingBox(sp, cards, tidsets, p.Items, p.Supporters(), p.Lo, p.Hi)
+	tids := make([]*bitset.Set, res.Len())
+	tree, rt, err := Assemble(res, tids, sp, items, vecs, fanout, func(p *Probe) {
+		vec := p.Supporters()
+		BoundingBox(sp, cards, tidsets, p.Items, vec, p.Lo, p.Hi)
+		tids[p.ID] = tidsetOf(tidsets, p.Items, res.Support(p.ID), d.NumRecords(), vec)
 	})
 	if err != nil {
 		return nil, err
@@ -110,6 +115,20 @@ func build(d *relation.Dataset, primaryCount, fanout int) (*Index, error) {
 		PrimaryCount: primaryCount,
 		Cards:        cards,
 	}, nil
+}
+
+// tidsetOf returns the tidset of a CFI over items with supp of the n
+// records, which vec holds in bitset.CopyWords's layout. When one of its
+// items has exactly supp records, the CFI's records are that item's,
+// and the item's own set is shared; any other CFI gets a new set in
+// Optimize's encoding.
+func tidsetOf(tidsets []*bitset.Set, items itemset.Set, supp, n int, vec []uint64) *bitset.Set {
+	for _, it := range items {
+		if tidsets[it].Count() == supp {
+			return tidsets[it]
+		}
+	}
+	return bitset.FromWords(n, vec)
 }
 
 // Probe is what a box function sees of one CFI: its id, its itemset, its
@@ -152,10 +171,11 @@ const boxChunk = 64
 // Assemble builds the MIP-index's two layers over res, a CHARM run over
 // items/vecs (charm.Frequent's layout): box writes each CFI's MIP box
 // into an id-ordered slab, the R-tree is packed from it at fanout, and
-// the IT-tree adopts res. Box calls write disjoint slots, so they fan
-// out without affecting the result; a panic in one comes back as a
+// the IT-tree adopts res and tids, the CFI tidsets box stores by id (nil
+// for none). Box calls write disjoint slots, so they fan out without
+// affecting the result; a panic in one comes back as a
 // *pool.PanicError.
-func Assemble(res *charm.Result, sp *itemset.Space, items []itemset.Item, vecs [][]uint64, fanout int, box func(*Probe)) (*ittree.Tree, *rtree.Tree, error) {
+func Assemble(res *charm.Result, tids []*bitset.Set, sp *itemset.Space, items []itemset.Item, vecs [][]uint64, fanout int, box func(*Probe)) (*ittree.Tree, *rtree.Tree, error) {
 	n, dims := res.Len(), sp.NumAttrs()
 	boxes, sups := make([]int32, n*2*dims), make([]int32, n)
 	chunks := (n + boxChunk - 1) / boxChunk
@@ -182,7 +202,7 @@ func Assemble(res *charm.Result, sp *itemset.Space, items []itemset.Item, vecs [
 	if err != nil {
 		return nil, nil, err
 	}
-	return ittree.Build(res, sp.NumItems()), rt, nil
+	return ittree.Build(res, tids, sp.NumItems()), rt, nil
 }
 
 // BoundingBox writes into lo and hi the MIP box of itemset items whose

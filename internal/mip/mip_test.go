@@ -1,6 +1,7 @@
 package mip
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -316,13 +317,13 @@ func TestAssembleAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := charm.MineTidsets(tidsets, items, vecs, d.NumRecords(), minCount)
+		res, err := charm.MineVectors(context.Background(), items, vecs, d.NumRecords(), minCount, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfis = append(cfis, res.Len())
 		allocs = append(allocs, testing.AllocsPerRun(5, func() {
-			if _, _, err := Assemble(res, sp, items, vecs, 0, func(p *Probe) {
+			if _, _, err := Assemble(res, nil, sp, items, vecs, 0, func(p *Probe) {
 				BoundingBox(sp, cards, tidsets, p.Items, p.Supporters(), p.Lo, p.Hi)
 			}); err != nil {
 				t.Fatal(err)

@@ -34,7 +34,6 @@ func (x *Index) Validate() error {
 		return fmt.Errorf("mip: R-tree has %d entries, IT-tree %d", x.RTree.Size(), x.ITTree.Size())
 	}
 	n := x.Dataset.NumAttrs()
-	point := make([]int, n)
 	for id := 0; id < x.ITTree.Size(); id++ {
 		box := x.RTree.Box(id)
 		for d, c := range x.Cards {
@@ -45,11 +44,10 @@ func (x *Index) Validate() error {
 		ok := true
 		x.ITTree.Tids(id).ForEach(func(r int) bool {
 			for a := 0; a < n; a++ {
-				point[a] = x.Dataset.Value(r, a)
-			}
-			if !box.ContainsPoint(point) {
-				ok = false
-				return false
+				if v := int32(x.Dataset.Value(r, a)); v < box.Lo[a] || v > box.Hi[a] {
+					ok = false
+					return false
+				}
 			}
 			return true
 		})

@@ -63,9 +63,17 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := charm.MineTidsets(tids, items, vecs, n, minCount)
+	res, err := charm.MineVectors(context.Background(), items, vecs, n, minCount, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfiTids := make([]*bitset.Set, res.Len())
+	for id := range cfiTids {
+		cfiTids[id] = bitset.New(n)
+		cfiTids[id].Fill()
+		for _, it := range res.Items(id) {
+			cfiTids[id].And(tids[it])
+		}
 	}
 	value := func(rec, a int) int {
 		if rec < baseN {
@@ -73,7 +81,7 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		}
 		return rows[rec-baseN][a]
 	}
-	boxes := scanBoxes(res, n, len(idx.Cards), value)
+	boxes := scanBoxes(cfiTids, n, len(idx.Cards), value)
 	slab, sups := make([]int32, 0, res.Len()*2*sp.NumAttrs()), make([]int32, res.Len())
 	for id, b := range boxes {
 		slab = append(append(slab, b.Lo...), b.Hi...)
@@ -84,7 +92,7 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		t.Fatal(err)
 	}
 	return &Surface{
-		Tree:         ittree.Build(res, sp.NumItems()),
+		Tree:         ittree.Build(res, cfiTids, sp.NumItems()),
 		Tidsets:      tids,
 		RTree:        rt,
 		Levels:       rt.Stats(idx.Cards),
@@ -96,12 +104,13 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 	}
 }
 
-// scanBoxes returns each CFI's box by a record scan, independent of the
-// index's tidset probes: per attribute, the [min,max] value of the
-// CFI's records. The n records are ordered by their value on each
-// attribute once, so a bound is the first (or last) record of that
-// order the CFI's tidset holds, and a high-support CFI stops at once.
-func scanBoxes(res *charm.Result, n, attrs int, value func(rec, a int) int) []itemset.Box {
+// scanBoxes returns each CFI's box by a record scan of its tidset,
+// cfiTids[id], independent of the index's tidset probes: per attribute,
+// the [min,max] value of the CFI's records. The n records are ordered
+// by their value on each attribute once, so a bound is the first (or
+// last) record of that order the CFI's tidset holds, and a high-support
+// CFI stops at once.
+func scanBoxes(cfiTids []*bitset.Set, n, attrs int, value func(rec, a int) int) []itemset.Box {
 	byValue := make([][]int, attrs)
 	for a := range byValue {
 		byValue[a] = make([]int, n)
@@ -110,9 +119,8 @@ func scanBoxes(res *charm.Result, n, attrs int, value func(rec, a int) int) []it
 		}
 		slices.SortStableFunc(byValue[a], func(x, y int) int { return value(x, a) - value(y, a) })
 	}
-	boxes := make([]itemset.Box, res.Len())
-	for id := range boxes {
-		tids := res.Tids(id)
+	boxes := make([]itemset.Box, len(cfiTids))
+	for id, tids := range cfiTids {
 		boxes[id] = itemset.NewBox(attrs)
 		for a, order := range byValue {
 			lo := slices.IndexFunc(order, tids.Contains)

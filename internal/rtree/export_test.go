@@ -81,7 +81,6 @@ func SameSlabs(a, b *Tree) error {
 		{"entBoxes", a.entBoxes, b.entBoxes},
 		{"nboxes", a.nboxes, b.nboxes},
 		{"fnodes", a.fnodes, b.fnodes},
-		{"kidArena", a.kidArena, b.kidArena},
 	} {
 		if !reflect.DeepEqual(s.x, s.y) {
 			return fmt.Errorf("%s differ", s.name)
@@ -99,7 +98,6 @@ func SlabSlack(t *Tree) error {
 	}{
 		{"fnodes", len(t.fnodes), cap(t.fnodes)},
 		{"nboxes", len(t.nboxes), cap(t.nboxes)},
-		{"kidArena", len(t.kidArena), cap(t.kidArena)},
 		{"entBoxes", len(t.entBoxes), cap(t.entBoxes)},
 		{"entIDs", len(t.entIDs), cap(t.entIDs)},
 		{"entSups", len(t.entSups), cap(t.entSups)},

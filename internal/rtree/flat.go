@@ -2,16 +2,16 @@
 // tile38's flat btree/rtree layouts: nodes live in one []fnode slab
 // addressed by int32 index, node bounding boxes live inline in a single
 // []int32 arena (Lo then Hi per node, so a traversal touches one cache
-// line per node instead of three heap objects), interior children are
-// runs in a child-index arena, and leaf entries are parallel
+// line per node instead of three heap objects), an interior node's
+// children are a run of consecutive nodes, and leaf entries are parallel
 // box/id/support arenas in packing order, with an id → slot array for
 // reads by id. Bulk packing appends level by level.
 package rtree
 
 import "colarm/internal/itemset"
 
-// fnode is one packed node: off/count address a run in kidArena
-// (interior) or in the entry arenas (leaf). The node's box lives at
+// fnode is one packed node: off/count address a run of child nodes
+// (interior) or of entry slots (leaf). The node's box lives at
 // nboxes[i*2*dims : (i+1)*2*dims].
 type fnode struct {
 	off        int32
@@ -65,7 +65,6 @@ func (t *Tree) pack(perm []uint32, boxes, sups []int32) {
 	}
 	t.fnodes = make([]fnode, 0, nodes)
 	t.nboxes = make([]int32, 0, nodes*2*t.dims)
-	t.kidArena = make([]int32, 0, nodes-1)
 	t.entBoxes = make([]int32, 0, n*2*t.dims)
 	t.entIDs = make([]int32, 0, n)
 	t.entSups = make([]int32, 0, n)
@@ -98,7 +97,8 @@ func (t *Tree) pack(perm []uint32, boxes, sups []int32) {
 		}
 	}
 	// Pack upper levels until a single root remains. Each level's nodes
-	// are contiguous in the slab, so child runs are consecutive indices.
+	// are contiguous in the slab, so a node's children are the nodes
+	// off..off+count-1.
 	levelEnd := int32(len(t.fnodes))
 	for levelEnd-levelStart > 1 {
 		nextStart := levelEnd
@@ -107,13 +107,9 @@ func (t *Tree) pack(perm []uint32, boxes, sups []int32) {
 			if end > levelEnd {
 				end = levelEnd
 			}
-			off := int32(len(t.kidArena))
-			for c := i; c < end; c++ {
-				t.kidArena = append(t.kidArena, c)
-			}
 			ni := t.appendNode(false)
 			nd := &t.fnodes[ni]
-			nd.off, nd.count = off, end-i
+			nd.off, nd.count = i, end-i
 			b := t.nodeBox(ni)
 			for c := i; c < end; c++ {
 				b.ExtendBox(t.nodeBox(c))
@@ -125,10 +121,4 @@ func (t *Tree) pack(perm []uint32, boxes, sups []int32) {
 		levelStart, levelEnd = nextStart, int32(len(t.fnodes))
 	}
 	t.froot = levelStart
-}
-
-// kids returns node n's child run, aliasing kidArena.
-func (t *Tree) kids(n int32) []int32 {
-	nd := &t.fnodes[n]
-	return t.kidArena[nd.off : nd.off+nd.count]
 }

@@ -38,7 +38,6 @@ type Tree struct {
 	froot    int32
 	fnodes   []fnode
 	nboxes   []int32 // per-node boxes: dims Lo then dims Hi at i*2*dims
-	kidArena []int32 // interior child-index runs
 	entBoxes []int32 // per-entry boxes, same inline layout as nboxes
 	entIDs   []int32
 	entSups  []int32
@@ -61,7 +60,7 @@ func (t *Tree) Fanout() int { return t.fanout }
 // root and reports 1, which keeps the cost formulae simple.
 func (t *Tree) Height() int {
 	h := 1
-	for n := t.froot; !t.fnodes[n].leaf; n = t.kidArena[t.fnodes[n].off] {
+	for n := t.froot; !t.fnodes[n].leaf; n = t.fnodes[n].off {
 		h++
 	}
 	return h
@@ -127,7 +126,7 @@ func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCou
 		}
 		return true
 	}
-	for _, c := range t.kids(ni) {
+	for c := nd.off; c < nd.off+nd.count; c++ {
 		if minCount >= 0 && t.fnodes[c].maxSupport < minCount {
 			continue
 		}
@@ -188,7 +187,7 @@ func (t *Tree) Validate() error {
 		}
 		b := itemset.NewBox(t.dims)
 		var ms int32
-		for _, c := range t.kids(ni) {
+		for c := nd.off; c < nd.off+nd.count; c++ {
 			cb, cms, err := walk(c, depth+1)
 			if err != nil {
 				return itemset.Box{}, 0, err

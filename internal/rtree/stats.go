@@ -41,7 +41,7 @@ func (t *Tree) Stats(cards []int) []LevelStats {
 		if nd.leaf {
 			return
 		}
-		for _, c := range t.kids(ni) {
+		for c := nd.off; c < nd.off+nd.count; c++ {
 			walk(c, depth+1)
 		}
 	}
