@@ -242,7 +242,7 @@ func (e *Env) RunLocalVsGlobal(runsPer int, rng *rand.Rand) []Fig13Row {
 				if len(c.Items) < 2 {
 					continue
 				}
-				if !reg.Intersects(idx.RTree.Box(id)) {
+				if idx.RTree.Relation(reg, id) == itemset.Disjoint {
 					continue
 				}
 				if bitset.AndCount(c.Tids, dq) < need {

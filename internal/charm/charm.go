@@ -60,6 +60,10 @@ func (r *Result) Items(i int) itemset.Set { return r.items[r.off[i]:r.off[i+1]:r
 // Support returns CFI i's support count.
 func (r *Result) Support(i int) int { return int(r.supports[i]) }
 
+// Arena returns the item arena and its offsets, Len()+1 of them: CFI
+// i's items are items[off[i]:off[i+1]]. Both are read-only.
+func (r *Result) Arena() (items []itemset.Item, off []int32) { return r.items, r.off }
+
 // Mine runs CHARM over the dataset at the given minimum support count
 // (absolute number of records; use MineSupport for a fraction). The
 // returned CFIs are deterministic for a given dataset.
@@ -163,7 +167,7 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 			return nil, fmt.Errorf("charm: item %d's vector has %d words, item %d's %d", it, len(v), items[0], nw)
 		}
 		if supp := popcount(v); supp >= minCount {
-			roots = append(roots, node{items: itemset.Set{it}, vec: v[:nw:nw], supp: supp})
+			roots = append(roots, node{items: m.union(0, itemset.Set{it}, nil), vec: v[:nw:nw], supp: supp})
 		}
 	}
 	m.roots = roots
@@ -182,11 +186,15 @@ func MineVectors(ctx context.Context, items []itemset.Item, vecs [][]uint64, num
 // exploding run must not leave its slabs pinned to a recycled Result.
 const maxReusedWords = 512 << 10
 
-// words is how many words the miner's slab chunks hold.
+// words is how many words the miner's slab chunks and item arenas hold,
+// two items a word.
 func (m *miner) words() int {
-	n := 0
+	n := cap(m.cfiItems) / 2
 	for _, c := range m.chunks {
 		n += len(c)
+	}
+	for _, set := range m.sets {
+		n += cap(set) / 2
 	}
 	return n
 }
@@ -209,6 +217,7 @@ type miner struct {
 
 	closed      []ClosedSet      // the emitted CFIs, until run lays them out
 	closedItems int              // how many items they hold
+	cfiItems    []itemset.Item   // their items, closed[k].Items a view
 	next        []int32          // closed[k]'s predecessor in its hash chain, -1 none
 	heads       map[uint64]int32 // vector hash → last closed index with it
 
@@ -221,8 +230,12 @@ type miner struct {
 	roots []node // MineVectors' root buffer, kept for a reused run
 
 	// levels[d] is the reusable buffer that CHARM-EXTEND at recursion
-	// depth d collects its children in.
+	// depth d collects its children in, and sets[d] the item arena the
+	// itemsets of the nodes at depth d are written to (union): the roots'
+	// for d = 0, else the children's of the node at depth d-1 being
+	// extended, emptied when the next one starts.
 	levels [][]node
+	sets   [][]itemset.Item
 
 	ctx   context.Context
 	done  <-chan struct{} // ctx.Done(), nil for Background
@@ -244,7 +257,10 @@ func newMiner(ctx context.Context, nw, minCount int) *miner {
 // the first, whatever width they were carved at.
 func (m *miner) reset(ctx context.Context, nw, minCount int) {
 	m.nw, m.minCount = nw, minCount
-	m.closed, m.next, m.closedItems = m.closed[:0], m.next[:0], 0
+	m.closed, m.next, m.closedItems, m.cfiItems = m.closed[:0], m.next[:0], 0, m.cfiItems[:0]
+	for d := range m.sets {
+		m.sets[d] = m.sets[d][:0]
+	}
 	clear(m.heads)
 	m.slab, m.used, m.free = nil, 0, m.free[:0]
 	m.ctx, m.done, m.polls = ctx, ctx.Done(), 0
@@ -328,6 +344,35 @@ func (m *miner) release(n *node) {
 	}
 }
 
+// union returns the sorted union of s and t written to the item arena of
+// depth d. The arena only grows until it is emptied, so a view it handed
+// out stays valid, even once a longer arena replaces it.
+func (m *miner) union(d int, s, t itemset.Set) itemset.Set {
+	for d >= len(m.sets) {
+		m.sets = append(m.sets, nil)
+	}
+	out := slices.Grow(m.sets[d], len(s)+len(t))
+	at := len(out)
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > t[j]:
+			out = append(out, t[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
+	}
+	out = append(append(out, s[i:]...), t[j:]...)
+	m.sets[d] = out
+	return out[at:len(out):len(out)]
+}
+
 // sortNodes orders candidates by ascending support, the CHARM heuristic
 // that maximizes the chance of tidset containment (properties 1-3),
 // breaking ties by item id for determinism.
@@ -361,6 +406,9 @@ func (m *miner) extend(nodes []node, depth int) error {
 			return err
 		}
 		children := m.levels[depth][:0]
+		if depth+1 < len(m.sets) {
+			m.sets[depth+1] = m.sets[depth+1][:0]
+		}
 		for j := i + 1; j < len(nodes); j++ {
 			nj := &nodes[j]
 			if nj.vec == nil {
@@ -377,25 +425,25 @@ func (m *miner) extend(nodes []node, depth int) error {
 				// Property 1: identical tidsets. Absorb Xj into Xi (and
 				// into every child generated so far, whose closures all
 				// include Xj's items) and drop Xj's branch.
-				ni.items = ni.items.Union(nj.items)
+				ni.items = m.union(depth, ni.items, nj.items)
 				for k := range children {
-					children[k].items = children[k].items.Union(nj.items)
+					children[k].items = m.union(depth+1, children[k].items, nj.items)
 				}
 				m.release(nj)
 				nj.vec = nil
 			case iSub:
 				// Property 2: t(Xi) ⊂ t(Xj). Xi's closure includes Xj's
 				// items; Xj's own branch may still yield other CFIs.
-				ni.items = ni.items.Union(nj.items)
+				ni.items = m.union(depth, ni.items, nj.items)
 				for k := range children {
-					children[k].items = children[k].items.Union(nj.items)
+					children[k].items = m.union(depth+1, children[k].items, nj.items)
 				}
 			case jSub:
 				// Property 3: t(Xj) ⊂ t(Xi). Xj is not closed — its
 				// closure includes Xi — so replace its branch by the
 				// combined child under Xi, which takes over Xj's vector:
 				// the intersection is t(Xj), frequent because Xj is.
-				children = append(children, node{items: ni.items.Union(nj.items), vec: nj.vec, supp: supp, written: nj.written})
+				children = append(children, node{items: m.union(depth+1, ni.items, nj.items), vec: nj.vec, supp: supp, written: nj.written})
 				nj.vec = nil
 			default:
 				// Property 4: incomparable tidsets; both survive and the
@@ -403,7 +451,7 @@ func (m *miner) extend(nodes []node, depth int) error {
 				if supp >= m.minCount {
 					v := m.alloc()
 					and(v, ni.vec, nj.vec)
-					children = append(children, node{items: ni.items.Union(nj.items), vec: v, supp: supp, written: true})
+					children = append(children, node{items: m.union(depth+1, ni.items, nj.items), vec: v, supp: supp, written: true})
 				}
 			}
 		}
@@ -440,7 +488,9 @@ func (m *miner) emit(n *node) {
 	} else {
 		head = -1
 	}
-	cs := ClosedSet{Items: n.items, Support: n.supp}
+	at := len(m.cfiItems)
+	m.cfiItems = append(m.cfiItems, n.items...)
+	cs := ClosedSet{Items: m.cfiItems[at:len(m.cfiItems):len(m.cfiItems)], Support: n.supp}
 	m.release(n)
 	m.heads[h] = int32(len(m.closed))
 	m.next = append(m.next, head)

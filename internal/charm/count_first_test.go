@@ -56,11 +56,13 @@ func TestMineRecordSpaceReadsInputsOnly(t *testing.T) {
 }
 
 // TestMineAllocsPerCFI bounds what mining allocates per emitted CFI on
-// mushroom @ 0.30. An emitted CFI costs its node and its itemset unions,
-// and no object of its own; a sibling pair that opens no branch costs
-// nothing (measured 4.7; 7.5 when each CFI also materialized its
-// tidset, 8.5 with a *ClosedSet per CFI besides, 29.7 when every pair
-// also materialized its intersection first).
+// mushroom @ 0.30. An emitted CFI and its itemset unions cost no object
+// of their own: the unions go to the miner's per-depth item arenas and
+// the CFI's items to its CFI buffer, both grown by doubling; a sibling
+// pair that opens no branch costs nothing (measured 0.3; 4.7 when each
+// union allocated its item slice, 7.5 when each CFI also materialized
+// its tidset, 8.5 with a *ClosedSet per CFI besides, 29.7 when every
+// pair also materialized its intersection first).
 func TestMineAllocsPerCFI(t *testing.T) {
 	tids, n, minCount := mushroom(t)
 	res, err := mineRecords(tids, n, minCount)

@@ -421,7 +421,8 @@ func (s *Store) buildMergedLocked() (*plans.Surface, error) {
 // The box of an itemset is, per unconstrained attribute, the [min,max]
 // value over the records containing it, and the merged supporters are
 // the frozen supporters minus the tombstoned ones plus the live
-// buffered rows containing the itemset. So the frozen box is patched:
+// buffered rows containing the itemset. So the frozen box, expanded
+// into the probe's spare scratch, is patched:
 // a bound can only move inwards if a tombstoned supporter sat exactly
 // on it (otherwise a surviving supporter still attains it), and then
 // that one side of that one attribute is re-probed against the merged
@@ -438,7 +439,8 @@ func (s *Store) mergedBox(p *mip.Probe, tids []*bitset.Set, gone, added []change
 		mip.BoundingBox(sp, cards, tids, c, p.Supporters(), p.Lo, p.Hi)
 		return
 	}
-	frozen := s.idx.RTree.Box(fid)
+	frozen := p.Spare
+	s.idx.RTree.Expand(fid, frozen.Lo, frozen.Hi)
 	copy(p.Lo, frozen.Lo)
 	copy(p.Hi, frozen.Hi)
 	const loLost, hiLost = 1 << 30, -1 // a lost bound, until re-probed

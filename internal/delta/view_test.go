@@ -459,3 +459,69 @@ func BenchmarkRefreshCrossover(b *testing.B) {
 		}
 	}
 }
+
+// TestViewSparseBoxesMatchBoundingBox holds the merged view's R-tree
+// under insert and delete churn to the index build's box oracle: every
+// entry is a valid sparse record, and expands to the box
+// mip.BoundingBox probes from the view CFI's merged supporters — the
+// AND of its items' merged tidsets — over the merged tidsets.
+func TestViewSparseBoxesMatchBoundingBox(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		idx := edgyIndex(t, rng)
+		sp, baseN := idx.Space, idx.Dataset.NumRecords()
+		s := NewStore(idx, 0.08)
+		inserted := 0
+		for batch := 0; batch < 6; batch++ {
+			var rows [][]int32
+			for k := rng.Intn(4); k > 0; k-- {
+				row := make([]int32, sp.NumAttrs())
+				for a, v := range edgyRow(rng, idx.Cards) {
+					row[a] = int32(v)
+				}
+				rows = append(rows, row)
+			}
+			deletes := []int{rng.Intn(baseN)}
+			if n := idx.ITTree.Size(); n > 0 {
+				deletes = append(deletes, boundaryRecords(idx, rng.Intn(n), rng)...)
+			}
+			if inserted > 0 && rng.Intn(2) == 0 {
+				deletes = append(deletes, baseN+rng.Intn(inserted))
+			}
+			if _, err := s.Ingest(rows, deletes); err != nil {
+				t.Fatal(err)
+			}
+			inserted += len(rows)
+			v := surface(t, s)
+			if err := v.RTree.Validate(); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			}
+			vec := make([]uint64, (v.NumRecords+63)/64)
+			word := make([]uint64, len(vec))
+			got, want := itemset.NewBox(sp.NumAttrs()), itemset.NewBox(sp.NumAttrs())
+			for id := 0; id < v.Tree.Size(); id++ {
+				items := v.Tree.Items(id)
+				for w := range vec {
+					vec[w] = ^uint64(0)
+				}
+				for _, it := range items {
+					clear(word)
+					bitset.CopyWords(word, v.Tidsets[it])
+					for w := range vec {
+						vec[w] &= word[w]
+					}
+				}
+				mip.BoundingBox(sp, idx.Cards, v.Tidsets, items, vec, want.Lo, want.Hi)
+				v.RTree.Expand(id, got.Lo, got.Hi)
+				if !equalBox(got, want) {
+					t.Fatalf("seed %d batch %d: view CFI %v expands to %v, BoundingBox gives %v", seed, batch, items, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Errorf("only %d view boxes checked", checked)
+	}
+}

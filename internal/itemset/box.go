@@ -115,8 +115,11 @@ type Region struct {
 	// enabling O(1) "how many selected values fall in [lo,hi]" tests.
 	prefix [][]int32
 	// restricted lists the dimensions with an explicit selection in
-	// ascending order; the box tests walk only these.
+	// ascending order; the box tests walk only these. full[j] is the
+	// relation of restricted[j]'s whole domain, on which a sparse box
+	// stores nothing.
 	restricted []int
+	full       []Rel
 	cards      []int
 }
 
@@ -161,9 +164,20 @@ func (r *Region) Restrict(d int, values []int) error {
 		}
 	}
 	r.prefix[d] = pre
+	all := Contained
+	switch pre[r.cards[d]] {
+	case 0:
+		all = Disjoint
+	case int32(r.cards[d]):
+	default:
+		all = Partial
+	}
 	i, found := slices.BinarySearch(r.restricted, d)
-	if !found {
+	if found {
+		r.full[i] = all
+	} else {
 		r.restricted = slices.Insert(r.restricted, i, d)
+		r.full = slices.Insert(r.full, i, all)
 	}
 	return nil
 }
@@ -205,17 +219,17 @@ func (r *Region) Selected(d int) []int {
 // Only the restricted dimensions are tested. An unrestricted dimension
 // selects its whole domain, so it passes any box that lies inside the
 // domain as Contained; every box must satisfy 0 <= Lo[d] <= Hi[d] <
-// card(d) on every dimension. Every box is the [min,max] of its
+// card(d) on every dimension. Every MIP box is the [min,max] of its
 // supporters' value indices, written by the box function of
 // mip.Assemble — mip.BoundingBox in the index build, the merged view's
 // patch of a frozen box otherwise, both probing with mip.Reach — so
-// none can leave the domain; mip.Index.Validate checks it in the index
-// tests.
+// none can leave the domain; mip.Index.Validate and rtree.Tree.Validate
+// check it in the index tests.
 func (r *Region) Relation(b Box) Rel { return r.relation(b.Lo, b.Hi) }
 
 // RelationPacked is Relation over a box packed at arena[off:off+2*dims]
-// (Lo run, then Hi run) — the flat R-tree's inline box layout. It skips
-// the construction of a Box view on the hot search path.
+// (Lo run, then Hi run) — the flat R-tree's inline node box layout. It
+// skips the construction of a Box view on the hot search path.
 func (r *Region) RelationPacked(arena []int32, off, dims int) Rel {
 	return r.relation(arena[off:off+dims], arena[off+dims:off+2*dims])
 }
@@ -241,10 +255,6 @@ func (r *Region) relation(lo, hi []int32) Rel {
 	}
 	return rel
 }
-
-// Intersects reports whether box b overlaps the region in every
-// dimension.
-func (r *Region) Intersects(b Box) bool { return r.Relation(b) != Disjoint }
 
 // ContainsPoint reports whether the record point p lies in the region;
 // this is the record-level membership test for D^Q.

@@ -149,29 +149,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Union returns the sorted union of s and t.
-func (s Set) Union(t Set) Set {
-	out := make(Set, 0, len(s)+len(t))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			out = append(out, t[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
-}
-
 // Minus returns s \ t.
 func (s Set) Minus(t Set) Set {
 	out := make(Set, 0, len(s))

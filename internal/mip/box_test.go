@@ -276,3 +276,78 @@ func BenchmarkBoxes(b *testing.B) {
 		})
 	}
 }
+
+// TestSparseBoxesMatchBoundingBox expands every R-tree entry of the
+// benchmark workloads' three indexes back to its dense box and holds it
+// to the one BoundingBox probes afresh from the CFI's supporters, and
+// holds the sparse records to the closure: an entry stores nothing on
+// its itemset's attributes, so its box is a point on exactly those.
+func TestSparseBoxesMatchBoundingBox(t *testing.T) {
+	for _, fx := range []struct {
+		name    string
+		cfg     datagen.Config
+		primary float64
+	}{
+		{"chess@0.70", datagen.ChessConfig(1), 0.70},
+		{"mushroom@0.05", datagen.MushroomConfig(1), 0.05},
+		{"pumsb0.15@0.92", datagen.Scaled(datagen.PUMSBConfig(1), 0.15), 0.92},
+	} {
+		d, err := datagen.Generate(fx.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Build(d, Options{PrimarySupport: fx.primary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.RTree.Validate(); err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		items, vecs, err := charm.Frequent(idx.Tidsets, d.NumRecords(), idx.PrimaryCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &Probe{items: items, vecs: vecs, scratch: make([]uint64, len(vecs[0]))}
+		got, want := itemset.NewBox(d.NumAttrs()), itemset.NewBox(d.NumAttrs())
+		fixed := make([]bool, d.NumAttrs())
+		for id := 0; id < idx.NumMIPs(); id++ {
+			p.Items, p.vec = idx.ITTree.Items(id), nil
+			BoundingBox(idx.Space, idx.Cards, idx.Tidsets, p.Items, p.Supporters(), want.Lo, want.Hi)
+			idx.RTree.Expand(id, got.Lo, got.Hi)
+			if !sameBox(got, want) {
+				t.Fatalf("%s: CFI %d %v expands to %v, BoundingBox gives %v", fx.name, id, p.Items, got, want)
+			}
+			clear(fixed)
+			for _, it := range p.Items {
+				fixed[idx.Space.AttrOf(it)] = true
+			}
+			for a, f := range fixed {
+				if f != (got.Lo[a] == got.Hi[a]) {
+					t.Fatalf("%s: CFI %d %v has box %v: a point off its itemset, or none on it, on attribute %d", fx.name, id, p.Items, got, a)
+				}
+			}
+		}
+	}
+}
+
+// TestBoxBytesPinned pins the resident size of the R-tree's entry store
+// on quarter-scale chess @ 0.70, beside TestCFITidsetBytesPinned: the
+// sparse box records, their offsets and the id → slot map of all 8507
+// CFIs. Every chess box spans the whole domain off its itemset, so each
+// record is its two item mask values: 16 bytes a CFI with the record's
+// offset and slot. The dense entry slab this store replaced held 2 × 37
+// bounds a box, 2 518 072 bytes, beside a slot map of 34 028.
+func TestBoxBytesPinned(t *testing.T) {
+	d, err := datagen.Generate(datagen.Scaled(datagen.ChessConfig(1), 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(d, Options{PrimarySupport: 0.70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantCFIs, wantBytes = 8507, 136116
+	if cfis, got := idx.NumMIPs(), idx.RTree.EntryBytes(); cfis != wantCFIs || got != wantBytes {
+		t.Errorf("%d CFIs holding %d entry store bytes, want %d CFIs and %d bytes", cfis, got, wantCFIs, wantBytes)
+	}
+}

@@ -13,11 +13,13 @@
 // Both layers come out of one pipeline, Assemble, which the offline
 // build and the merged view of internal/delta share. A MIP's box is
 // probed from its supporters as a dense word vector — the AND of its
-// items' vectors in the arena CHARM mined — and written straight into
-// the id-ordered slab the R-tree is packed from: each free axis is
-// walked in from both ends, testing each value's item tidset against
-// the vector (bitset.Set.IntersectsWords) in the tidset's own encoding
-// until one shares a record. The offline build's box function also
+// items' vectors in the arena CHARM mined — into a worker's scratch:
+// each free axis is walked in from both ends, testing each value's item
+// tidset against the vector (bitset.Set.IntersectsWords) in the
+// tidset's own encoding until one shares a record. The R-tree keeps
+// only the box's sparse form: by closure the box is a point on exactly
+// the itemset's attributes, which the item arena holds, so what is
+// stored is the free axes the supporters do not span whole. The offline build's box function also
 // stores the CFI's tidset from that vector (tidsetOf); the merged view
 // stores none.
 package mip
@@ -57,7 +59,8 @@ type Index struct {
 	Tidsets []*bitset.Set
 	// ITTree stores the closed frequent itemsets (second index layer).
 	ITTree *ittree.Tree
-	// RTree indexes and stores the MIP boxes: RTree.Box(i) is CFI i's.
+	// RTree indexes and stores the MIP boxes, sparse: RTree.Relation
+	// and RTree.Expand read CFI i's.
 	RTree *rtree.Tree
 	// PrimaryCount is the primary support threshold in records.
 	PrimaryCount int
@@ -131,18 +134,23 @@ func tidsetOf(tidsets []*bitset.Set, items itemset.Set, supp, n int, vec []uint6
 	return bitset.FromWords(n, vec)
 }
 
-// Probe is what a box function sees of one CFI: its id, its itemset, its
-// slot in the box slab (Lo, Hi) and, on request, its supporters. A
-// worker's one Probe serves each CFI it boxes in turn.
+// Probe is what a box function sees of one CFI: its id, its itemset, the
+// dense box it writes (Lo, Hi) and, on request, its supporters. A
+// worker's one Probe serves each CFI it boxes in turn, so Lo, Hi and
+// Spare are the worker's scratch.
 type Probe struct {
 	ID     int
 	Items  itemset.Set
 	Lo, Hi []int32
+	// Spare is a second box of scratch the box function may use, as the
+	// merged view does to expand a frozen box (rtree.Tree.Expand).
+	Spare itemset.Box
 
 	items   []itemset.Item // the arena's items, ascending
 	vecs    [][]uint64     // vecs[k] is items[k]'s vector
 	scratch []uint64
 	vec     []uint64 // the supporters once formed, else nil
+	recs    []int32  // the worker's CFIs' sparse box records, in the order it boxed them
 }
 
 // Supporters returns the CFI's supporters in bitset.CopyWords's layout:
@@ -169,40 +177,81 @@ func (p *Probe) Supporters() []uint64 {
 const boxChunk = 64
 
 // Assemble builds the MIP-index's two layers over res, a CHARM run over
-// items/vecs (charm.Frequent's layout): box writes each CFI's MIP box
-// into an id-ordered slab, the R-tree is packed from it at fanout, and
-// the IT-tree adopts res and tids, the CFI tidsets box stores by id (nil
-// for none). Box calls write disjoint slots, so they fan out without
-// affecting the result; a panic in one comes back as a
-// *pool.PanicError.
+// items/vecs (charm.Frequent's layout): box writes each CFI's dense MIP
+// box into its Probe, and Assemble keeps the box's sparse record
+// (itemset.AppendSparse) — the bounds of the attributes its itemset does
+// not fix and it does not span whole — in one id-ordered slab. The
+// R-tree is packed from those records and res's item arena at fanout,
+// and the IT-tree adopts res and tids, the CFI tidsets box stores by id
+// (nil for none).
+// Box calls write disjoint slots, so they fan out without affecting the
+// result; a panic in one comes back as a *pool.PanicError.
 func Assemble(res *charm.Result, tids []*bitset.Set, sp *itemset.Space, items []itemset.Item, vecs [][]uint64, fanout int, box func(*Probe)) (*ittree.Tree, *rtree.Tree, error) {
 	n, dims := res.Len(), sp.NumAttrs()
-	boxes, sups := make([]int32, n*2*dims), make([]int32, n)
+	cards := make([]int, dims)
+	for a := range cards {
+		cards[a] = sp.Cardinality(a)
+	}
+	base := rtree.Base(cards)
+	sups, recOff := make([]int32, n), make([]int32, n+1)
 	chunks := (n + boxChunk - 1) / boxChunk
 	// A task borrows one of the workers' Probes for its chunk, so the
-	// fan-out allocates per worker, not per CFI.
+	// fan-out allocates per worker, not per CFI. Each CFI's record goes
+	// to its worker's slab, and recOff[id+1] marks where it ends there,
+	// until the layout below moves the records into id order.
+	from := make([]chunkRecs, chunks)
 	free := make(chan *Probe, max(1, min(runtime.GOMAXPROCS(0), chunks)))
+	// A worker's record slab starts with room for the item masks of its
+	// share of the CFIs, so the allocations stay flat in the CFI count
+	// when no box has a run (chess); runs grow it by doubling.
+	share := itemset.SparseWords(dims) * (n/cap(free) + 2*boxChunk)
 	for range cap(free) {
-		free <- &Probe{items: items, vecs: vecs, scratch: make([]uint64, (res.NumRecords+63)/64)}
+		box := make([]int32, 4*dims)
+		free <- &Probe{Lo: box[:dims:dims], Hi: box[dims : 2*dims : 2*dims],
+			Spare: itemset.Box{Lo: box[2*dims : 3*dims : 3*dims], Hi: box[3*dims:]},
+			items: items, vecs: vecs, scratch: make([]uint64, (res.NumRecords+63)/64),
+			recs: make([]int32, 0, share)}
 	}
 	if _, err := pool.Run(context.Background(), chunks, func(k int) {
 		p := <-free
 		defer func() { free <- p }()
+		from[k] = chunkRecs{p, int32(len(p.recs))}
 		for id := k * boxChunk; id < min(n, (k+1)*boxChunk); id++ {
-			o := id * 2 * dims
 			p.ID, p.Items, p.vec = id, res.Items(id), nil
-			p.Lo, p.Hi = boxes[o:o+dims:o+dims], boxes[o+dims:o+2*dims:o+2*dims]
 			box(p)
+			p.recs = itemset.AppendSparse(p.recs, base, p.Items, p.Lo, p.Hi)
+			recOff[id+1] = int32(len(p.recs))
 			sups[id] = int32(res.Support(id))
 		}
 	}); err != nil {
 		return nil, nil, err
 	}
-	rt, err := rtree.Bulk(boxes, sups, dims, fanout)
+	total := 0
+	for k, c := range from {
+		total += int(recOff[min(n, (k+1)*boxChunk)] - c.start)
+	}
+	recs := make([]int32, 0, total)
+	for k, c := range from {
+		end := min(n, (k+1)*boxChunk)
+		shift := int32(len(recs)) - c.start
+		recs = append(recs, c.p.recs[c.start:recOff[end]]...)
+		for id := k * boxChunk; id < end; id++ {
+			recOff[id+1] += shift
+		}
+	}
+	arena, off := res.Arena()
+	rt, err := rtree.Bulk(rtree.Boxes{Cards: cards, Items: arena, ItemOff: off, Recs: recs, RecOff: recOff, Sups: sups}, fanout)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ittree.Build(res, tids, sp.NumItems()), rt, nil
+}
+
+// chunkRecs is where a box task's records start: in Probe p's slab, at
+// start.
+type chunkRecs struct {
+	p     *Probe
+	start int32
 }
 
 // BoundingBox writes into lo and hi the MIP box of itemset items whose

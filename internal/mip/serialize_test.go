@@ -167,7 +167,14 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfi, card := idx.NumMIPs()-1, int32(len(idx.Dataset.Attrs[0].Values))
+	// The planted box must be a run: a CFI whose itemset fixes no value
+	// of dimension 0.
+	cfi, card := -1, int32(len(idx.Dataset.Attrs[0].Values))
+	for id := idx.NumMIPs() - 1; id >= 0 && cfi < 0; id-- {
+		if items := idx.ITTree.Items(id); idx.Space.AttrOf(items[0]) != 0 {
+			cfi = id
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		lo, hi int32
@@ -177,16 +184,20 @@ func TestBoxOutsideDomainRejected(t *testing.T) {
 		{"inverted", 1, 0},
 	} {
 		// Plant the box by repacking the index's boxes with it.
-		dims := idx.RTree.Dims()
-		boxes, sups := make([]int32, 0, idx.NumMIPs()*2*dims), make([]int32, idx.NumMIPs())
-		for id := range sups {
-			b := idx.RTree.Box(id)
-			boxes = append(append(boxes, b.Lo...), b.Hi...)
-			sups[id] = int32(idx.ITTree.Support(id))
+		b := rtree.Boxes{Cards: idx.Cards, ItemOff: []int32{0}, RecOff: []int32{0}, Sups: make([]int32, idx.NumMIPs())}
+		for id := range b.Sups {
+			b.Items = append(b.Items, idx.ITTree.Items(id)...)
+			b.ItemOff = append(b.ItemOff, int32(len(b.Items)))
+			box := idx.RTree.Box(id)
+			if id == cfi {
+				box.Lo[0], box.Hi[0] = tc.lo, tc.hi
+			}
+			b.Recs = itemset.AppendSparse(b.Recs, rtree.Base(idx.Cards), idx.ITTree.Items(id), box.Lo, box.Hi)
+			b.RecOff = append(b.RecOff, int32(len(b.Recs)))
+			b.Sups[id] = int32(idx.ITTree.Support(id))
 		}
-		boxes[cfi*2*dims], boxes[cfi*2*dims+dims] = tc.lo, tc.hi
 		held := *idx
-		if held.RTree, err = rtree.Bulk(boxes, sups, dims, idx.RTree.Fanout()); err != nil {
+		if held.RTree, err = rtree.Bulk(b, idx.RTree.Fanout()); err != nil {
 			t.Fatal(err)
 		}
 		var be *BoxDomainError

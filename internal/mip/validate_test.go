@@ -1,6 +1,10 @@
 package mip
 
-import "fmt"
+import (
+	"fmt"
+
+	"colarm/internal/itemset"
+)
 
 // BoxDomainError reports a MIP box outside its domain. The box tests
 // (itemset.Region.Relation) require 0 <= Lo[d] <= Hi[d] < card(d) on
@@ -18,27 +22,34 @@ func (e *BoxDomainError) Error() string {
 		e.CFI, e.Lo, e.Hi, e.Dim, e.Card)
 }
 
-// Validate cross-checks the index layers: every CFI box must lie inside
-// the domain (a *BoxDomainError otherwise) and cover its supporting
-// records, the R-tree must be structurally valid and hold one entry per
-// CFI, and the IT-tree must resolve its own itemsets. The index tests
-// hold built and loaded indexes to it.
+// Validate cross-checks the index layers: the R-tree must hold one entry
+// per CFI, every CFI box must lie inside the domain (a *BoxDomainError
+// otherwise), be a point on exactly the attributes of its itemset —
+// CHARM's closure, which lets the R-tree store no other point — and
+// cover its supporting records, the R-tree must be structurally valid,
+// and the IT-tree must resolve its own itemsets. The index tests hold
+// built and loaded indexes to it.
 func (x *Index) Validate() error {
-	if err := x.RTree.Validate(); err != nil {
-		return err
-	}
-	if err := x.ITTree.Validate(); err != nil {
-		return err
-	}
 	if x.RTree.Size() != x.ITTree.Size() {
 		return fmt.Errorf("mip: R-tree has %d entries, IT-tree %d", x.RTree.Size(), x.ITTree.Size())
 	}
 	n := x.Dataset.NumAttrs()
+	box := itemset.NewBox(n)
+	item := make([]bool, n)
 	for id := 0; id < x.ITTree.Size(); id++ {
-		box := x.RTree.Box(id)
+		x.RTree.Expand(id, box.Lo, box.Hi)
 		for d, c := range x.Cards {
 			if lo, hi := box.Lo[d], box.Hi[d]; lo < 0 || lo > hi || int(hi) >= c {
 				return &BoxDomainError{CFI: id, Dim: d, Lo: lo, Hi: hi, Card: c}
+			}
+		}
+		clear(item)
+		for _, it := range x.ITTree.Items(id) {
+			item[x.Space.AttrOf(it)] = true
+		}
+		for d := range item {
+			if point := box.Lo[d] == box.Hi[d]; point != item[d] {
+				return fmt.Errorf("mip: box of CFI %d is %v on dimension %d, which its itemset %v does not match", id, box, d, x.ITTree.Items(id))
 			}
 		}
 		ok := true
@@ -55,5 +66,8 @@ func (x *Index) Validate() error {
 			return fmt.Errorf("mip: box of CFI %d does not cover its records", id)
 		}
 	}
-	return nil
+	if err := x.RTree.Validate(); err != nil {
+		return err
+	}
+	return x.ITTree.Validate()
 }

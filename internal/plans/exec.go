@@ -354,7 +354,7 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 				c.st.ItemFiltered++
 				continue
 			}
-			rel = c.q.Region.Relation(c.s.RTree.Box(id))
+			rel = c.s.RTree.Relation(c.q.Region, id)
 		}
 		if !all && !sc.ids.add(cid) {
 			// Distinct CFIs are distinct bodies on the identity path;
@@ -481,14 +481,21 @@ func (c *qctx) local(id int) (int, bool) {
 // arena is taken only after the last growth of a phase; count and view
 // only read it and are safe from concurrent workers.
 type localVecs struct {
-	nw    int       // words per vector: ⌈|D^Q|/64⌉
-	slot  []vecSlot // per item; nil until the first vector is built
-	arena []uint64  // the vectors, nw words each
+	nw     int       // words per vector: ⌈|D^Q|/64⌉
+	slot   []vecSlot // per item; nil until the first vector is built
+	gen    uint32    // the stamp of this request's slots
+	arena  []uint64  // the vectors, nw words each
+	writes int       // slots written, the request's work on the table
 }
 
-// vecSlot places one item's vector in the arena: off is its offset, -1
-// while it has none, and n its local count.
-type vecSlot struct{ off, n int32 }
+// vecSlot places one item's vector in the arena: off is its offset and n
+// its local count, valid when gen is the layout's; a slot of another
+// stamp has no vector. So a recycled table is never reset: each request
+// stamps the slots it writes with a generation of its own.
+type vecSlot struct {
+	off, n int32
+	gen    uint32
+}
 
 // view returns item it's vector, which must have been built.
 func (v *localVecs) view(it itemset.Item) []uint64 {
@@ -511,7 +518,7 @@ func (v *localVecs) built() int {
 // vector. The AND runs over a stack block of up to 64 words at a time,
 // one item's vector after the other.
 func (v *localVecs) count(items itemset.Set) int {
-	if sl := v.slot[items[0]]; len(items) == 1 && sl.off >= 0 {
+	if sl := v.slot[items[0]]; len(items) == 1 && sl.gen == v.gen {
 		return int(sl.n)
 	}
 	n := 0

@@ -183,7 +183,7 @@ func FuzzFocalCount(f *testing.F) {
 			k := min(len(ops), 1+int(ops[0])%4)
 			var x itemset.Set
 			for _, b := range ops[:k] {
-				x = x.Union(itemset.Set{itemset.Item(int(b) % len(tids))})
+				x = itemset.NewSet(append(x.Clone(), itemset.Item(int(b)%len(tids)))...)
 			}
 			ops = ops[k:]
 			want := chainCount(fc.DQ, tids, x)

@@ -82,12 +82,14 @@ func mergedSurface(t *testing.T, r *rand.Rand, idx *mip.Index, primary float64) 
 		return rows[rec-baseN][a]
 	}
 	boxes := scanBoxes(cfiTids, n, len(idx.Cards), value)
-	slab, sups := make([]int32, 0, res.Len()*2*sp.NumAttrs()), make([]int32, res.Len())
+	arena, off := res.Arena()
+	sb := rtree.Boxes{Cards: idx.Cards, Items: arena, ItemOff: off, RecOff: []int32{0}, Sups: make([]int32, res.Len())}
 	for id, b := range boxes {
-		slab = append(append(slab, b.Lo...), b.Hi...)
-		sups[id] = int32(res.Support(id))
+		sb.Recs = itemset.AppendSparse(sb.Recs, rtree.Base(idx.Cards), res.Items(id), b.Lo, b.Hi)
+		sb.RecOff = append(sb.RecOff, int32(len(sb.Recs)))
+		sb.Sups[id] = int32(res.Support(id))
 	}
-	rt, err := rtree.Bulk(slab, sups, sp.NumAttrs(), idx.RTree.Fanout())
+	rt, err := rtree.Bulk(sb, idx.RTree.Fanout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestClosureCountEqualsChainCount(t *testing.T) {
 func hasVector(f *Focal, numItems int) []bool {
 	out := make([]bool, numItems)
 	for it := range out {
-		out[it] = f.vecs.slot != nil && f.vecs.slot[it].off >= 0
+		out[it] = f.vecs.slot != nil && f.vecs.slot[it].gen == f.vecs.gen
 	}
 	return out
 }

@@ -441,7 +441,7 @@ func TestQuickARMRulesValid(t *testing.T) {
 		}
 		mask := q.itemMask(idx.Space.NumAttrs())
 		for _, rule := range res.Rules {
-			body := rule.Antecedent.Union(rule.Consequent)
+			body := itemset.NewSet(append(rule.Antecedent.Clone(), rule.Consequent...)...)
 			if count(body) != rule.SupportCount || count(rule.Antecedent) != rule.AntecedentCount {
 				return false
 			}
@@ -502,7 +502,7 @@ func TestQuickRulesSatisfyThresholds(t *testing.T) {
 		}
 		minCount := res.Stats.MinCount
 		for _, rule := range res.Rules {
-			body := rule.Antecedent.Union(rule.Consequent)
+			body := itemset.NewSet(append(rule.Antecedent.Clone(), rule.Consequent...)...)
 			sc := count(body, true)
 			ac := count(rule.Antecedent, true)
 			if sc != rule.SupportCount || ac != rule.AntecedentCount {

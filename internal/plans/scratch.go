@@ -21,8 +21,10 @@ import (
 // when they are short, so a request whose sizes the pool has seen
 // before allocates none of them.
 type scratch struct {
-	// slot and arena back the Focal's localVecs.
+	// slot and arena back the Focal's localVecs; gen is the stamp the
+	// last request wrote its slots with.
 	slot  []vecSlot
+	gen   uint32
 	arena []uint64
 
 	cands    []candidate   // SEARCH's candidates

@@ -1,6 +1,7 @@
 package plans
 
 import (
+	"math"
 	"slices"
 
 	"colarm/internal/bitset"
@@ -36,7 +37,8 @@ type Surface struct {
 	// Tidsets maps each item to the live records containing it.
 	Tidsets []*bitset.Set
 	// RTree is the packed R-tree over the CFIs' boxes and supports that
-	// (SUPPORTED-)SEARCH walks; RTree.Box(i) is CFI i's box (Tree ids).
+	// (SUPPORTED-)SEARCH walks; RTree.Relation(reg, i) classifies CFI
+	// i's box (Tree ids).
 	RTree *rtree.Tree
 	// Levels are RTree's per-level statistics (paper Table 3's N_j and
 	// DP_{j,i}avg plus support distributions), the traversal statistics
@@ -136,19 +138,22 @@ func (f *Focal) vector(it itemset.Item) int {
 	if v.slot == nil {
 		sc := f.scratch()
 		v.nw = (f.Size + 63) / 64
-		v.slot = reuse(sc.slot, len(f.Surface.Tidsets))
-		for i := range v.slot {
-			v.slot[i].off = -1
+		// A fresh table is all stamp 0, which no request uses.
+		if cap(sc.slot) < len(f.Surface.Tidsets) || sc.gen == math.MaxUint32 {
+			sc.slot, sc.gen = make([]vecSlot, len(f.Surface.Tidsets)), 0
 		}
+		sc.gen++
+		v.slot, v.gen = sc.slot[:len(f.Surface.Tidsets)], sc.gen
 		v.arena = sc.arena[:0]
 	}
-	if sl := v.slot[it]; sl.off >= 0 {
+	if sl := v.slot[it]; sl.gen == v.gen {
 		return int(sl.n)
 	}
 	o := len(v.arena)
 	v.arena = slices.Grow(v.arena, v.nw)[:o+v.nw]
 	n := bitset.RankAnd(v.arena[o:], f.DQ, f.Surface.Tidsets[it])
-	v.slot[it] = vecSlot{off: int32(o), n: int32(n)}
+	v.slot[it] = vecSlot{off: int32(o), n: int32(n), gen: v.gen}
+	v.writes++
 	return n
 }
 

@@ -7,12 +7,17 @@
 //
 // Trees are built once, by bulk packing (STR order, see build.go —
 // following Kamel & Faloutsos' packed R-trees), into contiguous slabs
-// (flat.go), and are immutable afterwards. The entry slab is the index's
-// only copy of the MIP boxes: Box reads one by its CFI id.
+// (flat.go), and are immutable afterwards. Node boxes are dense. A leaf
+// entry's box is sparse (itemset.AppendSparse): a point on each
+// attribute of its itemset, read from the item arena the IT-tree holds,
+// and otherwise the whole domain but on the attributes its record names.
+// Relation classifies an entry by id and Expand writes its dense box.
 package rtree
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"colarm/internal/itemset"
 )
@@ -20,12 +25,27 @@ import (
 // DefaultFanout is the default maximum number of entries per node.
 const DefaultFanout = 16
 
-// Entry is one leaf record: the MIP bounding box of a closed frequent
-// itemset, the itemset's id in the IT-tree, and its global support count.
+// Entry is one leaf record: a closed frequent itemset's id in the
+// IT-tree and its global support count. Its box is read through the
+// tree by id (Relation, Expand).
 type Entry struct {
-	Box     itemset.Box
 	ID      int32
 	Support int32
+}
+
+// Boxes is Bulk's input, n = len(Sups) sparse boxes by id: entry id's
+// box is that of the itemset Items[ItemOff[id]:ItemOff[id+1]] and the
+// record Recs[RecOff[id]:RecOff[id+1]] (itemset.AppendSparse), over
+// attributes of Cards[a] values whose items are numbered as in
+// itemset.Space. The tree adopts the item arena and copies the records
+// into packing order.
+type Boxes struct {
+	Cards   []int
+	Items   []itemset.Item
+	ItemOff []int32
+	Recs    []int32
+	RecOff  []int32
+	Sups    []int32
 }
 
 // Tree is an n-dimensional packed R-tree. The zero value is not usable;
@@ -35,13 +55,18 @@ type Tree struct {
 	fanout int
 
 	// The slabs (see flat.go).
-	froot    int32
-	fnodes   []fnode
-	nboxes   []int32 // per-node boxes: dims Lo then dims Hi at i*2*dims
-	entBoxes []int32 // per-entry boxes, same inline layout as nboxes
-	entIDs   []int32
-	entSups  []int32
-	slots    []int32 // entry id -> its slot in the entry arenas
+	froot   int32
+	fnodes  []fnode
+	nboxes  []int32 // per-node boxes: dims Lo then dims Hi at i*2*dims
+	entIDs  []int32 // per slot, in packing order
+	entSups []int32
+	recs    []int32 // per slot, the entry's sparse box record
+	recOff  []int32 // slot s's record is recs[recOff[s]:recOff[s+1]]
+	slots   []int32 // entry id -> its slot
+
+	base    []int32        // attribute a's items are base[a]..base[a+1]-1
+	items   []itemset.Item // Boxes' item arena, adopted: by id
+	itemOff []int32
 }
 
 // Size returns the number of stored entries.
@@ -50,8 +75,29 @@ func (t *Tree) Size() int { return len(t.entIDs) }
 // Dims returns the tree's dimensionality.
 func (t *Tree) Dims() int { return t.dims }
 
-// Box returns entry id's box, aliasing the entry slab (read-only).
-func (t *Tree) Box(id int) itemset.Box { return t.entryBox(t.slots[id]) }
+// Relation classifies entry id's box against the region: the leaf test
+// of Search, for readers that hold a CFI id.
+func (t *Tree) Relation(reg *itemset.Region, id int) itemset.Rel {
+	return t.relationAt(reg, t.slots[id])
+}
+
+// Expand writes entry id's dense box into lo and hi, dims values each.
+func (t *Tree) Expand(id int, lo, hi []int32) {
+	itemset.ExpandSparse(t.base, t.itemsOf(id), t.recAt(t.slots[id]), lo, hi)
+}
+
+// Box returns entry id's dense box, newly allocated: Expand for callers
+// that keep the box.
+func (t *Tree) Box(id int) itemset.Box {
+	b := itemset.Box{Lo: make([]int32, t.dims), Hi: make([]int32, t.dims)}
+	t.Expand(id, b.Lo, b.Hi)
+	return b
+}
+
+// EntryBytes returns the bytes of the entry store's own slabs: the
+// records, their offsets and the id → slot map. The items belong to the
+// IT-tree.
+func (t *Tree) EntryBytes() int { return 4 * (len(t.recs) + len(t.recOff) + len(t.slots)) }
 
 // Fanout returns the maximum node capacity.
 func (t *Tree) Fanout() int { return t.fanout }
@@ -97,11 +143,9 @@ func (t *Tree) SupportedSearch(reg *itemset.Region, minCount int, visit Visit) S
 
 // search walks the tree. containedAbove short-circuits region tests once
 // an ancestor node box was classified Contained (every descendant box is
-// then Contained as well). minCount < 0 disables support pruning. Box
-// classification reads the packed arenas directly (RelationPacked) —
-// constructing Box views per probe costs more than the classification
-// itself on deep scans, so views are only materialized for emitted
-// entries.
+// then Contained as well). minCount < 0 disables support pruning. Node
+// boxes are classified in the packed arena (RelationPacked), leaf
+// entries in their sparse form (RelationSparse).
 func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCount int32, visit Visit, st *SearchStats) bool {
 	st.NodesVisited++
 	nd := &t.fnodes[ni]
@@ -114,13 +158,13 @@ func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCou
 			}
 			rel := itemset.Contained
 			if !containedAbove {
-				rel = reg.RelationPacked(t.entBoxes, int(s)*stride, t.dims)
+				rel = t.relationAt(reg, s)
 				if rel == itemset.Disjoint {
 					continue
 				}
 			}
 			st.EntriesEmitted++
-			if !visit(t.entryAt(s), rel) {
+			if !visit(Entry{ID: t.entIDs[s], Support: t.entSups[s]}, rel) {
 				return false
 			}
 		}
@@ -146,9 +190,10 @@ func (t *Tree) search(ni int32, reg *itemset.Region, containedAbove bool, minCou
 	return true
 }
 
-// Validate checks structural invariants: node boxes cover children,
-// max-support aggregates are correct, leaf depth is uniform, and node
-// occupancy respects the fanout. Violations indicate construction bugs.
+// Validate checks structural invariants: entry boxes are well formed
+// (validEntry), node boxes cover children, max-support aggregates are
+// correct, leaf depth is uniform, and node occupancy respects the
+// fanout. Violations indicate construction bugs.
 func (t *Tree) Validate() error {
 	leafDepth := -1
 	var walk func(ni int32, depth int) (itemset.Box, int32, error)
@@ -163,10 +208,14 @@ func (t *Tree) Validate() error {
 			if int(nd.count) > t.fanout {
 				return itemset.Box{}, 0, fmt.Errorf("rtree: leaf with %d entries exceeds fanout %d", nd.count, t.fanout)
 			}
-			b := itemset.NewBox(t.dims)
+			b, e := itemset.NewBox(t.dims), itemset.NewBox(t.dims)
 			var ms int32
 			for s := nd.off; s < nd.off+nd.count; s++ {
-				b.ExtendBox(t.entryBox(s))
+				if err := t.validEntry(int(t.entIDs[s]), s); err != nil {
+					return itemset.Box{}, 0, err
+				}
+				t.Expand(int(t.entIDs[s]), e.Lo, e.Hi)
+				b.ExtendBox(e)
 				if t.entSups[s] > ms {
 					ms = t.entSups[s]
 				}
@@ -207,4 +256,37 @@ func (t *Tree) Validate() error {
 	}
 	_, _, err := walk(t.froot, 0)
 	return err
+}
+
+// validEntry checks slot s's entry id against Boxes' rules: the slot
+// map finds it, and its record, over its items, expands to a box inside
+// the domain whose record AppendSparse writes back. Items out of order,
+// out of range or two on one attribute fail too: the item mask would
+// miss one, or its point would leave the domain.
+func (t *Tree) validEntry(id int, s int32) error {
+	if t.slots[id] != s {
+		return fmt.Errorf("rtree: entry %d is in slot %d, its slot map says %d", id, s, t.slots[id])
+	}
+	items, rec, words := t.itemsOf(id), t.recAt(s), itemset.SparseWords(t.dims)
+	ones := func(mask []int32) (n int) {
+		for _, x := range mask {
+			n += bits.OnesCount32(uint32(x))
+		}
+		return n
+	}
+	if len(rec) < words || ones(rec[:words]) != len(items) ||
+		len(rec) > words && (len(rec) < 2*words || len(rec) != 2*words+2*ones(rec[words:2*words])) {
+		return fmt.Errorf("rtree: entry %d's record %v does not fit its items %v", id, rec, items)
+	}
+	b := itemset.NewBox(t.dims)
+	itemset.ExpandSparse(t.base, items, rec, b.Lo, b.Hi)
+	for a := range b.Lo {
+		if b.Lo[a] < 0 || b.Lo[a] > b.Hi[a] || b.Hi[a] >= t.base[a+1]-t.base[a] {
+			return fmt.Errorf("rtree: entry %d's box %v leaves the domain on attribute %d", id, b, a)
+		}
+	}
+	if want := itemset.AppendSparse(nil, t.base, items, b.Lo, b.Hi); !slices.Equal(rec, want) {
+		return fmt.Errorf("rtree: entry %d's record %v, its box %v's is %v", id, rec, b, want)
+	}
+	return nil
 }

@@ -11,8 +11,8 @@ import (
 
 // randomEntries builds n random boxes in a dims-dimensional grid with the
 // given per-dimension cardinalities.
-func randomEntries(r *rand.Rand, n, dims int, cards []int) []Entry {
-	es := make([]Entry, n)
+func randomEntries(r *rand.Rand, n, dims int, cards []int) []BoxEntry {
+	es := make([]BoxEntry, n)
 	for i := range es {
 		b := itemset.NewBox(dims)
 		for d := 0; d < dims; d++ {
@@ -20,7 +20,7 @@ func randomEntries(r *rand.Rand, n, dims int, cards []int) []Entry {
 			hi := lo + r.Intn(cards[d]-lo)
 			b.Lo[d], b.Hi[d] = int32(lo), int32(hi)
 		}
-		es[i] = Entry{Box: b, ID: int32(i), Support: int32(1 + r.Intn(100))}
+		es[i] = BoxEntry{Box: b, ID: int32(i), Support: int32(1 + r.Intn(100))}
 	}
 	return es
 }
@@ -60,7 +60,7 @@ func collect(t *Tree, reg *itemset.Region) (ids []int32, rels map[int32]itemset.
 }
 
 // linearSearch is the brute-force oracle.
-func linearSearch(es []Entry, reg *itemset.Region, minCount int) (ids []int32, rels map[int32]itemset.Rel) {
+func linearSearch(es []BoxEntry, reg *itemset.Region, minCount int) (ids []int32, rels map[int32]itemset.Rel) {
 	rels = map[int32]itemset.Rel{}
 	for _, e := range es {
 		if minCount >= 0 && int(e.Support) < minCount {
@@ -78,24 +78,28 @@ func linearSearch(es []Entry, reg *itemset.Region, minCount int) (ids []int32, r
 }
 
 func TestBulkValidation(t *testing.T) {
-	if _, err := Bulk(nil, nil, 0, 8); err == nil {
+	empty := Boxes{Cards: []int{4, 4}, ItemOff: []int32{0}, RecOff: []int32{0}}
+	if _, err := Bulk(Boxes{ItemOff: []int32{0}, RecOff: []int32{0}}, 8); err == nil {
 		t.Error("dims 0 must error")
 	}
-	if _, err := Bulk(nil, nil, 2, 1); err == nil {
+	if _, err := Bulk(empty, 1); err == nil {
 		t.Error("fanout 1 must error")
 	}
-	if _, err := Bulk(make([]int32, 6), []int32{0}, 2, 8); err == nil {
-		t.Error("dim mismatch must error")
+	if _, err := Bulk(Boxes{Cards: []int{4, 4}, ItemOff: []int32{0}, RecOff: []int32{0}, Sups: []int32{0}}, 8); err == nil {
+		t.Error("offset count mismatch must error")
+	}
+	if _, err := Bulk(Boxes{Cards: []int{4, 4}, ItemOff: []int32{0, 0}, RecOff: []int32{0, 3}, Sups: []int32{0}}, 8); err == nil {
+		t.Error("offsets past the runs must error")
 	}
 	// Empty bulk gives a working empty tree.
-	tr, err := Bulk(nil, nil, 2, 8)
+	tr, err := Bulk(empty, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != 0 || tr.Height() != 1 {
 		t.Error("empty bulk shape wrong")
 	}
-	if def, err := Bulk(nil, nil, 2, 0); err != nil || def.Fanout() != DefaultFanout {
+	if def, err := Bulk(empty, 0); err != nil || def.Fanout() != DefaultFanout {
 		t.Errorf("fanout 0 must select the default: %v, %v", def, err)
 	}
 	reg := itemset.NewRegion([]int{4, 4})
@@ -109,7 +113,7 @@ func TestPackedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cards := []int{8, 5, 12}
 	es := randomEntries(r, 500, 3, cards)
-	tr, err := BulkEntries(es, 3, 8)
+	tr, err := Bulk(SlabsOver(es, cards), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestSupportedSearchMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cards := []int{10, 10}
 	es := randomEntries(r, 400, 2, cards)
-	tr, err := BulkEntries(es, 2, 6)
+	tr, err := Bulk(SlabsOver(es, cards), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestSupportedSearchPrunesNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	cards := []int{20, 20}
 	es := randomEntries(r, 2000, 2, cards)
-	tr, _ := BulkEntries(es, 2, 8)
+	tr, _ := Bulk(SlabsOver(es, cards), 8)
 	reg := itemset.NewRegion(cards) // full domain
 	plain := tr.Search(reg, func(Entry, itemset.Rel) bool { return true })
 	supp := tr.SupportedSearch(reg, 101, func(Entry, itemset.Rel) bool { return true })
@@ -180,7 +184,7 @@ func TestDynamicInsertMatchesLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	cards := []int{9, 7, 6}
 	es := randomEntries(r, 600, 3, cards)
-	tr, err := BulkEntries(es, 3, 5)
+	tr, err := Bulk(SlabsOver(es, cards), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	cards := []int{6, 6}
 	es := randomEntries(r, 200, 2, cards)
-	tr, _ := BulkEntries(es, 2, 4)
+	tr, _ := Bulk(SlabsOver(es, cards), 4)
 	reg := itemset.NewRegion(cards)
 	n := 0
 	tr.Search(reg, func(Entry, itemset.Rel) bool { n++; return n < 3 })
@@ -225,7 +229,7 @@ func TestStats(t *testing.T) {
 		sups[i] = e.Support
 	}
 	sort.Slice(sups, func(a, b int) bool { return sups[a] < sups[b] })
-	tr, _ := BulkEntries(es, 2, 8)
+	tr, _ := Bulk(SlabsOver(es, cards), 8)
 	levels := tr.Stats(cards)
 	if len(levels) != tr.Height() {
 		t.Fatalf("levels %d != height %d", len(levels), tr.Height())
@@ -267,7 +271,7 @@ func TestPackedLeafUtilization(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	cards := []int{15, 15}
 	es := randomEntries(r, 1024, 2, cards)
-	tr, _ := BulkEntries(es, 2, 16)
+	tr, _ := Bulk(SlabsOver(es, cards), 16)
 	// 1024 entries / fanout 16 = exactly 64 full leaves.
 	levels := tr.Stats(cards)
 	leaves := levels[len(levels)-1].Nodes
@@ -288,7 +292,7 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 		es := randomEntries(r, n, dims, cards)
 		fanout := 2 + r.Intn(10)
 
-		tr, err := BulkEntries(es, dims, fanout)
+		tr, err := Bulk(SlabsOver(es, cards), fanout)
 		if err != nil {
 			return false
 		}

@@ -165,7 +165,7 @@ func TestGenerateRulesOwnTheirItems(t *testing.T) {
 	}
 	snap := make([]Rule, len(got))
 	for i, g := range got {
-		if !keys[g.Key()] || !g.Antecedent.Union(g.Consequent).Equal(items) {
+		if !keys[g.Key()] || !itemset.NewSet(append(g.Antecedent.Clone(), g.Consequent...)...).Equal(items) {
 			t.Fatalf("rule %d is %s, not a split of %v: a later candidate overwrote it", i, g.Key(), items)
 		}
 		snap[i] = g
